@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench benchdiff microbench vet fmt lint errlint cover experiments soak cluster restart-replay torture clean BENCH_PR1.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json
+.PHONY: all build test race bench bench-e2e bench-e2e-compare benchdiff microbench vet fmt lint errlint cover experiments soak cluster restart-replay torture clean BENCH_PR1.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json
 
 all: vet test build
 
@@ -93,6 +93,21 @@ BENCH_PR10.json:
 # exits non-zero on any >15% regression (the CI gate).
 benchdiff:
 	go run ./scripts/benchdiff BENCH_PR9.json BENCH_PR10.json
+
+# One run of the repository benchmark (BENCHMARK.json, bench/README.md):
+# goalrecd is built from this checkout and driven over loopback, and the
+# run's metrics are appended to RECORD when it is set. TRACE=1 adds the
+# traced run and prints the per-layer metrics instead of the gated ones.
+WORKLOAD ?= bestmatch_kernel
+SEED ?= 1
+TRACE ?= 0
+bench-e2e:
+	go run ./bench -workload $(WORKLOAD) -seed $(SEED) -seconds 18 -trace $(TRACE) $(if $(RECORD),-record $(RECORD))
+
+# Judge the runs recorded in B (the change) against those in A (the parent)
+# with the bounds of BENCHMARK.json.
+bench-e2e-compare:
+	go run ./bench compare $(A) $(B)
 
 microbench:
 	go test -run=XXX -bench=. -benchmem .

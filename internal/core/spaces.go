@@ -1,6 +1,10 @@
 package core
 
-import "goalrec/internal/intset"
+import (
+	"slices"
+
+	"goalrec/internal/intset"
+)
 
 // This file implements the two basic operations of Section 4 — forming the
 // goal space GS(A) and the action space AS(A) of an activity — plus the
@@ -93,34 +97,77 @@ func (l *Library) ActionSpace(activity []ActionID) []ActionID {
 // strategies rank (the user has not performed them yet).
 func (l *Library) Candidates(activity []ActionID) []ActionID {
 	h := intset.FromUnsorted(intset.Clone(activity))
-	space := l.ImplementationSpace(h)
-	if len(space) == 0 {
-		return nil
+	return l.AppendCandidates(nil, &CandidateScratch{}, h)
+}
+
+// CandidateScratch carries the buffers AppendCandidates reuses across
+// queries. The zero value is ready to use; a scratch serves one query at a
+// time and comes back clean from every call.
+type CandidateScratch struct {
+	seen []bool   // dense first-sight stamps, all false between calls
+	row  []ImplID // posting decode buffer for block-compressed rows
+}
+
+// candidateStampLimit is the largest action id space AppendCandidates dedups
+// with dense stamps; above it a per-query stamp array would dwarf the query.
+const candidateStampLimit = 1 << 22
+
+// AppendCandidates appends AS(sortedH) − sortedH in ascending order to dst
+// and returns the extended slice, allocating nothing once dst and sc have
+// grown to the library's shape. sortedH must be sorted and deduplicated.
+//
+// It walks H's posting rows directly — an implementation shared by c actions
+// of H is visited c times, which costs less than materializing and sorting
+// IS(H) — stamping each action on first sight and sorting the distinct
+// survivors, instead of sorting the full slot stream with duplicates (at
+// high connectivity the stream is an order of magnitude larger than the
+// action space). H itself is stamped up front and so never collected. The
+// append+sort path remains for libraries whose action id space is too large
+// to stamp.
+func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH []ActionID) []ActionID {
+	base := len(dst)
+	if l.numActions > candidateStampLimit {
+		for _, a := range sortedH {
+			var row []ImplID
+			row, sc.row = l.PostingRow(a, sc.row)
+			for _, p := range row {
+				dst = append(dst, l.implActions(p)...)
+			}
+		}
+		out := intset.FromUnsorted(dst[base:])
+		return dst[:base+len(intset.Difference(out[:0], out, sortedH))]
 	}
-	// Dense dedup: stamp each action on first sight and sort the distinct
-	// survivors, instead of sorting the full slot stream with duplicates
-	// (at high connectivity the stream is an order of magnitude larger than
-	// the action space). The sparse append+sort path remains for libraries
-	// whose action id space is too large to stamp per query.
-	const stampLimit = 1 << 22
-	var out []ActionID
-	if l.numActions <= stampLimit {
-		seen := make([]bool, l.numActions)
-		for _, p := range space {
-			for _, a := range l.implActions(p) {
-				if !seen[a] {
-					seen[a] = true
-					out = append(out, a)
+	if len(sc.seen) < l.numActions {
+		sc.seen = make([]bool, l.numActions)
+	}
+	seen := sc.seen
+	for _, a := range sortedH {
+		if a >= 0 && int(a) < len(seen) {
+			seen[a] = true
+		}
+	}
+	for _, a := range sortedH {
+		var row []ImplID
+		row, sc.row = l.PostingRow(a, sc.row)
+		for _, p := range row {
+			for _, c := range l.implActions(p) {
+				if !seen[c] {
+					seen[c] = true
+					dst = append(dst, c)
 				}
 			}
 		}
-	} else {
-		for _, p := range space {
-			out = append(out, l.implActions(p)...)
+	}
+	for _, a := range sortedH {
+		if a >= 0 && int(a) < len(seen) {
+			seen[a] = false
 		}
 	}
-	out = intset.FromUnsorted(out)
-	return intset.Difference(nil, out, h)
+	for _, c := range dst[base:] {
+		seen[c] = false
+	}
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // Completeness returns completeness(g, A_p, H) = |A_p ∩ H| / |A_p|

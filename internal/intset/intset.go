@@ -95,7 +95,8 @@ func DifferenceLen[T ID](a, b []T) int {
 }
 
 // Difference appends a − b (asymmetric set difference) to dst and returns the
-// extended slice. dst may be nil; it must not alias a or b.
+// extended slice. dst may be nil, or a[:0] to filter a in place (the write
+// index never passes the read index); it must not otherwise alias a or b.
 func Difference[T ID](dst, a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) {

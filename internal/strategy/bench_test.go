@@ -73,6 +73,7 @@ func BenchmarkBestMatchModes(b *testing.B) {
 			bm := NewBestMatch(lib)
 			bm.mode = m.mode
 			b.Run(fmt.Sprintf("%s/conn=%.0f/%s", cell.name, conn, m.name), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					bm.Recommend(queries[i%len(queries)], 10)
 				}
@@ -92,6 +93,7 @@ func BenchmarkBestMatchSharded(b *testing.B) {
 		bm.maxWorkers = workers
 		bm.shardMin = 1
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bm.Recommend(queries[i%len(queries)], 10)
 			}
@@ -164,7 +166,7 @@ func BenchmarkPrunedStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKSelection compares the bounded-heap selection against the full
+// BenchmarkTopKSelection compares the k-bounded selector against the full
 // sort it replaced, at the pool sizes a dense library produces.
 func BenchmarkTopKSelection(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
@@ -184,8 +186,7 @@ func BenchmarkTopKSelection(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/heap-new", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				copy(scratch, pool)
-				topKHeap(scratch, 10)
+				TopK(pool, 10)
 			}
 		})
 	}

@@ -33,6 +33,9 @@ import (
 // Both paths accumulate the same integer-valued sums in float64, so they are
 // bit-identical; the cheaper one is chosen per query from exact index-derived
 // cost estimates. The alternative metrics use the sparse vectorspace path.
+// Every path offers its scores into one k-bounded selector as it computes
+// them, and the candidate pool lives in the pooled scratch, so a query
+// allocates nothing that scales with the pool.
 type BestMatch struct {
 	lib    *core.Library
 	metric vectorspace.Metric
@@ -76,7 +79,11 @@ type bmScratch struct {
 	sumsq      []float64
 	actTouched []core.ActionID
 
-	// Legacy candidate-major postings-path buffers.
+	// Candidate pool of the current query and the buffers that generate it.
+	cands    []core.ActionID
+	candBufs core.CandidateScratch
+
+	// Legacy candidate-major postings-path buffers, sized by scorePostings.
 	candCount   []float64 // candidate counts per goal-space slot
 	slotTouched []int32   // slots touched by the current candidate
 
@@ -162,79 +169,77 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 		return nil, nil
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	candidates := bm.lib.Candidates(h)
-	if len(candidates) == 0 {
+	s := bm.pool.Get().(*bmScratch)
+	defer bm.pool.Put(s)
+	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h)
+	if len(s.cands) == 0 {
 		return nil, nil
 	}
 	goalSpace := bm.lib.GoalSpace(h)
-
-	var (
-		scored []ScoredAction
-		err    error
-	)
-	if bm.metric == vectorspace.Cosine {
-		scored, err = bm.recommendCosine(ctx, h, candidates, goalSpace, k)
-	} else {
-		tick := newTicker(ctx)
-		profile := bm.Profile(h)
-		scored = make([]ScoredAction, 0, len(candidates))
-		for _, a := range candidates {
-			if err = tick.tick(1); err != nil {
-				return nil, err
-			}
-			vec := bm.actionVector(a, goalSpace)
-			d := bm.metric.Distance(profile, vec)
-			scored = append(scored, ScoredAction{Action: a, Score: -d})
-		}
+	if bm.metric != vectorspace.Cosine {
+		return bm.rankSparse(ctx, bm.Profile(h), s.cands, goalSpace, k)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return TopK(scored, k), nil
-}
-
-// recommendCosine is the allocation-light fast path: it stamps the goal
-// space, builds the dense profile from the AG-idx, then scores every
-// candidate through whichever scoring path the per-query cost estimates
-// favor.
-func (bm *BestMatch) recommendCosine(ctx context.Context, h, candidates []core.ActionID, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
-	s.stamp(goalSpace)
 
 	// Dense profile (Equation 9): action a of H adds its per-goal
 	// implementation multiplicities. Every goal of AG(a) is in GS(H) by
 	// construction.
+	s.stamp(goalSpace)
 	for _, a := range h {
 		goals, mult := bm.lib.GoalsOfAction(a)
 		for i, g := range goals {
 			s.profile[s.slot[g]] += float64(mult[i])
 		}
 	}
-	profNorm := s.profileNorm()
+	return bm.rankCosine(ctx, s, goalSpace, k, bm.pruning)
+}
 
+// rankSparse is the non-cosine path: every candidate's sparse vector against
+// the sparse profile through the vectorspace metric.
+func (bm *BestMatch) rankSparse(ctx context.Context, profile vectorspace.Vector, candidates []core.ActionID, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
+	tick := newTicker(ctx)
+	sel := newSelector(k, len(candidates))
+	for _, a := range candidates {
+		if err := tick.tick(1); err != nil {
+			return nil, err
+		}
+		d := bm.metric.Distance(profile, bm.actionVector(a, goalSpace))
+		sel.offer(ScoredAction{Action: a, Score: -d})
+	}
+	return sel.sorted(), nil
+}
+
+// rankCosine is the allocation-light fast path over the stamped scratch (goal
+// space, dense profile, candidate pool): it scores every candidate through
+// whichever scoring path the per-query cost estimates favor, straight into
+// one k-bounded selector.
+func (bm *BestMatch) rankCosine(ctx context.Context, s *bmScratch, goalSpace []core.GoalID, k int, prunable bool) ([]ScoredAction, error) {
+	candidates := s.cands
+	profNorm := s.profileNorm()
+	sel := newSelector(k, len(candidates))
 	mode := bm.pickMode(candidates, goalSpace)
+	var err error
+	switch {
 	// The pruned walk replaces candidate-major scoring when a bounded top-k
 	// is wanted and the bound preparation (profile sort) is proportionate.
-	// Its output is the exact top k under the total order, which the caller's
-	// TopK pass leaves untouched.
-	if bm.pruning && k > 0 && k < len(candidates) && mode == bmCandidateMajor &&
-		profNorm > 0 && len(goalSpace) <= bmPruneMaxGoalSpace {
-		return bm.scoreCosinePruned(ctx, s, candidates, profNorm, k)
-	}
-	switch mode {
-	case bmGoalMajor:
-		return bm.scoreGoalMajor(ctx, s, candidates, goalSpace, profNorm)
-	case bmPostings:
-		return bm.scorePostings(ctx, s, candidates, profNorm)
+	case prunable && sel.bound() < len(candidates) && mode == bmCandidateMajor &&
+		profNorm > 0 && len(goalSpace) <= bmPruneMaxGoalSpace:
+		err = bm.scoreCosinePruned(ctx, s, candidates, profNorm, &sel)
+	case mode == bmGoalMajor:
+		err = bm.scoreGoalMajor(ctx, s, candidates, goalSpace, profNorm, &sel)
+	case mode == bmPostings:
+		err = bm.scorePostings(ctx, s, candidates, profNorm, &sel)
 	default:
-		return bm.scoreCandidateMajor(ctx, s, candidates, profNorm)
+		err = bm.scoreCandidateMajor(ctx, s, candidates, profNorm, &sel)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return sel.sorted(), nil
 }
 
 // stamp marks goalSpace as the current goal space and zeroes the per-slot
-// profile and candidate-count accumulators. Version 0 is never valid after
-// the first wrap, so the version bumps twice on wraparound.
+// profile. Version 0 is never valid after the first wrap, so the version
+// bumps twice on wraparound.
 func (s *bmScratch) stamp(goalSpace []core.GoalID) {
 	s.version++
 	if s.version == 0 {
@@ -245,14 +250,9 @@ func (s *bmScratch) stamp(goalSpace []core.GoalID) {
 	}
 	if cap(s.profile) < len(goalSpace) {
 		s.profile = make([]float64, len(goalSpace))
-		s.candCount = make([]float64, len(goalSpace))
 	}
 	s.profile = s.profile[:len(goalSpace)]
-	s.candCount = s.candCount[:len(goalSpace)]
-	for i := range s.profile {
-		s.profile[i] = 0
-		s.candCount[i] = 0
-	}
+	clear(s.profile)
 	for i, g := range goalSpace {
 		s.mark[g] = s.version
 		s.slot[g] = int32(i)
@@ -286,60 +286,25 @@ func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) (
 	if k == 0 {
 		return nil, nil
 	}
-	candidates := v.Candidates(nil)
-	if len(candidates) == 0 {
+	s := bm.pool.Get().(*bmScratch)
+	defer bm.pool.Put(s)
+	s.cands = v.Candidates(s.cands[:0])
+	if len(s.cands) == 0 {
 		return nil, nil
 	}
 	goalSpace := v.goal
-
-	var (
-		scored []ScoredAction
-		err    error
-	)
-	if bm.metric == vectorspace.Cosine {
-		scored, err = bm.recommendCosineView(ctx, v, candidates, goalSpace)
-	} else {
-		tick := newTicker(ctx)
+	if bm.metric != vectorspace.Cosine {
 		counts := make(map[int32]int, len(goalSpace))
 		for i, g := range goalSpace {
 			counts[int32(g)] = int(v.gcnt[i])
 		}
-		profile := vectorspace.FromCounts(counts)
-		scored = make([]ScoredAction, 0, len(candidates))
-		for _, a := range candidates {
-			if err = tick.tick(1); err != nil {
-				return nil, err
-			}
-			vec := bm.actionVector(a, goalSpace)
-			d := bm.metric.Distance(profile, vec)
-			scored = append(scored, ScoredAction{Action: a, Score: -d})
-		}
+		return bm.rankSparse(ctx, vectorspace.FromCounts(counts), s.cands, goalSpace, k)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return TopK(scored, k), nil
-}
-
-// recommendCosineView mirrors recommendCosine with the profile gathered from
-// the view's goal counters instead of an AG-row pass over H.
-func (bm *BestMatch) recommendCosineView(ctx context.Context, v *CounterView, candidates []core.ActionID, goalSpace []core.GoalID) ([]ScoredAction, error) {
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
 	s.stamp(goalSpace)
 	for i := range goalSpace {
 		s.profile[i] = float64(v.gcnt[i])
 	}
-	profNorm := s.profileNorm()
-
-	switch bm.pickMode(candidates, goalSpace) {
-	case bmGoalMajor:
-		return bm.scoreGoalMajor(ctx, s, candidates, goalSpace, profNorm)
-	case bmPostings:
-		return bm.scorePostings(ctx, s, candidates, profNorm)
-	default:
-		return bm.scoreCandidateMajor(ctx, s, candidates, profNorm)
-	}
+	return bm.rankCosine(ctx, s, goalSpace, k, false)
 }
 
 // pickMode resolves the scoring path for one query. In auto mode it compares
@@ -368,11 +333,11 @@ func (bm *BestMatch) pickMode(candidates []core.ActionID, goalSpace []core.GoalI
 // AG-idx row: dot and ‖a⃗‖² come from the (goal, multiplicity) pairs that
 // fall inside the stamped goal space. For large pools the loop is sharded
 // across a bounded worker pool; the scratch is read-only during scoring and
-// every worker writes a disjoint range of scored, so the merge is a no-op
-// and the result is deterministic. Each worker polls ctx with its own
-// checkpoint counter and the first cancellation aborts the whole query.
-func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64) ([]ScoredAction, error) {
-	scored := make([]ScoredAction, len(candidates))
+// every worker selects from its own candidate range into its own selector,
+// merged into sel in shard order, so the result is deterministic. Each worker
+// polls ctx with its own checkpoint counter and the first cancellation aborts
+// the whole query.
+func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
 	shardMin := bm.shardMin
 	if shardMin <= 0 {
 		shardMin = bmShardMinCandidates
@@ -383,17 +348,18 @@ func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, cand
 	}
 	if len(candidates) < shardMin || workers < 2 {
 		tick := newTicker(ctx)
-		for i, a := range candidates {
+		for _, a := range candidates {
 			if err := tick.tick(1); err != nil {
-				return nil, err
+				return err
 			}
-			scored[i] = bm.scoreOne(s, a, profNorm)
+			sel.offer(bm.scoreOne(s, a, profNorm))
 		}
-		return scored, nil
+		return nil
 	}
 	chunk := (len(candidates) + workers - 1) / workers
 	shards := (len(candidates) + chunk - 1) / chunk
 	errs := make([]error, shards)
+	parts := make([]selector, shards)
 	var wg sync.WaitGroup
 	for shard, lo := 0, 0; lo < len(candidates); shard, lo = shard+1, lo+chunk {
 		hi := lo + chunk
@@ -404,22 +370,27 @@ func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, cand
 		go func(shard, lo, hi int) {
 			defer wg.Done()
 			tick := newTicker(ctx)
-			for i := lo; i < hi; i++ {
+			part := newSelector(sel.bound(), hi-lo)
+			for _, a := range candidates[lo:hi] {
 				if err := tick.tick(1); err != nil {
 					errs[shard] = err
 					return
 				}
-				scored[i] = bm.scoreOne(s, candidates[i], profNorm)
+				part.offer(bm.scoreOne(s, a, profNorm))
 			}
+			parts[shard] = part
 		}(shard, lo, hi)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return scored, nil
+	for i := range parts {
+		sel.merge(&parts[i])
+	}
+	return nil
 }
 
 // scoreOne computes one candidate's negated cosine distance from the stamped
@@ -451,7 +422,7 @@ func (bm *BestMatch) scoreOne(s *bmScratch, a core.ActionID, profNorm float64) S
 // impact ordering cannot scatter this walk). Every accumulated term is the
 // same integer-valued float the candidate-major path multiplies, summed
 // exactly below 2^53, so the scores are bit-identical to scoreOne.
-func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, goalSpace []core.GoalID, profNorm float64) ([]ScoredAction, error) {
+func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, goalSpace []core.GoalID, profNorm float64, sel *selector) error {
 	if s.dot == nil {
 		n := bm.lib.NumActions()
 		s.dot = make([]float64, n)
@@ -481,21 +452,20 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 			s.dot[a] = 0
 			s.sumsq[a] = 0
 		}
-		return nil, tickErr
+		return tickErr
 	}
-	scored := make([]ScoredAction, len(candidates))
-	for i, a := range candidates {
+	for _, a := range candidates {
 		sim := 0.0
 		if sumsq := s.sumsq[a]; profNorm > 0 && sumsq > 0 {
 			sim = s.dot[a] / (profNorm * math.Sqrt(sumsq))
 		}
-		scored[i] = ScoredAction{Action: a, Score: -(1 - sim)}
+		sel.offer(ScoredAction{Action: a, Score: -(1 - sim)})
 	}
 	for _, a := range s.actTouched {
 		s.dot[a] = 0
 		s.sumsq[a] = 0
 	}
-	return scored, nil
+	return nil
 }
 
 // scorePostings is the pre-AG-idx candidate loop — every candidate walks its
@@ -503,12 +473,16 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 // reference implementation for equivalence tests and old-vs-new benchmarks.
 // The context is polled at candidate boundaries, where the per-candidate
 // candCount scratch is already cleared.
-func (bm *BestMatch) scorePostings(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64) ([]ScoredAction, error) {
+func (bm *BestMatch) scorePostings(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
+	if cap(s.candCount) < len(s.profile) {
+		s.candCount = make([]float64, len(s.profile))
+	}
+	s.candCount = s.candCount[:len(s.profile)]
+	clear(s.candCount)
 	tick := newTicker(ctx)
-	scored := make([]ScoredAction, 0, len(candidates))
 	for _, a := range candidates {
 		if err := tick.tick(1); err != nil {
-			return nil, err
+			return err
 		}
 		dot, sumsq := 0.0, 0.0
 		s.slotTouched = s.slotTouched[:0]
@@ -531,10 +505,10 @@ func (bm *BestMatch) scorePostings(ctx context.Context, s *bmScratch, candidates
 		if profNorm > 0 && sumsq > 0 {
 			sim = dot / (profNorm * math.Sqrt(sumsq))
 		}
-		scored = append(scored, ScoredAction{Action: a, Score: -(1 - sim)})
+		sel.offer(ScoredAction{Action: a, Score: -(1 - sim)})
 		for _, i := range s.slotTouched {
 			s.candCount[i] = 0
 		}
 	}
-	return scored, nil
+	return nil
 }

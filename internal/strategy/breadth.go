@@ -234,19 +234,14 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 	}
 
 	if workers == 1 {
-		scored := make([]ScoredAction, 0, len(ws[0].actions))
-		for _, a := range ws[0].actions {
-			scored = append(scored, ScoredAction{Action: a, Score: ws[0].scores[a]})
-			ws[0].scores[a] = 0
-		}
 		s.actions = ws[0].actions[:0]
-		return TopK(scored, k), nil
+		return drainScores(s.scores, ws[0].actions, k), nil
 	}
 
 	// Deterministic merge: fold the per-worker partial sums into the main
 	// accumulator in fixed worker order. Integer-valued terms keep the fold
-	// exact, and TopK ranks under a total order, so the result matches the
-	// sequential kernel bit for bit.
+	// exact, and selection ranks under a total order, so the result matches
+	// the sequential kernel bit for bit.
 	merged := s.actions
 	for i := range ws {
 		for _, a := range ws[i].actions {
@@ -258,13 +253,20 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 		}
 		ws[i].actions = ws[i].actions[:0]
 	}
-	s.actions = merged
-	scored := make([]ScoredAction, 0, len(merged))
-	for _, a := range merged {
-		scored = append(scored, ScoredAction{Action: a, Score: s.scores[a]})
-		s.scores[a] = 0
+	s.actions = merged[:0]
+	return drainScores(s.scores, merged, k), nil
+}
+
+// drainScores ranks the touched actions by their accumulated scores —
+// offered straight into a k-bounded selector, so the result owns exactly the
+// entries it returns — and re-zeroes the accumulator for the next query.
+func drainScores(scores []float64, touched []core.ActionID, k int) []ScoredAction {
+	sel := newSelector(k, len(touched))
+	for _, a := range touched {
+		sel.offer(ScoredAction{Action: a, Score: scores[a]})
+		scores[a] = 0
 	}
-	return TopK(scored, k), nil
+	return sel.sorted()
 }
 
 // breadthComm is one implementation's contribution to the score of every
@@ -335,13 +337,8 @@ func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]S
 		s.actions = actions[:0]
 		return nil, tickErr
 	}
-	scored := make([]ScoredAction, 0, len(actions))
-	for _, a := range actions {
-		scored = append(scored, ScoredAction{Action: a, Score: s.scores[a]})
-		s.scores[a] = 0
-	}
 	s.actions = actions[:0]
-	return TopK(scored, k), nil
+	return drainScores(s.scores, actions, k), nil
 }
 
 // shardWorkers returns the n private per-shard accumulators of the sharded

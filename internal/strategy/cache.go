@@ -48,6 +48,8 @@ type cacheShard struct {
 	byK map[string]*list.Element
 }
 
+// cacheEntry owns its list: a private copy with cap == len, so an entry pins
+// exactly the k results it serves and never a recommender's scoring buffers.
 type cacheEntry struct {
 	key  string
 	list []ScoredAction
@@ -140,18 +142,26 @@ func (c *Cached) RecommendContext(ctx context.Context, activity []core.ActionID,
 		return list, err
 	}
 
+	// The entry's private copy, made before taking the lock. The computed
+	// list itself goes to the caller.
+	var own []ScoredAction
+	if len(list) > 0 {
+		own = make([]ScoredAction, len(list))
+		copy(own, list)
+	}
+
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, raced := sh.byK[string(key)]; !raced {
 		ck := string(key) // materialize only when actually inserting
-		sh.byK[ck] = sh.lru.PushFront(&cacheEntry{key: ck, list: list})
+		sh.byK[ck] = sh.lru.PushFront(&cacheEntry{key: ck, list: own})
 		for sh.lru.Len() > sh.cap {
 			oldest := sh.lru.Back()
 			sh.lru.Remove(oldest)
 			delete(sh.byK, oldest.Value.(*cacheEntry).key)
 		}
 	}
-	return append([]ScoredAction(nil), list...), nil
+	return list, nil
 }
 
 // Stats returns cache hits and misses so far.

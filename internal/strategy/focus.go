@@ -294,8 +294,8 @@ func sortRankedImpls(ranked []rankedImpl) {
 
 // topMRankedImpls selects the m best implementations with a min-heap kept in
 // ranked[:m] and leaves them sorted best-first — the rankedImpl counterpart
-// of topKHeap, kept monomorphic so neither hot loop pays an indirect
-// comparator call.
+// of the action selector, kept monomorphic so neither hot loop pays an
+// indirect comparator call.
 func topMRankedImpls(ranked []rankedImpl, m int) []rankedImpl {
 	h := ranked[:m]
 	for i := m/2 - 1; i >= 0; i-- {

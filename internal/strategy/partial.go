@@ -375,11 +375,11 @@ func MergeBreadthPartials(parts []*BreadthPartial, k int) []ScoredAction {
 	if len(totals) == 0 {
 		return nil
 	}
-	scored := make([]ScoredAction, 0, len(totals))
+	sel := newSelector(k, len(totals))
 	for a, sum := range totals {
-		scored = append(scored, ScoredAction{Action: a, Score: float64(sum)})
+		sel.offer(ScoredAction{Action: a, Score: float64(sum)})
 	}
-	return TopK(scored, k)
+	return sel.sorted()
 }
 
 // ---------------------------------------------------------------------------
@@ -507,6 +507,7 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 	if k == 0 || len(candidates) == 0 {
 		return nil
 	}
+	sel := newSelector(k, len(candidates))
 	if metric == vectorspace.Cosine {
 		profSq := int64(0)
 		for _, v := range profile {
@@ -515,7 +516,6 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 		profNorm := math.Sqrt(float64(profSq))
 		mult := make([]int64, len(goalSpace))
 		touched := make([]int32, 0, 16)
-		scored := make([]ScoredAction, len(candidates))
 		for ci, a := range candidates {
 			touched = touched[:0]
 			for _, v := range vectors {
@@ -541,9 +541,9 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 			if profNorm > 0 && sumsq > 0 {
 				sim = float64(dot) / (profNorm * math.Sqrt(float64(sumsq)))
 			}
-			scored[ci] = ScoredAction{Action: a, Score: -(1 - sim)}
+			sel.offer(ScoredAction{Action: a, Score: -(1 - sim)})
 		}
-		return TopK(scored, k)
+		return sel.sorted()
 	}
 
 	profCounts := make(map[int32]int, len(goalSpace))
@@ -553,7 +553,6 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 	profVec := vectorspace.FromCounts(profCounts)
 	mult := make([]int64, len(goalSpace))
 	touched := make([]int32, 0, 16)
-	scored := make([]ScoredAction, len(candidates))
 	for ci, a := range candidates {
 		touched = touched[:0]
 		for _, v := range vectors {
@@ -574,7 +573,7 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 			mult[s] = 0
 		}
 		vec := vectorspace.FromCounts(counts)
-		scored[ci] = ScoredAction{Action: a, Score: -metric.Distance(profVec, vec)}
+		sel.offer(ScoredAction{Action: a, Score: -metric.Distance(profVec, vec)})
 	}
-	return TopK(scored, k)
+	return sel.sorted()
 }

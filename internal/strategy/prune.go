@@ -12,8 +12,10 @@ import (
 
 // Threshold-aware (bound-driven) top-k scanning for the three strategy
 // families (see DESIGN.md, "Bounds & pruning"). Every pruned path keeps the
-// floor of a bounded top-k/top-m heap and skips work that provably cannot
-// reach it:
+// floor of a bounded selection — Focus's top-m implementation heap, and for
+// Breadth and Best Match the same selector the unpruned loops offer into,
+// whose floor is −∞ until k candidates are held — and skips work that
+// provably cannot reach it:
 //
 //   - Focus walks the posting rows in fixed-width implementation-id chunks
 //     and skips whole block segments whose best-case completeness/closeness —
@@ -782,24 +784,18 @@ func (b *Breadth) recommendPruned(ctx context.Context, h []core.ActionID, stream
 		return out, err
 	}
 
-	// Phase 2: candidate-major walk with a bounded k-heap. Both upper-bound
-	// products stay far below 2^53, so the float comparisons are exact.
-	heap := make([]ScoredAction, 0, k)
-	full := false
-	floor := 0.0
+	// Phase 2: candidate-major walk into the k-bounded selector, whose floor
+	// is −∞ until k candidates are held. Both upper-bound products stay far
+	// below 2^53, so the float comparisons are exact.
 	tick := newTicker(ctx)
 	nAct := lib.NumActions()
+	sel := newSelector(k, nAct)
 	for ai := 0; ai < nAct; ai++ {
 		a := core.ActionID(ai)
-		if full {
-			ub := int64(lib.ActionDegreeSuffixMax(a))
-			if ub > nTouched {
-				ub = nTouched
-			}
-			if float64(ub)*commMax < floor {
-				tally.candidatesSkipped += int64(nAct - ai)
-				break
-			}
+		floor := sel.floor()
+		if ub := min(int64(lib.ActionDegreeSuffixMax(a)), nTouched); float64(ub)*commMax < floor {
+			tally.candidatesSkipped += int64(nAct - ai)
+			break
 		}
 		if s.inH[a] {
 			continue
@@ -808,15 +804,9 @@ func (b *Breadth) recommendPruned(ctx context.Context, h []core.ActionID, stream
 		if deg == 0 {
 			continue
 		}
-		if full {
-			ub := int64(deg)
-			if ub > nTouched {
-				ub = nTouched
-			}
-			if float64(ub)*commMax < floor {
-				tally.candidatesSkipped++
-				continue
-			}
+		if ub := min(int64(deg), nTouched); float64(ub)*commMax < floor {
+			tally.candidatesSkipped++
+			continue
 		}
 		var row []core.ImplID
 		row, s.rowBuf = lib.PostingRow(a, s.rowBuf)
@@ -847,30 +837,9 @@ func (b *Breadth) recommendPruned(ctx context.Context, h []core.ActionID, stream
 			continue // not a candidate: no associated implementation contains it
 		}
 		tally.candidatesScored++
-		cand := ScoredAction{Action: a, Score: float64(sum)}
-		if !full {
-			heap = append(heap, cand)
-			if len(heap) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					heapSiftDown(heap, i)
-				}
-				full = true
-				floor = heap[0].Score
-			}
-			continue
-		}
-		if ranksBefore(heap[0], cand) {
-			continue
-		}
-		heap[0] = cand
-		heapSiftDown(heap, 0)
-		floor = heap[0].Score
+		sel.offer(ScoredAction{Action: a, Score: float64(sum)})
 	}
-	if len(heap) == 0 {
-		return nil, nil
-	}
-	sort.Slice(heap, func(i, j int) bool { return ranksBefore(heap[i], heap[j]) })
-	return heap, nil
+	return sel.sorted(), nil
 }
 
 // finishActionMajor is the pruned Breadth path's fallback finish when the
@@ -917,13 +886,8 @@ score:
 		s.actions = actions[:0]
 		return nil, err
 	}
-	scored := make([]ScoredAction, 0, len(actions))
-	for _, a := range actions {
-		scored = append(scored, ScoredAction{Action: a, Score: scores[a]})
-		scores[a] = 0
-	}
 	s.actions = actions[:0]
-	return TopK(scored, k), nil
+	return drainScores(scores, actions, k), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -956,8 +920,9 @@ type bmCand struct {
 // candidate whose bound falls strictly below the k-th score ends the walk.
 // Scored candidates use the exact same scoreOne floats as the unpruned
 // paths, so the surviving top k is bit-identical.
-func (bm *BestMatch) scoreCosinePruned(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, k int) ([]ScoredAction, error) {
+func (bm *BestMatch) scoreCosinePruned(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
 	var tally pruneTally
+	defer bm.stats.add(&tally)
 
 	pf := append(s.prefix[:0], s.profile...)
 	for i := range pf {
@@ -981,51 +946,21 @@ func (bm *BestMatch) scoreCosinePruned(ctx context.Context, s *bmScratch, candid
 	})
 	s.ord = ord
 
-	heap := make([]ScoredAction, 0, k)
-	full := false
-	floor := 0.0
 	tick := newTicker(ctx)
-	for i := range ord {
-		c := ord[i]
-		if full {
-			t := int(c.deg)
-			if t > len(pf) {
-				t = len(pf)
-			}
-			ub := bmUBSlack - 1.0 // Score = −(1 − sim)
-			if t > 0 {
-				ub += math.Sqrt(pf[t-1]) / profNorm
-			}
-			if ub < floor {
-				tally.candidatesSkipped += int64(len(ord) - i)
-				break
-			}
+	for i, c := range ord {
+		ub := bmUBSlack - 1.0 // Score = −(1 − sim)
+		if t := min(int(c.deg), len(pf)); t > 0 {
+			ub += math.Sqrt(pf[t-1]) / profNorm
+		}
+		if ub < sel.floor() {
+			tally.candidatesSkipped += int64(len(ord) - i)
+			break
 		}
 		if err := tick.tick(1 + int(c.deg)); err != nil {
-			bm.stats.add(&tally)
-			return nil, err
+			return err
 		}
 		tally.candidatesScored++
-		cand := bm.scoreOne(s, c.a, profNorm)
-		if !full {
-			heap = append(heap, cand)
-			if len(heap) == k {
-				for j := k/2 - 1; j >= 0; j-- {
-					heapSiftDown(heap, j)
-				}
-				full = true
-				floor = heap[0].Score
-			}
-			continue
-		}
-		if ranksBefore(heap[0], cand) {
-			continue
-		}
-		heap[0] = cand
-		heapSiftDown(heap, 0)
-		floor = heap[0].Score
+		sel.offer(bm.scoreOne(s, c.a, profNorm))
 	}
-	bm.stats.add(&tally)
-	sort.Slice(heap, func(i, j int) bool { return ranksBefore(heap[i], heap[j]) })
-	return heap, nil
+	return nil
 }

@@ -9,7 +9,8 @@
 package strategy
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"goalrec/internal/core"
 )
@@ -36,28 +37,19 @@ type Recommender interface {
 }
 
 // TopK ranks scored candidates best-first (score descending, action id
-// ascending on ties) and truncates to k. It works in place and returns a
-// sub-slice of scored. It is exported for the baseline recommenders, which
-// share the deterministic ranking contract.
-//
-// When k is a small fraction of the pool it selects through a bounded
-// min-heap in O(n log k) instead of sorting the whole pool in O(n log n);
-// the (score, action) order is total over distinct actions, so both paths
-// return bit-identical rankings.
+// ascending on ties) and keeps the best k; a negative k keeps them all. The
+// result is a new exact-size slice (len == cap ≤ k) the caller owns — scored
+// is left untouched and is not pinned by it. It is exported for the baseline
+// recommenders, which share the deterministic ranking contract.
 func TopK(scored []ScoredAction, k int) []ScoredAction {
-	if len(scored) == 0 || k == 0 {
+	if k == 0 {
 		return nil
 	}
-	if k > 0 && len(scored) >= heapSelectMinLen && len(scored) >= heapSelectFactor*k {
-		return topKHeap(scored, k)
+	sel := newSelector(k, len(scored))
+	for _, c := range scored {
+		sel.offer(c)
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		return ranksBefore(scored[i], scored[j])
-	})
-	if k >= 0 && len(scored) > k {
-		scored = scored[:k]
-	}
-	return scored
+	return sel.sorted()
 }
 
 // ranksBefore is the shared ranking order: score descending, then action id
@@ -69,34 +61,85 @@ func ranksBefore(a, b ScoredAction) bool {
 	return a.Action < b.Action
 }
 
-// Heap selection pays off once the pool is comfortably larger than k; below
-// these bounds the plain sort's constant factor wins.
-const (
-	heapSelectMinLen = 128
-	heapSelectFactor = 4
-)
+// selector is the one selection stage of every Best Match and Breadth loop
+// (DESIGN.md, "Scoring kernels & batching"): candidates are offered while
+// they are scored and only the best bound() of them are ever held, so no path
+// materializes a pool-sized []ScoredAction for a retainer to pin. Once full,
+// h is a min-heap under ranksBefore — the root is the worst entry retained.
+// The order is total over distinct actions, so the result is the same set
+// wherever the selection happens and however shard selectors are merged.
+type selector struct {
+	h []ScoredAction // len < cap: still filling; len == cap: heap
+}
 
-// topKHeap selects the k best elements with a min-heap kept in scored[:k]
-// (the root is the worst element retained) and leaves them sorted best-first
-// in scored[:k].
-func topKHeap(scored []ScoredAction, k int) []ScoredAction {
-	h := scored[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		heapSiftDown(h, i)
+// newSelector returns a selector that keeps the k best of at most n offers —
+// all n when k is negative or exceeds n.
+func newSelector(k, n int) selector {
+	if k < 0 || k > n {
+		k = n
 	}
-	for _, s := range scored[k:] {
-		if ranksBefore(h[0], s) {
-			continue // s ranks at or below the worst retained element
+	return selector{h: make([]ScoredAction, 0, k)}
+}
+
+// bound is the number of entries the selector retains at most.
+func (s *selector) bound() int { return cap(s.h) }
+
+// offer considers one scored candidate.
+func (s *selector) offer(c ScoredAction) {
+	if len(s.h) < cap(s.h) {
+		s.h = append(s.h, c)
+		if len(s.h) == cap(s.h) {
+			for i := len(s.h)/2 - 1; i >= 0; i-- {
+				heapSiftDown(s.h, i)
+			}
 		}
-		h[0] = s
-		heapSiftDown(h, 0)
+		return
 	}
-	// Pop ascending-by-rank from the back: the root is the worst remaining.
-	for n := k - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		heapSiftDown(h[:n], 0)
+	if len(s.h) == 0 || ranksBefore(s.h[0], c) {
+		return // c ranks below the worst retained entry
 	}
-	return h
+	s.h[0] = c
+	heapSiftDown(s.h, 0)
+}
+
+// floor is the score below which an offer can no longer be retained: the
+// worst retained score once the selector is full and −∞ before — the
+// unpruned case, in which no bound test can skip anything.
+func (s *selector) floor() float64 {
+	if len(s.h) < cap(s.h) || len(s.h) == 0 {
+		return math.Inf(-1)
+	}
+	return s.h[0].Score
+}
+
+// merge offers every entry o retains.
+func (s *selector) merge(o *selector) {
+	for _, c := range o.h {
+		s.offer(c)
+	}
+}
+
+// sorted drains the selector into the ranking, best first: a slice with
+// len == cap that the caller owns (nil when nothing was offered).
+func (s *selector) sorted() []ScoredAction {
+	out := s.h
+	s.h = nil
+	if len(out) == 0 {
+		return nil
+	}
+	if len(out) < cap(out) {
+		out = append(make([]ScoredAction, 0, len(out)), out...)
+	}
+	slices.SortFunc(out, func(a, b ScoredAction) int {
+		switch {
+		case ranksBefore(a, b):
+			return -1
+		case ranksBefore(b, a):
+			return 1
+		}
+		return 0
+	})
+	return out
 }
 
 // heapSiftDown restores the min-heap property (worst-ranked at the root)
