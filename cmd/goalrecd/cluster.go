@@ -80,16 +80,7 @@ func runCoordinator(o coordinatorOptions) error {
 		return errors.New("-role coordinator needs -peers")
 	}
 	logger := log.New(os.Stderr, "goalrecd: ", log.LstdFlags)
-	loadLib := func() (*goalrec.Library, error) {
-		lib, err := goalrec.LoadLibraryFile(o.libPath)
-		if err != nil {
-			return nil, err
-		}
-		if o.impactOrdering {
-			lib = lib.ImpactOrdered()
-		}
-		return lib, nil
-	}
+	loadLib := func() (*goalrec.Library, error) { return loadLibrary(o.libPath, o.impactOrdering) }
 	lib, err := loadLib()
 	if err != nil {
 		return err

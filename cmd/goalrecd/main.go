@@ -98,6 +98,20 @@ func main() {
 	}
 }
 
+// loadLibrary is the single load path — initial load, /v1/reload, the
+// -watch loop and a cluster's two-phase swap, in every role — so all of them
+// apply the same layout policy.
+func loadLibrary(path string, impactOrdering bool) (*goalrec.Library, error) {
+	lib, err := goalrec.LoadLibraryFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if impactOrdering {
+		lib = lib.ImpactOrdered()
+	}
+	return lib, nil
+}
+
 func run() error {
 	libPath := flag.String("library", "", "path to the JSON-lines library file")
 	addr := flag.String("addr", ":8080", "listen address")
@@ -163,17 +177,8 @@ func run() error {
 	goalrec.SetBlockCacheBytes(*blockCacheBytes)
 	goalrec.SetSnapshotMadvise(*madvise)
 
-	// loadLib is the single load path — initial load, /v1/reload and the
-	// -watch loop all apply the same layout policy.
 	loadLib := func(path string) (*goalrec.Library, error) {
-		lib, err := goalrec.LoadLibraryFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if *impactOrdering {
-			lib = lib.ImpactOrdered()
-		}
-		return lib, nil
+		return loadLibrary(path, *impactOrdering)
 	}
 
 	logger := log.New(os.Stderr, "goalrecd: ", log.LstdFlags)
@@ -310,8 +315,7 @@ func run() error {
 	if *watch > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		stopWatch = cancel
-		w := newLibraryWatcher(api, logger, *libPath, *watch)
-		w.load = loadLib
+		w := newLibraryWatcher(api, logger, *libPath, *watch, loadLib)
 		go func() {
 			defer close(watchDone)
 			w.run(ctx)
@@ -398,22 +402,21 @@ type libraryWatcher struct {
 	path     string
 	interval time.Duration
 
-	// Injection points for tests; production uses the os/goalrec defaults.
 	load func(path string) (*goalrec.Library, error)
-	stat func(path string) (os.FileInfo, error)
+	stat func(path string) (os.FileInfo, error) // os.Stat outside tests
 
 	logEveryNth int
 	maxBackoff  time.Duration
 	rng         *rand.Rand
 }
 
-func newLibraryWatcher(target reloadTarget, logger *log.Logger, path string, interval time.Duration) *libraryWatcher {
+func newLibraryWatcher(target reloadTarget, logger *log.Logger, path string, interval time.Duration, load func(path string) (*goalrec.Library, error)) *libraryWatcher {
 	return &libraryWatcher{
 		target:      target,
 		logger:      logger,
 		path:        path,
 		interval:    interval,
-		load:        goalrec.LoadLibraryFile,
+		load:        load,
 		stat:        os.Stat,
 		logEveryNth: 5,
 		maxBackoff:  32 * interval,

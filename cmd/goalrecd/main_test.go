@@ -46,10 +46,10 @@ func TestWatcherBackoffAndRecovery(t *testing.T) {
 	epoch0 := srv.Epoch()
 
 	var buf bytes.Buffer
-	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond)
+	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond,
+		func(string) (*goalrec.Library, error) { return rl.Load() })
 	w.maxBackoff = 4 * time.Millisecond
 	w.logEveryNth = 3
-	w.load = func(string) (*goalrec.Library, error) { return rl.Load() }
 	var stats atomic.Int64
 	t0 := time.Unix(1000, 0)
 	w.stat = func(string) (os.FileInfo, error) {
@@ -117,12 +117,12 @@ func TestWatcherIgnoresUnchangedFile(t *testing.T) {
 	lib := watchTestLibrary(t)
 	srv := server.New(lib, nil)
 	var buf bytes.Buffer
-	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond)
 	var loads atomic.Int64
-	w.load = func(string) (*goalrec.Library, error) {
-		loads.Add(1)
-		return lib, nil
-	}
+	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond,
+		func(string) (*goalrec.Library, error) {
+			loads.Add(1)
+			return lib, nil
+		})
 	w.stat = func(string) (os.FileInfo, error) { return fakeInfo{time.Unix(1000, 0)}, nil }
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -773,7 +773,9 @@ func (l *Library) SaveJSON(w io.Writer) error {
 }
 
 // LoadLibraryJSON reads a JSON-lines library: one object per line with the
-// shape {"goal": "...", "actions": ["...", ...]}.
+// shape {"goal": "...", "actions": ["...", ...]}; blank lines are ignored.
+// An object may not span lines, nor a line hold two; a line that fails to
+// load is reported by its 1-based number, the lowest one if several fail.
 func LoadLibraryJSON(r io.Reader) (*Library, error) {
 	lib, vocab, err := core.ReadJSONLines(r)
 	if err != nil {
@@ -836,6 +838,17 @@ func OpenSnapshotFile(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("goalrec: snapshot %s carries no vocabulary", path)
 	}
 	return &Snapshot{lib: &Library{lib: snap.Library(), vocab: vocab}, snap: snap}, nil
+}
+
+// firstNonSpace returns the first byte of r that is not JSON whitespace.
+func firstNonSpace(r io.Reader) (byte, error) {
+	br := bufio.NewReader(r)
+	for {
+		c, err := br.ReadByte()
+		if err != nil || (c != ' ' && c != '\t' && c != '\r' && c != '\n') {
+			return c, err
+		}
+	}
 }
 
 // RelatedGoal is one goal associated with a reference goal through shared
@@ -956,24 +969,30 @@ func (l *Library) ExportDOT(w io.Writer, maxImpls int) error {
 }
 
 // LoadLibraryFile opens path and loads it with the format sniffed from the
-// leading bytes: '{' selects JSON lines, the "GSNP" magic a memory-mapped
-// snapshot, anything else the binary snapshot. A mapped snapshot's pages
-// stay mapped for the life of the process — callers that need to release
-// the mapping should use OpenSnapshotFile directly and Close it.
+// leading bytes: '{' after any blank lines or spaces selects JSON lines, the
+// "GSNP" magic a memory-mapped snapshot, anything else the binary snapshot.
+// A mapped snapshot's pages stay mapped for the life of the process —
+// callers that need to release the mapping should use OpenSnapshotFile
+// directly and Close it.
 func LoadLibraryFile(path string) (*Library, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(1)
+	// Sniff, then rewind: LoadLibraryJSON must see the leading blank lines
+	// it ignores, or its errors would not count the file's lines.
+	first, err := firstNonSpace(f)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("goalrec: reading %s: %w", path, err)
 	}
-	if head[0] == '{' {
-		return LoadLibraryJSON(br)
+	if first == '{' {
+		return LoadLibraryJSON(f)
 	}
+	br := bufio.NewReader(f)
 	if magic, err := br.Peek(4); err == nil && string(magic) == "GSNP" {
 		snap, err := OpenSnapshotFile(path)
 		if err != nil {

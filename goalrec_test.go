@@ -517,6 +517,31 @@ func TestLoadLibraryFile(t *testing.T) {
 	}
 }
 
+// A JSON-lines file may start with blank lines or spaces (LoadLibraryJSON
+// ignores them); the sniff used to send such a file to the binary codec
+// ("core: bad magic"). Errors still count the file's own lines.
+func TestLoadLibraryFileLeadingWhitespace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lib.jsonl")
+	if err := os.WriteFile(path, []byte("\n  {\"goal\":\"g\",\"actions\":[\"a\",\"b\"]}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lib, err := LoadLibraryFile(path)
+	if err != nil {
+		t.Fatalf("LoadLibraryFile: %v", err)
+	}
+	if lib.NumImplementations() != 1 {
+		t.Errorf("NumImplementations = %d, want 1", lib.NumImplementations())
+	}
+	bad := filepath.Join(dir, "bad.jsonl")
+	if err := os.WriteFile(bad, []byte("\n\n{\"goal\":\"g\",\"actions\":[]}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLibraryFile(bad); err == nil || !strings.Contains(err.Error(), "line 3:") {
+		t.Errorf("error %v, want one naming line 3", err)
+	}
+}
+
 func TestBreadthWeightingVariantsByName(t *testing.T) {
 	lib := groceryLibrary(t)
 	activity := []string{"potatoes", "carrots"}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -13,7 +12,8 @@ import (
 // libraries:
 //
 //   - a human-editable JSON-lines format, one implementation per line, with
-//     string goal/action names resolved through a Vocabulary; and
+//     string goal/action names resolved through a Vocabulary (read by
+//     jsonl.go); and
 //   - a compact little-endian binary format for the id-level library, used to
 //     snapshot large synthetic libraries between benchmark runs.
 
@@ -38,34 +38,6 @@ func WriteJSONLines(w io.Writer, l *Library, vocab *Vocabulary) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONLines parses a JSON-lines library from r, interning names into a
-// fresh Vocabulary.
-func ReadJSONLines(r io.Reader) (*Library, *Vocabulary, error) {
-	vocab := NewVocabulary()
-	b := NewBuilder(0, 0)
-	dec := json.NewDecoder(r)
-	line := 0
-	for {
-		var impl jsonImpl
-		if err := dec.Decode(&impl); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("core: parsing implementation %d: %w", line, err)
-		}
-		line++
-		goal := GoalID(vocab.Goals.Intern(impl.Goal))
-		actions := make([]ActionID, len(impl.Actions))
-		for i, name := range impl.Actions {
-			actions[i] = ActionID(vocab.Actions.Intern(name))
-		}
-		if _, err := b.Add(goal, actions); err != nil {
-			return nil, nil, fmt.Errorf("core: implementation %d: %w", line, err)
-		}
-	}
-	return b.Build(), vocab, nil
 }
 
 // binaryMagic identifies the binary library snapshot format.
@@ -147,34 +119,9 @@ func ReadBinary(r io.Reader) (*Library, error) {
 	if err := binary.Read(br, binary.LittleEndian, implActs); err != nil {
 		return nil, fmt.Errorf("core: reading actions: %w", err)
 	}
-	if implOff[0] != 0 || int(implOff[nImpl]) != nSlots {
-		return nil, fmt.Errorf("core: corrupt snapshot: offsets span [%d, %d] over %d slots",
-			implOff[0], implOff[nImpl], nSlots)
-	}
-	var maxAction ActionID = -1
-	var maxGoal GoalID = -1
-	for p := 0; p < nImpl; p++ {
-		lo, hi := implOff[p], implOff[p+1]
-		if hi <= lo || int(hi) > nSlots {
-			return nil, fmt.Errorf("core: corrupt offsets for implementation %d", p)
-		}
-		acts := implActs[lo:hi]
-		if acts[0] < 0 {
-			return nil, fmt.Errorf("core: implementation %d: %w: action %d", p, ErrNegativeID, acts[0])
-		}
-		for i := 1; i < len(acts); i++ {
-			if acts[i] <= acts[i-1] {
-				return nil, fmt.Errorf("core: implementation %d: action list not strictly increasing at slot %d", p, i)
-			}
-		}
-		if g := implGoal[p]; g < 0 {
-			return nil, fmt.Errorf("core: implementation %d: %w: goal %d", p, ErrNegativeID, g)
-		} else if g > maxGoal {
-			maxGoal = g
-		}
-		if last := acts[len(acts)-1]; last > maxAction {
-			maxAction = last
-		}
+	maxAction, maxGoal, err := checkImplCSR(implGoal, implOff, implActs)
+	if err != nil {
+		return nil, err
 	}
 	// The declared id spaces bound the index allocations below; ids past them
 	// mean the header and body disagree. The declared spaces may legitimately

@@ -84,26 +84,64 @@ func (b *Builder) Add(goal GoalID, actions []ActionID) (ImplID, error) {
 func (b *Builder) Len() int { return len(b.implGoal) }
 
 // Build freezes the accumulated implementations into a Library. The Builder
-// may keep accepting Adds afterwards; the built Library is unaffected.
+// may keep accepting Adds afterwards; the built Library is unaffected: it
+// views full-slice (len == cap) prefixes of the Builder's append-only arrays,
+// exactly as DynamicLibrary snapshots do, and Add only ever writes past them.
 func (b *Builder) Build() *Library {
 	b.init()
-	nAct := int(b.maxAction) + 1
-	nGoal := int(b.maxGoal) + 1
-
+	n, slots := len(b.implGoal), len(b.implActs)
 	lib := &Library{
-		implGoal:   append([]GoalID(nil), b.implGoal...),
-		implOff:    append([]int32(nil), b.implOff...),
-		implActs:   append([]ActionID(nil), b.implActs...),
-		numActions: nAct,
-		numGoals:   nGoal,
+		implGoal:   b.implGoal[:n:n],
+		implOff:    b.implOff[: n+1 : n+1],
+		implActs:   b.implActs[:slots:slots],
+		numActions: int(b.maxAction) + 1,
+		numGoals:   int(b.maxGoal) + 1,
 	}
 	lib.buildIndexes()
 	return lib
 }
 
+// checkImplCSR verifies the implementation CSR every Library is indexed
+// from — offsets spanning exactly implActs, every row non-empty, ids
+// non-negative, action rows strictly increasing — and returns the largest
+// action and goal ids present (−1 when there are no implementations). The
+// loaders that assemble a CSR themselves run it before buildIndexes, which
+// trusts these invariants.
+func checkImplCSR(implGoal []GoalID, implOff []int32, implActs []ActionID) (maxAction ActionID, maxGoal GoalID, err error) {
+	nImpl, nSlots := len(implGoal), len(implActs)
+	maxAction, maxGoal = -1, -1
+	if len(implOff) != nImpl+1 || implOff[0] != 0 || int(implOff[nImpl]) != nSlots {
+		return -1, -1, fmt.Errorf("core: corrupt library: %d offsets for %d implementations over %d slots", len(implOff), nImpl, nSlots)
+	}
+	for p := 0; p < nImpl; p++ {
+		lo, hi := implOff[p], implOff[p+1]
+		if hi <= lo || int(hi) > nSlots {
+			return -1, -1, fmt.Errorf("core: corrupt offsets for implementation %d", p)
+		}
+		acts := implActs[lo:hi]
+		if acts[0] < 0 {
+			return -1, -1, fmt.Errorf("core: implementation %d: %w: action %d", p, ErrNegativeID, acts[0])
+		}
+		for i := 1; i < len(acts); i++ {
+			if acts[i] <= acts[i-1] {
+				return -1, -1, fmt.Errorf("core: implementation %d: action list not strictly increasing at slot %d", p, i)
+			}
+		}
+		if g := implGoal[p]; g < 0 {
+			return -1, -1, fmt.Errorf("core: implementation %d: %w: goal %d", p, ErrNegativeID, g)
+		} else if g > maxGoal {
+			maxGoal = g
+		}
+		if last := acts[len(acts)-1]; last > maxAction {
+			maxAction = last
+		}
+	}
+	return maxAction, maxGoal, nil
+}
+
 // buildIndexes derives the posting indexes (A-GI-idx, G-GI-idx and AG-idx)
 // from the implementation CSR. It is called once per immutable Library, by
-// Builder.Build and by the binary snapshot loader.
+// Builder.Build and by the loaders.
 func (l *Library) buildIndexes() {
 	nImpl := len(l.implGoal)
 	nAct, nGoal := l.numActions, l.numGoals

@@ -54,6 +54,44 @@ func TestBuilderDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// Build hands out views of the Builder's arrays, not copies: Adds after a
+// Build — with spare capacity and across reallocations — must leave the
+// built library equal to a fresh build of its own prefix.
+func TestBuildThenAddLeavesLibraryUntouched(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	type impl struct {
+		goal GoalID
+		acts []ActionID
+	}
+	impls := make([]impl, 1500)
+	for i := range impls {
+		acts := make([]ActionID, 1+r.Intn(6))
+		for j := range acts {
+			acts[j] = ActionID(r.Intn(40))
+		}
+		impls[i] = impl{GoalID(r.Intn(25)), acts}
+	}
+	add := func(b *Builder, from, to int) {
+		for _, im := range impls[from:to] {
+			if _, err := b.Add(im.goal, im.acts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const prefix = 500
+	b := NewBuilder(prefix+10, 8) // the first later Adds land in spare capacity
+	add(b, 0, prefix)
+	first := b.Build()
+	add(b, prefix, len(impls))
+	second := b.Build()
+
+	var fresh Builder
+	add(&fresh, 0, prefix)
+	assertLibrariesEqual(t, fresh.Build(), first)
+	add(&fresh, prefix, len(impls))
+	assertLibrariesEqual(t, fresh.Build(), second)
+}
+
 func TestEmptyLibrary(t *testing.T) {
 	lib := new(Builder).Build()
 	if lib.NumImplementations() != 0 || lib.NumActions() != 0 || lib.NumGoals() != 0 {

@@ -11,7 +11,10 @@
 // conversions.
 package intset
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ID constrains the element types the package operates on.
 type ID interface{ ~int32 }
@@ -26,7 +29,7 @@ func FromUnsorted[T ID](ids []T) []T {
 	if len(ids) < 2 {
 		return ids
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := ids[:1]
 	for _, v := range ids[1:] {
 		if v != out[len(out)-1] {

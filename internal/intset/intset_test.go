@@ -35,6 +35,22 @@ func TestFromUnsorted(t *testing.T) {
 	}
 }
 
+// FromUnsorted runs on every request in every strategy, so it must not
+// allocate (sort.Slice did: a reflect swapper and a closure per call).
+func TestFromUnsortedDoesNotAllocate(t *testing.T) {
+	src := s(5, 1, 5, 3, 2)
+	buf := make([]int32, len(src))
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(buf, src)
+		if got := FromUnsorted(buf); len(got) != 4 {
+			t.Fatalf("FromUnsorted(%v) = %v", src, got)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FromUnsorted allocated %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestIsSorted(t *testing.T) {
 	if !IsSorted[int32](nil) {
 		t.Error("nil should be sorted")
