@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"math/bits"
 
 	"goalrec/internal/intset"
 )
@@ -100,17 +100,76 @@ func (l *Library) Candidates(activity []ActionID) []ActionID {
 	return l.AppendCandidates(nil, &CandidateScratch{}, h)
 }
 
-// CandidateScratch carries the buffers AppendCandidates reuses across
+// CandidateScratch carries the buffers the candidate collector reuses across
 // queries. The zero value is ready to use; a scratch serves one query at a
-// time and comes back clean from every call.
+// time and comes back clean (every bit zero) from every call, so one scratch
+// may serve libraries of different sizes in turn.
 type CandidateScratch struct {
-	seen []bool   // dense first-sight stamps, all false between calls
+	bits []uint64 // one bit per action id, all zero between calls
 	row  []ImplID // posting decode buffer for block-compressed rows
 }
 
-// candidateStampLimit is the largest action id space AppendCandidates dedups
-// with dense stamps; above it a per-query stamp array would dwarf the query.
-const candidateStampLimit = 1 << 22
+// candidateStampLimit is the largest action id space the collector dedups
+// with a dense bitset; above it a per-query sweep would dwarf the query. A
+// variable only so in-package tests can reach the fallback.
+var candidateStampLimit = 1 << 22
+
+// begin returns the zeroed bitset covering numActions ids, or nil when the id
+// space is too large to sweep and the collector appends and sorts instead
+// (an empty id space also lands there, with nothing to collect).
+func (sc *CandidateScratch) begin(numActions int) []uint64 {
+	if numActions > candidateStampLimit {
+		return nil
+	}
+	words := (numActions + 63) >> 6
+	if len(sc.bits) < words {
+		sc.bits = make([]uint64, words)
+	}
+	return sc.bits[:words]
+}
+
+// mark adds the action sets of impls to the pending candidate set: bits of
+// the dense set, or raw appends to dst on the fallback path (set == nil).
+func (l *Library) mark(dst []ActionID, set []uint64, impls []ImplID) []ActionID {
+	if set == nil {
+		for _, p := range impls {
+			dst = append(dst, l.implActions(p)...)
+		}
+		return dst
+	}
+	for _, p := range impls {
+		for _, c := range l.implActions(p) {
+			set[uint32(c)>>6] |= 1 << (uint32(c) & 63)
+		}
+	}
+	return dst
+}
+
+// drain appends the marked set minus sortedH to dst[:base] in ascending order
+// and leaves set all zero: H's bits are cleared first, then every nonzero
+// word gives up its bits lowest first and is zeroed. On the fallback path
+// dst[base:] is the raw slot stream, sorted and deduplicated in place.
+func drain(dst []ActionID, base int, set []uint64, sortedH []ActionID) []ActionID {
+	if set == nil {
+		out := intset.FromUnsorted(dst[base:])
+		return dst[:base+len(intset.Difference(out[:0], out, sortedH))]
+	}
+	for _, a := range sortedH {
+		if w := int(a) >> 6; a >= 0 && w < len(set) {
+			set[w] &^= 1 << (uint32(a) & 63)
+		}
+	}
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		set[w] = 0
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, ActionID(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
 
 // AppendCandidates appends AS(sortedH) − sortedH in ascending order to dst
 // and returns the extended slice, allocating nothing once dst and sc have
@@ -118,56 +177,29 @@ const candidateStampLimit = 1 << 22
 //
 // It walks H's posting rows directly — an implementation shared by c actions
 // of H is visited c times, which costs less than materializing and sorting
-// IS(H) — stamping each action on first sight and sorting the distinct
-// survivors, instead of sorting the full slot stream with duplicates (at
-// high connectivity the stream is an order of magnitude larger than the
-// action space). H itself is stamped up front and so never collected. The
-// append+sort path remains for libraries whose action id space is too large
-// to stamp.
+// IS(H) — marking each action in a bitset and sweeping the set in id order,
+// so the output is ascending without a sort and duplicates cost one OR (at
+// high connectivity the slot stream is an order of magnitude larger than the
+// action space). The append+sort path remains for libraries whose action id
+// space is too large to sweep per query.
 func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH []ActionID) []ActionID {
 	base := len(dst)
-	if l.numActions > candidateStampLimit {
-		for _, a := range sortedH {
-			var row []ImplID
-			row, sc.row = l.PostingRow(a, sc.row)
-			for _, p := range row {
-				dst = append(dst, l.implActions(p)...)
-			}
-		}
-		out := intset.FromUnsorted(dst[base:])
-		return dst[:base+len(intset.Difference(out[:0], out, sortedH))]
-	}
-	if len(sc.seen) < l.numActions {
-		sc.seen = make([]bool, l.numActions)
-	}
-	seen := sc.seen
-	for _, a := range sortedH {
-		if a >= 0 && int(a) < len(seen) {
-			seen[a] = true
-		}
-	}
+	set := sc.begin(l.numActions)
 	for _, a := range sortedH {
 		var row []ImplID
 		row, sc.row = l.PostingRow(a, sc.row)
-		for _, p := range row {
-			for _, c := range l.implActions(p) {
-				if !seen[c] {
-					seen[c] = true
-					dst = append(dst, c)
-				}
-			}
-		}
+		dst = l.mark(dst, set, row)
 	}
-	for _, a := range sortedH {
-		if a >= 0 && int(a) < len(seen) {
-			seen[a] = false
-		}
-	}
-	for _, c := range dst[base:] {
-		seen[c] = false
-	}
-	slices.Sort(dst[base:])
-	return dst
+	return drain(dst, base, set, sortedH)
+}
+
+// AppendImplCandidates is AppendCandidates for a caller that already holds
+// impls = IS(sortedH): the same collector runs over each implementation
+// once, with no posting rows read.
+func (l *Library) AppendImplCandidates(dst []ActionID, sc *CandidateScratch, impls []ImplID, sortedH []ActionID) []ActionID {
+	base := len(dst)
+	set := sc.begin(l.numActions)
+	return drain(l.mark(dst, set, impls), base, set, sortedH)
 }
 
 // Completeness returns completeness(g, A_p, H) = |A_p ∩ H| / |A_p|

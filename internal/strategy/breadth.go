@@ -314,8 +314,9 @@ func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]S
 		if tickErr = tick.tick(1); tickErr != nil {
 			break
 		}
-		comm := breadthComm(b.weighting, int(v.lens[i]), len(v.h), v.cnt[i])
-		for _, a := range b.lib.Actions(p) {
+		acts := b.lib.Actions(p)
+		comm := breadthComm(b.weighting, len(acts), len(v.h), v.cnt[i])
+		for _, a := range acts {
 			if s.inH[a] {
 				continue
 			}

@@ -3,10 +3,10 @@ package strategy
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
+	"sync"
 
 	"goalrec/internal/core"
-	"goalrec/internal/intset"
 )
 
 // ErrViewLibrary reports a CounterView scored against a strategy built over
@@ -16,19 +16,22 @@ import (
 var ErrViewLibrary = errors.New("strategy: counter view was built over a different library snapshot")
 
 // CounterView is the kernel's accumulation phase materialized as state: for
-// an activity H it holds cnt[p] = |A_p ∩ H| for every implementation of
-// IS(H), plus everything the scoring phases derive per query today — |A_p|,
-// the action space of IS(H) (candidate source), and the goal-space profile
-// counts Σ_{a∈H} AG(a). A view is built from scratch over a library, delta-
-// updated by Apply along one appended action's posting row, and carried
-// across same-lineage snapshot extensions by AdvanceTo, which replays only
-// the appended posting-row tails. All four strategies score a view through
-// their RecommendView methods with rankings bit-identical to a from-scratch
-// Recommend over the same H.
+// an activity H it holds what a query would otherwise re-accumulate along
+// H's posting and AG rows — cnt[p] = |A_p ∩ H| for every implementation of
+// IS(H), and the goal-space profile counts Σ_{a∈H} AG(a) — and nothing a
+// query can derive from that state and the library: |A_p| is Library.ImplLen,
+// and the candidate pool AS(H) − H = ∪_{p∈IS(H)} A_p − H is collected from
+// impls per Best Match query (Candidates). A view is built from scratch over
+// a library, delta-updated by Apply along one appended action's posting row,
+// and carried across same-lineage snapshot extensions by AdvanceTo, which
+// replays only the appended posting-row tails. All four strategies score a
+// view through their RecommendView methods with rankings bit-identical to a
+// from-scratch Recommend over the same H.
 //
-// All slices are parallel and id-sorted. A view is single-writer state: the
-// owner serializes Apply/AdvanceTo/RecommendView calls (the per-user store
-// holds one view per user under the user's lock).
+// impls/cnt and goal/gcnt are parallel and id-sorted. A view is single-writer
+// state: the owner serializes Apply/AdvanceTo/RecommendView calls (the
+// per-user store holds one view per user under the user's lock). Merge
+// scratch is pooled across views (viewScratch), never part of one.
 type CounterView struct {
 	lib *core.Library
 
@@ -36,19 +39,24 @@ type CounterView struct {
 
 	impls []core.ImplID // sorted IS(h)
 	cnt   []int32       // cnt[i] = |A_impls[i] ∩ h|
-	lens  []int32       // lens[i] = |A_impls[i]|
 
-	acts []core.ActionID // sorted ∪_{p ∈ IS(h)} A_p; candidates = acts − h
-	goal []core.GoalID   // sorted GS(h)
-	gcnt []int32         // profile counts per goal, aligned with goal
-
-	// Reused merge scratch, never aliased by results.
-	rowBuf  []core.ImplID
-	newBuf  []core.ImplID
-	actBuf  []core.ActionID
-	actAlt  []core.ActionID
-	goalBuf []core.GoalID
+	goal []core.GoalID // sorted GS(h)
+	gcnt []int32       // profile counts per goal, aligned with goal
 }
+
+// viewScratch is the merge scratch of one Apply, AdvanceTo or Candidates
+// call. Results never alias it, with one exception the callers honour: a
+// block-compressed PostingRow result aliases row, so a scratch returns to the
+// pool only after that row has been merged.
+type viewScratch struct {
+	row   []core.ImplID // posting decode buffer
+	fresh []core.ImplID // first-touch ids of a row; delta postings of an advance
+	goals []core.GoalID // goals of an advance's delta postings
+	mult  []int32       // multiplicities of an advance's distinct goals, then of its distinct ids
+	cand  core.CandidateScratch
+}
+
+var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
 
 // NewCounterView builds a view of activity over lib by applying each
 // distinct action's posting row. Unknown-to-library ids are kept in H (they
@@ -68,8 +76,6 @@ func (v *CounterView) Rebuild(lib *core.Library, activity []core.ActionID) {
 	v.h = v.h[:0]
 	v.impls = v.impls[:0]
 	v.cnt = v.cnt[:0]
-	v.lens = v.lens[:0]
-	v.acts = v.acts[:0]
 	v.goal = v.goal[:0]
 	v.gcnt = v.gcnt[:0]
 	for _, a := range activity {
@@ -88,55 +94,67 @@ func (v *CounterView) Activity() []core.ActionID { return v.h }
 func (v *CounterView) Len() int { return len(v.h) }
 
 // Candidates appends the candidate actions — the action space of IS(H)
-// minus H, exactly core.Library.Candidates — to dst and returns it.
+// minus H, exactly core.Library.Candidates — to dst and returns it. The pool
+// is derived, not stored: one pass over the action sets of impls, each
+// implementation once.
 func (v *CounterView) Candidates(dst []core.ActionID) []core.ActionID {
-	return intset.Difference(dst, v.acts, v.h)
+	sc := viewScratchPool.Get().(*viewScratch)
+	dst = v.lib.AppendImplCandidates(dst, &sc.cand, v.impls, v.h)
+	viewScratchPool.Put(sc)
+	return dst
 }
 
-// Footprint returns the view's approximate heap size in bytes, used by the
-// user store's materialization accounting.
+// Footprint returns the heap bytes the view's arrays hold, used by the user
+// store's materialization accounting.
 func (v *CounterView) Footprint() int {
-	return 4*(len(v.h)+len(v.acts)+len(v.goal)) +
-		8*len(v.impls) + 4*(len(v.cnt)+len(v.lens)+len(v.gcnt)) +
-		4*cap(v.rowBuf) + 4*cap(v.newBuf) + 4*(cap(v.actBuf)+cap(v.actAlt)+cap(v.goalBuf))
+	return 4 * (cap(v.h) + cap(v.impls) + cap(v.cnt) + cap(v.goal) + cap(v.gcnt))
 }
 
-// Apply adds action a to H and delta-updates every derived array along a's
-// posting and AG rows: cnt along IS(a), first-touch implementations extend
-// impls/lens and union their action sets into acts, and AG(a) folds into the
-// goal profile. It returns false when a is already in H (duplicate appends
-// are no-ops, matching the set semantics of the from-scratch kernel). Cost
-// is O(|IS(a)| + |IS(h)| + |AG(a)|) merge steps — one posting-row walk, no
-// rescan of H's other rows.
+// Apply adds action a to H and delta-updates the counters along a's posting
+// and AG rows: cnt along IS(a), first-touch implementations merged into
+// impls, and AG(a) folded into the goal profile. It returns false when a is
+// already in H (duplicate appends are no-ops, matching the set semantics of
+// the from-scratch kernel). Cost is O(|IS(a)| + |IS(h)| + |AG(a)| + |GS(h)|)
+// merge steps — one posting-row walk, no rescan of H's other rows and no
+// visit to any implementation's action set.
 func (v *CounterView) Apply(a core.ActionID) bool {
-	i := sort.Search(len(v.h), func(i int) bool { return v.h[i] >= a })
-	if i < len(v.h) && v.h[i] == a {
+	i, found := slices.BinarySearch(v.h, a)
+	if found {
 		return false
 	}
-	v.h = append(v.h, 0)
-	copy(v.h[i+1:], v.h[i:])
-	v.h[i] = a
+	v.h = slices.Insert(v.h, i, a)
 
 	if a < 0 || int(a) >= v.lib.NumActions() {
 		// Unknown to the library: in H (it counts toward |H|) but rowless.
 		return true
 	}
-	row, buf := v.lib.PostingRow(a, v.rowBuf)
-	v.mergeRow(row)
-	v.rowBuf = buf
+	sc := viewScratchPool.Get().(*viewScratch)
+	var row []core.ImplID
+	row, sc.row = v.lib.PostingRow(a, sc.row)
+	v.mergeRow(row, sc)
+	viewScratchPool.Put(sc)
 	goals, mult := v.lib.GoalsOfAction(a)
 	v.mergeGoals(goals, mult)
 	return true
 }
 
-// mergeRow folds one sorted posting row into impls/cnt/lens and unions the
-// first-touch implementations' action sets into acts.
-func (v *CounterView) mergeRow(row []core.ImplID) {
-	if len(row) == 0 {
-		return
+// grow extends s by n entries. Past capacity it reallocates to the exact
+// need plus one eighth: a view lives as long as its user stays materialized,
+// so the slack append's doubling leaves behind is paid for the whole time.
+func grow[T any](s []T, n int) []T {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s[:need]
 	}
+	t := make([]T, need, need+need/8)
+	copy(t, s)
+	return t
+}
+
+// mergeRow folds one sorted posting row into impls/cnt.
+func (v *CounterView) mergeRow(row []core.ImplID, sc *viewScratch) {
 	// First pass: bump existing counters, collect first-touch ids.
-	fresh := v.newBuf[:0]
+	fresh := sc.fresh[:0]
 	i := 0
 	for _, p := range row {
 		for i < len(v.impls) && v.impls[i] < p {
@@ -149,47 +167,26 @@ func (v *CounterView) mergeRow(row []core.ImplID) {
 		}
 		fresh = append(fresh, p)
 	}
-	v.newBuf = fresh
+	sc.fresh = fresh
 	if len(fresh) == 0 {
 		return
 	}
-	// Backward merge the first-touch ids into the parallel arrays.
+	// Backward merge the first-touch ids into the parallel arrays; once fresh
+	// is consumed the untouched prefix is already in place.
 	n := len(v.impls)
-	v.impls = append(v.impls, fresh...)
-	v.cnt = extend32(v.cnt, len(fresh))
-	v.lens = extend32(v.lens, len(fresh))
+	v.impls = grow(v.impls, len(fresh))
+	v.cnt = grow(v.cnt, len(fresh))
 	for w, i, j := len(v.impls)-1, n-1, len(fresh)-1; j >= 0; w-- {
 		if i >= 0 && v.impls[i] > fresh[j] {
 			v.impls[w] = v.impls[i]
 			v.cnt[w] = v.cnt[i]
-			v.lens[w] = v.lens[i]
 			i--
 			continue
 		}
-		p := fresh[j]
-		v.impls[w] = p
+		v.impls[w] = fresh[j]
 		v.cnt[w] = 1
-		v.lens[w] = int32(v.lib.ImplLen(p))
 		j--
 	}
-	v.mergeActsOf(fresh)
-}
-
-// mergeActsOf unions the action sets of the given first-touch
-// implementations into acts.
-func (v *CounterView) mergeActsOf(fresh []core.ImplID) {
-	na := v.actBuf[:0]
-	for _, p := range fresh {
-		na = append(na, v.lib.Actions(p)...)
-	}
-	if len(na) == 0 {
-		v.actBuf = na
-		return
-	}
-	na = intset.FromUnsorted(na)
-	v.actBuf = na
-	v.actAlt = intset.Union(v.actAlt[:0], v.acts, na)
-	v.acts, v.actAlt = v.actAlt, v.acts
 }
 
 // mergeGoals folds one sorted (goal, count) row into the profile.
@@ -211,10 +208,8 @@ func (v *CounterView) mergeGoals(goals []core.GoalID, mult []int32) {
 		freshCnt++
 	}
 	n := len(v.goal)
-	for i := 0; i < freshCnt; i++ {
-		v.goal = append(v.goal, 0)
-	}
-	v.gcnt = extend32(v.gcnt, freshCnt)
+	v.goal = grow(v.goal, freshCnt)
+	v.gcnt = grow(v.gcnt, freshCnt)
 	// Once goals is consumed the untouched prefix is already in place.
 	for w, i, j := len(v.goal)-1, n-1, len(goals)-1; j >= 0; w-- {
 		if i >= 0 && v.goal[i] > goals[j] {
@@ -236,14 +231,6 @@ func (v *CounterView) mergeGoals(goals []core.GoalID, mult []int32) {
 	}
 }
 
-// extend32 appends n zero entries without a temporary slice.
-func extend32(s []int32, n int) []int32 {
-	for i := 0; i < n; i++ {
-		s = append(s, 0)
-	}
-	return s
-}
-
 // AdvanceTo carries the view from its current snapshot to newLib, which must
 // be a same-lineage extension (DynamicLibrary snapshots append: every posting
 // row of newLib is the old row plus strictly larger implementation ids, and
@@ -262,58 +249,58 @@ func (v *CounterView) AdvanceTo(newLib *core.Library) {
 		// Same implementation content (an epoch-only republish).
 		return
 	}
-	delta := v.newBuf[:0]
+	sc := viewScratchPool.Get().(*viewScratch)
+	defer viewScratchPool.Put(sc)
+	delta := sc.fresh[:0]
 	for _, a := range v.h {
 		if a < 0 || int(a) >= newLib.NumActions() {
 			continue
 		}
-		row, buf := newLib.PostingRowRange(a, oldN, newN, v.rowBuf)
+		var row []core.ImplID
+		row, sc.row = newLib.PostingRowRange(a, oldN, newN, sc.row)
 		delta = append(delta, row...)
-		v.rowBuf = buf
 	}
-	v.newBuf = delta
+	sc.fresh = delta
 	if len(delta) == 0 {
 		return
 	}
 	// Each delta posting is one (action, implementation) incidence: it
 	// contributes 1 to cnt[p] and 1 to the profile count of Goal(p).
-	gs := v.goalBuf[:0]
+	gs := sc.goals[:0]
 	for _, p := range delta {
 		gs = append(gs, newLib.Goal(p))
 	}
-	v.goalBuf = gs
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	var (
-		gd []core.GoalID
-		gm []int32
-	)
-	for i := 0; i < len(gs); {
-		j := i
-		for j < len(gs) && gs[j] == gs[i] {
-			j++
-		}
-		gd = append(gd, gs[i])
-		gm = append(gm, int32(j-i))
-		i = j
-	}
-	v.mergeGoals(gd, gm)
+	slices.Sort(gs)
+	sc.goals, sc.mult = runLengths(gs, sc.mult)
+	v.mergeGoals(sc.goals, sc.mult)
 
-	sort.Slice(delta, func(i, j int) bool { return delta[i] < delta[j] })
 	// Every delta id is ≥ oldN, strictly above every materialized id, so the
 	// merge is a pure append in run-length order.
-	firstTouch := len(v.impls)
-	for i := 0; i < len(delta); {
+	slices.Sort(delta)
+	delta, sc.mult = runLengths(delta, sc.mult)
+	n := len(v.impls)
+	v.impls = grow(v.impls, len(delta))
+	v.cnt = grow(v.cnt, len(delta))
+	copy(v.impls[n:], delta)
+	copy(v.cnt[n:], sc.mult)
+}
+
+// runLengths compacts sorted s to its distinct values in place and returns
+// them with each value's multiplicity in mult[:0].
+func runLengths[T comparable](s []T, mult []int32) ([]T, []int32) {
+	mult = mult[:0]
+	w := 0
+	for i := 0; i < len(s); {
 		j := i
-		for j < len(delta) && delta[j] == delta[i] {
+		for j < len(s) && s[j] == s[i] {
 			j++
 		}
-		p := delta[i]
-		v.impls = append(v.impls, p)
-		v.cnt = append(v.cnt, int32(j-i))
-		v.lens = append(v.lens, int32(newLib.ImplLen(p)))
+		s[w] = s[i]
+		mult = append(mult, int32(j-i))
+		w++
 		i = j
 	}
-	v.mergeActsOf(v.impls[firstTouch:])
+	return s[:w], mult
 }
 
 // ViewRecommender is implemented by strategies that score a materialized

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"goalrec/internal/core"
@@ -56,25 +57,52 @@ func checkViewEquiv(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 	}
 }
 
-// checkViewState pins the view's derived arrays against the library's own
-// space operations: candidates and goal space must be set-identical to the
-// from-scratch definitions.
+// checkViewState is the one view invariant: every array equals the library's
+// own from-scratch definition — H, IS(H), cnt[p] = |A_p ∩ H|, GS(H), the
+// Best Match profile counts, and the derived candidate pool — and the whole
+// state equals a fresh NewCounterView over the same history.
 func checkViewState(t *testing.T, lib *core.Library, v *CounterView, h []core.ActionID) {
 	t.Helper()
+	sortedH := intset.FromUnsorted(intset.Clone(h))
+	if !sameIDs(v.h, sortedH) {
+		t.Fatalf("view activity = %v, want %v", v.h, sortedH)
+	}
 	if want := lib.Candidates(h); !sameIDs(v.Candidates(nil), want) {
 		t.Fatalf("view candidates = %v, want %v (h=%v)", v.Candidates(nil), want, h)
 	}
-	if want := lib.GoalSpace(intset.FromUnsorted(intset.Clone(h))); !sameIDs(v.goal, want) {
-		t.Fatalf("view goal space = %v, want %v (h=%v)", v.goal, want, h)
+	if want := lib.ImplementationSpace(sortedH); !sameIDs(v.impls, want) {
+		t.Fatalf("view implementation space = %v, want %v (h=%v)", v.impls, want, h)
 	}
 	for i, p := range v.impls {
-		if int(v.lens[i]) != lib.ImplLen(p) {
-			t.Fatalf("lens[%d] = %d, want %d", i, v.lens[i], lib.ImplLen(p))
-		}
 		if want := intset.IntersectionLen(lib.Actions(p), v.h); int(v.cnt[i]) != want {
 			t.Fatalf("cnt[%v] = %d, want %d", p, v.cnt[i], want)
 		}
 	}
+	if want := lib.GoalSpace(sortedH); !sameIDs(v.goal, want) {
+		t.Fatalf("view goal space = %v, want %v (h=%v)", v.goal, want, h)
+	}
+	profile := map[core.GoalID]int32{}
+	for _, a := range sortedH {
+		goals, mult := lib.GoalsOfAction(a)
+		for i, g := range goals {
+			profile[g] += mult[i]
+		}
+	}
+	for i, g := range v.goal {
+		if v.gcnt[i] != profile[g] {
+			t.Fatalf("gcnt[%v] = %d, want %d (h=%v)", g, v.gcnt[i], profile[g], h)
+		}
+	}
+	if fresh := NewCounterView(lib, h); !sameView(v, fresh) {
+		t.Fatalf("view diverged from a fresh build (h=%v)\nview:  %+v\nfresh: %+v", h, v, fresh)
+	}
+}
+
+// sameView reports whether two views hold the same state.
+func sameView(a, b *CounterView) bool {
+	return a.lib == b.lib && sameIDs(a.h, b.h) &&
+		sameIDs(a.impls, b.impls) && slices.Equal(a.cnt, b.cnt) &&
+		sameIDs(a.goal, b.goal) && slices.Equal(a.gcnt, b.gcnt)
 }
 
 func sameIDs[T core.ActionID | core.GoalID | core.ImplID](a, b []T) bool {
@@ -130,12 +158,6 @@ func TestCounterViewApplyMatchesRebuild(t *testing.T) {
 			}
 			h = append(h, a)
 
-			fresh := NewCounterView(lib, h)
-			if !sameIDs(v.impls, fresh.impls) || !reflect.DeepEqual(v.cnt, fresh.cnt) ||
-				!reflect.DeepEqual(v.lens, fresh.lens) || !sameIDs(v.acts, fresh.acts) ||
-				!sameIDs(v.goal, fresh.goal) || !reflect.DeepEqual(v.gcnt, fresh.gcnt) {
-				t.Fatalf("step %d: applied view diverged from rebuild (h=%v)\napplied: %+v\nrebuilt: %+v", step, h, v, fresh)
-			}
 			checkViewState(t, lib, v, h)
 			checkViewEquiv(t, lib, v, h, 5)
 		}
@@ -176,22 +198,13 @@ func TestCounterViewAdvanceTo(t *testing.T) {
 			if v.Lib() != next {
 				t.Fatal("AdvanceTo did not adopt the new snapshot")
 			}
-			fresh := NewCounterView(next, h)
-			if !sameIDs(v.impls, fresh.impls) || !reflect.DeepEqual(v.cnt, fresh.cnt) ||
-				!reflect.DeepEqual(v.lens, fresh.lens) || !sameIDs(v.acts, fresh.acts) ||
-				!sameIDs(v.goal, fresh.goal) || !reflect.DeepEqual(v.gcnt, fresh.gcnt) {
-				t.Fatalf("round %d: advanced view diverged from rebuild (h=%v)", round, h)
-			}
 			checkViewState(t, next, v, h)
 			checkViewEquiv(t, next, v, h, 5)
 			// Appends after the advance must land on the new postings.
 			a := core.ActionID(r.Intn(actionSpace + 2))
 			v.Apply(a)
-			fresh.Apply(a)
-			if !reflect.DeepEqual(v.cnt, fresh.cnt) || !sameIDs(v.impls, fresh.impls) {
-				t.Fatalf("round %d: post-advance Apply diverged", round)
-			}
-			h = append([]core.ActionID(nil), v.h...)
+			h = append(h, a)
+			checkViewState(t, next, v, h)
 		}
 	}
 }

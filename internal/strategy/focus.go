@@ -201,7 +201,7 @@ func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]Sco
 			s.merged = all
 			return nil, err
 		}
-		if ri, ok := focusRank(f.measure, p, int(v.lens[i]), int(v.cnt[i])); ok {
+		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(v.cnt[i])); ok {
 			all = append(all, ri)
 		}
 	}
