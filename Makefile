@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-e2e bench-e2e-compare benchdiff microbench vet fmt lint errlint cover experiments soak cluster restart-replay torture clean BENCH_PR1.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json
+.PHONY: all build test race bench-e2e bench-e2e-compare microbench vet fmt lint errlint cover experiments soak cluster restart-replay torture clean
 
 all: vet test build
 
@@ -12,87 +12,6 @@ test:
 
 race:
 	go test -race ./...
-
-bench: BENCH_PR10.json
-
-# Figure 7 sweep at the README's reference configuration; the JSON feeds the
-# README performance table. BENCH_PR1.json is the pre-kernel baseline the
-# PR-4 acceptance ratios are measured against; BENCH_PR4.json is the
-# counter-kernel scoring stack; BENCH_PR5.json is the same sweep and seed on
-# the bound-driven pruned kernels over the impact-ordered layout.
-BENCH_PR1.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-bench-json BENCH_PR1.json
-
-BENCH_PR4.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-bench-json BENCH_PR4.json
-
-BENCH_PR5.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-pruning -impact-ordering \
-		-bench-json BENCH_PR5.json
-
-# BENCH_PR6.json is the PR-5 sweep plus the cold-start cells (legacy
-# decode+rebuild vs mmap snapshot open, as cold_start_ms).
-BENCH_PR6.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-pruning -impact-ordering -cold-start \
-		-bench-json BENCH_PR6.json
-
-# BENCH_PR7.json adds the user-append cells: append+recommend over a
-# materialized per-user counter view (user-append/*) against the from-scratch
-# scan the same history pays without one (user-scan/*).
-BENCH_PR7.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-pruning -impact-ordering -cold-start -user-append \
-		-bench-json BENCH_PR7.json
-
-# BENCH_PR8.json is the PR-7 sweep re-run on the fault-tolerant storage
-# stack (injectable filesystem seam, whole-file snapshot checksums, sidecar
-# WAL rotation): same cells, and the WAL-append and cold-start numbers must
-# hold within the benchdiff gate.
-BENCH_PR8.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-pruning -impact-ordering -cold-start -user-append \
-		-bench-json BENCH_PR8.json
-
-# BENCH_PR9.json adds the paged-serving cells: Zipf-skewed posting-row scans
-# raw vs block-compressed, cold vs served through the shared decoded-block
-# cache (block-cache/*), with per-cell cache counters.
-BENCH_PR9.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-pruning -impact-ordering -cold-start -user-append -block-cache \
-		-bench-json BENCH_PR9.json
-
-# BENCH_PR10.json adds the sharded-serving cells (cluster/*): scatter-gather
-# throughput of the same strategies on in-process shard clusters of 1, 2 and
-# 4 workers, at the first sweep size.
-BENCH_PR10.json:
-	go run ./cmd/experiments -skip-datasets \
-		-scaling-sizes 250000,1000000 -scaling-actions 10000 -seed 1 \
-		-scaling-queries 200 \
-		-pruning -impact-ordering -cold-start -user-append -block-cache \
-		-cluster \
-		-bench-json BENCH_PR10.json
-
-# Per-cell latency deltas between the previous stack and the current one;
-# exits non-zero on any >15% regression (the CI gate).
-benchdiff:
-	go run ./scripts/benchdiff BENCH_PR9.json BENCH_PR10.json
 
 # One run of the repository benchmark (BENCHMARK.json, bench/README.md):
 # goalrecd is built from this checkout and driven over loopback, and the

@@ -3,7 +3,7 @@
 // postings API, against the new AG-idx-backed methods — at several
 // connectivity levels. See also internal/strategy/bench_test.go for the
 // Best Match scoring-path comparison and BENCH_PR1.json for the end-to-end
-// Figure 7 numbers (`make bench`).
+// Figure 7 numbers.
 package goalrec_test
 
 import (

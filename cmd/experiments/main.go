@@ -68,8 +68,7 @@ func run() error {
 	scalingActions := flag.Int("scaling-actions", 3000, "action-space size for the Figure 7 sweep")
 	benchJSON := flag.String("bench-json", "", "also write the Figure 7 sweep points as JSON to this file")
 	scalingQueries := flag.Int("scaling-queries", 0, "query activities timed per Figure 7 cell (0 selects the default)")
-	pruning := flag.Bool("pruning", false, "run the Figure 7 sweep on the bound-driven pruned kernels")
-	impactOrdering := flag.Bool("impact-ordering", false, "impact-order each swept library before timing")
+	impactOrdering := flag.Bool("impact-ordering", false, "impact-order each swept library before timing (Focus then takes the block-max scan and its cells carry the scan counters)")
 	coldStart := flag.Bool("cold-start", false, "also measure cold start (legacy decode+rebuild vs mmap snapshot open) at the sweep sizes")
 	userAppend := flag.Bool("user-append", false, "also measure append+recommend with a materialized counter view vs a from-scratch scan at the sweep sizes")
 	blockCache := flag.Bool("block-cache", false, "also measure posting-row scans raw vs compressed, cold vs block-cached, at the sweep sizes")
@@ -161,8 +160,8 @@ func run() error {
 		fmt.Fprintf(out, "# scalability (Figure 7)\n\n")
 		points := experiments.Scalability(experiments.ScalabilityConfig{
 			Sizes: sizes, Actions: *scalingActions, Seed: *seed,
-			Queries: *scalingQueries,
-			Pruning: *pruning, ImpactOrdering: *impactOrdering,
+			Queries:        *scalingQueries,
+			ImpactOrdering: *impactOrdering,
 		})
 		if err := emit(experiments.Figure7Table(points)); err != nil {
 			return err
@@ -229,8 +228,8 @@ func run() error {
 	return nil
 }
 
-// benchPoint is the JSON shape of one Figure 7 cell, consumed by the README
-// performance table, `make bench` and scripts/benchdiff.
+// benchPoint is the JSON shape of one Figure 7 cell — the shape of the
+// committed BENCH_PR*.json records README's historical table cites.
 type benchPoint struct {
 	Method          string  `json:"method"`
 	Implementations int     `json:"implementations"`
@@ -246,7 +245,7 @@ type benchPoint struct {
 }
 
 // benchFile is the stamped envelope written since PR 5. Earlier bench files
-// (BENCH_PR1/PR4) are bare point arrays; scripts/benchdiff reads both.
+// (BENCH_PR1/PR4) are bare point arrays.
 type benchFile struct {
 	GitCommit string       `json:"git_commit"`
 	Date      string       `json:"date"`

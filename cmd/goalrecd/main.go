@@ -121,8 +121,7 @@ func run() error {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent expensive requests; excess is shed as 503 (0 disables)")
 	admissionWait := flag.Duration("admission-wait", 10*time.Millisecond, "how long an over-limit request may wait for a slot before being shed (needs -max-inflight)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-	pruning := flag.Bool("pruning", false, "serve with the bound-driven pruned kernels (rankings unchanged; counters in /v1/metrics)")
-	impactOrdering := flag.Bool("impact-ordering", false, "re-lay-out each loaded library in impact order for pruning effectiveness")
+	impactOrdering := flag.Bool("impact-ordering", false, "re-lay-out each loaded library in impact order; bounded Focus queries then take the block-max scan (counters in /v1/metrics)")
 	snapshotDir := flag.String("snapshot-dir", "", "durable store directory: mmap snapshots + ingest WAL (empty disables persistence)")
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append (needs -snapshot-dir)")
 	compactWALBytes := flag.Int64("compact-wal-bytes", 0, "WAL size that triggers background compaction into a snapshot; 0 selects the default (needs -snapshot-dir)")
@@ -192,9 +191,6 @@ func run() error {
 		opts = append(opts, server.WithReloader(func() (*goalrec.Library, error) {
 			return loadLib(*libPath)
 		}))
-	}
-	if *pruning {
-		opts = append(opts, server.WithPruning())
 	}
 	if *requestTimeout > 0 {
 		opts = append(opts, server.WithRequestTimeout(*requestTimeout))
@@ -266,7 +262,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		wcfg := cluster.WorkerConfig{Lo: lo, Hi: hi, Pruning: *pruning, Logger: logger}
+		wcfg := cluster.WorkerConfig{Lo: lo, Hi: hi, Logger: logger}
 		if *libPath != "" {
 			wcfg.Reload = func() (*goalrec.Library, error) { return loadLib(*libPath) }
 		}

@@ -14,8 +14,8 @@
 //
 // With -sweep the driver instead runs a benchmark grid over
 // -strategies/-ks/-batches/-zipfs (locally or fanned out over -workers) and
-// emits one bench-JSON cell per grid point to -bench-json, in the shape
-// `make bench` and scripts/benchdiff consume.
+// emits one bench-JSON cell per grid point to -bench-json, in the shape of
+// the committed BENCH_PR*.json records.
 package main
 
 import (
@@ -212,8 +212,8 @@ type sweepGrids struct {
 	zipfs      []float64
 }
 
-// benchCell is one grid point in the bench-JSON shape scripts/benchdiff
-// joins on (method, implementations) and gates on mean_latency_ms.
+// benchCell is one grid point in the bench-JSON shape, keyed by (method,
+// implementations) with mean_latency_ms as the value.
 type benchCell struct {
 	Method          string  `json:"method"`
 	Implementations int     `json:"implementations"`

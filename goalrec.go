@@ -84,8 +84,10 @@ type buildOptions struct {
 // dictionary is permuted along with the ids, so every name-level result —
 // recommendations, spaces, explanations — carries the same actions with the
 // same scores; only the order among exact score ties (which follows internal
-// ids) may differ from the plain layout. What changes materially is how
-// effective the threshold-aware pruned scans (WithPruning) are.
+// ids) may differ from the plain layout. What changes materially is which
+// scan serves bounded Focus queries: on a size-sorted library it is the
+// block-max scan, which stops at the score floor's id cutoff (DESIGN.md,
+// "Bounds & pruning").
 func WithImpactOrdering() BuildOption {
 	return func(o *buildOptions) { o.impactOrdering = true }
 }
@@ -480,7 +482,6 @@ type recOptions struct {
 	metric     vectorspace.Metric
 	weighting  strategy.BreadthWeighting
 	cacheSize  int
-	pruning    bool
 	pruneStats *strategy.PruneStats
 	err        error // first invalid option, surfaced by Library.Recommender
 }
@@ -501,7 +502,7 @@ func resolveRecOptions(opts []RecommenderOption) recOptions {
 func (o recOptions) sharingKey(s Strategy) string {
 	// The stats sink pointer is part of the key: two configurations that
 	// count into different sinks must not share one instance.
-	return fmt.Sprintf("%s/%s/%s/%d/%t/%p", s, o.metric, o.weighting, o.cacheSize, o.pruning, o.pruneStats)
+	return fmt.Sprintf("%s/%s/%s/%d/%p", s, o.metric, o.weighting, o.cacheSize, o.pruneStats)
 }
 
 // WithDistanceMetric selects the Best Match distance: "cosine" (default),
@@ -552,31 +553,22 @@ func WithCache(entries int) RecommenderOption {
 	}
 }
 
-// PruneStats is a concurrency-safe sink for the pruned kernels' counters
-// (blocks skipped, candidates skipped, ...). One sink may be shared by any
-// number of recommenders; read it with Snapshot.
+// PruneStats is a concurrency-safe sink for the counters of Focus's
+// block-max scan (blocks considered and skipped, implementations scored).
+// One sink may be shared by any number of recommenders; read it with
+// Snapshot.
 type PruneStats = strategy.PruneStats
 
 // PruneStatsSnapshot is a point-in-time copy of a PruneStats sink.
 type PruneStatsSnapshot = strategy.PruneStatsSnapshot
 
-// WithPruning enables the bound-driven top-k kernels: block-skipping Focus
-// scans and threshold-aware candidate walks for Breadth and Best Match.
-// Rankings are bit-identical to the default kernels — pruning only skips
-// work that provably cannot alter the top k. Most effective on libraries
-// built (or re-laid-out) with WithImpactOrdering.
-func WithPruning() RecommenderOption {
-	return func(o *recOptions) { o.pruning = true }
-}
-
-// WithPruningStats is WithPruning with a counter sink: the pruned kernels
-// add their per-query tallies to stats, which the caller (e.g. the server's
-// /v1/metrics endpoint) reads via Snapshot.
+// WithPruningStats attaches a counter sink: Focus's block-max scan — which
+// serves bounded queries whenever the library is size-sorted (see
+// WithImpactOrdering) — adds its per-query tallies to stats, which the caller
+// (e.g. the server's /v1/metrics endpoint) reads via Snapshot. It changes no
+// ranking and no scan choice, and is ignored by the other strategies.
 func WithPruningStats(stats *PruneStats) RecommenderOption {
-	return func(o *recOptions) {
-		o.pruning = true
-		o.pruneStats = stats
-	}
+	return func(o *recOptions) { o.pruneStats = stats }
 }
 
 // Recommendation is one ranked suggestion.
@@ -670,15 +662,8 @@ func (l *Library) Recommender(s Strategy, opts ...RecommenderOption) (Recommende
 	default:
 		return nil, fmt.Errorf("goalrec: unknown strategy %q", s)
 	}
-	if o.pruning {
-		switch r := rec.(type) {
-		case *strategy.Focus:
-			r.EnablePruning(o.pruneStats)
-		case *strategy.Breadth:
-			r.EnablePruning(o.pruneStats)
-		case *strategy.BestMatch:
-			r.EnablePruning(o.pruneStats)
-		}
+	if f, ok := rec.(*strategy.Focus); ok {
+		f.CountInto(o.pruneStats)
 	}
 	if o.cacheSize > 0 {
 		rec = strategy.NewCached(rec, o.cacheSize)

@@ -78,7 +78,7 @@ func (tw *testWorker) revive(t *testing.T) {
 
 // startWorkers launches parts workers over lib, splitting the library into
 // contiguous ranges with the last shard open-ended (Hi == -1).
-func startWorkers(t *testing.T, lib *goalrec.Library, parts int, pruning bool,
+func startWorkers(t *testing.T, lib *goalrec.Library, parts int,
 	reload func() (*goalrec.Library, error)) []*testWorker {
 	t.Helper()
 	n := lib.NumImplementations()
@@ -98,7 +98,7 @@ func startWorkers(t *testing.T, lib *goalrec.Library, parts int, pruning bool,
 			ln:     ln,
 			addr:   ln.Addr().String(),
 			engine: goalrec.NewEngineFromLibrary(lib),
-			cfg:    WorkerConfig{Lo: lo, Hi: hi, Pruning: pruning, Reload: reload},
+			cfg:    WorkerConfig{Lo: lo, Hi: hi, Reload: reload},
 		}
 		tw.worker = NewWorker(tw.engine, tw.cfg)
 		go tw.worker.Serve(ln)
@@ -141,12 +141,11 @@ func postBody(t *testing.T, url, body string) (int, []byte) {
 // TestClusterHTTPBitIdenticalToSingleNode is the topology oracle: the same
 // request posted to a single-node server and to a 3-shard cluster must come
 // back byte-for-byte identical (both engines start their lineage at epoch 1,
-// so even the epoch field agrees), for every strategy, with worker pruning
-// both off and on.
+// so even the epoch field agrees), for every strategy, on both layouts:
+// the plain one, whose Focus shards run the counter kernel, and the
+// impact-ordered one, whose size-sorted shards run the block-max scan under
+// the cross-node floor broadcast.
 func TestClusterHTTPBitIdenticalToSingleNode(t *testing.T) {
-	lib := clusterTestLibrary(1, 60)
-	single := httptest.NewServer(server.New(lib, nil))
-	defer single.Close()
 
 	bodies := []string{
 		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 5}`,
@@ -180,7 +179,16 @@ func TestClusterHTTPBitIdenticalToSingleNode(t *testing.T) {
 
 	for _, pruning := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pruning=%v", pruning), func(t *testing.T) {
-			workers := startWorkers(t, lib, 3, pruning, nil)
+			lib := clusterTestLibrary(1, 60)
+			if pruning {
+				lib = lib.ImpactOrdered()
+			}
+			if lib.Core().ImplLenSorted() != pruning {
+				t.Fatalf("size-sorted layout = %v, want %v", lib.Core().ImplLenSorted(), pruning)
+			}
+			single := httptest.NewServer(server.New(lib, nil))
+			defer single.Close()
+			workers := startWorkers(t, lib, 3, nil)
 			co := startCoordinator(t, lib, workers, CoordinatorConfig{})
 			cluster := httptest.NewServer(NewHTTPHandler(co))
 			defer cluster.Close()
@@ -246,7 +254,7 @@ func TestClusterTwoPhaseSwap(t *testing.T) {
 			ln:     ln,
 			addr:   ln.Addr().String(),
 			engine: goalrec.NewEngineFromLibrary(lib1),
-			cfg:    WorkerConfig{Lo: lo, Hi: hi, Pruning: true, Reload: reloadFor(int32(i))},
+			cfg:    WorkerConfig{Lo: lo, Hi: hi, Reload: reloadFor(int32(i))},
 		}
 		tw.worker = NewWorker(tw.engine, tw.cfg)
 		go tw.worker.Serve(ln)
@@ -338,7 +346,7 @@ func TestClusterTwoPhaseSwap(t *testing.T) {
 // address, responses are bit-identical to the pre-failure ones again.
 func TestClusterPartialFailurePolicies(t *testing.T) {
 	lib := clusterTestLibrary(3, 45)
-	workers := startWorkers(t, lib, 3, true, nil)
+	workers := startWorkers(t, lib, 3, nil)
 	co := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: Degraded})
 	coFail := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: FailClosed})
 	cluster := httptest.NewServer(NewHTTPHandler(co))
@@ -423,7 +431,7 @@ func TestClusterPartialFailurePolicies(t *testing.T) {
 // library states.
 func TestClusterEpochSkewRefused(t *testing.T) {
 	lib := clusterTestLibrary(5, 30)
-	workers := startWorkers(t, lib, 3, false, nil)
+	workers := startWorkers(t, lib, 3, nil)
 	co := startCoordinator(t, lib, workers, CoordinatorConfig{})
 
 	// Same artifact (vocab checksum unchanged), different epoch.
@@ -443,7 +451,7 @@ func TestClusterEpochSkewRefused(t *testing.T) {
 func TestClusterVocabMismatchRejected(t *testing.T) {
 	lib := clusterTestLibrary(6, 20)
 	other := clusterTestLibrary(7, 20) // different names -> different checksum
-	workers := startWorkers(t, other, 1, false, nil)
+	workers := startWorkers(t, other, 1, nil)
 	co := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: FailClosed})
 
 	_, err := co.Recommend(context.Background(), "breadth", "", []string{"a1"}, 5)
@@ -486,7 +494,7 @@ func TestClusterCoverageValidation(t *testing.T) {
 // few queries.
 func TestClusterMetricsEndpoint(t *testing.T) {
 	lib := clusterTestLibrary(9, 30)
-	workers := startWorkers(t, lib, 2, true, nil)
+	workers := startWorkers(t, lib, 2, nil)
 	co := startCoordinator(t, lib, workers, CoordinatorConfig{})
 	cluster := httptest.NewServer(NewHTTPHandler(co))
 	defer cluster.Close()

@@ -11,9 +11,9 @@ import (
 	"goalrec"
 )
 
-// fuzzCluster is a process-wide 3-shard cluster (pruning on, so the fuzz
-// exercises both the coordinator merge and the workers' bound-driven
-// kernels) shared by every fuzz iteration.
+// fuzzCluster is a process-wide 3-shard cluster over an impact-ordered
+// library (so the fuzz exercises both the coordinator merge and the workers'
+// block-max scans under the floor broadcast) shared by every fuzz iteration.
 var (
 	fuzzOnce sync.Once
 	fuzzLib  *goalrec.Library
@@ -22,7 +22,7 @@ var (
 )
 
 func fuzzSetup() {
-	fuzzLib = clusterTestLibrary(7, 64)
+	fuzzLib = clusterTestLibrary(7, 64).ImpactOrdered()
 	n := fuzzLib.NumImplementations()
 	per := (n + 2) / 3
 	var addrs []string
@@ -35,7 +35,7 @@ func fuzzSetup() {
 		if err != nil {
 			panic(err)
 		}
-		w := NewWorker(goalrec.NewEngineFromLibrary(fuzzLib), WorkerConfig{Lo: lo, Hi: hi, Pruning: true})
+		w := NewWorker(goalrec.NewEngineFromLibrary(fuzzLib), WorkerConfig{Lo: lo, Hi: hi})
 		go w.Serve(ln)
 		addrs = append(addrs, ln.Addr().String())
 	}

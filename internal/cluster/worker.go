@@ -21,10 +21,6 @@ type WorkerConfig struct {
 	// Hi == -1 means "to the end of the library", the recommended setting
 	// for the last shard so the assignment survives library growth.
 	Lo, Hi int
-	// Pruning enables the bound-driven Focus kernels on this worker's
-	// shard scans. Rankings are bit-identical either way; pruning is what
-	// the cross-node floor broadcast accelerates.
-	Pruning bool
 	// Reload re-reads this worker's library source for a two-phase swap.
 	// Nil disables FramePrepare (answered with an error).
 	Reload func() (*goalrec.Library, error)
@@ -139,16 +135,13 @@ func (w *Worker) currentShard() (*shardState, error) {
 	return w.shard, nil
 }
 
-func (s *shardState) focusFor(m strategy.FocusMeasure, pruning bool) *strategy.Focus {
+func (s *shardState) focusFor(m strategy.FocusMeasure) *strategy.Focus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.focus[m]; ok {
 		return f
 	}
 	f := strategy.NewFocus(s.part.Core(), m)
-	if pruning {
-		f.EnablePruning(nil)
-	}
 	s.focus[m] = f
 	return f
 }
@@ -269,8 +262,7 @@ func (w *Worker) handleFocus(ctx context.Context, sc *comms.ServerConn, f comms.
 		w.floorMu.Unlock()
 	}()
 
-	fs := sh.focusFor(measure, w.cfg.Pruning)
-	emissions, err := fs.TopEmissions(ctx, req.Activity, req.K, int64(sh.lo), share)
+	emissions, err := sh.focusFor(measure).TopEmissions(ctx, req.Activity, req.K, int64(sh.lo), share)
 	if err != nil {
 		return errFrame(err)
 	}

@@ -1,11 +1,9 @@
 package core
 
-import "sync"
-
-// This file carries the bound metadata behind the strategies' threshold-aware
-// (block-max) scanning: per-posting-row block summaries, the library-wide
-// maximum implementation length, and suffix maxima over action degrees. All
-// of it is derived once per snapshot — at Build/compaction time for flat
+// This file carries the bound metadata behind Focus's block-max scan:
+// per-posting-row block summaries, the library-wide maximum implementation
+// length, and whether implementation lengths are sorted in id. All of it is
+// derived once per snapshot — at Build/compaction time for flat
 // libraries, per touched row for extended (overlay) snapshots — and is pure
 // summary data: dropping it changes nothing observable, using it lets a
 // top-k scan skip whole runs of postings that provably cannot beat the
@@ -94,7 +92,6 @@ func (l *Library) buildBlocks() {
 		}
 		prev = n
 	}
-	l.bounds = &boundAux{}
 }
 
 // ImplLenSorted reports whether implementation lengths are non-decreasing in
@@ -130,49 +127,3 @@ func (l *Library) ActionPostingBlocks(a ActionID) PostingBlocks {
 // MaxImplLen returns the largest |A_p| in the library, 0 when empty. It caps
 // every per-implementation weight a scan can encounter.
 func (l *Library) MaxImplLen() int { return int(l.maxImplLen) }
-
-// boundAux carries the lazily derived suffix bounds of one snapshot. The
-// arrays depend on every row of the snapshot, so extended snapshots get a
-// fresh boundAux rather than maintaining them incrementally; laziness keeps
-// snapshotting an append proportional to the touched rows.
-type boundAux struct {
-	once      sync.Once
-	sfxActDeg []int32 // sfxActDeg[a] = max over a' ≥ a of |IS(a')|
-}
-
-func (l *Library) boundsAux() *boundAux {
-	aux := l.bounds
-	if aux == nil {
-		// Hand-built library (tests); fall back to an uncached aux.
-		aux = &boundAux{}
-	}
-	aux.once.Do(func() {
-		sfx := make([]int32, l.numActions+1)
-		for a := l.numActions - 1; a >= 0; a-- {
-			d := int32(l.ActionDegree(ActionID(a)))
-			if d < sfx[a+1] {
-				d = sfx[a+1]
-			}
-			sfx[a] = d
-		}
-		aux.sfxActDeg = sfx
-	})
-	return aux
-}
-
-// ActionDegreeSuffixMax returns max over a' ≥ a of ActionDegree(a'): an
-// upper bound on the posting-row length of every action id from a on. A
-// MaxScore-style candidate loop walking ids in ascending order uses it to
-// stop once no remaining candidate can beat the current k-th score; with
-// impact ordering (frequency-descending ids) the bound is exact at every
-// position. The suffix array is derived once per snapshot on first use.
-func (l *Library) ActionDegreeSuffixMax(a ActionID) int {
-	if a < 0 {
-		a = 0
-	}
-	aux := l.boundsAux()
-	if int(a) >= len(aux.sfxActDeg) {
-		return 0
-	}
-	return int(aux.sfxActDeg[a])
-}

@@ -47,17 +47,6 @@ func checkBlocks(t *testing.T, lib *Library) {
 			}
 		}
 	}
-	for a := 0; a <= lib.NumActions(); a++ {
-		want := 0
-		for b := a; b < lib.NumActions(); b++ {
-			if d := lib.ActionDegree(ActionID(b)); d > want {
-				want = d
-			}
-		}
-		if got := lib.ActionDegreeSuffixMax(ActionID(a)); got != want {
-			t.Fatalf("ActionDegreeSuffixMax(%d) = %d, want %d", a, got, want)
-		}
-	}
 }
 
 func TestPostingBlocksBruteForce(t *testing.T) {

@@ -272,7 +272,6 @@ func (d *DynamicLibrary) extendLocked() *Library {
 		blkMaxLen:     prev.blkMaxLen,
 		maxImplLen:    prev.maxImplLen,
 		implLenSorted: prev.implLenSorted,
-		bounds:        &boundAux{}, // degrees changed; suffix bounds re-derive lazily
 		numActions:    d.numActions,
 		numGoals:      d.numGoals,
 		epoch:         d.epoch,

@@ -7,10 +7,10 @@ import "sort"
 // and implementation ids are re-clustered so that block-max metadata gets
 // sharp and posting scans touch cache-friendly runs.
 //
-//   - Actions: degree (|IS(a)|) descending, ties by old id. Hot posting rows
-//     get the smallest ids, so a MaxScore-style candidate walk in ascending
-//     id order visits candidates in (near-)decreasing upper-bound order and
-//     its suffix-degree early-exit bound is exact at every position.
+//   - Actions: degree (|IS(a)|) descending, ties by old id, so hot posting
+//     rows get the smallest ids. (The Breadth candidate walk this was laid
+//     out for never skipped a candidate and is gone — DESIGN.md, "Bounds &
+//     pruning"; the relabeling stays part of the layout.)
 //   - Implementations: |A_p| ascending, then by goal, then old id. Length
 //     clustering makes the per-block min/max |A_p| nearly tight — exactly
 //     the terms the Focus bounds divide by — and turns a score floor into a

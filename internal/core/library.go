@@ -324,9 +324,8 @@ type Library struct {
 	blkMinLen []int32  // min |A_p| per block
 	blkMaxLen []int32  // max |A_p| per block
 
-	maxImplLen    int32     // largest |A_p| in the library
-	implLenSorted bool      // |A_p| non-decreasing in id (impact-ordered layout)
-	bounds        *boundAux // lazily derived suffix bounds, shared by copies
+	maxImplLen    int32 // largest |A_p| in the library
+	implLenSorted bool  // |A_p| non-decreasing in id (impact-ordered layout)
 
 	// Copy-on-write overlays, non-nil only on extended snapshots: merged
 	// rows for the actions/goals touched since the last flat index build.

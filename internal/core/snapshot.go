@@ -804,7 +804,6 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 		numGoals:   int(nGoal),
 		epoch:      binary.LittleEndian.Uint64(data[48:]),
 		maxImplLen: int32(binary.LittleEndian.Uint32(data[56:])),
-		bounds:     &boundAux{},
 	}
 	lib.implLenSorted = flags&snapFlagLenSorted != 0
 

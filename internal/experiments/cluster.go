@@ -105,9 +105,7 @@ func startCluster(lib *goalrec.Library, n int) (*cluster.Coordinator, func(), er
 		if i == n-1 {
 			hi = -1
 		}
-		w := cluster.NewWorker(goalrec.NewEngineFromLibrary(lib), cluster.WorkerConfig{
-			Lo: lo, Hi: hi, Pruning: true,
-		})
+		w := cluster.NewWorker(goalrec.NewEngineFromLibrary(lib), cluster.WorkerConfig{Lo: lo, Hi: hi})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			shutdown()

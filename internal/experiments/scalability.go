@@ -16,8 +16,8 @@ type ScalabilityPoint struct {
 	Connectivity    float64
 	Method          string
 	MeanLatency     time.Duration
-	// Prune carries this cell's pruning counters when the sweep ran with
-	// Pruning; nil otherwise.
+	// Prune carries a Focus cell's block-max scan counters when the swept
+	// library is size-sorted (the layout on which Focus scans); nil otherwise.
 	Prune *strategy.PruneStatsSnapshot
 	// Cache carries the decoded-block cache counters for the block-cache/*
 	// cells that ran with a cache enabled; nil otherwise.
@@ -40,11 +40,9 @@ type ScalabilityConfig struct {
 	ActivityLen int
 	// Seed drives generation.
 	Seed uint64
-	// Pruning runs the sweep on the bound-driven pruned kernels and records
-	// their counters per cell.
-	Pruning bool
 	// ImpactOrdering re-lays-out each swept library in impact order before
-	// timing, the layout the pruned kernels are designed for.
+	// timing — the size-sorted layout on which Focus takes the block-max
+	// scan, whose counters the Focus cells then carry.
 	ImpactOrdering bool
 }
 
@@ -112,16 +110,9 @@ func Scalability(cfg ScalabilityConfig) []ScalabilityPoint {
 		} {
 			rec := mk()
 			var stats *strategy.PruneStats
-			if cfg.Pruning {
+			if f, ok := rec.(*strategy.Focus); ok && lib.ImplLenSorted() {
 				stats = new(strategy.PruneStats)
-				switch r := rec.(type) {
-				case *strategy.Focus:
-					r.EnablePruning(stats)
-				case *strategy.Breadth:
-					r.EnablePruning(stats)
-				case *strategy.BestMatch:
-					r.EnablePruning(stats)
-				}
+				f.CountInto(stats)
 			}
 			start := time.Now()
 			for _, q := range queries {

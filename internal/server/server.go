@@ -81,10 +81,9 @@ const defaultAdmissionWait = 10 * time.Millisecond
 type bundle struct {
 	lib *goalrec.Library
 
-	// pruneStats, when non-nil, enables the bound-driven pruned kernels for
-	// every recommender in this bundle and receives their counters. The sink
-	// is the Server's, shared across epochs, so the cumulative counters
-	// survive swaps.
+	// pruneStats receives the block-max scan counters of this bundle's Focus
+	// recommenders. The sink is the Server's, shared across epochs, so the
+	// cumulative counters survive swaps.
 	pruneStats *goalrec.PruneStats
 
 	mu   sync.Mutex
@@ -92,7 +91,7 @@ type bundle struct {
 }
 
 func (s *Server) newBundle(lib *goalrec.Library) *bundle {
-	return &bundle{lib: lib, pruneStats: s.pruneStats, recs: make(map[string]goalrec.Recommender)}
+	return &bundle{lib: lib, pruneStats: &s.pruneStats, recs: make(map[string]goalrec.Recommender)}
 }
 
 // recommender returns (building on first use) the bundle's recommender for
@@ -113,13 +112,8 @@ func (b *bundle) recommender(strategyName, metric string) (goalrec.Recommender, 
 	// Serving workloads repeat activities heavily; strategies are
 	// deterministic over the immutable snapshot, so an LRU per recommender
 	// is sound — and it dies with the bundle, never serving a stale epoch.
-	opts := []goalrec.RecommenderOption{
-		goalrec.WithDistanceMetric(metric), goalrec.WithCache(4096),
-	}
-	if b.pruneStats != nil {
-		opts = append(opts, goalrec.WithPruningStats(b.pruneStats))
-	}
-	rec, err := b.lib.Recommender(goalrec.Strategy(strategyName), opts...)
+	rec, err := b.lib.Recommender(goalrec.Strategy(strategyName),
+		goalrec.WithDistanceMetric(metric), goalrec.WithCache(4096), goalrec.WithPruningStats(b.pruneStats))
 	if err != nil {
 		return nil, err
 	}
@@ -166,14 +160,6 @@ func WithAdmissionWait(d time.Duration) Option {
 	return func(s *Server) { s.gateWait = d }
 }
 
-// WithPruning switches every served recommender to the bound-driven pruned
-// kernels. Rankings are bit-identical to the default kernels; the pruning
-// counters (blocks and candidates skipped, work ratios) are surfaced under
-// "pruning" in /v1/metrics, cumulative across epochs.
-func WithPruning() Option {
-	return func(s *Server) { s.pruneStats = new(goalrec.PruneStats) }
-}
-
 // WithUserStore enables the /v1/users endpoints over us — typically
 // Store.Users() so appends and deletes are journaled. Without it the user
 // endpoints answer 501. The store's counters (materialized hits, cold
@@ -206,9 +192,10 @@ type Server struct {
 	gate     chan struct{}
 	gateWait time.Duration
 
-	// pruneStats is non-nil iff WithPruning: the shared sink every bundle's
-	// recommenders count into.
-	pruneStats *goalrec.PruneStats
+	// pruneStats is the shared sink every bundle's Focus recommenders count
+	// their block-max scans into; it only moves while the served snapshot is
+	// size-sorted. Surfaced under "pruning" in /v1/metrics.
+	pruneStats goalrec.PruneStats
 
 	// users is non-nil iff WithUserStore: the per-user history store behind
 	// the /v1/users endpoints.
@@ -258,7 +245,6 @@ func NewFromEngine(engine *goalrec.Engine, logger *log.Logger, opts ...Option) *
 	for _, key := range []string{"sheds", "canceled", "deadline_exceeded", "reload_failures"} {
 		s.lifecycle.Add(key, 0)
 	}
-	// Options first: the seed bundle must already see pruning configuration.
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -537,8 +523,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	// Snapshot() on a nil sink yields zeros, so the pruning block is always
-	// present; "enabled" says whether the counters can ever move.
+	b := s.bundle()
+	// "enabled" says whether the counters can move at this epoch: Focus takes
+	// the block-max scan exactly when the served snapshot is size-sorted.
 	prune, err := json.Marshal(s.pruneStats.Snapshot())
 	if err != nil {
 		prune = []byte("{}")
@@ -562,8 +549,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		cache = b
 	}
 	fmt.Fprintf(w, "{\"epoch\": %d, \"requests\": %s, \"errors\": %s, \"lifecycle\": %s, \"pruning\": {\"enabled\": %t, \"counters\": %s}, \"users\": {\"enabled\": %t, \"counters\": %s}, \"storage\": %s, \"block_cache\": {\"enabled\": %t, \"counters\": %s}, \"reload_failure_streak\": %d}\n",
-		s.bundle().lib.Epoch(), s.requests.String(), s.errors.String(),
-		s.lifecycle.String(), s.pruneStats != nil, prune, s.users != nil, users, storage,
+		b.lib.Epoch(), s.requests.String(), s.errors.String(),
+		s.lifecycle.String(), b.lib.Core().ImplLenSorted(), prune, s.users != nil, users, storage,
 		cacheStats.BudgetBytes > 0, cache, s.reloadStreak.Load())
 }
 

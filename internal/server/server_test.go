@@ -272,23 +272,38 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestPruningServer drives every strategy through a pruning-enabled server,
-// checks the responses match an unpruned twin bit-for-bit, and verifies the
-// metrics endpoint reports the pruning block with live counters.
+// TestPruningServer serves an impact-ordered library — the layout on which
+// Focus takes the block-max scan — checks every strategy's bounded response
+// equals the head of the library's full ranking (k = −1, which never scans),
+// and verifies the metrics endpoint reports the pruning block enabled, with
+// live counters.
 func TestPruningServer(t *testing.T) {
-	pruned := httptest.NewServer(New(testLibrary(t), nil, WithPruning()))
+	lib := testLibrary(t).ImpactOrdered()
+	pruned := httptest.NewServer(New(lib, nil))
 	t.Cleanup(pruned.Close)
-	plain := newTestServer(t)
 
+	activity := []string{"potatoes", "carrots"}
 	for _, strategy := range []string{"focus-cmp", "focus-cl", "breadth", "best-match"} {
 		body := `{"activity": ["potatoes", "carrots"], "strategy": "` + strategy + `", "k": 3}`
-		resp, got := postJSON(t, pruned.URL+"/v1/recommend", body)
+		resp, raw := postJSON(t, pruned.URL+"/v1/recommend", body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d: %s", strategy, resp.StatusCode, got)
+			t.Fatalf("%s: status = %d: %s", strategy, resp.StatusCode, raw)
 		}
-		_, want := postJSON(t, plain.URL+"/v1/recommend", body)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: pruned response diverged:\ngot  %s\nwant %s", strategy, got, want)
+		var got recommendResponse
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		want := lib.MustRecommender(goalrec.Strategy(strategy)).Recommend(activity, -1)
+		if len(want) > 3 {
+			want = want[:3]
+		}
+		if len(got.Recommendations) != len(want) {
+			t.Fatalf("%s: %d recommendations, want %d: %s", strategy, len(got.Recommendations), len(want), raw)
+		}
+		for i, w := range want {
+			if g := got.Recommendations[i]; g.Action != w.Action || g.Score != w.Score {
+				t.Errorf("%s: rank %d = %+v, want %+v", strategy, i, g, w)
+			}
 		}
 	}
 
@@ -307,17 +322,19 @@ func TestPruningServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !metrics.Pruning.Enabled {
-		t.Error("metrics report pruning disabled on a WithPruning server")
+		t.Error("metrics report pruning disabled on a size-sorted snapshot")
 	}
 	if metrics.Pruning.Counters.ImplsAssociated == 0 {
 		t.Errorf("pruning counters never moved: %+v", metrics.Pruning.Counters)
 	}
 }
 
-// TestPruningDisabledMetrics pins the metrics shape without WithPruning: the
-// pruning block is present, disabled, all zeros.
+// TestPruningDisabledMetrics pins the metrics shape on a snapshot that is not
+// size-sorted: the pruning block is present, disabled, and Focus queries
+// leave it all zeros.
 func TestPruningDisabledMetrics(t *testing.T) {
 	ts := newTestServer(t)
+	postJSON(t, ts.URL+"/v1/recommend", `{"activity": ["potatoes"], "strategy": "focus-cl", "k": 3}`)
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,8 @@ var benchCells = []struct {
 	{"conn-high", 500},
 }
 
-// BenchmarkBestMatchModes compares the pre-AG postings walk against the two
-// AG-idx scoring paths and the automatic cost-based choice on the same
-// libraries and queries.
+// BenchmarkBestMatchModes compares the two AG-idx scoring paths and the
+// automatic cost-based choice on the same libraries and queries.
 func BenchmarkBestMatchModes(b *testing.B) {
 	for _, cell := range benchCells {
 		lib := benchLibrary(20000, cell.actions, 3)
@@ -65,7 +64,6 @@ func BenchmarkBestMatchModes(b *testing.B) {
 			name string
 			mode bmMode
 		}{
-			{"postings-old", bmPostings},
 			{"candidate-major", bmCandidateMajor},
 			{"goal-major", bmGoalMajor},
 			{"auto", bmAuto},
@@ -127,10 +125,10 @@ func BenchmarkScanKernelSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkPrunedStrategies runs every strategy's threshold-aware scan — on
-// both the natural and the impact-ordered layout — against its unpruned
-// twin on the densest cell. Besides the comparison, this is the CI smoke
-// that exercises every pruned code path at -benchtime=1x.
+// BenchmarkPrunedStrategies runs every strategy on the natural and the
+// impact-ordered layout of the densest cell. On the latter Focus takes the
+// block-max scan, so besides the layout comparison this is the CI smoke that
+// exercises the scan at -benchtime=1x.
 func BenchmarkPrunedStrategies(b *testing.B) {
 	base := benchLibrary(20000, 500, 3)
 	impact, _ := core.ImpactOrder(base)
@@ -139,29 +137,15 @@ func BenchmarkPrunedStrategies(b *testing.B) {
 		name string
 		lib  *core.Library
 	}{{"plain", base}, {"impact", impact}} {
-		build := []struct {
-			name string
-			mk   func(*core.Library) Recommender
-		}{
-			{"focus-cmp", func(l *core.Library) Recommender { return NewFocus(l, Completeness) }},
-			{"focus-cl", func(l *core.Library) Recommender { return NewFocus(l, Closeness) }},
-			{"breadth", func(l *core.Library) Recommender { return NewBreadth(l) }},
-			{"best-match", func(l *core.Library) Recommender { return NewBestMatch(l) }},
-		}
-		for _, mk := range build {
-			for _, pruned := range []bool{false, true} {
-				rec := mk.mk(layout.lib)
-				variant := "unpruned"
-				if pruned {
-					variant = "pruned"
-					rec.(interface{ EnablePruning(*PruneStats) }).EnablePruning(nil)
+		for _, rec := range []Recommender{
+			NewFocus(layout.lib, Completeness), NewFocus(layout.lib, Closeness),
+			NewBreadth(layout.lib), NewBestMatch(layout.lib),
+		} {
+			b.Run(layout.name+"/"+rec.Name(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rec.Recommend(queries[i%len(queries)], 10)
 				}
-				b.Run(fmt.Sprintf("%s/%s/%s", layout.name, mk.name, variant), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						rec.Recommend(queries[i%len(queries)], 10)
-					}
-				})
-			}
+			})
 		}
 	}
 }

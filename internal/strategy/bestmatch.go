@@ -46,8 +46,6 @@ type BestMatch struct {
 	mode       bmMode
 	maxWorkers int // ≤ 0 selects GOMAXPROCS
 	shardMin   int // minimum candidate pool to shard; ≤ 0 selects default
-	pruning    bool
-	stats      *PruneStats
 }
 
 // bmMode selects the cosine scoring path.
@@ -57,7 +55,6 @@ const (
 	bmAuto bmMode = iota // pick per query from cost estimates
 	bmCandidateMajor
 	bmGoalMajor
-	bmPostings // legacy pre-AG-idx loop, kept for tests and benchmarks
 )
 
 // bmShardMinCandidates is the default candidate pool size below which
@@ -82,15 +79,6 @@ type bmScratch struct {
 	// Candidate pool of the current query and the buffers that generate it.
 	cands    []core.ActionID
 	candBufs core.CandidateScratch
-
-	// Legacy candidate-major postings-path buffers, sized by scorePostings.
-	candCount   []float64 // candidate counts per goal-space slot
-	slotTouched []int32   // slots touched by the current candidate
-
-	// Pruned-path buffers: descending prefix sums of the squared profile and
-	// the degree-ordered candidate list.
-	prefix []float64
-	ord    []bmCand
 }
 
 // NewBestMatch returns a Best Match strategy over lib using the cosine
@@ -157,8 +145,8 @@ func (bm *BestMatch) Recommend(activity []core.ActionID, k int) []ScoredAction {
 }
 
 // RecommendContext implements ContextRecommender: every scoring path —
-// candidate-major (serial and sharded), goal-major, the legacy postings
-// walk, and the sparse non-cosine loop — polls ctx at coarse checkpoints. A
+// candidate-major (serial and sharded), goal-major, and the sparse
+// non-cosine loop — polls ctx at coarse checkpoints. A
 // canceled query returns nil: Best Match ranks by distance over the full
 // candidate pool, so a partial scoring is not a valid prefix.
 func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.ActionID, k int) ([]ScoredAction, error) {
@@ -190,7 +178,7 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 			s.profile[s.slot[g]] += float64(mult[i])
 		}
 	}
-	return bm.rankCosine(ctx, s, goalSpace, k, bm.pruning)
+	return bm.rankCosine(ctx, s, goalSpace, k)
 }
 
 // rankSparse is the non-cosine path: every candidate's sparse vector against
@@ -212,23 +200,14 @@ func (bm *BestMatch) rankSparse(ctx context.Context, profile vectorspace.Vector,
 // space, dense profile, candidate pool): it scores every candidate through
 // whichever scoring path the per-query cost estimates favor, straight into
 // one k-bounded selector.
-func (bm *BestMatch) rankCosine(ctx context.Context, s *bmScratch, goalSpace []core.GoalID, k int, prunable bool) ([]ScoredAction, error) {
+func (bm *BestMatch) rankCosine(ctx context.Context, s *bmScratch, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
 	candidates := s.cands
 	profNorm := s.profileNorm()
 	sel := newSelector(k, len(candidates))
-	mode := bm.pickMode(candidates, goalSpace)
 	var err error
-	switch {
-	// The pruned walk replaces candidate-major scoring when a bounded top-k
-	// is wanted and the bound preparation (profile sort) is proportionate.
-	case prunable && sel.bound() < len(candidates) && mode == bmCandidateMajor &&
-		profNorm > 0 && len(goalSpace) <= bmPruneMaxGoalSpace:
-		err = bm.scoreCosinePruned(ctx, s, candidates, profNorm, &sel)
-	case mode == bmGoalMajor:
+	if bm.pickMode(candidates, goalSpace) == bmGoalMajor {
 		err = bm.scoreGoalMajor(ctx, s, candidates, goalSpace, profNorm, &sel)
-	case mode == bmPostings:
-		err = bm.scorePostings(ctx, s, candidates, profNorm, &sel)
-	default:
+	} else {
 		err = bm.scoreCandidateMajor(ctx, s, candidates, profNorm, &sel)
 	}
 	if err != nil {
@@ -273,9 +252,8 @@ func (s *bmScratch) profileNorm() float64 {
 // RecommendView implements ViewRecommender: candidates, goal space, and the
 // dense profile all come from the view's materialized state — no posting or
 // AG-row accumulation — and flow into the same scoring paths as a
-// from-scratch query. Views score exact (the pruned candidate walk applies
-// only to from-scratch builds); rankings are bit-identical to
-// RecommendContext over the view's activity.
+// from-scratch query; rankings are bit-identical to RecommendContext over
+// the view's activity.
 func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
@@ -304,7 +282,7 @@ func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) (
 	for i := range goalSpace {
 		s.profile[i] = float64(v.gcnt[i])
 	}
-	return bm.rankCosine(ctx, s, goalSpace, k, false)
+	return bm.rankCosine(ctx, s, goalSpace, k)
 }
 
 // pickMode resolves the scoring path for one query. In auto mode it compares
@@ -464,51 +442,6 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 	for _, a := range s.actTouched {
 		s.dot[a] = 0
 		s.sumsq[a] = 0
-	}
-	return nil
-}
-
-// scorePostings is the pre-AG-idx candidate loop — every candidate walks its
-// full A-GI posting list with a random GI-G lookup per posting. Kept as the
-// reference implementation for equivalence tests and old-vs-new benchmarks.
-// The context is polled at candidate boundaries, where the per-candidate
-// candCount scratch is already cleared.
-func (bm *BestMatch) scorePostings(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
-	if cap(s.candCount) < len(s.profile) {
-		s.candCount = make([]float64, len(s.profile))
-	}
-	s.candCount = s.candCount[:len(s.profile)]
-	clear(s.candCount)
-	tick := newTicker(ctx)
-	for _, a := range candidates {
-		if err := tick.tick(1); err != nil {
-			return err
-		}
-		dot, sumsq := 0.0, 0.0
-		s.slotTouched = s.slotTouched[:0]
-		for _, p := range bm.lib.ImplsOfAction(a) {
-			g := bm.lib.Goal(p)
-			if s.mark[g] != s.version {
-				continue // contributes to a goal outside F_GS(H)
-			}
-			i := s.slot[g]
-			c := s.candCount[i]
-			if c == 0 {
-				s.slotTouched = append(s.slotTouched, i)
-			}
-			// count c → c+1: dot gains profile[i], |a⃗|² gains 2c+1.
-			dot += s.profile[i]
-			sumsq += 2*c + 1
-			s.candCount[i] = c + 1
-		}
-		sim := 0.0
-		if profNorm > 0 && sumsq > 0 {
-			sim = dot / (profNorm * math.Sqrt(sumsq))
-		}
-		sel.offer(ScoredAction{Action: a, Score: -(1 - sim)})
-		for _, i := range s.slotTouched {
-			s.candCount[i] = 0
-		}
 	}
 	return nil
 }

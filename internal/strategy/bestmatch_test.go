@@ -172,34 +172,17 @@ func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 	}
 }
 
-// TestBestMatchScoringPathsAgree pins the three cosine scoring paths —
-// candidate-major over the AG-idx, goal-major accumulation, and the legacy
-// postings walk — to bit-identical rankings and scores on random libraries.
-// All three accumulate integer-valued sums in float64, so even the scores
-// must match exactly, not just within float noise.
+// TestBestMatchScoringPathsAgree drives the Best Match rows of the source
+// table — the cost model's pick and each forced cosine path
+// (candidate-major serial and sharded, goal-major), the view through each,
+// and the shard merges — over many small random libraries. Both paths
+// accumulate integer-valued sums in float64, so even the scores must match
+// the oracle exactly, not just within float noise.
 func TestBestMatchScoringPathsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
 		lib := testlib.RandomLibrary(r, 1+r.Intn(120), 30, 15, 7)
-		h := testlib.RandomActivity(r, 30, 6)
-		k := -1
-		if r.Intn(2) == 0 {
-			k = 1 + r.Intn(12)
-		}
-		var want []ScoredAction
-		for i, mode := range []bmMode{bmPostings, bmCandidateMajor, bmGoalMajor, bmAuto} {
-			bm := NewBestMatch(lib)
-			bm.mode = mode
-			got := bm.Recommend(h, k)
-			if i == 0 {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: mode %d diverged from postings reference:\ngot  %v\nwant %v",
-					trial, mode, got, want)
-			}
-		}
+		checkEverySource(t, lib, testlib.RandomActivity(r, 30, 6), "best-match")
 	}
 }
 
@@ -267,21 +250,19 @@ func TestBestMatchShardedConcurrentQueries(t *testing.T) {
 
 // TestBestMatchGoalMajorScratchReuse runs many consecutive goal-major
 // queries through one recommender: stale dot/sumsq/cnt residue between
-// queries (or between goals within a query) would diverge from the postings
-// reference.
+// queries (or between goals within a query) would diverge from the oracle.
 func TestBestMatchGoalMajorScratchReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	lib := testlib.RandomLibrary(r, 150, 30, 12, 7)
 	gm := NewBestMatch(lib)
 	gm.mode = bmGoalMajor
-	ref := NewBestMatch(lib)
-	ref.mode = bmPostings
+	o := newOracle(lib)
 	for i := 0; i < 200; i++ {
-		h := testlib.RandomActivity(r, 30, 6)
+		h := intset.FromUnsorted(testlib.RandomActivity(r, 30, 6))
 		got := gm.Recommend(h, 8)
-		want := ref.Recommend(h, 8)
+		want := o.oracleBestMatch(h, vectorspace.Cosine, 8)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d diverged from postings reference:\ngot  %v\nwant %v", i, got, want)
+			t.Fatalf("query %d diverged from the oracle:\ngot  %v\nwant %v", i, got, want)
 		}
 	}
 }

@@ -67,38 +67,35 @@ const breadthShardMaxActions = 1 << 20
 // of every candidate action the implementation contains, so that actions
 // participating in many well-connected implementations rank first.
 //
-// The walk runs on the shared counter kernel (see kernel.go): one pass over
-// H's posting rows yields |A_p ∩ H| for every associated implementation, so
-// every weighting's comm follows from the counter and the stored |A_p| with
-// no per-implementation set operations and no materialized, sorted IS(H).
-// Large queries shard the pass; each worker accumulates into its own dense
-// score array and the arrays are merged in fixed worker order. Every comm is
-// integer-valued, so float64 score sums are exact in any order and all paths
-// rank bit-identically. Scratch is pooled, so a query allocates only its
-// result.
+// The walk is one body (credit) fed by either counter source: the shared
+// counter kernel (see kernel.go), whose one pass over H's posting rows yields
+// |A_p ∩ H| for every associated implementation, or a CounterView that
+// already holds those counters. Every weighting's comm follows from the
+// counter and |A_p| with no per-implementation set operations and no
+// materialized, sorted IS(H). Large queries shard the kernel pass; each
+// worker accumulates into its own dense score array and the arrays are
+// folded in fixed worker order. Every comm is integer-valued, so float64
+// score sums are exact in any order and all paths rank bit-identically.
+// Scratch is pooled, so a query allocates only its result.
 type Breadth struct {
 	lib       *core.Library
 	weighting BreadthWeighting
 	conc      concurrency
 	pool      sync.Pool // *breadthScratch
-	pruning   bool
-	stats     *PruneStats
 }
 
-// breadthScratch is the pooled per-query state: the kernel counters plus the
-// merged score accumulator, dense H membership, and the per-worker
-// accumulators of the sharded path.
+// breadthScratch is the pooled per-query state: the kernel counters, dense H
+// membership, and one score accumulator per shard — acc[0] alone on the
+// sequential and view paths.
 type breadthScratch struct {
 	overlapScratch
-	scores  []float64 // indexed by action id, zeroed via actTouched
-	actions []core.ActionID
-	inH     []bool // dense H membership, set and cleared per query
-	workers []breadthWorker
-	rowBuf  []core.ImplID // posting decode buffer for the candidate-major walk
+	inH []bool // dense H membership, set and cleared per query
+	acc []breadthAcc
 }
 
-// breadthWorker is one shard's private score accumulator.
-type breadthWorker struct {
+// breadthAcc is one score accumulator: scores is indexed by action id and
+// re-zeroed through actions, the ids it touched.
+type breadthAcc struct {
 	scores  []float64
 	actions []core.ActionID
 }
@@ -114,21 +111,9 @@ func NewBreadth(lib *core.Library) *Breadth {
 func NewBreadthWeighted(lib *core.Library, w BreadthWeighting) *Breadth {
 	b := &Breadth{lib: lib, weighting: w}
 	b.pool.New = func() interface{} {
-		return &breadthScratch{
-			scores: make([]float64, lib.NumActions()),
-			inH:    make([]bool, lib.NumActions()),
-		}
+		return &breadthScratch{inH: make([]bool, lib.NumActions())}
 	}
 	return b
-}
-
-// SetConcurrency tunes the sharded implementation scan: maxWorkers bounds
-// the per-query worker pool (≤ 0 selects GOMAXPROCS) and shardMin is the
-// posting-stream size below which a query stays sequential (≤ 0 selects the
-// default). Rankings are bit-identical for every setting. It must be called
-// before the strategy starts serving queries.
-func (b *Breadth) SetConcurrency(maxWorkers, shardMin int) {
-	b.conc = concurrency{maxWorkers: maxWorkers, shardMin: shardMin}
 }
 
 // Name implements Recommender.
@@ -161,118 +146,98 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 	if stream == 0 {
 		return nil, nil
 	}
-	if b.pruning && k > 0 && k <= breadthPruneMaxK {
-		return b.recommendPruned(ctx, h, stream, k)
-	}
-
 	workers := b.conc.workersFor(stream, b.lib.NumImplementations())
 	if workers > 1 && b.lib.NumActions() > breadthShardMaxActions {
 		workers = 1
 	}
 	s := b.pool.Get().(*breadthScratch)
 	defer b.pool.Put(s)
-	s.actions = s.actions[:0]
-	// The sequential path accumulates straight into the scratch's main
-	// arrays; sharded workers each get a private accumulator, merged below.
-	ws := []breadthWorker{{scores: s.scores, actions: s.actions}}
-	if workers > 1 {
-		ws = s.shardWorkers(workers, len(s.scores))
-	}
+	acc := s.accumulators(workers)
 
-	// Dense H membership: every slot visit below becomes an O(1) array read
-	// instead of a binary search over h.
-	for _, a := range h {
-		if a >= 0 && int(a) < len(s.inH) {
-			s.inH[a] = true
-		}
-	}
-
-	// Kernel pass: each shard's visit accumulates comm — derived from the
-	// counter and |A_p| alone — into its score array. comm is always
-	// integer-valued, so the float64 sums are exact regardless of
-	// accumulation or merge order.
+	// Kernel pass: each shard's visit scores its touched implementations
+	// from the shared counter array into its own accumulator.
+	s.markH(h, true)
 	err := s.run(ctx, b.lib, h, workers, func(shard int, touched []core.ImplID, tick *ticker) error {
-		scores, actions := ws[shard].scores, ws[shard].actions
+		scores, actions := acc[shard].scores, acc[shard].actions
 		var err error
-		for _, p := range touched {
-			if err = tick.tick(1); err != nil {
+		// One checkpoint per run of implementations, not one each: a call
+		// inside the walk makes it spill its registers around every credit.
+		for len(touched) > 0 {
+			run := touched[:min(len(touched), checkInterval)]
+			if err = tick.tick(len(run)); err != nil {
 				break
 			}
-			comm := breadthComm(b.weighting, b.lib.ImplLen(p), len(h), s.cnt[p])
-			for _, a := range b.lib.Actions(p) {
-				if s.inH[a] {
-					continue
-				}
-				if scores[a] == 0 {
-					actions = append(actions, a)
-				}
-				scores[a] += comm
+			for _, p := range run {
+				actions = b.credit(b.lib.Actions(p), s.cnt[p], len(h), s.inH, scores, actions)
 			}
+			touched = touched[len(run):]
 		}
-		ws[shard].actions = actions
+		acc[shard].actions = actions
 		return err
 	})
-
-	for _, a := range h {
-		if a >= 0 && int(a) < len(s.inH) {
-			s.inH[a] = false
-		}
-	}
-	if err != nil {
-		// The pooled scratch must go back clean even on an aborted query:
-		// every shard may hold partial scores.
-		for i := range ws {
-			for _, a := range ws[i].actions {
-				ws[i].scores[a] = 0
-			}
-			ws[i].actions = ws[i].actions[:0]
-		}
-		if workers == 1 {
-			s.actions = ws[0].actions
-		}
-		return nil, err
-	}
-
-	if workers == 1 {
-		s.actions = ws[0].actions[:0]
-		return drainScores(s.scores, ws[0].actions, k), nil
-	}
-
-	// Deterministic merge: fold the per-worker partial sums into the main
-	// accumulator in fixed worker order. Integer-valued terms keep the fold
-	// exact, and selection ranks under a total order, so the result matches
-	// the sequential kernel bit for bit.
-	merged := s.actions
-	for i := range ws {
-		for _, a := range ws[i].actions {
-			if s.scores[a] == 0 {
-				merged = append(merged, a)
-			}
-			s.scores[a] += ws[i].scores[a]
-			ws[i].scores[a] = 0
-		}
-		ws[i].actions = ws[i].actions[:0]
-	}
-	s.actions = merged[:0]
-	return drainScores(s.scores, merged, k), nil
+	s.markH(h, false)
+	return drainScores(acc, k, err)
 }
 
-// drainScores ranks the touched actions by their accumulated scores —
-// offered straight into a k-bounded selector, so the result owns exactly the
-// entries it returns — and re-zeroes the accumulator for the next query.
-func drainScores(scores []float64, touched []core.ActionID, k int) []ScoredAction {
-	sel := newSelector(k, len(touched))
-	for _, a := range touched {
-		sel.offer(ScoredAction{Action: a, Score: scores[a]})
-		scores[a] = 0
+// RecommendView implements ViewRecommender: the same walk over the view's
+// materialized counters, with rankings bit-identical to RecommendContext
+// over the view's activity.
+func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
+	if err := entryErr(ctx); err != nil {
+		return nil, err
 	}
-	return sel.sorted()
+	if v.lib != b.lib {
+		return nil, ErrViewLibrary
+	}
+	if k == 0 || len(v.impls) == 0 {
+		return nil, nil
+	}
+	s := b.pool.Get().(*breadthScratch)
+	defer b.pool.Put(s)
+	acc := s.accumulators(1)
+	s.markH(v.h, true)
+	tick := newTicker(ctx)
+	scores, actions := acc[0].scores, acc[0].actions
+	var err error
+	for lo := 0; lo < len(v.impls); lo += checkInterval {
+		hi := min(lo+checkInterval, len(v.impls))
+		if err = tick.tick(hi - lo); err != nil {
+			break
+		}
+		for i := lo; i < hi; i++ {
+			actions = b.credit(b.lib.Actions(v.impls[i]), v.cnt[i], len(v.h), s.inH, scores, actions)
+		}
+	}
+	acc[0].actions = actions
+	s.markH(v.h, false)
+	return drainScores(acc, k, err)
+}
+
+// credit is Algorithm 2's loop body, shared by both counter sources: an
+// implementation with action set acts and counter cnt = |A_p ∩ H| adds its
+// comm — derived from the counter and |A_p| alone — to the score of each of
+// its actions outside H, and the first-touched ones join actions. comm is
+// always integer-valued, so the float64 sums are exact regardless of
+// accumulation or fold order. It takes the action set, not the id, to stay
+// within the inlining budget: as a call per implementation the walk measured
+// ≈10 % slower.
+func (b *Breadth) credit(acts []core.ActionID, cnt int32, hLen int, inH []bool, scores []float64, actions []core.ActionID) []core.ActionID {
+	comm := breadthComm(b.weighting, len(acts), hLen, cnt)
+	for _, a := range acts {
+		if !inH[a] {
+			if scores[a] == 0 {
+				actions = append(actions, a)
+			}
+			scores[a] += comm
+		}
+	}
+	return actions
 }
 
 // breadthComm is one implementation's contribution to the score of every
-// candidate action it contains — a pure function of (|A_p|, |H|, |A_p ∩ H|)
-// shared by the from-scratch kernel and the view path. Every value is
-// integer-valued, so float64 sums are exact in any accumulation order.
+// candidate action it contains — a pure function of (|A_p|, |H|, |A_p ∩ H|).
+// Every value is integer-valued, so float64 sums are exact in any
+// accumulation order.
 func breadthComm(w BreadthWeighting, implLen, hLen int, cnt int32) float64 {
 	switch w {
 	case Count:
@@ -286,70 +251,52 @@ func breadthComm(w BreadthWeighting, implLen, hLen int, cnt int32) float64 {
 	}
 }
 
-// RecommendView implements ViewRecommender: the accumulation walk over the
-// view's materialized counters, scoring exact (no pruned bounds) with
-// rankings bit-identical to RecommendContext over the view's activity.
-func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
-	if err := entryErr(ctx); err != nil {
+// drainScores ends a query: it folds the shard accumulators into acc[0] in
+// fixed worker order, offers the sums straight into a k-bounded selector —
+// so the result owns exactly the entries it returns — and re-zeroes every
+// accumulator for the next query. An aborted query (err != nil) only
+// re-zeroes: every shard may hold partial scores.
+func drainScores(acc []breadthAcc, k int, err error) ([]ScoredAction, error) {
+	main := &acc[0]
+	for i := 1; i < len(acc); i++ {
+		for _, a := range acc[i].actions {
+			if main.scores[a] == 0 {
+				main.actions = append(main.actions, a)
+			}
+			main.scores[a] += acc[i].scores[a]
+			acc[i].scores[a] = 0
+		}
+		acc[i].actions = acc[i].actions[:0]
+	}
+	sel := newSelector(k, len(main.actions))
+	for _, a := range main.actions {
+		if err == nil {
+			sel.offer(ScoredAction{Action: a, Score: main.scores[a]})
+		}
+		main.scores[a] = 0
+	}
+	main.actions = main.actions[:0]
+	if err != nil {
 		return nil, err
 	}
-	if v.lib != b.lib {
-		return nil, ErrViewLibrary
-	}
-	if k == 0 || len(v.impls) == 0 {
-		return nil, nil
-	}
-	s := b.pool.Get().(*breadthScratch)
-	defer b.pool.Put(s)
-	s.actions = s.actions[:0]
-	for _, a := range v.h {
-		if a >= 0 && int(a) < len(s.inH) {
-			s.inH[a] = true
-		}
-	}
-	tick := newTicker(ctx)
-	var tickErr error
-	actions := s.actions
-	for i, p := range v.impls {
-		if tickErr = tick.tick(1); tickErr != nil {
-			break
-		}
-		acts := b.lib.Actions(p)
-		comm := breadthComm(b.weighting, len(acts), len(v.h), v.cnt[i])
-		for _, a := range acts {
-			if s.inH[a] {
-				continue
-			}
-			if s.scores[a] == 0 {
-				actions = append(actions, a)
-			}
-			s.scores[a] += comm
-		}
-	}
-	for _, a := range v.h {
-		if a >= 0 && int(a) < len(s.inH) {
-			s.inH[a] = false
-		}
-	}
-	if tickErr != nil {
-		for _, a := range actions {
-			s.scores[a] = 0
-		}
-		s.actions = actions[:0]
-		return nil, tickErr
-	}
-	s.actions = actions[:0]
-	return drainScores(s.scores, actions, k), nil
+	return sel.sorted(), nil
 }
 
-// shardWorkers returns the n private per-shard accumulators of the sharded
-// path, grown on demand and with their touched lists truncated.
-func (s *breadthScratch) shardWorkers(n, numActions int) []breadthWorker {
-	for len(s.workers) < n {
-		s.workers = append(s.workers, breadthWorker{scores: make([]float64, numActions)})
+// markH sets or clears the dense H membership: every slot visit of the walk
+// becomes an O(1) array read instead of a binary search over h.
+func (s *breadthScratch) markH(h []core.ActionID, in bool) {
+	for _, a := range h {
+		if a >= 0 && int(a) < len(s.inH) {
+			s.inH[a] = in
+		}
 	}
-	for i := 0; i < n; i++ {
-		s.workers[i].actions = s.workers[i].actions[:0]
+}
+
+// accumulators returns the first n score accumulators, allocated on demand
+// (each carries a dense float64 array over the action-id space).
+func (s *breadthScratch) accumulators(n int) []breadthAcc {
+	for len(s.acc) < n {
+		s.acc = append(s.acc, breadthAcc{scores: make([]float64, len(s.inH))})
 	}
-	return s.workers[:n]
+	return s.acc[:n]
 }

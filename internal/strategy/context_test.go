@@ -49,8 +49,6 @@ func ctxTestRecommenders(lib *core.Library) map[string]ContextRecommender {
 	candMajor.shardMin = 1 << 30 // force serial
 	goalMajor := NewBestMatch(lib)
 	goalMajor.mode = bmGoalMajor
-	postings := NewBestMatch(lib)
-	postings.mode = bmPostings
 	// Two-worker sharded kernels: with the ctxBigLibrary stream split in
 	// half, each worker still crosses its own checkInterval checkpoint.
 	shFocus := NewFocus(lib, Completeness)
@@ -67,7 +65,6 @@ func ctxTestRecommenders(lib *core.Library) map[string]ContextRecommender {
 		"best-match-candidate":  candMajor,
 		"best-match-sharded":    sharded,
 		"best-match-goal-major": goalMajor,
-		"best-match-postings":   postings,
 		"best-match-manhattan":  NewBestMatchMetric(lib, vectorspace.Manhattan),
 		"cached-breadth":        NewCached(NewBreadth(lib), 16),
 	}

@@ -12,51 +12,6 @@ import (
 	"goalrec/internal/testlib"
 )
 
-// viewPairs returns every (recommender, same-config recommender) pair the
-// view oracle drives: the first scores from scratch, the second through
-// RecommendView. Both are fresh instances so pooled scratch never crosses.
-func viewPairs(lib *core.Library) map[string][2]Recommender {
-	pairs := map[string][2]Recommender{
-		"focus-cmp":     {NewFocus(lib, Completeness), NewFocus(lib, Completeness)},
-		"focus-cl":      {NewFocus(lib, Closeness), NewFocus(lib, Closeness)},
-		"breadth":       {NewBreadth(lib), NewBreadth(lib)},
-		"breadth-count": {NewBreadthWeighted(lib, Count), NewBreadthWeighted(lib, Count)},
-		"breadth-union": {NewBreadthWeighted(lib, Union), NewBreadthWeighted(lib, Union)},
-		"best-match":    {NewBestMatch(lib), NewBestMatch(lib)},
-	}
-	// Forced Best Match modes: the view path must be exact through every
-	// scoring backend, not just the auto-picked one.
-	gm := [2]Recommender{NewBestMatch(lib), NewBestMatch(lib)}
-	gm[0].(*BestMatch).mode, gm[1].(*BestMatch).mode = bmGoalMajor, bmGoalMajor
-	pairs["best-match-goalmajor"] = gm
-	pp := [2]Recommender{NewBestMatch(lib), NewBestMatch(lib)}
-	pp[0].(*BestMatch).mode, pp[1].(*BestMatch).mode = bmPostings, bmPostings
-	pairs["best-match-postings"] = pp
-	// Pruned from-scratch vs exact view: the "bounds only apply to
-	// from-scratch builds" split must still agree on the ranking.
-	pf := [2]Recommender{NewFocus(lib, Closeness), NewFocus(lib, Closeness)}
-	pf[0].(*Focus).EnablePruning(nil)
-	pairs["focus-cl-pruned"] = pf
-	pb := [2]Recommender{NewBreadth(lib), NewBreadth(lib)}
-	pb[0].(*Breadth).EnablePruning(nil)
-	pairs["breadth-pruned"] = pb
-	return pairs
-}
-
-func checkViewEquiv(t *testing.T, lib *core.Library, v *CounterView, h []core.ActionID, k int) {
-	t.Helper()
-	for name, pr := range viewPairs(lib) {
-		want := pr[0].Recommend(h, k)
-		got, err := RecommendView(context.Background(), pr[1], v, k)
-		if err != nil {
-			t.Fatalf("%s: RecommendView: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: view ranking diverged (k=%d, h=%v):\ngot  %v\nwant %v", name, k, h, got, want)
-		}
-	}
-}
-
 // checkViewState is the one view invariant: every array equals the library's
 // own from-scratch definition — H, IS(H), cnt[p] = |A_p ∩ H|, GS(H), the
 // Best Match profile counts, and the derived candidate pool — and the whole
@@ -118,8 +73,9 @@ func sameIDs[T core.ActionID | core.GoalID | core.ImplID](a, b []T) bool {
 }
 
 // TestCounterViewMatchesFromScratch builds views over random libraries and
-// asserts every strategy's view scoring is bit-identical to the from-scratch
-// kernels — including the pruned ones, which views bypass.
+// asserts the view's state and every strategy's scoring of it (the table's
+// view sources, against the oracle) — on plain and impact-ordered layouts
+// alike, since a view never takes the block-max scan.
 func TestCounterViewMatchesFromScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {

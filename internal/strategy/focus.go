@@ -42,14 +42,16 @@ func (m FocusMeasure) String() string {
 // follow in O(1) per implementation — no per-implementation set
 // intersections. Large queries shard the pass across a bounded worker pool,
 // and ranked implementations are selected through a bounded heap instead of
-// a full sort; every path returns bit-identical rankings.
+// a full sort. On a size-sorted (impact-ordered) library a bounded top-k
+// query takes the block-max scan of prune.go instead of the kernel pass —
+// chosen from what the library reports, not by an option. Every path returns
+// bit-identical rankings.
 type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
 	conc    concurrency
-	pool    sync.Pool // *focusScratch
-	pruning bool
-	stats   *PruneStats
+	pool    sync.Pool   // *focusScratch
+	stats   *PruneStats // block-max scan counters; nil records nothing
 }
 
 // focusScratch is the pooled per-query state: the kernel counters plus the
@@ -71,6 +73,17 @@ func (s *focusScratch) shardRanked(n int) [][]rankedImpl {
 	return s.perShard[:n]
 }
 
+// concat gathers the first n shard lists into the merged buffer. Shard order
+// is irrelevant: selection ranks under a total order.
+func (s *focusScratch) concat(n int) []rankedImpl {
+	all := s.merged[:0]
+	for _, rb := range s.perShard[:n] {
+		all = append(all, rb...)
+	}
+	s.merged = all
+	return all
+}
+
 // NewFocus returns a Focus strategy over lib using the given measure.
 func NewFocus(lib *core.Library, measure FocusMeasure) *Focus {
 	f := &Focus{lib: lib, measure: measure}
@@ -78,14 +91,9 @@ func NewFocus(lib *core.Library, measure FocusMeasure) *Focus {
 	return f
 }
 
-// SetConcurrency tunes the sharded implementation scan: maxWorkers bounds
-// the per-query worker pool (≤ 0 selects GOMAXPROCS) and shardMin is the
-// posting-stream size below which a query stays sequential (≤ 0 selects the
-// default). Rankings are bit-identical for every setting. It must be called
-// before the strategy starts serving queries.
-func (f *Focus) SetConcurrency(maxWorkers, shardMin int) {
-	f.conc = concurrency{maxWorkers: maxWorkers, shardMin: shardMin}
-}
+// CountInto attaches the sink the block-max scan adds its per-query tallies
+// to. It must be called before the strategy starts serving queries.
+func (f *Focus) CountInto(stats *PruneStats) { f.stats = stats }
 
 // Name implements Recommender.
 func (f *Focus) Name() string {
@@ -121,7 +129,7 @@ func (f *Focus) Recommend(activity []core.ActionID, k int) []ScoredAction {
 	return out
 }
 
-// RecommendContext implements ContextRecommender: the kernel pass and the
+// RecommendContext implements ContextRecommender: the rank source and the
 // emission walk poll ctx at coarse checkpoints. On cancellation during
 // emission the returned prefix is a valid partial result (Focus emits
 // best-implementation-first); cancellation during scoring returns nil.
@@ -132,23 +140,49 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 	if k == 0 {
 		return nil, nil
 	}
+	out, err := f.emissions(ctx, activity, k, 0, nil)
+	return scoredActions(out), err
+}
+
+// rankSource produces the scored implementations one select → emit round
+// ranks at selection width m. pruned reports that implementations were left
+// out — by a block skip or a bounded heap — so a round that starves must ask
+// again at a wider m; a source that returns the complete scored set is asked
+// once.
+type rankSource func(m int) (ranked []rankedImpl, pruned bool, err error)
+
+// emissions is the from-scratch query, single node and shard alike (a single
+// node is the one shard at implBase 0 with no external floor). The block-max
+// scan serves bounded queries on a size-sorted library; everything else
+// takes the counter kernel.
+func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64, ext *focusFloor) ([]FocusEmission, error) {
 	h := intset.FromUnsorted(intset.Clone(activity))
 	stream := f.lib.OverlapStream(h)
 	if stream == 0 {
 		return nil, nil
 	}
-	if f.pruning && k > 0 {
-		return f.recommendPruned(ctx, h, stream, k)
-	}
-
 	workers := f.conc.workersFor(stream, f.lib.NumImplementations())
 	s := f.pool.Get().(*focusScratch)
 	defer f.pool.Put(s)
-	ranked := s.shardRanked(workers)
+	src := func(int) ([]rankedImpl, bool, error) {
+		all, err := f.kernelRanks(ctx, s, h, workers)
+		return all, false, err
+	}
+	if f.lib.ImplLenSorted() && k > 0 {
+		if f.stats != nil {
+			f.stats.ImplsAssociated.Add(int64(stream))
+		}
+		src = func(m int) ([]rankedImpl, bool, error) {
+			return f.prunedPass(ctx, h, workers, m, s, ext)
+		}
+	}
+	return f.selectEmit(ctx, s, src, h, k, implBase)
+}
 
-	// Kernel pass: each shard scores its touched implementations straight
-	// from the counters. Shard output order is irrelevant — the selection
-	// below ranks under a total order.
+// kernelRanks is the counter-kernel rank source: each shard scores its
+// touched implementations straight from the counters.
+func (f *Focus) kernelRanks(ctx context.Context, s *focusScratch, h []core.ActionID, workers int) ([]rankedImpl, error) {
+	ranked := s.shardRanked(workers)
 	err := s.run(ctx, f.lib, h, workers, func(shard int, touched []core.ImplID, tick *ticker) error {
 		rb := ranked[shard]
 		var err error
@@ -166,22 +200,12 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 	if err != nil {
 		return nil, err
 	}
-
-	all := s.merged[:0]
-	for _, rb := range ranked {
-		all = append(all, rb...)
-	}
-	s.merged = all
-
-	tick := newTicker(ctx)
-	return f.selectEmit(s, all, h, k, &tick)
+	return s.concat(workers), nil
 }
 
-// RecommendView implements ViewRecommender: the scoring phase alone, a pure
-// pass over the view's materialized counters (no posting-row accumulation).
-// Views always score exact — the pruned bounds apply only to from-scratch
-// builds — and the ranking is bit-identical to RecommendContext over the
-// view's activity.
+// RecommendView implements ViewRecommender: the view's materialized counters
+// are the rank source (no posting-row accumulation), and the ranking is
+// bit-identical to RecommendContext over the view's activity.
 func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
@@ -194,25 +218,28 @@ func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]Sco
 	}
 	s := f.pool.Get().(*focusScratch)
 	defer f.pool.Put(s)
-	tick := newTicker(ctx)
-	all := s.merged[:0]
-	for i, p := range v.impls {
-		if err := tick.tick(1); err != nil {
-			s.merged = all
-			return nil, err
+	src := func(int) ([]rankedImpl, bool, error) {
+		tick := newTicker(ctx)
+		all := s.merged[:0]
+		for i, p := range v.impls {
+			if err := tick.tick(1); err != nil {
+				return nil, false, err
+			}
+			if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(v.cnt[i])); ok {
+				all = append(all, ri)
+			}
 		}
-		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(v.cnt[i])); ok {
-			all = append(all, ri)
-		}
+		s.merged = all
+		return all, false, nil
 	}
-	s.merged = all
-	return f.selectEmit(s, all, v.h, k, &tick)
+	out, err := f.selectEmit(ctx, s, src, v.h, k, 0)
+	return scoredActions(out), err
 }
 
 // focusRank scores one implementation from its counter — a pure function of
-// (|A_p|, |A_p ∩ H|) shared by the from-scratch kernel and the view path.
-// Fully covered implementations have nothing left to recommend and rank
-// nowhere (ok == false).
+// (|A_p|, |A_p ∩ H|) shared by every rank source. Fully covered
+// implementations have nothing left to recommend and rank nowhere
+// (ok == false).
 func focusRank(measure FocusMeasure, p core.ImplID, n, overlap int) (rankedImpl, bool) {
 	missing := n - overlap
 	if missing == 0 {
@@ -227,47 +254,88 @@ func focusRank(measure FocusMeasure, p core.ImplID, n, overlap int) (rankedImpl,
 	return rankedImpl{id: p, score: score, missing: missing}, true
 }
 
-// selectEmit ranks the scored implementations under the total order and
-// walks them best-first through emit.
-func (f *Focus) selectEmit(s *focusScratch, all []rankedImpl, h []core.ActionID, k int, tick *ticker) ([]ScoredAction, error) {
-	if k < 0 || len(all) <= k {
-		sortRankedImpls(all)
-		return f.emit(all, h, k, tick)
-	}
-	// Progressive bounded selection: the walk almost always fills k within
-	// the first k implementations; when deduplication starves it, widen and
-	// re-emit. Selection under the total order makes every widened prefix
-	// an exact prefix of the fully sorted order, so results match the full
-	// sort bit-for-bit.
+// selectEmit is the one select → emit loop: rank the source's implementations
+// under the total order, walk the m best through emit, and widen m by four
+// while deduplication starves the walk of its k emissions. Selection under
+// the total order makes every widened prefix an exact prefix of the fully
+// sorted order, so the result matches a full sort bit for bit.
+//
+// A source that left nothing out is ranked in place from then on. One that
+// pruned is asked again at the wider m: its list may hold implementations a
+// skip undercounted, but every such score is strictly below the floor that
+// justified the skip, hence below the true m-th best, and exact selection
+// removes them; a pruned list of at most m entries is either complete or
+// exactly the true top m. At m ≥ the implementation count no heap can evict,
+// so what a source still prunes it prunes under an external floor — provably
+// irrelevant to the gather merge — and a short list is the complete answer.
+func (f *Focus) selectEmit(ctx context.Context, s *focusScratch, src rankSource, h []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
+	var all []rankedImpl
+	pruned := true
 	for m := k; ; m *= 4 {
-		if m >= len(all) {
-			sortRankedImpls(all)
-			return f.emit(all, h, k, tick)
+		if pruned {
+			var err error
+			if all, pruned, err = src(m); err != nil {
+				return nil, err
+			}
 		}
-		// Selection is in place, so it runs on a pooled copy: a widened
-		// retry (or the full-sort fallback) must see the merged list intact.
-		s.sel = append(s.sel[:0], all...)
-		out, err := f.emit(topMRankedImpls(s.sel, m), h, k, tick)
-		if err != nil || len(out) == k {
+		whole := k < 0 || len(all) <= m
+		sel := all
+		if whole {
+			sortRankedImpls(all)
+		} else {
+			// Selection is in place, so it runs on a pooled copy: a widened
+			// round must see the source's list intact.
+			s.sel = append(s.sel[:0], all...)
+			sel = topMRankedImpls(s.sel, m)
+		}
+		tick := newTicker(ctx)
+		out, err := f.emit(sel, h, k, implBase, &tick)
+		if err != nil || len(out) == k || (whole && !pruned) || (pruned && m >= f.lib.NumImplementations()) {
 			return out, err
 		}
 	}
 }
 
+// FocusEmission is one Focus emission: an action, the score of the
+// implementation that emitted it, and enough of that implementation's
+// identity (global id, length, missing count) to merge emission streams
+// under the global total order and to derive the cross-node score floor.
+type FocusEmission struct {
+	Action  core.ActionID `json:"a"`
+	Score   float64       `json:"s"`
+	Missing int           `json:"m"`
+	Impl    int64         `json:"p"`
+	ImplLen int           `json:"n"`
+}
+
+// scoredActions projects emissions onto the ranking they spell.
+func scoredActions(em []FocusEmission) []ScoredAction {
+	if len(em) == 0 {
+		return nil
+	}
+	out := make([]ScoredAction, len(em))
+	for i, e := range em {
+		out[i] = ScoredAction{Action: e.Action, Score: e.Score}
+	}
+	return out
+}
+
 // emit walks the ranked implementations best-first, emitting each one's
 // not-yet-performed, not-yet-emitted actions until k are collected
-// (Algorithm 1's pop-and-advance). On cancellation the emitted prefix is
-// returned alongside the error.
-func (f *Focus) emit(ranked []rankedImpl, h []core.ActionID, k int, tick *ticker) ([]ScoredAction, error) {
+// (Algorithm 1's pop-and-advance). implBase is the shard's global
+// implementation-id offset. On cancellation the emitted prefix is returned
+// alongside the error.
+func (f *Focus) emit(ranked []rankedImpl, h []core.ActionID, k int, implBase int64, tick *ticker) ([]FocusEmission, error) {
 	var (
-		out  []ScoredAction
+		out  []FocusEmission
 		seen = make(map[core.ActionID]struct{})
 	)
 	for _, ri := range ranked {
 		if err := tick.tick(1); err != nil {
 			return out, err
 		}
-		for _, a := range f.lib.Actions(ri.id) {
+		acts := f.lib.Actions(ri.id)
+		for _, a := range acts {
 			if intset.Contains(h, a) {
 				continue
 			}
@@ -275,7 +343,13 @@ func (f *Focus) emit(ranked []rankedImpl, h []core.ActionID, k int, tick *ticker
 				continue
 			}
 			seen[a] = struct{}{}
-			out = append(out, ScoredAction{Action: a, Score: ri.score})
+			out = append(out, FocusEmission{
+				Action:  a,
+				Score:   ri.score,
+				Missing: ri.missing,
+				Impl:    implBase + int64(ri.id),
+				ImplLen: len(acts),
+			})
 			if k > 0 && len(out) == k {
 				return out, nil
 			}

@@ -84,8 +84,12 @@ type overlapScratch struct {
 	rowBufs [][]core.ImplID
 }
 
-// shards returns the per-shard touched buffers, grown to n and truncated.
-func (s *overlapScratch) shards(n int) [][]core.ImplID {
+// shards sizes the counter array for numImpls implementations and returns
+// the per-shard touched buffers, grown to n and truncated.
+func (s *overlapScratch) shards(n, numImpls int) [][]core.ImplID {
+	if len(s.cnt) < numImpls {
+		s.cnt = make([]int32, numImpls)
+	}
 	for len(s.touched) < n {
 		s.touched = append(s.touched, nil)
 	}
@@ -98,58 +102,56 @@ func (s *overlapScratch) shards(n int) [][]core.ImplID {
 	return s.touched[:n]
 }
 
+// fanOutShards splits [0, numImpls) into workers contiguous ranges and runs
+// scan once per range — inline for one worker, otherwise one goroutine per
+// range — each with its own context ticker. The first shard's error (by shard
+// index) is returned, making the reported cause deterministic under
+// concurrent cancellation.
+func fanOutShards(ctx context.Context, numImpls, workers int,
+	scan func(shard int, lo, hi core.ImplID, tick *ticker) error) error {
+
+	if workers == 1 {
+		tick := newTicker(ctx)
+		return scan(0, 0, core.ImplID(numImpls), &tick)
+	}
+	chunk := (numImpls + workers - 1) / workers
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := min(w*chunk, numImpls)
+		hi := min(lo+chunk, numImpls)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tick := newTicker(ctx)
+			errs[w] = scan(w, core.ImplID(lo), core.ImplID(hi), &tick)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // run executes the counter kernel over IS(h) with the given worker count and
 // invokes visit once per shard, inside the shard's worker, as soon as that
 // shard's counters are final. h must be sorted and deduplicated. The counter
 // array is re-zeroed before run returns — on success and on abort alike —
-// so the scratch always goes back to its pool clean. The first shard's
-// error (by shard index) is returned, making the reported cause
-// deterministic under concurrent cancellation.
+// so the scratch always goes back to its pool clean.
 func (s *overlapScratch) run(ctx context.Context, lib *core.Library, h []core.ActionID,
 	workers int, visit func(shard int, touched []core.ImplID, tick *ticker) error) error {
 
 	numImpls := lib.NumImplementations()
-	if len(s.cnt) < numImpls {
-		s.cnt = make([]int32, numImpls)
-	}
-	touched := s.shards(workers)
-
-	var firstErr error
-	if workers == 1 {
-		tick := newTicker(ctx)
-		firstErr = s.accumulate(lib, h, 0, core.ImplID(numImpls), 0, &tick)
-		if firstErr == nil {
-			firstErr = visit(0, touched[0], &tick)
+	touched := s.shards(workers, numImpls)
+	err := fanOutShards(ctx, numImpls, workers, func(shard int, lo, hi core.ImplID, tick *ticker) error {
+		if err := s.accumulate(lib, h, lo, hi, shard, tick); err != nil {
+			return err
 		}
-	} else {
-		chunk := (numImpls + workers - 1) / workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := core.ImplID(w * chunk)
-			hi := lo + core.ImplID(chunk)
-			if hi > core.ImplID(numImpls) {
-				hi = core.ImplID(numImpls)
-			}
-			wg.Add(1)
-			go func(w int, lo, hi core.ImplID) {
-				defer wg.Done()
-				tick := newTicker(ctx)
-				if err := s.accumulate(lib, h, lo, hi, w, &tick); err != nil {
-					errs[w] = err
-					return
-				}
-				errs[w] = visit(w, s.touched[w], &tick)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
+		return visit(shard, s.touched[shard], tick)
+	})
 
 	// The pooled counters must go back clean even when a shard aborted
 	// mid-accumulation: every increment was recorded in some touched list.
@@ -158,7 +160,7 @@ func (s *overlapScratch) run(ctx context.Context, lib *core.Library, h []core.Ac
 			s.cnt[p] = 0
 		}
 	}
-	return firstErr
+	return err
 }
 
 // accumulate adds every posting row of h restricted to [lo, hi) into the

@@ -7,6 +7,7 @@ package strategy
 // reuse bug or tie-break drift shows up as an oracle divergence.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/testlib"
+	"goalrec/internal/vectorspace"
 )
 
 // oracleLibrary is the index-free view: a plain list of implementations.
@@ -44,8 +46,9 @@ func (o *oracleLibrary) associated(h []core.ActionID) []int {
 }
 
 // oracleFocus ranks implementations by the measure and pops missing actions,
-// exactly as Section 5.1 + C.2.2 describe.
-func (o *oracleLibrary) oracleFocus(h []core.ActionID, measure FocusMeasure, k int) []core.ActionID {
+// exactly as Section 5.1 + C.2.2 describe. Each action carries the score of
+// the implementation that emitted it.
+func (o *oracleLibrary) oracleFocus(h []core.ActionID, measure FocusMeasure, k int) []ScoredAction {
 	type ri struct {
 		idx     int
 		score   float64
@@ -75,7 +78,7 @@ func (o *oracleLibrary) oracleFocus(h []core.ActionID, measure FocusMeasure, k i
 		}
 		return ranked[a].idx < ranked[b].idx
 	})
-	var out []core.ActionID
+	var out []ScoredAction
 	seen := map[core.ActionID]bool{}
 	for _, r := range ranked {
 		for _, a := range o.impls[r.idx].Actions {
@@ -83,7 +86,7 @@ func (o *oracleLibrary) oracleFocus(h []core.ActionID, measure FocusMeasure, k i
 				continue
 			}
 			seen[a] = true
-			out = append(out, a)
+			out = append(out, ScoredAction{Action: a, Score: r.score})
 			if k > 0 && len(out) == k {
 				return out
 			}
@@ -92,13 +95,20 @@ func (o *oracleLibrary) oracleFocus(h []core.ActionID, measure FocusMeasure, k i
 	return out
 }
 
-// oracleBreadth accumulates |A_p ∩ H| into every non-H member of every
-// associated implementation (the Overlap reading of Equation 6).
-func (o *oracleLibrary) oracleBreadth(h []core.ActionID, k int) []ScoredAction {
+// oracleBreadth accumulates comm — |A_p ∩ H| (Overlap), 1 (Count) or
+// |A_p ∪ H| (Union), the three readings of Equation 6 — into every non-H
+// member of every associated implementation.
+func (o *oracleLibrary) oracleBreadth(h []core.ActionID, w BreadthWeighting, k int) []ScoredAction {
 	scores := map[core.ActionID]float64{}
 	for _, i := range o.associated(h) {
 		impl := o.impls[i]
 		comm := float64(intset.IntersectionLen(impl.Actions, h))
+		switch w {
+		case Count:
+			comm = 1
+		case Union:
+			comm = float64(len(impl.Actions) + len(h) - intset.IntersectionLen(impl.Actions, h))
+		}
 		for _, a := range impl.Actions {
 			if !intset.Contains(h, a) {
 				scores[a] += comm
@@ -108,6 +118,53 @@ func (o *oracleLibrary) oracleBreadth(h []core.ActionID, k int) []ScoredAction {
 	var out []ScoredAction
 	for a, s := range scores {
 		out = append(out, ScoredAction{Action: a, Score: s})
+	}
+	return TopK(out, k)
+}
+
+// oracleBestMatch is Algorithms 3–4 by linear scan: the profile counts, per
+// goal, the (action of H, implementation) pairs contributing to it
+// (Equation 9); every non-H action of an associated implementation is a
+// candidate, represented by its per-goal implementation counts restricted to
+// the goal space (Equation 8) and ranked by ascending distance. Cosine is
+// spelled out on the integer sums, in the expression the strategy documents;
+// the other metrics go through vectorspace on the same counts.
+func (o *oracleLibrary) oracleBestMatch(h []core.ActionID, metric vectorspace.Metric, k int) []ScoredAction {
+	profile := map[int32]int{}
+	candidates := map[core.ActionID]bool{}
+	for _, i := range o.associated(h) {
+		impl := o.impls[i]
+		profile[int32(impl.Goal)] += intset.IntersectionLen(impl.Actions, h)
+		for _, a := range impl.Actions {
+			if !intset.Contains(h, a) {
+				candidates[a] = true
+			}
+		}
+	}
+	profSq := 0
+	for _, c := range profile {
+		profSq += c * c
+	}
+	var out []ScoredAction
+	for a := range candidates {
+		vec := map[int32]int{}
+		for _, impl := range o.impls {
+			if _, inSpace := profile[int32(impl.Goal)]; inSpace && intset.Contains(impl.Actions, a) {
+				vec[int32(impl.Goal)]++
+			}
+		}
+		var dist float64
+		if metric == vectorspace.Cosine {
+			dot, sumsq := 0, 0
+			for g, c := range vec {
+				dot += c * profile[g]
+				sumsq += c * c
+			}
+			dist = 1 - float64(dot)/(math.Sqrt(float64(profSq))*math.Sqrt(float64(sumsq)))
+		} else {
+			dist = metric.Distance(vectorspace.FromCounts(profile), vectorspace.FromCounts(vec))
+		}
+		out = append(out, ScoredAction{Action: a, Score: -dist})
 	}
 	return TopK(out, k)
 }
@@ -129,7 +186,7 @@ func TestFocusAgainstOracle(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			f := func(lib *core.Library, rawH []core.ActionID, k int) bool {
 				h := intset.FromUnsorted(intset.Clone(rawH))
-				got := Actions(NewFocus(lib, m).Recommend(h, k))
+				got := NewFocus(lib, m).Recommend(h, k)
 				want := newOracle(lib).oracleFocus(h, m, k)
 				return reflect.DeepEqual(got, want)
 			}
@@ -144,7 +201,7 @@ func TestBreadthAgainstOracle(t *testing.T) {
 	f := func(lib *core.Library, rawH []core.ActionID, k int) bool {
 		h := intset.FromUnsorted(intset.Clone(rawH))
 		got := NewBreadth(lib).Recommend(h, k)
-		want := newOracle(lib).oracleBreadth(h, k)
+		want := newOracle(lib).oracleBreadth(h, Overlap, k)
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, oracleConfig()); err != nil {
@@ -164,7 +221,7 @@ func TestShardedFocusAgainstOracle(t *testing.T) {
 				h := intset.FromUnsorted(intset.Clone(rawH))
 				fc := NewFocus(lib, m)
 				fc.SetConcurrency(4, 1)
-				got := Actions(fc.Recommend(h, k))
+				got := fc.Recommend(h, k)
 				want := newOracle(lib).oracleFocus(h, m, k)
 				return reflect.DeepEqual(got, want)
 			}
@@ -181,7 +238,7 @@ func TestShardedBreadthAgainstOracle(t *testing.T) {
 		b := NewBreadth(lib)
 		b.SetConcurrency(4, 1)
 		got := b.Recommend(h, k)
-		want := newOracle(lib).oracleBreadth(h, k)
+		want := newOracle(lib).oracleBreadth(h, Overlap, k)
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, oracleConfig()); err != nil {
@@ -200,7 +257,7 @@ func TestBreadthScratchReuse(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		h := intset.FromUnsorted(testlib.RandomActivity(r, 30, 6))
 		got := b.Recommend(h, 8)
-		want := o.oracleBreadth(h, 8)
+		want := o.oracleBreadth(h, Overlap, 8)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d diverged from oracle:\ngot  %v\nwant %v", i, got, want)
 		}
@@ -227,10 +284,10 @@ func TestShardedScratchReuse(t *testing.T) {
 			fc.RecommendContext(newCancelAfterPolls(1), h, 8)
 			br.RecommendContext(newCancelAfterPolls(1), h, 8)
 		}
-		if got, want := Actions(fc.Recommend(h, 8)), o.oracleFocus(h, Completeness, 8); !reflect.DeepEqual(got, want) {
+		if got, want := fc.Recommend(h, 8), o.oracleFocus(h, Completeness, 8); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: sharded focus diverged from oracle:\ngot  %v\nwant %v", i, got, want)
 		}
-		if got, want := br.Recommend(h, 8), o.oracleBreadth(h, 8); !reflect.DeepEqual(got, want) {
+		if got, want := br.Recommend(h, 8), o.oracleBreadth(h, Overlap, 8); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: sharded breadth diverged from oracle:\ngot  %v\nwant %v", i, got, want)
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // tests. The soundness arguments live in DESIGN.md ("Cluster serving &
 // scatter-gather"); in short:
 //
-//   - Focus: emissions are annotated with their source implementation's
-//     global id, length and missing count. The global emission order is
+//   - Focus: emissions carry their source implementation's global id,
+//     length and missing count (FocusEmission). The global emission order is
 //     lexicographic in (score desc, missing asc, global impl id asc, action
 //     id asc), an action's first-emitting implementation in its home shard
 //     is also its globally first, and a shard's k-th emission key lower-
@@ -42,23 +42,12 @@ import (
 // Focus
 // ---------------------------------------------------------------------------
 
-// FocusEmission is one annotated Focus emission: an action, the score of the
-// implementation that emitted it, and enough of that implementation's
-// identity (global id, length, missing count) to merge emission streams
-// under the global total order and to derive the cross-node score floor.
-type FocusEmission struct {
-	Action  core.ActionID `json:"a"`
-	Score   float64       `json:"s"`
-	Missing int           `json:"m"`
-	Impl    int64         `json:"p"`
-	ImplLen int           `json:"n"`
-}
-
 // FocusFloorShare is the cross-node generalization of the cross-shard score
 // floor: the coordinator injects floors gathered from completed workers, the
-// local pruned scan adopts them at its usual chunk boundaries, and every
+// local block-max scan adopts them at its usual chunk boundaries, and every
 // injection only ever tightens — so the same strictness argument that makes
-// single-node pruning exact carries over. A nil share disables injection.
+// single-node pruning exact carries over. A nil share disables injection,
+// and a shard the kernel serves (not size-sorted) never reads one.
 type FocusFloorShare struct {
 	floor       focusFloor
 	tightenings atomic.Int64
@@ -109,10 +98,10 @@ func FloorFromEmission(share *FocusFloorShare, measure FocusMeasure, e FocusEmis
 }
 
 // TopEmissions is the shard-side Focus scatter entry point: the first k
-// emissions of this library's Focus walk, annotated for the gather merge.
-// implBase is the shard's global implementation-id offset. share, when
-// non-nil and pruning is enabled, feeds externally injected floors into the
-// scan; k must be positive.
+// emissions of this library's Focus walk — RecommendContext before its
+// projection onto ScoredAction — with implBase the shard's global
+// implementation-id offset. share, when non-nil, feeds externally injected
+// floors into the block-max scan; k must be positive.
 //
 // Under an external floor the list may come back shorter than k: the floor
 // proves the skipped implementations rank strictly below the global k-th
@@ -124,152 +113,11 @@ func (f *Focus) TopEmissions(ctx context.Context, activity []core.ActionID, k in
 	if k <= 0 {
 		return nil, nil
 	}
-	h := intset.FromUnsorted(intset.Clone(activity))
-	stream := f.lib.OverlapStream(h)
-	if stream == 0 {
-		return nil, nil
+	var ext *focusFloor
+	if share != nil {
+		ext = &share.floor
 	}
-	if f.pruning {
-		var ext *focusFloor
-		if share != nil {
-			ext = &share.floor
-		}
-		return f.topEmissionsPruned(ctx, h, stream, k, implBase, ext)
-	}
-
-	workers := f.conc.workersFor(stream, f.lib.NumImplementations())
-	s := f.pool.Get().(*focusScratch)
-	defer f.pool.Put(s)
-	ranked := s.shardRanked(workers)
-	err := s.run(ctx, f.lib, h, workers, func(shard int, touched []core.ImplID, tick *ticker) error {
-		rb := ranked[shard]
-		var err error
-		for _, p := range touched {
-			if err = tick.tick(1); err != nil {
-				break
-			}
-			if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(s.cnt[p])); ok {
-				rb = append(rb, ri)
-			}
-		}
-		s.perShard[shard] = rb
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	all := s.merged[:0]
-	for _, rb := range ranked {
-		all = append(all, rb...)
-	}
-	s.merged = all
-
-	tick := newTicker(ctx)
-	// Progressive bounded selection, exactly as selectEmit: every widened
-	// prefix of the total order is exact, so the emitted list matches a full
-	// sort bit for bit.
-	if len(all) <= k {
-		sortRankedImpls(all)
-		return f.emitAnnotated(all, h, k, implBase, &tick)
-	}
-	for m := k; ; m *= 4 {
-		if m >= len(all) {
-			sortRankedImpls(all)
-			return f.emitAnnotated(all, h, k, implBase, &tick)
-		}
-		s.sel = append(s.sel[:0], all...)
-		out, err := f.emitAnnotated(topMRankedImpls(s.sel, m), h, k, implBase, &tick)
-		if err != nil || len(out) == k {
-			return out, err
-		}
-	}
-}
-
-// topEmissionsPruned mirrors recommendPruned with two differences: emissions
-// keep their implementation annotations, and the widening loop is capped at
-// the shard's implementation count. At that width the shard heap can never
-// evict, so any remaining pruning stems from the (injected or self-published)
-// floor — and floor-skipped implementations are provably irrelevant to the
-// gather merge, so a short list is a complete answer, not starvation.
-func (f *Focus) topEmissionsPruned(ctx context.Context, h []core.ActionID, stream, k int, implBase int64, ext *focusFloor) ([]FocusEmission, error) {
-	numImpls := f.lib.NumImplementations()
-	workers := f.conc.workersFor(stream, numImpls)
-	s := f.pool.Get().(*focusScratch)
-	defer f.pool.Put(s)
-	if len(s.cnt) < numImpls {
-		s.cnt = make([]int32, numImpls)
-	}
-	if f.stats != nil {
-		f.stats.ImplsAssociated.Add(int64(stream))
-	}
-
-	for m := k; ; m *= 4 {
-		merged, prunedAny, err := f.prunedPass(ctx, h, workers, m, s, ext)
-		if err != nil {
-			return nil, err
-		}
-		tick := newTicker(ctx)
-		var out []FocusEmission
-		if len(merged) <= m {
-			sortRankedImpls(merged)
-			out, err = f.emitAnnotated(merged, h, k, implBase, &tick)
-		} else {
-			s.sel = append(s.sel[:0], merged...)
-			out, err = f.emitAnnotated(topMRankedImpls(s.sel, m), h, k, implBase, &tick)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(out) == k {
-			return out, nil
-		}
-		if !prunedAny {
-			if len(merged) > m {
-				// Nothing pruned: the merge is the complete scored set, so
-				// the full sort emits everything there is.
-				sortRankedImpls(merged)
-				return f.emitAnnotated(merged, h, k, implBase, &tick)
-			}
-			return out, nil
-		}
-		if m >= numImpls {
-			return out, nil
-		}
-	}
-}
-
-// emitAnnotated is emit with implementation annotations, k > 0.
-func (f *Focus) emitAnnotated(ranked []rankedImpl, h []core.ActionID, k int, implBase int64, tick *ticker) ([]FocusEmission, error) {
-	var (
-		out  []FocusEmission
-		seen = make(map[core.ActionID]struct{})
-	)
-	for _, ri := range ranked {
-		if err := tick.tick(1); err != nil {
-			return out, err
-		}
-		n := f.lib.ImplLen(ri.id)
-		for _, a := range f.lib.Actions(ri.id) {
-			if intset.Contains(h, a) {
-				continue
-			}
-			if _, dup := seen[a]; dup {
-				continue
-			}
-			seen[a] = struct{}{}
-			out = append(out, FocusEmission{
-				Action:  a,
-				Score:   ri.score,
-				Missing: ri.missing,
-				Impl:    implBase + int64(ri.id),
-				ImplLen: n,
-			})
-			if len(out) == k {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
+	return f.emissions(ctx, activity, k, implBase, ext)
 }
 
 // emissionBefore is the global emission order: implementation key (score
@@ -304,9 +152,6 @@ func MergeFocusEmissions(shards [][]FocusEmission, k int) []ScoredAction {
 			}
 		}
 	}
-	if len(best) == 0 {
-		return nil
-	}
 	all := make([]FocusEmission, 0, len(best))
 	for _, e := range best {
 		all = append(all, e)
@@ -315,11 +160,7 @@ func MergeFocusEmissions(shards [][]FocusEmission, k int) []ScoredAction {
 	if len(all) > k {
 		all = all[:k]
 	}
-	out := make([]ScoredAction, len(all))
-	for i, e := range all {
-		out[i] = ScoredAction{Action: e.Action, Score: e.Score}
-	}
-	return out
+	return scoredActions(all)
 }
 
 // ---------------------------------------------------------------------------
@@ -507,52 +348,45 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 	if k == 0 || len(candidates) == 0 {
 		return nil
 	}
-	sel := newSelector(k, len(candidates))
+	mult := make([]int64, len(goalSpace)) // one candidate's folded vector, by slot
+	touched := make([]int32, 0, 16)       // its nonzero slots
+
+	// score finishes one candidate from its folded vector.
+	var score func() float64
 	if metric == vectorspace.Cosine {
 		profSq := int64(0)
 		for _, v := range profile {
 			profSq += v * v
 		}
 		profNorm := math.Sqrt(float64(profSq))
-		mult := make([]int64, len(goalSpace))
-		touched := make([]int32, 0, 16)
-		for ci, a := range candidates {
-			touched = touched[:0]
-			for _, v := range vectors {
-				if v == nil || ci+1 >= len(v.Off) {
-					continue
-				}
-				for j := v.Off[ci]; j < v.Off[ci+1]; j++ {
-					s := v.Slot[j]
-					if mult[s] == 0 {
-						touched = append(touched, s)
-					}
-					mult[s] += v.Mult[j]
-				}
-			}
+		score = func() float64 {
 			dot, sumsq := int64(0), int64(0)
 			for _, s := range touched {
-				m := mult[s]
-				dot += m * profile[s]
-				sumsq += m * m
-				mult[s] = 0
+				dot += mult[s] * profile[s]
+				sumsq += mult[s] * mult[s]
 			}
 			sim := 0.0
 			if profNorm > 0 && sumsq > 0 {
 				sim = float64(dot) / (profNorm * math.Sqrt(float64(sumsq)))
 			}
-			sel.offer(ScoredAction{Action: a, Score: -(1 - sim)})
+			return -(1 - sim)
 		}
-		return sel.sorted()
+	} else {
+		profCounts := make(map[int32]int, len(goalSpace))
+		for i, g := range goalSpace {
+			profCounts[int32(g)] = int(profile[i])
+		}
+		profVec := vectorspace.FromCounts(profCounts)
+		score = func() float64 {
+			counts := make(map[int32]int, len(touched))
+			for _, s := range touched {
+				counts[int32(goalSpace[s])] = int(mult[s])
+			}
+			return -metric.Distance(profVec, vectorspace.FromCounts(counts))
+		}
 	}
 
-	profCounts := make(map[int32]int, len(goalSpace))
-	for i, g := range goalSpace {
-		profCounts[int32(g)] = int(profile[i])
-	}
-	profVec := vectorspace.FromCounts(profCounts)
-	mult := make([]int64, len(goalSpace))
-	touched := make([]int32, 0, 16)
+	sel := newSelector(k, len(candidates))
 	for ci, a := range candidates {
 		touched = touched[:0]
 		for _, v := range vectors {
@@ -567,13 +401,10 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 				mult[s] += v.Mult[j]
 			}
 		}
-		counts := make(map[int32]int, len(touched))
+		sel.offer(ScoredAction{Action: a, Score: score()})
 		for _, s := range touched {
-			counts[int32(goalSpace[s])] = int(mult[s])
 			mult[s] = 0
 		}
-		vec := vectorspace.FromCounts(counts)
-		sel.offer(ScoredAction{Action: a, Score: -metric.Distance(profVec, vec)})
 	}
 	return sel.sorted()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"goalrec/internal/core"
-	"goalrec/internal/vectorspace"
 	"goalrec/internal/xrand"
 )
 
@@ -28,33 +27,6 @@ func partialTestLibrary(t testing.TB, seed uint64, nImpl, nAct, nGoal, maxLen in
 	return b.Build()
 }
 
-// splitRanges cuts [0, n) into parts contiguous ranges.
-func splitRanges(n, parts int) [][2]int {
-	out := make([][2]int, 0, parts)
-	chunk := (n + parts - 1) / parts
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-func partitionAll(t testing.TB, lib *core.Library, ranges [][2]int) []*core.Library {
-	t.Helper()
-	out := make([]*core.Library, len(ranges))
-	for i, r := range ranges {
-		sub, err := core.PartitionRange(lib, r[0], r[1])
-		if err != nil {
-			t.Fatalf("PartitionRange(%d, %d): %v", r[0], r[1], err)
-		}
-		out[i] = sub
-	}
-	return out
-}
-
 func assertSameRanking(t testing.TB, label string, got, want []ScoredAction) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -68,72 +40,72 @@ func assertSameRanking(t testing.TB, label string, got, want []ScoredAction) {
 	}
 }
 
-// TestFocusGatherMergeMatchesSingleNode is the strategy-level oracle: for
-// both measures, pruning off and on, and several shard counts, the merged
-// per-shard emission lists must be bit-identical to the single-node walk.
+// gatherActivities mixes one-action and wide activities, including the last
+// action id of the libraries below.
+func gatherActivities(nAct int) [][]core.ActionID {
+	last := core.ActionID(nAct - 1)
+	return [][]core.ActionID{{0, 3, 7}, {1}, {5, 9, 12, 20, last - 2}, {last}}
+}
+
+// The three gather tests drive the source table — whose partials/1..3 rows
+// merge per-shard partials and compare with the oracle — over libraries dense
+// enough for heavy tie layers, where the merge order is all tiebreak. Focus
+// shards take the kernel on the plain layout and the block-max scan on the
+// impact-ordered one.
+
 func TestFocusGatherMergeMatchesSingleNode(t *testing.T) {
-	lib := partialTestLibrary(t, 101, 600, 40, 15, 6)
-	activities := [][]core.ActionID{{0, 3, 7}, {1}, {5, 9, 12, 20, 33}, {39}}
-	for _, measure := range []FocusMeasure{Completeness, Closeness} {
-		single := NewFocus(lib, measure)
-		for _, pruned := range []bool{false, true} {
-			for _, parts := range []int{1, 2, 3} {
-				ranges := splitRanges(lib.NumImplementations(), parts)
-				subs := partitionAll(t, lib, ranges)
-				shards := make([]*Focus, len(subs))
-				for i, sub := range subs {
-					shards[i] = NewFocus(sub, measure)
-					if pruned {
-						shards[i].EnablePruning(nil)
-					}
-				}
-				for _, activity := range activities {
-					for _, k := range []int{1, 3, 10, 50} {
-						want := single.Recommend(activity, k)
-						lists := make([][]FocusEmission, len(shards))
-						for i, f := range shards {
-							var err error
-							lists[i], err = f.TopEmissions(context.Background(), activity, k, int64(ranges[i][0]), nil)
-							if err != nil {
-								t.Fatalf("TopEmissions: %v", err)
-							}
-						}
-						got := MergeFocusEmissions(lists, k)
-						assertSameRanking(t, measure.String(), got, want)
-					}
-				}
-			}
+	for _, lib := range testLayouts(t, partialTestLibrary(t, 101, 600, 40, 15, 6)) {
+		for _, activity := range gatherActivities(40) {
+			checkEverySource(t, lib, activity, "focus")
 		}
+	}
+}
+
+func TestBreadthGatherMergeMatchesSingleNode(t *testing.T) {
+	lib := partialTestLibrary(t, 55, 500, 30, 10, 5)
+	for _, activity := range gatherActivities(30) {
+		checkEverySource(t, lib, activity, "breadth")
+	}
+}
+
+func TestBestMatchGatherMergeMatchesSingleNode(t *testing.T) {
+	lib := partialTestLibrary(t, 91, 400, 25, 14, 5)
+	for _, activity := range gatherActivities(25) {
+		checkEverySource(t, lib, activity, "best-match")
 	}
 }
 
 // TestFocusGatherMergeUnderInjectedFloor injects the floor a completed
 // shard would broadcast into the remaining shards' scans and checks the
-// merge stays exact — the cross-node floor soundness pin.
+// merge stays exact — the cross-node floor soundness pin. The library is
+// impact-ordered, so every shard is size-sorted and scans under the floor.
 func TestFocusGatherMergeUnderInjectedFloor(t *testing.T) {
-	lib := partialTestLibrary(t, 77, 800, 35, 12, 6)
+	lib, _ := core.ImpactOrder(partialTestLibrary(t, 77, 800, 35, 12, 6))
 	activity := []core.ActionID{2, 6, 11, 19}
 	const k = 8
 	for _, measure := range []FocusMeasure{Completeness, Closeness} {
-		single := NewFocus(lib, measure)
-		want := single.Recommend(activity, k)
+		want := newOracle(lib).oracleFocus(activity, measure, k)
 
 		ranges := splitRanges(lib.NumImplementations(), 3)
-		subs := partitionAll(t, lib, ranges)
-		lists := make([][]FocusEmission, len(subs))
+		lists := make([][]FocusEmission, len(ranges))
 
 		// Shard 0 completes unconstrained; its k-th emission seeds the share
 		// every later shard scans under, mimicking the coordinator broadcast.
 		share := NewFocusFloorShare()
-		for i, sub := range subs {
+		var scans PruneStats
+		for i, r := range ranges {
+			sub, err := core.PartitionRange(lib, r[0], r[1])
+			if err != nil {
+				t.Fatalf("PartitionRange(%d, %d): %v", r[0], r[1], err)
+			}
 			f := NewFocus(sub, measure)
-			f.EnablePruning(nil)
-			f.SetConcurrency(2, 1) // force the sharded pruned path even on small shards
+			f.CountInto(&scans)
+			f.SetConcurrency(2, 1) // force the sharded scan even on small shards
 			var s *FocusFloorShare
 			if i > 0 {
 				s = share
 			}
-			list, err := f.TopEmissions(context.Background(), activity, k, int64(ranges[i][0]), s)
+			list, err := f.TopEmissions(context.Background(), activity, k, int64(r[0]), s)
 			if err != nil {
 				t.Fatalf("TopEmissions: %v", err)
 			}
@@ -142,8 +114,11 @@ func TestFocusGatherMergeUnderInjectedFloor(t *testing.T) {
 				FloorFromEmission(share, measure, list[k-1])
 			}
 		}
-		got := MergeFocusEmissions(lists, k)
-		assertSameRanking(t, "floor/"+measure.String(), got, want)
+		if share.Tightenings() == 0 || scans.Snapshot().BlocksTotal == 0 {
+			t.Fatalf("%s: no shard scanned under an injected floor (tightenings=%d, %+v)",
+				measure, share.Tightenings(), scans.Snapshot())
+		}
+		assertSameRanking(t, "floor/"+measure.String(), MergeFocusEmissions(lists, k), want)
 	}
 }
 
@@ -187,71 +162,4 @@ func TestMergeFocusEmissionsTieBreakAtCutoff(t *testing.T) {
 		{{Action: 2, Score: 1, Missing: 1, Impl: 39, ImplLen: 2}},
 	}, 1)
 	assertSameRanking(t, "impl-order", first, []ScoredAction{{Action: 2, Score: 1}})
-}
-
-func TestBreadthGatherMergeMatchesSingleNode(t *testing.T) {
-	lib := partialTestLibrary(t, 55, 500, 30, 10, 5)
-	activities := [][]core.ActionID{{0, 4}, {2, 8, 14}, {29}}
-	for _, w := range []BreadthWeighting{Overlap, Count, Union} {
-		single := NewBreadthWeighted(lib, w)
-		for _, parts := range []int{1, 2, 3} {
-			ranges := splitRanges(lib.NumImplementations(), parts)
-			subs := partitionAll(t, lib, ranges)
-			for _, activity := range activities {
-				parts := make([]*BreadthPartial, len(subs))
-				for i, sub := range subs {
-					var err error
-					parts[i], err = NewBreadthWeighted(sub, w).ShardPartial(context.Background(), activity)
-					if err != nil {
-						t.Fatalf("ShardPartial: %v", err)
-					}
-				}
-				for _, k := range []int{1, 5, 25, -1} {
-					want := single.Recommend(activity, k)
-					got := MergeBreadthPartials(parts, k)
-					assertSameRanking(t, w.String(), got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestBestMatchGatherMergeMatchesSingleNode(t *testing.T) {
-	lib := partialTestLibrary(t, 91, 400, 25, 14, 5)
-	activities := [][]core.ActionID{{0, 3}, {7, 12, 18}, {24}}
-	for _, metric := range []vectorspace.Metric{vectorspace.Cosine, vectorspace.Euclidean, vectorspace.JaccardDist} {
-		single := NewBestMatchMetric(lib, metric)
-		for _, parts := range []int{1, 2, 3} {
-			ranges := splitRanges(lib.NumImplementations(), parts)
-			subs := partitionAll(t, lib, ranges)
-			shards := make([]*BestMatch, len(subs))
-			for i, sub := range subs {
-				shards[i] = NewBestMatchMetric(sub, metric)
-			}
-			for _, activity := range activities {
-				surveys := make([]*BestMatchSurvey, len(shards))
-				for i, bm := range shards {
-					var err error
-					surveys[i], err = bm.ShardSurvey(context.Background(), activity)
-					if err != nil {
-						t.Fatalf("ShardSurvey: %v", err)
-					}
-				}
-				candidates, goalSpace, profile := MergeBestMatchSurveys(surveys)
-				vectors := make([]*BestMatchVectors, len(shards))
-				for i, bm := range shards {
-					var err error
-					vectors[i], err = bm.ShardVectors(context.Background(), candidates, goalSpace)
-					if err != nil {
-						t.Fatalf("ShardVectors: %v", err)
-					}
-				}
-				for _, k := range []int{1, 5, 20, -1} {
-					want := single.Recommend(activity, k)
-					got := MergeBestMatchVectors(metric, candidates, goalSpace, profile, vectors, k)
-					assertSameRanking(t, metric.String(), got, want)
-				}
-			}
-		}
-	}
 }

@@ -2,64 +2,49 @@ package strategy
 
 import (
 	"context"
-	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"goalrec/internal/core"
 )
 
-// Threshold-aware (bound-driven) top-k scanning for the three strategy
-// families (see DESIGN.md, "Bounds & pruning"). Every pruned path keeps the
-// floor of a bounded selection — Focus's top-m implementation heap, and for
-// Breadth and Best Match the same selector the unpruned loops offer into,
-// whose floor is −∞ until k candidates are held — and skips work that
-// provably cannot reach it:
+// The block-max scan: Focus's rank source on a size-sorted (impact-ordered)
+// library (see DESIGN.md, "Bounds & pruning"). It keeps the floor of a
+// bounded selection — the root of each shard's top-m implementation heap —
+// and skips work that provably cannot reach it: the floor turns into an
+// implementation-id cutoff that ends the scan (sizes are non-decreasing in
+// id, so past it nothing can rank), and before the cutoff whole block
+// segments are skipped when their best-case completeness/closeness — from
+// the block-max |A_p| metadata and the chunk's active-row overlap bound —
+// falls strictly below the floor.
 //
-//   - Focus walks the posting rows in fixed-width implementation-id chunks
-//     and skips whole block segments whose best-case completeness/closeness —
-//     from the block-max |A_p| metadata and the chunk's active-row overlap
-//     bound — falls strictly below the floor;
-//   - Breadth re-ranks candidates in a MaxScore-style candidate-major walk
-//     over ascending action ids, with a suffix-degree early exit once no
-//     remaining candidate can beat the k-th score;
-//   - Best Match orders candidates by goal degree and stops once the
-//     degree-derived cosine upper bound drops below the k-th score.
-//
-// All skip tests are strict (<) and, where floats could round, computed in
-// integers — so a pruned ranking is bit-identical to the unpruned kernel
-// under the existing total tiebreak orders.
+// All skip tests are strict (<) and computed in integers — so the scan's
+// ranking is bit-identical to the counter kernel's under the total
+// implementation order.
 
-// PruneStats aggregates pruning-effectiveness counters across queries. All
-// counters are cumulative and safe for concurrent use; a nil *PruneStats is a
-// valid sink that records nothing.
+// PruneStats aggregates the block-max scan's effectiveness counters across
+// queries. All counters are cumulative and safe for concurrent use; a nil
+// *PruneStats is a valid sink that records nothing.
 type PruneStats struct {
 	// BlocksSkipped / BlocksTotal count the posting-row block segments the
-	// Focus scan proved irrelevant versus all segments it considered.
+	// scan proved irrelevant versus all segments it considered.
 	BlocksSkipped atomic.Int64
 	BlocksTotal   atomic.Int64
 	// ImplsScored counts implementations whose materialized counters were
 	// actually turned into scores; ImplsAssociated counts the posting
-	// entries an unpruned kernel pass accumulates (Σ_{a∈H} |IS(a)| per
-	// query), the denominator of the work-saved ratio.
+	// entries a kernel pass would accumulate (Σ_{a∈H} |IS(a)| per query),
+	// the denominator of the work-saved ratio.
 	ImplsScored     atomic.Int64
 	ImplsAssociated atomic.Int64
-	// CandidatesScored / CandidatesSkipped count the candidate actions the
-	// Breadth and Best Match upper-bound walks scored versus discarded.
-	CandidatesScored  atomic.Int64
-	CandidatesSkipped atomic.Int64
 }
 
 // PruneStatsSnapshot is a point-in-time copy of the counters, shaped for
 // JSON metrics output.
 type PruneStatsSnapshot struct {
-	BlocksSkipped     int64 `json:"blocks_skipped"`
-	BlocksTotal       int64 `json:"blocks_total"`
-	ImplsScored       int64 `json:"impls_scored"`
-	ImplsAssociated   int64 `json:"impls_associated"`
-	CandidatesScored  int64 `json:"candidates_scored"`
-	CandidatesSkipped int64 `json:"candidates_skipped"`
+	BlocksSkipped   int64 `json:"blocks_skipped"`
+	BlocksTotal     int64 `json:"blocks_total"`
+	ImplsScored     int64 `json:"impls_scored"`
+	ImplsAssociated int64 `json:"impls_associated"`
 }
 
 // Snapshot returns a consistent-enough copy of the counters (each counter is
@@ -69,21 +54,17 @@ func (s *PruneStats) Snapshot() PruneStatsSnapshot {
 		return PruneStatsSnapshot{}
 	}
 	return PruneStatsSnapshot{
-		BlocksSkipped:     s.BlocksSkipped.Load(),
-		BlocksTotal:       s.BlocksTotal.Load(),
-		ImplsScored:       s.ImplsScored.Load(),
-		ImplsAssociated:   s.ImplsAssociated.Load(),
-		CandidatesScored:  s.CandidatesScored.Load(),
-		CandidatesSkipped: s.CandidatesSkipped.Load(),
+		BlocksSkipped:   s.BlocksSkipped.Load(),
+		BlocksTotal:     s.BlocksTotal.Load(),
+		ImplsScored:     s.ImplsScored.Load(),
+		ImplsAssociated: s.ImplsAssociated.Load(),
 	}
 }
 
 // pruneTally is the shard-local accumulator: hot loops bump plain ints and
 // flush once, so the shared atomics never sit in a scan's inner loop.
 type pruneTally struct {
-	blocksSkipped, blocksTotal          int64
-	implsScored, implsAssociated        int64
-	candidatesScored, candidatesSkipped int64
+	blocksSkipped, blocksTotal, implsScored int64
 }
 
 // add flushes a tally into the shared counters. A nil receiver records
@@ -101,43 +82,12 @@ func (s *PruneStats) add(t *pruneTally) {
 	if t.implsScored != 0 {
 		s.ImplsScored.Add(t.implsScored)
 	}
-	if t.implsAssociated != 0 {
-		s.ImplsAssociated.Add(t.implsAssociated)
-	}
-	if t.candidatesScored != 0 {
-		s.CandidatesScored.Add(t.candidatesScored)
-	}
-	if t.candidatesSkipped != 0 {
-		s.CandidatesSkipped.Add(t.candidatesSkipped)
-	}
 }
 
-// EnablePruning switches the strategy to its threshold-aware scan. Rankings
-// stay bit-identical to the default kernel; stats (optional, may be nil)
-// receives the effectiveness counters. It must be called before the strategy
-// starts serving queries.
-func (f *Focus) EnablePruning(stats *PruneStats) { f.pruning = true; f.stats = stats }
-
-// EnablePruning switches the strategy to its threshold-aware scan. Rankings
-// stay bit-identical to the default kernel; stats (optional, may be nil)
-// receives the effectiveness counters. It must be called before the strategy
-// starts serving queries.
-func (b *Breadth) EnablePruning(stats *PruneStats) { b.pruning = true; b.stats = stats }
-
-// EnablePruning switches the strategy to its threshold-aware scan. Rankings
-// stay bit-identical to the default kernel; stats (optional, may be nil)
-// receives the effectiveness counters. It must be called before the strategy
-// starts serving queries.
-func (bm *BestMatch) EnablePruning(stats *PruneStats) { bm.pruning = true; bm.stats = stats }
-
-// ---------------------------------------------------------------------------
-// Focus: block-max pruned counter scan
-// ---------------------------------------------------------------------------
-
-// prunedChunkIDs is the width, in implementation ids, of one Focus scan
-// chunk. Chunks partition the id space, so every counter increment an
-// implementation receives lands inside its own chunk — which is what makes
-// the per-chunk active-row count a sound overlap bound.
+// prunedChunkIDs is the width, in implementation ids, of the scan's first
+// chunk; each later chunk doubles it. Chunks partition the id space, so every
+// counter increment an implementation receives lands inside its own chunk —
+// which is what makes the per-chunk active-row count a sound overlap bound.
 const prunedChunkIDs = 8192
 
 // focusFloor is the cross-shard score floor. Shards publish their local
@@ -198,69 +148,6 @@ type prunedRow struct {
 	pos, end int
 }
 
-// recommendPruned is Focus's threshold-aware path. Each pass keeps only the
-// m best implementations per shard; when deduplication starves the emission
-// walk, m widens and the pass reruns, and a pass that pruned nothing is
-// complete by construction, so the loop always terminates with the same
-// output as the unpruned kernel.
-func (f *Focus) recommendPruned(ctx context.Context, h []core.ActionID, stream, k int) ([]ScoredAction, error) {
-	numImpls := f.lib.NumImplementations()
-	workers := f.conc.workersFor(stream, numImpls)
-	s := f.pool.Get().(*focusScratch)
-	defer f.pool.Put(s)
-	if len(s.cnt) < numImpls {
-		s.cnt = make([]int32, numImpls)
-	}
-	if f.stats != nil {
-		f.stats.ImplsAssociated.Add(int64(stream))
-	}
-
-	for m := k; ; m *= 4 {
-		merged, prunedAny, err := f.prunedPass(ctx, h, workers, m, s, nil)
-		if err != nil {
-			return nil, err
-		}
-		tick := newTicker(ctx)
-		if len(merged) <= m {
-			// A pruned pass can only fall at or below m entries when either
-			// nothing was pruned (the merge is the complete scored set) or
-			// exactly one shard heap filled (the merge is exactly the true
-			// top m): sorting the merge is exact in both cases.
-			sortRankedImpls(merged)
-			out, err := f.emit(merged, h, k, &tick)
-			if err != nil || len(out) == k || !prunedAny {
-				return out, err
-			}
-			continue // true top m emitted but starved: rescan wider
-		}
-		// Shard heaps may retain "junk" — implementations undercounted by a
-		// skip — but every such score is strictly below the floor that
-		// justified the skip, hence strictly below the true m-th best: exact
-		// selection under the total order removes them all.
-		s.sel = append(s.sel[:0], merged...)
-		out, err := f.emit(topMRankedImpls(s.sel, m), h, k, &tick)
-		if err != nil || len(out) == k {
-			return out, err
-		}
-		if !prunedAny {
-			// Nothing was pruned, so the merge is the complete scored set:
-			// widen the selection in place, exactly like the unpruned path,
-			// instead of rescanning.
-			for sm := m * 4; ; sm *= 4 {
-				if sm >= len(merged) {
-					sortRankedImpls(merged)
-					return f.emit(merged, h, k, &tick)
-				}
-				s.sel = append(s.sel[:0], merged...)
-				out, err := f.emit(topMRankedImpls(s.sel, sm), h, k, &tick)
-				if err != nil || len(out) == k {
-					return out, err
-				}
-			}
-		}
-	}
-}
-
 // prunedPass runs one bounded-selection scan at heap size m and returns the
 // concatenated shard heaps plus whether anything was pruned (a block skip or
 // a heap eviction/rejection — i.e. whether any scored or skippable
@@ -273,54 +160,21 @@ func (f *Focus) recommendPruned(ctx context.Context, h []core.ActionID, stream, 
 // and is created fresh here each call.
 func (f *Focus) prunedPass(ctx context.Context, h []core.ActionID, workers, m int, s *focusScratch, ext *focusFloor) ([]rankedImpl, bool, error) {
 	numImpls := f.lib.NumImplementations()
-	s.shards(workers)
-	ranked := s.shardRanked(workers)
+	s.shards(workers, numImpls)
+	s.shardRanked(workers)
 	var gf focusFloor
-	prunedBy := make([]bool, workers)
-
-	var firstErr error
-	if workers == 1 {
-		tick := newTicker(ctx)
-		prunedBy[0], firstErr = f.prunedShardScan(h, 0, core.ImplID(numImpls), m, s, 0, &gf, ext, &tick)
-	} else {
-		chunk := (numImpls + workers - 1) / workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := core.ImplID(w * chunk)
-			hi := lo + core.ImplID(chunk)
-			if lo > core.ImplID(numImpls) {
-				lo = core.ImplID(numImpls)
-			}
-			if hi > core.ImplID(numImpls) {
-				hi = core.ImplID(numImpls)
-			}
-			wg.Add(1)
-			go func(w int, lo, hi core.ImplID) {
-				defer wg.Done()
-				tick := newTicker(ctx)
-				prunedBy[w], errs[w] = f.prunedShardScan(h, lo, hi, m, s, w, &gf, ext, &tick)
-			}(w, lo, hi)
+	var pruned atomic.Bool
+	err := fanOutShards(ctx, numImpls, workers, func(shard int, lo, hi core.ImplID, tick *ticker) error {
+		p, err := f.prunedShardScan(h, lo, hi, m, s, shard, &gf, ext, tick)
+		if p {
+			pruned.Store(true)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
+		return err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	if firstErr != nil {
-		return nil, false, firstErr
-	}
-	all := s.merged[:0]
-	pruned := false
-	for w := 0; w < workers; w++ {
-		all = append(all, ranked[w]...)
-		pruned = pruned || prunedBy[w]
-	}
-	s.merged = all
-	return all, pruned, nil
+	return s.concat(workers), pruned.Load(), nil
 }
 
 // prunedShardScan scans [lo, hi) in id chunks, accumulating counters block
@@ -346,7 +200,6 @@ func (f *Focus) prunedShardScan(h []core.ActionID, lo, hi core.ImplID, m int,
 
 	lib := f.lib
 	closeness := f.measure == Closeness
-	sizeSorted := lib.ImplLenSorted()
 	var tally pruneTally
 	defer f.stats.add(&tally)
 
@@ -425,8 +278,8 @@ func (f *Focus) prunedShardScan(h []core.ActionID, lo, hi core.ImplID, m int,
 		gf.publishCmp(c, n)
 	}
 
-	// Under a size-sorted (impact-ordered) layout the floor yields a global
-	// id cutoff: an implementation's overlap is at most len(rows), so one
+	// Sizes are non-decreasing in id, so the floor yields a global id
+	// cutoff: an implementation's overlap is at most len(rows), so one
 	// with |A_p| − len(rows) strictly too many missing actions (closeness) or
 	// len(rows)/|A_p| strictly below the floor ratio (completeness) can never
 	// rank — and neither can any later id, whose size is at least as large.
@@ -436,14 +289,11 @@ func (f *Focus) prunedShardScan(h []core.ActionID, lo, hi core.ImplID, m int,
 	effHi := hi
 	rmax := int64(len(rows))
 	// The floor only ever tightens, and both cutoff predicates are monotone
-	// in id under the size-sorted layout, so an unchanged floor reproduces
-	// the previous cutoff exactly — re-searching is pure overhead. clamped*
-	// remember the floor of the last search.
+	// in id, so an unchanged floor reproduces the previous cutoff exactly —
+	// re-searching is pure overhead. clamped* remember the floor of the last
+	// search.
 	var clampedMiss, clampedC, clampedN int64
 	clampEffHi := func(chunkLo core.ImplID) {
-		if !sizeSorted {
-			return
-		}
 		n := int(effHi - chunkLo)
 		if n <= 0 {
 			return
@@ -467,13 +317,11 @@ func (f *Focus) prunedShardScan(h []core.ActionID, lo, hi core.ImplID, m int,
 		}))
 	}
 
-	// Chunk width: fixed without the size-sorted layout (narrow chunks keep
-	// the active-row overlap bound tight, the only pruning lever available),
-	// doubling with it — there the global cutoff does the pruning, per-chunk
-	// work is pure overhead, and the floor the cutoff derives from converges
-	// within the first few (smallest-implementation) chunks. clampEffHi at
-	// every chunk start bounds how far a widened chunk can overshoot the
-	// final cutoff.
+	// Chunk width doubles: the global cutoff does the pruning, per-chunk work
+	// is pure overhead, and the floor the cutoff derives from converges within
+	// the first few (smallest-implementation) chunks. clampEffHi at every
+	// chunk start bounds how far a widened chunk can overshoot the final
+	// cutoff.
 	width := core.ImplID(prunedChunkIDs)
 	var err error
 scan:
@@ -484,9 +332,7 @@ scan:
 			break
 		}
 		chunkHi := chunkLo + width
-		if sizeSorted {
-			width *= 2
-		}
+		width *= 2
 		if chunkHi > effHi {
 			chunkHi = effHi
 		}
@@ -586,20 +432,11 @@ scan:
 		// floor this chunk tightened.
 		tally.implsScored += int64(len(touched))
 		for _, p := range touched {
-			overlap := int(s.cnt[p])
+			cand, ok := focusRank(f.measure, p, lib.ImplLen(p), int(s.cnt[p]))
 			s.cnt[p] = 0
-			n := lib.ImplLen(p)
-			missing := n - overlap
-			if missing == 0 {
-				continue // fully covered: nothing left to recommend
+			if !ok {
+				continue
 			}
-			var score float64
-			if closeness {
-				score = 1 / float64(missing)
-			} else {
-				score = float64(overlap) / float64(n)
-			}
-			cand := rankedImpl{id: p, score: score, missing: missing}
 			if !full {
 				heap = append(heap, cand)
 				if len(heap) == m {
@@ -646,321 +483,4 @@ scan:
 	s.perShard[shard] = heap
 	s.touched[shard] = touched
 	return pruned, err
-}
-
-// ---------------------------------------------------------------------------
-// Breadth: MaxScore-style candidate-major walk
-// ---------------------------------------------------------------------------
-
-// breadthPruneMaxK bounds the k for which Breadth's candidate-major pruned
-// path engages: the walk's win comes from an early, high floor, which a very
-// wide heap never provides.
-const breadthPruneMaxK = 1024
-
-// recommendPruned is Breadth's threshold-aware path: phase 1 materializes
-// the overlap counters exactly like the kernel (sequential or sharded), then
-// phase 2 re-derives each candidate's score candidate-by-candidate over
-// ascending action ids, bounded by comm_max · min(|IS(a)|, touched). Under
-// impact ordering the suffix-degree bound is exact at every position, so the
-// walk stops as soon as the remaining candidates cannot reach the k-th
-// score. All sums are integers in int64, converted once — identical to the
-// kernel's exact float64 accumulation.
-func (b *Breadth) recommendPruned(ctx context.Context, h []core.ActionID, stream, k int) ([]ScoredAction, error) {
-	lib := b.lib
-	numImpls := lib.NumImplementations()
-	workers := b.conc.workersFor(stream, numImpls)
-	s := b.pool.Get().(*breadthScratch)
-	defer b.pool.Put(s)
-	if len(s.cnt) < numImpls {
-		s.cnt = make([]int32, numImpls)
-	}
-	touched := s.shards(workers)
-
-	var tally pruneTally
-	tally.implsAssociated = int64(stream)
-
-	// Phase 1: counters only. Unlike run(), the counters must survive the
-	// pass — phase 2 reads them per candidate — so cleanup is explicit here.
-	var firstErr error
-	if workers == 1 {
-		tick := newTicker(ctx)
-		firstErr = s.accumulate(lib, h, 0, core.ImplID(numImpls), 0, &tick)
-	} else {
-		chunk := (numImpls + workers - 1) / workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := core.ImplID(w * chunk)
-			hi := lo + core.ImplID(chunk)
-			if lo > core.ImplID(numImpls) {
-				lo = core.ImplID(numImpls)
-			}
-			if hi > core.ImplID(numImpls) {
-				hi = core.ImplID(numImpls)
-			}
-			wg.Add(1)
-			go func(w int, lo, hi core.ImplID) {
-				defer wg.Done()
-				tick := newTicker(ctx)
-				errs[w] = s.accumulate(lib, h, lo, hi, w, &tick)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		for _, tl := range touched {
-			for _, p := range tl {
-				s.cnt[p] = 0
-			}
-		}
-		return nil, firstErr
-	}
-
-	nTouched := int64(0)
-	var cmax int32
-	for _, tl := range touched {
-		nTouched += int64(len(tl))
-		for _, p := range tl {
-			if c := s.cnt[p]; c > cmax {
-				cmax = c
-			}
-		}
-	}
-	tally.implsScored = nTouched
-	// comm_max caps any one implementation's contribution to a candidate.
-	var commMax float64
-	switch b.weighting {
-	case Count:
-		commMax = 1
-	case Union:
-		commMax = float64(int64(lib.MaxImplLen()) + int64(len(h)) - 1)
-	default:
-		commMax = float64(cmax)
-	}
-
-	for _, a := range h {
-		if a >= 0 && int(a) < len(s.inH) {
-			s.inH[a] = true
-		}
-	}
-	defer func() {
-		for _, a := range h {
-			if a >= 0 && int(a) < len(s.inH) {
-				s.inH[a] = false
-			}
-		}
-		for _, tl := range touched {
-			for _, p := range tl {
-				s.cnt[p] = 0
-			}
-		}
-		b.stats.add(&tally)
-	}()
-
-	// Cost model: the candidate-major walk rescans each candidate's posting
-	// row — up to the entire A-GI-idx per query — while the action-major
-	// finish only walks the touched implementations' action lists. The walk
-	// can only win when the floor discards most of that rescan, which a
-	// dense, high-degree index never allows; when its ceiling is far above
-	// the action-major cost, finish action-major instead. Every comm is
-	// integer-valued, so both finishes produce bit-identical rankings.
-	actionCost := int64(0)
-	for _, tl := range touched {
-		for _, p := range tl {
-			actionCost += int64(lib.ImplLen(p))
-		}
-	}
-	if int64(lib.NumPostings()) > 4*actionCost {
-		out, err := b.finishActionMajor(ctx, h, s, touched, k)
-		if err == nil {
-			tally.candidatesScored += int64(len(out))
-		}
-		return out, err
-	}
-
-	// Phase 2: candidate-major walk into the k-bounded selector, whose floor
-	// is −∞ until k candidates are held. Both upper-bound products stay far
-	// below 2^53, so the float comparisons are exact.
-	tick := newTicker(ctx)
-	nAct := lib.NumActions()
-	sel := newSelector(k, nAct)
-	for ai := 0; ai < nAct; ai++ {
-		a := core.ActionID(ai)
-		floor := sel.floor()
-		if ub := min(int64(lib.ActionDegreeSuffixMax(a)), nTouched); float64(ub)*commMax < floor {
-			tally.candidatesSkipped += int64(nAct - ai)
-			break
-		}
-		if s.inH[a] {
-			continue
-		}
-		deg := lib.ActionDegree(a)
-		if deg == 0 {
-			continue
-		}
-		if ub := min(int64(deg), nTouched); float64(ub)*commMax < floor {
-			tally.candidatesSkipped++
-			continue
-		}
-		var row []core.ImplID
-		row, s.rowBuf = lib.PostingRow(a, s.rowBuf)
-		if err := tick.tick(len(row)); err != nil {
-			return nil, err
-		}
-		var sum int64
-		switch b.weighting {
-		case Count:
-			for _, p := range row {
-				if s.cnt[p] != 0 {
-					sum++
-				}
-			}
-		case Union:
-			hn := int64(len(h))
-			for _, p := range row {
-				if c := int64(s.cnt[p]); c != 0 {
-					sum += int64(lib.ImplLen(p)) + hn - c
-				}
-			}
-		default:
-			for _, p := range row {
-				sum += int64(s.cnt[p])
-			}
-		}
-		if sum == 0 {
-			continue // not a candidate: no associated implementation contains it
-		}
-		tally.candidatesScored++
-		sel.offer(ScoredAction{Action: a, Score: float64(sum)})
-	}
-	return sel.sorted(), nil
-}
-
-// finishActionMajor is the pruned Breadth path's fallback finish when the
-// cost model rules out the candidate-major walk: the kernel's own phase-2
-// scoring over the already-materialized counters, run sequentially (its
-// cost, Σ_{p touched} |A_p|, is far below the accumulate pass that preceded
-// it). The caller's deferred cleanup still owns the counters and inH.
-func (b *Breadth) finishActionMajor(ctx context.Context, h []core.ActionID, s *breadthScratch, touched [][]core.ImplID, k int) ([]ScoredAction, error) {
-	lib := b.lib
-	scores := s.scores
-	actions := s.actions[:0]
-	tick := newTicker(ctx)
-	var err error
-score:
-	for _, tl := range touched {
-		for _, p := range tl {
-			if err = tick.tick(1); err != nil {
-				break score
-			}
-			var comm float64
-			switch b.weighting {
-			case Count:
-				comm = 1
-			case Union:
-				comm = float64(lib.ImplLen(p) + len(h) - int(s.cnt[p]))
-			default:
-				comm = float64(s.cnt[p])
-			}
-			for _, a := range lib.Actions(p) {
-				if s.inH[a] {
-					continue
-				}
-				if scores[a] == 0 {
-					actions = append(actions, a)
-				}
-				scores[a] += comm
-			}
-		}
-	}
-	if err != nil {
-		for _, a := range actions {
-			scores[a] = 0
-		}
-		s.actions = actions[:0]
-		return nil, err
-	}
-	s.actions = actions[:0]
-	return drainScores(scores, actions, k), nil
-}
-
-// ---------------------------------------------------------------------------
-// Best Match: degree-bounded candidate ordering
-// ---------------------------------------------------------------------------
-
-// bmPruneMaxGoalSpace bounds the goal-space size for which the pruned cosine
-// path engages: the prefix-sum preparation sorts the squared profile, so a
-// huge goal space with few candidates would pay more than it saves.
-const bmPruneMaxGoalSpace = 1 << 16
-
-// bmUBSlack is the additive slack on the cosine upper bound. The bound is
-// evaluated in floats whose summation error is bounded far below 1e-9, so
-// 1e-6 makes the comparison safe in the only direction that matters: slack
-// can only reduce pruning, never the result.
-const bmUBSlack = 1e-6
-
-// bmCand is one candidate with its distinct-goal degree, the sort key of the
-// pruned walk.
-type bmCand struct {
-	a   core.ActionID
-	deg int32
-}
-
-// scoreCosinePruned scores candidates best-bound-first: a candidate touching
-// at most d goals of the goal space has ‖a⃗∩GS‖·cos ≤ ‖p_S‖ for some goal
-// subset S, |S| ≤ d, so sim ≤ √prefix[min(d,|GS|)−1]/‖p‖ where prefix holds
-// descending prefix sums of the squared profile. Candidates are walked in
-// degree-descending order, making the bound non-increasing: the first
-// candidate whose bound falls strictly below the k-th score ends the walk.
-// Scored candidates use the exact same scoreOne floats as the unpruned
-// paths, so the surviving top k is bit-identical.
-func (bm *BestMatch) scoreCosinePruned(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
-	var tally pruneTally
-	defer bm.stats.add(&tally)
-
-	pf := append(s.prefix[:0], s.profile...)
-	for i := range pf {
-		pf[i] *= pf[i]
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(pf)))
-	for i := 1; i < len(pf); i++ {
-		pf[i] += pf[i-1]
-	}
-	s.prefix = pf
-
-	ord := s.ord[:0]
-	for _, a := range candidates {
-		ord = append(ord, bmCand{a: a, deg: int32(bm.lib.GoalDegree(a))})
-	}
-	sort.Slice(ord, func(i, j int) bool {
-		if ord[i].deg != ord[j].deg {
-			return ord[i].deg > ord[j].deg
-		}
-		return ord[i].a < ord[j].a
-	})
-	s.ord = ord
-
-	tick := newTicker(ctx)
-	for i, c := range ord {
-		ub := bmUBSlack - 1.0 // Score = −(1 − sim)
-		if t := min(int(c.deg), len(pf)); t > 0 {
-			ub += math.Sqrt(pf[t-1]) / profNorm
-		}
-		if ub < sel.floor() {
-			tally.candidatesSkipped += int64(len(ord) - i)
-			break
-		}
-		if err := tick.tick(1 + int(c.deg)); err != nil {
-			return err
-		}
-		tally.candidatesScored++
-		sel.offer(bm.scoreOne(s, c.a, profNorm))
-	}
-	return nil
 }

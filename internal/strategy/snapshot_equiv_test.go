@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -30,11 +29,15 @@ func openSnapshotLibrary(t *testing.T, lib *core.Library, compress bool) *core.L
 
 // checkSnapshotEquiv asserts that a library loaded back from a snapshot —
 // raw and block-compressed — ranks bit-identically to the in-memory builder
-// library on every strategy, plain and pruned, sequential and sharded.
+// library on every strategy, with Focus and Breadth forced onto four workers.
 func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k int) {
 	t.Helper()
 	for _, compress := range []bool{false, true} {
 		mlib := openSnapshotLibrary(t, lib, compress)
+		if mlib.ImplLenSorted() != lib.ImplLenSorted() {
+			t.Fatalf("compress=%v: snapshot lost the layout flag (size-sorted %v -> %v)",
+				compress, lib.ImplLenSorted(), mlib.ImplLenSorted())
+		}
 
 		type variant struct {
 			name string
@@ -42,52 +45,20 @@ func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k in
 		}
 		var variants []variant
 		for _, m := range []FocusMeasure{Completeness, Closeness} {
-			m := m
-			for _, pruned := range []bool{false, true} {
-				pruned := pruned
-				variants = append(variants, variant{
-					name: fmt.Sprintf("%s/pruned=%v", m, pruned),
-					mk: func(l *core.Library) Recommender {
-						f := NewFocus(l, m)
-						f.SetConcurrency(4, 1)
-						if pruned {
-							f.EnablePruning(nil)
-						}
-						return f
-					},
-				})
-			}
+			variants = append(variants, variant{m.String(), func(l *core.Library) Recommender {
+				f := NewFocus(l, m)
+				f.SetConcurrency(4, 1)
+				return f
+			}})
 		}
 		for _, w := range []BreadthWeighting{Overlap, Count, Union} {
-			w := w
-			for _, pruned := range []bool{false, true} {
-				pruned := pruned
-				variants = append(variants, variant{
-					name: fmt.Sprintf("breadth-%s/pruned=%v", w, pruned),
-					mk: func(l *core.Library) Recommender {
-						b := NewBreadthWeighted(l, w)
-						b.SetConcurrency(4, 1)
-						if pruned {
-							b.EnablePruning(nil)
-						}
-						return b
-					},
-				})
-			}
+			variants = append(variants, variant{"breadth-" + w.String(), func(l *core.Library) Recommender {
+				b := NewBreadthWeighted(l, w)
+				b.SetConcurrency(4, 1)
+				return b
+			}})
 		}
-		for _, pruned := range []bool{false, true} {
-			pruned := pruned
-			variants = append(variants, variant{
-				name: fmt.Sprintf("best-match/pruned=%v", pruned),
-				mk: func(l *core.Library) Recommender {
-					bm := NewBestMatch(l)
-					if pruned {
-						bm.EnablePruning(nil)
-					}
-					return bm
-				},
-			})
-		}
+		variants = append(variants, variant{"best-match", func(l *core.Library) Recommender { return NewBestMatch(l) }})
 
 		for _, v := range variants {
 			want := v.mk(lib).Recommend(h, k)
@@ -120,7 +91,8 @@ func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k in
 
 // TestSnapshotRankingsMatchBuilder drives all strategies over mmap-loaded
 // snapshots of random libraries, alternating plain and impact-ordered
-// layouts (the latter exercises the pruned cutoff paths on compressed rows).
+// layouts (the latter exercises the block-max scan's cutoff on compressed
+// rows).
 func TestSnapshotRankingsMatchBuilder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
@@ -138,8 +110,8 @@ func TestSnapshotRankingsMatchBuilder(t *testing.T) {
 
 // FuzzSnapshotRoundTrip derives a random library and activity from the
 // fuzzed seeds, writes the library to a snapshot file, loads it back via
-// mmap, and asserts every strategy's ranking — pruned paths included — is
-// bit-identical to the in-memory builder library.
+// mmap, and asserts every strategy's ranking is bit-identical to the
+// in-memory builder library.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(77))
@@ -156,8 +128,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		h := intset.FromUnsorted(testlib.RandomActivity(qr, actionSpace, 6))
 		k := 1 + qr.Intn(12)
 		checkSnapshotEquiv(t, lib, h, k)
-		// The pruned-vs-plain invariant must also hold on the compressed
-		// mmap-backed library itself.
-		checkPrunedEquiv(t, openSnapshotLibrary(t, lib, true), h, k)
+		// The source table must also hold on the compressed mmap-backed
+		// library itself.
+		checkEverySource(t, openSnapshotLibrary(t, lib, true), h, "")
 	})
 }

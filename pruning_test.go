@@ -115,12 +115,20 @@ func TestImpactOrderedMethod(t *testing.T) {
 	}
 }
 
-// TestWithPruningMatchesUnpruned drives the pruned kernels through the
-// string API on plain and impact-ordered layouts.
+// TestWithPruningMatchesUnpruned drives the block-max scan through the string
+// API. The scan is selected from the layout, so the impact-ordered build gets
+// it on every bounded Focus query and the plain build never does — asserted
+// through a WithPruningStats sink — and on either layout the bounded ranking
+// must equal the head of the full ranking (k = −1), which is unbounded and
+// therefore always the counter kernel's.
 func TestWithPruningMatchesUnpruned(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	b := randomNamedBuilder(t, r, 600, 30, 20)
-	for _, lib := range []*Library{b.Build(), b.Build(WithImpactOrdering())} {
+	for _, layout := range []struct {
+		lib   *Library
+		scans bool
+	}{{b.Build(), false}, {b.Build(WithImpactOrdering()), true}} {
+		var stats PruneStats
 		for q := 0; q < 15; q++ {
 			var h []string
 			for i := 0; i < 1+r.Intn(4); i++ {
@@ -128,12 +136,20 @@ func TestWithPruningMatchesUnpruned(t *testing.T) {
 			}
 			k := 1 + r.Intn(10)
 			for _, s := range Strategies() {
-				got := lib.MustRecommender(s, WithPruning()).Recommend(h, k)
-				want := lib.MustRecommender(s).Recommend(h, k)
+				rec := layout.lib.MustRecommender(s, WithPruningStats(&stats))
+				got := rec.Recommend(h, k)
+				want := rec.Recommend(h, -1)
+				if len(want) > k {
+					want = want[:k]
+				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s pruned diverged (h=%v k=%d):\ngot  %v\nwant %v", s, h, k, got, want)
+					t.Fatalf("%s bounded ranking diverged from the full one (h=%v k=%d):\ngot  %v\nwant %v", s, h, k, got, want)
 				}
 			}
+		}
+		if got := stats.Snapshot().BlocksTotal > 0; got != layout.scans {
+			t.Fatalf("block-max scan engaged = %v on a library whose size-sorted flag is %v: %+v",
+				got, layout.scans, stats.Snapshot())
 		}
 	}
 }
@@ -155,19 +171,19 @@ func TestWithPruningStats(t *testing.T) {
 	}
 }
 
-// TestPruningSharingKey pins that pruning configuration separates engine
-// sharing keys: pruned vs unpruned, and distinct sinks, must not collide.
+// TestPruningSharingKey pins that the stats sink separates engine sharing
+// keys: recommenders counting into distinct sinks, or into none, must not
+// share one instance.
 func TestPruningSharingKey(t *testing.T) {
 	base := resolveRecOptions(nil)
-	pruned := resolveRecOptions([]RecommenderOption{WithPruning()})
 	var a, b PruneStats
 	sinkA := resolveRecOptions([]RecommenderOption{WithPruningStats(&a)})
 	sinkB := resolveRecOptions([]RecommenderOption{WithPruningStats(&b)})
 	keys := map[string]bool{}
-	for _, o := range []recOptions{base, pruned, sinkA, sinkB} {
+	for _, o := range []recOptions{base, sinkA, sinkB} {
 		keys[o.sharingKey(FocusCloseness)] = true
 	}
-	if len(keys) != 4 {
-		t.Fatalf("sharing keys collided: %d distinct of 4", len(keys))
+	if len(keys) != 3 {
+		t.Fatalf("sharing keys collided: %d distinct of 3", len(keys))
 	}
 }
