@@ -92,6 +92,9 @@ func inspect(path string) error {
 	fmt.Printf("  postings %s, vocabulary %v, length-sorted layout %v\n",
 		map[bool]string{true: "block-compressed", false: "raw"}[d.Compressed],
 		d.HasVocabulary, d.LenSorted)
+	if d.SourceKey != "" {
+		fmt.Printf("  source key %q\n", d.SourceKey)
+	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  section\toffset\telem\tcount\tbytes\tshare")

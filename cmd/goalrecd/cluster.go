@@ -80,7 +80,7 @@ func runCoordinator(o coordinatorOptions) error {
 		return errors.New("-role coordinator needs -peers")
 	}
 	logger := log.New(os.Stderr, "goalrecd: ", log.LstdFlags)
-	loadLib := func() (*goalrec.Library, error) { return loadLibrary(o.libPath, o.impactOrdering) }
+	loadLib := func() (*goalrec.Library, error) { return loadLibrary(logger, o.libPath, o.impactOrdering) }
 	lib, err := loadLib()
 	if err != nil {
 		return err

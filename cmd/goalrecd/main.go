@@ -28,6 +28,15 @@
 // changes; a file that fails to load is logged and the current epoch keeps
 // serving, with exponential-backoff retries until the load heals.
 //
+// A JSON-lines -library is parsed once per content and mapped on every
+// start: the daemon keeps a snapshot of it at <path>.gsnp, keyed by the
+// SHA-256 of the file's bytes and the layout, rebuilds it when it is missing,
+// stale or fails its checksum (one log line gives the reason), and serves the
+// library from that mapping in every role and on every reload. If the
+// sidecar cannot be written the parsed library is served from the heap.
+// Deleting the sidecar is always safe; mapped generations stay mapped until
+// the process exits (/v1/metrics, "library").
+//
 // With -snapshot-dir the daemon is durable: it recovers from the newest
 // memory-mapped snapshot in the directory plus the ingest WAL's tail, then
 // journals every /v1/implementations batch to the WAL before applying it.
@@ -100,20 +109,22 @@ func main() {
 
 // loadLibrary is the single load path — initial load, /v1/reload, the
 // -watch loop and a cluster's two-phase swap, in every role — so all of them
-// apply the same layout policy.
-func loadLibrary(path string, impactOrdering bool) (*goalrec.Library, error) {
-	lib, err := goalrec.LoadLibraryFile(path)
+// apply the same layout policy and serve a JSON-lines file from its mapped
+// sidecar snapshot (goalrec.LoadLibraryFileMapped). Anything but a sidecar
+// hit is logged with its reason.
+func loadLibrary(logger *log.Logger, path string, impactOrdering bool) (*goalrec.Library, error) {
+	lib, decision, err := goalrec.LoadLibraryFileMapped(path, impactOrdering)
 	if err != nil {
 		return nil, err
 	}
-	if impactOrdering {
-		lib = lib.ImpactOrdered()
+	if decision != "" && decision != goalrec.SidecarHit {
+		logger.Printf("library %s: sidecar %s", path, decision)
 	}
 	return lib, nil
 }
 
 func run() error {
-	libPath := flag.String("library", "", "path to the JSON-lines library file")
+	libPath := flag.String("library", "", "path to the library file; a JSON-lines file is served from a memory-mapped snapshot kept beside it at <path>.gsnp, rebuilt when stale (deleting it is always safe)")
 	addr := flag.String("addr", ":8080", "listen address")
 	quiet := flag.Bool("quiet", false, "disable request logging")
 	watch := flag.Duration("watch", 0, "poll the library file at this interval and hot-swap on change (0 disables)")
@@ -141,6 +152,9 @@ func run() error {
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "coordinator-to-worker heartbeat interval")
 	scatterTimeout := flag.Duration("scatter-timeout", 0, "per-scatter deadline on worker round-trips (0 disables; coordinator role)")
 	flag.Parse()
+	// Process-wide paging settings: every role maps its library.
+	goalrec.SetBlockCacheBytes(*blockCacheBytes)
+	goalrec.SetSnapshotMadvise(*madvise)
 	if *role == "coordinator" {
 		// The coordinator never scans, so it has no store; it needs only a
 		// full copy of the artifact for name resolution.
@@ -173,14 +187,11 @@ func run() error {
 	if *watch > 0 && *libPath == "" {
 		return errors.New("-watch needs -library")
 	}
-	goalrec.SetBlockCacheBytes(*blockCacheBytes)
-	goalrec.SetSnapshotMadvise(*madvise)
-
-	loadLib := func(path string) (*goalrec.Library, error) {
-		return loadLibrary(path, *impactOrdering)
-	}
 
 	logger := log.New(os.Stderr, "goalrecd: ", log.LstdFlags)
+	loadLib := func(path string) (*goalrec.Library, error) {
+		return loadLibrary(logger, path, *impactOrdering)
+	}
 	reqLogger := logger
 	if *quiet {
 		reqLogger = nil

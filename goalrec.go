@@ -140,6 +140,10 @@ func permuteVocab(v *core.Vocabulary, perm core.ImpactPermutation) *core.Vocabul
 type Library struct {
 	lib   *core.Library
 	vocab *core.Vocabulary
+
+	// vocabSum memoizes VocabChecksum, a pure function of the snapshot.
+	vocabSumOnce sync.Once
+	vocabSum     uint64
 }
 
 // NumImplementations returns the number of goal implementations.
@@ -817,12 +821,23 @@ func OpenSnapshotFile(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	lib, err := snapshotLibrary(snap, path)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{lib: lib, snap: snap}, nil
+}
+
+// snapshotLibrary wraps an open snapshot's library and vocabulary as a
+// name-level Library; an id-level snapshot (no vocabulary) is closed and
+// refused.
+func snapshotLibrary(snap *core.Snapshot, path string) (*Library, error) {
 	vocab := snap.Vocabulary()
 	if vocab == nil {
 		_ = snap.Close()
 		return nil, fmt.Errorf("goalrec: snapshot %s carries no vocabulary", path)
 	}
-	return &Snapshot{lib: &Library{lib: snap.Library(), vocab: vocab}, snap: snap}, nil
+	return &Library{lib: snap.Library(), vocab: vocab}, nil
 }
 
 // firstNonSpace returns the first byte of r that is not JSON whitespace.

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -224,8 +228,55 @@ func TestClusterHTTPBitIdenticalToSingleNode(t *testing.T) {
 // and an aborted swap (one worker's reload fails) that leaves every node on
 // the old epoch serving the old artifact.
 func TestClusterTwoPhaseSwap(t *testing.T) {
-	lib1 := clusterTestLibrary(1, 40)
-	lib2 := clusterTestLibrary(2, 55)
+	heap := func(lib *goalrec.Library) func() (*goalrec.Library, error) {
+		return func() (*goalrec.Library, error) { return lib, nil }
+	}
+	t.Run("heap", func(t *testing.T) {
+		testTwoPhaseSwap(t, heap(clusterTestLibrary(1, 40)), heap(clusterTestLibrary(2, 55)))
+	})
+	// The daemon's load path: every node maps the artifact's sidecar
+	// snapshot, anew on each reload → prepare → commit.
+	t.Run("sidecars warm", func(t *testing.T) {
+		testTwoPhaseSwap(t, viaSidecar(t, clusterTestLibrary(1, 40)), viaSidecar(t, clusterTestLibrary(2, 55)))
+	})
+}
+
+// viaSidecar saves lib as JSON lines, builds its sidecar, and returns a load
+// function that must find the sidecar warm on every call.
+func viaSidecar(t *testing.T, lib *goalrec.Library) func() (*goalrec.Library, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "lib.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.SaveJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := goalrec.LoadLibraryFileMapped(path, false); err != nil {
+		t.Fatal(err)
+	}
+	return func() (*goalrec.Library, error) {
+		lib, decision, err := goalrec.LoadLibraryFileMapped(path, false)
+		if err == nil && decision != goalrec.SidecarHit {
+			err = fmt.Errorf("sidecar of %s was not warm: %s", path, decision)
+		}
+		return lib, err
+	}
+}
+
+func testTwoPhaseSwap(t *testing.T, load1, load2 func() (*goalrec.Library, error)) {
+	lib1, err := load1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib2, err := load2()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var failPrepare atomic.Bool
 	var failWorker atomic.Int32 // which worker index fails prepare
@@ -234,7 +285,7 @@ func TestClusterTwoPhaseSwap(t *testing.T) {
 			if failPrepare.Load() && failWorker.Load() == idx {
 				return nil, fmt.Errorf("synthetic reload failure")
 			}
-			return lib2, nil
+			return load2()
 		}
 	}
 	// Build the 3 workers directly so each gets its own indexed reload func.
@@ -261,9 +312,7 @@ func TestClusterTwoPhaseSwap(t *testing.T) {
 		t.Cleanup(func() { tw.worker.Close(); tw.ln.Close() })
 		workers = append(workers, tw)
 	}
-	co := startCoordinator(t, lib1, workers, CoordinatorConfig{
-		Reload: func() (*goalrec.Library, error) { return lib2, nil },
-	})
+	co := startCoordinator(t, lib1, workers, CoordinatorConfig{Reload: load2})
 	cluster := httptest.NewServer(NewHTTPHandler(co))
 	defer cluster.Close()
 
@@ -519,9 +568,14 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 				Count int64  `json:"count"`
 			} `json:"fanout_latency_ms"`
 		} `json:"cluster"`
+		Library goalrec.LibraryBacking `json:"library"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("metrics not valid JSON: %v\n%s", err, raw)
+	}
+	if want := lib.Backing(); m.Library.Backing != "heap" || m.Library.IndexBytes != want.IndexBytes ||
+		m.Library.IndexBytes.ImplCSR == 0 || m.Library.VocabNames != want.VocabNames {
+		t.Fatalf("library block: %+v, want the backing of the coordinator's copy %+v", m.Library, want)
 	}
 	if m.Cluster.Workers != 2 || m.Cluster.Connected != 2 {
 		t.Fatalf("cluster block workers/connected: %+v", m.Cluster)
@@ -538,5 +592,69 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 	if last := m.Cluster.FanoutLatencyMs[len(m.Cluster.FanoutLatencyMs)-1].Le; last != "inf" {
 		t.Fatalf("last histogram bound: got %q, want inf", last)
+	}
+}
+
+// lockedBuffer is a log sink the test may read while handlers write.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestClusterNamesEvery5xx: a failed request leaves one line in the
+// coordinator's log — status, cause, the coordinator's epoch and the epochs
+// the workers last reported; answered requests and client errors leave none.
+func TestClusterNamesEvery5xx(t *testing.T) {
+	lib := clusterTestLibrary(11, 30)
+	workers := startWorkers(t, lib, 2, nil)
+	var logged lockedBuffer
+	co := startCoordinator(t, lib, workers, CoordinatorConfig{
+		PartialFailure: FailClosed,
+		Logger:         log.New(&logged, "", 0),
+	})
+	cluster := httptest.NewServer(NewHTTPHandler(co))
+	defer cluster.Close()
+
+	query := `{"activity": ["a1", "a5"], "strategy": "breadth", "k": 5}`
+	if code, body := postBody(t, cluster.URL+"/v1/recommend", query); code != http.StatusOK {
+		t.Fatalf("healthy cluster: got %d (%s)", code, body)
+	}
+	if code, _ := postBody(t, cluster.URL+"/v1/recommend", `{"activity": ["a1"], "strategy": "no-such-strategy"}`); code != http.StatusBadRequest {
+		t.Fatalf("bad strategy: got %d, want 400", code)
+	}
+	if got := logged.String(); strings.Contains(got, "answering") {
+		t.Fatalf("a 200 or a 400 was logged as a failure:\n%s", got)
+	}
+
+	workers[1].kill()
+	code, body := postBody(t, cluster.URL+"/v1/recommend", query)
+	if code != http.StatusBadGateway {
+		t.Fatalf("fail-closed with a dead shard: got %d (%s), want 502", code, body)
+	}
+	var line string
+	for _, l := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(l, "answering") {
+			if line != "" {
+				t.Fatalf("one failed request logged more than once:\n%s", logged.String())
+			}
+			line = l
+		}
+	}
+	for _, want := range []string{"answering 502", "shards failed", "coordinator epoch 1", "worker epochs [1 1]"} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("failure line %q lacks %q", line, want)
+		}
 	}
 }

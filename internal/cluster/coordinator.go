@@ -135,6 +135,18 @@ func (co *Coordinator) Connected() int {
 	return n
 }
 
+// peerEpochs returns the epoch each worker last reported (at registration,
+// a heartbeat or a swap), in -peers order.
+func (co *Coordinator) peerEpochs() []uint64 {
+	epochs := make([]uint64, len(co.peers))
+	for i, p := range co.peers {
+		p.mu.Lock()
+		epochs[i] = p.epoch
+		p.mu.Unlock()
+	}
+	return epochs
+}
+
 // Close drops every peer connection.
 func (co *Coordinator) Close() {
 	for _, p := range co.peers {

@@ -32,7 +32,7 @@ const (
 //	GET  /healthz
 //	GET  /readyz
 //	GET  /v1/stats
-//	GET  /v1/metrics              requests/errors + the "cluster" block
+//	GET  /v1/metrics              requests/errors + the "cluster" and "library" blocks
 //	POST /v1/recommend
 //	POST /v1/recommend/batch
 //	POST /v1/reload               cluster-wide two-phase snapshot swap
@@ -98,8 +98,18 @@ func (h *HTTPHandler) writeJSON(w http.ResponseWriter, status int, v interface{}
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers with an error body. Every 5xx is also named in the
+// coordinator's log — status, cause, the coordinator's epoch and the epoch
+// each worker last reported — so a failed request can be explained from the
+// running system; this is an error log, not a request log, and is not
+// silenced by -quiet.
 func (h *HTTPHandler) writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	h.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	msg := fmt.Sprintf(format, args...)
+	if status >= 500 {
+		h.co.logf("cluster: answering %d: %s (coordinator epoch %d, worker epochs %v)",
+			status, msg, h.co.Epoch(), h.co.peerEpochs())
+	}
+	h.writeJSON(w, status, map[string]string{"error": msg})
 }
 
 func (h *HTTPHandler) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
@@ -157,8 +167,14 @@ func (h *HTTPHandler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if err != nil {
 		cluster = []byte("{}")
 	}
-	fmt.Fprintf(w, "{\"epoch\": %d, \"requests\": %s, \"errors\": %s, \"cluster\": %s}\n",
-		h.co.Epoch(), h.requests.String(), h.errors.String(), cluster)
+	// Same "library" block as the single-node server: what backs the
+	// coordinator's copy of the artifact.
+	library, err := json.Marshal(h.co.Snapshot().Backing())
+	if err != nil {
+		library = []byte("{}")
+	}
+	fmt.Fprintf(w, "{\"epoch\": %d, \"requests\": %s, \"errors\": %s, \"cluster\": %s, \"library\": %s}\n",
+		h.co.Epoch(), h.requests.String(), h.errors.String(), cluster, library)
 }
 
 // clusterRecommendRequest mirrors the single-node /v1/recommend body.

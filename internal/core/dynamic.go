@@ -272,6 +272,7 @@ func (d *DynamicLibrary) extendLocked() *Library {
 		blkMaxLen:     prev.blkMaxLen,
 		maxImplLen:    prev.maxImplLen,
 		implLenSorted: prev.implLenSorted,
+		mapped:        prev.mapped,
 		numActions:    d.numActions,
 		numGoals:      d.numGoals,
 		epoch:         d.epoch,

@@ -326,6 +326,7 @@ type Library struct {
 
 	maxImplLen    int32 // largest |A_p| in the library
 	implLenSorted bool  // |A_p| non-decreasing in id (impact-ordered layout)
+	mapped        bool  // the flat index arrays are views over a snapshot mapping
 
 	// Copy-on-write overlays, non-nil only on extended snapshots: merged
 	// rows for the actions/goals touched since the last flat index build.

@@ -58,7 +58,7 @@ func (s *Snapshot) advise() {
 	if madviseDisabled.Load() || len(s.data) == 0 {
 		return
 	}
-	secs, _, err := snapshotSections(s.data)
+	secs, _, err := snapshotSections(s.data, uint64(len(s.data)))
 	if err != nil {
 		return
 	}

@@ -2,13 +2,16 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"goalrec/internal/faultfs"
@@ -50,12 +53,25 @@ const (
 
 	// snapFooterMagic introduces the optional 8-byte whole-file checksum
 	// footer ("GSUM" read little-endian) appended after the last section:
-	// magic | u32 crc32(everything before the footer). The open path never
-	// reads it — opening stays O(header) — but the scrubber uses it to
-	// detect silent at-rest corruption anywhere in the file, which the
-	// header CRC (header + section table only) cannot see.
+	// magic | u32 crc32(everything before the footer). OpenSnapshot never
+	// reads it — opening stays O(header) — but the scrubber and
+	// OpenSnapshotKeyed use it to detect silent at-rest corruption anywhere
+	// in the file, which the header CRC (header + section table only) cannot
+	// see.
 	snapFooterMagic = uint32(0x4d555347)
 	snapFooterSize  = 8
+
+	// snapHeadMax is the longest header + section table of either container
+	// (full or delta): what a reader needs of a file, together with its
+	// size, to know where every section and the footer lie.
+	snapHeadMax = snapHeaderSize + snapDeltaPreSize + snapDeltaSectSize*snapMaxSections
+
+	// snapMaxSourceKey bounds the optional source-key section.
+	snapMaxSourceKey = 256
+
+	// snapVerifyBuf is the fixed buffer VerifySnapshotChecksum streams a
+	// file through, whatever the file's size.
+	snapVerifyBuf = 1 << 20
 )
 
 // Header flag bits.
@@ -91,6 +107,7 @@ const (
 	secVocActStr             // byte × action-name blob
 	secVocGoalOff            // uint64 × nGoalNames+1
 	secVocGoalStr            // byte × goal-name blob
+	secSourceKey             // byte × key len (optional; see SnapshotOptions.SourceKey)
 )
 
 // hostLittleEndian reports the byte order of this process; on the (rare)
@@ -146,6 +163,11 @@ type SnapshotOptions struct {
 	// block-compressed instead of as a raw id array. Rows then decode
 	// lazily per block at query time; rankings are unaffected.
 	CompressPostings bool
+	// SourceKey, when non-empty, is stored verbatim in an optional byte
+	// section: an opaque label of what the snapshot was derived from, which
+	// OpenSnapshotKeyed demands back (at most snapMaxSourceKey bytes). Readers
+	// that do not know the section ignore it.
+	SourceKey []byte
 }
 
 // snapWriter tracks the byte offset of a buffered stream and pads sections
@@ -442,6 +464,13 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 			snapSection{id: secVocGoalStr, elem: 1, count: uint64(len(goalNameBlob)), emit: func(sw *snapWriter) { sw.write(goalNameBlob) }},
 		)
 	}
+	if len(opts.SourceKey) > 0 {
+		if len(opts.SourceKey) > snapMaxSourceKey {
+			return nil, fmt.Errorf("core: source key of %d bytes exceeds %d", len(opts.SourceKey), snapMaxSourceKey)
+		}
+		key := opts.SourceKey
+		secs = append(secs, snapSection{id: secSourceKey, elem: 1, count: uint64(len(key)), emit: func(sw *snapWriter) { sw.write(key) }})
+	}
 	return &snapPlan{
 		secs: secs, flags: flags,
 		nImpl: nImpl, nAct: nAct, nGoal: nGoal, nSlots: nSlots,
@@ -500,16 +529,15 @@ func WriteSnapshot(w io.Writer, l *Library, vocab *Vocabulary, opts SnapshotOpti
 	return sw.w.Flush()
 }
 
-// VerifySnapshotChecksum checks the whole-file checksum footer of a snapshot
-// image: every byte of the file, not just the header, must match the CRC the
-// writer sealed it with. It returns ErrNoChecksum for a (pre-footer) image
-// without one — the caller then falls back to structural verification.
-func VerifySnapshotChecksum(data []byte) error {
+// checksumEnd returns the offset of the whole-file checksum footer of a full
+// or delta snapshot — the end of its last section — given the image's first
+// bytes (at least min(size, snapHeadMax) of them) and its total size.
+func checksumEnd(head []byte, size uint64) (uint64, error) {
 	var end uint64
-	if IsSnapshotDelta(data) {
-		dsecs, _, _, err := parseDelta(data)
+	if IsSnapshotDelta(head) {
+		dsecs, _, _, err := parseDelta(head, size)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		end = uint64(snapHeaderSize + snapDeltaPreSize + snapDeltaSectSize*len(dsecs))
 		for _, d := range dsecs {
@@ -517,27 +545,76 @@ func VerifySnapshotChecksum(data []byte) error {
 				end = e
 			}
 		}
-	} else {
-		secs, _, err := snapshotSections(data)
-		if err != nil {
-			return err
-		}
-		for _, s := range secs {
-			if e := s.off + s.count*uint64(s.elem); e > end {
-				end = e
-			}
+		return end, nil
+	}
+	secs, _, err := snapshotSections(head, size)
+	if err != nil {
+		return 0, err
+	}
+	for _, s := range secs {
+		if e := s.off + s.count*uint64(s.elem); e > end {
+			end = e
 		}
 	}
-	if end+snapFooterSize > uint64(len(data)) {
+	return end, nil
+}
+
+// VerifySnapshotChecksum checks the whole-file checksum footer of the
+// size-byte snapshot image r yields: every byte of the file, not just the
+// header, must match the CRC the writer sealed it with. The image streams
+// through one fixed buffer (snapVerifyBuf), so verifying costs the same heap
+// whatever the file's size. It returns ErrNoChecksum for a (pre-footer) image
+// without one — the caller then falls back to structural verification — an
+// error wrapping ErrCorruptSnapshot when the bytes are not what was sealed,
+// and r's own error, bare, when reading fails.
+func VerifySnapshotChecksum(r io.Reader, size int64) error {
+	return verifySnapshotChecksum(r, size, snapVerifyBuf)
+}
+
+// verifySnapshotChecksum is VerifySnapshotChecksum through a buffer of
+// bufSize ≥ snapHeadMax bytes.
+func verifySnapshotChecksum(r io.Reader, size, bufSize int64) error {
+	buf := make([]byte, min(size, bufSize))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	end, err := checksumEnd(buf, uint64(size))
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+	}
+	stop := end + snapFooterSize
+	if stop > uint64(size) {
 		return ErrNoChecksum
 	}
-	footer := data[end : end+snapFooterSize]
+	// buf holds the image's bytes [pos, pos+len(buf)): those below end feed
+	// the CRC, those in [end, stop) are the footer, which may straddle reads.
+	var (
+		crc    uint32
+		footer [snapFooterSize]byte
+		pos    uint64
+	)
+	for {
+		n := uint64(len(buf))
+		if pos < end {
+			crc = crc32.Update(crc, crc32.IEEETable, buf[:min(n, end-pos)])
+		}
+		if pos+n > end {
+			from := max(pos, end)
+			copy(footer[from-end:], buf[from-pos:min(n, stop-pos)])
+		}
+		if pos += n; pos >= stop {
+			break
+		}
+		buf = buf[:min(uint64(cap(buf)), stop-pos)]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return err
+		}
+	}
 	if binary.LittleEndian.Uint32(footer[0:]) != snapFooterMagic {
 		return ErrNoChecksum
 	}
-	want := binary.LittleEndian.Uint32(footer[4:])
-	if got := crc32.ChecksumIEEE(data[:end]); got != want {
-		return fmt.Errorf("core: snapshot checksum mismatch (%#x != %#x)", got, want)
+	if want := binary.LittleEndian.Uint32(footer[4:]); crc != want {
+		return fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrCorruptSnapshot, crc, want)
 	}
 	return nil
 }
@@ -547,46 +624,50 @@ func VerifySnapshotChecksum(data []byte) error {
 // VerifySnapshot.
 var ErrNoChecksum = fmt.Errorf("core: snapshot has no checksum footer")
 
-// ErrCorruptSnapshot wraps every verification failure ScrubSnapshotFile
-// reports — proof that the bytes at rest are not what the writer sealed.
-// I/O errors reading the file are returned bare: they prove nothing about
-// the data and must not trigger quarantine.
+// ErrCorruptSnapshot wraps every verification failure VerifySnapshotChecksum
+// and ScrubSnapshotFile report — proof that the bytes at rest are not what
+// the writer sealed. I/O errors reading the file are returned bare: they
+// prove nothing about the data and must not trigger quarantine.
 var ErrCorruptSnapshot = fmt.Errorf("core: snapshot corrupt")
 
 // ScrubSnapshotFile re-reads the snapshot at path in full and verifies its
-// whole-file checksum footer; a legacy image without one is verified
-// structurally instead (deep CSR invariants). A nil return means every byte
-// of the file is what the writer sealed; a verification failure comes back
-// wrapping ErrCorruptSnapshot, anything else is an I/O error. This is the
-// scrubber's primitive — deliberately a fresh read, not a check of an
-// already-open mapping, so it catches at-rest corruption the page cache
-// would hide.
+// whole-file checksum footer, streaming the file through a fixed buffer; only
+// a legacy image without a footer is read whole, to be verified structurally
+// instead (deep CSR invariants). A nil return means every byte of the file is
+// what the writer sealed; a verification failure comes back wrapping
+// ErrCorruptSnapshot, anything else is an I/O error. This is the scrubber's
+// primitive — deliberately a fresh read, not a check of an already-open
+// mapping, so it catches at-rest corruption the page cache would hide.
 func ScrubSnapshotFile(fsys faultfs.FS, path string) error {
 	fsys = faultfs.Or(fsys)
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
-	data, rerr := io.ReadAll(f)
-	cerr := f.Close()
-	if rerr != nil {
-		return rerr
-	}
-	if cerr != nil {
-		return cerr
-	}
-	err = VerifySnapshotChecksum(data)
-	if err == ErrNoChecksum {
-		s, oerr := OpenSnapshotBytes(data)
-		if oerr != nil {
-			return fmt.Errorf("%w: %w", ErrCorruptSnapshot, oerr)
-		}
-		err = VerifySnapshot(s)
-	}
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		return err
 	}
-	return nil
+	err = VerifySnapshotChecksum(f, fi.Size())
+	if err == ErrNoChecksum {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		data, err := io.ReadAll(f)
+		if err != nil {
+			return err
+		}
+		s, err := OpenSnapshotBytes(data)
+		if err == nil {
+			err = VerifySnapshot(s)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		}
+		return nil
+	}
+	return err
 }
 
 // WriteSnapshotFile writes the snapshot to path atomically: a same-directory
@@ -674,7 +755,19 @@ func (s *Snapshot) Close() error {
 	s.adviseWG.Wait()
 	u := s.unmap
 	s.unmap = nil
+	mappedGenerations.Add(-1)
+	mappedBytes.Add(-int64(len(s.data)))
 	return u()
+}
+
+// Snapshot mappings this process holds: a count and their total size, kept
+// by mapSnapshot and Close.
+var mappedGenerations, mappedBytes atomic.Int64
+
+// MappedSnapshots returns how many snapshot mappings the process holds open
+// and their total size in bytes.
+func MappedSnapshots() (generations, bytes int64) {
+	return mappedGenerations.Load(), mappedBytes.Load()
 }
 
 // OpenSnapshot memory-maps the snapshot at path and returns zero-copy views
@@ -695,6 +788,11 @@ func OpenSnapshotFS(fsys faultfs.FS, path string) (*Snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return mapSnapshot(f, path)
+}
+
+// mapSnapshot maps the open snapshot file f and builds the views over it.
+func mapSnapshot(f faultfs.File, path string) (*Snapshot, error) {
 	data, unmap, err := mmapFile(f)
 	if err != nil {
 		return nil, err
@@ -705,12 +803,66 @@ func OpenSnapshotFS(fsys faultfs.FS, path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot %s: %w", path, err)
 	}
 	s.unmap = unmap
+	s.lib.mapped = true
+	mappedGenerations.Add(1)
+	mappedBytes.Add(int64(len(data)))
 	s.adviseAsync()
 	return s, nil
 }
 
-// snapshotSections parses and CRC-checks the header plus section table.
-func snapshotSections(data []byte) (map[uint32]snapSection, uint32, error) {
+// OpenSnapshotKeyed is OpenSnapshot for a snapshot that stands in for
+// another file: it maps path only if the image carries exactly the source
+// key (SnapshotOptions.SourceKey) and every byte of it matches the whole-file
+// checksum it was sealed with. Key, checksum and mapping all come from the
+// one descriptor opened here — the key and the checksum through read, with a
+// fixed buffer, before anything is mapped — so a concurrent rename of path
+// cannot split them across two files. Every refusal is an error naming the
+// reason; the caller rebuilds the snapshot and never serves a refused one.
+func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, error) {
+	f, err := faultfs.Or(fsys).Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := fi.Size()
+	head := make([]byte, min(size, snapHeadMax))
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return nil, err
+	}
+	secs, _, err := snapshotSections(head, uint64(size))
+	if err != nil {
+		return nil, err
+	}
+	ks, ok := secs[secSourceKey]
+	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
+		return nil, errors.New("no source key")
+	}
+	have := make([]byte, ks.count)
+	if _, err := f.ReadAt(have, int64(ks.off)); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(have, key) {
+		return nil, fmt.Errorf("source key is %q", have)
+	}
+	if err := VerifySnapshotChecksum(io.NewSectionReader(f, 0, size), size); err != nil {
+		return nil, err
+	}
+	s, err := mapSnapshot(f, path)
+	if err == nil && int64(len(s.data)) != size {
+		_ = s.Close()
+		return nil, fmt.Errorf("size changed from %d to %d bytes while opening", size, len(s.data))
+	}
+	return s, err
+}
+
+// snapshotSections parses and CRC-checks the header plus section table of a
+// size-byte image, of which data holds the first bytes — all of them, or at
+// least snapHeadMax.
+func snapshotSections(data []byte, size uint64) (map[uint32]snapSection, uint32, error) {
 	if len(data) < snapHeaderSize {
 		return nil, 0, fmt.Errorf("truncated header (%d bytes)", len(data))
 	}
@@ -750,8 +902,8 @@ func snapshotSections(data []byte) (map[uint32]snapSection, uint32, error) {
 			return nil, 0, fmt.Errorf("section %d: misaligned offset %d", s.id, s.off)
 		}
 		end := s.off + s.count*uint64(s.elem)
-		if s.off < uint64(tableEnd) || end < s.off || end > uint64(len(data)) {
-			return nil, 0, fmt.Errorf("section %d: range [%d, %d) outside file of %d bytes", s.id, s.off, end, len(data))
+		if s.off < uint64(tableEnd) || end < s.off || end > size {
+			return nil, 0, fmt.Errorf("section %d: range [%d, %d) outside file of %d bytes", s.id, s.off, end, size)
 		}
 		if _, dup := secs[s.id]; dup {
 			return nil, 0, fmt.Errorf("duplicate section %d", s.id)
@@ -765,7 +917,7 @@ func snapshotSections(data []byte) (map[uint32]snapSection, uint32, error) {
 // library's arrays alias data; the caller owns data's lifetime (OpenSnapshot
 // wires it to the file mapping).
 func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
-	secs, flags, err := snapshotSections(data)
+	secs, flags, err := snapshotSections(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}

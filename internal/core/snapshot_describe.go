@@ -31,7 +31,10 @@ type SnapshotDescription struct {
 	Epoch           uint64
 	MaxImplLen      uint32
 	FileBytes       uint64
-	Sections        []SnapshotSectionInfo
+	// SourceKey is the optional label of what the snapshot was derived from
+	// (SnapshotOptions.SourceKey); empty when the image carries none.
+	SourceKey string
+	Sections  []SnapshotSectionInfo
 }
 
 var snapSectionNames = map[uint32]string{
@@ -59,6 +62,7 @@ var snapSectionNames = map[uint32]string{
 	secVocActStr:  "vocab-action-names",
 	secVocGoalOff: "vocab-goal-offsets",
 	secVocGoalStr: "vocab-goal-names",
+	secSourceKey:  "source-key",
 }
 
 // SnapshotDeltaSectionInfo describes one section of a delta snapshot: how
@@ -96,7 +100,7 @@ type SnapshotDeltaDescription struct {
 // validating the header CRC and geometry exactly like materialization does —
 // and returns the reference/inline layout without needing the base.
 func DescribeSnapshotDelta(data []byte) (*SnapshotDeltaDescription, error) {
-	secs, flags, baseEpoch, err := parseDelta(data)
+	secs, flags, baseEpoch, err := parseDelta(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +136,7 @@ func DescribeSnapshotDelta(data []byte) (*SnapshotDeltaDescription, error) {
 // CRC and geometry exactly like OpenSnapshotBytes — and returns the layout
 // without materializing a library.
 func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
-	secs, flags, err := snapshotSections(data)
+	secs, flags, err := snapshotSections(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -160,5 +164,8 @@ func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
 		})
 	}
 	sort.Slice(d.Sections, func(i, j int) bool { return d.Sections[i].Offset < d.Sections[j].Offset })
+	if ks, ok := secs[secSourceKey]; ok && ks.elem == 1 && ks.count <= snapMaxSourceKey {
+		d.SourceKey = string(data[ks.off : ks.off+ks.count])
+	}
 	return d, nil
 }

@@ -62,7 +62,7 @@ type SnapshotBase struct {
 
 // NewSnapshotBase parses a full snapshot image for use as a diff base.
 func NewSnapshotBase(data []byte) (*SnapshotBase, error) {
-	secs, _, err := snapshotSections(data)
+	secs, _, err := snapshotSections(data, uint64(len(data)))
 	if err != nil {
 		return nil, fmt.Errorf("core: delta base: %w", err)
 	}
@@ -89,9 +89,11 @@ func IsSnapshotDelta(data []byte) bool {
 		binary.LittleEndian.Uint32(data[4:]) == snapshotDeltaVersion
 }
 
-// parseDelta validates the delta header + table and returns the entries in
-// table order plus the header flags and the base epoch the delta requires.
-func parseDelta(data []byte) ([]deltaSection, uint32, uint64, error) {
+// parseDelta validates the delta header + table of a size-byte image, of
+// which data holds the first bytes (all of them, or at least snapHeadMax),
+// and returns the entries in table order plus the header flags and the base
+// epoch the delta requires.
+func parseDelta(data []byte, size uint64) ([]deltaSection, uint32, uint64, error) {
 	if len(data) < snapHeaderSize+snapDeltaPreSize {
 		return nil, 0, 0, fmt.Errorf("truncated delta header (%d bytes)", len(data))
 	}
@@ -139,8 +141,8 @@ func parseDelta(data []byte) ([]deltaSection, uint32, uint64, error) {
 			return nil, 0, 0, fmt.Errorf("delta section %d: misaligned offset %d", d.id, d.off)
 		}
 		end := d.off + d.inlineLen()
-		if d.off < uint64(tableEnd) || end < d.off || end > uint64(len(data)) {
-			return nil, 0, 0, fmt.Errorf("delta section %d: range [%d, %d) outside file of %d bytes", d.id, d.off, end, len(data))
+		if d.off < uint64(tableEnd) || end < d.off || end > size {
+			return nil, 0, 0, fmt.Errorf("delta section %d: range [%d, %d) outside file of %d bytes", d.id, d.off, end, size)
 		}
 		if seen[d.id] {
 			return nil, 0, 0, fmt.Errorf("duplicate delta section %d", d.id)
@@ -278,7 +280,7 @@ func WriteSnapshotDiffFileFS(fsys faultfs.FS, path string, l *Library, vocab *Vo
 // what WriteSnapshot would have produced for the same library, so it opens,
 // verifies and scrubs like any full snapshot.
 func MaterializeDelta(delta []byte, base *SnapshotBase) ([]byte, error) {
-	secs, _, baseEpoch, err := parseDelta(delta)
+	secs, _, baseEpoch, err := parseDelta(delta, uint64(len(delta)))
 	if err != nil {
 		return nil, fmt.Errorf("core: materialize delta: %w", err)
 	}

@@ -58,10 +58,10 @@ func TestSnapshotDiffMaterializeBitIdentical(t *testing.T) {
 		if !IsSnapshotDelta(delta) {
 			t.Fatalf("compress=%v: delta not recognized", compress)
 		}
-		if err := VerifySnapshotChecksum(delta); err != nil {
+		if err := VerifySnapshotChecksum(bytes.NewReader(delta), int64(len(delta))); err != nil {
 			t.Fatalf("compress=%v: delta checksum: %v", compress, err)
 		}
-		secs, _, baseEpoch, err := parseDelta(delta)
+		secs, _, baseEpoch, err := parseDelta(delta, uint64(len(delta)))
 		if err != nil {
 			t.Fatalf("parseDelta: %v", err)
 		}
@@ -104,7 +104,7 @@ func TestSnapshotDiffSelfIsAllReference(t *testing.T) {
 		t.Fatalf("WriteSnapshotDiff: %v", err)
 	}
 	delta := db.Bytes()
-	secs, _, _, err := parseDelta(delta)
+	secs, _, _, err := parseDelta(delta, uint64(len(delta)))
 	if err != nil {
 		t.Fatalf("parseDelta: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestSnapshotDiffDetectsBaseRot(t *testing.T) {
 		t.Fatalf("WriteSnapshotDiff: %v", err)
 	}
 	delta := db.Bytes()
-	secs, _, _, err := parseDelta(delta)
+	secs, _, _, err := parseDelta(delta, uint64(len(delta)))
 	if err != nil {
 		t.Fatalf("parseDelta: %v", err)
 	}

@@ -354,7 +354,7 @@ func TestVerifySnapshotCatchesBodyCorruption(t *testing.T) {
 	}
 	data := buf.Bytes()
 	// Flip a bit in the middle of the actPost section body.
-	secs, _, err := snapshotSections(data)
+	secs, _, err := snapshotSections(data, uint64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,3 +123,42 @@ func (l *Library) ConnectivityPercentile(p float64) float64 {
 	frac := rank - float64(lo)
 	return float64(degrees[lo])*(1-frac) + float64(degrees[hi])*frac
 }
+
+// IndexBytes is the size of a library's flat index arrays, by structure, as
+// their lengths give it; the copy-on-write overlay rows of an extended
+// snapshot are not counted.
+type IndexBytes struct {
+	ImplCSR int64 `json:"impl_csr"` // implementation -> goal, actions
+	AGI     int64 `json:"a_gi"`     // A-GI-idx postings (or their compressed blob)
+	GGI     int64 `json:"g_gi"`     // G-GI-idx postings
+	AG      int64 `json:"ag"`       // AG-idx (goal, count) pairs
+	GA      int64 `json:"ga"`       // GA-idx (action, count) pairs
+	Blocks  int64 `json:"blocks"`   // block-max metadata and per-goal walk costs
+}
+
+// IndexBytes returns the size of l's flat index arrays.
+func (l *Library) IndexBytes() IndexBytes {
+	words := func(ns ...int) int64 {
+		var n int64
+		for _, v := range ns {
+			n += 4 * int64(v)
+		}
+		return n
+	}
+	b := IndexBytes{
+		ImplCSR: words(len(l.implGoal), len(l.implOff), len(l.implActs)),
+		AGI:     words(len(l.actOff), len(l.actPost)),
+		GGI:     words(len(l.goalOff), len(l.goalPost)),
+		AG:      words(len(l.agOff), len(l.agGoal), len(l.agCnt)),
+		GA:      words(len(l.gaOff), len(l.gaAct), len(l.gaCnt)),
+		Blocks:  words(len(l.blkOff), len(l.blkLast), len(l.blkMinLen), len(l.blkMaxLen), len(l.goalSlots)),
+	}
+	if l.cp != nil {
+		b.AGI += 8*int64(len(l.cp.blobOff)) + int64(len(l.cp.blob))
+	}
+	return b
+}
+
+// Mapped reports whether l's flat index arrays are views over a snapshot
+// mapping rather than heap memory.
+func (l *Library) Mapped() bool { return l.mapped }

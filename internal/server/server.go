@@ -548,10 +548,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if b, err := json.Marshal(cacheStats); err == nil {
 		cache = b
 	}
-	fmt.Fprintf(w, "{\"epoch\": %d, \"requests\": %s, \"errors\": %s, \"lifecycle\": %s, \"pruning\": {\"enabled\": %t, \"counters\": %s}, \"users\": {\"enabled\": %t, \"counters\": %s}, \"storage\": %s, \"block_cache\": {\"enabled\": %t, \"counters\": %s}, \"reload_failure_streak\": %d}\n",
+	// What backs the served library: mapped or heap, bytes per index
+	// structure, the process's mappings and the last sidecar decision.
+	library, err := json.Marshal(b.lib.Backing())
+	if err != nil {
+		library = []byte("{}")
+	}
+	fmt.Fprintf(w, "{\"epoch\": %d, \"requests\": %s, \"errors\": %s, \"lifecycle\": %s, \"pruning\": {\"enabled\": %t, \"counters\": %s}, \"users\": {\"enabled\": %t, \"counters\": %s}, \"storage\": %s, \"block_cache\": {\"enabled\": %t, \"counters\": %s}, \"library\": %s, \"reload_failure_streak\": %d}\n",
 		b.lib.Epoch(), s.requests.String(), s.errors.String(),
 		s.lifecycle.String(), b.lib.Core().ImplLenSorted(), prune, s.users != nil, users, storage,
-		cacheStats.BudgetBytes > 0, cache, s.reloadStreak.Load())
+		cacheStats.BudgetBytes > 0, cache, library, s.reloadStreak.Load())
 }
 
 // recommendRequest is the /v1/recommend body.

@@ -3,9 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -351,5 +355,80 @@ func TestPruningDisabledMetrics(t *testing.T) {
 	}
 	if metrics.Pruning.Enabled || metrics.Pruning.Counters != (goalrec.PruneStatsSnapshot{}) {
 		t.Errorf("unexpected pruning block: %+v", metrics.Pruning)
+	}
+}
+
+// TestMetricsLibraryBlock: /v1/metrics says what backs the served library —
+// heap for a built one, mapped after a reload through the daemon's sidecar
+// load path — while /v1/stats stays byte-identical across the two.
+func TestMetricsLibraryBlock(t *testing.T) {
+	lib := testLibrary(t)
+	path := filepath.Join(t.TempDir(), "lib.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.SaveJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := goalrec.LoadLibraryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(parsed, nil, WithReloader(func() (*goalrec.Library, error) {
+		lib, _, err := goalrec.LoadLibraryFileMapped(path, false)
+		return lib, err
+	}))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	library := func() goalrec.LibraryBacking {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got struct {
+			Library goalrec.LibraryBacking `json:"library"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got.Library
+	}
+	stats := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The epoch moves with the reload; nothing else may.
+		return regexp.MustCompile(`"epoch":\d+`).ReplaceAllString(string(b), `"epoch":N`)
+	}
+
+	heap, heapStats := library(), stats()
+	if heap.Backing != "heap" || heap.IndexBytes != parsed.Backing().IndexBytes || heap.IndexBytes.AGI == 0 ||
+		heap.VocabNames != parsed.Backing().VocabNames {
+		t.Fatalf("library block of a parsed library: %+v", heap)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/reload", ``); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: %d %s", resp.StatusCode, body)
+	}
+	mapped := library()
+	if mapped.Backing != "mapped" || mapped.IndexBytes != heap.IndexBytes || mapped.VocabNames != heap.VocabNames ||
+		mapped.MappedGenerations < 1 || mapped.MappedBytes <= 0 || !strings.HasPrefix(mapped.Sidecar, goalrec.SidecarRebuilt) {
+		t.Fatalf("library block after a sidecar reload: %+v (before: %+v)", mapped, heap)
+	}
+	if got := stats(); got != heapStats {
+		t.Fatalf("/v1/stats changed with the backing:\n heap:   %s\n mapped: %s", heapStats, got)
 	}
 }

@@ -48,8 +48,15 @@ func (l *Library) ActionNameByID(a core.ActionID) string {
 // Cluster registration compares checksums so a worker serving a different
 // artifact (which would resolve names to different ids and silently corrupt
 // the merged ranking) is rejected up front rather than detected by wrong
-// results.
+// results. The snapshot is immutable, so the hash is computed once per
+// Library and every later call — each heartbeat reply, each registration
+// check — returns the remembered value.
 func (l *Library) VocabChecksum() uint64 {
+	l.vocabSumOnce.Do(func() { l.vocabSum = l.computeVocabChecksum() })
+	return l.vocabSum
+}
+
+func (l *Library) computeVocabChecksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v uint64) {
