@@ -9,6 +9,7 @@ package goalrec_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -292,16 +293,20 @@ func BenchmarkCollectParallel(b *testing.B) {
 	}
 }
 
-// dynBenchEnv caches one pre-grown library per size for the dynamic
-// snapshot benchmarks: a DynamicLibrary ready to append into, and a Builder
-// holding the same implementations for the cold-rebuild baseline.
-type dynBenchEnv struct {
-	dyn *core.DynamicLibrary
-	bld core.Builder
+// dynBenchLineage is how many publishes one lineage of
+// BenchmarkDynamicSnapshotAppend takes before the next starts over from the
+// flat base: the backlog a publish extends is bounded by it whatever b.N is.
+const dynBenchLineage = 256
 
-	// One pre-drawn extra implementation, appended per iteration.
-	extraGoal core.GoalID
-	extraActs []core.ActionID
+// dynBenchEnv caches one pre-grown library per size for the dynamic
+// snapshot benchmarks: the flat library every lineage starts from, and a
+// Builder holding the same implementations for the cold-rebuild baseline.
+type dynBenchEnv struct {
+	flat *core.Library
+	bld  core.Builder
+
+	// Pre-drawn extra implementations, one appended per publish.
+	extras [dynBenchLineage]core.Implementation
 }
 
 var (
@@ -318,25 +323,23 @@ func dynBenchEnvFor(b *testing.B, n int) *dynBenchEnv {
 	}
 	const actionUniverse = 10_000
 	rng := rand.New(rand.NewSource(1))
-	e := &dynBenchEnv{dyn: core.NewDynamicLibrary()}
-	acts := make([]core.ActionID, 8)
-	for i := 0; i < n; i++ {
+	e := &dynBenchEnv{}
+	draw := func() core.Implementation {
+		acts := make([]core.ActionID, 8)
 		for j := range acts {
 			acts[j] = core.ActionID(rng.Intn(actionUniverse))
 		}
-		goal := core.GoalID(rng.Intn(n/20 + 1))
-		if _, err := e.dyn.Add(goal, acts); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.bld.Add(goal, acts); err != nil {
+		return core.Implementation{Goal: core.GoalID(rng.Intn(n/20 + 1)), Actions: acts}
+	}
+	for i := 0; i < n; i++ {
+		impl := draw()
+		if _, err := e.bld.Add(impl.Goal, impl.Actions); err != nil {
 			b.Fatal(err)
 		}
 	}
-	e.dyn.Snapshot() // establish the flat base the appends extend
-	e.extraGoal = core.GoalID(rng.Intn(n/20 + 1))
-	e.extraActs = make([]core.ActionID, 8)
-	for j := range e.extraActs {
-		e.extraActs[j] = core.ActionID(rng.Intn(actionUniverse))
+	e.flat = e.bld.Build()
+	for i := range e.extras {
+		e.extras[i] = draw()
 	}
 	dynBenchEnvs[n] = e
 	return e
@@ -344,23 +347,74 @@ func dynBenchEnvFor(b *testing.B, n int) *dynBenchEnv {
 
 // BenchmarkDynamicSnapshotAppend measures publishing one appended
 // implementation out of a large library: the incremental path (Add +
-// Snapshot on a DynamicLibrary, which extends the previous epoch's indexes
-// and periodically compacts) against the cold baseline of re-deriving every
-// index with Builder.Build. The incremental path is required to be at least
-// an order of magnitude faster — that gap is the point of the epoch-based
-// engine.
+// Snapshot on a DynamicLibrary, which extends the previous epoch's indexes)
+// against the cold baseline of re-deriving every index with Builder.Build.
+// The incremental path is required to be at least an order of magnitude
+// faster — that gap is the point of the epoch-based engine.
+//
+// A lineage is started over from the flat base every dynBenchLineage
+// publishes, so ns/op and B/op are per publish at a bounded backlog and do
+// not depend on b.N. retained=1 drops each snapshot when the next exists;
+// retained=all keeps every one of a lineage alive, as lagging user views do.
+// live-B/op is what a publish leaves on the heap after a collection: the
+// per-epoch cost of retention.
 func BenchmarkDynamicSnapshotAppend(b *testing.B) {
 	for _, n := range []int{250_000, 1_000_000} {
 		e := dynBenchEnvFor(b, n)
-		b.Run(fmt.Sprintf("incremental-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.dyn.Add(e.extraGoal, e.extraActs); err != nil {
-					b.Fatal(err)
-				}
-				e.dyn.Snapshot()
+		for _, retainAll := range []bool{false, true} {
+			retained := "1"
+			if retainAll {
+				retained = "all"
 			}
-		})
+			b.Run(fmt.Sprintf("incremental-%d/retained=%s", n, retained), func(b *testing.B) {
+				b.ReportAllocs()
+				var (
+					dyn  *core.DynamicLibrary
+					held []*core.Library
+					live uint64 // heap in use when the current lineage started
+					left uint64 // heap the finished lineages left in use, summed
+				)
+				heapInUse := func() uint64 {
+					var m runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&m)
+					return m.HeapAlloc
+				}
+				// endLineage charges the live heap the lineage built up, then
+				// lets go of it.
+				endLineage := func() {
+					if dyn != nil {
+						if now := heapInUse(); now > live {
+							left += now - live
+						}
+						runtime.KeepAlive(dyn) // the lineage's latest snapshot counts as live
+					}
+					dyn, held = nil, held[:0]
+					clear(held[:cap(held)])
+				}
+				for i := 0; i < b.N; i++ {
+					if i%dynBenchLineage == 0 {
+						b.StopTimer()
+						endLineage()
+						live = heapInUse()
+						dyn = core.NewDynamicLibrary()
+						dyn.Swap(e.flat)
+						b.StartTimer()
+					}
+					extra := e.extras[i%dynBenchLineage]
+					if _, err := dyn.Add(extra.Goal, extra.Actions); err != nil {
+						b.Fatal(err)
+					}
+					snap := dyn.Snapshot()
+					if retainAll {
+						held = append(held, snap)
+					}
+				}
+				b.StopTimer()
+				endLineage()
+				b.ReportMetric(float64(left)/float64(b.N), "live-B/op")
+			})
+		}
 		b.Run(fmt.Sprintf("coldrebuild-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

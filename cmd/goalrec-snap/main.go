@@ -15,6 +15,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -110,6 +111,22 @@ func inspect(path string) error {
 	}
 	fmt.Printf("  header+padding: %d bytes (%.1f%% of file)\n",
 		d.FileBytes-used, 100*float64(d.FileBytes-used)/float64(d.FileBytes))
+	if d.HasVocabulary {
+		// The memory ledger a process serving this file reports under
+		// "library" in /v1/metrics, base apart from delta: a file is all base.
+		snap, err := goalrec.OpenSnapshotFile(path)
+		if err != nil {
+			return err
+		}
+		ledger, err := json.Marshal(snap.Library().Backing())
+		if cerr := snap.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  library ledger when served: %s\n", ledger)
+	}
 	if d.Compressed {
 		// Ratio of the compressed posting storage (offsets + blob) to the
 		// 4 bytes/entry the raw section would take.

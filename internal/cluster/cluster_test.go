@@ -574,7 +574,8 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics not valid JSON: %v\n%s", err, raw)
 	}
 	if want := lib.Backing(); m.Library.Backing != "heap" || m.Library.IndexBytes != want.IndexBytes ||
-		m.Library.IndexBytes.ImplCSR == 0 || m.Library.VocabNames != want.VocabNames {
+		m.Library.IndexBytes.ImplCSR == 0 || m.Library.VocabNames != want.VocabNames ||
+		m.Library.Vocab != want.Vocab || m.Library.Overlay != want.Overlay || m.Library.TailImplementations != 0 {
 		t.Fatalf("library block: %+v, want the backing of the coordinator's copy %+v", m.Library, want)
 	}
 	if m.Cluster.Workers != 2 || m.Cluster.Connected != 2 {

@@ -44,7 +44,7 @@ func (l *Library) appendRowBlocks(row []ImplID, last []ImplID, minLen, maxLen []
 		mn := int32(1) << 30
 		mx := int32(0)
 		for _, p := range row[lo:hi] {
-			n := l.implOff[p+1] - l.implOff[p]
+			n := int32(l.ImplLen(p))
 			if n < mn {
 				mn = n
 			}
@@ -82,7 +82,7 @@ func (l *Library) buildBlocks() {
 	l.maxImplLen = 0
 	l.implLenSorted = true
 	prev := int32(0)
-	for p := 0; p+1 < len(l.implOff); p++ {
+	for p := 0; p < len(l.implGoal); p++ {
 		n := l.implOff[p+1] - l.implOff[p]
 		if n > l.maxImplLen {
 			l.maxImplLen = n
@@ -105,23 +105,18 @@ func (l *Library) ImplLenSorted() bool { return l.implLenSorted }
 // row, aligned with ImplsOfAction(a). Ids outside the library — or newer
 // than the snapshot's base indexes and never touched — yield an empty view.
 func (l *Library) ActionPostingBlocks(a ActionID) PostingBlocks {
-	if a < 0 || int(a) >= l.numActions {
-		return PostingBlocks{}
-	}
-	if l.ovBlocks != nil {
-		if b, ok := l.ovBlocks[a]; ok {
-			return b
+	if uint32(a) < uint32(l.numActions) {
+		if l.ovAct.pages != nil {
+			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
+				return r.blk
+			}
+		}
+		if int(a)+1 < len(l.blkOff) {
+			lo, hi := l.blkOff[a], l.blkOff[a+1]
+			return PostingBlocks{Last: l.blkLast[lo:hi], MinLen: l.blkMinLen[lo:hi], MaxLen: l.blkMaxLen[lo:hi]}
 		}
 	}
-	if int(a)+1 >= len(l.blkOff) {
-		return PostingBlocks{}
-	}
-	lo, hi := l.blkOff[a], l.blkOff[a+1]
-	return PostingBlocks{
-		Last:   l.blkLast[lo:hi],
-		MinLen: l.blkMinLen[lo:hi],
-		MaxLen: l.blkMaxLen[lo:hi],
-	}
+	return PostingBlocks{}
 }
 
 // MaxImplLen returns the largest |A_p| in the library, 0 when empty. It caps

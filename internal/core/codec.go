@@ -46,27 +46,33 @@ const binaryMagic = uint32(0x474c4942) // "GLIB"
 const binaryVersion = uint32(1)
 
 // WriteBinary writes the id-level library to w in the compact snapshot
-// format.
+// format. The implementation CSR goes out contiguous — base arrays, then the
+// tail segment of an extended snapshot — so any library shape round-trips.
 func WriteBinary(w io.Writer, l *Library) error {
 	bw := bufio.NewWriter(w)
 	hdr := []uint32{
 		binaryMagic, binaryVersion,
 		uint32(l.NumImplementations()), uint32(l.numActions), uint32(l.numGoals),
-		uint32(len(l.implActs)),
+		uint32(l.NumPostings()),
 	}
 	for _, v := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return fmt.Errorf("core: writing header: %w", err)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, l.implGoal); err != nil {
-		return fmt.Errorf("core: writing goals: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, l.implOff); err != nil {
-		return fmt.Errorf("core: writing offsets: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, l.implActs); err != nil {
-		return fmt.Errorf("core: writing actions: %w", err)
+	for _, part := range []struct {
+		what       string
+		base, tail any
+	}{
+		{"goals", l.implGoal, l.tailGoal},
+		{"offsets", l.implOff, l.flatTailOff()},
+		{"actions", l.implActs, l.tailActs},
+	} {
+		for _, seg := range []any{part.base, part.tail} {
+			if err := binary.Write(bw, binary.LittleEndian, seg); err != nil {
+				return fmt.Errorf("core: writing %s: %w", part.what, err)
+			}
+		}
 	}
 	return bw.Flush()
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 
 	"goalrec/internal/intset"
@@ -19,34 +19,42 @@ const defaultCompactMin = 1024
 // swap the whole collection), and readers obtain immutable *Library
 // snapshots carrying strictly increasing epochs.
 //
-// Snapshots are built incrementally. The store owns append-only
-// implementation CSR arrays; every snapshot views a full-slice (len == cap)
-// prefix of them, so later appends — which only ever write beyond every
-// snapshot's length — can never alias memory a reader sees. The posting
-// indexes (A-GI-idx, G-GI-idx, AG-idx) of the previous epoch are shared
-// wholesale, with fresh merged rows overlaid for just the touched actions
-// and goals. Snapshotting an append into a million-implementation library
-// therefore costs the touched rows, not a full index derivation; once the
-// backlog since the last flat build exceeds max(1024, flat/8), the snapshot
-// compacts into a fresh flat library, keeping overlay memory bounded and
-// amortizing rebuild cost over the appends that forced it.
+// Snapshots are built incrementally, and the invariant is that the heap
+// holds the delta, not the library. The base — the flat library a Swap
+// adopted or the last compaction built — is immutable and stays where it is
+// (a snapshot mapping, a loader's arrays): it is never copied, every
+// snapshot since shares it. The store owns only an append-only tail of the
+// implementation CSR; every snapshot views a full-slice (len == cap) prefix
+// of it, so later appends — which only ever write beyond every snapshot's
+// length — can never alias memory a reader sees. The posting indexes
+// (A-GI-idx, G-GI-idx, AG-idx, GA-idx, block metadata) of the base are
+// shared wholesale, with fresh merged rows overlaid for just the touched
+// actions and goals (overlay.go). Snapshotting an append into a
+// million-implementation library therefore costs the touched rows and the
+// overlay pages holding them, not a full index derivation and not the
+// backlog of earlier appends; once the tail reaches max(1024, base/8), the
+// snapshot compacts base and tail into a fresh flat library — the one place
+// the implementation CSR is copied, where every index is rebuilt anyway —
+// keeping overlay memory bounded and amortizing rebuild cost over the
+// appends that forced it.
 //
 // Old snapshots stay valid indefinitely and keep returning their epoch's
 // results bit-identically; they are never mutated, only superseded.
 type DynamicLibrary struct {
 	mu sync.Mutex
 
-	// Owned append-only implementation CSR.
-	implGoal []GoalID
-	implOff  []int32
-	implActs []ActionID
+	// Owned append-only tail of the implementation CSR: the implementations
+	// added since cur's base arrays were adopted or built. tailOff counts
+	// from 0 into tailActs.
+	tailGoal []GoalID
+	tailOff  []int32
+	tailActs []ActionID
 
 	numActions int // id-space high-water marks over appended impls
 	numGoals   int
 
-	flatImpls int      // implementations covered by cur's flat CSR indexes
-	cur       *Library // latest snapshot; nil until first use
-	epoch     uint64
+	cur   *Library // latest snapshot; nil until first use. Its flat arrays are the base.
+	epoch uint64
 
 	// compactMin overrides the compaction threshold in tests; 0 selects
 	// defaultCompactMin.
@@ -60,14 +68,18 @@ func NewDynamicLibrary() *DynamicLibrary {
 }
 
 func (d *DynamicLibrary) initLocked() {
+	if d.cur == nil {
+		d.cur = d.buildFlatLocked()
+	}
+}
+
+// lenLocked returns the number of implementations ingested so far.
+func (d *DynamicLibrary) lenLocked() int {
+	n := len(d.tailGoal)
 	if d.cur != nil {
-		return
+		n += len(d.cur.implGoal)
 	}
-	if len(d.implOff) == 0 {
-		d.implOff = append(d.implOff, 0)
-	}
-	d.cur = d.buildFlatLocked()
-	d.flatImpls = len(d.implGoal)
+	return n
 }
 
 // Add appends one implementation; it never blocks readers of previously
@@ -91,10 +103,10 @@ func (d *DynamicLibrary) addLocked(goal GoalID, actions []ActionID) (ImplID, err
 	if norm[0] < 0 {
 		return NoImpl, fmt.Errorf("%w: action %d", ErrNegativeID, norm[0])
 	}
-	id := ImplID(len(d.implGoal))
-	d.implGoal = append(d.implGoal, goal)
-	d.implActs = append(d.implActs, norm...)
-	d.implOff = append(d.implOff, int32(len(d.implActs)))
+	id := ImplID(d.lenLocked())
+	d.tailGoal = append(d.tailGoal, goal)
+	d.tailActs = append(d.tailActs, norm...)
+	d.tailOff = append(d.tailOff, int32(len(d.tailActs)))
 	if n := int(goal) + 1; n > d.numGoals {
 		d.numGoals = n
 	}
@@ -121,7 +133,7 @@ func (d *DynamicLibrary) AddImplementations(impls []Implementation) (int, error)
 func (d *DynamicLibrary) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.implGoal)
+	return d.lenLocked()
 }
 
 // SetCompactionThreshold overrides the minimum append backlog that triggers
@@ -155,22 +167,17 @@ func (d *DynamicLibrary) Snapshot() *Library {
 
 func (d *DynamicLibrary) snapshotLocked() *Library {
 	d.initLocked()
-	n := len(d.implGoal)
-	if d.cur.NumImplementations() == n {
+	if d.cur.NumImplementations() == d.lenLocked() {
 		return d.cur
 	}
 	d.epoch++
-	min := d.compactMin
-	if min <= 0 {
-		min = defaultCompactMin
+	threshold := d.compactMin
+	if threshold <= 0 {
+		threshold = defaultCompactMin
 	}
-	threshold := d.flatImpls / 8
-	if threshold < min {
-		threshold = min
-	}
-	if n-d.flatImpls >= threshold {
+	threshold = max(threshold, len(d.cur.implGoal)/8)
+	if len(d.tailGoal) >= threshold {
 		d.cur = d.buildFlatLocked()
-		d.flatImpls = n
 	} else {
 		d.cur = d.extendLocked()
 	}
@@ -178,30 +185,25 @@ func (d *DynamicLibrary) snapshotLocked() *Library {
 }
 
 // Swap replaces the store's contents with lib, which becomes the next
-// epoch's snapshot. The implementation CSR is borrowed as full-slice
-// (len == cap) views — the lineage's own appends reallocate before the first
-// write, so memory shared with the caller (or with a memory-mapped snapshot)
-// is never mutated and Swap is O(1) regardless of library size. lib itself
-// is not mutated. It returns the stamped snapshot.
+// epoch's snapshot. lib's flat arrays — heap or a memory-mapped snapshot —
+// are adopted as the lineage's base where they are, shared and never
+// written; if lib is itself an extended snapshot, only its tail is copied, so
+// that this lineage's appends continue in arrays of its own. Swap is
+// therefore O(1) for a flat library of any size. lib itself is not mutated.
+// It returns the stamped snapshot.
 func (d *DynamicLibrary) Swap(lib *Library) *Library {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := lib.NumImplementations()
-	d.implGoal = lib.implGoal[:n:n]
-	if len(lib.implOff) >= n+1 {
-		d.implOff = lib.implOff[: n+1 : n+1]
-	} else {
-		d.implOff = []int32{0}
+	d.tailGoal = slices.Clone(lib.tailGoal)
+	d.tailOff = slices.Clone(lib.tailOff)
+	if len(d.tailOff) == 0 {
+		d.tailOff = []int32{0}
 	}
-	slots := len(lib.implActs)
-	d.implActs = lib.implActs[:slots:slots]
+	d.tailActs = slices.Clone(lib.tailActs)
 	d.numActions = lib.numActions
 	d.numGoals = lib.numGoals
 	d.epoch++
 	d.cur = lib.withEpoch(d.epoch)
-	// Treat the swapped-in library as the flat base for compaction purposes:
-	// its own indexes (flat or overlay) serve as the prefix to extend.
-	d.flatImpls = n
 	return d.cur
 }
 
@@ -222,92 +224,61 @@ func (d *DynamicLibrary) RestoreEpoch(e uint64) error {
 }
 
 // buildFlatLocked derives a fully indexed (flat) library over everything
-// appended so far, viewing — not copying — the owned implementation CSR.
+// appended so far. It folds the base and the tail into fresh contiguous
+// arrays, which become the next base, and starts an empty tail: older
+// snapshots keep viewing the arrays they were published over.
 func (d *DynamicLibrary) buildFlatLocked() *Library {
-	n := len(d.implGoal)
-	slots := int(d.implOff[n])
+	var ext Library // the base with the whole tail on it
+	if d.cur != nil {
+		ext = *d.cur
+	}
+	ext.tailGoal, ext.tailOff, ext.tailActs = d.tailGoal, d.tailOff, d.tailActs
+	implOff := make([]int32, 1, ext.NumImplementations()+1)
+	if nb := len(ext.implGoal); nb > 0 {
+		implOff = append(implOff, ext.implOff[1:nb+1]...)
+	}
 	lib := &Library{
-		implGoal:   d.implGoal[:n:n],
-		implOff:    d.implOff[: n+1 : n+1],
-		implActs:   d.implActs[:slots:slots],
+		implGoal:   slices.Concat(ext.implGoal, ext.tailGoal),
+		implOff:    append(implOff, ext.flatTailOff()...),
+		implActs:   slices.Concat(ext.implActs, ext.tailActs),
 		numActions: d.numActions,
 		numGoals:   d.numGoals,
 		epoch:      d.epoch,
 	}
 	lib.buildIndexes()
+	d.tailGoal, d.tailOff, d.tailActs = nil, []int32{0}, nil
 	return lib
 }
 
 // extendLocked builds the next snapshot from the previous one plus the
-// pending appends: the implementation CSR grows by prefix sharing, and only
-// the posting rows of touched actions/goals are re-materialized into the
+// pending appends: the base is shared, the tail grows by prefix sharing, and
+// only the index rows of touched actions/goals are re-materialized into the
 // copy-on-write overlay. Merged rows append the new implementation ids —
 // which are strictly larger than every previous id — after the old row, so
 // row contents are bit-identical to a full rebuild's.
 func (d *DynamicLibrary) extendLocked() *Library {
 	prev := d.cur
 	lo := prev.NumImplementations()
-	hi := len(d.implGoal)
-	slots := int(d.implOff[hi])
+	hi := d.lenLocked()
+	t := len(d.tailGoal)
+	slots := len(d.tailActs)
 
-	nl := &Library{
-		implGoal:      d.implGoal[:hi:hi],
-		implOff:       d.implOff[: hi+1 : hi+1],
-		implActs:      d.implActs[:slots:slots],
-		actOff:        prev.actOff,
-		actPost:       prev.actPost,
-		cp:            prev.cp,
-		goalOff:       prev.goalOff,
-		goalPost:      prev.goalPost,
-		agOff:         prev.agOff,
-		agGoal:        prev.agGoal,
-		agCnt:         prev.agCnt,
-		gaOff:         prev.gaOff,
-		gaAct:         prev.gaAct,
-		gaCnt:         prev.gaCnt,
-		goalSlots:     prev.goalSlots,
-		blkOff:        prev.blkOff,
-		blkLast:       prev.blkLast,
-		blkMinLen:     prev.blkMinLen,
-		blkMaxLen:     prev.blkMaxLen,
-		maxImplLen:    prev.maxImplLen,
-		implLenSorted: prev.implLenSorted,
-		mapped:        prev.mapped,
-		numActions:    d.numActions,
-		numGoals:      d.numGoals,
-		epoch:         d.epoch,
+	nl := *prev // the base arrays, its indexes and the layout flags carry over
+	nl.tailGoal = d.tailGoal[:t:t]
+	nl.tailOff = d.tailOff[: t+1 : t+1]
+	nl.tailActs = d.tailActs[:slots:slots]
+	nl.numActions = d.numActions
+	nl.numGoals = d.numGoals
+	nl.epoch = d.epoch
 
-		ovActPost:   maps.Clone(prev.ovActPost),
-		ovGoalPost:  maps.Clone(prev.ovGoalPost),
-		ovAgGoal:    maps.Clone(prev.ovAgGoal),
-		ovAgCnt:     maps.Clone(prev.ovAgCnt),
-		ovGaAct:     maps.Clone(prev.ovGaAct),
-		ovGaCnt:     maps.Clone(prev.ovGaCnt),
-		ovGoalSlots: maps.Clone(prev.ovGoalSlots),
-		ovBlocks:    maps.Clone(prev.ovBlocks),
-	}
-	if nl.ovActPost == nil {
-		nl.ovActPost = make(map[ActionID][]ImplID)
-		nl.ovGoalPost = make(map[GoalID][]ImplID)
-		nl.ovAgGoal = make(map[ActionID][]GoalID)
-		nl.ovAgCnt = make(map[ActionID][]int32)
-		nl.ovGoalSlots = make(map[GoalID]int32)
-	}
-	if nl.ovBlocks == nil {
-		nl.ovBlocks = make(map[ActionID]PostingBlocks)
-	}
-	if nl.ovGaAct == nil {
-		nl.ovGaAct = make(map[GoalID][]ActionID)
-		nl.ovGaCnt = make(map[GoalID][]int32)
-	}
-	prevLen := int32(0)
+	prevLen := 0
 	if lo > 0 {
-		prevLen = d.implOff[lo] - d.implOff[lo-1]
+		prevLen = prev.ImplLen(ImplID(lo - 1))
 	}
 	for p := lo; p < hi; p++ {
-		n := d.implOff[p+1] - d.implOff[p]
-		if n > nl.maxImplLen {
-			nl.maxImplLen = n
+		n := nl.ImplLen(ImplID(p))
+		if int32(n) > nl.maxImplLen {
+			nl.maxImplLen = int32(n)
 		}
 		if n < prevLen {
 			nl.implLenSorted = false
@@ -323,8 +294,8 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	pendGA := make(map[GoalID]map[ActionID]int32)
 	for p := lo; p < hi; p++ {
 		id := ImplID(p)
-		g := d.implGoal[p]
-		acts := d.implActs[d.implOff[p]:d.implOff[p+1]]
+		g := nl.Goal(id)
+		acts := nl.implActions(id)
 		pendGoal[g] = append(pendGoal[g], id)
 		pendSlots[g] += int32(len(acts))
 		ga := pendGA[g]
@@ -344,104 +315,71 @@ func (d *DynamicLibrary) extendLocked() *Library {
 		}
 	}
 
-	// A-GI-idx rows: old row (overlay or base CSR) followed by the new ids.
-	// Each merged row's block-max metadata is rebuilt alongside it — the same
-	// O(row) cost class as materializing the row — so threshold-aware scans
-	// stay available on extended snapshots.
+	// Action rows: the A-GI-idx row is the old row (overlay or base CSR)
+	// followed by the new ids, and its block-max metadata is rebuilt
+	// alongside it — the same O(row) cost class as materializing the row —
+	// so threshold-aware scans stay available on extended snapshots; the
+	// AG-idx row is the old (goal, count) row merged with the pending
+	// per-goal increments.
+	acts := prev.ovAct.extend(d.numActions)
 	for a, ids := range pendAct {
-		old := prev.ImplsOfAction(a)
-		row := make([]ImplID, 0, len(old)+len(ids))
-		merged := append(append(row, old...), ids...)
-		nl.ovActPost[a] = merged
-		var blk PostingBlocks
-		blk.Last, blk.MinLen, blk.MaxLen = nl.appendRowBlocks(merged, nil, nil, nil)
-		nl.ovBlocks[a] = blk
-	}
-
-	// G-GI-idx rows and per-goal walk costs.
-	for g, ids := range pendGoal {
-		old := prev.ImplsOfGoal(g)
-		row := make([]ImplID, 0, len(old)+len(ids))
-		nl.ovGoalPost[g] = append(append(row, old...), ids...)
-		nl.ovGoalSlots[g] = int32(prev.GoalWalkCost(g)) + pendSlots[g]
-	}
-
-	// AG-idx rows: sorted merge of the old (goal, count) row with the
-	// pending per-goal increments.
-	for a, delta := range pendAG {
+		r := &actRow{post: slices.Concat(prev.ImplsOfAction(a), ids)}
+		r.blk.Last, r.blk.MinLen, r.blk.MaxLen = nl.appendRowBlocks(r.post, nil, nil, nil)
 		oldG, oldC := prev.GoalsOfAction(a)
-		dg := make([]GoalID, 0, len(delta))
-		for g := range delta {
-			dg = append(dg, g)
-		}
-		dg = intset.FromUnsorted(dg) // map keys: distinct already, just sorts
-		mg := make([]GoalID, 0, len(oldG)+len(dg))
-		mc := make([]int32, 0, len(oldG)+len(dg))
-		i, j := 0, 0
-		for i < len(oldG) && j < len(dg) {
-			switch {
-			case oldG[i] < dg[j]:
-				mg = append(mg, oldG[i])
-				mc = append(mc, oldC[i])
-				i++
-			case oldG[i] > dg[j]:
-				mg = append(mg, dg[j])
-				mc = append(mc, delta[dg[j]])
-				j++
-			default:
-				mg = append(mg, oldG[i])
-				mc = append(mc, oldC[i]+delta[dg[j]])
-				i, j = i+1, j+1
-			}
-		}
-		for ; i < len(oldG); i++ {
-			mg = append(mg, oldG[i])
-			mc = append(mc, oldC[i])
-		}
-		for ; j < len(dg); j++ {
-			mg = append(mg, dg[j])
-			mc = append(mc, delta[dg[j]])
-		}
-		nl.ovAgGoal[a], nl.ovAgCnt[a] = mg, mc
+		r.agGoal, r.agCnt = mergeCounts(oldG, oldC, pendAG[a])
+		acts.set(int32(a), r)
 	}
+	nl.ovAct = acts.ovTable
 
-	// GA-idx rows: the transpose merge — old (action, count) row of each
-	// touched goal merged with the pending per-action increments.
-	for g, delta := range pendGA {
+	// Goal rows: G-GI-idx row, walk cost, and the GA-idx row — the transpose
+	// merge of the goal's old (action, count) row with the pending
+	// per-action increments.
+	goals := prev.ovGoal.extend(d.numGoals)
+	for g, ids := range pendGoal {
+		r := &goalRow{
+			post:  slices.Concat(prev.ImplsOfGoal(g), ids),
+			slots: int32(prev.GoalWalkCost(g)) + pendSlots[g],
+		}
 		oldA, oldC := prev.ActionsOfGoal(g)
-		da := make([]ActionID, 0, len(delta))
-		for a := range delta {
-			da = append(da, a)
-		}
-		da = intset.FromUnsorted(da) // map keys: distinct already, just sorts
-		ma := make([]ActionID, 0, len(oldA)+len(da))
-		mc := make([]int32, 0, len(oldA)+len(da))
-		i, j := 0, 0
-		for i < len(oldA) && j < len(da) {
-			switch {
-			case oldA[i] < da[j]:
-				ma = append(ma, oldA[i])
-				mc = append(mc, oldC[i])
-				i++
-			case oldA[i] > da[j]:
-				ma = append(ma, da[j])
-				mc = append(mc, delta[da[j]])
-				j++
-			default:
-				ma = append(ma, oldA[i])
-				mc = append(mc, oldC[i]+delta[da[j]])
-				i, j = i+1, j+1
-			}
-		}
-		for ; i < len(oldA); i++ {
-			ma = append(ma, oldA[i])
-			mc = append(mc, oldC[i])
-		}
-		for ; j < len(da); j++ {
-			ma = append(ma, da[j])
-			mc = append(mc, delta[da[j]])
-		}
-		nl.ovGaAct[g], nl.ovGaCnt[g] = ma, mc
+		r.gaAct, r.gaCnt = mergeCounts(oldA, oldC, pendGA[g])
+		goals.set(int32(g), r)
 	}
-	return nl
+	nl.ovGoal = goals.ovTable
+	return &nl
+}
+
+// mergeCounts merges a sorted (key, count) index row with per-key
+// increments into a fresh row.
+func mergeCounts[K intset.ID](oldK []K, oldC []int32, delta map[K]int32) ([]K, []int32) {
+	dk := make([]K, 0, len(delta))
+	for k := range delta {
+		dk = append(dk, k)
+	}
+	dk = intset.FromUnsorted(dk) // map keys: distinct already, just sorts
+	mk := make([]K, 0, len(oldK)+len(dk))
+	mc := make([]int32, 0, len(oldK)+len(dk))
+	i, j := 0, 0
+	for i < len(oldK) && j < len(dk) {
+		switch {
+		case oldK[i] < dk[j]:
+			mk = append(mk, oldK[i])
+			mc = append(mc, oldC[i])
+			i++
+		case oldK[i] > dk[j]:
+			mk = append(mk, dk[j])
+			mc = append(mc, delta[dk[j]])
+			j++
+		default:
+			mk = append(mk, oldK[i])
+			mc = append(mc, oldC[i]+delta[dk[j]])
+			i, j = i+1, j+1
+		}
+	}
+	mk = append(mk, oldK[i:]...)
+	mc = append(mc, oldC[i:]...)
+	for ; j < len(dk); j++ {
+		mk = append(mk, dk[j])
+		mc = append(mc, delta[dk[j]])
+	}
+	return mk, mc
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -261,5 +263,176 @@ func TestDynamicLibraryIncrementalEquivalence(t *testing.T) {
 	// Old snapshots still return their epoch's results after all appends.
 	for i, snap := range holds {
 		libraryEqual(t, snap, refs[i])
+	}
+}
+
+// snapshotImage returns the canonical snapshot image of l stamped with the
+// given epoch: every index row, the block metadata and the layout scalars, as
+// the serializer reads them through the accessor surface.
+func snapshotImage(t *testing.T, l *Library, epoch uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, l.withEpoch(epoch), nil, SnapshotOptions{}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestDynamicBaseTailOverlay is the table for the segmented implementation
+// CSR and the paged overlay: whatever a lineage adopts as its base — heap
+// arrays, a mapped snapshot, or another lineage's extended snapshot — every
+// publish on top of it must be indistinguishable from Builder.Build over the
+// same implementations, accessor by accessor and byte for byte in the
+// canonical snapshot image, across compactions. Every snapshot is checked
+// again after all later ones exist: epochs share overlay pages and the tail's
+// backing arrays, and a write through either is the bug this catches.
+func TestDynamicBaseTailOverlay(t *testing.T) {
+	const nAct, nGoal = 70, 40
+	rng := rand.New(rand.NewSource(11))
+	draw := func(wide bool) Implementation {
+		acts := make([]ActionID, 1+rng.Intn(5))
+		span := nAct
+		if wide {
+			span += 200 // ids past the base's spaces: new overlay pages, new rows
+		}
+		for j := range acts {
+			acts[j] = ActionID(rng.Intn(span))
+		}
+		return Implementation{Goal: GoalID(rng.Intn(span * nGoal / nAct)), Actions: acts}
+	}
+	var seed []Implementation
+	for i := 0; i < 400; i++ {
+		seed = append(seed, draw(false))
+	}
+	build := func(impls []Implementation) *Library {
+		b := NewBuilder(len(impls), 3)
+		for _, impl := range impls {
+			if _, err := b.Add(impl.Goal, impl.Actions); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+
+	sources := []struct {
+		name string
+		open func(t *testing.T) (*Library, []Implementation)
+	}{
+		{"heap", func(t *testing.T) (*Library, []Implementation) { return build(seed), seed }},
+		{"mapped", func(t *testing.T) (*Library, []Implementation) {
+			return snapshotRoundTrip(t, build(seed), nil, SnapshotOptions{}).Library(), seed
+		}},
+		{"mapped-compressed", func(t *testing.T) (*Library, []Implementation) {
+			return snapshotRoundTrip(t, build(seed), nil, SnapshotOptions{CompressPostings: true}).Library(), seed
+		}},
+		{"already-extended", func(t *testing.T) (*Library, []Implementation) {
+			other := NewDynamicLibrary()
+			other.SetCompactionThreshold(1 << 30)
+			other.Swap(build(seed))
+			impls := append([]Implementation(nil), seed...)
+			for i := 0; i < 40; i++ {
+				impl := draw(i%4 == 0)
+				impls = append(impls, impl)
+				if _, err := other.Add(impl.Goal, impl.Actions); err != nil {
+					t.Fatal(err)
+				}
+				if i%8 == 7 {
+					other.Snapshot()
+				}
+			}
+			ext := other.Snapshot()
+			if o := ext.Overlay(); ext.TailImplementations() != 40 || o.ActionRows == 0 || o.GoalRows == 0 {
+				t.Fatalf("source is not an extended snapshot: tail %d, overlay %+v", ext.TailImplementations(), o)
+			}
+			return ext, impls
+		}},
+	}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			lib, impls := src.open(t)
+			srcImage := snapshotImage(t, lib, 0)
+
+			d := NewDynamicLibrary()
+			d.SetCompactionThreshold(64)
+			first := d.Swap(lib)
+			assertLibrariesEqual(t, build(impls), first)
+
+			type held struct {
+				snap  *Library
+				want  *Library
+				image []byte
+			}
+			holds := []held{{first, build(impls), snapshotImage(t, build(impls), first.Epoch())}}
+			extended, compacted := 0, 0
+			for k := 0; k < 24; k++ {
+				for i := 0; i < 8; i++ {
+					impl := draw(i == 0)
+					impls = append(impls, impl)
+					if _, err := d.Add(impl.Goal, impl.Actions); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap := d.Snapshot()
+				want := build(impls)
+				assertLibrariesEqual(t, want, snap)
+				image := snapshotImage(t, want, snap.Epoch())
+				if !bytes.Equal(snapshotImage(t, snap, snap.Epoch()), image) {
+					t.Fatalf("publish %d: snapshot image differs from the flat rebuild's", k)
+				}
+				if snap.TailImplementations() > 0 {
+					extended++
+				} else {
+					compacted++
+				}
+				holds = append(holds, held{snap, want, image})
+			}
+			if extended == 0 || compacted < 2 {
+				t.Fatalf("%d extended and %d compacted publishes: the table must cross compactions", extended, compacted)
+			}
+			for i, h := range holds {
+				assertLibrariesEqual(t, h.want, h.snap)
+				if !bytes.Equal(snapshotImage(t, h.snap, h.snap.Epoch()), h.image) {
+					t.Fatalf("snapshot %d changed after later publishes", i)
+				}
+			}
+			if !bytes.Equal(snapshotImage(t, lib, 0), srcImage) {
+				t.Fatal("the adopted library changed under the lineage's appends")
+			}
+		})
+	}
+}
+
+// TestDynamicPublishCostIndependentOfHistory: a publish pays for the rows
+// and overlay pages it touches, not for the backlog since the last flat
+// build — with every snapshot retained, as lagging user views retain them.
+func TestDynamicPublishCostIndependentOfHistory(t *testing.T) {
+	d := NewDynamicLibrary()
+	d.SetCompactionThreshold(1 << 30)
+	d.Swap(snapTestLibrary(t, 20_000, 2_000, 9))
+	rng := rand.New(rand.NewSource(3))
+	var retained []*Library
+	publish := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < n; k++ {
+			for i := 0; i < 8; i++ {
+				acts := []ActionID{ActionID(rng.Intn(2_000)), ActionID(rng.Intn(2_000)), ActionID(rng.Intn(2_000))}
+				if _, err := d.Add(GoalID(rng.Intn(6_000)), acts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			retained = append(retained, d.Snapshot())
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := publish(64)
+	publish(512 - 128)
+	last := publish(64)
+	if last > 2*first {
+		t.Fatalf("the last 64 of 512 publishes allocated %d bytes, the first 64 %d: publish cost grows with history", last, first)
+	}
+	if n := retained[len(retained)-1].NumImplementations(); n != 20_000+512*8 {
+		t.Fatalf("last snapshot has %d implementations", n)
 	}
 }

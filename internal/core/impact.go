@@ -79,8 +79,8 @@ func ImpactOrder(l *Library) (*Library, ImpactPermutation) {
 		if la != lb {
 			return la < lb
 		}
-		if l.implGoal[a] != l.implGoal[b] {
-			return l.implGoal[a] < l.implGoal[b]
+		if l.Goal(a) != l.Goal(b) {
+			return l.Goal(a) < l.Goal(b)
 		}
 		return a < b
 	})
@@ -88,13 +88,13 @@ func ImpactOrder(l *Library) (*Library, ImpactPermutation) {
 	out := &Library{
 		implGoal:   make([]GoalID, nImpl),
 		implOff:    make([]int32, 1, nImpl+1),
-		implActs:   make([]ActionID, 0, len(l.implActs)),
+		implActs:   make([]ActionID, 0, l.NumPostings()),
 		numActions: nAct,
 		numGoals:   l.numGoals,
 		epoch:      l.epoch,
 	}
 	for i, p := range order {
-		out.implGoal[i] = l.implGoal[p]
+		out.implGoal[i] = l.Goal(p)
 		start := len(out.implActs)
 		for _, a := range l.implActions(p) {
 			out.implActs = append(out.implActs, perm.ActionNew[a])

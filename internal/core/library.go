@@ -141,8 +141,13 @@ func checkImplCSR(implGoal []GoalID, implOff []int32, implActs []ActionID) (maxA
 
 // buildIndexes derives the posting indexes (A-GI-idx, G-GI-idx and AG-idx)
 // from the implementation CSR. It is called once per immutable Library, by
-// Builder.Build and by the loaders.
+// Builder.Build, the loaders and DynamicLibrary compaction — always on a
+// contiguous CSR: a tail segment exists only on the extended snapshots that
+// reuse these indexes.
 func (l *Library) buildIndexes() {
+	if len(l.tailGoal) != 0 {
+		panic("core: buildIndexes on a library with a tail segment")
+	}
 	nImpl := len(l.implGoal)
 	nAct, nGoal := l.numActions, l.numGoals
 
@@ -278,16 +283,25 @@ func (l *Library) buildIndexes() {
 //
 // Libraries come in two internal shapes. A *flat* library (Builder.Build,
 // the codecs) stores every index as packed CSR arrays. An *extended* library
-// (a DynamicLibrary snapshot) shares the flat CSR arrays of an earlier epoch
-// and overlays fresh rows for only the actions and goals the appended
-// implementations touched; untouched rows keep serving from the shared
-// prefix, which is what makes snapshotting an append sub-linear in library
-// size. All accessors resolve the overlay transparently, so the two shapes
-// are observationally identical.
+// (a DynamicLibrary snapshot) shares every flat array of an earlier epoch —
+// the base, which is never copied or written, wherever it lives — and holds
+// only what was appended since: the new implementations in a tail segment
+// of the implementation CSR, and overlay rows for just the actions and goals
+// they touched. Untouched rows keep serving from the base, which is what
+// makes snapshotting an append sub-linear in library size. All accessors
+// resolve tail and overlay transparently, so the two shapes are
+// observationally identical.
 type Library struct {
 	implGoal []GoalID   // GI-G-idx: implementation -> goal
 	implOff  []int32    // CSR offsets into implActs (GI-A-idx)
 	implActs []ActionID // concatenated, per-impl sorted action lists
+
+	// Tail segment of the implementation CSR, non-empty only on extended
+	// snapshots: implementations len(implGoal).. in the same form, with
+	// tailOff counting from 0 into tailActs.
+	tailGoal []GoalID
+	tailOff  []int32
+	tailActs []ActionID
 
 	actOff  []int32  // CSR offsets into actPost, len numActions+1
 	actPost []ImplID // A-GI-idx postings, sorted per action; nil when compressed
@@ -328,18 +342,13 @@ type Library struct {
 	implLenSorted bool  // |A_p| non-decreasing in id (impact-ordered layout)
 	mapped        bool  // the flat index arrays are views over a snapshot mapping
 
-	// Copy-on-write overlays, non-nil only on extended snapshots: merged
-	// rows for the actions/goals touched since the last flat index build.
-	// The CSR arrays above then belong to the base epoch and cover only ids
-	// below their own lengths; every accessor consults the overlay first.
-	ovActPost   map[ActionID][]ImplID
-	ovGoalPost  map[GoalID][]ImplID
-	ovAgGoal    map[ActionID][]GoalID
-	ovAgCnt     map[ActionID][]int32
-	ovGaAct     map[GoalID][]ActionID
-	ovGaCnt     map[GoalID][]int32
-	ovGoalSlots map[GoalID]int32
-	ovBlocks    map[ActionID]PostingBlocks
+	// Copy-on-write overlays (overlay.go), non-empty only on extended
+	// snapshots: merged rows for the actions/goals touched since the last
+	// flat index build. The index arrays above then belong to the base epoch
+	// and cover only ids below their own lengths; every accessor consults
+	// the overlay first.
+	ovAct  ovTable[actRow]
+	ovGoal ovTable[goalRow]
 
 	numActions int
 	numGoals   int
@@ -363,7 +372,7 @@ func (l *Library) withEpoch(e uint64) *Library {
 }
 
 // NumImplementations returns |L|.
-func (l *Library) NumImplementations() int { return len(l.implGoal) }
+func (l *Library) NumImplementations() int { return len(l.implGoal) + len(l.tailGoal) }
 
 // NumActions returns the size of the action id space (max id + 1).
 func (l *Library) NumActions() int { return l.numActions }
@@ -373,7 +382,12 @@ func (l *Library) NumGoals() int { return l.numGoals }
 
 // Goal returns the goal the implementation p fulfills (GI-G-idx lookup).
 // It panics if p is out of range.
-func (l *Library) Goal(p ImplID) GoalID { return l.implGoal[p] }
+func (l *Library) Goal(p ImplID) GoalID {
+	if int(p) < len(l.implGoal) {
+		return l.implGoal[p]
+	}
+	return l.tailGoal[int(p)-len(l.implGoal)]
+}
 
 // Actions returns the sorted action set of implementation p (GI-A-idx
 // lookup). The returned slice is a view into the library and must not be
@@ -383,17 +397,39 @@ func (l *Library) Actions(p ImplID) []ActionID {
 }
 
 func (l *Library) implActions(p ImplID) []ActionID {
-	return l.implActs[l.implOff[p]:l.implOff[p+1]]
+	if int(p) < len(l.implGoal) {
+		return l.implActs[l.implOff[p]:l.implOff[p+1]]
+	}
+	q := int(p) - len(l.implGoal)
+	return l.tailActs[l.tailOff[q]:l.tailOff[q+1]]
 }
 
 // ImplLen returns |A_p| without materializing the action view.
 func (l *Library) ImplLen(p ImplID) int {
-	return int(l.implOff[p+1] - l.implOff[p])
+	if int(p) < len(l.implGoal) {
+		return int(l.implOff[p+1] - l.implOff[p])
+	}
+	q := int(p) - len(l.implGoal)
+	return int(l.tailOff[q+1] - l.tailOff[q])
+}
+
+// flatTailOff returns the offsets that continue implOff over the tail in a
+// contiguous implementation CSR: tailOff[1:] shifted by the base's slot
+// count. The serializers write it after implOff.
+func (l *Library) flatTailOff() []int32 {
+	if len(l.tailGoal) == 0 {
+		return nil
+	}
+	out := make([]int32, len(l.tailGoal))
+	for q := range out {
+		out[q] = int32(len(l.implActs)) + l.tailOff[q+1]
+	}
+	return out
 }
 
 // NumPostings returns the total posting count Σ_p |A_p| — the A-GI-idx
 // size, used by cost models choosing between scan directions.
-func (l *Library) NumPostings() int { return len(l.implActs) }
+func (l *Library) NumPostings() int { return len(l.implActs) + len(l.tailActs) }
 
 // ImplsOfAction returns the sorted implementation ids containing action a
 // (A-GI-idx lookup); this is the implementation space IS(a) of the paper.
@@ -414,36 +450,34 @@ func (l *Library) ImplsOfAction(a ActionID) []ImplID {
 // (G-GI-idx lookup). The returned slice is a view and must not be modified.
 // Ids outside the library yield an empty slice.
 func (l *Library) ImplsOfGoal(g GoalID) []ImplID {
-	if g < 0 || int(g) >= l.numGoals {
-		return nil
-	}
-	if l.ovGoalPost != nil {
-		if row, ok := l.ovGoalPost[g]; ok {
-			return row
+	if uint32(g) < uint32(l.numGoals) {
+		if l.ovGoal.pages != nil {
+			if r := l.ovGoal.pages[g>>ovPageBits][g&(ovPageRows-1)]; r != nil {
+				return r.post
+			}
+		}
+		if int(g)+1 < len(l.goalOff) {
+			return l.goalPost[l.goalOff[g]:l.goalOff[g+1]]
 		}
 	}
-	if int(g)+1 >= len(l.goalOff) {
-		return nil
-	}
-	return l.goalPost[l.goalOff[g]:l.goalOff[g+1]]
+	return nil
 }
 
 // ActionDegree returns the connectivity of one action: the number of
 // implementations it participates in. It reads the CSR offsets, so it is
 // O(1) even over block-compressed postings.
 func (l *Library) ActionDegree(a ActionID) int {
-	if a < 0 || int(a) >= l.numActions {
-		return 0
-	}
-	if l.ovActPost != nil {
-		if row, ok := l.ovActPost[a]; ok {
-			return len(row)
+	if uint32(a) < uint32(l.numActions) {
+		if l.ovAct.pages != nil {
+			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
+				return len(r.post)
+			}
+		}
+		if int(a)+1 < len(l.actOff) {
+			return int(l.actOff[a+1] - l.actOff[a])
 		}
 	}
-	if int(a)+1 >= len(l.actOff) {
-		return 0
-	}
-	return int(l.actOff[a+1] - l.actOff[a])
+	return 0
 }
 
 // GoalsOfAction returns the AG-idx row of action a: the sorted distinct
@@ -452,19 +486,18 @@ func (l *Library) ActionDegree(a ActionID) int {
 // into the library and must not be modified. Ids outside the library yield
 // empty slices.
 func (l *Library) GoalsOfAction(a ActionID) ([]GoalID, []int32) {
-	if a < 0 || int(a) >= l.numActions {
-		return nil, nil
-	}
-	if l.ovAgGoal != nil {
-		if row, ok := l.ovAgGoal[a]; ok {
-			return row, l.ovAgCnt[a]
+	if uint32(a) < uint32(l.numActions) {
+		if l.ovAct.pages != nil {
+			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
+				return r.agGoal, r.agCnt
+			}
+		}
+		if int(a)+1 < len(l.agOff) {
+			lo, hi := l.agOff[a], l.agOff[a+1]
+			return l.agGoal[lo:hi], l.agCnt[lo:hi]
 		}
 	}
-	if int(a)+1 >= len(l.agOff) {
-		return nil, nil
-	}
-	lo, hi := l.agOff[a], l.agOff[a+1]
-	return l.agGoal[lo:hi], l.agCnt[lo:hi]
+	return nil, nil
 }
 
 // ActionsOfGoal returns the GA-idx row of goal g: the sorted distinct
@@ -474,19 +507,18 @@ func (l *Library) GoalsOfAction(a ActionID) ([]GoalID, []int32) {
 // library and must not be modified. Ids outside the library yield empty
 // slices.
 func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
-	if g < 0 || int(g) >= l.numGoals {
-		return nil, nil
-	}
-	if l.ovGaAct != nil {
-		if row, ok := l.ovGaAct[g]; ok {
-			return row, l.ovGaCnt[g]
+	if uint32(g) < uint32(l.numGoals) {
+		if l.ovGoal.pages != nil {
+			if r := l.ovGoal.pages[g>>ovPageBits][g&(ovPageRows-1)]; r != nil {
+				return r.gaAct, r.gaCnt
+			}
+		}
+		if int(g)+1 < len(l.gaOff) {
+			lo, hi := l.gaOff[g], l.gaOff[g+1]
+			return l.gaAct[lo:hi], l.gaCnt[lo:hi]
 		}
 	}
-	if int(g)+1 >= len(l.gaOff) {
-		return nil, nil
-	}
-	lo, hi := l.gaOff[g], l.gaOff[g+1]
-	return l.gaAct[lo:hi], l.gaCnt[lo:hi]
+	return nil, nil
 }
 
 // GoalActionCount returns the number of distinct actions of goal g: the
@@ -528,18 +560,17 @@ func (l *Library) ActionGoalCount(a ActionID, g GoalID) int {
 // GoalWalkCost returns Σ |A_p| over the implementations of goal g: the exact
 // cost of visiting every slot of the goal. Ids outside the library yield 0.
 func (l *Library) GoalWalkCost(g GoalID) int {
-	if g < 0 || int(g) >= l.numGoals {
-		return 0
-	}
-	if l.ovGoalSlots != nil {
-		if v, ok := l.ovGoalSlots[g]; ok {
-			return int(v)
+	if uint32(g) < uint32(l.numGoals) {
+		if l.ovGoal.pages != nil {
+			if r := l.ovGoal.pages[g>>ovPageBits][g&(ovPageRows-1)]; r != nil {
+				return int(r.slots)
+			}
+		}
+		if int(g) < len(l.goalSlots) {
+			return int(l.goalSlots[g])
 		}
 	}
-	if int(g) >= len(l.goalSlots) {
-		return 0
-	}
-	return int(l.goalSlots[g])
+	return 0
 }
 
 // Implementation materializes implementation p as a value with its own

@@ -70,21 +70,20 @@ func subRange(row []ImplID, lo, hi ImplID) []ImplID {
 // (overlay row or flat base array). The second result is false when the row
 // exists only in compressed form.
 func (l *Library) rawRow(a ActionID) ([]ImplID, bool) {
-	if a < 0 || int(a) >= l.numActions {
-		return nil, true
-	}
-	if l.ovActPost != nil {
-		if row, ok := l.ovActPost[a]; ok {
-			return row, true
+	if uint32(a) < uint32(l.numActions) {
+		if l.ovAct.pages != nil {
+			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
+				return r.post, true
+			}
+		}
+		if int(a)+1 < len(l.actOff) {
+			if l.cp != nil {
+				return nil, false
+			}
+			return l.actPost[l.actOff[a]:l.actOff[a+1]], true
 		}
 	}
-	if int(a)+1 >= len(l.actOff) {
-		return nil, true
-	}
-	if l.cp != nil {
-		return nil, false
-	}
-	return l.actPost[l.actOff[a]:l.actOff[a+1]], true
+	return nil, true
 }
 
 // PostingRow returns the full posting row of action a. For uncompressed rows

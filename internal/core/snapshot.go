@@ -241,17 +241,6 @@ type snapSection struct {
 	emit  func(sw *snapWriter)
 }
 
-// packNames flattens a name list into (cumulative byte offsets, blob).
-func packNames(names []string) ([]uint64, []byte) {
-	off := make([]uint64, 1, len(names)+1)
-	var blob []byte
-	for _, s := range names {
-		blob = append(blob, s...)
-		off = append(off, uint64(len(blob)))
-	}
-	return off, blob
-}
-
 // snapPlan is one snapshot's section plan — the ordered sections plus the
 // header dimensions — shared by the full-snapshot writer (WriteSnapshot) and
 // the delta writer (WriteSnapshotDiff) so both serialize the exact same
@@ -292,7 +281,7 @@ func (p *snapPlan) headerBytes(version uint32) []byte {
 func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPlan, error) {
 	nImpl := l.NumImplementations()
 	nAct, nGoal := l.numActions, l.numGoals
-	nSlots := len(l.implActs)
+	nSlots := l.NumPostings()
 
 	// Derived flat offsets. ActionDegree/GoalDegree/... resolve overlays, so
 	// these are the offsets a flat rebuild would produce.
@@ -356,8 +345,8 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	var actNameBlob, goalNameBlob []byte
 	if vocab != nil {
 		flags |= snapFlagVocab
-		actNameOff, actNameBlob = packNames(vocab.Actions.Names())
-		goalNameOff, goalNameBlob = packNames(vocab.Goals.Names())
+		actNameOff, actNameBlob = vocab.Actions.pack()
+		goalNameOff, goalNameBlob = vocab.Goals.pack()
 	}
 
 	// emitRows streams every A-GI posting row (the raw actPost section).
@@ -395,9 +384,19 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	}
 
 	secs := []snapSection{
-		{id: secImplGoal, elem: 4, count: uint64(nImpl), emit: func(sw *snapWriter) { writeI32Slice(sw, l.implGoal) }},
-		{id: secImplOff, elem: 4, count: uint64(nImpl + 1), emit: func(sw *snapWriter) { sw.writeI32s(l.implOff) }},
-		{id: secImplActs, elem: 4, count: uint64(nSlots), emit: func(sw *snapWriter) { writeI32Slice(sw, l.implActs) }},
+		// The implementation CSR is written contiguous: base, then tail.
+		{id: secImplGoal, elem: 4, count: uint64(nImpl), emit: func(sw *snapWriter) {
+			writeI32Slice(sw, l.implGoal)
+			writeI32Slice(sw, l.tailGoal)
+		}},
+		{id: secImplOff, elem: 4, count: uint64(nImpl + 1), emit: func(sw *snapWriter) {
+			sw.writeI32s(l.implOff)
+			sw.writeI32s(l.flatTailOff())
+		}},
+		{id: secImplActs, elem: 4, count: uint64(nSlots), emit: func(sw *snapWriter) {
+			writeI32Slice(sw, l.implActs)
+			writeI32Slice(sw, l.tailActs)
+		}},
 		{id: secActOff, elem: 4, count: uint64(nAct + 1), emit: func(sw *snapWriter) { sw.writeI32s(actOff) }},
 	}
 	if !opts.CompressPostings {
@@ -721,8 +720,10 @@ func filepathDir(path string) string {
 }
 
 // Snapshot is an open snapshot file: a Library (and optional Vocabulary)
-// whose index arrays are zero-copy views over the underlying mapping. The
-// mapping must outlive every use of the Library; Close releases it.
+// whose index arrays and names are zero-copy views over the underlying
+// mapping. The mapping must outlive every use of the Library and of the
+// Vocabulary — though not the names the Vocabulary has handed out, which are
+// copies (see Interner); Close releases it.
 type Snapshot struct {
 	lib   *Library
 	vocab *Vocabulary
@@ -738,11 +739,12 @@ type Snapshot struct {
 func (s *Snapshot) Library() *Library { return s.lib }
 
 // Vocabulary returns the snapshot's vocabulary, or nil for an id-level
-// snapshot.
+// snapshot. Its names are served from the mapping until Close; names interned
+// into it afterwards live on the heap.
 func (s *Snapshot) Vocabulary() *Vocabulary { return s.vocab }
 
 // Close releases the mapping. The snapshot's Library (and every library
-// extended from it) must not be used afterwards.
+// extended from it) and its Vocabulary must not be used afterwards.
 func (s *Snapshot) Close() error {
 	if s.lib != nil && s.lib.cp != nil && s.lib.cp.id != 0 {
 		if c := activeBlockCache(); c != nil {
@@ -804,6 +806,9 @@ func mapSnapshot(f faultfs.File, path string) (*Snapshot, error) {
 	}
 	s.unmap = unmap
 	s.lib.mapped = true
+	if s.vocab != nil {
+		s.vocab.Actions.baseMapped, s.vocab.Goals.baseMapped = true, true
+	}
 	mappedGenerations.Add(1)
 	mappedBytes.Add(int64(len(data)))
 	s.adviseAsync()
@@ -1070,35 +1075,26 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 
 	snap := &Snapshot{lib: lib, data: data}
 	if flags&snapFlagVocab != 0 {
-		actNames, err := unpackNames(secs, data, secVocActOff, secVocActStr)
+		acts, err := openNames(secs, data, secVocActOff, secVocActStr)
 		if err != nil {
 			return nil, fmt.Errorf("action vocabulary: %w", err)
 		}
-		goalNames, err := unpackNames(secs, data, secVocGoalOff, secVocGoalStr)
+		goals, err := openNames(secs, data, secVocGoalOff, secVocGoalStr)
 		if err != nil {
 			return nil, fmt.Errorf("goal vocabulary: %w", err)
 		}
-		if len(actNames) < int(nAct) || len(goalNames) < int(nGoal) {
+		if acts.Len() < int(nAct) || goals.Len() < int(nGoal) {
 			return nil, fmt.Errorf("vocabulary (%d actions, %d goals) does not cover id space (%d, %d)",
-				len(actNames), len(goalNames), nAct, nGoal)
+				acts.Len(), goals.Len(), nAct, nGoal)
 		}
-		vocab := NewVocabulary()
-		for _, s := range actNames {
-			vocab.Actions.Intern(s)
-		}
-		for _, s := range goalNames {
-			vocab.Goals.Intern(s)
-		}
-		if vocab.Actions.Len() != len(actNames) || vocab.Goals.Len() != len(goalNames) {
-			return nil, fmt.Errorf("vocabulary contains duplicate names")
-		}
-		snap.vocab = vocab
+		snap.vocab = &Vocabulary{Actions: acts, Goals: goals}
 	}
 	return snap, nil
 }
 
-// unpackNames decodes one (offsets, blob) vocabulary section pair.
-func unpackNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) ([]string, error) {
+// openNames opens one (offsets, blob) vocabulary section pair as an Interner
+// serving the names from data itself.
+func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*Interner, error) {
 	offSec, ok := secs[offID]
 	if !ok {
 		return nil, fmt.Errorf("missing section %d", offID)
@@ -1111,19 +1107,7 @@ func unpackNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) 
 		return nil, fmt.Errorf("malformed vocabulary sections")
 	}
 	off := u64View(data[offSec.off:offSec.off+8*offSec.count], int(offSec.count))
-	blob := data[strSec.off : strSec.off+strSec.count]
-	if off[0] != 0 || off[len(off)-1] != uint64(len(blob)) {
-		return nil, fmt.Errorf("name offsets span [%d, %d] over %d bytes", off[0], off[len(off)-1], len(blob))
-	}
-	names := make([]string, 0, len(off)-1)
-	for i := 0; i+1 < len(off); i++ {
-		lo, hi := off[i], off[i+1]
-		if hi < lo || hi-lo > snapMaxName || hi > uint64(len(blob)) {
-			return nil, fmt.Errorf("implausible name %d: bytes [%d, %d)", i, lo, hi)
-		}
-		names = append(names, string(blob[lo:hi]))
-	}
-	return names, nil
+	return newFrozenInterner(off, data[strSec.off:strSec.off+strSec.count], snapMaxName)
 }
 
 // VerifySnapshot walks every section of an open snapshot and checks the deep
@@ -1133,6 +1117,11 @@ func unpackNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) 
 // for the open path.
 func VerifySnapshot(s *Snapshot) error {
 	l := s.lib
+	if len(l.tailGoal) != 0 {
+		// Unreachable: an opened image is flat. The section walks below read
+		// the base arrays directly.
+		return fmt.Errorf("core: snapshot library carries a tail segment")
+	}
 	nImpl := l.NumImplementations()
 	nAct, nGoal := l.numActions, l.numGoals
 	for p := 0; p < nImpl; p++ {

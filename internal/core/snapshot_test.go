@@ -187,7 +187,7 @@ func TestSnapshotOfExtendedLibrary(t *testing.T) {
 		}
 	}
 	ext := d.Snapshot()
-	if ext.ovActPost == nil {
+	if ext.ovAct.rows == 0 {
 		t.Fatal("expected an extended snapshot")
 	}
 	flat := b.Build()

@@ -137,8 +137,18 @@ func (l *Library) mark(dst []ActionID, set []uint64, impls []ImplID) []ActionID 
 		}
 		return dst
 	}
+	// The base arrays are held in locals: the stores into set could alias
+	// the Library as far as the compiler knows, and would otherwise have it
+	// reload every slice header per implementation.
+	off, acts, nb := l.implOff, l.implActs, ImplID(len(l.implGoal))
 	for _, p := range impls {
-		for _, c := range l.implActions(p) {
+		var row []ActionID
+		if uint32(p) < uint32(nb) {
+			row = acts[off[p]:off[p+1]]
+		} else {
+			row = l.implActions(p)
+		}
+		for _, c := range row {
 			set[uint32(c)>>6] |= 1 << (uint32(c) & 63)
 		}
 	}

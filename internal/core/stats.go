@@ -37,7 +37,7 @@ func (l *Library) Stats() Stats {
 		Implementations: l.NumImplementations(),
 		ActionIDSpace:   l.NumActions(),
 		GoalIDSpace:     l.NumGoals(),
-		TotalSlots:      len(l.implActs),
+		TotalSlots:      l.NumPostings(),
 	}
 	for a := ActionID(0); int(a) < l.numActions; a++ {
 		if d := l.ActionDegree(a); d > 0 {
@@ -124,9 +124,9 @@ func (l *Library) ConnectivityPercentile(p float64) float64 {
 	return float64(degrees[lo])*(1-frac) + float64(degrees[hi])*frac
 }
 
-// IndexBytes is the size of a library's flat index arrays, by structure, as
-// their lengths give it; the copy-on-write overlay rows of an extended
-// snapshot are not counted.
+// IndexBytes is the size of a library's index structures: the flat arrays of
+// its base, by structure, as their lengths give it, and — on an extended
+// snapshot — what lies on top of them.
 type IndexBytes struct {
 	ImplCSR int64 `json:"impl_csr"` // implementation -> goal, actions
 	AGI     int64 `json:"a_gi"`     // A-GI-idx postings (or their compressed blob)
@@ -134,9 +134,13 @@ type IndexBytes struct {
 	AG      int64 `json:"ag"`       // AG-idx (goal, count) pairs
 	GA      int64 `json:"ga"`       // GA-idx (action, count) pairs
 	Blocks  int64 `json:"blocks"`   // block-max metadata and per-goal walk costs
+	Tail    int64 `json:"tail"`     // tail segment of the implementation CSR
+	Overlay int64 `json:"overlay"`  // overlay pages and rows this snapshot references
 }
 
-// IndexBytes returns the size of l's flat index arrays.
+// IndexBytes returns the size of l's index structures. The overlay figure
+// counts every page and row l references, those shared with other live epochs
+// included; it walks the overlay, so it is for reporting, not the query path.
 func (l *Library) IndexBytes() IndexBytes {
 	words := func(ns ...int) int64 {
 		var n int64
@@ -152,11 +156,35 @@ func (l *Library) IndexBytes() IndexBytes {
 		AG:      words(len(l.agOff), len(l.agGoal), len(l.agCnt)),
 		GA:      words(len(l.gaOff), len(l.gaAct), len(l.gaCnt)),
 		Blocks:  words(len(l.blkOff), len(l.blkLast), len(l.blkMinLen), len(l.blkMaxLen), len(l.goalSlots)),
+		Tail:    words(len(l.tailGoal), len(l.tailOff), len(l.tailActs)),
+		Overlay: l.ovAct.bytes((*actRow).bytes) + l.ovGoal.bytes((*goalRow).bytes),
 	}
 	if l.cp != nil {
 		b.AGI += 8*int64(len(l.cp.blobOff)) + int64(len(l.cp.blob))
 	}
 	return b
+}
+
+// TailImplementations returns how many of l's implementations lie in the tail
+// segment: those appended since its base was adopted or built. 0 on a flat
+// library.
+func (l *Library) TailImplementations() int { return len(l.tailGoal) }
+
+// OverlayStats counts the copy-on-write overlay of an extended snapshot: the
+// actions and goals whose index rows it replaces, and the pages holding them.
+type OverlayStats struct {
+	ActionRows int `json:"action_rows"`
+	GoalRows   int `json:"goal_rows"`
+	Pages      int `json:"pages"`
+}
+
+// Overlay reports the size of l's overlay; all zero for a flat library.
+func (l *Library) Overlay() OverlayStats {
+	return OverlayStats{
+		ActionRows: l.ovAct.rows,
+		GoalRows:   l.ovGoal.rows,
+		Pages:      l.ovAct.numPages() + l.ovGoal.numPages(),
+	}
 }
 
 // Mapped reports whether l's flat index arrays are views over a snapshot

@@ -431,4 +431,39 @@ func TestMetricsLibraryBlock(t *testing.T) {
 	if got := stats(); got != heapStats {
 		t.Fatalf("/v1/stats changed with the backing:\n heap:   %s\n mapped: %s", heapStats, got)
 	}
+
+	// The ledger separates base from delta. A parsed library is all heap and
+	// all base; a mapped one serves its names from the mapping too; neither
+	// has a tail or an overlay.
+	if v := heap.Vocab; v.Backing != "heap" || v.BaseNames != 0 || v.GrownNames != heap.VocabNames || v.TableBytes != 0 {
+		t.Fatalf("vocab ledger of a parsed library: %+v", v)
+	}
+	if v := mapped.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 0 || v.TableBytes <= 0 {
+		t.Fatalf("vocab ledger of a mapped library: %+v", v)
+	}
+	flat := goalrec.OverlayRows{}
+	if mapped.TailImplementations != 0 || mapped.Overlay != flat || mapped.IndexBytes.Tail != 0 || mapped.IndexBytes.Overlay != 0 {
+		t.Fatalf("delta ledger of a freshly mapped library: %+v", mapped)
+	}
+	// One ingest: the base stays what and where it was, the delta shows up
+	// beside it, and the new names are the only ones on the heap.
+	ingest := `{"implementations":[{"goal":"ledger-goal","actions":["ledger-action","` + lib.Actions()[0] + `"]}]}`
+	if resp, body := postJSON(t, ts.URL+"/v1/implementations", ingest); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+	}
+	grown := library()
+	if grown.Backing != "mapped" || grown.TailImplementations != 1 ||
+		grown.Overlay.ActionRows != 2 || grown.Overlay.GoalRows != 1 || grown.Overlay.Pages < 2 ||
+		grown.IndexBytes.Tail <= 0 || grown.IndexBytes.Overlay <= 0 {
+		t.Fatalf("delta ledger after one ingest: %+v", grown)
+	}
+	base, got := mapped.IndexBytes, grown.IndexBytes
+	got.Tail, got.Overlay = 0, 0
+	if got != base {
+		t.Fatalf("an ingest changed the base's index bytes: %+v -> %+v", base, got)
+	}
+	if v := grown.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 2 ||
+		grown.VocabNames != mapped.VocabNames+2 {
+		t.Fatalf("vocab ledger after one ingest: %+v (names %d)", v, grown.VocabNames)
+	}
 }

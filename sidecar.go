@@ -171,20 +171,45 @@ func removeStaleTemps(fsys faultfs.FS, dir string) {
 	}
 }
 
-// IndexBytes is the size of a library's flat index arrays, by structure.
+// IndexBytes is the size of a library's index structures: the base's flat
+// arrays by structure, plus the tail and overlay of an extended snapshot.
 type IndexBytes = core.IndexBytes
 
-// LibraryBacking says what memory backs a served library: the first slice of
-// the per-structure memory ledger, reported under "library" in /v1/metrics.
+// OverlayRows counts the copy-on-write overlay of an extended snapshot: the
+// actions and goals whose index rows it replaces, and the pages holding them.
+type OverlayRows = core.OverlayStats
+
+// VocabBacking says where the name dictionary lives.
+type VocabBacking struct {
+	// Backing is "mapped" when the names the library was opened with are
+	// served from a snapshot mapping, "heap" otherwise.
+	Backing string `json:"backing"`
+	// BaseNames are served from the snapshot image the library was opened
+	// from; GrownNames were interned since and are on the heap.
+	BaseNames  int `json:"base_names"`
+	GrownNames int `json:"grown_names"`
+	// TableBytes is the size of the base names' lookup tables.
+	TableBytes int64 `json:"table_bytes"`
+}
+
+// LibraryBacking says what memory backs a served library, base apart from
+// delta: the per-structure memory ledger reported under "library" in
+// /v1/metrics.
 type LibraryBacking struct {
 	// Backing is "mapped" when the flat index arrays are views over a
 	// snapshot mapping, "heap" when they live on the Go heap.
 	Backing string `json:"backing"`
-	// IndexBytes is the size of each flat index structure.
+	// IndexBytes is the size of each index structure.
 	IndexBytes IndexBytes `json:"index_bytes"`
-	// VocabNames counts the action and goal names of the vocabulary, which
-	// is on the heap under either backing.
-	VocabNames int `json:"vocab_names"`
+	// TailImplementations counts the implementations appended since the base
+	// was adopted or last compacted; Overlay counts the index rows they
+	// replaced. Both are 0 on a flat library.
+	TailImplementations int         `json:"tail_implementations"`
+	Overlay             OverlayRows `json:"overlay"`
+	// VocabNames counts the action and goal names of the vocabulary; Vocab
+	// says where they live.
+	VocabNames int          `json:"vocab_names"`
+	Vocab      VocabBacking `json:"vocab"`
 	// MappedBytes and MappedGenerations total the snapshot mappings this
 	// process holds, superseded generations included: a mapped library stays
 	// mapped for the life of the process.
@@ -197,13 +222,25 @@ type LibraryBacking struct {
 
 // Backing reports what backs l, plus the process-wide mapping totals.
 func (l *Library) Backing() LibraryBacking {
+	acts, goals := l.vocab.Actions.Stats(), l.vocab.Goals.Stats()
 	b := LibraryBacking{
-		Backing:    "heap",
-		IndexBytes: l.lib.IndexBytes(),
-		VocabNames: l.vocab.Actions.Len() + l.vocab.Goals.Len(),
+		Backing:             "heap",
+		IndexBytes:          l.lib.IndexBytes(),
+		TailImplementations: l.lib.TailImplementations(),
+		Overlay:             l.lib.Overlay(),
+		VocabNames:          acts.BaseNames + acts.GrownNames + goals.BaseNames + goals.GrownNames,
+		Vocab: VocabBacking{
+			Backing:    "heap",
+			BaseNames:  acts.BaseNames + goals.BaseNames,
+			GrownNames: acts.GrownNames + goals.GrownNames,
+			TableBytes: acts.TableBytes + goals.TableBytes,
+		},
 	}
 	if l.lib.Mapped() {
 		b.Backing = "mapped"
+	}
+	if acts.Mapped || goals.Mapped {
+		b.Vocab.Backing = "mapped"
 	}
 	b.MappedGenerations, b.MappedBytes = core.MappedSnapshots()
 	if d := lastSidecar.Load(); d != nil {
