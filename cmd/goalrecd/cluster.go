@@ -1,6 +1,7 @@
-// Cluster-role wiring: -role worker adds a comms listener to the normal
-// daemon (see main.go); -role coordinator runs the scatter-gather front end
-// implemented in internal/cluster.
+// Cluster-role flag parsing. The roles themselves are wired in main.go's one
+// serve path: -role worker adds a comms listener to the normal daemon, and
+// -role coordinator puts the same HTTP server over a scatter-gather backend
+// (internal/cluster) instead of the local engine.
 //
 // A local 3-node cluster:
 //
@@ -19,20 +20,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"log"
-	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
-
-	"goalrec"
-	"goalrec/internal/cluster"
 )
 
 // splitPeers parses the -peers comma list, dropping empty entries.
@@ -59,77 +49,4 @@ func parseShardRange(s string) (lo, hi int, err error) {
 		return 0, 0, fmt.Errorf("invalid -shard-range %q: bad hi", s)
 	}
 	return lo, hi, nil
-}
-
-// coordinatorOptions carries the -role coordinator flag set.
-type coordinatorOptions struct {
-	addr           string
-	libPath        string
-	peers          []string
-	policy         cluster.PartialFailurePolicy
-	heartbeat      time.Duration
-	scatterTimeout time.Duration
-	impactOrdering bool
-}
-
-// runCoordinator serves the scatter-gather front end: it owns a full copy
-// of the artifact for name resolution, fans every query out to the shard
-// workers and merges their partials into the single-node ranking.
-func runCoordinator(o coordinatorOptions) error {
-	if len(o.peers) == 0 {
-		return errors.New("-role coordinator needs -peers")
-	}
-	logger := log.New(os.Stderr, "goalrecd: ", log.LstdFlags)
-	loadLib := func() (*goalrec.Library, error) { return loadLibrary(logger, o.libPath, o.impactOrdering) }
-	lib, err := loadLib()
-	if err != nil {
-		return err
-	}
-	logger.Printf("coordinator loaded library: %s", lib.Stats())
-
-	co := cluster.NewCoordinator(goalrec.NewEngineFromLibrary(lib), cluster.CoordinatorConfig{
-		Peers:          o.peers,
-		PartialFailure: o.policy,
-		ScatterTimeout: o.scatterTimeout,
-		Reload:         loadLib,
-		Logger:         logger,
-	})
-	stopHeartbeat := co.StartHeartbeat(o.heartbeat)
-	handler := cluster.NewHTTPHandler(co)
-	srv := &http.Server{
-		Addr:              o.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("coordinator listening on %s, %d workers, policy %q", o.addr, len(o.peers), o.policy)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		stopHeartbeat()
-		co.Close()
-		return err
-	case sig := <-stop:
-		handler.SetDraining(true)
-		logger.Printf("received %v, draining and shutting down", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		err := srv.Shutdown(ctx)
-		stopHeartbeat()
-		co.Close()
-		if err != nil {
-			return err
-		}
-		return <-errCh
-	}
 }

@@ -70,6 +70,17 @@
 // caps concurrent expensive requests, shedding the excess as 503 +
 // Retry-After.
 //
+// -role worker additionally serves a shard of the library to a coordinator
+// over -cluster-addr; -role coordinator is the same server over a
+// scatter-gather backend instead of the local engine (cluster.go has a
+// worked example). One listener, drain and shutdown path serves every role,
+// so -request-timeout, -max-inflight, -admission-wait, -quiet and -pprof-addr
+// mean the same thing in each. A coordinator answers the recommendation,
+// probe, stats, metrics and reload endpoints — POST /v1/reload there is the
+// cluster-wide two-phase swap, which is why -watch is refused with it.
+// -quiet silences the request log only: every 5xx is still logged with its
+// cause and the epochs the node (or the coordinator and its workers) was at.
+//
 // -pprof-addr starts a second listener serving net/http/pprof (off by
 // default). Keeping the profiler off the serving address means it is never
 // exposed to recommendation traffic and can be bound to localhost while the
@@ -155,53 +166,38 @@ func run() error {
 	// Process-wide paging settings: every role maps its library.
 	goalrec.SetBlockCacheBytes(*blockCacheBytes)
 	goalrec.SetSnapshotMadvise(*madvise)
-	if *role == "coordinator" {
+	peers := splitPeers(*peersFlag)
+	switch {
+	case *role != "" && *role != "worker" && *role != "coordinator":
+		return fmt.Errorf("unknown -role %q (want \"\", \"coordinator\" or \"worker\")", *role)
+	case *role == "worker" && *clusterAddr == "":
+		return errors.New("-role worker needs -cluster-addr")
+	case *role == "coordinator" && *libPath == "":
 		// The coordinator never scans, so it has no store; it needs only a
 		// full copy of the artifact for name resolution.
-		if *libPath == "" {
-			return errors.New("-role coordinator needs -library")
-		}
-		policy, err := cluster.ParsePartialFailurePolicy(*partialFailure)
-		if err != nil {
-			return err
-		}
-		return runCoordinator(coordinatorOptions{
-			addr:           *addr,
-			libPath:        *libPath,
-			peers:          splitPeers(*peersFlag),
-			policy:         policy,
-			heartbeat:      *heartbeat,
-			scatterTimeout: *scatterTimeout,
-			impactOrdering: *impactOrdering,
-		})
-	}
-	if *role != "" && *role != "worker" {
-		return fmt.Errorf("unknown -role %q (want \"\", \"coordinator\" or \"worker\")", *role)
-	}
-	if *role == "worker" && *clusterAddr == "" {
-		return errors.New("-role worker needs -cluster-addr")
-	}
-	if *libPath == "" && *snapshotDir == "" {
+		return errors.New("-role coordinator needs -library")
+	case *role == "coordinator" && len(peers) == 0:
+		return errors.New("-role coordinator needs -peers")
+	case *role == "coordinator" && *watch > 0:
+		// A coordinator swaps in lockstep with its workers; a local poll
+		// would move its copy alone.
+		return errors.New("-watch does not apply to -role coordinator: POST /v1/reload drives the cluster-wide swap")
+	case *libPath == "" && *snapshotDir == "":
 		return errors.New("one of -library or -snapshot-dir is required")
-	}
-	if *watch > 0 && *libPath == "" {
+	case *watch > 0 && *libPath == "":
 		return errors.New("-watch needs -library")
 	}
 
 	logger := log.New(os.Stderr, "goalrecd: ", log.LstdFlags)
-	loadLib := func(path string) (*goalrec.Library, error) {
-		return loadLibrary(logger, path, *impactOrdering)
-	}
 	reqLogger := logger
 	if *quiet {
 		reqLogger = nil
 	}
 
+	reload := func() (*goalrec.Library, error) { return loadLibrary(logger, *libPath, *impactOrdering) }
 	var opts []server.Option
 	if *libPath != "" {
-		opts = append(opts, server.WithReloader(func() (*goalrec.Library, error) {
-			return loadLib(*libPath)
-		}))
+		opts = append(opts, server.WithReloader(reload))
 	}
 	if *requestTimeout > 0 {
 		opts = append(opts, server.WithRequestTimeout(*requestTimeout))
@@ -212,12 +208,40 @@ func run() error {
 
 	userOpts := goalrec.UserStoreOptions{MaxUsers: *userCapacity, MaxViews: *userViews}
 
+	// One front end in every role; what differs is the backend behind it.
+	// closeBackend runs only after the HTTP server has fully drained: readers
+	// may hold mapped snapshot memory, and a coordinator's in-flight queries
+	// their worker connections, until their requests finish.
 	var api *server.Server
-	var store *goalrec.Store
 	var engine *goalrec.Engine
-	if *snapshotDir != "" {
-		var err error
-		store, err = goalrec.OpenStore(*snapshotDir, goalrec.StoreOptions{
+	closeBackend := func() {}
+	switch {
+	case *role == "coordinator":
+		policy, err := cluster.ParsePartialFailurePolicy(*partialFailure)
+		if err != nil {
+			return err
+		}
+		lib, err := reload()
+		if err != nil {
+			return err
+		}
+		logger.Printf("coordinator loaded library: %s", lib.Stats())
+		co := cluster.NewCoordinator(goalrec.NewEngineFromLibrary(lib), cluster.CoordinatorConfig{
+			Peers:          peers,
+			PartialFailure: policy,
+			ScatterTimeout: *scatterTimeout,
+			Reload:         reload,
+			Logger:         logger,
+		})
+		stopHeartbeat := co.StartHeartbeat(*heartbeat)
+		closeBackend = func() {
+			stopHeartbeat()
+			co.Close()
+		}
+		logger.Printf("coordinator over %d workers, policy %q", len(peers), policy)
+		api = server.NewFromBackend(co, reqLogger, opts...)
+	case *snapshotDir != "":
+		store, err := goalrec.OpenStore(*snapshotDir, goalrec.StoreOptions{
 			SyncWAL:           *walSync,
 			CompactAtWALBytes: *compactWALBytes,
 			CompressPostings:  *snapshotCompress,
@@ -235,7 +259,7 @@ func run() error {
 		// -library seeds an empty store only; a recovered lineage wins over
 		// the seed file so restarts never roll acknowledged ingests back.
 		if engine.Len() == 0 && *libPath != "" {
-			lib, err := loadLib(*libPath)
+			lib, err := reload()
 			if err != nil {
 				store.Close()
 				return err
@@ -250,10 +274,15 @@ func run() error {
 		if n := store.Users().Len(); n > 0 {
 			logger.Printf("recovered %d users from the WAL", n)
 		}
+		closeBackend = func() {
+			if err := store.Close(); err != nil {
+				logger.Printf("closing store: %v", err)
+			}
+		}
 		opts = append(opts, server.WithUserStore(store.Users()), server.WithStore(store))
 		api = server.NewFromEngine(engine, reqLogger, opts...)
-	} else {
-		lib, err := loadLib(*libPath)
+	default:
+		lib, err := reload()
 		if err != nil {
 			return err
 		}
@@ -262,6 +291,9 @@ func run() error {
 		opts = append(opts, server.WithUserStore(goalrec.NewUserStore(engine, userOpts)))
 		api = server.NewFromEngine(engine, reqLogger, opts...)
 	}
+	// The error log — every 5xx with its cause and epochs, every recovered
+	// panic — is not the request log: -quiet does not silence it.
+	api.SetErrorLog(logger)
 
 	// In the worker role the daemon additionally serves its shard over the
 	// cluster comms protocol — same engine, same epochs, so the node keeps
@@ -275,7 +307,7 @@ func run() error {
 		}
 		wcfg := cluster.WorkerConfig{Lo: lo, Hi: hi, Logger: logger}
 		if *libPath != "" {
-			wcfg.Reload = func() (*goalrec.Library, error) { return loadLib(*libPath) }
+			wcfg.Reload = reload
 		}
 		clusterWorker = cluster.NewWorker(engine, wcfg)
 		ln, err := net.Listen("tcp", *clusterAddr)
@@ -317,18 +349,19 @@ func run() error {
 		}()
 	}
 
-	watchDone := make(chan struct{})
 	stopWatch := func() {}
 	if *watch > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
-		stopWatch = cancel
-		w := newLibraryWatcher(api, logger, *libPath, *watch, loadLib)
+		done := make(chan struct{})
+		w := newLibraryWatcher(api, logger, *libPath, *watch)
 		go func() {
-			defer close(watchDone)
+			defer close(done)
 			w.run(ctx)
 		}()
-	} else {
-		close(watchDone)
+		stopWatch = func() {
+			cancel()
+			<-done
+		}
 	}
 
 	errCh := make(chan error, 1)
@@ -341,60 +374,37 @@ func run() error {
 		errCh <- nil
 	}()
 
-	// closeStore runs only after the HTTP server has fully drained: readers
-	// may hold mapped snapshot memory until their requests finish.
-	closeStore := func() {
-		if store == nil {
-			return
-		}
-		if err := store.Close(); err != nil {
-			logger.Printf("closing store: %v", err)
-		}
-	}
-
+	// One way down, whether the listener failed or a signal arrived: stop
+	// what feeds the engine from outside HTTP, drain, then close the backend.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	var serveErr error
 	select {
-	case err := <-errCh:
-		if clusterWorker != nil {
-			clusterWorker.Close()
-		}
-		stopWatch()
-		<-watchDone
-		closeStore()
-		return err
+	case serveErr = <-errCh:
 	case sig := <-stop:
 		// Flip to draining first so /readyz tells load balancers to stop
 		// routing here while in-flight requests finish.
 		api.SetDraining(true)
 		logger.Printf("received %v, draining and shutting down", sig)
-		if clusterWorker != nil {
-			clusterWorker.Close()
-		}
-		stopWatch()
-		<-watchDone
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if pprofSrv != nil {
-			_ = pprofSrv.Shutdown(ctx)
-		}
-		err := srv.Shutdown(ctx)
-		closeStore()
-		if err != nil {
-			return err
-		}
-		return <-errCh
 	}
-}
-
-// reloadTarget is the slice of *server.Server the watcher needs; tests
-// substitute nothing — they use a real server — but the interface keeps
-// the watcher honest about what it touches.
-type reloadTarget interface {
-	Epoch() uint64
-	Swap(lib *goalrec.Library) uint64
-	NoteReloadFailure() int64
-	NoteReloadSuccess()
+	if clusterWorker != nil {
+		clusterWorker.Close()
+	}
+	stopWatch()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if pprofSrv != nil {
+		_ = pprofSrv.Shutdown(ctx)
+	}
+	err := srv.Shutdown(ctx)
+	closeBackend()
+	switch {
+	case serveErr != nil:
+		return serveErr
+	case err != nil:
+		return err
+	}
+	return <-errCh
 }
 
 // libraryWatcher polls a library file and hot-swaps it into the server
@@ -404,12 +414,11 @@ type reloadTarget interface {
 // lasts — a persistently broken file produces a heartbeat, not a log line
 // per poll.
 type libraryWatcher struct {
-	target   reloadTarget
+	target   *server.Server // its Reload re-reads path
 	logger   *log.Logger
 	path     string
 	interval time.Duration
 
-	load func(path string) (*goalrec.Library, error)
 	stat func(path string) (os.FileInfo, error) // os.Stat outside tests
 
 	logEveryNth int
@@ -417,13 +426,12 @@ type libraryWatcher struct {
 	rng         *rand.Rand
 }
 
-func newLibraryWatcher(target reloadTarget, logger *log.Logger, path string, interval time.Duration, load func(path string) (*goalrec.Library, error)) *libraryWatcher {
+func newLibraryWatcher(target *server.Server, logger *log.Logger, path string, interval time.Duration) *libraryWatcher {
 	return &libraryWatcher{
 		target:      target,
 		logger:      logger,
 		path:        path,
 		interval:    interval,
-		load:        load,
 		stat:        os.Stat,
 		logEveryNth: 5,
 		maxBackoff:  32 * interval,
@@ -458,9 +466,9 @@ func (w *libraryWatcher) run(ctx context.Context) {
 		case <-t.C:
 		}
 
-		fi, err := w.stat(w.path)
-		var lib *goalrec.Library
-		if err == nil {
+		// A file that cannot be stat'ed is handed to Reload all the same: its
+		// load fails, and the failure is accounted where every other one is.
+		if fi, err := w.stat(w.path); err == nil {
 			cur := fileState{fi.ModTime(), fi.Size()}
 			// While healthy, an unchanged file means nothing to do. While
 			// failing, retry even an unchanged file: partial writes and
@@ -469,10 +477,10 @@ func (w *libraryWatcher) run(ctx context.Context) {
 				continue
 			}
 			last = cur
-			lib, err = w.load(w.path)
 		}
+		epoch, implementations, err := w.target.Reload(ctx)
 		if err != nil {
-			streak := w.target.NoteReloadFailure()
+			streak := w.target.ReloadFailureStreak()
 			if !failing {
 				failing = true
 				backoff = w.interval
@@ -486,13 +494,11 @@ func (w *libraryWatcher) run(ctx context.Context) {
 			}
 			continue
 		}
-		w.target.NoteReloadSuccess()
-		epoch := w.target.Swap(lib)
 		if failing {
 			failing = false
 			w.logger.Printf("watch: %s recovered", w.path)
 		}
 		w.logger.Printf("watch: swapped in %s (%d implementations) at epoch %d",
-			w.path, lib.NumImplementations(), epoch)
+			w.path, implementations, epoch)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"log"
 	"os"
 	"strings"
@@ -42,12 +43,11 @@ func (f fakeInfo) Sys() interface{}   { return nil }
 func TestWatcherBackoffAndRecovery(t *testing.T) {
 	lib := watchTestLibrary(t)
 	rl := &faultinject.Reloader{FailFirst: 7, Lib: lib}
-	srv := server.New(lib, nil)
+	srv := server.New(lib, nil, server.WithReloader(rl.Load))
 	epoch0 := srv.Epoch()
 
 	var buf bytes.Buffer
-	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond,
-		func(string) (*goalrec.Library, error) { return rl.Load() })
+	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond)
 	w.maxBackoff = 4 * time.Millisecond
 	w.logEveryNth = 3
 	var stats atomic.Int64
@@ -115,14 +115,13 @@ func TestWatcherBackoffAndRecovery(t *testing.T) {
 // file triggers neither loads nor logs.
 func TestWatcherIgnoresUnchangedFile(t *testing.T) {
 	lib := watchTestLibrary(t)
-	srv := server.New(lib, nil)
 	var buf bytes.Buffer
 	var loads atomic.Int64
-	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond,
-		func(string) (*goalrec.Library, error) {
-			loads.Add(1)
-			return lib, nil
-		})
+	srv := server.New(lib, nil, server.WithReloader(func() (*goalrec.Library, error) {
+		loads.Add(1)
+		return lib, nil
+	}))
+	w := newLibraryWatcher(srv, log.New(&buf, "", 0), "fake.jsonl", time.Millisecond)
 	w.stat = func(string) (os.FileInfo, error) { return fakeInfo{time.Unix(1000, 0)}, nil }
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -140,5 +139,29 @@ func TestWatcherIgnoresUnchangedFile(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("unchanged file produced logs:\n%s", buf.String())
+	}
+}
+
+// TestRoleFlagsRefusedAtStartup: a flag combination a role cannot honour is
+// an error before anything is loaded or listened on — in particular -watch on
+// a coordinator, whose swaps are cluster-wide, is refused rather than ignored.
+func TestRoleFlagsRefusedAtStartup(t *testing.T) {
+	args, cmdline := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = args, cmdline }()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-role", "coordinator", "-library", "x.jsonl", "-peers", "127.0.0.1:1", "-watch", "1s"}, "-watch"},
+		{[]string{"-role", "coordinator", "-library", "x.jsonl"}, "-peers"},
+		{[]string{"-role", "coordinator", "-peers", "127.0.0.1:1"}, "-library"},
+		{[]string{"-role", "worker", "-library", "x.jsonl"}, "-cluster-addr"},
+		{[]string{"-role", "bogus", "-library", "x.jsonl"}, "unknown -role"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("goalrecd", flag.ContinueOnError)
+		os.Args = append([]string{"goalrecd"}, tc.args...)
+		if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("goalrecd %v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"goalrec/internal/server"
 )
@@ -48,6 +49,7 @@ func waitForListener(t *testing.T, addr string) {
 			conn.Close()
 			return
 		}
+		time.Sleep(5 * time.Millisecond) // 200 back-to-back dials can all beat the listener
 	}
 	t.Fatalf("loadgen worker %s never came up", addr)
 }

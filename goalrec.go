@@ -479,6 +479,54 @@ func Strategies() []Strategy {
 	return []Strategy{FocusCompleteness, FocusCloseness, Breadth, BestMatch}
 }
 
+// QueryError marks a failure the caller's own request caused — an unknown
+// strategy, metric or weighting name, a k the strategy cannot serve — as
+// opposed to one in the system answering it. Front ends find it with
+// errors.As and answer a client error (HTTP 400); the message is Err's.
+type QueryError struct{ Err error }
+
+func (e *QueryError) Error() string { return e.Err.Error() }
+func (e *QueryError) Unwrap() error { return e.Err }
+
+// StrategySpec is a strategy selection resolved by ResolveStrategy.
+type StrategySpec struct {
+	// Strategy is one of the four strategy constants.
+	Strategy Strategy
+	// Metric is the canonical Best Match metric name.
+	Metric string
+	// Name is what responses report: the Name() of the recommender the
+	// selection builds ("best-match-jaccard" for a non-default metric).
+	Name string
+}
+
+// ResolveStrategy is the one table of wire strategy names, shared by every
+// front end and by Library.Recommender: an empty strategy selects Breadth, an
+// empty metric "cosine", and an unknown name of either kind is a *QueryError.
+// The metric is validated for every strategy, not only Best Match.
+func ResolveStrategy(strategyName, metric string) (StrategySpec, error) {
+	if strategyName == "" {
+		strategyName = string(Breadth)
+	}
+	if metric == "" {
+		metric = vectorspace.Cosine.String()
+	}
+	m, err := vectorspace.ParseMetric(metric)
+	if err != nil {
+		return StrategySpec{}, &QueryError{fmt.Errorf("goalrec: %w", err)}
+	}
+	spec := StrategySpec{Strategy: Strategy(strategyName), Metric: metric, Name: strategyName}
+	switch spec.Strategy {
+	case FocusCompleteness, FocusCloseness, Breadth:
+	case BestMatch:
+		if m != vectorspace.Cosine {
+			spec.Name += "-" + metric
+		}
+	default:
+		return StrategySpec{}, &QueryError{fmt.Errorf("goalrec: unknown strategy %q", strategyName)}
+	}
+	return spec, nil
+}
+
 // RecommenderOption customizes strategy construction.
 type RecommenderOption func(*recOptions)
 
@@ -518,7 +566,7 @@ func WithDistanceMetric(name string) RecommenderOption {
 		m, err := vectorspace.ParseMetric(name)
 		if err != nil {
 			if o.err == nil {
-				o.err = fmt.Errorf("goalrec: %w", err)
+				o.err = &QueryError{fmt.Errorf("goalrec: %w", err)}
 			}
 			return
 		}
@@ -536,7 +584,7 @@ func WithBreadthWeighting(name string) RecommenderOption {
 		w, err := strategy.ParseBreadthWeighting(name)
 		if err != nil {
 			if o.err == nil {
-				o.err = fmt.Errorf("goalrec: %w", err)
+				o.err = &QueryError{fmt.Errorf("goalrec: %w", err)}
 			}
 			return
 		}
@@ -647,14 +695,20 @@ func (n *namedRecommender) RecommendContext(ctx context.Context, activity []stri
 	return out, nil
 }
 
-// Recommender constructs a goal-based recommender over the library.
+// Recommender constructs a goal-based recommender over the library. Names
+// resolve through ResolveStrategy, so an empty strategy selects Breadth and an
+// unknown strategy or option value is a *QueryError.
 func (l *Library) Recommender(s Strategy, opts ...RecommenderOption) (Recommender, error) {
 	o := resolveRecOptions(opts)
 	if o.err != nil {
 		return nil, o.err
 	}
+	spec, err := ResolveStrategy(string(s), o.metric.String())
+	if err != nil {
+		return nil, err
+	}
 	var rec strategy.Recommender
-	switch s {
+	switch spec.Strategy {
 	case FocusCompleteness:
 		rec = strategy.NewFocus(l.lib, strategy.Completeness)
 	case FocusCloseness:
@@ -663,8 +717,6 @@ func (l *Library) Recommender(s Strategy, opts ...RecommenderOption) (Recommende
 		rec = strategy.NewBreadthWeighted(l.lib, o.weighting)
 	case BestMatch:
 		rec = strategy.NewBestMatchMetric(l.lib, o.metric)
-	default:
-		return nil, fmt.Errorf("goalrec: unknown strategy %q", s)
 	}
 	if f, ok := rec.(*strategy.Focus); ok {
 		f.CountInto(o.pruneStats)

@@ -3,6 +3,7 @@ package goalrec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -229,6 +230,45 @@ func TestRecommenderStrategies(t *testing.T) {
 	}
 	if _, err := lib.Recommender(Strategy("bogus")); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+}
+
+// TestResolveStrategy pins the one strategy-name table: the defaults, the
+// canonical response name — which must be the Name() of the recommender the
+// selection builds — and that every rejection is a *QueryError.
+func TestResolveStrategy(t *testing.T) {
+	lib := groceryLibrary(t)
+	for _, tc := range []struct{ strategy, metric, name, err string }{
+		{"", "", "breadth", ""},
+		{"focus-cmp", "", "focus-cmp", ""},
+		{"focus-cl", "jaccard", "focus-cl", ""},
+		{"best-match", "", "best-match", ""},
+		{"best-match", "cosine", "best-match", ""},
+		{"best-match", "manhattan", "best-match-manhattan", ""},
+		{"breadth-count", "", "", `goalrec: unknown strategy "breadth-count"`},
+		{"breadth", "hamming", "", `goalrec: vectorspace: unknown metric "hamming"`},
+		{"nope", "hamming", "", `goalrec: vectorspace: unknown metric "hamming"`},
+	} {
+		spec, err := ResolveStrategy(tc.strategy, tc.metric)
+		if tc.err != "" {
+			var qe *QueryError
+			if err == nil || err.Error() != tc.err || !errors.As(err, &qe) {
+				t.Errorf("ResolveStrategy(%q, %q) error = %v, want the *QueryError %q", tc.strategy, tc.metric, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || spec.Name != tc.name {
+			t.Errorf("ResolveStrategy(%q, %q) = %+v, %v; want name %q", tc.strategy, tc.metric, spec, err, tc.name)
+			continue
+		}
+		rec, err := lib.Recommender(Strategy(tc.strategy), WithDistanceMetric(spec.Metric))
+		if err != nil || rec.Name() != spec.Name {
+			t.Errorf("Recommender(%q, %q): name %q, err %v; the table says %q", tc.strategy, spec.Metric, rec.Name(), err, spec.Name)
+		}
+	}
+	var qe *QueryError
+	if _, err := lib.Recommender(Breadth, WithBreadthWeighting("nope")); !errors.As(err, &qe) {
+		t.Errorf("unknown weighting: %v is not a *QueryError", err)
 	}
 }
 

@@ -594,6 +594,29 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	if last := m.Cluster.FanoutLatencyMs[len(m.Cluster.FanoutLatencyMs)-1].Le; last != "inf" {
 		t.Fatalf("last histogram bound: got %q, want inf", last)
 	}
+
+	// Every key the end-to-end benchmark reads off a coordinator, by name
+	// (bench/run.go), and the lifecycle block it shares with a single node.
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range [][]string{
+		{"epoch"}, {"requests", "recommend"}, {"errors"}, {"lifecycle", "sheds"}, {"lifecycle", "deadline_exceeded"},
+		{"reload_failure_streak"}, {"library", "backing"},
+		{"cluster", "scatters"}, {"cluster", "degraded_responses"}, {"cluster", "partial_failures"},
+		{"cluster", "fanout_latency_ms"}, {"cluster", "swaps", "committed"},
+	} {
+		var at any = keys
+		for _, key := range path {
+			block, _ := at.(map[string]any)
+			var ok bool
+			if at, ok = block[key]; !ok {
+				t.Errorf("metrics lack %v:\n%s", path, raw)
+				break
+			}
+		}
+	}
 }
 
 // lockedBuffer is a log sink the test may read while handlers write.

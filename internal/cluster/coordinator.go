@@ -12,6 +12,7 @@ import (
 	"goalrec"
 	"goalrec/internal/comms"
 	"goalrec/internal/core"
+	"goalrec/internal/server"
 	"goalrec/internal/strategy"
 	"goalrec/internal/vectorspace"
 )
@@ -66,7 +67,8 @@ type CoordinatorConfig struct {
 // Coordinator scatters queries across shard workers and merges the partials
 // into rankings bit-identical to a single node serving the full library. It
 // owns a full copy of the artifact (for name resolution and id rendering)
-// but never scans it — scoring happens on the workers.
+// but never scans it — scoring happens on the workers. It is a
+// server.Backend: NewHTTPHandler puts the shared front end over it.
 type Coordinator struct {
 	engine  *goalrec.Engine
 	cfg     CoordinatorConfig
@@ -107,8 +109,31 @@ func NewCoordinator(engine *goalrec.Engine, cfg CoordinatorConfig) *Coordinator 
 	return co
 }
 
-// Metrics exposes the scatter counters for the HTTP layer.
+// Metrics exposes the scatter counters.
 func (co *Coordinator) Metrics() *Metrics { return co.metrics }
+
+// NewHTTPHandler puts the shared HTTP front end over co: the same server a
+// single node runs, so clients and load balancers need no topology awareness.
+// Request logging is off; co's logger is the error log.
+func NewHTTPHandler(co *Coordinator) *server.Server {
+	s := server.NewFromBackend(co, nil)
+	s.SetErrorLog(co.cfg.Logger)
+	return s
+}
+
+// Status implements server.Backend: /readyz gains "workers" and "connected"
+// and says "degraded" while a worker is unreachable, /v1/metrics gains the
+// "cluster" block, and a 5xx is logged with the coordinator's epoch and the
+// one each worker last reported.
+func (co *Coordinator) Status() server.Status {
+	connected := co.Connected()
+	return server.Status{
+		Degraded: connected < len(co.peers),
+		Ready:    map[string]any{"workers": len(co.peers), "connected": connected},
+		Metrics:  map[string]any{"cluster": co.metrics.Snapshot(connected)},
+		Detail:   fmt.Sprintf("coordinator epoch %d, worker epochs %v", co.Epoch(), co.peerEpochs()),
+	}
+}
 
 // Epoch is the coordinator's own serving epoch (reported in responses).
 func (co *Coordinator) Epoch() uint64 { return co.engine.Epoch() }
@@ -247,17 +272,9 @@ func (co *Coordinator) StartHeartbeat(interval time.Duration) (stop func()) {
 	}
 }
 
-// Result is one gathered, merged recommendation ranking.
-type Result struct {
-	Epoch           uint64
-	Strategy        string
-	Recommendations []goalrec.Recommendation
-	UnknownActions  []string
-	// Degraded marks a ranking merged without every shard (policy
-	// Degraded): exact over the shards that answered, possibly missing the
-	// failed shard's actions.
-	Degraded bool
-}
+// Result is one gathered, merged recommendation ranking; Degraded marks one
+// merged without every shard (policy Degraded).
+type Result = server.Result
 
 // gathered is one worker's scatter outcome.
 type gathered struct {
@@ -269,11 +286,12 @@ type gathered struct {
 	latency time.Duration
 }
 
-// scatter fans req out to every peer (reserving request ids up front so
-// onResponse can Notify the still-pending ones) and gathers the responses.
-// onResponse, if non-nil, runs on each successful response as it arrives,
-// with the list of all scatter entries — the floor-broadcast hook.
-func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte,
+// scatter fans req out to the peers — all of them, or only those in only
+// when it is non-nil — reserving request ids up front so onResponse can
+// Notify the still-pending ones, and gathers the responses. onResponse, if
+// non-nil, runs on each successful response as it arrives, with the list of
+// all scatter entries — the floor-broadcast hook.
+func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, only map[*peer]bool,
 	onResponse func(done *gathered, all []*gathered)) []*gathered {
 	if co.cfg.ScatterTimeout > 0 {
 		var cancel context.CancelFunc
@@ -281,10 +299,13 @@ func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte,
 		defer cancel()
 	}
 	co.metrics.scatters.Add(1)
-	all := make([]*gathered, len(co.peers))
-	for i, p := range co.peers {
+	all := make([]*gathered, 0, len(co.peers))
+	for _, p := range co.peers {
+		if only != nil && !only[p] {
+			continue
+		}
 		g := &gathered{peer: p}
-		all[i] = g
+		all = append(all, g)
 		conn, err := co.connect(p)
 		if err != nil {
 			g.err = err
@@ -369,11 +390,11 @@ func checkEpochs(epochs []uint64) error {
 	return nil
 }
 
-// coverageError validates that the registered shard ranges tile the
-// coordinator's library exactly. Run against the full peer set so a gap is
-// reported even when the policy would otherwise degrade around it.
-func (co *Coordinator) coverageError() error {
-	n := co.engine.Snapshot().NumImplementations()
+// coverageError validates that the registered shard ranges tile the n
+// implementations of the coordinator's library exactly. Run against the full
+// peer set so a gap is reported even when the policy would otherwise degrade
+// around it.
+func (co *Coordinator) coverageError(n int) error {
 	type rng struct{ lo, hi int }
 	ranges := make([]rng, 0, len(co.peers))
 	for _, p := range co.peers {
@@ -405,109 +426,97 @@ func (co *Coordinator) coverageError() error {
 	return nil
 }
 
-// strategySpec is the parsed strategy selection of one query.
-type strategySpec struct {
-	strategy  goalrec.Strategy
-	name      string // canonical response name, matching Recommender.Name()
-	measure   string // focus: "cmp" | "cl"
-	weighting string // breadth weighting name
-	metric    vectorspace.Metric
-}
-
-// parseStrategy maps the wire strategy/metric names onto a spec, accepting
-// exactly the names the single-node server accepts — the topology oracle
-// test compares error bytes, so even the rejections must match. Like the
-// single-node option resolution, the metric is validated for every strategy
-// (a bad metric 400s a breadth query too).
-func parseStrategy(strategyName, metric string) (strategySpec, error) {
-	if strategyName == "" {
-		strategyName = string(goalrec.Breadth)
+// begin opens one query or batch, unless its context is already done: it
+// resolves the strategy through goalrec.ResolveStrategy — exactly the names a
+// single node accepts, down to the rejection bytes — primes the registrations,
+// validates that the shard ranges tile the library, and takes the one snapshot
+// every name of the request is resolved against. A client's mistake is a
+// *goalrec.QueryError, a failure of the cluster a *server.BackendError.
+func (co *Coordinator) begin(ctx context.Context, strategyName, metric string) (*goalrec.Library, goalrec.StrategySpec, error) {
+	spec, err := goalrec.ResolveStrategy(strategyName, metric)
+	if err == nil {
+		err = ctx.Err()
 	}
-	if metric == "" {
-		metric = "cosine"
-	}
-	spec := strategySpec{weighting: "overlap"}
-	m, err := vectorspace.ParseMetric(metric)
 	if err != nil {
-		return spec, fmt.Errorf("goalrec: %w", err)
+		return nil, spec, err
 	}
-	spec.metric = m
-	switch goalrec.Strategy(strategyName) {
-	case goalrec.FocusCompleteness:
-		spec.strategy, spec.measure, spec.name = goalrec.FocusCompleteness, "cmp", "focus-cmp"
-	case goalrec.FocusCloseness:
-		spec.strategy, spec.measure, spec.name = goalrec.FocusCloseness, "cl", "focus-cl"
-	case goalrec.Breadth:
-		spec.strategy, spec.name = goalrec.Breadth, "breadth"
-	case goalrec.BestMatch:
-		spec.strategy, spec.name = goalrec.BestMatch, "best-match"
-		if m != vectorspace.Cosine {
-			spec.name = "best-match-" + m.String()
+	for _, p := range co.peers {
+		// Connection failures surface through the scatter under the
+		// partial-failure policy; this only primes (or re-establishes) the
+		// registrations so coverage can be validated.
+		if _, err := co.connect(p); err != nil {
+			co.logf("cluster: preconnect: %v", err)
 		}
-	default:
-		return spec, fmt.Errorf("goalrec: unknown strategy %q", strategyName)
 	}
-	return spec, nil
+	snap := co.engine.Snapshot()
+	if err := co.coverageError(snap.NumImplementations()); err != nil {
+		return nil, spec, &server.BackendError{Err: err}
+	}
+	return snap, spec, nil
 }
 
 // Recommend resolves the activity against the coordinator's copy, scatters
 // it to every shard, and merges the partials into the single-node ranking.
 func (co *Coordinator) Recommend(ctx context.Context, strategyName, metric string, activity []string, k int) (*Result, error) {
-	spec, err := parseStrategy(strategyName, metric)
+	snap, spec, err := co.begin(ctx, strategyName, metric)
 	if err != nil {
 		return nil, err
 	}
-	if err := co.preconnectAll(); err != nil {
-		// Connection failures surface through the scatter under the
-		// partial-failure policy; preconnect only primes registrations so
-		// coverage can be validated.
-		co.logf("cluster: preconnect: %v", err)
-	}
-	if err := co.coverageError(); err != nil {
+	return co.recommendAt(ctx, snap, spec, activity, k)
+}
+
+// RecommendBatch implements server.Backend: coverage is validated once and
+// every activity resolved against one snapshot, whose epoch the batch reports.
+func (co *Coordinator) RecommendBatch(ctx context.Context, strategyName, metric string, activities [][]string, k int) (*server.BatchResult, error) {
+	snap, spec, err := co.begin(ctx, strategyName, metric)
+	if err != nil {
 		return nil, err
 	}
-	snap := co.engine.Snapshot()
-	ids, unknown := snap.ResolveActivity(activity)
+	batch := &server.BatchResult{Epoch: snap.Epoch(), Strategy: spec.Name, Items: make([]Result, len(activities))}
+	for i, activity := range activities {
+		res, err := co.recommendAt(ctx, snap, spec, activity, k)
+		if err != nil {
+			return nil, err
+		}
+		batch.Items[i] = *res
+		batch.Degraded = batch.Degraded || res.Degraded
+	}
+	return batch, nil
+}
 
-	res := &Result{Epoch: snap.Epoch(), Strategy: spec.name, UnknownActions: unknown}
+// recommendAt answers one activity from snap.
+func (co *Coordinator) recommendAt(ctx context.Context, snap *goalrec.Library, spec goalrec.StrategySpec, activity []string, k int) (*Result, error) {
+	ids, unknown := snap.ResolveActivity(activity)
 	var scored []strategy.ScoredAction
 	var degraded bool
-	switch spec.strategy {
+	var err error
+	switch spec.Strategy {
 	case goalrec.FocusCompleteness, goalrec.FocusCloseness:
 		// The annotated-emission protocol streams exactly k emissions per
 		// shard; a full ranking (k <= 0) has no cutoff to merge under.
 		if k <= 0 {
-			return nil, fmt.Errorf("cluster: focus strategies need k >= 1")
+			return nil, &goalrec.QueryError{Err: errors.New("cluster: focus strategies need k >= 1")}
 		}
-		scored, degraded, err = co.gatherFocus(ctx, spec.measure, ids, k)
+		measure := "cmp"
+		if spec.Strategy == goalrec.FocusCloseness {
+			measure = "cl"
+		}
+		scored, degraded, err = co.gatherFocus(ctx, measure, ids, k)
 	case goalrec.Breadth:
-		scored, degraded, err = co.gatherBreadth(ctx, spec.weighting, ids, k)
+		scored, degraded, err = co.gatherBreadth(ctx, "overlap", ids, k)
 	case goalrec.BestMatch:
-		scored, degraded, err = co.gatherBestMatch(ctx, spec.metric, ids, k)
+		m, _ := vectorspace.ParseMetric(spec.Metric) // validated by ResolveStrategy
+		scored, degraded, err = co.gatherBestMatch(ctx, m, ids, k)
 	}
 	if err != nil {
-		return nil, err
+		return nil, &server.BackendError{Err: err}
 	}
-	res.Degraded = degraded
-	res.Recommendations = make([]goalrec.Recommendation, len(scored))
+	res := &Result{Epoch: snap.Epoch(), Strategy: spec.Name, UnknownActions: unknown, Degraded: degraded,
+		Recommendations: make([]goalrec.Recommendation, len(scored))}
 	for i, s := range scored {
 		res.Recommendations[i] = goalrec.Recommendation{Action: snap.ActionNameByID(s.Action), Score: s.Score}
 	}
 	return res, nil
-}
-
-// preconnectAll establishes (or re-establishes) every peer connection so
-// registration state is fresh before coverage validation. The first error
-// is returned for logging; scatter-level policy decides what a dead peer
-// means for the query.
-func (co *Coordinator) preconnectAll() error {
-	var first error
-	for _, p := range co.peers {
-		if _, err := co.connect(p); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // gatherFocus scatters a Focus query. The first shard to return a full k
@@ -518,7 +527,7 @@ func (co *Coordinator) preconnectAll() error {
 func (co *Coordinator) gatherFocus(ctx context.Context, measure string, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
 	payload := mustJSON(focusRequest{Measure: measure, Activity: ids, K: k})
 	broadcast := false
-	all := co.scatter(ctx, FrameFocus, payload, func(done *gathered, all []*gathered) {
+	all := co.scatter(ctx, FrameFocus, payload, nil, func(done *gathered, all []*gathered) {
 		if broadcast {
 			return
 		}
@@ -578,7 +587,7 @@ func (co *Coordinator) gatherFocus(ctx context.Context, measure string, ids []co
 // local ranking bounds the global one.)
 func (co *Coordinator) gatherBreadth(ctx context.Context, weighting string, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
 	payload := mustJSON(breadthRequest{Weighting: weighting, Activity: ids})
-	all := co.scatter(ctx, FrameBreadth, payload, nil)
+	all := co.scatter(ctx, FrameBreadth, payload, nil, nil)
 	ok, degraded, err := co.partition(all)
 	if err != nil {
 		return nil, false, err
@@ -608,7 +617,7 @@ func (co *Coordinator) gatherBreadth(ctx context.Context, weighting string, ids 
 // one) is what keeps the norms and dot products equal to single-node.
 func (co *Coordinator) gatherBestMatch(ctx context.Context, metric vectorspace.Metric, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
 	surveyPayload := mustJSON(bmSurveyRequest{Activity: ids})
-	all := co.scatter(ctx, FrameBMSurvey, surveyPayload, nil)
+	all := co.scatter(ctx, FrameBMSurvey, surveyPayload, nil, nil)
 	ok, degraded, err := co.partition(all)
 	if err != nil {
 		return nil, false, err
@@ -634,7 +643,7 @@ func (co *Coordinator) gatherBestMatch(ctx context.Context, metric vectorspace.M
 	// Round two targets only the shards whose surveys are folded into the
 	// global spaces; a shard that failed round one contributes to neither.
 	vecPayload := mustJSON(bmVectorsRequest{Candidates: candidates, GoalSpace: goalSpace})
-	all2 := co.scatterTo(ctx, FrameBMVectors, vecPayload, okPeers)
+	all2 := co.scatter(ctx, FrameBMVectors, vecPayload, okPeers, nil)
 	ok2, degraded2, err := co.partition(all2)
 	if err != nil {
 		return nil, false, err
@@ -657,53 +666,6 @@ func (co *Coordinator) gatherBestMatch(ctx context.Context, metric vectorspace.M
 		degraded || degraded2, nil
 }
 
-// scatterTo is scatter restricted to a peer subset (Best Match round two).
-func (co *Coordinator) scatterTo(ctx context.Context, typ uint8, payload []byte, include map[*peer]bool) []*gathered {
-	if co.cfg.ScatterTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, co.cfg.ScatterTimeout)
-		defer cancel()
-	}
-	co.metrics.scatters.Add(1)
-	var all []*gathered
-	var wg sync.WaitGroup
-	for _, p := range co.peers {
-		if !include[p] {
-			continue
-		}
-		g := &gathered{peer: p}
-		all = append(all, g)
-		conn, err := co.connect(p)
-		if err != nil {
-			g.err = err
-			continue
-		}
-		g.conn = conn
-		g.reqID = conn.NewRequestID()
-		wg.Add(1)
-		go func(g *gathered) {
-			defer wg.Done()
-			t0 := time.Now()
-			f, err := g.conn.DoRequest(ctx, g.reqID, typ, payload)
-			g.latency = time.Since(t0)
-			co.metrics.observeFanout(g.latency)
-			if err == nil && f.Type == FrameErr {
-				err = decodeResponse(f, nil)
-			}
-			if err != nil {
-				g.err = err
-				return
-			}
-			g.frame = f
-		}(g)
-	}
-	wg.Wait()
-	return all
-}
-
-// ErrNoReloader marks a Reload on a coordinator without a local reloader.
-var ErrNoReloader = errors.New("cluster: no reloader configured")
-
 // Reload drives a cluster-wide two-phase snapshot swap: every worker stages
 // its next epoch (prepare), and only when all of them hold a staged library
 // that agrees on size and vocabulary does the coordinator commit the flip —
@@ -712,7 +674,7 @@ var ErrNoReloader = errors.New("cluster: no reloader configured")
 // committed, so name resolution never runs ahead of the shards.
 func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementations int, err error) {
 	if co.cfg.Reload == nil {
-		return 0, 0, ErrNoReloader
+		return 0, 0, server.ErrNoReloader
 	}
 	// Load the coordinator's own copy first: a broken artifact aborts the
 	// swap before any worker is disturbed.
@@ -723,7 +685,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 	}
 
 	// Phase one: prepare every worker.
-	all := co.scatter(ctx, FramePrepare, nil, nil)
+	all := co.scatter(ctx, FramePrepare, nil, nil, nil)
 	var prepared []*gathered
 	var firstErr error
 	wantVocab := lib.VocabChecksum()

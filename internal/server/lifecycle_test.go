@@ -52,6 +52,30 @@ func TestLifecycleMetricsKeys(t *testing.T) {
 	if m.ReloadFailureStreak != 0 {
 		t.Errorf("reload_failure_streak = %d, want 0", m.ReloadFailureStreak)
 	}
+
+	// Every key the end-to-end benchmark reads off a durable node, by name
+	// (bench/run.go): a renamed or dropped key would read there as 0.
+	durable, _, _ := newDegradableServer(t)
+	_, body := getJSON(t, durable.URL+"/v1/metrics")
+	for _, path := range [][]string{
+		{"epoch"}, {"requests"}, {"errors"}, {"lifecycle", "sheds"}, {"library", "backing"},
+		{"pruning", "enabled"}, {"pruning", "counters"}, {"block_cache", "enabled"}, {"block_cache", "counters"},
+		{"users", "enabled"}, {"users", "counters", "hits"}, {"users", "counters", "advances"},
+		{"users", "counters", "cold"}, {"users", "counters", "evictions"}, {"users", "counters", "rebuilds"},
+		{"users", "counters", "appends"}, {"users", "counters", "deletes"},
+		{"storage", "enabled"}, {"storage", "status", "degradations"}, {"storage", "status", "mode"},
+		{"reload_failure_streak"},
+	} {
+		var at any = body
+		for _, key := range path {
+			block, _ := at.(map[string]any)
+			var ok bool
+			if at, ok = block[key]; !ok {
+				t.Errorf("metrics lack %v", path)
+				break
+			}
+		}
+	}
 }
 
 func TestRequestTimeoutExpiresAs504(t *testing.T) {

@@ -22,12 +22,16 @@
 // a recommend scores pre-accumulated counters instead of rescanning the
 // history — bit-identical to POSTing the same history to /v1/recommend.
 //
-// The server is epoch-based: it holds an atomic pointer to the current
-// epoch's {library snapshot, recommender set} bundle. Queries load the
-// bundle once and answer entirely from it, so they always see one
-// consistent epoch; ingests and reloads publish the next epoch without
-// blocking in-flight queries. Every response carries the epoch it was
-// answered from.
+// The front end serves a Backend — the local engine of one node, or a
+// cluster coordinator — and is the same server on both: routing, decoding,
+// validation, deadlines, admission, panic recovery, accounting and the wire
+// shapes live here once. A coordinator serves the recommendation, probe and
+// reload endpoints; the rest need the local engine and are routed only on it.
+//
+// The server is epoch-based: a query is answered entirely from one snapshot
+// of the backend, so it always sees one consistent epoch; ingests and reloads
+// publish the next epoch without blocking in-flight queries. Every response
+// carries the epoch it was answered from.
 //
 // The request lifecycle is hardened for production traffic (see DESIGN.md,
 // "Request lifecycle & failure modes"): WithRequestTimeout bounds every
@@ -74,6 +78,72 @@ const statusClientClosedRequest = 499
 // request-times only converts overload into latency.
 const defaultAdmissionWait = 10 * time.Millisecond
 
+// Backend is what the front end serves: the local engine of one node (built
+// by New and NewFromEngine) or a cluster coordinator. Only what a topology
+// does differently sits behind it.
+type Backend interface {
+	// Snapshot is the library copy the backend currently answers from: the
+	// source of the reported epoch, /v1/stats and the "library" metrics block.
+	Snapshot() *goalrec.Library
+	// Recommend answers one query from one snapshot. Its errors are typed: a
+	// *goalrec.QueryError for a request the client got wrong (400), the
+	// context's error on expiry or disconnect (504/499), a *BackendError for
+	// a failure behind the backend (502).
+	Recommend(ctx context.Context, strategy, metric string, activity []string, k int) (*Result, error)
+	// RecommendBatch answers every activity from the same snapshot, whose
+	// epoch it reports. Any error fails the whole batch.
+	RecommendBatch(ctx context.Context, strategy, metric string, activities [][]string, k int) (*BatchResult, error)
+	// Reload re-reads the backend's library source and publishes it as the
+	// next epoch, or returns ErrNoReloader. On failure the served epoch stays.
+	Reload(ctx context.Context) (epoch uint64, implementations int, err error)
+	// Status is what the backend adds to /readyz, /v1/metrics and the log
+	// line of a 5xx.
+	Status() Status
+}
+
+// Result is one answered query.
+type Result struct {
+	Epoch           uint64
+	Strategy        string // canonical name, e.g. "best-match-jaccard"
+	Recommendations []goalrec.Recommendation
+	UnknownActions  []string
+	// Degraded marks a ranking merged without every shard: exact over the
+	// shards that answered, possibly missing the failed shard's actions.
+	Degraded bool
+}
+
+// BatchResult is one answered batch: Items in input order, every one of them
+// answered from the snapshot of epoch Epoch.
+type BatchResult struct {
+	Epoch    uint64
+	Strategy string
+	Items    []Result
+	Degraded bool // some item is
+}
+
+// Status is a backend's contribution to the probes.
+type Status struct {
+	// Degraded turns /readyz's "ok" into "degraded" (still 200).
+	Degraded bool
+	// Ready is merged into the /readyz body, Metrics into /v1/metrics.
+	Ready   map[string]any
+	Metrics map[string]any
+	// Detail closes the log line of a 5xx: the epochs the backend was at.
+	Detail string
+}
+
+// BackendError marks a failure behind the backend rather than in the request
+// or the front end — a shard down under the fail-closed policy, epoch skew
+// across shards — and is answered 502 with Err's message.
+type BackendError struct{ Err error }
+
+func (e *BackendError) Error() string { return e.Err.Error() }
+func (e *BackendError) Unwrap() error { return e.Err }
+
+// ErrNoReloader is Backend.Reload's answer when no library source is
+// configured; /v1/reload maps it to 501.
+var ErrNoReloader = errors.New("no reloader configured")
+
 // bundle pairs one epoch's library snapshot with the recommenders built
 // over it. Queries that grabbed a bundle keep using it even while a newer
 // epoch is being installed; dropping the whole bundle on swap is what
@@ -82,43 +152,126 @@ type bundle struct {
 	lib *goalrec.Library
 
 	// pruneStats receives the block-max scan counters of this bundle's Focus
-	// recommenders. The sink is the Server's, shared across epochs, so the
+	// recommenders. The sink is the backend's, shared across epochs, so the
 	// cumulative counters survive swaps.
 	pruneStats *goalrec.PruneStats
 
 	mu   sync.Mutex
-	recs map[string]goalrec.Recommender // lazily built per strategy/metric
-}
-
-func (s *Server) newBundle(lib *goalrec.Library) *bundle {
-	return &bundle{lib: lib, pruneStats: &s.pruneStats, recs: make(map[string]goalrec.Recommender)}
+	recs map[string]goalrec.Recommender // lazily built, by canonical name
 }
 
 // recommender returns (building on first use) the bundle's recommender for
 // the strategy/metric pair.
 func (b *bundle) recommender(strategyName, metric string) (goalrec.Recommender, error) {
-	if strategyName == "" {
-		strategyName = string(goalrec.Breadth)
+	spec, err := goalrec.ResolveStrategy(strategyName, metric)
+	if err != nil {
+		return nil, err
 	}
-	if metric == "" {
-		metric = "cosine"
-	}
-	key := strategyName + "/" + metric
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rec, ok := b.recs[key]; ok {
+	if rec, ok := b.recs[spec.Name]; ok {
 		return rec, nil
 	}
 	// Serving workloads repeat activities heavily; strategies are
 	// deterministic over the immutable snapshot, so an LRU per recommender
 	// is sound — and it dies with the bundle, never serving a stale epoch.
-	rec, err := b.lib.Recommender(goalrec.Strategy(strategyName),
-		goalrec.WithDistanceMetric(metric), goalrec.WithCache(4096), goalrec.WithPruningStats(b.pruneStats))
+	rec, err := b.lib.Recommender(spec.Strategy,
+		goalrec.WithDistanceMetric(spec.Metric), goalrec.WithCache(4096), goalrec.WithPruningStats(b.pruneStats))
 	if err != nil {
 		return nil, err
 	}
-	b.recs[key] = rec
+	b.recs[spec.Name] = rec
 	return rec, nil
+}
+
+// localBackend is the single-node Backend: an atomic pointer to the current
+// epoch's bundle over an engine. Queries load the bundle once and answer
+// entirely from it.
+type localBackend struct {
+	engine *goalrec.Engine
+	cur    atomic.Pointer[bundle]
+	swapMu sync.Mutex // serializes bundle installs (monotonic epoch guard)
+	load   func() (*goalrec.Library, error)
+
+	// pruneStats is the shared sink every bundle's Focus recommenders count
+	// their block-max scans into; it only moves while the served snapshot is
+	// size-sorted. Surfaced under "pruning" in /v1/metrics.
+	pruneStats goalrec.PruneStats
+}
+
+func (b *localBackend) Snapshot() *goalrec.Library { return b.cur.Load().lib }
+
+// install publishes lib's bundle unless a newer (or the same) epoch is
+// already being served — concurrent ingests and swaps race to install, and
+// the guard keeps the served epoch monotonic.
+func (b *localBackend) install(lib *goalrec.Library) uint64 {
+	b.swapMu.Lock()
+	defer b.swapMu.Unlock()
+	if cur := b.cur.Load(); cur != nil && lib.Epoch() <= cur.lib.Epoch() {
+		return cur.lib.Epoch()
+	}
+	b.cur.Store(&bundle{lib: lib, pruneStats: &b.pruneStats, recs: make(map[string]goalrec.Recommender)})
+	return lib.Epoch()
+}
+
+func (b *localBackend) Recommend(ctx context.Context, strategyName, metric string, activity []string, k int) (*Result, error) {
+	cur := b.cur.Load()
+	rec, err := cur.recommender(strategyName, metric)
+	if err != nil {
+		return nil, err
+	}
+	list, err := rec.RecommendContext(ctx, activity, k)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Epoch:           cur.lib.Epoch(),
+		Strategy:        rec.Name(),
+		Recommendations: list,
+		UnknownActions:  cur.lib.UnknownActions(activity),
+	}, nil
+}
+
+// RecommendBatch resolves one bundle (snapshot + recommender) for the whole
+// batch and fans the activities out over the library's worker pool.
+func (b *localBackend) RecommendBatch(ctx context.Context, strategyName, metric string, activities [][]string, k int) (*BatchResult, error) {
+	cur := b.cur.Load()
+	rec, err := cur.recommender(strategyName, metric)
+	if err != nil {
+		return nil, err
+	}
+	res := &BatchResult{Epoch: cur.lib.Epoch(), Strategy: rec.Name(), Items: make([]Result, len(activities))}
+	for i, item := range rec.RecommendBatch(ctx, activities, k) {
+		if item.Err != nil {
+			return nil, item.Err
+		}
+		// The batch resolved every name once; its per-item unknown list is
+		// authoritative, so no second vocabulary pass here.
+		res.Items[i] = Result{Epoch: res.Epoch, Strategy: res.Strategy,
+			Recommendations: item.Recommendations, UnknownActions: item.UnknownActions}
+	}
+	return res, nil
+}
+
+func (b *localBackend) Reload(context.Context) (uint64, int, error) {
+	if b.load == nil {
+		return 0, 0, ErrNoReloader
+	}
+	lib, err := b.load()
+	if err != nil {
+		return 0, 0, err
+	}
+	return b.install(b.engine.Swap(lib)), lib.NumImplementations(), nil
+}
+
+func (b *localBackend) Status() Status {
+	lib := b.Snapshot()
+	return Status{
+		// "enabled" says whether the counters can move at this epoch: Focus
+		// takes the block-max scan exactly when the snapshot is size-sorted.
+		Metrics: map[string]any{"pruning": countersBlock{lib.Core().ImplLenSorted(), b.pruneStats.Snapshot()}},
+		Detail:  fmt.Sprintf("epoch %d", lib.Epoch()),
+	}
 }
 
 // Option customizes a Server.
@@ -126,6 +279,7 @@ type Option func(*Server)
 
 // WithReloader installs the loader /v1/reload invokes to re-read the
 // library from its source of truth. Without one, /v1/reload answers 501.
+// (A coordinator backend brings its own, cluster-wide reload.)
 func WithReloader(load func() (*goalrec.Library, error)) Option {
 	return func(s *Server) { s.reload = load }
 }
@@ -176,26 +330,24 @@ func WithStore(st *goalrec.Store) Option {
 	return func(s *Server) { s.store = st }
 }
 
-// Server routes recommendation requests against the current epoch of an
-// evolving library.
+// Server is the HTTP front end over a Backend.
 type Server struct {
-	engine *goalrec.Engine
-	cur    atomic.Pointer[bundle]
-	swapMu sync.Mutex // serializes bundle installs (monotonic epoch guard)
-	reload func() (*goalrec.Library, error)
+	backend Backend
+	// local is the backend when it is this node's engine, nil over a
+	// coordinator: ingest, spaces, explain, the user endpoints and Swap need it.
+	local  *localBackend
+	reload func() (*goalrec.Library, error) // WithReloader, handed to local
 
 	mux *http.ServeMux
-	log *log.Logger
+	// log is the request log (nil disables it); errLog names every 5xx and
+	// panic and defaults to log (see SetErrorLog).
+	log    *log.Logger
+	errLog *log.Logger
 
 	// Request-lifecycle knobs (see WithRequestTimeout / WithMaxInflight).
 	timeout  time.Duration
 	gate     chan struct{}
 	gateWait time.Duration
-
-	// pruneStats is the shared sink every bundle's Focus recommenders count
-	// their block-max scans into; it only moves while the served snapshot is
-	// size-sorted. Surfaced under "pruning" in /v1/metrics.
-	pruneStats goalrec.PruneStats
 
 	// users is non-nil iff WithUserStore: the per-user history store behind
 	// the /v1/users endpoints.
@@ -231,10 +383,28 @@ func New(lib *goalrec.Library, logger *log.Logger, opts ...Option) *Server {
 // one recovered by goalrec.OpenStore, whose ingests are already journaled.
 // The server starts at whatever epoch the engine currently publishes.
 func NewFromEngine(engine *goalrec.Engine, logger *log.Logger, opts ...Option) *Server {
+	local := &localBackend{engine: engine}
+	local.install(engine.Snapshot())
+	s := NewFromBackend(local, logger, opts...)
+	s.local, local.load = local, s.reload
+	s.mux.HandleFunc("POST /v1/spaces", s.counted("spaces", s.gated("spaces", s.handleSpaces)))
+	s.mux.HandleFunc("POST /v1/explain", s.counted("explain", s.gated("explain", s.handleExplain)))
+	s.mux.HandleFunc("POST /v1/implementations", s.counted("implementations", s.handleIngest))
+	s.mux.HandleFunc("POST /v1/users/{id}/actions", s.counted("user_append", s.gated("user_append", s.handleUserAppend)))
+	s.mux.HandleFunc("GET /v1/users/{id}/recommend", s.counted("user_recommend", s.gated("user_recommend", s.handleUserRecommend)))
+	s.mux.HandleFunc("DELETE /v1/users/{id}", s.counted("user_delete", s.handleUserDelete))
+	return s
+}
+
+// NewFromBackend returns the same front end over any Backend — a cluster
+// coordinator — with the endpoints every backend can answer: the probes,
+// stats, metrics, recommend, batch and reload.
+func NewFromBackend(b Backend, logger *log.Logger, opts ...Option) *Server {
 	s := &Server{
-		engine:    engine,
+		backend:   b,
 		mux:       http.NewServeMux(),
 		log:       logger,
+		errLog:    logger,
 		gateWait:  defaultAdmissionWait,
 		requests:  new(expvar.Map).Init(),
 		errors:    new(expvar.Map).Init(),
@@ -248,48 +418,52 @@ func NewFromEngine(engine *goalrec.Engine, logger *log.Logger, opts ...Option) *
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.cur.Store(s.newBundle(s.engine.Snapshot()))
 	s.mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealth))
 	s.mux.HandleFunc("GET /readyz", s.counted("readyz", s.handleReady))
 	s.mux.HandleFunc("GET /v1/stats", s.counted("stats", s.handleStats))
 	s.mux.HandleFunc("POST /v1/recommend", s.counted("recommend", s.gated("recommend", s.handleRecommend)))
 	s.mux.HandleFunc("POST /v1/recommend/batch", s.counted("recommend_batch", s.gated("recommend_batch", s.handleRecommendBatch)))
-	s.mux.HandleFunc("POST /v1/spaces", s.counted("spaces", s.gated("spaces", s.handleSpaces)))
-	s.mux.HandleFunc("POST /v1/explain", s.counted("explain", s.gated("explain", s.handleExplain)))
-	s.mux.HandleFunc("POST /v1/implementations", s.counted("implementations", s.handleIngest))
 	s.mux.HandleFunc("POST /v1/reload", s.counted("reload", s.gated("reload", s.handleReload)))
 	s.mux.HandleFunc("GET /v1/metrics", s.counted("metrics", s.handleMetrics))
-	s.mux.HandleFunc("POST /v1/users/{id}/actions", s.counted("user_append", s.gated("user_append", s.handleUserAppend)))
-	s.mux.HandleFunc("GET /v1/users/{id}/recommend", s.counted("user_recommend", s.gated("user_recommend", s.handleUserRecommend)))
-	s.mux.HandleFunc("DELETE /v1/users/{id}", s.counted("user_delete", s.handleUserDelete))
 	return s
 }
 
-// bundle returns the current epoch's bundle. Handlers load it exactly once
-// per request so library, recommenders and reported epoch stay consistent.
-func (s *Server) bundle() *bundle { return s.cur.Load() }
+// SetErrorLog directs the error log — one line per 5xx answered, with its
+// cause and the backend's epochs, and every recovered panic — to l. It is not
+// the request log: by default it shares New's logger, and a daemon that
+// silences request logging keeps it by setting it here, before serving.
+func (s *Server) SetErrorLog(l *log.Logger) { s.errLog = l }
 
 // Epoch returns the epoch the server currently answers from.
-func (s *Server) Epoch() uint64 { return s.bundle().lib.Epoch() }
+func (s *Server) Epoch() uint64 { return s.backend.Snapshot().Epoch() }
 
-// Swap replaces the served library with lib as the next epoch and returns
-// that epoch. In-flight requests finish against the bundle they loaded.
+// Swap replaces the library this node's engine serves with lib as the next
+// epoch and returns that epoch. In-flight requests finish against the bundle
+// they loaded. It panics over a coordinator, whose swaps are cluster-wide.
 func (s *Server) Swap(lib *goalrec.Library) uint64 {
-	return s.install(s.engine.Swap(lib))
+	return s.local.install(s.local.engine.Swap(lib))
 }
 
-// install publishes lib's bundle unless a newer (or the same) epoch is
-// already being served — concurrent ingests and swaps race to install, and
-// the guard keeps the served epoch monotonic.
-func (s *Server) install(lib *goalrec.Library) uint64 {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	if cur := s.cur.Load(); cur != nil && lib.Epoch() <= cur.lib.Epoch() {
-		return cur.lib.Epoch()
+// Reload has the backend re-read its library source and publish the next
+// epoch: the one path behind /v1/reload and an external watch loop. A failure
+// leaves the served epoch in place and grows the consecutive-failure streak
+// that /readyz and /v1/metrics report; a success resets it.
+func (s *Server) Reload(ctx context.Context) (epoch uint64, implementations int, err error) {
+	epoch, implementations, err = s.backend.Reload(ctx)
+	switch {
+	case errors.Is(err, ErrNoReloader):
+	case err != nil:
+		s.lifecycle.Add("reload_failures", 1)
+		s.reloadStreak.Add(1)
+	default:
+		s.reloadStreak.Store(0)
 	}
-	s.cur.Store(s.newBundle(lib))
-	return lib.Epoch()
+	return epoch, implementations, err
 }
+
+// ReloadFailureStreak returns the current consecutive reload-failure
+// streak.
+func (s *Server) ReloadFailureStreak() int64 { return s.reloadStreak.Load() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -300,23 +474,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // answers 503 so load balancers route new traffic elsewhere; everything
 // else keeps serving so in-flight and straggler requests complete.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports whether the server is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// NoteReloadFailure records a failed library reload (from /v1/reload or an
-// external watch loop) and returns the current consecutive-failure streak.
-func (s *Server) NoteReloadFailure() int64 {
-	s.lifecycle.Add("reload_failures", 1)
-	return s.reloadStreak.Add(1)
-}
-
-// NoteReloadSuccess resets the consecutive reload-failure streak.
-func (s *Server) NoteReloadSuccess() { s.reloadStreak.Store(0) }
-
-// ReloadFailureStreak returns the current consecutive reload-failure
-// streak.
-func (s *Server) ReloadFailureStreak() int64 { return s.reloadStreak.Load() }
 
 // counted wraps a handler with per-endpoint request accounting, the
 // optional per-request deadline, and panic recovery: a panicking handler
@@ -334,7 +491,9 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.errors.Add(name, 1)
-				s.logf("server: panic in %s: %v\n%s", name, rec, debug.Stack())
+				if s.errLog != nil {
+					s.errLog.Printf("server: panic in %s: %v\n%s", name, rec, debug.Stack())
+				}
 				if !sw.wrote {
 					s.writeError(sw, http.StatusInternalServerError, "internal error")
 				}
@@ -350,8 +509,10 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // gated wraps an expensive handler with the admission gate. Without
 // WithMaxInflight the wrapper is free. Over the limit, the request waits
-// up to gateWait for a slot and is then shed: 503 plus a Retry-After so
-// well-behaved clients back off instead of hammering.
+// up to gateWait for a slot — giving up early if the client hangs up — and
+// is then shed: 503 plus a Retry-After so well-behaved clients back off
+// instead of hammering. Sheds are counted, not named in the error log: under
+// overload that log would be one line per refused request.
 func (s *Server) gated(name string, h http.HandlerFunc) http.HandlerFunc {
 	if s.gate == nil {
 		return h
@@ -360,28 +521,28 @@ func (s *Server) gated(name string, h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case s.gate <- struct{}{}:
 		default:
-			// Full: wait briefly for a slot, but give up on shed timeout or
-			// the client hanging up.
 			t := time.NewTimer(s.gateWait)
 			defer t.Stop()
 			select {
 			case s.gate <- struct{}{}:
 			case <-t.C:
-				s.lifecycle.Add("sheds", 1)
 				s.logf("server: shedding %s (inflight limit %d)", name, cap(s.gate))
-				w.Header().Set("Retry-After", "1")
-				s.writeError(w, http.StatusServiceUnavailable, "overloaded, retry later")
+				s.shed(w)
 				return
 			case <-r.Context().Done():
-				s.lifecycle.Add("sheds", 1)
-				w.Header().Set("Retry-After", "1")
-				s.writeError(w, http.StatusServiceUnavailable, "overloaded, retry later")
+				s.shed(w)
 				return
 			}
 		}
 		defer func() { <-s.gate }()
 		h(w, r)
 	}
+}
+
+func (s *Server) shed(w http.ResponseWriter) {
+	s.lifecycle.Add("sheds", 1)
+	w.Header().Set("Retry-After", "1")
+	s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "overloaded, retry later"})
 }
 
 // statusWriter records the response status and whether anything was
@@ -422,14 +583,22 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	}
 }
 
+// writeError answers with an error body. Every 5xx is also named in the
+// error log — status, cause and the epochs the backend was at (for a
+// coordinator: its own and the one each worker last reported) — so a failed
+// request can be explained from the running system.
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+	msg := fmt.Sprintf(format, args...)
+	if status >= 500 && s.errLog != nil {
+		s.errLog.Printf("server: answering %d: %s (%s)", status, msg, s.backend.Status().Detail)
+	}
+	s.writeJSON(w, status, errorResponse{Error: msg})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status": "ok",
-		"epoch":  s.bundle().lib.Epoch(),
+		"epoch":  s.Epoch(),
 	})
 }
 
@@ -438,14 +607,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // surfaces the reload-failure streak — a persistently failing reload means
 // the instance is serving an increasingly stale epoch, which operators
 // want visible even while the instance stays ready.
-// It also reports "degraded" (still 200 — reads keep serving) with a
-// "storage" block while a WithStore store is read-only.
+// It reports "degraded" (still 200 — reads keep serving) while the backend
+// says so (a coordinator missing workers) or, with a "storage" block, while a
+// WithStore store is read-only.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	code := http.StatusOK
+	st := s.backend.Status()
 	resp := map[string]interface{}{
-		"epoch":                 s.bundle().lib.Epoch(),
+		"epoch":                 s.Epoch(),
 		"reload_failure_streak": s.reloadStreak.Load(),
+	}
+	for key, v := range st.Ready {
+		resp[key] = v
+	}
+	if st.Degraded {
+		status = "degraded"
 	}
 	if p := s.storagePayload(); p != nil {
 		resp["storage"] = p
@@ -509,10 +686,10 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	b := s.bundle()
-	st := b.lib.Stats()
+	lib := s.backend.Snapshot()
+	st := lib.Stats()
 	s.writeJSON(w, http.StatusOK, statsResponse{
-		Epoch:           b.lib.Epoch(),
+		Epoch:           lib.Epoch(),
 		Implementations: st.Implementations,
 		Actions:         st.Actions,
 		Goals:           st.Goals,
@@ -521,43 +698,66 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// countersBlock is the {"enabled", "counters"} shape of an optional
+// subsystem's metrics.
+type countersBlock struct {
+	Enabled  bool `json:"enabled"`
+	Counters any  `json:"counters"`
+}
+
+// metricsBody is the /v1/metrics reply, less the blocks the backend adds
+// ("pruning" on a node, "cluster" on a coordinator).
+type metricsBody struct {
+	Epoch     uint64          `json:"epoch"`
+	Requests  json.RawMessage `json:"requests"`
+	Errors    json.RawMessage `json:"errors"`
+	Lifecycle json.RawMessage `json:"lifecycle"`
+	Users     countersBlock   `json:"users"`
+	Storage   struct {
+		Enabled bool                  `json:"enabled"`
+		Status  *storageStatusPayload `json:"status,omitempty"`
+	} `json:"storage"`
+	BlockCache countersBlock `json:"block_cache"`
+	// Library is what backs the served library: mapped or heap, bytes per
+	// index structure, the process's mappings and the last sidecar decision.
+	Library             goalrec.LibraryBacking `json:"library"`
+	ReloadFailureStreak int64                  `json:"reload_failure_streak"`
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	b := s.bundle()
-	// "enabled" says whether the counters can move at this epoch: Focus takes
-	// the block-max scan exactly when the served snapshot is size-sorted.
-	prune, err := json.Marshal(s.pruneStats.Snapshot())
-	if err != nil {
-		prune = []byte("{}")
+	lib := s.backend.Snapshot()
+	cache := goalrec.BlockCacheMetrics()
+	m := metricsBody{
+		Epoch:               lib.Epoch(),
+		Requests:            json.RawMessage(s.requests.String()),
+		Errors:              json.RawMessage(s.errors.String()),
+		Lifecycle:           json.RawMessage(s.lifecycle.String()),
+		Users:               countersBlock{false, struct{}{}},
+		BlockCache:          countersBlock{cache.BudgetBytes > 0, cache},
+		Library:             lib.Backing(),
+		ReloadFailureStreak: s.reloadStreak.Load(),
 	}
-	users := []byte("{}")
 	if s.users != nil {
-		if u, err := json.Marshal(s.users.Stats()); err == nil {
-			users = u
-		}
+		m.Users = countersBlock{true, s.users.Stats()}
 	}
-	storage := []byte(`{"enabled": false}`)
 	if p := s.storagePayload(); p != nil {
-		if b, err := json.Marshal(p); err == nil {
-			storage = append([]byte(`{"enabled": true, "status": `), b...)
-			storage = append(storage, '}')
+		m.Storage.Enabled, m.Storage.Status = true, p
+	}
+	body, err := json.Marshal(m)
+	if blocks := s.backend.Status().Metrics; err == nil && len(blocks) > 0 {
+		var extra []byte
+		if extra, err = json.Marshal(blocks); err == nil {
+			// The backend's blocks close the object: two JSON objects become
+			// one by dropping the first's '}' and the second's '{'.
+			body = append(append(body[:len(body)-1], ','), extra[1:]...)
 		}
 	}
-	cacheStats := goalrec.BlockCacheMetrics()
-	cache := []byte("{}")
-	if b, err := json.Marshal(cacheStats); err == nil {
-		cache = b
-	}
-	// What backs the served library: mapped or heap, bytes per index
-	// structure, the process's mappings and the last sidecar decision.
-	library, err := json.Marshal(b.lib.Backing())
 	if err != nil {
-		library = []byte("{}")
+		s.writeError(w, http.StatusInternalServerError, "encoding metrics: %v", err)
+		return
 	}
-	fmt.Fprintf(w, "{\"epoch\": %d, \"requests\": %s, \"errors\": %s, \"lifecycle\": %s, \"pruning\": {\"enabled\": %t, \"counters\": %s}, \"users\": {\"enabled\": %t, \"counters\": %s}, \"storage\": %s, \"block_cache\": {\"enabled\": %t, \"counters\": %s}, \"library\": %s, \"reload_failure_streak\": %d}\n",
-		b.lib.Epoch(), s.requests.String(), s.errors.String(),
-		s.lifecycle.String(), b.lib.Core().ImplLenSorted(), prune, s.users != nil, users, storage,
-		cacheStats.BudgetBytes > 0, cache, library, s.reloadStreak.Load())
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, '\n'))
 }
 
 // recommendRequest is the /v1/recommend body.
@@ -568,20 +768,29 @@ type recommendRequest struct {
 	K        int      `json:"k"`        // default 10
 }
 
-// recommendResponse is the /v1/recommend reply. UnknownActions lists the
-// activity's actions the served epoch cannot resolve (and therefore
-// ignored) — without it, a typo in an action name is indistinguishable
-// from an action that merely scores low.
+// recommendResponse is the reply of /v1/recommend and of the user recommend
+// endpoint. UnknownActions lists the activity's actions the served epoch
+// cannot resolve (and therefore ignored) — without it, a typo in an action
+// name is indistinguishable from an action that merely scores low.
 type recommendResponse struct {
 	Epoch           uint64                  `json:"epoch"`
 	Strategy        string                  `json:"strategy"`
 	Recommendations []recommendationPayload `json:"recommendations"`
 	UnknownActions  []string                `json:"unknown_actions,omitempty"`
+	Degraded        bool                    `json:"degraded,omitempty"`
 }
 
 type recommendationPayload struct {
 	Action string  `json:"action"`
 	Score  float64 `json:"score"`
+}
+
+func payloads(list []goalrec.Recommendation) []recommendationPayload {
+	out := make([]recommendationPayload, len(list))
+	for i, rcm := range list {
+		out[i] = recommendationPayload{Action: rcm.Action, Score: rcm.Score}
+	}
+	return out
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
@@ -609,60 +818,64 @@ func (s *Server) validActivity(w http.ResponseWriter, activity []string) bool {
 	return true
 }
 
-// writeContextError maps a canceled or deadline-expired scoring error onto
-// the wire: 504 {"error": "deadline exceeded"} when the request deadline
-// ran out, 499 (client closed request) when the client hung up. It also
-// bumps the matching lifecycle counter.
-func (s *Server) writeContextError(w http.ResponseWriter, endpoint string, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+// validK defaults an absent k to 10 and enforces [1, 1000], writing the 400
+// itself on violation.
+func (s *Server) validK(w http.ResponseWriter, k *int) bool {
+	if *k == 0 {
+		*k = 10
+	}
+	if *k < 0 || *k > 1000 {
+		s.writeError(w, http.StatusBadRequest, "k must be in [1, 1000]")
+		return false
+	}
+	return true
+}
+
+// writeQueryError maps a failed query onto the wire by the error's type: 504
+// {"error": "deadline exceeded"} when the request deadline ran out and 499
+// (client closed request) when the client hung up — each bumping its
+// lifecycle counter — 400 for a *goalrec.QueryError, 502 for a *BackendError,
+// 500 for anything else.
+func (s *Server) writeQueryError(w http.ResponseWriter, endpoint string, err error) {
+	var query *goalrec.QueryError
+	var backend *BackendError
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		s.lifecycle.Add("deadline_exceeded", 1)
 		s.logf("server: %s hit the request deadline", endpoint)
 		s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
-		return
+	case errors.Is(err, context.Canceled):
+		s.lifecycle.Add("canceled", 1)
+		s.logf("server: %s canceled by the client", endpoint)
+		s.writeError(w, statusClientClosedRequest, "client closed request")
+	case errors.As(err, &query):
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+	case errors.As(err, &backend):
+		s.writeError(w, http.StatusBadGateway, "%v", err)
+	default:
+		s.writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-	s.lifecycle.Add("canceled", 1)
-	s.logf("server: %s canceled by the client", endpoint)
-	s.writeError(w, statusClientClosedRequest, "client closed request")
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req) || !s.validActivity(w, req.Activity) || !s.validK(w, &req.K) {
 		return
 	}
-	if !s.validActivity(w, req.Activity) {
-		return
-	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.K < 0 || req.K > 1000 {
-		s.writeError(w, http.StatusBadRequest, "k must be in [1, 1000]")
-		return
-	}
-	b := s.bundle()
-	rec, err := b.recommender(req.Strategy, req.Metric)
+	res, err := s.backend.Recommend(r.Context(), req.Strategy, req.Metric, req.Activity, req.K)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.writeQueryError(w, "recommend", err)
 		return
-	}
-	list, err := rec.RecommendContext(r.Context(), req.Activity, req.K)
-	if err != nil {
-		s.writeContextError(w, "recommend", err)
-		return
-	}
-	resp := recommendResponse{
-		Epoch:           b.lib.Epoch(),
-		Strategy:        rec.Name(),
-		Recommendations: make([]recommendationPayload, len(list)),
-		UnknownActions:  b.lib.UnknownActions(req.Activity),
-	}
-	for i, rcm := range list {
-		resp.Recommendations[i] = recommendationPayload{Action: rcm.Action, Score: rcm.Score}
 	}
 	s.logf("recommend strategy=%s k=%d activity=%d results=%d epoch=%d",
-		rec.Name(), req.K, len(req.Activity), len(list), resp.Epoch)
-	s.writeJSON(w, http.StatusOK, resp)
+		res.Strategy, req.K, len(req.Activity), len(res.Recommendations), res.Epoch)
+	s.writeJSON(w, http.StatusOK, recommendResponse{
+		Epoch:           res.Epoch,
+		Strategy:        res.Strategy,
+		Recommendations: payloads(res.Recommendations),
+		UnknownActions:  res.UnknownActions,
+		Degraded:        res.Degraded,
+	})
 }
 
 // maxBatchActivities bounds how many activities one batch request may
@@ -693,15 +906,15 @@ type batchRecommendResponse struct {
 	Epoch    uint64             `json:"epoch"`
 	Strategy string             `json:"strategy"`
 	Results  []batchItemPayload `json:"results"`
+	Degraded bool               `json:"degraded,omitempty"`
 }
 
 // handleRecommendBatch scores many activities in one request: the body is
-// decoded once, one bundle (snapshot + recommender) is resolved for the
-// whole batch, and the activities fan out over the library's worker pool —
+// decoded once and the backend answers the whole batch from one snapshot —
 // all under this request's single admission slot and deadline. Per-item
-// validation failures are reported per item; a deadline or disconnect
-// mid-batch fails the whole request (504/499), since the remaining items
-// can no longer be answered.
+// validation failures are reported per item; a deadline, disconnect or
+// backend failure mid-batch fails the whole request, since the remaining
+// items can no longer be answered consistently.
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRecommendRequest
 	if !s.decode(w, r, &req) {
@@ -716,22 +929,13 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 			"too many activities: %d (limit %d)", len(req.Activities), maxBatchActivities)
 		return
 	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.K < 0 || req.K > 1000 {
-		s.writeError(w, http.StatusBadRequest, "k must be in [1, 1000]")
-		return
-	}
-	b := s.bundle()
-	rec, err := b.recommender(req.Strategy, req.Metric)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	if !s.validK(w, &req.K) {
 		return
 	}
 
 	results := make([]batchItemPayload, len(req.Activities))
 	scorable := make([]int, 0, len(req.Activities))
+	batch := make([][]string, 0, len(req.Activities))
 	for i, activity := range req.Activities {
 		switch {
 		case len(activity) == 0:
@@ -741,34 +945,23 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 				len(activity), maxActivityActions)
 		default:
 			scorable = append(scorable, i)
+			batch = append(batch, activity)
 		}
 	}
-	batch := make([][]string, len(scorable))
-	for j, i := range scorable {
-		batch[j] = req.Activities[i]
+	res, err := s.backend.RecommendBatch(r.Context(), req.Strategy, req.Metric, batch, req.K)
+	if err != nil {
+		s.writeQueryError(w, "recommend/batch", err)
+		return
 	}
-	for j, res := range rec.RecommendBatch(r.Context(), batch, req.K) {
-		if res.Err != nil {
-			s.writeContextError(w, "recommend/batch", res.Err)
-			return
-		}
-		i := scorable[j]
-		results[i].Recommendations = make([]recommendationPayload, len(res.Recommendations))
-		for n, rcm := range res.Recommendations {
-			results[i].Recommendations[n] = recommendationPayload{Action: rcm.Action, Score: rcm.Score}
-		}
-		// The batch resolved every name once; its per-item unknown list is
-		// authoritative, so no second vocabulary pass here.
-		results[i].UnknownActions = res.UnknownActions
-	}
-	resp := batchRecommendResponse{
-		Epoch:    b.lib.Epoch(),
-		Strategy: rec.Name(),
-		Results:  results,
+	for j, item := range res.Items {
+		results[scorable[j]].Recommendations = payloads(item.Recommendations)
+		results[scorable[j]].UnknownActions = item.UnknownActions
 	}
 	s.logf("recommend/batch strategy=%s k=%d activities=%d epoch=%d",
-		rec.Name(), req.K, len(req.Activities), resp.Epoch)
-	s.writeJSON(w, http.StatusOK, resp)
+		res.Strategy, req.K, len(req.Activities), res.Epoch)
+	s.writeJSON(w, http.StatusOK, batchRecommendResponse{
+		Epoch: res.Epoch, Strategy: res.Strategy, Results: results, Degraded: res.Degraded,
+	})
 }
 
 // spacesRequest is the /v1/spaces body.
@@ -799,17 +992,17 @@ func (s *Server) handleSpaces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := r.Context().Err(); err != nil {
-		s.writeContextError(w, "spaces", err)
+		s.writeQueryError(w, "spaces", err)
 		return
 	}
-	b := s.bundle()
-	progress := b.lib.GoalProgress(req.Activity)
-	goals := b.lib.GoalSpace(req.Activity)
+	lib := s.local.Snapshot()
+	progress := lib.GoalProgress(req.Activity)
+	goals := lib.GoalSpace(req.Activity)
 	resp := spacesResponse{
-		Epoch:          b.lib.Epoch(),
+		Epoch:          lib.Epoch(),
 		Goals:          make([]goalProgressPayload, len(goals)),
-		Actions:        b.lib.ActionSpace(req.Activity),
-		UnknownActions: b.lib.UnknownActions(req.Activity),
+		Actions:        lib.ActionSpace(req.Activity),
+		UnknownActions: lib.UnknownActions(req.Activity),
 	}
 	for i, g := range goals {
 		resp.Goals[i] = goalProgressPayload{Goal: g, Progress: progress[g]}
@@ -849,13 +1042,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := r.Context().Err(); err != nil {
-		s.writeContextError(w, "explain", err)
+		s.writeQueryError(w, "explain", err)
 		return
 	}
-	b := s.bundle()
-	exps := b.lib.Explain(req.Activity, req.Action)
+	lib := s.local.Snapshot()
+	exps := lib.Explain(req.Activity, req.Action)
 	resp := explainResponse{
-		Epoch:        b.lib.Epoch(),
+		Epoch:        lib.Epoch(),
 		Explanations: make([]explanationPayload, len(exps)),
 	}
 	for i, e := range exps {
@@ -905,8 +1098,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Implementations {
 		impls[i] = goalrec.Implementation{Goal: p.Goal, Actions: p.Actions}
 	}
-	added, err := s.engine.AddImplementations(impls)
-	epoch := s.install(s.engine.Snapshot())
+	added, err := s.local.engine.AddImplementations(impls)
+	epoch := s.local.install(s.local.engine.Snapshot())
 	s.logf("ingest added=%d of %d epoch=%d", added, len(impls), epoch)
 	if err != nil {
 		// A journal failure means durability is gone, not that the request
@@ -938,26 +1131,19 @@ type reloadResponse struct {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if s.reload == nil {
+	epoch, implementations, err := s.Reload(r.Context())
+	switch {
+	case errors.Is(err, ErrNoReloader):
 		s.writeError(w, http.StatusNotImplemented, "no reloader configured")
-		return
-	}
-	lib, err := s.reload()
-	if err != nil {
+	case err != nil:
 		// The old epoch keeps serving; reload failure must never take the
 		// working library down with it.
-		streak := s.NoteReloadFailure()
-		s.logf("reload failed: %v (keeping epoch %d, failure streak %d)", err, s.Epoch(), streak)
+		s.logf("reload failed: %v (keeping epoch %d, failure streak %d)", err, s.Epoch(), s.ReloadFailureStreak())
 		s.writeError(w, http.StatusInternalServerError, "reload failed: %v", err)
-		return
+	default:
+		s.logf("reload swapped in %d implementations at epoch %d", implementations, epoch)
+		s.writeJSON(w, http.StatusOK, reloadResponse{Epoch: epoch, Implementations: implementations})
 	}
-	s.NoteReloadSuccess()
-	epoch := s.Swap(lib)
-	s.logf("reload swapped in %d implementations at epoch %d", lib.NumImplementations(), epoch)
-	s.writeJSON(w, http.StatusOK, reloadResponse{
-		Epoch:           epoch,
-		Implementations: lib.NumImplementations(),
-	})
 }
 
 // userStoreReady answers the shared preconditions of the /v1/users handlers:
@@ -973,6 +1159,30 @@ func (s *Server) userStoreReady(w http.ResponseWriter, r *http.Request) (string,
 		return "", false
 	}
 	return id, true
+}
+
+// writeUserError maps a user-store failure onto the wire: 404 for an unknown
+// user, 507 at the user cap, 503 + Retry-After while the store is read-only,
+// 500 for a journal failure, 504/499 for the context's error, and 400 for the
+// rest — what is left is the request's own fault (an empty id or action name).
+func (s *Server) writeUserError(w http.ResponseWriter, endpoint, id string, err error) {
+	switch {
+	case errors.Is(err, goalrec.ErrUnknownUser):
+		s.writeError(w, http.StatusNotFound, "unknown user %q", id)
+	case errors.Is(err, goalrec.ErrTooManyUsers):
+		s.writeError(w, http.StatusInsufficientStorage, "%v", err)
+	case errors.Is(err, goalrec.ErrReadOnly):
+		s.errors.Add("user_read_only", 1)
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, goalrec.ErrJournal):
+		s.errors.Add("user_journal", 1)
+		s.writeError(w, http.StatusInternalServerError, "%v", err)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		s.writeQueryError(w, endpoint, err)
+	default:
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+	}
 }
 
 // userAppendRequest is the POST /v1/users/{id}/actions body.
@@ -1003,19 +1213,7 @@ func (s *Server) handleUserAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	added, err := s.users.Append(id, req.Actions)
 	if err != nil {
-		switch {
-		case errors.Is(err, goalrec.ErrTooManyUsers):
-			s.writeError(w, http.StatusInsufficientStorage, "%v", err)
-		case errors.Is(err, goalrec.ErrReadOnly):
-			s.errors.Add("user_read_only", 1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, goalrec.ErrJournal):
-			s.errors.Add("user_journal", 1)
-			s.writeError(w, http.StatusInternalServerError, "%v", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		s.writeUserError(w, "user_append", id, err)
 		return
 	}
 	history, herr := s.users.History(id)
@@ -1025,33 +1223,18 @@ func (s *Server) handleUserAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("user_append id=%s added=%d total=%d", id, added, len(history))
 	s.writeJSON(w, http.StatusOK, userAppendResponse{
-		Epoch: s.engine.Epoch(), Added: added, Total: len(history),
+		Epoch: s.local.engine.Epoch(), Added: added, Total: len(history),
 	})
 }
 
-// userRecommendResponse is the GET /v1/users/{id}/recommend reply — the same
-// shape as /v1/recommend, answered from the user's stored history.
-type userRecommendResponse struct {
-	Epoch           uint64                  `json:"epoch"`
-	Strategy        string                  `json:"strategy"`
-	Recommendations []recommendationPayload `json:"recommendations"`
-	UnknownActions  []string                `json:"unknown_actions,omitempty"`
-}
-
+// handleUserRecommend answers GET /v1/users/{id}/recommend: the same reply
+// shape as /v1/recommend, scored from the user's stored history.
 func (s *Server) handleUserRecommend(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.userStoreReady(w, r)
 	if !ok {
 		return
 	}
 	q := r.URL.Query()
-	strategyName := q.Get("strategy")
-	if strategyName == "" {
-		strategyName = string(goalrec.Breadth)
-	}
-	metric := q.Get("metric")
-	if metric == "" {
-		metric = "cosine"
-	}
 	k := 10
 	if kq := q.Get("k"); kq != "" {
 		n, err := strconv.Atoi(kq)
@@ -1061,31 +1244,24 @@ func (s *Server) handleUserRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	res, err := s.users.Recommend(r.Context(), id, goalrec.Strategy(strategyName), k,
-		goalrec.WithDistanceMetric(metric))
+	spec, err := goalrec.ResolveStrategy(q.Get("strategy"), q.Get("metric"))
 	if err != nil {
-		switch {
-		case errors.Is(err, goalrec.ErrUnknownUser):
-			s.writeError(w, http.StatusNotFound, "unknown user %q", id)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			s.writeContextError(w, "user_recommend", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		s.writeQueryError(w, "user_recommend", err)
 		return
 	}
-	resp := userRecommendResponse{
-		Epoch:           res.Epoch,
-		Strategy:        strategyName,
-		Recommendations: make([]recommendationPayload, len(res.Recommendations)),
-		UnknownActions:  res.UnknownActions,
-	}
-	for i, rcm := range res.Recommendations {
-		resp.Recommendations[i] = recommendationPayload{Action: rcm.Action, Score: rcm.Score}
+	res, err := s.users.Recommend(r.Context(), id, spec.Strategy, k, goalrec.WithDistanceMetric(spec.Metric))
+	if err != nil {
+		s.writeUserError(w, "user_recommend", id, err)
+		return
 	}
 	s.logf("user_recommend id=%s strategy=%s k=%d results=%d epoch=%d",
-		id, strategyName, k, len(resp.Recommendations), resp.Epoch)
-	s.writeJSON(w, http.StatusOK, resp)
+		id, spec.Strategy, k, len(res.Recommendations), res.Epoch)
+	s.writeJSON(w, http.StatusOK, recommendResponse{
+		Epoch:           res.Epoch,
+		Strategy:        string(spec.Strategy),
+		Recommendations: payloads(res.Recommendations),
+		UnknownActions:  res.UnknownActions,
+	})
 }
 
 // userDeleteResponse is the DELETE /v1/users/{id} reply.
@@ -1099,19 +1275,7 @@ func (s *Server) handleUserDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.users.Delete(id); err != nil {
-		switch {
-		case errors.Is(err, goalrec.ErrUnknownUser):
-			s.writeError(w, http.StatusNotFound, "unknown user %q", id)
-		case errors.Is(err, goalrec.ErrReadOnly):
-			s.errors.Add("user_read_only", 1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, goalrec.ErrJournal):
-			s.errors.Add("user_journal", 1)
-			s.writeError(w, http.StatusInternalServerError, "%v", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		s.writeUserError(w, "user_delete", id, err)
 		return
 	}
 	s.logf("user_delete id=%s", id)

@@ -85,7 +85,7 @@ func TestUserLifecycle(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: recommend status = %d (%s)", strat, resp.StatusCode, body)
 		}
-		var got userRecommendResponse
+		var got recommendResponse
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestUserViewAcrossIngest(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recommend = %d (%s)", resp.StatusCode, body)
 	}
-	var before userRecommendResponse
+	var before recommendResponse
 	if err := json.Unmarshal(body, &before); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestUserViewAcrossIngest(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recommend after ingest = %d (%s)", resp.StatusCode, body)
 	}
-	var after userRecommendResponse
+	var after recommendResponse
 	if err := json.Unmarshal(body, &after); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestUserRecommendDuringReload(t *testing.T) {
 					t.Errorf("%s: recommend status = %d: %s", s, resp.StatusCode, body)
 					return
 				}
-				var got userRecommendResponse
+				var got recommendResponse
 				if err := json.Unmarshal(body, &got); err != nil {
 					t.Errorf("%s: decode: %v", s, err)
 					return

@@ -208,7 +208,7 @@ echo "cluster: final metrics"
 METRICS="$(curl -fsS "http://$CO_ADDR/v1/metrics")"
 echo "$METRICS"
 case "$METRICS" in
-*'"cluster": {"workers":3,"connected":3,'*) ;;
+*'"cluster":{"workers":3,"connected":3,'*) ;;
 *) fail "cluster metrics block missing or not fully connected" ;;
 esac
 case "$METRICS" in

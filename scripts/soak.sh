@@ -134,13 +134,13 @@ if [ -n "${SOAK_SNAPSHOT:-}" ]; then
     METRICS="$(curl -fsS "http://$ADDR/v1/metrics")"
     echo "$METRICS"
     if [ -n "${SOAK_BLOCK_CACHE_BYTES:-}" ]; then
-        if ! echo "$METRICS" | grep -q '"block_cache": {"enabled": true'; then
+        if ! echo "$METRICS" | grep -q '"block_cache":{"enabled":true'; then
             echo "soak: block cache enabled but not reported in metrics" >&2
             exit 1
         fi
         # Serving now decodes posting blocks from the mapped compressed
         # snapshot: the cache counters must have moved.
-        if echo "$METRICS" | grep -q '"block_cache": {"enabled": true, "counters": {"hits":0,"misses":0,'; then
+        if echo "$METRICS" | grep -q '"block_cache":{"enabled":true,"counters":{"hits":0,"misses":0,'; then
             echo "soak: block cache enabled but never touched by serving" >&2
             exit 1
         fi
