@@ -59,9 +59,9 @@ soak:
 	./scripts/soak.sh
 
 # Race-instrumented 3-worker scatter-gather cluster next to a single-node
-# reference: bit-identical rankings, distributed loadgen, SIGKILL a worker
-# (degraded serving + bit-identical resume after restart), and a cluster-wide
-# two-phase snapshot swap under load.
+# reference: bit-identical rankings, a loadgen run with zero non-200s,
+# SIGKILL a worker (degraded serving + bit-identical resume after restart),
+# and a cluster-wide two-phase snapshot swap under load.
 cluster:
 	./scripts/cluster.sh
 

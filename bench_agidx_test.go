@@ -2,7 +2,7 @@
 // goal space and profile counts, reconstructed inline through the public
 // postings API, against the new AG-idx-backed methods — at several
 // connectivity levels. See also internal/strategy/bench_test.go for the
-// Best Match scoring-path comparison and BENCH_PR1.json for the end-to-end
+// Best Match scoring-path comparison and cmd/experiments for the end-to-end
 // Figure 7 numbers.
 package goalrec_test
 

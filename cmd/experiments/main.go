@@ -13,19 +13,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strconv"
 	"strings"
 	"time"
 
-	"goalrec/internal/core"
 	"goalrec/internal/experiments"
-	"goalrec/internal/strategy"
 )
 
 func main() {
@@ -54,7 +50,7 @@ func parseSizes(s string) ([]int, error) {
 	return sizes, nil
 }
 
-func run() error {
+func run() (runErr error) {
 	scale := flag.Float64("scale", 0.15, "dataset scale (1.0 = the paper's full size)")
 	k := flag.Int("k", 10, "recommendation list length")
 	keep := flag.Float64("keep", 0.3, "visible fraction of each activity")
@@ -66,14 +62,8 @@ func run() error {
 	skipDatasets := flag.Bool("skip-datasets", false, "skip the dataset experiments (run only the Figure 7 sweep)")
 	scalingSizes := flag.String("scaling-sizes", "5000,20000,80000", "comma-separated library sizes for the Figure 7 sweep")
 	scalingActions := flag.Int("scaling-actions", 3000, "action-space size for the Figure 7 sweep")
-	benchJSON := flag.String("bench-json", "", "also write the Figure 7 sweep points as JSON to this file")
 	scalingQueries := flag.Int("scaling-queries", 0, "query activities timed per Figure 7 cell (0 selects the default)")
-	impactOrdering := flag.Bool("impact-ordering", false, "impact-order each swept library before timing (Focus then takes the block-max scan and its cells carry the scan counters)")
-	coldStart := flag.Bool("cold-start", false, "also measure cold start (legacy decode+rebuild vs mmap snapshot open) at the sweep sizes")
-	userAppend := flag.Bool("user-append", false, "also measure append+recommend with a materialized counter view vs a from-scratch scan at the sweep sizes")
-	blockCache := flag.Bool("block-cache", false, "also measure posting-row scans raw vs compressed, cold vs block-cached, at the sweep sizes")
-	clusterBench := flag.Bool("cluster", false, "also measure scatter-gather throughput on in-process shard clusters of growing worker count (first sweep size)")
-	clusterWorkers := flag.String("cluster-workers", "1,2,4", "comma-separated worker counts for the -cluster sweep")
+	impactOrdering := flag.Bool("impact-ordering", false, "impact-order each swept library before timing (Focus then takes the block-max scan)")
 	flag.Parse()
 
 	sizes, err := parseSizes(*scalingSizes)
@@ -87,7 +77,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		// The close error is the run's: a failed flush (say, a full disk)
+		// must not leave a truncated results file behind a zero exit.
+		defer func() {
+			if err := f.Close(); runErr == nil {
+				runErr = err
+			}
+		}()
 		out = f
 	}
 
@@ -158,132 +154,16 @@ func run() error {
 
 	if !*skipScaling {
 		fmt.Fprintf(out, "# scalability (Figure 7)\n\n")
-		points := experiments.Scalability(experiments.ScalabilityConfig{
+		if err := emit(experiments.Figure7(experiments.ScalabilityConfig{
 			Sizes: sizes, Actions: *scalingActions, Seed: *seed,
 			Queries:        *scalingQueries,
 			ImpactOrdering: *impactOrdering,
-		})
-		if err := emit(experiments.Figure7Table(points)); err != nil {
+		})); err != nil {
 			return err
 		}
 		if err := emit(experiments.ConnectivitySweep(20000, []int{8000, 2000, 500}, *seed)); err != nil {
 			return err
 		}
-		if *coldStart {
-			cs, err := experiments.ColdStart(experiments.ScalabilityConfig{
-				Sizes: sizes, Actions: *scalingActions, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := emit(experiments.ColdStartTable(cs)); err != nil {
-				return err
-			}
-			points = append(points, cs...)
-		}
-		if *userAppend {
-			ua := experiments.UserAppend(experiments.UserAppendConfig{
-				Sizes: sizes, Seed: *seed,
-			})
-			if err := emit(experiments.UserAppendTable(ua)); err != nil {
-				return err
-			}
-			points = append(points, ua...)
-		}
-		if *blockCache {
-			bc, err := experiments.BlockCacheScan(experiments.BlockCacheConfig{
-				Sizes: sizes, Actions: *scalingActions, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := emit(experiments.BlockCacheTable(bc)); err != nil {
-				return err
-			}
-			points = append(points, bc...)
-		}
-		if *clusterBench {
-			workerCounts, err := parseSizes(*clusterWorkers)
-			if err != nil {
-				return fmt.Errorf("-cluster-workers: %w", err)
-			}
-			cp, err := experiments.ClusterScaling(experiments.ClusterConfig{
-				Size: sizes[0], Actions: *scalingActions, Seed: *seed,
-				Workers: workerCounts, Queries: *scalingQueries,
-			})
-			if err != nil {
-				return err
-			}
-			if err := emit(experiments.ClusterTable(cp)); err != nil {
-				return err
-			}
-			points = append(points, cp...)
-		}
-		if *benchJSON != "" {
-			if err := writeBenchJSON(*benchJSON, points); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// benchPoint is the JSON shape of one Figure 7 cell — the shape of the
-// committed BENCH_PR*.json records README's historical table cites.
-type benchPoint struct {
-	Method          string  `json:"method"`
-	Implementations int     `json:"implementations"`
-	Connectivity    float64 `json:"connectivity"`
-	MeanLatencyMS   float64 `json:"mean_latency_ms"`
-	// ColdStartMS duplicates the latency for the cold-start/* cells so the
-	// restart-cost numbers are addressable by name in the bench JSON.
-	ColdStartMS float64                      `json:"cold_start_ms,omitempty"`
-	Pruning     *strategy.PruneStatsSnapshot `json:"pruning,omitempty"`
-	// Cache carries the decoded-block cache counters for the block-cache/*
-	// cells that ran with a cache enabled.
-	Cache *core.BlockCacheStats `json:"cache,omitempty"`
-}
-
-// benchFile is the stamped envelope written since PR 5. Earlier bench files
-// (BENCH_PR1/PR4) are bare point arrays.
-type benchFile struct {
-	GitCommit string       `json:"git_commit"`
-	Date      string       `json:"date"`
-	Points    []benchPoint `json:"points"`
-}
-
-// gitCommit resolves the working tree's HEAD for provenance stamping; bench
-// numbers without the commit they were measured at are unreviewable.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func writeBenchJSON(path string, points []experiments.ScalabilityPoint) error {
-	rows := make([]benchPoint, len(points))
-	for i, p := range points {
-		rows[i] = benchPoint{
-			Method:          p.Method,
-			Implementations: p.Implementations,
-			Connectivity:    p.Connectivity,
-			MeanLatencyMS:   float64(p.MeanLatency) / float64(time.Millisecond),
-			Pruning:         p.Prune,
-			Cache:           p.Cache,
-		}
-		if strings.HasPrefix(p.Method, "cold-start/") {
-			rows[i].ColdStartMS = rows[i].MeanLatencyMS
-		}
-	}
-	data, err := json.MarshalIndent(benchFile{
-		GitCommit: gitCommit(),
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		Points:    rows,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

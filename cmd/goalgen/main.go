@@ -6,8 +6,13 @@
 //
 // Each run produces, inside the output directory:
 //
-//	library.bin     — the goal-implementation library (binary snapshot)
-//	activities.csv  — one evaluation activity per line (numeric action ids)
+//	library.gsnp    — the goal-implementation library as a snapshot whose
+//	                  vocabulary names action and goal i by the decimal
+//	                  string of i, so ids are preserved and any goalrec tool
+//	                  reads it (goalrec -library, goalrecd -library,
+//	                  goalrec-snap convert)
+//	activities.csv  — one evaluation activity per line (numeric action ids,
+//	                  which are therefore also the library's action names)
 //	sequences.csv   — the same activities in performed order (for
 //	                  order-sensitive comparators)
 //	stats.txt       — the library's summary statistics
@@ -18,24 +23,28 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"goalrec/internal/core"
 	"goalrec/internal/dataset"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "goalgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	name := flag.String("dataset", "foodmart", "foodmart | 43things | curriculum")
-	scale := flag.Float64("scale", 0.1, "dataset scale (1.0 = the paper's full size)")
-	seed := flag.Uint64("seed", 1, "generation seed")
-	out := flag.String("out", ".", "output directory (created if missing)")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("goalgen", flag.ContinueOnError)
+	name := fs.String("dataset", "foodmart", "foodmart | 43things | curriculum")
+	scale := fs.Float64("scale", 0.1, "dataset scale (1.0 = the paper's full size)")
+	seed := fs.Uint64("seed", 1, "generation seed")
+	out := fs.String("out", ".", "output directory (created if missing)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var (
 		ds  *dataset.Dataset
@@ -60,9 +69,7 @@ func run() error {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(*out, "library.bin"), func(f *os.File) error {
-		return core.WriteBinary(f, ds.Library)
-	}); err != nil {
+	if err := core.WriteSnapshotFile(filepath.Join(*out, "library.gsnp"), ds.Library, numericVocabulary(ds.Library), core.SnapshotOptions{}); err != nil {
 		return err
 	}
 	if err := writeFile(filepath.Join(*out, "activities.csv"), func(f *os.File) error {
@@ -84,6 +91,19 @@ func run() error {
 	}
 	fmt.Printf("wrote %s dataset to %s\n  %s\n  users=%d\n", ds.Name, *out, stats, len(ds.Users))
 	return nil
+}
+
+// numericVocabulary names every action and goal id of lib by its decimal
+// string; interning them in id order makes each name map back to its id.
+func numericVocabulary(lib *core.Library) *core.Vocabulary {
+	v := core.NewVocabulary()
+	for i := 0; i < lib.NumActions(); i++ {
+		v.Actions.Intern(strconv.Itoa(i))
+	}
+	for i := 0; i < lib.NumGoals(); i++ {
+		v.Goals.Intern(strconv.Itoa(i))
+	}
+	return v
 }
 
 func writeFile(path string, fill func(*os.File) error) error {

@@ -19,6 +19,9 @@
 // stored history (GET /v1/users/{id}/recommend). A recommend racing a
 // user's first append may see 404; those are counted and reported, not
 // failures.
+//
+// loadgen is a smoke and soak driver, not a benchmark: the repository's
+// performance record is `go run ./bench` (BENCHMARK.json).
 package main
 
 import (
@@ -29,7 +32,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,28 +73,41 @@ type config struct {
 	out         io.Writer
 }
 
+// validate rejects the settings the generator cannot run with — with no
+// clients the first request would block forever — naming the flag.
+func (cfg config) validate() error {
+	for _, c := range []struct {
+		flag    string
+		val, lo int
+	}{
+		{"-concurrency", cfg.concurrency, 1},
+		{"-activity-len", cfg.activityLen, 1},
+		{"-batch", cfg.batch, 1},
+		{"-users", cfg.users, 0},
+		{"-requests", cfg.requests, 0},
+	} {
+		if c.val < c.lo {
+			return fmt.Errorf("%s must be at least %d, got %d", c.flag, c.lo, c.val)
+		}
+	}
+	return nil
+}
+
 func run() error {
-	url := flag.String("url", "http://localhost:8080", "goalrecd base URL")
+	cfg := config{out: os.Stdout}
+	flag.StringVar(&cfg.url, "url", "http://localhost:8080", "goalrecd base URL")
 	libPath := flag.String("library", "", "library file used to sample query activities")
-	strategyName := flag.String("strategy", "breadth", "strategy to request")
-	k := flag.Int("k", 10, "list length to request")
-	concurrency := flag.Int("concurrency", 4, "parallel clients")
-	requests := flag.Int("requests", 1000, "total requests to send")
-	duration := flag.Duration("duration", 0, "run for this long instead of a fixed request count (cycles the sampled requests)")
-	activityLen := flag.Int("activity-len", 3, "actions per sampled query")
-	seed := flag.Uint64("seed", 1, "sampling seed")
-	zipf := flag.Float64("zipf", 0, "sample actions Zipf-skewed with this exponent (0 = uniform); skew concentrates queries on hot actions, the cache-friendly real-traffic shape")
-	overload := flag.Bool("overload", false, "expect shedding: 503/504 responses are reported, not failures")
-	batch := flag.Int("batch", 1, "activities per request; > 1 targets /v1/recommend/batch")
-	users := flag.Int("users", 0, "target the per-user endpoints, alternating appends and recommends over this many users (0 disables)")
-	serveAddr := flag.String("serve", "", "run as a distributed loadgen worker, serving run requests on this address instead of generating load")
-	workersFlag := flag.String("workers", "", "comma-separated -serve worker addresses to fan the run out over (empty generates locally)")
-	sweep := flag.Bool("sweep", false, "run a benchmark grid over -strategies/-ks/-batches/-zipfs instead of a single configuration")
-	strategiesGrid := flag.String("strategies", "breadth,focus-cmp,focus-cl,best-match", "strategy grid for -sweep")
-	ksGrid := flag.String("ks", "10", "k grid for -sweep")
-	batchesGrid := flag.String("batches", "1", "batch-size grid for -sweep")
-	zipfsGrid := flag.String("zipfs", "0", "zipf-exponent grid for -sweep")
-	benchJSON := flag.String("bench-json", "", "write one bench-JSON cell per -sweep grid point to this file")
+	flag.StringVar(&cfg.strategy, "strategy", "breadth", "strategy to request")
+	flag.IntVar(&cfg.k, "k", 10, "list length to request")
+	flag.IntVar(&cfg.concurrency, "concurrency", 4, "parallel clients")
+	flag.IntVar(&cfg.requests, "requests", 1000, "total requests to send")
+	flag.DurationVar(&cfg.duration, "duration", 0, "run for this long instead of a fixed request count (cycles the sampled requests)")
+	flag.IntVar(&cfg.activityLen, "activity-len", 3, "actions per sampled query")
+	flag.Uint64Var(&cfg.seed, "seed", 1, "sampling seed")
+	flag.Float64Var(&cfg.zipf, "zipf", 0, "sample actions Zipf-skewed with this exponent (0 = uniform); skew concentrates queries on hot actions, the cache-friendly real-traffic shape")
+	flag.BoolVar(&cfg.overload, "overload", false, "expect shedding: 503/504 responses are reported, not failures")
+	flag.IntVar(&cfg.batch, "batch", 1, "activities per request; > 1 targets /v1/recommend/batch")
+	flag.IntVar(&cfg.users, "users", 0, "target the per-user endpoints, alternating appends and recommends over this many users (0 disables)")
 	flag.Parse()
 	if *libPath == "" {
 		return fmt.Errorf("-library is required")
@@ -100,105 +116,27 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *serveAddr != "" {
-		return serveLoadWorker(*serveAddr, lib)
-	}
-	cfg := config{
-		url:         *url,
-		strategy:    *strategyName,
-		k:           *k,
-		concurrency: *concurrency,
-		requests:    *requests,
-		duration:    *duration,
-		activityLen: *activityLen,
-		seed:        *seed,
-		zipf:        *zipf,
-		overload:    *overload,
-		batch:       *batch,
-		users:       *users,
-		lib:         lib,
-		out:         os.Stdout,
-	}
-	workers := splitList(*workersFlag)
-	if *sweep {
-		grids := sweepGrids{strategies: splitList(*strategiesGrid)}
-		if grids.ks, err = parseInts(*ksGrid); err != nil {
-			return err
-		}
-		if grids.batches, err = parseInts(*batchesGrid); err != nil {
-			return err
-		}
-		if grids.zipfs, err = parseFloats(*zipfsGrid); err != nil {
-			return err
-		}
-		return runSweep(cfg, grids, workers, *benchJSON)
-	}
-	if len(workers) > 0 {
-		stats, err := executeDistributed(cfg, workers)
-		if err != nil {
-			return err
-		}
-		return reportStats(cfg, stats)
-	}
+	cfg.lib = lib
 	return runLoad(cfg)
 }
 
-// loadStats is the outcome of one load run, JSON-serializable so remote
-// loadgen workers can report theirs back for merging.
-type loadStats struct {
-	Requests    int       `json:"requests"`
-	OK          int       `json:"ok"`
-	Shed        int       `json:"shed"`
-	TimedOut    int       `json:"timed_out"`
-	NotFound    int       `json:"not_found"`
-	Unexpected  int       `json:"unexpected"`
-	Errors      int       `json:"errors"`
-	OKItems     int       `json:"ok_items"` // activities scored by OK responses
-	ElapsedMs   float64   `json:"elapsed_ms"`
-	LatenciesMs []float64 `json:"latencies_ms"` // OK-response latencies, unsorted
+type reqSpec struct {
+	method string
+	path   string
+	body   []byte
+	items  int
 }
 
-// merge folds another run's stats in. Elapsed is the max, not the sum: the
-// runs were concurrent, so throughput = total work / longest wall clock.
-func (s *loadStats) merge(o loadStats) {
-	s.Requests += o.Requests
-	s.OK += o.OK
-	s.Shed += o.Shed
-	s.TimedOut += o.TimedOut
-	s.NotFound += o.NotFound
-	s.Unexpected += o.Unexpected
-	s.Errors += o.Errors
-	s.OKItems += o.OKItems
-	if o.ElapsedMs > s.ElapsedMs {
-		s.ElapsedMs = o.ElapsedMs
-	}
-	s.LatenciesMs = append(s.LatenciesMs, o.LatenciesMs...)
-}
-
-func runLoad(cfg config) error {
-	stats, err := executeLoad(cfg)
-	if err != nil {
-		return err
-	}
-	return reportStats(cfg, stats)
-}
-
-// executeLoad generates and sends the requests, returning the raw outcome.
-func executeLoad(cfg config) (loadStats, error) {
+// buildRequests pre-builds the request bodies deterministically. In batch
+// mode the same sampled activities are grouped batch-at-a-time into
+// /v1/recommend/batch bodies, so -batch N at the same offered load sends
+// 1/N the requests while scoring the same activities.
+func buildRequests(cfg config) ([]reqSpec, error) {
 	actions := cfg.lib.Actions()
 	if len(actions) == 0 {
-		return loadStats{}, fmt.Errorf("library has no actions")
+		return nil, fmt.Errorf("library has no actions")
 	}
-
-	// Pre-build the request bodies deterministically. In batch mode the same
-	// sampled activities are grouped batch-at-a-time into
-	// /v1/recommend/batch bodies, so -batch N at the same offered load sends
-	// 1/N the requests while scoring the same activities.
 	rng := xrand.New(cfg.seed)
-	batch := cfg.batch
-	if batch < 1 {
-		batch = 1
-	}
 	nActivities := cfg.requests
 	if cfg.duration > 0 && nActivities < 256 {
 		nActivities = 256
@@ -208,10 +146,7 @@ func executeLoad(cfg config) (loadStats, error) {
 		zipf = xrand.NewZipf(rng, len(actions), cfg.zipf)
 	}
 	sample := func() []string {
-		n := cfg.activityLen
-		if n > len(actions) {
-			n = len(actions)
-		}
+		n := min(cfg.activityLen, len(actions))
 		var idxs []int32
 		if zipf != nil {
 			idxs = zipf.SampleDistinct(n)
@@ -224,12 +159,6 @@ func executeLoad(cfg config) (loadStats, error) {
 		}
 		return activity
 	}
-	type reqSpec struct {
-		method string
-		path   string
-		body   []byte
-		items  int
-	}
 	var reqs []reqSpec
 	switch {
 	case cfg.users > 0:
@@ -241,29 +170,26 @@ func executeLoad(cfg config) (loadStats, error) {
 			if i%2 == 0 {
 				body, err := json.Marshal(map[string]interface{}{"actions": sample()})
 				if err != nil {
-					return loadStats{}, err
+					return nil, err
 				}
 				reqs = append(reqs, reqSpec{"POST", "/v1/users/" + id + "/actions", body, 1})
 			} else {
 				reqs = append(reqs, reqSpec{"GET", "/v1/users/" + id + "/recommend" + recommendPath, nil, 1})
 			}
 		}
-	case batch == 1:
+	case cfg.batch == 1:
 		for i := 0; i < nActivities; i++ {
 			body, err := json.Marshal(map[string]interface{}{
 				"activity": sample(), "strategy": cfg.strategy, "k": cfg.k,
 			})
 			if err != nil {
-				return loadStats{}, err
+				return nil, err
 			}
 			reqs = append(reqs, reqSpec{"POST", "/v1/recommend", body, 1})
 		}
 	default:
 		for done := 0; done < nActivities; {
-			n := batch
-			if n > nActivities-done {
-				n = nActivities - done
-			}
+			n := min(cfg.batch, nActivities-done)
 			activities := make([][]string, n)
 			for i := range activities {
 				activities[i] = sample()
@@ -272,11 +198,26 @@ func executeLoad(cfg config) (loadStats, error) {
 				"activities": activities, "strategy": cfg.strategy, "k": cfg.k,
 			})
 			if err != nil {
-				return loadStats{}, err
+				return nil, err
 			}
 			reqs = append(reqs, reqSpec{"POST", "/v1/recommend/batch", body, n})
 			done += n
 		}
+	}
+	return reqs, nil
+}
+
+// runLoad generates and sends the requests, prints the run's summary and
+// applies the failure policy: transport errors and unexpected statuses
+// always fail; shed/deadline responses fail unless -overload declared them
+// expected.
+func runLoad(cfg config) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	reqs, err := buildRequests(cfg)
+	if err != nil {
+		return err
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -340,60 +281,48 @@ func executeLoad(cfg config) (loadStats, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	stats := loadStats{ElapsedMs: float64(elapsed) / float64(time.Millisecond)}
+	var ok, shed, timedOut, notFound, unexpected, errs, okItems int
+	var latencies []time.Duration
 	for _, r := range results {
-		stats.Requests++
 		switch {
 		case r.err != nil:
-			stats.Errors++
+			errs++
 		case r.status == http.StatusOK:
-			stats.OK++
-			stats.OKItems += r.items
-			stats.LatenciesMs = append(stats.LatenciesMs, float64(r.latency)/float64(time.Millisecond))
+			ok++
+			okItems += r.items
+			latencies = append(latencies, r.latency)
 		case r.status == http.StatusServiceUnavailable:
-			stats.Shed++
+			shed++
 		case r.status == http.StatusGatewayTimeout:
-			stats.TimedOut++
+			timedOut++
 		case r.status == http.StatusNotFound && cfg.users > 0:
 			// A recommend raced the user's first append; expected in user mode.
-			stats.NotFound++
+			notFound++
 		default:
-			stats.Unexpected++
+			unexpected++
 		}
 	}
-	return stats, nil
-}
 
-// reportStats prints a run's summary and applies the failure policy:
-// transport errors and unexpected statuses always fail; shed/deadline
-// responses fail unless -overload declared them expected.
-func reportStats(cfg config, stats loadStats) error {
 	fmt.Fprintf(cfg.out, "requests: %d  ok: %d  shed(503): %d  deadline(504): %d  not_found(404): %d  other: %d  errors: %d\n",
-		stats.Requests, stats.OK, stats.Shed, stats.TimedOut, stats.NotFound, stats.Unexpected, stats.Errors)
+		len(results), ok, shed, timedOut, notFound, unexpected, errs)
 	dist := "uniform"
 	if cfg.zipf > 0 {
 		dist = fmt.Sprintf("zipf(%.2f)", cfg.zipf)
 	}
-	elapsedSec := stats.ElapsedMs / 1000
 	fmt.Fprintf(cfg.out, "elapsed: %v  throughput: %.1f req/s  recommendations: %.1f activities/s  sampling: %s\n",
-		(time.Duration(stats.ElapsedMs * float64(time.Millisecond))).Round(time.Millisecond),
-		float64(stats.Requests)/elapsedSec, float64(stats.OKItems)/elapsedSec, dist)
-	if len(stats.LatenciesMs) > 0 {
-		latencies := append([]float64(nil), stats.LatenciesMs...)
-		sort.Float64s(latencies)
-		pct := func(p float64) time.Duration {
-			i := int(p * float64(len(latencies)-1))
-			return time.Duration(latencies[i] * float64(time.Millisecond))
-		}
+		elapsed.Round(time.Millisecond),
+		float64(len(results))/elapsed.Seconds(), float64(okItems)/elapsed.Seconds(), dist)
+	if len(latencies) > 0 {
+		slices.Sort(latencies)
+		pct := func(p float64) time.Duration { return latencies[int(p*float64(len(latencies)-1))] }
 		fmt.Fprintf(cfg.out, "latency: p50=%v p90=%v p95=%v p99=%v max=%v\n",
-			pct(0.50), pct(0.90), pct(0.95), pct(0.99),
-			time.Duration(latencies[len(latencies)-1]*float64(time.Millisecond)))
+			pct(0.50), pct(0.90), pct(0.95), pct(0.99), latencies[len(latencies)-1])
 	}
-	if stats.Errors > 0 || stats.Unexpected > 0 {
-		return fmt.Errorf("%d transport errors, %d unexpected statuses", stats.Errors, stats.Unexpected)
+	if errs > 0 || unexpected > 0 {
+		return fmt.Errorf("%d transport errors, %d unexpected statuses", errs, unexpected)
 	}
-	if !cfg.overload && (stats.Shed > 0 || stats.TimedOut > 0) {
-		return fmt.Errorf("%d shed, %d deadline-exceeded responses (run with -overload to expect shedding)", stats.Shed, stats.TimedOut)
+	if !cfg.overload && (shed > 0 || timedOut > 0) {
+		return fmt.Errorf("%d shed, %d deadline-exceeded responses (run with -overload to expect shedding)", shed, timedOut)
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func TestRunLoadAllOK(t *testing.T) {
 	err := runLoad(config{
 		url: ts.URL, strategy: "breadth", k: 5,
 		concurrency: 4, requests: 50, activityLen: 2, seed: 1,
-		lib: lib, out: &out,
+		batch: 1, lib: lib, out: &out,
 	})
 	if err != nil {
 		t.Fatalf("runLoad: %v\n%s", err, out.String())
@@ -107,7 +107,7 @@ func TestRunLoadOverloadMode(t *testing.T) {
 	base := config{
 		url: ts.URL, strategy: "breadth", k: 5,
 		concurrency: 2, requests: 10, activityLen: 2, seed: 1,
-		lib: lib,
+		batch: 1, lib: lib,
 	}
 
 	var strict bytes.Buffer
@@ -140,7 +140,7 @@ func TestRunLoadDurationMode(t *testing.T) {
 	err := runLoad(config{
 		url: ts.URL, strategy: "breadth", k: 5,
 		concurrency: 4, requests: 8, duration: 100 * time.Millisecond,
-		activityLen: 2, seed: 1, lib: lib, out: &out,
+		activityLen: 2, seed: 1, batch: 1, lib: lib, out: &out,
 	})
 	if err != nil {
 		t.Fatalf("runLoad: %v\n%s", err, out.String())
@@ -160,7 +160,7 @@ func TestRunLoadZipfSampling(t *testing.T) {
 	err := runLoad(config{
 		url: ts.URL, strategy: "breadth", k: 5,
 		concurrency: 4, requests: 50, activityLen: 2, seed: 1,
-		zipf: 1.1, lib: lib, out: &out,
+		zipf: 1.1, batch: 1, lib: lib, out: &out,
 	})
 	if err != nil {
 		t.Fatalf("runLoad: %v\n%s", err, out.String())
@@ -170,5 +170,48 @@ func TestRunLoadZipfSampling(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "sampling: zipf(1.10)") {
 		t.Errorf("summary missing zipf sampling mode:\n%s", out.String())
+	}
+}
+
+// TestRunLoadRejectsBadConfig pins the config check: each setting the
+// generator cannot run with is refused before a request is built, naming
+// its flag. -concurrency 0 used to block forever on the first job send, so
+// runLoad runs under the test's own deadline.
+func TestRunLoadRejectsBadConfig(t *testing.T) {
+	lib := loadTestLibrary(t)
+	valid := config{
+		url: "http://127.0.0.1:1", strategy: "breadth", k: 5,
+		concurrency: 2, requests: 5, activityLen: 2, seed: 1,
+		batch: 1, lib: lib,
+	}
+	for _, tc := range []struct {
+		flag string
+		set  func(*config)
+	}{
+		{"-concurrency", func(c *config) { c.concurrency = 0 }},
+		{"-activity-len", func(c *config) { c.activityLen = 0 }},
+		{"-batch", func(c *config) { c.batch = 0 }},
+		{"-users", func(c *config) { c.users = -1 }},
+		{"-requests", func(c *config) { c.requests = -1 }},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			cfg := valid
+			tc.set(&cfg)
+			var out bytes.Buffer
+			cfg.out = &out
+			done := make(chan error, 1)
+			go func() { done <- runLoad(cfg) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.flag) {
+					t.Fatalf("runLoad error = %v, want one naming %s", err, tc.flag)
+				}
+				if out.Len() != 0 {
+					t.Errorf("a refused config still ran:\n%s", out.String())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("runLoad with a bad %s never returned", tc.flag)
+			}
+		})
 	}
 }

@@ -54,7 +54,7 @@ type blockShard struct {
 }
 
 // BlockCacheStats is a point-in-time snapshot of the process block cache
-// counters, surfaced through /v1/metrics and -bench-json.
+// counters, surfaced through /v1/metrics.
 type BlockCacheStats struct {
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`

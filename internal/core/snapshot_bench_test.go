@@ -86,8 +86,8 @@ func BenchmarkOpenSnapshotAdvise(b *testing.B) {
 			SetSnapshotMadvise(on)
 			defer SetSnapshotMadvise(true)
 			// Close (which syncs the async hint pass) stays outside the
-			// timer: the cell of record is time-to-serviceable, as in the
-			// cold-start experiment.
+			// timer: the cell of record is time-to-serviceable, as in
+			// BenchmarkColdStart.
 			for i := 0; i < b.N; i++ {
 				snap, err := OpenSnapshot(snapPath)
 				if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"goalrec/internal/core"
 	"goalrec/internal/dataset"
 	"goalrec/internal/eval"
 )
@@ -422,38 +421,4 @@ func parseF(t *testing.T, s string) float64 {
 // point.
 func fmtSscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
-}
-
-// TestBlockCacheScanSmall runs the paged-serving cells at a tiny size and
-// checks shape: four modes per size, warm carries cache counters with hits,
-// and the cache is left disabled afterwards.
-func TestBlockCacheScanSmall(t *testing.T) {
-	points, err := BlockCacheScan(BlockCacheConfig{
-		Sizes: []int{3000}, Actions: 300, Scans: 400, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMethod := map[string]ScalabilityPoint{}
-	for _, p := range points {
-		byMethod[p.Method] = p
-	}
-	for _, m := range []string{"block-cache/raw", "block-cache/cold", "block-cache/warm", "block-cache/capped"} {
-		if _, ok := byMethod[m]; !ok {
-			t.Fatalf("missing cell %s in %v", m, points)
-		}
-	}
-	warm := byMethod["block-cache/warm"]
-	if warm.Cache == nil || warm.Cache.Hits == 0 {
-		t.Fatalf("warm cell has no cache hits: %+v", warm.Cache)
-	}
-	if capped := byMethod["block-cache/capped"]; capped.Cache == nil {
-		t.Fatalf("capped cell lost its cache counters")
-	}
-	if st := core.BlockCacheMetrics(); st.BudgetBytes != 0 {
-		t.Fatalf("cache left enabled after the sweep: %+v", st)
-	}
-	if BlockCacheTable(points) == nil {
-		t.Fatal("nil table")
-	}
 }

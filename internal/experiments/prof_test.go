@@ -32,7 +32,7 @@ func benchFocus1M(b *testing.B, measure strategy.FocusMeasure, impactOrdered boo
 	}
 }
 
-func BenchmarkPrunedFocusCl1M(b *testing.B)    { benchFocus1M(b, strategy.Closeness, true) }
-func BenchmarkUnprunedFocusCl1M(b *testing.B)  { benchFocus1M(b, strategy.Closeness, false) }
-func BenchmarkPrunedFocusCmp1M(b *testing.B)   { benchFocus1M(b, strategy.Completeness, true) }
-func BenchmarkUnprunedFocusCmp1M(b *testing.B) { benchFocus1M(b, strategy.Completeness, false) }
+func BenchmarkImpactOrderedFocusCl1M(b *testing.B)  { benchFocus1M(b, strategy.Closeness, true) }
+func BenchmarkPlainFocusCl1M(b *testing.B)          { benchFocus1M(b, strategy.Closeness, false) }
+func BenchmarkImpactOrderedFocusCmp1M(b *testing.B) { benchFocus1M(b, strategy.Completeness, true) }
+func BenchmarkPlainFocusCmp1M(b *testing.B)         { benchFocus1M(b, strategy.Completeness, false) }

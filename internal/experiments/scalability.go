@@ -16,12 +16,6 @@ type ScalabilityPoint struct {
 	Connectivity    float64
 	Method          string
 	MeanLatency     time.Duration
-	// Prune carries a Focus cell's block-max scan counters when the swept
-	// library is size-sorted (the layout on which Focus scans); nil otherwise.
-	Prune *strategy.PruneStatsSnapshot
-	// Cache carries the decoded-block cache counters for the block-cache/*
-	// cells that ran with a cache enabled; nil otherwise.
-	Cache *core.BlockCacheStats
 }
 
 // ScalabilityConfig parameterizes the Figure 7 sweep.
@@ -42,7 +36,7 @@ type ScalabilityConfig struct {
 	Seed uint64
 	// ImpactOrdering re-lays-out each swept library in impact order before
 	// timing — the size-sorted layout on which Focus takes the block-max
-	// scan, whose counters the Focus cells then carry.
+	// scan.
 	ImpactOrdering bool
 }
 
@@ -109,26 +103,16 @@ func Scalability(cfg ScalabilityConfig) []ScalabilityPoint {
 			func() strategy.Recommender { return strategy.NewBestMatch(lib) },
 		} {
 			rec := mk()
-			var stats *strategy.PruneStats
-			if f, ok := rec.(*strategy.Focus); ok && lib.ImplLenSorted() {
-				stats = new(strategy.PruneStats)
-				f.CountInto(stats)
-			}
 			start := time.Now()
 			for _, q := range queries {
 				rec.Recommend(q, 10)
 			}
-			p := ScalabilityPoint{
+			points = append(points, ScalabilityPoint{
 				Implementations: size,
 				Connectivity:    conn,
 				Method:          rec.Name(),
 				MeanLatency:     time.Since(start) / time.Duration(len(queries)),
-			}
-			if stats != nil {
-				snap := stats.Snapshot()
-				p.Prune = &snap
-			}
-			points = append(points, p)
+			})
 		}
 	}
 	return points
@@ -146,18 +130,12 @@ func toActions(s []int32) []core.ActionID {
 // Figure7 renders the scalability sweep as a table: one row per
 // (implementations, method) cell.
 func Figure7(cfg ScalabilityConfig) *Table {
-	return Figure7Table(Scalability(cfg))
-}
-
-// Figure7Table renders already-computed sweep points, so callers that also
-// export the points (e.g. -bench-json) run the sweep only once.
-func Figure7Table(points []ScalabilityPoint) *Table {
 	t := &Table{
 		ID:      "F7",
 		Title:   "per-query latency vs library size and connectivity",
 		Columns: []string{"implementations", "connectivity", "method", "mean latency"},
 	}
-	for _, p := range points {
+	for _, p := range Scalability(cfg) {
 		t.AddRow(fmt.Sprintf("%d", p.Implementations),
 			fmt.Sprintf("%.1f", p.Connectivity), p.Method, p.MeanLatency.String())
 	}

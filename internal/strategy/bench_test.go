@@ -101,9 +101,8 @@ func BenchmarkBestMatchSharded(b *testing.B) {
 
 // BenchmarkScanKernelSharded measures the kernelized Focus/Breadth scan at
 // worker counts {1, 2, 4} on the densest cell — the regime the sharded
-// implementation scan targets. workers=1 is the sequential kernel the
-// BENCH_PR4 speedups come from; higher counts show the intra-query scaling
-// on multi-core hosts.
+// implementation scan targets. workers=1 is the sequential kernel; higher
+// counts show the intra-query scaling on multi-core hosts.
 func BenchmarkScanKernelSharded(b *testing.B) {
 	lib := benchLibrary(20000, 500, 3)
 	queries := benchQueries(500, 64, 5, 4)

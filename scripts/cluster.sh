@@ -5,8 +5,8 @@
 #   - every probe body (all four strategies, metric variants, batch, and the
 #     error cases) must come back BYTE-identical from the coordinator and the
 #     reference — the distributed ranking contract;
-#   - a distributed loadgen run (driver fanning out over two -serve loadgen
-#     workers) hammers the coordinator with zero non-200s;
+#   - a loadgen run (8 clients, 400 best-match requests) hammers the
+#     coordinator with zero non-200s;
 #   - SIGKILL of a shard worker mid-traffic must degrade, not fail: responses
 #     carry "degraded":true, partial_failures moves, and after the worker
 #     restarts the coordinator reattaches and rankings are bit-identical
@@ -27,7 +27,6 @@ REF_ADDR="127.0.0.1:$BASE"
 CO_ADDR="127.0.0.1:$((BASE + 1))"
 W_HTTP=("127.0.0.1:$((BASE + 2))" "127.0.0.1:$((BASE + 3))" "127.0.0.1:$((BASE + 4))")
 W_SHARD=("127.0.0.1:$((BASE + 5))" "127.0.0.1:$((BASE + 6))" "127.0.0.1:$((BASE + 7))")
-LG_SERVE=("127.0.0.1:$((BASE + 8))" "127.0.0.1:$((BASE + 9))")
 RANGES=("0:7000" "7000:14000" "14000:-1")
 
 TMP="$(mktemp -d)"
@@ -138,14 +137,8 @@ assert_identical() { # assert_identical <phase>
 echo "cluster: checking bit-identical rankings (healthy, 3/3 workers)"
 assert_identical "healthy"
 
-echo "cluster: distributed loadgen (driver + 2 -serve workers) against the coordinator"
-for i in 0 1; do
-    "$TMP/loadgen" -serve "${LG_SERVE[$i]}" -library "$LIB" 2>>"$TMP/loadgen$i.log" &
-    PIDS+=($!)
-done
-sleep 0.3
+echo "cluster: loadgen against the coordinator"
 "$TMP/loadgen" -url "http://$CO_ADDR" -library "$LIB" \
-    -workers "${LG_SERVE[0]},${LG_SERVE[1]}" \
     -concurrency 8 -requests 400 -strategy best-match
 
 echo "cluster: SIGKILL worker 1 (shard ${RANGES[1]}) and checking degraded serving"
