@@ -1,7 +1,8 @@
-// Cluster-role flag parsing. The roles themselves are wired in main.go's one
-// serve path: -role worker adds a comms listener to the normal daemon, and
-// -role coordinator puts the same HTTP server over a scatter-gather backend
-// (internal/cluster) instead of the local engine.
+// Cluster-role flag parsing, and the refusal of flags a role cannot honour.
+// The roles themselves are wired in main.go's one serve path: -role worker
+// adds a comms listener to the normal daemon, and -role coordinator puts the
+// same HTTP server over a scatter-gather backend (internal/cluster) instead
+// of the local engine.
 //
 // A local 3-node cluster:
 //
@@ -20,10 +21,46 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
+
+// roleOnlyFlags are the flags only one role can honour.
+var roleOnlyFlags = map[string]string{
+	"cluster-addr":    "worker",
+	"shard-range":     "worker",
+	"peers":           "coordinator",
+	"partial-failure": "coordinator",
+	"heartbeat":       "coordinator",
+	"scatter-timeout": "coordinator",
+}
+
+// nodeOnlyFlags configure the store and the per-user state, which a
+// coordinator does not have: it never scans, journals or keeps users.
+var nodeOnlyFlags = []string{
+	"snapshot-dir", "wal-sync", "compact-wal-bytes", "snapshot-compress",
+	"scrub-interval", "snapshot-diff", "snapshot-warm", "user-capacity", "user-views",
+}
+
+// checkRoleFlags refuses a flag set on the command line that role cannot
+// honour, rather than ignoring it.
+func checkRoleFlags(role string) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		want := roleOnlyFlags[f.Name]
+		switch {
+		case err != nil:
+		case want != "" && want != role:
+			err = fmt.Errorf("-%s needs -role %s", f.Name, want)
+		case role == "coordinator" && slices.Contains(nodeOnlyFlags, f.Name):
+			err = fmt.Errorf("-%s does not apply to -role coordinator: it never scans, journals or keeps users", f.Name)
+		}
+	})
+	return err
+}
 
 // splitPeers parses the -peers comma list, dropping empty entries.
 func splitPeers(s string) []string {

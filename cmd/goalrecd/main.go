@@ -34,8 +34,12 @@
 // stale or fails its checksum (one log line gives the reason), and serves the
 // library from that mapping in every role and on every reload. If the
 // sidecar cannot be written the parsed library is served from the heap.
-// Deleting the sidecar is always safe; mapped generations stay mapped until
-// the process exits (/v1/metrics, "library").
+// A worker keeps its shard the same way, at <path>.shard-<lo>-<hi|end>.gsnp
+// keyed by the sidecar's key plus the resolved range, so it maps both files
+// and holds no partition on the heap; a shard file that cannot be written,
+// or a library that did not come from a sidecar (a store, an ingest since),
+// is partitioned on the heap. Deleting either file is always safe; mapped
+// generations stay mapped until the process exits (/v1/metrics, "library").
 //
 // With -snapshot-dir the daemon is durable: it recovers from the newest
 // memory-mapped snapshot in the directory plus the ingest WAL's tail, then
@@ -135,7 +139,7 @@ func loadLibrary(logger *log.Logger, path string, impactOrdering bool) (*goalrec
 }
 
 func run() error {
-	libPath := flag.String("library", "", "path to the library file; a JSON-lines file is served from a memory-mapped snapshot kept beside it at <path>.gsnp, rebuilt when stale (deleting it is always safe)")
+	libPath := flag.String("library", "", "path to the library file; a JSON-lines file is served from a memory-mapped snapshot kept beside it at <path>.gsnp, and a worker's shard from one at <path>.shard-<lo>-<hi|end>.gsnp, each rebuilt when stale (deleting them is always safe)")
 	addr := flag.String("addr", ":8080", "listen address")
 	quiet := flag.Bool("quiet", false, "disable request logging")
 	watch := flag.Duration("watch", 0, "poll the library file at this interval and hot-swap on change (0 disables)")
@@ -167,6 +171,16 @@ func run() error {
 	goalrec.SetBlockCacheBytes(*blockCacheBytes)
 	goalrec.SetSnapshotMadvise(*madvise)
 	peers := splitPeers(*peersFlag)
+	if err := checkRoleFlags(*role); err != nil {
+		return err
+	}
+	var lo, hi int
+	if *role == "worker" {
+		var err error
+		if lo, hi, err = parseShardRange(*shardRange); err != nil {
+			return err
+		}
+	}
 	switch {
 	case *role != "" && *role != "worker" && *role != "coordinator":
 		return fmt.Errorf("unknown -role %q (want \"\", \"coordinator\" or \"worker\")", *role)
@@ -301,9 +315,9 @@ func run() error {
 	// directly) while answering coordinator scatters.
 	var clusterWorker *cluster.Worker
 	if *role == "worker" {
-		lo, hi, err := parseShardRange(*shardRange)
-		if err != nil {
-			return err
+		if n := engine.Len(); lo > n || hi > n {
+			closeBackend()
+			return fmt.Errorf("-shard-range %q lies outside the library's %d implementations", *shardRange, n)
 		}
 		wcfg := cluster.WorkerConfig{Lo: lo, Hi: hi, Logger: logger}
 		if *libPath != "" {
@@ -312,6 +326,7 @@ func run() error {
 		clusterWorker = cluster.NewWorker(engine, wcfg)
 		ln, err := net.Listen("tcp", *clusterAddr)
 		if err != nil {
+			closeBackend()
 			return fmt.Errorf("cluster listener: %w", err)
 		}
 		go func() {

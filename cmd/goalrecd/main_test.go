@@ -6,6 +6,7 @@ import (
 	"flag"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -142,26 +143,78 @@ func TestWatcherIgnoresUnchangedFile(t *testing.T) {
 	}
 }
 
+// runWith runs the daemon with args on a fresh command line.
+func runWith(t *testing.T, args ...string) error {
+	t.Helper()
+	saved, cmdline := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = saved, cmdline }()
+	flag.CommandLine = flag.NewFlagSet("goalrecd", flag.ContinueOnError)
+	os.Args = append([]string{"goalrecd"}, args...)
+	return run()
+}
+
 // TestRoleFlagsRefusedAtStartup: a flag combination a role cannot honour is
 // an error before anything is loaded or listened on — in particular -watch on
-// a coordinator, whose swaps are cluster-wide, is refused rather than ignored.
+// a coordinator, whose swaps are cluster-wide, is refused rather than ignored,
+// and so is every flag that only another role reads. None of these libraries
+// exists, so an error that names the flag was raised before the load.
 func TestRoleFlagsRefusedAtStartup(t *testing.T) {
-	args, cmdline := os.Args, flag.CommandLine
-	defer func() { os.Args, flag.CommandLine = args, cmdline }()
+	coordinator := []string{"-role", "coordinator", "-library", "x.jsonl", "-peers", "127.0.0.1:1"}
+	worker := []string{"-role", "worker", "-library", "x.jsonl", "-cluster-addr", "127.0.0.1:0"}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-role", "coordinator", "-library", "x.jsonl", "-peers", "127.0.0.1:1", "-watch", "1s"}, "-watch"},
+		{append(coordinator, "-watch", "1s"), "-watch"},
 		{[]string{"-role", "coordinator", "-library", "x.jsonl"}, "-peers"},
 		{[]string{"-role", "coordinator", "-peers", "127.0.0.1:1"}, "-library"},
 		{[]string{"-role", "worker", "-library", "x.jsonl"}, "-cluster-addr"},
 		{[]string{"-role", "bogus", "-library", "x.jsonl"}, "unknown -role"},
+		// Worker-only flags.
+		{[]string{"-library", "x.jsonl", "-shard-range", "0:10"}, "-shard-range"},
+		{[]string{"-library", "x.jsonl", "-cluster-addr", "127.0.0.1:0"}, "-cluster-addr"},
+		{append(coordinator, "-shard-range", "0:-1"), "-shard-range"},
+		// Coordinator-only flags.
+		{[]string{"-library", "x.jsonl", "-peers", "127.0.0.1:1"}, "-peers"},
+		{append(worker, "-partial-failure", "fail"), "-partial-failure"},
+		{[]string{"-library", "x.jsonl", "-scatter-timeout", "1s"}, "-scatter-timeout"},
+		{append(worker, "-heartbeat", "1s"), "-heartbeat"},
+		// What a coordinator does not have: a store, per-user state.
+		{append(coordinator, "-snapshot-dir", "d"), "-snapshot-dir"},
+		{append(coordinator, "-wal-sync"), "-wal-sync"},
+		{append(coordinator, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
+		{append(coordinator, "-snapshot-compress"), "-snapshot-compress"},
+		{append(coordinator, "-scrub-interval", "1m"), "-scrub-interval"},
+		{append(coordinator, "-snapshot-diff"), "-snapshot-diff"},
+		{append(coordinator, "-snapshot-warm"), "-snapshot-warm"},
+		{append(coordinator, "-user-capacity", "10"), "-user-capacity"},
+		{append(coordinator, "-user-views", "10"), "-user-views"},
+		// -shard-range is parsed before the library is loaded.
+		{append(worker, "-shard-range", "5"), "-shard-range"},
+		{append(worker, "-shard-range", "9:3"), "-shard-range"},
 	} {
-		flag.CommandLine = flag.NewFlagSet("goalrecd", flag.ContinueOnError)
-		os.Args = append([]string{"goalrecd"}, tc.args...)
-		if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := runWith(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("goalrecd %v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestWorkerRangeOutsideLibraryFailsAtStart: a worker whose -shard-range the
+// loaded library cannot serve exits before it listens, naming the flag and
+// the library's size, instead of answering every registration with an error.
+func TestWorkerRangeOutsideLibraryFailsAtStart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lib.jsonl")
+	lines := `{"goal":"salad","actions":["potatoes","carrots"]}` + "\n" +
+		`{"goal":"soup","actions":["carrots","onions"]}` + "\n" +
+		`{"goal":"stew","actions":["onions","beef"]}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []string{"0:999999", "5:-1", "2:4"} {
+		err := runWith(t, "-role", "worker", "-library", path, "-quiet", "-addr", "127.0.0.1:0",
+			"-cluster-addr", "127.0.0.1:0", "-shard-range", r)
+		if err == nil || !strings.Contains(err.Error(), "-shard-range") || !strings.Contains(err.Error(), "3 implementations") {
+			t.Errorf("-shard-range %s on a 3-implementation library: error %v, want one naming the flag and the size", r, err)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func NewEngine() *Engine {
 func NewEngineFromLibrary(lib *Library) *Engine {
 	e := &Engine{vocab: lib.vocab, dyn: core.NewDynamicLibrary()}
 	stamped := e.dyn.Swap(lib.lib)
-	e.state.Store(newEngineState(&Library{lib: stamped, vocab: lib.vocab}, 0))
+	e.state.Store(newEngineState(&Library{lib: stamped, vocab: lib.vocab, side: lib.side}, 0))
 	return e
 }
 
@@ -207,7 +207,7 @@ func (e *Engine) Swap(lib *Library) *Library {
 	defer e.mu.Unlock()
 	e.vocab = lib.vocab
 	stamped := e.dyn.Swap(lib.lib)
-	nl := &Library{lib: stamped, vocab: lib.vocab}
+	nl := &Library{lib: stamped, vocab: lib.vocab, side: lib.side}
 	e.gen++
 	e.state.Store(newEngineState(nl, e.gen))
 	if e.journal != nil {

@@ -140,6 +140,10 @@ func permuteVocab(v *core.Vocabulary, perm core.ImpactPermutation) *core.Vocabul
 type Library struct {
 	lib   *core.Library
 	vocab *core.Vocabulary
+	// side is set on the unextended image of a sidecar-served source (see
+	// LoadLibraryFileMapped) and on the engine epochs that adopt it as is; it
+	// is what PartitionMapped keys a shard file by.
+	side *sidecarRef
 
 	// vocabSum memoizes VocabChecksum, a pure function of the snapshot.
 	vocabSumOnce sync.Once

@@ -142,6 +142,68 @@ func postBody(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
+// oracleBodies are the topology oracle's /v1/recommend probes: every
+// strategy, metric and k shape, unknown actions, and validation errors.
+var oracleBodies = []string{
+	`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 5}`,
+	`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 1}`,
+	`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 200}`,
+	`{"activity": ["a3"], "strategy": "focus-cl", "k": 7}`,
+	`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cl", "k": 40}`,
+	`{"activity": ["a1", "a5", "a9"], "strategy": "breadth", "k": 10}`,
+	`{"activity": ["a1", "a5", "a9"], "strategy": "breadth-count", "k": 15}`,
+	`{"activity": ["a1", "a5", "a9"], "strategy": "breadth-union", "k": 15}`,
+	`{"activity": ["a2", "a7"], "strategy": "best-match", "k": 8}`,
+	`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "jaccard", "k": 8}`,
+	`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "euclidean", "k": 8}`,
+	`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "manhattan", "k": 8}`,
+	`{"activity": ["a4", "a11", "a19", "a23"]}`, // default strategy + k
+	// Unknown actions: reported, deduplicated, sorted — identically.
+	`{"activity": ["a1", "zzz", "a5", "zzz", "aaa"], "strategy": "focus-cmp", "k": 5}`,
+	`{"activity": ["nope", "really-not"], "strategy": "breadth", "k": 5}`,
+	// Validation errors must match too.
+	`{"activity": [], "strategy": "breadth"}`,
+	`{"activity": ["a1"], "k": 2000}`,
+	`{"activity": ["a1"], "strategy": "no-such-strategy"}`,
+	`{"activity": ["a1"], "strategy": "best-match", "metric": "hamming"}`,
+}
+
+// oracleBatchBodies are the oracle's /v1/recommend/batch probes.
+var oracleBatchBodies = []string{
+	`{"activities": [["a1", "a5"], ["a2"], ["a9", "zzz"]], "strategy": "focus-cmp", "k": 4}`,
+	`{"activities": [["a1", "a5"], [], ["a9"]], "strategy": "breadth", "k": 6}`,
+	`{"activities": [["a2", "a7"], ["a3"]], "strategy": "best-match", "metric": "jaccard", "k": 5}`,
+	`{"activities": [], "strategy": "breadth"}`,
+}
+
+// assertAnswersLike posts every oracle probe to a single node and to a
+// cluster front end and fails on any difference in status or bytes.
+func assertAnswersLike(t *testing.T, singleURL, clusterURL string) {
+	t.Helper()
+	for _, body := range oracleBodies {
+		sCode, sBody := postBody(t, singleURL+"/v1/recommend", body)
+		cCode, cBody := postBody(t, clusterURL+"/v1/recommend", body)
+		if sCode != cCode {
+			t.Errorf("status mismatch for %s: single %d, cluster %d (%s)", body, sCode, cCode, cBody)
+			continue
+		}
+		if !bytes.Equal(sBody, cBody) {
+			t.Errorf("body mismatch for %s:\n single: %s\ncluster: %s", body, sBody, cBody)
+		}
+	}
+	for _, body := range oracleBatchBodies {
+		sCode, sBody := postBody(t, singleURL+"/v1/recommend/batch", body)
+		cCode, cBody := postBody(t, clusterURL+"/v1/recommend/batch", body)
+		if sCode != cCode {
+			t.Errorf("batch status mismatch for %s: single %d, cluster %d (%s)", body, sCode, cCode, cBody)
+			continue
+		}
+		if !bytes.Equal(sBody, cBody) {
+			t.Errorf("batch body mismatch for %s:\n single: %s\ncluster: %s", body, sBody, cBody)
+		}
+	}
+}
+
 // TestClusterHTTPBitIdenticalToSingleNode is the topology oracle: the same
 // request posted to a single-node server and to a 3-shard cluster must come
 // back byte-for-byte identical (both engines start their lineage at epoch 1,
@@ -150,37 +212,6 @@ func postBody(t *testing.T, url, body string) (int, []byte) {
 // impact-ordered one, whose size-sorted shards run the block-max scan under
 // the cross-node floor broadcast.
 func TestClusterHTTPBitIdenticalToSingleNode(t *testing.T) {
-
-	bodies := []string{
-		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 5}`,
-		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 1}`,
-		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 200}`,
-		`{"activity": ["a3"], "strategy": "focus-cl", "k": 7}`,
-		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cl", "k": 40}`,
-		`{"activity": ["a1", "a5", "a9"], "strategy": "breadth", "k": 10}`,
-		`{"activity": ["a1", "a5", "a9"], "strategy": "breadth-count", "k": 15}`,
-		`{"activity": ["a1", "a5", "a9"], "strategy": "breadth-union", "k": 15}`,
-		`{"activity": ["a2", "a7"], "strategy": "best-match", "k": 8}`,
-		`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "jaccard", "k": 8}`,
-		`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "euclidean", "k": 8}`,
-		`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "manhattan", "k": 8}`,
-		`{"activity": ["a4", "a11", "a19", "a23"]}`, // default strategy + k
-		// Unknown actions: reported, deduplicated, sorted — identically.
-		`{"activity": ["a1", "zzz", "a5", "zzz", "aaa"], "strategy": "focus-cmp", "k": 5}`,
-		`{"activity": ["nope", "really-not"], "strategy": "breadth", "k": 5}`,
-		// Validation errors must match too.
-		`{"activity": [], "strategy": "breadth"}`,
-		`{"activity": ["a1"], "k": 2000}`,
-		`{"activity": ["a1"], "strategy": "no-such-strategy"}`,
-		`{"activity": ["a1"], "strategy": "best-match", "metric": "hamming"}`,
-	}
-	batchBodies := []string{
-		`{"activities": [["a1", "a5"], ["a2"], ["a9", "zzz"]], "strategy": "focus-cmp", "k": 4}`,
-		`{"activities": [["a1", "a5"], [], ["a9"]], "strategy": "breadth", "k": 6}`,
-		`{"activities": [["a2", "a7"], ["a3"]], "strategy": "best-match", "metric": "jaccard", "k": 5}`,
-		`{"activities": [], "strategy": "breadth"}`,
-	}
-
 	for _, pruning := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pruning=%v", pruning), func(t *testing.T) {
 			lib := clusterTestLibrary(1, 60)
@@ -196,28 +227,47 @@ func TestClusterHTTPBitIdenticalToSingleNode(t *testing.T) {
 			co := startCoordinator(t, lib, workers, CoordinatorConfig{})
 			cluster := httptest.NewServer(NewHTTPHandler(co))
 			defer cluster.Close()
+			assertAnswersLike(t, single.URL, cluster.URL)
+		})
+	}
+}
 
-			for _, body := range bodies {
-				sCode, sBody := postBody(t, single.URL+"/v1/recommend", body)
-				cCode, cBody := postBody(t, cluster.URL+"/v1/recommend", body)
-				if sCode != cCode {
-					t.Errorf("status mismatch for %s: single %d, cluster %d (%s)", body, sCode, cCode, cBody)
-					continue
+// TestClusterMappedShards runs the oracle on the daemon's load path: every
+// node loads the artifact through its sidecar, so each worker serves its
+// range from a shard file of its own — mapped, in both layouts — and the
+// cluster must still answer byte-identically to a single node.
+func TestClusterMappedShards(t *testing.T) {
+	for _, impact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("impact=%v", impact), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "lib.jsonl")
+			saveJSON(t, clusterTestLibrary(4, 60), path)
+			load := func() *goalrec.Library {
+				lib, _, err := goalrec.LoadLibraryFileMapped(path, impact)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(sBody, cBody) {
-					t.Errorf("body mismatch for %s:\n single: %s\ncluster: %s", body, sBody, cBody)
+				return lib
+			}
+			single := httptest.NewServer(server.New(load(), nil))
+			defer single.Close()
+			workers := startWorkers(t, load(), 3, nil)
+			co := startCoordinator(t, load(), workers, CoordinatorConfig{})
+			cluster := httptest.NewServer(NewHTTPHandler(co))
+			defer cluster.Close()
+			assertAnswersLike(t, single.URL, cluster.URL)
+
+			for i, tw := range workers {
+				sh, err := tw.worker.currentShard()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sh.part.Backing().Backing; got != "mapped" {
+					t.Errorf("worker %d serves [%d, %d) from the %s", i, sh.lo, sh.hi, got)
 				}
 			}
-			for _, body := range batchBodies {
-				sCode, sBody := postBody(t, single.URL+"/v1/recommend/batch", body)
-				cCode, cBody := postBody(t, cluster.URL+"/v1/recommend/batch", body)
-				if sCode != cCode {
-					t.Errorf("batch status mismatch for %s: single %d, cluster %d (%s)", body, sCode, cCode, cBody)
-					continue
-				}
-				if !bytes.Equal(sBody, cBody) {
-					t.Errorf("batch body mismatch for %s:\n single: %s\ncluster: %s", body, sBody, cBody)
-				}
+			files, err := filepath.Glob(path + ".shard-*.gsnp")
+			if err != nil || len(files) != len(workers) {
+				t.Fatalf("shard files %v (%v), want one per worker", files, err)
 			}
 		})
 	}
@@ -241,11 +291,9 @@ func TestClusterTwoPhaseSwap(t *testing.T) {
 	})
 }
 
-// viaSidecar saves lib as JSON lines, builds its sidecar, and returns a load
-// function that must find the sidecar warm on every call.
-func viaSidecar(t *testing.T, lib *goalrec.Library) func() (*goalrec.Library, error) {
+// saveJSON writes lib to path as JSON lines.
+func saveJSON(t *testing.T, lib *goalrec.Library, path string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "lib.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -256,6 +304,14 @@ func viaSidecar(t *testing.T, lib *goalrec.Library) func() (*goalrec.Library, er
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// viaSidecar saves lib as JSON lines, builds its sidecar, and returns a load
+// function that must find the sidecar warm on every call.
+func viaSidecar(t *testing.T, lib *goalrec.Library) func() (*goalrec.Library, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "lib.jsonl")
+	saveJSON(t, lib, path)
 	if _, _, err := goalrec.LoadLibraryFileMapped(path, false); err != nil {
 		t.Fatal(err)
 	}

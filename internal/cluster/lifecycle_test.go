@@ -192,7 +192,7 @@ func TestClusterBatchOneEpochAcrossReload(t *testing.T) {
 	for i := range activities {
 		activities[i] = []string{"a1", "a5", "a9"}
 	}
-	for attempt := 0; attempt < 20; attempt++ {
+	for attempt := 0; attempt < 100; attempt++ {
 		before := co.Epoch()
 		scatters := co.Metrics().Snapshot(0).Scatters
 		type outcome struct {
@@ -225,5 +225,42 @@ func TestClusterBatchOneEpochAcrossReload(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal("no batch straddled a swap in 20 attempts")
+	t.Fatal("no batch straddled a swap in 100 attempts")
+}
+
+// TestClusterSwapAbortsOnUncuttableShard: a worker cuts its next partition at
+// prepare, so a library that no longer covers a worker's range fails that
+// prepare and the swap is aborted on every node — rather than committed on a
+// worker that then cannot serve its range.
+func TestClusterSwapAbortsOnUncuttableShard(t *testing.T) {
+	lib := clusterTestLibrary(5, 45)
+	shrunk := func() (*goalrec.Library, error) { return clusterTestLibrary(5, 20), nil }
+	workers := startWorkers(t, lib, 3, shrunk) // [0, 15), [15, 30), [30, end)
+	co := startCoordinator(t, lib, workers, CoordinatorConfig{Reload: shrunk})
+
+	if _, _, err := co.Reload(context.Background()); err == nil || !strings.Contains(err.Error(), "partitioning") {
+		t.Fatalf("reload onto a library too short for the ranges: %v, want a partitioning error", err)
+	}
+	if got := co.Epoch(); got != 1 {
+		t.Fatalf("coordinator epoch after the aborted swap: %d, want 1", got)
+	}
+	for i, tw := range workers {
+		if got := tw.engine.Epoch(); got != 1 {
+			t.Fatalf("worker %d epoch after the aborted swap: %d, want 1", i, got)
+		}
+		tw.worker.stagedMu.Lock()
+		staged := tw.worker.staged != nil || tw.worker.stagedShard != nil
+		tw.worker.stagedMu.Unlock()
+		if staged {
+			t.Fatalf("worker %d still holds a staged swap", i)
+		}
+	}
+	if swaps := co.Metrics().Snapshot(0).Swaps; swaps.Aborted != 1 || swaps.Committed != 0 {
+		t.Fatalf("swaps after the aborted reload: %+v, want one aborted, none committed", swaps)
+	}
+	single := httptest.NewServer(server.New(lib, nil))
+	defer single.Close()
+	cluster := httptest.NewServer(NewHTTPHandler(co))
+	defer cluster.Close()
+	assertAnswersLike(t, single.URL, cluster.URL)
 }

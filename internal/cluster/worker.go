@@ -31,24 +31,29 @@ type WorkerConfig struct {
 // Worker serves one implementation-range shard of the library over the
 // comms protocol. It owns a full engine — typically recovered from the
 // worker's own snapshot+WAL store, so workers restart independently — and
-// lazily partitions the current epoch's snapshot down to its range; queries
-// run against the partition and report global implementation ids, which is
-// what lets the coordinator merge shard partials into the single-node order.
+// serves its range from a partition of the current epoch's snapshot, mapped
+// from a keyed shard file when that snapshot is a sidecar-served library
+// (goalrec.Library.PartitionMapped). Queries run against the partition and
+// report global implementation ids, which is what lets the coordinator merge
+// shard partials into the single-node order.
 type Worker struct {
 	engine *goalrec.Engine
 	cfg    WorkerConfig
 	srv    *comms.Server
 
 	// shardMu guards the epoch-keyed partition cache: the partition and its
-	// strategy instances are rebuilt when the engine publishes a new epoch
-	// (a committed swap), never mid-query — in-flight queries keep the
-	// shardState they loaded.
+	// strategy instances are replaced when the engine publishes a new epoch,
+	// never mid-query — in-flight queries keep the shardState they loaded. A
+	// commit swaps the engine and installs the staged partition under it, so
+	// no query sees the new epoch without its partition.
 	shardMu sync.Mutex
 	shard   *shardState
 
-	// stagedMu guards the two-phase swap state.
-	stagedMu sync.Mutex
-	staged   *goalrec.Library
+	// stagedMu guards the two-phase swap state: the library a prepare loaded
+	// and the partition it cut from it, which a commit installs together.
+	stagedMu    sync.Mutex
+	staged      *goalrec.Library
+	stagedShard *shardState
 
 	// floorMu guards the in-flight floor registry: FrameFocus handlers
 	// register their FocusFloorShare under (conn, request id) so FrameFloor
@@ -101,38 +106,50 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	}
 }
 
-// currentShard returns the partition of the engine's current epoch,
-// rebuilding the cache after a swap.
+// currentShard returns the partition of the engine's current epoch, cutting
+// it when the epoch moved without a commit (an ingest, a local reload).
 func (w *Worker) currentShard() (*shardState, error) {
-	snap := w.engine.Snapshot()
-	epoch := snap.Epoch()
 	w.shardMu.Lock()
 	defer w.shardMu.Unlock()
-	if w.shard != nil && w.shard.epoch == epoch {
+	snap := w.engine.Snapshot()
+	if w.shard != nil && w.shard.epoch == snap.Epoch() {
 		return w.shard, nil
 	}
-	lo, hi := w.cfg.Lo, w.cfg.Hi
-	if hi < 0 {
-		hi = snap.NumImplementations()
-	}
-	part, err := snap.Partition(lo, hi)
+	sh, err := w.cut(snap)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: partitioning [%d, %d) of %d implementations: %w",
-			lo, hi, snap.NumImplementations(), err)
+		return nil, err
 	}
-	w.shard = &shardState{
-		epoch:   epoch,
+	sh.epoch = snap.Epoch()
+	w.shard = sh
+	w.logf("cluster worker: serving [%d, %d) of %d implementations at epoch %d",
+		sh.lo, sh.hi, sh.impls, sh.epoch)
+	return sh, nil
+}
+
+// cut partitions lib down to the configured range, logging any shard file
+// decision but a hit the way the daemon logs sidecar decisions. The caller
+// stamps the epoch the partition will serve.
+func (w *Worker) cut(lib *goalrec.Library) (*shardState, error) {
+	lo, hi, n := w.cfg.Lo, w.cfg.Hi, lib.NumImplementations()
+	if hi < 0 {
+		hi = n
+	}
+	part, decision, err := lib.PartitionMapped(lo, w.cfg.Hi)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: partitioning [%d, %d) of %d implementations: %w", lo, hi, n, err)
+	}
+	if decision != "" && decision != goalrec.SidecarHit {
+		w.logf("cluster worker: shard [%d, %d) %s", lo, hi, decision)
+	}
+	return &shardState{
 		lo:      lo,
 		hi:      hi,
-		impls:   snap.NumImplementations(),
+		impls:   n,
 		part:    part,
 		focus:   make(map[strategy.FocusMeasure]*strategy.Focus),
 		breadth: make(map[strategy.BreadthWeighting]*strategy.Breadth),
 		best:    make(map[vectorspace.Metric]*strategy.BestMatch),
-	}
-	w.logf("cluster worker: serving [%d, %d) of %d implementations at epoch %d",
-		lo, hi, w.shard.impls, epoch)
-	return w.shard, nil
+	}, nil
 }
 
 func (s *shardState) focusFor(m strategy.FocusMeasure) *strategy.Focus {
@@ -337,8 +354,15 @@ func (w *Worker) handlePrepare(f comms.Frame) (uint8, []byte) {
 	if err != nil {
 		return errFrame(fmt.Errorf("prepare: %w", err))
 	}
+	// Cut the partition now, outside the window in which the cluster's
+	// nodes disagree on the epoch: a range the new library cannot serve
+	// fails the prepare, and the coordinator aborts the swap everywhere.
+	sh, err := w.cut(lib)
+	if err != nil {
+		return errFrame(fmt.Errorf("prepare: %w", err))
+	}
 	w.stagedMu.Lock()
-	w.staged = lib
+	w.staged, w.stagedShard = lib, sh
 	w.stagedMu.Unlock()
 	w.logf("cluster worker: staged %d implementations for swap", lib.NumImplementations())
 	return f.Type, mustJSON(prepareResponse{
@@ -349,27 +373,25 @@ func (w *Worker) handlePrepare(f comms.Frame) (uint8, []byte) {
 
 func (w *Worker) handleCommit(f comms.Frame) (uint8, []byte) {
 	w.stagedMu.Lock()
-	lib := w.staged
-	w.staged = nil
+	lib, sh := w.staged, w.stagedShard
+	w.staged, w.stagedShard = nil, nil
 	w.stagedMu.Unlock()
 	if lib == nil {
 		return errFrame(errors.New("commit without a staged epoch"))
 	}
-	swapped := w.engine.Swap(lib)
-	w.logf("cluster worker: committed swap at epoch %d", swapped.Epoch())
-	sh, err := w.currentShard()
-	if err != nil {
-		// The swap is already committed; report it even if the new partition
-		// cannot be built (queries will surface the partition error).
-		return f.Type, mustJSON(commitResponse{Epoch: swapped.Epoch(), Lo: w.cfg.Lo, Hi: w.cfg.Hi, Impls: swapped.NumImplementations()})
-	}
-	return f.Type, mustJSON(commitResponse{Epoch: swapped.Epoch(), Lo: sh.lo, Hi: sh.hi, Impls: sh.impls})
+	w.shardMu.Lock()
+	sh.epoch = w.engine.Swap(lib).Epoch()
+	w.shard = sh
+	w.shardMu.Unlock()
+	w.logf("cluster worker: committed swap at epoch %d, serving [%d, %d) of %d implementations",
+		sh.epoch, sh.lo, sh.hi, sh.impls)
+	return f.Type, mustJSON(commitResponse{Epoch: sh.epoch, Lo: sh.lo, Hi: sh.hi, Impls: sh.impls})
 }
 
 func (w *Worker) handleAbort(f comms.Frame) (uint8, []byte) {
 	w.stagedMu.Lock()
 	had := w.staged != nil
-	w.staged = nil
+	w.staged, w.stagedShard = nil, nil
 	w.stagedMu.Unlock()
 	if had {
 		w.logf("cluster worker: aborted staged swap")

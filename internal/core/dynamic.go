@@ -203,7 +203,7 @@ func (d *DynamicLibrary) Swap(lib *Library) *Library {
 	d.numActions = lib.numActions
 	d.numGoals = lib.numGoals
 	d.epoch++
-	d.cur = lib.withEpoch(d.epoch)
+	d.cur = lib.WithEpoch(d.epoch)
 	return d.cur
 }
 
@@ -219,7 +219,7 @@ func (d *DynamicLibrary) RestoreEpoch(e uint64) error {
 	}
 	d.initLocked()
 	d.epoch = e
-	d.cur = d.cur.withEpoch(e)
+	d.cur = d.cur.WithEpoch(e)
 	return nil
 }
 

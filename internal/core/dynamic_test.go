@@ -272,7 +272,7 @@ func TestDynamicLibraryIncrementalEquivalence(t *testing.T) {
 func snapshotImage(t *testing.T, l *Library, epoch uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, l.withEpoch(epoch), nil, SnapshotOptions{}); err != nil {
+	if err := WriteSnapshot(&buf, l.WithEpoch(epoch), nil, SnapshotOptions{}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()

@@ -363,9 +363,11 @@ type Library struct {
 // built libraries are epoch 0.
 func (l *Library) Epoch() uint64 { return l.epoch }
 
-// withEpoch returns a shallow copy of l stamped with epoch e, used when an
-// externally built library is swapped into a DynamicLibrary lineage.
-func (l *Library) withEpoch(e uint64) *Library {
+// WithEpoch returns a shallow copy of l stamped with epoch e, used when an
+// externally built library is swapped into a DynamicLibrary lineage, and when
+// a shard opened from its snapshot file takes the epoch of the library it was
+// cut from.
+func (l *Library) WithEpoch(e uint64) *Library {
 	c := *l
 	c.epoch = e
 	return &c

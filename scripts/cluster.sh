@@ -10,11 +10,13 @@
 #   - SIGKILL of a shard worker mid-traffic must degrade, not fail: responses
 #     carry "degraded":true, partial_failures moves, and after the worker
 #     restarts the coordinator reattaches and rankings are bit-identical
-#     again;
+#     again — and the restarted worker maps the shard file its first start
+#     cut (no "shard ... rebuilt" line: the library did not change);
 #   - a cluster-wide two-phase snapshot swap driven under load (POST
 #     /v1/reload on the coordinator while loadgen runs) must commit on every
 #     node, land everyone on the same epoch, and stay bit-identical to the
-#     reloaded reference.
+#     reloaded reference; every worker cuts a new shard file for the grown
+#     library at prepare.
 #
 # Tunables (env): CLUSTER_DURATION (default 5s, the under-load swap phase),
 # CLUSTER_BASE_PORT (default 18090).
@@ -155,6 +157,7 @@ case "$METRICS" in
 esac
 
 echo "cluster: restarting worker 1 and waiting for bit-identical resume"
+RESTART_LINE="$(($(wc -l <"$TMP/worker1.log") + 1))"
 start_worker 1
 wait_ready "http://${W_HTTP[1]}/readyz"
 resumed=""
@@ -171,6 +174,9 @@ for _ in $(seq 1 100); do
 done
 [ -n "$resumed" ] || fail "coordinator never reattached to the restarted worker"
 assert_identical "rejoined"
+if tail -n +"$RESTART_LINE" "$TMP/worker1.log" | grep -q 'shard .* rebuilt'; then
+    fail "restarted worker 1 rebuilt its shard file although the library is unchanged"
+fi
 
 echo "cluster: two-phase snapshot swap under load ($DURATION of traffic)"
 cp "$TMP/cluster2.jsonl" "$LIB"
@@ -181,6 +187,10 @@ PIDS+=($LG_PID)
 sleep 1
 curl -fsS -X POST "http://$CO_ADDR/v1/reload" || fail "cluster reload failed"
 echo
+for i in 0 1 2; do
+    grep -q 'shard .* rebuilt: source key' "$TMP/worker$i.log" ||
+        fail "worker $i did not cut a new shard file for the grown library"
+done
 curl -fsS -X POST "http://$REF_ADDR/v1/reload" >/dev/null || fail "reference reload failed"
 if ! wait "$LG_PID"; then
     cat "$TMP/loadgen-swap.out" >&2

@@ -1,9 +1,12 @@
 package goalrec
 
 import (
+	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"goalrec/internal/core"
+	"goalrec/internal/faultfs"
 )
 
 // Partition returns the shard view of this snapshot: the implementations
@@ -19,6 +22,68 @@ func (l *Library) Partition(lo, hi int) (*Library, error) {
 		return nil, err
 	}
 	return &Library{lib: sub, vocab: l.vocab}, nil
+}
+
+// PartitionMapped is Partition the way a serving process wants it: cut at
+// most once per content, mapped on every start. hi < 0 means "to the end of
+// the library". The shard of a library served from its sidecar (see
+// LoadLibraryFileMapped) is served from a memory-mapped snapshot of the
+// partition kept beside the source at <source>.shard-<lo>-<hi|end>.gsnp — the
+// requested hi, so an open-ended shard keeps its file as the library grows —
+// which this call cuts with Partition and writes when it is missing or stale,
+// and verifies on every open. Its key is the sidecar's plus the resolved
+// range and the library's size. The mapped shard carries l's epoch.
+//
+// decision is as for LoadLibraryFileMapped: SidecarHit, "rebuilt: <why>",
+// "unwritable: <cause>" with the heap partition returned, or "" for a library
+// with no sidecar behind it — heap-loaded, recovered from a store, or extended
+// by ingest since it was opened — which is partitioned on the heap.
+func (l *Library) PartitionMapped(lo, hi int) (part *Library, decision string, err error) {
+	return l.partitionMapped(faultfs.OS, lo, hi)
+}
+
+// partitionMapped is PartitionMapped with the shard file written and opened
+// through fsys (fault injection).
+func (l *Library) partitionMapped(fsys faultfs.FS, lo, hi int) (*Library, string, error) {
+	n, end, hiName := l.NumImplementations(), hi, strconv.Itoa(hi)
+	if hi < 0 {
+		end, hiName = n, "end"
+	}
+	if l.side == nil {
+		part, err := l.Partition(lo, end)
+		return part, "", err
+	}
+	// A range Partition refuses never gets a file written under its key, so
+	// only a miss needs the bounds check Partition makes.
+	path := fmt.Sprintf("%s.shard-%d-%s%s", l.side.src, lo, hiName, SidecarSuffix)
+	key := []byte(fmt.Sprintf("%s shard:[%d,%d) of %d", l.side.key, lo, end, n))
+	part, refused := l.openShard(fsys, path, key)
+	if refused == nil {
+		return part, SidecarHit, nil
+	}
+	heap, err := l.Partition(lo, end)
+	if err != nil {
+		return nil, "", err
+	}
+	err = writeSidecar(fsys, path, heap.lib, nil, key)
+	if err == nil {
+		part, err = l.openShard(fsys, path, key)
+	}
+	if err != nil {
+		return heap, SidecarUnwritable + ": " + err.Error(), nil
+	}
+	return part, SidecarRebuilt + ": " + refusal(refused), nil
+}
+
+// openShard maps the id-level shard snapshot at path if it verifies as the
+// image of key, sharing l's name dictionary and stamped with l's epoch. The
+// mapping is never released.
+func (l *Library) openShard(fsys faultfs.FS, path string, key []byte) (*Library, error) {
+	snap, err := core.OpenSnapshotKeyed(fsys, path, key)
+	if err != nil {
+		return nil, err
+	}
+	return &Library{lib: snap.Library().WithEpoch(l.Epoch()), vocab: l.vocab}, nil
 }
 
 // Core exposes the underlying id-level library. It exists for the cluster

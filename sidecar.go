@@ -97,14 +97,9 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string, impactOrdering bool) (*
 	if _, err := io.Copy(h, f); err != nil {
 		return nil, "", fmt.Errorf("goalrec: reading %s: %w", path, err)
 	}
-	side := path + SidecarSuffix
-	lib, refused := openSidecar(fsys, side, sidecarKey(h, impactOrdering))
+	lib, refused := openSidecar(fsys, path, sidecarKey(h, impactOrdering))
 	if refused == nil {
 		return lib, SidecarHit, nil
-	}
-	why := refused.Error()
-	if errors.Is(refused, fs.ErrNotExist) {
-		why = "no sidecar"
 	}
 
 	// The key must describe the bytes the parser sees, not the ones hashed
@@ -122,15 +117,21 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string, impactOrdering bool) (*
 		parsed = parsed.ImpactOrdered()
 	}
 	key := sidecarKey(h, impactOrdering)
-	err = core.WriteSnapshotFileFS(fsys, side, parsed.lib, parsed.vocab, core.SnapshotOptions{SourceKey: key})
+	err = writeSidecar(fsys, path+SidecarSuffix, parsed.lib, parsed.vocab, key)
 	if err == nil {
-		removeStaleTemps(fsys, filepath.Dir(side))
-		lib, err = openSidecar(fsys, side, key)
+		lib, err = openSidecar(fsys, path, key)
 	}
 	if err != nil {
 		return parsed, SidecarUnwritable + ": " + err.Error(), nil
 	}
-	return lib, SidecarRebuilt + ": " + why, nil
+	return lib, SidecarRebuilt + ": " + refusal(refused), nil
+}
+
+// sidecarRef names the sidecar a library was opened from: the source's path
+// and the key the sidecar verified as.
+type sidecarRef struct {
+	src string
+	key []byte
 }
 
 // sidecarKey labels a snapshot as the image of the source whose bytes went
@@ -143,14 +144,38 @@ func sidecarKey(h hash.Hash, impactOrdering bool) []byte {
 	return []byte(fmt.Sprintf("jsonl-sha256:%x layout:%s", h.Sum(nil), layout))
 }
 
-// openSidecar maps the sidecar at path if it verifies as the image of key.
-// The mapping is never released.
-func openSidecar(fsys faultfs.FS, path string, key []byte) (*Library, error) {
-	snap, err := core.OpenSnapshotKeyed(fsys, path, key)
+// openSidecar maps the sidecar of the source at src if it verifies as the
+// image of key. The mapping is never released.
+func openSidecar(fsys faultfs.FS, src string, key []byte) (*Library, error) {
+	snap, err := core.OpenSnapshotKeyed(fsys, src+SidecarSuffix, key)
 	if err != nil {
 		return nil, err
 	}
-	return snapshotLibrary(snap, path)
+	lib, err := snapshotLibrary(snap, src+SidecarSuffix)
+	if err != nil {
+		return nil, err
+	}
+	lib.side = &sidecarRef{src: src, key: key}
+	return lib, nil
+}
+
+// writeSidecar seals lib — with vocab, or id-level when vocab is nil — to
+// path as the snapshot keyed key (temp file, sync, rename), then clears what
+// interrupted writes left beside it.
+func writeSidecar(fsys faultfs.FS, path string, lib *core.Library, vocab *core.Vocabulary, key []byte) error {
+	err := core.WriteSnapshotFileFS(fsys, path, lib, vocab, core.SnapshotOptions{SourceKey: key})
+	if err == nil {
+		removeStaleTemps(fsys, filepath.Dir(path))
+	}
+	return err
+}
+
+// refusal says why a keyed open refused a sidecar, for a rebuilt decision.
+func refusal(err error) string {
+	if errors.Is(err, fs.ErrNotExist) {
+		return "no sidecar"
+	}
+	return err.Error()
 }
 
 // removeStaleTemps deletes what interrupted snapshot writes left in dir.
