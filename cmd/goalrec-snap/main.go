@@ -1,25 +1,21 @@
 // Command goalrec-snap inspects and converts goalrec library files.
 //
 //	goalrec-snap inspect lib.gsnp          print header, sections, ratios
-//	goalrec-snap inspect lib.gsnpd         print a delta's ref/inline layout
 //	goalrec-snap verify  lib.gsnp          deep-validate every section
-//	goalrec-snap convert [-compress] [-format snapshot|binary|json] in out
-//	goalrec-snap diff new.gsnp base.gsnp out.gsnpd    write a delta
-//	goalrec-snap materialize d.gsnpd base.gsnp out.gsnp
+//	goalrec-snap convert [-format snapshot|json] in out
 //
-// convert sniffs the input format (JSON lines, legacy binary, or snapshot)
-// and writes the requested output format — the migration path from
-// pre-snapshot library files to the memory-mappable format goalrecd's
-// -snapshot-dir store and LoadLibraryFile consume.
+// convert sniffs the input format (JSON lines or snapshot) and writes the
+// requested output format through a temp file renamed into place, so the
+// output may be the input itself.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"text/tabwriter"
 
 	"goalrec"
@@ -50,27 +46,16 @@ func run(args []string) error {
 		return verify(args[1])
 	case "convert":
 		fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-		compress := fs.Bool("compress", false, "block-compress posting lists (snapshot output only)")
-		format := fs.String("format", "snapshot", "output format: snapshot, binary, or json")
+		format := fs.String("format", "snapshot", "output format: snapshot or json")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
 		if fs.NArg() != 2 {
-			return errors.New("usage: goalrec-snap convert [-compress] [-format snapshot|binary|json] <in> <out>")
+			return errors.New("usage: goalrec-snap convert [-format snapshot|json] <in> <out>")
 		}
-		return convert(fs.Arg(0), fs.Arg(1), *format, *compress)
-	case "diff":
-		if len(args) != 4 {
-			return errors.New("usage: goalrec-snap diff <new.gsnp> <base.gsnp> <out.gsnpd>")
-		}
-		return diff(args[1], args[2], args[3])
-	case "materialize":
-		if len(args) != 4 {
-			return errors.New("usage: goalrec-snap materialize <delta.gsnpd> <base.gsnp> <out.gsnp>")
-		}
-		return materialize(args[1], args[2], args[3])
+		return convert(fs.Arg(0), fs.Arg(1), *format)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want inspect, verify, convert, diff, or materialize)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want inspect, verify, or convert)", args[0])
 	}
 }
 
@@ -78,9 +63,6 @@ func inspect(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
-	}
-	if core.IsSnapshotDelta(data) {
-		return inspectDelta(path, data)
 	}
 	d, err := core.DescribeSnapshot(data)
 	if err != nil {
@@ -90,9 +72,7 @@ func inspect(path string) error {
 	fmt.Printf("  implementations %d, actions %d, goals %d, slots %d\n",
 		d.Implementations, d.Actions, d.Goals, d.Slots)
 	fmt.Printf("  epoch %d, max impl len %d\n", d.Epoch, d.MaxImplLen)
-	fmt.Printf("  postings %s, vocabulary %v, length-sorted layout %v\n",
-		map[bool]string{true: "block-compressed", false: "raw"}[d.Compressed],
-		d.HasVocabulary, d.LenSorted)
+	fmt.Printf("  vocabulary %v, length-sorted layout %v\n", d.HasVocabulary, d.LenSorted)
 	if d.SourceKey != "" {
 		fmt.Printf("  source key %q\n", d.SourceKey)
 	}
@@ -127,132 +107,6 @@ func inspect(path string) error {
 		}
 		fmt.Printf("  library ledger when served: %s\n", ledger)
 	}
-	if d.Compressed {
-		// Ratio of the compressed posting storage (offsets + blob) to the
-		// 4 bytes/entry the raw section would take.
-		var compBytes uint64
-		for _, s := range d.Sections {
-			if s.Name == "postings-compressed-offsets" || s.Name == "postings-compressed-blob" {
-				compBytes += s.Bytes
-			}
-		}
-		raw := 4 * d.Slots
-		if raw > 0 {
-			fmt.Printf("  posting compression: %d -> %d bytes (%.2fx)\n",
-				raw, compBytes, float64(raw)/float64(compBytes))
-		}
-	}
-	return nil
-}
-
-func inspectDelta(path string, data []byte) error {
-	d, err := core.DescribeSnapshotDelta(data)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: delta snapshot v%d, %d bytes, epoch %d over base epoch %d\n",
-		path, d.Version, d.FileBytes, d.Epoch, d.BaseEpoch)
-	fmt.Printf("  implementations %d, actions %d, goals %d, slots %d\n",
-		d.Implementations, d.Actions, d.Goals, d.Slots)
-	fmt.Printf("  postings %s, vocabulary %v, length-sorted layout %v\n",
-		map[bool]string{true: "block-compressed", false: "raw"}[d.Compressed],
-		d.HasVocabulary, d.LenSorted)
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  section\telem\tcount\tref-bytes\tinline-bytes\tinline-share")
-	for _, s := range d.Sections {
-		total := s.RefBytes + s.InlineBytes
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(s.InlineBytes) / float64(total)
-		}
-		fmt.Fprintf(tw, "  %s\t%d\t%d\t%d\t%d\t%.1f%%\n",
-			s.Name, s.ElemSize, s.Count, s.RefBytes, s.InlineBytes, share)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	logical := d.RefBytes + d.InlineBytes
-	if logical > 0 {
-		fmt.Printf("  references %d of %d logical bytes (%.1f%%); delta file is %.1f%% of the materialized payload\n",
-			d.RefBytes, logical, 100*float64(d.RefBytes)/float64(logical),
-			100*float64(d.FileBytes)/float64(logical))
-	}
-	return nil
-}
-
-func diff(newPath, basePath, outPath string) error {
-	newData, err := os.ReadFile(newPath)
-	if err != nil {
-		return err
-	}
-	baseData, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	snap, err := core.OpenSnapshotBytes(newData)
-	if err != nil {
-		return fmt.Errorf("%s: %w", newPath, err)
-	}
-	defer snap.Close()
-	nd, err := core.DescribeSnapshot(newData)
-	if err != nil {
-		return err
-	}
-	base, err := core.NewSnapshotBase(baseData)
-	if err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	opts := core.SnapshotOptions{CompressPostings: nd.Compressed}
-	if err := core.WriteSnapshotDiffFile(outPath, snap.Library(), snap.Vocabulary(), opts, base); err != nil {
-		return err
-	}
-	// Prove the round trip before reporting success: materializing the delta
-	// over the base must reproduce the input snapshot bit for bit.
-	delta, err := os.ReadFile(outPath)
-	if err != nil {
-		return err
-	}
-	img, err := core.MaterializeDelta(delta, base)
-	if err != nil {
-		return fmt.Errorf("verifying %s: %w", outPath, err)
-	}
-	if !bytes.Equal(img, newData) {
-		return fmt.Errorf("verifying %s: materialized image differs from %s (%d vs %d bytes)", outPath, newPath, len(img), len(newData))
-	}
-	fmt.Printf("%s -> %s: %d of %d bytes (%.1f%%), verified against base %s\n",
-		newPath, outPath, len(delta), len(newData),
-		100*float64(len(delta))/float64(len(newData)), basePath)
-	return nil
-}
-
-func materialize(deltaPath, basePath, outPath string) error {
-	delta, err := os.ReadFile(deltaPath)
-	if err != nil {
-		return err
-	}
-	baseData, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	base, err := core.NewSnapshotBase(baseData)
-	if err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	img, err := core.MaterializeDelta(delta, base)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, img, 0o644); err != nil {
-		return err
-	}
-	snap, err := core.OpenSnapshotBytes(img)
-	if err != nil {
-		return fmt.Errorf("verifying %s: %w", outPath, err)
-	}
-	defer snap.Close()
-	fmt.Printf("%s + %s -> %s (%d bytes, epoch %d, %d implementations)\n",
-		deltaPath, basePath, outPath, len(img), snap.Library().Epoch(), snap.Library().NumImplementations())
 	return nil
 }
 
@@ -270,48 +124,51 @@ func verify(path string) error {
 	return nil
 }
 
-func convert(in, out, format string, compress bool) error {
-	switch format {
-	case "snapshot", "binary", "json":
-	default:
-		return fmt.Errorf("unknown output format %q (want snapshot, binary, or json)", format)
+func convert(in, out, format string) error {
+	if format != "snapshot" && format != "json" {
+		return fmt.Errorf("unknown output format %q (want snapshot or json)", format)
 	}
 	lib, err := goalrec.LoadLibraryFile(in)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "snapshot":
-		if err := lib.SaveSnapshotFile(out, compress); err != nil {
-			return err
-		}
-	case "binary":
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := lib.SaveBinary(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	case "json":
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := lib.SaveJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown output format %q (want snapshot, binary, or json)", format)
+	if format == "snapshot" {
+		err = lib.SaveSnapshotFile(out, false)
+	} else {
+		err = writeJSONFile(out, lib)
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%s -> %s (%s, %d implementations)\n", in, out, format, lib.NumImplementations())
 	return nil
+}
+
+// writeJSONFile writes lib as JSON lines to a temp file in path's directory
+// and renames it over path. A failed write leaves path as it was, and a
+// library mapped from path itself keeps reading the old file to the end.
+func writeJSONFile(path string, lib *goalrec.Library) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), ".convert-*.tmp")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			_ = f.Close()
+			_ = os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = lib.SaveJSON(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

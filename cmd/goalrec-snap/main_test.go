@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"goalrec"
@@ -34,14 +35,14 @@ func testLibraryFile(t *testing.T, dir string) (string, *goalrec.Library) {
 	return path, lib
 }
 
-// JSON -> compressed snapshot -> inspect/verify -> back to JSON, all through
-// the CLI entry point.
+// JSON -> snapshot -> inspect/verify -> back to JSON, all through the CLI
+// entry point.
 func TestConvertInspectVerifyRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath, lib := testLibraryFile(t, dir)
 	snapPath := filepath.Join(dir, "lib.gsnp")
 
-	if err := run([]string{"convert", "-compress", jsonPath, snapPath}); err != nil {
+	if err := run([]string{"convert", jsonPath, snapPath}); err != nil {
 		t.Fatalf("convert to snapshot: %v", err)
 	}
 	if err := run([]string{"inspect", snapPath}); err != nil {
@@ -62,13 +63,72 @@ func TestConvertInspectVerifyRoundTrip(t *testing.T) {
 	if got.NumImplementations() != lib.NumImplementations() {
 		t.Fatalf("round trip lost implementations: %d != %d", got.NumImplementations(), lib.NumImplementations())
 	}
+}
 
-	binPath := filepath.Join(dir, "lib.bin")
-	if err := run([]string{"convert", "-format", "binary", snapPath, binPath}); err != nil {
-		t.Fatalf("convert to legacy binary: %v", err)
+// Converting a mapped snapshot onto itself as JSON, then that JSON back onto
+// itself as a snapshot, must neither fault on the mapping nor change a
+// ranking: every output goes through a temp file and a rename.
+func TestConvertOntoItself(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, lib := testLibraryFile(t, dir)
+	path := filepath.Join(dir, "lib.gsnp")
+	if err := run([]string{"convert", jsonPath, path}); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := goalrec.LoadLibraryFile(binPath); err != nil || got.NumImplementations() != lib.NumImplementations() {
-		t.Fatalf("legacy binary output unreadable: %v", err)
+	if err := run([]string{"convert", "-format", "json", path, path}); err != nil {
+		t.Fatalf("snapshot onto itself as json: %v", err)
+	}
+	if err := run([]string{"convert", path, path}); err != nil {
+		t.Fatalf("json onto itself as snapshot: %v", err)
+	}
+	if err := run([]string{"verify", path}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := goalrec.LoadLibraryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	activity := []string{"act-1", "act-5", "act-10"}
+	for _, s := range []goalrec.Strategy{goalrec.FocusCompleteness, goalrec.FocusCloseness, goalrec.Breadth, goalrec.BestMatch} {
+		want := lib.MustRecommender(s).Recommend(activity, 10)
+		have := got.MustRecommender(s).Recommend(activity, 10)
+		if !reflect.DeepEqual(have, want) {
+			t.Fatalf("%s rankings changed across the in-place conversions:\n have %v\n want %v", s, have, want)
+		}
+	}
+}
+
+// A convert that fails leaves an existing output byte for byte as it was,
+// with no temp file beside it.
+func TestConvertFailureLeavesOutput(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, _ := testLibraryFile(t, dir)
+	want, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.bin")
+	if err := os.WriteFile(bad, []byte("GLIB not a library"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"json", "snapshot"} {
+		if err := run([]string{"convert", "-format", format, bad, jsonPath}); err == nil {
+			t.Fatalf("-format %s: converting an unreadable input succeeded", format)
+		}
+		got, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("-format %s: failed convert changed its output", format)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 {
+		t.Fatalf("failed converts left files behind: %v", ents)
 	}
 }
 
@@ -80,67 +140,8 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"verify"},
 		{"convert", "only-one-arg"},
 		{"convert", "-format", "yaml", "a", "b"},
-	} {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) accepted", args)
-		}
-	}
-}
-
-// diff + materialize round-trip through the CLI: the delta must rebuild the
-// new snapshot bit for bit, and inspect must understand the delta file.
-func TestDiffMaterializeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-
-	writeSnap := func(name string, n int) string {
-		t.Helper()
-		b := goalrec.NewBuilder()
-		for i := 0; i < n; i++ {
-			if err := b.AddImplementation(fmt.Sprintf("goal-%d", i%9),
-				fmt.Sprintf("act-%d", i%13), fmt.Sprintf("act-%d", (i*5)%17)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		path := filepath.Join(dir, name)
-		if err := b.Build().SaveSnapshotFile(path, true); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	basePath := writeSnap("base.gsnp", 80)
-	newPath := writeSnap("new.gsnp", 120)
-
-	deltaPath := filepath.Join(dir, "new.gsnpd")
-	if err := run([]string{"diff", newPath, basePath, deltaPath}); err != nil {
-		t.Fatalf("diff: %v", err)
-	}
-	if err := run([]string{"inspect", deltaPath}); err != nil {
-		t.Fatalf("inspect delta: %v", err)
-	}
-
-	outPath := filepath.Join(dir, "rebuilt.gsnp")
-	if err := run([]string{"materialize", deltaPath, basePath, outPath}); err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
-	want, err := os.ReadFile(newPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("materialized snapshot differs from the original (%d vs %d bytes)", len(got), len(want))
-	}
-	if err := run([]string{"verify", outPath}); err != nil {
-		t.Fatalf("verify rebuilt: %v", err)
-	}
-
-	// Usage errors for the new subcommands.
-	for _, args := range [][]string{
-		{"diff", "a", "b"},
-		{"materialize", "a", "b"},
+		{"convert", "-format", "binary", "a", "b"},
+		{"diff", "a", "b", "c"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)

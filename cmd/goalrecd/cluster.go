@@ -41,8 +41,8 @@ var roleOnlyFlags = map[string]string{
 // nodeOnlyFlags configure the store and the per-user state, which a
 // coordinator does not have: it never scans, journals or keeps users.
 var nodeOnlyFlags = []string{
-	"snapshot-dir", "wal-sync", "compact-wal-bytes", "snapshot-compress",
-	"scrub-interval", "snapshot-diff", "snapshot-warm", "user-capacity", "user-views",
+	"snapshot-dir", "wal-sync", "compact-wal-bytes", "scrub-interval",
+	"user-capacity", "user-views",
 }
 
 // checkRoleFlags refuses a flag set on the command line that role cannot

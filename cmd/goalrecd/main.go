@@ -48,20 +48,9 @@
 // -library then becomes an optional seed, used only when the directory is
 // empty. -wal-sync fsyncs each WAL append; -compact-wal-bytes sets the WAL
 // size that triggers background compaction into a fresh snapshot;
-// -snapshot-compress writes snapshots with block-compressed postings;
 // -scrub-interval re-verifies snapshot checksums and WAL frame CRCs
 // periodically, quarantining corrupt snapshots (renamed to *.quarantine,
-// never deleted) and falling back a generation. -snapshot-diff makes
-// compaction write incremental diffs (*.gsnpd) against the last full
-// snapshot, with a periodic full bounding the chain; recovery materializes
-// base+diff losslessly and falls back to the base if a diff rots.
-//
-// Serving larger-than-RAM libraries: -block-cache-bytes sizes the shared
-// decoded-block cache that holds hot decompressed posting rows (64 MiB by
-// default; counters in /v1/metrics under "block_cache"), -madvise toggles
-// the paging hints applied to snapshot mappings, and -snapshot-warm faults
-// the recovered snapshot into the page cache up front when predictable
-// first-query latency matters more than startup time.
+// never deleted) and falling back a generation.
 //
 // Storage faults degrade the store instead of killing it: a persistent
 // write failure flips it read-only — ingests and user writes answer 503
@@ -151,14 +140,9 @@ func run() error {
 	snapshotDir := flag.String("snapshot-dir", "", "durable store directory: mmap snapshots + ingest WAL (empty disables persistence)")
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append (needs -snapshot-dir)")
 	compactWALBytes := flag.Int64("compact-wal-bytes", 0, "WAL size that triggers background compaction into a snapshot; 0 selects the default (needs -snapshot-dir)")
-	snapshotCompress := flag.Bool("snapshot-compress", false, "write snapshots with block-compressed posting lists (needs -snapshot-dir)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "re-verify snapshot checksums and WAL CRCs at this interval, quarantining corrupt snapshots; 0 disables the periodic scrub (needs -snapshot-dir; the open-time scrub always runs)")
 	userCapacity := flag.Int("user-capacity", 0, "max tracked users in the per-user store; 0 selects the default")
 	userViews := flag.Int("user-views", 0, "max concurrently materialized per-user counter views; 0 selects the default")
-	blockCacheBytes := flag.Int64("block-cache-bytes", 64<<20, "byte budget of the shared decoded-block cache serving compressed posting rows; 0 disables it")
-	madvise := flag.Bool("madvise", true, "apply paging hints (MADV_RANDOM/WILLNEED) when snapshots open; no-op off Linux")
-	snapshotDiff := flag.Bool("snapshot-diff", false, "compact into incremental snapshot diffs against the last full snapshot, with periodic fulls (needs -snapshot-dir)")
-	snapshotWarm := flag.Bool("snapshot-warm", false, "fault the recovered snapshot fully into the page cache at startup instead of demand paging (needs -snapshot-dir)")
 	role := flag.String("role", "", `cluster role: "" (single node), "coordinator" (scatter-gather front end over -peers) or "worker" (shard server on -cluster-addr)`)
 	clusterAddr := flag.String("cluster-addr", "", "cluster comms listen address (worker role)")
 	peersFlag := flag.String("peers", "", "comma-separated worker comms addresses (coordinator role)")
@@ -167,9 +151,6 @@ func run() error {
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "coordinator-to-worker heartbeat interval")
 	scatterTimeout := flag.Duration("scatter-timeout", 0, "per-scatter deadline on worker round-trips (0 disables; coordinator role)")
 	flag.Parse()
-	// Process-wide paging settings: every role maps its library.
-	goalrec.SetBlockCacheBytes(*blockCacheBytes)
-	goalrec.SetSnapshotMadvise(*madvise)
 	peers := splitPeers(*peersFlag)
 	if err := checkRoleFlags(*role); err != nil {
 		return err
@@ -258,9 +239,6 @@ func run() error {
 		store, err := goalrec.OpenStore(*snapshotDir, goalrec.StoreOptions{
 			SyncWAL:           *walSync,
 			CompactAtWALBytes: *compactWALBytes,
-			CompressPostings:  *snapshotCompress,
-			SnapshotDiff:      *snapshotDiff,
-			WarmSnapshot:      *snapshotWarm,
 			ScrubInterval:     *scrubInterval,
 			Logger:            logger,
 			Users:             userOpts,

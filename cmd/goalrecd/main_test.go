@@ -183,10 +183,7 @@ func TestRoleFlagsRefusedAtStartup(t *testing.T) {
 		{append(coordinator, "-snapshot-dir", "d"), "-snapshot-dir"},
 		{append(coordinator, "-wal-sync"), "-wal-sync"},
 		{append(coordinator, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
-		{append(coordinator, "-snapshot-compress"), "-snapshot-compress"},
 		{append(coordinator, "-scrub-interval", "1m"), "-scrub-interval"},
-		{append(coordinator, "-snapshot-diff"), "-snapshot-diff"},
-		{append(coordinator, "-snapshot-warm"), "-snapshot-warm"},
 		{append(coordinator, "-user-capacity", "10"), "-user-capacity"},
 		{append(coordinator, "-user-views", "10"), "-user-views"},
 		// -shard-range is parsed before the library is loaded.

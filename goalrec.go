@@ -829,29 +829,21 @@ func LoadLibraryJSON(r io.Reader) (*Library, error) {
 	return &Library{lib: lib, vocab: vocab}, nil
 }
 
-// SaveBinary writes the library and its vocabulary in the compact binary
-// snapshot format, which loads much faster than JSON lines for large
-// libraries.
-func (l *Library) SaveBinary(w io.Writer) error {
-	return core.WriteNamedBinary(w, l.lib, l.vocab)
-}
-
-// LoadLibraryBinary reads a snapshot written by SaveBinary.
-func LoadLibraryBinary(r io.Reader) (*Library, error) {
-	lib, vocab, err := core.ReadNamedBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Library{lib: lib, vocab: vocab}, nil
-}
+// ErrCompressedPostings is returned for snapshots in the retired
+// block-compressed posting encoding: SaveSnapshotFile no longer writes it and
+// OpenSnapshotFile no longer reads it.
+var ErrCompressedPostings = core.ErrCompressedPostings
 
 // SaveSnapshotFile writes the library in the memory-mappable snapshot
 // format: aligned fixed-width little-endian sections that OpenSnapshotFile
-// loads zero-copy, with no decode or index rebuild. compressPostings
-// selects delta-encoded block-compressed posting lists — a smaller file,
-// paid for with a lazy per-block decode on scans.
+// loads zero-copy, with no decode or index rebuild. compressPostings must be
+// false; true selects the retired compressed encoding and returns
+// ErrCompressedPostings.
 func (l *Library) SaveSnapshotFile(path string, compressPostings bool) error {
-	return core.WriteSnapshotFile(path, l.lib, l.vocab, core.SnapshotOptions{CompressPostings: compressPostings})
+	if compressPostings {
+		return ErrCompressedPostings
+	}
+	return core.WriteSnapshotFile(path, l.lib, l.vocab, core.SnapshotOptions{})
 }
 
 // Snapshot is a library backed by a memory-mapped snapshot file. Close it
@@ -1026,7 +1018,7 @@ func (l *Library) ExportDOT(w io.Writer, maxImpls int) error {
 
 // LoadLibraryFile opens path and loads it with the format sniffed from the
 // leading bytes: '{' after any blank lines or spaces selects JSON lines, the
-// "GSNP" magic a memory-mapped snapshot, anything else the binary snapshot.
+// "GSNP" magic a memory-mapped snapshot; anything else is an error.
 // A mapped snapshot's pages stay mapped for the life of the process —
 // callers that need to release the mapping should use OpenSnapshotFile
 // directly and Close it.
@@ -1056,5 +1048,5 @@ func LoadLibraryFile(path string) (*Library, error) {
 		}
 		return snap.Library(), nil
 	}
-	return LoadLibraryBinary(br)
+	return nil, fmt.Errorf("goalrec: %s is neither a JSON-lines library nor a GSNP snapshot", path)
 }

@@ -526,17 +526,12 @@ func TestLoadLibraryFile(t *testing.T) {
 	}
 	jf.Close()
 
-	binPath := filepath.Join(dir, "lib.bin")
-	bf, err := os.Create(binPath)
-	if err != nil {
+	snapPath := filepath.Join(dir, "lib.gsnp")
+	if err := lib.SaveSnapshotFile(snapPath, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.SaveBinary(bf); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
 
-	for _, path := range []string{jsonPath, binPath} {
+	for _, path := range []string{jsonPath, snapPath} {
 		got, err := LoadLibraryFile(path)
 		if err != nil {
 			t.Fatalf("LoadLibraryFile(%s): %v", path, err)
@@ -554,6 +549,15 @@ func TestLoadLibraryFile(t *testing.T) {
 	}
 	if _, err := LoadLibraryFile(empty); err == nil {
 		t.Error("empty file accepted")
+	}
+	// Anything but JSON lines or a snapshot is refused by name, the retired
+	// binary codec's "GLIB" files included.
+	legacy := filepath.Join(dir, "lib.bin")
+	if err := os.WriteFile(legacy, []byte("BILG\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLibraryFile(legacy); err == nil || !strings.Contains(err.Error(), "JSON-lines") || !strings.Contains(err.Error(), "GSNP") {
+		t.Errorf("legacy binary file: error %v, want one naming both accepted formats", err)
 	}
 }
 
@@ -617,26 +621,6 @@ func TestRecommenderOptionErrorsSurface(t *testing.T) {
 		}()
 		lib.MustRecommender(Breadth, WithBreadthWeighting("no-such-weighting"))
 	}()
-}
-
-func TestSaveLoadBinary(t *testing.T) {
-	lib := groceryLibrary(t)
-	var buf bytes.Buffer
-	if err := lib.SaveBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadLibraryBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := lib.MustRecommender(Breadth).Recommend([]string{"potatoes"}, 5)
-	r2 := got.MustRecommender(Breadth).Recommend([]string{"potatoes"}, 5)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Errorf("binary round trip changed recommendations: %v vs %v", r1, r2)
-	}
-	if _, err := LoadLibraryBinary(strings.NewReader("junk")); err == nil {
-		t.Error("garbage accepted")
-	}
 }
 
 func TestCorpusBaselines(t *testing.T) {

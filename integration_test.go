@@ -7,6 +7,7 @@ package goalrec_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -93,22 +94,24 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 
 	// 6. Round-trip through both persistence formats preserves behaviour.
 	ref := lib.MustRecommender(goalrec.Breadth).Recommend(activity, 5)
-	var jsonBuf, binBuf bytes.Buffer
+	var jsonBuf bytes.Buffer
 	if err := lib.SaveJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.SaveBinary(&binBuf); err != nil {
 		t.Fatal(err)
 	}
 	fromJSON, err := goalrec.LoadLibraryJSON(&jsonBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := goalrec.LoadLibraryBinary(&binBuf)
+	snapPath := filepath.Join(t.TempDir(), "lib.gsnp")
+	if err := lib.SaveSnapshotFile(snapPath, false); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := goalrec.OpenSnapshotFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, reloaded := range []*goalrec.Library{fromJSON, fromBin} {
+	defer snap.Close()
+	for _, reloaded := range []*goalrec.Library{fromJSON, snap.Library()} {
 		got := reloaded.MustRecommender(goalrec.Breadth).Recommend(activity, 5)
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("persistence round trip changed recommendations")

@@ -21,11 +21,8 @@ func oracleAppendCandidates(l *Library, dst []ActionID, sortedH []ActionID) []Ac
 			seen[a] = true
 		}
 	}
-	var buf []ImplID
 	for _, a := range sortedH {
-		var row []ImplID
-		row, buf = l.PostingRow(a, buf)
-		for _, p := range row {
+		for _, p := range l.ImplsOfAction(a) {
 			for _, c := range l.implActions(p) {
 				if !seen[c] {
 					seen[c] = true
@@ -90,19 +87,16 @@ func TestAppendCandidatesMatchesStampAndSort(t *testing.T) {
 
 // TestCandidateScratchAcrossLibraries shares one scratch between a small and
 // a large action space (small first, so the bitset has to grow; then small
-// again, so a stale high word would show), over raw and block-compressed
-// postings, with ids in H the library does not know.
+// again, so a stale high word would show), over heap and mapped postings,
+// with ids in H the library does not know.
 func TestCandidateScratchAcrossLibraries(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	small := randomLibrary(r, 40, 30, 6)
 	large := randomLibrary(r, 900, 700, 40)
-	packed := compressedTestLibrary(t, 900, 700, 5)
-	if !packed.PostingsCompressed() {
-		t.Fatal("snapshot library is not block-compressed")
-	}
+	mapped := snapshotRoundTrip(t, randomLibrary(r, 900, 700, 5), nil, SnapshotOptions{}).Library()
 	var sc CandidateScratch
 	for round := 0; round < 50; round++ {
-		for _, lib := range []*Library{small, large, packed, small} {
+		for _, lib := range []*Library{small, large, mapped, small} {
 			h := randomActivity(r, lib.NumActions()+3, r.Intn(7))
 			if round%5 == 0 {
 				h = append(h, -1)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -150,108 +149,6 @@ func TestReadJSONLinesRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := ReadJSONLines(strings.NewReader(`{"goal":"g","actions":[]}`)); err == nil {
 		t.Error("empty activity accepted")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	lib := randomLibrary(r, 200, 50, 20)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, lib); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumImplementations() != lib.NumImplementations() {
-		t.Fatalf("implementation count %d != %d", got.NumImplementations(), lib.NumImplementations())
-	}
-	for p := 0; p < lib.NumImplementations(); p++ {
-		if got.Goal(ImplID(p)) != lib.Goal(ImplID(p)) {
-			t.Fatalf("impl %d goal mismatch", p)
-		}
-		if !equalActions(got.Actions(ImplID(p)), lib.Actions(ImplID(p))) {
-			t.Fatalf("impl %d actions mismatch", p)
-		}
-	}
-	// Indexes must come back identical too — including the AG-idx, which the
-	// loader rebuilds rather than deserializes.
-	for a := ActionID(0); int(a) < lib.NumActions(); a++ {
-		if !equalImpls(got.ImplsOfAction(a), lib.ImplsOfAction(a)) {
-			t.Fatalf("postings of action %d mismatch", a)
-		}
-		gGoals, gCnt := got.GoalsOfAction(a)
-		wGoals, wCnt := lib.GoalsOfAction(a)
-		if !reflect.DeepEqual(gGoals, wGoals) || !reflect.DeepEqual(gCnt, wCnt) {
-			t.Fatalf("AG row of action %d mismatch: %v/%v != %v/%v", a, gGoals, gCnt, wGoals, wCnt)
-		}
-	}
-	for g := GoalID(0); int(g) < lib.NumGoals(); g++ {
-		if got.GoalWalkCost(g) != lib.GoalWalkCost(g) {
-			t.Fatalf("walk cost of goal %d mismatch", g)
-		}
-	}
-}
-
-func TestReadBinaryRejectsCorruption(t *testing.T) {
-	lib := paperLibrary(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, lib); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0xff // corrupt magic
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupt magic accepted")
-	}
-
-	if _, err := ReadBinary(bytes.NewReader(data[:10])); err == nil {
-		t.Error("truncated header accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(data[:len(data)-3])); err == nil {
-		t.Error("truncated body accepted")
-	}
-
-	// Header/body dimension disagreements must fail descriptively instead of
-	// building an index with out-of-range ids or an enormous allocation.
-	mutate := func(name string, f func(d []byte)) {
-		d := append([]byte(nil), data...)
-		f(d)
-		if _, err := ReadBinary(bytes.NewReader(d)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	mutate("huge action space", func(d []byte) { binary.LittleEndian.PutUint32(d[12:], 1<<30) })
-	mutate("huge goal space", func(d []byte) { binary.LittleEndian.PutUint32(d[16:], 1<<30) })
-	mutate("zero action space", func(d []byte) { binary.LittleEndian.PutUint32(d[12:], 0) })
-	mutate("zero goal space", func(d []byte) { binary.LittleEndian.PutUint32(d[16:], 0) })
-	mutate("huge slot count", func(d []byte) { binary.LittleEndian.PutUint32(d[20:], 1<<30) })
-}
-
-// The declared id spaces may exceed the largest id actually present (ids
-// interned but never used); the loader must preserve them instead of
-// shrinking the library's dimensions to the scanned maxima.
-func TestReadBinaryPreservesDeclaredDims(t *testing.T) {
-	b := NewBuilder(2, 2)
-	if _, err := b.Add(3, []ActionID{1, 5}); err != nil {
-		t.Fatal(err)
-	}
-	lib := b.Build()
-	lib.numActions = 9
-	lib.numGoals = 7
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, lib); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumActions() != 9 || got.NumGoals() != 7 {
-		t.Fatalf("declared dims lost: got (%d actions, %d goals), want (9, 7)", got.NumActions(), got.NumGoals())
 	}
 }
 

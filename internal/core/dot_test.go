@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+func namedFixture(t *testing.T) (*Library, *Vocabulary) {
+	t.Helper()
+	vocab := NewVocabulary()
+	var b Builder
+	add := func(goal string, actions ...string) {
+		t.Helper()
+		ids := make([]ActionID, len(actions))
+		for i, a := range actions {
+			ids[i] = ActionID(vocab.Actions.Intern(a))
+		}
+		if _, err := b.Add(GoalID(vocab.Goals.Intern(goal)), ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("olivier salad", "potatoes", "carrots", "pickles")
+	add("mashed potatoes", "potatoes", "nutmeg")
+	return b.Build(), vocab
+}
+
 func TestWriteDOT(t *testing.T) {
 	lib, vocab := namedFixture(t)
 	dot := DOTString(lib, vocab, 0)

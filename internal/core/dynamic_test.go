@@ -322,9 +322,6 @@ func TestDynamicBaseTailOverlay(t *testing.T) {
 		{"mapped", func(t *testing.T) (*Library, []Implementation) {
 			return snapshotRoundTrip(t, build(seed), nil, SnapshotOptions{}).Library(), seed
 		}},
-		{"mapped-compressed", func(t *testing.T) (*Library, []Implementation) {
-			return snapshotRoundTrip(t, build(seed), nil, SnapshotOptions{CompressPostings: true}).Library(), seed
-		}},
 		{"already-extended", func(t *testing.T) (*Library, []Implementation) {
 			other := NewDynamicLibrary()
 			other.SetCompactionThreshold(1 << 30)

@@ -34,33 +34,3 @@ func FuzzReadJSONLines(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary checks that corrupt snapshots are rejected without panics.
-func FuzzReadBinary(f *testing.F) {
-	var b Builder
-	if _, err := b.Add(0, []ActionID{0, 1}); err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, b.Build()); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1])
-	f.Add([]byte{})
-	f.Add([]byte{0x42, 0x49, 0x4c, 0x47})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lib, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever parses must be internally consistent.
-		for p := 0; p < lib.NumImplementations(); p++ {
-			acts := lib.Actions(ImplID(p))
-			if len(acts) == 0 {
-				t.Fatal("parsed library has an empty implementation")
-			}
-		}
-	})
-}

@@ -188,35 +188,3 @@ func FuzzFrozenInterner(f *testing.F) {
 		checkAgainstHeap(t, names[:len(names)/2], names[len(names)/2:])
 	})
 }
-
-// TestWriteBinaryOfExtendedLibrary: the legacy codec writes the tail segment
-// of an extended snapshot too, so it round-trips to the flat rebuild.
-func TestWriteBinaryOfExtendedLibrary(t *testing.T) {
-	d := NewDynamicLibrary()
-	d.SetCompactionThreshold(1 << 30)
-	d.Swap(snapTestLibrary(t, 300, 40, 5))
-	for i := 0; i < 25; i++ {
-		if _, err := d.Add(GoalID(i%7+95), []ActionID{ActionID(i % 40), ActionID(i + 30)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ext := d.Snapshot()
-	if ext.TailImplementations() != 25 {
-		t.Fatalf("expected an extended snapshot, got a tail of %d", ext.TailImplementations())
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, ext); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder(0, 0)
-	for p := 0; p < ext.NumImplementations(); p++ {
-		if _, err := b.Add(ext.Goal(ImplID(p)), ext.Actions(ImplID(p))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertLibrariesEqual(t, b.Build(), got)
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -25,6 +26,29 @@ import (
 // jsonlChunkSize is the unit of parallel work: chunks hold about this many
 // bytes and always end at a line end.
 const jsonlChunkSize = 1 << 20
+
+// jsonImpl is the JSON-lines wire form of one implementation.
+type jsonImpl struct {
+	Goal    string   `json:"goal"`
+	Actions []string `json:"actions"`
+}
+
+// WriteJSONLines writes every implementation of l to w, one JSON object per
+// line, resolving names through vocab.
+func WriteJSONLines(w io.Writer, l *Library, vocab *Vocabulary) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for p := 0; p < l.NumImplementations(); p++ {
+		impl := jsonImpl{Goal: vocab.GoalName(l.Goal(ImplID(p)))}
+		for _, a := range l.Actions(ImplID(p)) {
+			impl.Actions = append(impl.Actions, vocab.ActionName(a))
+		}
+		if err := enc.Encode(&impl); err != nil {
+			return fmt.Errorf("core: encoding implementation %d: %w", p, err)
+		}
+	}
+	return bw.Flush()
+}
 
 // ReadJSONLines parses a JSON-lines library from r — one JSON object per
 // line, blank lines ignored — interning names into a fresh Vocabulary in

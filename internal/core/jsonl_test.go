@@ -57,14 +57,14 @@ func assertMatchesOracle(t *testing.T, data []byte, chunkSize int) {
 		return
 	}
 	var want, got bytes.Buffer
-	if err := WriteNamedBinary(&want, wantLib, wantVocab); err != nil {
+	if err := WriteSnapshot(&want, wantLib, wantVocab, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteNamedBinary(&got, gotLib, gotVocab); err != nil {
+	if err := WriteSnapshot(&got, gotLib, gotVocab, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("chunk size %d: named binary differs from the oracle's\ninput: %q", chunkSize, data)
+		t.Fatalf("chunk size %d: snapshot image differs from the oracle's\ninput: %q", chunkSize, data)
 	}
 	assertLibrariesEqual(t, wantLib, gotLib)
 }

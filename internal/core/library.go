@@ -304,12 +304,7 @@ type Library struct {
 	tailActs []ActionID
 
 	actOff  []int32  // CSR offsets into actPost, len numActions+1
-	actPost []ImplID // A-GI-idx postings, sorted per action; nil when compressed
-
-	// cp, non-nil only on snapshot-loaded libraries with block-compressed
-	// postings, replaces actPost with a delta-varint blob decoded per block
-	// (see postings.go). actOff still carries the row lengths.
-	cp *compressedPostings
+	actPost []ImplID // A-GI-idx postings, sorted per action
 
 	goalOff  []int32  // CSR offsets into goalPost, len numGoals+1
 	goalPost []ImplID // G-GI-idx postings, sorted per goal
@@ -435,17 +430,20 @@ func (l *Library) NumPostings() int { return len(l.implActs) + len(l.tailActs) }
 
 // ImplsOfAction returns the sorted implementation ids containing action a
 // (A-GI-idx lookup); this is the implementation space IS(a) of the paper.
-// The returned slice is a view and must not be modified — except over
-// block-compressed postings, where the row is decoded into a fresh slice.
-// Hot paths should prefer PostingRow/PostingRowRange/PostingRowCursor, which
-// reuse caller buffers and decode lazily. Ids outside the library yield an
-// empty slice.
+// The returned slice is a view and must not be modified. Ids outside the
+// library yield an empty slice.
 func (l *Library) ImplsOfAction(a ActionID) []ImplID {
-	row, ok := l.rawRow(a)
-	if ok {
-		return row
+	if uint32(a) < uint32(l.numActions) {
+		if l.ovAct.pages != nil {
+			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
+				return r.post
+			}
+		}
+		if int(a)+1 < len(l.actOff) {
+			return l.actPost[l.actOff[a]:l.actOff[a+1]]
+		}
 	}
-	return l.decodeRowAppend(a, nil)
+	return nil
 }
 
 // ImplsOfGoal returns the sorted implementation ids fulfilling goal g
@@ -466,8 +464,7 @@ func (l *Library) ImplsOfGoal(g GoalID) []ImplID {
 }
 
 // ActionDegree returns the connectivity of one action: the number of
-// implementations it participates in. It reads the CSR offsets, so it is
-// O(1) even over block-compressed postings.
+// implementations it participates in, read from the CSR offsets in O(1).
 func (l *Library) ActionDegree(a ActionID) int {
 	if uint32(a) < uint32(l.numActions) {
 		if l.ovAct.pages != nil {

@@ -1,20 +1,18 @@
 package core
 
-import "sync/atomic"
-
 // Paging hints for snapshot mappings. A snapshot's sections fall into two
-// access classes: the posting payloads (A-GI rows, the compressed blob, the
-// GI column, per-implementation action lists) are probed at random by
-// queries, while the CSR offset arrays and block metadata are touched by
-// essentially every request. On open we advise the kernel accordingly —
-// MADV_RANDOM on the payloads (no wasted readahead when the working set
-// exceeds RAM) and MADV_WILLNEED on the small navigation structures (header,
-// section table, block metadata — paged in eagerly so the first queries don't
-// fault through them one page at a time). WILLNEED is capped to small spans
-// (adviseWillNeedMax): its page walk would otherwise dominate open latency.
-// Hints are best-effort and Linux-only; see madvise_linux.go.
+// access classes: the posting payloads (A-GI rows, the GI column, per-
+// implementation action lists) are probed at random by queries, while the CSR
+// offset arrays and block metadata are touched by essentially every request.
+// On open we advise the kernel accordingly — MADV_RANDOM on the payloads (no
+// wasted readahead when the working set exceeds RAM) and MADV_WILLNEED on the
+// small navigation structures (header, section table, block metadata — paged
+// in eagerly so the first queries don't fault through them one page at a
+// time). WILLNEED is capped to small spans (adviseWillNeedMax): its page walk
+// would otherwise dominate open latency. Hints are best-effort and
+// Linux-only; see madvise_linux.go.
 
-// Advice classes passed to the per-OS osMadvise.
+// Advice classes passed to the per-OS madviseSpan.
 const (
 	adviseRandom = iota + 1
 	adviseWillNeed
@@ -24,16 +22,8 @@ const (
 // walks its range page by page, so hinting a multi-megabyte offsets section
 // costs hundreds of microseconds at open — more than the whole mmap+validate
 // path. Small navigation structures (header, section table, block metadata)
-// get the eager hint; anything larger is left to default readahead, and
-// callers who want the full image resident use Warmup.
+// get the eager hint; anything larger is left to default readahead.
 const adviseWillNeedMax = 256 << 10
-
-// madviseDisabled gates the open-time hints; zero value = enabled.
-var madviseDisabled atomic.Bool
-
-// SetSnapshotMadvise enables or disables paging hints on snapshot open
-// (enabled by default; `goalrecd -madvise=false`).
-func SetSnapshotMadvise(on bool) { madviseDisabled.Store(!on) }
 
 // adviseAsync runs advise off the open path. The hints are a dozen madvise
 // syscalls plus the VMA splits they force — tens of microseconds, which would
@@ -41,7 +31,7 @@ func SetSnapshotMadvise(on bool) { madviseDisabled.Store(!on) }
 // serviceable before the hints land (they only shape future paging), so open
 // returns immediately and Close waits via adviseWG before unmapping.
 func (s *Snapshot) adviseAsync() {
-	if madviseDisabled.Load() || len(s.data) == 0 {
+	if len(s.data) == 0 {
 		return
 	}
 	s.adviseWG.Add(1)
@@ -55,9 +45,6 @@ func (s *Snapshot) adviseAsync() {
 // meaningful for real file mappings; OpenSnapshotBytes callers with heap
 // images never reach it.
 func (s *Snapshot) advise() {
-	if madviseDisabled.Load() || len(s.data) == 0 {
-		return
-	}
 	secs, _, err := snapshotSections(s.data, uint64(len(s.data)))
 	if err != nil {
 		return
@@ -67,7 +54,7 @@ func (s *Snapshot) advise() {
 	for id, sec := range secs {
 		n := sec.count * uint64(sec.elem)
 		switch id {
-		case secActPost, secPostBlob, secGoalPost, secImplActs, secImplGoal,
+		case secActPost, secGoalPost, secImplActs, secImplGoal,
 			secVocActStr, secVocGoalStr:
 			madviseSpan(s.data, sec.off, n, adviseRandom)
 		default:
@@ -76,24 +63,4 @@ func (s *Snapshot) advise() {
 			}
 		}
 	}
-}
-
-// warmupSink defeats dead-code elimination of the Warmup read loop.
-var warmupSink atomic.Uint32
-
-// Warmup faults the whole snapshot image into the page cache by touching one
-// byte per page, front to back, and returns the number of bytes spanned. An
-// optional alternative to demand paging when cold-start latency matters more
-// than start-up time.
-func (s *Snapshot) Warmup() int64 {
-	const page = 4096
-	var sum byte
-	for i := 0; i < len(s.data); i += page {
-		sum += s.data[i]
-	}
-	if len(s.data) > 0 {
-		sum += s.data[len(s.data)-1]
-	}
-	warmupSink.Add(uint32(sum))
-	return int64(len(s.data))
 }

@@ -1,5 +1,7 @@
 package core
 
+import "sort"
+
 // This file provides the posting-row accumulation primitives behind the
 // Focus/Breadth counter kernel (see internal/strategy): one pass over the
 // A-GI posting rows of an activity's actions computes |A_p ∩ H| for every
@@ -40,10 +42,11 @@ func AccumulateOverlapRow(row []ImplID, cnt []int32, touched []ImplID) []ImplID 
 // lie in [lo, hi), by binary search over the sorted posting row. Sharded
 // kernel workers use it to split one shared counter array into disjoint
 // implementation-id ranges: every worker accumulates only the postings that
-// fall inside its range, so no two workers ever write the same counter.
-// Over block-compressed postings the overlapping blocks are decoded into a
-// fresh slice; hot paths pass a pooled buffer to PostingRowRange instead.
+// fall inside its range, so no two workers ever write the same counter. The
+// result is a view and must not be modified.
 func (l *Library) ImplsOfActionRange(a ActionID, lo, hi ImplID) []ImplID {
-	row, _ := l.PostingRowRange(a, lo, hi, nil)
-	return row
+	row := l.ImplsOfAction(a)
+	i := sort.Search(len(row), func(i int) bool { return row[i] >= lo })
+	j := i + sort.Search(len(row)-i, func(j int) bool { return row[i+j] >= hi })
+	return row[i:j]
 }

@@ -14,7 +14,7 @@ import "fmt"
 // outside [lo, hi) simply have empty posting rows.
 //
 // The partition is built through the public accessors, so it works on any
-// library shape — flat, extended (overlay) or block-compressed — and always
+// library shape — flat, extended (overlay) or mapped — and always
 // yields a flat, self-contained library that shares no storage with l. The
 // result carries l's epoch so epoch-keyed caches and cluster swap validation
 // can tell which lineage snapshot it was cut from.

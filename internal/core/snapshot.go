@@ -23,15 +23,11 @@ import (
 // rows, A-GI-idx, G-GI-idx, AG-idx, GA-idx, goal slots, and the block-max
 // metadata — is a fixed-width little-endian array, so OpenSnapshot serves
 // them as unsafe.Slice views straight over the mapping: cold start is header
-// parsing plus page-in, independent of library size. The A-GI postings may
-// additionally be stored delta-varint block-compressed (postenc.go), in
-// which case actPost is replaced by a blob + per-block byte offsets and rows
-// decode lazily, block by block, on first use.
+// parsing plus page-in, independent of library size.
 //
-// Unlike WriteBinary/ReadBinary (codec.go), which persist only the
-// implementation CSR and rebuild every index on load, a snapshot persists all
-// derived indexes. Scalar derivations (maxImplLen, implLenSorted, epoch) live
-// in the header so opening never scans a section.
+// A snapshot persists every derived index, not just the implementation CSR.
+// Scalar derivations (maxImplLen, implLenSorted, epoch) live in the header so
+// opening never scans a section.
 
 const (
 	snapshotMagic   = uint32(0x504e5347) // "GSNP" when read little-endian
@@ -61,10 +57,10 @@ const (
 	snapFooterMagic = uint32(0x4d555347)
 	snapFooterSize  = 8
 
-	// snapHeadMax is the longest header + section table of either container
-	// (full or delta): what a reader needs of a file, together with its
-	// size, to know where every section and the footer lie.
-	snapHeadMax = snapHeaderSize + snapDeltaPreSize + snapDeltaSectSize*snapMaxSections
+	// snapHeadMax is the longest header + section table: what a reader needs
+	// of a file, together with its size, to know where every section and the
+	// footer lie.
+	snapHeadMax = snapHeaderSize + snapSectSize*snapMaxSections
 
 	// snapMaxSourceKey bounds the optional source-key section.
 	snapMaxSourceKey = 256
@@ -76,10 +72,15 @@ const (
 
 // Header flag bits.
 const (
-	snapFlagCompressed = 1 << 0 // A-GI postings are block-compressed
+	snapFlagCompressed = 1 << 0 // retired block-compressed A-GI postings; refused on open
 	snapFlagVocab      = 1 << 1 // vocabulary sections present
 	snapFlagLenSorted  = 1 << 2 // |A_p| non-decreasing in id
 )
+
+// ErrCompressedPostings is returned when opening a snapshot written with
+// block-compressed A-GI postings, an encoding this package no longer reads.
+// Rebuild such a snapshot from its source library.
+var ErrCompressedPostings = errors.New("core: snapshot uses the retired block-compressed posting encoding")
 
 // Section identifiers. Element widths are fixed per section.
 const (
@@ -87,7 +88,7 @@ const (
 	secImplOff               // int32 × nImpl+1
 	secImplActs              // int32 × nSlots
 	secActOff                // int32 × nAct+1
-	secActPost               // int32 × nSlots (uncompressed postings only)
+	secActPost               // int32 × nSlots
 	secGoalOff               // int32 × nGoal+1
 	secGoalPost              // int32 × nImpl
 	secAgOff                 // int32 × nAct+1
@@ -101,8 +102,8 @@ const (
 	secBlkLast               // int32 × nBlk
 	secBlkMinLen             // int32 × nBlk
 	secBlkMaxLen             // int32 × nBlk
-	secPostOff               // uint64 × nBlk+1 (compressed postings only)
-	secPostBlob              // byte × blob len (compressed postings only)
+	secPostOff               // reserved: retired compressed-posting offsets
+	secPostBlob              // reserved: retired compressed-posting blob
 	secVocActOff             // uint64 × nActNames+1
 	secVocActStr             // byte × action-name blob
 	secVocGoalOff            // uint64 × nGoalNames+1
@@ -159,10 +160,6 @@ func i32Bytes[T ~int32](s []T) []byte {
 
 // SnapshotOptions configures WriteSnapshot.
 type SnapshotOptions struct {
-	// CompressPostings stores the A-GI posting rows delta-varint
-	// block-compressed instead of as a raw id array. Rows then decode
-	// lazily per block at query time; rankings are unaffected.
-	CompressPostings bool
 	// SourceKey, when non-empty, is stored verbatim in an optional byte
 	// section: an opaque label of what the snapshot was derived from, which
 	// OpenSnapshotKeyed demands back (at most snapMaxSourceKey bytes). Readers
@@ -241,10 +238,8 @@ type snapSection struct {
 	emit  func(sw *snapWriter)
 }
 
-// snapPlan is one snapshot's section plan — the ordered sections plus the
-// header dimensions — shared by the full-snapshot writer (WriteSnapshot) and
-// the delta writer (WriteSnapshotDiff) so both serialize the exact same
-// canonical payload bytes.
+// snapPlan is one snapshot's section plan: the ordered sections plus the
+// header dimensions.
 type snapPlan struct {
 	secs       []snapSection
 	flags      uint32
@@ -256,12 +251,12 @@ type snapPlan struct {
 	maxImplLen int
 }
 
-// headerBytes renders the fixed 64-byte header for the given container
-// version, leaving the trailing CRC field zero for the caller to stamp.
-func (p *snapPlan) headerBytes(version uint32) []byte {
+// headerBytes renders the fixed 64-byte header, leaving the trailing CRC
+// field zero for the caller to stamp.
+func (p *snapPlan) headerBytes() []byte {
 	hdr := make([]byte, snapHeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
+	binary.LittleEndian.PutUint32(hdr[4:], snapshotVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], p.flags)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(p.secs)))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(p.nImpl))
@@ -317,30 +312,6 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		flags |= snapFlagLenSorted
 	}
 
-	// Compressed postings pre-pass: the blob must be materialized to size the
-	// section table. rowBuf keeps the pass allocation-bounded.
-	var blob []byte
-	var blobOff []uint64
-	if opts.CompressPostings {
-		flags |= snapFlagCompressed
-		blobOff = append(make([]uint64, 0, nBlk+1), 0)
-		var rowBuf []ImplID
-		for a := 0; a < nAct; a++ {
-			var row []ImplID
-			row, rowBuf = l.PostingRow(ActionID(a), rowBuf)
-			prev := ImplID(-1)
-			for lo := 0; lo < len(row); lo += PostingBlockEntries {
-				hi := lo + PostingBlockEntries
-				if hi > len(row) {
-					hi = len(row)
-				}
-				blob = appendBlockEncoded(blob, prev, row[lo:hi])
-				blobOff = append(blobOff, uint64(len(blob)))
-				prev = row[hi-1]
-			}
-		}
-	}
-
 	var actNameOff, goalNameOff []uint64
 	var actNameBlob, goalNameBlob []byte
 	if vocab != nil {
@@ -349,15 +320,6 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		goalNameOff, goalNameBlob = vocab.Goals.pack()
 	}
 
-	// emitRows streams every A-GI posting row (the raw actPost section).
-	emitRows := func(sw *snapWriter) {
-		var rowBuf []ImplID
-		for a := 0; a < nAct && sw.err == nil; a++ {
-			var row []ImplID
-			row, rowBuf = l.PostingRow(ActionID(a), rowBuf)
-			writeI32Slice(sw, row)
-		}
-	}
 	// emitBlocks streams one of the three block-metadata arrays, derived per
 	// row so overlay rows serialize their own merged metadata.
 	emitBlocks := func(pick func(PostingBlocks) []int32, fromLast bool) func(sw *snapWriter) {
@@ -398,9 +360,11 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 			writeI32Slice(sw, l.tailActs)
 		}},
 		{id: secActOff, elem: 4, count: uint64(nAct + 1), emit: func(sw *snapWriter) { sw.writeI32s(actOff) }},
-	}
-	if !opts.CompressPostings {
-		secs = append(secs, snapSection{id: secActPost, elem: 4, count: uint64(nSlots), emit: emitRows})
+		{id: secActPost, elem: 4, count: uint64(nSlots), emit: func(sw *snapWriter) {
+			for a := 0; a < nAct && sw.err == nil; a++ {
+				writeI32Slice(sw, l.ImplsOfAction(ActionID(a)))
+			}
+		}},
 	}
 	secs = append(secs,
 		snapSection{id: secGoalOff, elem: 4, count: uint64(nGoal + 1), emit: func(sw *snapWriter) { sw.writeI32s(goalOff) }},
@@ -449,12 +413,6 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		snapSection{id: secBlkMinLen, elem: 4, count: nBlk, emit: emitBlocks(func(b PostingBlocks) []int32 { return b.MinLen }, false)},
 		snapSection{id: secBlkMaxLen, elem: 4, count: nBlk, emit: emitBlocks(func(b PostingBlocks) []int32 { return b.MaxLen }, false)},
 	)
-	if opts.CompressPostings {
-		secs = append(secs,
-			snapSection{id: secPostOff, elem: 8, count: uint64(len(blobOff)), emit: func(sw *snapWriter) { sw.writeU64s(blobOff) }},
-			snapSection{id: secPostBlob, elem: 1, count: uint64(len(blob)), emit: func(sw *snapWriter) { sw.write(blob) }},
-		)
-	}
 	if vocab != nil {
 		secs = append(secs,
 			snapSection{id: secVocActOff, elem: 8, count: uint64(len(actNameOff)), emit: func(sw *snapWriter) { sw.writeU64s(actNameOff) }},
@@ -494,7 +452,7 @@ func WriteSnapshot(w io.Writer, l *Library, vocab *Vocabulary, opts SnapshotOpti
 	}
 
 	// Header + table, CRC-stamped.
-	hdr := p.headerBytes(snapshotVersion)
+	hdr := p.headerBytes()
 	table := make([]byte, snapSectSize*len(secs))
 	for i, s := range secs {
 		e := table[snapSectSize*i:]
@@ -528,28 +486,15 @@ func WriteSnapshot(w io.Writer, l *Library, vocab *Vocabulary, opts SnapshotOpti
 	return sw.w.Flush()
 }
 
-// checksumEnd returns the offset of the whole-file checksum footer of a full
-// or delta snapshot — the end of its last section — given the image's first
-// bytes (at least min(size, snapHeadMax) of them) and its total size.
+// checksumEnd returns the offset of the whole-file checksum footer of a
+// snapshot — the end of its last section — given the image's first bytes (at
+// least min(size, snapHeadMax) of them) and its total size.
 func checksumEnd(head []byte, size uint64) (uint64, error) {
-	var end uint64
-	if IsSnapshotDelta(head) {
-		dsecs, _, _, err := parseDelta(head, size)
-		if err != nil {
-			return 0, err
-		}
-		end = uint64(snapHeaderSize + snapDeltaPreSize + snapDeltaSectSize*len(dsecs))
-		for _, d := range dsecs {
-			if e := d.off + d.inlineLen(); e > end {
-				end = e
-			}
-		}
-		return end, nil
-	}
 	secs, _, err := snapshotSections(head, size)
 	if err != nil {
 		return 0, err
 	}
+	var end uint64
 	for _, s := range secs {
 		if e := s.off + s.count*uint64(s.elem); e > end {
 			end = e
@@ -634,9 +579,11 @@ var ErrCorruptSnapshot = fmt.Errorf("core: snapshot corrupt")
 // a legacy image without a footer is read whole, to be verified structurally
 // instead (deep CSR invariants). A nil return means every byte of the file is
 // what the writer sealed; a verification failure comes back wrapping
-// ErrCorruptSnapshot, anything else is an I/O error. This is the scrubber's
-// primitive — deliberately a fresh read, not a check of an already-open
-// mapping, so it catches at-rest corruption the page cache would hide.
+// ErrCorruptSnapshot, a footerless image in the retired compressed encoding
+// as ErrCompressedPostings, anything else is an I/O error. This is the
+// scrubber's primitive — deliberately a fresh read, not a check of an
+// already-open mapping, so it catches at-rest corruption the page cache would
+// hide.
 func ScrubSnapshotFile(fsys faultfs.FS, path string) error {
 	fsys = faultfs.Or(fsys)
 	f, err := fsys.Open(path)
@@ -661,10 +608,10 @@ func ScrubSnapshotFile(fsys faultfs.FS, path string) error {
 		if err == nil {
 			err = VerifySnapshot(s)
 		}
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		if err != nil && !errors.Is(err, ErrCompressedPostings) {
+			err = fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 		}
-		return nil
+		return err
 	}
 	return err
 }
@@ -746,11 +693,6 @@ func (s *Snapshot) Vocabulary() *Vocabulary { return s.vocab }
 // Close releases the mapping. The snapshot's Library (and every library
 // extended from it) and its Vocabulary must not be used afterwards.
 func (s *Snapshot) Close() error {
-	if s.lib != nil && s.lib.cp != nil && s.lib.cp.id != 0 {
-		if c := activeBlockCache(); c != nil {
-			c.purgeSrc(s.lib.cp.id)
-		}
-	}
 	if s.unmap == nil {
 		return nil
 	}
@@ -926,6 +868,9 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	if flags&snapFlagCompressed != 0 {
+		return nil, ErrCompressedPostings
+	}
 	nImpl := binary.LittleEndian.Uint64(data[16:])
 	nAct := binary.LittleEndian.Uint64(data[24:])
 	nGoal := binary.LittleEndian.Uint64(data[32:])
@@ -1026,35 +971,13 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	if err == nil {
 		lib.blkMaxLen, err = i32Sec(secBlkMaxLen, nBlk)
 	}
+	if err == nil {
+		if b, err = sec(secActPost, 4, nSlots); err == nil {
+			lib.actPost = i32View[ImplID](b, int(nSlots))
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-
-	if flags&snapFlagCompressed != 0 {
-		pb, err := sec(secPostOff, 8, nBlk+1)
-		if err != nil {
-			return nil, err
-		}
-		blobSec, ok := secs[secPostBlob]
-		if !ok {
-			return nil, fmt.Errorf("missing section %d", secPostBlob)
-		}
-		cp := &compressedPostings{
-			id:      blockCacheSrcSeq.Add(1),
-			blobOff: u64View(pb, int(nBlk+1)),
-			blob:    data[blobSec.off : blobSec.off+blobSec.count],
-		}
-		// O(1) geometry checks so block decodes can index fearlessly.
-		if cp.blobOff[0] != 0 || cp.blobOff[nBlk] > blobSec.count {
-			return nil, fmt.Errorf("posting blob offsets span [%d, %d] over %d bytes", cp.blobOff[0], cp.blobOff[nBlk], blobSec.count)
-		}
-		lib.cp = cp
-	} else {
-		b, err := sec(secActPost, 4, nSlots)
-		if err != nil {
-			return nil, err
-		}
-		lib.actPost = i32View[ImplID](b, int(nSlots))
 	}
 
 	// O(1) CSR spot checks: the cheap invariants every accessor leans on.
@@ -1112,7 +1035,7 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*
 
 // VerifySnapshot walks every section of an open snapshot and checks the deep
 // CSR invariants — monotone offsets, strictly increasing sorted rows, ids in
-// range, block metadata consistent with the (decoded) rows. It is linear in
+// range, block metadata consistent with the rows. It is linear in
 // the snapshot and intended for tooling (goalrec-snap verify) and tests, not
 // for the open path.
 func VerifySnapshot(s *Snapshot) error {
@@ -1145,16 +1068,11 @@ func VerifySnapshot(s *Snapshot) error {
 			return fmt.Errorf("core: implementation %d: goal %d out of range", p, g)
 		}
 	}
-	var rowBuf []ImplID
 	for a := 0; a < nAct; a++ {
 		if l.actOff[a+1] < l.actOff[a] {
 			return fmt.Errorf("core: action %d: negative posting extent", a)
 		}
-		var row []ImplID
-		row, rowBuf = l.PostingRow(ActionID(a), rowBuf)
-		if len(row) != int(l.actOff[a+1]-l.actOff[a]) {
-			return fmt.Errorf("core: action %d: posting row decodes to %d entries, want %d", a, len(row), l.actOff[a+1]-l.actOff[a])
-		}
+		row := l.ImplsOfAction(ActionID(a))
 		blk := l.ActionPostingBlocks(ActionID(a))
 		if blk.NumBlocks() != (len(row)+PostingBlockEntries-1)/PostingBlockEntries {
 			return fmt.Errorf("core: action %d: %d blocks for %d postings", a, blk.NumBlocks(), len(row))

@@ -21,7 +21,6 @@ type SnapshotSectionInfo struct {
 // the cheap O(#sections) view a CLI can print without loading the library.
 type SnapshotDescription struct {
 	Version         uint32
-	Compressed      bool
 	HasVocabulary   bool
 	LenSorted       bool
 	Implementations uint64
@@ -56,8 +55,6 @@ var snapSectionNames = map[uint32]string{
 	secBlkLast:    "block-last",
 	secBlkMinLen:  "block-minlen",
 	secBlkMaxLen:  "block-maxlen",
-	secPostOff:    "postings-compressed-offsets",
-	secPostBlob:   "postings-compressed-blob",
 	secVocActOff:  "vocab-action-offsets",
 	secVocActStr:  "vocab-action-names",
 	secVocGoalOff: "vocab-goal-offsets",
@@ -65,84 +62,20 @@ var snapSectionNames = map[uint32]string{
 	secSourceKey:  "source-key",
 }
 
-// SnapshotDeltaSectionInfo describes one section of a delta snapshot: how
-// many bytes it references from the base's prefix and how many it inlines.
-type SnapshotDeltaSectionInfo struct {
-	ID          uint32
-	Name        string
-	ElemSize    uint32
-	Count       uint64
-	RefBytes    uint64
-	InlineBytes uint64
-}
-
-// SnapshotDeltaDescription is the parsed header and section table of a delta
-// snapshot (.gsnpd) — the cheap view inspection tooling prints without the
-// base present.
-type SnapshotDeltaDescription struct {
-	Version         uint32
-	Compressed      bool
-	HasVocabulary   bool
-	LenSorted       bool
-	Implementations uint64
-	Actions         uint64
-	Goals           uint64
-	Slots           uint64
-	Epoch           uint64
-	BaseEpoch       uint64
-	FileBytes       uint64
-	RefBytes        uint64
-	InlineBytes     uint64
-	Sections        []SnapshotDeltaSectionInfo
-}
-
-// DescribeSnapshotDelta parses a delta snapshot's header and section table —
-// validating the header CRC and geometry exactly like materialization does —
-// and returns the reference/inline layout without needing the base.
-func DescribeSnapshotDelta(data []byte) (*SnapshotDeltaDescription, error) {
-	secs, flags, baseEpoch, err := parseDelta(data, uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	d := &SnapshotDeltaDescription{
-		Version:         binary.LittleEndian.Uint32(data[4:]),
-		Compressed:      flags&snapFlagCompressed != 0,
-		HasVocabulary:   flags&snapFlagVocab != 0,
-		LenSorted:       flags&snapFlagLenSorted != 0,
-		Implementations: binary.LittleEndian.Uint64(data[16:]),
-		Actions:         binary.LittleEndian.Uint64(data[24:]),
-		Goals:           binary.LittleEndian.Uint64(data[32:]),
-		Slots:           binary.LittleEndian.Uint64(data[40:]),
-		Epoch:           binary.LittleEndian.Uint64(data[48:]),
-		BaseEpoch:       baseEpoch,
-		FileBytes:       uint64(len(data)),
-	}
-	for _, s := range secs {
-		name := snapSectionNames[s.id]
-		if name == "" {
-			name = fmt.Sprintf("section-%d", s.id)
-		}
-		d.RefBytes += s.refLen
-		d.InlineBytes += s.inlineLen()
-		d.Sections = append(d.Sections, SnapshotDeltaSectionInfo{
-			ID: s.id, Name: name, ElemSize: s.elem, Count: s.count,
-			RefBytes: s.refLen, InlineBytes: s.inlineLen(),
-		})
-	}
-	return d, nil
-}
-
 // DescribeSnapshot parses data's header and section table — validating the
 // CRC and geometry exactly like OpenSnapshotBytes — and returns the layout
-// without materializing a library.
+// without materializing a library. An image in the retired compressed
+// encoding is refused with ErrCompressedPostings.
 func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
 	secs, flags, err := snapshotSections(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
+	if flags&snapFlagCompressed != 0 {
+		return nil, ErrCompressedPostings
+	}
 	d := &SnapshotDescription{
 		Version:         binary.LittleEndian.Uint32(data[4:]),
-		Compressed:      flags&snapFlagCompressed != 0,
 		HasVocabulary:   flags&snapFlagVocab != 0,
 		LenSorted:       flags&snapFlagLenSorted != 0,
 		Implementations: binary.LittleEndian.Uint64(data[16:]),

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -119,24 +121,12 @@ func snapshotRoundTrip(t *testing.T, lib *Library, vocab *Vocabulary, opts Snaps
 func TestSnapshotRoundTripRaw(t *testing.T) {
 	lib := snapTestLibrary(t, 2000, 80, 1)
 	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{})
-	if snap.Library().PostingsCompressed() {
-		t.Fatal("raw snapshot reports compressed postings")
-	}
-	assertLibrariesEqual(t, lib, snap.Library())
-}
-
-func TestSnapshotRoundTripCompressed(t *testing.T) {
-	lib := snapTestLibrary(t, 2000, 80, 2)
-	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{CompressPostings: true})
-	if !snap.Library().PostingsCompressed() {
-		t.Fatal("compressed snapshot reports raw postings")
-	}
 	assertLibrariesEqual(t, lib, snap.Library())
 }
 
 func TestSnapshotRoundTripEmpty(t *testing.T) {
 	lib := NewBuilder(0, 0).Build()
-	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{CompressPostings: true})
+	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{})
 	assertLibrariesEqual(t, lib, snap.Library())
 }
 
@@ -149,7 +139,7 @@ func TestSnapshotRoundTripVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := snapshotRoundTrip(t, lib, vocab, SnapshotOptions{CompressPostings: true})
+	snap := snapshotRoundTrip(t, lib, vocab, SnapshotOptions{})
 	assertLibrariesEqual(t, lib, snap.Library())
 	v := snap.Vocabulary()
 	if v == nil {
@@ -191,116 +181,91 @@ func TestSnapshotOfExtendedLibrary(t *testing.T) {
 		t.Fatal("expected an extended snapshot")
 	}
 	flat := b.Build()
-	for _, compress := range []bool{false, true} {
-		snap := snapshotRoundTrip(t, ext, nil, SnapshotOptions{CompressPostings: compress})
-		assertLibrariesEqual(t, flat, snap.Library())
-	}
+	snap := snapshotRoundTrip(t, ext, nil, SnapshotOptions{})
+	assertLibrariesEqual(t, flat, snap.Library())
 }
 
-// A library loaded from a compressed snapshot must serialize again (the
-// compaction path) without loss.
+// A library loaded from a snapshot must serialize again (the compaction path)
+// without loss.
 func TestSnapshotRewriteFromMapped(t *testing.T) {
 	lib := snapTestLibrary(t, 1500, 60, 3)
-	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{CompressPostings: true})
+	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{})
 	again := snapshotRoundTrip(t, snap.Library(), nil, SnapshotOptions{})
 	assertLibrariesEqual(t, lib, again.Library())
 }
 
-// Extending a compressed mmap-backed library through a DynamicLibrary swap
-// must keep all rows correct (the ingest-on-top-of-snapshot path).
-func TestDynamicExtendOverCompressedSnapshot(t *testing.T) {
-	lib := snapTestLibrary(t, 1200, 50, 4)
-	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{CompressPostings: true})
-
-	d := NewDynamicLibrary()
-	d.SetCompactionThreshold(1 << 30)
-	d.Swap(snap.Library())
-	ref := NewBuilder(0, 0)
-	for p := 0; p < lib.NumImplementations(); p++ {
-		if _, err := ref.Add(lib.Goal(ImplID(p)), lib.Actions(ImplID(p))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		acts := []ActionID{ActionID(rng.Intn(50)), ActionID(rng.Intn(50))}
-		if _, err := d.Add(GoalID(rng.Intn(40)), acts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.Add(GoalID(rng.Intn(40)), acts); err == nil {
-			// ref must add the same implementation; re-seed to stay aligned.
-			_ = err
-		}
-	}
-	// Rebuild the reference deterministically instead: replay d's contents.
-	got := d.Snapshot()
-	b := NewBuilder(0, 0)
-	for p := 0; p < got.NumImplementations(); p++ {
-		if _, err := b.Add(got.Goal(ImplID(p)), got.Actions(ImplID(p))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertLibrariesEqual(t, b.Build(), got)
-}
-
-func TestPostingRowRangeCompressed(t *testing.T) {
+// ImplsOfActionRange over a mapped library is the binary-searched sub-slice
+// of the row, at the edges of the id space and of posting blocks alike.
+func TestImplsOfActionRangeMapped(t *testing.T) {
 	lib := snapTestLibrary(t, 3000, 20, 6) // few actions: long rows, many blocks
-	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{CompressPostings: true})
-	cl := snap.Library()
-	var buf []ImplID
+	ml := snapshotRoundTrip(t, lib, nil, SnapshotOptions{}).Library()
 	for a := 0; a < lib.NumActions(); a++ {
 		row := lib.ImplsOfAction(ActionID(a))
 		for _, span := range [][2]ImplID{{0, 3000}, {0, 1}, {100, 900}, {512, 513}, {2999, 3000}, {1500, 1500}} {
-			want := subRange(row, span[0], span[1])
-			var got []ImplID
-			got, buf = cl.PostingRowRange(ActionID(a), span[0], span[1], buf)
-			if !slicesEq(want, got) {
+			var want []ImplID
+			for _, p := range row {
+				if p >= span[0] && p < span[1] {
+					want = append(want, p)
+				}
+			}
+			if got := ml.ImplsOfActionRange(ActionID(a), span[0], span[1]); !slicesEq(want, got) {
 				t.Fatalf("action %d range %v: got %d entries, want %d", a, span, len(got), len(want))
 			}
 		}
 	}
 }
 
-func TestPostingRowCursorCompressed(t *testing.T) {
-	lib := snapTestLibrary(t, 3000, 15, 8)
-	snap := snapshotRoundTrip(t, lib, nil, SnapshotOptions{CompressPostings: true})
-	cl := snap.Library()
-	for a := 0; a < lib.NumActions(); a++ {
-		row := lib.ImplsOfAction(ActionID(a))
-		cur := cl.PostingRowCursor(ActionID(a))
-		if cur.Len() != len(row) {
-			t.Fatalf("action %d: cursor len %d != %d", a, cur.Len(), len(row))
-		}
-		for i := 0; i < len(row); i += 37 {
-			if got := cur.At(i); got != row[i] {
-				t.Fatalf("action %d At(%d): %d != %d", a, i, got, row[i])
-			}
-			if got := cur.AtLeast(i, row[i]); !got {
-				t.Fatalf("action %d AtLeast(%d, self) = false", a, i)
-			}
-			if got := cur.AtLeast(i, row[i]+1); got {
-				t.Fatalf("action %d AtLeast(%d, self+1) = true", a, i)
-			}
-		}
-		for _, probe := range []ImplID{0, 1, 500, 1499, 2999, 3001} {
-			wantIdx := 0
-			for wantIdx < len(row) && row[wantIdx] < probe {
-				wantIdx++
-			}
-			if got := cur.Search(0, len(row), probe); got != wantIdx {
-				t.Fatalf("action %d Search(%d): %d != %d", a, probe, got, wantIdx)
-			}
-		}
-		// Block-aligned slices must match the raw row.
-		for lo := 0; lo < len(row); lo += PostingBlockEntries {
-			hi := lo + PostingBlockEntries
-			if hi > len(row) {
-				hi = len(row)
-			}
-			if !slicesEq(cur.Slice(lo, hi), row[lo:hi]) {
-				t.Fatalf("action %d Slice(%d, %d) differs", a, lo, hi)
-			}
-		}
+// resealCompressedFlag sets the retired compressed-postings header flag on a
+// snapshot image and reseals the header CRC and, when present, the footer,
+// as that encoding's writer would have.
+func resealCompressedFlag(t *testing.T, data []byte, footer bool) {
+	t.Helper()
+	binary.LittleEndian.PutUint32(data[8:], binary.LittleEndian.Uint32(data[8:])|snapFlagCompressed)
+	tableEnd := snapHeaderSize + snapSectSize*int(binary.LittleEndian.Uint32(data[12:]))
+	crc := crc32.Update(crc32.ChecksumIEEE(data[:60]), crc32.IEEETable, data[snapHeaderSize:tableEnd])
+	binary.LittleEndian.PutUint32(data[60:], crc)
+	if footer {
+		end := len(data) - snapFooterSize
+		binary.LittleEndian.PutUint32(data[end+4:], crc32.ChecksumIEEE(data[:end]))
+	}
+}
+
+// A snapshot carrying the retired compressed-postings flag opens, describes
+// and scrubs to ErrCompressedPostings — never to a corruption verdict, which
+// would have a store quarantine a sound file.
+func TestOpenSnapshotRefusesCompressedFlag(t *testing.T) {
+	lib := snapTestLibrary(t, 300, 30, 2)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, lib, nil, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	resealCompressedFlag(t, data, true)
+	if _, err := OpenSnapshotBytes(data); !errors.Is(err, ErrCompressedPostings) {
+		t.Fatalf("OpenSnapshotBytes: %v, want ErrCompressedPostings", err)
+	}
+	if _, err := DescribeSnapshot(data); !errors.Is(err, ErrCompressedPostings) {
+		t.Fatalf("DescribeSnapshot: %v, want ErrCompressedPostings", err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "c.gsnp")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSnapshot(path); !errors.Is(err, ErrCompressedPostings) {
+		t.Fatalf("OpenSnapshot: %v, want ErrCompressedPostings", err)
+	}
+	if err := ScrubSnapshotFile(nil, path); err != nil {
+		t.Fatalf("scrub of a sealed compressed snapshot: %v, want nil (the bytes are sound)", err)
+	}
+	// A footerless image is verified structurally, which opens it: the refusal
+	// must come back as itself, not as corruption.
+	legacy := filepath.Join(dir, "legacy.gsnp")
+	if err := os.WriteFile(legacy, data[:len(data)-snapFooterSize], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ScrubSnapshotFile(nil, legacy); !errors.Is(err, ErrCompressedPostings) || errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("scrub of a footerless compressed snapshot: %v, want bare ErrCompressedPostings", err)
 	}
 }
 
@@ -308,7 +273,7 @@ func TestPostingRowCursorCompressed(t *testing.T) {
 func TestOpenSnapshotCorrupt(t *testing.T) {
 	lib := snapTestLibrary(t, 300, 30, 9)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, lib, nil, SnapshotOptions{CompressPostings: true}); err != nil {
+	if err := WriteSnapshot(&buf, lib, nil, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()

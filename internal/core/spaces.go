@@ -106,7 +106,6 @@ func (l *Library) Candidates(activity []ActionID) []ActionID {
 // may serve libraries of different sizes in turn.
 type CandidateScratch struct {
 	bits []uint64 // one bit per action id, all zero between calls
-	row  []ImplID // posting decode buffer for block-compressed rows
 }
 
 // candidateStampLimit is the largest action id space the collector dedups
@@ -196,9 +195,7 @@ func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH
 	base := len(dst)
 	set := sc.begin(l.numActions)
 	for _, a := range sortedH {
-		var row []ImplID
-		row, sc.row = l.PostingRow(a, sc.row)
-		dst = l.mark(dst, set, row)
+		dst = l.mark(dst, set, l.ImplsOfAction(a))
 	}
 	return drain(dst, base, set, sortedH)
 }

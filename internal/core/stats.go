@@ -129,7 +129,7 @@ func (l *Library) ConnectivityPercentile(p float64) float64 {
 // snapshot — what lies on top of them.
 type IndexBytes struct {
 	ImplCSR int64 `json:"impl_csr"` // implementation -> goal, actions
-	AGI     int64 `json:"a_gi"`     // A-GI-idx postings (or their compressed blob)
+	AGI     int64 `json:"a_gi"`     // A-GI-idx postings
 	GGI     int64 `json:"g_gi"`     // G-GI-idx postings
 	AG      int64 `json:"ag"`       // AG-idx (goal, count) pairs
 	GA      int64 `json:"ga"`       // GA-idx (action, count) pairs
@@ -158,9 +158,6 @@ func (l *Library) IndexBytes() IndexBytes {
 		Blocks:  words(len(l.blkOff), len(l.blkLast), len(l.blkMinLen), len(l.blkMaxLen), len(l.goalSlots)),
 		Tail:    words(len(l.tailGoal), len(l.tailOff), len(l.tailActs)),
 		Overlay: l.ovAct.bytes((*actRow).bytes) + l.ovGoal.bytes((*goalRow).bytes),
-	}
-	if l.cp != nil {
-		b.AGI += 8*int64(len(l.cp.blobOff)) + int64(len(l.cp.blob))
 	}
 	return b
 }

@@ -139,7 +139,7 @@ func TestBackendDegradedAndProbes(t *testing.T) {
 		t.Errorf("readyz %v lacks reload_failure_streak", ready)
 	}
 	_, metrics := get("/v1/metrics")
-	for _, key := range []string{"epoch", "requests", "errors", "lifecycle", "users", "storage", "block_cache", "library", "reload_failure_streak", "cluster"} {
+	for _, key := range []string{"epoch", "requests", "errors", "lifecycle", "users", "storage", "library", "reload_failure_streak", "cluster"} {
 		if _, ok := metrics[key]; !ok {
 			t.Errorf("metrics lack %q: %v", key, metrics)
 		}

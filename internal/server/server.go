@@ -717,7 +717,6 @@ type metricsBody struct {
 		Enabled bool                  `json:"enabled"`
 		Status  *storageStatusPayload `json:"status,omitempty"`
 	} `json:"storage"`
-	BlockCache countersBlock `json:"block_cache"`
 	// Library is what backs the served library: mapped or heap, bytes per
 	// index structure, the process's mappings and the last sidecar decision.
 	Library             goalrec.LibraryBacking `json:"library"`
@@ -726,14 +725,12 @@ type metricsBody struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	lib := s.backend.Snapshot()
-	cache := goalrec.BlockCacheMetrics()
 	m := metricsBody{
 		Epoch:               lib.Epoch(),
 		Requests:            json.RawMessage(s.requests.String()),
 		Errors:              json.RawMessage(s.errors.String()),
 		Lifecycle:           json.RawMessage(s.lifecycle.String()),
 		Users:               countersBlock{false, struct{}{}},
-		BlockCache:          countersBlock{cache.BudgetBytes > 0, cache},
 		Library:             lib.Backing(),
 		ReloadFailureStreak: s.reloadStreak.Load(),
 	}

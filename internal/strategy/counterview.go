@@ -45,11 +45,8 @@ type CounterView struct {
 }
 
 // viewScratch is the merge scratch of one Apply, AdvanceTo or Candidates
-// call. Results never alias it, with one exception the callers honour: a
-// block-compressed PostingRow result aliases row, so a scratch returns to the
-// pool only after that row has been merged.
+// call. Results never alias it.
 type viewScratch struct {
-	row   []core.ImplID // posting decode buffer
 	fresh []core.ImplID // first-touch ids of a row; delta postings of an advance
 	goals []core.GoalID // goals of an advance's delta postings
 	mult  []int32       // multiplicities of an advance's distinct goals, then of its distinct ids
@@ -129,9 +126,7 @@ func (v *CounterView) Apply(a core.ActionID) bool {
 		return true
 	}
 	sc := viewScratchPool.Get().(*viewScratch)
-	var row []core.ImplID
-	row, sc.row = v.lib.PostingRow(a, sc.row)
-	v.mergeRow(row, sc)
+	v.mergeRow(v.lib.ImplsOfAction(a), sc)
 	viewScratchPool.Put(sc)
 	goals, mult := v.lib.GoalsOfAction(a)
 	v.mergeGoals(goals, mult)
@@ -256,9 +251,7 @@ func (v *CounterView) AdvanceTo(newLib *core.Library) {
 		if a < 0 || int(a) >= newLib.NumActions() {
 			continue
 		}
-		var row []core.ImplID
-		row, sc.row = newLib.PostingRowRange(a, oldN, newN, sc.row)
-		delta = append(delta, row...)
+		delta = append(delta, newLib.ImplsOfActionRange(a, oldN, newN)...)
 	}
 	sc.fresh = delta
 	if len(delta) == 0 {

@@ -22,25 +22,22 @@ const (
 	opWiden               // as opGrow over a wider action space: ids unknown so far become known
 	opSwapSmall           // Swap in a library of ≤ 10 actions, Rebuild
 	opSwapLarge           // Swap in a library of ≥ 130 actions (three bitset words and up), Rebuild
-	opSwapPacked          // as opSwapLarge from a block-compressed snapshot: rows alias the decode buffer
+	opSwapMapped          // as opSwapLarge from a snapshot image: rows are views over the image
 	numViewOps
 )
 
 const maxViewOps = 24
 
-// packedLibrary round-trips lib through a block-compressed snapshot image.
-func packedLibrary(t *testing.T, lib *core.Library) *core.Library {
+// mappedLibrary round-trips lib through a snapshot image.
+func mappedLibrary(t *testing.T, lib *core.Library) *core.Library {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := core.WriteSnapshot(&buf, lib, nil, core.SnapshotOptions{CompressPostings: true}); err != nil {
+	if err := core.WriteSnapshot(&buf, lib, nil, core.SnapshotOptions{}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	snap, err := core.OpenSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("OpenSnapshotBytes: %v", err)
-	}
-	if !snap.Library().PostingsCompressed() {
-		t.Fatal("snapshot library is not block-compressed")
 	}
 	return snap.Library()
 }
@@ -100,8 +97,8 @@ func runViewOps(t *testing.T, seed int64, ops []byte) {
 				n, space = 200+r.Intn(400), 130+arg
 			}
 			next := testlib.RandomLibrary(r, n, space, 4+arg%20, 7)
-			if kind == opSwapPacked {
-				next = packedLibrary(t, next)
+			if kind == opSwapMapped {
+				next = mappedLibrary(t, next)
 			}
 			lib = dyn.Swap(next)
 			actionSpace = space
@@ -115,9 +112,8 @@ func runViewOps(t *testing.T, seed int64, ops []byte) {
 // same-lineage advances (extension and compaction) and swap rebuilds leaves
 // the view equal to a fresh one, scored bit-identically by all four
 // strategies. The libraries of one stream share the package's scratch pool,
-// so a bitset that came back dirty or too short, or a posting row read after
-// its decode buffer was reused, shows as a diverging candidate pool or
-// counter. (The collector's append-and-sort fallback for id spaces above
+// so a bitset that came back dirty or too short shows as a diverging
+// candidate pool or counter. (The collector's append-and-sort fallback for id spaces above
 // core's sweep limit is reached by core's own in-package tests: the limit is
 // unexported there.)
 func FuzzCounterViewOps(f *testing.F) {
@@ -130,11 +126,11 @@ func FuzzCounterViewOps(f *testing.F) {
 	// Small action space first, then large: the pooled bitset has to grow, and
 	// has to come back all zero for the small library that follows.
 	f.Add(int64(4), []byte{opSwapSmall, 6, opApply, 0, opApply, 1, opApply, 5, opSwapLarge, 90, opApply, 200, opApply, 77, opGrow, 9, opSwapSmall, 2, opApply, 1})
-	// Block-compressed postings: every row read aliases the decode buffer;
-	// growth on top overlays plain rows over the compressed base.
-	f.Add(int64(5), []byte{opApply, 2, opSwapPacked, 11, opApply, 8, opApply, 140, opApply, 65, opGrow, 30, opApply, 12, opWiden, 20, opApply, 99})
+	// Postings served from a snapshot image; growth on top overlays heap rows
+	// over the image's base.
+	f.Add(int64(5), []byte{opApply, 2, opSwapMapped, 11, opApply, 8, opApply, 140, opApply, 65, opGrow, 30, opApply, 12, opWiden, 20, opApply, 99})
 	// A view that stays empty across advances and swaps.
-	f.Add(int64(6), []byte{opGrow, 12, opSwapLarge, 1, opGrow, 3, opSwapPacked, 0})
+	f.Add(int64(6), []byte{opGrow, 12, opSwapLarge, 1, opGrow, 3, opSwapMapped, 0})
 	f.Fuzz(runViewOps)
 }
 
@@ -146,7 +142,7 @@ func TestCounterViewsConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	libs := []*core.Library{
 		testlib.RandomLibrary(r, 300, 24, 12, 6),
-		packedLibrary(t, testlib.RandomLibrary(r, 1500, 400, 60, 7)),
+		mappedLibrary(t, testlib.RandomLibrary(r, 1500, 400, 60, 7)),
 	}
 	recs := make([][]Recommender, len(libs))
 	for i, lib := range libs {

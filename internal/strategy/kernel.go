@@ -76,12 +76,6 @@ func (c concurrency) workersFor(stream, numImpls int) int {
 type overlapScratch struct {
 	cnt     []int32
 	touched [][]core.ImplID
-	// rowBufs holds one posting-decode buffer per shard, reused across
-	// queries so compressed (mmap-backed) libraries decode blocks into
-	// pooled memory instead of allocating per row. Raw libraries never
-	// touch these: PostingRow returns a zero-copy view and leaves the
-	// buffer untouched.
-	rowBufs [][]core.ImplID
 }
 
 // shards sizes the counter array for numImpls implementations and returns
@@ -92,9 +86,6 @@ func (s *overlapScratch) shards(n, numImpls int) [][]core.ImplID {
 	}
 	for len(s.touched) < n {
 		s.touched = append(s.touched, nil)
-	}
-	for len(s.rowBufs) < n {
-		s.rowBufs = append(s.rowBufs, nil)
 	}
 	for i := 0; i < n; i++ {
 		s.touched[i] = s.touched[i][:0]
@@ -172,11 +163,9 @@ func (s *overlapScratch) accumulate(lib *core.Library, h []core.ActionID,
 	touched := s.touched[w]
 	var err error
 	for _, a := range h {
-		var row []core.ImplID
-		if lo == 0 && int(hi) == lib.NumImplementations() {
-			row, s.rowBufs[w] = lib.PostingRow(a, s.rowBufs[w])
-		} else {
-			row, s.rowBufs[w] = lib.PostingRowRange(a, lo, hi, s.rowBufs[w])
+		row := lib.ImplsOfAction(a)
+		if lo != 0 || int(hi) != lib.NumImplementations() {
+			row = lib.ImplsOfActionRange(a, lo, hi)
 		}
 		for len(row) > 0 {
 			n := len(row)

@@ -134,16 +134,11 @@ func (g *focusFloor) publishCl(missing int64) bool {
 	}
 }
 
-// prunedRow is one posting row of the pruned Focus scan. Positions are
-// absolute within the full row so that position/PostingBlockEntries always
-// indexes the row's block-max metadata. raw is the zero-copy row view and is
-// what the hot loop indexes whenever the library stores postings
-// uncompressed; for block-compressed (mmap-backed) rows raw is nil and the
-// cursor decodes lazily instead — segment-boundary tests are answered from
-// the block-max metadata, so a block the scan skips is never decompressed.
+// prunedRow is one posting row of the pruned Focus scan: the zero-copy row
+// view and its block-max metadata. Positions are absolute within the full row
+// so that position/PostingBlockEntries always indexes the metadata.
 type prunedRow struct {
-	raw      []core.ImplID
-	cur      core.PostingRowCursor
+	row      []core.ImplID
 	blk      core.PostingBlocks
 	pos, end int
 }
@@ -203,26 +198,15 @@ func (f *Focus) prunedShardScan(h []core.ActionID, lo, hi core.ImplID, m int,
 	var tally pruneTally
 	defer f.stats.add(&tally)
 
-	compressed := lib.PostingsCompressed()
 	rows := make([]prunedRow, 0, len(h))
 	for _, a := range h {
-		if !compressed {
-			row := lib.ImplsOfAction(a)
-			pos := sort.Search(len(row), func(i int) bool { return row[i] >= lo })
-			end := pos + sort.Search(len(row)-pos, func(i int) bool { return row[pos+i] >= hi })
-			if pos == end {
-				continue
-			}
-			rows = append(rows, prunedRow{raw: row, blk: lib.ActionPostingBlocks(a), pos: pos, end: end})
-			continue
-		}
-		cur := lib.PostingRowCursor(a)
-		pos := cur.Search(0, cur.Len(), lo)
-		end := cur.Search(pos, cur.Len(), hi)
+		row := lib.ImplsOfAction(a)
+		pos := sort.Search(len(row), func(i int) bool { return row[i] >= lo })
+		end := pos + sort.Search(len(row)-pos, func(i int) bool { return row[pos+i] >= hi })
 		if pos == end {
 			continue
 		}
-		rows = append(rows, prunedRow{cur: cur, blk: lib.ActionPostingBlocks(a), pos: pos, end: end})
+		rows = append(rows, prunedRow{row: row, blk: lib.ActionPostingBlocks(a), pos: pos, end: end})
 	}
 
 	heap := s.perShard[shard]
@@ -340,15 +324,7 @@ scan:
 		// Chunk overlap bound: rows holding at least one entry in the chunk.
 		active := int64(0)
 		for i := range rows {
-			r := &rows[i]
-			if r.pos >= r.end {
-				continue
-			}
-			if r.raw != nil {
-				if r.raw[r.pos] < chunkHi {
-					active++
-				}
-			} else if !r.cur.AtLeast(r.pos, chunkHi) {
+			if r := &rows[i]; r.pos < r.end && r.row[r.pos] < chunkHi {
 				active++
 			}
 		}
@@ -359,52 +335,17 @@ scan:
 
 		for i := range rows {
 			r := &rows[i]
-			// The raw and cursor walks are the same segment loop; the raw
-			// copy indexes the row view directly so uncompressed libraries
-			// pay no call overhead per segment.
-			if row := r.raw; row != nil {
-				for r.pos < r.end && row[r.pos] < chunkHi {
-					j := r.pos / core.PostingBlockEntries
-					blockEnd := (j + 1) * core.PostingBlockEntries
-					if blockEnd > r.end {
-						blockEnd = r.end
-					}
-					segEnd := blockEnd
-					if row[blockEnd-1] >= chunkHi {
-						p := r.pos
-						segEnd = p + sort.Search(blockEnd-p, func(i int) bool { return row[p+i] >= chunkHi })
-					}
-					tally.blocksTotal++
-					L := int64(r.blk.MinLen[j])
-					var skip bool
-					if closeness {
-						skip = fMiss != 0 && L-active > fMiss
-					} else {
-						skip = fN != 0 && active*fN < fC*L
-					}
-					if skip {
-						tally.blocksSkipped++
-						pruned = true
-					} else {
-						touched = core.AccumulateOverlapRow(row[r.pos:segEnd], s.cnt, touched)
-					}
-					n := segEnd - r.pos
-					r.pos = segEnd
-					if err = tick.tick(n); err != nil {
-						break scan
-					}
-				}
-				continue
-			}
-			for r.pos < r.end && !r.cur.AtLeast(r.pos, chunkHi) {
+			row := r.row
+			for r.pos < r.end && row[r.pos] < chunkHi {
 				j := r.pos / core.PostingBlockEntries
 				blockEnd := (j + 1) * core.PostingBlockEntries
 				if blockEnd > r.end {
 					blockEnd = r.end
 				}
 				segEnd := blockEnd
-				if r.cur.AtLeast(blockEnd-1, chunkHi) {
-					segEnd = r.cur.Search(r.pos, blockEnd, chunkHi)
+				if row[blockEnd-1] >= chunkHi {
+					p := r.pos
+					segEnd = p + sort.Search(blockEnd-p, func(i int) bool { return row[p+i] >= chunkHi })
 				}
 				tally.blocksTotal++
 				L := int64(r.blk.MinLen[j])
@@ -418,7 +359,7 @@ scan:
 					tally.blocksSkipped++
 					pruned = true
 				} else {
-					touched = core.AccumulateOverlapRow(r.cur.Slice(r.pos, segEnd), s.cnt, touched)
+					touched = core.AccumulateOverlapRow(row[r.pos:segEnd], s.cnt, touched)
 				}
 				n := segEnd - r.pos
 				r.pos = segEnd

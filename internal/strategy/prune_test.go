@@ -14,8 +14,8 @@ import (
 
 // TestPrunedRankingsMatchUnpruned drives the source table over random
 // libraries in every layout: on the plain one Focus takes the counter
-// kernel, on the impact-ordered ones — raw and block-compressed — the
-// block-max scan, and both must match the naive (unpruned) oracle.
+// kernel, on the impact-ordered ones — heap and mapped — the block-max scan,
+// and both must match the naive (unpruned) oracle.
 func TestPrunedRankingsMatchUnpruned(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 12; trial++ {
@@ -239,7 +239,7 @@ func TestPrunedDynamicSnapshots(t *testing.T) {
 	check("order-preserving append", kept, true)
 
 	path := filepath.Join(t.TempDir(), "kept.gsnp")
-	if err := core.WriteSnapshotFile(path, kept, nil, core.SnapshotOptions{CompressPostings: true}); err != nil {
+	if err := core.WriteSnapshotFile(path, kept, nil, core.SnapshotOptions{}); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
 	snap, err := core.OpenSnapshot(path)

@@ -13,10 +13,10 @@ import (
 
 // openSnapshotLibrary round-trips lib through an on-disk snapshot and returns
 // the mmap-backed load.
-func openSnapshotLibrary(t *testing.T, lib *core.Library, compress bool) *core.Library {
+func openSnapshotLibrary(t *testing.T, lib *core.Library) *core.Library {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "lib.gsnp")
-	if err := core.WriteSnapshotFile(path, lib, nil, core.SnapshotOptions{CompressPostings: compress}); err != nil {
+	if err := core.WriteSnapshotFile(path, lib, nil, core.SnapshotOptions{}); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
 	snap, err := core.OpenSnapshot(path)
@@ -27,71 +27,49 @@ func openSnapshotLibrary(t *testing.T, lib *core.Library, compress bool) *core.L
 	return snap.Library()
 }
 
-// checkSnapshotEquiv asserts that a library loaded back from a snapshot —
-// raw and block-compressed — ranks bit-identically to the in-memory builder
-// library on every strategy, with Focus and Breadth forced onto four workers.
+// checkSnapshotEquiv asserts that a library loaded back from a snapshot ranks
+// bit-identically to the in-memory builder library on every strategy, with
+// Focus and Breadth forced onto four workers.
 func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k int) {
 	t.Helper()
-	for _, compress := range []bool{false, true} {
-		mlib := openSnapshotLibrary(t, lib, compress)
-		if mlib.ImplLenSorted() != lib.ImplLenSorted() {
-			t.Fatalf("compress=%v: snapshot lost the layout flag (size-sorted %v -> %v)",
-				compress, lib.ImplLenSorted(), mlib.ImplLenSorted())
-		}
+	mlib := openSnapshotLibrary(t, lib)
+	if mlib.ImplLenSorted() != lib.ImplLenSorted() {
+		t.Fatalf("snapshot lost the layout flag (size-sorted %v -> %v)", lib.ImplLenSorted(), mlib.ImplLenSorted())
+	}
 
-		type variant struct {
-			name string
-			mk   func(l *core.Library) Recommender
-		}
-		var variants []variant
-		for _, m := range []FocusMeasure{Completeness, Closeness} {
-			variants = append(variants, variant{m.String(), func(l *core.Library) Recommender {
-				f := NewFocus(l, m)
-				f.SetConcurrency(4, 1)
-				return f
-			}})
-		}
-		for _, w := range []BreadthWeighting{Overlap, Count, Union} {
-			variants = append(variants, variant{"breadth-" + w.String(), func(l *core.Library) Recommender {
-				b := NewBreadthWeighted(l, w)
-				b.SetConcurrency(4, 1)
-				return b
-			}})
-		}
-		variants = append(variants, variant{"best-match", func(l *core.Library) Recommender { return NewBestMatch(l) }})
+	type variant struct {
+		name string
+		mk   func(l *core.Library) Recommender
+	}
+	var variants []variant
+	for _, m := range []FocusMeasure{Completeness, Closeness} {
+		variants = append(variants, variant{m.String(), func(l *core.Library) Recommender {
+			f := NewFocus(l, m)
+			f.SetConcurrency(4, 1)
+			return f
+		}})
+	}
+	for _, w := range []BreadthWeighting{Overlap, Count, Union} {
+		variants = append(variants, variant{"breadth-" + w.String(), func(l *core.Library) Recommender {
+			b := NewBreadthWeighted(l, w)
+			b.SetConcurrency(4, 1)
+			return b
+		}})
+	}
+	variants = append(variants, variant{"best-match", func(l *core.Library) Recommender { return NewBestMatch(l) }})
 
-		for _, v := range variants {
-			want := v.mk(lib).Recommend(h, k)
-			got := v.mk(mlib).Recommend(h, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("compress=%v %s: snapshot ranking diverged (k=%d, h=%v):\ngot  %v\nwant %v",
-					compress, v.name, k, h, got, want)
-			}
+	for _, v := range variants {
+		want := v.mk(lib).Recommend(h, k)
+		got := v.mk(mlib).Recommend(h, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot ranking diverged (k=%d, h=%v):\ngot  %v\nwant %v", v.name, k, h, got, want)
 		}
-
-		// The same rankings must hold with the shared decoded-block cache
-		// enabled. Two passes: the first lets the doorkeeper admit the hot
-		// blocks, the second serves from cache — both must stay bit-identical
-		// to the cache-off builder ranking.
-		core.SetBlockCacheBytes(4 << 20)
-		t.Cleanup(func() { core.SetBlockCacheBytes(0) })
-		for pass := 0; pass < 2; pass++ {
-			for _, v := range variants {
-				want := v.mk(lib).Recommend(h, k)
-				got := v.mk(mlib).Recommend(h, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("compress=%v cached pass %d %s: ranking diverged (k=%d, h=%v):\ngot  %v\nwant %v",
-						compress, pass, v.name, k, h, got, want)
-				}
-			}
-		}
-		core.SetBlockCacheBytes(0)
 	}
 }
 
 // TestSnapshotRankingsMatchBuilder drives all strategies over mmap-loaded
 // snapshots of random libraries, alternating plain and impact-ordered
-// layouts (the latter exercises the block-max scan's cutoff on compressed
+// layouts (the latter exercises the block-max scan's cutoff on mapped
 // rows).
 func TestSnapshotRankingsMatchBuilder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -128,8 +106,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		h := intset.FromUnsorted(testlib.RandomActivity(qr, actionSpace, 6))
 		k := 1 + qr.Intn(12)
 		checkSnapshotEquiv(t, lib, h, k)
-		// The source table must also hold on the compressed mmap-backed
-		// library itself.
-		checkEverySource(t, openSnapshotLibrary(t, lib, true), h, "")
+		// The source table must also hold on the mmap-backed library itself.
+		checkEverySource(t, openSnapshotLibrary(t, lib), h, "")
 	})
 }

@@ -19,7 +19,7 @@ import (
 // merged by the gather functions; which Focus rank source serves a
 // from-scratch query — the kernel or the block-max scan — follows from the
 // library's layout, so the drivers feed plain, impact-ordered and
-// impact-ordered block-compressed libraries (testLayouts) and the Focus rows
+// impact-ordered mapped libraries (testLayouts) and the Focus rows
 // assert, through a PruneStats sink, that the scan ran exactly when
 // (lib.ImplLenSorted(), k > 0) says it should.
 
@@ -297,13 +297,13 @@ func checkViewEquiv(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 }
 
 // testLayouts returns lib in the three layouts a served snapshot comes in:
-// as built, impact-ordered, and impact-ordered behind block-compressed
-// postings (the mmap form, whose rows decode through cursors).
+// as built, impact-ordered, and impact-ordered behind a snapshot image (the
+// mmap form, whose rows are views over the image).
 func testLayouts(t *testing.T, lib *core.Library) []*core.Library {
 	t.Helper()
 	impact, _ := core.ImpactOrder(lib)
 	if !impact.ImplLenSorted() {
 		t.Fatal("impact-ordered library does not report a size-sorted layout")
 	}
-	return []*core.Library{lib, impact, packedLibrary(t, impact)}
+	return []*core.Library{lib, impact, mappedLibrary(t, impact)}
 }

@@ -16,13 +16,10 @@
 # SOAK_LIBRARY, SOAK_ADDR.
 #
 # Memory-capped mode: SOAK_SNAPSHOT=1 runs the daemon over a durable store
-# with block-compressed snapshots and a small compaction threshold, then —
-# after the overload phases — restarts it on the compacted store so serving
-# recovers from the memory-mapped compressed snapshot and recommends decode
-# posting blocks through the shared cache. SOAK_BLOCK_CACHE_BYTES sizes that
-# cache (use a small value plus GOMEMLIMIT to soak the larger-than-RAM
-# serving path); the restarted phase asserts the block_cache counters moved
-# in /v1/metrics.
+# with a small compaction threshold, then — after the overload phases —
+# restarts it on the compacted store and asserts that it recovered from the
+# memory-mapped snapshot rather than replaying the whole WAL (pair it with
+# GOMEMLIMIT to soak mapped serving under a heap cap).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,12 +55,9 @@ fi
 
 STORE_FLAGS=()
 if [ -n "${SOAK_SNAPSHOT:-}" ]; then
-    # The seed swap journals the whole library, so a small threshold makes
-    # the store compact into a compressed snapshot almost immediately.
-    STORE_FLAGS+=(-snapshot-dir "$TMP/store" -snapshot-compress -compact-wal-bytes 1048576)
-fi
-if [ -n "${SOAK_BLOCK_CACHE_BYTES:-}" ]; then
-    STORE_FLAGS+=(-block-cache-bytes "$SOAK_BLOCK_CACHE_BYTES")
+    # The seed swap is persisted as a snapshot, and a small threshold makes
+    # the store compact the user-phase WAL into fresh ones.
+    STORE_FLAGS+=(-snapshot-dir "$TMP/store" -compact-wal-bytes 1048576)
 fi
 
 echo "soak: building race-instrumented goalrecd and loadgen"
@@ -111,8 +105,8 @@ METRICS="$(curl -fsS "http://$ADDR/v1/metrics")"
 echo "$METRICS"
 
 if [ -n "${SOAK_SNAPSHOT:-}" ]; then
-    # Wait for the background compaction so the restart recovers from the
-    # compressed snapshot rather than replaying the whole WAL.
+    # Wait for a snapshot so the restart can recover from it rather than
+    # replaying the whole WAL.
     compacted=""
     for _ in $(seq 1 100); do
         if ls "$TMP/store"/snap-*.gsnp >/dev/null 2>&1; then
@@ -127,23 +121,26 @@ if [ -n "${SOAK_SNAPSHOT:-}" ]; then
         exit 1
     fi
     stop_daemon
-    echo "soak: restarting on the compacted store (mmap snapshot + block cache)"
+    LOG_MARK="$(wc -l <"$TMP/goalrecd.log")"
+    echo "soak: restarting on the compacted store (mmap snapshot + WAL tail)"
     start_daemon
     "$TMP/loadgen" -url "http://$ADDR" -library "$LIB" -overload \
         -concurrency 16 -duration "${SOAK_RESTART_DURATION:-10s}" -strategy breadth
     METRICS="$(curl -fsS "http://$ADDR/v1/metrics")"
     echo "$METRICS"
-    if [ -n "${SOAK_BLOCK_CACHE_BYTES:-}" ]; then
-        if ! echo "$METRICS" | grep -q '"block_cache":{"enabled":true'; then
-            echo "soak: block cache enabled but not reported in metrics" >&2
-            exit 1
-        fi
-        # Serving now decodes posting blocks from the mapped compressed
-        # snapshot: the cache counters must have moved.
-        if echo "$METRICS" | grep -q '"block_cache":{"enabled":true,"counters":{"hits":0,"misses":0,'; then
-            echo "soak: block cache enabled but never touched by serving" >&2
-            exit 1
-        fi
+    # Recovery adopted the snapshot: the served library is mapped, and any
+    # WAL replay started on top of the snapshot's epoch, never from epoch 0.
+    RESTART_LOG="$(tail -n +"$((LOG_MARK + 1))" "$TMP/goalrecd.log")"
+    if ! echo "$METRICS" | grep -q '"library":{"backing":"mapped"'; then
+        echo "soak: restarted daemon does not serve a mapped snapshot" >&2
+        echo "$RESTART_LOG" >&2
+        exit 1
+    fi
+    if ! echo "$RESTART_LOG" | grep -q 'recovered store .* at epoch [1-9]' ||
+        echo "$RESTART_LOG" | grep -q 'on top of epoch 0,'; then
+        echo "soak: restart replayed the whole WAL instead of adopting the snapshot" >&2
+        echo "$RESTART_LOG" >&2
+        exit 1
     fi
 fi
 

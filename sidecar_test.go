@@ -307,8 +307,8 @@ func TestSidecarRemovesStaleTemps(t *testing.T) {
 	}
 }
 
-// TestSidecarOtherFormats: only JSON lines get a sidecar; a snapshot or a
-// legacy binary library loads as LoadLibraryFile loads it.
+// TestSidecarOtherFormats: only JSON lines get a sidecar; a snapshot loads as
+// LoadLibraryFile loads it.
 func TestSidecarOtherFormats(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "lib.jsonl")
@@ -318,26 +318,13 @@ func TestSidecarOtherFormats(t *testing.T) {
 	if err := want.SaveSnapshotFile(snap, false); err != nil {
 		t.Fatal(err)
 	}
-	bin := filepath.Join(dir, "lib.bin")
-	f, err := os.Create(bin)
-	if err != nil {
-		t.Fatal(err)
+	lib, decision, err := LoadLibraryFileMapped(snap, false)
+	if err != nil || decision != "" {
+		t.Fatalf("%s: decision %q, err %v", snap, decision, err)
 	}
-	if err := want.SaveBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{snap, bin} {
-		lib, decision, err := LoadLibraryFileMapped(path, false)
-		if err != nil || decision != "" {
-			t.Fatalf("%s: decision %q, err %v", path, decision, err)
-		}
-		assertServesLike(t, want, lib)
-		if _, err := os.Stat(path + SidecarSuffix); err == nil {
-			t.Fatalf("%s got a sidecar", path)
-		}
+	assertServesLike(t, want, lib)
+	if _, err := os.Stat(snap + SidecarSuffix); err == nil {
+		t.Fatalf("%s got a sidecar", snap)
 	}
 	if _, _, err := LoadLibraryFileMapped(filepath.Join(dir, "missing.jsonl"), false); err == nil {
 		t.Fatal("a missing library loaded")

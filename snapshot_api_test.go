@@ -1,7 +1,9 @@
 package goalrec
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -26,38 +28,42 @@ func snapshotAPILibrary(t *testing.T) *Library {
 func TestSaveOpenSnapshotFile(t *testing.T) {
 	lib := snapshotAPILibrary(t)
 	activity := []string{"act-1", "act-3", "act-5"}
-	for _, compress := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "lib.gsnp")
-		if err := lib.SaveSnapshotFile(path, compress); err != nil {
-			t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "lib.gsnp")
+	if err := lib.SaveSnapshotFile(path, true); !errors.Is(err, ErrCompressedPostings) {
+		t.Fatalf("SaveSnapshotFile(compress=true): error %v, want ErrCompressedPostings", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused compressed save left a file behind (%v)", err)
+	}
+	if err := lib.SaveSnapshotFile(path, false); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := snap.Library()
+	if got.NumImplementations() != lib.NumImplementations() {
+		t.Fatalf("%d implementations, want %d", got.NumImplementations(), lib.NumImplementations())
+	}
+	for _, s := range []Strategy{FocusCompleteness, Breadth, BestMatch} {
+		want := lib.MustRecommender(s).Recommend(activity, 8)
+		have := got.MustRecommender(s).Recommend(activity, 8)
+		if !reflect.DeepEqual(have, want) {
+			t.Fatalf("%s rankings differ across snapshot", s)
 		}
-		snap, err := OpenSnapshotFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := snap.Library()
-		if got.NumImplementations() != lib.NumImplementations() {
-			t.Fatalf("compress=%v: %d implementations, want %d", compress, got.NumImplementations(), lib.NumImplementations())
-		}
-		for _, s := range []Strategy{FocusCompleteness, Breadth, BestMatch} {
-			want := lib.MustRecommender(s).Recommend(activity, 8)
-			have := got.MustRecommender(s).Recommend(activity, 8)
-			if !reflect.DeepEqual(have, want) {
-				t.Fatalf("compress=%v: %s rankings differ across snapshot", compress, s)
-			}
-		}
-		if err := snap.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // LoadLibraryFile must route "GSNP" files to the mmap loader while keeping
-// JSON and legacy-binary sniffing intact.
+// JSON sniffing intact.
 func TestLoadLibraryFileSniffsSnapshot(t *testing.T) {
 	lib := snapshotAPILibrary(t)
 	path := filepath.Join(t.TempDir(), "lib.gsnp")
-	if err := lib.SaveSnapshotFile(path, true); err != nil {
+	if err := lib.SaveSnapshotFile(path, false); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadLibraryFile(path)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -128,25 +126,6 @@ type StoreOptions struct {
 	// CompactAtWALBytes is the WAL size that triggers background compaction
 	// (snapshot + log reset). <= 0 selects 4 MiB.
 	CompactAtWALBytes int64
-	// CompressPostings selects block-compressed posting lists for written
-	// snapshots. Loads stay zero-copy either way; compression trades a
-	// lazy per-block decode on scans for a smaller file and page-in set.
-	CompressPostings bool
-	// SnapshotDiff writes compactions as incremental delta snapshots
-	// (snap-<epoch>.gsnpd) referencing the newest full snapshot's sections
-	// by content checksum, so compaction at large N stops rewriting the
-	// bytes that did not change. Every MaxDiffChain deltas (and whenever no
-	// usable full base exists) a full snapshot is written instead. Recovery
-	// materializes base+delta losslessly; a corrupt or missing link falls
-	// back a generation exactly like a corrupt full snapshot.
-	SnapshotDiff bool
-	// MaxDiffChain caps how many consecutive delta snapshots may share one
-	// full base before compaction writes the next full snapshot. <= 0
-	// selects 4.
-	MaxDiffChain int
-	// WarmSnapshot pre-faults the adopted snapshot's pages on open instead
-	// of demand-paging them on first query.
-	WarmSnapshot bool
 	// KeepSnapshots is how many generations of snapshot files to retain
 	// (the newest is always kept). <= 0 selects 2.
 	KeepSnapshots int
@@ -200,13 +179,6 @@ func (o StoreOptions) keep() int {
 	return o.KeepSnapshots
 }
 
-func (o StoreOptions) maxChain() int {
-	if o.MaxDiffChain <= 0 {
-		return 4
-	}
-	return o.MaxDiffChain
-}
-
 func (o StoreOptions) probeEvery() time.Duration {
 	if o.ProbeInterval <= 0 {
 		return time.Second
@@ -233,98 +205,11 @@ func (s *Store) snapPath(epoch uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("snap-%016d.gsnp", epoch))
 }
 
-func (s *Store) deltaPath(epoch uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("snap-%016d.gsnpd", epoch))
-}
-
-// snapArtifact is one on-disk snapshot generation: a self-contained full
-// snapshot (.gsnp) or an incremental delta (.gsnpd) that needs its full base
-// to restore.
-type snapArtifact struct {
-	epoch uint64
-	delta bool
-}
-
-func (s *Store) artifactPath(a snapArtifact) string {
-	if a.delta {
-		return s.deltaPath(a.epoch)
-	}
-	return s.snapPath(a.epoch)
-}
-
-// snapshotArtifacts lists every snapshot generation in dir — full and delta —
-// ascending by epoch. A full snapshot shadows a delta at the same epoch (the
-// self-contained artifact always wins). Quarantined and temp files never
-// parse as live artifacts.
-func snapshotArtifacts(fsys faultfs.FS, dir string) ([]snapArtifact, error) {
-	ents, err := faultfs.Or(fsys).ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []snapArtifact
-	for _, ent := range ents {
-		name := ent.Name()
-		const pre = "snap-"
-		if !strings.HasPrefix(name, pre) {
-			continue
-		}
-		rest := name[len(pre):]
-		var delta bool
-		switch {
-		case strings.HasSuffix(rest, ".gsnpd"):
-			delta = true
-			rest = rest[:len(rest)-len(".gsnpd")]
-		case strings.HasSuffix(rest, ".gsnp"):
-			rest = rest[:len(rest)-len(".gsnp")]
-		default:
-			continue
-		}
-		if rest == "" {
-			continue
-		}
-		epoch, perr := strconv.ParseUint(rest, 10, 64)
-		if perr != nil {
-			continue
-		}
-		out = append(out, snapArtifact{epoch: epoch, delta: delta})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].epoch != out[j].epoch {
-			return out[i].epoch < out[j].epoch
-		}
-		return !out[i].delta && out[j].delta
-	})
-	dedup := out[:0]
-	for _, a := range out {
-		if n := len(dedup); n > 0 && dedup[n-1].epoch == a.epoch {
-			continue
-		}
-		dedup = append(dedup, a)
-	}
-	return dedup, nil
-}
-
-// readSnapshotFile reads a whole snapshot artifact through the store's
-// (possibly fault-injected) filesystem.
-func readSnapshotFile(fsys faultfs.FS, path string) ([]byte, error) {
-	f, err := faultfs.Or(fsys).Open(path)
-	if err != nil {
-		return nil, err
-	}
-	data, rerr := io.ReadAll(f)
-	cerr := f.Close()
-	if rerr != nil {
-		return nil, rerr
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	return data, nil
-}
-
 // snapshotEpochs lists the epochs of the snapshot files present in dir,
 // ascending. Names are matched strictly — quarantined files
-// (snap-N.gsnp.quarantine) and temp files never parse as live snapshots.
+// (snap-N.gsnp.quarantine), temp files and the snapshot diffs older
+// releases wrote (snap-N.gsnpd; their full base plus the WAL reach the same
+// epoch) never parse as live snapshots.
 func snapshotEpochs(fsys faultfs.FS, dir string) ([]uint64, error) {
 	ents, err := faultfs.Or(fsys).ReadDir(dir)
 	if err != nil {
@@ -366,77 +251,6 @@ func (s *Store) quarantine(path string, cause error) {
 	s.logf("quarantined %s: %v", filepath.Base(path), cause)
 }
 
-// adoptDelta tries to restore the delta artifact at epoch: scrub the delta,
-// scrub its full base, materialize the chain in memory and open the result.
-// A nil, nil return means recovery should fall back a generation — the delta
-// or its base was quarantined as proven-corrupt, or the base is gone and the
-// delta is orphaned. Only environmental failures return an error and fail
-// the open. Bases quarantined here are recorded in skip so the outer loop
-// does not try (and fail) to scrub the renamed file again.
-func (s *Store) adoptDelta(epoch uint64, skip map[uint64]bool) (*core.Snapshot, error) {
-	path := s.deltaPath(epoch)
-	if err := core.ScrubSnapshotFile(s.fs, path); err != nil {
-		if !errors.Is(err, core.ErrCorruptSnapshot) {
-			return nil, fmt.Errorf("goalrec: scrubbing delta %s: %w", filepath.Base(path), err)
-		}
-		s.scrubFails.Add(1)
-		s.quarantine(path, err)
-		s.logf("delta %s failed its open-time scrub: %v (falling back)", filepath.Base(path), err)
-		return nil, nil
-	}
-	_, baseEpoch, err := core.SnapshotDeltaInfo(s.fs, path)
-	if err != nil {
-		return nil, fmt.Errorf("goalrec: reading delta %s header: %w", filepath.Base(path), err)
-	}
-	basePath := s.snapPath(baseEpoch)
-	if err := core.ScrubSnapshotFile(s.fs, basePath); err != nil {
-		switch {
-		case errors.Is(err, core.ErrCorruptSnapshot):
-			s.scrubFails.Add(1)
-			s.quarantine(basePath, err)
-			skip[baseEpoch] = true
-			s.logf("base %s of delta epoch %d failed its scrub: %v (falling back)", filepath.Base(basePath), epoch, err)
-			return nil, nil
-		case errors.Is(err, fs.ErrNotExist):
-			// The base is simply gone — the delta is healthy evidence of an
-			// orphaned chain, not corruption; leave it in place.
-			s.logf("delta epoch %d is orphaned: base %s missing (falling back)", epoch, filepath.Base(basePath))
-			return nil, nil
-		default:
-			return nil, fmt.Errorf("goalrec: scrubbing base %s: %w", filepath.Base(basePath), err)
-		}
-	}
-	deltaBytes, err := readSnapshotFile(s.fs, path)
-	if err != nil {
-		return nil, fmt.Errorf("goalrec: reading delta %s: %w", filepath.Base(path), err)
-	}
-	baseBytes, err := readSnapshotFile(s.fs, basePath)
-	if err != nil {
-		return nil, fmt.Errorf("goalrec: reading base %s: %w", filepath.Base(basePath), err)
-	}
-	base, err := core.NewSnapshotBase(baseBytes)
-	if err == nil {
-		var img []byte
-		if img, err = core.MaterializeDelta(deltaBytes, base); err == nil {
-			snap, oerr := core.OpenSnapshotBytes(img)
-			if oerr != nil {
-				// Materialization verified every referenced prefix and the
-				// whole-image checksum, so this is a logic failure, not rot.
-				return nil, fmt.Errorf("goalrec: opening materialized delta epoch %d: %w", epoch, oerr)
-			}
-			return snap, nil
-		}
-	}
-	// Both files scrub clean yet the chain does not materialize: the delta
-	// references a base generation that no longer exists (for example a
-	// rewritten full at the same epoch). The delta is the stale artifact —
-	// move it aside and fall back.
-	s.scrubFails.Add(1)
-	s.quarantine(path, err)
-	s.logf("materializing delta epoch %d over base %d: %v (falling back)", epoch, baseEpoch, err)
-	return nil, nil
-}
-
 // OpenStore opens (creating if needed) the persistent store at dir and
 // recovers its engine: newest loadable snapshot mmap-first, then the WAL
 // tail on top. The returned store owns the snapshot mappings and the WAL
@@ -448,7 +262,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	}
 	s := &Store{dir: dir, opts: opts, fs: fsys, closed: make(chan struct{})}
 
-	arts, err := snapshotArtifacts(fsys, dir)
+	epochs, err := snapshotEpochs(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -456,57 +270,35 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	// before adoption — the open-time scrub — and a corrupt one (torn writes
 	// are impossible, snapshots rename into place, but disks rot) is
 	// quarantined rather than deleted, then recovery falls back a generation.
-	// Delta artifacts additionally scrub their full base and materialize in
-	// memory; a broken link anywhere in the chain falls back the same way.
-	// The WAL retains every batch past the oldest retained full snapshot, so
-	// the fallback replays a longer tail and lands on the same state.
-	skip := map[uint64]bool{}
-	for i := len(arts) - 1; i >= 0; i-- {
-		art := arts[i]
-		var snap *core.Snapshot
-		var path string
-		if art.delta {
-			path = s.deltaPath(art.epoch)
-			snap, err = s.adoptDelta(art.epoch, skip)
-			if err != nil {
-				return nil, err
+	// The WAL retains every batch past the oldest retained snapshot, so the
+	// fallback replays a longer tail and lands on the same state.
+	for i := len(epochs) - 1; i >= 0; i-- {
+		path := s.snapPath(epochs[i])
+		if err := core.ScrubSnapshotFile(fsys, path); err != nil {
+			// Quarantine only proven corruption. An I/O error reading the file
+			// says nothing about the bytes at rest — renaming a possibly-healthy
+			// newest generation aside on a flaky read would itself lose data, so
+			// that fails the open instead.
+			if !errors.Is(err, core.ErrCorruptSnapshot) {
+				return nil, fmt.Errorf("goalrec: scrubbing snapshot %s: %w", filepath.Base(path), err)
 			}
-			if snap == nil {
-				continue
-			}
-		} else {
-			if skip[art.epoch] {
-				continue // quarantined moments ago as a rotted delta base
-			}
-			path = s.snapPath(art.epoch)
-			if err := core.ScrubSnapshotFile(fsys, path); err != nil {
-				// Quarantine only proven corruption. An I/O error reading the file
-				// says nothing about the bytes at rest — renaming a possibly-healthy
-				// newest generation aside on a flaky read would itself lose data, so
-				// that fails the open instead.
-				if !errors.Is(err, core.ErrCorruptSnapshot) {
-					return nil, fmt.Errorf("goalrec: scrubbing snapshot %s: %w", filepath.Base(path), err)
-				}
-				s.scrubFails.Add(1)
-				s.quarantine(path, err)
-				s.logf("snapshot %s failed its open-time scrub: %v (falling back)", filepath.Base(path), err)
-				continue
-			}
-			snap, err = core.OpenSnapshotFS(fsys, path)
-			if err != nil {
-				// The scrub just proved the bytes sound, so this is environmental
-				// (open/stat/mmap), not corruption.
-				return nil, fmt.Errorf("goalrec: mapping snapshot %s: %w", filepath.Base(path), err)
-			}
+			s.scrubFails.Add(1)
+			s.quarantine(path, err)
+			s.logf("snapshot %s failed its open-time scrub: %v (falling back)", filepath.Base(path), err)
+			continue
+		}
+		snap, err := core.OpenSnapshotFS(fsys, path)
+		if err != nil {
+			// The scrub just proved the bytes sound, so this is environmental
+			// (open/stat/mmap) or a sound file in an encoding this release no
+			// longer reads (core.ErrCompressedPostings) — not corruption.
+			return nil, fmt.Errorf("goalrec: mapping snapshot %s: %w", filepath.Base(path), err)
 		}
 		vocab := snap.Vocabulary()
 		if vocab == nil {
 			_ = snap.Close()
 			s.logf("snapshot %s has no vocabulary (falling back)", filepath.Base(path))
 			continue
-		}
-		if opts.WarmSnapshot {
-			snap.Warmup()
 		}
 		s.engine = newEngineAdopting(&Library{lib: snap.Library(), vocab: vocab})
 		s.snapLow = snap.Library().Epoch()
@@ -836,55 +628,6 @@ func (s *Store) compact() {
 	s.logf("compacted WAL into snapshot at epoch %d", lib.Epoch())
 }
 
-// diffBase picks the full snapshot a delta at epoch would reference: the
-// newest full generation older than epoch, provided fewer than MaxDiffChain
-// deltas already ride on it. ok is false when a full snapshot should be
-// written instead.
-func (s *Store) diffBase(epoch uint64) (uint64, bool) {
-	arts, err := snapshotArtifacts(s.fs, s.dir)
-	if err != nil {
-		return 0, false
-	}
-	var base uint64
-	haveBase := false
-	chain := 0
-	for _, a := range arts {
-		if a.epoch >= epoch {
-			continue
-		}
-		if a.delta {
-			if haveBase && a.epoch > base {
-				chain++
-			}
-		} else {
-			base, haveBase = a.epoch, true
-			chain = 0
-		}
-	}
-	if !haveBase || chain >= s.opts.maxChain() {
-		return 0, false
-	}
-	return base, true
-}
-
-// writeDeltaSnapshot writes lib as a delta artifact referencing the full
-// snapshot at baseEpoch. Any failure is reported to the caller, which falls
-// back to writing a full snapshot.
-func (s *Store) writeDeltaSnapshot(lib *Library, baseEpoch uint64) error {
-	baseBytes, err := readSnapshotFile(s.fs, s.snapPath(baseEpoch))
-	if err != nil {
-		return err
-	}
-	base, err := core.NewSnapshotBase(baseBytes)
-	if err != nil {
-		return err
-	}
-	if base.Epoch() != baseEpoch {
-		return fmt.Errorf("base %s holds epoch %d, not %d", filepath.Base(s.snapPath(baseEpoch)), base.Epoch(), baseEpoch)
-	}
-	return core.WriteSnapshotDiffFileFS(s.fs, s.deltaPath(lib.Epoch()), lib.lib, lib.vocab, core.SnapshotOptions{CompressPostings: s.opts.CompressPostings}, base)
-}
-
 // snapshotAndReset writes lib as a snapshot file, then truncates the WAL
 // back to the records the retained snapshots cannot cover. Batches are kept
 // all the way back to the oldest snapshot generation that survives pruning —
@@ -902,25 +645,9 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 		return nil
 	}
 	// The expensive write happens outside s.mu so ingests keep flowing; the
-	// file renames into place atomically. With SnapshotDiff on, the write is
-	// an incremental delta against the newest full snapshot while the chain
-	// stays short; every MaxDiffChain deltas — or whenever no usable base
-	// exists, or the delta write fails — a full snapshot is written instead,
-	// so a broken chain costs one full write, never durability.
-	wroteDelta := false
-	if s.opts.SnapshotDiff {
-		if baseEpoch, ok := s.diffBase(epoch); ok {
-			if err := s.writeDeltaSnapshot(lib, baseEpoch); err != nil {
-				s.logf("delta snapshot at epoch %d over base %d: %v (writing full)", epoch, baseEpoch, err)
-			} else {
-				wroteDelta = true
-			}
-		}
-	}
-	if !wroteDelta {
-		if err := core.WriteSnapshotFileFS(s.fs, s.snapPath(epoch), lib.lib, lib.vocab, core.SnapshotOptions{CompressPostings: s.opts.CompressPostings}); err != nil {
-			return err
-		}
+	// file renames into place atomically.
+	if err := core.WriteSnapshotFileFS(s.fs, s.snapPath(epoch), lib.lib, lib.vocab, core.SnapshotOptions{}); err != nil {
+		return err
 	}
 
 	s.mu.Lock()
@@ -928,31 +655,15 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 	if epoch < s.snapLow {
 		return nil // a newer snapshot already landed; keep its log
 	}
-	// The WAL retention floor: the oldest epoch the retained snapshot
-	// generations can restore without the log. A delta only restores through
-	// its full base, so it pins the floor at the base's epoch — if the delta
-	// is later lost, recovery adopts the base and replays the longer tail.
+	// The WAL retention floor: the oldest of the snapshot generations
+	// pruning retains, which is the oldest epoch they restore without the log.
 	floor := epoch
-	if arts, err := snapshotArtifacts(s.fs, s.dir); err == nil {
+	if epochs, err := snapshotEpochs(s.fs, s.dir); err == nil {
 		kept := 0
-		for i := len(arts) - 1; i >= 0; i-- {
-			if arts[i].epoch > epoch {
-				continue
-			}
-			kept++
-			if kept > s.opts.keep() {
-				break
-			}
-			cover := arts[i].epoch
-			if arts[i].delta {
-				if _, b, err := core.SnapshotDeltaInfo(s.fs, s.deltaPath(arts[i].epoch)); err == nil {
-					cover = b
-				} else {
-					cover = 0 // unreadable chain link: keep the whole log
-				}
-			}
-			if cover < floor {
-				floor = cover
+		for i := len(epochs) - 1; i >= 0 && kept < s.opts.keep(); i-- {
+			if epochs[i] <= epoch {
+				kept++
+				floor = min(floor, epochs[i])
 			}
 		}
 	}
@@ -1030,40 +741,23 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 // never touching the newest. A failed prune is counted, not fatal: the file
 // still lists, so the next compaction retries it.
 func (s *Store) pruneSnapshotsLocked(newest uint64) {
-	arts, err := snapshotArtifacts(s.fs, s.dir)
+	epochs, err := snapshotEpochs(s.fs, s.dir)
 	if err != nil {
 		s.pruneFailures.Add(1)
 		s.logf("listing snapshots for pruning: %v", err)
 		return
 	}
-	keep := s.opts.keep()
 	kept := 0
-	// Full bases of retained deltas outlive the keep window: a delta without
-	// its base is unrestorable. Bases are always older than their deltas, so
-	// one descending pass sees every retained delta before its base.
-	needed := map[uint64]bool{}
-	for i := len(arts) - 1; i >= 0; i-- {
-		a := arts[i]
-		if a.epoch > newest {
+	for i := len(epochs) - 1; i >= 0; i-- {
+		if epochs[i] > newest {
 			continue // a concurrent newer snapshot: not ours to manage
 		}
-		kept++
-		if kept <= keep {
-			if a.delta {
-				if _, b, err := core.SnapshotDeltaInfo(s.fs, s.deltaPath(a.epoch)); err == nil {
-					needed[b] = true
-				} else {
-					s.logf("reading delta epoch %d header while pruning: %v", a.epoch, err)
-				}
-			}
+		if kept++; kept <= s.opts.keep() {
 			continue
 		}
-		if !a.delta && needed[a.epoch] {
-			continue
-		}
-		if err := s.fs.Remove(s.artifactPath(a)); err != nil {
+		if err := s.fs.Remove(s.snapPath(epochs[i])); err != nil {
 			s.pruneFailures.Add(1)
-			s.logf("pruning snapshot epoch %d: %v", a.epoch, err)
+			s.logf("pruning snapshot epoch %d: %v", epochs[i], err)
 		}
 	}
 }
@@ -1095,13 +789,13 @@ func (s *Store) scrubLoop() {
 // loop behind StoreOptions.ScrubInterval runs all of it.
 func (s *Store) Scrub() error {
 	var firstErr error
-	arts, err := snapshotArtifacts(s.fs, s.dir)
+	epochs, err := snapshotEpochs(s.fs, s.dir)
 	if err != nil {
 		return err
 	}
 	quarantined := false
-	for _, a := range arts {
-		path := s.artifactPath(a)
+	for _, epoch := range epochs {
+		path := s.snapPath(epoch)
 		if err := core.ScrubSnapshotFile(s.fs, path); err != nil {
 			s.scrubFails.Add(1)
 			// Only proven corruption moves the file aside; an I/O error while

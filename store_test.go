@@ -1,11 +1,14 @@
 package goalrec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -88,46 +91,45 @@ func TestStoreRestartReplaysWAL(t *testing.T) {
 // Compaction folds the WAL into a snapshot; recovery then starts from the
 // mapped snapshot and replays only the batches ingested after it.
 func TestStoreCompaction(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenStore(dir, StoreOptions{CompressPostings: compress})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := s.Engine()
-			storeIngest(t, e, 0, 60)
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			snaps, err := snapshotEpochs(nil, dir)
-			if err != nil || len(snaps) != 1 || snaps[0] != e.Epoch() {
-				t.Fatalf("snapshots after compaction: %v (err %v), want [%d]", snaps, err, e.Epoch())
-			}
-			if fi, err := os.Stat(filepath.Join(dir, "ingest.wal")); err != nil || fi.Size() != 8 {
-				t.Fatalf("WAL not reset after compaction: size %v, err %v", fi, err)
-			}
-			// Post-compaction batches land in the fresh WAL and replay on top.
-			storeIngest(t, e, 60, 15)
-			wantEpoch := e.Epoch()
-			want := storeRankings(t, e)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// Snapshots are always written with raw (uncompressed) postings.
+	t.Run("compress=false", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := s.Engine()
+		storeIngest(t, e, 0, 60)
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := snapshotEpochs(nil, dir)
+		if err != nil || len(snaps) != 1 || snaps[0] != e.Epoch() {
+			t.Fatalf("snapshots after compaction: %v (err %v), want [%d]", snaps, err, e.Epoch())
+		}
+		if fi, err := os.Stat(filepath.Join(dir, "ingest.wal")); err != nil || fi.Size() != 8 {
+			t.Fatalf("WAL not reset after compaction: size %v, err %v", fi, err)
+		}
+		// Post-compaction batches land in the fresh WAL and replay on top.
+		storeIngest(t, e, 60, 15)
+		wantEpoch := e.Epoch()
+		want := storeRankings(t, e)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			s2, err := OpenStore(dir, StoreOptions{CompressPostings: compress})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if s2.Engine().Epoch() != wantEpoch {
-				t.Fatalf("epoch = %d, want %d", s2.Engine().Epoch(), wantEpoch)
-			}
-			if got := storeRankings(t, s2.Engine()); !reflect.DeepEqual(got, want) {
-				t.Fatal("rankings changed across compaction + restart")
-			}
-		})
-	}
+		s2, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if s2.Engine().Epoch() != wantEpoch {
+			t.Fatalf("epoch = %d, want %d", s2.Engine().Epoch(), wantEpoch)
+		}
+		if got := storeRankings(t, s2.Engine()); !reflect.DeepEqual(got, want) {
+			t.Fatal("rankings changed across compaction + restart")
+		}
+	})
 }
 
 // A torn final record loses only the unacknowledged batch; the store reopens
@@ -295,5 +297,112 @@ func TestStoreAutoCompacts(t *testing.T) {
 	defer s2.Close()
 	if s2.Engine().Len() != 200 {
 		t.Fatalf("recovered %d implementations, want 200", s2.Engine().Len())
+	}
+}
+
+// setCompressedFlag stamps the snapshot at path with the header flag of the
+// retired compressed posting encoding and reseals both checksums, so the
+// file is exactly what that encoding's writer would have left: sound bytes
+// in a format this release no longer reads.
+func setCompressedFlag(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], binary.LittleEndian.Uint32(data[8:])|1)
+	tableEnd := 64 + 24*int(binary.LittleEndian.Uint32(data[12:]))
+	crc := crc32.Update(crc32.ChecksumIEEE(data[:60]), crc32.IEEETable, data[64:tableEnd])
+	binary.LittleEndian.PutUint32(data[60:], crc)
+	footer := len(data) - 8
+	binary.LittleEndian.PutUint32(data[footer+4:], crc32.ChecksumIEEE(data[:footer]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A snapshot in the retired compressed encoding fails the open, naming the
+// file and the encoding. It is sound, so it is not quarantined: the operator
+// rebuilds it with an older release or reseeds the store.
+func TestStoreRefusesCompressedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeIngest(t, s.Engine(), 0, 40)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	path := s.snapPath(s.Engine().Epoch())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	setCompressedFlag(t, path)
+
+	_, err = OpenStore(dir, StoreOptions{})
+	if !errors.Is(err, ErrCompressedPostings) || !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Fatalf("OpenStore: error %v, want ErrCompressedPostings naming %s", err, filepath.Base(path))
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if strings.HasSuffix(ent.Name(), ".quarantine") {
+			t.Fatalf("refused snapshot was quarantined as %s", ent.Name())
+		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("refused snapshot moved: %v", err)
+	}
+}
+
+// A snap-<n>.gsnpd left by a release that wrote snapshot diffs is ignored
+// like any unknown file. Recovery is lossless: those releases pinned the WAL
+// floor at each diff's full base, so the newest full snapshot plus the WAL
+// reach the diff's epoch with bit-identical rankings.
+func TestStoreIgnoresStraySnapshotDiff(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := s.Engine()
+	storeIngest(t, e, 0, 40)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	storeIngest(t, e, 40, 7)
+	storeIngest(t, e, 47, 5)
+	wantEpoch := e.Epoch()
+	want := storeRankings(t, e)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, fmt.Sprintf("snap-%016d.gsnpd", wantEpoch))
+	if err := os.WriteFile(stray, []byte("GSNP\x02\x00\x00\x00 a diff over the full snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Engine().Epoch(); got != wantEpoch {
+		t.Fatalf("recovered epoch %d, want %d", got, wantEpoch)
+	}
+	if got := storeRankings(t, s2.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatal("rankings changed across recovery past a stray snapshot diff")
+	}
+	if err := s2.Scrub(); err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	if q := s2.Status().Quarantined; len(q) != 0 {
+		t.Fatalf("quarantined %v", q)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("stray diff touched: %v", err)
 	}
 }
