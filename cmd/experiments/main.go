@@ -63,7 +63,6 @@ func run() (runErr error) {
 	scalingSizes := flag.String("scaling-sizes", "5000,20000,80000", "comma-separated library sizes for the Figure 7 sweep")
 	scalingActions := flag.Int("scaling-actions", 3000, "action-space size for the Figure 7 sweep")
 	scalingQueries := flag.Int("scaling-queries", 0, "query activities timed per Figure 7 cell (0 selects the default)")
-	impactOrdering := flag.Bool("impact-ordering", false, "impact-order each swept library before timing (Focus then takes the block-max scan)")
 	flag.Parse()
 
 	sizes, err := parseSizes(*scalingSizes)
@@ -156,8 +155,7 @@ func run() (runErr error) {
 		fmt.Fprintf(out, "# scalability (Figure 7)\n\n")
 		if err := emit(experiments.Figure7(experiments.ScalabilityConfig{
 			Sizes: sizes, Actions: *scalingActions, Seed: *seed,
-			Queries:        *scalingQueries,
-			ImpactOrdering: *impactOrdering,
+			Queries: *scalingQueries,
 		})); err != nil {
 			return err
 		}

@@ -72,7 +72,7 @@ func inspect(path string) error {
 	fmt.Printf("  implementations %d, actions %d, goals %d, slots %d\n",
 		d.Implementations, d.Actions, d.Goals, d.Slots)
 	fmt.Printf("  epoch %d, max impl len %d\n", d.Epoch, d.MaxImplLen)
-	fmt.Printf("  vocabulary %v, length-sorted layout %v\n", d.HasVocabulary, d.LenSorted)
+	fmt.Printf("  vocabulary %v\n", d.HasVocabulary)
 	if d.SourceKey != "" {
 		fmt.Printf("  source key %q\n", d.SourceKey)
 	}

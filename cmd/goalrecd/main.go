@@ -113,11 +113,11 @@ func main() {
 
 // loadLibrary is the single load path — initial load, /v1/reload, the
 // -watch loop and a cluster's two-phase swap, in every role — so all of them
-// apply the same layout policy and serve a JSON-lines file from its mapped
-// sidecar snapshot (goalrec.LoadLibraryFileMapped). Anything but a sidecar
-// hit is logged with its reason.
-func loadLibrary(logger *log.Logger, path string, impactOrdering bool) (*goalrec.Library, error) {
-	lib, decision, err := goalrec.LoadLibraryFileMapped(path, impactOrdering)
+// serve a JSON-lines file from its mapped sidecar snapshot
+// (goalrec.LoadLibraryFileMapped). Anything but a sidecar hit is logged with
+// its reason.
+func loadLibrary(logger *log.Logger, path string) (*goalrec.Library, error) {
+	lib, decision, err := goalrec.LoadLibraryFileMapped(path)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,6 @@ func run() error {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent expensive requests; excess is shed as 503 (0 disables)")
 	admissionWait := flag.Duration("admission-wait", 10*time.Millisecond, "how long an over-limit request may wait for a slot before being shed (needs -max-inflight)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-	impactOrdering := flag.Bool("impact-ordering", false, "re-lay-out each loaded library in impact order; bounded Focus queries then take the block-max scan (counters in /v1/metrics)")
 	snapshotDir := flag.String("snapshot-dir", "", "durable store directory: mmap snapshots + ingest WAL (empty disables persistence)")
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append (needs -snapshot-dir)")
 	compactWALBytes := flag.Int64("compact-wal-bytes", 0, "WAL size that triggers background compaction into a snapshot; 0 selects the default (needs -snapshot-dir)")
@@ -189,7 +188,7 @@ func run() error {
 		reqLogger = nil
 	}
 
-	reload := func() (*goalrec.Library, error) { return loadLibrary(logger, *libPath, *impactOrdering) }
+	reload := func() (*goalrec.Library, error) { return loadLibrary(logger, *libPath) }
 	var opts []server.Option
 	if *libPath != "" {
 		opts = append(opts, server.WithReloader(reload))

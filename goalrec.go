@@ -71,68 +71,11 @@ func (b *Builder) AddImplementation(goal string, actions ...string) error {
 // Len returns the number of implementations added.
 func (b *Builder) Len() int { return b.b.Len() }
 
-// BuildOption customizes how Build freezes the library.
-type BuildOption func(*buildOptions)
-
-type buildOptions struct {
-	impactOrdering bool
-}
-
-// WithImpactOrdering relabels the frozen library's internal ids for scan
-// locality and bound sharpness: action ids become frequency-descending and
-// implementation ids are clustered by size and hottest action. The name
-// dictionary is permuted along with the ids, so every name-level result —
-// recommendations, spaces, explanations — carries the same actions with the
-// same scores; only the order among exact score ties (which follows internal
-// ids) may differ from the plain layout. What changes materially is which
-// scan serves bounded Focus queries: on a size-sorted library it is the
-// block-max scan, which stops at the score floor's id cutoff (DESIGN.md,
-// "Bounds & pruning").
-func WithImpactOrdering() BuildOption {
-	return func(o *buildOptions) { o.impactOrdering = true }
-}
-
 // Build freezes the implementations into an immutable Library. The Builder
 // remains usable; later Adds do not affect the built Library.
-func (b *Builder) Build(opts ...BuildOption) *Library {
+func (b *Builder) Build() *Library {
 	b.init()
-	var o buildOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	out := &Library{lib: b.b.Build(), vocab: b.vocab}
-	if o.impactOrdering {
-		out = out.ImpactOrdered()
-	}
-	return out
-}
-
-// ImpactOrdered returns an impact-ordered copy of the library (see
-// WithImpactOrdering); use it for libraries that arrive via the loaders
-// rather than a Builder. The copy has its own permuted name dictionary, so
-// both libraries answer name-level queries with the same actions and scores
-// (tie order may differ; see WithImpactOrdering).
-func (l *Library) ImpactOrdered() *Library {
-	lib, perm := core.ImpactOrder(l.lib)
-	return &Library{lib: lib, vocab: permuteVocab(l.vocab, perm)}
-}
-
-// permuteVocab rebuilds the vocabulary so that new action id n carries the
-// name old id perm.ActionOld[n] had. Names interned beyond the permuted
-// range (by newer epochs of a shared Engine vocabulary) keep their ids, and
-// goal names are untouched.
-func permuteVocab(v *core.Vocabulary, perm core.ImpactPermutation) *core.Vocabulary {
-	nv := core.NewVocabulary()
-	for _, old := range perm.ActionOld {
-		nv.Actions.Intern(v.Actions.Name(int32(old)))
-	}
-	for id := int32(len(perm.ActionOld)); id < int32(v.Actions.Len()); id++ {
-		nv.Actions.Intern(v.Actions.Name(id))
-	}
-	for id := int32(0); id < int32(v.Goals.Len()); id++ {
-		nv.Goals.Intern(v.Goals.Name(id))
-	}
-	return nv
+	return &Library{lib: b.b.Build(), vocab: b.vocab}
 }
 
 // Library is an immutable goal-implementation set with its name dictionary.
@@ -535,11 +478,10 @@ func ResolveStrategy(strategyName, metric string) (StrategySpec, error) {
 type RecommenderOption func(*recOptions)
 
 type recOptions struct {
-	metric     vectorspace.Metric
-	weighting  strategy.BreadthWeighting
-	cacheSize  int
-	pruneStats *strategy.PruneStats
-	err        error // first invalid option, surfaced by Library.Recommender
+	metric    vectorspace.Metric
+	weighting strategy.BreadthWeighting
+	cacheSize int
+	err       error // first invalid option, surfaced by Library.Recommender
 }
 
 // resolveRecOptions applies opts over the defaults.
@@ -556,9 +498,7 @@ func resolveRecOptions(opts []RecommenderOption) recOptions {
 // share one instance (sound — recommenders are deterministic and safe for
 // concurrent use).
 func (o recOptions) sharingKey(s Strategy) string {
-	// The stats sink pointer is part of the key: two configurations that
-	// count into different sinks must not share one instance.
-	return fmt.Sprintf("%s/%s/%s/%d/%p", s, o.metric, o.weighting, o.cacheSize, o.pruneStats)
+	return fmt.Sprintf("%s/%s/%s/%d", s, o.metric, o.weighting, o.cacheSize)
 }
 
 // WithDistanceMetric selects the Best Match distance: "cosine" (default),
@@ -607,24 +547,6 @@ func WithCache(entries int) RecommenderOption {
 		}
 		o.cacheSize = entries
 	}
-}
-
-// PruneStats is a concurrency-safe sink for the counters of Focus's
-// block-max scan (blocks considered and skipped, implementations scored).
-// One sink may be shared by any number of recommenders; read it with
-// Snapshot.
-type PruneStats = strategy.PruneStats
-
-// PruneStatsSnapshot is a point-in-time copy of a PruneStats sink.
-type PruneStatsSnapshot = strategy.PruneStatsSnapshot
-
-// WithPruningStats attaches a counter sink: Focus's block-max scan — which
-// serves bounded queries whenever the library is size-sorted (see
-// WithImpactOrdering) — adds its per-query tallies to stats, which the caller
-// (e.g. the server's /v1/metrics endpoint) reads via Snapshot. It changes no
-// ranking and no scan choice, and is ignored by the other strategies.
-func WithPruningStats(stats *PruneStats) RecommenderOption {
-	return func(o *recOptions) { o.pruneStats = stats }
 }
 
 // Recommendation is one ranked suggestion.
@@ -721,9 +643,6 @@ func (l *Library) Recommender(s Strategy, opts ...RecommenderOption) (Recommende
 		rec = strategy.NewBreadthWeighted(l.lib, o.weighting)
 	case BestMatch:
 		rec = strategy.NewBestMatchMetric(l.lib, o.metric)
-	}
-	if f, ok := rec.(*strategy.Focus); ok {
-		f.CountInto(o.pruneStats)
 	}
 	if o.cacheSize > 0 {
 		rec = strategy.NewCached(rec, o.cacheSize)

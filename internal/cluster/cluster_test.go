@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"goalrec"
+	"goalrec/internal/comms"
 	"goalrec/internal/server"
 )
 
@@ -207,70 +208,59 @@ func assertAnswersLike(t *testing.T, singleURL, clusterURL string) {
 // TestClusterHTTPBitIdenticalToSingleNode is the topology oracle: the same
 // request posted to a single-node server and to a 3-shard cluster must come
 // back byte-for-byte identical (both engines start their lineage at epoch 1,
-// so even the epoch field agrees), for every strategy, on both layouts:
-// the plain one, whose Focus shards run the counter kernel, and the
-// impact-ordered one, whose size-sorted shards run the block-max scan under
-// the cross-node floor broadcast.
+// so even the epoch field agrees), for every strategy.
 func TestClusterHTTPBitIdenticalToSingleNode(t *testing.T) {
-	for _, pruning := range []bool{false, true} {
-		t.Run(fmt.Sprintf("pruning=%v", pruning), func(t *testing.T) {
-			lib := clusterTestLibrary(1, 60)
-			if pruning {
-				lib = lib.ImpactOrdered()
-			}
-			if lib.Core().ImplLenSorted() != pruning {
-				t.Fatalf("size-sorted layout = %v, want %v", lib.Core().ImplLenSorted(), pruning)
-			}
-			single := httptest.NewServer(server.New(lib, nil))
-			defer single.Close()
-			workers := startWorkers(t, lib, 3, nil)
-			co := startCoordinator(t, lib, workers, CoordinatorConfig{})
-			cluster := httptest.NewServer(NewHTTPHandler(co))
-			defer cluster.Close()
-			assertAnswersLike(t, single.URL, cluster.URL)
-		})
-	}
+	// Focus shards run the counter kernel, the one rank source left.
+	t.Run("pruning=false", func(t *testing.T) {
+		lib := clusterTestLibrary(1, 60)
+		single := httptest.NewServer(server.New(lib, nil))
+		defer single.Close()
+		workers := startWorkers(t, lib, 3, nil)
+		co := startCoordinator(t, lib, workers, CoordinatorConfig{})
+		cluster := httptest.NewServer(NewHTTPHandler(co))
+		defer cluster.Close()
+		assertAnswersLike(t, single.URL, cluster.URL)
+	})
 }
 
 // TestClusterMappedShards runs the oracle on the daemon's load path: every
 // node loads the artifact through its sidecar, so each worker serves its
-// range from a shard file of its own — mapped, in both layouts — and the
-// cluster must still answer byte-identically to a single node.
+// range from a shard file of its own, mapped, and the cluster must still
+// answer byte-identically to a single node.
 func TestClusterMappedShards(t *testing.T) {
-	for _, impact := range []bool{false, true} {
-		t.Run(fmt.Sprintf("impact=%v", impact), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "lib.jsonl")
-			saveJSON(t, clusterTestLibrary(4, 60), path)
-			load := func() *goalrec.Library {
-				lib, _, err := goalrec.LoadLibraryFileMapped(path, impact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return lib
+	// The as-loaded layout, the one layout left.
+	t.Run("impact=false", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "lib.jsonl")
+		saveJSON(t, clusterTestLibrary(4, 60), path)
+		load := func() *goalrec.Library {
+			lib, _, err := goalrec.LoadLibraryFileMapped(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			single := httptest.NewServer(server.New(load(), nil))
-			defer single.Close()
-			workers := startWorkers(t, load(), 3, nil)
-			co := startCoordinator(t, load(), workers, CoordinatorConfig{})
-			cluster := httptest.NewServer(NewHTTPHandler(co))
-			defer cluster.Close()
-			assertAnswersLike(t, single.URL, cluster.URL)
+			return lib
+		}
+		single := httptest.NewServer(server.New(load(), nil))
+		defer single.Close()
+		workers := startWorkers(t, load(), 3, nil)
+		co := startCoordinator(t, load(), workers, CoordinatorConfig{})
+		cluster := httptest.NewServer(NewHTTPHandler(co))
+		defer cluster.Close()
+		assertAnswersLike(t, single.URL, cluster.URL)
 
-			for i, tw := range workers {
-				sh, err := tw.worker.currentShard()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sh.part.Backing().Backing; got != "mapped" {
-					t.Errorf("worker %d serves [%d, %d) from the %s", i, sh.lo, sh.hi, got)
-				}
+		for i, tw := range workers {
+			sh, err := tw.worker.currentShard()
+			if err != nil {
+				t.Fatal(err)
 			}
-			files, err := filepath.Glob(path + ".shard-*.gsnp")
-			if err != nil || len(files) != len(workers) {
-				t.Fatalf("shard files %v (%v), want one per worker", files, err)
+			if got := sh.part.Backing().Backing; got != "mapped" {
+				t.Errorf("worker %d serves [%d, %d) from the %s", i, sh.lo, sh.hi, got)
 			}
-		})
-	}
+		}
+		files, err := filepath.Glob(path + ".shard-*.gsnp")
+		if err != nil || len(files) != len(workers) {
+			t.Fatalf("shard files %v (%v), want one per worker", files, err)
+		}
+	})
 }
 
 // TestClusterTwoPhaseSwap drives /v1/reload through both outcomes: a clean
@@ -312,11 +302,11 @@ func viaSidecar(t *testing.T, lib *goalrec.Library) func() (*goalrec.Library, er
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "lib.jsonl")
 	saveJSON(t, lib, path)
-	if _, _, err := goalrec.LoadLibraryFileMapped(path, false); err != nil {
+	if _, _, err := goalrec.LoadLibraryFileMapped(path); err != nil {
 		t.Fatal(err)
 	}
 	return func() (*goalrec.Library, error) {
-		lib, decision, err := goalrec.LoadLibraryFileMapped(path, false)
+		lib, decision, err := goalrec.LoadLibraryFileMapped(path)
 		if err == nil && decision != goalrec.SidecarHit {
 			err = fmt.Errorf("sidecar of %s was not warm: %s", path, decision)
 		}
@@ -562,6 +552,96 @@ func TestClusterVocabMismatchRejected(t *testing.T) {
 	_, err := co.Recommend(context.Background(), "breadth", "", []string{"a1"}, 5)
 	if err == nil || !strings.Contains(err.Error(), "different artifact") {
 		t.Fatalf("vocab mismatch: got err %v, want artifact rejection", err)
+	}
+}
+
+// TestWorkerRegistrationReportsOneLibrary pins that a worker's registration
+// and heartbeat replies describe one library: after prepare → commit onto a
+// library with another vocabulary the reply carries the committed library's
+// (epoch, vocabulary) pair, and while swaps race the registrations no reply
+// pairs one epoch with another epoch's vocabulary.
+func TestWorkerRegistrationReportsOneLibrary(t *testing.T) {
+	libA, libB := clusterTestLibrary(1, 40), clusterTestLibrary(2, 40)
+	if libA.VocabChecksum() == libB.VocabChecksum() {
+		t.Fatal("the two libraries must differ in vocabulary")
+	}
+	var next atomic.Int64
+	reload := func() (*goalrec.Library, error) {
+		if next.Add(1)%2 == 1 {
+			return libB, nil
+		}
+		return libA, nil
+	}
+	tw := startWorkers(t, libA, 1, reload)[0]
+	conn, err := comms.Dial(tw.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	do := func(typ uint8, v any) {
+		t.Helper()
+		f, err := conn.Do(context.Background(), typ, nil)
+		if err == nil {
+			err = decodeResponse(f, v)
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", typ, err)
+		}
+	}
+
+	var reg registerResponse
+	do(FrameRegister, &reg)
+	vocabAt := map[uint64]uint64{reg.Epoch: libA.VocabChecksum()}
+	var commit commitResponse
+	do(FramePrepare, &prepareResponse{})
+	do(FrameCommit, &commit)
+	vocabAt[commit.Epoch] = libB.VocabChecksum()
+	for _, typ := range []uint8{FrameRegister, FrameHeartbeat} {
+		do(typ, &reg)
+		if reg.Epoch != commit.Epoch || reg.Vocab != libB.VocabChecksum() {
+			t.Fatalf("frame %d after commit: (epoch %d, vocab %016x), want (%d, %016x)",
+				typ, reg.Epoch, reg.Vocab, commit.Epoch, libB.VocabChecksum())
+		}
+	}
+
+	// Registrations racing swaps, each checked once the swap that made its
+	// epoch is known.
+	var (
+		mu      sync.Mutex
+		replies []registerResponse
+		wg      sync.WaitGroup
+		stop    atomic.Bool
+	)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				f, err := conn.Do(context.Background(), FrameRegister, nil)
+				var r registerResponse
+				if err == nil && decodeResponse(f, &r) == nil {
+					mu.Lock()
+					replies = append(replies, r)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		do(FramePrepare, &prepareResponse{})
+		do(FrameCommit, &commit)
+		lib := libA
+		if next.Load()%2 == 1 {
+			lib = libB
+		}
+		vocabAt[commit.Epoch] = lib.VocabChecksum()
+	}
+	stop.Store(true)
+	wg.Wait()
+	for _, r := range replies {
+		if want, ok := vocabAt[r.Epoch]; !ok || r.Vocab != want {
+			t.Fatalf("registration reply pairs epoch %d with vocab %016x, want %016x", r.Epoch, r.Vocab, want)
+		}
 	}
 }
 

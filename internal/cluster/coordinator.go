@@ -280,19 +280,14 @@ type Result = server.Result
 type gathered struct {
 	peer    *peer
 	conn    *comms.Conn
-	reqID   uint64
 	frame   comms.Frame
 	err     error
 	latency time.Duration
 }
 
 // scatter fans req out to the peers — all of them, or only those in only
-// when it is non-nil — reserving request ids up front so onResponse can
-// Notify the still-pending ones, and gathers the responses. onResponse, if
-// non-nil, runs on each successful response as it arrives, with the list of
-// all scatter entries — the floor-broadcast hook.
-func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, only map[*peer]bool,
-	onResponse func(done *gathered, all []*gathered)) []*gathered {
+// when it is non-nil — and gathers the responses.
+func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, only map[*peer]bool) []*gathered {
 	if co.cfg.ScatterTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, co.cfg.ScatterTimeout)
@@ -312,10 +307,8 @@ func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, o
 			continue
 		}
 		g.conn = conn
-		g.reqID = conn.NewRequestID()
 	}
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes onResponse and completion marking
 	for _, g := range all {
 		if g.err != nil {
 			continue
@@ -324,7 +317,7 @@ func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, o
 		go func(g *gathered) {
 			defer wg.Done()
 			t0 := time.Now()
-			f, err := g.conn.DoRequest(ctx, g.reqID, typ, payload)
+			f, err := g.conn.Do(ctx, typ, payload)
 			g.latency = time.Since(t0)
 			co.metrics.observeFanout(g.latency)
 			if err == nil && f.Type == FrameErr {
@@ -335,11 +328,6 @@ func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, o
 				return
 			}
 			g.frame = f
-			if onResponse != nil {
-				mu.Lock()
-				onResponse(g, all)
-				mu.Unlock()
-			}
 		}(g)
 	}
 	wg.Wait()
@@ -372,6 +360,36 @@ func (co *Coordinator) partition(all []*gathered) (ok []*gathered, degraded bool
 	}
 	co.metrics.degradedResponses.Add(1)
 	return ok, true, nil
+}
+
+// shardResponse is a worker's answer to a query frame: it names the epoch the
+// shard served.
+type shardResponse interface{ servedEpoch() uint64 }
+
+// gather scatters one query round (see scatter), applies the partial-failure
+// policy and decodes every answer into a T, refusing answers from more than
+// one epoch. okPeers are the shards that answered; all of resps share the
+// epoch of resps[0].
+func gather[T shardResponse](ctx context.Context, co *Coordinator, typ uint8, payload []byte, only map[*peer]bool) (resps []T, okPeers map[*peer]bool, degraded bool, err error) {
+	ok, degraded, err := co.partition(co.scatter(ctx, typ, payload, only))
+	if err != nil {
+		return nil, nil, false, err
+	}
+	resps = make([]T, len(ok))
+	epochs := make([]uint64, len(ok))
+	okPeers = make(map[*peer]bool, len(ok))
+	for i, g := range ok {
+		if err := decodeResponse(g.frame, &resps[i]); err != nil {
+			return nil, nil, false, err
+		}
+		epochs[i] = resps[i].servedEpoch()
+		okPeers[g.peer] = true
+	}
+	if err := checkEpochs(epochs); err != nil {
+		co.metrics.failedQueries.Add(1)
+		return nil, nil, false, err
+	}
+	return resps, okPeers, degraded, nil
 }
 
 // checkEpochs verifies every answering shard served the same epoch. The
@@ -519,92 +537,33 @@ func (co *Coordinator) recommendAt(ctx context.Context, snap *goalrec.Library, s
 	return res, nil
 }
 
-// gatherFocus scatters a Focus query. The first shard to return a full k
-// emissions broadcasts its k-th emission key as a score floor to the shards
-// still scanning: the global k-th best key can only be at least as good, so
-// every worker may prune candidates strictly below the floor without
-// touching the merged ranking (the soundness argument lives in DESIGN.md).
+// gatherFocus scatters a Focus query and merges the shards' top-k emission
+// lists under the global emission order.
 func (co *Coordinator) gatherFocus(ctx context.Context, measure string, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
 	payload := mustJSON(focusRequest{Measure: measure, Activity: ids, K: k})
-	broadcast := false
-	all := co.scatter(ctx, FrameFocus, payload, nil, func(done *gathered, all []*gathered) {
-		if broadcast {
-			return
-		}
-		var resp focusResponse
-		if decodeResponse(done.frame, &resp) != nil || len(resp.Emissions) < k || k <= 0 {
-			return
-		}
-		broadcast = true
-		last := resp.Emissions[k-1]
-		n := floorNotify{Measure: measure}
-		if measure == "cmp" {
-			n.C, n.N = int64(last.ImplLen-last.Missing), int64(last.ImplLen)
-		} else {
-			n.Missing = int64(last.Missing)
-		}
-		fp := mustJSON(n)
-		sent := int64(0)
-		for _, g := range all {
-			if g == done || g.conn == nil {
-				continue
-			}
-			// Best-effort: a notify landing after the scan finished (or on
-			// a failed conn) is dropped by the worker; floors only ever
-			// tighten, so misses cost speed, never correctness.
-			if g.conn.Notify(FrameFloor, g.reqID, fp) == nil {
-				sent++
-			}
-		}
-		co.metrics.floorBroadcasts.Add(sent)
-	})
-	ok, degraded, err := co.partition(all)
+	resps, _, degraded, err := gather[focusResponse](ctx, co, FrameFocus, payload, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	lists := make([][]strategy.FocusEmission, 0, len(ok))
-	epochs := make([]uint64, 0, len(ok))
-	for _, g := range ok {
-		var resp focusResponse
-		if err := decodeResponse(g.frame, &resp); err != nil {
-			return nil, false, err
-		}
-		lists = append(lists, resp.Emissions)
-		epochs = append(epochs, resp.Epoch)
-		co.metrics.floorTightenings.Add(resp.Tightenings)
-	}
-	if err := checkEpochs(epochs); err != nil {
-		co.metrics.failedQueries.Add(1)
-		return nil, false, err
+	lists := make([][]strategy.FocusEmission, len(resps))
+	for i, r := range resps {
+		lists[i] = r.Emissions
 	}
 	return strategy.MergeFocusEmissions(lists, k), degraded, nil
 }
 
 // gatherBreadth scatters a Breadth query and folds the shards' integer
 // partials. Sums of int64 comm terms are exact in any order, so the fold
-// reproduces the single-node scores bit-identically. (There is no sound
-// cross-node floor here: scores are additive across shards, so no shard's
-// local ranking bounds the global one.)
+// reproduces the single-node scores bit-identically.
 func (co *Coordinator) gatherBreadth(ctx context.Context, weighting string, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
 	payload := mustJSON(breadthRequest{Weighting: weighting, Activity: ids})
-	all := co.scatter(ctx, FrameBreadth, payload, nil, nil)
-	ok, degraded, err := co.partition(all)
+	resps, _, degraded, err := gather[breadthResponse](ctx, co, FrameBreadth, payload, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	parts := make([]*strategy.BreadthPartial, 0, len(ok))
-	epochs := make([]uint64, 0, len(ok))
-	for _, g := range ok {
-		var resp breadthResponse
-		if err := decodeResponse(g.frame, &resp); err != nil {
-			return nil, false, err
-		}
-		parts = append(parts, resp.Partial)
-		epochs = append(epochs, resp.Epoch)
-	}
-	if err := checkEpochs(epochs); err != nil {
-		co.metrics.failedQueries.Add(1)
-		return nil, false, err
+	parts := make([]*strategy.BreadthPartial, len(resps))
+	for i, r := range resps {
+		parts[i] = r.Partial
 	}
 	return strategy.MergeBreadthPartials(parts, k), degraded, nil
 }
@@ -616,51 +575,32 @@ func (co *Coordinator) gatherBreadth(ctx context.Context, weighting string, ids 
 // sums. Restricting vectors to the global space (not each shard's local
 // one) is what keeps the norms and dot products equal to single-node.
 func (co *Coordinator) gatherBestMatch(ctx context.Context, metric vectorspace.Metric, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
-	surveyPayload := mustJSON(bmSurveyRequest{Activity: ids})
-	all := co.scatter(ctx, FrameBMSurvey, surveyPayload, nil, nil)
-	ok, degraded, err := co.partition(all)
+	surveyed, okPeers, degraded, err := gather[bmSurveyResponse](ctx, co, FrameBMSurvey, mustJSON(bmSurveyRequest{Activity: ids}), nil)
 	if err != nil {
 		return nil, false, err
 	}
-	surveys := make([]*strategy.BestMatchSurvey, 0, len(ok))
-	epochs := make([]uint64, 0, len(ok))
-	okPeers := make(map[*peer]bool, len(ok))
-	for _, g := range ok {
-		var resp bmSurveyResponse
-		if err := decodeResponse(g.frame, &resp); err != nil {
-			return nil, false, err
-		}
-		surveys = append(surveys, resp.Survey)
-		epochs = append(epochs, resp.Epoch)
-		okPeers[g.peer] = true
-	}
-	if err := checkEpochs(epochs); err != nil {
-		co.metrics.failedQueries.Add(1)
-		return nil, false, err
+	surveys := make([]*strategy.BestMatchSurvey, len(surveyed))
+	for i, r := range surveyed {
+		surveys[i] = r.Survey
 	}
 	candidates, goalSpace, profile := strategy.MergeBestMatchSurveys(surveys)
 
 	// Round two targets only the shards whose surveys are folded into the
 	// global spaces; a shard that failed round one contributes to neither.
 	vecPayload := mustJSON(bmVectorsRequest{Candidates: candidates, GoalSpace: goalSpace})
-	all2 := co.scatter(ctx, FrameBMVectors, vecPayload, okPeers, nil)
-	ok2, degraded2, err := co.partition(all2)
+	vectored, _, degraded2, err := gather[bmVectorsResponse](ctx, co, FrameBMVectors, vecPayload, okPeers)
 	if err != nil {
 		return nil, false, err
 	}
-	vectors := make([]*strategy.BestMatchVectors, 0, len(ok2))
-	epochs2 := make([]uint64, 0, len(ok2))
-	for _, g := range ok2 {
-		var resp bmVectorsResponse
-		if err := decodeResponse(g.frame, &resp); err != nil {
-			return nil, false, err
-		}
-		vectors = append(vectors, resp.Vectors)
-		epochs2 = append(epochs2, resp.Epoch)
-	}
-	if err := checkEpochs(append(epochs2, epochs[0])); err != nil {
+	// Both rounds must have served one epoch: a swap between them would
+	// score round one's spaces against another library's vectors.
+	if err := checkEpochs([]uint64{surveyed[0].Epoch, vectored[0].Epoch}); err != nil {
 		co.metrics.failedQueries.Add(1)
 		return nil, false, err
+	}
+	vectors := make([]*strategy.BestMatchVectors, len(vectored))
+	for i, r := range vectored {
+		vectors[i] = r.Vectors
 	}
 	return strategy.MergeBestMatchVectors(metric, candidates, goalSpace, profile, vectors, k),
 		degraded || degraded2, nil
@@ -685,7 +625,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 	}
 
 	// Phase one: prepare every worker.
-	all := co.scatter(ctx, FramePrepare, nil, nil, nil)
+	all := co.scatter(ctx, FramePrepare, nil, nil)
 	var prepared []*gathered
 	var firstErr error
 	wantVocab := lib.VocabChecksum()
@@ -719,7 +659,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 		// the previous epoch everywhere.
 		for _, g := range prepared {
 			actx, acancel := context.WithTimeout(ctx, co.cfg.DialTimeout)
-			if _, aerr := g.conn.DoRequest(actx, g.conn.NewRequestID(), FrameAbort, nil); aerr != nil {
+			if _, aerr := g.conn.Do(actx, FrameAbort, nil); aerr != nil {
 				co.logf("cluster: abort on %s: %v", g.peer.addr, aerr)
 			}
 			acancel()
@@ -739,7 +679,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 	var epochs []uint64
 	for _, g := range prepared {
 		cctx, ccancel := context.WithTimeout(ctx, co.cfg.DialTimeout)
-		f, err := g.conn.DoRequest(cctx, g.conn.NewRequestID(), FrameCommit, nil)
+		f, err := g.conn.Do(cctx, FrameCommit, nil)
 		ccancel()
 		if err == nil {
 			var resp commitResponse

@@ -11,9 +11,8 @@ import (
 	"goalrec"
 )
 
-// fuzzCluster is a process-wide 3-shard cluster over an impact-ordered
-// library (so the fuzz exercises both the coordinator merge and the workers'
-// block-max scans under the floor broadcast) shared by every fuzz iteration.
+// fuzzCluster is a process-wide 3-shard cluster shared by every fuzz
+// iteration.
 var (
 	fuzzOnce sync.Once
 	fuzzLib  *goalrec.Library
@@ -22,7 +21,7 @@ var (
 )
 
 func fuzzSetup() {
-	fuzzLib = clusterTestLibrary(7, 64).ImpactOrdered()
+	fuzzLib = clusterTestLibrary(7, 64)
 	n := fuzzLib.NumImplementations()
 	per := (n + 2) / 3
 	var addrs []string

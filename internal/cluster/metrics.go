@@ -21,8 +21,6 @@ type Metrics struct {
 	partialFailures   atomic.Int64
 	degradedResponses atomic.Int64
 	failedQueries     atomic.Int64
-	floorBroadcasts   atomic.Int64
-	floorTightenings  atomic.Int64
 
 	swapsPrepared  atomic.Int64
 	swapsCommitted atomic.Int64
@@ -73,8 +71,6 @@ type MetricsSnapshot struct {
 	PartialFailures   int64          `json:"partial_failures"`
 	DegradedResponses int64          `json:"degraded_responses"`
 	FailedQueries     int64          `json:"failed_queries"`
-	FloorBroadcasts   int64          `json:"floor_broadcasts"`
-	FloorTightenings  int64          `json:"floor_tightenings"`
 	FanoutLatencyMs   []FanoutBucket `json:"fanout_latency_ms"`
 	Swaps             SwapCounters   `json:"swaps"`
 }
@@ -89,8 +85,6 @@ func (m *Metrics) Snapshot(connected int) MetricsSnapshot {
 		PartialFailures:   m.partialFailures.Load(),
 		DegradedResponses: m.degradedResponses.Load(),
 		FailedQueries:     m.failedQueries.Load(),
-		FloorBroadcasts:   m.floorBroadcasts.Load(),
-		FloorTightenings:  m.floorTightenings.Load(),
 		Swaps: SwapCounters{
 			Prepared:  m.swapsPrepared.Load(),
 			Committed: m.swapsCommitted.Load(),

@@ -37,10 +37,9 @@ const (
 	// FrameBMVectors asks for the shard's candidate vectors restricted to
 	// the global goal space (round two).
 	FrameBMVectors
-	// FrameFloor is the one-way cross-node score floor broadcast: it
-	// targets the request id of an in-flight FrameFocus on the same
-	// connection and tightens that scan's pruning floor mid-query.
-	FrameFloor
+	// Reserved: the retired one-way score floor broadcast. The slot keeps
+	// the later types' wire numbers.
+	_
 	// FrameHeartbeat probes liveness and refreshes the worker's epoch.
 	FrameHeartbeat
 	// FramePrepare stages the next epoch on a worker (two-phase swap,
@@ -80,24 +79,17 @@ type focusRequest struct {
 	K        int             `json:"k"`
 }
 
-type focusResponse struct {
-	Epoch     uint64                   `json:"epoch"`
-	Emissions []strategy.FocusEmission `json:"emissions"`
-	// Tightenings counts how many floor broadcasts actually tightened this
-	// scan's pruning floor (a broadcast that arrives looser than the local
-	// floor is a no-op), surfaced in the coordinator's metrics.
-	Tightenings int64 `json:"tightenings"`
+// shardEpoch is the epoch every query response carries: the one the shard
+// served the query at.
+type shardEpoch struct {
+	Epoch uint64 `json:"epoch"`
 }
 
-// floorNotify is the FrameFloor payload: the k-th emission key of the first
-// shard to complete, injected into the other shards' in-flight scans. For
-// completeness the floor is the (C, N) pair of the packed fraction order;
-// for closeness it is the missing count.
-type floorNotify struct {
-	Measure string `json:"measure"`
-	C       int64  `json:"c,omitempty"`
-	N       int64  `json:"n,omitempty"`
-	Missing int64  `json:"missing,omitempty"`
+func (e shardEpoch) servedEpoch() uint64 { return e.Epoch }
+
+type focusResponse struct {
+	shardEpoch
+	Emissions []strategy.FocusEmission `json:"emissions"`
 }
 
 type breadthRequest struct {
@@ -107,7 +99,7 @@ type breadthRequest struct {
 }
 
 type breadthResponse struct {
-	Epoch   uint64                   `json:"epoch"`
+	shardEpoch
 	Partial *strategy.BreadthPartial `json:"partial"`
 }
 
@@ -116,7 +108,7 @@ type bmSurveyRequest struct {
 }
 
 type bmSurveyResponse struct {
-	Epoch  uint64                    `json:"epoch"`
+	shardEpoch
 	Survey *strategy.BestMatchSurvey `json:"survey"`
 }
 
@@ -129,7 +121,7 @@ type bmVectorsRequest struct {
 }
 
 type bmVectorsResponse struct {
-	Epoch   uint64                     `json:"epoch"`
+	shardEpoch
 	Vectors *strategy.BestMatchVectors `json:"vectors"`
 }
 

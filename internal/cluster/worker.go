@@ -54,27 +54,19 @@ type Worker struct {
 	stagedMu    sync.Mutex
 	staged      *goalrec.Library
 	stagedShard *shardState
-
-	// floorMu guards the in-flight floor registry: FrameFocus handlers
-	// register their FocusFloorShare under (conn, request id) so FrameFloor
-	// notifies can tighten exactly the scan they target.
-	floorMu sync.Mutex
-	floors  map[floorKey]*strategy.FocusFloorShare
-}
-
-type floorKey struct {
-	sc *comms.ServerConn
-	id uint64
 }
 
 // shardState is one epoch's partition plus its lazily built strategy
 // instances. Strategies are safe for concurrent use, so one instance per
-// configuration serves every in-flight query of the epoch.
+// configuration serves every in-flight query of the epoch. Registration,
+// heartbeat and commit replies are read from one shardState, so the epoch,
+// range and vocabulary they report always belong to the same library.
 type shardState struct {
 	epoch uint64
 	lo    int // resolved range, for registration replies
 	hi    int
-	impls int // full library size at this epoch
+	impls int    // full library size at this epoch
+	vocab uint64 // vocabulary checksum of the library the shard was cut from
 	part  *goalrec.Library
 
 	mu      sync.Mutex
@@ -85,12 +77,8 @@ type shardState struct {
 
 // NewWorker builds a worker serving engine's [Lo, Hi) range.
 func NewWorker(engine *goalrec.Engine, cfg WorkerConfig) *Worker {
-	w := &Worker{
-		engine: engine,
-		cfg:    cfg,
-		floors: make(map[floorKey]*strategy.FocusFloorShare),
-	}
-	w.srv = comms.NewServer(w.handle, w.handleNotify, FrameFloor)
+	w := &Worker{engine: engine, cfg: cfg}
+	w.srv = comms.NewServer(w.handle)
 	return w
 }
 
@@ -145,6 +133,7 @@ func (w *Worker) cut(lib *goalrec.Library) (*shardState, error) {
 		lo:      lo,
 		hi:      hi,
 		impls:   n,
+		vocab:   lib.VocabChecksum(),
 		part:    part,
 		focus:   make(map[strategy.FocusMeasure]*strategy.Focus),
 		breadth: make(map[strategy.BreadthWeighting]*strategy.Breadth),
@@ -185,38 +174,15 @@ func (s *shardState) bestFor(m vectorspace.Metric) *strategy.BestMatch {
 	return bm
 }
 
-// handleNotify routes FrameFloor broadcasts into the targeted in-flight
-// Focus scan. A notify for an unknown request id (the scan already
-// finished, or this worker was the broadcast's source) is dropped — floors
-// only ever tighten, so a missed one costs speed, never correctness.
-func (w *Worker) handleNotify(sc *comms.ServerConn, f comms.Frame) {
-	var n floorNotify
-	if err := json.Unmarshal(f.Payload, &n); err != nil {
-		return
-	}
-	w.floorMu.Lock()
-	share := w.floors[floorKey{sc, f.RequestID}]
-	w.floorMu.Unlock()
-	if share == nil {
-		return
-	}
-	switch n.Measure {
-	case "cmp":
-		share.InjectCompleteness(n.C, n.N)
-	case "cl":
-		share.InjectCloseness(n.Missing)
-	}
-}
-
 // handle serves one request frame. It runs on its own goroutine; ctx is
 // canceled by a TypeCancel from the coordinator (deadline propagation), a
 // dropped connection, or worker shutdown.
-func (w *Worker) handle(ctx context.Context, sc *comms.ServerConn, f comms.Frame) (uint8, []byte) {
+func (w *Worker) handle(ctx context.Context, _ *comms.ServerConn, f comms.Frame) (uint8, []byte) {
 	switch f.Type {
 	case FrameRegister, FrameHeartbeat:
 		return w.handleRegister(f)
 	case FrameFocus:
-		return w.handleFocus(ctx, sc, f)
+		return w.handleFocus(ctx, f)
 	case FrameBreadth:
 		return w.handleBreadth(ctx, f)
 	case FrameBMSurvey:
@@ -240,14 +206,14 @@ func (w *Worker) handleRegister(f comms.Frame) (uint8, []byte) {
 	}
 	return f.Type, mustJSON(registerResponse{
 		Epoch: sh.epoch,
-		Vocab: w.engine.Snapshot().VocabChecksum(),
+		Vocab: sh.vocab,
 		Lo:    sh.lo,
 		Hi:    sh.hi,
 		Impls: sh.impls,
 	})
 }
 
-func (w *Worker) handleFocus(ctx context.Context, sc *comms.ServerConn, f comms.Frame) (uint8, []byte) {
+func (w *Worker) handleFocus(ctx context.Context, f comms.Frame) (uint8, []byte) {
 	var req focusRequest
 	if err := json.Unmarshal(f.Payload, &req); err != nil {
 		return errFrame(err)
@@ -265,29 +231,11 @@ func (w *Worker) handleFocus(ctx context.Context, sc *comms.ServerConn, f comms.
 	if err != nil {
 		return errFrame(err)
 	}
-
-	// Register the floor share before scanning so a broadcast racing the
-	// scan's start still lands.
-	share := strategy.NewFocusFloorShare()
-	key := floorKey{sc, f.RequestID}
-	w.floorMu.Lock()
-	w.floors[key] = share
-	w.floorMu.Unlock()
-	defer func() {
-		w.floorMu.Lock()
-		delete(w.floors, key)
-		w.floorMu.Unlock()
-	}()
-
-	emissions, err := sh.focusFor(measure).TopEmissions(ctx, req.Activity, req.K, int64(sh.lo), share)
+	emissions, err := sh.focusFor(measure).TopEmissions(ctx, req.Activity, req.K, int64(sh.lo))
 	if err != nil {
 		return errFrame(err)
 	}
-	return f.Type, mustJSON(focusResponse{
-		Epoch:       sh.epoch,
-		Emissions:   emissions,
-		Tightenings: share.Tightenings(),
-	})
+	return f.Type, mustJSON(focusResponse{shardEpoch{sh.epoch}, emissions})
 }
 
 func (w *Worker) handleBreadth(ctx context.Context, f comms.Frame) (uint8, []byte) {
@@ -307,7 +255,7 @@ func (w *Worker) handleBreadth(ctx context.Context, f comms.Frame) (uint8, []byt
 	if err != nil {
 		return errFrame(err)
 	}
-	return f.Type, mustJSON(breadthResponse{Epoch: sh.epoch, Partial: partial})
+	return f.Type, mustJSON(breadthResponse{shardEpoch{sh.epoch}, partial})
 }
 
 func (w *Worker) handleBMSurvey(ctx context.Context, f comms.Frame) (uint8, []byte) {
@@ -324,7 +272,7 @@ func (w *Worker) handleBMSurvey(ctx context.Context, f comms.Frame) (uint8, []by
 	if err != nil {
 		return errFrame(err)
 	}
-	return f.Type, mustJSON(bmSurveyResponse{Epoch: sh.epoch, Survey: survey})
+	return f.Type, mustJSON(bmSurveyResponse{shardEpoch{sh.epoch}, survey})
 }
 
 func (w *Worker) handleBMVectors(ctx context.Context, f comms.Frame) (uint8, []byte) {
@@ -340,7 +288,7 @@ func (w *Worker) handleBMVectors(ctx context.Context, f comms.Frame) (uint8, []b
 	if err != nil {
 		return errFrame(err)
 	}
-	return f.Type, mustJSON(bmVectorsResponse{Epoch: sh.epoch, Vectors: vectors})
+	return f.Type, mustJSON(bmVectorsResponse{shardEpoch{sh.epoch}, vectors})
 }
 
 // errNoReloader marks a prepare against a worker without a library source.
@@ -366,8 +314,8 @@ func (w *Worker) handlePrepare(f comms.Frame) (uint8, []byte) {
 	w.stagedMu.Unlock()
 	w.logf("cluster worker: staged %d implementations for swap", lib.NumImplementations())
 	return f.Type, mustJSON(prepareResponse{
-		Impls: lib.NumImplementations(),
-		Vocab: lib.VocabChecksum(),
+		Impls: sh.impls,
+		Vocab: sh.vocab,
 	})
 }
 

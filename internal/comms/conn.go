@@ -25,10 +25,6 @@ type Conn struct {
 	pending map[uint64]chan Frame
 	err     error
 	closed  chan struct{}
-
-	// onAsync, if set, receives frames that match no pending request —
-	// server-initiated pushes. Called from the read loop; must not block.
-	onAsync func(Frame)
 }
 
 // Dial connects to addr and starts the read loop.
@@ -68,16 +64,12 @@ func (c *Conn) readLoop() {
 		if ok {
 			delete(c.pending, f.RequestID)
 		}
-		async := c.onAsync
 		c.mu.Unlock()
 		if ok {
 			// The payload aliases the shared read buffer; copy before
 			// handing it to a goroutine that outlives this iteration.
 			f.Payload = append([]byte(nil), f.Payload...)
 			ch <- f
-		} else if async != nil && f.Type != TypeCancel {
-			f.Payload = append([]byte(nil), f.Payload...)
-			async(f)
 		}
 	}
 }
@@ -117,21 +109,12 @@ func (c *Conn) send(f Frame) error {
 	return err
 }
 
-// NewRequestID reserves a fresh request id for DoRequest. Reserving ahead
-// of the call lets the caller target the in-flight request with Notify
-// frames (the floor broadcast) while DoRequest is still blocked.
-func (c *Conn) NewRequestID() uint64 { return c.nextID.Add(1) }
-
-// Do sends one request frame under a fresh id and waits for its response.
+// Do sends one request frame under a fresh id and waits for the response
+// frame carrying the same id. The response type is application-defined
+// (e.g. an error response type). On ctx expiry a best-effort TypeCancel is
+// sent and ctx.Err() returned.
 func (c *Conn) Do(ctx context.Context, typ uint8, payload []byte) (Frame, error) {
-	return c.DoRequest(ctx, c.NewRequestID(), typ, payload)
-}
-
-// DoRequest sends one request frame under a caller-reserved id and waits
-// for the response frame carrying the same id. The response type is
-// application-defined (e.g. an error response type). On ctx expiry a
-// best-effort TypeCancel is sent and ctx.Err() returned.
-func (c *Conn) DoRequest(ctx context.Context, id uint64, typ uint8, payload []byte) (Frame, error) {
+	id := c.nextID.Add(1)
 	ch := make(chan Frame, 1)
 
 	c.mu.Lock()
@@ -163,19 +146,4 @@ func (c *Conn) DoRequest(ctx context.Context, id uint64, typ uint8, payload []by
 	case <-c.closed:
 		return Frame{}, c.Err()
 	}
-}
-
-// Notify sends a one-way frame targeting an existing request id — the floor
-// broadcast path: the coordinator tightens a worker's threshold mid-request
-// without expecting a reply.
-func (c *Conn) Notify(typ uint8, requestID uint64, payload []byte) error {
-	return c.send(Frame{Type: typ, RequestID: requestID, Payload: payload})
-}
-
-// OnAsync installs the handler for server-initiated frames that match no
-// pending request. Install before issuing requests that expect pushes.
-func (c *Conn) OnAsync(fn func(Frame)) {
-	c.mu.Lock()
-	c.onAsync = fn
-	c.mu.Unlock()
 }

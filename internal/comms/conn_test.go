@@ -5,25 +5,23 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 const (
-	testTypeEcho   = TypeApp
-	testTypeSlow   = TypeApp + 1
-	testTypeNotify = TypeApp + 2
-	testTypeResp   = TypeApp + 3
+	testTypeEcho = TypeApp
+	testTypeSlow = TypeApp + 1
+	testTypeResp = TypeApp + 3
 )
 
-func startTestServer(t *testing.T, h Handler, n NotifyHandler, notifyTypes ...uint8) (*Server, string) {
+func startTestServer(t *testing.T, h Handler) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	s := NewServer(h, n, notifyTypes...)
+	s := NewServer(h)
 	go func() { _ = s.Serve(ln) }()
 	t.Cleanup(s.Close)
 	return s, ln.Addr().String()
@@ -32,7 +30,7 @@ func startTestServer(t *testing.T, h Handler, n NotifyHandler, notifyTypes ...ui
 func TestConnMultiplexing(t *testing.T) {
 	_, addr := startTestServer(t, func(ctx context.Context, sc *ServerConn, f Frame) (uint8, []byte) {
 		return testTypeResp, append([]byte("echo:"), f.Payload...)
-	}, nil)
+	})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -70,7 +68,7 @@ func TestConnCancellationPropagates(t *testing.T) {
 			return testTypeResp, []byte("late")
 		}
 		return testTypeResp, nil
-	}, nil)
+	})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -99,51 +97,11 @@ func TestConnCancellationPropagates(t *testing.T) {
 	}
 }
 
-func TestConnNotifyReachesInflightRequest(t *testing.T) {
-	var got atomic.Uint64
-	release := make(chan struct{})
-	_, addr := startTestServer(t, func(ctx context.Context, sc *ServerConn, f Frame) (uint8, []byte) {
-		<-release
-		return testTypeResp, []byte{byte(got.Load())}
-	}, func(sc *ServerConn, f Frame) {
-		if f.Type == testTypeNotify && len(f.Payload) == 1 {
-			got.Store(uint64(f.RequestID)*100 + uint64(f.Payload[0]))
-		}
-	}, testTypeNotify)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-
-	id := c.NewRequestID()
-	done := make(chan Frame, 1)
-	go func() {
-		f, _ := c.DoRequest(context.Background(), id, testTypeSlow, nil)
-		done <- f
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := c.Notify(testTypeNotify, id, []byte{7}); err != nil {
-		t.Fatalf("Notify: %v", err)
-	}
-	for i := 0; got.Load() == 0 && i < 500; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	f := <-done
-	if want := id*100 + 7; got.Load() != want {
-		t.Fatalf("notify payload: got %d, want %d", got.Load(), want)
-	}
-	if len(f.Payload) != 1 || uint64(f.Payload[0]) != (id*100+7)%256 {
-		t.Fatalf("response after notify: %v", f.Payload)
-	}
-}
-
 func TestConnFailsPendingOnDisconnect(t *testing.T) {
 	srv, addr := startTestServer(t, func(ctx context.Context, sc *ServerConn, f Frame) (uint8, []byte) {
 		time.Sleep(10 * time.Second) // ignore ctx: only the socket teardown can end this
 		return testTypeResp, nil
-	}, nil)
+	})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)

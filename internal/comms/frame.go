@@ -2,10 +2,9 @@
 // with a fixed header (magic, version, type, request id, payload length) and
 // a whole-frame CRC32 trailer, multiplexed over persistent TCP connections.
 // Multiple requests share one connection concurrently; responses correlate
-// by request id, cancellation travels as a control frame, and mid-request
-// notifications (the cross-node score-floor broadcast) target an in-flight
-// request id. The layer is payload-agnostic — internal/cluster defines the
-// application frame types and JSON payload schemas.
+// by request id and cancellation travels as a control frame. The layer is
+// payload-agnostic — internal/cluster defines the application frame types
+// and JSON payload schemas.
 package comms
 
 import (

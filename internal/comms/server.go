@@ -12,18 +12,9 @@ import (
 // their own goroutines, so one slow request never blocks the connection.
 type Handler func(ctx context.Context, sc *ServerConn, f Frame) (respType uint8, payload []byte)
 
-// NotifyHandler observes one-way frames (no response expected). It runs
-// inline on the connection's read loop — ordering with respect to request
-// frames on the same connection is preserved — so it must not block.
-type NotifyHandler func(sc *ServerConn, f Frame)
-
 // Server accepts comms connections and dispatches frames.
 type Server struct {
 	handler Handler
-	notify  NotifyHandler
-	// notifyTypes marks the frame types routed to the notify handler
-	// instead of spawning a request handler.
-	notifyTypes map[uint8]bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -33,22 +24,17 @@ type Server struct {
 	ln    net.Listener
 }
 
-// NewServer builds a server. notifyTypes lists the one-way frame types
-// delivered to notify; every other non-control type goes to handler.
-func NewServer(handler Handler, notify NotifyHandler, notifyTypes ...uint8) *Server {
+// NewServer builds a server that hands every non-control frame to handler.
+// Further arguments are ignored: they once configured one-way frame types,
+// and accepting them keeps call sites written for that signature compiling.
+func NewServer(handler Handler, _ ...any) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		handler:     handler,
-		notify:      notify,
-		notifyTypes: make(map[uint8]bool, len(notifyTypes)),
-		ctx:         ctx,
-		cancel:      cancel,
-		conns:       make(map[*ServerConn]struct{}),
+	return &Server{
+		handler: handler,
+		ctx:     ctx,
+		cancel:  cancel,
+		conns:   make(map[*ServerConn]struct{}),
 	}
-	for _, t := range notifyTypes {
-		s.notifyTypes[t] = true
-	}
-	return s
 }
 
 // Serve accepts connections on l until Close. It returns the accept error
@@ -95,7 +81,7 @@ func (s *Server) Close() {
 }
 
 // ServerConn is one accepted connection. Handlers use it to identify the
-// peer and (via Push) to send server-initiated frames.
+// peer.
 type ServerConn struct {
 	srv *Server
 	nc  net.Conn
@@ -127,10 +113,6 @@ func (sc *ServerConn) readLoop() {
 			sc.mu.Unlock()
 			if cancel != nil {
 				cancel()
-			}
-		case sc.srv.notifyTypes[f.Type]:
-			if sc.srv.notify != nil {
-				sc.srv.notify(sc, f)
 			}
 		default:
 			ctx, cancel := context.WithCancel(sc.srv.ctx)

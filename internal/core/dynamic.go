@@ -263,7 +263,7 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	t := len(d.tailGoal)
 	slots := len(d.tailActs)
 
-	nl := *prev // the base arrays, its indexes and the layout flags carry over
+	nl := *prev // the base arrays and their indexes carry over
 	nl.tailGoal = d.tailGoal[:t:t]
 	nl.tailOff = d.tailOff[: t+1 : t+1]
 	nl.tailActs = d.tailActs[:slots:slots]
@@ -271,19 +271,8 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	nl.numGoals = d.numGoals
 	nl.epoch = d.epoch
 
-	prevLen := 0
-	if lo > 0 {
-		prevLen = prev.ImplLen(ImplID(lo - 1))
-	}
 	for p := lo; p < hi; p++ {
-		n := nl.ImplLen(ImplID(p))
-		if int32(n) > nl.maxImplLen {
-			nl.maxImplLen = int32(n)
-		}
-		if n < prevLen {
-			nl.implLenSorted = false
-		}
-		prevLen = n
+		nl.maxImplLen = max(nl.maxImplLen, int32(nl.ImplLen(ImplID(p))))
 	}
 
 	// Group the pending implementations by action and goal.
@@ -316,15 +305,11 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	}
 
 	// Action rows: the A-GI-idx row is the old row (overlay or base CSR)
-	// followed by the new ids, and its block-max metadata is rebuilt
-	// alongside it — the same O(row) cost class as materializing the row —
-	// so threshold-aware scans stay available on extended snapshots; the
-	// AG-idx row is the old (goal, count) row merged with the pending
-	// per-goal increments.
+	// followed by the new ids; the AG-idx row is the old (goal, count) row
+	// merged with the pending per-goal increments.
 	acts := prev.ovAct.extend(d.numActions)
 	for a, ids := range pendAct {
 		r := &actRow{post: slices.Concat(prev.ImplsOfAction(a), ids)}
-		r.blk.Last, r.blk.MinLen, r.blk.MaxLen = nl.appendRowBlocks(r.post, nil, nil, nil)
 		oldG, oldC := prev.GoalsOfAction(a)
 		r.agGoal, r.agCnt = mergeCounts(oldG, oldC, pendAG[a])
 		acts.set(int32(a), r)

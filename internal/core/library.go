@@ -246,8 +246,7 @@ func (l *Library) buildIndexes() {
 	// sorted with no per-goal sort. Goal-major scans read these contiguous
 	// rows instead of dereferencing each implementation of the goal, so
 	// their cost — and cache behavior — is independent of how implementation
-	// ids are laid out (impact ordering scatters a goal's implementations
-	// across the id space).
+	// ids are laid out.
 	gaCount := make([]int32, nGoal+1)
 	for _, g := range l.agGoal {
 		gaCount[g+1]++
@@ -268,7 +267,10 @@ func (l *Library) buildIndexes() {
 		}
 	}
 
-	l.buildBlocks()
+	l.maxImplLen = 0
+	for p := 0; p < len(l.implGoal); p++ {
+		l.maxImplLen = max(l.maxImplLen, l.implOff[p+1]-l.implOff[p])
+	}
 }
 
 // Library is the immutable association-based goal model (Figure 2 of the
@@ -326,16 +328,8 @@ type Library struct {
 
 	goalSlots []int32 // per-goal Σ |A_p|, the walk cost of the goal's impls
 
-	// Block-max metadata over the A-GI postings (see blocks.go): per-row
-	// fixed-size block summaries in CSR form, aligned with actOff/actPost.
-	blkOff    []int32  // CSR offsets into the blk arrays, len numActions+1
-	blkLast   []ImplID // last implementation id per block
-	blkMinLen []int32  // min |A_p| per block
-	blkMaxLen []int32  // max |A_p| per block
-
-	maxImplLen    int32 // largest |A_p| in the library
-	implLenSorted bool  // |A_p| non-decreasing in id (impact-ordered layout)
-	mapped        bool  // the flat index arrays are views over a snapshot mapping
+	maxImplLen int32 // largest |A_p| in the library
+	mapped     bool  // the flat index arrays are views over a snapshot mapping
 
 	// Copy-on-write overlays (overlay.go), non-empty only on extended
 	// snapshots: merged rows for the actions/goals touched since the last
@@ -367,6 +361,9 @@ func (l *Library) WithEpoch(e uint64) *Library {
 	c.epoch = e
 	return &c
 }
+
+// MaxImplLen returns the largest |A_p| in the library, 0 when empty.
+func (l *Library) MaxImplLen() int { return int(l.maxImplLen) }
 
 // NumImplementations returns |L|.
 func (l *Library) NumImplementations() int { return len(l.implGoal) + len(l.tailGoal) }

@@ -17,11 +17,10 @@ const (
 	ovPageRows = 1 << ovPageBits
 )
 
-// actRow overlays one touched action: its merged A-GI-idx row with the row's
-// block-max metadata, and its merged AG-idx row.
+// actRow overlays one touched action: its merged A-GI-idx row and its merged
+// AG-idx row.
 type actRow struct {
 	post   []ImplID
-	blk    PostingBlocks
 	agGoal []GoalID
 	agCnt  []int32
 }
@@ -101,7 +100,7 @@ func (w *ovWriter[R]) set(id int32, r *R) {
 
 // bytes returns the heap size of the row and the index rows it holds.
 func (r *actRow) bytes() int64 {
-	return int64(unsafe.Sizeof(*r)) + 4*int64(len(r.post)+len(r.blk.Last)+len(r.blk.MinLen)+len(r.blk.MaxLen)+len(r.agGoal)+len(r.agCnt))
+	return int64(unsafe.Sizeof(*r)) + 4*int64(len(r.post)+len(r.agGoal)+len(r.agCnt))
 }
 
 // bytes returns the heap size of the row and the index rows it holds.

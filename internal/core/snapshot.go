@@ -20,14 +20,14 @@ import (
 // The zero-copy snapshot format (see DESIGN.md, "Snapshot format & WAL"): a
 // 64-byte little-endian header, a CRC-guarded section table, and one
 // 64-byte-aligned section per index array. Every CSR section — implementation
-// rows, A-GI-idx, G-GI-idx, AG-idx, GA-idx, goal slots, and the block-max
-// metadata — is a fixed-width little-endian array, so OpenSnapshot serves
+// rows, A-GI-idx, G-GI-idx, AG-idx, GA-idx and goal slots — is a fixed-width
+// little-endian array, so OpenSnapshot serves
 // them as unsafe.Slice views straight over the mapping: cold start is header
 // parsing plus page-in, independent of library size.
 //
 // A snapshot persists every derived index, not just the implementation CSR.
-// Scalar derivations (maxImplLen, implLenSorted, epoch) live in the header so
-// opening never scans a section.
+// Scalar derivations (maxImplLen, epoch) live in the header so opening never
+// scans a section.
 
 const (
 	snapshotMagic   = uint32(0x504e5347) // "GSNP" when read little-endian
@@ -74,7 +74,7 @@ const (
 const (
 	snapFlagCompressed = 1 << 0 // retired block-compressed A-GI postings; refused on open
 	snapFlagVocab      = 1 << 1 // vocabulary sections present
-	snapFlagLenSorted  = 1 << 2 // |A_p| non-decreasing in id
+	snapFlagLenSorted  = 1 << 2 // reserved: retired size-sorted layout; never written, ignored on read
 )
 
 // ErrCompressedPostings is returned when opening a snapshot written with
@@ -98,10 +98,10 @@ const (
 	secGaAct                 // int32 × nGA
 	secGaCnt                 // int32 × nGA
 	secGoalSlots             // int32 × nGoal
-	secBlkOff                // int32 × nAct+1
-	secBlkLast               // int32 × nBlk
-	secBlkMinLen             // int32 × nBlk
-	secBlkMaxLen             // int32 × nBlk
+	secBlkOff                // reserved: retired block-max offsets
+	secBlkLast               // reserved: retired block-max last ids
+	secBlkMinLen             // reserved: retired block-max min |A_p|
+	secBlkMaxLen             // reserved: retired block-max max |A_p|
 	secPostOff               // reserved: retired compressed-posting offsets
 	secPostBlob              // reserved: retired compressed-posting blob
 	secVocActOff             // uint64 × nActNames+1
@@ -281,18 +281,14 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	// Derived flat offsets. ActionDegree/GoalDegree/... resolve overlays, so
 	// these are the offsets a flat rebuild would produce.
 	actOff := make([]int32, nAct+1)
-	blkOff := make([]int32, nAct+1)
 	nAG := uint64(0)
 	for a := 0; a < nAct; a++ {
-		d := l.ActionDegree(ActionID(a))
-		actOff[a+1] = actOff[a] + int32(d)
-		blkOff[a+1] = blkOff[a] + int32((d+PostingBlockEntries-1)/PostingBlockEntries)
+		actOff[a+1] = actOff[a] + int32(l.ActionDegree(ActionID(a)))
 		nAG += uint64(l.GoalDegree(ActionID(a)))
 	}
 	if int(actOff[nAct]) != nSlots {
 		return nil, fmt.Errorf("core: inconsistent library: %d postings for %d slots", actOff[nAct], nSlots)
 	}
-	nBlk := uint64(blkOff[nAct])
 	goalOff := make([]int32, nGoal+1)
 	gaOff := make([]int32, nGoal+1)
 	goalSlots := make([]int32, nGoal)
@@ -308,41 +304,12 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	}
 
 	flags := uint32(0)
-	if l.implLenSorted {
-		flags |= snapFlagLenSorted
-	}
-
 	var actNameOff, goalNameOff []uint64
 	var actNameBlob, goalNameBlob []byte
 	if vocab != nil {
 		flags |= snapFlagVocab
 		actNameOff, actNameBlob = vocab.Actions.pack()
 		goalNameOff, goalNameBlob = vocab.Goals.pack()
-	}
-
-	// emitBlocks streams one of the three block-metadata arrays, derived per
-	// row so overlay rows serialize their own merged metadata.
-	emitBlocks := func(pick func(PostingBlocks) []int32, fromLast bool) func(sw *snapWriter) {
-		return func(sw *snapWriter) {
-			var scratchLast []ImplID
-			var scratchMin, scratchMax []int32
-			for a := 0; a < nAct && sw.err == nil; a++ {
-				blk := l.ActionPostingBlocks(ActionID(a))
-				want := int(blkOff[a+1] - blkOff[a])
-				if blk.NumBlocks() != want {
-					// Hand-assembled libraries may lack block metadata;
-					// derive it from the row.
-					row := l.ImplsOfAction(ActionID(a))
-					scratchLast, scratchMin, scratchMax = l.appendRowBlocks(row, scratchLast[:0], scratchMin[:0], scratchMax[:0])
-					blk = PostingBlocks{Last: scratchLast, MinLen: scratchMin, MaxLen: scratchMax}
-				}
-				if fromLast {
-					writeI32Slice(sw, blk.Last)
-				} else {
-					writeI32Slice(sw, pick(blk))
-				}
-			}
-		}
 	}
 
 	secs := []snapSection{
@@ -408,10 +375,6 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 			}
 		}},
 		snapSection{id: secGoalSlots, elem: 4, count: uint64(nGoal), emit: func(sw *snapWriter) { sw.writeI32s(goalSlots) }},
-		snapSection{id: secBlkOff, elem: 4, count: uint64(nAct + 1), emit: func(sw *snapWriter) { sw.writeI32s(blkOff) }},
-		snapSection{id: secBlkLast, elem: 4, count: nBlk, emit: emitBlocks(nil, true)},
-		snapSection{id: secBlkMinLen, elem: 4, count: nBlk, emit: emitBlocks(func(b PostingBlocks) []int32 { return b.MinLen }, false)},
-		snapSection{id: secBlkMaxLen, elem: 4, count: nBlk, emit: emitBlocks(func(b PostingBlocks) []int32 { return b.MaxLen }, false)},
 	)
 	if vocab != nil {
 		secs = append(secs,
@@ -907,7 +870,6 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 		epoch:      binary.LittleEndian.Uint64(data[48:]),
 		maxImplLen: int32(binary.LittleEndian.Uint32(data[56:])),
 	}
-	lib.implLenSorted = flags&snapFlagLenSorted != 0
 
 	var b []byte
 	if b, err = sec(secImplGoal, 4, nImpl); err == nil {
@@ -957,20 +919,7 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	if err == nil {
 		lib.goalSlots, err = i32Sec(secGoalSlots, nGoal)
 	}
-	if err == nil {
-		lib.blkOff, err = i32Sec(secBlkOff, nAct+1)
-	}
-	var nBlk uint64
-	if err == nil {
-		nBlk = secs[secBlkLast].count
-		if b, err = sec(secBlkLast, 4, nBlk); err == nil {
-			lib.blkLast = i32View[ImplID](b, int(nBlk))
-			lib.blkMinLen, err = i32Sec(secBlkMinLen, nBlk)
-		}
-	}
-	if err == nil {
-		lib.blkMaxLen, err = i32Sec(secBlkMaxLen, nBlk)
-	}
+
 	if err == nil {
 		if b, err = sec(secActPost, 4, nSlots); err == nil {
 			lib.actPost = i32View[ImplID](b, int(nSlots))
@@ -989,9 +938,7 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	if lib.actOff[0] != 0 || uint64(lib.actOff[nAct]) != nSlots {
 		return nil, fmt.Errorf("posting offsets span [%d, %d] over %d slots", lib.actOff[0], lib.actOff[nAct], nSlots)
 	}
-	if lib.blkOff[0] != 0 || uint64(lib.blkOff[nAct]) != nBlk {
-		return nil, fmt.Errorf("block offsets span [%d, %d] over %d blocks", lib.blkOff[0], lib.blkOff[nAct], nBlk)
-	}
+
 	if lib.goalOff[0] != 0 || uint64(lib.goalOff[nGoal]) != nImpl {
 		return nil, fmt.Errorf("goal offsets span [%d, %d] over %d implementations", lib.goalOff[0], lib.goalOff[nGoal], nImpl)
 	}
@@ -1035,7 +982,7 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*
 
 // VerifySnapshot walks every section of an open snapshot and checks the deep
 // CSR invariants — monotone offsets, strictly increasing sorted rows, ids in
-// range, block metadata consistent with the rows. It is linear in
+// range. It is linear in
 // the snapshot and intended for tooling (goalrec-snap verify) and tests, not
 // for the open path.
 func VerifySnapshot(s *Snapshot) error {
@@ -1073,10 +1020,6 @@ func VerifySnapshot(s *Snapshot) error {
 			return fmt.Errorf("core: action %d: negative posting extent", a)
 		}
 		row := l.ImplsOfAction(ActionID(a))
-		blk := l.ActionPostingBlocks(ActionID(a))
-		if blk.NumBlocks() != (len(row)+PostingBlockEntries-1)/PostingBlockEntries {
-			return fmt.Errorf("core: action %d: %d blocks for %d postings", a, blk.NumBlocks(), len(row))
-		}
 		for i, p := range row {
 			if p < 0 || int(p) >= nImpl {
 				return fmt.Errorf("core: action %d: posting %d out of range", a, p)
@@ -1084,12 +1027,8 @@ func VerifySnapshot(s *Snapshot) error {
 			if i > 0 && row[i-1] >= p {
 				return fmt.Errorf("core: action %d: posting row not strictly increasing", a)
 			}
-			if (i+1)%PostingBlockEntries == 0 || i == len(row)-1 {
-				if blk.Last[i/PostingBlockEntries] != p {
-					return fmt.Errorf("core: action %d: block %d last %d != row %d", a, i/PostingBlockEntries, blk.Last[i/PostingBlockEntries], p)
-				}
-			}
 		}
+
 	}
 	for g := 0; g < nGoal; g++ {
 		if l.goalOff[g+1] < l.goalOff[g] {

@@ -22,7 +22,6 @@ type SnapshotSectionInfo struct {
 type SnapshotDescription struct {
 	Version         uint32
 	HasVocabulary   bool
-	LenSorted       bool
 	Implementations uint64
 	Actions         uint64
 	Goals           uint64
@@ -51,10 +50,10 @@ var snapSectionNames = map[uint32]string{
 	secGaAct:      "ga-actions",
 	secGaCnt:      "ga-counts",
 	secGoalSlots:  "goal-slots",
-	secBlkOff:     "block-offsets",
-	secBlkLast:    "block-last",
-	secBlkMinLen:  "block-minlen",
-	secBlkMaxLen:  "block-maxlen",
+	secBlkOff:     "reserved-block-offsets",
+	secBlkLast:    "reserved-block-last",
+	secBlkMinLen:  "reserved-block-minlen",
+	secBlkMaxLen:  "reserved-block-maxlen",
 	secVocActOff:  "vocab-action-offsets",
 	secVocActStr:  "vocab-action-names",
 	secVocGoalOff: "vocab-goal-offsets",
@@ -75,9 +74,9 @@ func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
 		return nil, ErrCompressedPostings
 	}
 	d := &SnapshotDescription{
-		Version:         binary.LittleEndian.Uint32(data[4:]),
-		HasVocabulary:   flags&snapFlagVocab != 0,
-		LenSorted:       flags&snapFlagLenSorted != 0,
+		Version:       binary.LittleEndian.Uint32(data[4:]),
+		HasVocabulary: flags&snapFlagVocab != 0,
+
 		Implementations: binary.LittleEndian.Uint64(data[16:]),
 		Actions:         binary.LittleEndian.Uint64(data[24:]),
 		Goals:           binary.LittleEndian.Uint64(data[32:]),

@@ -12,7 +12,7 @@ import (
 )
 
 // snapTestLibrary builds a deterministic synthetic library with skewed action
-// frequencies, enough rows to cross several posting blocks.
+// frequencies and long posting rows.
 func snapTestLibrary(t testing.TB, nImpl, nAct int, seed int64) *Library {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -42,9 +42,8 @@ func assertLibrariesEqual(t *testing.T, want, got *Library) {
 			want.NumImplementations(), want.NumActions(), want.NumGoals(),
 			got.NumImplementations(), got.NumActions(), got.NumGoals())
 	}
-	if want.MaxImplLen() != got.MaxImplLen() || want.ImplLenSorted() != got.ImplLenSorted() {
-		t.Fatalf("scalars: want (%d,%v), got (%d,%v)",
-			want.MaxImplLen(), want.ImplLenSorted(), got.MaxImplLen(), got.ImplLenSorted())
+	if want.MaxImplLen() != got.MaxImplLen() {
+		t.Fatalf("max impl len: want %d, got %d", want.MaxImplLen(), got.MaxImplLen())
 	}
 	for p := 0; p < want.NumImplementations(); p++ {
 		id := ImplID(p)
@@ -67,10 +66,6 @@ func assertLibrariesEqual(t *testing.T, want, got *Library) {
 		gg, gc := got.GoalsOfAction(id)
 		if !slicesEq(wg, gg) || !slicesEq(wc, gc) {
 			t.Fatalf("action %d: AG row differs", a)
-		}
-		wb, gb := want.ActionPostingBlocks(id), got.ActionPostingBlocks(id)
-		if !slicesEq(wb.Last, gb.Last) || !slicesEq(wb.MinLen, gb.MinLen) || !slicesEq(wb.MaxLen, gb.MaxLen) {
-			t.Fatalf("action %d: block metadata differs", a)
 		}
 	}
 	for g := 0; g < want.NumGoals(); g++ {
@@ -195,9 +190,9 @@ func TestSnapshotRewriteFromMapped(t *testing.T) {
 }
 
 // ImplsOfActionRange over a mapped library is the binary-searched sub-slice
-// of the row, at the edges of the id space and of posting blocks alike.
+// of the row and at the edges of the id space.
 func TestImplsOfActionRangeMapped(t *testing.T) {
-	lib := snapTestLibrary(t, 3000, 20, 6) // few actions: long rows, many blocks
+	lib := snapTestLibrary(t, 3000, 20, 6) // few actions: long rows
 	ml := snapshotRoundTrip(t, lib, nil, SnapshotOptions{}).Library()
 	for a := 0; a < lib.NumActions(); a++ {
 		row := lib.ImplsOfAction(ActionID(a))

@@ -8,19 +8,14 @@ import (
 	"goalrec/internal/xrand"
 )
 
-// benchBM1M replicates the 1M-implementation Figure 7 cell for Best Match on
-// the natural vs the impact-ordered layout. Best Match never skips work
-// there (the 500k-goal space exceeds bmPruneMaxGoalSpace), so this pair
-// isolates the pure layout cost the GA-idx goal-major path is meant to keep
-// flat — the steady-state twin of the sweep's best-match cells.
-func benchBM1M(b *testing.B, impact bool) {
+// BenchmarkBM1M replicates the 1M-implementation Figure 7 cell for Best
+// Match — the steady-state twin of the sweep's best-match cells, where the
+// 500k-goal space keeps the GA-idx goal-major path in charge.
+func BenchmarkBM1M(b *testing.B) {
 	cfg := ScalabilityConfig{Sizes: []int{1000000}, Actions: 10000, Seed: 1}
 	cfg.fill()
 	rng := xrand.New(cfg.Seed)
 	lib := scalabilityLibrary(cfg, 1000000, rng.Split())
-	if impact {
-		lib, _ = core.ImpactOrder(lib)
-	}
 	queries := make([][]core.ActionID, cfg.Queries)
 	qrng := rng.Split()
 	for i := range queries {
@@ -32,6 +27,3 @@ func benchBM1M(b *testing.B, impact bool) {
 		bm.Recommend(queries[i%len(queries)], 10)
 	}
 }
-
-func BenchmarkBM1MPlain(b *testing.B)  { benchBM1M(b, false) }
-func BenchmarkBM1MImpact(b *testing.B) { benchBM1M(b, true) }

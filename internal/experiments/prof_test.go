@@ -9,17 +9,13 @@ import (
 )
 
 // benchFocus1M replicates the 1M-implementation Figure 7 cell on one Focus
-// measure, on the plain layout (counter kernel) or the impact-ordered one
-// (block-max scan) — the steady-state view of the cell the sweep times end to
-// end, for profiling the two rank sources in isolation.
-func benchFocus1M(b *testing.B, measure strategy.FocusMeasure, impactOrdered bool) {
+// measure — the steady-state view of the cell the sweep times end to end, for
+// profiling the counter kernel in isolation.
+func benchFocus1M(b *testing.B, measure strategy.FocusMeasure) {
 	cfg := ScalabilityConfig{Sizes: []int{1000000}, Actions: 10000, Seed: 1}
 	cfg.fill()
 	rng := xrand.New(cfg.Seed)
 	lib := scalabilityLibrary(cfg, 1000000, rng.Split())
-	if impactOrdered {
-		lib, _ = core.ImpactOrder(lib)
-	}
 	queries := make([][]core.ActionID, cfg.Queries)
 	qrng := rng.Split()
 	for i := range queries {
@@ -32,7 +28,5 @@ func benchFocus1M(b *testing.B, measure strategy.FocusMeasure, impactOrdered boo
 	}
 }
 
-func BenchmarkImpactOrderedFocusCl1M(b *testing.B)  { benchFocus1M(b, strategy.Closeness, true) }
-func BenchmarkPlainFocusCl1M(b *testing.B)          { benchFocus1M(b, strategy.Closeness, false) }
-func BenchmarkImpactOrderedFocusCmp1M(b *testing.B) { benchFocus1M(b, strategy.Completeness, true) }
-func BenchmarkPlainFocusCmp1M(b *testing.B)         { benchFocus1M(b, strategy.Completeness, false) }
+func BenchmarkFocusCl1M(b *testing.B)  { benchFocus1M(b, strategy.Closeness) }
+func BenchmarkFocusCmp1M(b *testing.B) { benchFocus1M(b, strategy.Completeness) }

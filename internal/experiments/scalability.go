@@ -34,10 +34,6 @@ type ScalabilityConfig struct {
 	ActivityLen int
 	// Seed drives generation.
 	Seed uint64
-	// ImpactOrdering re-lays-out each swept library in impact order before
-	// timing — the size-sorted layout on which Focus takes the block-max
-	// scan.
-	ImpactOrdering bool
 }
 
 func (c *ScalabilityConfig) fill() {
@@ -87,9 +83,6 @@ func Scalability(cfg ScalabilityConfig) []ScalabilityPoint {
 	var points []ScalabilityPoint
 	for _, size := range cfg.Sizes {
 		lib := scalabilityLibrary(cfg, size, rng.Split())
-		if cfg.ImpactOrdering {
-			lib, _ = core.ImpactOrder(lib)
-		}
 		conn := lib.Stats().Connectivity
 		queries := make([][]core.ActionID, cfg.Queries)
 		qrng := rng.Split()

@@ -144,9 +144,6 @@ func TestBackendDegradedAndProbes(t *testing.T) {
 			t.Errorf("metrics lack %q: %v", key, metrics)
 		}
 	}
-	if _, ok := metrics["pruning"]; ok {
-		t.Errorf("metrics carry the local engine's pruning block over another backend: %v", metrics)
-	}
 
 	// What needs the local engine is not routed over another backend; reload
 	// without a source is a 501 there as on a node.

@@ -59,7 +59,6 @@ func TestLifecycleMetricsKeys(t *testing.T) {
 	_, body := getJSON(t, durable.URL+"/v1/metrics")
 	for _, path := range [][]string{
 		{"epoch"}, {"requests"}, {"errors"}, {"lifecycle", "sheds"}, {"library", "backing"},
-		{"pruning", "enabled"}, {"pruning", "counters"},
 		{"users", "enabled"}, {"users", "counters", "hits"}, {"users", "counters", "advances"},
 		{"users", "counters", "cold"}, {"users", "counters", "evictions"}, {"users", "counters", "rebuilds"},
 		{"users", "counters", "appends"}, {"users", "counters", "deletes"},

@@ -151,11 +151,6 @@ var ErrNoReloader = errors.New("no reloader configured")
 type bundle struct {
 	lib *goalrec.Library
 
-	// pruneStats receives the block-max scan counters of this bundle's Focus
-	// recommenders. The sink is the backend's, shared across epochs, so the
-	// cumulative counters survive swaps.
-	pruneStats *goalrec.PruneStats
-
 	mu   sync.Mutex
 	recs map[string]goalrec.Recommender // lazily built, by canonical name
 }
@@ -176,7 +171,7 @@ func (b *bundle) recommender(strategyName, metric string) (goalrec.Recommender, 
 	// deterministic over the immutable snapshot, so an LRU per recommender
 	// is sound — and it dies with the bundle, never serving a stale epoch.
 	rec, err := b.lib.Recommender(spec.Strategy,
-		goalrec.WithDistanceMetric(spec.Metric), goalrec.WithCache(4096), goalrec.WithPruningStats(b.pruneStats))
+		goalrec.WithDistanceMetric(spec.Metric), goalrec.WithCache(4096))
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +187,6 @@ type localBackend struct {
 	cur    atomic.Pointer[bundle]
 	swapMu sync.Mutex // serializes bundle installs (monotonic epoch guard)
 	load   func() (*goalrec.Library, error)
-
-	// pruneStats is the shared sink every bundle's Focus recommenders count
-	// their block-max scans into; it only moves while the served snapshot is
-	// size-sorted. Surfaced under "pruning" in /v1/metrics.
-	pruneStats goalrec.PruneStats
 }
 
 func (b *localBackend) Snapshot() *goalrec.Library { return b.cur.Load().lib }
@@ -210,7 +200,7 @@ func (b *localBackend) install(lib *goalrec.Library) uint64 {
 	if cur := b.cur.Load(); cur != nil && lib.Epoch() <= cur.lib.Epoch() {
 		return cur.lib.Epoch()
 	}
-	b.cur.Store(&bundle{lib: lib, pruneStats: &b.pruneStats, recs: make(map[string]goalrec.Recommender)})
+	b.cur.Store(&bundle{lib: lib, recs: make(map[string]goalrec.Recommender)})
 	return lib.Epoch()
 }
 
@@ -265,13 +255,7 @@ func (b *localBackend) Reload(context.Context) (uint64, int, error) {
 }
 
 func (b *localBackend) Status() Status {
-	lib := b.Snapshot()
-	return Status{
-		// "enabled" says whether the counters can move at this epoch: Focus
-		// takes the block-max scan exactly when the snapshot is size-sorted.
-		Metrics: map[string]any{"pruning": countersBlock{lib.Core().ImplLenSorted(), b.pruneStats.Snapshot()}},
-		Detail:  fmt.Sprintf("epoch %d", lib.Epoch()),
-	}
+	return Status{Detail: fmt.Sprintf("epoch %d", b.Snapshot().Epoch())}
 }
 
 // Option customizes a Server.
@@ -706,7 +690,7 @@ type countersBlock struct {
 }
 
 // metricsBody is the /v1/metrics reply, less the blocks the backend adds
-// ("pruning" on a node, "cluster" on a coordinator).
+// ("cluster" on a coordinator).
 type metricsBody struct {
 	Epoch     uint64          `json:"epoch"`
 	Requests  json.RawMessage `json:"requests"`

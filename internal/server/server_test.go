@@ -276,88 +276,6 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestPruningServer serves an impact-ordered library — the layout on which
-// Focus takes the block-max scan — checks every strategy's bounded response
-// equals the head of the library's full ranking (k = −1, which never scans),
-// and verifies the metrics endpoint reports the pruning block enabled, with
-// live counters.
-func TestPruningServer(t *testing.T) {
-	lib := testLibrary(t).ImpactOrdered()
-	pruned := httptest.NewServer(New(lib, nil))
-	t.Cleanup(pruned.Close)
-
-	activity := []string{"potatoes", "carrots"}
-	for _, strategy := range []string{"focus-cmp", "focus-cl", "breadth", "best-match"} {
-		body := `{"activity": ["potatoes", "carrots"], "strategy": "` + strategy + `", "k": 3}`
-		resp, raw := postJSON(t, pruned.URL+"/v1/recommend", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d: %s", strategy, resp.StatusCode, raw)
-		}
-		var got recommendResponse
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
-		want := lib.MustRecommender(goalrec.Strategy(strategy)).Recommend(activity, -1)
-		if len(want) > 3 {
-			want = want[:3]
-		}
-		if len(got.Recommendations) != len(want) {
-			t.Fatalf("%s: %d recommendations, want %d: %s", strategy, len(got.Recommendations), len(want), raw)
-		}
-		for i, w := range want {
-			if g := got.Recommendations[i]; g.Action != w.Action || g.Score != w.Score {
-				t.Errorf("%s: rank %d = %+v, want %+v", strategy, i, g, w)
-			}
-		}
-	}
-
-	resp, err := http.Get(pruned.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var metrics struct {
-		Pruning struct {
-			Enabled  bool                       `json:"enabled"`
-			Counters goalrec.PruneStatsSnapshot `json:"counters"`
-		} `json:"pruning"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if !metrics.Pruning.Enabled {
-		t.Error("metrics report pruning disabled on a size-sorted snapshot")
-	}
-	if metrics.Pruning.Counters.ImplsAssociated == 0 {
-		t.Errorf("pruning counters never moved: %+v", metrics.Pruning.Counters)
-	}
-}
-
-// TestPruningDisabledMetrics pins the metrics shape on a snapshot that is not
-// size-sorted: the pruning block is present, disabled, and Focus queries
-// leave it all zeros.
-func TestPruningDisabledMetrics(t *testing.T) {
-	ts := newTestServer(t)
-	postJSON(t, ts.URL+"/v1/recommend", `{"activity": ["potatoes"], "strategy": "focus-cl", "k": 3}`)
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var metrics struct {
-		Pruning struct {
-			Enabled  bool                       `json:"enabled"`
-			Counters goalrec.PruneStatsSnapshot `json:"counters"`
-		} `json:"pruning"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Pruning.Enabled || metrics.Pruning.Counters != (goalrec.PruneStatsSnapshot{}) {
-		t.Errorf("unexpected pruning block: %+v", metrics.Pruning)
-	}
-}
-
 // TestMetricsLibraryBlock: /v1/metrics says what backs the served library —
 // heap for a built one, mapped after a reload through the daemon's sidecar
 // load path — while /v1/stats stays byte-identical across the two.
@@ -379,7 +297,7 @@ func TestMetricsLibraryBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(parsed, nil, WithReloader(func() (*goalrec.Library, error) {
-		lib, _, err := goalrec.LoadLibraryFileMapped(path, false)
+		lib, _, err := goalrec.LoadLibraryFileMapped(path)
 		return lib, err
 	}))
 	ts := httptest.NewServer(srv)

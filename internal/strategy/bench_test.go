@@ -124,31 +124,6 @@ func BenchmarkScanKernelSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkPrunedStrategies runs every strategy on the natural and the
-// impact-ordered layout of the densest cell. On the latter Focus takes the
-// block-max scan, so besides the layout comparison this is the CI smoke that
-// exercises the scan at -benchtime=1x.
-func BenchmarkPrunedStrategies(b *testing.B) {
-	base := benchLibrary(20000, 500, 3)
-	impact, _ := core.ImpactOrder(base)
-	queries := benchQueries(500, 64, 5, 4)
-	for _, layout := range []struct {
-		name string
-		lib  *core.Library
-	}{{"plain", base}, {"impact", impact}} {
-		for _, rec := range []Recommender{
-			NewFocus(layout.lib, Completeness), NewFocus(layout.lib, Closeness),
-			NewBreadth(layout.lib), NewBestMatch(layout.lib),
-		} {
-			b.Run(layout.name+"/"+rec.Name(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rec.Recommend(queries[i%len(queries)], 10)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkTopKSelection compares the k-bounded selector against the full
 // sort it replaced, at the pool sizes a dense library produces.
 func BenchmarkTopKSelection(b *testing.B) {

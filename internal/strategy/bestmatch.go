@@ -396,8 +396,7 @@ func (bm *BestMatch) scoreOne(s *bmScratch, a core.ActionID, profNorm float64) S
 // multiplicity m (implementations of g containing a), adding m·profile[g]
 // to a's dot product and m² to ‖a⃗‖². Work is Σ_{g∈GS(H)} |distinct
 // actions of g| over contiguous rows — independent of connectivity and of
-// the implementation-id layout (no per-implementation dereferences, so
-// impact ordering cannot scatter this walk). Every accumulated term is the
+// the implementation-id layout (no per-implementation dereferences). Every accumulated term is the
 // same integer-valued float the candidate-major path multiplies, summed
 // exactly below 2^53, so the scores are bit-identical to scoreOne.
 func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, goalSpace []core.GoalID, profNorm float64, sel *selector) error {

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"goalrec/internal/core"
+	"goalrec/internal/intset"
+	"goalrec/internal/testlib"
 	"goalrec/internal/vectorspace"
 )
 
@@ -245,5 +249,87 @@ func TestRecommendContextFallback(t *testing.T) {
 	}
 	if inner.calls != 1 {
 		t.Fatalf("canceled context still ran the inner recommender (calls = %d)", inner.calls)
+	}
+}
+
+// TestAbortScratchInvariants hammers the scan strategies with thousands of
+// mid-scan aborts at varying checkpoint depths and asserts, after every
+// abort, that the pooled scratch went back clean: overlap counters zeroed,
+// score accumulators and H-membership cleared. A completed query follows
+// each abort and must match the oracle — the end-to-end proof that no
+// partial state leaked.
+func TestAbortScratchInvariants(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	lib := testlib.RandomLibrary(r, 2500, 24, 20, 9)
+	o := newOracle(lib)
+
+	for _, workers := range []int{1, 4} {
+		workers := workers
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			fc := NewFocus(lib, Closeness)
+			br := NewBreadth(lib)
+			if workers > 1 {
+				fc.SetConcurrency(workers, 1)
+				br.SetConcurrency(workers, 1)
+			}
+			bm := NewBestMatch(lib)
+			bm.mode = bmCandidateMajor
+
+			checkFocus := func(i int) {
+				s := fc.pool.Get().(*focusScratch)
+				defer fc.pool.Put(s)
+				for p, c := range s.cnt {
+					if c != 0 {
+						t.Fatalf("abort %d: focus counter %d left at %d", i, p, c)
+					}
+				}
+			}
+			checkBreadth := func(i int) {
+				s := br.pool.Get().(*breadthScratch)
+				defer br.pool.Put(s)
+				for p, c := range s.cnt {
+					if c != 0 {
+						t.Fatalf("abort %d: breadth counter %d left at %d", i, p, c)
+					}
+				}
+				for a, in := range s.inH {
+					if in {
+						t.Fatalf("abort %d: breadth inH[%d] left set", i, a)
+					}
+				}
+				for w := range s.acc {
+					if len(s.acc[w].actions) != 0 {
+						t.Fatalf("abort %d: breadth accumulator %d kept its touched list", i, w)
+					}
+					for a, v := range s.acc[w].scores {
+						if v != 0 {
+							t.Fatalf("abort %d: breadth accumulator %d score[%d] left at %v", i, w, a, v)
+						}
+					}
+				}
+			}
+
+			for i := 0; i < 1500; i++ {
+				h := intset.FromUnsorted(testlib.RandomActivity(r, 24, 6))
+				polls := int64(1 + i%9)
+				fc.RecommendContext(newCancelAfterPolls(polls), h, 6)
+				checkFocus(i)
+				br.RecommendContext(newCancelAfterPolls(polls), h, 6)
+				checkBreadth(i)
+				bm.RecommendContext(newCancelAfterPolls(polls), h, 6)
+
+				if i%5 == 0 {
+					if got, want := fc.Recommend(h, 6), o.oracleFocus(h, Closeness, 6); !reflect.DeepEqual(got, want) {
+						t.Fatalf("query %d: focus diverged after aborts:\ngot  %v\nwant %v", i, got, want)
+					}
+					if got, want := br.Recommend(h, 6), o.oracleBreadth(h, Overlap, 6); !reflect.DeepEqual(got, want) {
+						t.Fatalf("query %d: breadth diverged after aborts:\ngot  %v\nwant %v", i, got, want)
+					}
+					if got, want := bm.Recommend(h, 6), o.oracleBestMatch(h, bm.metric, 6); !reflect.DeepEqual(got, want) {
+						t.Fatalf("query %d: best-match diverged after aborts:\ngot  %v\nwant %v", i, got, want)
+					}
+				}
+			}
+		})
 	}
 }

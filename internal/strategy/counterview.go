@@ -298,8 +298,6 @@ func runLengths[T comparable](s []T, mult []int32) ([]T, []int32) {
 
 // ViewRecommender is implemented by strategies that score a materialized
 // CounterView directly — the scoring phase alone, no accumulation pass.
-// Views always score exact: the bound-driven pruned scans apply only to
-// from-scratch builds, where the bounds are derived during accumulation.
 type ViewRecommender interface {
 	Recommender
 	RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error)

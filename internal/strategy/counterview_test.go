@@ -74,17 +74,13 @@ func sameIDs[T core.ActionID | core.GoalID | core.ImplID](a, b []T) bool {
 
 // TestCounterViewMatchesFromScratch builds views over random libraries and
 // asserts the view's state and every strategy's scoring of it (the table's
-// view sources, against the oracle) — on plain and impact-ordered layouts
-// alike, since a view never takes the block-max scan.
+// view sources, against the oracle).
 func TestCounterViewMatchesFromScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + r.Intn(900)
 		actionSpace := 2 + r.Intn(28)
 		lib := testlib.RandomLibrary(r, n, actionSpace, 18, 8)
-		if trial%2 == 1 {
-			lib, _ = core.ImpactOrder(lib)
-		}
 		for q := 0; q < 4; q++ {
 			h := testlib.RandomActivity(r, actionSpace+4, 7) // may include unknown ids
 			v := NewCounterView(lib, h)

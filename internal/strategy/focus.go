@@ -42,16 +42,12 @@ func (m FocusMeasure) String() string {
 // follow in O(1) per implementation — no per-implementation set
 // intersections. Large queries shard the pass across a bounded worker pool,
 // and ranked implementations are selected through a bounded heap instead of
-// a full sort. On a size-sorted (impact-ordered) library a bounded top-k
-// query takes the block-max scan of prune.go instead of the kernel pass —
-// chosen from what the library reports, not by an option. Every path returns
-// bit-identical rankings.
+// a full sort. Every path returns bit-identical rankings.
 type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
 	conc    concurrency
-	pool    sync.Pool   // *focusScratch
-	stats   *PruneStats // block-max scan counters; nil records nothing
+	pool    sync.Pool // *focusScratch
 }
 
 // focusScratch is the pooled per-query state: the kernel counters plus the
@@ -90,10 +86,6 @@ func NewFocus(lib *core.Library, measure FocusMeasure) *Focus {
 	f.pool.New = func() interface{} { return &focusScratch{} }
 	return f
 }
-
-// CountInto attaches the sink the block-max scan adds its per-query tallies
-// to. It must be called before the strategy starts serving queries.
-func (f *Focus) CountInto(stats *PruneStats) { f.stats = stats }
 
 // Name implements Recommender.
 func (f *Focus) Name() string {
@@ -140,22 +132,14 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 	if k == 0 {
 		return nil, nil
 	}
-	out, err := f.emissions(ctx, activity, k, 0, nil)
+	out, err := f.emissions(ctx, activity, k, 0)
 	return scoredActions(out), err
 }
 
-// rankSource produces the scored implementations one select → emit round
-// ranks at selection width m. pruned reports that implementations were left
-// out — by a block skip or a bounded heap — so a round that starves must ask
-// again at a wider m; a source that returns the complete scored set is asked
-// once.
-type rankSource func(m int) (ranked []rankedImpl, pruned bool, err error)
-
 // emissions is the from-scratch query, single node and shard alike (a single
-// node is the one shard at implBase 0 with no external floor). The block-max
-// scan serves bounded queries on a size-sorted library; everything else
-// takes the counter kernel.
-func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64, ext *focusFloor) ([]FocusEmission, error) {
+// node is the one shard at implBase 0): the counter kernel scores every
+// associated implementation, and selectEmit ranks and walks them.
+func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	h := intset.FromUnsorted(intset.Clone(activity))
 	stream := f.lib.OverlapStream(h)
 	if stream == 0 {
@@ -164,19 +148,11 @@ func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, 
 	workers := f.conc.workersFor(stream, f.lib.NumImplementations())
 	s := f.pool.Get().(*focusScratch)
 	defer f.pool.Put(s)
-	src := func(int) ([]rankedImpl, bool, error) {
-		all, err := f.kernelRanks(ctx, s, h, workers)
-		return all, false, err
+	all, err := f.kernelRanks(ctx, s, h, workers)
+	if err != nil {
+		return nil, err
 	}
-	if f.lib.ImplLenSorted() && k > 0 {
-		if f.stats != nil {
-			f.stats.ImplsAssociated.Add(int64(stream))
-		}
-		src = func(m int) ([]rankedImpl, bool, error) {
-			return f.prunedPass(ctx, h, workers, m, s, ext)
-		}
-	}
-	return f.selectEmit(ctx, s, src, h, k, implBase)
+	return f.selectEmit(ctx, s, all, h, k, implBase)
 }
 
 // kernelRanks is the counter-kernel rank source: each shard scores its
@@ -218,21 +194,18 @@ func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]Sco
 	}
 	s := f.pool.Get().(*focusScratch)
 	defer f.pool.Put(s)
-	src := func(int) ([]rankedImpl, bool, error) {
-		tick := newTicker(ctx)
-		all := s.merged[:0]
-		for i, p := range v.impls {
-			if err := tick.tick(1); err != nil {
-				return nil, false, err
-			}
-			if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(v.cnt[i])); ok {
-				all = append(all, ri)
-			}
+	tick := newTicker(ctx)
+	all := s.merged[:0]
+	for i, p := range v.impls {
+		if err := tick.tick(1); err != nil {
+			return nil, err
 		}
-		s.merged = all
-		return all, false, nil
+		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(v.cnt[i])); ok {
+			all = append(all, ri)
+		}
 	}
-	out, err := f.selectEmit(ctx, s, src, v.h, k, 0)
+	s.merged = all
+	out, err := f.selectEmit(ctx, s, all, v.h, k, 0)
 	return scoredActions(out), err
 }
 
@@ -254,43 +227,26 @@ func focusRank(measure FocusMeasure, p core.ImplID, n, overlap int) (rankedImpl,
 	return rankedImpl{id: p, score: score, missing: missing}, true
 }
 
-// selectEmit is the one select → emit loop: rank the source's implementations
+// selectEmit is the one select → emit loop: rank the complete scored set all
 // under the total order, walk the m best through emit, and widen m by four
 // while deduplication starves the walk of its k emissions. Selection under
 // the total order makes every widened prefix an exact prefix of the fully
 // sorted order, so the result matches a full sort bit for bit.
-//
-// A source that left nothing out is ranked in place from then on. One that
-// pruned is asked again at the wider m: its list may hold implementations a
-// skip undercounted, but every such score is strictly below the floor that
-// justified the skip, hence below the true m-th best, and exact selection
-// removes them; a pruned list of at most m entries is either complete or
-// exactly the true top m. At m ≥ the implementation count no heap can evict,
-// so what a source still prunes it prunes under an external floor — provably
-// irrelevant to the gather merge — and a short list is the complete answer.
-func (f *Focus) selectEmit(ctx context.Context, s *focusScratch, src rankSource, h []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
-	var all []rankedImpl
-	pruned := true
+func (f *Focus) selectEmit(ctx context.Context, s *focusScratch, all []rankedImpl, h []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	for m := k; ; m *= 4 {
-		if pruned {
-			var err error
-			if all, pruned, err = src(m); err != nil {
-				return nil, err
-			}
-		}
 		whole := k < 0 || len(all) <= m
 		sel := all
 		if whole {
 			sortRankedImpls(all)
 		} else {
-			// Selection is in place, so it runs on a pooled copy: a widened
-			// round must see the source's list intact.
+			// Selection overwrites its input, so it runs on a pooled copy: a
+			// widened round must see the whole set.
 			s.sel = append(s.sel[:0], all...)
 			sel = topMRankedImpls(s.sel, m)
 		}
 		tick := newTicker(ctx)
 		out, err := f.emit(sel, h, k, implBase, &tick)
-		if err != nil || len(out) == k || (whole && !pruned) || (pruned && m >= f.lib.NumImplementations()) {
+		if err != nil || len(out) == k || whole {
 			return out, err
 		}
 	}
@@ -298,14 +254,13 @@ func (f *Focus) selectEmit(ctx context.Context, s *focusScratch, src rankSource,
 
 // FocusEmission is one Focus emission: an action, the score of the
 // implementation that emitted it, and enough of that implementation's
-// identity (global id, length, missing count) to merge emission streams
-// under the global total order and to derive the cross-node score floor.
+// identity (global id, missing count) to merge emission streams under the
+// global total order.
 type FocusEmission struct {
 	Action  core.ActionID `json:"a"`
 	Score   float64       `json:"s"`
 	Missing int           `json:"m"`
 	Impl    int64         `json:"p"`
-	ImplLen int           `json:"n"`
 }
 
 // scoredActions projects emissions onto the ranking they spell.
@@ -348,7 +303,6 @@ func (f *Focus) emit(ranked []rankedImpl, h []core.ActionID, k int, implBase int
 				Score:   ri.score,
 				Missing: ri.missing,
 				Impl:    implBase + int64(ri.id),
-				ImplLen: len(acts),
 			})
 			if k > 0 && len(out) == k {
 				return out, nil

@@ -93,56 +93,51 @@ func (s *overlapScratch) shards(n, numImpls int) [][]core.ImplID {
 	return s.touched[:n]
 }
 
-// fanOutShards splits [0, numImpls) into workers contiguous ranges and runs
-// scan once per range — inline for one worker, otherwise one goroutine per
-// range — each with its own context ticker. The first shard's error (by shard
-// index) is returned, making the reported cause deterministic under
-// concurrent cancellation.
-func fanOutShards(ctx context.Context, numImpls, workers int,
-	scan func(shard int, lo, hi core.ImplID, tick *ticker) error) error {
-
-	if workers == 1 {
-		tick := newTicker(ctx)
-		return scan(0, 0, core.ImplID(numImpls), &tick)
-	}
-	chunk := (numImpls + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := min(w*chunk, numImpls)
-		hi := min(lo+chunk, numImpls)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tick := newTicker(ctx)
-			errs[w] = scan(w, core.ImplID(lo), core.ImplID(hi), &tick)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // run executes the counter kernel over IS(h) with the given worker count and
 // invokes visit once per shard, inside the shard's worker, as soon as that
-// shard's counters are final. h must be sorted and deduplicated. The counter
-// array is re-zeroed before run returns — on success and on abort alike —
-// so the scratch always goes back to its pool clean.
+// shard's counters are final. h must be sorted and deduplicated. Shards are
+// contiguous implementation-id ranges — scanned inline for one worker,
+// otherwise one goroutine each — and the first shard's error (by shard index)
+// is returned, making the reported cause deterministic under concurrent
+// cancellation. The counter array is re-zeroed before run returns — on
+// success and on abort alike — so the scratch always goes back to its pool
+// clean.
 func (s *overlapScratch) run(ctx context.Context, lib *core.Library, h []core.ActionID,
 	workers int, visit func(shard int, touched []core.ImplID, tick *ticker) error) error {
 
 	numImpls := lib.NumImplementations()
 	touched := s.shards(workers, numImpls)
-	err := fanOutShards(ctx, numImpls, workers, func(shard int, lo, hi core.ImplID, tick *ticker) error {
-		if err := s.accumulate(lib, h, lo, hi, shard, tick); err != nil {
+	scan := func(shard int, lo, hi core.ImplID) error {
+		tick := newTicker(ctx)
+		if err := s.accumulate(lib, h, lo, hi, shard, &tick); err != nil {
 			return err
 		}
-		return visit(shard, s.touched[shard], tick)
-	})
+		return visit(shard, s.touched[shard], &tick)
+	}
+	var err error
+	if workers == 1 {
+		err = scan(0, 0, core.ImplID(numImpls))
+	} else {
+		chunk := (numImpls + workers - 1) / workers
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			lo := min(w*chunk, numImpls)
+			hi := min(lo+chunk, numImpls)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = scan(w, core.ImplID(lo), core.ImplID(hi))
+			}(w)
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				break
+			}
+		}
+	}
 
 	// The pooled counters must go back clean even when a shard aborted
 	// mid-accumulation: every increment was recorded in some touched list.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
@@ -42,82 +41,18 @@ import (
 // Focus
 // ---------------------------------------------------------------------------
 
-// FocusFloorShare is the cross-node generalization of the cross-shard score
-// floor: the coordinator injects floors gathered from completed workers, the
-// local block-max scan adopts them at its usual chunk boundaries, and every
-// injection only ever tightens — so the same strictness argument that makes
-// single-node pruning exact carries over. A nil share disables injection,
-// and a shard the kernel serves (not size-sorted) never reads one.
-type FocusFloorShare struct {
-	floor       focusFloor
-	tightenings atomic.Int64
-}
-
-// NewFocusFloorShare returns an empty share for one in-flight request.
-func NewFocusFloorShare() *FocusFloorShare { return &FocusFloorShare{} }
-
-// InjectCompleteness publishes a completeness floor c/n (overlap, length) —
-// a completed worker's k-th emission ratio. Out-of-range values are ignored.
-func (s *FocusFloorShare) InjectCompleteness(c, n int64) {
-	if s == nil || c < 0 || n <= 0 || c >= 1<<32 || n >= 1<<32 {
-		return
-	}
-	if s.floor.publishCmp(c, n) {
-		s.tightenings.Add(1)
-	}
-}
-
-// InjectCloseness publishes a closeness floor (missing count; smaller is
-// tighter). Non-positive values are ignored.
-func (s *FocusFloorShare) InjectCloseness(missing int64) {
-	if s == nil || missing <= 0 {
-		return
-	}
-	if s.floor.publishCl(missing) {
-		s.tightenings.Add(1)
-	}
-}
-
-// Tightenings reports how many injections actually tightened the floor —
-// the scatter metric distinguishing useful broadcasts from redundant ones.
-func (s *FocusFloorShare) Tightenings() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.tightenings.Load()
-}
-
-// FloorFromEmission derives the broadcastable floor of a completed shard's
-// k-th emission and injects it into share.
-func FloorFromEmission(share *FocusFloorShare, measure FocusMeasure, e FocusEmission) {
-	if measure == Closeness {
-		share.InjectCloseness(int64(e.Missing))
-		return
-	}
-	share.InjectCompleteness(int64(e.ImplLen-e.Missing), int64(e.ImplLen))
-}
-
 // TopEmissions is the shard-side Focus scatter entry point: the first k
 // emissions of this library's Focus walk — RecommendContext before its
 // projection onto ScoredAction — with implBase the shard's global
-// implementation-id offset. share, when non-nil, feeds externally injected
-// floors into the block-max scan; k must be positive.
-//
-// Under an external floor the list may come back shorter than k: the floor
-// proves the skipped implementations rank strictly below the global k-th
-// emission key, so nothing the merge needs is missing.
-func (f *Focus) TopEmissions(ctx context.Context, activity []core.ActionID, k int, implBase int64, share *FocusFloorShare) ([]FocusEmission, error) {
+// implementation-id offset; k must be positive.
+func (f *Focus) TopEmissions(ctx context.Context, activity []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
 	}
 	if k <= 0 {
 		return nil, nil
 	}
-	var ext *focusFloor
-	if share != nil {
-		ext = &share.floor
-	}
-	return f.emissions(ctx, activity, k, implBase, ext)
+	return f.emissions(ctx, activity, k, implBase)
 }
 
 // emissionBefore is the global emission order: implementation key (score

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"context"
 	"testing"
 
 	"goalrec/internal/core"
@@ -49,9 +48,7 @@ func gatherActivities(nAct int) [][]core.ActionID {
 
 // The three gather tests drive the source table — whose partials/1..3 rows
 // merge per-shard partials and compare with the oracle — over libraries dense
-// enough for heavy tie layers, where the merge order is all tiebreak. Focus
-// shards take the kernel on the plain layout and the block-max scan on the
-// impact-ordered one.
+// enough for heavy tie layers, where the merge order is all tiebreak.
 
 func TestFocusGatherMergeMatchesSingleNode(t *testing.T) {
 	for _, lib := range testLayouts(t, partialTestLibrary(t, 101, 600, 40, 15, 6)) {
@@ -75,53 +72,6 @@ func TestBestMatchGatherMergeMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestFocusGatherMergeUnderInjectedFloor injects the floor a completed
-// shard would broadcast into the remaining shards' scans and checks the
-// merge stays exact — the cross-node floor soundness pin. The library is
-// impact-ordered, so every shard is size-sorted and scans under the floor.
-func TestFocusGatherMergeUnderInjectedFloor(t *testing.T) {
-	lib, _ := core.ImpactOrder(partialTestLibrary(t, 77, 800, 35, 12, 6))
-	activity := []core.ActionID{2, 6, 11, 19}
-	const k = 8
-	for _, measure := range []FocusMeasure{Completeness, Closeness} {
-		want := newOracle(lib).oracleFocus(activity, measure, k)
-
-		ranges := splitRanges(lib.NumImplementations(), 3)
-		lists := make([][]FocusEmission, len(ranges))
-
-		// Shard 0 completes unconstrained; its k-th emission seeds the share
-		// every later shard scans under, mimicking the coordinator broadcast.
-		share := NewFocusFloorShare()
-		var scans PruneStats
-		for i, r := range ranges {
-			sub, err := core.PartitionRange(lib, r[0], r[1])
-			if err != nil {
-				t.Fatalf("PartitionRange(%d, %d): %v", r[0], r[1], err)
-			}
-			f := NewFocus(sub, measure)
-			f.CountInto(&scans)
-			f.SetConcurrency(2, 1) // force the sharded scan even on small shards
-			var s *FocusFloorShare
-			if i > 0 {
-				s = share
-			}
-			list, err := f.TopEmissions(context.Background(), activity, k, int64(r[0]), s)
-			if err != nil {
-				t.Fatalf("TopEmissions: %v", err)
-			}
-			lists[i] = list
-			if len(list) == k {
-				FloorFromEmission(share, measure, list[k-1])
-			}
-		}
-		if share.Tightenings() == 0 || scans.Snapshot().BlocksTotal == 0 {
-			t.Fatalf("%s: no shard scanned under an injected floor (tightenings=%d, %+v)",
-				measure, share.Tightenings(), scans.Snapshot())
-		}
-		assertSameRanking(t, "floor/"+measure.String(), MergeFocusEmissions(lists, k), want)
-	}
-}
-
 // TestMergeFocusEmissionsTieBreakAtCutoff pins the gather-merge order
 // against the documented total order — score descending, fewer missing
 // first, then global implementation id, then action id — with equal-score
@@ -130,16 +80,16 @@ func TestMergeFocusEmissionsTieBreakAtCutoff(t *testing.T) {
 	// Two shards, every emission at the same score. Shard boundaries fall
 	// between impl 10 (shard A) and impls 11/12 (shard B).
 	shardA := []FocusEmission{
-		{Action: 5, Score: 0.5, Missing: 2, Impl: 10, ImplLen: 4},
-		{Action: 7, Score: 0.5, Missing: 2, Impl: 10, ImplLen: 4},
+		{Action: 5, Score: 0.5, Missing: 2, Impl: 10},
+		{Action: 7, Score: 0.5, Missing: 2, Impl: 10},
 	}
 	shardB := []FocusEmission{
-		{Action: 3, Score: 0.5, Missing: 2, Impl: 11, ImplLen: 4},
+		{Action: 3, Score: 0.5, Missing: 2, Impl: 11},
 		// Duplicate of action 5 with a worse (higher) impl id: the merge
 		// must keep shard A's emission.
-		{Action: 5, Score: 0.5, Missing: 2, Impl: 11, ImplLen: 4},
+		{Action: 5, Score: 0.5, Missing: 2, Impl: 11},
 		// Same score but more missing: ranks after every missing=2 entry.
-		{Action: 1, Score: 0.5, Missing: 3, Impl: 12, ImplLen: 5},
+		{Action: 1, Score: 0.5, Missing: 3, Impl: 12},
 	}
 
 	got := MergeFocusEmissions([][]FocusEmission{shardA, shardB}, 3)
@@ -158,8 +108,8 @@ func TestMergeFocusEmissionsTieBreakAtCutoff(t *testing.T) {
 	// Equal score and missing, distinct impls: lower global impl id wins
 	// regardless of which shard list it arrived in.
 	first := MergeFocusEmissions([][]FocusEmission{
-		{{Action: 9, Score: 1, Missing: 1, Impl: 40, ImplLen: 2}},
-		{{Action: 2, Score: 1, Missing: 1, Impl: 39, ImplLen: 2}},
+		{{Action: 9, Score: 1, Missing: 1, Impl: 40}},
+		{{Action: 2, Score: 1, Missing: 1, Impl: 39}},
 	}, 1)
 	assertSameRanking(t, "impl-order", first, []ScoredAction{{Action: 2, Score: 1}})
 }

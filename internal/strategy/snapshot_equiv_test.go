@@ -33,9 +33,6 @@ func openSnapshotLibrary(t *testing.T, lib *core.Library) *core.Library {
 func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k int) {
 	t.Helper()
 	mlib := openSnapshotLibrary(t, lib)
-	if mlib.ImplLenSorted() != lib.ImplLenSorted() {
-		t.Fatalf("snapshot lost the layout flag (size-sorted %v -> %v)", lib.ImplLenSorted(), mlib.ImplLenSorted())
-	}
 
 	type variant struct {
 		name string
@@ -68,18 +65,13 @@ func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k in
 }
 
 // TestSnapshotRankingsMatchBuilder drives all strategies over mmap-loaded
-// snapshots of random libraries, alternating plain and impact-ordered
-// layouts (the latter exercises the block-max scan's cutoff on mapped
-// rows).
+// snapshots of random libraries.
 func TestSnapshotRankingsMatchBuilder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
 		n := 1 + r.Intn(1500)
 		actionSpace := 2 + r.Intn(24)
 		lib := testlib.RandomLibrary(r, n, actionSpace, 20, 9)
-		if trial%2 == 1 {
-			lib, _ = core.ImpactOrder(lib)
-		}
 		h := intset.FromUnsorted(testlib.RandomActivity(r, actionSpace, 6))
 		k := 1 + r.Intn(15)
 		checkSnapshotEquiv(t, lib, h, k)
@@ -99,9 +91,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		n := 1 + r.Intn(600)
 		actionSpace := 2 + r.Intn(30)
 		lib := testlib.RandomLibrary(r, n, actionSpace, 15, 8)
-		if libSeed%2 == 0 {
-			lib, _ = core.ImpactOrder(lib)
-		}
 		qr := rand.New(rand.NewSource(querySeed))
 		h := intset.FromUnsorted(testlib.RandomActivity(qr, actionSpace, 6))
 		k := 1 + qr.Intn(12)

@@ -3,12 +3,14 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
+	"goalrec/internal/testlib"
 	"goalrec/internal/vectorspace"
 )
 
@@ -16,12 +18,8 @@ import (
 // source a ranking can come from, against the naive oracle of oracle_test.go,
 // byte-equal on (action, score). The sources are the counter kernel
 // (sequential and forced-sharded), a CounterView, and 1/2/3-shard partials
-// merged by the gather functions; which Focus rank source serves a
-// from-scratch query — the kernel or the block-max scan — follows from the
-// library's layout, so the drivers feed plain, impact-ordered and
-// impact-ordered mapped libraries (testLayouts) and the Focus rows
-// assert, through a PruneStats sink, that the scan ran exactly when
-// (lib.ImplLenSorted(), k > 0) says it should.
+// merged by the gather functions. The drivers feed each library as built and
+// behind a snapshot image (testLayouts).
 
 // rankingSource produces one strategy's ranking of (h, k) over lib; ok is
 // false where the source's API does not take that k.
@@ -105,28 +103,12 @@ func partialSources(gather func(t *testing.T, parts []shardPart, h []core.Action
 	return out
 }
 
-// scanMustFollowLayout runs query on a Focus counting into a fresh sink and
-// asserts the selection rule: the block-max scan considered blocks exactly
-// when the library is size-sorted, k is bounded and H has postings.
-func scanMustFollowLayout(t *testing.T, f *Focus, lib *core.Library, h []core.ActionID, k int, query func()) {
-	t.Helper()
-	var sink PruneStats
-	f.CountInto(&sink)
-	query()
-	want := lib.ImplLenSorted() && k > 0 && lib.OverlapStream(intset.FromUnsorted(intset.Clone(h))) > 0
-	if got := sink.Snapshot().BlocksTotal > 0; got != want {
-		t.Fatalf("%s: block-max scan engaged = %v, want %v (size-sorted=%v, k=%d): %+v",
-			f.Name(), got, want, lib.ImplLenSorted(), k, sink.Snapshot())
-	}
-}
-
 func focusCase(m FocusMeasure) strategyCase {
 	kernel := func(name string, workers int) rankingSource {
-		return rankingSource{name, func(t *testing.T, x *sourceFixture, k int) (got []ScoredAction, ok bool) {
+		return rankingSource{name, func(_ *testing.T, x *sourceFixture, k int) ([]ScoredAction, bool) {
 			f := NewFocus(x.lib, m)
 			f.SetConcurrency(workers, 1)
-			scanMustFollowLayout(t, f, x.lib, x.h, k, func() { got = f.Recommend(x.h, k) })
-			return got, true
+			return f.Recommend(x.h, k), true
 		}}
 	}
 	c := strategyCase{
@@ -146,13 +128,10 @@ func focusCase(m FocusMeasure) strategyCase {
 		}
 		lists := make([][]FocusEmission, len(parts))
 		for i, p := range parts {
-			f := NewFocus(p.lib, m)
-			scanMustFollowLayout(t, f, p.lib, h, k, func() {
-				var err error
-				if lists[i], err = f.TopEmissions(context.Background(), h, k, int64(p.lo), nil); err != nil {
-					t.Fatalf("TopEmissions: %v", err)
-				}
-			})
+			var err error
+			if lists[i], err = NewFocus(p.lib, m).TopEmissions(context.Background(), h, k, int64(p.lo)); err != nil {
+				t.Fatalf("TopEmissions: %v", err)
+			}
 		}
 		return MergeFocusEmissions(lists, k), true
 	})...)
@@ -268,8 +247,8 @@ func checkSources(t *testing.T, x *sourceFixture, ks []int, onlyCase, onlySource
 				}
 				got, ok := src.run(t, x, k)
 				if ok && !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s via %s diverged from the oracle (k=%d, h=%v, size-sorted=%v):\ngot  %v\nwant %v",
-						c.name, src.name, k, x.h, x.lib.ImplLenSorted(), got, want)
+					t.Fatalf("%s via %s diverged from the oracle (k=%d, h=%v):\ngot  %v\nwant %v",
+						c.name, src.name, k, x.h, got, want)
 				}
 			}
 		}
@@ -296,14 +275,25 @@ func checkViewEquiv(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 	checkSources(t, &sourceFixture{lib: lib, h: h, view: v}, []int{k}, "", "view")
 }
 
-// testLayouts returns lib in the three layouts a served snapshot comes in:
-// as built, impact-ordered, and impact-ordered behind a snapshot image (the
-// mmap form, whose rows are views over the image).
+// testLayouts returns lib in the two forms a served snapshot comes in: as
+// built, and behind a snapshot image (the mmap form, whose rows are views
+// over the image).
 func testLayouts(t *testing.T, lib *core.Library) []*core.Library {
 	t.Helper()
-	impact, _ := core.ImpactOrder(lib)
-	if !impact.ImplLenSorted() {
-		t.Fatal("impact-ordered library does not report a size-sorted layout")
+	return []*core.Library{lib, mappedLibrary(t, lib)}
+}
+
+// TestSourcesMatchOracle drives the source table over random libraries, as
+// built and mapped.
+func TestSourcesMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 12; trial++ {
+		n := 1 + r.Intn(1500)
+		actionSpace := 2 + r.Intn(24)
+		for _, lib := range testLayouts(t, testlib.RandomLibrary(r, n, actionSpace, 20, 9)) {
+			for q := 0; q < 3; q++ {
+				checkEverySource(t, lib, testlib.RandomActivity(r, actionSpace, 6), "")
+			}
+		}
 	}
-	return []*core.Library{lib, impact, mappedLibrary(t, impact)}
 }

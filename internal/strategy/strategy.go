@@ -9,7 +9,6 @@
 package strategy
 
 import (
-	"math"
 	"slices"
 
 	"goalrec/internal/core"
@@ -100,16 +99,6 @@ func (s *selector) offer(c ScoredAction) {
 	}
 	s.h[0] = c
 	heapSiftDown(s.h, 0)
-}
-
-// floor is the score below which an offer can no longer be retained: the
-// worst retained score once the selector is full and −∞ before — the
-// unpruned case, in which no bound test can skip anything.
-func (s *selector) floor() float64 {
-	if len(s.h) < cap(s.h) || len(s.h) == 0 {
-		return math.Inf(-1)
-	}
-	return s.h[0].Score
 }
 
 // merge offers every entry o retains.

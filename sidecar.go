@@ -43,11 +43,11 @@ var lastSidecar atomic.Pointer[string]
 // A JSON-lines file is served from a memory-mapped snapshot of it kept at
 // path+SidecarSuffix, which this call builds when it is missing or stale and
 // verifies on every open; any other format loads exactly as LoadLibraryFile
-// does. With impactOrdering the library comes back in the impact-ordered
-// layout (see WithImpactOrdering), and that layout is what the sidecar holds.
+// does.
 //
 // The sidecar is keyed by content, never by time: the key is the SHA-256 of
-// the source's bytes plus the layout, stored inside the snapshot. Every call
+// the source's bytes plus the layout label "plain" (the one layout), stored
+// inside the snapshot. Every call
 // hashes the source; a sidecar with another key, without one, or that fails
 // its whole-file checksum is rebuilt — parse, write to a synced temp file,
 // rename — and the key a rebuild writes is the hash of the bytes the parser
@@ -61,8 +61,8 @@ var lastSidecar atomic.Pointer[string]
 // mapped — or "" for a file that is not JSON lines. Like LoadLibraryFile's
 // snapshot libraries, a mapped library stays mapped for the life of the
 // process.
-func LoadLibraryFileMapped(path string, impactOrdering bool) (lib *Library, decision string, err error) {
-	lib, decision, err = loadLibraryFileMapped(faultfs.OS, path, impactOrdering)
+func LoadLibraryFileMapped(path string) (lib *Library, decision string, err error) {
+	lib, decision, err = loadLibraryFileMapped(faultfs.OS, path)
 	if err == nil && decision != "" {
 		lastSidecar.Store(&decision)
 	}
@@ -72,7 +72,7 @@ func LoadLibraryFileMapped(path string, impactOrdering bool) (lib *Library, deci
 // loadLibraryFileMapped is LoadLibraryFileMapped with the sidecar written
 // through fsys (fault injection); the source is always read from the real
 // filesystem.
-func loadLibraryFileMapped(fsys faultfs.FS, path string, impactOrdering bool) (*Library, string, error) {
+func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", err
@@ -87,9 +87,6 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string, impactOrdering bool) (*
 	}
 	if first != '{' {
 		lib, err := LoadLibraryFile(path)
-		if err == nil && impactOrdering {
-			lib = lib.ImpactOrdered()
-		}
 		return lib, "", err
 	}
 
@@ -97,7 +94,7 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string, impactOrdering bool) (*
 	if _, err := io.Copy(h, f); err != nil {
 		return nil, "", fmt.Errorf("goalrec: reading %s: %w", path, err)
 	}
-	lib, refused := openSidecar(fsys, path, sidecarKey(h, impactOrdering))
+	lib, refused := openSidecar(fsys, path, sidecarKey(h))
 	if refused == nil {
 		return lib, SidecarHit, nil
 	}
@@ -113,10 +110,7 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string, impactOrdering bool) (*
 		return nil, "", err
 	}
 	parsed := &Library{lib: clib, vocab: vocab}
-	if impactOrdering {
-		parsed = parsed.ImpactOrdered()
-	}
-	key := sidecarKey(h, impactOrdering)
+	key := sidecarKey(h)
 	err = writeSidecar(fsys, path+SidecarSuffix, parsed.lib, parsed.vocab, key)
 	if err == nil {
 		lib, err = openSidecar(fsys, path, key)
@@ -135,13 +129,10 @@ type sidecarRef struct {
 }
 
 // sidecarKey labels a snapshot as the image of the source whose bytes went
-// through h, in the given layout.
-func sidecarKey(h hash.Hash, impactOrdering bool) []byte {
-	layout := "plain"
-	if impactOrdering {
-		layout = "impact"
-	}
-	return []byte(fmt.Sprintf("jsonl-sha256:%x layout:%s", h.Sum(nil), layout))
+// through h. The layout label predates the one layout and is kept so that
+// sidecars written before stay hits.
+func sidecarKey(h hash.Hash) []byte {
+	return []byte(fmt.Sprintf("jsonl-sha256:%x layout:plain", h.Sum(nil)))
 }
 
 // openSidecar maps the sidecar of the source at src if it verifies as the

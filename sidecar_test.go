@@ -2,6 +2,7 @@ package goalrec
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -17,8 +18,8 @@ import (
 	"goalrec/internal/faultfs"
 )
 
-// writeSidecarSource writes a seeded JSON-lines library, large enough for its
-// hot posting rows to span several blocks, to path.
+// writeSidecarSource writes a seeded JSON-lines library with long hot posting
+// rows to path.
 func writeSidecarSource(t testing.TB, path string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -40,15 +41,12 @@ func writeSidecarSource(t testing.TB, path string, seed int64) {
 }
 
 // parseReference is the heap path the sidecar stands in for: LoadLibraryFile
-// of the current source, re-laid-out if asked.
-func parseReference(t testing.TB, path string, impact bool) *Library {
+// of the current source.
+func parseReference(t testing.TB, path string) *Library {
 	t.Helper()
 	lib, err := LoadLibraryFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if impact {
-		lib = lib.ImpactOrdered()
 	}
 	return lib
 }
@@ -104,10 +102,10 @@ func assertServesLike(t testing.TB, want, got *Library) {
 }
 
 // TestSidecarTable drives LoadLibraryFileMapped through every state a sidecar
-// can be found in, in both layouts, against the parse of the current source.
+// can be found in, against the parse of the current source.
 func TestSidecarTable(t *testing.T) {
-	mutateSidecar := func(f func(b []byte) []byte) func(*testing.T, string, bool) {
-		return func(t *testing.T, src string, _ bool) {
+	mutateSidecar := func(f func(b []byte) []byte) func(*testing.T, string) {
+		return func(t *testing.T, src string) {
 			b, err := os.ReadFile(src + SidecarSuffix)
 			if err != nil {
 				t.Fatal(err)
@@ -119,13 +117,13 @@ func TestSidecarTable(t *testing.T) {
 		name string
 		warm bool // the sidecar exists, built from the source as first written
 		// disturb runs between the warm-up and the load under test.
-		disturb func(t *testing.T, src string, impact bool)
+		disturb func(t *testing.T, src string)
 		want    string // prefix of the expected decision
 	}{
 		{name: "cold", want: "rebuilt: no sidecar"},
 		{name: "warm", warm: true, want: SidecarHit},
 		{name: "source appended to", warm: true, want: "rebuilt: source key is",
-			disturb: func(t *testing.T, src string, _ bool) {
+			disturb: func(t *testing.T, src string) {
 				f, err := os.OpenFile(src, os.O_APPEND|os.O_WRONLY, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -136,7 +134,7 @@ func TestSidecarTable(t *testing.T) {
 				}
 			}},
 		{name: "source edited at equal size, mtime restored", warm: true, want: "rebuilt: source key is",
-			disturb: func(t *testing.T, src string, _ bool) {
+			disturb: func(t *testing.T, src string) {
 				fi, err := os.Stat(src)
 				if err != nil {
 					t.Fatal(err)
@@ -168,73 +166,76 @@ func TestSidecarTable(t *testing.T) {
 				return b
 			})},
 		{name: "sidecar from the other layout", want: "rebuilt: source key is",
-			disturb: func(t *testing.T, src string, impact bool) {
-				if _, _, err := LoadLibraryFileMapped(src, !impact); err != nil {
+			disturb: func(t *testing.T, src string) {
+				b, err := os.ReadFile(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lib := parseReference(t, src)
+				key := fmt.Sprintf("jsonl-sha256:%x layout:impact", sha256.Sum256(b))
+				if err := writeSidecar(faultfs.OS, src+SidecarSuffix, lib.lib, lib.vocab, []byte(key)); err != nil {
 					t.Fatal(err)
 				}
 			}},
 	} {
-		for _, impact := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/impact=%v", st.name, impact), func(t *testing.T) {
-				src := filepath.Join(t.TempDir(), "lib.jsonl")
-				writeSidecarSource(t, src, 21)
-				if st.warm {
-					if _, d, err := LoadLibraryFileMapped(src, impact); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
-						t.Fatalf("warm-up: decision %q, err %v", d, err)
-					}
+		// "impact=false": the as-loaded layout, the one layout left.
+		t.Run(st.name+"/impact=false", func(t *testing.T) {
+			src := filepath.Join(t.TempDir(), "lib.jsonl")
+			writeSidecarSource(t, src, 21)
+			if st.warm {
+				if _, d, err := LoadLibraryFileMapped(src); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
+					t.Fatalf("warm-up: decision %q, err %v", d, err)
 				}
-				if st.disturb != nil {
-					st.disturb(t, src, impact)
-				}
-				lib, decision, err := LoadLibraryFileMapped(src, impact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !strings.HasPrefix(decision, st.want) {
-					t.Fatalf("decision %q, want %q…", decision, st.want)
-				}
-				if got := lib.Backing(); got.Backing != "mapped" || got.Sidecar != decision {
-					t.Fatalf("Backing() = %+v after decision %q", got, decision)
-				}
-				assertServesLike(t, parseReference(t, src, impact), lib)
-				// Whatever was found, the next start parses nothing.
-				again, decision, err := LoadLibraryFileMapped(src, impact)
-				if err != nil || decision != SidecarHit {
-					t.Fatalf("second load: decision %q, err %v; want a hit", decision, err)
-				}
-				assertServesLike(t, lib, again)
-			})
-		}
+			}
+			if st.disturb != nil {
+				st.disturb(t, src)
+			}
+			lib, decision, err := LoadLibraryFileMapped(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(decision, st.want) {
+				t.Fatalf("decision %q, want %q…", decision, st.want)
+			}
+			if got := lib.Backing(); got.Backing != "mapped" || got.Sidecar != decision {
+				t.Fatalf("Backing() = %+v after decision %q", got, decision)
+			}
+			assertServesLike(t, parseReference(t, src), lib)
+			// Whatever was found, the next start parses nothing.
+			again, decision, err := LoadLibraryFileMapped(src)
+			if err != nil || decision != SidecarHit {
+				t.Fatalf("second load: decision %q, err %v; want a hit", decision, err)
+			}
+			assertServesLike(t, lib, again)
+		})
 	}
 }
 
 // TestSidecarUnwritable: when the sidecar cannot be written the parsed, heap
 // library is served, as before sidecars existed, and the cause is reported.
 func TestSidecarUnwritable(t *testing.T) {
-	for _, impact := range []bool{false, true} {
-		src := filepath.Join(t.TempDir(), "lib.jsonl")
-		writeSidecarSource(t, src, 22)
-		for _, rule := range []faultfs.Rule{
-			{Op: faultfs.OpCreateTemp, Err: syscall.EROFS},
-			{Op: faultfs.OpWrite, Err: faultfs.ENOSPC},
-			{Op: faultfs.OpRename, Err: faultfs.EIO},
-		} {
-			inj := faultfs.NewInjector(nil)
-			inj.Fail(rule)
-			lib, decision, err := loadLibraryFileMapped(inj, src, impact)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.HasPrefix(decision, SidecarUnwritable+": ") {
-				t.Fatalf("op %v: decision %q, want unwritable", rule.Op, decision)
-			}
-			if lib.Backing().Backing != "heap" {
-				t.Fatalf("op %v: an unwritable sidecar left the library %q", rule.Op, lib.Backing().Backing)
-			}
-			assertServesLike(t, parseReference(t, src, impact), lib)
-			if _, err := os.Stat(src + SidecarSuffix); err == nil {
-				t.Fatalf("op %v: a sidecar appeared despite the fault", rule.Op)
-			}
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 22)
+	for _, rule := range []faultfs.Rule{
+		{Op: faultfs.OpCreateTemp, Err: syscall.EROFS},
+		{Op: faultfs.OpWrite, Err: faultfs.ENOSPC},
+		{Op: faultfs.OpRename, Err: faultfs.EIO},
+	} {
+		inj := faultfs.NewInjector(nil)
+		inj.Fail(rule)
+		lib, decision, err := loadLibraryFileMapped(inj, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(decision, SidecarUnwritable+": ") {
+			t.Fatalf("op %v: decision %q, want unwritable", rule.Op, decision)
+		}
+		if lib.Backing().Backing != "heap" {
+			t.Fatalf("op %v: an unwritable sidecar left the library %q", rule.Op, lib.Backing().Backing)
+		}
+		assertServesLike(t, parseReference(t, src), lib)
+		if _, err := os.Stat(src + SidecarSuffix); err == nil {
+			t.Fatalf("op %v: a sidecar appeared despite the fault", rule.Op)
 		}
 	}
 }
@@ -243,39 +244,37 @@ func TestSidecarUnwritable(t *testing.T) {
 // cluster's first deployment — each write their own temp file and rename
 // identical bytes; whichever file each then opens verifies.
 func TestSidecarConcurrentColdStarts(t *testing.T) {
-	for _, impact := range []bool{false, true} {
-		src := filepath.Join(t.TempDir(), "lib.jsonl")
-		writeSidecarSource(t, src, 23)
-		const n = 8
-		libs := make([]*Library, n)
-		decisions := make([]string, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				libs[i], decisions[i], errs[i] = LoadLibraryFileMapped(src, impact)
-			}(i)
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 23)
+	const n = 8
+	libs := make([]*Library, n)
+	decisions := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			libs[i], decisions[i], errs[i] = LoadLibraryFileMapped(src)
+		}(i)
+	}
+	wg.Wait()
+	want := parseReference(t, src)
+	for i := range libs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		wg.Wait()
-		want := parseReference(t, src, impact)
-		for i := range libs {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			if d := decisions[i]; d != SidecarHit && !strings.HasPrefix(d, SidecarRebuilt+": ") {
-				t.Fatalf("load %d: decision %q", i, d)
-			}
-			if libs[i].Backing().Backing != "mapped" {
-				t.Fatalf("load %d (%s) is not served mapped", i, decisions[i])
-			}
-			assertServesLike(t, want, libs[i])
+		if d := decisions[i]; d != SidecarHit && !strings.HasPrefix(d, SidecarRebuilt+": ") {
+			t.Fatalf("load %d: decision %q", i, d)
 		}
-		leftovers, err := filepath.Glob(filepath.Join(filepath.Dir(src), ".snap-*.tmp"))
-		if err != nil || len(leftovers) != 0 {
-			t.Fatalf("temp files left behind: %v (%v)", leftovers, err)
+		if libs[i].Backing().Backing != "mapped" {
+			t.Fatalf("load %d (%s) is not served mapped", i, decisions[i])
 		}
+		assertServesLike(t, want, libs[i])
+	}
+	leftovers, err := filepath.Glob(filepath.Join(filepath.Dir(src), ".snap-*.tmp"))
+	if err != nil || len(leftovers) != 0 {
+		t.Fatalf("temp files left behind: %v (%v)", leftovers, err)
 	}
 }
 
@@ -296,7 +295,7 @@ func TestSidecarRemovesStaleTemps(t *testing.T) {
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if _, d, err := LoadLibraryFileMapped(src, false); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
+	if _, d, err := LoadLibraryFileMapped(src); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
 		t.Fatalf("decision %q, err %v", d, err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -313,12 +312,12 @@ func TestSidecarOtherFormats(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "lib.jsonl")
 	writeSidecarSource(t, src, 25)
-	want := parseReference(t, src, false)
+	want := parseReference(t, src)
 	snap := filepath.Join(dir, "lib.gsnp")
 	if err := want.SaveSnapshotFile(snap, false); err != nil {
 		t.Fatal(err)
 	}
-	lib, decision, err := LoadLibraryFileMapped(snap, false)
+	lib, decision, err := LoadLibraryFileMapped(snap)
 	if err != nil || decision != "" {
 		t.Fatalf("%s: decision %q, err %v", snap, decision, err)
 	}
@@ -326,7 +325,7 @@ func TestSidecarOtherFormats(t *testing.T) {
 	if _, err := os.Stat(snap + SidecarSuffix); err == nil {
 		t.Fatalf("%s got a sidecar", snap)
 	}
-	if _, _, err := LoadLibraryFileMapped(filepath.Join(dir, "missing.jsonl"), false); err == nil {
+	if _, _, err := LoadLibraryFileMapped(filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Fatal("a missing library loaded")
 	}
 }
@@ -334,74 +333,69 @@ func TestSidecarOtherFormats(t *testing.T) {
 // TestSidecarEngineIngest: an Engine seeded from a sidecar-backed library and
 // fed the same ingests as one seeded from the parse serves the same epochs.
 func TestSidecarEngineIngest(t *testing.T) {
-	for _, impact := range []bool{false, true} {
-		src := filepath.Join(t.TempDir(), "lib.jsonl")
-		writeSidecarSource(t, src, 26)
-		mapped, _, err := LoadLibraryFileMapped(src, impact)
-		if err != nil {
-			t.Fatal(err)
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 26)
+	mapped, _, err := LoadLibraryFileMapped(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onMapped := NewEngineFromLibrary(mapped)
+	onHeap := NewEngineFromLibrary(parseReference(t, src))
+	for round := 0; round < 3; round++ {
+		batch := []Implementation{
+			{Goal: fmt.Sprintf("goal-%03d", round), Actions: []string{"act-000", "act-003", fmt.Sprintf("fresh-%d", round)}},
+			{Goal: fmt.Sprintf("ingested-%d", round), Actions: []string{"act-001", "act-017"}},
 		}
-		onMapped := NewEngineFromLibrary(mapped)
-		onHeap := NewEngineFromLibrary(parseReference(t, src, impact))
-		for round := 0; round < 3; round++ {
-			batch := []Implementation{
-				{Goal: fmt.Sprintf("goal-%03d", round), Actions: []string{"act-000", "act-003", fmt.Sprintf("fresh-%d", round)}},
-				{Goal: fmt.Sprintf("ingested-%d", round), Actions: []string{"act-001", "act-017"}},
+		for _, e := range []*Engine{onMapped, onHeap} {
+			if _, err := e.AddImplementations(batch); err != nil {
+				t.Fatal(err)
 			}
-			for _, e := range []*Engine{onMapped, onHeap} {
-				if _, err := e.AddImplementations(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if onMapped.Epoch() != onHeap.Epoch() {
-				t.Fatalf("epochs diverged: %d vs %d", onMapped.Epoch(), onHeap.Epoch())
-			}
-			if got := onMapped.Snapshot().Backing().Backing; got != "mapped" {
-				t.Fatalf("round %d: an ingest left the snapshot %q", round, got)
-			}
-			assertServesLike(t, onHeap.Snapshot(), onMapped.Snapshot())
 		}
+		if onMapped.Epoch() != onHeap.Epoch() {
+			t.Fatalf("epochs diverged: %d vs %d", onMapped.Epoch(), onHeap.Epoch())
+		}
+		if got := onMapped.Snapshot().Backing().Backing; got != "mapped" {
+			t.Fatalf("round %d: an ingest left the snapshot %q", round, got)
+		}
+		assertServesLike(t, onHeap.Snapshot(), onMapped.Snapshot())
 	}
 }
 
 // TestVocabChecksumMemoized: the checksum is a pure function of the snapshot
-// — equal across the heap, mapped and re-opened forms of one artifact in one
-// layout — and a later epoch that interned a name has its own.
+// — equal across the heap, mapped and re-opened forms of one artifact — and a later epoch that interned a name has its own.
 func TestVocabChecksumMemoized(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "lib.jsonl")
 	writeSidecarSource(t, src, 27)
-	for _, impact := range []bool{false, true} {
-		heap := parseReference(t, src, impact)
-		rebuilt, _, err := LoadLibraryFileMapped(src, impact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hit, d, err := LoadLibraryFileMapped(src, impact)
-		if err != nil || d != SidecarHit {
-			t.Fatalf("decision %q, err %v", d, err)
-		}
-		want := heap.VocabChecksum()
-		if want != heap.computeVocabChecksum() || want != heap.VocabChecksum() {
-			t.Fatal("the memoized checksum differs from the computed one")
-		}
-		if rebuilt.VocabChecksum() != want || hit.VocabChecksum() != want {
-			t.Fatalf("impact=%v: checksums %016x (heap) %016x (rebuilt) %016x (hit)",
-				impact, want, rebuilt.VocabChecksum(), hit.VocabChecksum())
-		}
-		e := NewEngineFromLibrary(hit)
-		before := e.Snapshot().VocabChecksum()
-		if before != want {
-			t.Fatalf("engine snapshot checksum %016x, want %016x", before, want)
-		}
-		if err := e.AddImplementation("goal-000", "act-000", "a-name-never-seen"); err != nil {
-			t.Fatal(err)
-		}
-		if after := e.Snapshot().VocabChecksum(); after == before {
-			t.Fatal("interning a name left the checksum unchanged")
-		}
-		if e.Snapshot().VocabChecksum() != e.Snapshot().computeVocabChecksum() {
-			t.Fatal("the new epoch's memoized checksum is stale")
-		}
+	heap := parseReference(t, src)
+	rebuilt, _, err := LoadLibraryFileMapped(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, d, err := LoadLibraryFileMapped(src)
+	if err != nil || d != SidecarHit {
+		t.Fatalf("decision %q, err %v", d, err)
+	}
+	want := heap.VocabChecksum()
+	if want != heap.computeVocabChecksum() || want != heap.VocabChecksum() {
+		t.Fatal("the memoized checksum differs from the computed one")
+	}
+	if rebuilt.VocabChecksum() != want || hit.VocabChecksum() != want {
+		t.Fatalf("checksums %016x (heap) %016x (rebuilt) %016x (hit)",
+			want, rebuilt.VocabChecksum(), hit.VocabChecksum())
+	}
+	e := NewEngineFromLibrary(hit)
+	before := e.Snapshot().VocabChecksum()
+	if before != want {
+		t.Fatalf("engine snapshot checksum %016x, want %016x", before, want)
+	}
+	if err := e.AddImplementation("goal-000", "act-000", "a-name-never-seen"); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.Snapshot().VocabChecksum(); after == before {
+		t.Fatal("interning a name left the checksum unchanged")
+	}
+	if e.Snapshot().VocabChecksum() != e.Snapshot().computeVocabChecksum() {
+		t.Fatal("the new epoch's memoized checksum is stale")
 	}
 }
 
@@ -414,7 +408,7 @@ func FuzzSidecarOpen(f *testing.F) {
 	dir := f.TempDir()
 	src := filepath.Join(dir, "lib.jsonl")
 	writeSidecarSource(f, src, 28)
-	if _, _, err := LoadLibraryFileMapped(src, false); err != nil {
+	if _, _, err := LoadLibraryFileMapped(src); err != nil {
 		f.Fatal(err)
 	}
 	side := src + SidecarSuffix
@@ -427,7 +421,7 @@ func FuzzSidecarOpen(f *testing.F) {
 		f.Fatalf("sidecar source key %q, err %v", d.SourceKey, err)
 	}
 	key := []byte(d.SourceKey)
-	want := canonicalImage(f, parseReference(f, src, false))
+	want := canonicalImage(f, parseReference(f, src))
 	f.Add(uint32(0), byte(0), uint32(0))            // untouched
 	f.Add(uint32(9), byte(0xff), uint32(0))         // header flags
 	f.Add(uint32(70), byte(1), uint32(0))           // section table
