@@ -588,7 +588,16 @@ func WriteSnapshotFile(path string, l *Library, vocab *Vocabulary, opts Snapshot
 
 // WriteSnapshotFileFS is WriteSnapshotFile over an explicit filesystem
 // (fault injection; see internal/faultfs).
-func WriteSnapshotFileFS(fsys faultfs.FS, path string, l *Library, vocab *Vocabulary, opts SnapshotOptions) (err error) {
+func WriteSnapshotFileFS(fsys faultfs.FS, path string, l *Library, vocab *Vocabulary, opts SnapshotOptions) error {
+	return sealFile(fsys, path, func(w io.Writer) error { return WriteSnapshot(w, l, vocab, opts) })
+}
+
+// sealFile is the one way a snapshot file lands at path: write emits the
+// image into a same-directory temp file (.snap-*.tmp), which is synced,
+// closed and renamed into place, and the directory is synced so the rename
+// survives power loss. On any error the temp file is removed and path is
+// untouched, except that a failed directory sync leaves the renamed file.
+func sealFile(fsys faultfs.FS, path string, write func(w io.Writer) error) (err error) {
 	dir := filepathDir(path)
 	f, err := fsys.CreateTemp(dir, ".snap-*.tmp")
 	if err != nil {
@@ -601,7 +610,7 @@ func WriteSnapshotFileFS(fsys faultfs.FS, path string, l *Library, vocab *Vocabu
 			_ = fsys.Remove(tmp)
 		}
 	}()
-	if err = WriteSnapshot(f, l, vocab, opts); err != nil {
+	if err = write(f); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {
@@ -747,16 +756,8 @@ func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	ks, ok := secs[secSourceKey]
-	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
-		return nil, errors.New("no source key")
-	}
-	have := make([]byte, ks.count)
-	if _, err := f.ReadAt(have, int64(ks.off)); err != nil {
+	if err := checkSourceKey(f, secs, key); err != nil {
 		return nil, err
-	}
-	if !bytes.Equal(have, key) {
-		return nil, fmt.Errorf("source key is %q", have)
 	}
 	if err := VerifySnapshotChecksum(io.NewSectionReader(f, 0, size), size); err != nil {
 		return nil, err
@@ -767,6 +768,23 @@ func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, err
 		return nil, fmt.Errorf("size changed from %d to %d bytes while opening", size, len(s.data))
 	}
 	return s, err
+}
+
+// checkSourceKey reads the source-key section of an image laid out as secs
+// from r and refuses the image unless the key is key.
+func checkSourceKey(r io.ReaderAt, secs map[uint32]snapSection, key []byte) error {
+	ks, ok := secs[secSourceKey]
+	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
+		return errors.New("no source key")
+	}
+	have := make([]byte, ks.count)
+	if _, err := r.ReadAt(have, int64(ks.off)); err != nil {
+		return err
+	}
+	if !bytes.Equal(have, key) {
+		return fmt.Errorf("source key is %q", have)
+	}
+	return nil
 }
 
 // snapshotSections parses and CRC-checks the header plus section table of a

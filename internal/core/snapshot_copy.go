@@ -1,0 +1,146 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+
+	"goalrec/internal/faultfs"
+)
+
+// ErrCopyRefused marks a CopySnapshotFileFS that refused its source: the
+// file is missing or unreadable, carries another source key, is not a sound
+// image of the library being persisted, or does not match its own checksum.
+// Nothing was written at the destination; the caller serialises the library
+// instead. Errors on the destination side are returned without it.
+var ErrCopyRefused = errors.New("core: snapshot copy refused")
+
+// snapCopyBuf is the fixed buffer CopySnapshotFileFS streams a file through.
+const snapCopyBuf = 1 << 20
+
+func copyRefused(err error) error { return fmt.Errorf("%w: %w", ErrCopyRefused, err) }
+
+// CopySnapshotFileFS persists l, the unextended image of the keyed snapshot
+// file at src, to dst as WriteSnapshotFileFS would: same bytes, except that
+// the header carries l's epoch. It copies src through read instead of
+// serialising l, so the pages of a mapping l is served from are never
+// touched.
+//
+// Before anything is written it checks, on one descriptor: the header CRC
+// and the geometry against the file's size, the source-key section against
+// key, the header's dimensions against l, and that the checksum footer
+// follows the last section. It then streams the file through one fixed
+// buffer into a temp file, restamping the header's epoch and CRC, and keeps
+// two running CRC-32s: the source's must match its footer, and the copy's is
+// sealed as the new footer. The temp file is renamed to dst only after the
+// source verified (see sealFile). Every refusal wraps ErrCopyRefused.
+func CopySnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library) error {
+	fsys = faultfs.Or(fsys)
+	in, err := fsys.Open(src)
+	if err != nil {
+		return copyRefused(err)
+	}
+	defer in.Close()
+	fi, err := in.Stat()
+	if err != nil {
+		return copyRefused(err)
+	}
+	size := fi.Size()
+	head := make([]byte, min(size, snapHeadMax))
+	if _, err := in.ReadAt(head, 0); err != nil {
+		return copyRefused(err)
+	}
+	tableEnd, end, err := checkCopySource(in, head, uint64(size), key, l)
+	if err != nil {
+		return copyRefused(err)
+	}
+
+	// The restamped header and table, in place of the source's.
+	hdr := bytes.Clone(head[:tableEnd])
+	binary.LittleEndian.PutUint64(hdr[48:], l.epoch)
+	crc := crc32.ChecksumIEEE(hdr[:60])
+	binary.LittleEndian.PutUint32(hdr[60:], crc32.Update(crc, crc32.IEEETable, hdr[snapHeaderSize:]))
+
+	return sealFile(fsys, dst, func(w io.Writer) error {
+		buf := make([]byte, min(end, snapCopyBuf))
+		var srcCRC, dstCRC uint32
+		for pos := uint64(0); pos < end; {
+			chunk := buf[:min(uint64(len(buf)), end-pos)]
+			if _, err := io.ReadFull(in, chunk); err != nil {
+				return copyRefused(err)
+			}
+			srcCRC = crc32.Update(srcCRC, crc32.IEEETable, chunk)
+			if pos == 0 {
+				// The first chunk covers the header and table (end ≥ tableEnd):
+				// they must still be the bytes checked above.
+				if !bytes.Equal(chunk[:tableEnd], head[:tableEnd]) {
+					return copyRefused(errors.New("header changed while copying"))
+				}
+				copy(chunk, hdr)
+			}
+			dstCRC = crc32.Update(dstCRC, crc32.IEEETable, chunk)
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+			pos += uint64(len(chunk))
+		}
+		var footer [snapFooterSize]byte
+		if _, err := io.ReadFull(in, footer[:]); err != nil {
+			return copyRefused(err)
+		}
+		if binary.LittleEndian.Uint32(footer[0:]) != snapFooterMagic {
+			return copyRefused(ErrNoChecksum)
+		}
+		if want := binary.LittleEndian.Uint32(footer[4:]); srcCRC != want {
+			return copyRefused(fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrCorruptSnapshot, srcCRC, want))
+		}
+		binary.LittleEndian.PutUint32(footer[4:], dstCRC)
+		_, err := w.Write(footer[:])
+		return err
+	})
+}
+
+// checkCopySource verifies everything CopySnapshotFileFS can check before it
+// streams: head (the file's first bytes) parses as a header and section table
+// whose sections fit a size-byte file and end right before the footer, the
+// source key read from r is key, and the header describes l. It returns the
+// end of the section table and the offset of the footer.
+func checkCopySource(r io.ReaderAt, head []byte, size uint64, key []byte, l *Library) (tableEnd, end uint64, err error) {
+	secs, flags, err := snapshotSections(head, size)
+	if err != nil {
+		return 0, 0, err
+	}
+	if flags != snapFlagVocab {
+		return 0, 0, fmt.Errorf("header flags %#x, want vocabulary only", flags)
+	}
+	if err := checkSourceKey(r, secs, key); err != nil {
+		return 0, 0, err
+	}
+	dims := [...]struct {
+		name      string
+		have, off uint64
+	}{
+		{"implementations", uint64(l.NumImplementations()), 16},
+		{"actions", uint64(l.numActions), 24},
+		{"goals", uint64(l.numGoals), 32},
+		{"slots", uint64(l.NumPostings()), 40},
+	}
+	for _, d := range dims {
+		if v := binary.LittleEndian.Uint64(head[d.off:]); v != d.have {
+			return 0, 0, fmt.Errorf("file holds %d %s, the library %d", v, d.name, d.have)
+		}
+	}
+	if v := binary.LittleEndian.Uint32(head[56:]); v != uint32(l.maxImplLen) {
+		return 0, 0, fmt.Errorf("file's longest implementation is %d, the library's %d", v, l.maxImplLen)
+	}
+	for _, s := range secs {
+		end = max(end, s.off+s.count*uint64(s.elem))
+	}
+	if end+snapFooterSize != size {
+		return 0, 0, fmt.Errorf("checksum footer not right after the last section (%d + %d != %d bytes)", end, snapFooterSize, size)
+	}
+	return uint64(snapHeaderSize + snapSectSize*len(secs)), end, nil
+}

@@ -10,6 +10,13 @@
 #   4. restart on the same directory and assert the epoch and the exact
 #      recommendation JSON survived
 #   5. ingest once more to prove the recovered lineage keeps advancing
+#   6. seed a second, empty store from a copy of data/samples/recipes.jsonl
+#      (-library: the store persists the seed by copying the library's
+#      sidecar), ingest once, SIGTERM, delete the library and its sidecar,
+#      restart with -snapshot-dir alone and assert the epoch and the exact
+#      recommendation JSON survived, then `goalrec-snap verify` the store's
+#      snapshots: the copied snapshot stands without the file it was copied
+#      from
 #
 # Tunables (env): RR_ADDR (default 127.0.0.1:18091).
 set -euo pipefail
@@ -28,8 +35,10 @@ trap cleanup EXIT
 echo "restart-replay: building race-instrumented goalrecd"
 go build -race -o "$TMP/goalrecd" ./cmd/goalrecd
 
-start_daemon() {
-    "$TMP/goalrecd" -addr "$ADDR" -quiet -snapshot-dir "$TMP/store" \
+start_daemon() { # start_daemon <store-dir> [flag...]
+    local store="$1"
+    shift
+    "$TMP/goalrecd" -addr "$ADDR" -quiet -snapshot-dir "$store" "$@" \
         2>>"$TMP/goalrecd.log" &
     DAEMON_PID=$!
     for _ in $(seq 1 100); do
@@ -65,7 +74,7 @@ recommend() {
         -d '{"activity":["flour","eggs"],"strategy":"breadth","k":5}'
 }
 
-start_daemon
+start_daemon "$TMP/store"
 
 echo "restart-replay: ingesting three batches"
 ingest '{"implementations":[
@@ -86,7 +95,7 @@ fi
 
 stop_daemon
 echo "restart-replay: restarting on the same store"
-start_daemon
+start_daemon "$TMP/store"
 
 EPOCH_AFTER="$(curl -fsS "http://$ADDR/v1/stats" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p')"
 REC_AFTER="$(recommend)"
@@ -113,4 +122,41 @@ if [ "$EPOCH_NEXT" -le "$EPOCH_AFTER" ]; then
 fi
 
 stop_daemon
-echo "restart-replay: epoch $EPOCH_BEFORE survived restart, rankings identical, PASS"
+echo "restart-replay: epoch $EPOCH_BEFORE survived restart, rankings identical"
+
+echo "restart-replay: seeding an empty store from a copy of data/samples/recipes.jsonl"
+mkdir "$TMP/seed"
+cp data/samples/recipes.jsonl "$TMP/seed/recipes.jsonl"
+start_daemon "$TMP/seeded" -library "$TMP/seed/recipes.jsonl"
+SEED_EPOCH="$(ingest '{"implementations":[
+  {"goal":"shakshuka","actions":["eggs","tomatoes","onions","peppers"]}]}')"
+SEED_REC="$(recommend)"
+stop_daemon
+if grep -q "serialised, not copied" "$TMP/goalrecd.log"; then
+    echo "restart-replay: the seed was serialised, not copied from its sidecar" >&2
+    cat "$TMP/goalrecd.log" >&2
+    exit 1
+fi
+
+rm "$TMP/seed/recipes.jsonl" "$TMP/seed/recipes.jsonl.gsnp"
+echo "restart-replay: library and sidecar deleted, restarting on the store alone"
+start_daemon "$TMP/seeded"
+SEED_EPOCH_AFTER="$(curl -fsS "http://$ADDR/v1/stats" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p')"
+SEED_REC_AFTER="$(recommend)"
+stop_daemon
+if [ "$SEED_EPOCH_AFTER" != "$SEED_EPOCH" ]; then
+    echo "restart-replay: seeded store's epoch moved: $SEED_EPOCH -> $SEED_EPOCH_AFTER" >&2
+    cat "$TMP/goalrecd.log" >&2
+    exit 1
+fi
+if [ "$SEED_REC_AFTER" != "$SEED_REC" ]; then
+    echo "restart-replay: seeded store's rankings changed across restart" >&2
+    echo "before: $SEED_REC" >&2
+    echo "after:  $SEED_REC_AFTER" >&2
+    exit 1
+fi
+for snap in "$TMP"/seeded/snap-*.gsnp; do
+    go run ./cmd/goalrec-snap verify "$snap"
+done
+
+echo "restart-replay: epoch $EPOCH_BEFORE survived restart; seeded store at epoch $SEED_EPOCH survived without its library; rankings identical, PASS"

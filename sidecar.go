@@ -21,10 +21,11 @@ import (
 // snapshot LoadLibraryFileMapped keeps of it.
 const SidecarSuffix = ".gsnp"
 
-// sidecarTempAge is how long a temp file of an interrupted sidecar write must
-// have lain untouched before a later rebuild removes it: long enough that it
-// cannot belong to a write still in progress in another process.
-const sidecarTempAge = 10 * time.Minute
+// staleTempAge is how long a temp file of an interrupted snapshot write — a
+// sidecar's or a store's — must have lain untouched before removeStaleTemps
+// deletes it: long enough that it cannot belong to a write still in progress
+// in another process.
+const staleTempAge = 10 * time.Minute
 
 // Decisions LoadLibraryFileMapped reports. A rebuild or a refusal to write is
 // followed by ": " and the reason.
@@ -169,8 +170,10 @@ func refusal(err error) string {
 	return err.Error()
 }
 
-// removeStaleTemps deletes what interrupted snapshot writes left in dir.
-// Best effort: a temp file that cannot be removed only wastes disk.
+// removeStaleTemps deletes what interrupted snapshot writes left in dir: a
+// sidecar rebuild runs it beside the library, a store on open and after each
+// snapshot it writes. Best effort: a temp file that cannot be removed only
+// wastes disk.
 func removeStaleTemps(fsys faultfs.FS, dir string) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -181,7 +184,7 @@ func removeStaleTemps(fsys faultfs.FS, dir string) {
 		if !strings.HasPrefix(name, ".snap-") || !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
-		if fi, err := e.Info(); err == nil && time.Since(fi.ModTime()) > sidecarTempAge {
+		if fi, err := e.Info(); err == nil && time.Since(fi.ModTime()) > staleTempAge {
 			_ = fsys.Remove(filepath.Join(dir, name))
 		}
 	}

@@ -291,7 +291,7 @@ func TestSidecarRemovesStaleTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	old := time.Now().Add(-2 * sidecarTempAge)
+	old := time.Now().Add(-2 * staleTempAge)
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,9 @@ import (
 // writable again. Once the WAL outgrows CompactAtWALBytes, a background
 // compaction writes the current epoch as a fresh snapshot and drops the log
 // records older snapshots no longer need; Engine.Swap snapshots immediately,
-// since a swap supersedes the whole log.
+// since a swap supersedes the whole log. A library served from its sidecar
+// (LoadLibraryFileMapped) is persisted by copying the sidecar file, so seeding
+// a store does not fault the mapped image into memory.
 type Store struct {
 	dir    string
 	opts   StoreOptions
@@ -261,6 +263,10 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts, fs: fsys, closed: make(chan struct{})}
+	// A snapshot write interrupted by a crash leaves a full image in a temp
+	// file that no listing ever names; clear the ones old enough not to be
+	// another process's write in progress.
+	removeStaleTemps(fsys, dir)
 
 	epochs, err := snapshotEpochs(fsys, dir)
 	if err != nil {
@@ -646,9 +652,10 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 	}
 	// The expensive write happens outside s.mu so ingests keep flowing; the
 	// file renames into place atomically.
-	if err := core.WriteSnapshotFileFS(s.fs, s.snapPath(epoch), lib.lib, lib.vocab, core.SnapshotOptions{}); err != nil {
+	if err := s.writeSnapshot(lib); err != nil {
 		return err
 	}
+	removeStaleTemps(s.fs, s.dir)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -735,6 +742,26 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 	s.snapLow = epoch
 	s.pruneSnapshotsLocked(epoch)
 	return nil
+}
+
+// writeSnapshot writes lib as the snapshot of its epoch. The unextended image
+// of a sidecar whose vocabulary has grown no names is the sidecar's own bytes
+// under another epoch, so it is copied from the sidecar file and restamped
+// (core.CopySnapshotFileFS) rather than re-serialised through the mapping,
+// which would fault every page of the image into the process. A copy that
+// refuses its source — gone, replaced, corrupt, not this library — is logged
+// and the library is serialised instead; a failure on the store's side is
+// the write's failure either way.
+func (s *Store) writeSnapshot(lib *Library) error {
+	path := s.snapPath(lib.Epoch())
+	if side := lib.side; side != nil && lib.vocab.Actions.Stats().GrownNames == 0 && lib.vocab.Goals.Stats().GrownNames == 0 {
+		err := core.CopySnapshotFileFS(s.fs, path, side.src+SidecarSuffix, side.key, lib.lib)
+		if !errors.Is(err, core.ErrCopyRefused) {
+			return err
+		}
+		s.logf("snapshot at epoch %d serialised, not copied from %s: %v", lib.Epoch(), side.src+SidecarSuffix, err)
+	}
+	return core.WriteSnapshotFileFS(s.fs, path, lib.lib, lib.vocab, core.SnapshotOptions{})
 }
 
 // pruneSnapshotsLocked deletes snapshot generations beyond KeepSnapshots,

@@ -1,15 +1,20 @@
 package goalrec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"goalrec/internal/core"
 	"goalrec/internal/faultfs"
 )
 
@@ -372,4 +377,329 @@ func TestStorePruneFailuresCountedAndRetried(t *testing.T) {
 	if snaps, _ := snapshotEpochs(inj, s.dir); len(snaps) != 1 {
 		t.Fatalf("prune retry did not catch up: %v", snaps)
 	}
+}
+
+// storeState is what a store directory recovers to: the epoch, the library's
+// canonical image (structure and vocabulary), every strategy's rankings on
+// the probe activities and every storeUsers history. Two recoveries with
+// equal states serve bit-identically.
+type storeState struct {
+	Epoch uint64
+	Image []byte
+	Rank  map[Strategy][][]Recommendation
+	Users map[string][]string
+}
+
+// recoverState opens the store in dir on the real filesystem, takes its
+// state and closes it again.
+func recoverState(t *testing.T, dir string) storeState {
+	t.Helper()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("reopening %s: %v", dir, err)
+	}
+	defer s.Close()
+	e := s.Engine()
+	st := storeState{
+		Epoch: e.Epoch(),
+		Image: canonicalImage(t, e.Snapshot()),
+		Rank:  map[Strategy][][]Recommendation{},
+		Users: map[string][]string{},
+	}
+	activities := append([][]string{{"act-1", "act-7", "act-13"}}, sidecarActivities...)
+	for _, strat := range Strategies() {
+		rec, err := e.Recommender(strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, activity := range activities {
+			st.Rank[strat] = append(st.Rank[strat], rec.Recommend(activity, 10))
+		}
+	}
+	for id := range storeUsers {
+		if h, err := s.Users().History(id); err == nil {
+			st.Users[id] = h
+		}
+	}
+	return st
+}
+
+// snapTemps lists the snapshot temp files in dir.
+func snapTemps(t *testing.T, dir string) []string {
+	t.Helper()
+	tmps, err := filepath.Glob(filepath.Join(dir, ".snap-*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tmps
+}
+
+// ageFiles backdates paths past the stale-temp age rule.
+func ageFiles(t *testing.T, paths ...string) {
+	t.Helper()
+	old := time.Now().Add(-2 * staleTempAge)
+	for _, p := range paths {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreRemovesStaleSnapshotTemps: a crash inside a snapshot write leaves
+// its temp file; OpenStore, and every later successful snapshot write, remove
+// such leftovers once they are older than the age rule and leave younger
+// ones — possibly another process's write in progress — alone. Recovery is
+// unaffected throughout.
+func TestStoreRemovesStaleSnapshotTemps(t *testing.T) {
+	run := func(dir string, inj *faultfs.Injector) {
+		s, err := OpenStore(dir, StoreOptions{FS: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		storeIngest(t, s.Engine(), 0, 20)
+		storeIngest(t, s.Engine(), 20, 11)
+		_ = s.Compact()
+		_ = s.Close()
+	}
+	// A traced clean run finds the compaction's first snapshot write; the
+	// faulted run crashes there.
+	cleanDir, clean := t.TempDir(), faultfs.NewInjector(nil)
+	clean.StartTrace()
+	run(cleanDir, clean)
+	at := int64(-1)
+	for _, site := range clean.Trace() {
+		if site.Op == faultfs.OpWrite && strings.Contains(site.Path, ".snap-") {
+			at = site.Index
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("the compaction wrote no snapshot")
+	}
+	want := recoverState(t, cleanDir)
+
+	dir, inj := t.TempDir(), faultfs.NewInjector(nil)
+	inj.CrashAt(at)
+	run(dir, inj)
+	inj.Uncrash()
+	crashed := snapTemps(t, dir)
+	if len(crashed) != 1 {
+		t.Fatalf("the crash left temp files %v, want one", crashed)
+	}
+
+	if got := recoverState(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery after the crash differs from the clean run's")
+	}
+	if got := snapTemps(t, dir); !reflect.DeepEqual(got, crashed) {
+		t.Fatalf("a fresh temp file was removed: %v left of %v", got, crashed)
+	}
+
+	ageFiles(t, crashed...)
+	fresh := filepath.Join(dir, ".snap-999.tmp")
+	if err := os.WriteFile(fresh, []byte("another process's write"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoverState(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery after removing the aged temp differs from the clean run's")
+	}
+	if got := snapTemps(t, dir); !reflect.DeepEqual(got, []string{fresh}) {
+		t.Fatalf("temp files after the reopen: %v, want only %s", got, fresh)
+	}
+
+	// A successful snapshot write clears leftovers that aged since the open.
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ageFiles(t, fresh)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapTemps(t, dir); len(got) != 0 {
+		t.Fatalf("temp files after a compaction: %v", got)
+	}
+	if got := recoverState(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery after the compaction differs from the clean run's")
+	}
+}
+
+// TestStoreCopyFaultTable fails each I/O op class of a seed's sidecar copy
+// once with EIO. On the source the copy refuses and the store serialises the
+// library instead (a failed close of the verified source changes nothing);
+// on the destination it follows the degraded-mode arc of any failed swap
+// snapshot — read-only, write probe, and a post-recovery compaction that
+// persists the swap, by copying. Either way the swapped epoch recovers.
+func TestStoreCopyFaultTable(t *testing.T) {
+	const sidecar = "<sidecar>" // stands for the row's sidecar path
+	for _, tc := range []struct {
+		name string
+		op   faultfs.Op
+		path string
+		want string // "fallback", "copy" or "degrade"
+	}{
+		{"source open", faultfs.OpOpen, sidecar, "fallback"},
+		{"source stat", faultfs.OpStat, sidecar, "fallback"},
+		{"source readat", faultfs.OpReadAt, sidecar, "fallback"},
+		{"source read", faultfs.OpRead, sidecar, "fallback"},
+		{"source close", faultfs.OpClose, sidecar, "copy"},
+		{"temp createtemp", faultfs.OpCreateTemp, ".snap-", "degrade"},
+		{"temp write", faultfs.OpWrite, ".snap-", "degrade"},
+		{"temp sync", faultfs.OpSync, ".snap-", "degrade"},
+		{"temp close", faultfs.OpClose, ".snap-", "degrade"},
+		{"rename", faultfs.OpRename, "snap-0", "degrade"},
+		{"syncdir", faultfs.OpSyncDir, "", "degrade"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, mapped, oracle := seedSidecar(t, 33)
+			path := tc.path
+			if path == sidecar {
+				path = src + SidecarSuffix
+			}
+			dir, inj := t.TempDir(), faultfs.NewInjector(nil)
+			var logs strings.Builder
+			opts := probeFast(inj)
+			opts.Logger = log.New(&syncWriter{w: &logs}, "", 0)
+			s, err := OpenStore(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			seedPreSwap(t, s)
+
+			inj.Fail(faultfs.Rule{Op: tc.op, Path: path, Err: faultfs.EIO, Once: true})
+			inj.StartTrace()
+			stamped := s.Engine().Swap(mapped)
+			trace := inj.Trace()
+			hit := false
+			for _, site := range trace {
+				hit = hit || site.Op == tc.op && strings.Contains(site.Path, path)
+			}
+			if !hit {
+				t.Fatalf("the swap never ran a %s on %q", tc.op, path)
+			}
+			switch tc.want {
+			case "fallback", "copy":
+				if err := s.Err(); err != nil {
+					t.Fatalf("persisting the swap: %v", err)
+				}
+				writer := map[string]string{"fallback": "serialise", "copy": "copy"}[tc.want]
+				if got := snapshotWriter(t, trace, src+SidecarSuffix); got != writer {
+					t.Fatalf("the snapshot was written by %s, want %s", got, writer)
+				}
+				if refused := strings.Contains(logs.String(), "serialised, not copied"); refused != (tc.want == "fallback") {
+					t.Fatalf("store log %q", logs.String())
+				}
+			case "degrade":
+				if err := s.Err(); !errors.Is(err, ErrReadOnly) || !errors.Is(err, faultfs.EIO) {
+					t.Fatalf("store error after the failed copy: %v, want ErrReadOnly wrapping EIO", err)
+				}
+				waitForMode(t, s, StorageHealthy)
+			}
+			if err := s.Close(); err != nil { // waits for the post-recovery compaction
+				t.Fatal(err)
+			}
+			snap := s.snapPath(stamped.Epoch())
+			if err := core.ScrubSnapshotFile(nil, snap); err != nil {
+				t.Fatal(err)
+			}
+			if tc.want != "fallback" {
+				if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, expectedCopy(t, stamped)) {
+					t.Fatalf("the persisted swap is not the sidecar's copy (err %v)", err)
+				}
+			}
+			if tmps := snapTemps(t, dir); len(tmps) != 0 {
+				t.Fatalf("temp files left behind: %v", tmps)
+			}
+			s2, err := OpenStore(dir, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			assertStoreServes(t, s2, oracle, stamped.Epoch())
+		})
+	}
+}
+
+// syncWriter serialises writes to w: the store logs from its background
+// goroutines too.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (w *syncWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.w.Write(p)
+}
+
+// TestStoreCopyCrashSweep crashes the filesystem at every operation of a
+// seed's swap — the sidecar copy, the WAL rotation and the pruning after it —
+// and requires recovery to land on exactly the pre-swap or the post-swap
+// state. Temp files a crash leaves behind go at the first reopen after they
+// pass the age rule.
+func TestStoreCopyCrashSweep(t *testing.T) {
+	_, mapped, _ := seedSidecar(t, 34)
+	// run returns the operations the swap ran.
+	run := func(dir string, inj *faultfs.Injector, swap bool) []faultfs.Site {
+		s, err := OpenStore(dir, StoreOptions{FS: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		seedPreSwap(t, s)
+		if !swap {
+			return nil
+		}
+		inj.StartTrace()
+		s.Engine().Swap(mapped)
+		return inj.Trace()
+	}
+	preDir, postDir := t.TempDir(), t.TempDir()
+	run(preDir, faultfs.NewInjector(nil), false)
+	sites := run(postDir, faultfs.NewInjector(nil), true)
+	pre, post := recoverState(t, preDir), recoverState(t, postDir)
+	if post.Epoch != pre.Epoch+1 {
+		t.Fatalf("the swap moved the epoch %d -> %d", pre.Epoch, post.Epoch)
+	}
+
+	classes := map[faultfs.Op]bool{}
+	for _, site := range sites {
+		classes[site.Op] = true
+	}
+	for _, op := range []faultfs.Op{faultfs.OpOpen, faultfs.OpStat, faultfs.OpReadAt, faultfs.OpRead,
+		faultfs.OpCreateTemp, faultfs.OpWrite, faultfs.OpSync, faultfs.OpClose, faultfs.OpRename, faultfs.OpSyncDir} {
+		if !classes[op] {
+			t.Fatalf("the swap ran no %s", op)
+		}
+	}
+	leftovers := 0
+	for _, site := range sites {
+		dir, inj := t.TempDir(), faultfs.NewInjector(nil)
+		inj.CrashAt(site.Index)
+		run(dir, inj, true)
+		inj.Uncrash()
+		got := recoverState(t, dir)
+		if !reflect.DeepEqual(got, pre) && !reflect.DeepEqual(got, post) {
+			t.Fatalf("crash at %s: recovered epoch %d, neither the pre-swap %d nor the post-swap %d state",
+				site, got.Epoch, pre.Epoch, post.Epoch)
+		}
+		if tmps := snapTemps(t, dir); len(tmps) > 0 {
+			leftovers++
+			ageFiles(t, tmps...)
+			if again := recoverState(t, dir); !reflect.DeepEqual(again, got) {
+				t.Fatalf("crash at %s: a second recovery differs from the first", site)
+			}
+			if tmps := snapTemps(t, dir); len(tmps) != 0 {
+				t.Fatalf("crash at %s: aged temp files survived a reopen: %v", site, tmps)
+			}
+		}
+	}
+	if leftovers == 0 {
+		t.Fatal("no crash left a temp file behind; the age rule went untested")
+	}
+	t.Logf("%d crash sites, %d left a temp file", len(sites), leftovers)
 }

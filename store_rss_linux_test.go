@@ -1,0 +1,98 @@
+package goalrec
+
+import (
+	"bufio"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// mappedRss sums the resident set, in bytes, of this process's mappings of
+// the file at path (/proc/self/smaps: one header line per mapping, then its
+// fields, Rss among them, in kB).
+func mappedRss(t *testing.T, path string) int64 {
+	t.Helper()
+	f, err := os.Open("/proc/self/smaps")
+	if err != nil {
+		t.Skipf("no smaps: %v", err)
+	}
+	defer f.Close()
+	var total int64
+	ours := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		switch {
+		case len(fields) == 0:
+		case strings.Contains(fields[0], "-") && len(fields) >= 5:
+			// A mapping's header: range, perms, offset, device, inode[, path].
+			ours = len(fields) == 6 && fields[5] == path
+		case ours && fields[0] == "Rss:":
+			kb, err := strconv.ParseInt(fields[1], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += kb << 10
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
+// TestStoreSeedLeavesSidecarPagesAlone: seeding a store with a sidecar-served
+// library copies the sidecar through read, so the pages of the mapping the
+// library is served from stay out of the process — a count of resident pages,
+// not a timing, so it repeats exactly. Re-serialising the library instead
+// reads every index row through the mapping and makes nearly the whole file
+// resident.
+func TestStoreSeedLeavesSidecarPagesAlone(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "lib.jsonl")
+	rng := rand.New(rand.NewSource(35))
+	var sb strings.Builder
+	for i := 0; i < 60000; i++ {
+		fmt.Fprintf(&sb, `{"goal":"g%d","actions":[`, rng.Intn(6000))
+		for j, n := 0, 3+rng.Intn(6); j < n; j++ {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, `"a%d"`, rng.Intn(8000))
+		}
+		sb.WriteString("]}\n")
+	}
+	if err := os.WriteFile(src, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lib, _, err := LoadLibraryFileMapped(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := src + SidecarSuffix
+	fi, err := os.Stat(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := mappedRss(t, side)
+	s, err := OpenStore(filepath.Join(dir, "store"), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Engine().Swap(lib)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	after := mappedRss(t, side)
+	t.Logf("sidecar %d bytes; resident %d -> %d bytes", fi.Size(), before, after)
+	if grown := after - before; grown > fi.Size()/10 {
+		t.Fatalf("seeding the store made %d bytes (%.0f %%) of the %d-byte sidecar resident; want ≤ 10 %%",
+			grown, 100*float64(grown)/float64(fi.Size()), fi.Size())
+	}
+}
