@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench-e2e bench-e2e-compare microbench vet fmt lint errlint cover experiments soak cluster restart-replay torture clean
+.PHONY: all build test race bench-e2e bench-e2e-compare microbench vet fmt lint errlint cover loc experiments soak cluster restart-replay torture clean
 
 all: vet test build
 
@@ -52,6 +52,13 @@ lint:
 
 cover:
 	go test ./... -coverprofile=cover.out && go tool cover -func=cover.out | tail -1
+
+# Non-test Go lines outside bench/, per package directory and in total: the
+# size simplicity changes are judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Overload a race-instrumented goalrecd with loadgen for ~30s and require
 # every response to be 200/503/504 plus a clean SIGTERM shutdown.

@@ -1,7 +1,6 @@
 package goalrec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -67,11 +66,19 @@ type engineState struct {
 	gen uint64 // lineage generation, see Engine.gen
 
 	mu   sync.Mutex
-	recs map[string]Recommender
+	recs map[recKey]Recommender
+}
+
+// recKey identifies one shared recommender of an epoch: two option lists
+// that resolve identically share one instance. The options' err is always
+// nil here — invalid options never reach the map.
+type recKey struct {
+	s Strategy
+	o recOptions
 }
 
 func newEngineState(lib *Library, gen uint64) *engineState {
-	return &engineState{lib: lib, gen: gen, recs: make(map[string]Recommender)}
+	return &engineState{lib: lib, gen: gen, recs: make(map[recKey]Recommender)}
 }
 
 // NewEngine returns an empty Engine at epoch 0.
@@ -264,20 +271,32 @@ func (e *Engine) setJournal(j engineJournal) {
 // safe, so sharing — including a shared WithCache LRU — is sound). The
 // result is bound to its snapshot: it stays consistent (and valid) after
 // later epochs are published, and the per-epoch set is dropped wholesale on
-// publish so no cached state outlives its library. For a handle that
-// follows epochs instead, use LiveRecommender.
+// publish so no cached state outlives its library.
 func (e *Engine) Recommender(s Strategy, opts ...RecommenderOption) (Recommender, error) {
-	return e.recommenderFor(e.state.Load(), s, opts)
+	return e.state.Load().recommender(s, opts)
 }
 
-// recommenderFor returns (building on first use) st's shared recommender
+// Current returns the current epoch's snapshot together with its shared
+// recommender for s and opts (see Recommender), both from one load of the
+// published state: the recommender scores exactly the returned snapshot, so
+// a caller reporting the snapshot's epoch or unknown actions names the epoch
+// it ranked against, however many are published meanwhile. A front end that
+// fetches the pair per request serves every ingest and swap on the next
+// request, with no copy of the engine state of its own.
+func (e *Engine) Current(s Strategy, opts ...RecommenderOption) (*Library, Recommender, error) {
+	st := e.state.Load()
+	rec, err := st.recommender(s, opts)
+	return st.lib, rec, err
+}
+
+// recommender returns (building on first use) the state's shared recommender
 // for the strategy/options pair.
-func (e *Engine) recommenderFor(st *engineState, s Strategy, opts []RecommenderOption) (Recommender, error) {
+func (st *engineState) recommender(s Strategy, opts []RecommenderOption) (Recommender, error) {
 	o := resolveRecOptions(opts)
 	if o.err != nil {
 		return nil, o.err
 	}
-	key := o.sharingKey(s)
+	key := recKey{s, o}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if rec, ok := st.recs[key]; ok {
@@ -289,57 +308,4 @@ func (e *Engine) recommenderFor(st *engineState, s Strategy, opts []RecommenderO
 	}
 	st.recs[key] = rec
 	return rec, nil
-}
-
-// LiveRecommender returns a recommender that follows the engine's epochs:
-// every Recommend/RecommendContext call resolves the snapshot current at
-// that moment, and a RecommendBatch resolves one snapshot for the whole
-// batch. Because the per-epoch recommender sets are dropped on publish,
-// the cached path (WithCache) can never serve rankings from a superseded
-// library — an ingested implementation is visible on the very next call.
-// Invalid options are reported here, at construction.
-func (e *Engine) LiveRecommender(s Strategy, opts ...RecommenderOption) (Recommender, error) {
-	if _, err := e.recommenderFor(e.state.Load(), s, opts); err != nil {
-		return nil, err
-	}
-	return &liveRecommender{e: e, s: s, opts: opts}, nil
-}
-
-// liveRecommender resolves the engine's current epoch on every call. The
-// options were validated at construction, so resolution cannot fail later:
-// the epoch's recommender is rebuilt from the same option list.
-type liveRecommender struct {
-	e    *Engine
-	s    Strategy
-	opts []RecommenderOption
-}
-
-// current returns the recommender of the engine's current epoch.
-func (l *liveRecommender) current() Recommender {
-	rec, err := l.e.recommenderFor(l.e.state.Load(), l.s, l.opts)
-	if err != nil {
-		// Unreachable: the options were validated at construction and the
-		// strategy constant cannot change.
-		panic(err)
-	}
-	return rec
-}
-
-// Name implements Recommender.
-func (l *liveRecommender) Name() string { return l.current().Name() }
-
-// Recommend implements Recommender against the current epoch.
-func (l *liveRecommender) Recommend(activity []string, k int) []Recommendation {
-	return l.current().Recommend(activity, k)
-}
-
-// RecommendContext implements Recommender against the current epoch.
-func (l *liveRecommender) RecommendContext(ctx context.Context, activity []string, k int) ([]Recommendation, error) {
-	return l.current().RecommendContext(ctx, activity, k)
-}
-
-// RecommendBatch implements Recommender: the epoch is resolved once, so
-// every activity of the batch scores against the same snapshot.
-func (l *liveRecommender) RecommendBatch(ctx context.Context, activities [][]string, k int) []BatchResult {
-	return l.current().RecommendBatch(ctx, activities, k)
 }

@@ -206,23 +206,32 @@ func TestEngineRecommenderPerEpoch(t *testing.T) {
 	}
 }
 
-// TestLiveRecommenderFollowsEpochs is the epoch-invalidation regression
-// test for the cached path: a WithCache recommender obtained from
-// LiveRecommender must surface an ingested implementation on the very next
-// call — never a ranking cached against a superseded epoch.
-func TestLiveRecommenderFollowsEpochs(t *testing.T) {
+// TestCurrentFollowsEpochs is the epoch-invalidation regression test for
+// the cached path: a WithCache recommender fetched from Engine.Current after
+// an ingest must surface the ingested implementation — never a ranking cached
+// against a superseded epoch — and must come paired with the snapshot it
+// scores.
+func TestCurrentFollowsEpochs(t *testing.T) {
 	e := NewEngine()
 	if err := e.AddImplementation("pancakes", "milk", "eggs", "flour"); err != nil {
 		t.Fatal(err)
 	}
-	live, err := e.LiveRecommender(Breadth, WithCache(8))
-	if err != nil {
-		t.Fatal(err)
+	current := func() (*Library, Recommender) {
+		t.Helper()
+		lib, rec, err := e.Current(Breadth, WithCache(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lib, rec
 	}
 	activity := []string{"eggs"}
 	// Two queries: the second is served from the epoch's cache.
-	live.Recommend(activity, 10)
-	for _, rec := range live.Recommend(activity, 10) {
+	lib1, rec1 := current()
+	rec1.Recommend(activity, 10)
+	if _, again := current(); again != rec1 {
+		t.Fatal("same epoch, same options: want the shared cached recommender")
+	}
+	for _, rec := range rec1.Recommend(activity, 10) {
 		if rec.Action == "butter" {
 			t.Fatal("butter recommended before it was ingested")
 		}
@@ -231,16 +240,21 @@ func TestLiveRecommenderFollowsEpochs(t *testing.T) {
 	if err := e.AddImplementation("omelette", "eggs", "butter"); err != nil {
 		t.Fatal(err)
 	}
+	lib2, rec2 := current()
+	if lib2.Epoch() != lib1.Epoch()+1 || lib2 != e.Snapshot() {
+		t.Fatalf("Current snapshot at epoch %d, want the engine's epoch %d", lib2.Epoch(), e.Epoch())
+	}
 	found := false
-	for _, rec := range live.Recommend(activity, 10) {
+	for _, rec := range rec2.Recommend(activity, 10) {
 		found = found || rec.Action == "butter"
 	}
 	if !found {
-		t.Fatal("cached live recommender kept serving the previous epoch's ranking")
+		t.Fatal("cached recommender fetched after the ingest served the previous epoch's ranking")
 	}
 
-	// A batch resolves one epoch for all items and sees the ingest too.
-	results := live.RecommendBatch(context.Background(), [][]string{activity, {"milk"}}, 10)
+	// A batch scores the whole batch against the fetched epoch and sees the
+	// ingest too.
+	results := rec2.RecommendBatch(context.Background(), [][]string{activity, {"milk"}}, 10)
 	if len(results) != 2 {
 		t.Fatalf("batch results = %d, want 2", len(results))
 	}
@@ -249,14 +263,14 @@ func TestLiveRecommenderFollowsEpochs(t *testing.T) {
 		found = found || rec.Action == "butter"
 	}
 	if !found {
-		t.Fatal("live batch missing the ingested implementation")
+		t.Fatal("batch missing the ingested implementation")
 	}
 
-	// Invalid configurations fail at construction, not at query time.
-	if _, err := e.LiveRecommender(Breadth, WithBreadthWeighting("nope")); err == nil {
+	// Invalid configurations are refused.
+	if _, _, err := e.Current(Breadth, WithBreadthWeighting("nope")); err == nil {
 		t.Fatal("want error for invalid weighting")
 	}
-	if _, err := e.LiveRecommender(Strategy("bogus")); err == nil {
+	if _, _, err := e.Current(Strategy("bogus")); err == nil {
 		t.Fatal("want error for unknown strategy")
 	}
 }

@@ -474,8 +474,10 @@ func ResolveStrategy(strategyName, metric string) (StrategySpec, error) {
 	return spec, nil
 }
 
-// RecommenderOption customizes strategy construction.
-type RecommenderOption func(*recOptions)
+// RecommenderOption customizes strategy construction. An option maps the
+// resolved set to its successor by value, so resolving options — once per
+// served request, for the engine's per-epoch lookup — allocates nothing.
+type RecommenderOption func(recOptions) recOptions
 
 type recOptions struct {
 	metric    vectorspace.Metric
@@ -488,17 +490,17 @@ type recOptions struct {
 func resolveRecOptions(opts []RecommenderOption) recOptions {
 	o := recOptions{metric: vectorspace.Cosine, weighting: strategy.Overlap}
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	return o
 }
 
-// sharingKey canonicalizes the resolved options for per-epoch recommender
-// sharing: two option lists that resolve identically yield the same key and
-// share one instance (sound — recommenders are deterministic and safe for
-// concurrent use).
-func (o recOptions) sharingKey(s Strategy) string {
-	return fmt.Sprintf("%s/%s/%s/%d", s, o.metric, o.weighting, o.cacheSize)
+// fail records err as the first invalid option.
+func (o recOptions) fail(err error) recOptions {
+	if o.err == nil {
+		o.err = &QueryError{fmt.Errorf("goalrec: %w", err)}
+	}
+	return o
 }
 
 // WithDistanceMetric selects the Best Match distance: "cosine" (default),
@@ -506,15 +508,13 @@ func (o recOptions) sharingKey(s Strategy) string {
 // An unknown name is reported as an error by Library.Recommender (and panics
 // MustRecommender) instead of silently falling back to the default.
 func WithDistanceMetric(name string) RecommenderOption {
-	return func(o *recOptions) {
+	return func(o recOptions) recOptions {
 		m, err := vectorspace.ParseMetric(name)
 		if err != nil {
-			if o.err == nil {
-				o.err = &QueryError{fmt.Errorf("goalrec: %w", err)}
-			}
-			return
+			return o.fail(err)
 		}
 		o.metric = m
+		return o
 	}
 }
 
@@ -524,15 +524,13 @@ func WithDistanceMetric(name string) RecommenderOption {
 // (and panics MustRecommender) instead of silently falling back to the
 // default.
 func WithBreadthWeighting(name string) RecommenderOption {
-	return func(o *recOptions) {
+	return func(o recOptions) recOptions {
 		w, err := strategy.ParseBreadthWeighting(name)
 		if err != nil {
-			if o.err == nil {
-				o.err = &QueryError{fmt.Errorf("goalrec: %w", err)}
-			}
-			return
+			return o.fail(err)
 		}
 		o.weighting = w
+		return o
 	}
 }
 
@@ -541,11 +539,12 @@ func WithBreadthWeighting(name string) RecommenderOption {
 // immutable library, so caching only trades memory for latency on repeated
 // activities.
 func WithCache(entries int) RecommenderOption {
-	return func(o *recOptions) {
-		if entries <= 0 {
-			entries = 1024
-		}
+	if entries <= 0 {
+		entries = 1024
+	}
+	return func(o recOptions) recOptions {
 		o.cacheSize = entries
+		return o
 	}
 }
 

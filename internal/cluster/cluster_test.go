@@ -418,9 +418,9 @@ func testTwoPhaseSwap(t *testing.T, load1, load2 func() (*goalrec.Library, error
 
 	// A single node that swapped lib1 -> lib2 is also at epoch 2 with lib2,
 	// so responses must again be byte-identical.
-	single2 := server.New(lib1, nil)
+	single2 := goalrec.NewEngineFromLibrary(lib1)
 	single2.Swap(lib2)
-	ts2 := httptest.NewServer(single2)
+	ts2 := httptest.NewServer(server.NewFromEngine(single2, nil))
 	defer ts2.Close()
 	for _, q := range []string{
 		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 5}`,

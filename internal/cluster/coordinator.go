@@ -521,7 +521,7 @@ func (co *Coordinator) recommendAt(ctx context.Context, snap *goalrec.Library, s
 		}
 		scored, degraded, err = co.gatherFocus(ctx, measure, ids, k)
 	case goalrec.Breadth:
-		scored, degraded, err = co.gatherBreadth(ctx, "overlap", ids, k)
+		scored, degraded, err = co.gatherBreadth(ctx, ids, k)
 	case goalrec.BestMatch:
 		m, _ := vectorspace.ParseMetric(spec.Metric) // validated by ResolveStrategy
 		scored, degraded, err = co.gatherBestMatch(ctx, m, ids, k)
@@ -555,8 +555,8 @@ func (co *Coordinator) gatherFocus(ctx context.Context, measure string, ids []co
 // gatherBreadth scatters a Breadth query and folds the shards' integer
 // partials. Sums of int64 comm terms are exact in any order, so the fold
 // reproduces the single-node scores bit-identically.
-func (co *Coordinator) gatherBreadth(ctx context.Context, weighting string, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
-	payload := mustJSON(breadthRequest{Weighting: weighting, Activity: ids})
+func (co *Coordinator) gatherBreadth(ctx context.Context, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
+	payload := mustJSON(breadthRequest{Activity: ids})
 	resps, _, degraded, err := gather[breadthResponse](ctx, co, FrameBreadth, payload, nil)
 	if err != nil {
 		return nil, false, err

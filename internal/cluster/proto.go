@@ -92,10 +92,10 @@ type focusResponse struct {
 	Emissions []strategy.FocusEmission `json:"emissions"`
 }
 
+// breadthRequest asks for the shard's Breadth partial under the overlap
+// weighting, the only one the coordinator serves.
 type breadthRequest struct {
-	// Weighting is "overlap", "count" or "union".
-	Weighting string          `json:"weighting"`
-	Activity  []core.ActionID `json:"activity"`
+	Activity []core.ActionID `json:"activity"`
 }
 
 type breadthResponse struct {

@@ -56,11 +56,12 @@ type Worker struct {
 	stagedShard *shardState
 }
 
-// shardState is one epoch's partition plus its lazily built strategy
-// instances. Strategies are safe for concurrent use, so one instance per
-// configuration serves every in-flight query of the epoch. Registration,
-// heartbeat and commit replies are read from one shardState, so the epoch,
-// range and vocabulary they report always belong to the same library.
+// shardState is one epoch's partition plus the strategy instances the
+// coordinator scatters to it, built at cut time. Strategies are safe for
+// concurrent use, so one instance each serves every in-flight query of the
+// epoch. Registration, heartbeat and commit replies are read from one
+// shardState, so the epoch, range and vocabulary they report always belong to
+// the same library.
 type shardState struct {
 	epoch uint64
 	lo    int // resolved range, for registration replies
@@ -69,10 +70,11 @@ type shardState struct {
 	vocab uint64 // vocabulary checksum of the library the shard was cut from
 	part  *goalrec.Library
 
-	mu      sync.Mutex
-	focus   map[strategy.FocusMeasure]*strategy.Focus
-	breadth map[strategy.BreadthWeighting]*strategy.Breadth
-	best    map[vectorspace.Metric]*strategy.BestMatch
+	focusCmp, focusCl *strategy.Focus
+	breadth           *strategy.Breadth // the coordinator scatters overlap only
+	// best serves both Best Match rounds: the survey and the vectors are
+	// metric-independent, and the coordinator applies the metric at merge.
+	best *strategy.BestMatch
 }
 
 // NewWorker builds a worker serving engine's [Lo, Hi) range.
@@ -129,49 +131,18 @@ func (w *Worker) cut(lib *goalrec.Library) (*shardState, error) {
 	if decision != "" && decision != goalrec.SidecarHit {
 		w.logf("cluster worker: shard [%d, %d) %s", lo, hi, decision)
 	}
+	c := part.Core()
 	return &shardState{
-		lo:      lo,
-		hi:      hi,
-		impls:   n,
-		vocab:   lib.VocabChecksum(),
-		part:    part,
-		focus:   make(map[strategy.FocusMeasure]*strategy.Focus),
-		breadth: make(map[strategy.BreadthWeighting]*strategy.Breadth),
-		best:    make(map[vectorspace.Metric]*strategy.BestMatch),
+		lo:       lo,
+		hi:       hi,
+		impls:    n,
+		vocab:    lib.VocabChecksum(),
+		part:     part,
+		focusCmp: strategy.NewFocus(c, strategy.Completeness),
+		focusCl:  strategy.NewFocus(c, strategy.Closeness),
+		breadth:  strategy.NewBreadthWeighted(c, strategy.Overlap),
+		best:     strategy.NewBestMatchMetric(c, vectorspace.Cosine),
 	}, nil
-}
-
-func (s *shardState) focusFor(m strategy.FocusMeasure) *strategy.Focus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.focus[m]; ok {
-		return f
-	}
-	f := strategy.NewFocus(s.part.Core(), m)
-	s.focus[m] = f
-	return f
-}
-
-func (s *shardState) breadthFor(w strategy.BreadthWeighting) *strategy.Breadth {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.breadth[w]; ok {
-		return b
-	}
-	b := strategy.NewBreadthWeighted(s.part.Core(), w)
-	s.breadth[w] = b
-	return b
-}
-
-func (s *shardState) bestFor(m vectorspace.Metric) *strategy.BestMatch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if bm, ok := s.best[m]; ok {
-		return bm
-	}
-	bm := strategy.NewBestMatchMetric(s.part.Core(), m)
-	s.best[m] = bm
-	return bm
 }
 
 // handle serves one request frame. It runs on its own goroutine; ctx is
@@ -218,20 +189,20 @@ func (w *Worker) handleFocus(ctx context.Context, f comms.Frame) (uint8, []byte)
 	if err := json.Unmarshal(f.Payload, &req); err != nil {
 		return errFrame(err)
 	}
-	var measure strategy.FocusMeasure
-	switch req.Measure {
-	case "cmp":
-		measure = strategy.Completeness
-	case "cl":
-		measure = strategy.Closeness
-	default:
-		return errFrame(fmt.Errorf("unknown focus measure %q", req.Measure))
-	}
 	sh, err := w.currentShard()
 	if err != nil {
 		return errFrame(err)
 	}
-	emissions, err := sh.focusFor(measure).TopEmissions(ctx, req.Activity, req.K, int64(sh.lo))
+	var focus *strategy.Focus
+	switch req.Measure {
+	case "cmp":
+		focus = sh.focusCmp
+	case "cl":
+		focus = sh.focusCl
+	default:
+		return errFrame(fmt.Errorf("unknown focus measure %q", req.Measure))
+	}
+	emissions, err := focus.TopEmissions(ctx, req.Activity, req.K, int64(sh.lo))
 	if err != nil {
 		return errFrame(err)
 	}
@@ -243,15 +214,11 @@ func (w *Worker) handleBreadth(ctx context.Context, f comms.Frame) (uint8, []byt
 	if err := json.Unmarshal(f.Payload, &req); err != nil {
 		return errFrame(err)
 	}
-	weighting, err := strategy.ParseBreadthWeighting(req.Weighting)
-	if err != nil {
-		return errFrame(err)
-	}
 	sh, err := w.currentShard()
 	if err != nil {
 		return errFrame(err)
 	}
-	partial, err := sh.breadthFor(weighting).ShardPartial(ctx, req.Activity)
+	partial, err := sh.breadth.ShardPartial(ctx, req.Activity)
 	if err != nil {
 		return errFrame(err)
 	}
@@ -267,8 +234,7 @@ func (w *Worker) handleBMSurvey(ctx context.Context, f comms.Frame) (uint8, []by
 	if err != nil {
 		return errFrame(err)
 	}
-	// The survey is metric-independent; use the cosine instance.
-	survey, err := sh.bestFor(vectorspace.Cosine).ShardSurvey(ctx, req.Activity)
+	survey, err := sh.best.ShardSurvey(ctx, req.Activity)
 	if err != nil {
 		return errFrame(err)
 	}
@@ -284,7 +250,7 @@ func (w *Worker) handleBMVectors(ctx context.Context, f comms.Frame) (uint8, []b
 	if err != nil {
 		return errFrame(err)
 	}
-	vectors, err := sh.bestFor(vectorspace.Cosine).ShardVectors(ctx, req.Candidates, req.GoalSpace)
+	vectors, err := sh.best.ShardVectors(ctx, req.Candidates, req.GoalSpace)
 	if err != nil {
 		return errFrame(err)
 	}

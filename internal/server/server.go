@@ -52,7 +52,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,69 +143,32 @@ func (e *BackendError) Unwrap() error { return e.Err }
 // configured; /v1/reload maps it to 501.
 var ErrNoReloader = errors.New("no reloader configured")
 
-// bundle pairs one epoch's library snapshot with the recommenders built
-// over it. Queries that grabbed a bundle keep using it even while a newer
-// epoch is being installed; dropping the whole bundle on swap is what
-// invalidates the recommender caches.
-type bundle struct {
-	lib *goalrec.Library
-
-	mu   sync.Mutex
-	recs map[string]goalrec.Recommender // lazily built, by canonical name
-}
-
-// recommender returns (building on first use) the bundle's recommender for
-// the strategy/metric pair.
-func (b *bundle) recommender(strategyName, metric string) (goalrec.Recommender, error) {
-	spec, err := goalrec.ResolveStrategy(strategyName, metric)
-	if err != nil {
-		return nil, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if rec, ok := b.recs[spec.Name]; ok {
-		return rec, nil
-	}
-	// Serving workloads repeat activities heavily; strategies are
-	// deterministic over the immutable snapshot, so an LRU per recommender
-	// is sound — and it dies with the bundle, never serving a stale epoch.
-	rec, err := b.lib.Recommender(spec.Strategy,
-		goalrec.WithDistanceMetric(spec.Metric), goalrec.WithCache(4096))
-	if err != nil {
-		return nil, err
-	}
-	b.recs[spec.Name] = rec
-	return rec, nil
-}
-
-// localBackend is the single-node Backend: an atomic pointer to the current
-// epoch's bundle over an engine. Queries load the bundle once and answer
-// entirely from it.
+// localBackend is the single-node Backend: this node's engine. A query loads
+// the engine's published epoch once and answers entirely from it, so whatever
+// the engine publishes — an ingest, a reload, a cluster commit, by whichever
+// path — is served on the next request.
 type localBackend struct {
 	engine *goalrec.Engine
-	cur    atomic.Pointer[bundle]
-	swapMu sync.Mutex // serializes bundle installs (monotonic epoch guard)
 	load   func() (*goalrec.Library, error)
 }
 
-func (b *localBackend) Snapshot() *goalrec.Library { return b.cur.Load().lib }
+func (b *localBackend) Snapshot() *goalrec.Library { return b.engine.Snapshot() }
 
-// install publishes lib's bundle unless a newer (or the same) epoch is
-// already being served — concurrent ingests and swaps race to install, and
-// the guard keeps the served epoch monotonic.
-func (b *localBackend) install(lib *goalrec.Library) uint64 {
-	b.swapMu.Lock()
-	defer b.swapMu.Unlock()
-	if cur := b.cur.Load(); cur != nil && lib.Epoch() <= cur.lib.Epoch() {
-		return cur.lib.Epoch()
+// current returns the engine's current snapshot and its shared recommender
+// for the strategy/metric pair, both from one load of the engine state.
+// Serving workloads repeat activities heavily; strategies are deterministic
+// over the immutable snapshot, so an LRU per recommender is sound — and it
+// dies with its epoch, never serving a stale one.
+func (b *localBackend) current(strategyName, metric string) (*goalrec.Library, goalrec.Recommender, error) {
+	spec, err := goalrec.ResolveStrategy(strategyName, metric)
+	if err != nil {
+		return nil, nil, err
 	}
-	b.cur.Store(&bundle{lib: lib, recs: make(map[string]goalrec.Recommender)})
-	return lib.Epoch()
+	return b.engine.Current(spec.Strategy, goalrec.WithDistanceMetric(spec.Metric), goalrec.WithCache(4096))
 }
 
 func (b *localBackend) Recommend(ctx context.Context, strategyName, metric string, activity []string, k int) (*Result, error) {
-	cur := b.cur.Load()
-	rec, err := cur.recommender(strategyName, metric)
+	lib, rec, err := b.current(strategyName, metric)
 	if err != nil {
 		return nil, err
 	}
@@ -215,22 +177,21 @@ func (b *localBackend) Recommend(ctx context.Context, strategyName, metric strin
 		return nil, err
 	}
 	return &Result{
-		Epoch:           cur.lib.Epoch(),
+		Epoch:           lib.Epoch(),
 		Strategy:        rec.Name(),
 		Recommendations: list,
-		UnknownActions:  cur.lib.UnknownActions(activity),
+		UnknownActions:  lib.UnknownActions(activity),
 	}, nil
 }
 
-// RecommendBatch resolves one bundle (snapshot + recommender) for the whole
-// batch and fans the activities out over the library's worker pool.
+// RecommendBatch resolves one snapshot and recommender for the whole batch
+// and fans the activities out over the library's worker pool.
 func (b *localBackend) RecommendBatch(ctx context.Context, strategyName, metric string, activities [][]string, k int) (*BatchResult, error) {
-	cur := b.cur.Load()
-	rec, err := cur.recommender(strategyName, metric)
+	lib, rec, err := b.current(strategyName, metric)
 	if err != nil {
 		return nil, err
 	}
-	res := &BatchResult{Epoch: cur.lib.Epoch(), Strategy: rec.Name(), Items: make([]Result, len(activities))}
+	res := &BatchResult{Epoch: lib.Epoch(), Strategy: rec.Name(), Items: make([]Result, len(activities))}
 	for i, item := range rec.RecommendBatch(ctx, activities, k) {
 		if item.Err != nil {
 			return nil, item.Err
@@ -251,7 +212,7 @@ func (b *localBackend) Reload(context.Context) (uint64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return b.install(b.engine.Swap(lib)), lib.NumImplementations(), nil
+	return b.engine.Swap(lib).Epoch(), lib.NumImplementations(), nil
 }
 
 func (b *localBackend) Status() Status {
@@ -317,10 +278,10 @@ func WithStore(st *goalrec.Store) Option {
 // Server is the HTTP front end over a Backend.
 type Server struct {
 	backend Backend
-	// local is the backend when it is this node's engine, nil over a
-	// coordinator: ingest, spaces, explain, the user endpoints and Swap need it.
-	local  *localBackend
-	reload func() (*goalrec.Library, error) // WithReloader, handed to local
+	// engine is this node's engine, nil over a coordinator: ingest, spaces,
+	// explain and the user endpoints need it.
+	engine *goalrec.Engine
+	reload func() (*goalrec.Library, error) // WithReloader, handed to the local backend
 
 	mux *http.ServeMux
 	// log is the request log (nil disables it); errLog names every 5xx and
@@ -368,9 +329,8 @@ func New(lib *goalrec.Library, logger *log.Logger, opts ...Option) *Server {
 // The server starts at whatever epoch the engine currently publishes.
 func NewFromEngine(engine *goalrec.Engine, logger *log.Logger, opts ...Option) *Server {
 	local := &localBackend{engine: engine}
-	local.install(engine.Snapshot())
 	s := NewFromBackend(local, logger, opts...)
-	s.local, local.load = local, s.reload
+	s.engine, local.load = engine, s.reload
 	s.mux.HandleFunc("POST /v1/spaces", s.counted("spaces", s.gated("spaces", s.handleSpaces)))
 	s.mux.HandleFunc("POST /v1/explain", s.counted("explain", s.gated("explain", s.handleExplain)))
 	s.mux.HandleFunc("POST /v1/implementations", s.counted("implementations", s.handleIngest))
@@ -420,13 +380,6 @@ func (s *Server) SetErrorLog(l *log.Logger) { s.errLog = l }
 
 // Epoch returns the epoch the server currently answers from.
 func (s *Server) Epoch() uint64 { return s.backend.Snapshot().Epoch() }
-
-// Swap replaces the library this node's engine serves with lib as the next
-// epoch and returns that epoch. In-flight requests finish against the bundle
-// they loaded. It panics over a coordinator, whose swaps are cluster-wide.
-func (s *Server) Swap(lib *goalrec.Library) uint64 {
-	return s.local.install(s.local.engine.Swap(lib))
-}
 
 // Reload has the backend re-read its library source and publish the next
 // epoch: the one path behind /v1/reload and an external watch loop. A failure
@@ -976,7 +929,7 @@ func (s *Server) handleSpaces(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, "spaces", err)
 		return
 	}
-	lib := s.local.Snapshot()
+	lib := s.engine.Snapshot()
 	progress := lib.GoalProgress(req.Activity)
 	goals := lib.GoalSpace(req.Activity)
 	resp := spacesResponse{
@@ -1026,7 +979,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, "explain", err)
 		return
 	}
-	lib := s.local.Snapshot()
+	lib := s.engine.Snapshot()
 	exps := lib.Explain(req.Activity, req.Action)
 	resp := explainResponse{
 		Epoch:        lib.Epoch(),
@@ -1079,8 +1032,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Implementations {
 		impls[i] = goalrec.Implementation{Goal: p.Goal, Actions: p.Actions}
 	}
-	added, err := s.local.engine.AddImplementations(impls)
-	epoch := s.local.install(s.local.engine.Snapshot())
+	added, err := s.engine.AddImplementations(impls)
+	epoch := s.engine.Epoch()
 	s.logf("ingest added=%d of %d epoch=%d", added, len(impls), epoch)
 	if err != nil {
 		// A journal failure means durability is gone, not that the request
@@ -1204,7 +1157,7 @@ func (s *Server) handleUserAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("user_append id=%s added=%d total=%d", id, added, len(history))
 	s.writeJSON(w, http.StatusOK, userAppendResponse{
-		Epoch: s.local.engine.Epoch(), Added: added, Total: len(history),
+		Epoch: s.engine.Epoch(), Added: added, Total: len(history),
 	})
 }
 
@@ -1236,10 +1189,10 @@ func (s *Server) handleUserRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logf("user_recommend id=%s strategy=%s k=%d results=%d epoch=%d",
-		id, spec.Strategy, k, len(res.Recommendations), res.Epoch)
+		id, spec.Name, k, len(res.Recommendations), res.Epoch)
 	s.writeJSON(w, http.StatusOK, recommendResponse{
 		Epoch:           res.Epoch,
-		Strategy:        string(spec.Strategy),
+		Strategy:        spec.Name,
 		Recommendations: payloads(res.Recommendations),
 		UnknownActions:  res.UnknownActions,
 	})

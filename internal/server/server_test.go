@@ -17,7 +17,7 @@ import (
 	"goalrec"
 )
 
-func testLibrary(t *testing.T) *goalrec.Library {
+func testLibrary(t testing.TB) *goalrec.Library {
 	t.Helper()
 	b := goalrec.NewBuilder()
 	add := func(goal string, actions ...string) {

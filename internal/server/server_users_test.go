@@ -50,8 +50,8 @@ func doReq(t *testing.T, method, url, body string) (*http.Response, []byte) {
 }
 
 // TestUserLifecycle appends a history in two batches, checks dedup counts,
-// and asserts the stored-history recommendation equals POSTing the same
-// history to /v1/recommend.
+// and asserts the stored-history reply equals POSTing the same history to
+// /v1/recommend, for every strategy and a non-default Best Match metric.
 func TestUserLifecycle(t *testing.T) {
 	ts, _ := newUserTestServer(t)
 
@@ -80,28 +80,33 @@ func TestUserLifecycle(t *testing.T) {
 		t.Fatalf("second append = %+v", app)
 	}
 
-	for _, strat := range []string{"focus-cmp", "focus-cl", "breadth", "best-match"} {
-		resp, body = doReq(t, "GET", ts.URL+"/v1/users/alice/recommend?strategy="+strat+"&k=5", "")
+	for _, sel := range []struct{ strategy, metric string }{
+		{"focus-cmp", ""}, {"focus-cl", ""}, {"breadth", ""}, {"best-match", ""},
+		{"best-match", "jaccard"},
+	} {
+		name := sel.strategy + "/" + sel.metric
+		resp, body = doReq(t, "GET", ts.URL+"/v1/users/alice/recommend?strategy="+sel.strategy+"&metric="+sel.metric+"&k=5", "")
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: recommend status = %d (%s)", strat, resp.StatusCode, body)
+			t.Fatalf("%s: recommend status = %d (%s)", name, resp.StatusCode, body)
 		}
 		var got recommendResponse
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.UnknownActions, []string{"no-such-action"}) {
-			t.Fatalf("%s: unknown = %v", strat, got.UnknownActions)
+			t.Fatalf("%s: unknown = %v", name, got.UnknownActions)
 		}
-		// Oracle: the same history POSTed as a request activity.
+		// Oracle: the same history POSTed as a request activity; the whole
+		// reply — strategy name, epoch, ranking, unknown actions — must match.
 		_, wantBody := postJSON(t, ts.URL+"/v1/recommend",
-			`{"activity": ["potatoes", "carrots", "nutmeg", "no-such-action"], "strategy": "`+strat+`", "k": 5}`)
+			`{"activity": ["potatoes", "carrots", "nutmeg", "no-such-action"], "strategy": "`+sel.strategy+
+				`", "metric": "`+sel.metric+`", "k": 5}`)
 		var want recommendResponse
 		if err := json.Unmarshal(wantBody, &want); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
-			t.Fatalf("%s: stored-history ranking diverged:\ngot  %v\nwant %v",
-				strat, got.Recommendations, want.Recommendations)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stored-history reply diverged from /v1/recommend:\ngot  %+v\nwant %+v", name, got, want)
 		}
 	}
 

@@ -227,7 +227,7 @@ func (us *UserStore) Recommend(ctx context.Context, id string, s Strategy, k int
 	}
 	st := us.e.state.Load()
 	res := UserRecommendResult{Epoch: st.lib.Epoch()}
-	rec, err := us.e.recommenderFor(st, s, opts)
+	rec, err := st.recommender(s, opts)
 	if err != nil {
 		return res, err
 	}
