@@ -80,47 +80,18 @@ func BenchmarkBestMatchModes(b *testing.B) {
 	}
 }
 
-// BenchmarkBestMatchSharded measures the intra-query worker pool against the
-// serial candidate-major path on the densest cell.
-func BenchmarkBestMatchSharded(b *testing.B) {
+// BenchmarkScanKernel measures the kernelized Focus/Breadth scan on the
+// densest cell, where the posting stream per query is longest.
+func BenchmarkScanKernel(b *testing.B) {
 	lib := benchLibrary(20000, 500, 3)
 	queries := benchQueries(500, 64, 5, 4)
-	for _, workers := range []int{1, 2, 4} {
-		bm := NewBestMatch(lib)
-		bm.mode = bmCandidateMajor
-		bm.maxWorkers = workers
-		bm.shardMin = 1
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, rec := range []Recommender{NewFocus(lib, Completeness), NewFocus(lib, Closeness), NewBreadth(lib)} {
+		b.Run(rec.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bm.Recommend(queries[i%len(queries)], 10)
+				rec.Recommend(queries[i%len(queries)], 10)
 			}
 		})
-	}
-}
-
-// BenchmarkScanKernelSharded measures the kernelized Focus/Breadth scan at
-// worker counts {1, 2, 4} on the densest cell — the regime the sharded
-// implementation scan targets. workers=1 is the sequential kernel; higher
-// counts show the intra-query scaling on multi-core hosts.
-func BenchmarkScanKernelSharded(b *testing.B) {
-	lib := benchLibrary(20000, 500, 3)
-	queries := benchQueries(500, 64, 5, 4)
-	for _, workers := range []int{1, 2, 4} {
-		fc := NewFocus(lib, Completeness)
-		fc.SetConcurrency(workers, 1)
-		fcl := NewFocus(lib, Closeness)
-		fcl.SetConcurrency(workers, 1)
-		br := NewBreadth(lib)
-		br.SetConcurrency(workers, 1)
-		for _, rec := range []Recommender{fc, fcl, br} {
-			rec := rec
-			b.Run(fmt.Sprintf("%s/workers=%d", rec.Name(), workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rec.Recommend(queries[i%len(queries)], 10)
-				}
-			})
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 
 	"goalrec/internal/core"
@@ -23,8 +22,7 @@ import (
 //
 //   - candidate-major: each candidate walks its distinct-goal list — the
 //     classical loop, shrunk from O(|IS(a)|) postings with random GI-G
-//     lookups to a sequential O(|AG(a)|) scan, and sharded across a bounded
-//     worker pool for large candidate pools;
+//     lookups to a sequential O(|AG(a)|) scan;
 //   - goal-major: one pass over the GA-idx rows of GS(H) (goal → distinct
 //     actions with multiplicities) accumulates every candidate's dot product
 //     and norm simultaneously, costing O(Σ_{g∈GS(H)} |AG⁻¹(g)|) regardless
@@ -41,11 +39,9 @@ type BestMatch struct {
 	metric vectorspace.Metric
 	pool   sync.Pool // *bmScratch
 
-	// Tuning knobs, fixed after construction (tests override them to pin
-	// each path; the zero values select the production defaults).
-	mode       bmMode
-	maxWorkers int // ≤ 0 selects GOMAXPROCS
-	shardMin   int // minimum candidate pool to shard; ≤ 0 selects default
+	// mode is fixed after construction: tests pin each path, and the zero
+	// value picks per query.
+	mode bmMode
 }
 
 // bmMode selects the cosine scoring path.
@@ -56,10 +52,6 @@ const (
 	bmCandidateMajor
 	bmGoalMajor
 )
-
-// bmShardMinCandidates is the default candidate pool size below which
-// sharding a single query is not worth the goroutine overhead.
-const bmShardMinCandidates = 2048
 
 // bmScratch carries the per-query dense buffers. Goal membership uses
 // version stamping so the numGoals-sized arrays never need clearing.
@@ -145,10 +137,10 @@ func (bm *BestMatch) Recommend(activity []core.ActionID, k int) []ScoredAction {
 }
 
 // RecommendContext implements ContextRecommender: every scoring path —
-// candidate-major (serial and sharded), goal-major, and the sparse
-// non-cosine loop — polls ctx at coarse checkpoints. A
-// canceled query returns nil: Best Match ranks by distance over the full
-// candidate pool, so a partial scoring is not a valid prefix.
+// candidate-major, goal-major, and the sparse non-cosine loop — polls ctx at
+// coarse checkpoints. A canceled query returns nil: Best Match ranks by
+// distance over the full candidate pool, so a partial scoring is not a valid
+// prefix.
 func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.ActionID, k int) ([]ScoredAction, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
@@ -309,70 +301,20 @@ func (bm *BestMatch) pickMode(candidates []core.ActionID, goalSpace []core.GoalI
 
 // scoreCandidateMajor scores each candidate by a sequential scan of its
 // AG-idx row: dot and ‖a⃗‖² come from the (goal, multiplicity) pairs that
-// fall inside the stamped goal space. For large pools the loop is sharded
-// across a bounded worker pool; the scratch is read-only during scoring and
-// every worker selects from its own candidate range into its own selector,
-// merged into sel in shard order, so the result is deterministic. Each worker
-// polls ctx with its own checkpoint counter and the first cancellation aborts
-// the whole query.
+// fall inside the stamped goal space.
 func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
-	shardMin := bm.shardMin
-	if shardMin <= 0 {
-		shardMin = bmShardMinCandidates
-	}
-	workers := bm.maxWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(candidates) < shardMin || workers < 2 {
-		tick := newTicker(ctx)
-		for _, a := range candidates {
-			if err := tick.tick(1); err != nil {
-				return err
-			}
-			sel.offer(bm.scoreOne(s, a, profNorm))
-		}
-		return nil
-	}
-	chunk := (len(candidates) + workers - 1) / workers
-	shards := (len(candidates) + chunk - 1) / chunk
-	errs := make([]error, shards)
-	parts := make([]selector, shards)
-	var wg sync.WaitGroup
-	for shard, lo := 0, 0; lo < len(candidates); shard, lo = shard+1, lo+chunk {
-		hi := lo + chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			tick := newTicker(ctx)
-			part := newSelector(sel.bound(), hi-lo)
-			for _, a := range candidates[lo:hi] {
-				if err := tick.tick(1); err != nil {
-					errs[shard] = err
-					return
-				}
-				part.offer(bm.scoreOne(s, a, profNorm))
-			}
-			parts[shard] = part
-		}(shard, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	tick := newTicker(ctx)
+	for _, a := range candidates {
+		if err := tick.tick(1); err != nil {
 			return err
 		}
-	}
-	for i := range parts {
-		sel.merge(&parts[i])
+		sel.offer(bm.scoreOne(s, a, profNorm))
 	}
 	return nil
 }
 
 // scoreOne computes one candidate's negated cosine distance from the stamped
-// scratch. It only reads the scratch, so concurrent calls are safe.
+// scratch.
 func (bm *BestMatch) scoreOne(s *bmScratch, a core.ActionID, profNorm float64) ScoredAction {
 	goals, mult := bm.lib.GoalsOfAction(a)
 	dot, sumsq := 0.0, 0.0

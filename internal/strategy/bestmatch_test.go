@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -173,9 +172,9 @@ func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 }
 
 // TestBestMatchScoringPathsAgree drives the Best Match rows of the source
-// table — the cost model's pick and each forced cosine path
-// (candidate-major serial and sharded, goal-major), the view through each,
-// and the shard merges — over many small random libraries. Both paths
+// table — the cost model's pick and each forced cosine path (candidate-major,
+// goal-major), the view through each, and the shard merges — over many small
+// random libraries. Both paths
 // accumulate integer-valued sums in float64, so even the scores must match
 // the oracle exactly, not just within float noise.
 func TestBestMatchScoringPathsAgree(t *testing.T) {
@@ -184,68 +183,6 @@ func TestBestMatchScoringPathsAgree(t *testing.T) {
 		lib := testlib.RandomLibrary(r, 1+r.Intn(120), 30, 15, 7)
 		checkEverySource(t, lib, testlib.RandomActivity(r, 30, 6), "best-match")
 	}
-}
-
-// TestBestMatchShardedDeterministic forces intra-query sharding (worker pool
-// above 1 even on a single-core machine, shard threshold 1) and checks the
-// result is identical to the serial path. Run under -race this also proves
-// the scratch really is read-only during sharded scoring.
-func TestBestMatchShardedDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		lib := testlib.RandomLibrary(r, 1+r.Intn(150), 40, 15, 7)
-		h := testlib.RandomActivity(r, 40, 6)
-
-		serial := NewBestMatch(lib)
-		serial.mode = bmCandidateMajor
-		serial.maxWorkers = 1
-
-		sharded := NewBestMatch(lib)
-		sharded.mode = bmCandidateMajor
-		sharded.maxWorkers = 4
-		sharded.shardMin = 1
-
-		want := serial.Recommend(h, -1)
-		for rep := 0; rep < 3; rep++ {
-			if got := sharded.Recommend(h, -1); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d rep %d: sharded ranking diverged:\ngot  %v\nwant %v",
-					trial, rep, got, want)
-			}
-		}
-	}
-}
-
-// TestBestMatchShardedConcurrentQueries hammers one sharded recommender from
-// several goroutines at once — under -race this covers pool handoff plus
-// concurrent sharded scoring.
-func TestBestMatchShardedConcurrentQueries(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	lib := testlib.RandomLibrary(r, 200, 40, 15, 7)
-	bm := NewBestMatch(lib)
-	bm.maxWorkers = 4
-	bm.shardMin = 1
-
-	activities := make([][]core.ActionID, 16)
-	want := make([][]ScoredAction, len(activities))
-	for i := range activities {
-		activities[i] = testlib.RandomActivity(r, 40, 6)
-		want[i] = bm.Recommend(activities[i], 10)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				j := (seed + i) % len(activities)
-				if got := bm.Recommend(activities[j], 10); !reflect.DeepEqual(got, want[j]) {
-					t.Errorf("concurrent query %d diverged", j)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // TestBestMatchGoalMajorScratchReuse runs many consecutive goal-major

@@ -56,12 +56,6 @@ func ParseBreadthWeighting(name string) (BreadthWeighting, error) {
 	return Overlap, fmt.Errorf("strategy: unknown breadth weighting %q", name)
 }
 
-// breadthShardMaxActions bounds the action-id space for which the sharded
-// path is allowed: each worker carries a dense float64 score array of that
-// size, so above the bound a query falls back to the sequential kernel
-// rather than multiplying a very large allocation by the worker count.
-const breadthShardMaxActions = 1 << 20
-
 // Breadth is the paper's Algorithm 2: it walks every implementation of the
 // user's implementation space once and accumulates a weight into the score
 // of every candidate action the implementation contains, so that actions
@@ -72,30 +66,21 @@ const breadthShardMaxActions = 1 << 20
 // |A_p ∩ H| for every associated implementation, or a CounterView that
 // already holds those counters. Every weighting's comm follows from the
 // counter and |A_p| with no per-implementation set operations and no
-// materialized, sorted IS(H). Large queries shard the kernel pass; each
-// worker accumulates into its own dense score array and the arrays are
-// folded in fixed worker order. Every comm is integer-valued, so float64
-// score sums are exact in any order and all paths rank bit-identically.
+// materialized, sorted IS(H). Every comm is integer-valued, so float64
+// score sums are exact in any order and both sources rank bit-identically.
 // Scratch is pooled, so a query allocates only its result.
 type Breadth struct {
 	lib       *core.Library
 	weighting BreadthWeighting
-	conc      concurrency
 	pool      sync.Pool // *breadthScratch
 }
 
 // breadthScratch is the pooled per-query state: the kernel counters, dense H
-// membership, and one score accumulator per shard — acc[0] alone on the
-// sequential and view paths.
+// membership, and the score accumulator — scores is indexed by action id and
+// re-zeroed through actions, the ids it touched.
 type breadthScratch struct {
 	overlapScratch
-	inH []bool // dense H membership, set and cleared per query
-	acc []breadthAcc
-}
-
-// breadthAcc is one score accumulator: scores is indexed by action id and
-// re-zeroed through actions, the ids it touched.
-type breadthAcc struct {
+	inH     []bool // dense H membership, set and cleared per query
 	scores  []float64
 	actions []core.ActionID
 }
@@ -111,7 +96,8 @@ func NewBreadth(lib *core.Library) *Breadth {
 func NewBreadthWeighted(lib *core.Library, w BreadthWeighting) *Breadth {
 	b := &Breadth{lib: lib, weighting: w}
 	b.pool.New = func() interface{} {
-		return &breadthScratch{inH: make([]bool, lib.NumActions())}
+		n := lib.NumActions()
+		return &breadthScratch{inH: make([]bool, n), scores: make([]float64, n)}
 	}
 	return b
 }
@@ -142,23 +128,14 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 		return nil, nil
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	stream := b.lib.OverlapStream(h)
-	if stream == 0 {
-		return nil, nil
-	}
-	workers := b.conc.workersFor(stream, b.lib.NumImplementations())
-	if workers > 1 && b.lib.NumActions() > breadthShardMaxActions {
-		workers = 1
-	}
 	s := b.pool.Get().(*breadthScratch)
 	defer b.pool.Put(s)
-	acc := s.accumulators(workers)
 
-	// Kernel pass: each shard's visit scores its touched implementations
-	// from the shared counter array into its own accumulator.
+	// Kernel pass: the visit scores the touched implementations from the
+	// counter array into the accumulator.
 	s.markH(h, true)
-	err := s.run(ctx, b.lib, h, workers, func(shard int, touched []core.ImplID, tick *ticker) error {
-		scores, actions := acc[shard].scores, acc[shard].actions
+	err := s.run(ctx, b.lib, h, func(touched []core.ImplID, tick *ticker) error {
+		scores, actions := s.scores, s.actions
 		var err error
 		// One checkpoint per run of implementations, not one each: a call
 		// inside the walk makes it spill its registers around every credit.
@@ -172,11 +149,11 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 			}
 			touched = touched[len(run):]
 		}
-		acc[shard].actions = actions
+		s.actions = actions
 		return err
 	})
 	s.markH(h, false)
-	return drainScores(acc, k, err)
+	return s.drainScores(k, err)
 }
 
 // RecommendView implements ViewRecommender: the same walk over the view's
@@ -194,10 +171,9 @@ func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]S
 	}
 	s := b.pool.Get().(*breadthScratch)
 	defer b.pool.Put(s)
-	acc := s.accumulators(1)
 	s.markH(v.h, true)
 	tick := newTicker(ctx)
-	scores, actions := acc[0].scores, acc[0].actions
+	scores, actions := s.scores, s.actions
 	var err error
 	for lo := 0; lo < len(v.impls); lo += checkInterval {
 		hi := min(lo+checkInterval, len(v.impls))
@@ -208,9 +184,9 @@ func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]S
 			actions = b.credit(b.lib.Actions(v.impls[i]), v.cnt[i], len(v.h), s.inH, scores, actions)
 		}
 	}
-	acc[0].actions = actions
+	s.actions = actions
 	s.markH(v.h, false)
-	return drainScores(acc, k, err)
+	return s.drainScores(k, err)
 }
 
 // credit is Algorithm 2's loop body, shared by both counter sources: an
@@ -218,7 +194,7 @@ func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]S
 // comm — derived from the counter and |A_p| alone — to the score of each of
 // its actions outside H, and the first-touched ones join actions. comm is
 // always integer-valued, so the float64 sums are exact regardless of
-// accumulation or fold order. It takes the action set, not the id, to stay
+// accumulation order. It takes the action set, not the id, to stay
 // within the inlining budget: as a call per implementation the walk measured
 // ≈10 % slower.
 func (b *Breadth) credit(acts []core.ActionID, cnt int32, hLen int, inH []bool, scores []float64, actions []core.ActionID) []core.ActionID {
@@ -251,31 +227,19 @@ func breadthComm(w BreadthWeighting, implLen, hLen int, cnt int32) float64 {
 	}
 }
 
-// drainScores ends a query: it folds the shard accumulators into acc[0] in
-// fixed worker order, offers the sums straight into a k-bounded selector —
-// so the result owns exactly the entries it returns — and re-zeroes every
-// accumulator for the next query. An aborted query (err != nil) only
-// re-zeroes: every shard may hold partial scores.
-func drainScores(acc []breadthAcc, k int, err error) ([]ScoredAction, error) {
-	main := &acc[0]
-	for i := 1; i < len(acc); i++ {
-		for _, a := range acc[i].actions {
-			if main.scores[a] == 0 {
-				main.actions = append(main.actions, a)
-			}
-			main.scores[a] += acc[i].scores[a]
-			acc[i].scores[a] = 0
-		}
-		acc[i].actions = acc[i].actions[:0]
-	}
-	sel := newSelector(k, len(main.actions))
-	for _, a := range main.actions {
+// drainScores ends a query: it offers the accumulated sums straight into a
+// k-bounded selector — so the result owns exactly the entries it returns —
+// and re-zeroes the accumulator for the next query. An aborted query
+// (err != nil) only re-zeroes: the accumulator may hold partial scores.
+func (s *breadthScratch) drainScores(k int, err error) ([]ScoredAction, error) {
+	sel := newSelector(k, len(s.actions))
+	for _, a := range s.actions {
 		if err == nil {
-			sel.offer(ScoredAction{Action: a, Score: main.scores[a]})
+			sel.offer(ScoredAction{Action: a, Score: s.scores[a]})
 		}
-		main.scores[a] = 0
+		s.scores[a] = 0
 	}
-	main.actions = main.actions[:0]
+	s.actions = s.actions[:0]
 	if err != nil {
 		return nil, err
 	}
@@ -290,13 +254,4 @@ func (s *breadthScratch) markH(h []core.ActionID, in bool) {
 			s.inH[a] = in
 		}
 	}
-}
-
-// accumulators returns the first n score accumulators, allocated on demand
-// (each carries a dense float64 array over the action-id space).
-func (s *breadthScratch) accumulators(n int) []breadthAcc {
-	for len(s.acc) < n {
-		s.acc = append(s.acc, breadthAcc{scores: make([]float64, len(s.inH))})
-	}
-	return s.acc[:n]
 }

@@ -44,30 +44,16 @@ func (c *cancelAfterPolls) Err() error {
 // ctxTestRecommenders builds every context-aware recommender variant over
 // lib: the four strategies plus each forced Best Match scoring path.
 func ctxTestRecommenders(lib *core.Library) map[string]ContextRecommender {
-	sharded := NewBestMatch(lib)
-	sharded.mode = bmCandidateMajor
-	sharded.shardMin = 1
-	sharded.maxWorkers = 2
 	candMajor := NewBestMatch(lib)
 	candMajor.mode = bmCandidateMajor
-	candMajor.shardMin = 1 << 30 // force serial
 	goalMajor := NewBestMatch(lib)
 	goalMajor.mode = bmGoalMajor
-	// Two-worker sharded kernels: with the ctxBigLibrary stream split in
-	// half, each worker still crosses its own checkInterval checkpoint.
-	shFocus := NewFocus(lib, Completeness)
-	shFocus.SetConcurrency(2, 1)
-	shBreadth := NewBreadth(lib)
-	shBreadth.SetConcurrency(2, 1)
 	return map[string]ContextRecommender{
 		"focus-cmp":             NewFocus(lib, Completeness),
 		"focus-cl":              NewFocus(lib, Closeness),
-		"focus-sharded":         shFocus,
 		"breadth":               NewBreadth(lib),
-		"breadth-sharded":       shBreadth,
 		"best-match-auto":       NewBestMatch(lib),
 		"best-match-candidate":  candMajor,
-		"best-match-sharded":    sharded,
 		"best-match-goal-major": goalMajor,
 		"best-match-manhattan":  NewBestMatchMetric(lib, vectorspace.Manhattan),
 		"cached-breadth":        NewCached(NewBreadth(lib), 16),
@@ -76,7 +62,7 @@ func ctxTestRecommenders(lib *core.Library) map[string]ContextRecommender {
 
 // ctxBigLibrary is sized so every scoring path crosses at least one
 // checkInterval checkpoint: |IS(H)| and the candidate pool both exceed
-// checkInterval, and the sharded path's per-worker chunks do too.
+// checkInterval.
 func ctxBigLibrary(t testing.TB) (*core.Library, []core.ActionID) {
 	t.Helper()
 	lib := benchLibrary(100000, 5000, 3)
@@ -84,10 +70,8 @@ func ctxBigLibrary(t testing.TB) (*core.Library, []core.ActionID) {
 	if n := len(lib.ImplementationSpace(q)); n <= checkInterval {
 		t.Fatalf("implementation space too small for checkpoint coverage: %d", n)
 	}
-	// The sharded path splits candidates across two workers, each with its
-	// own checkpoint counter, so both chunks must exceed checkInterval.
-	if n := len(lib.Candidates(q)); n <= 2*(checkInterval+64) {
-		t.Fatalf("candidate pool too small for sharded checkpoint coverage: %d", n)
+	if n := len(lib.Candidates(q)); n <= checkInterval {
+		t.Fatalf("candidate pool too small for checkpoint coverage: %d", n)
 	}
 	return lib, q
 }
@@ -131,7 +115,7 @@ func TestRecommendContextPreCanceled(t *testing.T) {
 				return // hit-path may legitimately serve from cache
 			}
 			switch name {
-			case "focus-cmp", "focus-cl", "focus-sharded":
+			case "focus-cmp", "focus-cl":
 				// Focus documents a partial-prefix return on cancellation.
 			default:
 				if got != nil {
@@ -166,7 +150,7 @@ func TestRecommendContextAbortsMidQuery(t *testing.T) {
 				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 			}
 			switch name {
-			case "focus-cmp", "focus-cl", "focus-sharded", "cached-breadth":
+			case "focus-cmp", "focus-cl", "cached-breadth":
 				// Focus may return a valid partial prefix; Cached returns
 				// whatever its inner aborted with.
 			default:
@@ -263,73 +247,65 @@ func TestAbortScratchInvariants(t *testing.T) {
 	lib := testlib.RandomLibrary(r, 2500, 24, 20, 9)
 	o := newOracle(lib)
 
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			fc := NewFocus(lib, Closeness)
-			br := NewBreadth(lib)
-			if workers > 1 {
-				fc.SetConcurrency(workers, 1)
-				br.SetConcurrency(workers, 1)
-			}
-			bm := NewBestMatch(lib)
-			bm.mode = bmCandidateMajor
+	// w1: one worker, the sequential kernel every strategy runs.
+	t.Run("w1", func(t *testing.T) {
+		fc := NewFocus(lib, Closeness)
+		br := NewBreadth(lib)
+		bm := NewBestMatch(lib)
+		bm.mode = bmCandidateMajor
 
-			checkFocus := func(i int) {
-				s := fc.pool.Get().(*focusScratch)
-				defer fc.pool.Put(s)
-				for p, c := range s.cnt {
-					if c != 0 {
-						t.Fatalf("abort %d: focus counter %d left at %d", i, p, c)
-					}
+		checkFocus := func(i int) {
+			s := fc.pool.Get().(*focusScratch)
+			defer fc.pool.Put(s)
+			for p, c := range s.cnt {
+				if c != 0 {
+					t.Fatalf("abort %d: focus counter %d left at %d", i, p, c)
 				}
 			}
-			checkBreadth := func(i int) {
-				s := br.pool.Get().(*breadthScratch)
-				defer br.pool.Put(s)
-				for p, c := range s.cnt {
-					if c != 0 {
-						t.Fatalf("abort %d: breadth counter %d left at %d", i, p, c)
-					}
-				}
-				for a, in := range s.inH {
-					if in {
-						t.Fatalf("abort %d: breadth inH[%d] left set", i, a)
-					}
-				}
-				for w := range s.acc {
-					if len(s.acc[w].actions) != 0 {
-						t.Fatalf("abort %d: breadth accumulator %d kept its touched list", i, w)
-					}
-					for a, v := range s.acc[w].scores {
-						if v != 0 {
-							t.Fatalf("abort %d: breadth accumulator %d score[%d] left at %v", i, w, a, v)
-						}
-					}
+		}
+		checkBreadth := func(i int) {
+			s := br.pool.Get().(*breadthScratch)
+			defer br.pool.Put(s)
+			for p, c := range s.cnt {
+				if c != 0 {
+					t.Fatalf("abort %d: breadth counter %d left at %d", i, p, c)
 				}
 			}
+			for a, in := range s.inH {
+				if in {
+					t.Fatalf("abort %d: breadth inH[%d] left set", i, a)
+				}
+			}
+			if len(s.actions) != 0 {
+				t.Fatalf("abort %d: breadth accumulator kept its touched list", i)
+			}
+			for a, v := range s.scores {
+				if v != 0 {
+					t.Fatalf("abort %d: breadth score[%d] left at %v", i, a, v)
+				}
+			}
+		}
 
-			for i := 0; i < 1500; i++ {
-				h := intset.FromUnsorted(testlib.RandomActivity(r, 24, 6))
-				polls := int64(1 + i%9)
-				fc.RecommendContext(newCancelAfterPolls(polls), h, 6)
-				checkFocus(i)
-				br.RecommendContext(newCancelAfterPolls(polls), h, 6)
-				checkBreadth(i)
-				bm.RecommendContext(newCancelAfterPolls(polls), h, 6)
+		for i := 0; i < 1500; i++ {
+			h := intset.FromUnsorted(testlib.RandomActivity(r, 24, 6))
+			polls := int64(1 + i%9)
+			fc.RecommendContext(newCancelAfterPolls(polls), h, 6)
+			checkFocus(i)
+			br.RecommendContext(newCancelAfterPolls(polls), h, 6)
+			checkBreadth(i)
+			bm.RecommendContext(newCancelAfterPolls(polls), h, 6)
 
-				if i%5 == 0 {
-					if got, want := fc.Recommend(h, 6), o.oracleFocus(h, Closeness, 6); !reflect.DeepEqual(got, want) {
-						t.Fatalf("query %d: focus diverged after aborts:\ngot  %v\nwant %v", i, got, want)
-					}
-					if got, want := br.Recommend(h, 6), o.oracleBreadth(h, Overlap, 6); !reflect.DeepEqual(got, want) {
-						t.Fatalf("query %d: breadth diverged after aborts:\ngot  %v\nwant %v", i, got, want)
-					}
-					if got, want := bm.Recommend(h, 6), o.oracleBestMatch(h, bm.metric, 6); !reflect.DeepEqual(got, want) {
-						t.Fatalf("query %d: best-match diverged after aborts:\ngot  %v\nwant %v", i, got, want)
-					}
+			if i%5 == 0 {
+				if got, want := fc.Recommend(h, 6), o.oracleFocus(h, Closeness, 6); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d: focus diverged after aborts:\ngot  %v\nwant %v", i, got, want)
+				}
+				if got, want := br.Recommend(h, 6), o.oracleBreadth(h, Overlap, 6); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d: breadth diverged after aborts:\ngot  %v\nwant %v", i, got, want)
+				}
+				if got, want := bm.Recommend(h, 6), o.oracleBestMatch(h, bm.metric, 6); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d: best-match diverged after aborts:\ngot  %v\nwant %v", i, got, want)
 				}
 			}
-		})
-	}
+		}
+	})
 }

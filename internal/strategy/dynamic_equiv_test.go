@@ -33,21 +33,13 @@ func randomActivity(rng *rand.Rand) []core.ActionID {
 }
 
 // rankings returns the full best-first lists (k = -1) of all four goal-based
-// strategies over lib for each activity, with Focus and Breadth contributing
-// both their sequential and their forced-sharded (4-worker) kernels — every
-// snapshot comparison below therefore pins the sharded scan too.
+// strategies over lib for each activity.
 func rankings(lib *core.Library, activities [][]core.ActionID) [][]strategy.ScoredAction {
-	shFocus := strategy.NewFocus(lib, strategy.Completeness)
-	shFocus.SetConcurrency(4, 1)
-	shBreadth := strategy.NewBreadth(lib)
-	shBreadth.SetConcurrency(4, 1)
 	recs := []strategy.Recommender{
 		strategy.NewFocus(lib, strategy.Completeness),
 		strategy.NewFocus(lib, strategy.Closeness),
 		strategy.NewBreadth(lib),
 		strategy.NewBestMatch(lib),
-		shFocus,
-		shBreadth,
 	}
 	var out [][]strategy.ScoredAction
 	for _, rec := range recs {
@@ -124,105 +116,6 @@ func TestDynamicSnapshotStrategyEquivalence(t *testing.T) {
 		if got, want := rankings(f.snap, activities), rankings(f.ref, activities); !reflect.DeepEqual(got, want) {
 			t.Fatalf("held %d: rankings mutated", i)
 		}
-	}
-}
-
-// TestShardedSequentialBitIdentical pins that the sharded scans return
-// rankings bit-identical to the sequential kernel — scores included — at
-// worker counts {1, 4}, for both Focus measures, all three Breadth weightings
-// and Best Match's candidate-major loop (one selector per worker, merged in
-// shard order). Two families of twin actions — identical rows, hence
-// identical scores under every strategy — interleave across the candidate id
-// range, so score ties straddle every shard boundary and only the action-id
-// tie-break decides which twins survive a cut. Run under -race this also
-// proves the workers share no mutable state.
-func TestShardedSequentialBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var bld core.Builder
-	for i := 0; i < 600; i++ {
-		goal, acts := randomImpl(rng)
-		if _, err := bld.Add(goal, acts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Family f's twins are the ids 40+f, 42+f, …, 70+f; each family lives in
-	// its own implementations beside anchors most activities contain.
-	for f := 0; f < 2; f++ {
-		acts := []core.ActionID{core.ActionID(f), core.ActionID(2 + f), core.ActionID(4 + f)}
-		for id := 40 + f; id < 72; id += 2 {
-			acts = append(acts, core.ActionID(id))
-		}
-		for rep := 0; rep <= f; rep++ {
-			if _, err := bld.Add(core.GoalID(15+f), acts); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	lib := bld.Build()
-
-	type build func(lib *core.Library, workers int) strategy.Recommender
-	builders := map[string]build{
-		"focus-cmp": func(lib *core.Library, w int) strategy.Recommender {
-			f := strategy.NewFocus(lib, strategy.Completeness)
-			f.SetConcurrency(w, 1)
-			return f
-		},
-		"focus-cl": func(lib *core.Library, w int) strategy.Recommender {
-			f := strategy.NewFocus(lib, strategy.Closeness)
-			f.SetConcurrency(w, 1)
-			return f
-		},
-		"breadth-overlap": func(lib *core.Library, w int) strategy.Recommender {
-			b := strategy.NewBreadthWeighted(lib, strategy.Overlap)
-			b.SetConcurrency(w, 1)
-			return b
-		},
-		"breadth-count": func(lib *core.Library, w int) strategy.Recommender {
-			b := strategy.NewBreadthWeighted(lib, strategy.Count)
-			b.SetConcurrency(w, 1)
-			return b
-		},
-		"breadth-union": func(lib *core.Library, w int) strategy.Recommender {
-			b := strategy.NewBreadthWeighted(lib, strategy.Union)
-			b.SetConcurrency(w, 1)
-			return b
-		},
-		"best-match": func(lib *core.Library, w int) strategy.Recommender {
-			return strategy.NewShardedBestMatch(lib, w)
-		},
-	}
-
-	activities := make([][]core.ActionID, 60)
-	for i := range activities {
-		activities[i] = randomActivity(rng)
-	}
-	for name, mk := range builders {
-		t.Run(name, func(t *testing.T) {
-			seq := mk(lib, 1)
-			sharded := mk(lib, 4)
-			tiedCuts := 0
-			for i, h := range activities {
-				full := seq.Recommend(h, -1)
-				// The last two cuts reach the twins wherever they rank: Best
-				// Match puts their one-goal vectors at the bottom.
-				for _, k := range []int{-1, 1, 5, 12, len(full) - 5, len(full) - 21} {
-					if k == 0 || k < -1 {
-						continue
-					}
-					want := seq.Recommend(h, k)
-					got := sharded.Recommend(h, k)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("activity %d, k=%d: sharded diverges from sequential:\ngot  %v\nwant %v", i, k, got, want)
-					}
-					if k > 0 && len(full) > k && full[k-1].Score == full[k].Score {
-						tiedCuts++
-					}
-				}
-			}
-			if tiedCuts == 0 {
-				t.Fatal("no cut fell inside a score tie: the twin families no longer exercise the tie-break")
-			}
-		})
 	}
 }
 

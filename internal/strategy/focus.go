@@ -40,44 +40,21 @@ func (m FocusMeasure) String() string {
 // accumulation pass over H's posting rows yields |A_p ∩ H| for every
 // associated implementation, from which both measures and the missing count
 // follow in O(1) per implementation — no per-implementation set
-// intersections. Large queries shard the pass across a bounded worker pool,
-// and ranked implementations are selected through a bounded heap instead of
-// a full sort. Every path returns bit-identical rankings.
+// intersections. Ranked implementations are selected through a bounded heap
+// instead of a full sort, and every rank source returns bit-identical
+// rankings.
 type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
-	conc    concurrency
 	pool    sync.Pool // *focusScratch
 }
 
 // focusScratch is the pooled per-query state: the kernel counters plus the
-// per-shard and merged ranked-implementation buffers.
+// ranked-implementation buffer and its selection copy.
 type focusScratch struct {
 	overlapScratch
-	perShard [][]rankedImpl
-	merged   []rankedImpl
-	sel      []rankedImpl
-}
-
-func (s *focusScratch) shardRanked(n int) [][]rankedImpl {
-	for len(s.perShard) < n {
-		s.perShard = append(s.perShard, nil)
-	}
-	for i := 0; i < n; i++ {
-		s.perShard[i] = s.perShard[i][:0]
-	}
-	return s.perShard[:n]
-}
-
-// concat gathers the first n shard lists into the merged buffer. Shard order
-// is irrelevant: selection ranks under a total order.
-func (s *focusScratch) concat(n int) []rankedImpl {
-	all := s.merged[:0]
-	for _, rb := range s.perShard[:n] {
-		all = append(all, rb...)
-	}
-	s.merged = all
-	return all
+	ranked []rankedImpl
+	sel    []rankedImpl
 }
 
 // NewFocus returns a Focus strategy over lib using the given measure.
@@ -141,42 +118,32 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 // associated implementation, and selectEmit ranks and walks them.
 func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	h := intset.FromUnsorted(intset.Clone(activity))
-	stream := f.lib.OverlapStream(h)
-	if stream == 0 {
-		return nil, nil
-	}
-	workers := f.conc.workersFor(stream, f.lib.NumImplementations())
 	s := f.pool.Get().(*focusScratch)
 	defer f.pool.Put(s)
-	all, err := f.kernelRanks(ctx, s, h, workers)
+	all, err := f.kernelRanks(ctx, s, h)
 	if err != nil {
 		return nil, err
 	}
 	return f.selectEmit(ctx, s, all, h, k, implBase)
 }
 
-// kernelRanks is the counter-kernel rank source: each shard scores its
-// touched implementations straight from the counters.
-func (f *Focus) kernelRanks(ctx context.Context, s *focusScratch, h []core.ActionID, workers int) ([]rankedImpl, error) {
-	ranked := s.shardRanked(workers)
-	err := s.run(ctx, f.lib, h, workers, func(shard int, touched []core.ImplID, tick *ticker) error {
-		rb := ranked[shard]
-		var err error
+// kernelRanks is the counter-kernel rank source: it scores the touched
+// implementations straight from the counters.
+func (f *Focus) kernelRanks(ctx context.Context, s *focusScratch, h []core.ActionID) ([]rankedImpl, error) {
+	all := s.ranked[:0]
+	err := s.run(ctx, f.lib, h, func(touched []core.ImplID, tick *ticker) error {
 		for _, p := range touched {
-			if err = tick.tick(1); err != nil {
-				break
+			if err := tick.tick(1); err != nil {
+				return err
 			}
 			if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(s.cnt[p])); ok {
-				rb = append(rb, ri)
+				all = append(all, ri)
 			}
 		}
-		s.perShard[shard] = rb
-		return err
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.concat(workers), nil
+	s.ranked = all
+	return all, err
 }
 
 // RecommendView implements ViewRecommender: the view's materialized counters
@@ -195,7 +162,7 @@ func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]Sco
 	s := f.pool.Get().(*focusScratch)
 	defer f.pool.Put(s)
 	tick := newTicker(ctx)
-	all := s.merged[:0]
+	all := s.ranked[:0]
 	for i, p := range v.impls {
 		if err := tick.tick(1); err != nil {
 			return nil, err
@@ -204,7 +171,7 @@ func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]Sco
 			all = append(all, ri)
 		}
 	}
-	s.merged = all
+	s.ranked = all
 	out, err := f.selectEmit(ctx, s, all, v.h, k, 0)
 	return scoredActions(out), err
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -209,43 +210,6 @@ func TestBreadthAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestShardedFocusAgainstOracle forces the multi-worker kernel on every
-// query — four workers with a shard threshold of one posting — so the
-// sharded accumulate/merge/select paths face the oracle even on the tiny
-// random libraries quick generates.
-func TestShardedFocusAgainstOracle(t *testing.T) {
-	for _, m := range []FocusMeasure{Completeness, Closeness} {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			f := func(lib *core.Library, rawH []core.ActionID, k int) bool {
-				h := intset.FromUnsorted(intset.Clone(rawH))
-				fc := NewFocus(lib, m)
-				fc.SetConcurrency(4, 1)
-				got := fc.Recommend(h, k)
-				want := newOracle(lib).oracleFocus(h, m, k)
-				return reflect.DeepEqual(got, want)
-			}
-			if err := quick.Check(f, oracleConfig()); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-func TestShardedBreadthAgainstOracle(t *testing.T) {
-	f := func(lib *core.Library, rawH []core.ActionID, k int) bool {
-		h := intset.FromUnsorted(intset.Clone(rawH))
-		b := NewBreadth(lib)
-		b.SetConcurrency(4, 1)
-		got := b.Recommend(h, k)
-		want := newOracle(lib).oracleBreadth(h, Overlap, k)
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, oracleConfig()); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestBreadthScratchReuse exercises the pooled scratch across many
 // consecutive queries on one recommender instance — a stale-scratch bug
 // would leak scores between queries.
@@ -264,32 +228,49 @@ func TestBreadthScratchReuse(t *testing.T) {
 	}
 }
 
-// TestShardedScratchReuse hammers one sharded Focus and one sharded Breadth
-// instance with interleaved canceled and completed queries: every aborted
-// query must leave the pooled counters, touched lists and per-worker score
-// accumulators clean, so the completed queries stay oracle-exact.
-func TestShardedScratchReuse(t *testing.T) {
-	r := rand.New(rand.NewSource(101))
-	lib := testlib.RandomLibrary(r, 150, 30, 15, 7)
+// TestStrategiesConcurrentQueries pins the Recommender contract that one
+// instance is safe for concurrent use: each of the four strategies serves
+// many goroutines at once, and every answer equals the oracle. Under -race
+// this covers the scratch pool handoff.
+func TestStrategiesConcurrentQueries(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	lib := testlib.RandomLibrary(r, 200, 40, 15, 7)
 	o := newOracle(lib)
-	fc := NewFocus(lib, Completeness)
-	fc.SetConcurrency(4, 1)
-	br := NewBreadth(lib)
-	br.SetConcurrency(4, 1)
-	for i := 0; i < 200; i++ {
-		h := intset.FromUnsorted(testlib.RandomActivity(r, 30, 6))
-		if i%3 == 1 {
-			// Cancel at the first checkpoint past entry; the next queries
-			// must be unaffected by whatever partial state this one built.
-			fc.RecommendContext(newCancelAfterPolls(1), h, 8)
-			br.RecommendContext(newCancelAfterPolls(1), h, 8)
-		}
-		if got, want := fc.Recommend(h, 8), o.oracleFocus(h, Completeness, 8); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: sharded focus diverged from oracle:\ngot  %v\nwant %v", i, got, want)
-		}
-		if got, want := br.Recommend(h, 8), o.oracleBreadth(h, Overlap, 8); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: sharded breadth diverged from oracle:\ngot  %v\nwant %v", i, got, want)
-		}
+	activities := make([][]core.ActionID, 16)
+	for i := range activities {
+		activities[i] = intset.FromUnsorted(testlib.RandomActivity(r, 40, 6))
+	}
+	const k = 10
+	for _, c := range []struct {
+		rec    Recommender
+		oracle func(h []core.ActionID) []ScoredAction
+	}{
+		{NewFocus(lib, Completeness), func(h []core.ActionID) []ScoredAction { return o.oracleFocus(h, Completeness, k) }},
+		{NewFocus(lib, Closeness), func(h []core.ActionID) []ScoredAction { return o.oracleFocus(h, Closeness, k) }},
+		{NewBreadth(lib), func(h []core.ActionID) []ScoredAction { return o.oracleBreadth(h, Overlap, k) }},
+		{NewBestMatch(lib), func(h []core.ActionID) []ScoredAction { return o.oracleBestMatch(h, vectorspace.Cosine, k) }},
+	} {
+		t.Run(c.rec.Name(), func(t *testing.T) {
+			want := make([][]ScoredAction, len(activities))
+			for i, h := range activities {
+				want[i] = c.oracle(h)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						j := (seed + i) % len(activities)
+						if got := c.rec.Recommend(activities[j], k); !reflect.DeepEqual(got, want[j]) {
+							t.Errorf("concurrent query %d diverged from the oracle:\ngot  %v\nwant %v", j, got, want[j])
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -28,38 +28,25 @@ func openSnapshotLibrary(t *testing.T, lib *core.Library) *core.Library {
 }
 
 // checkSnapshotEquiv asserts that a library loaded back from a snapshot ranks
-// bit-identically to the in-memory builder library on every strategy, with
-// Focus and Breadth forced onto four workers.
+// bit-identically to the in-memory builder library on every strategy.
 func checkSnapshotEquiv(t *testing.T, lib *core.Library, h []core.ActionID, k int) {
 	t.Helper()
 	mlib := openSnapshotLibrary(t, lib)
 
-	type variant struct {
-		name string
-		mk   func(l *core.Library) Recommender
-	}
-	var variants []variant
+	var variants []func(l *core.Library) Recommender
 	for _, m := range []FocusMeasure{Completeness, Closeness} {
-		variants = append(variants, variant{m.String(), func(l *core.Library) Recommender {
-			f := NewFocus(l, m)
-			f.SetConcurrency(4, 1)
-			return f
-		}})
+		variants = append(variants, func(l *core.Library) Recommender { return NewFocus(l, m) })
 	}
 	for _, w := range []BreadthWeighting{Overlap, Count, Union} {
-		variants = append(variants, variant{"breadth-" + w.String(), func(l *core.Library) Recommender {
-			b := NewBreadthWeighted(l, w)
-			b.SetConcurrency(4, 1)
-			return b
-		}})
+		variants = append(variants, func(l *core.Library) Recommender { return NewBreadthWeighted(l, w) })
 	}
-	variants = append(variants, variant{"best-match", func(l *core.Library) Recommender { return NewBestMatch(l) }})
+	variants = append(variants, func(l *core.Library) Recommender { return NewBestMatch(l) })
 
-	for _, v := range variants {
-		want := v.mk(lib).Recommend(h, k)
-		got := v.mk(mlib).Recommend(h, k)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: snapshot ranking diverged (k=%d, h=%v):\ngot  %v\nwant %v", v.name, k, h, got, want)
+	for _, mk := range variants {
+		want := mk(lib).Recommend(h, k)
+		rec := mk(mlib)
+		if got := rec.Recommend(h, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot ranking diverged (k=%d, h=%v):\ngot  %v\nwant %v", rec.Name(), k, h, got, want)
 		}
 	}
 }

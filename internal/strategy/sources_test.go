@@ -16,9 +16,8 @@ import (
 
 // The one equivalence table of the package: every strategy, through every
 // source a ranking can come from, against the naive oracle of oracle_test.go,
-// byte-equal on (action, score). The sources are the counter kernel
-// (sequential and forced-sharded), a CounterView, and 1/2/3-shard partials
-// merged by the gather functions. The drivers feed each library as built and
+// byte-equal on (action, score). The sources are the counter kernel, a
+// CounterView, and 1/2/3-shard partials merged by the gather functions. The drivers feed each library as built and
 // behind a snapshot image (testLayouts).
 
 // rankingSource produces one strategy's ranking of (h, k) over lib; ok is
@@ -104,22 +103,15 @@ func partialSources(gather func(t *testing.T, parts []shardPart, h []core.Action
 }
 
 func focusCase(m FocusMeasure) strategyCase {
-	kernel := func(name string, workers int) rankingSource {
-		return rankingSource{name, func(_ *testing.T, x *sourceFixture, k int) ([]ScoredAction, bool) {
-			f := NewFocus(x.lib, m)
-			f.SetConcurrency(workers, 1)
-			return f.Recommend(x.h, k), true
-		}}
-	}
+	mk := func(l *core.Library) Recommender { return NewFocus(l, m) }
 	c := strategyCase{
 		name: NewFocus(nil, m).Name(),
 		oracle: func(o *oracleLibrary, h []core.ActionID, k int) []ScoredAction {
 			return o.oracleFocus(h, m, k)
 		},
 		sources: []rankingSource{
-			kernel("sequential", 1),
-			kernel("sharded", 4),
-			viewSource("view", func(l *core.Library) Recommender { return NewFocus(l, m) }),
+			recommendSource("kernel", mk),
+			viewSource("view", mk),
 		},
 	}
 	c.sources = append(c.sources, partialSources(func(t *testing.T, parts []shardPart, h []core.ActionID, k int) ([]ScoredAction, bool) {
@@ -139,22 +131,15 @@ func focusCase(m FocusMeasure) strategyCase {
 }
 
 func breadthCase(w BreadthWeighting) strategyCase {
-	mk := func(workers int) func(*core.Library) Recommender {
-		return func(l *core.Library) Recommender {
-			b := NewBreadthWeighted(l, w)
-			b.SetConcurrency(workers, 1)
-			return b
-		}
-	}
+	mk := func(l *core.Library) Recommender { return NewBreadthWeighted(l, w) }
 	c := strategyCase{
 		name: NewBreadthWeighted(nil, w).Name(),
 		oracle: func(o *oracleLibrary, h []core.ActionID, k int) []ScoredAction {
 			return o.oracleBreadth(h, w, k)
 		},
 		sources: []rankingSource{
-			recommendSource("sequential", mk(1)),
-			recommendSource("sharded", mk(4)),
-			viewSource("view", mk(1)),
+			recommendSource("kernel", mk),
+			viewSource("view", mk),
 		},
 	}
 	c.sources = append(c.sources, partialSources(func(t *testing.T, parts []shardPart, h []core.ActionID, k int) ([]ScoredAction, bool) {
@@ -171,10 +156,10 @@ func breadthCase(w BreadthWeighting) strategyCase {
 }
 
 func bestMatchCase(metric vectorspace.Metric) strategyCase {
-	mk := func(mode bmMode, workers int) func(*core.Library) Recommender {
+	mk := func(mode bmMode) func(*core.Library) Recommender {
 		return func(l *core.Library) Recommender {
 			bm := NewBestMatchMetric(l, metric)
-			bm.mode, bm.maxWorkers, bm.shardMin = mode, workers, 1
+			bm.mode = mode
 			return bm
 		}
 	}
@@ -184,19 +169,18 @@ func bestMatchCase(metric vectorspace.Metric) strategyCase {
 			return o.oracleBestMatch(h, metric, k)
 		},
 		sources: []rankingSource{
-			recommendSource("auto", mk(bmAuto, 1)),
-			viewSource("view", mk(bmAuto, 1)),
+			recommendSource("auto", mk(bmAuto)),
+			viewSource("view", mk(bmAuto)),
 		},
 	}
 	if metric == vectorspace.Cosine {
 		// The cost model picks one cosine path per query; force each, and
 		// the view through each.
 		c.sources = append(c.sources,
-			recommendSource("candidate-major", mk(bmCandidateMajor, 1)),
-			recommendSource("candidate-major-sharded", mk(bmCandidateMajor, 4)),
-			recommendSource("goal-major", mk(bmGoalMajor, 1)),
-			viewSource("view/candidate-major-sharded", mk(bmCandidateMajor, 4)),
-			viewSource("view/goal-major", mk(bmGoalMajor, 1)))
+			recommendSource("candidate-major", mk(bmCandidateMajor)),
+			recommendSource("goal-major", mk(bmGoalMajor)),
+			viewSource("view/candidate-major", mk(bmCandidateMajor)),
+			viewSource("view/goal-major", mk(bmGoalMajor)))
 	}
 	c.sources = append(c.sources, partialSources(func(t *testing.T, parts []shardPart, h []core.ActionID, k int) ([]ScoredAction, bool) {
 		ctx := context.Background()

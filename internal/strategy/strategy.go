@@ -66,7 +66,7 @@ func ranksBefore(a, b ScoredAction) bool {
 // materializes a pool-sized []ScoredAction for a retainer to pin. Once full,
 // h is a min-heap under ranksBefore — the root is the worst entry retained.
 // The order is total over distinct actions, so the result is the same set
-// wherever the selection happens and however shard selectors are merged.
+// in whatever order the candidates are offered.
 type selector struct {
 	h []ScoredAction // len < cap: still filling; len == cap: heap
 }
@@ -79,9 +79,6 @@ func newSelector(k, n int) selector {
 	}
 	return selector{h: make([]ScoredAction, 0, k)}
 }
-
-// bound is the number of entries the selector retains at most.
-func (s *selector) bound() int { return cap(s.h) }
 
 // offer considers one scored candidate.
 func (s *selector) offer(c ScoredAction) {
@@ -99,13 +96,6 @@ func (s *selector) offer(c ScoredAction) {
 	}
 	s.h[0] = c
 	heapSiftDown(s.h, 0)
-}
-
-// merge offers every entry o retains.
-func (s *selector) merge(o *selector) {
-	for _, c := range o.h {
-		s.offer(c)
-	}
 }
 
 // sorted drains the selector into the ranking, best first: a slice with

@@ -57,74 +57,48 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 }
 
-// selectSharded splits pool at the given cut points into shard selectors,
-// each fed its own range, and merges them in shard order — the shape of the
-// sharded candidate-major loop.
-func selectSharded(pool []ScoredAction, k int, cuts []int) []ScoredAction {
-	sel := newSelector(k, len(pool))
-	lo := 0
-	for _, hi := range append(cuts, len(pool)) {
-		part := newSelector(sel.bound(), hi-lo)
-		for _, c := range pool[lo:hi] {
-			part.offer(c)
-		}
-		sel.merge(&part)
-		lo = hi
-	}
-	return sel.sorted()
-}
-
-// checkSelection compares every selection entry point against the sort
-// reference and pins the ownership contract: exact-size results.
-func checkSelection(t *testing.T, pool []ScoredAction, k int, cuts []int) {
+// checkSelection compares the selector against the sort reference and pins
+// the ownership contract: exact-size results.
+func checkSelection(t *testing.T, pool []ScoredAction, k int) {
 	t.Helper()
 	want := sortRef(pool, k)
 	if len(want) == 0 {
 		want = nil
 	}
-	for name, got := range map[string][]ScoredAction{
-		"TopK":    TopK(append([]ScoredAction(nil), pool...), k),
-		"sharded": selectSharded(pool, k, cuts),
-	} {
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s (n=%d, k=%d, cuts=%v) diverged from sort:\ngot  %v\nwant %v", name, len(pool), k, cuts, got, want)
-		}
-		if cap(got) != len(got) {
-			t.Fatalf("%s (n=%d, k=%d): cap %d != len %d — the result pins more than it returns", name, len(pool), k, cap(got), len(got))
-		}
+	got := TopK(append([]ScoredAction(nil), pool...), k)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK (n=%d, k=%d) diverged from sort:\ngot  %v\nwant %v", len(pool), k, got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("TopK (n=%d, k=%d): cap %d != len %d — the result pins more than it returns", len(pool), k, cap(got), len(got))
 	}
 }
 
 // TestTopKHeapMatchesSort drives the selector against the full sort on random
-// pools with heavy score ties: bit-identical for every k, whole or sharded.
+// pools with heavy score ties: bit-identical for every k.
 func TestTopKHeapMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(600)
 		pool := scoredPool(r, n, 1+r.Intn(8))
-		checkSelection(t, pool, 1+r.Intn(n), []int{r.Intn(n + 1)})
+		checkSelection(t, pool, 1+r.Intn(n))
 	}
 }
 
 // FuzzTopKSelector checks the selector against the sort oracle under heavy
 // score ties (so the action-id tie-break decides), at the k values around the
-// pool size, with the pool split into 1–8 shard selectors merged in order.
+// pool size.
 func FuzzTopKSelector(f *testing.F) {
-	f.Add(int64(1), uint16(300), uint8(3), uint8(2), uint8(4))
-	f.Add(int64(2), uint16(0), uint8(1), uint8(0), uint8(1))
-	f.Add(int64(3), uint16(17), uint8(1), uint8(5), uint8(8))
-	f.Add(int64(4), uint16(64), uint8(2), uint8(3), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, size uint16, distinct, kPick, shards uint8) {
+	f.Add(int64(1), uint16(300), uint8(3), uint8(2))
+	f.Add(int64(2), uint16(0), uint8(1), uint8(0))
+	f.Add(int64(3), uint16(17), uint8(1), uint8(5))
+	f.Add(int64(4), uint16(64), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, distinct, kPick uint8) {
 		r := rand.New(rand.NewSource(seed))
 		n := int(size % 2048)
 		pool := scoredPool(r, n, 1+int(distinct%8))
 		k := []int{-1, 0, 1, n - 1, n, n + 1}[kPick%6]
-		cuts := make([]int, shards%8)
-		for i := range cuts {
-			cuts[i] = r.Intn(n + 1)
-		}
-		sort.Ints(cuts)
-		checkSelection(t, pool, k, cuts)
+		checkSelection(t, pool, k)
 	})
 }
 
