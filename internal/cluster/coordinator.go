@@ -74,6 +74,13 @@ type Coordinator struct {
 	cfg     CoordinatorConfig
 	metrics *Metrics
 	peers   []*peer
+
+	// swapMu keeps every query off the swap window: a query holds it shared
+	// from resolving its names until its merge is done, and Reload holds it
+	// exclusively from its first commit until its own swap, so no query
+	// gathers from workers on two epochs or merges at one epoch and renders
+	// at another.
+	swapMu sync.RWMutex
 }
 
 // peer is one worker endpoint with its lazily established, re-dialed-on-
@@ -476,6 +483,8 @@ func (co *Coordinator) begin(ctx context.Context, strategyName, metric string) (
 // Recommend resolves the activity against the coordinator's copy, scatters
 // it to every shard, and merges the partials into the single-node ranking.
 func (co *Coordinator) Recommend(ctx context.Context, strategyName, metric string, activity []string, k int) (*Result, error) {
+	co.swapMu.RLock()
+	defer co.swapMu.RUnlock()
 	snap, spec, err := co.begin(ctx, strategyName, metric)
 	if err != nil {
 		return nil, err
@@ -486,6 +495,8 @@ func (co *Coordinator) Recommend(ctx context.Context, strategyName, metric strin
 // RecommendBatch implements server.Backend: coverage is validated once and
 // every activity resolved against one snapshot, whose epoch the batch reports.
 func (co *Coordinator) RecommendBatch(ctx context.Context, strategyName, metric string, activities [][]string, k int) (*server.BatchResult, error) {
+	co.swapMu.RLock()
+	defer co.swapMu.RUnlock()
 	snap, spec, err := co.begin(ctx, strategyName, metric)
 	if err != nil {
 		return nil, err
@@ -611,7 +622,8 @@ func (co *Coordinator) gatherBestMatch(ctx context.Context, metric vectorspace.M
 // that agrees on size and vocabulary does the coordinator commit the flip —
 // otherwise every stage is aborted and the cluster keeps serving epoch E-1
 // on all nodes. The coordinator swaps its own copy last, after the workers
-// committed, so name resolution never runs ahead of the shards.
+// committed, so name resolution never runs ahead of the shards; no query runs
+// between the first commit and that swap (swapMu).
 func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementations int, err error) {
 	if co.cfg.Reload == nil {
 		return 0, 0, server.ErrNoReloader
@@ -671,10 +683,12 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 		return 0, 0, firstErr
 	}
 
-	// Phase two: commit. A failure here is logged loudly but not rolled
-	// back — committed workers already serve the new epoch, and the epoch
-	// guard on every query refuses to merge across the skew until the
-	// stragglers are retried (see the failure matrix in DESIGN.md).
+	// Phase two: commit, with queries held off until the coordinator has
+	// swapped too. A failure here is logged loudly but not rolled back —
+	// committed workers already serve the new epoch, and the epoch guard on
+	// every query refuses to merge across the skew until the stragglers are
+	// retried (see the failure matrix in DESIGN.md).
+	co.swapMu.Lock()
 	var commitErr error
 	var epochs []uint64
 	for _, g := range prepared {
@@ -699,10 +713,12 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 		}
 	}
 	if commitErr != nil {
+		co.swapMu.Unlock()
 		co.logf("cluster: PARTIAL COMMIT — epoch skew until retried: %v", commitErr)
 		return 0, 0, commitErr
 	}
 	swapped := co.engine.Swap(lib)
+	co.swapMu.Unlock()
 	co.metrics.swapsCommitted.Add(1)
 	co.logf("cluster: committed two-phase swap: coordinator epoch %d, worker epochs %v", swapped.Epoch(), epochs)
 	return swapped.Epoch(), wantImpls, nil

@@ -1,16 +1,22 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"goalrec"
+	"goalrec/internal/comms"
 	"goalrec/internal/server"
 )
 
@@ -178,10 +184,9 @@ func TestCoordinatorHonoursLifecycle(t *testing.T) {
 }
 
 // TestClusterBatchOneEpochAcrossReload: a batch is answered from one
-// snapshot, so a two-phase swap that commits in the middle of it moves no
-// item to the next epoch. The reload is issued once the batch is seen
-// scattering; an attempt that was over before the swap was, or one a shard
-// refused mid-commit (epoch skew fails the batch as a whole), is retried.
+// snapshot, and a two-phase swap issued while the batch is scattering
+// commits only once the batch is done, so no item moves to the next epoch
+// and no shard refuses the batch mid-commit.
 func TestClusterBatchOneEpochAcrossReload(t *testing.T) {
 	lib := clusterTestLibrary(22, 40)
 	same := func() (*goalrec.Library, error) { return lib, nil }
@@ -192,40 +197,242 @@ func TestClusterBatchOneEpochAcrossReload(t *testing.T) {
 	for i := range activities {
 		activities[i] = []string{"a1", "a5", "a9"}
 	}
-	for attempt := 0; attempt < 100; attempt++ {
-		before := co.Epoch()
-		scatters := co.Metrics().Snapshot(0).Scatters
-		type outcome struct {
-			batch *server.BatchResult
-			err   error
+	before := co.Epoch()
+	scatters := co.Metrics().Snapshot(0).Scatters
+	type outcome struct {
+		batch *server.BatchResult
+		err   error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		batch, err := co.RecommendBatch(context.Background(), "breadth", "", activities, 5)
+		done <- outcome{batch, err}
+	}()
+	for co.Metrics().Snapshot(0).Scatters < scatters+8 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	epoch, _, err := co.Reload(context.Background())
+	if err != nil {
+		t.Fatalf("reload under the batch: %v", err)
+	}
+	if epoch <= before {
+		t.Fatalf("the swap did not commit: epoch %d after %d", epoch, before)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("batch under a reload: %v", out.err)
+	}
+	if out.batch.Epoch != before {
+		t.Fatalf("batch answered from epoch %d, want %d", out.batch.Epoch, before)
+	}
+	for i, item := range out.batch.Items {
+		if item.Epoch != out.batch.Epoch {
+			t.Fatalf("item %d answered from epoch %d in a batch of epoch %d", i, item.Epoch, out.batch.Epoch)
 		}
-		done := make(chan outcome, 1)
-		go func() {
-			batch, err := co.RecommendBatch(context.Background(), "breadth", "", activities, 5)
-			done <- outcome{batch, err}
-		}()
-		for co.Metrics().Snapshot(0).Scatters < scatters+8 {
-			time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// commitGate is a comms proxy in front of one worker that forwards every
+// frame at once except FrameCommit, which it holds until release is closed.
+// seen is closed when the first commit arrives; passed counts the frames
+// forwarded past a held commit.
+type commitGate struct {
+	addr    string
+	seen    chan struct{}
+	release chan struct{}
+	passed  atomic.Int32
+}
+
+func startCommitGate(t *testing.T, target string) *commitGate {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &commitGate{addr: ln.Addr().String(), seen: make(chan struct{}), release: make(chan struct{})}
+	var (
+		seenOnce sync.Once
+		mu       sync.Mutex
+		conns    []net.Conn
+	)
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
 		}
-		if _, _, err := co.Reload(context.Background()); err != nil {
-			t.Fatalf("reload under the batch: %v", err)
+	})
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			worker, err := net.Dial("tcp", target)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			mu.Lock()
+			conns = append(conns, client, worker)
+			mu.Unlock()
+			go io.Copy(client, worker)
+			go func() {
+				var wmu sync.Mutex // one writer at a time towards the worker
+				forward := func(f comms.Frame) {
+					wmu.Lock()
+					defer wmu.Unlock()
+					comms.WriteFrame(worker, f, nil)
+				}
+				var buf []byte
+				for {
+					f, nb, err := comms.ReadFrame(client, buf)
+					buf = nb
+					if err != nil {
+						return
+					}
+					if f.Type != FrameCommit {
+						select {
+						case <-g.seen:
+							g.passed.Add(1)
+						default:
+						}
+						forward(f)
+						continue
+					}
+					f.Payload = append([]byte(nil), f.Payload...)
+					seenOnce.Do(func() { close(g.seen) })
+					go func() {
+						<-g.release
+						forward(f)
+					}()
+				}
+			}()
 		}
-		committed := co.Metrics().Snapshot(0).Scatters
-		out := <-done
-		if out.err != nil || out.batch.Epoch != before || co.Metrics().Snapshot(0).Scatters == committed {
-			continue // refused mid-commit, or the batch was over before the swap was
+	}()
+	return g
+}
+
+// TestClusterQueriesNeverStraddleCommit holds the last worker's commit of a
+// two-phase swap while the others have committed, and fires every strategy
+// from several clients into that window: each answer must be a 200 equal to
+// a single node's at the old or the new epoch — never an epoch-skew 502, and
+// never names resolved at one epoch against shards of another.
+func TestClusterQueriesNeverStraddleCommit(t *testing.T) {
+	lib1, lib2 := clusterTestLibrary(1, 40), clusterTestLibrary(2, 55)
+	load2 := func() (*goalrec.Library, error) { return lib2, nil }
+	workers := startWorkers(t, lib1, 3, load2)
+	gate := startCommitGate(t, workers[2].addr)
+	co := NewCoordinator(goalrec.NewEngineFromLibrary(lib1), CoordinatorConfig{
+		Peers:  []string{workers[0].addr, workers[1].addr, gate.addr},
+		Reload: load2,
+	})
+	t.Cleanup(co.Close)
+	var arrived atomic.Int32 // recommend requests that reached the front end
+	front := NewHTTPHandler(co)
+	cluster := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/recommend" {
+			arrived.Add(1)
 		}
-		for i, item := range out.batch.Items {
-			if item.Epoch != out.batch.Epoch {
-				t.Fatalf("item %d answered from epoch %d in a batch of epoch %d", i, item.Epoch, out.batch.Epoch)
+		front.ServeHTTP(w, r)
+	}))
+	defer cluster.Close()
+
+	queries := []string{
+		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cmp", "k": 5}`,
+		`{"activity": ["a1", "a5", "a9"], "strategy": "focus-cl", "k": 5}`,
+		`{"activity": ["a1", "a5", "a9"], "strategy": "breadth", "k": 10}`,
+		`{"activity": ["a2", "a7"], "strategy": "best-match", "k": 8}`,
+		`{"activity": ["a2", "a7"], "strategy": "best-match", "metric": "manhattan", "k": 8}`,
+	}
+	single1 := httptest.NewServer(server.New(lib1, nil))
+	defer single1.Close()
+	engine2 := goalrec.NewEngineFromLibrary(lib1)
+	engine2.Swap(lib2)
+	single2 := httptest.NewServer(server.NewFromEngine(engine2, nil))
+	defer single2.Close()
+	want := make(map[string][2][]byte, len(queries))
+	for _, q := range queries {
+		_, b1 := postBody(t, single1.URL+"/v1/recommend", q)
+		_, b2 := postBody(t, single2.URL+"/v1/recommend", q)
+		want[q] = [2][]byte{b1, b2}
+	}
+	for _, q := range queries { // registers every worker at epoch 1
+		if code, body := postBody(t, cluster.URL+"/v1/recommend", q); code != http.StatusOK {
+			t.Fatalf("%s before the swap: %d %s", q, code, body)
+		}
+	}
+	const clients = 4
+	inWindow := arrived.Load() + clients
+
+	reloaded := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(cluster.URL+"/v1/reload", "application/json", strings.NewReader(`{}`))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("reload: status %d", resp.StatusCode)
 			}
 		}
-		if co.Epoch() <= before {
-			t.Fatalf("the swap did not commit: epoch still %d", co.Epoch())
-		}
-		return
+		reloaded <- err
+	}()
+	select {
+	case <-gate.seen:
+	case err := <-reloaded:
+		t.Fatalf("reload ended before the last commit was held: %v", err)
 	}
-	t.Fatal("no batch straddled a swap in 100 attempts")
+
+	type answer struct {
+		query string
+		code  int
+		body  []byte
+		err   error
+	}
+	answers := make(chan answer, clients*len(queries))
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range queries {
+				resp, err := http.Post(cluster.URL+"/v1/recommend", "application/json", strings.NewReader(q))
+				a := answer{query: q, err: err}
+				if err == nil {
+					a.code = resp.StatusCode
+					a.body, a.err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+				}
+				answers <- a
+			}
+		}()
+	}
+	for arrived.Load() < inWindow { // every client has a query in the window
+		time.Sleep(50 * time.Microsecond)
+	}
+	// A coordinator that lets queries into the window scatters each to the
+	// held worker too; one that holds them off sends nothing, so that wait
+	// is bounded.
+	for deadline := time.Now().Add(200 * time.Millisecond); gate.passed.Load() < clients && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(gate.release)
+	wg.Wait()
+	close(answers)
+	if err := <-reloaded; err != nil {
+		t.Fatal(err)
+	}
+	for a := range answers {
+		if a.err != nil {
+			t.Fatalf("%s: %v", a.query, a.err)
+		}
+		if w := want[a.query]; a.code != http.StatusOK || !(bytes.Equal(a.body, w[0]) || bytes.Equal(a.body, w[1])) {
+			t.Errorf("%s across the commit: %d %s\nwant epoch 1: %s\n  or epoch 2: %s", a.query, a.code, a.body, w[0], w[1])
+		}
+	}
+	if got := co.Epoch(); got != 2 {
+		t.Fatalf("coordinator epoch after the swap: %d, want 2", got)
+	}
 }
 
 // TestClusterSwapAbortsOnUncuttableShard: a worker cuts its next partition at

@@ -27,7 +27,7 @@ const defaultCompactMin = 1024
 // implementation CSR; every snapshot views a full-slice (len == cap) prefix
 // of it, so later appends — which only ever write beyond every snapshot's
 // length — can never alias memory a reader sees. The posting indexes
-// (A-GI-idx, G-GI-idx, AG-idx, GA-idx, block metadata) of the base are
+// (A-GI-idx, G-GI-idx, AG-idx, GA-idx) of the base are
 // shared wholesale, with fresh merged rows overlaid for just the touched
 // actions and goals (overlay.go). Snapshotting an append into a
 // million-implementation library therefore costs the touched rows and the

@@ -3,14 +3,14 @@ package core
 // Paging hints for snapshot mappings. A snapshot's sections fall into two
 // access classes: the posting payloads (A-GI rows, the GI column, per-
 // implementation action lists) are probed at random by queries, while the CSR
-// offset arrays and block metadata are touched by essentially every request.
-// On open we advise the kernel accordingly — MADV_RANDOM on the payloads (no
-// wasted readahead when the working set exceeds RAM) and MADV_WILLNEED on the
-// small navigation structures (header, section table, block metadata — paged
-// in eagerly so the first queries don't fault through them one page at a
-// time). WILLNEED is capped to small spans (adviseWillNeedMax): its page walk
-// would otherwise dominate open latency. Hints are best-effort and
-// Linux-only; see madvise_linux.go.
+// offset arrays are touched by essentially every request. On open we advise
+// the kernel accordingly — MADV_RANDOM on the payloads (no wasted readahead
+// when the working set exceeds RAM) and MADV_WILLNEED on the small navigation
+// structures (header, section table, offset arrays — paged in eagerly so the
+// first queries don't fault through them one page at a time). WILLNEED is
+// capped to small spans (adviseWillNeedMax): its page walk would otherwise
+// dominate open latency. Hints are best-effort and Linux-only; see
+// madvise_linux.go.
 
 // Advice classes passed to the per-OS madviseSpan.
 const (
@@ -21,8 +21,8 @@ const (
 // adviseWillNeedMax bounds the span MADV_WILLNEED is issued for. The syscall
 // walks its range page by page, so hinting a multi-megabyte offsets section
 // costs hundreds of microseconds at open — more than the whole mmap+validate
-// path. Small navigation structures (header, section table, block metadata)
-// get the eager hint; anything larger is left to default readahead.
+// path. Small navigation structures (header, section table, small offset
+// arrays) get the eager hint; anything larger is left to default readahead.
 const adviseWillNeedMax = 256 << 10
 
 // adviseAsync runs advise off the open path. The hints are a dozen madvise

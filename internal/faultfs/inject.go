@@ -170,13 +170,6 @@ func (i *Injector) Trace() []Site {
 	return append([]Site(nil), i.trace...)
 }
 
-// Ops returns the number of operations observed so far.
-func (i *Injector) Ops() int64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.nextOp
-}
-
 // check assigns the operation its global index, traces it, and resolves the
 // first matching rule. It returns the number of payload bytes allowed to
 // land (meaningful for write-class ops; n is the attempted size) and the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"goalrec/internal/core"
+	"goalrec/internal/vectorspace"
 )
 
 // benchLibrary mirrors the Figure 7 generator: `size` implementations of ~8
@@ -54,28 +55,31 @@ var benchCells = []struct {
 }
 
 // BenchmarkBestMatchModes compares the two AG-idx scoring paths and the
-// automatic cost-based choice on the same libraries and queries.
+// automatic cost-based choice on the same libraries and queries, for cosine
+// and for manhattan, whose paths also accumulate the L1 sums.
 func BenchmarkBestMatchModes(b *testing.B) {
 	for _, cell := range benchCells {
 		lib := benchLibrary(20000, cell.actions, 3)
 		queries := benchQueries(cell.actions, 64, 5, 4)
 		conn := lib.Stats().Connectivity
-		for _, m := range []struct {
-			name string
-			mode bmMode
-		}{
-			{"candidate-major", bmCandidateMajor},
-			{"goal-major", bmGoalMajor},
-			{"auto", bmAuto},
-		} {
-			bm := NewBestMatch(lib)
-			bm.mode = m.mode
-			b.Run(fmt.Sprintf("%s/conn=%.0f/%s", cell.name, conn, m.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					bm.Recommend(queries[i%len(queries)], 10)
-				}
-			})
+		for _, metric := range []vectorspace.Metric{vectorspace.Cosine, vectorspace.Manhattan} {
+			for _, m := range []struct {
+				name string
+				mode bmMode
+			}{
+				{"candidate-major", bmCandidateMajor},
+				{"goal-major", bmGoalMajor},
+				{"auto", bmAuto},
+			} {
+				bm := NewBestMatchMetric(lib, metric)
+				bm.mode = m.mode
+				b.Run(fmt.Sprintf("%s/conn=%.0f/%v/%s", cell.name, conn, metric, m.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						bm.Recommend(queries[i%len(queries)], 10)
+					}
+				})
+			}
 		}
 	}
 }

@@ -17,20 +17,21 @@ import (
 // same feature space F_GS(H), and ranks candidates by ascending distance to
 // the profile (Equation 10).
 //
-// The default cosine metric runs on a dense, pooled scratch representation
-// with two interchangeable scoring paths over the AG-idx (see DESIGN.md):
+// Every metric runs on a dense, pooled scratch representation with two
+// interchangeable scoring paths over the AG-idx (see DESIGN.md):
 //
 //   - candidate-major: each candidate walks its distinct-goal list — the
 //     classical loop, shrunk from O(|IS(a)|) postings with random GI-G
 //     lookups to a sequential O(|AG(a)|) scan;
 //   - goal-major: one pass over the GA-idx rows of GS(H) (goal → distinct
-//     actions with multiplicities) accumulates every candidate's dot product
-//     and norm simultaneously, costing O(Σ_{g∈GS(H)} |AG⁻¹(g)|) regardless
-//     of connectivity or the implementation-id layout.
+//     actions with multiplicities) accumulates every candidate's sums
+//     simultaneously, costing O(Σ_{g∈GS(H)} |AG⁻¹(g)|) regardless of
+//     connectivity or the implementation-id layout.
 //
-// Both paths accumulate the same integer-valued sums in float64, so they are
-// bit-identical; the cheaper one is chosen per query from exact index-derived
-// cost estimates. The alternative metrics use the sparse vectorspace path.
+// Both paths accumulate the same integer-valued sums (bmSums) in float64, and
+// bmScore finishes every metric from them, so the paths are bit-identical to
+// each other and to vectorspace.Metric.Distance over the sparse vectors; the
+// cheaper path is chosen per query from exact index-derived cost estimates.
 // Every path offers its scores into one k-bounded selector as it computes
 // them, and the candidate pool lives in the pooled scratch, so a query
 // allocates nothing that scales with the pool.
@@ -44,7 +45,7 @@ type BestMatch struct {
 	mode bmMode
 }
 
-// bmMode selects the cosine scoring path.
+// bmMode selects the scoring path.
 type bmMode int
 
 const (
@@ -62,15 +63,62 @@ type bmScratch struct {
 	profile []float64 // profile counts per goal-space slot
 
 	// Goal-major accumulators, indexed by action id and allocated on first
-	// goal-major query. dot and sumsq are zeroed between queries via
-	// actTouched.
-	dot        []float64
-	sumsq      []float64
+	// goal-major query: acc holds a⃗·H⃗ and ‖a⃗‖², accL1 Σa⃗ and Σmin(a⃗, H⃗)
+	// for the L1 metrics only, so cosine scatters 16 bytes per action.
+	// Zeroed between queries via actTouched.
+	acc, accL1 [][2]float64
 	actTouched []core.ActionID
 
 	// Candidate pool of the current query and the buffers that generate it.
 	cands    []core.ActionID
 	candBufs core.CandidateScratch
+}
+
+// bmSums are a candidate a⃗'s integer sums over F_GS(H) against the profile
+// H⃗: dot = a⃗·H⃗, sq = ‖a⃗‖², and — for the L1 metrics only — sum = Σa⃗ and
+// minSum = Σmin(a⃗, H⃗). The profile's own sums are H⃗ against itself.
+type bmSums struct{ dot, sq, sum, minSum float64 }
+
+// add folds in one goal on which the candidate has multiplicity c and the
+// profile p.
+func (a *bmSums) add(c, p float64, l1 bool) {
+	a.dot += c * p
+	a.sq += c * c
+	if l1 {
+		a.sum += c
+		a.minSum += min(c, p)
+	}
+}
+
+// readsL1 reports whether bmScore reads m's sum and minSum.
+func readsL1(m vectorspace.Metric) bool {
+	return m == vectorspace.Manhattan || m == vectorspace.JaccardDist
+}
+
+// bmScore finishes a candidate's score, its negated distance to the profile,
+// from the candidate's sums a and the profile's sums h. H⃗ is positive on
+// every goal of GS(H), so over F_GS(H)
+//
+//	Σ(H⃗−a⃗)² = ‖H⃗‖² + ‖a⃗‖² − 2·a⃗·H⃗,
+//	Σ|H⃗−a⃗| = ΣH⃗ + Σa⃗ − 2·Σmin(a⃗, H⃗),
+//	Σmax(a⃗, H⃗) = ΣH⃗ + Σa⃗ − Σmin(a⃗, H⃗).
+//
+// Every operand is an integer below 2^53, exact in float64, so each score is
+// −vectorspace.Metric.Distance over the sparse vectors bit for bit.
+func bmScore(m vectorspace.Metric, h, a bmSums) float64 {
+	switch m {
+	case vectorspace.Euclidean:
+		return -math.Sqrt(h.sq + a.sq - 2*a.dot)
+	case vectorspace.Manhattan:
+		return -(h.sum + a.sum - 2*a.minSum)
+	case vectorspace.JaccardDist:
+		return -(1 - a.minSum/(h.sum+a.sum-a.minSum))
+	}
+	sim := 0.0
+	if h.sq > 0 && a.sq > 0 {
+		sim = a.dot / (math.Sqrt(h.sq) * math.Sqrt(a.sq))
+	}
+	return -(1 - sim)
 }
 
 // NewBestMatch returns a Best Match strategy over lib using the cosine
@@ -100,35 +148,6 @@ func (bm *BestMatch) Name() string {
 	return "best-match-" + bm.metric.String()
 }
 
-// Profile builds the goal-based user profile H⃗ of Algorithm 3
-// (Get-Goal-Based-Profile): the aggregated goal-contribution vector of every
-// action in the activity, in the feature space spanned by GS(activity).
-func (bm *BestMatch) Profile(activity []core.ActionID) vectorspace.Vector {
-	h := intset.FromUnsorted(intset.Clone(activity))
-	counts := make(map[int32]int)
-	for _, a := range h {
-		goals, mult := bm.lib.GoalsOfAction(a)
-		for i, g := range goals {
-			counts[int32(g)] += int(mult[i])
-		}
-	}
-	return vectorspace.FromCounts(counts)
-}
-
-// actionVector represents candidate action a in F_GS(H) (Equation 8): for
-// every goal of the user goal space, the number of implementations through
-// which a contributes to it. goalSpace must be sorted.
-func (bm *BestMatch) actionVector(a core.ActionID, goalSpace []core.GoalID) vectorspace.Vector {
-	counts := make(map[int32]int)
-	goals, mult := bm.lib.GoalsOfAction(a)
-	for i, g := range goals {
-		if intset.Contains(goalSpace, g) {
-			counts[int32(g)] = int(mult[i])
-		}
-	}
-	return vectorspace.FromCounts(counts)
-}
-
 // Recommend implements Recommender (Algorithm 4, Best Match Ranking). The
 // returned Score is the negated distance, so higher still means better.
 func (bm *BestMatch) Recommend(activity []core.ActionID, k int) []ScoredAction {
@@ -136,9 +155,8 @@ func (bm *BestMatch) Recommend(activity []core.ActionID, k int) []ScoredAction {
 	return out
 }
 
-// RecommendContext implements ContextRecommender: every scoring path —
-// candidate-major, goal-major, and the sparse non-cosine loop — polls ctx at
-// coarse checkpoints. A canceled query returns nil: Best Match ranks by
+// RecommendContext implements ContextRecommender: both scoring paths poll ctx
+// at coarse checkpoints. A canceled query returns nil: Best Match ranks by
 // distance over the full candidate pool, so a partial scoring is not a valid
 // prefix.
 func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.ActionID, k int) ([]ScoredAction, error) {
@@ -155,14 +173,16 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 	if len(s.cands) == 0 {
 		return nil, nil
 	}
-	goalSpace := bm.lib.GoalSpace(h)
-	if bm.metric != vectorspace.Cosine {
-		return bm.rankSparse(ctx, bm.Profile(h), s.cands, goalSpace, k)
-	}
+	return bm.rank(ctx, s, bm.profile(s, h), k)
+}
 
-	// Dense profile (Equation 9): action a of H adds its per-goal
-	// implementation multiplicities. Every goal of AG(a) is in GS(H) by
-	// construction.
+// profile is Algorithm 3 (Get-Goal-Based-Profile): it stamps GS(h) into s
+// and accumulates the dense profile H⃗ (Equation 9) into s.profile, aligned
+// with the returned goal space. Action a of h adds its per-goal
+// implementation multiplicities; every goal of AG(a) is in GS(h) by
+// construction.
+func (bm *BestMatch) profile(s *bmScratch, h []core.ActionID) []core.GoalID {
+	goalSpace := bm.lib.GoalSpace(h)
 	s.stamp(goalSpace)
 	for _, a := range h {
 		goals, mult := bm.lib.GoalsOfAction(a)
@@ -170,37 +190,24 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 			s.profile[s.slot[g]] += float64(mult[i])
 		}
 	}
-	return bm.rankCosine(ctx, s, goalSpace, k)
+	return goalSpace
 }
 
-// rankSparse is the non-cosine path: every candidate's sparse vector against
-// the sparse profile through the vectorspace metric.
-func (bm *BestMatch) rankSparse(ctx context.Context, profile vectorspace.Vector, candidates []core.ActionID, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
-	tick := newTicker(ctx)
-	sel := newSelector(k, len(candidates))
-	for _, a := range candidates {
-		if err := tick.tick(1); err != nil {
-			return nil, err
-		}
-		d := bm.metric.Distance(profile, bm.actionVector(a, goalSpace))
-		sel.offer(ScoredAction{Action: a, Score: -d})
-	}
-	return sel.sorted(), nil
-}
-
-// rankCosine is the allocation-light fast path over the stamped scratch (goal
-// space, dense profile, candidate pool): it scores every candidate through
-// whichever scoring path the per-query cost estimates favor, straight into
-// one k-bounded selector.
-func (bm *BestMatch) rankCosine(ctx context.Context, s *bmScratch, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
+// rank scores every candidate of the stamped scratch (goal space, dense
+// profile, candidate pool) through whichever scoring path the per-query cost
+// estimates favor, straight into one k-bounded selector.
+func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
 	candidates := s.cands
-	profNorm := s.profileNorm()
+	var h bmSums
+	for _, p := range s.profile {
+		h.add(p, p, true)
+	}
 	sel := newSelector(k, len(candidates))
 	var err error
 	if bm.pickMode(candidates, goalSpace) == bmGoalMajor {
-		err = bm.scoreGoalMajor(ctx, s, candidates, goalSpace, profNorm, &sel)
+		err = bm.scoreGoalMajor(ctx, s, candidates, goalSpace, h, &sel)
 	} else {
-		err = bm.scoreCandidateMajor(ctx, s, candidates, profNorm, &sel)
+		err = bm.scoreCandidateMajor(ctx, s, candidates, h, &sel)
 	}
 	if err != nil {
 		return nil, err
@@ -230,17 +237,6 @@ func (s *bmScratch) stamp(goalSpace []core.GoalID) {
 	}
 }
 
-// profileNorm returns ‖H⃗‖ from the stamped profile. The squares sum in
-// slot (goal-ascending) order on every path, so the norm is bit-identical
-// between from-scratch and view scoring.
-func (s *bmScratch) profileNorm() float64 {
-	n := 0.0
-	for _, v := range s.profile {
-		n += v * v
-	}
-	return math.Sqrt(n)
-}
-
 // RecommendView implements ViewRecommender: candidates, goal space, and the
 // dense profile all come from the view's materialized state — no posting or
 // AG-row accumulation — and flow into the same scoring paths as a
@@ -262,19 +258,11 @@ func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) (
 	if len(s.cands) == 0 {
 		return nil, nil
 	}
-	goalSpace := v.goal
-	if bm.metric != vectorspace.Cosine {
-		counts := make(map[int32]int, len(goalSpace))
-		for i, g := range goalSpace {
-			counts[int32(g)] = int(v.gcnt[i])
-		}
-		return bm.rankSparse(ctx, vectorspace.FromCounts(counts), s.cands, goalSpace, k)
+	s.stamp(v.goal)
+	for i, c := range v.gcnt {
+		s.profile[i] = float64(c)
 	}
-	s.stamp(goalSpace)
-	for i := range goalSpace {
-		s.profile[i] = float64(v.gcnt[i])
-	}
-	return bm.rankCosine(ctx, s, goalSpace, k)
+	return bm.rank(ctx, s, v.goal, k)
 }
 
 // pickMode resolves the scoring path for one query. In auto mode it compares
@@ -300,52 +288,43 @@ func (bm *BestMatch) pickMode(candidates []core.ActionID, goalSpace []core.GoalI
 }
 
 // scoreCandidateMajor scores each candidate by a sequential scan of its
-// AG-idx row: dot and ‖a⃗‖² come from the (goal, multiplicity) pairs that
-// fall inside the stamped goal space.
-func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, profNorm float64, sel *selector) error {
+// AG-idx row: its sums come from the (goal, multiplicity) pairs that fall
+// inside the stamped goal space.
+func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
 	tick := newTicker(ctx)
+	l1 := readsL1(bm.metric)
 	for _, a := range candidates {
 		if err := tick.tick(1); err != nil {
 			return err
 		}
-		sel.offer(bm.scoreOne(s, a, profNorm))
+		goals, mult := bm.lib.GoalsOfAction(a)
+		var sums bmSums
+		for i, g := range goals {
+			if s.mark[g] != s.version {
+				continue // contributes to a goal outside F_GS(H)
+			}
+			sums.add(float64(mult[i]), s.profile[s.slot[g]], l1)
+		}
+		sel.offer(ScoredAction{Action: a, Score: bmScore(bm.metric, h, sums)})
 	}
 	return nil
 }
 
-// scoreOne computes one candidate's negated cosine distance from the stamped
-// scratch.
-func (bm *BestMatch) scoreOne(s *bmScratch, a core.ActionID, profNorm float64) ScoredAction {
-	goals, mult := bm.lib.GoalsOfAction(a)
-	dot, sumsq := 0.0, 0.0
-	for i, g := range goals {
-		if s.mark[g] != s.version {
-			continue // contributes to a goal outside F_GS(H)
-		}
-		c := float64(mult[i])
-		dot += c * s.profile[s.slot[g]]
-		sumsq += c * c
-	}
-	sim := 0.0
-	if profNorm > 0 && sumsq > 0 {
-		sim = dot / (profNorm * math.Sqrt(sumsq))
-	}
-	return ScoredAction{Action: a, Score: -(1 - sim)}
-}
-
 // scoreGoalMajor scores every candidate at once by walking the goal space's
 // GA-idx rows: goal g's row pairs each distinct action a with its
-// multiplicity m (implementations of g containing a), adding m·profile[g]
-// to a's dot product and m² to ‖a⃗‖². Work is Σ_{g∈GS(H)} |distinct
-// actions of g| over contiguous rows — independent of connectivity and of
-// the implementation-id layout (no per-implementation dereferences). Every accumulated term is the
-// same integer-valued float the candidate-major path multiplies, summed
-// exactly below 2^53, so the scores are bit-identical to scoreOne.
-func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, goalSpace []core.GoalID, profNorm float64, sel *selector) error {
-	if s.dot == nil {
-		n := bm.lib.NumActions()
-		s.dot = make([]float64, n)
-		s.sumsq = make([]float64, n)
+// multiplicity m (implementations of g containing a), which a folds into its
+// sums against profile[g]. Work is Σ_{g∈GS(H)} |distinct actions of g| over
+// contiguous rows — independent of connectivity and of the
+// implementation-id layout (no per-implementation dereferences). Every
+// accumulated term is the same integer-valued float the candidate-major path
+// adds, summed exactly below 2^53, so the scores are bit-identical.
+func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, goalSpace []core.GoalID, h bmSums, sel *selector) error {
+	l1 := readsL1(bm.metric)
+	if s.acc == nil {
+		s.acc = make([][2]float64, bm.lib.NumActions())
+		if l1 {
+			s.accL1 = make([][2]float64, bm.lib.NumActions())
+		}
 	}
 	s.actTouched = s.actTouched[:0]
 	tick := newTicker(ctx)
@@ -357,32 +336,33 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 			break
 		}
 		for j, a := range acts {
-			m := float64(mult[j])
-			if s.sumsq[a] == 0 {
+			m, acc := float64(mult[j]), &s.acc[a]
+			if acc[1] == 0 {
 				s.actTouched = append(s.actTouched, a)
 			}
-			s.dot[a] += m * pg
-			s.sumsq[a] += m * m
+			acc[0] += m * pg
+			acc[1] += m * m
+			if l1 {
+				s.accL1[a][0] += m
+				s.accL1[a][1] += min(m, pg)
+			}
 		}
 	}
-	if tickErr != nil {
-		// Return the pooled accumulators clean before aborting.
-		for _, a := range s.actTouched {
-			s.dot[a] = 0
-			s.sumsq[a] = 0
+	if tickErr == nil {
+		for _, a := range candidates {
+			sums := bmSums{dot: s.acc[a][0], sq: s.acc[a][1]}
+			if l1 {
+				sums.sum, sums.minSum = s.accL1[a][0], s.accL1[a][1]
+			}
+			sel.offer(ScoredAction{Action: a, Score: bmScore(bm.metric, h, sums)})
 		}
-		return tickErr
 	}
-	for _, a := range candidates {
-		sim := 0.0
-		if sumsq := s.sumsq[a]; profNorm > 0 && sumsq > 0 {
-			sim = s.dot[a] / (profNorm * math.Sqrt(sumsq))
-		}
-		sel.offer(ScoredAction{Action: a, Score: -(1 - sim)})
-	}
+	// Return the pooled accumulators clean, on an abort too.
 	for _, a := range s.actTouched {
-		s.dot[a] = 0
-		s.sumsq[a] = 0
+		s.acc[a] = [2]float64{}
+		if l1 {
+			s.accL1[a] = [2]float64{}
+		}
 	}
-	return nil
+	return tickErr
 }

@@ -13,6 +13,11 @@ import (
 	"goalrec/internal/vectorspace"
 )
 
+// allMetrics is every Best Match distance metric.
+var allMetrics = []vectorspace.Metric{
+	vectorspace.Cosine, vectorspace.Euclidean, vectorspace.Manhattan, vectorspace.JaccardDist,
+}
+
 func TestBestMatchNames(t *testing.T) {
 	lib := testlib.PaperLibrary()
 	if got := NewBestMatch(lib).Name(); got != "best-match" {
@@ -23,6 +28,15 @@ func TestBestMatchNames(t *testing.T) {
 	}
 }
 
+// denseProfile runs the production Algorithm 3 over h: the goal space and
+// the dense profile aligned with it.
+func denseProfile(bm *BestMatch, h []core.ActionID) ([]core.GoalID, []float64) {
+	s := bm.pool.Get().(*bmScratch)
+	defer bm.pool.Put(s)
+	goalSpace := bm.profile(s, intset.FromUnsorted(intset.Clone(h)))
+	return goalSpace, append([]float64{}, s.profile...)
+}
+
 func TestBestMatchProfilePaperExample(t *testing.T) {
 	lib := testlib.PaperLibrary()
 	bm := NewBestMatch(lib)
@@ -30,22 +44,13 @@ func TestBestMatchProfilePaperExample(t *testing.T) {
 	// H = {a2, a3} (ids 1, 2). Implementation space: p1 (a2,a3), p3 (a3),
 	// p5 (a2). Per Equation 9 the profile counts (action, implementation)
 	// contribution pairs per goal: g1 ← a2@p1 + a3@p1 = 2, g3 ← a3@p3 = 1,
-	// g5 ← a2@p5 = 1.
-	profile := bm.Profile(acts(1, 2))
-	if got := profile.At(0); got != 2 {
-		t.Errorf("profile[g1] = %v, want 2", got)
+	// g5 ← a2@p5 = 1; g2 is outside GS(H).
+	goalSpace, profile := denseProfile(bm, acts(1, 2))
+	if want := []core.GoalID{0, 2, 4}; !reflect.DeepEqual(goalSpace, want) {
+		t.Fatalf("goal space = %v, want %v", goalSpace, want)
 	}
-	if got := profile.At(2); got != 1 {
-		t.Errorf("profile[g3] = %v, want 1", got)
-	}
-	if got := profile.At(4); got != 1 {
-		t.Errorf("profile[g5] = %v, want 1", got)
-	}
-	if got := profile.At(1); got != 0 {
-		t.Errorf("profile[g2] = %v, want 0", got)
-	}
-	if profile.Len() != 3 {
-		t.Errorf("profile has %d coordinates, want 3", profile.Len())
+	if want := []float64{2, 1, 1}; !reflect.DeepEqual(profile, want) {
+		t.Errorf("profile = %v, want %v", profile, want)
 	}
 }
 
@@ -61,9 +66,8 @@ func TestBestMatchProfileCountsDuplicateContributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := b.Build()
-	profile := NewBestMatch(lib).Profile(acts(0))
-	if got := profile.At(0); got != 2 {
-		t.Errorf("profile[g0] = %v, want 2 (two implementations)", got)
+	if _, profile := denseProfile(NewBestMatch(lib), acts(0)); !reflect.DeepEqual(profile, []float64{2}) {
+		t.Errorf("profile = %v, want [2] (two implementations)", profile)
 	}
 }
 
@@ -97,9 +101,7 @@ func TestBestMatchRankingPaperExample(t *testing.T) {
 
 func TestBestMatchMetricsDisagreeButRankZeroLast(t *testing.T) {
 	lib := testlib.PaperLibrary()
-	for _, m := range []vectorspace.Metric{
-		vectorspace.Cosine, vectorspace.Euclidean, vectorspace.Manhattan, vectorspace.JaccardDist,
-	} {
+	for _, m := range allMetrics {
 		bm := NewBestMatchMetric(lib, m)
 		got := bm.Recommend(acts(1, 2), 10)
 		if len(got) != 3 {
@@ -121,16 +123,43 @@ func TestBestMatchEmptyCases(t *testing.T) {
 	if got := bm.Recommend(acts(0), 0); got != nil {
 		t.Errorf("k=0 produced %v", got)
 	}
-	if p := bm.Profile(nil); !p.IsZero() {
-		t.Errorf("profile of empty activity = %v non-zero coords", p.Len())
+	if goalSpace, profile := denseProfile(bm, nil); len(goalSpace) != 0 || len(profile) != 0 {
+		t.Errorf("empty activity: goal space %v, profile %v", goalSpace, profile)
 	}
 }
 
+// sparseProfile is the reference Algorithm 3 on sparse vectors: the
+// aggregated goal-contribution vector of every action of h.
+func sparseProfile(lib *core.Library, h []core.ActionID) vectorspace.Vector {
+	counts := make(map[int32]int)
+	for _, a := range h {
+		goals, mult := lib.GoalsOfAction(a)
+		for i, g := range goals {
+			counts[int32(g)] += int(mult[i])
+		}
+	}
+	return vectorspace.FromCounts(counts)
+}
+
+// sparseActionVector is the reference Equation 8: for every goal of the
+// sorted goalSpace, the number of implementations through which a
+// contributes to it.
+func sparseActionVector(lib *core.Library, a core.ActionID, goalSpace []core.GoalID) vectorspace.Vector {
+	counts := make(map[int32]int)
+	goals, mult := lib.GoalsOfAction(a)
+	for i, g := range goals {
+		if intset.Contains(goalSpace, g) {
+			counts[int32(g)] = int(mult[i])
+		}
+	}
+	return vectorspace.FromCounts(counts)
+}
+
 func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
-	// The pooled dense cosine path must agree with the straightforward
-	// sparse implementation (Profile + actionVector + metric.Distance) on
-	// random libraries, bit-for-bit on the ordering and within float noise
-	// on the scores.
+	// Every metric through each dense scoring path must equal the
+	// straightforward sparse implementation (sparseProfile +
+	// sparseActionVector + Metric.Distance) on random libraries exactly:
+	// bmScore finishes from integer sums, so not even the scores differ.
 	cfg := &quick.Config{
 		MaxCount: 80,
 		Values: func(v []reflect.Value, r *rand.Rand) {
@@ -138,45 +167,39 @@ func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 			v[1] = reflect.ValueOf(testlib.RandomActivity(r, 25, 5))
 		},
 	}
-	f := func(lib *core.Library, h []core.ActionID) bool {
-		bm := NewBestMatch(lib)
-		fast := bm.Recommend(h, -1)
-
-		// Sparse reference.
-		hs := intset.FromUnsorted(intset.Clone(h))
-		goalSpace := lib.GoalSpace(hs)
-		profile := bm.Profile(hs)
-		var ref []ScoredAction
-		for _, a := range lib.Candidates(hs) {
-			d := vectorspace.Cosine.Distance(profile, bm.actionVector(a, goalSpace))
-			ref = append(ref, ScoredAction{Action: a, Score: -d})
-		}
-		ref = TopK(ref, -1)
-
-		if len(fast) != len(ref) {
-			return false
-		}
-		for i := range fast {
-			if fast[i].Action != ref[i].Action {
-				return false
+	for _, m := range allMetrics {
+		f := func(lib *core.Library, h []core.ActionID) bool {
+			hs := intset.FromUnsorted(intset.Clone(h))
+			goalSpace := lib.GoalSpace(hs)
+			profile := sparseProfile(lib, hs)
+			var ref []ScoredAction
+			for _, a := range lib.Candidates(hs) {
+				d := m.Distance(profile, sparseActionVector(lib, a, goalSpace))
+				ref = append(ref, ScoredAction{Action: a, Score: -d})
 			}
-			if math.Abs(fast[i].Score-ref[i].Score) > 1e-9 {
-				return false
+			ref = TopK(ref, -1)
+			for _, mode := range []bmMode{bmCandidateMajor, bmGoalMajor} {
+				bm := NewBestMatchMetric(lib, m)
+				bm.mode = mode
+				if got := bm.Recommend(h, -1); !(len(got) == 0 && len(ref) == 0) && !reflect.DeepEqual(got, ref) {
+					t.Logf("%v mode %d:\ngot  %v\nwant %v", m, mode, got, ref)
+					return false
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, cfg); err != nil {
+			t.Errorf("%v: %v", m, err)
+		}
 	}
 }
 
 // TestBestMatchScoringPathsAgree drives the Best Match rows of the source
-// table — the cost model's pick and each forced cosine path (candidate-major,
-// goal-major), the view through each, and the shard merges — over many small
-// random libraries. Both paths
-// accumulate integer-valued sums in float64, so even the scores must match
-// the oracle exactly, not just within float noise.
+// table — every metric through the cost model's pick and each forced path
+// (candidate-major, goal-major), the view through each, and the shard merges
+// — over many small random libraries. Every path accumulates integer-valued
+// sums in float64, so even the scores must match the oracle exactly, not
+// just within float noise.
 func TestBestMatchScoringPathsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
@@ -186,20 +209,23 @@ func TestBestMatchScoringPathsAgree(t *testing.T) {
 }
 
 // TestBestMatchGoalMajorScratchReuse runs many consecutive goal-major
-// queries through one recommender: stale dot/sumsq/cnt residue between
-// queries (or between goals within a query) would diverge from the oracle.
+// queries through one recommender per metric: stale accumulator residue
+// between queries (or between goals within a query) would diverge from the
+// oracle.
 func TestBestMatchGoalMajorScratchReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	lib := testlib.RandomLibrary(r, 150, 30, 12, 7)
-	gm := NewBestMatch(lib)
-	gm.mode = bmGoalMajor
 	o := newOracle(lib)
-	for i := 0; i < 200; i++ {
-		h := intset.FromUnsorted(testlib.RandomActivity(r, 30, 6))
-		got := gm.Recommend(h, 8)
-		want := o.oracleBestMatch(h, vectorspace.Cosine, 8)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d diverged from the oracle:\ngot  %v\nwant %v", i, got, want)
+	for _, m := range allMetrics {
+		gm := NewBestMatchMetric(lib, m)
+		gm.mode = bmGoalMajor
+		for i := 0; i < 200; i++ {
+			h := intset.FromUnsorted(testlib.RandomActivity(r, 30, 6))
+			got := gm.Recommend(h, 8)
+			want := o.oracleBestMatch(h, m, 8)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v query %d diverged from the oracle:\ngot  %v\nwant %v", m, i, got, want)
+			}
 		}
 	}
 }

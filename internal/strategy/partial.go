@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"goalrec/internal/core"
@@ -33,9 +32,8 @@ import (
 //     multiplicities, additive over shards. A survey round establishes the
 //     global candidate set, goal space and profile; a vector round gathers
 //     per-candidate multiplicities restricted to the *global* goal space;
-//     the coordinator then evaluates the same float64 expressions
-//     (sim = dot / (‖H⃗‖·√sumsq), score = −(1−sim)) on exactly the same
-//     operand values.
+//     the coordinator then folds them into the same integer sums a single
+//     node accumulates and finishes every metric with the same bmScore.
 
 // ---------------------------------------------------------------------------
 // Focus
@@ -272,55 +270,23 @@ func MergeBestMatchSurveys(surveys []*BestMatchSurvey) (candidates []core.Action
 	return candidates, goalSpace, profile
 }
 
-// MergeBestMatchVectors folds the shard vectors and evaluates the exact
-// single-node scoring expressions. For cosine, every operand — dot, sumsq,
-// the profile norm's square — is an exact integer sum, and the float
-// expression matches scoreOne term for term; for other metrics the merged
-// integer profile and candidate vectors feed the same vectorspace.Metric a
-// single node uses. Vector lists are parallel to candidates; a nil entry in
-// vectors contributes nothing (that shard had no postings for the pool).
+// MergeBestMatchVectors folds each candidate's shard multiplicities into the
+// bmSums a single node accumulates and finishes them with the same bmScore:
+// every operand is an exact integer sum over the global goal space, so the
+// score is bit-identical to a single node's for every metric. Vector lists
+// are parallel to candidates; a nil entry in vectors contributes nothing
+// (that shard had no postings for the pool).
 func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID, goalSpace []core.GoalID, profile []int64, vectors []*BestMatchVectors, k int) []ScoredAction {
 	if k == 0 || len(candidates) == 0 {
 		return nil
 	}
+	l1 := readsL1(metric)
+	var h bmSums
+	for _, p := range profile {
+		h.add(float64(p), float64(p), true)
+	}
 	mult := make([]int64, len(goalSpace)) // one candidate's folded vector, by slot
 	touched := make([]int32, 0, 16)       // its nonzero slots
-
-	// score finishes one candidate from its folded vector.
-	var score func() float64
-	if metric == vectorspace.Cosine {
-		profSq := int64(0)
-		for _, v := range profile {
-			profSq += v * v
-		}
-		profNorm := math.Sqrt(float64(profSq))
-		score = func() float64 {
-			dot, sumsq := int64(0), int64(0)
-			for _, s := range touched {
-				dot += mult[s] * profile[s]
-				sumsq += mult[s] * mult[s]
-			}
-			sim := 0.0
-			if profNorm > 0 && sumsq > 0 {
-				sim = float64(dot) / (profNorm * math.Sqrt(float64(sumsq)))
-			}
-			return -(1 - sim)
-		}
-	} else {
-		profCounts := make(map[int32]int, len(goalSpace))
-		for i, g := range goalSpace {
-			profCounts[int32(g)] = int(profile[i])
-		}
-		profVec := vectorspace.FromCounts(profCounts)
-		score = func() float64 {
-			counts := make(map[int32]int, len(touched))
-			for _, s := range touched {
-				counts[int32(goalSpace[s])] = int(mult[s])
-			}
-			return -metric.Distance(profVec, vectorspace.FromCounts(counts))
-		}
-	}
-
 	sel := newSelector(k, len(candidates))
 	for ci, a := range candidates {
 		touched = touched[:0]
@@ -336,10 +302,12 @@ func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID
 				mult[s] += v.Mult[j]
 			}
 		}
-		sel.offer(ScoredAction{Action: a, Score: score()})
+		var sums bmSums
 		for _, s := range touched {
+			sums.add(float64(mult[s]), float64(profile[s]), l1)
 			mult[s] = 0
 		}
+		sel.offer(ScoredAction{Action: a, Score: bmScore(metric, h, sums)})
 	}
 	return sel.sorted()
 }

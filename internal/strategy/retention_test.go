@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"goalrec/internal/core"
+	"goalrec/internal/vectorspace"
 )
 
 // minCandidates returns the smallest candidate pool among the queries, so the
@@ -78,11 +79,12 @@ func TestCachedRetainsExactlyK(t *testing.T) {
 	}
 }
 
-// TestBestMatchAllocationBudget pins what an uncached cosine Best Match query
+// TestBestMatchAllocationBudget pins what an uncached Best Match query
 // allocates below budgets that must not scale with the candidate pool: two
 // libraries whose pools differ about 4× — the larger one at the repository
 // benchmark's shape of a few thousand candidates per query — both stay under
-// 32 KB and 3 allocations per query on both scoring paths.
+// 32 KB and 3 allocations per query on both scoring paths, for cosine and
+// for an L2 (euclidean) and an L1 (jaccard) metric.
 func TestBestMatchAllocationBudget(t *testing.T) {
 	const (
 		budget      = 32 << 10
@@ -95,16 +97,21 @@ func TestBestMatchAllocationBudget(t *testing.T) {
 		lib := benchLibrary(size, 10000, 7)
 		queries := benchQueries(10000, 128, 5, 8)
 		pool := minCandidates(lib, queries)
-		for _, m := range []struct {
-			name string
-			mode bmMode
+		for _, c := range []struct {
+			name   string
+			metric vectorspace.Metric
+			mode   bmMode
 		}{
-			{"candidate-major", bmCandidateMajor},
-			{"goal-major", bmGoalMajor},
+			{"candidate-major", vectorspace.Cosine, bmCandidateMajor},
+			{"goal-major", vectorspace.Cosine, bmGoalMajor},
+			{"euclidean-candidate-major", vectorspace.Euclidean, bmCandidateMajor},
+			{"euclidean-goal-major", vectorspace.Euclidean, bmGoalMajor},
+			{"jaccard-candidate-major", vectorspace.JaccardDist, bmCandidateMajor},
+			{"jaccard-goal-major", vectorspace.JaccardDist, bmGoalMajor},
 		} {
-			t.Run(fmt.Sprintf("impls=%d/pool>=%d/%s", size, pool, m.name), func(t *testing.T) {
-				bm := NewBestMatch(lib)
-				bm.mode = m.mode
+			t.Run(fmt.Sprintf("impls=%d/pool>=%d/%s", size, pool, c.name), func(t *testing.T) {
+				bm := NewBestMatchMetric(lib, c.metric)
+				bm.mode = c.mode
 				for _, q := range queries[:8] {
 					bm.Recommend(q, 10) // grow the pooled scratch to the library's shape
 				}

@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzSourceRankings derives a random library and activity from the fuzzed
-// seeds and drives the source table over it — every strategy, from the
-// counter kernel, a CounterView and 1/2/3-shard partials, against the naive
-// oracle.
+// seeds and drives the source table over it — every strategy and every Best
+// Match metric, from the counter kernel (each Best Match scoring path
+// forced), a CounterView and 1/2/3-shard partials, against the naive oracle.
 func FuzzSourceRankings(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(77))

@@ -169,18 +169,15 @@ func bestMatchCase(metric vectorspace.Metric) strategyCase {
 			return o.oracleBestMatch(h, metric, k)
 		},
 		sources: []rankingSource{
+			// The cost model picks one scoring path per query; force each,
+			// and the view through each.
 			recommendSource("auto", mk(bmAuto)),
-			viewSource("view", mk(bmAuto)),
-		},
-	}
-	if metric == vectorspace.Cosine {
-		// The cost model picks one cosine path per query; force each, and
-		// the view through each.
-		c.sources = append(c.sources,
 			recommendSource("candidate-major", mk(bmCandidateMajor)),
 			recommendSource("goal-major", mk(bmGoalMajor)),
+			viewSource("view", mk(bmAuto)),
 			viewSource("view/candidate-major", mk(bmCandidateMajor)),
-			viewSource("view/goal-major", mk(bmGoalMajor)))
+			viewSource("view/goal-major", mk(bmGoalMajor)),
+		},
 	}
 	c.sources = append(c.sources, partialSources(func(t *testing.T, parts []shardPart, h []core.ActionID, k int) ([]ScoredAction, bool) {
 		ctx := context.Background()
@@ -208,7 +205,8 @@ func strategyCases() []strategyCase {
 	return []strategyCase{
 		focusCase(Completeness), focusCase(Closeness),
 		breadthCase(Overlap), breadthCase(Count), breadthCase(Union),
-		bestMatchCase(vectorspace.Cosine), bestMatchCase(vectorspace.Euclidean), bestMatchCase(vectorspace.JaccardDist),
+		bestMatchCase(vectorspace.Cosine), bestMatchCase(vectorspace.Euclidean),
+		bestMatchCase(vectorspace.Manhattan), bestMatchCase(vectorspace.JaccardDist),
 	}
 }
 

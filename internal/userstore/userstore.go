@@ -344,22 +344,3 @@ func (s *Store) Stats() Stats {
 		ViewBytes: s.viewBytes.Load(),
 	}
 }
-
-// Range calls fn for every user until it returns false. Iteration takes one
-// shard read lock at a time and observes a weakly consistent snapshot.
-func (s *Store) Range(fn func(*User) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		users := make([]*User, 0, len(sh.users))
-		for _, u := range sh.users {
-			users = append(users, u)
-		}
-		sh.mu.RUnlock()
-		for _, u := range users {
-			if !fn(u) {
-				return
-			}
-		}
-	}
-}

@@ -1,10 +1,12 @@
 // Package vectorspace provides sparse non-negative feature vectors and the
-// distance/similarity metrics used by the Best Match strategy (Section 5.3
-// of the paper) and the content-based baseline.
+// distance/similarity metrics of the Best Match strategy (Section 5.3 of the
+// paper) and the content-based baseline. Best Match takes only the Metric
+// from here: it scores every metric from dense integer sums that equal
+// Metric.Distance over these vectors, which its tests use as the reference.
 //
 // Vectors live in an implicit feature space indexed by dense int32 feature
-// ids (goal ids for Best Match, category ids for the content baseline); only
-// non-zero coordinates are stored.
+// ids (goal ids for Best Match's reference, category ids for the content
+// baseline); only non-zero coordinates are stored.
 package vectorspace
 
 import (
