@@ -321,18 +321,18 @@ func (l *Library) TopGoals(activity []string, k int) []GoalMatch {
 		return nil
 	}
 	h := intset.FromUnsorted(l.resolve(activity))
+	support := make(map[core.GoalID]int)
+	for _, a := range h {
+		for _, g := range l.lib.GoalSpace([]core.ActionID{a}) {
+			support[g]++
+		}
+	}
 	out := make([]GoalMatch, 0, 16)
 	for _, g := range l.lib.GoalSpace(h) {
-		support := 0
-		for _, a := range h {
-			if l.lib.ActionGoalCount(a, g) > 0 {
-				support++
-			}
-		}
 		out = append(out, GoalMatch{
 			Goal:     l.vocab.GoalName(g),
 			Progress: l.lib.GoalCompleteness(g, h, nil),
-			Support:  support,
+			Support:  support[g],
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -376,11 +376,14 @@ func (l *Library) Explain(activity []string, action string) []Explanation {
 		return nil
 	}
 	h := intset.FromUnsorted(l.resolve(activity))
-	goalSpace := l.lib.GoalSpace(h)
 	extra := []core.ActionID{core.ActionID(aid)}
+	implsPerGoal := make(map[core.GoalID]int)
+	for _, p := range l.lib.ImplsOfAction(extra[0]) {
+		implsPerGoal[l.lib.Goal(p)]++
+	}
 	var out []Explanation
-	for _, g := range goalSpace {
-		n := l.lib.ActionGoalCount(core.ActionID(aid), g)
+	for _, g := range l.lib.GoalSpace(h) {
+		n := implsPerGoal[g]
 		if n == 0 {
 			continue
 		}

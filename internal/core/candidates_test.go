@@ -35,20 +35,51 @@ func oracleAppendCandidates(l *Library, dst []ActionID, sortedH []ActionID) []Ac
 	return dst
 }
 
+// collectorTally is the one tally checkCollector reuses, across libraries of
+// every size, as a pooled Best Match scratch does.
+var collectorTally GoalTally
+
 // checkCollector runs both collector entry points on sc and compares them
-// with the oracle; sc must come back all zero.
+// with the oracle, and their goal tallies with GoalSpace and the per-goal
+// posting counts of H; sc must come back all zero.
 func checkCollector(t *testing.T, l *Library, sc *CandidateScratch, h []ActionID) {
 	t.Helper()
 	sortedH := intset.FromUnsorted(intset.Clone(h))
 	prefix := []ActionID{-7} // dst's existing content must survive
 	want := oracleAppendCandidates(l, slices.Clone(prefix), sortedH)
-	if got := l.AppendCandidates(slices.Clone(prefix), sc, sortedH); !slices.Equal(got, want) {
+	wantCount := map[GoalID]int32{}
+	for _, a := range sortedH {
+		for _, p := range l.ImplsOfAction(a) {
+			wantCount[l.Goal(p)]++
+		}
+	}
+	tally := &collectorTally
+	checkTally := func(name string) {
+		t.Helper()
+		if got := intset.FromUnsorted(intset.Clone(tally.Goals)); !slices.Equal(got, l.GoalSpace(sortedH)) {
+			t.Fatalf("%s(h=%v) tallied goals %v, want %v", name, sortedH, got, l.GoalSpace(sortedH))
+		}
+		for i, g := range tally.Goals {
+			if tally.Slot(g) != i || tally.Counts[i] != wantCount[g] {
+				t.Fatalf("%s(h=%v): goal %d at slot %d/%d counts %d, want %d", name, sortedH, g, tally.Slot(g), i, tally.Counts[i], wantCount[g])
+			}
+		}
+	}
+	tally.Reset(l.NumGoals())
+	if got := l.AppendCandidates(slices.Clone(prefix), sc, sortedH, tally); !slices.Equal(got, want) {
 		t.Fatalf("AppendCandidates(h=%v) = %v, want %v", sortedH, got, want)
 	}
+	checkTally("AppendCandidates")
 	impls := l.ImplementationSpace(sortedH)
-	if got := l.AppendImplCandidates(slices.Clone(prefix), sc, impls, sortedH); !slices.Equal(got, want) {
+	weight := make([]int32, len(impls))
+	for i, p := range impls {
+		weight[i] = int32(intset.IntersectionLen(l.Actions(p), sortedH))
+	}
+	tally.Reset(l.NumGoals())
+	if got := l.AppendImplCandidates(slices.Clone(prefix), sc, impls, weight, sortedH, tally); !slices.Equal(got, want) {
 		t.Fatalf("AppendImplCandidates(h=%v) = %v, want %v", sortedH, got, want)
 	}
+	checkTally("AppendImplCandidates")
 	for w, word := range sc.bits {
 		if word != 0 {
 			t.Fatalf("scratch word %d = %#x after the calls (h=%v)", w, word, sortedH)
@@ -149,7 +180,7 @@ func BenchmarkAppendCandidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = lib.AppendCandidates(dst[:0], &sc, hs[i%len(hs)])
+		dst = lib.AppendCandidates(dst[:0], &sc, hs[i%len(hs)], nil)
 	}
 	benchCandSink = dst
 }

@@ -11,13 +11,19 @@ import (
 // The fixtures under testdata were written by the last release that had the
 // size-sorted (impact-ordered) layout. recipes-impact.gsnp is an
 // impact-ordered snapshot of testdata/recipes.jsonl at epoch 1: it carries
-// the four block-max sections and the size-sorted header flag, both retired
-// since. recipes.jsonl.gsnp is the plain sidecar of testdata/recipes.jsonl.
+// the three AG-idx sections, the four block-max sections and the size-sorted
+// header flag, all retired since. recipes.jsonl.gsnp is the plain sidecar of
+// testdata/recipes.jsonl.
 const retiredLayoutFixture = "testdata/recipes-impact.gsnp"
 
-// TestRetiredLayoutSnapshotOpens: a snapshot with the retired block sections
-// and flag still describes, opens, verifies and scrubs, and a rewrite of it
-// carries neither.
+// retiredSection reports whether id is one of the fixture's retired sections.
+func retiredSection(id uint32) bool {
+	return id >= secAgOff && id <= secAgCnt || id >= secBlkOff && id <= secBlkMaxLen
+}
+
+// TestRetiredLayoutSnapshotOpens: a snapshot with the retired AG-idx and
+// block sections and flag still describes, opens, verifies and scrubs, and a
+// rewrite of it carries none of them.
 func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 	data, err := os.ReadFile(retiredLayoutFixture)
 	if err != nil {
@@ -32,15 +38,15 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 	}
 	reserved := 0
 	for _, s := range d.Sections {
-		if s.ID >= secBlkOff && s.ID <= secBlkMaxLen {
+		if retiredSection(s.ID) {
 			reserved++
 			if !strings.HasPrefix(s.Name, "reserved-") {
-				t.Errorf("block section %d described as %q, want reserved-…", s.ID, s.Name)
+				t.Errorf("retired section %d described as %q, want reserved-…", s.ID, s.Name)
 			}
 		}
 	}
-	if reserved != 4 {
-		t.Fatalf("the fixture lists %d block sections, want 4", reserved)
+	if reserved != 7 {
+		t.Fatalf("the fixture lists %d retired sections, want 7", reserved)
 	}
 	if err := ScrubSnapshotFile(nil, retiredLayoutFixture); err != nil {
 		t.Fatalf("ScrubSnapshotFile: %v", err)
@@ -72,7 +78,7 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range rd.Sections {
-		if s.ID >= secBlkOff && s.ID <= secBlkMaxLen {
+		if retiredSection(s.ID) {
 			t.Errorf("a rewrite carries retired section %q", s.Name)
 		}
 	}

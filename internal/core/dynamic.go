@@ -27,7 +27,7 @@ const defaultCompactMin = 1024
 // implementation CSR; every snapshot views a full-slice (len == cap) prefix
 // of it, so later appends — which only ever write beyond every snapshot's
 // length — can never alias memory a reader sees. The posting indexes
-// (A-GI-idx, G-GI-idx, AG-idx, GA-idx) of the base are
+// (A-GI-idx, G-GI-idx, GA-idx) of the base are
 // shared wholesale, with fresh merged rows overlaid for just the touched
 // actions and goals (overlay.go). Snapshotting an append into a
 // million-implementation library therefore costs the touched rows and the
@@ -279,7 +279,6 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	pendAct := make(map[ActionID][]ImplID)
 	pendGoal := make(map[GoalID][]ImplID)
 	pendSlots := make(map[GoalID]int32)
-	pendAG := make(map[ActionID]map[GoalID]int32)
 	pendGA := make(map[GoalID]map[ActionID]int32)
 	for p := lo; p < hi; p++ {
 		id := ImplID(p)
@@ -294,25 +293,15 @@ func (d *DynamicLibrary) extendLocked() *Library {
 		}
 		for _, a := range acts {
 			pendAct[a] = append(pendAct[a], id)
-			ag := pendAG[a]
-			if ag == nil {
-				ag = make(map[GoalID]int32)
-				pendAG[a] = ag
-			}
-			ag[g]++
 			ga[a]++
 		}
 	}
 
 	// Action rows: the A-GI-idx row is the old row (overlay or base CSR)
-	// followed by the new ids; the AG-idx row is the old (goal, count) row
-	// merged with the pending per-goal increments.
+	// followed by the new ids.
 	acts := prev.ovAct.extend(d.numActions)
 	for a, ids := range pendAct {
-		r := &actRow{post: slices.Concat(prev.ImplsOfAction(a), ids)}
-		oldG, oldC := prev.GoalsOfAction(a)
-		r.agGoal, r.agCnt = mergeCounts(oldG, oldC, pendAG[a])
-		acts.set(int32(a), r)
+		acts.set(int32(a), &actRow{post: slices.Concat(prev.ImplsOfAction(a), ids)})
 	}
 	nl.ovAct = acts.ovTable
 

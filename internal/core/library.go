@@ -139,7 +139,7 @@ func checkImplCSR(implGoal []GoalID, implOff []int32, implActs []ActionID) (maxA
 	return maxAction, maxGoal, nil
 }
 
-// buildIndexes derives the posting indexes (A-GI-idx, G-GI-idx and AG-idx)
+// buildIndexes derives the posting indexes (A-GI-idx, G-GI-idx and GA-idx)
 // from the implementation CSR. It is called once per immutable Library, by
 // Builder.Build, the loaders and DynamicLibrary compaction — always on a
 // contiguous CSR: a tail segment exists only on the extended snapshots that
@@ -194,62 +194,27 @@ func (l *Library) buildIndexes() {
 		l.goalSlots[g] += l.implOff[p+1] - l.implOff[p]
 	}
 
-	// AG-idx: per-action sorted (goal, count) pairs, count = number of the
+	// GA-idx: per-goal sorted (action, count) pairs, count = number of the
 	// goal's implementations containing the action. Built in two linear
-	// passes over the G-GI-idx: iterating goals in increasing id order means
-	// each action's goal list comes out sorted with no per-action sort.
-	// lastGoal[a] tracks the goal currently being appended for action a, so a
-	// repeat occurrence within the same goal increments the count in place.
-	lastGoal := make([]GoalID, nAct)
-	for i := range lastGoal {
-		lastGoal[i] = -1
+	// passes over the A-GI-idx: iterating actions in increasing id order leaves
+	// every goal row sorted with no per-goal sort. lastAct[g] tracks the action
+	// currently being appended for goal g, so a repeat occurrence within the
+	// same action increments the count in place. Goal-major scans read these
+	// contiguous rows instead of dereferencing each implementation of the
+	// goal, so their cost — and cache behavior — is independent of how
+	// implementation ids are laid out.
+	lastAct := make([]ActionID, nGoal)
+	for i := range lastAct {
+		lastAct[i] = -1
 	}
-	agCount := make([]int32, nAct+1)
-	for g := GoalID(0); int(g) < nGoal; g++ {
-		for _, p := range l.goalPost[l.goalOff[g]:l.goalOff[g+1]] {
-			for _, a := range l.implActions(p) {
-				if lastGoal[a] != g {
-					lastGoal[a] = g
-					agCount[a+1]++
-				}
-			}
-		}
-	}
-	for i := 1; i <= nAct; i++ {
-		agCount[i] += agCount[i-1]
-	}
-	l.agOff = agCount
-	l.agGoal = make([]GoalID, agCount[nAct])
-	l.agCnt = make([]int32, agCount[nAct])
-	agCursor := append([]int32(nil), agCount[:nAct]...)
-	for i := range lastGoal {
-		lastGoal[i] = -1
-	}
-	for g := GoalID(0); int(g) < nGoal; g++ {
-		for _, p := range l.goalPost[l.goalOff[g]:l.goalOff[g+1]] {
-			for _, a := range l.implActions(p) {
-				if lastGoal[a] != g {
-					lastGoal[a] = g
-					l.agGoal[agCursor[a]] = g
-					l.agCnt[agCursor[a]] = 1
-					agCursor[a]++
-				} else {
-					l.agCnt[agCursor[a]-1]++
-				}
-			}
-		}
-	}
-
-	// GA-idx: the transpose of the AG-idx — per-goal sorted (action, count)
-	// pairs, count = number of the goal's implementations containing the
-	// action. Iterating actions in increasing id order leaves every goal row
-	// sorted with no per-goal sort. Goal-major scans read these contiguous
-	// rows instead of dereferencing each implementation of the goal, so
-	// their cost — and cache behavior — is independent of how implementation
-	// ids are laid out.
 	gaCount := make([]int32, nGoal+1)
-	for _, g := range l.agGoal {
-		gaCount[g+1]++
+	for a := ActionID(0); int(a) < nAct; a++ {
+		for _, p := range l.actPost[l.actOff[a]:l.actOff[a+1]] {
+			if g := l.implGoal[p]; lastAct[g] != a {
+				lastAct[g] = a
+				gaCount[g+1]++
+			}
+		}
 	}
 	for i := 1; i <= nGoal; i++ {
 		gaCount[i] += gaCount[i-1]
@@ -258,12 +223,20 @@ func (l *Library) buildIndexes() {
 	l.gaAct = make([]ActionID, gaCount[nGoal])
 	l.gaCnt = make([]int32, gaCount[nGoal])
 	gaCursor := append([]int32(nil), gaCount[:nGoal]...)
-	for a := 0; a < nAct; a++ {
-		for i := l.agOff[a]; i < l.agOff[a+1]; i++ {
-			g := l.agGoal[i]
-			l.gaAct[gaCursor[g]] = ActionID(a)
-			l.gaCnt[gaCursor[g]] = l.agCnt[i]
-			gaCursor[g]++
+	for i := range lastAct {
+		lastAct[i] = -1
+	}
+	for a := ActionID(0); int(a) < nAct; a++ {
+		for _, p := range l.actPost[l.actOff[a]:l.actOff[a+1]] {
+			g := l.implGoal[p]
+			if lastAct[g] != a {
+				lastAct[g] = a
+				l.gaAct[gaCursor[g]] = a
+				l.gaCnt[gaCursor[g]] = 1
+				gaCursor[g]++
+			} else {
+				l.gaCnt[gaCursor[g]-1]++
+			}
 		}
 	}
 
@@ -279,7 +252,11 @@ func (l *Library) buildIndexes() {
 //
 //	A-GI-idx: action -> implementations containing it
 //	G-GI-idx: goal   -> implementations fulfilling it
-//	AG-idx:   action -> distinct (goal, multiplicity) pairs
+//	GA-idx:   goal   -> distinct (action, multiplicity) pairs
+//
+// An action's goals and their multiplicities are not stored: they are one
+// GI-G lookup per posting of the action's A-GI-idx row away, and every
+// consumer (Best Match's profile, the goal space) walks those rows anyway.
 //
 // A Library is safe for concurrent readers.
 //
@@ -311,17 +288,9 @@ type Library struct {
 	goalOff  []int32  // CSR offsets into goalPost, len numGoals+1
 	goalPost []ImplID // G-GI-idx postings, sorted per goal
 
-	// AG-idx: per-action sorted distinct goal lists with multiplicities.
-	// agCnt[i] is the number of implementations of goal agGoal[i] containing
-	// the action. Collapses the per-implementation postings for consumers
-	// that only need goal totals (profiles, goal spaces), turning O(|IS(a)|)
-	// walks with random GI-G lookups into shorter sequential scans.
-	agOff  []int32  // CSR offsets into agGoal/agCnt, len numActions+1
-	agGoal []GoalID // sorted per action
-	agCnt  []int32  // parallel multiplicities, all ≥ 1
-
-	// GA-idx (transpose of AG-idx): per-goal sorted distinct actions with
-	// the same multiplicities, in CSR form.
+	// GA-idx: per-goal sorted distinct actions with multiplicities, in CSR
+	// form. gaCnt[i] is the number of the goal's implementations containing
+	// gaAct[i], always ≥ 1.
 	gaOff []int32 // CSR offsets into gaAct/gaCnt, len numGoals+1
 	gaAct []ActionID
 	gaCnt []int32
@@ -476,32 +445,11 @@ func (l *Library) ActionDegree(a ActionID) int {
 	return 0
 }
 
-// GoalsOfAction returns the AG-idx row of action a: the sorted distinct
-// goals whose implementations contain a, with the per-goal multiplicity
-// (how many of the goal's implementations contain a). Both slices are views
-// into the library and must not be modified. Ids outside the library yield
-// empty slices.
-func (l *Library) GoalsOfAction(a ActionID) ([]GoalID, []int32) {
-	if uint32(a) < uint32(l.numActions) {
-		if l.ovAct.pages != nil {
-			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
-				return r.agGoal, r.agCnt
-			}
-		}
-		if int(a)+1 < len(l.agOff) {
-			lo, hi := l.agOff[a], l.agOff[a+1]
-			return l.agGoal[lo:hi], l.agCnt[lo:hi]
-		}
-	}
-	return nil, nil
-}
-
 // ActionsOfGoal returns the GA-idx row of goal g: the sorted distinct
 // actions appearing in the goal's implementations, with the per-action
 // multiplicity (how many of the goal's implementations contain the action).
-// It is the transpose view of GoalsOfAction. Both slices are views into the
-// library and must not be modified. Ids outside the library yield empty
-// slices.
+// Both slices are views into the library and must not be modified. Ids
+// outside the library yield empty slices.
 func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
 	if uint32(g) < uint32(l.numGoals) {
 		if l.ovGoal.pages != nil {
@@ -522,35 +470,6 @@ func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
 func (l *Library) GoalActionCount(g GoalID) int {
 	acts, _ := l.ActionsOfGoal(g)
 	return len(acts)
-}
-
-// GoalDegree returns the number of distinct goals action a contributes to:
-// the AG-idx row length, the quantity that bounds the per-candidate scoring
-// cost of Best Match.
-func (l *Library) GoalDegree(a ActionID) int {
-	goals, _ := l.GoalsOfAction(a)
-	return len(goals)
-}
-
-// ActionGoalCount returns the number of implementations of goal g that
-// contain action a, by binary search in a's AG-idx row. It is the count
-// Explain and TopGoals previously derived by walking the full A-GI posting
-// list of a.
-func (l *Library) ActionGoalCount(a ActionID, g GoalID) int {
-	goals, counts := l.GoalsOfAction(a)
-	lo, hi := 0, len(goals)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if goals[mid] < g {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(goals) && goals[lo] == g {
-		return int(counts[lo])
-	}
-	return 0
 }
 
 // GoalWalkCost returns Σ |A_p| over the implementations of goal g: the exact

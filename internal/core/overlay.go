@@ -17,12 +17,9 @@ const (
 	ovPageRows = 1 << ovPageBits
 )
 
-// actRow overlays one touched action: its merged A-GI-idx row and its merged
-// AG-idx row.
+// actRow overlays one touched action: its merged A-GI-idx row.
 type actRow struct {
-	post   []ImplID
-	agGoal []GoalID
-	agCnt  []int32
+	post []ImplID
 }
 
 // goalRow overlays one touched goal: its merged G-GI-idx row, its merged
@@ -100,7 +97,7 @@ func (w *ovWriter[R]) set(id int32, r *R) {
 
 // bytes returns the heap size of the row and the index rows it holds.
 func (r *actRow) bytes() int64 {
-	return int64(unsafe.Sizeof(*r)) + 4*int64(len(r.post)+len(r.agGoal)+len(r.agCnt))
+	return int64(unsafe.Sizeof(*r)) + 4*int64(len(r.post))
 }
 
 // bytes returns the heap size of the row and the index rows it holds.

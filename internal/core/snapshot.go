@@ -20,12 +20,14 @@ import (
 // The zero-copy snapshot format (see DESIGN.md, "Snapshot format & WAL"): a
 // 64-byte little-endian header, a CRC-guarded section table, and one
 // 64-byte-aligned section per index array. Every CSR section — implementation
-// rows, A-GI-idx, G-GI-idx, AG-idx, GA-idx and goal slots — is a fixed-width
+// rows, A-GI-idx, G-GI-idx, GA-idx and goal slots — is a fixed-width
 // little-endian array, so OpenSnapshot serves
 // them as unsafe.Slice views straight over the mapping: cold start is header
 // parsing plus page-in, independent of library size.
 //
-// A snapshot persists every derived index, not just the implementation CSR.
+// A snapshot persists every stored index, not just the implementation CSR.
+// Section ids of retired indexes stay reserved: an image that carries them
+// opens, and their bytes are never read.
 // Scalar derivations (maxImplLen, epoch) live in the header so opening never
 // scans a section.
 
@@ -91,9 +93,9 @@ const (
 	secActPost               // int32 × nSlots
 	secGoalOff               // int32 × nGoal+1
 	secGoalPost              // int32 × nImpl
-	secAgOff                 // int32 × nAct+1
-	secAgGoal                // int32 × nAG
-	secAgCnt                 // int32 × nAG
+	secAgOff                 // reserved: retired AG-idx offsets
+	secAgGoal                // reserved: retired AG-idx goals
+	secAgCnt                 // reserved: retired AG-idx counts
 	secGaOff                 // int32 × nGoal+1
 	secGaAct                 // int32 × nGA
 	secGaCnt                 // int32 × nGA
@@ -278,13 +280,11 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	nAct, nGoal := l.numActions, l.numGoals
 	nSlots := l.NumPostings()
 
-	// Derived flat offsets. ActionDegree/GoalDegree/... resolve overlays, so
-	// these are the offsets a flat rebuild would produce.
+	// Derived flat offsets. ActionDegree/GoalActionCount/... resolve
+	// overlays, so these are the offsets a flat rebuild would produce.
 	actOff := make([]int32, nAct+1)
-	nAG := uint64(0)
 	for a := 0; a < nAct; a++ {
 		actOff[a+1] = actOff[a] + int32(l.ActionDegree(ActionID(a)))
-		nAG += uint64(l.GoalDegree(ActionID(a)))
 	}
 	if int(actOff[nAct]) != nSlots {
 		return nil, fmt.Errorf("core: inconsistent library: %d postings for %d slots", actOff[nAct], nSlots)
@@ -338,27 +338,6 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		snapSection{id: secGoalPost, elem: 4, count: uint64(nImpl), emit: func(sw *snapWriter) {
 			for g := 0; g < nGoal && sw.err == nil; g++ {
 				writeI32Slice(sw, l.ImplsOfGoal(GoalID(g)))
-			}
-		}},
-		snapSection{id: secAgOff, elem: 4, count: uint64(nAct + 1), emit: func(sw *snapWriter) {
-			off := int32(0)
-			agOff := make([]int32, 1, nAct+1)
-			for a := 0; a < nAct; a++ {
-				off += int32(l.GoalDegree(ActionID(a)))
-				agOff = append(agOff, off)
-			}
-			sw.writeI32s(agOff)
-		}},
-		snapSection{id: secAgGoal, elem: 4, count: nAG, emit: func(sw *snapWriter) {
-			for a := 0; a < nAct && sw.err == nil; a++ {
-				goals, _ := l.GoalsOfAction(ActionID(a))
-				writeI32Slice(sw, goals)
-			}
-		}},
-		snapSection{id: secAgCnt, elem: 4, count: nAG, emit: func(sw *snapWriter) {
-			for a := 0; a < nAct && sw.err == nil; a++ {
-				_, cnts := l.GoalsOfAction(ActionID(a))
-				sw.writeI32s(cnts)
 			}
 		}},
 		snapSection{id: secGaOff, elem: 4, count: uint64(nGoal + 1), emit: func(sw *snapWriter) { sw.writeI32s(gaOff) }},
@@ -913,17 +892,6 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 		}
 	}
 	if err == nil {
-		lib.agOff, err = i32Sec(secAgOff, nAct+1)
-	}
-	var nAG uint64
-	if err == nil {
-		nAG = secs[secAgGoal].count
-		if b, err = sec(secAgGoal, 4, nAG); err == nil {
-			lib.agGoal = i32View[GoalID](b, int(nAG))
-			lib.agCnt, err = i32Sec(secAgCnt, nAG)
-		}
-	}
-	if err == nil {
 		lib.gaOff, err = i32Sec(secGaOff, nGoal+1)
 	}
 	var nGA uint64
@@ -1070,20 +1038,6 @@ func VerifySnapshot(s *Snapshot) error {
 			}
 			if cnts[i] <= 0 {
 				return fmt.Errorf("core: goal %d: non-positive GA count", g)
-			}
-		}
-	}
-	for a := 0; a < nAct; a++ {
-		goals, cnts := l.GoalsOfAction(ActionID(a))
-		for i, g := range goals {
-			if g < 0 || int(g) >= nGoal {
-				return fmt.Errorf("core: action %d: AG goal %d out of range", a, g)
-			}
-			if i > 0 && goals[i-1] >= g {
-				return fmt.Errorf("core: action %d: AG row not strictly increasing", a)
-			}
-			if cnts[i] <= 0 {
-				return fmt.Errorf("core: action %d: non-positive AG count", a)
 			}
 		}
 	}

@@ -43,9 +43,9 @@ var snapSectionNames = map[uint32]string{
 	secActPost:    "postings-raw",
 	secGoalOff:    "goal-impl-offsets",
 	secGoalPost:   "goal-impl-postings",
-	secAgOff:      "ag-offsets",
-	secAgGoal:     "ag-goals",
-	secAgCnt:      "ag-counts",
+	secAgOff:      "reserved-ag-offsets",
+	secAgGoal:     "reserved-ag-goals",
+	secAgCnt:      "reserved-ag-counts",
 	secGaOff:      "ga-offsets",
 	secGaAct:      "ga-actions",
 	secGaCnt:      "ga-counts",

@@ -62,11 +62,6 @@ func assertLibrariesEqual(t *testing.T, want, got *Library) {
 		if !slicesEq(want.ImplsOfAction(id), got.ImplsOfAction(id)) {
 			t.Fatalf("action %d: postings differ", a)
 		}
-		wg, wc := want.GoalsOfAction(id)
-		gg, gc := got.GoalsOfAction(id)
-		if !slicesEq(wg, gg) || !slicesEq(wc, gc) {
-			t.Fatalf("action %d: AG row differs", a)
-		}
 	}
 	for g := 0; g < want.NumGoals(); g++ {
 		id := GoalID(g)

@@ -37,30 +37,15 @@ func (l *Library) ImplementationSpace(activity []ActionID) []ImplID {
 
 // GoalSpace returns the sorted, deduplicated goal ids associated with the
 // activity through at least one implementation: GS(activity)
-// (Definition 4.1 extended to activities). It unions the per-action AG-idx
-// rows directly, skipping the IS(activity) materialization entirely.
+// (Definition 4.1 extended to activities). It collects the goal of every
+// posting of the activity's rows, skipping the IS(activity)
+// materialization.
 func (l *Library) GoalSpace(activity []ActionID) []GoalID {
-	switch len(activity) {
-	case 0:
-		return nil
-	case 1:
-		goals, _ := l.GoalsOfAction(activity[0])
-		if len(goals) == 0 {
-			return nil
+	var out []GoalID
+	for _, a := range activity {
+		for _, p := range l.ImplsOfAction(a) {
+			out = append(out, l.Goal(p))
 		}
-		return append([]GoalID(nil), goals...)
-	}
-	total := 0
-	for _, a := range activity {
-		total += l.GoalDegree(a)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]GoalID, 0, total)
-	for _, a := range activity {
-		goals, _ := l.GoalsOfAction(a)
-		out = append(out, goals...)
 	}
 	return intset.FromUnsorted(out)
 }
@@ -97,7 +82,7 @@ func (l *Library) ActionSpace(activity []ActionID) []ActionID {
 // strategies rank (the user has not performed them yet).
 func (l *Library) Candidates(activity []ActionID) []ActionID {
 	h := intset.FromUnsorted(intset.Clone(activity))
-	return l.AppendCandidates(nil, &CandidateScratch{}, h)
+	return l.AppendCandidates(nil, &CandidateScratch{}, h, nil)
 }
 
 // CandidateScratch carries the buffers the candidate collector reuses across
@@ -127,25 +112,83 @@ func (sc *CandidateScratch) begin(numActions int) []uint64 {
 	return sc.bits[:words]
 }
 
+// GoalTally is a goal space with its profile, derived from the postings a
+// candidate collection walks anyway: every visited implementation p adds its
+// weight to the count of Goal(p). Goals lists the goals in first-touch order
+// and Counts is aligned with it. Membership is version-stamped, so the
+// goal-id-sized arrays are never cleared between queries.
+type GoalTally struct {
+	Goals  []GoalID
+	Counts []int32
+
+	stamp   []tallyStamp // stamp[g].version == version ⇔ g ∈ Goals
+	version uint32
+}
+
+// tallyStamp keeps a goal's membership stamp beside its slot, so a lookup
+// touches one cache line.
+type tallyStamp struct {
+	version uint32
+	slot    int32 // index of the goal in Goals
+}
+
+// Reset empties the tally for a library of numGoals goal ids.
+func (t *GoalTally) Reset(numGoals int) {
+	if len(t.stamp) < numGoals {
+		t.stamp, t.version = make([]tallyStamp, numGoals), 0
+	}
+	if t.version++; t.version == 0 {
+		clear(t.stamp)
+		t.version = 1
+	}
+	t.Goals, t.Counts = t.Goals[:0], t.Counts[:0]
+}
+
+// Slot returns the index of g in Goals, or −1 when g is not in the tally.
+func (t *GoalTally) Slot(g GoalID) int {
+	if st := t.stamp[g]; st.version == t.version {
+		return int(st.slot)
+	}
+	return -1
+}
+
+// Add adds w to the count of g, appending g on its first touch.
+func (t *GoalTally) Add(g GoalID, w int32) {
+	if st := &t.stamp[g]; st.version == t.version {
+		t.Counts[st.slot] += w
+		return
+	}
+	t.stamp[g] = tallyStamp{version: t.version, slot: int32(len(t.Goals))}
+	t.Goals = append(t.Goals, g)
+	t.Counts = append(t.Counts, w)
+}
+
 // mark adds the action sets of impls to the pending candidate set: bits of
 // the dense set, or raw appends to dst on the fallback path (set == nil).
-func (l *Library) mark(dst []ActionID, set []uint64, impls []ImplID) []ActionID {
-	if set == nil {
-		for _, p := range impls {
-			dst = append(dst, l.implActions(p)...)
-		}
-		return dst
-	}
+// With a tally it also adds each implementation's weight — weight[i], or 1
+// when weight is nil — to the count of its goal.
+func (l *Library) mark(dst []ActionID, set []uint64, impls []ImplID, weight []int32, t *GoalTally) []ActionID {
 	// The base arrays are held in locals: the stores into set could alias
 	// the Library as far as the compiler knows, and would otherwise have it
 	// reload every slice header per implementation.
 	off, acts, nb := l.implOff, l.implActs, ImplID(len(l.implGoal))
-	for _, p := range impls {
+	for i, p := range impls {
+		if t != nil {
+			w := int32(1)
+			if weight != nil {
+				w = weight[i]
+			}
+			t.Add(l.Goal(p), w)
+		}
 		var row []ActionID
 		if uint32(p) < uint32(nb) {
 			row = acts[off[p]:off[p+1]]
 		} else {
 			row = l.implActions(p)
+		}
+		if set == nil {
+			dst = append(dst, row...)
+			continue
 		}
 		for _, c := range row {
 			set[uint32(c)>>6] |= 1 << (uint32(c) & 63)
@@ -191,22 +234,29 @@ func drain(dst []ActionID, base int, set []uint64, sortedH []ActionID) []ActionI
 // high connectivity the slot stream is an order of magnitude larger than the
 // action space). The append+sort path remains for libraries whose action id
 // space is too large to sweep per query.
-func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH []ActionID) []ActionID {
+//
+// A non-nil t, Reset by the caller, receives the goal of every posting the
+// walk visits: GS(sortedH) with the Best Match profile H⃗ (Equations 8–9),
+// whose count for g is the number of (action of H, implementation of g)
+// incidences.
+func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH []ActionID, t *GoalTally) []ActionID {
 	base := len(dst)
 	set := sc.begin(l.numActions)
 	for _, a := range sortedH {
-		dst = l.mark(dst, set, l.ImplsOfAction(a))
+		dst = l.mark(dst, set, l.ImplsOfAction(a), nil, t)
 	}
 	return drain(dst, base, set, sortedH)
 }
 
 // AppendImplCandidates is AppendCandidates for a caller that already holds
 // impls = IS(sortedH): the same collector runs over each implementation
-// once, with no posting rows read.
-func (l *Library) AppendImplCandidates(dst []ActionID, sc *CandidateScratch, impls []ImplID, sortedH []ActionID) []ActionID {
+// once, with no posting rows read. A non-nil t receives weight[i] (|A_p ∩ H|
+// for p = impls[i]) on the goal of each implementation, which is the same
+// tally AppendCandidates derives from the posting rows.
+func (l *Library) AppendImplCandidates(dst []ActionID, sc *CandidateScratch, impls []ImplID, weight []int32, sortedH []ActionID, t *GoalTally) []ActionID {
 	base := len(dst)
 	set := sc.begin(l.numActions)
-	return drain(l.mark(dst, set, impls), base, set, sortedH)
+	return drain(l.mark(dst, set, impls, weight, t), base, set, sortedH)
 }
 
 // Completeness returns completeness(g, A_p, H) = |A_p ∩ H| / |A_p|

@@ -3,74 +3,39 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"goalrec/internal/intset"
 )
 
-// agRowReference derives the AG-idx row of action a the slow way, from the
-// A-GI postings: distinct goals ascending, with multiplicities.
-func agRowReference(lib *Library, a ActionID) ([]GoalID, []int32) {
-	counts := map[GoalID]int32{}
-	for _, p := range lib.ImplsOfAction(a) {
-		counts[lib.Goal(p)]++
-	}
-	var goals []GoalID
-	for g := range counts {
-		goals = append(goals, g)
-	}
-	goals = intset.FromUnsorted(goals)
-	cnt := make([]int32, len(goals))
-	for i, g := range goals {
-		cnt[i] = counts[g]
-	}
-	return goals, cnt
-}
-
-func TestAGIndexPaperExample(t *testing.T) {
-	lib := paperLibrary(t)
-	// a1 (id 0) appears in p1 (g1), p2 (g2), p3 (g3) and p5 (g5): four
-	// distinct goals, one implementation each.
-	goals, cnt := lib.GoalsOfAction(0)
-	if !reflect.DeepEqual(goals, []GoalID{0, 1, 2, 4}) ||
-		!reflect.DeepEqual(cnt, []int32{1, 1, 1, 1}) {
-		t.Fatalf("AG row of a1 = %v/%v, want [0 1 2 4]/[1 1 1 1]", goals, cnt)
-	}
-	if got := lib.GoalDegree(0); got != 4 {
-		t.Errorf("GoalDegree(a1) = %d, want 4", got)
-	}
-	if got := lib.ActionGoalCount(0, 2); got != 1 {
-		t.Errorf("ActionGoalCount(a1, g3) = %d, want 1", got)
-	}
-	if got := lib.ActionGoalCount(0, 3); got != 0 {
-		t.Errorf("ActionGoalCount(a1, g4) = %d, want 0", got)
-	}
-}
-
-func TestAGIndexMultiplicity(t *testing.T) {
-	// A goal with several implementations containing the same action
-	// collapses to one AG entry whose count is the implementation total.
-	var b Builder
-	for _, acts := range [][]ActionID{{0, 1}, {0, 2}, {0, 3}} {
-		if _, err := b.Add(7, acts); err != nil {
-			t.Fatal(err)
+// gaRowReference derives the GA-idx row of goal g the slow way, from the
+// G-GI postings: distinct actions ascending, with multiplicities.
+func gaRowReference(lib *Library, g GoalID) ([]ActionID, []int32) {
+	counts := map[ActionID]int32{}
+	for _, p := range lib.ImplsOfGoal(g) {
+		for _, a := range lib.Actions(p) {
+			counts[a]++
 		}
 	}
-	if _, err := b.Add(2, []ActionID{0, 1}); err != nil {
-		t.Fatal(err)
+	var acts []ActionID
+	for a := range counts {
+		acts = append(acts, a)
 	}
-	lib := b.Build()
-	goals, cnt := lib.GoalsOfAction(0)
-	if !reflect.DeepEqual(goals, []GoalID{2, 7}) || !reflect.DeepEqual(cnt, []int32{1, 3}) {
-		t.Fatalf("AG row of a0 = %v/%v, want [2 7]/[1 3]", goals, cnt)
+	acts = intset.FromUnsorted(acts)
+	cnt := make([]int32, len(acts))
+	for i, a := range acts {
+		cnt[i] = counts[a]
 	}
-	if got := lib.ActionGoalCount(0, 7); got != 3 {
-		t.Errorf("ActionGoalCount(a0, g7) = %d, want 3", got)
-	}
+	return acts, cnt
 }
 
-func TestAGIndexMatchesPostingsProperty(t *testing.T) {
+// TestGAIndexMatchesPostingsProperty: the GA-idx, built from the A-GI
+// postings, equals the (action, goal) incidence counts of the G-GI postings
+// and of the A-GI postings; every slot is covered by exactly one goal's walk
+// cost.
+func TestGAIndexMatchesPostingsProperty(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 60,
 		Values: func(v []reflect.Value, r *rand.Rand) {
@@ -79,29 +44,24 @@ func TestAGIndexMatchesPostingsProperty(t *testing.T) {
 	}
 	f := func(lib *Library) bool {
 		slotTotal := 0
-		for a := ActionID(0); int(a) < lib.NumActions(); a++ {
-			goals, cnt := lib.GoalsOfAction(a)
-			wantGoals, wantCnt := agRowReference(lib, a)
-			if len(goals) != len(wantGoals) {
-				return false
-			}
-			for i := range goals {
-				if goals[i] != wantGoals[i] || cnt[i] != wantCnt[i] || cnt[i] < 1 {
-					return false
-				}
-				if lib.ActionGoalCount(a, goals[i]) != int(cnt[i]) {
-					return false
-				}
-			}
-			if lib.GoalDegree(a) != len(wantGoals) {
-				return false
-			}
-			// A goal absent from the row reports zero.
-			if lib.ActionGoalCount(a, GoalID(lib.NumGoals())) != 0 {
-				return false
-			}
-		}
 		for g := GoalID(0); int(g) < lib.NumGoals(); g++ {
+			acts, cnt := lib.ActionsOfGoal(g)
+			wantActs, wantCnt := gaRowReference(lib, g)
+			if !slices.Equal(acts, wantActs) || !slices.Equal(cnt, wantCnt) ||
+				lib.GoalActionCount(g) != len(wantActs) {
+				return false
+			}
+			for i, a := range acts {
+				n := int32(0)
+				for _, p := range lib.ImplsOfAction(a) {
+					if lib.Goal(p) == g {
+						n++
+					}
+				}
+				if n != cnt[i] {
+					return false
+				}
+			}
 			walk := 0
 			for _, p := range lib.ImplsOfGoal(g) {
 				walk += lib.ImplLen(p)
@@ -110,6 +70,10 @@ func TestAGIndexMatchesPostingsProperty(t *testing.T) {
 				return false
 			}
 			slotTotal += walk
+		}
+		// A goal outside the library has an empty row.
+		if acts, cnt := lib.ActionsOfGoal(GoalID(lib.NumGoals())); acts != nil || cnt != nil {
+			return false
 		}
 		// Every slot is covered by exactly one goal's walk.
 		implTotal := 0
@@ -124,8 +88,8 @@ func TestAGIndexMatchesPostingsProperty(t *testing.T) {
 }
 
 func TestGoalSpaceMatchesImplementationSpaceDerivation(t *testing.T) {
-	// GoalSpace now unions AG-idx rows without materializing IS(H); it must
-	// still equal the definition: the distinct goals of IS(H).
+	// GoalSpace collects the goals of H's postings without materializing
+	// IS(H); it must equal the definition: the distinct goals of IS(H).
 	cfg := &quick.Config{
 		MaxCount: 60,
 		Values: func(v []reflect.Value, r *rand.Rand) {
@@ -186,11 +150,8 @@ func TestSpacesEmptyAndUnknownActivities(t *testing.T) {
 	}
 
 	// Out-of-range accessors answer empty, not panic.
-	if g, c := lib.GoalsOfAction(999); g != nil || c != nil {
-		t.Errorf("GoalsOfAction(999) = %v/%v, want nil", g, c)
-	}
-	if got := lib.GoalDegree(-1); got != 0 {
-		t.Errorf("GoalDegree(-1) = %d, want 0", got)
+	if got := lib.ImplsOfAction(999); got != nil {
+		t.Errorf("ImplsOfAction(999) = %v, want nil", got)
 	}
 	if got := lib.GoalWalkCost(GoalID(lib.NumGoals())); got != 0 {
 		t.Errorf("GoalWalkCost out of range = %d, want 0", got)

@@ -22,22 +22,21 @@ type Stats struct {
 	Connectivity    float64 // mean implementations per occurring action
 	MaxConnectivity int
 	AvgImplsPerGoal float64
-
-	// AG-idx shape: distinct goals per occurring action. The ratio of
-	// Connectivity to AvgGoalsPerAction is the compression the AG-idx wins
-	// over the raw A-GI postings for goal-level consumers.
-	AGEntries         int     // total AG-idx (action, goal) pairs
-	AvgGoalsPerAction float64 // mean distinct goals per occurring action
-	MaxGoalsPerAction int
+	// AvgGoalsPerAction is the mean number of distinct goals an occurring
+	// action contributes to: the (goal, action) pairs of the GA-idx over
+	// Actions.
+	AvgGoalsPerAction float64
 }
 
-// Stats scans the library and returns its summary statistics.
+// Stats returns the library's summary statistics, in time linear in its
+// action and goal id spaces (not in its implementations).
 func (l *Library) Stats() Stats {
 	s := Stats{
 		Implementations: l.NumImplementations(),
 		ActionIDSpace:   l.NumActions(),
 		GoalIDSpace:     l.NumGoals(),
 		TotalSlots:      l.NumPostings(),
+		MaxImplLen:      l.MaxImplLen(),
 	}
 	for a := ActionID(0); int(a) < l.numActions; a++ {
 		if d := l.ActionDegree(a); d > 0 {
@@ -46,22 +45,13 @@ func (l *Library) Stats() Stats {
 				s.MaxConnectivity = d
 			}
 		}
-		if gd := l.GoalDegree(a); gd > 0 {
-			s.AGEntries += gd
-			if gd > s.MaxGoalsPerAction {
-				s.MaxGoalsPerAction = gd
-			}
-		}
 	}
+	pairs := 0
 	for g := GoalID(0); int(g) < l.numGoals; g++ {
 		if len(l.ImplsOfGoal(g)) > 0 {
 			s.Goals++
 		}
-	}
-	for p := 0; p < s.Implementations; p++ {
-		if n := l.ImplLen(ImplID(p)); n > s.MaxImplLen {
-			s.MaxImplLen = n
-		}
+		pairs += l.GoalActionCount(g)
 	}
 	if s.Implementations > 0 {
 		s.AvgImplLen = float64(s.TotalSlots) / float64(s.Implementations)
@@ -73,7 +63,7 @@ func (l *Library) Stats() Stats {
 		s.AvgImplsPerGoal = float64(s.Implementations) / float64(s.Goals)
 	}
 	if s.Actions > 0 {
-		s.AvgGoalsPerAction = float64(s.AGEntries) / float64(s.Actions)
+		s.AvgGoalsPerAction = float64(pairs) / float64(s.Actions)
 	}
 	return s
 }
@@ -131,7 +121,6 @@ type IndexBytes struct {
 	ImplCSR   int64 `json:"impl_csr"`   // implementation -> goal, actions
 	AGI       int64 `json:"a_gi"`       // A-GI-idx postings
 	GGI       int64 `json:"g_gi"`       // G-GI-idx postings
-	AG        int64 `json:"ag"`         // AG-idx (goal, count) pairs
 	GA        int64 `json:"ga"`         // GA-idx (action, count) pairs
 	GoalSlots int64 `json:"goal_slots"` // per-goal walk costs
 	Tail      int64 `json:"tail"`       // tail segment of the implementation CSR
@@ -153,7 +142,6 @@ func (l *Library) IndexBytes() IndexBytes {
 		ImplCSR:   words(len(l.implGoal), len(l.implOff), len(l.implActs)),
 		AGI:       words(len(l.actOff), len(l.actPost)),
 		GGI:       words(len(l.goalOff), len(l.goalPost)),
-		AG:        words(len(l.agOff), len(l.agGoal), len(l.agCnt)),
 		GA:        words(len(l.gaOff), len(l.gaAct), len(l.gaCnt)),
 		GoalSlots: words(len(l.goalSlots)),
 		Tail:      words(len(l.tailGoal), len(l.tailOff), len(l.tailActs)),

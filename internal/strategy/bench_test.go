@@ -15,6 +15,11 @@ import (
 // Shrinking the action space at fixed size raises connectivity, the axis that
 // drives Best Match cost.
 func benchLibrary(size, actions int, seed int64) *core.Library {
+	return benchLibraryGoals(size, actions, 2, seed)
+}
+
+// benchLibraryGoals is benchLibrary with perGoal implementations per goal.
+func benchLibraryGoals(size, actions, perGoal int, seed int64) *core.Library {
 	r := rand.New(rand.NewSource(seed))
 	b := core.NewBuilder(size, 8)
 	for i := 0; i < size; i++ {
@@ -23,7 +28,7 @@ func benchLibrary(size, actions int, seed int64) *core.Library {
 		for j := range acts {
 			acts[j] = core.ActionID(r.Intn(actions))
 		}
-		if _, err := b.Add(core.GoalID(i/2), acts); err != nil {
+		if _, err := b.Add(core.GoalID(i/perGoal), acts); err != nil {
 			panic(err)
 		}
 	}
@@ -54,12 +59,25 @@ var benchCells = []struct {
 	{"conn-high", 500},
 }
 
-// BenchmarkBestMatchModes compares the two AG-idx scoring paths and the
-// automatic cost-based choice on the same libraries and queries, for cosine
-// and for manhattan, whose paths also accumulate the L1 sums.
+// BenchmarkBestMatchModes compares the two scoring paths and the automatic
+// cost-based choice on the same libraries and queries, for cosine and for
+// manhattan, whose paths also accumulate the L1 sums. Beside the
+// connectivity sweep it runs a library of a few giant goals (50 goals of
+// 5 000 implementations): there every candidate's posting row is long and
+// the goal space tiny, the shape where candidate-major walks the most
+// postings per goal and the cost model has to leave it.
 func BenchmarkBestMatchModes(b *testing.B) {
-	for _, cell := range benchCells {
-		lib := benchLibrary(20000, cell.actions, 3)
+	type cell struct {
+		name          string
+		size, actions int
+		perGoal       int
+	}
+	cells := []cell{{name: "giant-goals", size: 250000, actions: 10000, perGoal: 5000}}
+	for _, c := range benchCells {
+		cells = append(cells, cell{name: c.name, size: 20000, actions: c.actions, perGoal: 2})
+	}
+	for _, cell := range cells {
+		lib := benchLibraryGoals(cell.size, cell.actions, cell.perGoal, 3)
 		queries := benchQueries(cell.actions, 64, 5, 4)
 		conn := lib.Stats().Connectivity
 		for _, metric := range []vectorspace.Metric{vectorspace.Cosine, vectorspace.Manhattan} {

@@ -17,15 +17,16 @@ import (
 // same feature space F_GS(H), and ranks candidates by ascending distance to
 // the profile (Equation 10).
 //
-// Every metric runs on a dense, pooled scratch representation with two
-// interchangeable scoring paths over the AG-idx (see DESIGN.md):
+// The goal space and the profile come from the posting walk that collects
+// the candidates (core.GoalTally): one GI-G lookup per posting of H. Every
+// metric then runs on a dense, pooled scratch representation with two
+// interchangeable scoring paths (see DESIGN.md):
 //
-//   - candidate-major: each candidate walks its distinct-goal list — the
-//     classical loop, shrunk from O(|IS(a)|) postings with random GI-G
-//     lookups to a sequential O(|AG(a)|) scan;
+//   - candidate-major: each candidate walks its A-GI-idx row through the
+//     GI-G-idx — the classical loop, O(|IS(a)|) per candidate;
 //   - goal-major: one pass over the GA-idx rows of GS(H) (goal → distinct
 //     actions with multiplicities) accumulates every candidate's sums
-//     simultaneously, costing O(Σ_{g∈GS(H)} |AG⁻¹(g)|) regardless of
+//     simultaneously, costing O(Σ_{g∈GS(H)} |GA(g)|) regardless of
 //     connectivity or the implementation-id layout.
 //
 // Both paths accumulate the same integer-valued sums (bmSums) in float64, and
@@ -54,13 +55,12 @@ const (
 	bmGoalMajor
 )
 
-// bmScratch carries the per-query dense buffers. Goal membership uses
-// version stamping so the numGoals-sized arrays never need clearing.
+// bmScratch carries the per-query dense buffers.
 type bmScratch struct {
-	mark    []uint32  // mark[g] == version ⇔ g ∈ GS(H)
-	slot    []int32   // dense index of g within the goal space
-	version uint32    //
-	profile []float64 // profile counts per goal-space slot
+	goals   core.GoalTally // GS(H) and its profile counts, in first-touch order
+	profile []float64      // goals.Counts as floats
+	run     []float64      // candidate-major and ShardVectors: one candidate's count per slot
+	touched []int          // the slots run holds
 
 	// Goal-major accumulators, indexed by action id and allocated on first
 	// goal-major query: acc holds a⃗·H⃗ and ‖a⃗‖², accL1 Σa⃗ and Σmin(a⃗, H⃗)
@@ -131,12 +131,7 @@ func NewBestMatch(lib *core.Library) *BestMatch {
 // metric, used by the ablation benchmarks.
 func NewBestMatchMetric(lib *core.Library, m vectorspace.Metric) *BestMatch {
 	bm := &BestMatch{lib: lib, metric: m}
-	bm.pool.New = func() interface{} {
-		return &bmScratch{
-			mark: make([]uint32, lib.NumGoals()),
-			slot: make([]int32, lib.NumGoals()),
-		}
-	}
+	bm.pool.New = func() interface{} { return new(bmScratch) }
 	return bm
 }
 
@@ -169,43 +164,32 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 	h := intset.FromUnsorted(intset.Clone(activity))
 	s := bm.pool.Get().(*bmScratch)
 	defer bm.pool.Put(s)
-	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h)
+	// Algorithm 3 (Get-Goal-Based-Profile) rides the candidate walk: every
+	// posting of H adds one to its goal's profile count (Equation 9).
+	s.goals.Reset(bm.lib.NumGoals())
+	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
 	if len(s.cands) == 0 {
 		return nil, nil
 	}
-	return bm.rank(ctx, s, bm.profile(s, h), k)
+	return bm.rank(ctx, s, k)
 }
 
-// profile is Algorithm 3 (Get-Goal-Based-Profile): it stamps GS(h) into s
-// and accumulates the dense profile H⃗ (Equation 9) into s.profile, aligned
-// with the returned goal space. Action a of h adds its per-goal
-// implementation multiplicities; every goal of AG(a) is in GS(h) by
-// construction.
-func (bm *BestMatch) profile(s *bmScratch, h []core.ActionID) []core.GoalID {
-	goalSpace := bm.lib.GoalSpace(h)
-	s.stamp(goalSpace)
-	for _, a := range h {
-		goals, mult := bm.lib.GoalsOfAction(a)
-		for i, g := range goals {
-			s.profile[s.slot[g]] += float64(mult[i])
-		}
-	}
-	return goalSpace
-}
-
-// rank scores every candidate of the stamped scratch (goal space, dense
-// profile, candidate pool) through whichever scoring path the per-query cost
+// rank scores every candidate of the tallied scratch (goal space, profile,
+// candidate pool) through whichever scoring path the per-query cost
 // estimates favor, straight into one k-bounded selector.
-func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, goalSpace []core.GoalID, k int) ([]ScoredAction, error) {
+func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAction, error) {
 	candidates := s.cands
+	s.profile = s.profile[:0]
 	var h bmSums
-	for _, p := range s.profile {
+	for _, c := range s.goals.Counts {
+		p := float64(c)
+		s.profile = append(s.profile, p)
 		h.add(p, p, true)
 	}
 	sel := newSelector(k, len(candidates))
 	var err error
-	if bm.pickMode(candidates, goalSpace) == bmGoalMajor {
-		err = bm.scoreGoalMajor(ctx, s, candidates, goalSpace, h, &sel)
+	if bm.pickMode(candidates, s.goals.Goals) == bmGoalMajor {
+		err = bm.scoreGoalMajor(ctx, s, candidates, h, &sel)
 	} else {
 		err = bm.scoreCandidateMajor(ctx, s, candidates, h, &sel)
 	}
@@ -215,33 +199,12 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, goalSpace []core.Go
 	return sel.sorted(), nil
 }
 
-// stamp marks goalSpace as the current goal space and zeroes the per-slot
-// profile. Version 0 is never valid after the first wrap, so the version
-// bumps twice on wraparound.
-func (s *bmScratch) stamp(goalSpace []core.GoalID) {
-	s.version++
-	if s.version == 0 {
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.version = 1
-	}
-	if cap(s.profile) < len(goalSpace) {
-		s.profile = make([]float64, len(goalSpace))
-	}
-	s.profile = s.profile[:len(goalSpace)]
-	clear(s.profile)
-	for i, g := range goalSpace {
-		s.mark[g] = s.version
-		s.slot[g] = int32(i)
-	}
-}
-
-// RecommendView implements ViewRecommender: candidates, goal space, and the
-// dense profile all come from the view's materialized state — no posting or
-// AG-row accumulation — and flow into the same scoring paths as a
-// from-scratch query; rankings are bit-identical to RecommendContext over
-// the view's activity.
+// RecommendView implements ViewRecommender: the candidates, the goal space
+// and the profile come from one pass over the view's IS(H) — each
+// implementation p adds cnt[p] = |A_p ∩ H| to its goal's count, the same
+// sum the from-scratch posting walk makes — and flow into the same scoring
+// paths; rankings are bit-identical to RecommendContext over the view's
+// activity.
 func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
@@ -254,56 +217,81 @@ func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) (
 	}
 	s := bm.pool.Get().(*bmScratch)
 	defer bm.pool.Put(s)
-	s.cands = v.Candidates(s.cands[:0])
+	s.goals.Reset(bm.lib.NumGoals())
+	s.cands = v.Candidates(s.cands[:0], &s.goals)
 	if len(s.cands) == 0 {
 		return nil, nil
 	}
-	s.stamp(v.goal)
-	for i, c := range v.gcnt {
-		s.profile[i] = float64(c)
-	}
-	return bm.rank(ctx, s, v.goal, k)
+	return bm.rank(ctx, s, k)
 }
 
 // pickMode resolves the scoring path for one query. In auto mode it compares
 // the exact slot counts each path will visit: candidate-major walks every
-// candidate's AG row, goal-major walks every GA row of the goal space (with
-// roughly twice the per-slot work for the scatter-write bookkeeping).
+// candidate's posting row, goal-major walks every GA row of the goal space.
+// Every GA entry of GS(H) is reached by at least one posting of a candidate
+// or of H, so goal-major never visits many more slots than candidate-major,
+// and it was the faster path on each of the 1 900 probe queries of ROADMAP
+// item 2 (bench, Figure 7, foodmart, 43things and giant-goal libraries).
+// Candidate-major is taken only when it visits fewer than half the slots.
 func (bm *BestMatch) pickMode(candidates []core.ActionID, goalSpace []core.GoalID) bmMode {
 	if bm.mode != bmAuto {
 		return bm.mode
 	}
 	candCost := 0
 	for _, a := range candidates {
-		candCost += bm.lib.GoalDegree(a)
+		candCost += bm.lib.ActionDegree(a)
 	}
 	goalCost := 0
 	for _, g := range goalSpace {
 		goalCost += bm.lib.GoalActionCount(g)
 	}
-	if 2*goalCost <= candCost {
+	if goalCost <= 2*candCost {
 		return bmGoalMajor
 	}
 	return bmCandidateMajor
 }
 
-// scoreCandidateMajor scores each candidate by a sequential scan of its
-// AG-idx row: its sums come from the (goal, multiplicity) pairs that fall
-// inside the stamped goal space.
+// scoreCandidateMajor scores each candidate by walking its posting row
+// through the GI-G-idx. A posting on goal g of the goal space raises the
+// candidate's count there to k, which adds H⃗[g] to a⃗·H⃗ and 2k−1 to ‖a⃗‖²
+// (so the row adds c² in all for a final count c), 1 to Σa⃗, and 1 to
+// Σmin(a⃗, H⃗) while k ≤ H⃗[g]: the same integer sums bmSums.add makes from
+// the final counts.
 func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
 	tick := newTicker(ctx)
 	l1 := readsL1(bm.metric)
+	if len(s.run) < len(s.profile) {
+		s.run = make([]float64, len(s.profile))
+	}
 	for _, a := range candidates {
-		if err := tick.tick(1); err != nil {
+		row := bm.lib.ImplsOfAction(a)
+		if err := tick.tick(len(row) + 1); err != nil {
 			return err
 		}
-		goals, mult := bm.lib.GoalsOfAction(a)
 		var sums bmSums
-		for i, g := range goals {
-			if s.mark[g] != s.version {
+		s.touched = s.touched[:0]
+		for _, p := range row {
+			i := s.goals.Slot(bm.lib.Goal(p))
+			if i < 0 {
 				continue // contributes to a goal outside F_GS(H)
 			}
-			sums.add(float64(mult[i]), s.profile[s.slot[g]], l1)
+			k := s.run[i] + 1
+			if k == 1 {
+				s.touched = append(s.touched, i)
+			}
+			s.run[i] = k
+			pg := s.profile[i]
+			sums.dot += pg
+			sums.sq += 2*k - 1
+			if l1 {
+				sums.sum++
+				if k <= pg {
+					sums.minSum++
+				}
+			}
+		}
+		for _, i := range s.touched {
+			s.run[i] = 0
 		}
 		sel.offer(ScoredAction{Action: a, Score: bmScore(bm.metric, h, sums)})
 	}
@@ -318,7 +306,7 @@ func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, cand
 // implementation-id layout (no per-implementation dereferences). Every
 // accumulated term is the same integer-valued float the candidate-major path
 // adds, summed exactly below 2^53, so the scores are bit-identical.
-func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, goalSpace []core.GoalID, h bmSums, sel *selector) error {
+func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
 	l1 := readsL1(bm.metric)
 	if s.acc == nil {
 		s.acc = make([][2]float64, bm.lib.NumActions())
@@ -329,7 +317,7 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 	s.actTouched = s.actTouched[:0]
 	tick := newTicker(ctx)
 	var tickErr error
-	for i, g := range goalSpace {
+	for i, g := range s.goals.Goals {
 		pg := s.profile[i]
 		acts, mult := bm.lib.ActionsOfGoal(g)
 		if tickErr = tick.tick(len(acts)); tickErr != nil {

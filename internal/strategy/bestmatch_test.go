@@ -28,13 +28,19 @@ func TestBestMatchNames(t *testing.T) {
 	}
 }
 
-// denseProfile runs the production Algorithm 3 over h: the goal space and
-// the dense profile aligned with it.
+// denseProfile runs the production Algorithm 3 over h — the goal tally of
+// the candidate walk — and returns the goal space in ascending order with
+// the profile aligned to it.
 func denseProfile(bm *BestMatch, h []core.ActionID) ([]core.GoalID, []float64) {
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
-	goalSpace := bm.profile(s, intset.FromUnsorted(intset.Clone(h)))
-	return goalSpace, append([]float64{}, s.profile...)
+	var t core.GoalTally
+	t.Reset(bm.lib.NumGoals())
+	bm.lib.AppendCandidates(nil, &core.CandidateScratch{}, intset.FromUnsorted(intset.Clone(h)), &t)
+	goalSpace := intset.FromUnsorted(intset.Clone(t.Goals))
+	profile := make([]float64, len(goalSpace))
+	for i, g := range goalSpace {
+		profile[i] = float64(t.Counts[t.Slot(g)])
+	}
+	return goalSpace, profile
 }
 
 func TestBestMatchProfilePaperExample(t *testing.T) {
@@ -133,9 +139,8 @@ func TestBestMatchEmptyCases(t *testing.T) {
 func sparseProfile(lib *core.Library, h []core.ActionID) vectorspace.Vector {
 	counts := make(map[int32]int)
 	for _, a := range h {
-		goals, mult := lib.GoalsOfAction(a)
-		for i, g := range goals {
-			counts[int32(g)] += int(mult[i])
+		for _, p := range lib.ImplsOfAction(a) {
+			counts[int32(lib.Goal(p))]++
 		}
 	}
 	return vectorspace.FromCounts(counts)
@@ -146,10 +151,9 @@ func sparseProfile(lib *core.Library, h []core.ActionID) vectorspace.Vector {
 // contributes to it.
 func sparseActionVector(lib *core.Library, a core.ActionID, goalSpace []core.GoalID) vectorspace.Vector {
 	counts := make(map[int32]int)
-	goals, mult := lib.GoalsOfAction(a)
-	for i, g := range goals {
-		if intset.Contains(goalSpace, g) {
-			counts[int32(g)] = int(mult[i])
+	for _, p := range lib.ImplsOfAction(a) {
+		if g := lib.Goal(p); intset.Contains(goalSpace, g) {
+			counts[int32(g)]++
 		}
 	}
 	return vectorspace.FromCounts(counts)

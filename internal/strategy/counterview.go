@@ -17,18 +17,19 @@ var ErrViewLibrary = errors.New("strategy: counter view was built over a differe
 
 // CounterView is the kernel's accumulation phase materialized as state: for
 // an activity H it holds what a query would otherwise re-accumulate along
-// H's posting and AG rows — cnt[p] = |A_p ∩ H| for every implementation of
-// IS(H), and the goal-space profile counts Σ_{a∈H} AG(a) — and nothing a
-// query can derive from that state and the library: |A_p| is Library.ImplLen,
-// and the candidate pool AS(H) − H = ∪_{p∈IS(H)} A_p − H is collected from
-// impls per Best Match query (Candidates). A view is built from scratch over
-// a library, delta-updated by Apply along one appended action's posting row,
-// and carried across same-lineage snapshot extensions by AdvanceTo, which
-// replays only the appended posting-row tails. All four strategies score a
+// H's posting rows — cnt[p] = |A_p ∩ H| for every implementation of IS(H) —
+// and nothing a query can derive from that state and the library: |A_p| is
+// Library.ImplLen, and the candidate pool AS(H) − H = ∪_{p∈IS(H)} A_p − H,
+// the goal space and Best Match's profile (Σ cnt[p] over the implementations
+// of each goal) are collected from impls per Best Match query (Candidates).
+// A view is built from scratch over a library, delta-updated by Apply along
+// one appended action's posting row, and carried across same-lineage
+// snapshot extensions by AdvanceTo, which replays only the appended
+// posting-row tails. All four strategies score a
 // view through their RecommendView methods with rankings bit-identical to a
 // from-scratch Recommend over the same H.
 //
-// impls/cnt and goal/gcnt are parallel and id-sorted. A view is single-writer
+// impls and cnt are parallel and id-sorted. A view is single-writer
 // state: the owner serializes Apply/AdvanceTo/RecommendView calls (the
 // per-user store holds one view per user under the user's lock). Merge
 // scratch is pooled across views (viewScratch), never part of one.
@@ -39,17 +40,13 @@ type CounterView struct {
 
 	impls []core.ImplID // sorted IS(h)
 	cnt   []int32       // cnt[i] = |A_impls[i] ∩ h|
-
-	goal []core.GoalID // sorted GS(h)
-	gcnt []int32       // profile counts per goal, aligned with goal
 }
 
 // viewScratch is the merge scratch of one Apply, AdvanceTo or Candidates
 // call. Results never alias it.
 type viewScratch struct {
 	fresh []core.ImplID // first-touch ids of a row; delta postings of an advance
-	goals []core.GoalID // goals of an advance's delta postings
-	mult  []int32       // multiplicities of an advance's distinct goals, then of its distinct ids
+	mult  []int32       // multiplicities of an advance's distinct ids
 	cand  core.CandidateScratch
 }
 
@@ -73,8 +70,6 @@ func (v *CounterView) Rebuild(lib *core.Library, activity []core.ActionID) {
 	v.h = v.h[:0]
 	v.impls = v.impls[:0]
 	v.cnt = v.cnt[:0]
-	v.goal = v.goal[:0]
-	v.gcnt = v.gcnt[:0]
 	for _, a := range activity {
 		v.Apply(a)
 	}
@@ -93,10 +88,12 @@ func (v *CounterView) Len() int { return len(v.h) }
 // Candidates appends the candidate actions — the action space of IS(H)
 // minus H, exactly core.Library.Candidates — to dst and returns it. The pool
 // is derived, not stored: one pass over the action sets of impls, each
-// implementation once.
-func (v *CounterView) Candidates(dst []core.ActionID) []core.ActionID {
+// implementation once. A non-nil t, Reset by the caller, receives cnt[p] on
+// the goal of every implementation p: GS(H) with Best Match's profile, as
+// core.Library.AppendCandidates tallies it from H's posting rows.
+func (v *CounterView) Candidates(dst []core.ActionID, t *core.GoalTally) []core.ActionID {
 	sc := viewScratchPool.Get().(*viewScratch)
-	dst = v.lib.AppendImplCandidates(dst, &sc.cand, v.impls, v.h)
+	dst = v.lib.AppendImplCandidates(dst, &sc.cand, v.impls, v.cnt, v.h, t)
 	viewScratchPool.Put(sc)
 	return dst
 }
@@ -104,16 +101,15 @@ func (v *CounterView) Candidates(dst []core.ActionID) []core.ActionID {
 // Footprint returns the heap bytes the view's arrays hold, used by the user
 // store's materialization accounting.
 func (v *CounterView) Footprint() int {
-	return 4 * (cap(v.h) + cap(v.impls) + cap(v.cnt) + cap(v.goal) + cap(v.gcnt))
+	return 4 * (cap(v.h) + cap(v.impls) + cap(v.cnt))
 }
 
 // Apply adds action a to H and delta-updates the counters along a's posting
-// and AG rows: cnt along IS(a), first-touch implementations merged into
-// impls, and AG(a) folded into the goal profile. It returns false when a is
-// already in H (duplicate appends are no-ops, matching the set semantics of
-// the from-scratch kernel). Cost is O(|IS(a)| + |IS(h)| + |AG(a)| + |GS(h)|)
-// merge steps — one posting-row walk, no rescan of H's other rows and no
-// visit to any implementation's action set.
+// row: cnt along IS(a), first-touch implementations merged into impls. It
+// returns false when a is already in H (duplicate appends are no-ops,
+// matching the set semantics of the from-scratch kernel). Cost is
+// O(|IS(a)| + |IS(h)|) merge steps — one posting-row walk, no rescan of H's
+// other rows and no visit to any implementation's action set.
 func (v *CounterView) Apply(a core.ActionID) bool {
 	i, found := slices.BinarySearch(v.h, a)
 	if found {
@@ -128,8 +124,6 @@ func (v *CounterView) Apply(a core.ActionID) bool {
 	sc := viewScratchPool.Get().(*viewScratch)
 	v.mergeRow(v.lib.ImplsOfAction(a), sc)
 	viewScratchPool.Put(sc)
-	goals, mult := v.lib.GoalsOfAction(a)
-	v.mergeGoals(goals, mult)
 	return true
 }
 
@@ -184,48 +178,6 @@ func (v *CounterView) mergeRow(row []core.ImplID, sc *viewScratch) {
 	}
 }
 
-// mergeGoals folds one sorted (goal, count) row into the profile.
-func (v *CounterView) mergeGoals(goals []core.GoalID, mult []int32) {
-	if len(goals) == 0 {
-		return
-	}
-	// Count the goals not yet in the profile, then backward-merge.
-	freshCnt := 0
-	i := 0
-	for _, g := range goals {
-		for i < len(v.goal) && v.goal[i] < g {
-			i++
-		}
-		if i < len(v.goal) && v.goal[i] == g {
-			i++
-			continue
-		}
-		freshCnt++
-	}
-	n := len(v.goal)
-	v.goal = grow(v.goal, freshCnt)
-	v.gcnt = grow(v.gcnt, freshCnt)
-	// Once goals is consumed the untouched prefix is already in place.
-	for w, i, j := len(v.goal)-1, n-1, len(goals)-1; j >= 0; w-- {
-		if i >= 0 && v.goal[i] > goals[j] {
-			v.goal[w] = v.goal[i]
-			v.gcnt[w] = v.gcnt[i]
-			i--
-			continue
-		}
-		if i >= 0 && v.goal[i] == goals[j] {
-			v.goal[w] = v.goal[i]
-			v.gcnt[w] = v.gcnt[i] + mult[j]
-			i--
-			j--
-			continue
-		}
-		v.goal[w] = goals[j]
-		v.gcnt[w] = mult[j]
-		j--
-	}
-}
-
 // AdvanceTo carries the view from its current snapshot to newLib, which must
 // be a same-lineage extension (DynamicLibrary snapshots append: every posting
 // row of newLib is the old row plus strictly larger implementation ids, and
@@ -258,17 +210,8 @@ func (v *CounterView) AdvanceTo(newLib *core.Library) {
 		return
 	}
 	// Each delta posting is one (action, implementation) incidence: it
-	// contributes 1 to cnt[p] and 1 to the profile count of Goal(p).
-	gs := sc.goals[:0]
-	for _, p := range delta {
-		gs = append(gs, newLib.Goal(p))
-	}
-	slices.Sort(gs)
-	sc.goals, sc.mult = runLengths(gs, sc.mult)
-	v.mergeGoals(sc.goals, sc.mult)
-
-	// Every delta id is ≥ oldN, strictly above every materialized id, so the
-	// merge is a pure append in run-length order.
+	// contributes 1 to cnt[p]. Every delta id is ≥ oldN, strictly above every
+	// materialized id, so the merge is a pure append in run-length order.
 	slices.Sort(delta)
 	delta, sc.mult = runLengths(delta, sc.mult)
 	n := len(v.impls)

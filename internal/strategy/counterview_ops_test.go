@@ -204,7 +204,9 @@ func TestFootprintTracksHeap(t *testing.T) {
 
 // TestApplyAllocationBudget: with the scratch pool warm an Apply allocates
 // only to grow the view's own arrays — at most once per array that grew — and
-// not at all when the action brings no new implementation or goal.
+// not at all when the action brings no new implementation. The process-wide
+// malloc count also sees other goroutines, so each Apply is measured on three
+// identical clones of the view and the least count is judged.
 func TestApplyAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -217,34 +219,56 @@ func TestApplyAllocationBudget(t *testing.T) {
 		NewCounterView(lib, []core.ActionID{core.ActionID(a)}) // warm the scratch to the longest row
 	}
 
-	caps := func(v *CounterView) [5]int {
-		return [5]int{cap(v.h), cap(v.impls), cap(v.cnt), cap(v.goal), cap(v.gcnt)}
+	caps := func(v *CounterView) [3]int {
+		return [3]int{cap(v.h), cap(v.impls), cap(v.cnt)}
 	}
 	mallocs := func() uint64 {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return m.Mallocs
 	}
+	clone := func(v *CounterView) *CounterView {
+		return &CounterView{
+			lib:   v.lib,
+			h:     append(make([]core.ActionID, 0, cap(v.h)), v.h...),
+			impls: append(make([]core.ImplID, 0, cap(v.impls)), v.impls...),
+			cnt:   append(make([]int32, 0, cap(v.cnt)), v.cnt...),
+		}
+	}
+	// apply applies a to three clones of v and returns one of them with the
+	// least allocation count of the three.
+	apply := func(v *CounterView, a core.ActionID) (*CounterView, int) {
+		clones := [3]*CounterView{clone(v), clone(v), clone(v)}
+		least := -1
+		for _, c := range clones {
+			m0 := mallocs()
+			c.Apply(a)
+			if got := int(mallocs() - m0); least < 0 || got < least {
+				least = got
+			}
+		}
+		return clones[0], least
+	}
 	for _, h := range benchQueries(500, 50, 12, 10) {
 		v := NewCounterView(lib, nil)
 		for _, a := range h {
-			was, m0 := caps(v), mallocs()
-			v.Apply(a)
-			got := int(mallocs() - m0)
+			was := caps(v)
+			next, got := apply(v, a)
 			grown := 0
-			for i, c := range caps(v) {
+			for i, c := range caps(next) {
 				if c != was[i] {
 					grown++
 				}
 			}
 			if got > grown {
-				t.Fatalf("Apply(%d) on |H|=%d allocated %d times for %d grown arrays", a, v.Len()-1, got, grown)
+				t.Fatalf("Apply(%d) on |H|=%d allocated %d times for %d grown arrays", a, v.Len(), got, grown)
 			}
+			v = next
 		}
 	}
 
-	// Action 1 occurs only beside action 0, under goals action 0 already
-	// reaches: applying it bumps counters and nothing else.
+	// Action 1 occurs only beside action 0: applying it bumps counters and
+	// nothing else.
 	b := core.NewBuilder(3, 3)
 	for _, impl := range [][]core.ActionID{{0, 1}, {0, 2}, {0, 1, 2}} {
 		if _, err := b.Add(0, impl); err != nil {
@@ -254,9 +278,8 @@ func TestApplyAllocationBudget(t *testing.T) {
 	small := b.Build()
 	v := NewCounterView(small, []core.ActionID{0, 2})
 	v.h = append(make([]core.ActionID, 0, 8), v.h...) // room in H, the one array every Apply extends
-	m0 := mallocs()
-	v.Apply(1)
-	if got := mallocs() - m0; got != 0 {
+	v, got := apply(v, 1)
+	if got != 0 {
 		t.Fatalf("counter-only Apply allocated %d times", got)
 	}
 	checkViewState(t, small, v, []core.ActionID{0, 1, 2})

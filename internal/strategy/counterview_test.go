@@ -13,8 +13,8 @@ import (
 )
 
 // checkViewState is the one view invariant: every array equals the library's
-// own from-scratch definition — H, IS(H), cnt[p] = |A_p ∩ H|, GS(H), the
-// Best Match profile counts, and the derived candidate pool — and the whole
+// own from-scratch definition — H, IS(H), cnt[p] = |A_p ∩ H|, and the
+// derived candidate pool, goal space and Best Match profile — and the whole
 // state equals a fresh NewCounterView over the same history.
 func checkViewState(t *testing.T, lib *core.Library, v *CounterView, h []core.ActionID) {
 	t.Helper()
@@ -22,8 +22,10 @@ func checkViewState(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 	if !sameIDs(v.h, sortedH) {
 		t.Fatalf("view activity = %v, want %v", v.h, sortedH)
 	}
-	if want := lib.Candidates(h); !sameIDs(v.Candidates(nil), want) {
-		t.Fatalf("view candidates = %v, want %v (h=%v)", v.Candidates(nil), want, h)
+	var tally core.GoalTally
+	tally.Reset(lib.NumGoals())
+	if got, want := v.Candidates(nil, &tally), lib.Candidates(h); !sameIDs(got, want) {
+		t.Fatalf("view candidates = %v, want %v (h=%v)", got, want, h)
 	}
 	if want := lib.ImplementationSpace(sortedH); !sameIDs(v.impls, want) {
 		t.Fatalf("view implementation space = %v, want %v (h=%v)", v.impls, want, h)
@@ -33,19 +35,18 @@ func checkViewState(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 			t.Fatalf("cnt[%v] = %d, want %d", p, v.cnt[i], want)
 		}
 	}
-	if want := lib.GoalSpace(sortedH); !sameIDs(v.goal, want) {
-		t.Fatalf("view goal space = %v, want %v (h=%v)", v.goal, want, h)
+	if got, want := intset.FromUnsorted(intset.Clone(tally.Goals)), lib.GoalSpace(sortedH); !sameIDs(got, want) {
+		t.Fatalf("view goal space = %v, want %v (h=%v)", got, want, h)
 	}
 	profile := map[core.GoalID]int32{}
 	for _, a := range sortedH {
-		goals, mult := lib.GoalsOfAction(a)
-		for i, g := range goals {
-			profile[g] += mult[i]
+		for _, p := range lib.ImplsOfAction(a) {
+			profile[lib.Goal(p)]++
 		}
 	}
-	for i, g := range v.goal {
-		if v.gcnt[i] != profile[g] {
-			t.Fatalf("gcnt[%v] = %d, want %d (h=%v)", g, v.gcnt[i], profile[g], h)
+	for i, g := range tally.Goals {
+		if tally.Counts[i] != profile[g] {
+			t.Fatalf("profile[%v] = %d, want %d (h=%v)", g, tally.Counts[i], profile[g], h)
 		}
 	}
 	if fresh := NewCounterView(lib, h); !sameView(v, fresh) {
@@ -56,8 +57,7 @@ func checkViewState(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 // sameView reports whether two views hold the same state.
 func sameView(a, b *CounterView) bool {
 	return a.lib == b.lib && sameIDs(a.h, b.h) &&
-		sameIDs(a.impls, b.impls) && slices.Equal(a.cnt, b.cnt) &&
-		sameIDs(a.goal, b.goal) && slices.Equal(a.gcnt, b.gcnt)
+		sameIDs(a.impls, b.impls) && slices.Equal(a.cnt, b.cnt)
 }
 
 func sameIDs[T core.ActionID | core.GoalID | core.ImplID](a, b []T) bool {

@@ -2,6 +2,8 @@ package strategy
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 
 	"goalrec/internal/core"
@@ -28,8 +30,8 @@ import (
 //     any partition of the implementation space, so full per-shard candidate
 //     sums (as int64) folded at the coordinator reproduce the exact float64
 //     a single node computes.
-//   - Best Match: profiles and candidate vectors are integer AG-idx
-//     multiplicities, additive over shards. A survey round establishes the
+//   - Best Match: profiles and candidate vectors are integer per-goal
+//     posting counts, additive over shards. A survey round establishes the
 //     global candidate set, goal space and profile; a vector round gathers
 //     per-candidate multiplicities restricted to the *global* goal space;
 //     the coordinator then folds them into the same integer sums a single
@@ -163,8 +165,8 @@ func MergeBreadthPartials(parts []*BreadthPartial, k int) []ScoredAction {
 // BestMatchSurvey is round one of the two-round Best Match scatter: the
 // shard's candidate pool, goal space, and integer profile partial (parallel
 // to GoalSpace). All three union/sum across shards into exactly the global
-// quantities, because implementation sets partition and AG multiplicities
-// are per-implementation counts.
+// quantities, because implementation sets partition and the counts are
+// per-implementation counts.
 type BestMatchSurvey struct {
 	Candidates []core.ActionID `json:"candidates"`
 	GoalSpace  []core.GoalID   `json:"goal_space"`
@@ -183,57 +185,69 @@ type BestMatchVectors struct {
 	Mult []int64 `json:"mult"`
 }
 
-// ShardSurvey computes round one on the shard library.
+// ShardSurvey computes round one on the shard library, from the same
+// posting walk that collects a single node's candidates and profile.
 func (bm *BestMatch) ShardSurvey(ctx context.Context, activity []core.ActionID) (*BestMatchSurvey, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
+	s := bm.pool.Get().(*bmScratch)
+	defer bm.pool.Put(s)
+	s.goals.Reset(bm.lib.NumGoals())
+	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
 	out := &BestMatchSurvey{
-		Candidates: bm.lib.Candidates(h),
-		GoalSpace:  bm.lib.GoalSpace(h),
+		Candidates: append([]core.ActionID(nil), s.cands...),
+		GoalSpace:  intset.FromUnsorted(append([]core.GoalID(nil), s.goals.Goals...)),
 	}
 	out.Profile = make([]int64, len(out.GoalSpace))
-	slot := make(map[core.GoalID]int, len(out.GoalSpace))
 	for i, g := range out.GoalSpace {
-		slot[g] = i
-	}
-	tick := newTicker(ctx)
-	for _, a := range h {
-		goals, mult := bm.lib.GoalsOfAction(a)
-		if err := tick.tick(len(goals)); err != nil {
-			return nil, err
-		}
-		for i, g := range goals {
-			// Every goal of AG(a), a ∈ H, is in GS(H) by construction.
-			out.Profile[slot[g]] += int64(mult[i])
-		}
+		out.Profile[i] = int64(s.goals.Counts[s.goals.Slot(g)])
 	}
 	return out, nil
 }
 
 // ShardVectors computes round two: candidates and goalSpace are the
-// coordinator-merged global sets.
+// coordinator-merged global sets. Each candidate walks its posting row
+// through the GI-G-idx and reports, in slot order, how many of its postings
+// fall on each goal of goalSpace.
 func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionID, goalSpace []core.GoalID) (*BestMatchVectors, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
 	}
-	slot := make(map[core.GoalID]int32, len(goalSpace))
+	s := bm.pool.Get().(*bmScratch)
+	defer bm.pool.Put(s)
+	s.goals.Reset(bm.lib.NumGoals())
 	for i, g := range goalSpace {
-		slot[g] = int32(i)
+		if g < 0 || int(g) >= bm.lib.NumGoals() || (i > 0 && g <= goalSpace[i-1]) {
+			return nil, fmt.Errorf("strategy: goal space is not an ascending set of the library's goals (goal %d at %d)", g, i)
+		}
+		s.goals.Add(g, 0) // slot i
+	}
+	if len(s.run) < len(goalSpace) {
+		s.run = make([]float64, len(goalSpace))
 	}
 	out := &BestMatchVectors{Off: make([]int32, 1, len(candidates)+1)}
 	tick := newTicker(ctx)
 	for _, a := range candidates {
-		goals, mult := bm.lib.GoalsOfAction(a)
-		if err := tick.tick(len(goals) + 1); err != nil {
+		row := bm.lib.ImplsOfAction(a)
+		if err := tick.tick(len(row) + 1); err != nil {
 			return nil, err
 		}
-		for i, g := range goals {
-			if s, ok := slot[g]; ok {
-				out.Slot = append(out.Slot, s)
-				out.Mult = append(out.Mult, int64(mult[i]))
+		s.touched = s.touched[:0]
+		for _, p := range row {
+			if i := s.goals.Slot(bm.lib.Goal(p)); i >= 0 {
+				if s.run[i] == 0 {
+					s.touched = append(s.touched, i)
+				}
+				s.run[i]++
 			}
+		}
+		slices.Sort(s.touched)
+		for _, i := range s.touched {
+			out.Slot = append(out.Slot, int32(i))
+			out.Mult = append(out.Mult, int64(s.run[i]))
+			s.run[i] = 0
 		}
 		out.Off = append(out.Off, int32(len(out.Slot)))
 	}
