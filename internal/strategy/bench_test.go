@@ -59,13 +59,11 @@ var benchCells = []struct {
 	{"conn-high", 500},
 }
 
-// BenchmarkBestMatchModes compares the two scoring paths and the automatic
-// cost-based choice on the same libraries and queries, for cosine and for
-// manhattan, whose paths also accumulate the L1 sums. Beside the
-// connectivity sweep it runs a library of a few giant goals (50 goals of
-// 5 000 implementations): there every candidate's posting row is long and
-// the goal space tiny, the shape where candidate-major walks the most
-// postings per goal and the cost model has to leave it.
+// BenchmarkBestMatchModes times the goal-major scoring pass on the
+// connectivity sweep and on a library of a few giant goals (50 goals of
+// 5 000 implementations), where every candidate's posting row is long and the
+// goal space tiny, for cosine and for manhattan, whose pass also accumulates
+// the L1 sums.
 func BenchmarkBestMatchModes(b *testing.B) {
 	type cell struct {
 		name          string
@@ -81,23 +79,13 @@ func BenchmarkBestMatchModes(b *testing.B) {
 		queries := benchQueries(cell.actions, 64, 5, 4)
 		conn := lib.Stats().Connectivity
 		for _, metric := range []vectorspace.Metric{vectorspace.Cosine, vectorspace.Manhattan} {
-			for _, m := range []struct {
-				name string
-				mode bmMode
-			}{
-				{"candidate-major", bmCandidateMajor},
-				{"goal-major", bmGoalMajor},
-				{"auto", bmAuto},
-			} {
-				bm := NewBestMatchMetric(lib, metric)
-				bm.mode = m.mode
-				b.Run(fmt.Sprintf("%s/conn=%.0f/%v/%s", cell.name, conn, metric, m.name), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						bm.Recommend(queries[i%len(queries)], 10)
-					}
-				})
-			}
+			bm := NewBestMatchMetric(lib, metric)
+			b.Run(fmt.Sprintf("%s/conn=%.0f/%v/goal-major", cell.name, conn, metric), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bm.Recommend(queries[i%len(queries)], 10)
+				}
+			})
 		}
 	}
 }

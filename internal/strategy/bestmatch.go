@@ -19,53 +19,33 @@ import (
 //
 // The goal space and the profile come from the posting walk that collects
 // the candidates (core.GoalTally): one GI-G lookup per posting of H. Every
-// metric then runs on a dense, pooled scratch representation with two
-// interchangeable scoring paths (see DESIGN.md):
+// metric is then scored goal-major on a dense, pooled scratch: one pass over
+// the GA-idx rows of GS(H) (goal → distinct actions with multiplicities)
+// accumulates every candidate's sums at once, costing
+// O(Σ_{g∈GS(H)} |GA(g)|) regardless of connectivity or the
+// implementation-id layout (see DESIGN.md).
 //
-//   - candidate-major: each candidate walks its A-GI-idx row through the
-//     GI-G-idx — the classical loop, O(|IS(a)|) per candidate;
-//   - goal-major: one pass over the GA-idx rows of GS(H) (goal → distinct
-//     actions with multiplicities) accumulates every candidate's sums
-//     simultaneously, costing O(Σ_{g∈GS(H)} |GA(g)|) regardless of
-//     connectivity or the implementation-id layout.
-//
-// Both paths accumulate the same integer-valued sums (bmSums) in float64, and
-// bmScore finishes every metric from them, so the paths are bit-identical to
-// each other and to vectorspace.Metric.Distance over the sparse vectors; the
-// cheaper path is chosen per query from exact index-derived cost estimates.
-// Every path offers its scores into one k-bounded selector as it computes
-// them, and the candidate pool lives in the pooled scratch, so a query
+// The pass accumulates integer-valued sums (bmSums) in float64, and bmScore
+// finishes every metric from them, bit-identical to vectorspace.Metric.Distance
+// over the sparse vectors. Scores go into one k-bounded selector as they are
+// computed, and the candidate pool lives in the pooled scratch, so a query
 // allocates nothing that scales with the pool.
 type BestMatch struct {
 	lib    *core.Library
 	metric vectorspace.Metric
-	pool   sync.Pool // *bmScratch
-
-	// mode is fixed after construction: tests pin each path, and the zero
-	// value picks per query.
-	mode bmMode
 }
-
-// bmMode selects the scoring path.
-type bmMode int
-
-const (
-	bmAuto bmMode = iota // pick per query from cost estimates
-	bmCandidateMajor
-	bmGoalMajor
-)
 
 // bmScratch carries the per-query dense buffers.
 type bmScratch struct {
 	goals   core.GoalTally // GS(H) and its profile counts, in first-touch order
 	profile []float64      // goals.Counts as floats
-	run     []float64      // candidate-major and ShardVectors: one candidate's count per slot
+	run     []float64      // ShardVectors: one candidate's count per slot
 	touched []int          // the slots run holds
 
-	// Goal-major accumulators, indexed by action id and allocated on first
-	// goal-major query: acc holds a⃗·H⃗ and ‖a⃗‖², accL1 Σa⃗ and Σmin(a⃗, H⃗)
+	// Goal-major accumulators, indexed by action id and grown to the library
+	// at hand per query: acc holds a⃗·H⃗ and ‖a⃗‖², accL1 Σa⃗ and Σmin(a⃗, H⃗)
 	// for the L1 metrics only, so cosine scatters 16 bytes per action.
-	// Zeroed between queries via actTouched.
+	// All zero between queries (cleared via actTouched).
 	acc, accL1 [][2]float64
 	actTouched []core.ActionID
 
@@ -73,6 +53,12 @@ type bmScratch struct {
 	cands    []core.ActionID
 	candBufs core.CandidateScratch
 }
+
+// bmScratchPool serves every BestMatch instance — every metric, library,
+// epoch and shard. Each buffer grows to the library at hand where it is
+// used: GoalTally.Reset, CandidateScratch, and scoreGoalMajor's
+// accumulators.
+var bmScratchPool = sync.Pool{New: func() any { return new(bmScratch) }}
 
 // bmSums are a candidate a⃗'s integer sums over F_GS(H) against the profile
 // H⃗: dot = a⃗·H⃗, sq = ‖a⃗‖², and — for the L1 metrics only — sum = Σa⃗ and
@@ -130,9 +116,7 @@ func NewBestMatch(lib *core.Library) *BestMatch {
 // NewBestMatchMetric returns a Best Match strategy with an explicit distance
 // metric, used by the ablation benchmarks.
 func NewBestMatchMetric(lib *core.Library, m vectorspace.Metric) *BestMatch {
-	bm := &BestMatch{lib: lib, metric: m}
-	bm.pool.New = func() interface{} { return new(bmScratch) }
-	return bm
+	return &BestMatch{lib: lib, metric: m}
 }
 
 // Name implements Recommender.
@@ -150,10 +134,10 @@ func (bm *BestMatch) Recommend(activity []core.ActionID, k int) []ScoredAction {
 	return out
 }
 
-// RecommendContext implements ContextRecommender: both scoring paths poll ctx
-// at coarse checkpoints. A canceled query returns nil: Best Match ranks by
-// distance over the full candidate pool, so a partial scoring is not a valid
-// prefix.
+// RecommendContext implements ContextRecommender: the goal-major pass polls
+// ctx at coarse checkpoints. A canceled query returns nil: Best Match ranks
+// by distance over the full candidate pool, so a partial scoring is not a
+// valid prefix.
 func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.ActionID, k int) ([]ScoredAction, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
@@ -162,8 +146,8 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 		return nil, nil
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
+	s := bmScratchPool.Get().(*bmScratch)
+	defer bmScratchPool.Put(s)
 	// Algorithm 3 (Get-Goal-Based-Profile) rides the candidate walk: every
 	// posting of H adds one to its goal's profile count (Equation 9).
 	s.goals.Reset(bm.lib.NumGoals())
@@ -175,8 +159,7 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 }
 
 // rank scores every candidate of the tallied scratch (goal space, profile,
-// candidate pool) through whichever scoring path the per-query cost
-// estimates favor, straight into one k-bounded selector.
+// candidate pool) straight into one k-bounded selector.
 func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAction, error) {
 	candidates := s.cands
 	s.profile = s.profile[:0]
@@ -187,13 +170,7 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAct
 		h.add(p, p, true)
 	}
 	sel := newSelector(k, len(candidates))
-	var err error
-	if bm.pickMode(candidates, s.goals.Goals) == bmGoalMajor {
-		err = bm.scoreGoalMajor(ctx, s, candidates, h, &sel)
-	} else {
-		err = bm.scoreCandidateMajor(ctx, s, candidates, h, &sel)
-	}
-	if err != nil {
+	if err := bm.scoreGoalMajor(ctx, s, candidates, h, &sel); err != nil {
 		return nil, err
 	}
 	return sel.sorted(), nil
@@ -202,9 +179,9 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAct
 // RecommendView implements ViewRecommender: the candidates, the goal space
 // and the profile come from one pass over the view's IS(H) — each
 // implementation p adds cnt[p] = |A_p ∩ H| to its goal's count, the same
-// sum the from-scratch posting walk makes — and flow into the same scoring
-// paths; rankings are bit-identical to RecommendContext over the view's
-// activity.
+// sum the from-scratch posting walk makes — and flow into the same
+// goal-major pass; rankings are bit-identical to RecommendContext over the
+// view's activity.
 func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
 	if err := entryErr(ctx); err != nil {
 		return nil, err
@@ -215,8 +192,8 @@ func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) (
 	if k == 0 {
 		return nil, nil
 	}
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
+	s := bmScratchPool.Get().(*bmScratch)
+	defer bmScratchPool.Put(s)
 	s.goals.Reset(bm.lib.NumGoals())
 	s.cands = v.Candidates(s.cands[:0], &s.goals)
 	if len(s.cands) == 0 {
@@ -225,94 +202,22 @@ func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) (
 	return bm.rank(ctx, s, k)
 }
 
-// pickMode resolves the scoring path for one query. In auto mode it compares
-// the exact slot counts each path will visit: candidate-major walks every
-// candidate's posting row, goal-major walks every GA row of the goal space.
-// Every GA entry of GS(H) is reached by at least one posting of a candidate
-// or of H, so goal-major never visits many more slots than candidate-major,
-// and it was the faster path on each of the 1 900 probe queries of ROADMAP
-// item 2 (bench, Figure 7, foodmart, 43things and giant-goal libraries).
-// Candidate-major is taken only when it visits fewer than half the slots.
-func (bm *BestMatch) pickMode(candidates []core.ActionID, goalSpace []core.GoalID) bmMode {
-	if bm.mode != bmAuto {
-		return bm.mode
-	}
-	candCost := 0
-	for _, a := range candidates {
-		candCost += bm.lib.ActionDegree(a)
-	}
-	goalCost := 0
-	for _, g := range goalSpace {
-		goalCost += bm.lib.GoalActionCount(g)
-	}
-	if goalCost <= 2*candCost {
-		return bmGoalMajor
-	}
-	return bmCandidateMajor
-}
-
-// scoreCandidateMajor scores each candidate by walking its posting row
-// through the GI-G-idx. A posting on goal g of the goal space raises the
-// candidate's count there to k, which adds H⃗[g] to a⃗·H⃗ and 2k−1 to ‖a⃗‖²
-// (so the row adds c² in all for a final count c), 1 to Σa⃗, and 1 to
-// Σmin(a⃗, H⃗) while k ≤ H⃗[g]: the same integer sums bmSums.add makes from
-// the final counts.
-func (bm *BestMatch) scoreCandidateMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
-	tick := newTicker(ctx)
-	l1 := readsL1(bm.metric)
-	if len(s.run) < len(s.profile) {
-		s.run = make([]float64, len(s.profile))
-	}
-	for _, a := range candidates {
-		row := bm.lib.ImplsOfAction(a)
-		if err := tick.tick(len(row) + 1); err != nil {
-			return err
-		}
-		var sums bmSums
-		s.touched = s.touched[:0]
-		for _, p := range row {
-			i := s.goals.Slot(bm.lib.Goal(p))
-			if i < 0 {
-				continue // contributes to a goal outside F_GS(H)
-			}
-			k := s.run[i] + 1
-			if k == 1 {
-				s.touched = append(s.touched, i)
-			}
-			s.run[i] = k
-			pg := s.profile[i]
-			sums.dot += pg
-			sums.sq += 2*k - 1
-			if l1 {
-				sums.sum++
-				if k <= pg {
-					sums.minSum++
-				}
-			}
-		}
-		for _, i := range s.touched {
-			s.run[i] = 0
-		}
-		sel.offer(ScoredAction{Action: a, Score: bmScore(bm.metric, h, sums)})
-	}
-	return nil
-}
-
 // scoreGoalMajor scores every candidate at once by walking the goal space's
 // GA-idx rows: goal g's row pairs each distinct action a with its
 // multiplicity m (implementations of g containing a), which a folds into its
 // sums against profile[g]. Work is Σ_{g∈GS(H)} |distinct actions of g| over
 // contiguous rows — independent of connectivity and of the
 // implementation-id layout (no per-implementation dereferences). Every
-// accumulated term is the same integer-valued float the candidate-major path
-// adds, summed exactly below 2^53, so the scores are bit-identical.
+// accumulated term is an integer-valued float summed exactly below 2^53, so
+// the scores are bit-identical to the sparse per-candidate vectors'.
 func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
 	l1 := readsL1(bm.metric)
-	if s.acc == nil {
-		s.acc = make([][2]float64, bm.lib.NumActions())
-		if l1 {
-			s.accL1 = make([][2]float64, bm.lib.NumActions())
-		}
+	n := bm.lib.NumActions()
+	if len(s.acc) < n {
+		s.acc = make([][2]float64, n)
+	}
+	if l1 && len(s.accL1) < n {
+		s.accL1 = make([][2]float64, n)
 	}
 	s.actTouched = s.actTouched[:0]
 	tick := newTicker(ctx)

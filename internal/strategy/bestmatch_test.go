@@ -160,7 +160,7 @@ func sparseActionVector(lib *core.Library, a core.ActionID, goalSpace []core.Goa
 }
 
 func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
-	// Every metric through each dense scoring path must equal the
+	// Every metric through the dense goal-major pass must equal the
 	// straightforward sparse implementation (sparseProfile +
 	// sparseActionVector + Metric.Distance) on random libraries exactly:
 	// bmScore finishes from integer sums, so not even the scores differ.
@@ -182,13 +182,9 @@ func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 				ref = append(ref, ScoredAction{Action: a, Score: -d})
 			}
 			ref = TopK(ref, -1)
-			for _, mode := range []bmMode{bmCandidateMajor, bmGoalMajor} {
-				bm := NewBestMatchMetric(lib, m)
-				bm.mode = mode
-				if got := bm.Recommend(h, -1); !(len(got) == 0 && len(ref) == 0) && !reflect.DeepEqual(got, ref) {
-					t.Logf("%v mode %d:\ngot  %v\nwant %v", m, mode, got, ref)
-					return false
-				}
+			if got := NewBestMatchMetric(lib, m).Recommend(h, -1); !(len(got) == 0 && len(ref) == 0) && !reflect.DeepEqual(got, ref) {
+				t.Logf("%v:\ngot  %v\nwant %v", m, got, ref)
+				return false
 			}
 			return true
 		}
@@ -199,11 +195,10 @@ func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 }
 
 // TestBestMatchScoringPathsAgree drives the Best Match rows of the source
-// table — every metric through the cost model's pick and each forced path
-// (candidate-major, goal-major), the view through each, and the shard merges
-// — over many small random libraries. Every path accumulates integer-valued
-// sums in float64, so even the scores must match the oracle exactly, not
-// just within float noise.
+// table — every metric from scratch, through the view, and through the shard
+// merges — over many small random libraries. Every source accumulates
+// integer-valued sums in float64, so even the scores must match the oracle
+// exactly, not just within float noise.
 func TestBestMatchScoringPathsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
@@ -222,7 +217,6 @@ func TestBestMatchGoalMajorScratchReuse(t *testing.T) {
 	o := newOracle(lib)
 	for _, m := range allMetrics {
 		gm := NewBestMatchMetric(lib, m)
-		gm.mode = bmGoalMajor
 		for i := 0; i < 200; i++ {
 			h := intset.FromUnsorted(testlib.RandomActivity(r, 30, 6))
 			got := gm.Recommend(h, 8)

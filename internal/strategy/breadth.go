@@ -72,7 +72,6 @@ func ParseBreadthWeighting(name string) (BreadthWeighting, error) {
 type Breadth struct {
 	lib       *core.Library
 	weighting BreadthWeighting
-	pool      sync.Pool // *breadthScratch
 }
 
 // breadthScratch is the pooled per-query state: the kernel counters, dense H
@@ -85,6 +84,22 @@ type breadthScratch struct {
 	actions []core.ActionID
 }
 
+// breadthScratchPool serves every Breadth instance, whatever its weighting,
+// library, epoch or shard; getBreadthScratch sizes the action-indexed
+// buffers to the library at hand.
+var breadthScratchPool = sync.Pool{New: func() any { return new(breadthScratch) }}
+
+// getBreadthScratch takes a scratch from the pool with inH and scores
+// covering lib's action ids. Both are all zero between queries, so a short
+// pair is simply replaced.
+func getBreadthScratch(lib *core.Library) *breadthScratch {
+	s := breadthScratchPool.Get().(*breadthScratch)
+	if n := lib.NumActions(); len(s.inH) < n {
+		s.inH, s.scores = make([]bool, n), make([]float64, n)
+	}
+	return s
+}
+
 // NewBreadth returns a Breadth strategy over lib with the default Overlap
 // weighting.
 func NewBreadth(lib *core.Library) *Breadth {
@@ -94,12 +109,7 @@ func NewBreadth(lib *core.Library) *Breadth {
 // NewBreadthWeighted returns a Breadth strategy with an explicit weighting,
 // used by the ablation benchmarks.
 func NewBreadthWeighted(lib *core.Library, w BreadthWeighting) *Breadth {
-	b := &Breadth{lib: lib, weighting: w}
-	b.pool.New = func() interface{} {
-		n := lib.NumActions()
-		return &breadthScratch{inH: make([]bool, n), scores: make([]float64, n)}
-	}
-	return b
+	return &Breadth{lib: lib, weighting: w}
 }
 
 // Name implements Recommender.
@@ -128,8 +138,8 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 		return nil, nil
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	s := b.pool.Get().(*breadthScratch)
-	defer b.pool.Put(s)
+	s := getBreadthScratch(b.lib)
+	defer breadthScratchPool.Put(s)
 
 	// Kernel pass: the visit scores the touched implementations from the
 	// counter array into the accumulator.
@@ -169,8 +179,8 @@ func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]S
 	if k == 0 || len(v.impls) == 0 {
 		return nil, nil
 	}
-	s := b.pool.Get().(*breadthScratch)
-	defer b.pool.Put(s)
+	s := getBreadthScratch(b.lib)
+	defer breadthScratchPool.Put(s)
 	s.markH(v.h, true)
 	tick := newTicker(ctx)
 	scores, actions := s.scores, s.actions

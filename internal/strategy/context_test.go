@@ -42,19 +42,13 @@ func (c *cancelAfterPolls) Err() error {
 }
 
 // ctxTestRecommenders builds every context-aware recommender variant over
-// lib: the four strategies plus each forced Best Match scoring path.
+// lib: the four strategies, Best Match with a cosine and an L1 metric.
 func ctxTestRecommenders(lib *core.Library) map[string]ContextRecommender {
-	candMajor := NewBestMatch(lib)
-	candMajor.mode = bmCandidateMajor
-	goalMajor := NewBestMatch(lib)
-	goalMajor.mode = bmGoalMajor
 	return map[string]ContextRecommender{
 		"focus-cmp":             NewFocus(lib, Completeness),
 		"focus-cl":              NewFocus(lib, Closeness),
 		"breadth":               NewBreadth(lib),
-		"best-match-auto":       NewBestMatch(lib),
-		"best-match-candidate":  candMajor,
-		"best-match-goal-major": goalMajor,
+		"best-match-goal-major": NewBestMatch(lib),
 		"best-match-manhattan":  NewBestMatchMetric(lib, vectorspace.Manhattan),
 		"cached-breadth":        NewCached(NewBreadth(lib), 16),
 	}
@@ -236,27 +230,32 @@ func TestRecommendContextFallback(t *testing.T) {
 	}
 }
 
-// TestAbortScratchInvariants hammers the scan strategies with thousands of
-// mid-scan aborts at varying checkpoint depths and asserts, after every
-// abort, that the pooled scratch went back clean: overlap counters zeroed,
-// score accumulators and H-membership cleared. A completed query follows
-// each abort and must match the oracle — the end-to-end proof that no
-// partial state leaked.
+// TestAbortScratchInvariants hammers the scan strategies and Best Match
+// with thousands of mid-scan aborts at varying checkpoint depths and asserts,
+// after every abort, that the package's shared scratch pools hold only clean
+// scratch: overlap counters zeroed, score accumulators and H-membership
+// cleared, Best Match's goal-major accumulators zero. Every instance of a
+// strategy draws from the same pool, so dirty scratch would corrupt another
+// instance's ranking. A completed query follows each abort and must match
+// the oracle — the end-to-end proof that no partial state leaked.
 func TestAbortScratchInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	lib := testlib.RandomLibrary(r, 2500, 24, 20, 9)
 	o := newOracle(lib)
+	// Best Match aborts inside its goal-major pass only when GS(H)'s GA rows
+	// cross a checkpoint, which takes far more goals than lib has.
+	bmLib := testlib.RandomLibrary(r, 2500, 200, 1500, 9)
+	ob := newOracle(bmLib)
 
 	// w1: one worker, the sequential kernel every strategy runs.
 	t.Run("w1", func(t *testing.T) {
 		fc := NewFocus(lib, Closeness)
 		br := NewBreadth(lib)
-		bm := NewBestMatch(lib)
-		bm.mode = bmCandidateMajor
+		bms := []*BestMatch{NewBestMatch(bmLib), NewBestMatchMetric(bmLib, vectorspace.Manhattan)}
 
 		checkFocus := func(i int) {
-			s := fc.pool.Get().(*focusScratch)
-			defer fc.pool.Put(s)
+			s := focusScratchPool.Get().(*focusScratch)
+			defer focusScratchPool.Put(s)
 			for p, c := range s.cnt {
 				if c != 0 {
 					t.Fatalf("abort %d: focus counter %d left at %d", i, p, c)
@@ -264,8 +263,8 @@ func TestAbortScratchInvariants(t *testing.T) {
 			}
 		}
 		checkBreadth := func(i int) {
-			s := br.pool.Get().(*breadthScratch)
-			defer br.pool.Put(s)
+			s := breadthScratchPool.Get().(*breadthScratch)
+			defer breadthScratchPool.Put(s)
 			for p, c := range s.cnt {
 				if c != 0 {
 					t.Fatalf("abort %d: breadth counter %d left at %d", i, p, c)
@@ -285,7 +284,22 @@ func TestAbortScratchInvariants(t *testing.T) {
 				}
 			}
 		}
+		checkBestMatch := func(i int, bm *BestMatch) {
+			s := bmScratchPool.Get().(*bmScratch)
+			defer bmScratchPool.Put(s)
+			for a, v := range s.acc {
+				if v != [2]float64{} {
+					t.Fatalf("abort %d: %s acc[%d] left at %v", i, bm.Name(), a, v)
+				}
+			}
+			for a, v := range s.accL1 {
+				if v != [2]float64{} {
+					t.Fatalf("abort %d: %s accL1[%d] left at %v", i, bm.Name(), a, v)
+				}
+			}
+		}
 
+		bmAborts := 0
 		for i := 0; i < 1500; i++ {
 			h := intset.FromUnsorted(testlib.RandomActivity(r, 24, 6))
 			polls := int64(1 + i%9)
@@ -293,7 +307,13 @@ func TestAbortScratchInvariants(t *testing.T) {
 			checkFocus(i)
 			br.RecommendContext(newCancelAfterPolls(polls), h, 6)
 			checkBreadth(i)
-			bm.RecommendContext(newCancelAfterPolls(polls), h, 6)
+			hb := intset.FromUnsorted(testlib.RandomActivity(r, 200, 6))
+			for _, bm := range bms {
+				if _, err := bm.RecommendContext(newCancelAfterPolls(polls), hb, 6); err != nil {
+					bmAborts++
+				}
+				checkBestMatch(i, bm)
+			}
 
 			if i%5 == 0 {
 				if got, want := fc.Recommend(h, 6), o.oracleFocus(h, Closeness, 6); !reflect.DeepEqual(got, want) {
@@ -302,10 +322,17 @@ func TestAbortScratchInvariants(t *testing.T) {
 				if got, want := br.Recommend(h, 6), o.oracleBreadth(h, Overlap, 6); !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d: breadth diverged after aborts:\ngot  %v\nwant %v", i, got, want)
 				}
-				if got, want := bm.Recommend(h, 6), o.oracleBestMatch(h, bm.metric, 6); !reflect.DeepEqual(got, want) {
-					t.Fatalf("query %d: best-match diverged after aborts:\ngot  %v\nwant %v", i, got, want)
+			}
+			if i%25 == 0 { // the Best Match oracle is the slow one
+				for _, bm := range bms {
+					if got, want := bm.Recommend(hb, 6), ob.oracleBestMatch(hb, bm.metric, 6); !reflect.DeepEqual(got, want) {
+						t.Fatalf("query %d: %s diverged after aborts:\ngot  %v\nwant %v", i, bm.Name(), got, want)
+					}
 				}
 			}
+		}
+		if bmAborts < 500 {
+			t.Fatalf("only %d of 3000 Best Match queries aborted mid-pass", bmAborts)
 		}
 	})
 }

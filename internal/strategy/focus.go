@@ -46,7 +46,6 @@ func (m FocusMeasure) String() string {
 type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
-	pool    sync.Pool // *focusScratch
 }
 
 // focusScratch is the pooled per-query state: the kernel counters plus the
@@ -57,11 +56,15 @@ type focusScratch struct {
 	sel    []rankedImpl
 }
 
+// focusScratchPool serves every Focus instance — both measures, every
+// library, epoch and shard — so a process holds one counter array per
+// concurrent query, not one per instance. The counters grow to the library
+// at hand in overlapScratch.run.
+var focusScratchPool = sync.Pool{New: func() any { return new(focusScratch) }}
+
 // NewFocus returns a Focus strategy over lib using the given measure.
 func NewFocus(lib *core.Library, measure FocusMeasure) *Focus {
-	f := &Focus{lib: lib, measure: measure}
-	f.pool.New = func() interface{} { return &focusScratch{} }
-	return f
+	return &Focus{lib: lib, measure: measure}
 }
 
 // Name implements Recommender.
@@ -118,8 +121,8 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 // associated implementation, and selectEmit ranks and walks them.
 func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	h := intset.FromUnsorted(intset.Clone(activity))
-	s := f.pool.Get().(*focusScratch)
-	defer f.pool.Put(s)
+	s := focusScratchPool.Get().(*focusScratch)
+	defer focusScratchPool.Put(s)
 	all, err := f.kernelRanks(ctx, s, h)
 	if err != nil {
 		return nil, err
@@ -159,8 +162,8 @@ func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]Sco
 	if k == 0 || len(v.impls) == 0 {
 		return nil, nil
 	}
-	s := f.pool.Get().(*focusScratch)
-	defer f.pool.Put(s)
+	s := focusScratchPool.Get().(*focusScratch)
+	defer focusScratchPool.Put(s)
 	tick := newTicker(ctx)
 	all := s.ranked[:0]
 	for i, p := range v.impls {

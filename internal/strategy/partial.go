@@ -192,8 +192,8 @@ func (bm *BestMatch) ShardSurvey(ctx context.Context, activity []core.ActionID) 
 		return nil, err
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
+	s := bmScratchPool.Get().(*bmScratch)
+	defer bmScratchPool.Put(s)
 	s.goals.Reset(bm.lib.NumGoals())
 	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
 	out := &BestMatchSurvey{
@@ -215,8 +215,8 @@ func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionI
 	if err := entryErr(ctx); err != nil {
 		return nil, err
 	}
-	s := bm.pool.Get().(*bmScratch)
-	defer bm.pool.Put(s)
+	s := bmScratchPool.Get().(*bmScratch)
+	defer bmScratchPool.Put(s)
 	s.goals.Reset(bm.lib.NumGoals())
 	for i, g := range goalSpace {
 		if g < 0 || int(g) >= bm.lib.NumGoals() || (i > 0 && g <= goalSpace[i-1]) {

@@ -100,18 +100,14 @@ func TestBestMatchAllocationBudget(t *testing.T) {
 		for _, c := range []struct {
 			name   string
 			metric vectorspace.Metric
-			mode   bmMode
 		}{
-			{"candidate-major", vectorspace.Cosine, bmCandidateMajor},
-			{"goal-major", vectorspace.Cosine, bmGoalMajor},
-			{"euclidean-candidate-major", vectorspace.Euclidean, bmCandidateMajor},
-			{"euclidean-goal-major", vectorspace.Euclidean, bmGoalMajor},
-			{"jaccard-candidate-major", vectorspace.JaccardDist, bmCandidateMajor},
-			{"jaccard-goal-major", vectorspace.JaccardDist, bmGoalMajor},
+			{"goal-major", vectorspace.Cosine},
+			{"euclidean-goal-major", vectorspace.Euclidean},
+			{"manhattan-goal-major", vectorspace.Manhattan},
+			{"jaccard-goal-major", vectorspace.JaccardDist},
 		} {
 			t.Run(fmt.Sprintf("impls=%d/pool>=%d/%s", size, pool, c.name), func(t *testing.T) {
 				bm := NewBestMatchMetric(lib, c.metric)
-				bm.mode = c.mode
 				for _, q := range queries[:8] {
 					bm.Recommend(q, 10) // grow the pooled scratch to the library's shape
 				}

@@ -1,0 +1,130 @@
+package strategy
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"goalrec/internal/core"
+	"goalrec/internal/intset"
+	"goalrec/internal/testlib"
+	"goalrec/internal/vectorspace"
+)
+
+// TestSharedScratchAcrossLibraries interleaves the source table — Focus,
+// Breadth and every Best Match metric (cosine before the L1 metrics), from
+// scratch, through a view and through shard partials — over a shard, its
+// full library and a smaller library. Every instance draws on the package's
+// shared scratch pools, so every buffer must grow to the library at hand on
+// use: a scratch sized on the shard or the small library would overrun on
+// the full one, and a cosine-first Best Match scratch has no L1
+// accumulators. Each ranking must equal the naive oracle of its library.
+func TestSharedScratchAcrossLibraries(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	shard, full, small := scratchLibraries(t, r)
+	for q := 0; q < 8; q++ {
+		// Drawn over the full action space: the small library sees ids it
+		// does not know, which count toward |H| but have no postings.
+		h := testlib.RandomActivity(r, 60, 6)
+		for _, lib := range []*core.Library{shard, full, small, full, shard} {
+			checkEverySource(t, lib, h, "")
+		}
+	}
+}
+
+// scratchLibraries returns a shard of a library, the library, and a smaller
+// library with a smaller action space (60 and 10 action ids).
+func scratchLibraries(t *testing.T, r *rand.Rand) (shard, full, small *core.Library) {
+	t.Helper()
+	full = testlib.RandomLibrary(r, 1200, 60, 300, 9)
+	shard, err := core.PartitionRange(full, 0, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shard, full, testlib.RandomLibrary(r, 40, 10, 8, 5)
+}
+
+// TestSharedScratchConcurrentInstances runs fresh instances of every
+// strategy over the three libraries of TestSharedScratchAcrossLibraries from
+// several goroutines at once, each in its own order, so the shared pools
+// pass scratch between instances, metrics and libraries under the race
+// detector. Every ranking must equal the oracle's.
+func TestSharedScratchConcurrentInstances(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	shard, full, small := scratchLibraries(t, r)
+	type job struct {
+		name string
+		x    *sourceFixture
+		src  rankingSource // the table's "kernel" source: a fresh instance's Recommend
+		want []ScoredAction
+	}
+	var jobs []job
+	for _, lib := range []*core.Library{shard, full, small} {
+		o := newOracle(lib)
+		h := intset.FromUnsorted(testlib.RandomActivity(r, 60, 6))
+		for _, c := range strategyCases() {
+			if c.sources[0].name != "kernel" {
+				t.Fatalf("%s: first source is %q, want the from-scratch kernel", c.name, c.sources[0].name)
+			}
+			jobs = append(jobs, job{c.name, &sourceFixture{lib: lib, h: h}, c.sources[0], c.oracle(o, h, 10)})
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3*len(jobs); i++ {
+				j := jobs[(w*7+i)%len(jobs)]
+				if got, _ := j.src.run(t, j.x, 10); !(len(got) == 0 && len(j.want) == 0) && !reflect.DeepEqual(got, j.want) {
+					t.Errorf("%s (h=%v) diverged from the oracle:\ngot  %v\nwant %v", j.name, j.x.h, got, j.want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFreshInstanceReusesScratch pins the point of the shared pools: once
+// one instance has run a query, a fresh instance over the same library — as
+// every engine epoch builds — allocates only its result, not another
+// library-sized counter array (1 MB at 250 000 implementations) or
+// action-indexed accumulator.
+func TestFreshInstanceReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	// One P, so both queries meet the same per-P pool slot, and no GC, so
+	// the pool is not flushed between them.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const budget = 64 << 10
+	lib := benchLibrary(250000, 10000, 7)
+	q := benchQueries(10000, 1, 5, 8)[0]
+	for _, c := range []struct {
+		name string
+		mk   func() Recommender
+	}{
+		{"focus-cmp", func() Recommender { return NewFocus(lib, Completeness) }},
+		{"focus-cl", func() Recommender { return NewFocus(lib, Closeness) }},
+		{"breadth", func() Recommender { return NewBreadth(lib) }},
+		{"best-match", func() Recommender { return NewBestMatch(lib) }},
+		{"best-match-manhattan", func() Recommender { return NewBestMatchMetric(lib, vectorspace.Manhattan) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.mk().Recommend(q, 10) // warm the shared pool
+			fresh := c.mk()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			fresh.Recommend(q, 10)
+			runtime.ReadMemStats(&m1)
+			if d := m1.TotalAlloc - m0.TotalAlloc; d >= budget {
+				t.Fatalf("a fresh instance's first query allocated %d bytes, budget %d", d, budget)
+			}
+		})
+	}
+}

@@ -156,27 +156,15 @@ func breadthCase(w BreadthWeighting) strategyCase {
 }
 
 func bestMatchCase(metric vectorspace.Metric) strategyCase {
-	mk := func(mode bmMode) func(*core.Library) Recommender {
-		return func(l *core.Library) Recommender {
-			bm := NewBestMatchMetric(l, metric)
-			bm.mode = mode
-			return bm
-		}
-	}
+	mk := func(l *core.Library) Recommender { return NewBestMatchMetric(l, metric) }
 	c := strategyCase{
 		name: NewBestMatchMetric(nil, metric).Name(),
 		oracle: func(o *oracleLibrary, h []core.ActionID, k int) []ScoredAction {
 			return o.oracleBestMatch(h, metric, k)
 		},
 		sources: []rankingSource{
-			// The cost model picks one scoring path per query; force each,
-			// and the view through each.
-			recommendSource("auto", mk(bmAuto)),
-			recommendSource("candidate-major", mk(bmCandidateMajor)),
-			recommendSource("goal-major", mk(bmGoalMajor)),
-			viewSource("view", mk(bmAuto)),
-			viewSource("view/candidate-major", mk(bmCandidateMajor)),
-			viewSource("view/goal-major", mk(bmGoalMajor)),
+			recommendSource("kernel", mk),
+			viewSource("view", mk),
 		},
 	}
 	c.sources = append(c.sources, partialSources(func(t *testing.T, parts []shardPart, h []core.ActionID, k int) ([]ScoredAction, bool) {
