@@ -17,8 +17,9 @@ import (
 // same feature space F_GS(H), and ranks candidates by ascending distance to
 // the profile (Equation 10).
 //
-// The goal space and the profile come from the posting walk that collects
-// the candidates (core.GoalTally): one GI-G lookup per posting of H. Every
+// The goal space and the profile come from the walk that collects the
+// candidates (core.GoalTally): H's posting rows, one GI-G lookup per
+// posting, or a view's implementation space (rankCounts). Every
 // metric is then scored goal-major on a dense, pooled scratch: one pass over
 // the GA-idx rows of GS(H) (goal → distinct actions with multiplicities)
 // accumulates every candidate's sums at once, costing
@@ -152,9 +153,19 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 	// posting of H adds one to its goal's profile count (Equation 9).
 	s.goals.Reset(bm.lib.NumGoals())
 	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
-	if len(s.cands) == 0 {
-		return nil, nil
-	}
+	return bm.rank(ctx, s, k)
+}
+
+// rankCounts is Best Match's driver over IS(H) in the CounterView layout:
+// the candidates, the goal space and the profile come from one pass over
+// impls — each implementation adds cnt[i] = |A_impls[i] ∩ H| to its goal's
+// count, the same sum the from-scratch posting walk makes — and flow into
+// the same rank.
+func (bm *BestMatch) rankCounts(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int) ([]ScoredAction, error) {
+	s := bmScratchPool.Get().(*bmScratch)
+	defer bmScratchPool.Put(s)
+	s.goals.Reset(bm.lib.NumGoals())
+	s.cands = bm.lib.AppendImplCandidates(s.cands[:0], &s.candBufs, impls, cnt, h, &s.goals)
 	return bm.rank(ctx, s, k)
 }
 
@@ -162,6 +173,9 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 // candidate pool) straight into one k-bounded selector.
 func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAction, error) {
 	candidates := s.cands
+	if len(candidates) == 0 {
+		return nil, nil
+	}
 	s.profile = s.profile[:0]
 	var h bmSums
 	for _, c := range s.goals.Counts {
@@ -174,32 +188,6 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAct
 		return nil, err
 	}
 	return sel.sorted(), nil
-}
-
-// RecommendView implements ViewRecommender: the candidates, the goal space
-// and the profile come from one pass over the view's IS(H) — each
-// implementation p adds cnt[p] = |A_p ∩ H| to its goal's count, the same
-// sum the from-scratch posting walk makes — and flow into the same
-// goal-major pass; rankings are bit-identical to RecommendContext over the
-// view's activity.
-func (bm *BestMatch) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
-	if err := entryErr(ctx); err != nil {
-		return nil, err
-	}
-	if v.lib != bm.lib {
-		return nil, ErrViewLibrary
-	}
-	if k == 0 {
-		return nil, nil
-	}
-	s := bmScratchPool.Get().(*bmScratch)
-	defer bmScratchPool.Put(s)
-	s.goals.Reset(bm.lib.NumGoals())
-	s.cands = v.Candidates(s.cands[:0], &s.goals)
-	if len(s.cands) == 0 {
-		return nil, nil
-	}
-	return bm.rank(ctx, s, k)
 }
 
 // scoreGoalMajor scores every candidate at once by walking the goal space's

@@ -61,7 +61,7 @@ func ParseBreadthWeighting(name string) (BreadthWeighting, error) {
 // of every candidate action the implementation contains, so that actions
 // participating in many well-connected implementations rank first.
 //
-// The walk is one body (credit) fed by either counter source: the shared
+// The walk is one driver (score) fed by either counter source: the shared
 // counter kernel (see kernel.go), whose one pass over H's posting rows yields
 // |A_p ∩ H| for every associated implementation, or a CounterView that
 // already holds those counters. Every weighting's comm follows from the
@@ -74,11 +74,10 @@ type Breadth struct {
 	weighting BreadthWeighting
 }
 
-// breadthScratch is the pooled per-query state: the kernel counters, dense H
-// membership, and the score accumulator — scores is indexed by action id and
-// re-zeroed through actions, the ids it touched.
+// breadthScratch is the pooled per-query state: dense H membership and the
+// score accumulator — scores is indexed by action id and re-zeroed through
+// actions, the ids it touched.
 type breadthScratch struct {
-	overlapScratch
 	inH     []bool // dense H membership, set and cleared per query
 	scores  []float64
 	actions []core.ActionID
@@ -138,75 +137,48 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 		return nil, nil
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	s := getBreadthScratch(b.lib)
-	defer breadthScratchPool.Put(s)
-
-	// Kernel pass: the visit scores the touched implementations from the
-	// counter array into the accumulator.
-	s.markH(h, true)
-	err := s.run(ctx, b.lib, h, func(touched []core.ImplID, tick *ticker) error {
-		scores, actions := s.scores, s.actions
-		var err error
-		// One checkpoint per run of implementations, not one each: a call
-		// inside the walk makes it spill its registers around every credit.
-		for len(touched) > 0 {
-			run := touched[:min(len(touched), checkInterval)]
-			if err = tick.tick(len(run)); err != nil {
-				break
-			}
-			for _, p := range run {
-				actions = b.credit(b.lib.Actions(p), s.cnt[p], len(h), s.inH, scores, actions)
-			}
-			touched = touched[len(run):]
-		}
-		s.actions = actions
-		return err
-	})
-	s.markH(h, false)
-	return s.drainScores(k, err)
-}
-
-// RecommendView implements ViewRecommender: the same walk over the view's
-// materialized counters, with rankings bit-identical to RecommendContext
-// over the view's activity.
-func (b *Breadth) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
-	if err := entryErr(ctx); err != nil {
+	ks := kernelScratchPool.Get().(*kernelScratch)
+	defer kernelScratchPool.Put(ks)
+	impls, cnt, err := ks.gather(ctx, b.lib, h)
+	if err != nil {
 		return nil, err
 	}
-	if v.lib != b.lib {
-		return nil, ErrViewLibrary
-	}
-	if k == 0 || len(v.impls) == 0 {
-		return nil, nil
-	}
+	return b.score(ctx, h, impls, cnt, k)
+}
+
+// score is Breadth's one scoring driver, over the kernel's gathered
+// counters and a CounterView's alike: every implementation impls[i] credits
+// its candidates from cnt[i] = |A_impls[i] ∩ H|.
+func (b *Breadth) score(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int) ([]ScoredAction, error) {
 	s := getBreadthScratch(b.lib)
 	defer breadthScratchPool.Put(s)
-	s.markH(v.h, true)
+	s.markH(h, true)
 	tick := newTicker(ctx)
 	scores, actions := s.scores, s.actions
 	var err error
-	for lo := 0; lo < len(v.impls); lo += checkInterval {
-		hi := min(lo+checkInterval, len(v.impls))
+	// One checkpoint per run of implementations, not one each: a call
+	// inside the walk makes it spill its registers around every credit.
+	for lo := 0; lo < len(impls); lo += checkInterval {
+		hi := min(lo+checkInterval, len(impls))
 		if err = tick.tick(hi - lo); err != nil {
 			break
 		}
 		for i := lo; i < hi; i++ {
-			actions = b.credit(b.lib.Actions(v.impls[i]), v.cnt[i], len(v.h), s.inH, scores, actions)
+			actions = b.credit(b.lib.Actions(impls[i]), cnt[i], len(h), s.inH, scores, actions)
 		}
 	}
 	s.actions = actions
-	s.markH(v.h, false)
+	s.markH(h, false)
 	return s.drainScores(k, err)
 }
 
-// credit is Algorithm 2's loop body, shared by both counter sources: an
-// implementation with action set acts and counter cnt = |A_p ∩ H| adds its
-// comm — derived from the counter and |A_p| alone — to the score of each of
-// its actions outside H, and the first-touched ones join actions. comm is
-// always integer-valued, so the float64 sums are exact regardless of
-// accumulation order. It takes the action set, not the id, to stay
-// within the inlining budget: as a call per implementation the walk measured
-// ≈10 % slower.
+// credit is Algorithm 2's loop body: an implementation with action set acts
+// and counter cnt = |A_p ∩ H| adds its comm — derived from the counter and
+// |A_p| alone — to the score of each of its actions outside H, and the
+// first-touched ones join actions. comm is always integer-valued, so the
+// float64 sums are exact regardless of accumulation order. It takes the
+// action set, not the id, to stay within the inlining budget: as a call per
+// implementation the walk measured ≈10 % slower.
 func (b *Breadth) credit(acts []core.ActionID, cnt int32, hLen int, inH []bool, scores []float64, actions []core.ActionID) []core.ActionID {
 	comm := breadthComm(b.weighting, len(acts), hLen, cnt)
 	for _, a := range acts {

@@ -81,11 +81,6 @@ func NewCached(inner Recommender, capacity int) *Cached {
 // Name implements Recommender.
 func (c *Cached) Name() string { return c.inner.Name() }
 
-// Underlying returns the wrapped recommender. View queries (RecommendView)
-// unwrap the cache: a materialized CounterView already is the per-user
-// cache, and its results must not be keyed by activity across epochs.
-func (c *Cached) Underlying() Recommender { return c.inner }
-
 // cacheKey canonicalizes the query into a compact binary key: k as 8
 // little-endian bytes, then each action id as 4. The activity is sorted and
 // deduplicated by the caller, so permutations share an entry. The key is

@@ -21,13 +21,14 @@ var ErrViewLibrary = errors.New("strategy: counter view was built over a differe
 // and nothing a query can derive from that state and the library: |A_p| is
 // Library.ImplLen, and the candidate pool AS(H) − H = ∪_{p∈IS(H)} A_p − H,
 // the goal space and Best Match's profile (Σ cnt[p] over the implementations
-// of each goal) are collected from impls per Best Match query (Candidates).
+// of each goal) are collected from impls per Best Match query.
 // A view is built from scratch over a library, delta-updated by Apply along
 // one appended action's posting row, and carried across same-lineage
 // snapshot extensions by AdvanceTo, which replays only the appended
-// posting-row tails. All four strategies score a
-// view through their RecommendView methods with rankings bit-identical to a
-// from-scratch Recommend over the same H.
+// posting-row tails. RecommendView hands the view's arrays to the same
+// scoring driver a from-scratch query feeds from the counter kernel, so
+// every strategy ranks a view bit-identically to a from-scratch Recommend
+// over the same H.
 //
 // impls and cnt are parallel and id-sorted. A view is single-writer
 // state: the owner serializes Apply/AdvanceTo/RecommendView calls (the
@@ -42,12 +43,11 @@ type CounterView struct {
 	cnt   []int32       // cnt[i] = |A_impls[i] ∩ h|
 }
 
-// viewScratch is the merge scratch of one Apply, AdvanceTo or Candidates
-// call. Results never alias it.
+// viewScratch is the merge scratch of one Apply or AdvanceTo call. Results
+// never alias it.
 type viewScratch struct {
 	fresh []core.ImplID // first-touch ids of a row; delta postings of an advance
 	mult  []int32       // multiplicities of an advance's distinct ids
-	cand  core.CandidateScratch
 }
 
 var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
@@ -84,19 +84,6 @@ func (v *CounterView) Activity() []core.ActionID { return v.h }
 
 // Len returns |H|.
 func (v *CounterView) Len() int { return len(v.h) }
-
-// Candidates appends the candidate actions — the action space of IS(H)
-// minus H, exactly core.Library.Candidates — to dst and returns it. The pool
-// is derived, not stored: one pass over the action sets of impls, each
-// implementation once. A non-nil t, Reset by the caller, receives cnt[p] on
-// the goal of every implementation p: GS(H) with Best Match's profile, as
-// core.Library.AppendCandidates tallies it from H's posting rows.
-func (v *CounterView) Candidates(dst []core.ActionID, t *core.GoalTally) []core.ActionID {
-	sc := viewScratchPool.Get().(*viewScratch)
-	dst = v.lib.AppendImplCandidates(dst, &sc.cand, v.impls, v.cnt, v.h, t)
-	viewScratchPool.Put(sc)
-	return dst
-}
 
 // Footprint returns the heap bytes the view's arrays hold, used by the user
 // store's materialization accounting.
@@ -239,24 +226,43 @@ func runLengths[T comparable](s []T, mult []int32) ([]T, []int32) {
 	return s[:w], mult
 }
 
-// ViewRecommender is implemented by strategies that score a materialized
-// CounterView directly — the scoring phase alone, no accumulation pass.
-type ViewRecommender interface {
-	Recommender
-	RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error)
-}
-
-// RecommendView scores a materialized view through rec. Cache wrappers are
-// unwrapped (a view query bypasses the activity-keyed cache — the view IS
-// the cache); recommenders without a view path fall back to a from-scratch
+// RecommendView scores a materialized view through rec: the view's arrays
+// go straight to the strategy's scoring driver, with no accumulation pass.
+// Cache wrappers are unwrapped: a view already is the per-user cache, and
+// its results must not be keyed by activity across epochs. Recommenders
+// without a driver (the baselines) fall back to a from-scratch
 // RecommendContext over the view's activity, which is bit-identical by the
 // view invariants.
 func RecommendView(ctx context.Context, rec Recommender, v *CounterView, k int) ([]ScoredAction, error) {
 	if c, ok := rec.(*Cached); ok {
-		rec = c.Underlying()
+		rec = c.inner
 	}
-	if vr, ok := rec.(ViewRecommender); ok {
-		return vr.RecommendView(ctx, v, k)
+	var lib *core.Library
+	switch r := rec.(type) {
+	case *Focus:
+		lib = r.lib
+	case *Breadth:
+		lib = r.lib
+	case *BestMatch:
+		lib = r.lib
+	default:
+		return RecommendContext(ctx, rec, v.Activity(), k)
 	}
-	return RecommendContext(ctx, rec, v.Activity(), k)
+	if err := entryErr(ctx); err != nil {
+		return nil, err
+	}
+	if v.lib != lib {
+		return nil, ErrViewLibrary
+	}
+	if k == 0 {
+		return nil, nil
+	}
+	switch r := rec.(type) {
+	case *Focus:
+		em, err := r.rank(ctx, v.h, v.impls, v.cnt, k, 0)
+		return scoredActions(em), err
+	case *Breadth:
+		return r.score(ctx, v.h, v.impls, v.cnt, k)
+	}
+	return rec.(*BestMatch).rankCounts(ctx, v.h, v.impls, v.cnt, k)
 }

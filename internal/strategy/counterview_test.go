@@ -10,6 +10,7 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/testlib"
+	"goalrec/internal/vectorspace"
 )
 
 // checkViewState is the one view invariant: every array equals the library's
@@ -22,9 +23,12 @@ func checkViewState(t *testing.T, lib *core.Library, v *CounterView, h []core.Ac
 	if !sameIDs(v.h, sortedH) {
 		t.Fatalf("view activity = %v, want %v", v.h, sortedH)
 	}
-	var tally core.GoalTally
+	var (
+		tally core.GoalTally
+		sc    core.CandidateScratch
+	)
 	tally.Reset(lib.NumGoals())
-	if got, want := v.Candidates(nil, &tally), lib.Candidates(h); !sameIDs(got, want) {
+	if got, want := lib.AppendImplCandidates(nil, &sc, v.impls, v.cnt, v.h, &tally), lib.Candidates(h); !sameIDs(got, want) {
 		t.Fatalf("view candidates = %v, want %v (h=%v)", got, want, h)
 	}
 	if want := lib.ImplementationSpace(sortedH); !sameIDs(v.impls, want) {
@@ -162,8 +166,9 @@ func TestCounterViewAdvanceTo(t *testing.T) {
 }
 
 // TestRecommendViewDispatch covers the package-level dispatcher: cache
-// wrappers unwrap to the view path, and a view scored against a strategy
-// over a different snapshot is rejected.
+// wrappers unwrap to the view path, a recommender without a driver falls
+// back to RecommendContext, and a view scored against a strategy over a
+// different snapshot is rejected.
 func TestRecommendViewDispatch(t *testing.T) {
 	lib := testlib.PaperLibrary()
 	h := []core.ActionID{0, 3}
@@ -182,11 +187,28 @@ func TestRecommendViewDispatch(t *testing.T) {
 		t.Fatalf("view query went through the cache (hits=%d misses=%d)", hits, misses)
 	}
 
+	// A recommender without a scoring driver, as the baselines are, falls
+	// back to a from-scratch query over the view's activity.
+	baseline := &countingRecommender{inner: NewBreadthWeighted(lib, Count)}
+	cachedBaseline := NewCached(baseline, 8)
+	got, err = RecommendView(context.Background(), cachedBaseline, v, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ = RecommendContext(context.Background(), NewBreadthWeighted(lib, Count), h, 3)
+	if !reflect.DeepEqual(got, want) || baseline.calls != 1 {
+		t.Fatalf("baseline dispatch = %v after %d calls, want %v after 1", got, baseline.calls, want)
+	}
+	if hits, misses := cachedBaseline.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("baseline view query went through the cache (hits=%d misses=%d)", hits, misses)
+	}
+
 	other := testlib.RandomLibrary(rand.New(rand.NewSource(1)), 20, 8, 4, 4)
 	for name, rec := range map[string]Recommender{
-		"focus":      NewFocus(other, Completeness),
-		"breadth":    NewBreadth(other),
-		"best-match": NewBestMatch(other),
+		"focus":                NewFocus(other, Completeness),
+		"breadth":              NewBreadth(other),
+		"best-match":           NewBestMatch(other),
+		"best-match-manhattan": NewBestMatchMetric(other, vectorspace.Manhattan),
 	} {
 		if _, err := RecommendView(context.Background(), rec, v, 3); err != ErrViewLibrary {
 			t.Fatalf("%s: stale view accepted (err=%v)", name, err)

@@ -40,26 +40,23 @@ func (m FocusMeasure) String() string {
 // accumulation pass over H's posting rows yields |A_p ∩ H| for every
 // associated implementation, from which both measures and the missing count
 // follow in O(1) per implementation — no per-implementation set
-// intersections. Ranked implementations are selected through a bounded heap
-// instead of a full sort, and every rank source returns bit-identical
-// rankings.
+// intersections. One driver (rank) scores those counters and a
+// CounterView's alike. Ranked implementations are selected through a
+// bounded heap instead of a full sort.
 type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
 }
 
-// focusScratch is the pooled per-query state: the kernel counters plus the
-// ranked-implementation buffer and its selection copy.
+// focusScratch is the pooled per-query state: the ranked-implementation
+// buffer and its selection copy.
 type focusScratch struct {
-	overlapScratch
 	ranked []rankedImpl
 	sel    []rankedImpl
 }
 
 // focusScratchPool serves every Focus instance — both measures, every
-// library, epoch and shard — so a process holds one counter array per
-// concurrent query, not one per instance. The counters grow to the library
-// at hand in overlapScratch.run.
+// library, epoch and shard.
 var focusScratchPool = sync.Pool{New: func() any { return new(focusScratch) }}
 
 // NewFocus returns a Focus strategy over lib using the given measure.
@@ -117,66 +114,37 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 }
 
 // emissions is the from-scratch query, single node and shard alike (a single
-// node is the one shard at implBase 0): the counter kernel scores every
-// associated implementation, and selectEmit ranks and walks them.
+// node is the one shard at implBase 0): the counter kernel counts every
+// associated implementation, and rank scores, ranks and walks them.
 func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	h := intset.FromUnsorted(intset.Clone(activity))
-	s := focusScratchPool.Get().(*focusScratch)
-	defer focusScratchPool.Put(s)
-	all, err := f.kernelRanks(ctx, s, h)
+	ks := kernelScratchPool.Get().(*kernelScratch)
+	defer kernelScratchPool.Put(ks)
+	impls, cnt, err := ks.gather(ctx, f.lib, h)
 	if err != nil {
 		return nil, err
 	}
-	return f.selectEmit(ctx, s, all, h, k, implBase)
+	return f.rank(ctx, h, impls, cnt, k, implBase)
 }
 
-// kernelRanks is the counter-kernel rank source: it scores the touched
-// implementations straight from the counters.
-func (f *Focus) kernelRanks(ctx context.Context, s *focusScratch, h []core.ActionID) ([]rankedImpl, error) {
-	all := s.ranked[:0]
-	err := s.run(ctx, f.lib, h, func(touched []core.ImplID, tick *ticker) error {
-		for _, p := range touched {
-			if err := tick.tick(1); err != nil {
-				return err
-			}
-			if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(s.cnt[p])); ok {
-				all = append(all, ri)
-			}
-		}
-		return nil
-	})
-	s.ranked = all
-	return all, err
-}
-
-// RecommendView implements ViewRecommender: the view's materialized counters
-// are the rank source (no posting-row accumulation), and the ranking is
-// bit-identical to RecommendContext over the view's activity.
-func (f *Focus) RecommendView(ctx context.Context, v *CounterView, k int) ([]ScoredAction, error) {
-	if err := entryErr(ctx); err != nil {
-		return nil, err
-	}
-	if v.lib != f.lib {
-		return nil, ErrViewLibrary
-	}
-	if k == 0 || len(v.impls) == 0 {
-		return nil, nil
-	}
+// rank is Focus's one scoring driver, over the kernel's gathered counters
+// and a CounterView's alike: cnt[i] = |A_impls[i] ∩ H| scores impls[i], and
+// selectEmit ranks and walks the scored set.
+func (f *Focus) rank(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int, implBase int64) ([]FocusEmission, error) {
 	s := focusScratchPool.Get().(*focusScratch)
 	defer focusScratchPool.Put(s)
 	tick := newTicker(ctx)
 	all := s.ranked[:0]
-	for i, p := range v.impls {
+	for i, p := range impls {
 		if err := tick.tick(1); err != nil {
 			return nil, err
 		}
-		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(v.cnt[i])); ok {
+		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(cnt[i])); ok {
 			all = append(all, ri)
 		}
 	}
 	s.ranked = all
-	out, err := f.selectEmit(ctx, s, all, v.h, k, 0)
-	return scoredActions(out), err
+	return f.selectEmit(ctx, s, all, h, k, implBase)
 }
 
 // focusRank scores one implementation from its counter — a pure function of

@@ -2,6 +2,8 @@ package strategy
 
 import (
 	"context"
+	"slices"
+	"sync"
 
 	"goalrec/internal/core"
 )
@@ -12,51 +14,60 @@ import (
 // accumulate every action's A-GI posting row into a flat per-implementation
 // counter array, so that cnt[p] == |A_p ∩ H| for every associated
 // implementation with no per-implementation set intersections and no
-// materialized, sorted IS(H). A query runs on its caller's goroutine;
-// parallelism lives a level up, across requests and cluster workers.
+// materialized, sorted IS(H). The kernel hands its result over in a
+// CounterView's layout, so each strategy scores a from-scratch query and a
+// view with one driver. A query runs on its caller's goroutine; parallelism
+// lives a level up, across requests and cluster workers.
 
 // kernelRowChunk bounds how many posting entries are accumulated between
 // context polls, so a cancellation lands mid-row on huge posting lists
 // instead of waiting the row out.
 const kernelRowChunk = 4096
 
-// overlapScratch is the pooled state of one kernel execution: the flat
-// counter array and the first-touch list that both indexes it and drives its
-// re-zeroing.
-type overlapScratch struct {
+// kernelScratch is the pooled state of one kernel execution: the flat
+// counter array, the first-touch list that both indexes it and drives its
+// re-zeroing, and the counts gathered out of it, aligned with the list.
+type kernelScratch struct {
 	cnt     []int32
 	touched []core.ImplID
+	counts  []int32
 }
 
-// run executes the counter kernel over IS(h) and invokes visit once, with the
-// touched implementations, when the counters are final. h must be sorted and
-// deduplicated. The counter array is re-zeroed before run returns — on
-// success and on abort alike — so the scratch always goes back to its pool
-// clean.
-func (s *overlapScratch) run(ctx context.Context, lib *core.Library, h []core.ActionID,
-	visit func(touched []core.ImplID, tick *ticker) error) error {
+// kernelScratchPool serves every Focus and Breadth query — every measure,
+// weighting, library, epoch and shard — so a process holds one counter
+// array per concurrent query, not one per instance. The counters grow to
+// the library at hand in gather.
+var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
+// gather runs the counter kernel over IS(h) and returns it in the
+// CounterView layout: impls the touched implementations (first-touch order,
+// not id order) and cnt[i] = |A_impls[i] ∩ H|. h must be sorted and
+// deduplicated. One walk of the touched list copies each counter out and
+// clears it, so the counter array is all zero when gather returns — on
+// success and on abort alike. Both slices alias s until its next use; after
+// an abort (err != nil) they hold partial counts.
+func (s *kernelScratch) gather(ctx context.Context, lib *core.Library, h []core.ActionID) (impls []core.ImplID, cnt []int32, err error) {
 	if n := lib.NumImplementations(); len(s.cnt) < n {
 		s.cnt = make([]int32, n)
 	}
-	tick := newTicker(ctx)
-	err := s.accumulate(lib, h, &tick)
-	if err == nil {
-		err = visit(s.touched, &tick)
+	err = s.accumulate(ctx, lib, h)
+	// The touched list records every increment, an aborted pass's too.
+	impls, counters := s.touched, s.cnt
+	cnt = slices.Grow(s.counts[:0], len(impls))[:len(impls)]
+	for i, p := range impls {
+		cnt[i] = counters[p]
+		counters[p] = 0
 	}
-	// The pooled counters must go back clean even when the pass aborted
-	// mid-accumulation: every increment was recorded in the touched list.
-	for _, p := range s.touched {
-		s.cnt[p] = 0
-	}
-	return err
+	s.counts = cnt
+	return impls, cnt, err
 }
 
 // accumulate adds every posting row of h into the counter array, recording
 // first-touched implementations in the touched list (including on abort, so
 // cleanup stays exact).
-func (s *overlapScratch) accumulate(lib *core.Library, h []core.ActionID, tick *ticker) error {
+func (s *kernelScratch) accumulate(ctx context.Context, lib *core.Library, h []core.ActionID) error {
 	touched := s.touched[:0]
+	tick := newTicker(ctx)
 	var err error
 	for _, a := range h {
 		row := lib.ImplsOfAction(a)

@@ -107,22 +107,7 @@ func TestBestMatchAllocationBudget(t *testing.T) {
 			{"jaccard-goal-major", vectorspace.JaccardDist},
 		} {
 			t.Run(fmt.Sprintf("impls=%d/pool>=%d/%s", size, pool, c.name), func(t *testing.T) {
-				bm := NewBestMatchMetric(lib, c.metric)
-				for _, q := range queries[:8] {
-					bm.Recommend(q, 10) // grow the pooled scratch to the library's shape
-				}
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				for _, q := range queries {
-					bm.Recommend(q, 10)
-				}
-				runtime.ReadMemStats(&m1)
-				perQuery := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(queries))
-				// Whole allocations per query, truncated as testing.AllocsPerRun
-				// does: a rare pool refill after a GC must not flake the bound.
-				mallocs := m1.Mallocs - m0.Mallocs
-				allocs := mallocs / uint64(len(queries))
-				t.Logf("%d bytes, %.2f allocations per query", perQuery, float64(mallocs)/float64(len(queries)))
+				perQuery, allocs := queryAllocs(t, NewBestMatchMetric(lib, c.metric), queries)
 				if perQuery > budget {
 					t.Fatalf("uncached query allocates %d bytes, budget %d", perQuery, budget)
 				}
@@ -131,5 +116,56 @@ func TestBestMatchAllocationBudget(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// queryAllocs returns the bytes and the whole allocations an uncached top-10
+// query of rec makes, averaged over queries once the pooled scratch has
+// grown to the library's shape.
+func queryAllocs(t *testing.T, rec Recommender, queries [][]core.ActionID) (bytes, allocs uint64) {
+	t.Helper()
+	for _, q := range queries[:8] {
+		rec.Recommend(q, 10)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, q := range queries {
+		rec.Recommend(q, 10)
+	}
+	runtime.ReadMemStats(&m1)
+	n := uint64(len(queries))
+	mallocs := m1.Mallocs - m0.Mallocs
+	t.Logf("%d bytes, %.2f allocations per query", (m1.TotalAlloc-m0.TotalAlloc)/n, float64(mallocs)/float64(n))
+	// Whole allocations per query, truncated as testing.AllocsPerRun does: a
+	// rare pool refill after a GC must not flake the bound.
+	return (m1.TotalAlloc - m0.TotalAlloc) / n, mallocs / n
+}
+
+// TestScanAllocationBudget pins what an uncached Focus or Breadth query
+// allocates on BenchmarkScanKernel's library. The kernel's ticker stays on
+// the stack: a Breadth query allocates its normalized activity and its
+// result, and a Focus query one allocation fewer than when the ticker went
+// to the heap through the kernel's visit callback (12 and 3 then).
+func TestScanAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random; the budget is pinned by the plain run")
+	}
+	lib := benchLibrary(20000, 500, 3)
+	queries := benchQueries(500, 128, 5, 4)
+	for _, c := range []struct {
+		rec    Recommender
+		budget uint64
+	}{
+		{NewFocus(lib, Completeness), 11},
+		{NewFocus(lib, Closeness), 11},
+		{NewBreadthWeighted(lib, Overlap), 2},
+		{NewBreadthWeighted(lib, Count), 2},
+		{NewBreadthWeighted(lib, Union), 2},
+	} {
+		t.Run(c.rec.Name(), func(t *testing.T) {
+			if _, allocs := queryAllocs(t, c.rec, queries); allocs > c.budget {
+				t.Fatalf("uncached query makes %d allocations, budget %d", allocs, c.budget)
+			}
+		})
 	}
 }
