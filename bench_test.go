@@ -355,7 +355,7 @@ func dynBenchEnvFor(b *testing.B, n int) *dynBenchEnv {
 // A lineage is started over from the flat base every dynBenchLineage
 // publishes, so ns/op and B/op are per publish at a bounded backlog and do
 // not depend on b.N. retained=1 drops each snapshot when the next exists;
-// retained=all keeps every one of a lineage alive, as lagging user views do.
+// retained=all keeps every one of a lineage alive, as lagging readers do.
 // live-B/op is what a publish leaves on the heap after a collection: the
 // per-epoch cost of retention.
 func BenchmarkDynamicSnapshotAppend(b *testing.B) {

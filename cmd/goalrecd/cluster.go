@@ -42,7 +42,7 @@ var roleOnlyFlags = map[string]string{
 // coordinator does not have: it never scans, journals or keeps users.
 var nodeOnlyFlags = []string{
 	"snapshot-dir", "wal-sync", "compact-wal-bytes", "scrub-interval",
-	"user-capacity", "user-views",
+	"user-capacity",
 }
 
 // checkRoleFlags refuses a flag set on the command line that role cannot

@@ -14,13 +14,13 @@
 //	POST /v1/implementations      live-ingest a batch of implementations
 //	POST /v1/reload               re-read the library file and swap it in
 //	POST /v1/users/{id}/actions   append to a stored per-user history
-//	GET  /v1/users/{id}/recommend score a stored history (materialized view)
+//	GET  /v1/users/{id}/recommend score a stored history
 //	DELETE /v1/users/{id}         forget a user
 //
-// The daemon always serves the per-user store; -user-capacity caps tracked
-// users and -user-views caps concurrently materialized counter views (the
-// LRU bound on per-user scoring state). With -snapshot-dir user appends and
-// deletes are journaled to the same WAL as ingests and recovered on restart.
+// The daemon always serves the per-user store of histories, each scored as
+// /v1/recommend scores a shipped activity; -user-capacity caps tracked users.
+// With -snapshot-dir user appends and deletes are journaled to the same WAL
+// as ingests and recovered on restart.
 //
 // Every response carries the epoch it was answered from; ingests and
 // reloads advance the epoch without interrupting in-flight requests. With
@@ -72,7 +72,8 @@
 // so -request-timeout, -max-inflight, -admission-wait, -quiet and -pprof-addr
 // mean the same thing in each. A coordinator answers the recommendation,
 // probe, stats, metrics and reload endpoints — POST /v1/reload there is the
-// cluster-wide two-phase swap, which is why -watch is refused with it.
+// cluster-wide two-phase swap. Only that swap moves a worker's epoch: -watch
+// is refused with any -role, and a worker's own POST /v1/reload answers 501.
 // -quiet silences the request log only: every 5xx is still logged with its
 // cause and the epochs the node (or the coordinator and its workers) was at.
 //
@@ -107,7 +108,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(make(chan os.Signal, 1)); err != nil {
 		fmt.Fprintln(os.Stderr, "goalrecd:", err)
 		os.Exit(1)
 	}
@@ -129,7 +130,8 @@ func loadLibrary(logger *log.Logger, path string) (*goalrec.Library, error) {
 	return lib, nil
 }
 
-func run() error {
+// run serves until the listener fails or SIGINT or SIGTERM arrives on stop.
+func run(stop chan os.Signal) error {
 	libPath := flag.String("library", "", "path to the library file; a JSON-lines file is served from a memory-mapped snapshot kept beside it at <path>.gsnp, and a worker's shard from one at <path>.shard-<lo>-<hi|end>.gsnp, each rebuilt when stale (deleting them is always safe)")
 	addr := flag.String("addr", ":8080", "listen address")
 	quiet := flag.Bool("quiet", false, "disable request logging")
@@ -143,7 +145,6 @@ func run() error {
 	compactWALBytes := flag.Int64("compact-wal-bytes", 0, "WAL size that triggers background compaction into a snapshot; 0 selects the default (needs -snapshot-dir)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "re-verify snapshot checksums and WAL CRCs at this interval, quarantining corrupt snapshots; 0 disables the periodic scrub (needs -snapshot-dir; the open-time scrub always runs)")
 	userCapacity := flag.Int("user-capacity", 0, "max tracked users in the per-user store; 0 selects the default")
-	userViews := flag.Int("user-views", 0, "max concurrently materialized per-user counter views; 0 selects the default")
 	role := flag.String("role", "", `cluster role: "" (single node), "coordinator" (scatter-gather front end over -peers) or "worker" (shard server on -cluster-addr)`)
 	clusterAddr := flag.String("cluster-addr", "", "cluster comms listen address (worker role)")
 	peersFlag := flag.String("peers", "", "comma-separated worker comms addresses (coordinator role)")
@@ -174,10 +175,8 @@ func run() error {
 		return errors.New("-role coordinator needs -library")
 	case *role == "coordinator" && len(peers) == 0:
 		return errors.New("-role coordinator needs -peers")
-	case *role == "coordinator" && *watch > 0:
-		// A coordinator swaps in lockstep with its workers; a local poll
-		// would move its copy alone.
-		return errors.New("-watch does not apply to -role coordinator: POST /v1/reload drives the cluster-wide swap")
+	case *role != "" && *watch > 0:
+		return fmt.Errorf("-watch does not apply to -role %s: POST /v1/reload on the coordinator drives the cluster-wide swap", *role)
 	case *libPath == "" && *snapshotDir == "":
 		return errors.New("one of -library or -snapshot-dir is required")
 	case *watch > 0 && *libPath == "":
@@ -192,7 +191,8 @@ func run() error {
 
 	reload := func() (*goalrec.Library, error) { return loadLibrary(logger, *libPath) }
 	var opts []server.Option
-	if *libPath != "" {
+	if *libPath != "" && *role == "" {
+		// A coordinator brings its own reload; a worker's /v1/reload is a 501.
 		opts = append(opts, server.WithReloader(reload))
 	}
 	if *requestTimeout > 0 {
@@ -202,7 +202,7 @@ func run() error {
 		opts = append(opts, server.WithMaxInflight(*maxInflight), server.WithAdmissionWait(*admissionWait))
 	}
 
-	userOpts := goalrec.UserStoreOptions{MaxUsers: *userCapacity, MaxViews: *userViews}
+	userOpts := goalrec.UserStoreOptions{MaxUsers: *userCapacity}
 
 	// One front end in every role; what differs is the backend behind it.
 	// closeBackend runs only after the HTTP server has fully drained: readers
@@ -370,8 +370,8 @@ func run() error {
 
 	// One way down, whether the listener failed or a signal arrived: stop
 	// what feeds the engine from outside HTTP, drain, then close the backend.
-	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	var serveErr error
 	select {
 	case serveErr = <-errCh:

@@ -5,10 +5,13 @@ import (
 	"context"
 	"flag"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -146,16 +149,22 @@ func TestWatcherIgnoresUnchangedFile(t *testing.T) {
 // runWith runs the daemon with args on a fresh command line.
 func runWith(t *testing.T, args ...string) error {
 	t.Helper()
+	return runUntil(make(chan os.Signal, 1), args...)
+}
+
+// runUntil is runWith for a daemon that starts serving: a signal sent on
+// stop shuts it down.
+func runUntil(stop chan os.Signal, args ...string) error {
 	saved, cmdline := os.Args, flag.CommandLine
 	defer func() { os.Args, flag.CommandLine = saved, cmdline }()
 	flag.CommandLine = flag.NewFlagSet("goalrecd", flag.ContinueOnError)
 	os.Args = append([]string{"goalrecd"}, args...)
-	return run()
+	return run(stop)
 }
 
 // TestRoleFlagsRefusedAtStartup: a flag combination a role cannot honour is
-// an error before anything is loaded or listened on — in particular -watch on
-// a coordinator, whose swaps are cluster-wide, is refused rather than ignored,
+// an error before anything is loaded or listened on — in particular -watch in
+// a cluster role, whose swaps are cluster-wide, is refused rather than ignored,
 // and so is every flag that only another role reads. None of these libraries
 // exists, so an error that names the flag was raised before the load.
 func TestRoleFlagsRefusedAtStartup(t *testing.T) {
@@ -166,6 +175,7 @@ func TestRoleFlagsRefusedAtStartup(t *testing.T) {
 		want string
 	}{
 		{append(coordinator, "-watch", "1s"), "-watch"},
+		{append(worker, "-watch", "1s"), "-watch"},
 		{[]string{"-role", "coordinator", "-library", "x.jsonl"}, "-peers"},
 		{[]string{"-role", "coordinator", "-peers", "127.0.0.1:1"}, "-library"},
 		{[]string{"-role", "worker", "-library", "x.jsonl"}, "-cluster-addr"},
@@ -185,7 +195,6 @@ func TestRoleFlagsRefusedAtStartup(t *testing.T) {
 		{append(coordinator, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
 		{append(coordinator, "-scrub-interval", "1m"), "-scrub-interval"},
 		{append(coordinator, "-user-capacity", "10"), "-user-capacity"},
-		{append(coordinator, "-user-views", "10"), "-user-views"},
 		// -shard-range is parsed before the library is loaded.
 		{append(worker, "-shard-range", "5"), "-shard-range"},
 		{append(worker, "-shard-range", "9:3"), "-shard-range"},
@@ -213,5 +222,51 @@ func TestWorkerRangeOutsideLibraryFailsAtStart(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-shard-range") || !strings.Contains(err.Error(), "3 implementations") {
 			t.Errorf("-shard-range %s on a 3-implementation library: error %v, want one naming the flag and the size", r, err)
 		}
+	}
+}
+
+// TestWorkerReloadNotImplemented: a worker's epoch moves only by the
+// coordinator's commit, so its own POST /v1/reload answers 501 instead of
+// swapping the worker alone.
+func TestWorkerReloadNotImplemented(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lib.jsonl")
+	if err := os.WriteFile(path, []byte(`{"goal":"salad","actions":["potatoes","carrots"]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- runUntil(stop, "-role", "worker", "-library", path, "-quiet", "-addr", addr,
+			"-cluster-addr", "127.0.0.1:0")
+	}()
+	var resp *http.Response
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("worker exited before serving: %v", err)
+		default:
+		}
+		if resp, err = http.Post("http://"+addr+"/v1/reload", "application/json", nil); err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	stop <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("worker shutdown: %v", err)
+	}
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("worker POST /v1/reload = %d, want 501", resp.StatusCode)
 	}
 }

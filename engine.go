@@ -31,12 +31,6 @@ type Engine struct {
 	dyn   *core.DynamicLibrary
 	state atomic.Pointer[engineState]
 
-	// gen numbers the library lineage: it stays fixed across appends and
-	// epoch restores (posting rows only ever extend, so materialized
-	// CounterViews can be carried forward by delta replay) and increments on
-	// every Swap (ids are reassigned wholesale, so views must rebuild).
-	gen uint64
-
 	// journal, when non-nil, receives every publishing write before it is
 	// applied (write-ahead). A Store attaches itself here; the zero engine
 	// journals nothing.
@@ -63,7 +57,6 @@ var ErrJournal = errors.New("goalrec: journal append failed")
 // stale scores: every WithCache LRU lives in this map and dies with it.
 type engineState struct {
 	lib *Library
-	gen uint64 // lineage generation, see Engine.gen
 
 	mu   sync.Mutex
 	recs map[recKey]Recommender
@@ -77,14 +70,14 @@ type recKey struct {
 	o recOptions
 }
 
-func newEngineState(lib *Library, gen uint64) *engineState {
-	return &engineState{lib: lib, gen: gen, recs: make(map[recKey]Recommender)}
+func newEngineState(lib *Library) *engineState {
+	return &engineState{lib: lib, recs: make(map[recKey]Recommender)}
 }
 
 // NewEngine returns an empty Engine at epoch 0.
 func NewEngine() *Engine {
 	e := &Engine{vocab: core.NewVocabulary(), dyn: core.NewDynamicLibrary()}
-	e.state.Store(newEngineState(&Library{lib: e.dyn.Snapshot(), vocab: e.vocab}, 0))
+	e.state.Store(newEngineState(&Library{lib: e.dyn.Snapshot(), vocab: e.vocab}))
 	return e
 }
 
@@ -94,7 +87,7 @@ func NewEngine() *Engine {
 func NewEngineFromLibrary(lib *Library) *Engine {
 	e := &Engine{vocab: lib.vocab, dyn: core.NewDynamicLibrary()}
 	stamped := e.dyn.Swap(lib.lib)
-	e.state.Store(newEngineState(&Library{lib: stamped, vocab: lib.vocab, side: lib.side}, 0))
+	e.state.Store(newEngineState(&Library{lib: stamped, vocab: lib.vocab, side: lib.side}))
 	return e
 }
 
@@ -201,7 +194,7 @@ func (e *Engine) addLocked(goal string, actions []string) error {
 // epoch with a fresh (empty) recommender set.
 func (e *Engine) publishLocked() *Library {
 	lib := &Library{lib: e.dyn.Snapshot(), vocab: e.vocab}
-	e.state.Store(newEngineState(lib, e.gen))
+	e.state.Store(newEngineState(lib))
 	return lib
 }
 
@@ -215,8 +208,7 @@ func (e *Engine) Swap(lib *Library) *Library {
 	e.vocab = lib.vocab
 	stamped := e.dyn.Swap(lib.lib)
 	nl := &Library{lib: stamped, vocab: lib.vocab, side: lib.side}
-	e.gen++
-	e.state.Store(newEngineState(nl, e.gen))
+	e.state.Store(newEngineState(nl))
 	if e.journal != nil {
 		// A swap supersedes every journaled batch: the store persists the new
 		// epoch as a full snapshot and resets the log.
@@ -238,7 +230,7 @@ func newEngineAdopting(lib *Library) *Engine {
 			panic(err) // unreachable: 1 < ep
 		}
 	}
-	e.state.Store(newEngineState(&Library{lib: e.dyn.Snapshot(), vocab: lib.vocab}, 0))
+	e.state.Store(newEngineState(&Library{lib: e.dyn.Snapshot(), vocab: lib.vocab}))
 	return e
 }
 
@@ -254,7 +246,7 @@ func (e *Engine) restoreEpoch(ep uint64) error {
 	if err := e.dyn.RestoreEpoch(ep); err != nil {
 		return err
 	}
-	e.state.Store(newEngineState(&Library{lib: e.dyn.Snapshot(), vocab: e.vocab}, e.gen))
+	e.state.Store(newEngineState(&Library{lib: e.dyn.Snapshot(), vocab: e.vocab}))
 	return nil
 }
 

@@ -551,6 +551,11 @@ func WithCache(entries int) RecommenderOption {
 	}
 }
 
+// MaxActivityActions bounds the activity one query scores: the HTTP server
+// refuses a longer shipped activity before spending any CPU on it, and a
+// UserStore refuses an append that would take a stored history past it.
+const MaxActivityActions = 10_000
+
 // Recommendation is one ranked suggestion.
 type Recommendation struct {
 	// Action is the recommended action's name.

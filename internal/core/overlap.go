@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // This file provides the posting-row accumulation primitives behind the
 // Focus/Breadth counter kernel (see internal/strategy): one pass over the
 // A-GI posting rows of an activity's actions computes |A_p ∩ H| for every
@@ -24,16 +22,4 @@ func AccumulateOverlapRow(row []ImplID, cnt []int32, touched []ImplID) []ImplID 
 		cnt[p]++
 	}
 	return touched
-}
-
-// ImplsOfActionRange returns the sub-row of IS(a) whose implementation ids
-// lie in [lo, hi), by binary search over the sorted posting row.
-// CounterView.AdvanceTo (internal/strategy) uses it to replay only the row
-// tails a grown library appended past the view's old implementation count.
-// The result is a view and must not be modified.
-func (l *Library) ImplsOfActionRange(a ActionID, lo, hi ImplID) []ImplID {
-	row := l.ImplsOfAction(a)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= lo })
-	j := i + sort.Search(len(row)-i, func(j int) bool { return row[i+j] >= hi })
-	return row[i:j]
 }

@@ -184,27 +184,6 @@ func TestSnapshotRewriteFromMapped(t *testing.T) {
 	assertLibrariesEqual(t, lib, again.Library())
 }
 
-// ImplsOfActionRange over a mapped library is the binary-searched sub-slice
-// of the row and at the edges of the id space.
-func TestImplsOfActionRangeMapped(t *testing.T) {
-	lib := snapTestLibrary(t, 3000, 20, 6) // few actions: long rows
-	ml := snapshotRoundTrip(t, lib, nil, SnapshotOptions{}).Library()
-	for a := 0; a < lib.NumActions(); a++ {
-		row := lib.ImplsOfAction(ActionID(a))
-		for _, span := range [][2]ImplID{{0, 3000}, {0, 1}, {100, 900}, {512, 513}, {2999, 3000}, {1500, 1500}} {
-			var want []ImplID
-			for _, p := range row {
-				if p >= span[0] && p < span[1] {
-					want = append(want, p)
-				}
-			}
-			if got := ml.ImplsOfActionRange(ActionID(a), span[0], span[1]); !slicesEq(want, got) {
-				t.Fatalf("action %d range %v: got %d entries, want %d", a, span, len(got), len(want))
-			}
-		}
-	}
-}
-
 // resealCompressedFlag sets the retired compressed-postings header flag on a
 // snapshot image and reseals the header CRC and, when present, the footer,
 // as that encoding's writer would have.

@@ -59,9 +59,7 @@ func TestLifecycleMetricsKeys(t *testing.T) {
 	_, body := getJSON(t, durable.URL+"/v1/metrics")
 	for _, path := range [][]string{
 		{"epoch"}, {"requests"}, {"errors"}, {"lifecycle", "sheds"}, {"library", "backing"},
-		{"users", "enabled"}, {"users", "counters", "hits"}, {"users", "counters", "advances"},
-		{"users", "counters", "cold"}, {"users", "counters", "evictions"}, {"users", "counters", "rebuilds"},
-		{"users", "counters", "appends"}, {"users", "counters", "deletes"},
+		{"users", "enabled"}, {"users", "counters", "appends"}, {"users", "counters", "deletes"},
 		{"storage", "enabled"}, {"storage", "status", "degradations"}, {"storage", "status", "mode"},
 		{"reload_failure_streak"},
 	} {
@@ -156,7 +154,7 @@ func TestCancelMidScoring(t *testing.T) {
 
 func TestActivityTooLong(t *testing.T) {
 	ts := newTestServer(t)
-	long := `["a"` + strings.Repeat(`,"a"`, maxActivityActions) + `]`
+	long := `["a"` + strings.Repeat(`,"a"`, goalrec.MaxActivityActions) + `]`
 	for _, tc := range []struct{ name, path, body string }{
 		{"recommend", "/v1/recommend", `{"activity": ` + long + `}`},
 		{"spaces", "/v1/spaces", `{"activity": ` + long + `}`},

@@ -14,13 +14,12 @@
 //	POST /v1/reload                   re-read the library source and swap it in
 //	POST /v1/users/{id}/actions       {"actions": [...]} append to the user's stored history
 //	GET  /v1/users/{id}/recommend     ?strategy=&metric=&k= score the stored history
-//	DELETE /v1/users/{id}             forget the user (history + materialized view)
+//	DELETE /v1/users/{id}             forget the user and its history
 //
 // The user endpoints (enabled with WithUserStore, 501 otherwise) serve
-// per-user state the server owns: each user's deduplicated activity history
-// plus a materialized counter view, so an append is one posting-row walk and
-// a recommend scores pre-accumulated counters instead of rescanning the
-// history — bit-identical to POSTing the same history to /v1/recommend.
+// per-user state the server owns: each user's deduplicated activity history,
+// at most goalrec.MaxActivityActions names. A recommend scores the stored
+// history exactly as POSTing it to /v1/recommend would.
 //
 // The front end serves a Backend — the local engine of one node, or a
 // cluster coordinator — and is the same server on both: routing, decoding,
@@ -61,11 +60,6 @@ import (
 // maxBodyBytes bounds request bodies; activities and ingest batches are
 // small relative to this.
 const maxBodyBytes = 1 << 20
-
-// maxActivityActions bounds the activity length accepted by the scoring
-// endpoints: longer activities are rejected with a 400 before any CPU is
-// spent on them.
-const maxActivityActions = 10_000
 
 // statusClientClosedRequest is the nginx-convention status for a request
 // aborted because the client went away; it is never seen by that client,
@@ -261,8 +255,8 @@ func WithAdmissionWait(d time.Duration) Option {
 
 // WithUserStore enables the /v1/users endpoints over us — typically
 // Store.Users() so appends and deletes are journaled. Without it the user
-// endpoints answer 501. The store's counters (materialized hits, cold
-// builds, advances, evictions) appear under "users" in /v1/metrics.
+// endpoints answer 501. The store's counters (users, appends, deletes,
+// refusals at the user cap) appear under "users" in /v1/metrics.
 func WithUserStore(us *goalrec.UserStore) Option {
 	return func(s *Server) { s.users = us }
 }
@@ -738,15 +732,15 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) b
 }
 
 // validActivity enforces the shared activity bounds: non-empty and at most
-// maxActivityActions actions. It writes the 400 itself on violation.
+// goalrec.MaxActivityActions actions. It writes the 400 itself on violation.
 func (s *Server) validActivity(w http.ResponseWriter, activity []string) bool {
 	if len(activity) == 0 {
 		s.writeError(w, http.StatusBadRequest, "activity must not be empty")
 		return false
 	}
-	if len(activity) > maxActivityActions {
+	if len(activity) > goalrec.MaxActivityActions {
 		s.writeError(w, http.StatusBadRequest,
-			"activity too long: %d actions (limit %d)", len(activity), maxActivityActions)
+			"activity too long: %d actions (limit %d)", len(activity), goalrec.MaxActivityActions)
 		return false
 	}
 	return true
@@ -874,9 +868,9 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case len(activity) == 0:
 			results[i].Error = "activity must not be empty"
-		case len(activity) > maxActivityActions:
+		case len(activity) > goalrec.MaxActivityActions:
 			results[i].Error = fmt.Sprintf("activity too long: %d actions (limit %d)",
-				len(activity), maxActivityActions)
+				len(activity), goalrec.MaxActivityActions)
 		default:
 			scorable = append(scorable, i)
 			batch = append(batch, activity)

@@ -11,8 +11,7 @@ import (
 
 // ErrViewLibrary reports a CounterView scored against a strategy built over
 // a different library snapshot. Counters are only meaningful against the
-// postings they were accumulated from; callers advance or rebuild the view
-// before scoring (see AdvanceTo).
+// postings they were accumulated from.
 var ErrViewLibrary = errors.New("strategy: counter view was built over a different library snapshot")
 
 // CounterView is the kernel's accumulation phase materialized as state: for
@@ -22,18 +21,15 @@ var ErrViewLibrary = errors.New("strategy: counter view was built over a differe
 // Library.ImplLen, and the candidate pool AS(H) − H = ∪_{p∈IS(H)} A_p − H,
 // the goal space and Best Match's profile (Σ cnt[p] over the implementations
 // of each goal) are collected from impls per Best Match query.
-// A view is built from scratch over a library, delta-updated by Apply along
-// one appended action's posting row, and carried across same-lineage
-// snapshot extensions by AdvanceTo, which replays only the appended
-// posting-row tails. RecommendView hands the view's arrays to the same
-// scoring driver a from-scratch query feeds from the counter kernel, so
-// every strategy ranks a view bit-identically to a from-scratch Recommend
-// over the same H.
+// A view is built over one library and delta-updated by Apply along one
+// appended action's posting row. RecommendView hands the view's arrays to
+// the same scoring driver a from-scratch query feeds from the counter
+// kernel, so every strategy ranks a view bit-identically to a from-scratch
+// Recommend over the same H.
 //
-// impls and cnt are parallel and id-sorted. A view is single-writer
-// state: the owner serializes Apply/AdvanceTo/RecommendView calls (the
-// per-user store holds one view per user under the user's lock). Merge
-// scratch is pooled across views (viewScratch), never part of one.
+// impls and cnt are parallel and id-sorted. A view is single-writer state:
+// the owner serializes Apply/RecommendView calls. Merge scratch is pooled
+// across views (viewScratch), never part of one.
 type CounterView struct {
 	lib *core.Library
 
@@ -43,11 +39,10 @@ type CounterView struct {
 	cnt   []int32       // cnt[i] = |A_impls[i] ∩ h|
 }
 
-// viewScratch is the merge scratch of one Apply or AdvanceTo call. Results
-// never alias it.
+// viewScratch is the merge scratch of one Apply call. Results never alias
+// it.
 type viewScratch struct {
-	fresh []core.ImplID // first-touch ids of a row; delta postings of an advance
-	mult  []int32       // multiplicities of an advance's distinct ids
+	fresh []core.ImplID // first-touch ids of a row
 }
 
 var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
@@ -57,26 +52,12 @@ var viewScratchPool = sync.Pool{New: func() any { return new(viewScratch) }}
 // count toward |H| exactly as the from-scratch kernel counts them) but
 // contribute no postings.
 func NewCounterView(lib *core.Library, activity []core.ActionID) *CounterView {
-	v := &CounterView{}
-	v.Rebuild(lib, activity)
-	return v
-}
-
-// Rebuild resets the view in place (keeping its allocations) and rebuilds it
-// over lib from activity — the swap-invalidation path for views whose
-// library changed lineage.
-func (v *CounterView) Rebuild(lib *core.Library, activity []core.ActionID) {
-	v.lib = lib
-	v.h = v.h[:0]
-	v.impls = v.impls[:0]
-	v.cnt = v.cnt[:0]
+	v := &CounterView{lib: lib}
 	for _, a := range activity {
 		v.Apply(a)
 	}
+	return v
 }
-
-// Lib returns the library snapshot the counters are valid against.
-func (v *CounterView) Lib() *core.Library { return v.lib }
 
 // Activity returns the view's sorted distinct activity H. The slice is the
 // view's own state and must not be modified.
@@ -84,12 +65,6 @@ func (v *CounterView) Activity() []core.ActionID { return v.h }
 
 // Len returns |H|.
 func (v *CounterView) Len() int { return len(v.h) }
-
-// Footprint returns the heap bytes the view's arrays hold, used by the user
-// store's materialization accounting.
-func (v *CounterView) Footprint() int {
-	return 4 * (cap(v.h) + cap(v.impls) + cap(v.cnt))
-}
 
 // Apply adds action a to H and delta-updates the counters along a's posting
 // row: cnt along IS(a), first-touch implementations merged into impls. It
@@ -115,8 +90,8 @@ func (v *CounterView) Apply(a core.ActionID) bool {
 }
 
 // grow extends s by n entries. Past capacity it reallocates to the exact
-// need plus one eighth: a view lives as long as its user stays materialized,
-// so the slack append's doubling leaves behind is paid for the whole time.
+// need plus one eighth, not append's doubling: a view's slack is held as
+// long as the view is.
 func grow[T any](s []T, n int) []T {
 	need := len(s) + n
 	if need <= cap(s) {
@@ -165,71 +140,10 @@ func (v *CounterView) mergeRow(row []core.ImplID, sc *viewScratch) {
 	}
 }
 
-// AdvanceTo carries the view from its current snapshot to newLib, which must
-// be a same-lineage extension (DynamicLibrary snapshots append: every posting
-// row of newLib is the old row plus strictly larger implementation ids, and
-// implementation action sets are immutable). Only the appended row tails
-// [oldN, newN) of H's actions are replayed — cost proportional to the delta,
-// not to |IS(H)|. Crossing a Swap (new lineage, ids reassigned) requires
-// Rebuild instead; the engine layer tracks lineage and chooses.
-func (v *CounterView) AdvanceTo(newLib *core.Library) {
-	if newLib == v.lib {
-		return
-	}
-	oldN := core.ImplID(v.lib.NumImplementations())
-	newN := core.ImplID(newLib.NumImplementations())
-	v.lib = newLib
-	if newN <= oldN {
-		// Same implementation content (an epoch-only republish).
-		return
-	}
-	sc := viewScratchPool.Get().(*viewScratch)
-	defer viewScratchPool.Put(sc)
-	delta := sc.fresh[:0]
-	for _, a := range v.h {
-		if a < 0 || int(a) >= newLib.NumActions() {
-			continue
-		}
-		delta = append(delta, newLib.ImplsOfActionRange(a, oldN, newN)...)
-	}
-	sc.fresh = delta
-	if len(delta) == 0 {
-		return
-	}
-	// Each delta posting is one (action, implementation) incidence: it
-	// contributes 1 to cnt[p]. Every delta id is ≥ oldN, strictly above every
-	// materialized id, so the merge is a pure append in run-length order.
-	slices.Sort(delta)
-	delta, sc.mult = runLengths(delta, sc.mult)
-	n := len(v.impls)
-	v.impls = grow(v.impls, len(delta))
-	v.cnt = grow(v.cnt, len(delta))
-	copy(v.impls[n:], delta)
-	copy(v.cnt[n:], sc.mult)
-}
-
-// runLengths compacts sorted s to its distinct values in place and returns
-// them with each value's multiplicity in mult[:0].
-func runLengths[T comparable](s []T, mult []int32) ([]T, []int32) {
-	mult = mult[:0]
-	w := 0
-	for i := 0; i < len(s); {
-		j := i
-		for j < len(s) && s[j] == s[i] {
-			j++
-		}
-		s[w] = s[i]
-		mult = append(mult, int32(j-i))
-		w++
-		i = j
-	}
-	return s[:w], mult
-}
-
 // RecommendView scores a materialized view through rec: the view's arrays
 // go straight to the strategy's scoring driver, with no accumulation pass.
-// Cache wrappers are unwrapped: a view already is the per-user cache, and
-// its results must not be keyed by activity across epochs. Recommenders
+// Cache wrappers are unwrapped: a view already holds its query's counters,
+// and its results must not be keyed by activity across epochs. Recommenders
 // without a driver (the baselines) fall back to a from-scratch
 // RecommendContext over the view's activity, which is bit-identical by the
 // view invariants.

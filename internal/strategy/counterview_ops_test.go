@@ -18,10 +18,8 @@ import (
 const (
 	opApply        = iota // Apply an id of the library's action space
 	opApplyUnknown        // Apply an id the library does not know
-	opGrow                // add arg%48 implementations (0 = republish), snapshot, AdvanceTo
-	opWiden               // as opGrow over a wider action space: ids unknown so far become known
-	opSwapSmall           // Swap in a library of ≤ 10 actions, Rebuild
-	opSwapLarge           // Swap in a library of ≥ 130 actions (three bitset words and up), Rebuild
+	opSwapSmall           // a library of ≤ 10 actions, and a new view of H over it
+	opSwapLarge           // as opSwapSmall with ≥ 130 actions (three bitset words and up)
 	opSwapMapped          // as opSwapLarge from a snapshot image: rows are views over the image
 	numViewOps
 )
@@ -42,35 +40,30 @@ func mappedLibrary(t *testing.T, lib *core.Library) *core.Library {
 	return snap.Library()
 }
 
-// runViewOps drives one view through ops over a DynamicLibrary lineage
-// (compaction threshold low enough that snapshots both extend and compact)
-// and checks the one invariant after every op: the view equals a fresh build
-// and every strategy scores it as it scores H from scratch.
+// runViewOps drives a view through ops, starting over a DynamicLibrary
+// snapshot (compaction threshold low enough that its rows are both overlaid
+// and compacted), and checks the one invariant after every op: the view
+// equals a fresh build and every strategy scores it as it scores H from
+// scratch.
 func runViewOps(t *testing.T, seed int64, ops []byte) {
 	r := rand.New(rand.NewSource(seed))
 	actionSpace := 2 + r.Intn(24)
 	dyn := core.NewDynamicLibrary()
 	dyn.SetCompactionThreshold(1 + r.Intn(40))
-	grow := func(n int) *core.Library {
-		for i := 0; i < n; i++ {
-			acts := make([]core.ActionID, 1+r.Intn(6))
-			for j := range acts {
-				acts[j] = core.ActionID(r.Intn(actionSpace))
-			}
-			if _, err := dyn.Add(core.GoalID(r.Intn(10)), acts); err != nil {
-				t.Fatal(err)
-			}
+	for i, n := 0, r.Intn(120); i < n; i++ {
+		acts := make([]core.ActionID, 1+r.Intn(6))
+		for j := range acts {
+			acts[j] = core.ActionID(r.Intn(actionSpace))
 		}
-		return dyn.Snapshot()
+		if _, err := dyn.Add(core.GoalID(r.Intn(10)), acts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	lib := grow(r.Intn(120))
+	lib := dyn.Snapshot()
 	v := NewCounterView(lib, nil)
 	var h []core.ActionID
 	check := func(k int) {
 		t.Helper()
-		if v.Lib() != lib {
-			t.Fatal("view is not on the current snapshot")
-		}
 		checkViewState(t, lib, v, h)
 		checkViewEquiv(t, lib, v, h, k)
 	}
@@ -85,33 +78,25 @@ func runViewOps(t *testing.T, seed int64, ops []byte) {
 			}
 			v.Apply(a)
 			h = append(h, a)
-		case opGrow, opWiden:
-			if kind == opWiden {
-				actionSpace += 1 + arg%5
-			}
-			lib = grow(arg % 48)
-			v.AdvanceTo(lib)
 		default:
 			n, space := 1+r.Intn(60), 2+arg%9
 			if kind != opSwapSmall {
 				n, space = 200+r.Intn(400), 130+arg
 			}
-			next := testlib.RandomLibrary(r, n, space, 4+arg%20, 7)
+			lib = testlib.RandomLibrary(r, n, space, 4+arg%20, 7)
 			if kind == opSwapMapped {
-				next = mappedLibrary(t, next)
+				lib = mappedLibrary(t, lib)
 			}
-			lib = dyn.Swap(next)
-			actionSpace = space
-			v.Rebuild(lib, h)
+			v = NewCounterView(lib, h)
 		}
 		check([]int{-1, 1, 3, 10}[arg%4])
 	}
 }
 
-// FuzzCounterViewOps is the view's model test: any interleaving of appends,
-// same-lineage advances (extension and compaction) and swap rebuilds leaves
-// the view equal to a fresh one, scored bit-identically by all four
-// strategies. The libraries of one stream share the package's scratch pool,
+// FuzzCounterViewOps is the view's model test: any interleaving of appends
+// and new views over other libraries leaves the view equal to a fresh one,
+// scored bit-identically by all four strategies. The libraries of one
+// stream share the package's scratch pool,
 // so a bitset that came back dirty or too short shows as a diverging
 // candidate pool or counter. (The collector's append-and-sort fallback for id spaces above
 // core's sweep limit is reached by core's own in-package tests: the limit is
@@ -119,18 +104,16 @@ func runViewOps(t *testing.T, seed int64, ops []byte) {
 func FuzzCounterViewOps(f *testing.F) {
 	f.Add(int64(1), []byte{}) // the empty view
 	// Ids the library does not know, between and after known ones.
-	f.Add(int64(2), []byte{opApplyUnknown, 0, opApply, 3, opApplyUnknown, 2, opApply, 9, opGrow, 17, opApply, 4})
-	// Extension, republish and compaction under a live view; widening turns
-	// the unknown ids of H into known ones.
-	f.Add(int64(3), []byte{opApply, 1, opApplyUnknown, 1, opGrow, 5, opGrow, 0, opApply, 7, opWiden, 47, opGrow, 47, opWiden, 3, opApply, 30, opGrow, 40})
+	f.Add(int64(2), []byte{opApplyUnknown, 0, opApply, 3, opApplyUnknown, 2, opApply, 9, opApplyUnknown, 17, opApply, 4})
+	// A wider library turns the unknown ids of H into known ones.
+	f.Add(int64(3), []byte{opApply, 1, opApplyUnknown, 1, opApply, 7, opSwapLarge, 47, opApply, 30, opApplyUnknown, 3, opSwapSmall, 40})
 	// Small action space first, then large: the pooled bitset has to grow, and
 	// has to come back all zero for the small library that follows.
-	f.Add(int64(4), []byte{opSwapSmall, 6, opApply, 0, opApply, 1, opApply, 5, opSwapLarge, 90, opApply, 200, opApply, 77, opGrow, 9, opSwapSmall, 2, opApply, 1})
-	// Postings served from a snapshot image; growth on top overlays heap rows
-	// over the image's base.
-	f.Add(int64(5), []byte{opApply, 2, opSwapMapped, 11, opApply, 8, opApply, 140, opApply, 65, opGrow, 30, opApply, 12, opWiden, 20, opApply, 99})
-	// A view that stays empty across advances and swaps.
-	f.Add(int64(6), []byte{opGrow, 12, opSwapLarge, 1, opGrow, 3, opSwapMapped, 0})
+	f.Add(int64(4), []byte{opSwapSmall, 6, opApply, 0, opApply, 1, opApply, 5, opSwapLarge, 90, opApply, 200, opApply, 77, opSwapSmall, 2, opApply, 1})
+	// Postings served from a snapshot image.
+	f.Add(int64(5), []byte{opApply, 2, opSwapMapped, 11, opApply, 8, opApply, 140, opApply, 65, opApply, 12, opSwapMapped, 20, opApply, 99})
+	// A view that stays empty across new libraries.
+	f.Add(int64(6), []byte{opSwapLarge, 1, opSwapMapped, 0, opSwapSmall, 3})
 	f.Fuzz(runViewOps)
 }
 
@@ -178,28 +161,6 @@ func TestCounterViewsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestFootprintTracksHeap: the bytes Footprint reports are the bytes the
-// heap holds for views, up to the allocator's size-class rounding.
-func TestFootprintTracksHeap(t *testing.T) {
-	lib := benchLibrary(20000, 500, 7)
-	sessions := benchQueries(500, 2000, 12, 8)
-	NewCounterView(lib, sessions[0]) // grow the pooled scratch before the first reading
-	views := make([]*CounterView, len(sessions))
-	before := heapAfterGC()
-	reported := 0
-	for i, h := range sessions {
-		views[i] = NewCounterView(lib, h)
-		reported += views[i].Footprint()
-	}
-	held := float64(heapAfterGC() - before)
-	ratio := float64(reported) / held
-	t.Logf("Σ Footprint %d B, heap %.0f B, ratio %.3f", reported, held, ratio)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("Σ Footprint = %d B for %.0f B of heap (ratio %.3f, want within 15%%)", reported, held, ratio)
-	}
-	runtime.KeepAlive(views)
 }
 
 // TestApplyAllocationBudget: with the scratch pool warm an Apply allocates

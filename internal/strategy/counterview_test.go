@@ -120,51 +120,6 @@ func TestCounterViewApplyMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestCounterViewAdvanceTo extends a DynamicLibrary under a live view and
-// asserts the delta replay reproduces a from-scratch build over the new
-// snapshot exactly — state and rankings.
-func TestCounterViewAdvanceTo(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 15; trial++ {
-		dyn := core.NewDynamicLibrary()
-		actionSpace := 2 + r.Intn(20)
-		addRandom := func(n int) {
-			for i := 0; i < n; i++ {
-				acts := make([]core.ActionID, 1+r.Intn(6))
-				for j := range acts {
-					acts[j] = core.ActionID(r.Intn(actionSpace))
-				}
-				if _, err := dyn.Add(core.GoalID(r.Intn(10)), acts); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		addRandom(1 + r.Intn(200))
-		lib := dyn.Snapshot()
-		h := testlib.RandomActivity(r, actionSpace+3, 6)
-		v := NewCounterView(lib, h)
-
-		// A few rounds of grow → advance, including a no-growth republish.
-		for round := 0; round < 3; round++ {
-			if round != 1 {
-				addRandom(1 + r.Intn(120))
-			}
-			next := dyn.Snapshot()
-			v.AdvanceTo(next)
-			if v.Lib() != next {
-				t.Fatal("AdvanceTo did not adopt the new snapshot")
-			}
-			checkViewState(t, next, v, h)
-			checkViewEquiv(t, next, v, h, 5)
-			// Appends after the advance must land on the new postings.
-			a := core.ActionID(r.Intn(actionSpace + 2))
-			v.Apply(a)
-			h = append(h, a)
-			checkViewState(t, next, v, h)
-		}
-	}
-}
-
 // TestRecommendViewDispatch covers the package-level dispatcher: cache
 // wrappers unwrap to the view path, a recommender without a driver falls
 // back to RecommendContext, and a view scored against a strategy over a

@@ -105,9 +105,8 @@ func viewBenchShape(b *testing.B) (*core.Library, [][]core.ActionID) {
 	return viewBench.lib, viewBench.sessions
 }
 
-// BenchmarkCounterViewApply grows one view per session from empty, as the
-// user store does on the append path: the cost of a write and the bytes a
-// materialized user holds afterwards.
+// BenchmarkCounterViewApply grows one view per session from empty: the cost
+// of a write and the bytes a full-length session's view holds afterwards.
 func BenchmarkCounterViewApply(b *testing.B) {
 	lib, sessions := viewBenchShape(b)
 	b.ReportAllocs()
@@ -118,15 +117,17 @@ func BenchmarkCounterViewApply(b *testing.B) {
 		for _, a := range sessions[i%len(sessions)] {
 			v.Apply(a)
 		}
-		bytesHeld += v.Footprint()
+		bytesHeld += 4 * (cap(v.h) + cap(v.impls) + cap(v.cnt))
 	}
 	applies := float64(b.N * viewBenchSessionLen)
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/applies, "µs/apply")
 	b.ReportMetric(float64(bytesHeld)/float64(b.N), "B/view")
 }
 
-// BenchmarkRecommendView scores full-length session views. Best Match is the
-// one strategy that derives its candidate pool from the view per query.
+// BenchmarkRecommendView scores full-length session views, and beside each
+// strategy the same sessions from scratch (the "-scratch" rows), as a stored
+// user is scored. Best Match is the one strategy that derives its candidate
+// pool from the view per query.
 func BenchmarkRecommendView(b *testing.B) {
 	lib, sessions := viewBenchShape(b)
 	views := make([]*CounterView, len(sessions))
@@ -138,6 +139,14 @@ func BenchmarkRecommendView(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RecommendView(context.Background(), rec, views[i%len(views)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(rec.Name()+"-scratch", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RecommendContext(context.Background(), rec, sessions[i%len(sessions)], 10); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,10 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"goalrec/internal/core"
-	"goalrec/internal/strategy"
-	"goalrec/internal/testlib"
 )
 
 func TestAppendNamesDedup(t *testing.T) {
@@ -57,47 +53,8 @@ func TestCapacityAndDelete(t *testing.T) {
 	}
 }
 
-func TestViewLRUEviction(t *testing.T) {
-	lib := testlib.PaperLibrary()
-	s := New(Options{MaxUsers: 100, MaxViews: 2, Shards: 1})
-	mat := func(id string) *User {
-		u, err := s.GetOrCreate(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u.Mu.Lock()
-		u.View = strategy.NewCounterView(lib, []core.ActionID{0})
-		s.MarkMaterialized(u)
-		u.Mu.Unlock()
-		s.Rebalance()
-		return u
-	}
-	u1, u2 := mat("u1"), mat("u2")
-	s.Touch(u1) // u2 becomes the LRU victim
-	u3 := mat("u3")
-	if u2.View != nil {
-		t.Fatal("LRU victim kept its view")
-	}
-	if u1.View == nil || u3.View == nil {
-		t.Fatal("wrong victim evicted")
-	}
-	st := s.Stats()
-	if st.Views != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Deleting a materialized user releases its budget.
-	s.Delete("u3")
-	if got := s.Stats().Views; got != 1 {
-		t.Fatalf("views after delete = %d", got)
-	}
-	if s.Stats().ViewBytes <= 0 {
-		t.Fatalf("view bytes = %d", s.Stats().ViewBytes)
-	}
-}
-
 func TestConcurrentChurn(t *testing.T) {
-	lib := testlib.PaperLibrary()
-	s := New(Options{MaxUsers: 1 << 10, MaxViews: 8, Shards: 8})
+	s := New(Options{MaxUsers: 1 << 10, Shards: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -112,12 +69,7 @@ func TestConcurrentChurn(t *testing.T) {
 				}
 				u.Mu.Lock()
 				u.AppendNames([]string{fmt.Sprintf("a%d", i%5)})
-				if u.View == nil {
-					u.View = strategy.NewCounterView(lib, nil)
-				}
-				s.MarkMaterialized(u)
 				u.Mu.Unlock()
-				s.Rebalance()
 				if i%17 == 0 {
 					s.Delete(id)
 				}
@@ -125,10 +77,6 @@ func TestConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := s.Stats()
-	if int(st.Views) > s.MaxViews() {
-		t.Fatalf("views %d exceed budget %d after quiescence", st.Views, s.MaxViews())
-	}
 	// Every user the workers touched is one of u0..u31: the ones the store
 	// still holds must be exactly what Len counts.
 	n := 0

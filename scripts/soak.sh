@@ -9,7 +9,7 @@
 #     and shut down cleanly on SIGTERM (exit code 0).
 #   - a second loadgen phase (-users) drives the per-user store: interleaved
 #     appends and stored-history recommends across SOAK_USERS users, racing
-#     view materialization, eviction and the -watch reload loop.
+#     the -watch reload loop.
 #
 # Tunables (env): SOAK_DURATION (default 30s), SOAK_USER_DURATION (default
 # 15s), SOAK_RESTART_DURATION (default 10s), SOAK_USERS (default 200),

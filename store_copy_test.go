@@ -95,7 +95,7 @@ func sameRanking(a, b []Recommendation) bool {
 
 // assertStoreServes fails unless the store serves oracle at epoch: every
 // strategy on every probe activity, and every storeUsers history with its
-// view ranking, bit-identical to a from-scratch query on the oracle.
+// stored-user ranking, bit-identical to a from-scratch query on the oracle.
 func assertStoreServes(t testing.TB, s *Store, oracle *Library, epoch uint64) {
 	t.Helper()
 	e := s.Engine()

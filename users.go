@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"goalrec/internal/core"
-	"goalrec/internal/strategy"
 	"goalrec/internal/userstore"
 )
 
@@ -24,8 +22,6 @@ type UserStoreOptions struct {
 	// MaxUsers caps tracked users; appends for new users beyond it fail
 	// with ErrTooManyUsers.
 	MaxUsers int
-	// MaxViews caps concurrently materialized counter views (LRU-bounded).
-	MaxViews int
 	// Shards is the map shard count.
 	Shards int
 }
@@ -39,15 +35,10 @@ type userJournal interface {
 
 // UserStore serves per-user recommendation state on top of an Engine: the
 // server owns each user's evolving activity history (deduplicated action
-// names — names, not ids, survive snapshot swaps) and a materialized
-// strategy.CounterView per recently active user. An append delta-updates the
-// view along one posting row; a query scores the materialized counters
-// directly, bit-identical to a from-scratch Recommend over the same history.
-//
-// Views are epoch- and lineage-stamped. Same-lineage snapshot extensions
-// (live ingest) are absorbed by replaying only the appended posting-row
-// tails; a Swap changes the lineage generation and forces a rebuild, so a
-// query can never score stale counters against new postings.
+// names — names, not ids, survive snapshot swaps), at most
+// MaxActivityActions of them. A query scores the history exactly as a
+// shipped activity is scored, against the engine's current epoch, so a user
+// holds no scoring state between queries.
 type UserStore struct {
 	e       *Engine
 	users   *userstore.Store
@@ -61,7 +52,6 @@ func NewUserStore(e *Engine, o UserStoreOptions) *UserStore {
 		e: e,
 		users: userstore.New(userstore.Options{
 			MaxUsers: o.MaxUsers,
-			MaxViews: o.MaxViews,
 			Shards:   o.Shards,
 		}),
 	}
@@ -73,8 +63,8 @@ func (us *UserStore) setJournal(j userJournal) { us.journal = j }
 // Len returns the tracked user count.
 func (us *UserStore) Len() int { return us.users.Len() }
 
-// Stats returns the store's counters (materialized hits vs cold builds,
-// advances, rebuilds, evictions, ...).
+// Stats returns the store's counters (users, appends, deletes, refusals at
+// the user cap).
 func (us *UserStore) Stats() userstore.Stats { return us.users.Stats() }
 
 // History returns the user's deduplicated activity history in append order,
@@ -94,10 +84,10 @@ func (us *UserStore) History(id string) ([]string, error) {
 
 // Append adds actions to the user's history, creating the user on first
 // sight, and returns how many were new (duplicates are dropped — a history
-// is a set, exactly like a request-shipped activity). The post-dedup suffix
-// is journaled write-ahead when a Store is attached; a journal failure
-// rejects the whole append. A materialized view absorbs the new actions
-// along their posting rows instead of rescanning the history.
+// is a set, exactly like a request-shipped activity). An append that would
+// take the history past MaxActivityActions is refused whole. The post-dedup
+// suffix is journaled write-ahead when a Store is attached; a journal
+// failure rejects the whole append.
 func (us *UserStore) Append(id string, actions []string) (int, error) {
 	if id == "" {
 		return 0, errors.New("goalrec: empty user id")
@@ -123,7 +113,6 @@ func (us *UserStore) Append(id string, actions []string) (int, error) {
 		u.Mu.Unlock()
 		if n > 0 {
 			us.users.NoteAppends(n)
-			us.users.Rebalance()
 		}
 		return n, err
 	}
@@ -143,39 +132,16 @@ func (us *UserStore) appendLocked(u *userstore.User, actions []string) (int, err
 	if len(added) == 0 {
 		return 0, nil
 	}
+	if n := len(u.Names) + len(added); n > MaxActivityActions {
+		return 0, fmt.Errorf("goalrec: user %q history would hold %d actions (limit %d)", u.ID, n, MaxActivityActions)
+	}
 	if us.journal != nil {
 		if err := us.journal.logUserAppend(u.ID, added); err != nil {
 			return 0, fmt.Errorf("%w: %w", ErrJournal, err)
 		}
 	}
 	u.AppendNames(added)
-	us.applyToView(u, added)
 	return len(added), nil
-}
-
-// applyToView folds freshly appended names into a live materialized view —
-// one posting-row walk per name against the view's own snapshot. Names the
-// view's snapshot cannot resolve are parked in Unresolved and re-applied
-// when the view advances to an epoch that knows them. Stale-lineage views
-// are left alone; the next query rebuilds them.
-func (us *UserStore) applyToView(u *userstore.User, added []string) {
-	if u.View == nil {
-		return
-	}
-	st := us.e.state.Load()
-	if u.ViewGen != st.gen {
-		return
-	}
-	vlib := u.View.Lib()
-	vocab := st.lib.vocab
-	for _, name := range added {
-		if aid, ok := vocab.Actions.Lookup(name); ok && int(aid) < vlib.NumActions() {
-			u.View.Apply(core.ActionID(aid))
-		} else {
-			u.Unresolved = append(u.Unresolved, name)
-		}
-	}
-	us.users.MarkMaterialized(u)
 }
 
 func containsString(s []string, v string) bool {
@@ -187,7 +153,7 @@ func containsString(s []string, v string) bool {
 	return false
 }
 
-// Delete removes the user and its view, journaling the delete. It returns
+// Delete removes the user and its history, journaling the delete. It returns
 // ErrUnknownUser when the id is not tracked.
 func (us *UserStore) Delete(id string) error {
 	if us.users.Get(id) == nil {
@@ -213,100 +179,28 @@ type UserRecommendResult struct {
 	UnknownActions  []string
 }
 
-// Recommend scores the user's materialized view with the given strategy and
-// returns up to k recommendations. The engine state is loaded exactly once
-// per query: the view is validated — hit, same-lineage delta advance, or
-// rebuild after a swap — against that one snapshot, then scored against
-// recommenders built over the same snapshot, so a racing Swap can never pair
-// stale counters with new postings. The ranking is bit-identical to a
-// from-scratch Recommend over the user's history at the same epoch.
+// Recommend scores the user's history with the given strategy and returns
+// up to k recommendations. It copies the history under the user's lock and
+// then answers it as a shipped activity is answered: one load of the engine
+// state gives the epoch, the shared recommender and the unknown names, so
+// the ranking is the from-scratch Recommend over the history at that epoch.
 func (us *UserStore) Recommend(ctx context.Context, id string, s Strategy, k int, opts ...RecommenderOption) (UserRecommendResult, error) {
-	u := us.users.Get(id)
-	if u == nil {
-		return UserRecommendResult{}, ErrUnknownUser
+	history, err := us.History(id)
+	if err != nil {
+		return UserRecommendResult{}, err
 	}
-	st := us.e.state.Load()
-	res := UserRecommendResult{Epoch: st.lib.Epoch()}
-	rec, err := st.recommender(s, opts)
+	lib, rec, err := us.e.Current(s, opts...)
+	res := UserRecommendResult{Epoch: lib.Epoch()}
 	if err != nil {
 		return res, err
 	}
-	named, ok := rec.(*namedRecommender)
-	if !ok {
-		return res, fmt.Errorf("goalrec: strategy %q cannot score materialized views", s)
-	}
-
-	u.Mu.Lock()
-	if u.Gone {
-		u.Mu.Unlock()
-		return res, ErrUnknownUser
-	}
-	us.ensureViewLocked(u, st)
-	scored, err := strategy.RecommendView(ctx, named.rec, u.View, k)
-	if len(u.Unresolved) > 0 {
-		res.UnknownActions = append([]string(nil), u.Unresolved...)
-	}
-	u.Mu.Unlock()
-	us.users.Rebalance()
-
-	res.Recommendations = make([]Recommendation, len(scored))
-	for i, sa := range scored {
-		res.Recommendations[i] = Recommendation{Action: st.lib.vocab.ActionName(sa.Action), Score: sa.Score}
-	}
-	if err != nil {
-		return res, fmt.Errorf("goalrec: %w", err)
-	}
-	return res, nil
+	res.Recommendations, err = rec.RecommendContext(ctx, history, k)
+	res.UnknownActions = lib.UnknownActions(history)
+	return res, err
 }
 
-// ensureViewLocked makes u.View valid for st: a cold build when absent, a
-// rebuild when the lineage generation changed (Swap reassigns ids), a delta
-// advance when the same lineage grew (posting rows only ever extend), or a
-// plain LRU touch on a hit. Callers hold u.Mu.
-func (us *UserStore) ensureViewLocked(u *userstore.User, st *engineState) {
-	epoch := st.lib.Epoch()
-	switch {
-	case u.View == nil:
-		ids, unresolved := st.lib.resolveSplit(u.Names)
-		u.View = strategy.NewCounterView(st.lib.lib, ids)
-		u.Unresolved = unresolved
-		us.users.NoteCold()
-	case u.ViewGen != st.gen || u.ViewEpoch > epoch:
-		// New lineage (or an epoch regression, which only a lineage change
-		// can produce): resolved ids are meaningless now, rebuild.
-		ids, unresolved := st.lib.resolveSplit(u.Names)
-		u.View.Rebuild(st.lib.lib, ids)
-		u.Unresolved = unresolved
-		us.users.NoteRebuild()
-	case u.ViewEpoch < epoch:
-		// Same lineage, newer snapshot: replay only the appended posting-row
-		// tails, then retry the names that were unresolvable before (vocab
-		// ids are stable within a lineage, so newly covered names resolve to
-		// fresh ids past the view's old action horizon).
-		u.View.AdvanceTo(st.lib.lib)
-		if len(u.Unresolved) > 0 {
-			still := u.Unresolved[:0]
-			for _, name := range u.Unresolved {
-				if aid, ok := st.lib.vocab.Actions.Lookup(name); ok && int(aid) < st.lib.lib.NumActions() {
-					u.View.Apply(core.ActionID(aid))
-				} else {
-					still = append(still, name)
-				}
-			}
-			u.Unresolved = still
-		}
-		us.users.NoteAdvance()
-	default:
-		us.users.NoteHit()
-		us.users.Touch(u)
-		return
-	}
-	u.ViewGen, u.ViewEpoch = st.gen, epoch
-	us.users.MarkMaterialized(u)
-}
-
-// applyReplayAppend reapplies one journaled append during WAL recovery —
-// no journaling, no view work (views rematerialize lazily on first query).
+// applyReplayAppend reapplies one journaled append during WAL recovery: no
+// journaling, and no history bound, because a replayed record is durable.
 func (us *UserStore) applyReplayAppend(id string, names []string) error {
 	u, err := us.users.GetOrCreate(id)
 	if err != nil {

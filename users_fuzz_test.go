@@ -13,8 +13,7 @@ import (
 // recommends, same-lineage ingests, and library swaps, mirroring every
 // mutation into a shadow history map. Each recommend must return exactly the
 // shadow history and a ranking bit-identical to the from-scratch oracle on
-// the engine's current snapshot — the property the materialized CounterView
-// path promises.
+// the engine's current snapshot.
 func FuzzUserStore(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(77))
@@ -37,8 +36,8 @@ func FuzzUserStore(f *testing.F) {
 			return b.Build()
 		}
 		e := NewEngineFromLibrary(buildLib(0))
-		// Small capacities so eviction and recreation paths run too.
-		us := NewUserStore(e, UserStoreOptions{MaxUsers: 6, MaxViews: 3, Shards: 2})
+		// A small user cap so refusal and recreation paths run too.
+		us := NewUserStore(e, UserStoreOptions{MaxUsers: 6, Shards: 2})
 
 		shadow := make(map[string][]string)
 		appendShadow := func(id string, names []string) {
@@ -136,7 +135,7 @@ func FuzzUserStore(f *testing.F) {
 					}
 					want := rec.Recommend(wantH, 5)
 					if !reflect.DeepEqual(res.Recommendations, want) {
-						t.Fatalf("%s: materialized ranking for %q (h=%v) diverged:\ngot  %v\nwant %v",
+						t.Fatalf("%s: stored ranking for %q (h=%v) diverged:\ngot  %v\nwant %v",
 							s, id, wantH, res.Recommendations, want)
 					}
 					break

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,8 +20,8 @@ import (
 // checks bit-identity over.
 var allStrategies = []Strategy{FocusCompleteness, FocusCloseness, Breadth, BestMatch}
 
-// userOracle computes the from-scratch ranking the materialized view must
-// reproduce: the same history POSTed as a plain activity against the same
+// userOracle computes the from-scratch ranking a stored user must get: the
+// same history POSTed as a plain activity against the same
 // engine snapshot.
 func userOracle(t *testing.T, e *Engine, s Strategy, history []string, k int) []Recommendation {
 	t.Helper()
@@ -29,7 +32,7 @@ func userOracle(t *testing.T, e *Engine, s Strategy, history []string, k int) []
 	return rec.Recommend(history, k)
 }
 
-// checkUserOracle asserts every strategy's materialized-view ranking equals
+// checkUserOracle asserts every strategy's stored-user ranking equals
 // the from-scratch oracle for the user's history.
 func checkUserOracle(t *testing.T, e *Engine, us *UserStore, id string) {
 	t.Helper()
@@ -44,15 +47,15 @@ func checkUserOracle(t *testing.T, e *Engine, us *UserStore, id string) {
 		}
 		want := userOracle(t, e, s, history, 10)
 		if !reflect.DeepEqual(res.Recommendations, want) {
-			t.Fatalf("%s: materialized ranking diverged for %q (h=%v):\ngot  %v\nwant %v",
+			t.Fatalf("%s: stored ranking diverged for %q (h=%v):\ngot  %v\nwant %v",
 				s, id, history, res.Recommendations, want)
 		}
 	}
 }
 
-// TestUserStoreOracle drives the full view lifecycle — cold build, hits,
-// incremental appends, same-lineage advances after ingests, rebuild after a
-// swap — and pins bit-identity against from-scratch scoring at every step.
+// TestUserStoreOracle drives a user through first and repeated queries,
+// appends, same-lineage ingests and a swap, and pins bit-identity against
+// from-scratch scoring at every step.
 func TestUserStoreOracle(t *testing.T) {
 	e := NewEngine()
 	storeIngest(t, e, 0, 50)
@@ -61,11 +64,10 @@ func TestUserStoreOracle(t *testing.T) {
 	if _, err := us.Append("u1", []string{"act-1", "act-7"}); err != nil {
 		t.Fatal(err)
 	}
-	checkUserOracle(t, e, us, "u1") // cold build
-	checkUserOracle(t, e, us, "u1") // hit
+	checkUserOracle(t, e, us, "u1") // first query
+	checkUserOracle(t, e, us, "u1") // repeated query
 
-	// Incremental append onto the live view, with a duplicate and an
-	// unresolvable name.
+	// An append with a duplicate and an unresolvable name.
 	added, err := us.Append("u1", []string{"act-7", "act-13", "unseen-action"})
 	if err != nil || added != 2 {
 		t.Fatalf("append = %d, %v", added, err)
@@ -78,12 +80,22 @@ func TestUserStoreOracle(t *testing.T) {
 	if !reflect.DeepEqual(res.UnknownActions, []string{"unseen-action"}) {
 		t.Fatalf("unknown = %v", res.UnknownActions)
 	}
+	// Unknown names come back sorted, as Library.UnknownActions lists them.
+	if _, err := us.Append("u1", []string{"another-unseen"}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = us.Recommend(context.Background(), "u1", Breadth, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.UnknownActions, []string{"another-unseen", "unseen-action"}) {
+		t.Fatalf("unknown = %v", res.UnknownActions)
+	}
 
-	// Same-lineage ingest: the view advances along the appended posting rows.
+	// Same-lineage ingest: the epoch grows.
 	storeIngest(t, e, 50, 30)
 	checkUserOracle(t, e, us, "u1")
 
-	// Swap: new lineage, ids reshuffle, the view must rebuild.
+	// Swap: new lineage, ids reshuffle.
 	b := NewBuilder()
 	for i := 0; i < 40; i++ {
 		if err := b.AddImplementation(fmt.Sprintf("goal-%d", i%9),
@@ -93,11 +105,6 @@ func TestUserStoreOracle(t *testing.T) {
 	}
 	e.Swap(b.Build())
 	checkUserOracle(t, e, us, "u1")
-
-	st := us.Stats()
-	if st.Cold != 1 || st.Rebuilds != 1 || st.Advances != 1 || st.Hits < 1 {
-		t.Fatalf("lifecycle counters = %+v", st)
-	}
 
 	// Delete forgets the user.
 	if err := us.Delete("u1"); err != nil {
@@ -422,4 +429,188 @@ func TestUserRecommendDuringSwap(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestUserRecommendDuringAppendsAndDeletes races stored-history queries
+// against appends and deletes of the same users. A query scores a copy of
+// the history taken under the user's lock, so it must see one whole
+// history: each user's history is always a prefix of one name sequence
+// (empty while a new user's first append is in flight), and every ranking
+// must equal the from-scratch oracle of one prefix. Run under -race.
+func TestUserRecommendDuringAppendsAndDeletes(t *testing.T) {
+	e := NewEngine()
+	storeIngest(t, e, 0, 60)
+	us := NewUserStore(e, UserStoreOptions{})
+	seq := []string{"act-1", "act-7", "act-13", "unseen-action", "act-3", "act-22", "act-5"}
+	oracles := make(map[Strategy][][]Recommendation)
+	for _, s := range allStrategies {
+		for n := 0; n <= len(seq); n++ {
+			oracles[s] = append(oracles[s], userOracle(t, e, s, seq[:n], 10))
+		}
+	}
+	ids := []string{"a", "b", "c"}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := allStrategies[(w+i)%len(allStrategies)]
+				res, err := us.Recommend(context.Background(), ids[i%len(ids)], s, 10)
+				if errors.Is(err, ErrUnknownUser) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("recommend: %v", err)
+					return
+				}
+				if !slices.ContainsFunc(oracles[s], func(want []Recommendation) bool {
+					return reflect.DeepEqual(res.Recommendations, want)
+				}) {
+					t.Errorf("%s: ranking matches no history prefix: %v", s, res.Recommendations)
+					return
+				}
+			}
+		}(w)
+	}
+	// The one writer walks every user through the sequence, then deletes it.
+	for i := 0; i < 30*len(ids)*(len(seq)+1); i++ {
+		id, n := ids[i%len(ids)], i/len(ids)%(len(seq)+1)
+		if n == len(seq) {
+			if err := us.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := us.Append(id, seq[n:n+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestUserHistoryBound: a stored history holds at most MaxActivityActions
+// names, the bound on a shipped activity. Appends up to it succeed; one that
+// would pass it is refused whole before it is journaled.
+func TestUserHistoryBound(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	us := s.Users()
+	names := make([]string, MaxActivityActions+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("act-%d", i)
+	}
+	half := MaxActivityActions / 2
+	for _, batch := range [][]string{names[:half], names[half:MaxActivityActions]} {
+		if n, err := us.Append("u", batch); err != nil || n != len(batch) {
+			t.Fatalf("append of %d new names = %d, %v", len(batch), n, err)
+		}
+	}
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(s.walPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := walSize()
+	// A stored name and one new one: the new one would pass the bound.
+	if n, err := us.Append("u", []string{names[0], names[MaxActivityActions]}); err == nil || n != 0 {
+		t.Fatalf("append past the bound = %d, %v; want a refusal", n, err)
+	}
+	if h, err := us.History("u"); err != nil || !reflect.DeepEqual(h, names[:MaxActivityActions]) {
+		t.Fatalf("history after the refusal holds %d names, err %v", len(h), err)
+	}
+	if after := walSize(); after != before {
+		t.Fatalf("the refused append changed the WAL: %d → %d bytes", before, after)
+	}
+	// Names already stored add nothing, so they are no refusal.
+	if n, err := us.Append("u", names[:3]); err != nil || n != 0 {
+		t.Fatalf("append of stored names = %d, %v", n, err)
+	}
+}
+
+// TestStoredUsersHoldNoCounterState: a stored user holds its history and no
+// scoring state. 2 000 users append twelve distinct actions each and are
+// queried once, on a library where a twelve-action activity touches more
+// than a thousand implementations (≈ 12 KB of counters per user if they
+// were kept); the live heap may grow by under 3 KB per user.
+func TestStoredUsersHoldNoCounterState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const (
+		users        = 2000
+		perUserBytes = 3 << 10
+		actions      = 400
+	)
+	r := rand.New(rand.NewSource(7))
+	names := make([]string, actions)
+	for i := range names {
+		names[i] = fmt.Sprintf("act-%d", i)
+	}
+	b := NewBuilder()
+	for i := 0; i < 12000; i++ {
+		impl := make([]string, 4)
+		for j := range impl {
+			impl[j] = names[r.Intn(actions)]
+		}
+		if err := b.AddImplementation(fmt.Sprintf("goal-%d", i/3), impl...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngineFromLibrary(b.Build())
+	us := NewUserStore(e, UserStoreOptions{})
+	histories := make([][]string, users+1)
+	for i := range histories {
+		for _, a := range r.Perm(actions)[:12] {
+			histories[i] = append(histories[i], names[a])
+		}
+	}
+	ids := make([]string, users+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("user-%d", i)
+	}
+	serve := func(i int) {
+		if _, err := us.Append(ids[i], histories[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := us.Recommend(context.Background(), ids[i], allStrategies[i%len(allStrategies)], 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm every strategy's shared recommender and scratch first.
+	serve(users)
+	for _, s := range allStrategies {
+		if _, err := us.Recommend(context.Background(), ids[users], s, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < users; i++ {
+		serve(i)
+	}
+	after := heap()
+	grown := int64(after) - int64(before)
+	t.Logf("heap grew %d B for %d users (%d B per user)", grown, users, grown/users)
+	if grown > users*perUserBytes {
+		t.Fatalf("heap grew %d B per stored user, want under %d", grown/users, perUserBytes)
+	}
+	runtime.KeepAlive(us)
 }
