@@ -76,6 +76,9 @@ func inspect(path string) error {
 	if d.SourceKey != "" {
 		fmt.Printf("  source key %q\n", d.SourceKey)
 	}
+	if d.SourceStamp != nil {
+		fmt.Printf("  source stamp %s\n", d.SourceStamp)
+	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  section\toffset\telem\tcount\tbytes\tshare")

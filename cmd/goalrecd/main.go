@@ -32,7 +32,10 @@
 // start: the daemon keeps a snapshot of it at <path>.gsnp, keyed by the
 // SHA-256 of the file's bytes and the layout, rebuilds it when it is missing,
 // stale or fails its checksum (one log line gives the reason), and serves the
-// library from that mapping in every role and on every reload. If the
+// library from that mapping in every role and on every reload. A start
+// hashes the file only when its stat stamp (size, mtime, ctime, inode,
+// device) differs from the one the snapshot recorded of the settled file it
+// was built from; /v1/metrics' "library" block says which ("sidecar_keyed_by"). If the
 // sidecar cannot be written the parsed library is served from the heap.
 // A worker keeps its shard the same way, at <path>.shard-<lo>-<hi|end>.gsnp
 // keyed by the sidecar's key plus the resolved range, so it maps both files
@@ -104,6 +107,7 @@ import (
 
 	"goalrec"
 	"goalrec/internal/cluster"
+	"goalrec/internal/core"
 	"goalrec/internal/server"
 )
 
@@ -433,15 +437,14 @@ func newLibraryWatcher(target *server.Server, logger *log.Logger, path string, i
 	}
 }
 
-type fileState struct {
-	mtime time.Time
-	size  int64
-}
-
+// run polls until ctx ends. The file counts as changed when its stamp moves
+// (core.StatStamp): size or modification time, and on Unix also its change
+// time, inode or device, so a same-size file renamed over it with its
+// modification time kept is swapped in too.
 func (w *libraryWatcher) run(ctx context.Context) {
-	var last fileState
+	var last core.FileStamp
 	if fi, err := w.stat(w.path); err == nil {
-		last = fileState{fi.ModTime(), fi.Size()}
+		last, _ = core.StatStamp(fi)
 	}
 	backoff := w.interval
 	failing := false
@@ -463,7 +466,7 @@ func (w *libraryWatcher) run(ctx context.Context) {
 		// A file that cannot be stat'ed is handed to Reload all the same: its
 		// load fails, and the failure is accounted where every other one is.
 		if fi, err := w.stat(w.path); err == nil {
-			cur := fileState{fi.ModTime(), fi.Size()}
+			cur, _ := core.StatStamp(fi)
 			// While healthy, an unchanged file means nothing to do. While
 			// failing, retry even an unchanged file: partial writes and
 			// permission hiccups heal without the mtime moving.

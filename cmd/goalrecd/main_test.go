@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"goalrec"
+	"goalrec/internal/core"
 	"goalrec/internal/faultinject"
 	"goalrec/internal/server"
 )
@@ -143,6 +144,74 @@ func TestWatcherIgnoresUnchangedFile(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("unchanged file produced logs:\n%s", buf.String())
+	}
+}
+
+// TestWatcherSeesRenameOverAtEqualSize: a same-size file renamed over the
+// library with its modification time kept — `cp -p new tmp && mv tmp lib`,
+// `rsync -t` — is a change, told by its inode and change time.
+func TestWatcherSeesRenameOverAtEqualSize(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lib.jsonl")
+	if err := os.WriteFile(path, []byte(`{"goal":"salad","actions":["potatoes","carrots"]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, complete := core.StatStamp(fi); !complete {
+		t.Skip("this platform's stat record carries no change time, inode and device")
+	}
+	lib := watchTestLibrary(t)
+	var loads atomic.Int64
+	srv := server.New(lib, nil, server.WithReloader(func() (*goalrec.Library, error) {
+		loads.Add(1)
+		return lib, nil
+	}))
+	var buf bytes.Buffer
+	w := newLibraryWatcher(srv, log.New(&buf, "", 0), path, time.Millisecond)
+	baseline := make(chan struct{}, 1)
+	w.stat = func(p string) (os.FileInfo, error) {
+		select {
+		case baseline <- struct{}{}:
+		default:
+		}
+		return os.Stat(p)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	<-baseline
+
+	tmp := filepath.Join(dir, "lib.jsonl.tmp")
+	if err := os.WriteFile(tmp, []byte(`{"goal":"salad","actions":["potatoes","parsnip"]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(tmp, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.Stat(path); err != nil || now.Size() != fi.Size() || !now.ModTime().Equal(fi.ModTime()) {
+		t.Fatalf("the replacement must keep size and mtime: %v", err)
+	}
+	deadline := time.After(10 * time.Second)
+	for loads.Load() == 0 {
+		select {
+		case <-deadline:
+			t.Fatalf("the renamed-over file was never reloaded; log:\n%s", buf.String())
+		case <-time.After(time.Millisecond):
+		}
 	}
 }
 

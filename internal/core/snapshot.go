@@ -111,6 +111,7 @@ const (
 	secVocGoalOff            // uint64 × nGoalNames+1
 	secVocGoalStr            // byte × goal-name blob
 	secSourceKey             // byte × key len (optional; see SnapshotOptions.SourceKey)
+	secSrcStamp              // byte × fileStampSize (optional; see SnapshotOptions.SourceStamp)
 )
 
 // hostLittleEndian reports the byte order of this process; on the (rare)
@@ -167,6 +168,10 @@ type SnapshotOptions struct {
 	// OpenSnapshotKeyed demands back (at most snapMaxSourceKey bytes). Readers
 	// that do not know the section ignore it.
 	SourceKey []byte
+	// SourceStamp, when not the zero stamp, is stored in a second optional
+	// byte section: the metadata of the source at the time SourceKey was
+	// computed from its bytes (see ReadSnapshotSource).
+	SourceStamp FileStamp
 }
 
 // snapWriter tracks the byte offset of a buffered stream and pads sections
@@ -369,6 +374,10 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		}
 		key := opts.SourceKey
 		secs = append(secs, snapSection{id: secSourceKey, elem: 1, count: uint64(len(key)), emit: func(sw *snapWriter) { sw.write(key) }})
+	}
+	if opts.SourceStamp != (FileStamp{}) {
+		stamp := opts.SourceStamp.encode()
+		secs = append(secs, snapSection{id: secSrcStamp, elem: 1, count: fileStampSize, emit: func(sw *snapWriter) { sw.write(stamp) }})
 	}
 	return &snapPlan{
 		secs: secs, flags: flags,
@@ -722,16 +731,7 @@ func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, err
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := fi.Size()
-	head := make([]byte, min(size, snapHeadMax))
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return nil, err
-	}
-	secs, _, err := snapshotSections(head, uint64(size))
+	secs, size, err := snapshotHead(f)
 	if err != nil {
 		return nil, err
 	}
@@ -749,21 +749,76 @@ func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, err
 	return s, err
 }
 
+// ReadSnapshotSource reads what the snapshot at path records of its source:
+// the source key and the source stamp, the zero stamp when it carries none.
+// It reads the header, the section table and those two sections, nothing
+// else, and checks only the header CRC: a caller that trusts the stamp opens
+// the image with OpenSnapshotKeyed under the key returned here, which checks
+// every byte.
+func ReadSnapshotSource(fsys faultfs.FS, path string) (key []byte, stamp FileStamp, err error) {
+	f, err := faultfs.Or(fsys).Open(path)
+	if err != nil {
+		return nil, FileStamp{}, err
+	}
+	defer f.Close()
+	secs, _, err := snapshotHead(f)
+	if err != nil {
+		return nil, FileStamp{}, err
+	}
+	if key, err = readSourceKey(f, secs); err != nil {
+		return nil, FileStamp{}, err
+	}
+	if ss, ok := secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
+		b := make([]byte, fileStampSize)
+		if _, err := f.ReadAt(b, int64(ss.off)); err != nil {
+			return nil, FileStamp{}, err
+		}
+		stamp = decodeFileStamp(b)
+	}
+	return key, stamp, nil
+}
+
+// snapshotHead reads the header and section table of the open snapshot file
+// f and returns its sections and its size.
+func snapshotHead(f faultfs.File) (map[uint32]snapSection, int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	size := fi.Size()
+	head := make([]byte, min(size, snapHeadMax))
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return nil, 0, err
+	}
+	secs, _, err := snapshotSections(head, uint64(size))
+	return secs, size, err
+}
+
 // checkSourceKey reads the source-key section of an image laid out as secs
 // from r and refuses the image unless the key is key.
 func checkSourceKey(r io.ReaderAt, secs map[uint32]snapSection, key []byte) error {
-	ks, ok := secs[secSourceKey]
-	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
-		return errors.New("no source key")
-	}
-	have := make([]byte, ks.count)
-	if _, err := r.ReadAt(have, int64(ks.off)); err != nil {
+	have, err := readSourceKey(r, secs)
+	if err != nil {
 		return err
 	}
 	if !bytes.Equal(have, key) {
 		return fmt.Errorf("source key is %q", have)
 	}
 	return nil
+}
+
+// readSourceKey reads the source-key section of an image laid out as secs
+// from r.
+func readSourceKey(r io.ReaderAt, secs map[uint32]snapSection) ([]byte, error) {
+	ks, ok := secs[secSourceKey]
+	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
+		return nil, errors.New("no source key")
+	}
+	key := make([]byte, ks.count)
+	if _, err := r.ReadAt(key, int64(ks.off)); err != nil {
+		return nil, err
+	}
+	return key, nil
 }
 
 // snapshotSections parses and CRC-checks the header plus section table of a

@@ -32,7 +32,10 @@ type SnapshotDescription struct {
 	// SourceKey is the optional label of what the snapshot was derived from
 	// (SnapshotOptions.SourceKey); empty when the image carries none.
 	SourceKey string
-	Sections  []SnapshotSectionInfo
+	// SourceStamp is the source's metadata recorded beside SourceKey
+	// (SnapshotOptions.SourceStamp); nil when the image carries none.
+	SourceStamp *FileStamp
+	Sections    []SnapshotSectionInfo
 }
 
 var snapSectionNames = map[uint32]string{
@@ -59,6 +62,7 @@ var snapSectionNames = map[uint32]string{
 	secVocGoalOff: "vocab-goal-offsets",
 	secVocGoalStr: "vocab-goal-names",
 	secSourceKey:  "source-key",
+	secSrcStamp:   "source-stamp",
 }
 
 // DescribeSnapshot parses data's header and section table — validating the
@@ -98,6 +102,10 @@ func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
 	sort.Slice(d.Sections, func(i, j int) bool { return d.Sections[i].Offset < d.Sections[j].Offset })
 	if ks, ok := secs[secSourceKey]; ok && ks.elem == 1 && ks.count <= snapMaxSourceKey {
 		d.SourceKey = string(data[ks.off : ks.off+ks.count])
+	}
+	if ss, ok := secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
+		stamp := decodeFileStamp(data[ss.off:])
+		d.SourceStamp = &stamp
 	}
 	return d, nil
 }

@@ -65,7 +65,7 @@ func (l *Library) partitionMapped(fsys faultfs.FS, lo, hi int) (*Library, string
 	if err != nil {
 		return nil, "", err
 	}
-	err = writeSidecar(fsys, path, heap.lib, nil, key)
+	err = writeSidecar(fsys, path, heap.lib, nil, core.SnapshotOptions{SourceKey: key})
 	if err == nil {
 		part, err = l.openShard(fsys, path, key)
 	}

@@ -1,6 +1,7 @@
 package goalrec
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -48,6 +49,9 @@ func TestShardSidecarTable(t *testing.T) {
 		racers int
 		want   string // prefix of the expected decision
 		heap   bool   // the shard is served from the heap
+		// settled lets the source settle before the warm-up, so that every
+		// later load of the library is keyed by the source's stamp.
+		settled bool
 	}{
 		{name: "cold", want: "rebuilt: no sidecar"},
 		{name: "hit", warm: true, want: SidecarHit},
@@ -90,6 +94,7 @@ func TestShardSidecarTable(t *testing.T) {
 			}},
 		{name: "ingest since the load", ingest: true, want: "", heap: true},
 		{name: "concurrent cold cuts", racers: 4},
+		{name: "hit after a stamped start", settled: true, warm: true, want: SidecarHit},
 	} {
 		for _, hi := range []int{900, -1} {
 			// "impact=false": the as-loaded layout, the one layout left.
@@ -115,7 +120,13 @@ func TestShardSidecarTable(t *testing.T) {
 					if err != nil {
 						return nil, "", err
 					}
+					if st.settled && (base.side == nil || !base.side.stamped) {
+						return nil, "", errors.New("the settled source's load was not keyed by its stamp")
+					}
 					return engineOf(base).Snapshot().partitionMapped(fsys, lo, hi)
+				}
+				if st.settled {
+					settleSource(t, src)
 				}
 				var warmKey string
 				if st.warm {

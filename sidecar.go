@@ -1,6 +1,7 @@
 package goalrec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -35,9 +36,19 @@ const (
 	SidecarUnwritable = "unwritable"
 )
 
-// lastSidecar is the decision of the process's latest sidecar-backed load,
-// for LibraryBacking.
-var lastSidecar atomic.Pointer[string]
+// How the latest sidecar-backed load established the sidecar's key, for
+// LibraryBacking.SidecarKeyedBy.
+const (
+	keyedByStamp = "stamp"
+	keyedByHash  = "hash"
+)
+
+// sidecarLoad is what LibraryBacking reports of a sidecar-backed load.
+type sidecarLoad struct{ decision, keyedBy string }
+
+// lastSidecar is the process's latest sidecar-backed load, for
+// LibraryBacking.
+var lastSidecar atomic.Pointer[sidecarLoad]
 
 // LoadLibraryFileMapped loads the library file at path the way a serving
 // process wants it: parsed at most once per content, mapped on every start.
@@ -46,14 +57,17 @@ var lastSidecar atomic.Pointer[string]
 // verifies on every open; any other format loads exactly as LoadLibraryFile
 // does.
 //
-// The sidecar is keyed by content, never by time: the key is the SHA-256 of
-// the source's bytes plus the layout label "plain" (the one layout), stored
-// inside the snapshot. Every call
-// hashes the source; a sidecar with another key, without one, or that fails
-// its whole-file checksum is rebuilt — parse, write to a synced temp file,
-// rename — and the key a rebuild writes is the hash of the bytes the parser
-// actually consumed, so an edit racing the load cannot be mislabelled.
-// Deleting a sidecar is always safe.
+// The sidecar is keyed by content: the key is the SHA-256 of the source's
+// bytes plus the layout label "plain" (the one layout), stored inside the
+// snapshot. A rebuild — parse, write to a synced temp file, rename — keys the
+// sidecar with the hash of the bytes the parser actually consumed, so an edit
+// racing the load cannot be mislabelled, and also records the source's stamp
+// (size, modification and change times, inode, device) when the source had
+// provably settled before it was read. A later call whose
+// source still has that stamp opens the sidecar under its stored key without
+// reading the source; every other call hashes the source. Either way a
+// sidecar with another key, without one, or that fails its whole-file
+// checksum is rebuilt. Deleting a sidecar is always safe.
 //
 // decision says what happened: SidecarHit (nothing was parsed),
 // "rebuilt: <why the old sidecar was refused>", "unwritable: <cause>" when
@@ -65,7 +79,11 @@ var lastSidecar atomic.Pointer[string]
 func LoadLibraryFileMapped(path string) (lib *Library, decision string, err error) {
 	lib, decision, err = loadLibraryFileMapped(faultfs.OS, path)
 	if err == nil && decision != "" {
-		lastSidecar.Store(&decision)
+		keyedBy := keyedByHash
+		if lib.side != nil && lib.side.stamped {
+			keyedBy = keyedByStamp
+		}
+		lastSidecar.Store(&sidecarLoad{decision, keyedBy})
 	}
 	return lib, decision, err
 }
@@ -79,6 +97,9 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 		return nil, "", err
 	}
 	defer f.Close()
+	if lib := openStamped(fsys, f, path); lib != nil {
+		return lib, SidecarHit, nil
+	}
 	first, err := firstNonSpace(f)
 	if err == nil {
 		_, err = f.Seek(0, io.SeekStart)
@@ -106,13 +127,26 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 		return nil, "", fmt.Errorf("goalrec: reading %s: %w", path, err)
 	}
 	h.Reset()
+	// The stamp recorded beside the key is an fstat taken before the parse
+	// reads the source, and only if a second one after it is equal and the
+	// source's modification and change times are both strictly older than
+	// the sidecar directory's clock read before the first: any write after
+	// that read gets times no older than the clock, so it moves the stamp
+	// even within one tick of the filesystem's coarse clock. Otherwise, or
+	// where stamps are incomplete, no stamp is recorded.
+	clock, clockErr := dirClock(filepath.Dir(path))
+	pre, preOK := fileStamp(f)
 	clib, vocab, err := core.ReadJSONLines(io.TeeReader(f, h))
 	if err != nil {
 		return nil, "", err
 	}
+	var stamp core.FileStamp
+	if post, postOK := fileStamp(f); clockErr == nil && preOK && postOK && post == pre && pre.Mtime < clock && pre.Ctime < clock {
+		stamp = pre
+	}
 	parsed := &Library{lib: clib, vocab: vocab}
 	key := sidecarKey(h)
-	err = writeSidecar(fsys, path+SidecarSuffix, parsed.lib, parsed.vocab, key)
+	err = writeSidecar(fsys, path+SidecarSuffix, parsed.lib, parsed.vocab, core.SnapshotOptions{SourceKey: key, SourceStamp: stamp})
 	if err == nil {
 		lib, err = openSidecar(fsys, path, key)
 	}
@@ -122,11 +156,65 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 	return lib, SidecarRebuilt + ": " + refusal(refused), nil
 }
 
+// openStamped maps the sidecar of the source open as f at path if the
+// sidecar recorded a stamp equal to the source's current one: the source
+// then holds the bytes the sidecar's stored key was hashed from, so it is
+// not read. The keyed open still checks the key and every byte of the
+// sidecar. It returns nil whenever the stamp cannot be trusted or the open
+// refuses, and the caller hashes the source.
+func openStamped(fsys faultfs.FS, f *os.File, path string) *Library {
+	cur, ok := fileStamp(f)
+	if !ok {
+		return nil
+	}
+	key, stamp, err := core.ReadSnapshotSource(fsys, path+SidecarSuffix)
+	if err != nil || stamp != cur || !isSidecarKey(key) {
+		return nil
+	}
+	lib, err := openSidecar(fsys, path, key)
+	if err != nil {
+		return nil
+	}
+	lib.side.stamped = true
+	return lib
+}
+
+// fileStamp is the stamp of the open file f; ok is false unless it is
+// complete (core.StatStamp).
+func fileStamp(f *os.File) (s core.FileStamp, ok bool) {
+	fi, err := f.Stat()
+	if err != nil {
+		return core.FileStamp{}, false
+	}
+	return core.StatStamp(fi)
+}
+
+// dirClock returns the time of the filesystem holding dir as that
+// filesystem's own clock reads it: the modification time of a file created
+// there, in nanoseconds. Kernels stamp file times from a coarse clock of
+// their own, which time.Now may read ahead of. A variable so that tests can
+// stop the clock.
+var dirClock = func(dir string) (int64, error) {
+	f, err := os.CreateTemp(dir, ".snap-clock-*.tmp")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(f.Name())
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return fi.ModTime().UnixNano(), nil
+}
+
 // sidecarRef names the sidecar a library was opened from: the source's path
-// and the key the sidecar verified as.
+// and the key the sidecar verified as. stamped is true when that key was
+// taken from the sidecar on the source's stamp, without reading the source.
 type sidecarRef struct {
-	src string
-	key []byte
+	src     string
+	key     []byte
+	stamped bool
 }
 
 // sidecarKey labels a snapshot as the image of the source whose bytes went
@@ -134,6 +222,14 @@ type sidecarRef struct {
 // sidecars written before stay hits.
 func sidecarKey(h hash.Hash) []byte {
 	return []byte(fmt.Sprintf("jsonl-sha256:%x layout:plain", h.Sum(nil)))
+}
+
+var sidecarKeyLen = len(sidecarKey(sha256.New()))
+
+// isSidecarKey reports whether key has the shape sidecarKey gives: a stored
+// key is reused on a stamp match only when it names this hash and layout.
+func isSidecarKey(key []byte) bool {
+	return len(key) == sidecarKeyLen && bytes.HasPrefix(key, []byte("jsonl-sha256:")) && bytes.HasSuffix(key, []byte(" layout:plain"))
 }
 
 // openSidecar maps the sidecar of the source at src if it verifies as the
@@ -152,10 +248,10 @@ func openSidecar(fsys faultfs.FS, src string, key []byte) (*Library, error) {
 }
 
 // writeSidecar seals lib — with vocab, or id-level when vocab is nil — to
-// path as the snapshot keyed key (temp file, sync, rename), then clears what
-// interrupted writes left beside it.
-func writeSidecar(fsys faultfs.FS, path string, lib *core.Library, vocab *core.Vocabulary, key []byte) error {
-	err := core.WriteSnapshotFileFS(fsys, path, lib, vocab, core.SnapshotOptions{SourceKey: key})
+// path as the snapshot labelled opts (temp file, sync, rename), then clears
+// what interrupted writes left beside it.
+func writeSidecar(fsys faultfs.FS, path string, lib *core.Library, vocab *core.Vocabulary, opts core.SnapshotOptions) error {
+	err := core.WriteSnapshotFileFS(fsys, path, lib, vocab, opts)
 	if err == nil {
 		removeStaleTemps(fsys, filepath.Dir(path))
 	}
@@ -237,6 +333,10 @@ type LibraryBacking struct {
 	// Sidecar is the decision of the process's latest sidecar-backed load
 	// (see LoadLibraryFileMapped), "" before the first.
 	Sidecar string `json:"sidecar"`
+	// SidecarKeyedBy says how that load established the sidecar's key:
+	// "stamp" when the source's recorded stamp still held and the source was
+	// not read, "hash" when its bytes were hashed.
+	SidecarKeyedBy string `json:"sidecar_keyed_by"`
 }
 
 // Backing reports what backs l, plus the process-wide mapping totals.
@@ -263,7 +363,7 @@ func (l *Library) Backing() LibraryBacking {
 	}
 	b.MappedGenerations, b.MappedBytes = core.MappedSnapshots()
 	if d := lastSidecar.Load(); d != nil {
-		b.Sidecar = *d
+		b.Sidecar, b.SidecarKeyedBy = d.decision, d.keyedBy
 	}
 	return b
 }

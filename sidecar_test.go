@@ -76,6 +76,75 @@ func replaceFile(t testing.TB, path string, data []byte) {
 	}
 }
 
+// settleSource waits until a file created beside path is stamped later than
+// path's modification and change times: a load from then on reads a source
+// that settled before it, and records its stamp. It skips the test where
+// stamps are never complete.
+func settleSource(t testing.TB, path string) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, complete := core.StatStamp(fi)
+	if !complete {
+		t.Skip("this platform's stat record carries no change time, inode and device")
+	}
+	for {
+		now, err := dirClock(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now > src.Mtime && now > src.Ctime {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// recordedStamp returns the source stamp the sidecar of src carries, the zero
+// stamp when it carries none.
+func recordedStamp(t testing.TB, src string) core.FileStamp {
+	t.Helper()
+	_, stamp, err := core.ReadSnapshotSource(nil, src+SidecarSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stamp
+}
+
+// editedSameSize returns the bytes of src with one action renamed to another
+// of the same length, and src's modification time.
+func editedSameSize(t testing.TB, src string) ([]byte, time.Time) {
+	t.Helper()
+	fi, err := os.Stat(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(b, []byte(`"act-001"`), []byte(`"act-199"`), 1)
+	if len(edited) != len(b) || bytes.Equal(edited, b) {
+		t.Fatal("the edit must change the bytes and keep the size")
+	}
+	return edited, fi.ModTime()
+}
+
+// rewriteInPlace edits src at equal size through its own inode and puts its
+// modification time back: only the change time tells.
+func rewriteInPlace(t *testing.T, src string) {
+	t.Helper()
+	edited, mtime := editedSameSize(t, src)
+	if err := os.WriteFile(src, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(src, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+}
+
 var sidecarActivities = [][]string{
 	{"act-000"},
 	{"act-001", "act-004", "act-017"},
@@ -119,6 +188,11 @@ func TestSidecarTable(t *testing.T) {
 		// disturb runs between the warm-up and the load under test.
 		disturb func(t *testing.T, src string)
 		want    string // prefix of the expected decision
+		// settled lets the source settle before the warm-up, which must then
+		// record its stamp; racy stops the warm-up's filesystem clock at the
+		// source's latest time, which must keep the stamp out.
+		settled, racy bool
+		keyedBy       string // LibraryBacking.SidecarKeyedBy of the load, when set
 	}{
 		{name: "cold", want: "rebuilt: no sidecar"},
 		{name: "warm", warm: true, want: SidecarHit},
@@ -173,7 +247,33 @@ func TestSidecarTable(t *testing.T) {
 				}
 				lib := parseReference(t, src)
 				key := fmt.Sprintf("jsonl-sha256:%x layout:impact", sha256.Sum256(b))
-				if err := writeSidecar(faultfs.OS, src+SidecarSuffix, lib.lib, lib.vocab, []byte(key)); err != nil {
+				if err := writeSidecar(faultfs.OS, src+SidecarSuffix, lib.lib, lib.vocab, core.SnapshotOptions{SourceKey: []byte(key)}); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "settled source loaded again", settled: true, warm: true, want: SidecarHit, keyedBy: keyedByStamp},
+		{name: "settled source edited at equal size, mtime restored", settled: true, warm: true,
+			want: "rebuilt: source key is", keyedBy: keyedByHash, disturb: rewriteInPlace},
+		{name: "settled source renamed over at equal size, mtime restored", settled: true, warm: true,
+			want: "rebuilt: source key is", keyedBy: keyedByHash,
+			disturb: func(t *testing.T, src string) {
+				edited, mtime := editedSameSize(t, src)
+				if err := os.WriteFile(src+".new", edited, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Chtimes(src+".new", mtime, mtime); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Rename(src+".new", src); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "source edited inside the racy window", racy: true, warm: true,
+			want: "rebuilt: source key is", keyedBy: keyedByHash, disturb: rewriteInPlace},
+		{name: "settled source touched", settled: true, warm: true, want: SidecarHit, keyedBy: keyedByHash,
+			disturb: func(t *testing.T, src string) {
+				now := time.Now()
+				if err := os.Chtimes(src, now, now); err != nil {
 					t.Fatal(err)
 				}
 			}},
@@ -182,10 +282,29 @@ func TestSidecarTable(t *testing.T) {
 		t.Run(st.name+"/impact=false", func(t *testing.T) {
 			src := filepath.Join(t.TempDir(), "lib.jsonl")
 			writeSidecarSource(t, src, 21)
+			if st.settled {
+				settleSource(t, src)
+			}
+			if st.racy {
+				fi, err := os.Stat(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, _ := core.StatStamp(fi)
+				clock := dirClock
+				dirClock = func(string) (int64, error) { return max(s.Mtime, s.Ctime), nil }
+				defer func() { dirClock = clock }()
+			}
 			if st.warm {
 				if _, d, err := LoadLibraryFileMapped(src); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
 					t.Fatalf("warm-up: decision %q, err %v", d, err)
 				}
+			}
+			if st.settled && recordedStamp(t, src) == (core.FileStamp{}) {
+				t.Fatal("the warm-up recorded no stamp of a settled source")
+			}
+			if st.racy && recordedStamp(t, src) != (core.FileStamp{}) {
+				t.Fatal("the warm-up recorded the stamp of a source inside the racy window")
 			}
 			if st.disturb != nil {
 				st.disturb(t, src)
@@ -199,6 +318,9 @@ func TestSidecarTable(t *testing.T) {
 			}
 			if got := lib.Backing(); got.Backing != "mapped" || got.Sidecar != decision {
 				t.Fatalf("Backing() = %+v after decision %q", got, decision)
+			}
+			if got := lib.Backing().SidecarKeyedBy; st.keyedBy != "" && got != st.keyedBy {
+				t.Fatalf("sidecar keyed by %q after decision %q, want %q", got, decision, st.keyedBy)
 			}
 			assertServesLike(t, parseReference(t, src), lib)
 			// Whatever was found, the next start parses nothing.
@@ -446,4 +568,58 @@ func FuzzSidecarOpen(f *testing.F) {
 			t.Fatalf("a mutated sidecar was served as a different library (off %d xor %#x cut %d)", off, xor, cut)
 		}
 	})
+}
+
+// BenchmarkLoadLibraryFileMapped times a warm start from the sidecar of a
+// settled source of 20 000 implementations in the repository benchmark's
+// line shape. "stamped" finds the stamp the sidecar recorded and reads no
+// source bytes; "hashed" moves the source's times before each load, so the
+// load hashes the source to find the same sidecar. The rows differ by the
+// hash the stamp saves. Every load maps the sidecar anew, and a mapped
+// library stays mapped.
+func BenchmarkLoadLibraryFileMapped(b *testing.B) {
+	src := filepath.Join(b.TempDir(), "lib.jsonl")
+	rng := rand.New(rand.NewSource(41))
+	var sb strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&sb, `{"goal":"g%d","actions":[`, i/2)
+		for j, n := 0, 2+rng.Intn(13); j < n; j++ {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			f := rng.Float64()
+			fmt.Fprintf(&sb, `"a%d"`, int(f*f*10000))
+		}
+		sb.WriteString("]}\n")
+	}
+	if err := os.WriteFile(src, []byte(sb.String()), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	settleSource(b, src)
+	if _, d, err := LoadLibraryFileMapped(src); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
+		b.Fatalf("cold load: decision %q, err %v", d, err)
+	}
+	for _, row := range []struct{ name, keyedBy string }{{"stamped", keyedByStamp}, {"hashed", keyedByHash}} {
+		keyedBy := row.keyedBy
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(sb.Len()))
+			for i := 0; i < b.N; i++ {
+				if keyedBy == keyedByHash {
+					b.StopTimer()
+					at := time.Unix(1_000_000_000+int64(i), 0)
+					if err := os.Chtimes(src, at, at); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				lib, d, err := LoadLibraryFileMapped(src)
+				if err != nil || d != SidecarHit {
+					b.Fatalf("decision %q, err %v", d, err)
+				}
+				if got := lib.Backing().SidecarKeyedBy; got != keyedBy {
+					b.Fatalf("sidecar keyed by %q, want %q", got, keyedBy)
+				}
+			}
+		})
+	}
 }
