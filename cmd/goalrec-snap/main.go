@@ -1,7 +1,7 @@
 // Command goalrec-snap inspects and converts goalrec library files.
 //
 //	goalrec-snap inspect lib.gsnp          print header, sections, ratios
-//	goalrec-snap verify  lib.gsnp          deep-validate every section
+//	goalrec-snap verify  lib.gsnp          whole-file checksum, then every section deep
 //	goalrec-snap convert [-format snapshot|json] in out
 //
 // convert sniffs the input format (JSON lines or snapshot) and writes the
@@ -114,6 +114,9 @@ func inspect(path string) error {
 }
 
 func verify(path string) error {
+	if err := core.ScrubSnapshotFile(nil, path); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	snap, err := core.OpenSnapshot(path)
 	if err != nil {
 		return err

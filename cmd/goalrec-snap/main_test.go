@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"goalrec"
+	"goalrec/internal/core"
 )
 
 func testLibraryFile(t *testing.T, dir string) (string, *goalrec.Library) {
@@ -146,5 +149,37 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
+	}
+}
+
+// verify refuses a snapshot whose bytes no longer match their checksum
+// footer, even where the flipped byte leaves every structural check intact:
+// here one letter of an action name.
+func TestVerifyRefusesChecksumMismatch(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, _ := testLibraryFile(t, dir)
+	snapPath := filepath.Join(dir, "lib.gsnp")
+	if err := run([]string{"convert", jsonPath, snapPath}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := core.DescribeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range desc.Sections {
+		if s.Name == "vocab-action-names" {
+			data[s.Offset] ^= 0x01 // "act-…" becomes "`ct-…"
+		}
+	}
+	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"verify", snapPath})
+	if !errors.Is(err, core.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("verify of a flipped name byte: %v, want a checksum mismatch", err)
 	}
 }

@@ -945,9 +945,10 @@ func (l *Library) ExportDOT(w io.Writer, maxImpls int) error {
 // LoadLibraryFile opens path and loads it with the format sniffed from the
 // leading bytes: '{' after any blank lines or spaces selects JSON lines, the
 // "GSNP" magic a memory-mapped snapshot; anything else is an error.
-// A mapped snapshot's pages stay mapped for the life of the process —
-// callers that need to release the mapping should use OpenSnapshotFile
-// directly and Close it.
+// A snapshot is read once in full, refused unless its bytes match their
+// checksum footer, and mapped. Its pages stay mapped for the life of the
+// process — callers that need to release the mapping should use
+// OpenSnapshotFile directly and Close it.
 func LoadLibraryFile(path string) (*Library, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -968,11 +969,11 @@ func LoadLibraryFile(path string) (*Library, error) {
 	}
 	br := bufio.NewReader(f)
 	if magic, err := br.Peek(4); err == nil && string(magic) == "GSNP" {
-		snap, err := OpenSnapshotFile(path)
+		snap, err := core.OpenSnapshotChecked(path)
 		if err != nil {
 			return nil, err
 		}
-		return snap.Library(), nil
+		return snapshotLibrary(snap, path)
 	}
 	return nil, fmt.Errorf("goalrec: %s is neither a JSON-lines library nor a GSNP snapshot", path)
 }

@@ -93,26 +93,17 @@ func (d *DynamicLibrary) Add(goal GoalID, actions []ActionID) (ImplID, error) {
 
 func (d *DynamicLibrary) addLocked(goal GoalID, actions []ActionID) (ImplID, error) {
 	d.initLocked()
-	if goal < 0 {
-		return NoImpl, fmt.Errorf("%w: goal %d", ErrNegativeID, goal)
-	}
-	norm := intset.FromUnsorted(intset.Clone(actions))
-	if len(norm) == 0 {
-		return NoImpl, ErrEmptyActivity
-	}
-	if norm[0] < 0 {
-		return NoImpl, fmt.Errorf("%w: action %d", ErrNegativeID, norm[0])
+	// Compaction folds base and tail into one CSR, so both count.
+	acts, err := appendRow(d.tailActs, len(d.cur.implActs)+len(d.tailActs), goal, actions)
+	if err != nil {
+		return NoImpl, err
 	}
 	id := ImplID(d.lenLocked())
 	d.tailGoal = append(d.tailGoal, goal)
-	d.tailActs = append(d.tailActs, norm...)
-	d.tailOff = append(d.tailOff, int32(len(d.tailActs)))
-	if n := int(goal) + 1; n > d.numGoals {
-		d.numGoals = n
-	}
-	if n := int(norm[len(norm)-1]) + 1; n > d.numActions {
-		d.numActions = n
-	}
+	d.tailActs = acts
+	d.tailOff = append(d.tailOff, int32(len(acts)))
+	d.numGoals = max(d.numGoals, int(goal)+1)
+	d.numActions = max(d.numActions, int(acts[len(acts)-1])+1)
 	return id, nil
 }
 

@@ -158,6 +158,20 @@ func (in *Interner) Intern(name string) int32 {
 	return id
 }
 
+// internUnshared is Intern for a NewInterner no other goroutine sees yet, a
+// loader's: it takes no lock, and a name already interned costs no
+// allocation, the lookup converting name without a copy.
+func (in *Interner) internUnshared(name []byte) int32 {
+	if id, ok := in.byName[string(name)]; ok {
+		return id
+	}
+	id := int32(len(in.names))
+	str := string(name)
+	in.byName[str] = id
+	in.names = append(in.names, str)
+	return id
+}
+
 // Lookup returns the id for name without assigning one. The second result
 // reports whether the name was present.
 func (in *Interner) Lookup(name string) (int32, bool) {

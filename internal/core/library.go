@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"goalrec/internal/intset"
 )
@@ -24,12 +25,11 @@ var (
 // Builder accumulates goal implementations and freezes them into an
 // immutable Library. The zero value is ready to use.
 type Builder struct {
-	implGoal   []GoalID
-	implOff    []int32 // implOff[i]..implOff[i+1] delimit actions of impl i in implActs
-	implActs   []ActionID
-	maxAction  ActionID
-	maxGoal    GoalID
-	totalSlots int
+	implGoal  []GoalID
+	implOff   []int32 // implOff[i]..implOff[i+1] delimit actions of impl i in implActs
+	implActs  []ActionID
+	maxAction ActionID
+	maxGoal   GoalID
 }
 
 // NewBuilder returns a Builder with capacity hints for n implementations of
@@ -56,28 +56,42 @@ func (b *Builder) init() {
 // copy of actions. It returns the id assigned to the implementation.
 func (b *Builder) Add(goal GoalID, actions []ActionID) (ImplID, error) {
 	b.init()
-	if goal < 0 {
-		return NoImpl, fmt.Errorf("%w: goal %d", ErrNegativeID, goal)
-	}
-	norm := intset.FromUnsorted(intset.Clone(actions))
-	if len(norm) == 0 {
-		return NoImpl, ErrEmptyActivity
-	}
-	if norm[0] < 0 {
-		return NoImpl, fmt.Errorf("%w: action %d", ErrNegativeID, norm[0])
+	acts, err := appendRow(b.implActs, len(b.implActs), goal, actions)
+	if err != nil {
+		return NoImpl, err
 	}
 	id := ImplID(len(b.implGoal))
 	b.implGoal = append(b.implGoal, goal)
-	b.implActs = append(b.implActs, norm...)
-	b.implOff = append(b.implOff, int32(len(b.implActs)))
-	if goal > b.maxGoal {
-		b.maxGoal = goal
-	}
-	if last := norm[len(norm)-1]; last > b.maxAction {
-		b.maxAction = last
-	}
-	b.totalSlots += len(norm)
+	b.implActs = acts
+	b.implOff = append(b.implOff, int32(len(acts)))
+	b.maxGoal = max(b.maxGoal, goal)
+	b.maxAction = max(b.maxAction, acts[len(acts)-1])
 	return id, nil
+}
+
+// appendRow normalises the row (goal, actions) onto the end of acts —
+// actions sorted, duplicates dropped — and returns the extended acts. acts
+// is the tail of an implementation CSR holding slots action slots in all.
+// appendRow refuses a negative id, an empty row, and a row that would take
+// the CSR past the int32 offsets; acts' contents are then unchanged, only
+// its spare capacity may have been written. Builder.Add and the
+// DynamicLibrary's appends share it, so every loader enforces the same rules.
+func appendRow(acts []ActionID, slots int, goal GoalID, actions []ActionID) ([]ActionID, error) {
+	if goal < 0 {
+		return acts, fmt.Errorf("%w: goal %d", ErrNegativeID, goal)
+	}
+	n := len(acts)
+	grown := append(acts, actions...)
+	row := intset.FromUnsorted(grown[n:])
+	switch {
+	case len(row) == 0:
+		return acts, ErrEmptyActivity
+	case row[0] < 0:
+		return acts, fmt.Errorf("%w: action %d", ErrNegativeID, row[0])
+	case slots+len(row) > math.MaxInt32:
+		return acts, fmt.Errorf("core: library of %d action slots exceeds the 32-bit offset space", slots+len(row))
+	}
+	return grown[:n+len(row)], nil
 }
 
 // Len returns the number of implementations added so far.
@@ -99,44 +113,6 @@ func (b *Builder) Build() *Library {
 	}
 	lib.buildIndexes()
 	return lib
-}
-
-// checkImplCSR verifies the implementation CSR every Library is indexed
-// from — offsets spanning exactly implActs, every row non-empty, ids
-// non-negative, action rows strictly increasing — and returns the largest
-// action and goal ids present (−1 when there are no implementations). The
-// loaders that assemble a CSR themselves run it before buildIndexes, which
-// trusts these invariants.
-func checkImplCSR(implGoal []GoalID, implOff []int32, implActs []ActionID) (maxAction ActionID, maxGoal GoalID, err error) {
-	nImpl, nSlots := len(implGoal), len(implActs)
-	maxAction, maxGoal = -1, -1
-	if len(implOff) != nImpl+1 || implOff[0] != 0 || int(implOff[nImpl]) != nSlots {
-		return -1, -1, fmt.Errorf("core: corrupt library: %d offsets for %d implementations over %d slots", len(implOff), nImpl, nSlots)
-	}
-	for p := 0; p < nImpl; p++ {
-		lo, hi := implOff[p], implOff[p+1]
-		if hi <= lo || int(hi) > nSlots {
-			return -1, -1, fmt.Errorf("core: corrupt offsets for implementation %d", p)
-		}
-		acts := implActs[lo:hi]
-		if acts[0] < 0 {
-			return -1, -1, fmt.Errorf("core: implementation %d: %w: action %d", p, ErrNegativeID, acts[0])
-		}
-		for i := 1; i < len(acts); i++ {
-			if acts[i] <= acts[i-1] {
-				return -1, -1, fmt.Errorf("core: implementation %d: action list not strictly increasing at slot %d", p, i)
-			}
-		}
-		if g := implGoal[p]; g < 0 {
-			return -1, -1, fmt.Errorf("core: implementation %d: %w: goal %d", p, ErrNegativeID, g)
-		} else if g > maxGoal {
-			maxGoal = g
-		}
-		if last := acts[len(acts)-1]; last > maxAction {
-			maxAction = last
-		}
-	}
-	return maxAction, maxGoal, nil
 }
 
 // buildIndexes derives the posting indexes (A-GI-idx, G-GI-idx and GA-idx)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +25,25 @@ func TestBuilderAddValidation(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Errorf("failed Adds changed Len to %d", b.Len())
+	}
+}
+
+// TestAppendRowSlotBound: the row normaliser behind Builder.Add and the
+// DynamicLibrary's appends refuses a row that would take the CSR past the
+// int32 offsets instead of letting an offset wrap, and counts the row after
+// its duplicates are dropped.
+func TestAppendRowSlotBound(t *testing.T) {
+	prefix := []ActionID{7, 9}
+	acts, err := appendRow(prefix, math.MaxInt32-3, 1, []ActionID{5, 3, 5, 4})
+	if err != nil || !reflect.DeepEqual(acts, []ActionID{7, 9, 3, 4, 5}) {
+		t.Fatalf("row filling the offset space exactly: %v, %v", acts, err)
+	}
+	acts, err = appendRow(prefix, math.MaxInt32-2, 1, []ActionID{1, 2, 3})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 32-bit offset space") {
+		t.Fatalf("row one slot past the offset space: error %v", err)
+	}
+	if !reflect.DeepEqual(acts, []ActionID{7, 9}) {
+		t.Fatalf("refused row changed the CSR: %v", acts)
 	}
 }
 

@@ -52,10 +52,10 @@ const (
 	// snapFooterMagic introduces the optional 8-byte whole-file checksum
 	// footer ("GSUM" read little-endian) appended after the last section:
 	// magic | u32 crc32(everything before the footer). OpenSnapshot never
-	// reads it — opening stays O(header) — but the scrubber and
-	// OpenSnapshotKeyed use it to detect silent at-rest corruption anywhere
-	// in the file, which the header CRC (header + section table only) cannot
-	// see.
+	// reads it — opening stays O(header) — but the scrubber,
+	// OpenSnapshotKeyed and OpenSnapshotChecked use it to detect silent
+	// at-rest corruption anywhere in the file, which the header CRC (header
+	// + section table only) cannot see.
 	snapFooterMagic = uint32(0x4d555347)
 	snapFooterSize  = 8
 
@@ -738,7 +738,37 @@ func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, err
 	if err := checkSourceKey(f, secs, key); err != nil {
 		return nil, err
 	}
-	if err := VerifySnapshotChecksum(io.NewSectionReader(f, 0, size), size); err != nil {
+	return mapChecked(f, path, size, false)
+}
+
+// OpenSnapshotChecked is OpenSnapshot for an image nothing else vouches for:
+// it reads the whole file once, through the descriptor it then maps, and
+// refuses it with an error wrapping ErrCorruptSnapshot unless every byte
+// matches the checksum footer the image was sealed with. An image written
+// before the footer existed maps as OpenSnapshot maps it, header CRC only.
+func OpenSnapshotChecked(path string) (*Snapshot, error) {
+	f, err := faultfs.OS.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	s, err := mapChecked(f, path, fi.Size(), true)
+	if errors.Is(err, ErrCorruptSnapshot) {
+		err = fmt.Errorf("core: snapshot %s: %w", path, err)
+	}
+	return s, err
+}
+
+// mapChecked maps f, the size-byte snapshot image at path, once its bytes
+// match their checksum footer; an image without one maps only if footerless
+// is set.
+func mapChecked(f faultfs.File, path string, size int64, footerless bool) (*Snapshot, error) {
+	err := VerifySnapshotChecksum(io.NewSectionReader(f, 0, size), size)
+	if err != nil && !(footerless && err == ErrNoChecksum) {
 		return nil, err
 	}
 	s, err := mapSnapshot(f, path)

@@ -3,6 +3,7 @@ package goalrec
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -429,7 +430,9 @@ func TestSidecarRemovesStaleTemps(t *testing.T) {
 }
 
 // TestSidecarOtherFormats: only JSON lines get a sidecar; a snapshot loads as
-// LoadLibraryFile loads it.
+// LoadLibraryFile loads it, checked against its whole-file checksum: one bit
+// flipped inside the postings passes the header CRC that OpenSnapshotFile
+// checks, but the snapshot is not served.
 func TestSidecarOtherFormats(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "lib.jsonl")
@@ -449,6 +452,32 @@ func TestSidecarOtherFormats(t *testing.T) {
 	}
 	if _, _, err := LoadLibraryFileMapped(filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Fatal("a missing library loaded")
+	}
+
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := core.DescribeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range desc.Sections {
+		if s.Name == "postings-raw" {
+			data[s.Offset+s.Bytes/2] ^= 0x01
+		}
+	}
+	replaceFile(t, snap, data)
+	mapped, err := OpenSnapshotFile(snap)
+	if err != nil {
+		t.Fatalf("OpenSnapshotFile checks only the header: %v", err)
+	}
+	_ = mapped.Close()
+	if _, err := LoadLibraryFile(snap); !errors.Is(err, core.ErrCorruptSnapshot) {
+		t.Fatalf("LoadLibraryFile of a flipped bit: error %v, want ErrCorruptSnapshot", err)
+	}
+	if _, decision, err := LoadLibraryFileMapped(snap); !errors.Is(err, core.ErrCorruptSnapshot) || decision != "" {
+		t.Fatalf("LoadLibraryFileMapped of a flipped bit: decision %q, error %v, want ErrCorruptSnapshot", decision, err)
 	}
 }
 
