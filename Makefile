@@ -37,13 +37,16 @@ vet:
 fmt:
 	gofmt -w .
 
-# Static checks: formatting, vet, and (when installed) govulncheck. CI runs
-# the same three; install locally with
-# `go install golang.org/x/vuln/cmd/govulncheck@latest`.
+# Static checks: formatting, vet, the serving path's imports and (when
+# installed) govulncheck. CI runs the same; install govulncheck locally with
+# `go install golang.org/x/vuln/cmd/govulncheck@latest`. The serving path
+# (the root package, internal/strategy, internal/cluster) must not import
+# internal/vectorspace: Best Match's metric lives beside its scorer.
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
 	go run ./scripts/errlint
+	! go list -f '{{join .Imports "\n"}}' . ./internal/strategy ./internal/cluster | grep -x goalrec/internal/vectorspace
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else \

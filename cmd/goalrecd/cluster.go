@@ -38,8 +38,8 @@ var roleOnlyFlags = map[string]string{
 	"scatter-timeout": "coordinator",
 }
 
-// nodeOnlyFlags configure the store and the per-user state, which a
-// coordinator does not have: it never scans, journals or keeps users.
+// nodeOnlyFlags configure the store and the per-user state, which only a
+// single node has: no cluster role journals or keeps users.
 var nodeOnlyFlags = []string{
 	"snapshot-dir", "wal-sync", "compact-wal-bytes", "scrub-interval",
 	"user-capacity",
@@ -55,8 +55,8 @@ func checkRoleFlags(role string) error {
 		case err != nil:
 		case want != "" && want != role:
 			err = fmt.Errorf("-%s needs -role %s", f.Name, want)
-		case role == "coordinator" && slices.Contains(nodeOnlyFlags, f.Name):
-			err = fmt.Errorf("-%s does not apply to -role coordinator: it never scans, journals or keeps users", f.Name)
+		case role != "" && slices.Contains(nodeOnlyFlags, f.Name):
+			err = fmt.Errorf("-%s does not apply to -role %s: only a single node journals and keeps users", f.Name, role)
 		}
 	})
 	return err

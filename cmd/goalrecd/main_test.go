@@ -264,6 +264,12 @@ func TestRoleFlagsRefusedAtStartup(t *testing.T) {
 		{append(coordinator, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
 		{append(coordinator, "-scrub-interval", "1m"), "-scrub-interval"},
 		{append(coordinator, "-user-capacity", "10"), "-user-capacity"},
+		// Nor does a worker: the coordinator's swaps move its shard.
+		{append(worker, "-snapshot-dir", "d"), "-snapshot-dir"},
+		{append(worker, "-wal-sync"), "-wal-sync"},
+		{append(worker, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
+		{append(worker, "-scrub-interval", "1m"), "-scrub-interval"},
+		{append(worker, "-user-capacity", "10"), "-user-capacity"},
 		// -shard-range is parsed before the library is loaded.
 		{append(worker, "-shard-range", "5"), "-shard-range"},
 		{append(worker, "-shard-range", "9:3"), "-shard-range"},

@@ -14,7 +14,6 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/strategy"
-	"goalrec/internal/vectorspace"
 )
 
 // ErrCanceled marks a recommendation query aborted by its context before it
@@ -442,8 +441,8 @@ func (e *QueryError) Unwrap() error { return e.Err }
 type StrategySpec struct {
 	// Strategy is one of the four strategy constants.
 	Strategy Strategy
-	// Metric is the canonical Best Match metric name.
-	Metric string
+	// Metric is the Best Match metric; its String is the canonical name.
+	Metric strategy.Metric
 	// Name is what responses report: the Name() of the recommender the
 	// selection builds ("best-match-jaccard" for a non-default metric).
 	Name string
@@ -458,17 +457,17 @@ func ResolveStrategy(strategyName, metric string) (StrategySpec, error) {
 		strategyName = string(Breadth)
 	}
 	if metric == "" {
-		metric = vectorspace.Cosine.String()
+		metric = strategy.Cosine.String()
 	}
-	m, err := vectorspace.ParseMetric(metric)
+	m, err := strategy.ParseMetric(metric)
 	if err != nil {
 		return StrategySpec{}, &QueryError{fmt.Errorf("goalrec: %w", err)}
 	}
-	spec := StrategySpec{Strategy: Strategy(strategyName), Metric: metric, Name: strategyName}
+	spec := StrategySpec{Strategy: Strategy(strategyName), Metric: m, Name: strategyName}
 	switch spec.Strategy {
 	case FocusCompleteness, FocusCloseness, Breadth:
 	case BestMatch:
-		if m != vectorspace.Cosine {
+		if m != strategy.Cosine {
 			spec.Name += "-" + metric
 		}
 	default:
@@ -483,7 +482,7 @@ func ResolveStrategy(strategyName, metric string) (StrategySpec, error) {
 type RecommenderOption func(recOptions) recOptions
 
 type recOptions struct {
-	metric    vectorspace.Metric
+	metric    strategy.Metric
 	weighting strategy.BreadthWeighting
 	cacheSize int
 	err       error // first invalid option, surfaced by Library.Recommender
@@ -491,7 +490,7 @@ type recOptions struct {
 
 // resolveRecOptions applies opts over the defaults.
 func resolveRecOptions(opts []RecommenderOption) recOptions {
-	o := recOptions{metric: vectorspace.Cosine, weighting: strategy.Overlap}
+	o := recOptions{metric: strategy.Cosine, weighting: strategy.Overlap}
 	for _, opt := range opts {
 		o = opt(o)
 	}
@@ -512,7 +511,7 @@ func (o recOptions) fail(err error) recOptions {
 // MustRecommender) instead of silently falling back to the default.
 func WithDistanceMetric(name string) RecommenderOption {
 	return func(o recOptions) recOptions {
-		m, err := vectorspace.ParseMetric(name)
+		m, err := strategy.ParseMetric(name)
 		if err != nil {
 			return o.fail(err)
 		}
@@ -847,7 +846,7 @@ func (l *Library) RelatedGoals(goal string, k int) []RelatedGoal {
 	if !ok || k == 0 {
 		return nil
 	}
-	ref := l.goalActions(core.GoalID(gid))
+	ref, _ := l.lib.ActionsOfGoal(core.GoalID(gid)) // the union of its implementations' actions, sorted
 	if len(ref) == 0 {
 		return nil
 	}
@@ -859,7 +858,7 @@ func (l *Library) RelatedGoals(goal string, k int) []RelatedGoal {
 			continue
 		}
 		seen[g] = true
-		other := l.goalActions(g)
+		other, _ := l.lib.ActionsOfGoal(g)
 		shared := intset.IntersectionLen(ref, other)
 		if shared == 0 {
 			continue
@@ -883,21 +882,6 @@ func (l *Library) RelatedGoals(goal string, k int) []RelatedGoal {
 		out = out[:k]
 	}
 	return out
-}
-
-// goalActions returns the union of the goal's implementations' actions,
-// sorted. The destination is sized from the goal's slot total up front, so
-// high-degree hub goals no longer pay repeated append growth.
-func (l *Library) goalActions(g core.GoalID) []core.ActionID {
-	total := l.lib.GoalWalkCost(g)
-	if total == 0 {
-		return nil
-	}
-	all := make([]core.ActionID, 0, total)
-	for _, p := range l.lib.ImplsOfGoal(g) {
-		all = append(all, l.lib.Actions(p)...)
-	}
-	return intset.FromUnsorted(all)
 }
 
 // MergeLibraries combines several libraries into one: implementations are

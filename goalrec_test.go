@@ -2,13 +2,19 @@ package goalrec
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"goalrec/internal/core"
 )
 
 // groceryLibrary builds the running example of the paper's introduction:
@@ -246,8 +252,8 @@ func TestResolveStrategy(t *testing.T) {
 		{"best-match", "cosine", "best-match", ""},
 		{"best-match", "manhattan", "best-match-manhattan", ""},
 		{"breadth-count", "", "", `goalrec: unknown strategy "breadth-count"`},
-		{"breadth", "hamming", "", `goalrec: vectorspace: unknown metric "hamming"`},
-		{"nope", "hamming", "", `goalrec: vectorspace: unknown metric "hamming"`},
+		{"breadth", "hamming", "", `goalrec: strategy: unknown metric "hamming"`},
+		{"nope", "hamming", "", `goalrec: strategy: unknown metric "hamming"`},
 	} {
 		spec, err := ResolveStrategy(tc.strategy, tc.metric)
 		if tc.err != "" {
@@ -261,7 +267,7 @@ func TestResolveStrategy(t *testing.T) {
 			t.Errorf("ResolveStrategy(%q, %q) = %+v, %v; want name %q", tc.strategy, tc.metric, spec, err, tc.name)
 			continue
 		}
-		rec, err := lib.Recommender(Strategy(tc.strategy), WithDistanceMetric(spec.Metric))
+		rec, err := lib.Recommender(Strategy(tc.strategy), WithDistanceMetric(spec.Metric.String()))
 		if err != nil || rec.Name() != spec.Name {
 			t.Errorf("Recommender(%q, %q): name %q, err %v; the table says %q", tc.strategy, spec.Metric, rec.Name(), err, spec.Name)
 		}
@@ -450,6 +456,132 @@ func TestRelatedGoals(t *testing.T) {
 	}
 	if top1 := lib.RelatedGoals("olivier salad", 1); len(top1) != 1 {
 		t.Errorf("k=1 = %v", top1)
+	}
+}
+
+// TestRelatedGoalsMatchesOracle checks RelatedGoals, which reads each goal's
+// GA-idx row, on a flat library, on one extended by ingest (overlay goal rows)
+// and on a mapped snapshot, against the Jaccard of the sorted union of each
+// goal's implementations' actions, recomputed from the source rows. The
+// reads alias the library's rows, so these must be unchanged afterwards.
+func TestRelatedGoalsMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	type row struct {
+		goal    string
+		actions []string
+	}
+	randomRows := func(n int) []row {
+		rows := make([]row, n)
+		for i := range rows {
+			rows[i].goal = fmt.Sprintf("g%d", r.Intn(12))
+			for j := 1 + r.Intn(5); j > 0; j-- {
+				rows[i].actions = append(rows[i].actions, fmt.Sprintf("a%d", r.Intn(20)))
+			}
+		}
+		return rows
+	}
+	base, more := randomRows(40), randomRows(15)
+	b := NewBuilder()
+	for _, rw := range base {
+		if err := b.AddImplementation(rw.goal, rw.actions...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat := b.Build()
+
+	e := NewEngineFromLibrary(flat)
+	for _, rw := range more {
+		if err := e.AddImplementation(rw.goal, rw.actions...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extended := e.Snapshot()
+	if extended.lib.Overlay().GoalRows == 0 {
+		t.Fatal("the ingest left no overlay goal rows")
+	}
+
+	path := filepath.Join(t.TempDir(), "lib.gsnp")
+	if err := flat.SaveSnapshotFile(path, false); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if !snap.Library().lib.Mapped() {
+		t.Fatal("the snapshot library is not mapped")
+	}
+
+	// oracle is RelatedGoals by definition over rows.
+	oracle := func(rows []row, goal string) []RelatedGoal {
+		union := map[string][]string{}
+		for _, rw := range rows {
+			union[rw.goal] = append(union[rw.goal], rw.actions...)
+		}
+		for g, acts := range union {
+			slices.Sort(acts)
+			union[g] = slices.Compact(acts)
+		}
+		ref, ok := union[goal]
+		if !ok {
+			return nil
+		}
+		var out []RelatedGoal
+		for g, other := range union {
+			shared := 0
+			for _, a := range other {
+				if _, found := slices.BinarySearch(ref, a); found {
+					shared++
+				}
+			}
+			if g == goal || shared == 0 {
+				continue
+			}
+			out = append(out, RelatedGoal{Goal: g, SharedActions: shared,
+				Similarity: float64(shared) / float64(len(ref)+len(other)-shared)})
+		}
+		slices.SortFunc(out, func(x, y RelatedGoal) int {
+			if x.Similarity != y.Similarity {
+				return cmp.Compare(y.Similarity, x.Similarity)
+			}
+			if x.SharedActions != y.SharedActions {
+				return y.SharedActions - x.SharedActions
+			}
+			return strings.Compare(x.Goal, y.Goal)
+		})
+		return out
+	}
+
+	for _, tc := range []struct {
+		name string
+		lib  *Library
+		rows []row
+	}{
+		{"flat", flat, base},
+		{"extended", extended, append(slices.Clone(base), more...)},
+		{"mapped", snap.Library(), base},
+	} {
+		cl := tc.lib.lib
+		before := make([][]core.ActionID, cl.NumGoals())
+		for g := range before {
+			acts, _ := cl.ActionsOfGoal(core.GoalID(g))
+			before[g] = slices.Clone(acts)
+		}
+		for _, goal := range tc.lib.Goals() {
+			want := oracle(tc.rows, goal)
+			if got := tc.lib.RelatedGoals(goal, -1); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: RelatedGoals(%q) = %v, want %v", tc.name, goal, got, want)
+			}
+			if got := tc.lib.RelatedGoals(goal, 2); len(want) > 2 && !reflect.DeepEqual(got, want[:2]) {
+				t.Errorf("%s: RelatedGoals(%q, 2) = %v, want %v", tc.name, goal, got, want[:2])
+			}
+		}
+		for g, want := range before {
+			if acts, _ := cl.ActionsOfGoal(core.GoalID(g)); !slices.Equal(acts, want) {
+				t.Errorf("%s: goal %d's GA row is %v after RelatedGoals, was %v", tc.name, g, acts, want)
+			}
+		}
 	}
 }
 

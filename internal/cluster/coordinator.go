@@ -14,7 +14,6 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/server"
 	"goalrec/internal/strategy"
-	"goalrec/internal/vectorspace"
 )
 
 // PartialFailurePolicy selects what a scatter does when a shard cannot
@@ -534,8 +533,7 @@ func (co *Coordinator) recommendAt(ctx context.Context, snap *goalrec.Library, s
 	case goalrec.Breadth:
 		scored, degraded, err = co.gatherBreadth(ctx, ids, k)
 	case goalrec.BestMatch:
-		m, _ := vectorspace.ParseMetric(spec.Metric) // validated by ResolveStrategy
-		scored, degraded, err = co.gatherBestMatch(ctx, m, ids, k)
+		scored, degraded, err = co.gatherBestMatch(ctx, spec.Metric, ids, k)
 	}
 	if err != nil {
 		return nil, &server.BackendError{Err: err}
@@ -585,7 +583,7 @@ func (co *Coordinator) gatherBreadth(ctx context.Context, ids []core.ActionID, k
 // that global goal space and reconstructs the exact distances from int64
 // sums. Restricting vectors to the global space (not each shard's local
 // one) is what keeps the norms and dot products equal to single-node.
-func (co *Coordinator) gatherBestMatch(ctx context.Context, metric vectorspace.Metric, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
+func (co *Coordinator) gatherBestMatch(ctx context.Context, metric strategy.Metric, ids []core.ActionID, k int) ([]strategy.ScoredAction, bool, error) {
 	surveyed, okPeers, degraded, err := gather[bmSurveyResponse](ctx, co, FrameBMSurvey, mustJSON(bmSurveyRequest{Activity: ids}), nil)
 	if err != nil {
 		return nil, false, err

@@ -12,7 +12,6 @@ import (
 	"goalrec"
 	"goalrec/internal/comms"
 	"goalrec/internal/strategy"
-	"goalrec/internal/vectorspace"
 )
 
 // WorkerConfig configures one shard-serving worker.
@@ -141,7 +140,7 @@ func (w *Worker) cut(lib *goalrec.Library) (*shardState, error) {
 		focusCmp: strategy.NewFocus(c, strategy.Completeness),
 		focusCl:  strategy.NewFocus(c, strategy.Closeness),
 		breadth:  strategy.NewBreadthWeighted(c, strategy.Overlap),
-		best:     strategy.NewBestMatchMetric(c, vectorspace.Cosine),
+		best:     strategy.NewBestMatchMetric(c, strategy.Cosine),
 	}, nil
 }
 

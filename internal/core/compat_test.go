@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,19 +12,23 @@ import (
 // The fixtures under testdata were written by the last release that had the
 // size-sorted (impact-ordered) layout. recipes-impact.gsnp is an
 // impact-ordered snapshot of testdata/recipes.jsonl at epoch 1: it carries
-// the three AG-idx sections, the four block-max sections and the size-sorted
-// header flag, all retired since. recipes.jsonl.gsnp is the plain sidecar of
-// testdata/recipes.jsonl.
-const retiredLayoutFixture = "testdata/recipes-impact.gsnp"
+// the three AG-idx sections, the per-goal walk costs, the four block-max
+// sections and the size-sorted header flag, all retired since.
+// recipes.jsonl.gsnp is the plain sidecar of testdata/recipes.jsonl written
+// by the same release.
+const (
+	retiredLayoutFixture = "testdata/recipes-impact.gsnp"
+	sidecarFixture       = "testdata/recipes.jsonl.gsnp"
+)
 
-// retiredSection reports whether id is one of the fixture's retired sections.
+// retiredSection reports whether id is one of the fixtures' retired sections.
 func retiredSection(id uint32) bool {
-	return id >= secAgOff && id <= secAgCnt || id >= secBlkOff && id <= secBlkMaxLen
+	return id >= secAgOff && id <= secAgCnt || id == secGoalSlots || id >= secBlkOff && id <= secBlkMaxLen
 }
 
-// TestRetiredLayoutSnapshotOpens: a snapshot with the retired AG-idx and
-// block sections and flag still describes, opens, verifies and scrubs, and a
-// rewrite of it carries none of them.
+// TestRetiredLayoutSnapshotOpens: a snapshot with the retired AG-idx,
+// walk-cost and block sections and flag still describes, opens, verifies and
+// scrubs, and a rewrite of it carries none of them.
 func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 	data, err := os.ReadFile(retiredLayoutFixture)
 	if err != nil {
@@ -45,8 +50,8 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 			}
 		}
 	}
-	if reserved != 7 {
-		t.Fatalf("the fixture lists %d retired sections, want 7", reserved)
+	if reserved != 8 {
+		t.Fatalf("the fixture lists %d retired sections, want 8", reserved)
 	}
 	if err := ScrubSnapshotFile(nil, retiredLayoutFixture); err != nil {
 		t.Fatalf("ScrubSnapshotFile: %v", err)
@@ -80,6 +85,78 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 	for _, s := range rd.Sections {
 		if retiredSection(s.ID) {
 			t.Errorf("a rewrite carries retired section %q", s.Name)
+		}
+	}
+}
+
+// TestGoalSlotsSidecarOpens: the committed sidecar, written while the
+// per-goal walk costs were still stored, carries their section, and it
+// describes, scrubs, opens, verifies and serves the GA rows of a fresh parse
+// of its source, which writes no such section.
+func TestGoalSlotsSidecarOpens(t *testing.T) {
+	data, err := os.ReadFile(sidecarFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DescribeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carries := false
+	for _, s := range d.Sections {
+		if s.ID == secGoalSlots {
+			carries = s.Name == "reserved-goal-slots"
+		}
+	}
+	if !carries {
+		t.Fatal("the sidecar fixture lacks section 14 described as reserved-goal-slots")
+	}
+	if err := ScrubSnapshotFile(nil, sidecarFixture); err != nil {
+		t.Fatalf("ScrubSnapshotFile: %v", err)
+	}
+	snap, err := OpenSnapshot(sidecarFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if err := VerifySnapshot(snap); err != nil {
+		t.Fatalf("VerifySnapshot: %v", err)
+	}
+
+	src, err := os.Open("testdata/recipes.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	want, wantVocab, err := ReadJSONLines(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotVocab := snap.Library(), snap.Vocabulary()
+	if got.NumGoals() != want.NumGoals() || got.NumImplementations() != want.NumImplementations() {
+		t.Fatalf("opened %d goals, %d implementations; the parse has %d, %d",
+			got.NumGoals(), got.NumImplementations(), want.NumGoals(), want.NumImplementations())
+	}
+	for g := GoalID(0); int(g) < want.NumGoals(); g++ {
+		ga, gc := got.ActionsOfGoal(g)
+		wa, wc := want.ActionsOfGoal(g)
+		if gotVocab.GoalName(g) != wantVocab.GoalName(g) || !slices.Equal(ga, wa) || !slices.Equal(gc, wc) {
+			t.Fatalf("goal %d (%s): GA row %v/%v, the parse's (%s) %v/%v",
+				g, gotVocab.GoalName(g), ga, gc, wantVocab.GoalName(g), wa, wc)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, want, wantVocab, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := DescribeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range fresh.Sections {
+		if s.ID == secGoalSlots {
+			t.Error("a fresh image carries section 14")
 		}
 	}
 }

@@ -269,14 +269,12 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	// Group the pending implementations by action and goal.
 	pendAct := make(map[ActionID][]ImplID)
 	pendGoal := make(map[GoalID][]ImplID)
-	pendSlots := make(map[GoalID]int32)
 	pendGA := make(map[GoalID]map[ActionID]int32)
 	for p := lo; p < hi; p++ {
 		id := ImplID(p)
 		g := nl.Goal(id)
 		acts := nl.implActions(id)
 		pendGoal[g] = append(pendGoal[g], id)
-		pendSlots[g] += int32(len(acts))
 		ga := pendGA[g]
 		if ga == nil {
 			ga = make(map[ActionID]int32)
@@ -296,15 +294,12 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	}
 	nl.ovAct = acts.ovTable
 
-	// Goal rows: G-GI-idx row, walk cost, and the GA-idx row — the transpose
-	// merge of the goal's old (action, count) row with the pending
-	// per-action increments.
+	// Goal rows: the G-GI-idx row and the GA-idx row — the transpose merge
+	// of the goal's old (action, count) row with the pending per-action
+	// increments.
 	goals := prev.ovGoal.extend(d.numGoals)
 	for g, ids := range pendGoal {
-		r := &goalRow{
-			post:  slices.Concat(prev.ImplsOfGoal(g), ids),
-			slots: int32(prev.GoalWalkCost(g)) + pendSlots[g],
-		}
+		r := &goalRow{post: slices.Concat(prev.ImplsOfGoal(g), ids)}
 		oldA, oldC := prev.ActionsOfGoal(g)
 		r.gaAct, r.gaCnt = mergeCounts(oldA, oldC, pendGA[g])
 		goals.set(int32(g), r)

@@ -210,9 +210,6 @@ func libraryEqual(t *testing.T, got, want *Library) {
 		if !intset.Equal(got.ImplsOfGoal(g), want.ImplsOfGoal(g)) {
 			t.Fatalf("impls of goal %d = %v, want %v", g, got.ImplsOfGoal(g), want.ImplsOfGoal(g))
 		}
-		if got.GoalWalkCost(g) != want.GoalWalkCost(g) {
-			t.Fatalf("walk cost of goal %d = %d, want %d", g, got.GoalWalkCost(g), want.GoalWalkCost(g))
-		}
 		ga, gc := got.ActionsOfGoal(g)
 		wa, wc := want.ActionsOfGoal(g)
 		if !intset.Equal(ga, wa) || !slices.Equal(gc, wc) {

@@ -162,14 +162,6 @@ func (l *Library) buildIndexes() {
 		gCursor[g]++
 	}
 
-	// Per-goal slot totals: Σ |A_p| over the goal's implementations, the
-	// exact cost of walking every implementation of the goal. The strategies
-	// use these to choose between candidate-major and goal-major scoring.
-	l.goalSlots = make([]int32, nGoal)
-	for p, g := range l.implGoal {
-		l.goalSlots[g] += l.implOff[p+1] - l.implOff[p]
-	}
-
 	// GA-idx: per-goal sorted (action, count) pairs, count = number of the
 	// goal's implementations containing the action. Built in two linear
 	// passes over the A-GI-idx: iterating actions in increasing id order leaves
@@ -270,8 +262,6 @@ type Library struct {
 	gaOff []int32 // CSR offsets into gaAct/gaCnt, len numGoals+1
 	gaAct []ActionID
 	gaCnt []int32
-
-	goalSlots []int32 // per-goal Σ |A_p|, the walk cost of the goal's impls
 
 	maxImplLen int32 // largest |A_p| in the library
 	mapped     bool  // the flat index arrays are views over a snapshot mapping
@@ -446,22 +436,6 @@ func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
 func (l *Library) GoalActionCount(g GoalID) int {
 	acts, _ := l.ActionsOfGoal(g)
 	return len(acts)
-}
-
-// GoalWalkCost returns Σ |A_p| over the implementations of goal g: the exact
-// cost of visiting every slot of the goal. Ids outside the library yield 0.
-func (l *Library) GoalWalkCost(g GoalID) int {
-	if uint32(g) < uint32(l.numGoals) {
-		if l.ovGoal.pages != nil {
-			if r := l.ovGoal.pages[g>>ovPageBits][g&(ovPageRows-1)]; r != nil {
-				return int(r.slots)
-			}
-		}
-		if int(g) < len(l.goalSlots) {
-			return int(l.goalSlots[g])
-		}
-	}
-	return 0
 }
 
 // Implementation materializes implementation p as a value with its own

@@ -22,13 +22,12 @@ type actRow struct {
 	post []ImplID
 }
 
-// goalRow overlays one touched goal: its merged G-GI-idx row, its merged
-// GA-idx row and its walk cost.
+// goalRow overlays one touched goal: its merged G-GI-idx row and its merged
+// GA-idx row.
 type goalRow struct {
 	post  []ImplID
 	gaAct []ActionID
 	gaCnt []int32
-	slots int32
 }
 
 type ovPage[R any] [ovPageRows]*R

@@ -20,14 +20,15 @@ import (
 // The zero-copy snapshot format (see DESIGN.md, "Snapshot format & WAL"): a
 // 64-byte little-endian header, a CRC-guarded section table, and one
 // 64-byte-aligned section per index array. Every CSR section — implementation
-// rows, A-GI-idx, G-GI-idx, GA-idx and goal slots — is a fixed-width
-// little-endian array, so OpenSnapshot serves
-// them as unsafe.Slice views straight over the mapping: cold start is header
-// parsing plus page-in, independent of library size.
+// rows, A-GI-idx, G-GI-idx and GA-idx — is a fixed-width little-endian
+// array, so OpenSnapshot serves them as unsafe.Slice views straight over the
+// mapping: cold start is header parsing plus page-in, independent of library
+// size.
 //
 // A snapshot persists every stored index, not just the implementation CSR.
-// Section ids of retired indexes stay reserved: an image that carries them
-// opens, and their bytes are never read.
+// Section ids of retired indexes (the AG-idx, the per-goal walk costs, the
+// block-max and compressed-posting sections) stay reserved: an image that
+// carries them opens, and their bytes are never read.
 // Scalar derivations (maxImplLen, epoch) live in the header so opening never
 // scans a section.
 
@@ -99,7 +100,7 @@ const (
 	secGaOff                 // int32 × nGoal+1
 	secGaAct                 // int32 × nGA
 	secGaCnt                 // int32 × nGA
-	secGoalSlots             // int32 × nGoal
+	secGoalSlots             // reserved: retired per-goal walk costs
 	secBlkOff                // reserved: retired block-max offsets
 	secBlkLast               // reserved: retired block-max last ids
 	secBlkMinLen             // reserved: retired block-max min |A_p|
@@ -296,12 +297,10 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	}
 	goalOff := make([]int32, nGoal+1)
 	gaOff := make([]int32, nGoal+1)
-	goalSlots := make([]int32, nGoal)
 	nGA := uint64(0)
 	for g := 0; g < nGoal; g++ {
 		goalOff[g+1] = goalOff[g] + int32(len(l.ImplsOfGoal(GoalID(g))))
 		gaOff[g+1] = gaOff[g] + int32(l.GoalActionCount(GoalID(g)))
-		goalSlots[g] = int32(l.GoalWalkCost(GoalID(g)))
 		nGA += uint64(l.GoalActionCount(GoalID(g)))
 	}
 	if int(goalOff[nGoal]) != nImpl {
@@ -358,7 +357,6 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 				sw.writeI32s(cnts)
 			}
 		}},
-		snapSection{id: secGoalSlots, elem: 4, count: uint64(nGoal), emit: func(sw *snapWriter) { sw.writeI32s(goalSlots) }},
 	)
 	if vocab != nil {
 		secs = append(secs,
@@ -986,9 +984,6 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 			lib.gaAct = i32View[ActionID](b, int(nGA))
 			lib.gaCnt, err = i32Sec(secGaCnt, nGA)
 		}
-	}
-	if err == nil {
-		lib.goalSlots, err = i32Sec(secGoalSlots, nGoal)
 	}
 
 	if err == nil {

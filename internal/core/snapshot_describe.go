@@ -52,7 +52,7 @@ var snapSectionNames = map[uint32]string{
 	secGaOff:      "ga-offsets",
 	secGaAct:      "ga-actions",
 	secGaCnt:      "ga-counts",
-	secGoalSlots:  "goal-slots",
+	secGoalSlots:  "reserved-goal-slots",
 	secBlkOff:     "reserved-block-offsets",
 	secBlkLast:    "reserved-block-last",
 	secBlkMinLen:  "reserved-block-minlen",

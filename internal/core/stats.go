@@ -118,13 +118,12 @@ func (l *Library) ConnectivityPercentile(p float64) float64 {
 // its base, by structure, as their lengths give it, and — on an extended
 // snapshot — what lies on top of them.
 type IndexBytes struct {
-	ImplCSR   int64 `json:"impl_csr"`   // implementation -> goal, actions
-	AGI       int64 `json:"a_gi"`       // A-GI-idx postings
-	GGI       int64 `json:"g_gi"`       // G-GI-idx postings
-	GA        int64 `json:"ga"`         // GA-idx (action, count) pairs
-	GoalSlots int64 `json:"goal_slots"` // per-goal walk costs
-	Tail      int64 `json:"tail"`       // tail segment of the implementation CSR
-	Overlay   int64 `json:"overlay"`    // overlay pages and rows this snapshot references
+	ImplCSR int64 `json:"impl_csr"` // implementation -> goal, actions
+	AGI     int64 `json:"a_gi"`     // A-GI-idx postings
+	GGI     int64 `json:"g_gi"`     // G-GI-idx postings
+	GA      int64 `json:"ga"`       // GA-idx (action, count) pairs
+	Tail    int64 `json:"tail"`     // tail segment of the implementation CSR
+	Overlay int64 `json:"overlay"`  // overlay pages and rows this snapshot references
 }
 
 // IndexBytes returns the size of l's index structures. The overlay figure
@@ -139,13 +138,12 @@ func (l *Library) IndexBytes() IndexBytes {
 		return n
 	}
 	b := IndexBytes{
-		ImplCSR:   words(len(l.implGoal), len(l.implOff), len(l.implActs)),
-		AGI:       words(len(l.actOff), len(l.actPost)),
-		GGI:       words(len(l.goalOff), len(l.goalPost)),
-		GA:        words(len(l.gaOff), len(l.gaAct), len(l.gaCnt)),
-		GoalSlots: words(len(l.goalSlots)),
-		Tail:      words(len(l.tailGoal), len(l.tailOff), len(l.tailActs)),
-		Overlay:   l.ovAct.bytes((*actRow).bytes) + l.ovGoal.bytes((*goalRow).bytes),
+		ImplCSR: words(len(l.implGoal), len(l.implOff), len(l.implActs)),
+		AGI:     words(len(l.actOff), len(l.actPost)),
+		GGI:     words(len(l.goalOff), len(l.goalPost)),
+		GA:      words(len(l.gaOff), len(l.gaAct), len(l.gaCnt)),
+		Tail:    words(len(l.tailGoal), len(l.tailOff), len(l.tailActs)),
+		Overlay: l.ovAct.bytes((*actRow).bytes) + l.ovGoal.bytes((*goalRow).bytes),
 	}
 	return b
 }

@@ -5,7 +5,6 @@ import (
 
 	"goalrec/internal/eval"
 	"goalrec/internal/strategy"
-	"goalrec/internal/vectorspace"
 )
 
 // AblationBreadth compares the three readings of the Breadth scoring
@@ -43,8 +42,8 @@ func AblationBestMatch(env *Env) *Table {
 	lib := env.Dataset.Library
 	ref := env.Lists["best-match"]
 	hidden := env.HiddenSets()
-	for _, m := range []vectorspace.Metric{
-		vectorspace.Cosine, vectorspace.Euclidean, vectorspace.Manhattan, vectorspace.JaccardDist,
+	for _, m := range []strategy.Metric{
+		strategy.Cosine, strategy.Euclidean, strategy.Manhattan, strategy.JaccardDist,
 	} {
 		rec := strategy.NewBestMatchMetric(lib, m)
 		lists := eval.Collect(rec, env.Inputs, env.Cfg.K)

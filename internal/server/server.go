@@ -158,7 +158,7 @@ func (b *localBackend) current(strategyName, metric string) (*goalrec.Library, g
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.engine.Current(spec.Strategy, goalrec.WithDistanceMetric(spec.Metric), goalrec.WithCache(4096))
+	return b.engine.Current(spec.Strategy, goalrec.WithDistanceMetric(spec.Metric.String()), goalrec.WithCache(4096))
 }
 
 func (b *localBackend) Recommend(ctx context.Context, strategyName, metric string, activity []string, k int) (*Result, error) {
@@ -1177,7 +1177,7 @@ func (s *Server) handleUserRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, "user_recommend", err)
 		return
 	}
-	res, err := s.users.Recommend(r.Context(), id, spec.Strategy, k, goalrec.WithDistanceMetric(spec.Metric))
+	res, err := s.users.Recommend(r.Context(), id, spec.Strategy, k, goalrec.WithDistanceMetric(spec.Metric.String()))
 	if err != nil {
 		s.writeUserError(w, "user_recommend", id, err)
 		return

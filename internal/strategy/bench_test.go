@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"goalrec/internal/core"
-	"goalrec/internal/vectorspace"
 )
 
 // benchLibrary mirrors the Figure 7 generator: `size` implementations of ~8
@@ -78,7 +77,7 @@ func BenchmarkBestMatchModes(b *testing.B) {
 		lib := benchLibraryGoals(cell.size, cell.actions, cell.perGoal, 3)
 		queries := benchQueries(cell.actions, 64, 5, 4)
 		conn := lib.Stats().Connectivity
-		for _, metric := range []vectorspace.Metric{vectorspace.Cosine, vectorspace.Manhattan} {
+		for _, metric := range []Metric{Cosine, Manhattan} {
 			bm := NewBestMatchMetric(lib, metric)
 			b.Run(fmt.Sprintf("%s/conn=%.0f/%v/goal-major", cell.name, conn, metric), func(b *testing.B) {
 				b.ReportAllocs()

@@ -2,12 +2,12 @@ package strategy
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
-	"goalrec/internal/vectorspace"
 )
 
 // BestMatch is the paper's Algorithms 3 and 4 (Section 5.3): it builds a
@@ -27,13 +27,13 @@ import (
 // implementation-id layout (see DESIGN.md).
 //
 // The pass accumulates integer-valued sums (bmSums) in float64, and bmScore
-// finishes every metric from them, bit-identical to vectorspace.Metric.Distance
+// finishes every metric from them, bit-identical to the vectorspace distance
 // over the sparse vectors. Scores go into one k-bounded selector as they are
 // computed, and the candidate pool lives in the pooled scratch, so a query
 // allocates nothing that scales with the pool.
 type BestMatch struct {
 	lib    *core.Library
-	metric vectorspace.Metric
+	metric Metric
 }
 
 // bmScratch carries the per-query dense buffers.
@@ -61,6 +61,46 @@ type bmScratch struct {
 // accumulators.
 var bmScratchPool = sync.Pool{New: func() any { return new(bmScratch) }}
 
+// Metric identifies a Best Match distance between the profile H⃗ and a
+// candidate a⃗. Smaller is closer for every metric, matching the paper's
+// dist(H⃗, a⃗) ranking; bmScore is the one place each is computed.
+type Metric int
+
+const (
+	// Cosine is 1 − cosine similarity; the default Best Match metric.
+	Cosine Metric = iota
+	// Euclidean is the L2 distance.
+	Euclidean
+	// Manhattan is the L1 distance.
+	Manhattan
+	// JaccardDist is 1 − weighted Jaccard similarity
+	// (Σ min(v_i, w_i) / Σ max(v_i, w_i)).
+	JaccardDist
+)
+
+// metricNames are the metrics' canonical names, indexed by Metric.
+var metricNames = [...]string{Cosine: "cosine", Euclidean: "euclidean", Manhattan: "manhattan", JaccardDist: "jaccard"}
+
+// ParseMetric maps a metric name ("cosine", "euclidean", "manhattan",
+// "jaccard") to its Metric, reporting unknown names instead of defaulting
+// silently.
+func ParseMetric(name string) (Metric, error) {
+	for m, n := range metricNames {
+		if n == name {
+			return Metric(m), nil
+		}
+	}
+	return 0, fmt.Errorf("strategy: unknown metric %q", name)
+}
+
+// String returns the metric's canonical name.
+func (m Metric) String() string {
+	if uint(m) < uint(len(metricNames)) {
+		return metricNames[m]
+	}
+	return fmt.Sprintf("metric(%d)", int(m))
+}
+
 // bmSums are a candidate a⃗'s integer sums over F_GS(H) against the profile
 // H⃗: dot = a⃗·H⃗, sq = ‖a⃗‖², and — for the L1 metrics only — sum = Σa⃗ and
 // minSum = Σmin(a⃗, H⃗). The profile's own sums are H⃗ against itself.
@@ -78,8 +118,8 @@ func (a *bmSums) add(c, p float64, l1 bool) {
 }
 
 // readsL1 reports whether bmScore reads m's sum and minSum.
-func readsL1(m vectorspace.Metric) bool {
-	return m == vectorspace.Manhattan || m == vectorspace.JaccardDist
+func readsL1(m Metric) bool {
+	return m == Manhattan || m == JaccardDist
 }
 
 // bmScore finishes a candidate's score, its negated distance to the profile,
@@ -91,14 +131,14 @@ func readsL1(m vectorspace.Metric) bool {
 //	Σmax(a⃗, H⃗) = ΣH⃗ + Σa⃗ − Σmin(a⃗, H⃗).
 //
 // Every operand is an integer below 2^53, exact in float64, so each score is
-// −vectorspace.Metric.Distance over the sparse vectors bit for bit.
-func bmScore(m vectorspace.Metric, h, a bmSums) float64 {
+// the negated vectorspace distance over the sparse vectors, bit for bit.
+func bmScore(m Metric, h, a bmSums) float64 {
 	switch m {
-	case vectorspace.Euclidean:
+	case Euclidean:
 		return -math.Sqrt(h.sq + a.sq - 2*a.dot)
-	case vectorspace.Manhattan:
+	case Manhattan:
 		return -(h.sum + a.sum - 2*a.minSum)
-	case vectorspace.JaccardDist:
+	case JaccardDist:
 		return -(1 - a.minSum/(h.sum+a.sum-a.minSum))
 	}
 	sim := 0.0
@@ -111,18 +151,18 @@ func bmScore(m vectorspace.Metric, h, a bmSums) float64 {
 // NewBestMatch returns a Best Match strategy over lib using the cosine
 // distance, the conventional choice for sparse count profiles.
 func NewBestMatch(lib *core.Library) *BestMatch {
-	return NewBestMatchMetric(lib, vectorspace.Cosine)
+	return NewBestMatchMetric(lib, Cosine)
 }
 
 // NewBestMatchMetric returns a Best Match strategy with an explicit distance
 // metric, used by the ablation benchmarks.
-func NewBestMatchMetric(lib *core.Library, m vectorspace.Metric) *BestMatch {
+func NewBestMatchMetric(lib *core.Library, m Metric) *BestMatch {
 	return &BestMatch{lib: lib, metric: m}
 }
 
 // Name implements Recommender.
 func (bm *BestMatch) Name() string {
-	if bm.metric == vectorspace.Cosine {
+	if bm.metric == Cosine {
 		return "best-match"
 	}
 	return "best-match-" + bm.metric.String()

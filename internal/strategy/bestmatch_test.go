@@ -14,8 +14,34 @@ import (
 )
 
 // allMetrics is every Best Match distance metric.
-var allMetrics = []vectorspace.Metric{
-	vectorspace.Cosine, vectorspace.Euclidean, vectorspace.Manhattan, vectorspace.JaccardDist,
+var allMetrics = []Metric{
+	Cosine, Euclidean, Manhattan, JaccardDist,
+}
+
+// referenceDistance is each metric's sparse reference distance, the one
+// bmScore must reproduce bit for bit.
+var referenceDistance = map[Metric]func(v, w vectorspace.Vector) float64{
+	Cosine:      vectorspace.CosineDistance,
+	Euclidean:   vectorspace.EuclideanDistance,
+	Manhattan:   vectorspace.ManhattanDistance,
+	JaccardDist: vectorspace.JaccardDistance,
+}
+
+func TestParseMetric(t *testing.T) {
+	for i, name := range []string{"cosine", "euclidean", "manhattan", "jaccard"} {
+		m, err := ParseMetric(name)
+		if err != nil || m != allMetrics[i] || m.String() != name {
+			t.Errorf("ParseMetric(%q) = %v (%d), %v; want %d", name, m, m, err, allMetrics[i])
+		}
+	}
+	for _, name := range []string{"hamming", "", "Cosine"} {
+		if _, err := ParseMetric(name); err == nil {
+			t.Errorf("ParseMetric(%q) accepted an unknown metric", name)
+		}
+	}
+	if got := Metric(len(allMetrics)).String(); got != "metric(4)" {
+		t.Errorf("String of an unknown metric = %q", got)
+	}
 }
 
 func TestBestMatchNames(t *testing.T) {
@@ -23,7 +49,7 @@ func TestBestMatchNames(t *testing.T) {
 	if got := NewBestMatch(lib).Name(); got != "best-match" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := NewBestMatchMetric(lib, vectorspace.Euclidean).Name(); got != "best-match-euclidean" {
+	if got := NewBestMatchMetric(lib, Euclidean).Name(); got != "best-match-euclidean" {
 		t.Errorf("Name = %q", got)
 	}
 }
@@ -162,7 +188,7 @@ func sparseActionVector(lib *core.Library, a core.ActionID, goalSpace []core.Goa
 func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 	// Every metric through the dense goal-major pass must equal the
 	// straightforward sparse implementation (sparseProfile +
-	// sparseActionVector + Metric.Distance) on random libraries exactly:
+	// sparseActionVector + referenceDistance) on random libraries exactly:
 	// bmScore finishes from integer sums, so not even the scores differ.
 	cfg := &quick.Config{
 		MaxCount: 80,
@@ -178,7 +204,7 @@ func TestBestMatchFastPathMatchesSparseReference(t *testing.T) {
 			profile := sparseProfile(lib, hs)
 			var ref []ScoredAction
 			for _, a := range lib.Candidates(hs) {
-				d := m.Distance(profile, sparseActionVector(lib, a, goalSpace))
+				d := referenceDistance[m](profile, sparseActionVector(lib, a, goalSpace))
 				ref = append(ref, ScoredAction{Action: a, Score: -d})
 			}
 			ref = TopK(ref, -1)
@@ -234,6 +260,6 @@ func TestBestMatchInvariants(t *testing.T) {
 
 func TestBestMatchEuclideanInvariants(t *testing.T) {
 	strategyInvariants(t, func(l *core.Library) Recommender {
-		return NewBestMatchMetric(l, vectorspace.Euclidean)
+		return NewBestMatchMetric(l, Euclidean)
 	})
 }

@@ -13,7 +13,6 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/testlib"
-	"goalrec/internal/vectorspace"
 )
 
 // cancelAfterPolls is a deterministic cancellation source: its Err returns
@@ -49,7 +48,7 @@ func ctxTestRecommenders(lib *core.Library) map[string]ContextRecommender {
 		"focus-cl":              NewFocus(lib, Closeness),
 		"breadth":               NewBreadth(lib),
 		"best-match-goal-major": NewBestMatch(lib),
-		"best-match-manhattan":  NewBestMatchMetric(lib, vectorspace.Manhattan),
+		"best-match-manhattan":  NewBestMatchMetric(lib, Manhattan),
 		"cached-breadth":        NewCached(NewBreadth(lib), 16),
 	}
 }
@@ -251,7 +250,7 @@ func TestAbortScratchInvariants(t *testing.T) {
 	t.Run("w1", func(t *testing.T) {
 		fc := NewFocus(lib, Closeness)
 		br := NewBreadth(lib)
-		bms := []*BestMatch{NewBestMatch(bmLib), NewBestMatchMetric(bmLib, vectorspace.Manhattan)}
+		bms := []*BestMatch{NewBestMatch(bmLib), NewBestMatchMetric(bmLib, Manhattan)}
 
 		checkKernel := func(i int, name string) {
 			s := kernelScratchPool.Get().(*kernelScratch)

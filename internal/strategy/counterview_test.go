@@ -10,7 +10,6 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/testlib"
-	"goalrec/internal/vectorspace"
 )
 
 // checkViewState is the one view invariant: every array equals the library's
@@ -163,7 +162,7 @@ func TestRecommendViewDispatch(t *testing.T) {
 		"focus":                NewFocus(other, Completeness),
 		"breadth":              NewBreadth(other),
 		"best-match":           NewBestMatch(other),
-		"best-match-manhattan": NewBestMatchMetric(other, vectorspace.Manhattan),
+		"best-match-manhattan": NewBestMatchMetric(other, Manhattan),
 	} {
 		if _, err := RecommendView(context.Background(), rec, v, 3); err != ErrViewLibrary {
 			t.Fatalf("%s: stale view accepted (err=%v)", name, err)

@@ -130,7 +130,7 @@ func (o *oracleLibrary) oracleBreadth(h []core.ActionID, w BreadthWeighting, k i
 // the goal space (Equation 8) and ranked by ascending distance. Cosine is
 // spelled out on the integer sums, in the expression the strategy documents;
 // the other metrics go through vectorspace on the same counts.
-func (o *oracleLibrary) oracleBestMatch(h []core.ActionID, metric vectorspace.Metric, k int) []ScoredAction {
+func (o *oracleLibrary) oracleBestMatch(h []core.ActionID, metric Metric, k int) []ScoredAction {
 	profile := map[int32]int{}
 	candidates := map[core.ActionID]bool{}
 	for _, i := range o.associated(h) {
@@ -155,7 +155,7 @@ func (o *oracleLibrary) oracleBestMatch(h []core.ActionID, metric vectorspace.Me
 			}
 		}
 		var dist float64
-		if metric == vectorspace.Cosine {
+		if metric == Cosine {
 			dot, sumsq := 0, 0
 			for g, c := range vec {
 				dot += c * profile[g]
@@ -163,7 +163,7 @@ func (o *oracleLibrary) oracleBestMatch(h []core.ActionID, metric vectorspace.Me
 			}
 			dist = 1 - float64(dot)/(math.Sqrt(float64(profSq))*math.Sqrt(float64(sumsq)))
 		} else {
-			dist = metric.Distance(vectorspace.FromCounts(profile), vectorspace.FromCounts(vec))
+			dist = referenceDistance[metric](vectorspace.FromCounts(profile), vectorspace.FromCounts(vec))
 		}
 		out = append(out, ScoredAction{Action: a, Score: -dist})
 	}
@@ -248,7 +248,7 @@ func TestStrategiesConcurrentQueries(t *testing.T) {
 		{NewFocus(lib, Completeness), func(h []core.ActionID) []ScoredAction { return o.oracleFocus(h, Completeness, k) }},
 		{NewFocus(lib, Closeness), func(h []core.ActionID) []ScoredAction { return o.oracleFocus(h, Closeness, k) }},
 		{NewBreadth(lib), func(h []core.ActionID) []ScoredAction { return o.oracleBreadth(h, Overlap, k) }},
-		{NewBestMatch(lib), func(h []core.ActionID) []ScoredAction { return o.oracleBestMatch(h, vectorspace.Cosine, k) }},
+		{NewBestMatch(lib), func(h []core.ActionID) []ScoredAction { return o.oracleBestMatch(h, Cosine, k) }},
 	} {
 		t.Run(c.rec.Name(), func(t *testing.T) {
 			want := make([][]ScoredAction, len(activities))

@@ -8,7 +8,6 @@ import (
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
-	"goalrec/internal/vectorspace"
 )
 
 // Shard partials and gather merges for distributed (scatter-gather) serving.
@@ -290,7 +289,7 @@ func MergeBestMatchSurveys(surveys []*BestMatchSurvey) (candidates []core.Action
 // score is bit-identical to a single node's for every metric. Vector lists
 // are parallel to candidates; a nil entry in vectors contributes nothing
 // (that shard had no postings for the pool).
-func MergeBestMatchVectors(metric vectorspace.Metric, candidates []core.ActionID, goalSpace []core.GoalID, profile []int64, vectors []*BestMatchVectors, k int) []ScoredAction {
+func MergeBestMatchVectors(metric Metric, candidates []core.ActionID, goalSpace []core.GoalID, profile []int64, vectors []*BestMatchVectors, k int) []ScoredAction {
 	if k == 0 || len(candidates) == 0 {
 		return nil
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"goalrec/internal/core"
-	"goalrec/internal/vectorspace"
 )
 
 // minCandidates returns the smallest candidate pool among the queries, so the
@@ -99,12 +98,12 @@ func TestBestMatchAllocationBudget(t *testing.T) {
 		pool := minCandidates(lib, queries)
 		for _, c := range []struct {
 			name   string
-			metric vectorspace.Metric
+			metric Metric
 		}{
-			{"goal-major", vectorspace.Cosine},
-			{"euclidean-goal-major", vectorspace.Euclidean},
-			{"manhattan-goal-major", vectorspace.Manhattan},
-			{"jaccard-goal-major", vectorspace.JaccardDist},
+			{"goal-major", Cosine},
+			{"euclidean-goal-major", Euclidean},
+			{"manhattan-goal-major", Manhattan},
+			{"jaccard-goal-major", JaccardDist},
 		} {
 			t.Run(fmt.Sprintf("impls=%d/pool>=%d/%s", size, pool, c.name), func(t *testing.T) {
 				perQuery, allocs := queryAllocs(t, NewBestMatchMetric(lib, c.metric), queries)

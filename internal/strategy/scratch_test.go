@@ -11,7 +11,6 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/testlib"
-	"goalrec/internal/vectorspace"
 )
 
 // TestSharedScratchAcrossLibraries interleaves the source table — Focus,
@@ -113,7 +112,7 @@ func TestFreshInstanceReusesScratch(t *testing.T) {
 		{"focus-cl", func() Recommender { return NewFocus(lib, Closeness) }},
 		{"breadth", func() Recommender { return NewBreadth(lib) }},
 		{"best-match", func() Recommender { return NewBestMatch(lib) }},
-		{"best-match-manhattan", func() Recommender { return NewBestMatchMetric(lib, vectorspace.Manhattan) }},
+		{"best-match-manhattan", func() Recommender { return NewBestMatchMetric(lib, Manhattan) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.mk().Recommend(q, 10) // warm the shared pool

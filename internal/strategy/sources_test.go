@@ -11,7 +11,6 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
 	"goalrec/internal/testlib"
-	"goalrec/internal/vectorspace"
 )
 
 // The one equivalence table of the package: every strategy, through every
@@ -155,7 +154,7 @@ func breadthCase(w BreadthWeighting) strategyCase {
 	return c
 }
 
-func bestMatchCase(metric vectorspace.Metric) strategyCase {
+func bestMatchCase(metric Metric) strategyCase {
 	mk := func(l *core.Library) Recommender { return NewBestMatchMetric(l, metric) }
 	c := strategyCase{
 		name: NewBestMatchMetric(nil, metric).Name(),
@@ -193,8 +192,8 @@ func strategyCases() []strategyCase {
 	return []strategyCase{
 		focusCase(Completeness), focusCase(Closeness),
 		breadthCase(Overlap), breadthCase(Count), breadthCase(Union),
-		bestMatchCase(vectorspace.Cosine), bestMatchCase(vectorspace.Euclidean),
-		bestMatchCase(vectorspace.Manhattan), bestMatchCase(vectorspace.JaccardDist),
+		bestMatchCase(Cosine), bestMatchCase(Euclidean),
+		bestMatchCase(Manhattan), bestMatchCase(JaccardDist),
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package vectorspace provides sparse non-negative feature vectors and the
-// distance/similarity metrics of the Best Match strategy (Section 5.3 of the
-// paper) and the content-based baseline. Best Match takes only the Metric
-// from here: it scores every metric from dense integer sums that equal
-// Metric.Distance over these vectors, which its tests use as the reference.
+// distance/similarity functions of the Best Match strategy (Section 5.3 of
+// the paper) and the content-based baseline. Best Match does not use it: it
+// scores every metric from dense integer sums that equal these distances over
+// the sparse vectors, which its tests use as the reference.
 //
 // Vectors live in an implicit feature space indexed by dense int32 feature
 // ids (goal ids for Best Match's reference, category ids for the content
@@ -10,7 +10,6 @@
 package vectorspace
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -131,73 +130,31 @@ func (v Vector) Items(f func(id int32, val float64)) {
 	}
 }
 
-// Metric identifies a distance function between sparse vectors. Smaller is
-// closer for every metric, matching the paper's dist(H⃗, a⃗) ranking.
-type Metric int
+// The Best Match distances (the metrics of strategy.Metric) over sparse
+// vectors: the reference its integer-sum scorer is tested against. Smaller is
+// closer for each. Distances involving the zero vector are the maximum for
+// the bounded ones (cosine, jaccard: 1) and the norm of the other vector
+// otherwise.
 
-const (
-	// Cosine is 1 − cosine similarity; the default Best Match metric.
-	Cosine Metric = iota
-	// Euclidean is the L2 distance.
-	Euclidean
-	// Manhattan is the L1 distance.
-	Manhattan
-	// JaccardDist is 1 − weighted Jaccard similarity
-	// (Σ min(v_i, w_i) / Σ max(v_i, w_i)).
-	JaccardDist
-)
+// CosineDistance returns 1 − CosineSimilarity(v, w).
+func CosineDistance(v, w Vector) float64 { return 1 - CosineSimilarity(v, w) }
 
-// ParseMetric maps a metric name ("cosine", "euclidean", "manhattan",
-// "jaccard") to its Metric.
-func ParseMetric(name string) (Metric, error) {
-	switch name {
-	case "cosine":
-		return Cosine, nil
-	case "euclidean":
-		return Euclidean, nil
-	case "manhattan":
-		return Manhattan, nil
-	case "jaccard":
-		return JaccardDist, nil
-	}
-	return 0, fmt.Errorf("vectorspace: unknown metric %q", name)
+// EuclideanDistance returns the L2 distance between v and w.
+func EuclideanDistance(v, w Vector) float64 {
+	s := 0.0
+	mergeAbsDiff(v, w, func(d float64) { s += d * d })
+	return math.Sqrt(s)
 }
 
-// String returns the metric's canonical name.
-func (m Metric) String() string {
-	switch m {
-	case Cosine:
-		return "cosine"
-	case Euclidean:
-		return "euclidean"
-	case Manhattan:
-		return "manhattan"
-	case JaccardDist:
-		return "jaccard"
-	}
-	return fmt.Sprintf("metric(%d)", int(m))
+// ManhattanDistance returns the L1 distance between v and w.
+func ManhattanDistance(v, w Vector) float64 {
+	s := 0.0
+	mergeAbsDiff(v, w, func(d float64) { s += d })
+	return s
 }
 
-// Distance returns the distance between v and w under m. Distances involving
-// the zero vector are defined as the maximum possible for bounded metrics
-// (cosine, jaccard: 1) and the norm of the other vector otherwise.
-func (m Metric) Distance(v, w Vector) float64 {
-	switch m {
-	case Cosine:
-		return 1 - CosineSimilarity(v, w)
-	case Euclidean:
-		s := 0.0
-		mergeAbsDiff(v, w, func(d float64) { s += d * d })
-		return math.Sqrt(s)
-	case Manhattan:
-		s := 0.0
-		mergeAbsDiff(v, w, func(d float64) { s += d })
-		return s
-	case JaccardDist:
-		return 1 - WeightedJaccard(v, w)
-	}
-	panic("vectorspace: unknown metric")
-}
+// JaccardDistance returns 1 − WeightedJaccard(v, w).
+func JaccardDistance(v, w Vector) float64 { return 1 - WeightedJaccard(v, w) }
 
 // CosineSimilarity returns v·w / (|v||w|), or 0 when either vector is zero.
 func CosineSimilarity(v, w Vector) float64 {

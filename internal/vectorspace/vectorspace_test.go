@@ -98,7 +98,7 @@ func TestCosine(t *testing.T) {
 	if got := CosineSimilarity(v, Vector{}); got != 0 {
 		t.Errorf("cosine with zero vector = %v, want 0", got)
 	}
-	if got := Cosine.Distance(v, w); !almostEqual(got, 0) {
+	if got := CosineDistance(v, w); !almostEqual(got, 0) {
 		t.Errorf("cosine distance of parallel = %v, want 0", got)
 	}
 }
@@ -107,10 +107,10 @@ func TestEuclideanManhattan(t *testing.T) {
 	v := vec(map[int32]float64{0: 1, 1: 2})
 	w := vec(map[int32]float64{1: 4, 2: 2})
 	// diffs: (1, −2, −2)
-	if got := Euclidean.Distance(v, w); !almostEqual(got, 3) {
+	if got := EuclideanDistance(v, w); !almostEqual(got, 3) {
 		t.Errorf("euclidean = %v, want 3", got)
 	}
-	if got := Manhattan.Distance(v, w); !almostEqual(got, 5) {
+	if got := ManhattanDistance(v, w); !almostEqual(got, 5) {
 		t.Errorf("manhattan = %v, want 5", got)
 	}
 }
@@ -130,27 +130,17 @@ func TestWeightedJaccard(t *testing.T) {
 	}
 }
 
-func TestParseMetric(t *testing.T) {
-	for _, name := range []string{"cosine", "euclidean", "manhattan", "jaccard"} {
-		m, err := ParseMetric(name)
-		if err != nil {
-			t.Errorf("ParseMetric(%q): %v", name, err)
-		}
-		if m.String() != name {
-			t.Errorf("round trip %q -> %q", name, m.String())
-		}
-	}
-	if _, err := ParseMetric("hamming"); err == nil {
-		t.Error("unknown metric accepted")
-	}
-}
-
 func randomVector(r *rand.Rand) Vector {
 	m := make(map[int32]float64)
 	for n := r.Intn(8); n > 0; n-- {
 		m[int32(r.Intn(12))] = float64(1 + r.Intn(5))
 	}
 	return FromMap(m)
+}
+
+// distances are the Best Match distances by metric name.
+var distances = map[string]func(v, w Vector) float64{
+	"cosine": CosineDistance, "euclidean": EuclideanDistance, "manhattan": ManhattanDistance, "jaccard": JaccardDistance,
 }
 
 func TestMetricProperties(t *testing.T) {
@@ -161,18 +151,17 @@ func TestMetricProperties(t *testing.T) {
 			v[1] = reflect.ValueOf(randomVector(r))
 		},
 	}
-	for _, m := range []Metric{Cosine, Euclidean, Manhattan, JaccardDist} {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
+	for name, dist := range distances {
+		t.Run(name, func(t *testing.T) {
 			f := func(v, w Vector) bool {
-				d := m.Distance(v, w)
+				d := dist(v, w)
 				// Symmetry and non-negativity.
-				if d < -1e-12 || math.Abs(d-m.Distance(w, v)) > 1e-12 {
+				if d < -1e-12 || math.Abs(d-dist(w, v)) > 1e-12 {
 					return false
 				}
 				// Identity (non-zero vectors at distance 0 from themselves;
 				// cosine/jaccard of zero vector conventionally maximal).
-				if !v.IsZero() && m.Distance(v, v) > 1e-12 {
+				if !v.IsZero() && dist(v, v) > 1e-12 {
 					return false
 				}
 				return true
@@ -193,13 +182,13 @@ func TestTriangleInequalityEuclideanManhattan(t *testing.T) {
 			}
 		},
 	}
-	for _, m := range []Metric{Euclidean, Manhattan} {
-		m := m
+	for _, name := range []string{"euclidean", "manhattan"} {
+		dist := distances[name]
 		f := func(a, b, c Vector) bool {
-			return m.Distance(a, c) <= m.Distance(a, b)+m.Distance(b, c)+1e-9
+			return dist(a, c) <= dist(a, b)+dist(b, c)+1e-9
 		}
 		if err := quick.Check(f, cfg); err != nil {
-			t.Errorf("%v: %v", m, err)
+			t.Errorf("%v: %v", name, err)
 		}
 	}
 }
