@@ -49,8 +49,10 @@
 // journals every /v1/implementations batch to the WAL before applying it.
 // Restarting the process resumes at the exact epoch it last acknowledged.
 // -library then becomes an optional seed, used only when the directory is
-// empty; the store persists it by copying its verified sidecar under the
-// new epoch, so seeding does not fault the mapped library into memory.
+// empty; the store persists it as a hard link to its verified sidecar (a
+// copy restamped with the epoch when the sidecar carries another one or the
+// link cannot be made), so seeding writes no library bytes and does not
+// fault the mapped library into memory.
 // -wal-sync fsyncs each WAL append; -compact-wal-bytes sets the WAL
 // size that triggers background compaction into a fresh snapshot;
 // -scrub-interval re-verifies snapshot checksums and WAL frame CRCs

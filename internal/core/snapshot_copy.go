@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
+	"os"
 
 	"goalrec/internal/faultfs"
 )
@@ -17,6 +19,12 @@ import (
 // Nothing was written at the destination; the caller serialises the library
 // instead. Errors on the destination side are returned without it.
 var ErrCopyRefused = errors.New("core: snapshot copy refused")
+
+// ErrLinkFailed marks a LinkSnapshotFileFS whose source verified but did not
+// become the destination: the filesystem refused the hard link (another
+// device, no hard links) or the source's name was replaced while it was
+// linked. Nothing was left at the destination; the caller copies instead.
+var ErrLinkFailed = errors.New("core: snapshot link failed")
 
 // snapCopyBuf is the fixed buffer CopySnapshotFileFS streams a file through.
 const snapCopyBuf = 1 << 20
@@ -143,4 +151,97 @@ func checkCopySource(r io.ReaderAt, head []byte, size uint64, key []byte, l *Lib
 		return 0, 0, fmt.Errorf("checksum footer not right after the last section (%d + %d != %d bytes)", end, snapFooterSize, size)
 	}
 	return uint64(snapHeaderSize + snapSectSize*len(secs)), end, nil
+}
+
+// LinkSnapshotFileFS persists l, the unextended image of the keyed snapshot
+// file at src, to dst as a hard link to src when src's header already
+// carries l's epoch: src is then byte for byte the image WriteSnapshotFileFS
+// would write of l, and no byte is written. It reports false and does
+// nothing when the epochs differ; the caller copies src instead
+// (CopySnapshotFileFS). When dst already is src's file it reports true and
+// does nothing.
+//
+// Before it links it checks, on one descriptor, everything
+// CopySnapshotFileFS checks (header CRC and geometry, source key,
+// dimensions, footer placement) and the epoch, and scrubs the whole file
+// against its checksum footer. src is then linked to a .snap-*.tmp name
+// beside dst, which must open as the file just verified (os.SameFile), is
+// synced, and renamed to dst; the directory is synced last. A refusal of the
+// source wraps ErrCopyRefused, a link that could not be made ErrLinkFailed;
+// errors on the destination side are returned bare.
+//
+// Sharing the file is sound because no snapshot file is ever written in
+// place: every writer seals a temp file and renames it (sealFile), and a
+// store's quarantine and pruning only rename or remove names.
+func LinkSnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library) (bool, error) {
+	fsys = faultfs.Or(fsys)
+	in, err := fsys.Open(src)
+	if err != nil {
+		return false, copyRefused(err)
+	}
+	defer in.Close()
+	fi, err := in.Stat()
+	if err != nil {
+		return false, copyRefused(err)
+	}
+	size := fi.Size()
+	head := make([]byte, min(size, snapHeadMax))
+	if _, err := in.ReadAt(head, 0); err != nil {
+		return false, copyRefused(err)
+	}
+	if _, _, err := checkCopySource(in, head, uint64(size), key, l); err != nil {
+		return false, copyRefused(err)
+	}
+	if binary.LittleEndian.Uint64(head[48:]) != l.epoch {
+		return false, nil
+	}
+	if cur, err := fsys.Stat(dst); err == nil && os.SameFile(cur, fi) {
+		return true, nil
+	}
+	if err := VerifySnapshotChecksum(in, size); err != nil {
+		return false, copyRefused(err)
+	}
+	if err := linkFile(fsys, dst, src, fi); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// linkFile makes dst a name of the file src names, which must still be the
+// file fi describes, the way sealFile lands a written one: through a
+// same-directory temp name (.snap-*.tmp), synced, renamed into place, and the
+// directory synced. On any error the temp name is removed.
+func linkFile(fsys faultfs.FS, dst, src string, fi os.FileInfo) (err error) {
+	dir := filepathDir(dst)
+	tmp := fmt.Sprintf("%s%c.snap-%d.tmp", dir, os.PathSeparator, rand.Uint64())
+	if err := fsys.Link(src, tmp); err != nil {
+		return fmt.Errorf("%w: %w", ErrLinkFailed, err)
+	}
+	defer func() {
+		if err != nil {
+			_ = fsys.Remove(tmp)
+		}
+	}()
+	f, err := fsys.Open(tmp)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrLinkFailed, err)
+	}
+	if lfi, serr := f.Stat(); serr != nil || !os.SameFile(lfi, fi) {
+		_ = f.Close()
+		if serr == nil {
+			serr = fmt.Errorf("%s was replaced while it was linked", src)
+		}
+		return fmt.Errorf("%w: %w", ErrLinkFailed, serr)
+	}
+	if err = f.Sync(); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = fsys.Rename(tmp, dst); err != nil {
+		return err
+	}
+	return fsys.SyncDir(dir)
 }

@@ -39,6 +39,7 @@ const (
 	OpMkdirAll
 	OpStat
 	OpSyncDir
+	OpLink
 )
 
 var opNames = [...]string{
@@ -46,7 +47,7 @@ var opNames = [...]string{
 	OpRead: "read", OpReadAt: "readat", OpWrite: "write", OpWriteAt: "writeat",
 	OpSeek: "seek", OpSync: "sync", OpTruncate: "truncate", OpClose: "close",
 	OpRename: "rename", OpRemove: "remove", OpReadDir: "readdir",
-	OpMkdirAll: "mkdirall", OpStat: "stat", OpSyncDir: "syncdir",
+	OpMkdirAll: "mkdirall", OpStat: "stat", OpSyncDir: "syncdir", OpLink: "link",
 }
 
 // String returns the operation's lowercase name.
@@ -84,6 +85,8 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
+	// Link makes newname a hard link to the file at oldname.
+	Link(oldname, newname string) error
 	Remove(name string) error
 	ReadDir(name string) ([]os.DirEntry, error)
 	MkdirAll(path string, perm os.FileMode) error
@@ -107,6 +110,8 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Link(oldname, newname string) error { return os.Link(oldname, newname) }
 
 func (osFS) Remove(name string) error { return os.Remove(name) }
 

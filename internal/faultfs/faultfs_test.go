@@ -30,12 +30,53 @@ func TestOSPassthrough(t *testing.T) {
 	if err := OS.Rename(path, filepath.Join(dir, "g.txt")); err != nil {
 		t.Fatal(err)
 	}
+	if err := OS.Link(filepath.Join(dir, "g.txt"), filepath.Join(dir, "h.txt")); err != nil {
+		t.Fatal(err)
+	}
+	g, gerr := OS.Stat(filepath.Join(dir, "g.txt"))
+	h, herr := OS.Stat(filepath.Join(dir, "h.txt"))
+	if gerr != nil || herr != nil || !os.SameFile(g, h) {
+		t.Fatalf("the link is not the file it links: %v, %v", gerr, herr)
+	}
+	if err := OS.Remove(filepath.Join(dir, "h.txt")); err != nil {
+		t.Fatal(err)
+	}
 	ents, err := OS.ReadDir(dir)
 	if err != nil || len(ents) != 1 || ents[0].Name() != "g.txt" {
 		t.Fatalf("ReadDir = %v, %v", ents, err)
 	}
 	if err := OS.Remove(filepath.Join(dir, "g.txt")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInjectorLink: a link is traced under its new name, fails as scripted
+// without making the name, and fails once the filesystem has crashed.
+func TestInjectorLink(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	if err := os.WriteFile(src, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(OS)
+	inj.StartTrace()
+	inj.Fail(Rule{Op: OpLink, Err: &injectedError{errno: syscall.EXDEV}, Once: true})
+	if err := inj.Link(src, filepath.Join(dir, "a")); !errors.Is(err, syscall.EXDEV) || !errors.Is(err, ErrInjected) {
+		t.Fatalf("scripted Link = %v, want injected EXDEV", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed link made its name: %v", err)
+	}
+	if err := inj.Link(src, filepath.Join(dir, "b")); err != nil {
+		t.Fatalf("Link after the Once rule = %v", err)
+	}
+	trace := inj.Trace()
+	if len(trace) != 2 || trace[0].Op != OpLink || trace[1].Path != filepath.Join(dir, "b") || OpLink.String() != "link" {
+		t.Fatalf("trace %v", trace)
+	}
+	inj.Crash()
+	if err := inj.Link(src, filepath.Join(dir, "c")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash Link = %v, want ErrCrashed", err)
 	}
 }
 

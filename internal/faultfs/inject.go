@@ -267,6 +267,13 @@ func (i *Injector) Rename(oldpath, newpath string) error {
 	return i.inner.Rename(oldpath, newpath)
 }
 
+func (i *Injector) Link(oldname, newname string) error {
+	if _, err := i.check(OpLink, newname, 0); err != nil {
+		return err
+	}
+	return i.inner.Link(oldname, newname)
+}
+
 func (i *Injector) Remove(name string) error {
 	if _, err := i.check(OpRemove, name, 0); err != nil {
 		return err

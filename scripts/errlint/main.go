@@ -1,9 +1,10 @@
 // Command errlint vets the persistence packages for silently dropped I/O
-// errors: a Close, Sync, Remove or Rename whose error result is discarded by
-// an expression statement. In a storage stack those calls are where
-// durability bugs hide — a Close that fails after buffered writes, a Sync
-// that never reached the platter, a Remove that left a stale snapshot — so
-// dropping their errors implicitly is a CI failure.
+// errors: a Close, Sync, Remove, Rename or Link whose error result is
+// discarded by an expression statement. In a storage stack those calls are
+// where durability bugs hide — a Close that fails after buffered writes, a
+// Sync that never reached the platter, a Remove that left a stale snapshot, a
+// Link that never made its name — so dropping their errors implicitly is a
+// CI failure.
 //
 //	go run ./scripts/errlint ./... # or: make errlint
 //
@@ -11,7 +12,7 @@
 // as does `defer f.Close()` (a best-effort cleanup idiom the codebase uses
 // on error paths that already have a primary error to report). Test files
 // are skipped. The lint is AST-only — no type information — so it checks
-// any selector call named Close/Sync/Remove/Rename, which in these packages
+// any selector call named Close/Sync/Remove/Rename/Link, which in these packages
 // is exactly the I/O surface.
 package main
 
@@ -33,6 +34,7 @@ var checked = map[string]bool{
 	"Sync":   true,
 	"Remove": true,
 	"Rename": true,
+	"Link":   true,
 }
 
 // defaultDirs are the persistence packages: everywhere a dropped I/O error

@@ -11,12 +11,12 @@
 #      recommendation JSON survived
 #   5. ingest once more to prove the recovered lineage keeps advancing
 #   6. seed a second, empty store from a copy of data/samples/recipes.jsonl
-#      (-library: the store persists the seed by copying the library's
-#      sidecar), ingest once, SIGTERM, delete the library and its sidecar,
-#      restart with -snapshot-dir alone and assert the epoch and the exact
-#      recommendation JSON survived, then `goalrec-snap verify` the store's
-#      snapshots: the copied snapshot stands without the file it was copied
-#      from
+#      (-library: the store persists the seed as a hard link to the
+#      library's sidecar, which the script checks by inode), ingest once,
+#      SIGTERM, delete the library and its sidecar, restart with
+#      -snapshot-dir alone and assert the epoch and the exact recommendation
+#      JSON survived, then `goalrec-snap verify` the store's snapshots: the
+#      seeded snapshot stands without the sidecar's name
 #
 # Tunables (env): RR_ADDR (default 127.0.0.1:18091).
 set -euo pipefail
@@ -137,9 +137,16 @@ if grep -q "serialised, not copied" "$TMP/goalrecd.log"; then
     cat "$TMP/goalrecd.log" >&2
     exit 1
 fi
+SIDECAR_INODE="$(stat -c %i "$TMP/seed/recipes.jsonl.gsnp")"
+SEED_INODE="$(stat -c %i "$TMP/seeded/snap-0000000000000001.gsnp")"
+if [ "$SEED_INODE" != "$SIDECAR_INODE" ]; then
+    echo "restart-replay: the seeded snapshot (inode $SEED_INODE) is not a link to the sidecar (inode $SIDECAR_INODE)" >&2
+    cat "$TMP/goalrecd.log" >&2
+    exit 1
+fi
 
 rm "$TMP/seed/recipes.jsonl" "$TMP/seed/recipes.jsonl.gsnp"
-echo "restart-replay: library and sidecar deleted, restarting on the store alone"
+echo "restart-replay: the seeded snapshot is the sidecar's inode $SIDECAR_INODE; library and sidecar deleted, restarting on the store alone"
 start_daemon "$TMP/seeded"
 SEED_EPOCH_AFTER="$(curl -fsS "http://$ADDR/v1/stats" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p')"
 SEED_REC_AFTER="$(recommend)"

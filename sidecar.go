@@ -22,6 +22,13 @@ import (
 // snapshot LoadLibraryFileMapped keeps of it.
 const SidecarSuffix = ".gsnp"
 
+// sidecarEpoch is the epoch a sidecar is sealed at: the one a fresh engine's
+// Swap publishes its first library at. A store seeded from the sidecar then
+// persists that epoch as the sidecar file itself, by a hard link
+// (core.LinkSnapshotFileFS); an engine stamps every library it publishes
+// with its own counter, so serving never reads this one.
+const sidecarEpoch = 1
+
 // staleTempAge is how long a temp file of an interrupted snapshot write — a
 // sidecar's or a store's — must have lain untouched before removeStaleTemps
 // deletes it: long enough that it cannot belong to a write still in progress
@@ -55,7 +62,10 @@ var lastSidecar atomic.Pointer[sidecarLoad]
 // A JSON-lines file is served from a memory-mapped snapshot of it kept at
 // path+SidecarSuffix, which this call builds when it is missing or stale and
 // verifies on every open; any other format loads exactly as LoadLibraryFile
-// does.
+// does. A sidecar is sealed at epoch 1, the epoch a fresh engine publishes
+// its first library at, so a store seeded with it persists that epoch as the
+// sidecar file itself (a hard link). A sidecar sealed at epoch 0 by an older
+// release still serves, and a store copies it until it is rebuilt.
 //
 // The sidecar is keyed by content: the key is the SHA-256 of the source's
 // bytes plus the layout label "plain" (the one layout), stored inside the
@@ -146,7 +156,7 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 	}
 	parsed := &Library{lib: clib, vocab: vocab}
 	key := sidecarKey(h)
-	err = writeSidecar(fsys, path+SidecarSuffix, parsed.lib, parsed.vocab, core.SnapshotOptions{SourceKey: key, SourceStamp: stamp})
+	err = writeSidecar(fsys, path+SidecarSuffix, clib.WithEpoch(sidecarEpoch), vocab, core.SnapshotOptions{SourceKey: key, SourceStamp: stamp})
 	if err == nil {
 		lib, err = openSidecar(fsys, path, key)
 	}

@@ -52,6 +52,14 @@ func parseReference(t testing.TB, path string) *Library {
 	return lib
 }
 
+// sealedReference is parseReference stamped at the epoch sidecars are sealed
+// at: what a sidecar-served library is, down to the header.
+func sealedReference(t testing.TB, path string) *Library {
+	t.Helper()
+	ref := parseReference(t, path)
+	return &Library{lib: ref.lib.WithEpoch(sidecarEpoch), vocab: ref.vocab}
+}
+
 // canonicalImage serializes lib in the snapshot format, which reads every
 // index row and every name through the accessors: two libraries with equal
 // images are structurally identical, whatever backs them.
@@ -323,7 +331,7 @@ func TestSidecarTable(t *testing.T) {
 			if got := lib.Backing().SidecarKeyedBy; st.keyedBy != "" && got != st.keyedBy {
 				t.Fatalf("sidecar keyed by %q after decision %q, want %q", got, decision, st.keyedBy)
 			}
-			assertServesLike(t, parseReference(t, src), lib)
+			assertServesLike(t, sealedReference(t, src), lib)
 			// Whatever was found, the next start parses nothing.
 			again, decision, err := LoadLibraryFileMapped(src)
 			if err != nil || decision != SidecarHit {
@@ -382,7 +390,7 @@ func TestSidecarConcurrentColdStarts(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	want := parseReference(t, src)
+	want := sealedReference(t, src)
 	for i := range libs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -572,7 +580,7 @@ func FuzzSidecarOpen(f *testing.F) {
 		f.Fatalf("sidecar source key %q, err %v", d.SourceKey, err)
 	}
 	key := []byte(d.SourceKey)
-	want := canonicalImage(f, parseReference(f, src))
+	want := canonicalImage(f, sealedReference(f, src))
 	f.Add(uint32(0), byte(0), uint32(0))            // untouched
 	f.Add(uint32(9), byte(0xff), uint32(0))         // header flags
 	f.Add(uint32(70), byte(1), uint32(0))           // section table

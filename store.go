@@ -48,8 +48,10 @@ import (
 // compaction writes the current epoch as a fresh snapshot and drops the log
 // records older snapshots no longer need; Engine.Swap snapshots immediately,
 // since a swap supersedes the whole log. A library served from its sidecar
-// (LoadLibraryFileMapped) is persisted by copying the sidecar file, so seeding
-// a store does not fault the mapped image into memory.
+// (LoadLibraryFileMapped) is persisted from the sidecar file, never by
+// faulting the mapped image into memory: a fresh seed as a hard link to it,
+// any later epoch as a copy. No snapshot file is ever written in place, which
+// is what lets a store snapshot and a sidecar share one file.
 type Store struct {
 	dir    string
 	opts   StoreOptions
@@ -78,6 +80,7 @@ type Store struct {
 	scrubPasses   atomic.Uint64
 	scrubFails    atomic.Uint64
 	walTears      atomic.Uint64
+	linkFailed    atomic.Bool // a sidecar link was refused and logged
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -745,23 +748,42 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 }
 
 // writeSnapshot writes lib as the snapshot of its epoch. The unextended image
-// of a sidecar whose vocabulary has grown no names is the sidecar's own bytes
-// under another epoch, so it is copied from the sidecar file and restamped
-// (core.CopySnapshotFileFS) rather than re-serialised through the mapping,
-// which would fault every page of the image into the process. A copy that
-// refuses its source — gone, replaced, corrupt, not this library — is logged
-// and the library is serialised instead; a failure on the store's side is
-// the write's failure either way.
+// of a sidecar whose vocabulary has grown no names is the sidecar's own bytes,
+// so it is never re-serialised through the mapping, which would fault every
+// page of the image into the process. At the epoch the sidecar was sealed at
+// (a fresh seed) the snapshot is a hard link to the sidecar and no byte is
+// written (core.LinkSnapshotFileFS); at any other epoch, or when the link
+// cannot be made, the sidecar is copied and restamped
+// (core.CopySnapshotFileFS). A sidecar the link or the copy refuses — gone,
+// replaced, corrupt, not this library — is logged and the library is
+// serialised instead; a failure on the store's side is the write's failure
+// whichever path ran.
 func (s *Store) writeSnapshot(lib *Library) error {
 	path := s.snapPath(lib.Epoch())
 	if side := lib.side; side != nil && lib.vocab.Actions.Stats().GrownNames == 0 && lib.vocab.Goals.Stats().GrownNames == 0 {
-		err := core.CopySnapshotFileFS(s.fs, path, side.src+SidecarSuffix, side.key, lib.lib)
+		src := side.src + SidecarSuffix
+		err := s.linkOrCopy(path, src, side.key, lib)
 		if !errors.Is(err, core.ErrCopyRefused) {
 			return err
 		}
-		s.logf("snapshot at epoch %d serialised, not copied from %s: %v", lib.Epoch(), side.src+SidecarSuffix, err)
+		s.logf("snapshot at epoch %d serialised, not copied from %s: %v", lib.Epoch(), src, err)
 	}
 	return core.WriteSnapshotFileFS(s.fs, path, lib.lib, lib.vocab, core.SnapshotOptions{})
+}
+
+// linkOrCopy persists lib, the image of the sidecar at src, to path: by a
+// link when the sidecar carries lib's epoch, by a copy otherwise. The first
+// link the filesystem refuses (another device, no hard links) is logged; the
+// copy stands in for it.
+func (s *Store) linkOrCopy(path, src string, key []byte, lib *Library) error {
+	linked, err := core.LinkSnapshotFileFS(s.fs, path, src, key, lib.lib)
+	if linked || err != nil && !errors.Is(err, core.ErrLinkFailed) {
+		return err
+	}
+	if err != nil && s.linkFailed.CompareAndSwap(false, true) {
+		s.logf("snapshot at epoch %d copied, not linked from %s: %v", lib.Epoch(), src, err)
+	}
+	return core.CopySnapshotFileFS(s.fs, path, src, key, lib.lib)
 }
 
 // pruneSnapshotsLocked deletes snapshot generations beyond KeepSnapshots,

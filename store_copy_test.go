@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"goalrec/internal/core"
@@ -45,8 +46,10 @@ func expectedCopy(t testing.TB, stamped *Library) []byte {
 }
 
 // snapshotWriter names the path that wrote the last store snapshot renamed
-// into place in trace: "copy" when the sidecar file was read between that
-// temp file's creation and its rename, "serialise" when nothing touched it.
+// into place in trace: "link" when its temp name was a link, "copy" when the
+// sidecar file was read between that temp file's creation and its rename,
+// "serialise" when nothing touched it, and "none" when no snapshot was
+// renamed into place and no temp name made.
 func snapshotWriter(t testing.TB, trace []faultfs.Site, sidecar string) string {
 	t.Helper()
 	rename := -1
@@ -55,21 +58,46 @@ func snapshotWriter(t testing.TB, trace []faultfs.Site, sidecar string) string {
 			rename = i
 		}
 	}
-	create := -1
-	for i := rename - 1; i >= 0 && create < 0; i-- {
-		if trace[i].Op == faultfs.OpCreateTemp {
-			create = i
+	if rename < 0 {
+		for _, site := range trace {
+			if site.Op == faultfs.OpCreateTemp || site.Op == faultfs.OpLink {
+				t.Fatalf("%s, but no snapshot renamed into place", site)
+			}
+		}
+		return "none"
+	}
+	temp := -1
+	for i := rename - 1; i >= 0 && temp < 0; i-- {
+		if op := trace[i].Op; op == faultfs.OpCreateTemp || op == faultfs.OpLink {
+			temp = i
 		}
 	}
-	if rename < 0 || create < 0 {
+	if temp < 0 {
 		t.Fatalf("no snapshot write in the trace (%d sites)", len(trace))
 	}
-	for _, site := range trace[create:rename] {
+	if trace[temp].Op == faultfs.OpLink {
+		return "link"
+	}
+	for _, site := range trace[temp:rename] {
 		if site.Path == sidecar {
 			return "copy"
 		}
 	}
 	return "serialise"
+}
+
+// sameFile reports whether the names a and b are one file.
+func sameFile(t testing.TB, a, b string) bool {
+	t.Helper()
+	fa, err := os.Stat(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := os.Stat(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return os.SameFile(fa, fb)
 }
 
 // storeUsers are the histories seedPreSwap appends: names of the sidecar
@@ -85,6 +113,12 @@ func seedPreSwap(t *testing.T, s *Store) {
 	t.Helper()
 	storeIngest(t, s.Engine(), 0, 20)
 	storeIngest(t, s.Engine(), 20, 9)
+	appendStoreUsers(t, s)
+}
+
+// appendStoreUsers appends every storeUsers history to s.
+func appendStoreUsers(t *testing.T, s *Store) {
+	t.Helper()
 	for _, id := range []string{"u1", "u2"} {
 		if _, err := s.Users().Append(id, storeUsers[id]); err != nil {
 			t.Fatal(err)
@@ -134,8 +168,9 @@ func assertStoreServes(t testing.TB, s *Store, oracle *Library, epoch uint64) {
 }
 
 // TestStoreSeedCopiesSidecar: seeding a store with a sidecar-served library
-// writes exactly the snapshot the serialiser would write of it, keyed like
-// the sidecar — by copying the sidecar's bytes.
+// persists exactly the snapshot the serialiser would write of it, keyed like
+// the sidecar — as the sidecar file itself, hard-linked, since sidecars are
+// sealed at the epoch a seed publishes.
 func TestStoreSeedCopiesSidecar(t *testing.T) {
 	_, mapped, _ := seedSidecar(t, 31)
 	s, err := OpenStore(t.TempDir(), StoreOptions{})
@@ -152,24 +187,50 @@ func TestStoreSeedCopiesSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, expectedCopy(t, stamped)) {
-		t.Fatal("the copied snapshot differs from the serialiser's image of the library")
+		t.Fatal("the seeded snapshot differs from the serialiser's image of the library")
+	}
+	if !sameFile(t, s.snapPath(stamped.Epoch()), mapped.side.src+SidecarSuffix) {
+		t.Fatal("the seeded snapshot is not the sidecar's file")
 	}
 }
 
+// flipSidecarByte flips a bit in the middle of src's sidecar, replacing the
+// file by rename, and returns mapped.
+func flipSidecarByte(t *testing.T, src string, mapped *Library) *Library {
+	t.Helper()
+	b, err := os.ReadFile(src + SidecarSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x10
+	replaceFile(t, src+SidecarSuffix, b)
+	return mapped
+}
+
 // TestStoreSnapshotPathTable: a swap — and a compaction before any ingest —
-// copies the sidecar exactly when the library is its verified image, and
-// serialises otherwise, logging why when the copy refused. Whichever path
-// ran, the snapshot scrubs clean and recovers the swapped epoch serving like
-// the parse of the source.
+// links the sidecar when the library is its verified image at the epoch the
+// sidecar was sealed at (a fresh seed), copies it at any other epoch or when
+// the filesystem refuses the link, and serialises otherwise, logging why
+// when the link or the copy refused. Whichever path ran, the snapshot scrubs
+// clean and recovers the swapped epoch serving like the parse of the source,
+// whatever became of the sidecar since.
 func TestStoreSnapshotPathTable(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// prepare returns the library to swap in, given the source and its
 		// sidecar-served load, disturbing whatever the row is about.
 		prepare func(t *testing.T, src string, mapped *Library) *Library
+		// fresh swaps into an empty store (the seed publishes epoch 1) and
+		// appends the users after it; otherwise seedPreSwap runs first.
+		fresh bool
+		// linkErr fails every link the store makes.
+		linkErr error
+		// after disturbs the sidecar once the swap persisted.
+		after   func(t *testing.T, src string)
 		compact bool   // trace a Compact after the swap instead of the swap
-		want    string // "copy" or "serialise"
-		refusal string // what the logged refusal names; "" for no log line
+		want    string // "link", "copy", "serialise" or "none"
+		refusal string // what the logged copy refusal names; "" for no log line
+		linkLog bool   // one "not linked" line is logged
 	}{
 		{name: "sidecar-served seed", want: "copy"},
 		{name: "compaction before any ingest", compact: true, want: "copy"},
@@ -184,15 +245,7 @@ func TestStoreSnapshotPathTable(t *testing.T) {
 				return mapped
 			}},
 		{name: "sidecar body byte flipped", want: "serialise", refusal: "checksum mismatch",
-			prepare: func(t *testing.T, src string, mapped *Library) *Library {
-				b, err := os.ReadFile(src + SidecarSuffix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b[len(b)/2] ^= 0x10
-				replaceFile(t, src+SidecarSuffix, b)
-				return mapped
-			}},
+			prepare: flipSidecarByte},
 		{name: "sidecar deleted", want: "serialise", refusal: "no such file",
 			prepare: func(t *testing.T, src string, mapped *Library) *Library {
 				if err := os.Remove(src + SidecarSuffix); err != nil {
@@ -210,49 +263,107 @@ func TestStoreSnapshotPathTable(t *testing.T) {
 				}
 				return mapped
 			}},
+		{name: "fresh seed", fresh: true, want: "link"},
+		{name: "fresh seed from a sidecar sealed at epoch 0", fresh: true, want: "copy",
+			prepare: func(t *testing.T, src string, mapped *Library) *Library {
+				// What an older release sealed: the same image at epoch 0.
+				ref := parseReference(t, src)
+				if err := writeSidecar(faultfs.OS, src+SidecarSuffix, ref.lib, ref.vocab, core.SnapshotOptions{SourceKey: mapped.side.key, SourceStamp: recordedStamp(t, src)}); err != nil {
+					t.Fatal(err)
+				}
+				old, decision, err := LoadLibraryFileMapped(src)
+				if err != nil || decision != SidecarHit || old.Epoch() != 0 {
+					t.Fatalf("loading the epoch-0 sidecar: decision %q, epoch %d, err %v", decision, old.Epoch(), err)
+				}
+				return old
+			}},
+		{name: "compaction right after a fresh seed", fresh: true, compact: true, want: "none"},
+		{name: "fresh seed, link refused across devices, then a compaction", fresh: true, compact: true,
+			linkErr: syscall.EXDEV, want: "copy", linkLog: true},
+		{name: "fresh seed, link not permitted", fresh: true, linkErr: syscall.EPERM, want: "copy", linkLog: true},
+		{name: "fresh seed body byte flipped", fresh: true, want: "serialise", refusal: "checksum mismatch",
+			prepare: flipSidecarByte},
+		{name: "sidecar replaced by rename after a fresh seed", fresh: true, want: "link",
+			after: func(t *testing.T, src string) {
+				other, _, _ := seedSidecar(t, 32)
+				if err := os.Rename(other+SidecarSuffix, src+SidecarSuffix); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "sidecar deleted after a fresh seed", fresh: true, want: "link",
+			after: func(t *testing.T, src string) {
+				if err := os.Remove(src + SidecarSuffix); err != nil {
+					t.Fatal(err)
+				}
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src, mapped, oracle := seedSidecar(t, 31)
+			sidecar := src + SidecarSuffix
 			lib := mapped
 			if tc.prepare != nil {
 				lib = tc.prepare(t, src, mapped)
 			}
 			dir := t.TempDir()
 			inj := faultfs.NewInjector(nil)
+			if tc.linkErr != nil {
+				inj.Fail(faultfs.Rule{Op: faultfs.OpLink, Err: tc.linkErr})
+			}
 			var logs bytes.Buffer
 			s, err := OpenStore(dir, StoreOptions{FS: inj, Logger: log.New(&logs, "", 0)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			seedPreSwap(t, s)
+			if !tc.fresh {
+				seedPreSwap(t, s)
+			}
 
 			inj.StartTrace()
 			stamped := s.Engine().Swap(lib)
+			trace := inj.Trace()
+			var image []byte
+			if tc.want != "serialise" {
+				image = expectedCopy(t, stamped)
+			}
+			if tc.fresh {
+				appendStoreUsers(t, s)
+			}
+			if tc.after != nil {
+				tc.after(t, src)
+			}
 			if tc.compact {
 				inj.StartTrace()
 				if err := s.Compact(); err != nil {
 					t.Fatal(err)
 				}
+				trace = inj.Trace()
 			}
-			trace := inj.Trace()
 			if err := s.Err(); err != nil {
 				t.Fatalf("persisting the swap: %v", err)
 			}
-			if got := snapshotWriter(t, trace, src+SidecarSuffix); got != tc.want {
+			if got := snapshotWriter(t, trace, sidecar); got != tc.want {
 				t.Fatalf("the snapshot was written by %s, want %s", got, tc.want)
 			}
 			refusals := strings.Count(logs.String(), "serialised, not copied")
 			if tc.refusal == "" && refusals != 0 || tc.refusal != "" && (refusals != 1 || !strings.Contains(logs.String(), tc.refusal)) {
 				t.Fatalf("store log %q, want %d refusal naming %q", logs.String(), min(len(tc.refusal), 1), tc.refusal)
 			}
+			if links := strings.Count(logs.String(), "copied, not linked"); links != 0 && !tc.linkLog || links != 1 && tc.linkLog {
+				t.Fatalf("store log %q: %d failed links logged", logs.String(), links)
+			}
 			path := s.snapPath(stamped.Epoch())
 			if err := core.ScrubSnapshotFile(nil, path); err != nil {
 				t.Fatal(err)
 			}
-			if tc.want == "copy" {
+			if image != nil {
 				got, err := os.ReadFile(path)
-				if err != nil || !bytes.Equal(got, expectedCopy(t, stamped)) {
-					t.Fatalf("the copied snapshot differs from the serialiser's image (err %v)", err)
+				if err != nil || !bytes.Equal(got, image) {
+					t.Fatalf("the snapshot differs from the serialiser's image (err %v)", err)
+				}
+			}
+			if tc.after == nil && (tc.want == "link" || tc.want == "none" || tc.want == "copy") {
+				if linked := tc.want != "copy"; sameFile(t, path, sidecar) != linked {
+					t.Fatalf("the snapshot shares the sidecar's file: %v, want %v", !linked, linked)
 				}
 			}
 			if tmps, _ := filepath.Glob(filepath.Join(dir, ".snap-*.tmp")); len(tmps) != 0 {
@@ -272,5 +383,88 @@ func TestStoreSnapshotPathTable(t *testing.T) {
 			}
 			assertStoreServes(t, s2, oracle, stamped.Epoch())
 		})
+	}
+}
+
+// TestSnapshotFilesNeverWrittenInPlace traces every filesystem operation of
+// a sidecar's build and rebuild and of a store's life — a seed, ingests, a
+// compaction, a swap, a scrub that quarantines, and the pruning after each
+// snapshot — and finds no write, truncation or open for writing on a
+// snapshot file: only .snap-*.tmp temps and the WAL are written. A store's
+// snapshot may be the sidecar's own file (a hard link), which is sound only
+// because of this.
+func TestSnapshotFilesNeverWrittenInPlace(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	inj.StartTrace()
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 36)
+	seed, decision, err := loadLibraryFileMapped(inj, src)
+	if err != nil || seed.side == nil {
+		t.Fatalf("building the sidecar: decision %q, err %v", decision, err)
+	}
+	// The swap's library: another source's sidecar, rebuilt over a stale one.
+	other := filepath.Join(filepath.Dir(src), "other.jsonl")
+	writeSidecarSource(t, other, 37)
+	if _, _, err := loadLibraryFileMapped(inj, other); err != nil {
+		t.Fatal(err)
+	}
+	writeSidecarSource(t, other, 38)
+	swapped, decision, err := loadLibraryFileMapped(inj, other)
+	if err != nil || !strings.HasPrefix(decision, SidecarRebuilt) {
+		t.Fatalf("rebuilding the sidecar: decision %q, err %v", decision, err)
+	}
+
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{FS: inj, KeepSnapshots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Engine().Swap(seed)
+	storeIngest(t, s.Engine(), 0, 20)
+	appendStoreUsers(t, s)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	stamped := s.Engine().Swap(swapped)
+	b, err := os.ReadFile(s.snapPath(stamped.Epoch()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x10
+	replaceFile(t, s.snapPath(stamped.Epoch()), b)
+	if err := s.Scrub(); err == nil {
+		t.Fatal("the scrub found no corruption")
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[faultfs.Op]bool{}
+	for _, site := range inj.Trace() {
+		name := filepath.Base(site.Path)
+		switch site.Op {
+		case faultfs.OpWrite, faultfs.OpWriteAt, faultfs.OpTruncate, faultfs.OpOpenFile:
+			if strings.Contains(name, ".gsnp") {
+				t.Fatalf("%s: a snapshot file written in place", site)
+			}
+			if !(strings.HasPrefix(name, ".snap-") && strings.HasSuffix(name, ".tmp")) && !strings.HasPrefix(name, "ingest.wal") {
+				t.Fatalf("%s: neither a snapshot temp nor the WAL", site)
+			}
+		case faultfs.OpRename:
+			if strings.HasSuffix(name, ".quarantine") {
+				seen[site.Op] = true
+			}
+		case faultfs.OpLink, faultfs.OpRemove, faultfs.OpCreateTemp:
+			seen[site.Op] = true
+		}
+	}
+	for _, op := range []faultfs.Op{faultfs.OpLink, faultfs.OpCreateTemp, faultfs.OpRename, faultfs.OpRemove} {
+		if !seen[op] {
+			t.Fatalf("the workload ran no %s (a quarantine for rename, a prune for remove)", op)
+		}
+	}
+	if q := s.Status().Quarantined; len(q) != 1 {
+		t.Fatalf("quarantined %v, want one snapshot", q)
 	}
 }

@@ -703,3 +703,91 @@ func TestStoreCopyCrashSweep(t *testing.T) {
 	}
 	t.Logf("%d crash sites, %d left a temp file", len(sites), leftovers)
 }
+
+// TestStoreLinkCrashSweep crashes the filesystem at every operation of a
+// fresh seed — the sidecar's checks and scrub, the link, its sync and rename,
+// the directory sync and the WAL rotation after them — and requires recovery
+// to land on exactly the pre-seed or the post-seed state. A crash that leaves
+// the link's temp name behind loses it at the first reopen after it passes
+// the age rule, and the sidecar stays whole.
+func TestStoreLinkCrashSweep(t *testing.T) {
+	src, mapped, _ := seedSidecar(t, 35)
+	sidecar, err := os.ReadFile(src + SidecarSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(src + SidecarSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run returns the operations the seed ran.
+	run := func(dir string, inj *faultfs.Injector, seed bool) []faultfs.Site {
+		s, err := OpenStore(dir, StoreOptions{FS: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		appendStoreUsers(t, s)
+		if !seed {
+			return nil
+		}
+		inj.StartTrace()
+		s.Engine().Swap(mapped)
+		return inj.Trace()
+	}
+	preDir, postDir := t.TempDir(), t.TempDir()
+	run(preDir, faultfs.NewInjector(nil), false)
+	sites := run(postDir, faultfs.NewInjector(nil), true)
+	pre, post := recoverState(t, preDir), recoverState(t, postDir)
+	if pre.Epoch != 0 || post.Epoch != 1 {
+		t.Fatalf("the seed moved the epoch %d -> %d, want 0 -> 1", pre.Epoch, post.Epoch)
+	}
+
+	classes := map[faultfs.Op]bool{}
+	for _, site := range sites {
+		classes[site.Op] = true
+	}
+	for _, op := range []faultfs.Op{faultfs.OpOpen, faultfs.OpStat, faultfs.OpReadAt, faultfs.OpRead,
+		faultfs.OpLink, faultfs.OpSync, faultfs.OpClose, faultfs.OpRename, faultfs.OpSyncDir, faultfs.OpOpenFile, faultfs.OpWriteAt} {
+		if !classes[op] {
+			t.Fatalf("the seed ran no %s", op)
+		}
+	}
+	if classes[faultfs.OpCreateTemp] {
+		t.Fatal("the seed created a temp file: it did not link")
+	}
+	leftovers := 0
+	for _, site := range sites {
+		dir, inj := t.TempDir(), faultfs.NewInjector(nil)
+		inj.CrashAt(site.Index)
+		run(dir, inj, true)
+		inj.Uncrash()
+		got := recoverState(t, dir)
+		if !reflect.DeepEqual(got, pre) && !reflect.DeepEqual(got, post) {
+			t.Fatalf("crash at %s: recovered epoch %d, neither the pre-seed %d nor the post-seed %d state",
+				site, got.Epoch, pre.Epoch, post.Epoch)
+		}
+		if tmps := snapTemps(t, dir); len(tmps) > 0 {
+			leftovers++
+			ageFiles(t, tmps...)
+			if again := recoverState(t, dir); !reflect.DeepEqual(again, got) {
+				t.Fatalf("crash at %s: a second recovery differs from the first", site)
+			}
+			if tmps := snapTemps(t, dir); len(tmps) != 0 {
+				t.Fatalf("crash at %s: aged temp files survived a reopen: %v", site, tmps)
+			}
+			// The temp name was the sidecar's file: give the sidecar its
+			// times back, or every later link would be born aged.
+			if err := os.Chtimes(src+SidecarSuffix, fi.ModTime(), fi.ModTime()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b, err := os.ReadFile(src + SidecarSuffix); err != nil || !bytes.Equal(b, sidecar) {
+			t.Fatalf("crash at %s: the sidecar changed (err %v)", site, err)
+		}
+	}
+	if leftovers == 0 {
+		t.Fatal("no crash left a temp name behind; the age rule went untested")
+	}
+	t.Logf("%d crash sites, %d left a temp name", len(sites), leftovers)
+}
