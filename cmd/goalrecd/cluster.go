@@ -35,7 +35,6 @@ var roleOnlyFlags = map[string]string{
 	"peers":           "coordinator",
 	"partial-failure": "coordinator",
 	"heartbeat":       "coordinator",
-	"scatter-timeout": "coordinator",
 }
 
 // nodeOnlyFlags configure the store and the per-user state, which only a

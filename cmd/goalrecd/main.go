@@ -157,7 +157,6 @@ func run(stop chan os.Signal) error {
 	shardRange := flag.String("shard-range", "0:-1", `implementation range "lo:hi" this worker serves; hi -1 means "to the end of the library" (worker role)`)
 	partialFailure := flag.String("partial-failure", "degraded", `coordinator policy when a shard cannot answer: "degraded" (serve the reachable shards, flagged) or "fail" (fail the query)`)
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "coordinator-to-worker heartbeat interval")
-	scatterTimeout := flag.Duration("scatter-timeout", 0, "per-scatter deadline on worker round-trips (0 disables; coordinator role)")
 	flag.Parse()
 	peers := splitPeers(*peersFlag)
 	if err := checkRoleFlags(*role); err != nil {
@@ -231,7 +230,6 @@ func run(stop chan os.Signal) error {
 		co := cluster.NewCoordinator(goalrec.NewEngineFromLibrary(lib), cluster.CoordinatorConfig{
 			Peers:          peers,
 			PartialFailure: policy,
-			ScatterTimeout: *scatterTimeout,
 			Reload:         reload,
 			Logger:         logger,
 		})

@@ -256,7 +256,6 @@ func TestRoleFlagsRefusedAtStartup(t *testing.T) {
 		// Coordinator-only flags.
 		{[]string{"-library", "x.jsonl", "-peers", "127.0.0.1:1"}, "-peers"},
 		{append(worker, "-partial-failure", "fail"), "-partial-failure"},
-		{[]string{"-library", "x.jsonl", "-scatter-timeout", "1s"}, "-scatter-timeout"},
 		{append(worker, "-heartbeat", "1s"), "-heartbeat"},
 		// What a coordinator does not have: a store, per-user state.
 		{append(coordinator, "-snapshot-dir", "d"), "-snapshot-dir"},

@@ -929,10 +929,10 @@ func (l *Library) ExportDOT(w io.Writer, maxImpls int) error {
 // LoadLibraryFile opens path and loads it with the format sniffed from the
 // leading bytes: '{' after any blank lines or spaces selects JSON lines, the
 // "GSNP" magic a memory-mapped snapshot; anything else is an error.
-// A snapshot is read once in full, refused unless its bytes match their
-// checksum footer, and mapped. Its pages stay mapped for the life of the
-// process — callers that need to release the mapping should use
-// OpenSnapshotFile directly and Close it.
+// A snapshot is read once in full and mapped only if its bytes match their
+// checksum footer, or pass a structural walk when it predates the footer.
+// Its pages stay mapped for the life of the process — callers that need to
+// release the mapping should use OpenSnapshotFile directly and Close it.
 func LoadLibraryFile(path string) (*Library, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -953,9 +953,9 @@ func LoadLibraryFile(path string) (*Library, error) {
 	}
 	br := bufio.NewReader(f)
 	if magic, err := br.Peek(4); err == nil && string(magic) == "GSNP" {
-		snap, err := core.OpenSnapshotChecked(path)
+		snap, err := core.OpenSnapshotVerified(nil, path, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("goalrec: snapshot %s: %w", path, err)
 		}
 		return snapshotLibrary(snap, path)
 	}

@@ -49,9 +49,6 @@ type CoordinatorConfig struct {
 	// PartialFailure is the policy for unreachable or failing shards
 	// (default Degraded).
 	PartialFailure PartialFailurePolicy
-	// ScatterTimeout bounds each scatter round-trip (0 disables). The HTTP
-	// layer's request deadline also applies; whichever is tighter wins.
-	ScatterTimeout time.Duration
 	// DialTimeout bounds connecting + registering with a worker (default
 	// 5s).
 	DialTimeout time.Duration
@@ -294,11 +291,6 @@ type gathered struct {
 // scatter fans req out to the peers — all of them, or only those in only
 // when it is non-nil — and gathers the responses.
 func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, only map[*peer]bool) []*gathered {
-	if co.cfg.ScatterTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, co.cfg.ScatterTimeout)
-		defer cancel()
-	}
 	co.metrics.scatters.Add(1)
 	all := make([]*gathered, 0, len(co.peers))
 	for _, p := range co.peers {

@@ -31,6 +31,12 @@ import (
 // carries them opens, and their bytes are never read.
 // Scalar derivations (maxImplLen, epoch) live in the header so opening never
 // scans a section.
+//
+// OpenSnapshot trusts the image beyond its header: it is for a file this
+// process just wrote. Every other image — a sidecar, a shard file, a store's
+// snapshot, a library file — opens through OpenSnapshotVerified, which reads
+// the header, the source key and stamp and the whole-file checksum through
+// the descriptor it then maps.
 
 const (
 	snapshotMagic   = uint32(0x504e5347) // "GSNP" when read little-endian
@@ -53,10 +59,11 @@ const (
 	// snapFooterMagic introduces the optional 8-byte whole-file checksum
 	// footer ("GSUM" read little-endian) appended after the last section:
 	// magic | u32 crc32(everything before the footer). OpenSnapshot never
-	// reads it — opening stays O(header) — but the scrubber,
-	// OpenSnapshotKeyed and OpenSnapshotChecked use it to detect silent
-	// at-rest corruption anywhere in the file, which the header CRC (header
-	// + section table only) cannot see.
+	// reads it — opening stays O(header) — but the scrubber and
+	// OpenSnapshotVerified use it to detect silent at-rest corruption
+	// anywhere in the file, which the header CRC (header + section table
+	// only) cannot see. An image without one is walked structurally instead
+	// (VerifySnapshot).
 	snapFooterMagic = uint32(0x4d555347)
 	snapFooterSize  = 8
 
@@ -166,12 +173,12 @@ func i32Bytes[T ~int32](s []T) []byte {
 type SnapshotOptions struct {
 	// SourceKey, when non-empty, is stored verbatim in an optional byte
 	// section: an opaque label of what the snapshot was derived from, which
-	// OpenSnapshotKeyed demands back (at most snapMaxSourceKey bytes). Readers
-	// that do not know the section ignore it.
+	// OpenSnapshotVerified hands to its accept (at most snapMaxSourceKey
+	// bytes). Readers that do not know the section ignore it.
 	SourceKey []byte
 	// SourceStamp, when not the zero stamp, is stored in a second optional
 	// byte section: the metadata of the source at the time SourceKey was
-	// computed from its bytes (see ReadSnapshotSource).
+	// computed from its bytes, handed to accept beside the key.
 	SourceStamp FileStamp
 }
 
@@ -675,30 +682,24 @@ func MappedSnapshots() (generations, bytes int64) {
 // OpenSnapshot memory-maps the snapshot at path and returns zero-copy views
 // over it. Opening validates the header CRC and the section geometry — O(#
 // sections), not O(library) — so a snapshot of any size opens in page-in
-// time. Deep content validation is available via VerifySnapshot.
+// time. It trusts every other byte: an image this process did not just write
+// opens through OpenSnapshotVerified.
 func OpenSnapshot(path string) (*Snapshot, error) {
-	return OpenSnapshotFS(faultfs.OS, path)
-}
-
-// OpenSnapshotFS is OpenSnapshot over an explicit filesystem (fault
-// injection; see internal/faultfs). Reads served from the resulting mapping
-// bypass the filesystem by construction; only the open itself is
-// injectable.
-func OpenSnapshotFS(fsys faultfs.FS, path string) (*Snapshot, error) {
-	f, err := fsys.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return mapSnapshot(f, path)
-}
-
-// mapSnapshot maps the open snapshot file f and builds the views over it.
-func mapSnapshot(f faultfs.File, path string) (*Snapshot, error) {
 	data, unmap, err := mmapFile(f)
 	if err != nil {
 		return nil, err
 	}
+	return mapSnapshot(path, data, unmap)
+}
+
+// mapSnapshot builds the views over data, the mapping of the snapshot file
+// at path that unmap releases; it releases it on error.
+func mapSnapshot(path string, data []byte, unmap func() error) (*Snapshot, error) {
 	s, err := OpenSnapshotBytes(data)
 	if err != nil {
 		unmap()
@@ -715,138 +716,130 @@ func mapSnapshot(f faultfs.File, path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// OpenSnapshotKeyed is OpenSnapshot for a snapshot that stands in for
-// another file: it maps path only if the image carries exactly the source
-// key (SnapshotOptions.SourceKey) and every byte of it matches the whole-file
-// checksum it was sealed with. Key, checksum and mapping all come from the
-// one descriptor opened here — the key and the checksum through read, with a
-// fixed buffer, before anything is mapped — so a concurrent rename of path
-// cannot split them across two files. Every refusal is an error naming the
-// reason; the caller rebuilds the snapshot and never serves a refused one.
-func OpenSnapshotKeyed(fsys faultfs.FS, path string, key []byte) (*Snapshot, error) {
+// OpenSnapshotVerified maps the snapshot at path once it has verified, all on
+// the one descriptor it opens, so a concurrent rename of path cannot split
+// the checks across two files. In order: the header CRC and the section
+// geometry; then, when accept is non-nil, the stored source key and stamp
+// (the zero stamp when the image carries none), which accept must take — an
+// image without a key section is refused, and after a refusal nothing more
+// is read; then every byte against the whole-file checksum footer, through a
+// fixed buffer; then the mapping, which must be as long as the file was.
+//
+// An image without a footer opens only when accept is nil, and only if
+// VerifySnapshot passes on its mapping. A header that does not parse, bytes
+// that do not match their footer and a footerless image that fails its walk
+// come back wrapping ErrCorruptSnapshot; accept's refusals as accept returned
+// them; I/O errors bare; and a sound image in the retired compressed
+// encoding wrapping ErrCompressedPostings, not ErrCorruptSnapshot.
+func OpenSnapshotVerified(fsys faultfs.FS, path string, accept func(key []byte, stamp FileStamp) error) (*Snapshot, error) {
+	sf, err := openSnapFile(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	defer sf.Close()
+	if accept != nil {
+		if err := sf.checkSource(accept); err != nil {
+			return nil, err
+		}
+	}
+	size := sf.fi.Size()
+	err = VerifySnapshotChecksum(io.NewSectionReader(sf, 0, size), size)
+	footerless := err == ErrNoChecksum && accept == nil
+	if err != nil && !footerless {
+		return nil, err
+	}
+	data, unmap, err := mmapFile(sf)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) != size {
+		unmap()
+		return nil, fmt.Errorf("size changed from %d to %d bytes while opening", size, len(data))
+	}
+	s, err := mapSnapshot(path, data, unmap)
+	if err == nil && footerless {
+		if err = VerifySnapshot(s); err != nil {
+			_ = s.Close()
+		}
+	}
+	if err != nil {
+		if footerless && !errors.Is(err, ErrCompressedPostings) {
+			err = fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		}
+		return nil, err
+	}
+	return s, nil
+}
+
+// snapFile is a snapshot file open for verification, with what its
+// descriptor gave before any section was read: its fstat, and its header and
+// section table, checked against the file's size.
+type snapFile struct {
+	faultfs.File
+	fi    os.FileInfo
+	head  []byte // the header and section table
+	secs  map[uint32]snapSection
+	flags uint32
+}
+
+// openSnapFile opens the snapshot at path and reads its header and section
+// table. A header that does not parse comes back wrapping
+// ErrCorruptSnapshot, an I/O error bare.
+func openSnapFile(fsys faultfs.FS, path string) (*snapFile, error) {
 	f, err := faultfs.Or(fsys).Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	secs, size, err := snapshotHead(f)
+	sf := &snapFile{File: f}
+	if sf.fi, err = f.Stat(); err == nil {
+		sf.head = make([]byte, min(sf.fi.Size(), snapHeadMax))
+		_, err = f.ReadAt(sf.head, 0)
+	}
+	if err == nil {
+		if sf.secs, sf.flags, err = snapshotSections(sf.head, uint64(sf.fi.Size())); err != nil {
+			err = fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		}
+	}
 	if err != nil {
+		_ = f.Close()
 		return nil, err
 	}
-	if err := checkSourceKey(f, secs, key); err != nil {
-		return nil, err
-	}
-	return mapChecked(f, path, size, false)
+	sf.head = sf.head[:snapHeaderSize+snapSectSize*len(sf.secs)]
+	return sf, nil
 }
 
-// OpenSnapshotChecked is OpenSnapshot for an image nothing else vouches for:
-// it reads the whole file once, through the descriptor it then maps, and
-// refuses it with an error wrapping ErrCorruptSnapshot unless every byte
-// matches the checksum footer the image was sealed with. An image written
-// before the footer existed maps as OpenSnapshot maps it, header CRC only.
-func OpenSnapshotChecked(path string) (*Snapshot, error) {
-	f, err := faultfs.OS.Open(path)
-	if err != nil {
-		return nil, err
+// checkSource reads the source key and stamp sf records, the zero stamp
+// when it carries none, and returns what accept says of them; an image
+// without a key section is refused.
+func (sf *snapFile) checkSource(accept func(key []byte, stamp FileStamp) error) error {
+	ks, ok := sf.secs[secSourceKey]
+	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
+		return errors.New("no source key")
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
+	key := make([]byte, ks.count)
+	if _, err := sf.ReadAt(key, int64(ks.off)); err != nil {
+		return err
 	}
-	s, err := mapChecked(f, path, fi.Size(), true)
-	if errors.Is(err, ErrCorruptSnapshot) {
-		err = fmt.Errorf("core: snapshot %s: %w", path, err)
-	}
-	return s, err
-}
-
-// mapChecked maps f, the size-byte snapshot image at path, once its bytes
-// match their checksum footer; an image without one maps only if footerless
-// is set.
-func mapChecked(f faultfs.File, path string, size int64, footerless bool) (*Snapshot, error) {
-	err := VerifySnapshotChecksum(io.NewSectionReader(f, 0, size), size)
-	if err != nil && !(footerless && err == ErrNoChecksum) {
-		return nil, err
-	}
-	s, err := mapSnapshot(f, path)
-	if err == nil && int64(len(s.data)) != size {
-		_ = s.Close()
-		return nil, fmt.Errorf("size changed from %d to %d bytes while opening", size, len(s.data))
-	}
-	return s, err
-}
-
-// ReadSnapshotSource reads what the snapshot at path records of its source:
-// the source key and the source stamp, the zero stamp when it carries none.
-// It reads the header, the section table and those two sections, nothing
-// else, and checks only the header CRC: a caller that trusts the stamp opens
-// the image with OpenSnapshotKeyed under the key returned here, which checks
-// every byte.
-func ReadSnapshotSource(fsys faultfs.FS, path string) (key []byte, stamp FileStamp, err error) {
-	f, err := faultfs.Or(fsys).Open(path)
-	if err != nil {
-		return nil, FileStamp{}, err
-	}
-	defer f.Close()
-	secs, _, err := snapshotHead(f)
-	if err != nil {
-		return nil, FileStamp{}, err
-	}
-	if key, err = readSourceKey(f, secs); err != nil {
-		return nil, FileStamp{}, err
-	}
-	if ss, ok := secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
+	var stamp FileStamp
+	if ss, ok := sf.secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
 		b := make([]byte, fileStampSize)
-		if _, err := f.ReadAt(b, int64(ss.off)); err != nil {
-			return nil, FileStamp{}, err
+		if _, err := sf.ReadAt(b, int64(ss.off)); err != nil {
+			return err
 		}
 		stamp = decodeFileStamp(b)
 	}
-	return key, stamp, nil
+	return accept(key, stamp)
 }
 
-// snapshotHead reads the header and section table of the open snapshot file
-// f and returns its sections and its size.
-func snapshotHead(f faultfs.File) (map[uint32]snapSection, int64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
+// KeyIs is the accept of OpenSnapshotVerified that takes exactly the source
+// key key.
+func KeyIs(key []byte) func([]byte, FileStamp) error {
+	return func(have []byte, _ FileStamp) error {
+		if !bytes.Equal(have, key) {
+			return fmt.Errorf("source key is %q", have)
+		}
+		return nil
 	}
-	size := fi.Size()
-	head := make([]byte, min(size, snapHeadMax))
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return nil, 0, err
-	}
-	secs, _, err := snapshotSections(head, uint64(size))
-	return secs, size, err
-}
-
-// checkSourceKey reads the source-key section of an image laid out as secs
-// from r and refuses the image unless the key is key.
-func checkSourceKey(r io.ReaderAt, secs map[uint32]snapSection, key []byte) error {
-	have, err := readSourceKey(r, secs)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(have, key) {
-		return fmt.Errorf("source key is %q", have)
-	}
-	return nil
-}
-
-// readSourceKey reads the source-key section of an image laid out as secs
-// from r.
-func readSourceKey(r io.ReaderAt, secs map[uint32]snapSection) ([]byte, error) {
-	ks, ok := secs[secSourceKey]
-	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
-		return nil, errors.New("no source key")
-	}
-	key := make([]byte, ks.count)
-	if _, err := r.ReadAt(key, int64(ks.off)); err != nil {
-		return nil, err
-	}
-	return key, nil
 }
 
 // snapshotSections parses and CRC-checks the header plus section table of a
@@ -1047,10 +1040,10 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*
 }
 
 // VerifySnapshot walks every section of an open snapshot and checks the deep
-// CSR invariants — monotone offsets, strictly increasing sorted rows, ids in
-// range. It is linear in
-// the snapshot and intended for tooling (goalrec-snap verify) and tests, not
-// for the open path.
+// CSR invariants — offsets from 0, never decreasing and ending within their
+// section, checked before any row is sliced; strictly increasing sorted
+// rows; ids in range. It is linear in the snapshot; OpenSnapshotVerified and
+// ScrubSnapshotFile run it on an image without a checksum footer.
 func VerifySnapshot(s *Snapshot) error {
 	l := s.lib
 	if len(l.tailGoal) != 0 {
@@ -1058,14 +1051,32 @@ func VerifySnapshot(s *Snapshot) error {
 		// the base arrays directly.
 		return fmt.Errorf("core: snapshot library carries a tail segment")
 	}
+	for _, o := range []struct {
+		name string
+		off  []int32
+		n    int
+	}{
+		{"implementation", l.implOff, len(l.implActs)},
+		{"posting", l.actOff, len(l.actPost)},
+		{"goal", l.goalOff, len(l.goalPost)},
+		{"GA", l.gaOff, len(l.gaAct)},
+	} {
+		if o.off[0] != 0 {
+			return fmt.Errorf("core: %s offsets start at %d", o.name, o.off[0])
+		}
+		for i := 1; i < len(o.off); i++ {
+			if o.off[i] < o.off[i-1] {
+				return fmt.Errorf("core: %s offset %d decreases", o.name, i)
+			}
+		}
+		if end := o.off[len(o.off)-1]; int(end) > o.n {
+			return fmt.Errorf("core: %s offsets end at %d past %d entries", o.name, end, o.n)
+		}
+	}
 	nImpl := l.NumImplementations()
 	nAct, nGoal := l.numActions, l.numGoals
 	for p := 0; p < nImpl; p++ {
-		lo, hi := l.implOff[p], l.implOff[p+1]
-		if hi < lo {
-			return fmt.Errorf("core: implementation %d: negative extent", p)
-		}
-		acts := l.implActs[lo:hi]
+		acts := l.implActs[l.implOff[p]:l.implOff[p+1]]
 		if len(acts) == 0 {
 			return fmt.Errorf("core: implementation %d: empty activity", p)
 		}
@@ -1082,9 +1093,6 @@ func VerifySnapshot(s *Snapshot) error {
 		}
 	}
 	for a := 0; a < nAct; a++ {
-		if l.actOff[a+1] < l.actOff[a] {
-			return fmt.Errorf("core: action %d: negative posting extent", a)
-		}
 		row := l.ImplsOfAction(ActionID(a))
 		for i, p := range row {
 			if p < 0 || int(p) >= nImpl {
@@ -1094,12 +1102,8 @@ func VerifySnapshot(s *Snapshot) error {
 				return fmt.Errorf("core: action %d: posting row not strictly increasing", a)
 			}
 		}
-
 	}
 	for g := 0; g < nGoal; g++ {
-		if l.goalOff[g+1] < l.goalOff[g] {
-			return fmt.Errorf("core: goal %d: negative posting extent", g)
-		}
 		for _, p := range l.ImplsOfGoal(GoalID(g)) {
 			if p < 0 || int(p) >= nImpl {
 				return fmt.Errorf("core: goal %d: posting %d out of range", g, p)

@@ -47,27 +47,18 @@ func copyRefused(err error) error { return fmt.Errorf("%w: %w", ErrCopyRefused, 
 // source verified (see sealFile). Every refusal wraps ErrCopyRefused.
 func CopySnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library) error {
 	fsys = faultfs.Or(fsys)
-	in, err := fsys.Open(src)
+	in, err := openSnapFile(fsys, src)
 	if err != nil {
 		return copyRefused(err)
 	}
 	defer in.Close()
-	fi, err := in.Stat()
-	if err != nil {
-		return copyRefused(err)
-	}
-	size := fi.Size()
-	head := make([]byte, min(size, snapHeadMax))
-	if _, err := in.ReadAt(head, 0); err != nil {
-		return copyRefused(err)
-	}
-	tableEnd, end, err := checkCopySource(in, head, uint64(size), key, l)
+	end, err := checkCopySource(in, key, l)
 	if err != nil {
 		return copyRefused(err)
 	}
 
 	// The restamped header and table, in place of the source's.
-	hdr := bytes.Clone(head[:tableEnd])
+	hdr := bytes.Clone(in.head)
 	binary.LittleEndian.PutUint64(hdr[48:], l.epoch)
 	crc := crc32.ChecksumIEEE(hdr[:60])
 	binary.LittleEndian.PutUint32(hdr[60:], crc32.Update(crc, crc32.IEEETable, hdr[snapHeaderSize:]))
@@ -82,9 +73,9 @@ func CopySnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library
 			}
 			srcCRC = crc32.Update(srcCRC, crc32.IEEETable, chunk)
 			if pos == 0 {
-				// The first chunk covers the header and table (end ≥ tableEnd):
-				// they must still be the bytes checked above.
-				if !bytes.Equal(chunk[:tableEnd], head[:tableEnd]) {
+				// The first chunk covers the header and table (end ≥ their
+				// length): they must still be the bytes checked above.
+				if !bytes.Equal(chunk[:len(hdr)], in.head) {
 					return copyRefused(errors.New("header changed while copying"))
 				}
 				copy(chunk, hdr)
@@ -112,20 +103,15 @@ func CopySnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library
 }
 
 // checkCopySource verifies everything CopySnapshotFileFS can check before it
-// streams: head (the file's first bytes) parses as a header and section table
-// whose sections fit a size-byte file and end right before the footer, the
-// source key read from r is key, and the header describes l. It returns the
-// end of the section table and the offset of the footer.
-func checkCopySource(r io.ReaderAt, head []byte, size uint64, key []byte, l *Library) (tableEnd, end uint64, err error) {
-	secs, flags, err := snapshotSections(head, size)
-	if err != nil {
-		return 0, 0, err
+// streams sf: its header flags, its source key, that its header describes l,
+// and that its sections end right before the footer. It returns the offset
+// of the footer.
+func checkCopySource(sf *snapFile, key []byte, l *Library) (end uint64, err error) {
+	if sf.flags != snapFlagVocab {
+		return 0, fmt.Errorf("header flags %#x, want vocabulary only", sf.flags)
 	}
-	if flags != snapFlagVocab {
-		return 0, 0, fmt.Errorf("header flags %#x, want vocabulary only", flags)
-	}
-	if err := checkSourceKey(r, secs, key); err != nil {
-		return 0, 0, err
+	if err := sf.checkSource(KeyIs(key)); err != nil {
+		return 0, err
 	}
 	dims := [...]struct {
 		name      string
@@ -137,20 +123,20 @@ func checkCopySource(r io.ReaderAt, head []byte, size uint64, key []byte, l *Lib
 		{"slots", uint64(l.NumPostings()), 40},
 	}
 	for _, d := range dims {
-		if v := binary.LittleEndian.Uint64(head[d.off:]); v != d.have {
-			return 0, 0, fmt.Errorf("file holds %d %s, the library %d", v, d.name, d.have)
+		if v := binary.LittleEndian.Uint64(sf.head[d.off:]); v != d.have {
+			return 0, fmt.Errorf("file holds %d %s, the library %d", v, d.name, d.have)
 		}
 	}
-	if v := binary.LittleEndian.Uint32(head[56:]); v != uint32(l.maxImplLen) {
-		return 0, 0, fmt.Errorf("file's longest implementation is %d, the library's %d", v, l.maxImplLen)
+	if v := binary.LittleEndian.Uint32(sf.head[56:]); v != uint32(l.maxImplLen) {
+		return 0, fmt.Errorf("file's longest implementation is %d, the library's %d", v, l.maxImplLen)
 	}
-	for _, s := range secs {
+	for _, s := range sf.secs {
 		end = max(end, s.off+s.count*uint64(s.elem))
 	}
-	if end+snapFooterSize != size {
-		return 0, 0, fmt.Errorf("checksum footer not right after the last section (%d + %d != %d bytes)", end, snapFooterSize, size)
+	if size := uint64(sf.fi.Size()); end+snapFooterSize != size {
+		return 0, fmt.Errorf("checksum footer not right after the last section (%d + %d != %d bytes)", end, snapFooterSize, size)
 	}
-	return uint64(snapHeaderSize + snapSectSize*len(secs)), end, nil
+	return end, nil
 }
 
 // LinkSnapshotFileFS persists l, the unextended image of the keyed snapshot
@@ -175,33 +161,24 @@ func checkCopySource(r io.ReaderAt, head []byte, size uint64, key []byte, l *Lib
 // store's quarantine and pruning only rename or remove names.
 func LinkSnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library) (bool, error) {
 	fsys = faultfs.Or(fsys)
-	in, err := fsys.Open(src)
+	in, err := openSnapFile(fsys, src)
 	if err != nil {
 		return false, copyRefused(err)
 	}
 	defer in.Close()
-	fi, err := in.Stat()
-	if err != nil {
+	if _, err := checkCopySource(in, key, l); err != nil {
 		return false, copyRefused(err)
 	}
-	size := fi.Size()
-	head := make([]byte, min(size, snapHeadMax))
-	if _, err := in.ReadAt(head, 0); err != nil {
-		return false, copyRefused(err)
-	}
-	if _, _, err := checkCopySource(in, head, uint64(size), key, l); err != nil {
-		return false, copyRefused(err)
-	}
-	if binary.LittleEndian.Uint64(head[48:]) != l.epoch {
+	if binary.LittleEndian.Uint64(in.head[48:]) != l.epoch {
 		return false, nil
 	}
-	if cur, err := fsys.Stat(dst); err == nil && os.SameFile(cur, fi) {
+	if cur, err := fsys.Stat(dst); err == nil && os.SameFile(cur, in.fi) {
 		return true, nil
 	}
-	if err := VerifySnapshotChecksum(in, size); err != nil {
+	if err := VerifySnapshotChecksum(in, in.fi.Size()); err != nil {
 		return false, copyRefused(err)
 	}
-	if err := linkFile(fsys, dst, src, fi); err != nil {
+	if err := linkFile(fsys, dst, src, in.fi); err != nil {
 		return false, err
 	}
 	return true, nil

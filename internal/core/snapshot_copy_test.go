@@ -28,7 +28,7 @@ func TestCopySnapshotFile(t *testing.T) {
 	if err := WriteSnapshotFile(src, lib, vocab, SnapshotOptions{SourceKey: key}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := OpenSnapshotKeyed(nil, src, key)
+	snap, err := OpenSnapshotVerified(nil, src, KeyIs(key))
 	if err != nil {
 		t.Fatal(err)
 	}

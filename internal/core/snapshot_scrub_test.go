@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -139,7 +140,7 @@ func TestWriteSnapshotFileFaults(t *testing.T) {
 			if err := ScrubSnapshotFile(inj, path); err != nil {
 				t.Fatalf("scrub after retry: %v", err)
 			}
-			snap, err := OpenSnapshotFS(inj, path)
+			snap, err := OpenSnapshotVerified(inj, path, nil)
 			if err != nil {
 				t.Fatalf("open after retry: %v", err)
 			}
@@ -216,59 +217,116 @@ func TestScrubSnapshotFileStreams(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotKeyed: the keyed open maps a snapshot only when it carries
-// the demanded source key and every byte matches the sealed checksum.
-func TestOpenSnapshotKeyed(t *testing.T) {
+// TestOpenSnapshotVerified: the one open of an image this process did not
+// just write maps it only when its header parses, accept takes its source
+// key and stamp, and every byte matches its checksum footer; a footerless
+// image opens only without accept, after a structural walk. Refusals by
+// accept read nothing past the key and stamp sections.
+func TestOpenSnapshotVerified(t *testing.T) {
 	lib := snapTestLibrary(t, 500, 40, 13)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.gsnp")
 	key := []byte("source-a")
-	if err := WriteSnapshotFile(path, lib, nil, SnapshotOptions{SourceKey: key}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshotKeyed(nil, path, key)
-	if err != nil {
-		t.Fatalf("keyed open: %v", err)
-	}
-	assertLibrariesEqual(t, lib, snap.Library())
-	if gens, n := MappedSnapshots(); gens < 1 || n < int64(len(snap.data)) {
-		t.Fatalf("MappedSnapshots() = %d, %d with a %d-byte mapping open", gens, n, len(snap.data))
-	}
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := DescribeSnapshot(data)
-	if err != nil || d.SourceKey != string(key) {
-		t.Fatalf("DescribeSnapshot source key = %q, %v; want %q", d.SourceKey, err, key)
-	}
-
-	if _, err := OpenSnapshotKeyed(nil, path, []byte("source-b")); err == nil {
-		t.Fatal("a snapshot of another source was opened")
-	}
-	unkeyed := filepath.Join(dir, "unkeyed.gsnp")
-	if err := WriteSnapshotFile(unkeyed, lib, nil, SnapshotOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSnapshotKeyed(nil, unkeyed, key); err == nil {
-		t.Fatal("a snapshot without a source key was opened")
-	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"body flip":  func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
-		"truncated":  func(b []byte) []byte { return b[:len(b)-100] },
-		"no footer":  func(b []byte) []byte { return b[:len(b)-snapFooterSize] },
-		"bad header": func(b []byte) []byte { b[9] ^= 0xff; return b },
-		"empty":      func(b []byte) []byte { return nil },
-	} {
-		bad := filepath.Join(dir, "bad.gsnp")
-		if err := os.WriteFile(bad, mutate(append([]byte(nil), data...)), 0o644); err != nil {
+	stamp := FileStamp{Size: 22356395, Mtime: 1_700_000_000_123_456_789, Ctime: 1_700_000_001_000_000_001, Ino: 9781261, Dev: 0xfe00}
+	image := func(opts SnapshotOptions) []byte {
+		var b bytes.Buffer
+		if err := WriteSnapshot(&b, lib, nil, opts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenSnapshotKeyed(nil, bad, key); err == nil {
-			t.Fatalf("%s: a damaged snapshot was opened", name)
+		return b.Bytes()
+	}
+	stamped := image(SnapshotOptions{SourceKey: key, SourceStamp: stamp})
+	keyed := image(SnapshotOptions{SourceKey: key})
+	compressed := image(SnapshotOptions{})
+	resealCompressedFlag(t, compressed, true)
+	d, err := DescribeSnapshot(stamped)
+	if err != nil || d.SourceKey != string(key) || d.SourceStamp == nil || *d.SourceStamp != stamp {
+		t.Fatalf("DescribeSnapshot source key %q, stamp %v, err %v", d.SourceKey, d.SourceStamp, err)
+	}
+	var stampAt uint64
+	for _, s := range d.Sections {
+		if s.Name == "source-stamp" {
+			stampAt = s.Offset
 		}
+	}
+	// source accepts exactly the key and stamp it is given.
+	source := func(key []byte, stamp FileStamp) func([]byte, FileStamp) error {
+		return func(k []byte, s FileStamp) error {
+			if !bytes.Equal(k, key) || s != stamp {
+				return fmt.Errorf("accept got %q, %+v", k, s)
+			}
+			return nil
+		}
+	}
+	flip := func(off uint64) []byte { b := bytes.Clone(stamped); b[off] ^= 1; return b }
+	for _, tc := range []struct {
+		name   string
+		file   []byte
+		accept func([]byte, FileStamp) error
+		reason string // "" when the image opens
+		is     error
+	}{
+		{name: "key matches", file: stamped, accept: KeyIs(key)},
+		{name: "key differs", file: stamped, accept: KeyIs([]byte("source-b")), reason: `source key is "source-a"`},
+		{name: "key absent", file: image(SnapshotOptions{}), accept: KeyIs(key), reason: "no source key"},
+		{name: "stamp handed to accept", file: stamped, accept: source(key, stamp)},
+		{name: "no stamp hands the zero stamp", file: keyed, accept: source(key, FileStamp{})},
+		{name: "without accept", file: stamped},
+		{name: "footer stripped, with accept", file: stamped[:len(stamped)-snapFooterSize], accept: KeyIs(key), is: ErrNoChecksum},
+		{name: "footer stripped, without accept", file: stamped[:len(stamped)-snapFooterSize]},
+		{name: "body byte flipped", file: flip(uint64(len(stamped) / 2)), accept: KeyIs(key), reason: "checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "body byte flipped, without accept", file: flip(uint64(len(stamped) / 2)), reason: "checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "stamp byte flipped", file: flip(stampAt + 8), accept: KeyIs(key), reason: "checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "truncated", file: stamped[:len(stamped)-100], reason: "outside file", is: ErrCorruptSnapshot},
+		{name: "header byte flipped", file: flip(9), accept: KeyIs(key), reason: "header checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "empty", file: []byte{}, reason: "truncated header", is: ErrCorruptSnapshot},
+		{name: "compressed flag", file: compressed, is: ErrCompressedPostings},
+		{name: "compressed flag, footer stripped", file: compressed[:len(compressed)-snapFooterSize], is: ErrCompressedPostings},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "lib.gsnp")
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := OpenSnapshotVerified(nil, path, tc.accept)
+			if tc.reason == "" && tc.is == nil {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				defer snap.Close()
+				assertLibrariesEqual(t, lib, snap.Library())
+				if gens, n := MappedSnapshots(); gens < 1 || n < int64(len(snap.data)) {
+					t.Fatalf("MappedSnapshots() = %d, %d with a %d-byte mapping open", gens, n, len(snap.data))
+				}
+				return
+			}
+			if err == nil {
+				snap.Close()
+				t.Fatal("opened")
+			}
+			if !strings.Contains(err.Error(), tc.reason) || tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("refusal %v, want one naming %q, errors.Is %v", err, tc.reason, tc.is)
+			}
+			if tc.is != ErrCorruptSnapshot && errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("refusal %v claims corruption", err)
+			}
+		})
+	}
+
+	// A refusal by accept: the header, the key and the stamp are all that
+	// was read.
+	path := filepath.Join(t.TempDir(), "lib.gsnp")
+	if err := os.WriteFile(path, stamped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(nil)
+	inj.StartTrace()
+	if _, err := OpenSnapshotVerified(inj, path, source(key, FileStamp{})); err == nil {
+		t.Fatal("an image with another stamp was accepted")
+	}
+	var ops []string
+	for _, site := range inj.Trace() {
+		ops = append(ops, site.Op.String())
+	}
+	if got, want := strings.Join(ops, " "), "open stat readat readat readat close"; got != want {
+		t.Fatalf("a refused open did %q, want %q", got, want)
 	}
 }

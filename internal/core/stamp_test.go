@@ -7,67 +7,6 @@ import (
 	"testing"
 )
 
-// TestReadSnapshotSource: the header-only reader returns the source key and
-// stamp a snapshot was written with, the zero stamp when it carries none, and
-// the stamp section is sealed by the whole-file checksum like every other.
-func TestReadSnapshotSource(t *testing.T) {
-	lib := snapTestLibrary(t, 300, 30, 17)
-	dir := t.TempDir()
-	key := []byte("source-a")
-	stamp := FileStamp{Size: 22356395, Mtime: 1_700_000_000_123_456_789, Ctime: 1_700_000_001_000_000_001, Ino: 9781261, Dev: 0xfe00}
-
-	stamped := filepath.Join(dir, "stamped.gsnp")
-	if err := WriteSnapshotFile(stamped, lib, nil, SnapshotOptions{SourceKey: key, SourceStamp: stamp}); err != nil {
-		t.Fatal(err)
-	}
-	gotKey, gotStamp, err := ReadSnapshotSource(nil, stamped)
-	if err != nil || string(gotKey) != string(key) || gotStamp != stamp {
-		t.Fatalf("ReadSnapshotSource = %q, %+v, %v; want %q, %+v", gotKey, gotStamp, err, key, stamp)
-	}
-	data, err := os.ReadFile(stamped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := DescribeSnapshot(data)
-	if err != nil || d.SourceStamp == nil || *d.SourceStamp != stamp {
-		t.Fatalf("DescribeSnapshot source stamp = %v, %v; want %+v", d.SourceStamp, err, stamp)
-	}
-	snap, err := OpenSnapshotKeyed(nil, stamped, key)
-	if err != nil {
-		t.Fatalf("keyed open of a stamped snapshot: %v", err)
-	}
-	assertLibrariesEqual(t, lib, snap.Library())
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range d.Sections {
-		if s.Name == "source-stamp" {
-			data[s.Offset+8] ^= 1
-		}
-	}
-	if err := os.WriteFile(stamped, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSnapshotKeyed(nil, stamped, key); err == nil {
-		t.Fatal("a snapshot with a flipped stamp byte was opened")
-	}
-
-	keyed := filepath.Join(dir, "keyed.gsnp")
-	if err := WriteSnapshotFile(keyed, lib, nil, SnapshotOptions{SourceKey: key}); err != nil {
-		t.Fatal(err)
-	}
-	if gotKey, gotStamp, err := ReadSnapshotSource(nil, keyed); err != nil || string(gotKey) != string(key) || gotStamp != (FileStamp{}) {
-		t.Fatalf("ReadSnapshotSource of an unstamped snapshot = %q, %+v, %v", gotKey, gotStamp, err)
-	}
-	unkeyed := filepath.Join(dir, "unkeyed.gsnp")
-	if err := WriteSnapshotFile(unkeyed, lib, nil, SnapshotOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadSnapshotSource(nil, unkeyed); err == nil {
-		t.Fatal("a snapshot without a source key yielded one")
-	}
-}
-
 // TestStatStamp: a real file's stamp is complete where the platform reports
 // change time, inode and device, and a FileInfo without a stat record only
 // ever gives size and modification time.

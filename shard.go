@@ -79,7 +79,7 @@ func (l *Library) partitionMapped(fsys faultfs.FS, lo, hi int) (*Library, string
 // image of key, sharing l's name dictionary and stamped with l's epoch. The
 // mapping is never released.
 func (l *Library) openShard(fsys faultfs.FS, path string, key []byte) (*Library, error) {
-	snap, err := core.OpenSnapshotKeyed(fsys, path, key)
+	snap, err := core.OpenSnapshotVerified(fsys, path, core.KeyIs(key))
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 	if _, err := io.Copy(h, f); err != nil {
 		return nil, "", fmt.Errorf("goalrec: reading %s: %w", path, err)
 	}
-	lib, refused := openSidecar(fsys, path, sidecarKey(h))
+	lib, refused := openSidecar(fsys, path, core.KeyIs(sidecarKey(h)))
 	if refused == nil {
 		return lib, SidecarHit, nil
 	}
@@ -158,7 +158,7 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 	key := sidecarKey(h)
 	err = writeSidecar(fsys, path+SidecarSuffix, clib.WithEpoch(sidecarEpoch), vocab, core.SnapshotOptions{SourceKey: key, SourceStamp: stamp})
 	if err == nil {
-		lib, err = openSidecar(fsys, path, key)
+		lib, err = openSidecar(fsys, path, core.KeyIs(key))
 	}
 	if err != nil {
 		return parsed, SidecarUnwritable + ": " + err.Error(), nil
@@ -167,21 +167,22 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 }
 
 // openStamped maps the sidecar of the source open as f at path if the
-// sidecar recorded a stamp equal to the source's current one: the source
-// then holds the bytes the sidecar's stored key was hashed from, so it is
-// not read. The keyed open still checks the key and every byte of the
-// sidecar. It returns nil whenever the stamp cannot be trusted or the open
-// refuses, and the caller hashes the source.
+// sidecar recorded a stamp equal to the source's current one and a key of
+// the sidecar shape: the source then holds the bytes that key was hashed
+// from, so it is not read, and the library keeps that key. The open still
+// checks every byte of the sidecar. It returns nil whenever the stamp cannot
+// be trusted or the open refuses, and the caller hashes the source.
 func openStamped(fsys faultfs.FS, f *os.File, path string) *Library {
 	cur, ok := fileStamp(f)
 	if !ok {
 		return nil
 	}
-	key, stamp, err := core.ReadSnapshotSource(fsys, path+SidecarSuffix)
-	if err != nil || stamp != cur || !isSidecarKey(key) {
+	lib, err := openSidecar(fsys, path, func(key []byte, stamp core.FileStamp) error {
+		if stamp != cur || !isSidecarKey(key) {
+			return errors.New("stamp moved")
+		}
 		return nil
-	}
-	lib, err := openSidecar(fsys, path, key)
+	})
 	if err != nil {
 		return nil
 	}
@@ -242,10 +243,14 @@ func isSidecarKey(key []byte) bool {
 	return len(key) == sidecarKeyLen && bytes.HasPrefix(key, []byte("jsonl-sha256:")) && bytes.HasSuffix(key, []byte(" layout:plain"))
 }
 
-// openSidecar maps the sidecar of the source at src if it verifies as the
-// image of key. The mapping is never released.
-func openSidecar(fsys faultfs.FS, src string, key []byte) (*Library, error) {
-	snap, err := core.OpenSnapshotKeyed(fsys, src+SidecarSuffix, key)
+// openSidecar maps the sidecar of the source at src, never to be released,
+// if it verifies with a source key and stamp accept takes; it keeps the key.
+func openSidecar(fsys faultfs.FS, src string, accept func([]byte, core.FileStamp) error) (*Library, error) {
+	var key []byte
+	snap, err := core.OpenSnapshotVerified(fsys, src+SidecarSuffix, func(k []byte, stamp core.FileStamp) error {
+		key = k
+		return accept(k, stamp)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package goalrec
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -115,11 +116,18 @@ func settleSource(t testing.TB, path string) {
 // stamp when it carries none.
 func recordedStamp(t testing.TB, src string) core.FileStamp {
 	t.Helper()
-	_, stamp, err := core.ReadSnapshotSource(nil, src+SidecarSuffix)
+	b, err := os.ReadFile(src + SidecarSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stamp
+	d, err := core.DescribeSnapshot(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.SourceStamp == nil {
+		return core.FileStamp{}
+	}
+	return *d.SourceStamp
 }
 
 // editedSameSize returns the bytes of src with one action renamed to another
@@ -487,6 +495,55 @@ func TestSidecarOtherFormats(t *testing.T) {
 	if _, decision, err := LoadLibraryFileMapped(snap); !errors.Is(err, core.ErrCorruptSnapshot) || decision != "" {
 		t.Fatalf("LoadLibraryFileMapped of a flipped bit: decision %q, error %v, want ErrCorruptSnapshot", decision, err)
 	}
+
+	// An image written before the checksum footer existed is walked
+	// structurally: a sound one loads, one with a posting id out of range
+	// does not.
+	if err := want.SaveSnapshotFile(snap, false); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(snap); err != nil {
+		t.Fatal(err)
+	}
+	footerless := data[:len(data)-8]
+	replaceFile(t, snap, footerless)
+	if lib, err = LoadLibraryFile(snap); err != nil {
+		t.Fatalf("LoadLibraryFile of a sound footerless image: %v", err)
+	}
+	assertServesLike(t, want, lib)
+	for _, s := range desc.Sections {
+		if s.Name == "postings-raw" {
+			binary.LittleEndian.PutUint32(footerless[s.Offset:], 1<<30)
+		}
+	}
+	replaceFile(t, snap, footerless)
+	if _, err := LoadLibraryFile(snap); !errors.Is(err, core.ErrCorruptSnapshot) {
+		t.Fatalf("LoadLibraryFile of a footerless posting out of range: error %v, want ErrCorruptSnapshot", err)
+	}
+	if _, decision, err := LoadLibraryFileMapped(snap); !errors.Is(err, core.ErrCorruptSnapshot) || decision != "" {
+		t.Fatalf("LoadLibraryFileMapped of a footerless posting out of range: decision %q, error %v, want ErrCorruptSnapshot", decision, err)
+	}
+}
+
+// TestSidecarStampedOpensOnce: a warm start on a settled source checks the
+// stamp and key, verifies and maps the sidecar through one descriptor.
+func TestSidecarStampedOpensOnce(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 29)
+	settleSource(t, src)
+	if _, d, err := LoadLibraryFileMapped(src); err != nil || !strings.HasPrefix(d, SidecarRebuilt) {
+		t.Fatalf("cold load: decision %q, err %v", d, err)
+	}
+	inj := faultfs.NewInjector(nil)
+	inj.StartTrace()
+	lib, d, err := loadLibraryFileMapped(inj, src)
+	if err != nil || d != SidecarHit || !lib.side.stamped {
+		t.Fatalf("warm load: decision %q, err %v, want a stamped hit", d, err)
+	}
+	if n := opensOf(inj.Trace(), src+SidecarSuffix); n != 1 {
+		t.Fatalf("the sidecar was opened %d times, want once", n)
+	}
+	assertServesLike(t, sealedReference(t, src), lib)
 }
 
 // TestSidecarEngineIngest: an Engine seeded from a sidecar-backed library and
@@ -592,7 +649,7 @@ func FuzzSidecarOpen(f *testing.F) {
 		b[int(off)%len(b)] ^= xor
 		b = b[:len(b)-int(cut)%len(b)]
 		replaceFile(t, side, b)
-		snap, err := core.OpenSnapshotKeyed(nil, side, key)
+		snap, err := core.OpenSnapshotVerified(nil, side, core.KeyIs(key))
 		if err != nil {
 			if bytes.Equal(b, valid) {
 				t.Fatalf("the valid sidecar was refused: %v", err)

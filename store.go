@@ -275,42 +275,36 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Newest verifiable snapshot wins. Every candidate is scrubbed in full
-	// before adoption — the open-time scrub — and a corrupt one (torn writes
-	// are impossible, snapshots rename into place, but disks rot) is
-	// quarantined rather than deleted, then recovery falls back a generation.
-	// The WAL retains every batch past the oldest retained snapshot, so the
-	// fallback replays a longer tail and lands on the same state.
+	// Newest verifiable snapshot wins. Every candidate is verified in full on
+	// the descriptor it is mapped from — the open-time scrub — and a corrupt
+	// one (torn writes are impossible, snapshots rename into place, but disks
+	// rot) is quarantined rather than deleted, then recovery falls back a
+	// generation. The WAL retains every batch past the oldest retained
+	// snapshot, so the fallback replays a longer tail and lands on the same
+	// state.
 	for i := len(epochs) - 1; i >= 0; i-- {
 		path := s.snapPath(epochs[i])
-		if err := core.ScrubSnapshotFile(fsys, path); err != nil {
-			// Quarantine only proven corruption. An I/O error reading the file
-			// says nothing about the bytes at rest — renaming a possibly-healthy
-			// newest generation aside on a flaky read would itself lose data, so
-			// that fails the open instead.
+		snap, err := core.OpenSnapshotVerified(fsys, path, nil)
+		if err != nil {
+			// Quarantine only proven corruption. An I/O error says nothing of
+			// the bytes at rest — quarantining a healthy newest generation on a
+			// flaky read would itself lose data — and a sound file in the
+			// retired compressed encoding is not corrupt: both fail the open.
 			if !errors.Is(err, core.ErrCorruptSnapshot) {
-				return nil, fmt.Errorf("goalrec: scrubbing snapshot %s: %w", filepath.Base(path), err)
+				return nil, fmt.Errorf("goalrec: opening snapshot %s: %w", filepath.Base(path), err)
 			}
 			s.scrubFails.Add(1)
 			s.quarantine(path, err)
 			s.logf("snapshot %s failed its open-time scrub: %v (falling back)", filepath.Base(path), err)
 			continue
 		}
-		snap, err := core.OpenSnapshotFS(fsys, path)
+		lib, err := snapshotLibrary(snap, path)
 		if err != nil {
-			// The scrub just proved the bytes sound, so this is environmental
-			// (open/stat/mmap) or a sound file in an encoding this release no
-			// longer reads (core.ErrCompressedPostings) — not corruption.
-			return nil, fmt.Errorf("goalrec: mapping snapshot %s: %w", filepath.Base(path), err)
-		}
-		vocab := snap.Vocabulary()
-		if vocab == nil {
-			_ = snap.Close()
-			s.logf("snapshot %s has no vocabulary (falling back)", filepath.Base(path))
+			s.logf("%v (falling back)", err)
 			continue
 		}
-		s.engine = newEngineAdopting(&Library{lib: snap.Library(), vocab: vocab})
-		s.snapLow = snap.Library().Epoch()
+		s.engine = newEngineAdopting(lib)
+		s.snapLow = lib.Epoch()
 		s.unmaps = append(s.unmaps, snap.Close)
 		break
 	}

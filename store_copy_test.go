@@ -34,12 +34,8 @@ func seedSidecar(t testing.TB, seed int64) (src string, mapped, oracle *Library)
 // serialiser's image of stamped, keyed and source-stamped like the sidecar.
 func expectedCopy(t testing.TB, stamped *Library) []byte {
 	t.Helper()
-	_, sourceStamp, err := core.ReadSnapshotSource(nil, stamped.side.src+SidecarSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := core.WriteSnapshot(&buf, stamped.lib, stamped.vocab, core.SnapshotOptions{SourceKey: stamped.side.key, SourceStamp: sourceStamp}); err != nil {
+	if err := core.WriteSnapshot(&buf, stamped.lib, stamped.vocab, core.SnapshotOptions{SourceKey: stamped.side.key, SourceStamp: recordedStamp(t, stamped.side.src)}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

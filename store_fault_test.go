@@ -2,6 +2,7 @@ package goalrec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -294,6 +295,127 @@ func TestStoreQuarantinesCorruptNewestSnapshot(t *testing.T) {
 	if len(st.Quarantined) != 1 || !strings.HasSuffix(st.Quarantined[0], ".quarantine") || st.ScrubFailures == 0 {
 		t.Fatalf("status after quarantine = %+v", st)
 	}
+}
+
+// TestStoreQuarantinesFooterlessBadOffsets: a snapshot without a checksum
+// footer whose offsets array — implementation, posting, goal or GA — points
+// one row past its section is refused by the scrub and, at open, quarantined
+// with recovery falling back a generation; neither walks off the section.
+func TestStoreQuarantinesFooterlessBadOffsets(t *testing.T) {
+	for _, tc := range []struct {
+		section string
+		last    bool // push the last offset instead of the second
+	}{
+		{"impl-offsets", false}, {"posting-offsets", false}, {"goal-impl-offsets", false},
+		{"ga-offsets", false}, {"ga-offsets", true},
+	} {
+		t.Run(fmt.Sprintf("%s/last=%v", tc.section, tc.last), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			storeIngest(t, s.Engine(), 0, 30)
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			storeIngest(t, s.Engine(), 30, 20)
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			storeIngest(t, s.Engine(), 50, 7)
+			wantEpoch, want := s.Engine().Epoch(), storeRankings(t, s.Engine())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := snapshotEpochs(nil, dir)
+			if err != nil || len(snaps) != 2 {
+				t.Fatalf("want 2 snapshot generations, have %v (%v)", snaps, err)
+			}
+			newest := s.snapPath(snaps[1])
+
+			data, err := os.ReadFile(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := core.DescribeSnapshot(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range d.Sections {
+				if at := sec.Offset + 4; sec.Name == tc.section {
+					if tc.last {
+						at = sec.Offset + sec.Bytes - 4
+					}
+					binary.LittleEndian.PutUint32(data[at:], 1<<20)
+				}
+			}
+			if err := os.WriteFile(newest, data[:len(data)-8], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.ScrubSnapshotFile(nil, newest); !errors.Is(err, core.ErrCorruptSnapshot) {
+				t.Fatalf("scrub: %v, want ErrCorruptSnapshot", err)
+			}
+
+			s2, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if s2.Engine().Epoch() != wantEpoch || !reflect.DeepEqual(storeRankings(t, s2.Engine()), want) {
+				t.Fatalf("fallback recovery at epoch %d, want %d with the same rankings", s2.Engine().Epoch(), wantEpoch)
+			}
+			if st := s2.Status(); len(st.Quarantined) != 1 || st.ScrubFailures != 1 {
+				t.Fatalf("status after quarantine = %+v", st)
+			}
+			if _, err := os.Stat(newest + ".quarantine"); err != nil {
+				t.Fatalf("quarantined file missing: %v", err)
+			}
+		})
+	}
+}
+
+// TestStoreOpensAdoptedSnapshotOnce: the open-time scrub and the mapping of
+// the snapshot a store adopts share one descriptor.
+func TestStoreOpensAdoptedSnapshotOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeIngest(t, s.Engine(), 0, 30)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	epoch := s.Engine().Epoch()
+	path := s.snapPath(epoch)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(nil)
+	inj.StartTrace()
+	s2, err := OpenStore(dir, StoreOptions{FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Engine().Epoch() != epoch {
+		t.Fatalf("recovered epoch %d, want %d", s2.Engine().Epoch(), epoch)
+	}
+	if n := opensOf(inj.Trace(), path); n != 1 {
+		t.Fatalf("the adopted snapshot was opened %d times, want once", n)
+	}
+}
+
+// opensOf counts the opens of path in trace.
+func opensOf(trace []faultfs.Site, path string) int {
+	n := 0
+	for _, site := range trace {
+		if site.Op == faultfs.OpOpen && site.Path == path {
+			n++
+		}
+	}
+	return n
 }
 
 // TestStoreScrubFindsAtRestCorruption: the periodic scrubber quarantines a
