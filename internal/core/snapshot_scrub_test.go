@@ -217,70 +217,79 @@ func TestScrubSnapshotFileStreams(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotVerified: the one open of an image this process did not
-// just write maps it only when its header parses, accept takes its source
-// key and stamp, and every byte matches its checksum footer; a footerless
-// image opens only without accept, after a structural walk. Refusals by
-// accept read nothing past the key and stamp sections.
-func TestOpenSnapshotVerified(t *testing.T) {
-	lib := snapTestLibrary(t, 500, 40, 13)
-	key := []byte("source-a")
-	stamp := FileStamp{Size: 22356395, Mtime: 1_700_000_000_123_456_789, Ctime: 1_700_000_001_000_000_001, Ino: 9781261, Dev: 0xfe00}
+// verifiedOpenFixture holds one library and images of it written with and
+// without a source key and stamp, for the OpenSnapshotVerified tables.
+type verifiedOpenFixture struct {
+	lib                 *Library
+	key                 []byte
+	stamp               FileStamp
+	stamped, keyed      []byte
+	unkeyed, compressed []byte
+	stampAt             uint64 // offset of the source-stamp section in stamped
+}
+
+func newVerifiedOpenFixture(t *testing.T) *verifiedOpenFixture {
+	t.Helper()
+	f := &verifiedOpenFixture{
+		lib:   snapTestLibrary(t, 500, 40, 13),
+		key:   []byte("source-a"),
+		stamp: FileStamp{Size: 22356395, Mtime: 1_700_000_000_123_456_789, Ctime: 1_700_000_001_000_000_001, Ino: 9781261, Dev: 0xfe00},
+	}
 	image := func(opts SnapshotOptions) []byte {
 		var b bytes.Buffer
-		if err := WriteSnapshot(&b, lib, nil, opts); err != nil {
+		if err := WriteSnapshot(&b, f.lib, nil, opts); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
 	}
-	stamped := image(SnapshotOptions{SourceKey: key, SourceStamp: stamp})
-	keyed := image(SnapshotOptions{SourceKey: key})
-	compressed := image(SnapshotOptions{})
-	resealCompressedFlag(t, compressed, true)
-	d, err := DescribeSnapshot(stamped)
-	if err != nil || d.SourceKey != string(key) || d.SourceStamp == nil || *d.SourceStamp != stamp {
+	f.stamped = image(SnapshotOptions{SourceKey: f.key, SourceStamp: f.stamp})
+	f.keyed = image(SnapshotOptions{SourceKey: f.key})
+	f.unkeyed = image(SnapshotOptions{})
+	f.compressed = image(SnapshotOptions{})
+	resealCompressedFlag(t, f.compressed, true)
+	d, err := DescribeSnapshot(f.stamped)
+	if err != nil || d.SourceKey != string(f.key) || d.SourceStamp == nil || *d.SourceStamp != f.stamp {
 		t.Fatalf("DescribeSnapshot source key %q, stamp %v, err %v", d.SourceKey, d.SourceStamp, err)
 	}
-	var stampAt uint64
 	for _, s := range d.Sections {
 		if s.Name == "source-stamp" {
-			stampAt = s.Offset
+			f.stampAt = s.Offset
 		}
 	}
-	// source accepts exactly the key and stamp it is given.
-	source := func(key []byte, stamp FileStamp) func([]byte, FileStamp) error {
-		return func(k []byte, s FileStamp) error {
-			if !bytes.Equal(k, key) || s != stamp {
-				return fmt.Errorf("accept got %q, %+v", k, s)
-			}
-			return nil
+	return f
+}
+
+// flip returns a copy of the stamped image with the byte at off flipped.
+func (f *verifiedOpenFixture) flip(off uint64) []byte {
+	b := bytes.Clone(f.stamped)
+	b[off] ^= 1
+	return b
+}
+
+// acceptSource accepts exactly the key and stamp it is given.
+func acceptSource(key []byte, stamp FileStamp) func([]byte, FileStamp) error {
+	return func(k []byte, s FileStamp) error {
+		if !bytes.Equal(k, key) || s != stamp {
+			return fmt.Errorf("accept got %q, %+v", k, s)
 		}
+		return nil
 	}
-	flip := func(off uint64) []byte { b := bytes.Clone(stamped); b[off] ^= 1; return b }
-	for _, tc := range []struct {
-		name   string
-		file   []byte
-		accept func([]byte, FileStamp) error
-		reason string // "" when the image opens
-		is     error
-	}{
-		{name: "key matches", file: stamped, accept: KeyIs(key)},
-		{name: "key differs", file: stamped, accept: KeyIs([]byte("source-b")), reason: `source key is "source-a"`},
-		{name: "key absent", file: image(SnapshotOptions{}), accept: KeyIs(key), reason: "no source key"},
-		{name: "stamp handed to accept", file: stamped, accept: source(key, stamp)},
-		{name: "no stamp hands the zero stamp", file: keyed, accept: source(key, FileStamp{})},
-		{name: "without accept", file: stamped},
-		{name: "footer stripped, with accept", file: stamped[:len(stamped)-snapFooterSize], accept: KeyIs(key), is: ErrNoChecksum},
-		{name: "footer stripped, without accept", file: stamped[:len(stamped)-snapFooterSize]},
-		{name: "body byte flipped", file: flip(uint64(len(stamped) / 2)), accept: KeyIs(key), reason: "checksum mismatch", is: ErrCorruptSnapshot},
-		{name: "body byte flipped, without accept", file: flip(uint64(len(stamped) / 2)), reason: "checksum mismatch", is: ErrCorruptSnapshot},
-		{name: "stamp byte flipped", file: flip(stampAt + 8), accept: KeyIs(key), reason: "checksum mismatch", is: ErrCorruptSnapshot},
-		{name: "truncated", file: stamped[:len(stamped)-100], reason: "outside file", is: ErrCorruptSnapshot},
-		{name: "header byte flipped", file: flip(9), accept: KeyIs(key), reason: "header checksum mismatch", is: ErrCorruptSnapshot},
-		{name: "empty", file: []byte{}, reason: "truncated header", is: ErrCorruptSnapshot},
-		{name: "compressed flag", file: compressed, is: ErrCompressedPostings},
-		{name: "compressed flag, footer stripped", file: compressed[:len(compressed)-snapFooterSize], is: ErrCompressedPostings},
-	} {
+}
+
+type verifiedOpenCase struct {
+	name   string
+	file   []byte
+	accept func([]byte, FileStamp) error
+	reason string // "" when the image opens
+	is     error
+}
+
+// runVerifiedOpenCases writes each case's image to a file and opens it with
+// OpenSnapshotVerified: an image that should open must map f.lib, and a
+// refusal must name its reason and claim corruption only when is says so.
+func runVerifiedOpenCases(t *testing.T, f *verifiedOpenFixture, cases []verifiedOpenCase) {
+	t.Helper()
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "lib.gsnp")
 			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
@@ -292,7 +301,7 @@ func TestOpenSnapshotVerified(t *testing.T) {
 					t.Fatalf("refused: %v", err)
 				}
 				defer snap.Close()
-				assertLibrariesEqual(t, lib, snap.Library())
+				assertLibrariesEqual(t, f.lib, snap.Library())
 				if gens, n := MappedSnapshots(); gens < 1 || n < int64(len(snap.data)) {
 					t.Fatalf("MappedSnapshots() = %d, %d with a %d-byte mapping open", gens, n, len(snap.data))
 				}
@@ -310,23 +319,37 @@ func TestOpenSnapshotVerified(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// A refusal by accept: the header, the key and the stamp are all that
-	// was read.
-	path := filepath.Join(t.TempDir(), "lib.gsnp")
-	if err := os.WriteFile(path, stamped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	inj := faultfs.NewInjector(nil)
-	inj.StartTrace()
-	if _, err := OpenSnapshotVerified(inj, path, source(key, FileStamp{})); err == nil {
-		t.Fatal("an image with another stamp was accepted")
-	}
-	var ops []string
-	for _, site := range inj.Trace() {
-		ops = append(ops, site.Op.String())
-	}
-	if got, want := strings.Join(ops, " "), "open stat readat readat readat close"; got != want {
-		t.Fatalf("a refused open did %q, want %q", got, want)
-	}
+// TestOpenSnapshotKeyed: an open that demands a source key maps an image only
+// when it carries that key and every byte matches its checksum footer.
+func TestOpenSnapshotKeyed(t *testing.T) {
+	f := newVerifiedOpenFixture(t)
+	mid := uint64(len(f.stamped) / 2)
+	runVerifiedOpenCases(t, f, []verifiedOpenCase{
+		{name: "key matches", file: f.stamped, accept: KeyIs(f.key)},
+		{name: "key differs", file: f.stamped, accept: KeyIs([]byte("source-b")), reason: `source key is "source-a"`},
+		{name: "key absent", file: f.unkeyed, accept: KeyIs(f.key), reason: "no source key"},
+		{name: "footer stripped", file: f.stamped[:len(f.stamped)-snapFooterSize], accept: KeyIs(f.key), is: ErrNoChecksum},
+		{name: "body byte flipped", file: f.flip(mid), accept: KeyIs(f.key), reason: "checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "truncated", file: f.stamped[:len(f.stamped)-100], accept: KeyIs(f.key), reason: "outside file", is: ErrCorruptSnapshot},
+		{name: "header byte flipped", file: f.flip(9), accept: KeyIs(f.key), reason: "header checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "empty", file: []byte{}, accept: KeyIs(f.key), reason: "truncated header", is: ErrCorruptSnapshot},
+	})
+}
+
+// TestOpenSnapshotVerified: without accept, an image opens when every byte
+// matches its checksum footer, or, with no footer, after a structural walk;
+// the retired compressed-postings flag is refused either way.
+func TestOpenSnapshotVerified(t *testing.T) {
+	f := newVerifiedOpenFixture(t)
+	runVerifiedOpenCases(t, f, []verifiedOpenCase{
+		{name: "without accept", file: f.stamped},
+		{name: "footer stripped, without accept", file: f.stamped[:len(f.stamped)-snapFooterSize]},
+		{name: "body byte flipped, without accept", file: f.flip(uint64(len(f.stamped) / 2)), reason: "checksum mismatch", is: ErrCorruptSnapshot},
+		{name: "truncated", file: f.stamped[:len(f.stamped)-100], reason: "outside file", is: ErrCorruptSnapshot},
+		{name: "empty", file: []byte{}, reason: "truncated header", is: ErrCorruptSnapshot},
+		{name: "compressed flag", file: f.compressed, is: ErrCompressedPostings},
+		{name: "compressed flag, footer stripped", file: f.compressed[:len(f.compressed)-snapFooterSize], is: ErrCompressedPostings},
+	})
 }
