@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench-e2e bench-e2e-compare microbench vet fmt lint errlint cover loc experiments soak cluster restart-replay torture clean
+.PHONY: all build test race bench-e2e bench-e2e-compare bench-e2e-pairs microbench vet fmt lint errlint cover loc experiments soak cluster restart-replay torture clean
 
 all: vet test build
 
@@ -27,6 +27,14 @@ bench-e2e:
 # with the bounds of BENCHMARK.json.
 bench-e2e-compare:
 	go run ./bench compare $(A) $(B)
+
+# PAIRS alternating runs of WORKLOAD on the parent commit PARENT and on this
+# working tree, seeds 1..PAIRS, then bench-e2e-compare over the two records
+# (scripts/bench_pairs.sh).
+PAIRS ?= 10
+SECONDS ?= 18
+bench-e2e-pairs:
+	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 microbench:
 	go test -run=XXX -bench=. -benchmem .

@@ -9,6 +9,7 @@ package goalrec_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"goalrec/internal/core"
 	"goalrec/internal/eval"
 	"goalrec/internal/experiments"
+	"goalrec/internal/faultfs"
 	"goalrec/internal/strategy"
 )
 
@@ -419,6 +421,52 @@ func BenchmarkDynamicSnapshotAppend(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e.bld.Build()
+			}
+		})
+	}
+}
+
+var benchVocabSink uint64
+
+// BenchmarkVocabChecksum measures the vocabulary checksum cluster
+// registration compares (Library.VocabChecksum before its memo) at the
+// shape of the repository benchmark's library: 10 000 actions, 125 000
+// goals, named as it names them. mapped hashes a snapshot's dictionaries in
+// place; heap packs a parsed one first.
+func BenchmarkVocabChecksum(b *testing.B) {
+	const nActions, nGoals = 10_000, 125_000
+	heap := core.NewVocabulary()
+	var bld core.Builder
+	for g := 0; g < nGoals; g++ {
+		acts := []core.ActionID{
+			core.ActionID(heap.Actions.Intern(fmt.Sprintf("a%d", g%nActions))),
+			core.ActionID(heap.Actions.Intern(fmt.Sprintf("a%d", (7*g+1)%nActions))),
+		}
+		if _, err := bld.Add(core.GoalID(heap.Goals.Intern(fmt.Sprintf("g%d", g))), acts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	lib := bld.Build()
+	path := filepath.Join(b.TempDir(), "library.gsnp")
+	if err := core.WriteSnapshotFile(path, lib, heap, core.SnapshotOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := core.OpenSnapshotVerified(faultfs.OS, path, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer snap.Close()
+	if lib.NumActions() != nActions || lib.NumGoals() != nGoals {
+		b.Fatalf("library of %d actions and %d goals", lib.NumActions(), lib.NumGoals())
+	}
+	for _, bc := range []struct {
+		name  string
+		vocab *core.Vocabulary
+	}{{"mapped", snap.Vocabulary()}, {"heap", heap}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchVocabSink = bc.vocab.Checksum(nActions, nGoals)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -542,17 +543,49 @@ func TestClusterEpochSkewRefused(t *testing.T) {
 }
 
 // TestClusterVocabMismatchRejected pins the registration guard: a worker
-// serving a different artifact never gets queries.
+// serving a different artifact never gets queries — one with other names,
+// and one with the same names interned in another first-seen order, which
+// would resolve the coordinator's ids to other actions.
 func TestClusterVocabMismatchRejected(t *testing.T) {
 	lib := clusterTestLibrary(6, 20)
-	other := clusterTestLibrary(7, 20) // different names -> different checksum
-	workers := startWorkers(t, other, 1, nil)
-	co := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: FailClosed})
+	for _, tc := range []struct {
+		name   string
+		worker *goalrec.Library
+	}{
+		{"other names", clusterTestLibrary(7, 20)},
+		{"same names, other order", reversedLibrary(t, lib)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			workers := startWorkers(t, tc.worker, 1, nil)
+			co := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: FailClosed})
 
-	_, err := co.Recommend(context.Background(), "breadth", "", []string{"a1"}, 5)
-	if err == nil || !strings.Contains(err.Error(), "different artifact") {
-		t.Fatalf("vocab mismatch: got err %v, want artifact rejection", err)
+			_, err := co.Recommend(context.Background(), "breadth", "", []string{"a1"}, 5)
+			if err == nil || !strings.Contains(err.Error(), "different artifact") {
+				t.Fatalf("vocab mismatch: got err %v, want artifact rejection", err)
+			}
+		})
 	}
+}
+
+// reversedLibrary loads lib's implementations in reverse order: the same
+// names and implementations, first seen in another order, so other ids.
+func reversedLibrary(t *testing.T, lib *goalrec.Library) *goalrec.Library {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := lib.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	slices.Reverse(lines)
+	rev, err := goalrec.LoadLibraryJSON(strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rev.Actions(), lib.Actions()) || !slices.Equal(rev.Goals(), lib.Goals()) ||
+		rev.NumImplementations() != lib.NumImplementations() {
+		t.Fatal("the reversed library does not hold the same names and implementations")
+	}
+	return rev
 }
 
 // TestWorkerRegistrationReportsOneLibrary pins that a worker's registration

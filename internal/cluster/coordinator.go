@@ -220,7 +220,7 @@ func (co *Coordinator) connect(p *peer) (*comms.Conn, error) {
 	}
 	if want := co.engine.Snapshot().VocabChecksum(); reg.Vocab != want {
 		c.Close()
-		return nil, fmt.Errorf("cluster: worker %s serves a different artifact (vocab %016x, coordinator %016x)",
+		return nil, fmt.Errorf("cluster: worker %s serves a different artifact or a goalrecd of another release (vocab %016x, coordinator %016x)",
 			p.addr, reg.Vocab, want)
 	}
 	p.lo, p.hi, p.impls, p.epoch = reg.Lo, reg.Hi, reg.Impls, reg.Epoch
@@ -648,7 +648,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 		}
 		if resp.Vocab != wantVocab || resp.Impls != wantImpls {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: worker %s staged a different artifact (%d impls, vocab %016x; coordinator %d, %016x)",
+				firstErr = fmt.Errorf("cluster: worker %s staged a different artifact or a goalrecd of another release answered (%d impls, vocab %016x; coordinator %d, %016x)",
 					g.peer.addr, resp.Impls, resp.Vocab, wantImpls, wantVocab)
 			}
 			continue

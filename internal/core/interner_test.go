@@ -21,8 +21,9 @@ func packList(names []string) ([]uint64, []byte) {
 }
 
 // checkAgainstHeap holds a frozen Interner to the map-only one over the same
-// base list: the list is refused by both or yields identical ids, and every
-// probe name looks up and interns identically on the two, ids staying dense.
+// base list: the list is refused by both or yields identical ids, every
+// probe name looks up and interns identically on the two, ids staying dense,
+// and every prefix of the dictionary checksums alike, opened and grown.
 func checkAgainstHeap(t *testing.T, base, probes []string) {
 	t.Helper()
 	heap := NewInterner(0)
@@ -54,6 +55,14 @@ func checkAgainstHeap(t *testing.T, base, probes []string) {
 		ho, hb := heap.pack()
 		if !slices.Equal(fo, ho) || !bytes.Equal(fb, hb) {
 			t.Fatalf("%s: packed sections differ", stage)
+		}
+		for n := 0; n <= heap.Len(); n++ {
+			var fc, hc vocabCRC
+			fc.add(frozen, n)
+			hc.add(heap, n)
+			if fc.sum() != hc.sum() {
+				t.Fatalf("%s: checksums of the first %d names differ: %#x != %#x", stage, n, fc.sum(), hc.sum())
+			}
 		}
 	}
 	same("opened")

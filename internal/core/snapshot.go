@@ -169,6 +169,22 @@ func i32Bytes[T ~int32](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
 }
 
+// u64Bytes returns the little-endian encoding of s: a view of s on
+// little-endian hosts, an encoded copy elsewhere.
+func u64Bytes(s []uint64) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
+	}
+	out := make([]byte, 0, 8*len(s))
+	for _, v := range s {
+		out = binary.LittleEndian.AppendUint64(out, v)
+	}
+	return out
+}
+
 // SnapshotOptions configures WriteSnapshot.
 type SnapshotOptions struct {
 	// SourceKey, when non-empty, is stored verbatim in an optional byte
@@ -216,8 +232,8 @@ func writeI32Slice[T ~int32](sw *snapWriter, s []T) {
 }
 
 func (sw *snapWriter) writeU64s(s []uint64) {
-	if hostLittleEndian && len(s) > 0 {
-		sw.write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s)))
+	if hostLittleEndian {
+		sw.write(u64Bytes(s))
 		return
 	}
 	var buf [8]byte

@@ -198,3 +198,85 @@ func TestVocabChecksumAcrossBackings(t *testing.T) {
 		t.Fatalf("the base epoch's checksum moved to %#x", got)
 	}
 }
+
+// TestVocabChecksumShards: a shard keeps its parent's id spaces, so one cut
+// on the heap and one mapped from its shard file, cut or reopened, report
+// the parent's checksum.
+func TestVocabChecksumShards(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 5)
+	lib, _, err := LoadLibraryFileMapped(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, n := lib.VocabChecksum(), lib.NumImplementations()
+	part, err := lib.Partition(1, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := part.VocabChecksum(); got != want {
+		t.Fatalf("Partition checksum %#x, parent %#x", got, want)
+	}
+	for _, wantDecision := range []string{SidecarRebuilt, SidecarHit} {
+		shard, d, err := lib.PartitionMapped(n/2, -1)
+		if err != nil || !strings.HasPrefix(d, wantDecision) {
+			t.Fatalf("PartitionMapped: decision %q, err %v; want %s", d, err, wantDecision)
+		}
+		if got := shard.VocabChecksum(); got != want {
+			t.Fatalf("PartitionMapped (%s) checksum %#x, parent %#x", d, got, want)
+		}
+	}
+}
+
+// TestVocabChecksumSeparates: libraries with the same name bytes laid out
+// differently — split at another boundary, interned in another order, or one
+// name moved from the actions to the goals — hash apart, and an empty
+// library hashes.
+func TestVocabChecksumSeparates(t *testing.T) {
+	// build adds one implementation per row: the goal, then its actions.
+	build := func(rows ...[]string) *Library {
+		t.Helper()
+		b := NewBuilder()
+		for _, r := range rows {
+			if err := b.AddImplementation(r[0], r[1:]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *Library
+	}{
+		{"boundary", build([]string{"g", "ab", "c"}), build([]string{"g", "a", "bc"})},
+		{"order", build([]string{"g", "x", "y"}), build([]string{"g", "y", "x"})},
+		{"action to goal",
+			build([]string{"c", "a", "b"}),
+			build([]string{"b", "a"}, []string{"c", "a"})},
+		{"empty", build(), build([]string{"g", "a"})},
+	} {
+		if tc.a.VocabChecksum() == tc.b.VocabChecksum() {
+			t.Errorf("%s: both libraries hash to %#x", tc.name, tc.a.VocabChecksum())
+		}
+	}
+}
+
+// TestVocabChecksumAllocs: a mapped library nothing has grown on is hashed
+// in place, not one name copy at a time.
+func TestVocabChecksumAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	src := filepath.Join(t.TempDir(), "lib.jsonl")
+	writeSidecarSource(t, src, 9)
+	lib, _, err := LoadLibraryFileMapped(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := lib.vocab.Actions.Stats(); !st.Mapped || st.GrownNames != 0 {
+		t.Fatalf("actions %+v, want a mapped base and nothing grown", st)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { lib.computeVocabChecksum() }); allocs > 1 {
+		t.Fatalf("%v allocations per checksum, want at most 1", allocs)
+	}
+}

@@ -2,7 +2,6 @@ package goalrec
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 
 	"goalrec/internal/core"
@@ -109,38 +108,22 @@ func (l *Library) ActionNameByID(a core.ActionID) string {
 }
 
 // VocabChecksum fingerprints the snapshot-visible dictionary: the action
-// and goal id spaces and every name in id order, hashed with FNV-1a.
-// Cluster registration compares checksums so a worker serving a different
-// artifact (which would resolve names to different ids and silently corrupt
-// the merged ranking) is rejected up front rather than detected by wrong
-// results. The snapshot is immutable, so the hash is computed once per
-// Library and every later call — each heartbeat reply, each registration
-// check — returns the remembered value.
+// and goal id-space sizes and every name in id order, hashed with CRC-32C
+// over the dictionaries' packed form (core.Vocabulary.Checksum) — in place
+// for a mapped library nothing has grown on. Cluster registration compares
+// checksums so a worker serving a different artifact (which would resolve
+// names to different ids and silently corrupt the merged ranking) is
+// rejected up front rather than detected by wrong results. It proves the
+// same names in the same id order, not the same implementations: ranges and
+// epochs guard those. The value depends on the hash, so nodes of different
+// releases may refuse each other. The snapshot is immutable, so the hash is
+// computed once per Library and every later call — each heartbeat reply,
+// each registration check — returns the remembered value.
 func (l *Library) VocabChecksum() uint64 {
 	l.vocabSumOnce.Do(func() { l.vocabSum = l.computeVocabChecksum() })
 	return l.vocabSum
 }
 
 func (l *Library) computeVocabChecksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	writeInt(uint64(l.lib.NumActions()))
-	for id := 0; id < l.lib.NumActions(); id++ {
-		writeStr(l.vocab.ActionName(core.ActionID(id)))
-	}
-	writeInt(uint64(l.lib.NumGoals()))
-	for id := 0; id < l.lib.NumGoals(); id++ {
-		writeStr(l.vocab.GoalName(core.GoalID(id)))
-	}
-	return h.Sum64()
+	return l.vocab.Checksum(l.lib.NumActions(), l.lib.NumGoals())
 }
