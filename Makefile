@@ -32,9 +32,8 @@ bench-e2e-compare:
 # working tree, seeds 1..PAIRS, then bench-e2e-compare over the two records
 # (scripts/bench_pairs.sh).
 PAIRS ?= 10
-SECONDS ?= 18
 bench-e2e-pairs:
-	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
+	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 microbench:
 	go test -run=XXX -bench=. -benchmem .

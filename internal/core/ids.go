@@ -254,36 +254,43 @@ func (in *Interner) pack() ([]uint64, []byte) {
 	return off, blob
 }
 
-// vocabCRC is the pair of running CRC-32Cs behind Vocabulary.Checksum: offs
-// over each dictionary's name count and packed offsets, names over its
-// packed name bytes.
+// vocabCRC is the pair of running CRCs behind Vocabulary.Checksum, each
+// over every byte of the packed dictionaries: ieee with the IEEE polynomial,
+// castagnoli with Castagnoli's. Two polynomials over the same bytes keep a
+// false match near one in 2^64 mismatches, also between vocabularies whose
+// counts and offsets agree.
 type vocabCRC struct {
-	offs, names uint32
-	count       [8]byte
+	ieee, castagnoli uint32
+	count            [8]byte
 }
 
 // add extends c by the first n names of in, in the packed form pack returns
-// and a snapshot stores: n and the little-endian offsets off[:n+1], then the
+// and a snapshot stores: n, the little-endian offsets off[:n+1], then the
 // bytes blob[:off[n]]. A frozen base nothing has grown on is hashed in place.
 // in must hold at least n names.
 func (c *vocabCRC) add(in *Interner, n int) {
-	// Built on the first call, not at the start of every process that links
-	// this package: the hardware tables take ≈ 0.25 ms to fill.
-	tab := crc32.MakeTable(crc32.Castagnoli)
 	off, blob := in.pack()
 	binary.LittleEndian.PutUint64(c.count[:], uint64(n))
-	c.offs = crc32.Update(c.offs, tab, c.count[:])
-	c.offs = crc32.Update(c.offs, tab, u64Bytes(off[:n+1]))
-	c.names = crc32.Update(c.names, tab, blob[:off[n]])
+	c.update(c.count[:])
+	c.update(u64Bytes(off[:n+1]))
+	c.update(blob[:off[n]])
 }
 
-func (c *vocabCRC) sum() uint64 { return uint64(c.offs)<<32 | uint64(c.names) }
+func (c *vocabCRC) update(p []byte) {
+	c.ieee = crc32.Update(c.ieee, crc32.IEEETable, p)
+	// Built on the first call, not at the start of every process that links
+	// this package: the hardware tables take ≈ 0.25 ms to fill.
+	c.castagnoli = crc32.Update(c.castagnoli, crc32.MakeTable(crc32.Castagnoli), p)
+}
+
+func (c *vocabCRC) sum() uint64 { return uint64(c.ieee)<<32 | uint64(c.castagnoli) }
 
 // Checksum fingerprints the first nActions action names and nGoals goal
 // names in id order: the dictionaries' packed forms, actions then goals,
-// hashed with CRC-32C. Two vocabularies agree exactly when both id-space
-// sizes and every name in id order agree (up to CRC collisions), wherever
-// the names live.
+// hashed with CRC-32 (IEEE) into the high half and CRC-32C into the low
+// half. Two vocabularies agree exactly when both id-space sizes and every
+// name in id order agree (up to a 64-bit collision), wherever the names
+// live.
 func (v *Vocabulary) Checksum(nActions, nGoals int) uint64 {
 	var c vocabCRC
 	c.add(v.Actions, nActions)

@@ -231,17 +231,7 @@ func writeI32Slice[T ~int32](sw *snapWriter, s []T) {
 	}
 }
 
-func (sw *snapWriter) writeU64s(s []uint64) {
-	if hostLittleEndian {
-		sw.write(u64Bytes(s))
-		return
-	}
-	var buf [8]byte
-	for _, v := range s {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		sw.write(buf[:])
-	}
-}
+func (sw *snapWriter) writeU64s(s []uint64) { sw.write(u64Bytes(s)) }
 
 // padTo advances the stream to absolute offset target with zero bytes.
 func (sw *snapWriter) padTo(target uint64) {

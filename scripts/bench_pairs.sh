@@ -2,25 +2,26 @@
 # Alternating parent/change pairs of the repository benchmark
 # (BENCHMARK.json, bench/README.md), judged with `bench compare`:
 #
-#   scripts/bench_pairs.sh PARENT WORKLOAD PAIRS [SECONDS]
-#   make bench-e2e-pairs PARENT=<rev> WORKLOAD=<w> PAIRS=<n> [SECONDS=18]
+#   scripts/bench_pairs.sh PARENT WORKLOAD PAIRS
+#   make bench-e2e-pairs PARENT=<rev> WORKLOAD=<w> PAIRS=<n>
 #
 # The parent side is `git archive PARENT` unpacked into a temporary
 # directory; the change side is this working tree. Pair i runs seed i, the
-# parent first when i is odd and the change first when it is even. Each side
-# has its own -out directory and appends every run to its record,
-# parent.jsonl or change.jsonl, in OUT (default bench/.out/pairs-WORKLOAD,
-# emptied of earlier records first). Every run's exit status and `set-up
-# times` line is printed; a failed run is counted, never retried, and makes
-# the script exit non-zero after the comparison.
+# parent first when i is odd and the change first when it is even. Every run
+# keeps bench's defaults (BENCHMARK.json's run length, the -out directory of
+# its own tree) and appends to its side's record, parent.jsonl or
+# change.jsonl in bench/.out/pairs-WORKLOAD, emptied of earlier records
+# first. Every run's exit status and `set-up times` line is printed; a
+# failed run is counted, never retried, and makes the script exit non-zero
+# after the comparison.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 PARENT WORKLOAD PAIRS [SECONDS]" >&2
+if [ $# -ne 3 ]; then
+    echo "usage: $0 PARENT WORKLOAD PAIRS" >&2
     exit 2
 fi
-PARENT=$1 WORKLOAD=$2 PAIRS=$3 RUN_SECONDS=${4:-18}
+PARENT=$1 WORKLOAD=$2 PAIRS=$3
 case $PAIRS in '' | *[!0-9]* | 0)
     echo "$0: PAIRS must be a positive integer, got '$PAIRS'" >&2
     exit 2
@@ -28,7 +29,7 @@ case $PAIRS in '' | *[!0-9]* | 0)
 esac
 
 CHANGE=$PWD
-OUT=${OUT:-$CHANGE/bench/.out/pairs-$WORKLOAD}
+OUT=$CHANGE/bench/.out/pairs-$WORKLOAD
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 mkdir -p "$TMP/parent" "$OUT"
@@ -46,8 +47,8 @@ run() {
     local side=$1 seed=$2 tree=$CHANGE
     [ "$side" = parent ] && tree=$TMP/parent
     local log=$OUT/$side-$seed.log status
-    (cd "$tree" && go run ./bench -workload "$WORKLOAD" -seed "$seed" -seconds "$RUN_SECONDS" \
-        -out "$TMP/$side-out" -record "$OUT/$side.jsonl") >"$log" 2>&1
+    (cd "$tree" && go run ./bench -workload "$WORKLOAD" -seed "$seed" -record "$OUT/$side.jsonl") \
+        >"$log" 2>&1
     status=$?
     printf 'pair %d %-6s exit %d  %s\n' "$seed" "$side" "$status" \
         "$(grep -m1 'set-up times' "$log" || echo 'no set-up times line')"

@@ -108,9 +108,9 @@ func (l *Library) ActionNameByID(a core.ActionID) string {
 }
 
 // VocabChecksum fingerprints the snapshot-visible dictionary: the action
-// and goal id-space sizes and every name in id order, hashed with CRC-32C
-// over the dictionaries' packed form (core.Vocabulary.Checksum) — in place
-// for a mapped library nothing has grown on. Cluster registration compares
+// and goal id-space sizes and every name in id order, hashed with CRC-32 and
+// CRC-32C over the dictionaries' packed form (core.Vocabulary.Checksum) — in
+// place for a mapped library nothing has grown on. Cluster registration compares
 // checksums so a worker serving a different artifact (which would resolve
 // names to different ids and silently corrupt the merged ranking) is
 // rejected up front rather than detected by wrong results. It proves the
