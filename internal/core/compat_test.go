@@ -56,7 +56,7 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 	if err := ScrubSnapshotFile(nil, retiredLayoutFixture); err != nil {
 		t.Fatalf("ScrubSnapshotFile: %v", err)
 	}
-	snap, err := OpenSnapshot(retiredLayoutFixture)
+	snap, err := OpenSnapshotVerified(nil, retiredLayoutFixture, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGoalSlotsSidecarOpens(t *testing.T) {
 	if err := ScrubSnapshotFile(nil, sidecarFixture); err != nil {
 		t.Fatalf("ScrubSnapshotFile: %v", err)
 	}
-	snap, err := OpenSnapshot(sidecarFixture)
+	snap, err := OpenSnapshotVerified(nil, sidecarFixture, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

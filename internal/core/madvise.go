@@ -20,16 +20,15 @@ const (
 
 // adviseWillNeedMax bounds the span MADV_WILLNEED is issued for. The syscall
 // walks its range page by page, so hinting a multi-megabyte offsets section
-// costs hundreds of microseconds at open — more than the whole mmap+validate
-// path. Small navigation structures (header, section table, small offset
+// costs hundreds of microseconds — more than the mmap itself. Small navigation structures (header, section table, small offset
 // arrays) get the eager hint; anything larger is left to default readahead.
 const adviseWillNeedMax = 256 << 10
 
 // adviseAsync runs advise off the open path. The hints are a dozen madvise
-// syscalls plus the VMA splits they force — tens of microseconds, which would
-// dominate an mmap open that is otherwise O(#sections). The snapshot is fully
-// serviceable before the hints land (they only shape future paging), so open
-// returns immediately and Close waits via adviseWG before unmapping.
+// syscalls plus the VMA splits they force — tens of microseconds the open
+// need not wait for. The snapshot is fully serviceable before the hints land
+// (they only shape future paging), so OpenSnapshotVerified returns at once
+// and Close waits via adviseWG before unmapping.
 func (s *Snapshot) adviseAsync() {
 	if len(s.data) == 0 {
 		return
@@ -42,8 +41,8 @@ func (s *Snapshot) adviseAsync() {
 }
 
 // advise issues per-section paging hints over the snapshot's mapping. Only
-// meaningful for real file mappings; OpenSnapshotBytes callers with heap
-// images never reach it.
+// OpenSnapshotVerified, which maps a verified file, launches it; an image
+// OpenSnapshotBytes builds over the heap never reaches it.
 func (s *Snapshot) advise() {
 	secs, _, err := snapshotSections(s.data, uint64(len(s.data)))
 	if err != nil {

@@ -21,9 +21,8 @@ import (
 // 64-byte little-endian header, a CRC-guarded section table, and one
 // 64-byte-aligned section per index array. Every CSR section — implementation
 // rows, A-GI-idx, G-GI-idx and GA-idx — is a fixed-width little-endian
-// array, so OpenSnapshot serves them as unsafe.Slice views straight over the
-// mapping: cold start is header parsing plus page-in, independent of library
-// size.
+// array, so OpenSnapshotVerified serves them as unsafe.Slice views straight
+// over the mapping: no section is decoded or rebuilt at open.
 //
 // A snapshot persists every stored index, not just the implementation CSR.
 // Section ids of retired indexes (the AG-idx, the per-goal walk costs, the
@@ -32,11 +31,10 @@ import (
 // Scalar derivations (maxImplLen, epoch) live in the header so opening never
 // scans a section.
 //
-// OpenSnapshot trusts the image beyond its header: it is for a file this
-// process just wrote. Every other image — a sidecar, a shard file, a store's
-// snapshot, a library file — opens through OpenSnapshotVerified, which reads
-// the header, the source key and stamp and the whole-file checksum through
-// the descriptor it then maps.
+// OpenSnapshotVerified is the only way a snapshot file is mapped: it reads
+// the header, the source key and stamp and the whole-file checksum (or, for
+// an image without one, walks it structurally) through the descriptor it
+// then maps, so no kernel ever indexes into bytes nobody checked.
 
 const (
 	snapshotMagic   = uint32(0x504e5347) // "GSNP" when read little-endian
@@ -58,11 +56,10 @@ const (
 
 	// snapFooterMagic introduces the optional 8-byte whole-file checksum
 	// footer ("GSUM" read little-endian) appended after the last section:
-	// magic | u32 crc32(everything before the footer). OpenSnapshot never
-	// reads it — opening stays O(header) — but the scrubber and
-	// OpenSnapshotVerified use it to detect silent at-rest corruption
-	// anywhere in the file, which the header CRC (header + section table
-	// only) cannot see. An image without one is walked structurally instead
+	// magic | u32 crc32(everything before the footer). OpenSnapshotVerified
+	// and the scrubber stream it to detect silent at-rest corruption anywhere
+	// in the file, which the header CRC (header + section table only) cannot
+	// see. An image without one is walked structurally instead
 	// (VerifySnapshot).
 	snapFooterMagic = uint32(0x4d555347)
 	snapFooterSize  = 8
@@ -537,15 +534,15 @@ var ErrNoChecksum = fmt.Errorf("core: snapshot has no checksum footer")
 var ErrCorruptSnapshot = fmt.Errorf("core: snapshot corrupt")
 
 // ScrubSnapshotFile re-reads the snapshot at path in full and verifies its
-// whole-file checksum footer, streaming the file through a fixed buffer; only
-// a legacy image without a footer is read whole, to be verified structurally
-// instead (deep CSR invariants). A nil return means every byte of the file is
-// what the writer sealed; a verification failure comes back wrapping
-// ErrCorruptSnapshot, a footerless image in the retired compressed encoding
-// as ErrCompressedPostings, anything else is an I/O error. This is the
-// scrubber's primitive — deliberately a fresh read, not a check of an
-// already-open mapping, so it catches at-rest corruption the page cache would
-// hide.
+// whole-file checksum footer, streaming the file through a fixed buffer; a
+// legacy image without a footer is opened with OpenSnapshotVerified, which
+// walks it structurally (deep CSR invariants), and closed again. A nil
+// return means every byte of the file is what the writer sealed; a
+// verification failure comes back wrapping ErrCorruptSnapshot, a footerless
+// image in the retired compressed encoding as ErrCompressedPostings, anything
+// else is an I/O error. This is the scrubber's primitive — deliberately a
+// fresh read, not a check of an already-open mapping, so it catches at-rest
+// corruption the page cache would hide.
 func ScrubSnapshotFile(fsys faultfs.FS, path string) error {
 	fsys = faultfs.Or(fsys)
 	f, err := fsys.Open(path)
@@ -557,25 +554,14 @@ func ScrubSnapshotFile(fsys faultfs.FS, path string) error {
 	if err != nil {
 		return err
 	}
-	err = VerifySnapshotChecksum(f, fi.Size())
-	if err == ErrNoChecksum {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return err
-		}
-		s, err := OpenSnapshotBytes(data)
-		if err == nil {
-			err = VerifySnapshot(s)
-		}
-		if err != nil && !errors.Is(err, ErrCompressedPostings) {
-			err = fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
-		}
+	if err := VerifySnapshotChecksum(f, fi.Size()); err != ErrNoChecksum {
 		return err
 	}
-	return err
+	s, err := OpenSnapshotVerified(fsys, path, nil)
+	if err != nil {
+		return err
+	}
+	return s.Close()
 }
 
 // WriteSnapshotFile writes the snapshot to path atomically: a same-directory
@@ -647,8 +633,9 @@ type Snapshot struct {
 	vocab *Vocabulary
 	data  []byte // the full image (mapping or heap buffer)
 	unmap func() error
-	// adviseWG tracks the asynchronous madvise pass OpenSnapshot launches;
-	// Close waits for it before unmapping so the hints never race the unmap.
+	// adviseWG tracks the asynchronous madvise pass OpenSnapshotVerified
+	// launches; Close waits for it before unmapping so the hints never race
+	// the unmap.
 	adviseWG sync.WaitGroup
 }
 
@@ -676,50 +663,13 @@ func (s *Snapshot) Close() error {
 }
 
 // Snapshot mappings this process holds: a count and their total size, kept
-// by mapSnapshot and Close.
+// by OpenSnapshotVerified and Close.
 var mappedGenerations, mappedBytes atomic.Int64
 
 // MappedSnapshots returns how many snapshot mappings the process holds open
 // and their total size in bytes.
 func MappedSnapshots() (generations, bytes int64) {
 	return mappedGenerations.Load(), mappedBytes.Load()
-}
-
-// OpenSnapshot memory-maps the snapshot at path and returns zero-copy views
-// over it. Opening validates the header CRC and the section geometry — O(#
-// sections), not O(library) — so a snapshot of any size opens in page-in
-// time. It trusts every other byte: an image this process did not just write
-// opens through OpenSnapshotVerified.
-func OpenSnapshot(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, unmap, err := mmapFile(f)
-	if err != nil {
-		return nil, err
-	}
-	return mapSnapshot(path, data, unmap)
-}
-
-// mapSnapshot builds the views over data, the mapping of the snapshot file
-// at path that unmap releases; it releases it on error.
-func mapSnapshot(path string, data []byte, unmap func() error) (*Snapshot, error) {
-	s, err := OpenSnapshotBytes(data)
-	if err != nil {
-		unmap()
-		return nil, fmt.Errorf("core: snapshot %s: %w", path, err)
-	}
-	s.unmap = unmap
-	s.lib.mapped = true
-	if s.vocab != nil {
-		s.vocab.Actions.baseMapped, s.vocab.Goals.baseMapped = true, true
-	}
-	mappedGenerations.Add(1)
-	mappedBytes.Add(int64(len(data)))
-	s.adviseAsync()
-	return s, nil
 }
 
 // OpenSnapshotVerified maps the snapshot at path once it has verified, all on
@@ -762,18 +712,26 @@ func OpenSnapshotVerified(fsys faultfs.FS, path string, accept func(key []byte, 
 		unmap()
 		return nil, fmt.Errorf("size changed from %d to %d bytes while opening", size, len(data))
 	}
-	s, err := mapSnapshot(path, data, unmap)
+	s, err := OpenSnapshotBytes(data)
 	if err == nil && footerless {
-		if err = VerifySnapshot(s); err != nil {
-			_ = s.Close()
-		}
+		err = VerifySnapshot(s)
 	}
 	if err != nil {
+		unmap()
+		err = fmt.Errorf("core: snapshot %s: %w", path, err)
 		if footerless && !errors.Is(err, ErrCompressedPostings) {
 			err = fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 		}
 		return nil, err
 	}
+	s.unmap = unmap
+	s.lib.mapped = true
+	if s.vocab != nil {
+		s.vocab.Actions.baseMapped, s.vocab.Goals.baseMapped = true, true
+	}
+	mappedGenerations.Add(1)
+	mappedBytes.Add(int64(len(data)))
+	s.adviseAsync()
 	return s, nil
 }
 
@@ -903,8 +861,9 @@ func snapshotSections(data []byte, size uint64) (map[uint32]snapSection, uint32,
 }
 
 // OpenSnapshotBytes builds a Snapshot over an in-memory image. The returned
-// library's arrays alias data; the caller owns data's lifetime (OpenSnapshot
-// wires it to the file mapping).
+// library's arrays alias data; the caller owns data's lifetime
+// (OpenSnapshotVerified wires it to the file mapping). It checks the header
+// CRC and the section geometry only and trusts every other byte.
 func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	secs, flags, err := snapshotSections(data, uint64(len(data)))
 	if err != nil {
@@ -1048,8 +1007,8 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*
 // VerifySnapshot walks every section of an open snapshot and checks the deep
 // CSR invariants — offsets from 0, never decreasing and ending within their
 // section, checked before any row is sliced; strictly increasing sorted
-// rows; ids in range. It is linear in the snapshot; OpenSnapshotVerified and
-// ScrubSnapshotFile run it on an image without a checksum footer.
+// rows; ids in range. It is linear in the snapshot; OpenSnapshotVerified runs
+// it on an image without a checksum footer.
 func VerifySnapshot(s *Snapshot) error {
 	l := s.lib
 	if len(l.tailGoal) != 0 {

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkOpenSnapshot times how long a process takes to get a library
-// serving from disk: mmap plus header/section-table validation, with data
-// pages faulting in lazily. Files are written once per size and read
-// page-cache-warm. Close (which waits for the asynchronous paging hints)
+// serving from disk: OpenSnapshotVerified's header check, whole-file checksum
+// stream and mmap, with data pages faulting in lazily. Files are written once
+// per size and read page-cache-warm. Close (which waits for the asynchronous paging hints)
 // stays outside the timer: the cell of record is time-to-serviceable.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	for _, size := range []int{250_000, 1_000_000} {
@@ -22,7 +22,7 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("impls=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				snap, err := OpenSnapshot(snapPath)
+				snap, err := OpenSnapshotVerified(nil, snapPath, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

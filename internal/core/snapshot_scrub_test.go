@@ -44,7 +44,8 @@ func TestSnapshotChecksumFooter(t *testing.T) {
 }
 
 // TestScrubSnapshotFileDetectsCorruption: a bit flip in a section body slips
-// past OpenSnapshot (header CRC only) but not past the scrubber.
+// past the header CRC (all OpenSnapshotBytes checks) but not past the
+// scrubber.
 func TestScrubSnapshotFileDetectsCorruption(t *testing.T) {
 	lib := snapTestLibrary(t, 500, 40, 8)
 	path := filepath.Join(t.TempDir(), "lib.gsnp")
@@ -59,8 +60,8 @@ func TestScrubSnapshotFileDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSnapshot(path); err != nil {
-		t.Fatalf("OpenSnapshot should not see a section-body flip at open time: %v", err)
+	if _, err := OpenSnapshotBytes(data); err != nil {
+		t.Fatalf("the header CRC should not see a section-body flip: %v", err)
 	}
 	err = ScrubSnapshotFile(nil, path)
 	if err == nil {

@@ -94,9 +94,9 @@ func snapshotRoundTrip(t *testing.T, lib *Library, vocab *Vocabulary, opts Snaps
 	if err := WriteSnapshotFile(path, lib, vocab, opts); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
-	snap, err := OpenSnapshot(path)
+	snap, err := OpenSnapshotVerified(nil, path, nil)
 	if err != nil {
-		t.Fatalf("OpenSnapshot: %v", err)
+		t.Fatalf("OpenSnapshotVerified: %v", err)
 	}
 	t.Cleanup(func() { snap.Close() })
 	if err := VerifySnapshot(snap); err != nil {
@@ -218,8 +218,8 @@ func TestOpenSnapshotRefusesCompressedFlag(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSnapshot(path); !errors.Is(err, ErrCompressedPostings) {
-		t.Fatalf("OpenSnapshot: %v, want ErrCompressedPostings", err)
+	if _, err := OpenSnapshotVerified(nil, path, nil); !errors.Is(err, ErrCompressedPostings) {
+		t.Fatalf("OpenSnapshotVerified: %v, want ErrCompressedPostings", err)
 	}
 	if err := ScrubSnapshotFile(nil, path); err != nil {
 		t.Fatalf("scrub of a sealed compressed snapshot: %v, want nil (the bytes are sound)", err)

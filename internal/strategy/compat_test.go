@@ -13,7 +13,7 @@ import (
 // the naive oracle ranks the opened snapshot (see internal/core's
 // compat_test.go for the fixture).
 func TestRetiredLayoutSnapshotServes(t *testing.T) {
-	snap, err := core.OpenSnapshot("../core/testdata/recipes-impact.gsnp")
+	snap, err := core.OpenSnapshotVerified(nil, "../core/testdata/recipes-impact.gsnp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

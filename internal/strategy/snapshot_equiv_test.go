@@ -19,9 +19,9 @@ func openSnapshotLibrary(t *testing.T, lib *core.Library) *core.Library {
 	if err := core.WriteSnapshotFile(path, lib, nil, core.SnapshotOptions{}); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
-	snap, err := core.OpenSnapshot(path)
+	snap, err := core.OpenSnapshotVerified(nil, path, nil)
 	if err != nil {
-		t.Fatalf("OpenSnapshot: %v", err)
+		t.Fatalf("OpenSnapshotVerified: %v", err)
 	}
 	t.Cleanup(func() { snap.Close() })
 	return snap.Library()

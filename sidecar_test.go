@@ -446,9 +446,9 @@ func TestSidecarRemovesStaleTemps(t *testing.T) {
 }
 
 // TestSidecarOtherFormats: only JSON lines get a sidecar; a snapshot loads as
-// LoadLibraryFile loads it, checked against its whole-file checksum: one bit
-// flipped inside the postings passes the header CRC that OpenSnapshotFile
-// checks, but the snapshot is not served.
+// LoadLibraryFile loads it, checked against its whole-file checksum: a bit
+// flipped inside the postings or an implementation offset past the slots
+// passes the header CRC, but no open serves the snapshot.
 func TestSidecarOtherFormats(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "lib.jsonl")
@@ -478,22 +478,36 @@ func TestSidecarOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range desc.Sections {
-		if s.Name == "postings-raw" {
-			data[s.Offset+s.Bytes/2] ^= 0x01
+	for _, damage := range []struct {
+		name, section string
+		apply         func(b []byte, s core.SnapshotSectionInfo)
+	}{
+		{"a flipped posting bit", "postings-raw", func(b []byte, s core.SnapshotSectionInfo) { b[s.Offset+s.Bytes/2] ^= 0x01 }},
+		// A row would be sliced past the end of its section: a panic in the
+		// first Breadth query over an image nobody verified.
+		{"an implementation offset past the slots", "impl-offsets", func(b []byte, s core.SnapshotSectionInfo) {
+			binary.LittleEndian.PutUint32(b[s.Offset+4:], 1<<20)
+		}},
+	} {
+		damaged := append([]byte(nil), data...)
+		for _, s := range desc.Sections {
+			if s.Name == damage.section {
+				damage.apply(damaged, s)
+			}
 		}
-	}
-	replaceFile(t, snap, data)
-	mapped, err := OpenSnapshotFile(snap)
-	if err != nil {
-		t.Fatalf("OpenSnapshotFile checks only the header: %v", err)
-	}
-	_ = mapped.Close()
-	if _, err := LoadLibraryFile(snap); !errors.Is(err, core.ErrCorruptSnapshot) {
-		t.Fatalf("LoadLibraryFile of a flipped bit: error %v, want ErrCorruptSnapshot", err)
-	}
-	if _, decision, err := LoadLibraryFileMapped(snap); !errors.Is(err, core.ErrCorruptSnapshot) || decision != "" {
-		t.Fatalf("LoadLibraryFileMapped of a flipped bit: decision %q, error %v, want ErrCorruptSnapshot", decision, err)
+		replaceFile(t, snap, damaged)
+		if mapped, err := OpenSnapshotFile(snap); !errors.Is(err, core.ErrCorruptSnapshot) {
+			if err == nil {
+				_ = mapped.Close()
+			}
+			t.Fatalf("OpenSnapshotFile of %s: error %v, want ErrCorruptSnapshot", damage.name, err)
+		}
+		if _, err := LoadLibraryFile(snap); !errors.Is(err, core.ErrCorruptSnapshot) {
+			t.Fatalf("LoadLibraryFile of %s: error %v, want ErrCorruptSnapshot", damage.name, err)
+		}
+		if _, decision, err := LoadLibraryFileMapped(snap); !errors.Is(err, core.ErrCorruptSnapshot) || decision != "" {
+			t.Fatalf("LoadLibraryFileMapped of %s: decision %q, error %v, want ErrCorruptSnapshot", damage.name, decision, err)
+		}
 	}
 
 	// An image written before the checksum footer existed is walked
