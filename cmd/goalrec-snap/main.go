@@ -59,14 +59,13 @@ func run(args []string) error {
 	}
 }
 
+// inspect prints the layout from the header, section table, source key and
+// stamp alone, then opens the image verified — the one full read — for the
+// ledger a process serving it reports.
 func inspect(path string) error {
-	data, err := os.ReadFile(path)
+	d, err := core.DescribeSnapshotFile(nil, path)
 	if err != nil {
-		return err
-	}
-	d, err := core.DescribeSnapshot(data)
-	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Printf("%s: snapshot v%d, %d bytes\n", path, d.Version, d.FileBytes)
 	fmt.Printf("  implementations %d, actions %d, goals %d, slots %d\n",

@@ -226,7 +226,7 @@ func run(stop chan os.Signal) error {
 		if err != nil {
 			return err
 		}
-		logger.Printf("coordinator loaded library: %s", lib.Stats())
+		logger.Printf("coordinator loaded library: %s", headerCounts(lib))
 		co := cluster.NewCoordinator(goalrec.NewEngineFromLibrary(lib), cluster.CoordinatorConfig{
 			Peers:          peers,
 			PartialFailure: policy,
@@ -252,7 +252,7 @@ func run(stop chan os.Signal) error {
 			return err
 		}
 		engine = store.Engine()
-		logger.Printf("recovered store %s at epoch %d: %s", *snapshotDir, engine.Epoch(), engine.Snapshot().Stats())
+		logger.Printf("recovered store %s at epoch %d: %s", *snapshotDir, engine.Epoch(), headerCounts(engine.Snapshot()))
 		// -library seeds an empty store only; a recovered lineage wins over
 		// the seed file so restarts never roll acknowledged ingests back.
 		if engine.Len() == 0 && *libPath != "" {
@@ -266,7 +266,7 @@ func run(stop chan os.Signal) error {
 				store.Close()
 				return err
 			}
-			logger.Printf("seeded store from %s: %s", *libPath, lib.Stats())
+			logger.Printf("seeded store from %s: %s", *libPath, headerCounts(lib))
 		}
 		if n := store.Users().Len(); n > 0 {
 			logger.Printf("recovered %d users from the WAL", n)
@@ -283,7 +283,7 @@ func run(stop chan os.Signal) error {
 		if err != nil {
 			return err
 		}
-		logger.Printf("loaded library: %s", lib.Stats())
+		logger.Printf("loaded library: %s", headerCounts(lib))
 		engine = goalrec.NewEngineFromLibrary(lib)
 		opts = append(opts, server.WithUserStore(goalrec.NewUserStore(engine, userOpts)))
 		api = server.NewFromEngine(engine, reqLogger, opts...)
@@ -498,4 +498,12 @@ func (w *libraryWatcher) run(ctx context.Context) {
 		w.logger.Printf("watch: swapped in %s (%d implementations) at epoch %d",
 			w.path, implementations, epoch)
 	}
+}
+
+// headerCounts describes lib for a start-up line by the counts a snapshot
+// header holds, so logging a start reads no index page. Library.Stats walks
+// every action and goal row; /v1/stats serves it.
+func headerCounts(lib *goalrec.Library) string {
+	return fmt.Sprintf("implementations=%d actionIDs=%d goalIDs=%d slots=%d epoch=%d",
+		lib.NumImplementations(), lib.NumActions(), lib.NumGoals(), lib.Core().NumPostings(), lib.Epoch())
 }

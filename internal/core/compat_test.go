@@ -69,12 +69,9 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 		t.Fatalf("opened %d implementations at epoch %d, max len %d (header %d)",
 			lib.NumImplementations(), lib.Epoch(), lib.MaxImplLen(), d.MaxImplLen)
 	}
+	checkNameTables(t, snap.Vocabulary(), false)
 
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, lib, snap.Vocabulary(), SnapshotOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
+	out := checkResealed(t, lib, snap.Vocabulary())
 	if binary.LittleEndian.Uint32(out[8:])&snapFlagLenSorted != 0 {
 		t.Error("a rewrite carries the retired size-sorted flag")
 	}
@@ -133,6 +130,16 @@ func TestGoalSlotsSidecarOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotVocab := snap.Library(), snap.Vocabulary()
+	checkNameTables(t, gotVocab, false)
+	for _, d := range []struct{ opened, parsed *Interner }{{gotVocab.Actions, wantVocab.Actions}, {gotVocab.Goals, wantVocab.Goals}} {
+		for _, name := range d.parsed.Names() {
+			want, _ := d.parsed.Lookup(name)
+			if id, ok := d.opened.Lookup(name); !ok || id != want {
+				t.Fatalf("Lookup(%q) = %d, %v through the built table; the parse has %d", name, id, ok, want)
+			}
+		}
+	}
+	checkResealed(t, got, gotVocab)
 	if got.NumGoals() != want.NumGoals() || got.NumImplementations() != want.NumImplementations() {
 		t.Fatalf("opened %d goals, %d implementations; the parse has %d, %d",
 			got.NumGoals(), got.NumImplementations(), want.NumGoals(), want.NumImplementations())
@@ -159,4 +166,62 @@ func TestGoalSlotsSidecarOpens(t *testing.T) {
 			t.Error("a fresh image carries section 14")
 		}
 	}
+}
+
+// checkNameTables holds both dictionaries of vocab to their tables: sealed
+// from the image or built at open as sealed says, and each serving every
+// base name at its id and missing a name it does not hold.
+func checkNameTables(t *testing.T, vocab *Vocabulary, sealed bool) {
+	t.Helper()
+	for _, in := range []*Interner{vocab.Actions, vocab.Goals} {
+		if st := in.Stats(); st.Sealed != sealed || st.BaseNames == 0 {
+			t.Fatalf("name table: %+v, want sealed %v", st, sealed)
+		}
+		for id, name := range in.Names() {
+			if got, ok := in.Lookup(name); !ok || int(got) != id {
+				t.Fatalf("Lookup(%q) = %d, %v, want %d", name, got, ok, id)
+			}
+		}
+		if id, ok := in.Lookup("no such name"); ok {
+			t.Fatalf("an absent name looked up as %d", id)
+		}
+	}
+}
+
+// checkResealed rewrites lib and vocab and returns the image: it carries
+// both name tables, which open sealed, serve the same ids and equal the
+// tables vocab serves from.
+func checkResealed(t *testing.T, lib *Library, vocab *Vocabulary) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, lib, vocab, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	d, err := DescribeSnapshot(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := 0
+	for _, s := range d.Sections {
+		if s.Name == "vocab-action-table" || s.Name == "vocab-goal-table" {
+			tables++
+		}
+	}
+	if tables != 2 {
+		t.Fatalf("a rewrite carries %d name table sections, want 2", tables)
+	}
+	snap, err := OpenSnapshotBytes(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySnapshot(snap); err != nil {
+		t.Fatalf("VerifySnapshot of the rewrite: %v", err)
+	}
+	checkNameTables(t, snap.Vocabulary(), true)
+	if !slices.Equal(snap.Vocabulary().Actions.baseTab, vocab.Actions.baseTab) ||
+		!slices.Equal(snap.Vocabulary().Goals.baseTab, vocab.Goals.baseTab) {
+		t.Fatal("the sealed tables differ from the ones built at open")
+	}
+	return out
 }

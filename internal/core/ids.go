@@ -17,9 +17,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/maphash"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // ActionID identifies an action (an item purchase, a course, a life action).
@@ -49,10 +49,12 @@ const (
 // map plus a name slice on the heap. Opened from a snapshot it has a frozen
 // base: ids below baseLen are served straight from the snapshot's validated
 // (offsets, blob) sections — views, not copies — through a pointer-free
-// open-addressing table built at open, so a start allocates nothing per
-// name, the garbage collector has nothing to scan, and base lookups take no
-// lock. Only names interned afterwards (engine ingest) go to the map and the
-// slice, with ids continuing at baseLen.
+// open-addressing table (see buildNameTable) that the image carries as a
+// section of its own, so a start builds nothing per name, the garbage
+// collector has nothing to scan, and base lookups take no lock. An image
+// written before the table was sealed gets the same table built on the heap
+// at open. Only names interned afterwards (engine ingest) go to the map and
+// the slice, with ids continuing at baseLen.
 //
 // Name lifetime: the base lives as long as the snapshot image does — until
 // Snapshot.Close unmaps it — but a name an Interner hands out must stay valid
@@ -63,9 +65,9 @@ type Interner struct {
 	// Frozen base, set once by newFrozenInterner and immutable afterwards.
 	baseOff    []uint64 // baseLen+1 cumulative offsets into baseBlob
 	baseBlob   []byte
-	baseTab    []int32 // open addressing, id+1 per slot, 0 = empty; a power of two long
-	baseSeed   maphash.Seed
+	baseTab    []int32 // buildNameTable's layout of the base names
 	baseLen    int32
+	baseSealed bool // baseTab is a view of the image, not built at open
 	baseMapped bool // the base sections lie in a file mapping
 
 	mu     sync.RWMutex
@@ -79,11 +81,14 @@ func NewInterner(n int) *Interner {
 }
 
 // newFrozenInterner returns an Interner whose first len(off)-1 ids are the
-// names off delimits in blob, both of which it keeps views of. It validates
-// what every later access relies on — offsets that start at 0, never
-// decrease, end at len(blob) and delimit no name longer than maxName — and
-// refuses a name that occurs twice.
-func newFrozenInterner(off []uint64, blob []byte, maxName uint64) (*Interner, error) {
+// names off delimits in blob, both of which it keeps views of, found through
+// tab: the image's sealed name table, or, when tab is nil, one built here. It
+// validates what every later access relies on — offsets that start at 0,
+// never decrease, end at len(blob) and delimit no name longer than maxName,
+// and a sealed table of tableSize(n) slots — and, building, refuses a name
+// that occurs twice. A sealed table's slots are not read: lookupBase bounds
+// every probe, and VerifySnapshot compares the table with a rebuilt one.
+func newFrozenInterner(off []uint64, blob []byte, tab []int32, maxName uint64) (*Interner, error) {
 	if len(off) == 0 || off[0] != 0 || off[len(off)-1] != uint64(len(blob)) {
 		return nil, fmt.Errorf("name offsets do not span the %d-byte blob", len(blob))
 	}
@@ -96,26 +101,56 @@ func newFrozenInterner(off []uint64, blob []byte, maxName uint64) (*Interner, er
 			return nil, fmt.Errorf("implausible name %d: bytes [%d, %d)", i, lo, hi)
 		}
 	}
+	in := &Interner{baseOff: off, baseBlob: blob, baseLen: int32(n), baseTab: tab, baseSealed: tab != nil}
+	if tab == nil {
+		var err error
+		if in.baseTab, err = buildNameTable(off, blob); err != nil {
+			return nil, err
+		}
+	} else if len(tab) != tableSize(n) {
+		return nil, fmt.Errorf("%w: name table of %d slots for %d names, want %d", ErrCorruptSnapshot, len(tab), n, tableSize(n))
+	}
+	return in, nil
+}
+
+// tableSize is the slot count of the name table over n names: the smallest
+// power of two, at least 8, that keeps the table at most two thirds full.
+func tableSize(n int) int {
 	size := 8
 	for size < n+n/2 {
 		size <<= 1
 	}
-	in := &Interner{
-		baseOff: off, baseBlob: blob, baseLen: int32(n),
-		baseTab: make([]int32, size), baseSeed: maphash.MakeSeed(),
-	}
-	mask := uint64(size - 1)
-	for id := int32(0); id < in.baseLen; id++ {
-		name := in.baseName(id)
-		i := maphash.Bytes(in.baseSeed, name) & mask
-		for ; in.baseTab[i] != 0; i = (i + 1) & mask {
-			if bytes.Equal(in.baseName(in.baseTab[i]-1), name) {
-				return nil, fmt.Errorf("duplicate name %q (ids %d and %d)", name, in.baseTab[i]-1, id)
+	return size
+}
+
+// nameSlot is the first slot a name probes in a table of mask+1 slots: the
+// CRC-32C of its bytes, the same in every process, so the sealer and every
+// later open place and find a name alike.
+func nameSlot(name []byte, mask uint32) uint32 {
+	return crc32.Checksum(name, crc32.MakeTable(crc32.Castagnoli)) & mask
+}
+
+// buildNameTable lays out the names (off, blob) delimits in an
+// open-addressing table of tableSize(n) slots: id+1 per occupied slot, 0 for
+// an empty one, each name at nameSlot or the first free slot after it, ids
+// placed in increasing order. The layout is a function of the names alone,
+// so a table built at open equals the one a sealer wrote. A name that occurs
+// twice is refused. off must delimit names within blob.
+func buildNameTable(off []uint64, blob []byte) ([]int32, error) {
+	n := len(off) - 1
+	tab := make([]int32, tableSize(n))
+	mask := uint32(len(tab) - 1)
+	for id := 0; id < n; id++ {
+		name := blob[off[id]:off[id+1]]
+		i := nameSlot(name, mask)
+		for ; tab[i] != 0; i = (i + 1) & mask {
+			if other := tab[i] - 1; bytes.Equal(blob[off[other]:off[other+1]], name) {
+				return nil, fmt.Errorf("duplicate name %q (ids %d and %d)", name, other, id)
 			}
 		}
-		in.baseTab[i] = id + 1
+		tab[i] = int32(id + 1)
 	}
-	return in, nil
+	return tab, nil
 }
 
 // baseName returns the bytes of base name id, aliasing the snapshot image.
@@ -124,21 +159,28 @@ func (in *Interner) baseName(id int32) []byte {
 }
 
 // lookupBase probes the frozen base for name. It takes no lock: the base
-// never changes.
+// never changes. A slot outside [1, baseLen] never matches and the probe
+// stops after len(baseTab) slots, so not even a sealed table the checksum
+// accepted but that no sealer wrote can send it out of bounds or round the
+// table forever.
 func (in *Interner) lookupBase(name string) (int32, bool) {
 	if in.baseLen == 0 {
 		return 0, false
 	}
-	mask := uint64(len(in.baseTab) - 1)
-	for i := maphash.String(in.baseSeed, name) & mask; ; i = (i + 1) & mask {
-		v := in.baseTab[i]
+	tab := in.baseTab
+	mask := uint32(len(tab) - 1)
+	i := nameSlot(unsafe.Slice(unsafe.StringData(name), len(name)), mask)
+	for range tab {
+		v := tab[i]
 		if v == 0 {
 			return 0, false
 		}
-		if string(in.baseName(v-1)) == name {
+		if v > 0 && v <= in.baseLen && string(in.baseName(v-1)) == name {
 			return v - 1, true
 		}
+		i = (i + 1) & mask
 	}
+	return 0, false
 }
 
 // Intern returns the id for name, assigning the next dense id on first use.
@@ -254,6 +296,18 @@ func (in *Interner) pack() ([]uint64, []byte) {
 	return off, blob
 }
 
+// seal returns the dictionary as a snapshot stores it: pack's sections and
+// their name table. A frozen base nothing has grown on hands over its own
+// table; otherwise the table is built, which refuses a duplicate name.
+func (in *Interner) seal() ([]uint64, []byte, []int32, error) {
+	off, blob := in.pack()
+	if n := len(off) - 1; n > 0 && n == int(in.baseLen) {
+		return off, blob, in.baseTab, nil
+	}
+	tab, err := buildNameTable(off, blob)
+	return off, blob, tab, err
+}
+
 // vocabCRC is the pair of running CRCs behind Vocabulary.Checksum, each
 // over every byte of the packed dictionaries: ieee with the IEEE polynomial,
 // castagnoli with Castagnoli's. Two polynomials over the same bytes keep a
@@ -303,6 +357,7 @@ type InternerStats struct {
 	BaseNames  int   // served from a snapshot image
 	GrownNames int   // interned since, on the heap
 	TableBytes int64 // the base's lookup table
+	Sealed     bool  // the table was read from the image, not built at open
 	Mapped     bool  // the base lies in a file mapping
 }
 
@@ -312,6 +367,7 @@ func (in *Interner) Stats() InternerStats {
 		BaseNames:  int(in.baseLen),
 		GrownNames: in.Len() - int(in.baseLen),
 		TableBytes: 4 * int64(len(in.baseTab)),
+		Sealed:     in.baseSealed,
 		Mapped:     in.baseMapped,
 	}
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -20,24 +24,64 @@ func packList(names []string) ([]uint64, []byte) {
 	return off, blob
 }
 
-// checkAgainstHeap holds a frozen Interner to the map-only one over the same
-// base list: the list is refused by both or yields identical ids, every
-// probe name looks up and interns identically on the two, ids staying dense,
-// and every prefix of the dictionary checksums alike, opened and grown.
+// checkAgainstHeap holds the frozen Interners over a base list — one whose
+// name table is built at open and one whose table was sealed into a written
+// image and read back — to the map-only one over the same list: the list is
+// refused by both opens or yields identical ids, the two tables are equal,
+// and for each frozen Interner every probe name looks up and interns
+// identically to the map-only one, ids staying dense, and every prefix of
+// the dictionary checksums alike, opened and grown.
 func checkAgainstHeap(t *testing.T, base, probes []string) {
 	t.Helper()
-	heap := NewInterner(0)
-	for _, s := range base {
-		heap.Intern(s)
-	}
+	heap := heapInterner(base)
 	off, blob := packList(base)
-	frozen, err := newFrozenInterner(off, blob, snapMaxName)
+	frozen, err := newFrozenInterner(off, blob, nil, snapMaxName)
 	if dup := heap.Len() != len(base); dup || err != nil {
 		if !dup || err == nil {
 			t.Fatalf("base %q: duplicates %v but frozen open said %v", base, dup, err)
 		}
+		if _, err := buildNameTable(off, blob); err == nil {
+			t.Fatalf("base %q: a table was built over duplicates", base)
+		}
 		return
 	}
+	sealed := sealNames(t, heap)
+	if !sealed.Stats().Sealed || frozen.Stats().Sealed || !slices.Equal(sealed.baseTab, frozen.baseTab) {
+		t.Fatalf("base %q: sealed table %v (sealed %v), built %v", base, sealed.baseTab, sealed.Stats().Sealed, frozen.baseTab)
+	}
+	checkFrozen(t, frozen, base, probes)
+	checkFrozen(t, sealed, base, probes)
+}
+
+// heapInterner interns names, in order, into a map-only Interner.
+func heapInterner(names []string) *Interner {
+	in := NewInterner(0)
+	for _, s := range names {
+		in.Intern(s)
+	}
+	return in
+}
+
+// sealNames writes an image whose action dictionary is in and opens it
+// again: the returned Interner serves in's names through the sealed table.
+func sealNames(t testing.TB, in *Interner) *Interner {
+	t.Helper()
+	var buf bytes.Buffer
+	vocab := &Vocabulary{Actions: in, Goals: NewInterner(0)}
+	if err := WriteSnapshot(&buf, NewBuilder(0, 0).Build(), vocab, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshotBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Vocabulary().Actions
+}
+
+// checkFrozen is checkAgainstHeap for one frozen Interner over base.
+func checkFrozen(t *testing.T, frozen *Interner, base, probes []string) {
+	t.Helper()
+	heap := heapInterner(base)
 	same := func(stage string) {
 		t.Helper()
 		if frozen.Len() != heap.Len() {
@@ -121,7 +165,7 @@ func TestFrozenInternerRejectsBadSections(t *testing.T) {
 		"past blob inside": {[]uint64{0, 9, 2}, "ab"},
 		"name too long":    {[]uint64{0, 5}, "abcde"},
 	} {
-		if _, err := newFrozenInterner(tc.off, []byte(tc.blob), 4); err == nil {
+		if _, err := newFrozenInterner(tc.off, []byte(tc.blob), nil, 4); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -136,7 +180,7 @@ func TestFrozenInternerConcurrent(t *testing.T) {
 		base[i] = fmt.Sprintf("base-%d", i)
 	}
 	off, blob := packList(base)
-	in, err := newFrozenInterner(off, blob, snapMaxName)
+	in, err := newFrozenInterner(off, blob, nil, snapMaxName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,4 +240,90 @@ func FuzzFrozenInterner(f *testing.F) {
 		}
 		checkAgainstHeap(t, names[:len(names)/2], names[len(names)/2:])
 	})
+}
+
+// TestSealedNameTableBounds: a sealed table of the wrong length is refused
+// at open as corrupt; one of the right length whose slots no sealer wrote —
+// ids out of range, no empty slot — answers every lookup with a miss or a
+// true hit, in bounds and in at most one pass; and VerifySnapshot tells a
+// table that is not its names' layout from the sealed one.
+func TestSealedNameTableBounds(t *testing.T) {
+	base := []string{"a", "b", "c"}
+	off, blob := packList(base)
+	if _, err := newFrozenInterner(off, blob, make([]int32, 2*tableSize(len(base))), snapMaxName); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("a table twice too long: %v, want ErrCorruptSnapshot", err)
+	}
+	garbage := []int32{-1, math.MinInt32, math.MaxInt32, 4, 5, -7, 99, 1 << 20}
+	in, err := newFrozenInterner(off, blob, garbage, snapMaxName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"a", "b", "c", "", "d"} {
+		if id, ok := in.Lookup(s); ok {
+			t.Fatalf("Lookup(%q) = %d through a table holding no valid id", s, id)
+		}
+	}
+	if id := in.Intern("a"); id != int32(len(base)) {
+		t.Fatalf("Intern(a) = %d past an unusable table, want the next id %d", id, len(base))
+	}
+
+	var buf bytes.Buffer
+	vocab := &Vocabulary{Actions: heapInterner(base), Goals: NewInterner(0)}
+	if err := WriteSnapshot(&buf, NewBuilder(0, 0).Build(), vocab, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	snap, err := OpenSnapshotBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySnapshot(snap); err != nil {
+		t.Fatalf("VerifySnapshot of a sealed image: %v", err)
+	}
+	tab := snap.Vocabulary().Actions.baseTab
+	full := slices.IndexFunc(tab, func(v int32) bool { return v != 0 })
+	empty := slices.Index(tab, 0)
+	tab[full], tab[empty] = tab[empty], tab[full] // one name moved off its probe path
+	if err := VerifySnapshot(snap); err == nil {
+		t.Fatal("VerifySnapshot passed a table with a name off its probe path")
+	}
+}
+
+// TestOpenSealedNamesAllocatesNothingPerName: opening a sealed dictionary of
+// the bench shape's 125 000 goal names builds no table — a few small
+// headers, not the 1 MB a build at open allocates.
+func TestOpenSealedNamesAllocatesNothingPerName(t *testing.T) {
+	names := make([]string, 125_000)
+	for i := range names {
+		names[i] = "g" + strconv.Itoa(i)
+	}
+	var buf bytes.Buffer
+	vocab := &Vocabulary{Actions: NewInterner(0), Goals: heapInterner(names)}
+	if err := WriteSnapshot(&buf, NewBuilder(0, 0).Build(), vocab, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	secs, _, err := snapshotSections(data, uint64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		in, err := openNames(secs, data, secVocGoalOff, secVocGoalStr, secVocGoalTab)
+		if err != nil || !in.baseSealed {
+			t.Fatalf("openNames: sealed %v, %v", in != nil && in.baseSealed, err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per >= 1<<10 {
+		t.Fatalf("opening %d sealed names allocated %d bytes, want < 1 KiB", len(names), per)
+	}
+	in, _ := openNames(secs, data, secVocGoalOff, secVocGoalStr, secVocGoalTab)
+	for i, s := range names {
+		if id, ok := in.Lookup(s); !ok || int(id) != i {
+			t.Fatalf("Lookup(%q) = %d, %v through the sealed table", s, id, ok)
+		}
+	}
 }

@@ -2,8 +2,9 @@ package core
 
 // Paging hints for snapshot mappings. A snapshot's sections fall into two
 // access classes: the posting payloads (A-GI rows, the GI column, per-
-// implementation action lists) are probed at random by queries, while the CSR
-// offset arrays are touched by essentially every request. On open we advise
+// implementation action lists, the names and their tables) are probed at
+// random by queries, while the CSR offset arrays are touched by essentially
+// every request. On open we advise
 // the kernel accordingly — MADV_RANDOM on the payloads (no wasted readahead
 // when the working set exceeds RAM) and MADV_WILLNEED on the small navigation
 // structures (header, section table, offset arrays — paged in eagerly so the
@@ -54,7 +55,7 @@ func (s *Snapshot) advise() {
 		n := sec.count * uint64(sec.elem)
 		switch id {
 		case secActPost, secGoalPost, secImplActs, secImplGoal,
-			secVocActStr, secVocGoalStr:
+			secVocActStr, secVocGoalStr, secVocActTab, secVocGoalTab:
 			madviseSpan(s.data, sec.off, n, adviseRandom)
 		default:
 			if n <= adviseWillNeedMax {

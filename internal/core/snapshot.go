@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -117,6 +118,8 @@ const (
 	secVocGoalStr            // byte × goal-name blob
 	secSourceKey             // byte × key len (optional; see SnapshotOptions.SourceKey)
 	secSrcStamp              // byte × fileStampSize (optional; see SnapshotOptions.SourceStamp)
+	secVocActTab             // int32 × tableSize(nActNames) (optional; see buildNameTable)
+	secVocGoalTab            // int32 × tableSize(nGoalNames) (optional)
 )
 
 // hostLittleEndian reports the byte order of this process; on the (rare)
@@ -320,10 +323,16 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	flags := uint32(0)
 	var actNameOff, goalNameOff []uint64
 	var actNameBlob, goalNameBlob []byte
+	var actTab, goalTab []int32
 	if vocab != nil {
 		flags |= snapFlagVocab
-		actNameOff, actNameBlob = vocab.Actions.pack()
-		goalNameOff, goalNameBlob = vocab.Goals.pack()
+		var err error
+		if actNameOff, actNameBlob, actTab, err = vocab.Actions.seal(); err != nil {
+			return nil, fmt.Errorf("core: action vocabulary: %w", err)
+		}
+		if goalNameOff, goalNameBlob, goalTab, err = vocab.Goals.seal(); err != nil {
+			return nil, fmt.Errorf("core: goal vocabulary: %w", err)
+		}
 	}
 
 	secs := []snapSection{
@@ -374,6 +383,8 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 			snapSection{id: secVocActStr, elem: 1, count: uint64(len(actNameBlob)), emit: func(sw *snapWriter) { sw.write(actNameBlob) }},
 			snapSection{id: secVocGoalOff, elem: 8, count: uint64(len(goalNameOff)), emit: func(sw *snapWriter) { sw.writeU64s(goalNameOff) }},
 			snapSection{id: secVocGoalStr, elem: 1, count: uint64(len(goalNameBlob)), emit: func(sw *snapWriter) { sw.write(goalNameBlob) }},
+			snapSection{id: secVocActTab, elem: 4, count: uint64(len(actTab)), emit: func(sw *snapWriter) { sw.writeI32s(actTab) }},
+			snapSection{id: secVocGoalTab, elem: 4, count: uint64(len(goalTab)), emit: func(sw *snapWriter) { sw.writeI32s(goalTab) }},
 		)
 	}
 	if len(opts.SourceKey) > 0 {
@@ -719,7 +730,7 @@ func OpenSnapshotVerified(fsys faultfs.FS, path string, accept func(key []byte, 
 	if err != nil {
 		unmap()
 		err = fmt.Errorf("core: snapshot %s: %w", path, err)
-		if footerless && !errors.Is(err, ErrCompressedPostings) {
+		if footerless && !errors.Is(err, ErrCompressedPostings) && !errors.Is(err, ErrCorruptSnapshot) {
 			err = fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 		}
 		return nil, err
@@ -776,23 +787,44 @@ func openSnapFile(fsys faultfs.FS, path string) (*snapFile, error) {
 // when it carries none, and returns what accept says of them; an image
 // without a key section is refused.
 func (sf *snapFile) checkSource(accept func(key []byte, stamp FileStamp) error) error {
-	ks, ok := sf.secs[secSourceKey]
-	if !ok || ks.elem != 1 || ks.count > snapMaxSourceKey {
-		return errors.New("no source key")
-	}
-	key := make([]byte, ks.count)
-	if _, err := sf.ReadAt(key, int64(ks.off)); err != nil {
+	key, stamp, err := readSource(sf.secs, sf.readAt)
+	if err != nil {
 		return err
 	}
-	var stamp FileStamp
-	if ss, ok := sf.secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
-		b := make([]byte, fileStampSize)
-		if _, err := sf.ReadAt(b, int64(ss.off)); err != nil {
-			return err
-		}
-		stamp = decodeFileStamp(b)
+	if key == nil {
+		return errors.New("no source key")
 	}
-	return accept(key, stamp)
+	if stamp == nil {
+		stamp = &FileStamp{}
+	}
+	return accept(key, *stamp)
+}
+
+// readAt is sf.ReadAt in the form readSource reads through.
+func (sf *snapFile) readAt(p []byte, off int64) error {
+	_, err := sf.ReadAt(p, off)
+	return err
+}
+
+// readSource reads the source key and stamp sections of an image with the
+// sections secs through readAt: key is nil when the image carries no key
+// section, stamp nil when it carries no stamp.
+func readSource(secs map[uint32]snapSection, readAt func(p []byte, off int64) error) (key []byte, stamp *FileStamp, err error) {
+	if ks, ok := secs[secSourceKey]; ok && ks.elem == 1 && ks.count <= snapMaxSourceKey {
+		key = make([]byte, ks.count)
+		if err := readAt(key, int64(ks.off)); err != nil {
+			return nil, nil, err
+		}
+	}
+	if ss, ok := secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
+		b := make([]byte, fileStampSize)
+		if err := readAt(b, int64(ss.off)); err != nil {
+			return nil, nil, err
+		}
+		st := decodeFileStamp(b)
+		stamp = &st
+	}
+	return key, stamp, nil
 }
 
 // KeyIs is the accept of OpenSnapshotVerified that takes exactly the source
@@ -969,11 +1001,11 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 
 	snap := &Snapshot{lib: lib, data: data}
 	if flags&snapFlagVocab != 0 {
-		acts, err := openNames(secs, data, secVocActOff, secVocActStr)
+		acts, err := openNames(secs, data, secVocActOff, secVocActStr, secVocActTab)
 		if err != nil {
 			return nil, fmt.Errorf("action vocabulary: %w", err)
 		}
-		goals, err := openNames(secs, data, secVocGoalOff, secVocGoalStr)
+		goals, err := openNames(secs, data, secVocGoalOff, secVocGoalStr, secVocGoalTab)
 		if err != nil {
 			return nil, fmt.Errorf("goal vocabulary: %w", err)
 		}
@@ -987,8 +1019,9 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 }
 
 // openNames opens one (offsets, blob) vocabulary section pair as an Interner
-// serving the names from data itself.
-func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*Interner, error) {
+// serving the names from data itself, through the sealed name table tabID
+// when the image carries one and a table built on the heap when it does not.
+func openNames(secs map[uint32]snapSection, data []byte, offID, strID, tabID uint32) (*Interner, error) {
 	offSec, ok := secs[offID]
 	if !ok {
 		return nil, fmt.Errorf("missing section %d", offID)
@@ -1001,15 +1034,40 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID uint32) (*
 		return nil, fmt.Errorf("malformed vocabulary sections")
 	}
 	off := u64View(data[offSec.off:offSec.off+8*offSec.count], int(offSec.count))
-	return newFrozenInterner(off, data[strSec.off:strSec.off+strSec.count], snapMaxName)
+	var tab []int32
+	if tabSec, ok := secs[tabID]; ok {
+		if tabSec.elem != 4 || tabSec.count == 0 {
+			return nil, fmt.Errorf("%w: malformed name table section %d", ErrCorruptSnapshot, tabID)
+		}
+		tab = i32View[int32](data[tabSec.off:tabSec.off+4*tabSec.count], int(tabSec.count))
+	}
+	return newFrozenInterner(off, data[strSec.off:strSec.off+strSec.count], tab, snapMaxName)
 }
 
 // VerifySnapshot walks every section of an open snapshot and checks the deep
 // CSR invariants — offsets from 0, never decreasing and ending within their
 // section, checked before any row is sliced; strictly increasing sorted
-// rows; ids in range. It is linear in the snapshot; OpenSnapshotVerified runs
-// it on an image without a checksum footer.
+// rows; ids in range — and that each sealed name table is the one
+// buildNameTable lays out for its names. It is linear in the snapshot;
+// OpenSnapshotVerified runs it on an image without a checksum footer.
 func VerifySnapshot(s *Snapshot) error {
+	if v := s.vocab; v != nil {
+		for _, d := range []struct {
+			name string
+			in   *Interner
+		}{{"action", v.Actions}, {"goal", v.Goals}} {
+			if !d.in.baseSealed {
+				continue
+			}
+			want, err := buildNameTable(d.in.baseOff, d.in.baseBlob)
+			if err != nil {
+				return fmt.Errorf("core: %s vocabulary: %w", d.name, err)
+			}
+			if !slices.Equal(d.in.baseTab, want) {
+				return fmt.Errorf("core: %s vocabulary: the sealed name table is not its names' layout", d.name)
+			}
+		}
+	}
 	l := s.lib
 	if len(l.tailGoal) != 0 {
 		// Unreachable: an opened image is flat. The section walks below read

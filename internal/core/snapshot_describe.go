@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"goalrec/internal/faultfs"
 )
 
 // SnapshotSectionInfo describes one section of a snapshot file for
@@ -63,6 +65,8 @@ var snapSectionNames = map[uint32]string{
 	secVocGoalStr: "vocab-goal-names",
 	secSourceKey:  "source-key",
 	secSrcStamp:   "source-stamp",
+	secVocActTab:  "vocab-action-table",
+	secVocGoalTab: "vocab-goal-table",
 }
 
 // DescribeSnapshot parses data's header and section table — validating the
@@ -70,7 +74,31 @@ var snapSectionNames = map[uint32]string{
 // without materializing a library. An image in the retired compressed
 // encoding is refused with ErrCompressedPostings.
 func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
-	secs, flags, err := snapshotSections(data, uint64(len(data)))
+	return describeSnapshot(data, uint64(len(data)), func(p []byte, off int64) error {
+		copy(p, data[off:])
+		return nil
+	})
+}
+
+// DescribeSnapshotFile is DescribeSnapshot for the snapshot at path, read
+// through one descriptor: the header and section table, then the source key
+// and stamp, and no other byte. Like DescribeSnapshot it checks the header
+// CRC only, not the whole-file checksum; a header that does not parse comes
+// back wrapping ErrCorruptSnapshot, an I/O error bare.
+func DescribeSnapshotFile(fsys faultfs.FS, path string) (*SnapshotDescription, error) {
+	sf, err := openSnapFile(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	defer sf.Close()
+	return describeSnapshot(sf.head, uint64(sf.fi.Size()), sf.readAt)
+}
+
+// describeSnapshot describes a size-byte image from its first bytes head (at
+// least the header and section table), reading the source key and stamp
+// through readAt.
+func describeSnapshot(head []byte, size uint64, readAt func(p []byte, off int64) error) (*SnapshotDescription, error) {
+	secs, flags, err := snapshotSections(head, size)
 	if err != nil {
 		return nil, err
 	}
@@ -78,16 +106,16 @@ func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
 		return nil, ErrCompressedPostings
 	}
 	d := &SnapshotDescription{
-		Version:       binary.LittleEndian.Uint32(data[4:]),
+		Version:       binary.LittleEndian.Uint32(head[4:]),
 		HasVocabulary: flags&snapFlagVocab != 0,
 
-		Implementations: binary.LittleEndian.Uint64(data[16:]),
-		Actions:         binary.LittleEndian.Uint64(data[24:]),
-		Goals:           binary.LittleEndian.Uint64(data[32:]),
-		Slots:           binary.LittleEndian.Uint64(data[40:]),
-		Epoch:           binary.LittleEndian.Uint64(data[48:]),
-		MaxImplLen:      binary.LittleEndian.Uint32(data[56:]),
-		FileBytes:       uint64(len(data)),
+		Implementations: binary.LittleEndian.Uint64(head[16:]),
+		Actions:         binary.LittleEndian.Uint64(head[24:]),
+		Goals:           binary.LittleEndian.Uint64(head[32:]),
+		Slots:           binary.LittleEndian.Uint64(head[40:]),
+		Epoch:           binary.LittleEndian.Uint64(head[48:]),
+		MaxImplLen:      binary.LittleEndian.Uint32(head[56:]),
+		FileBytes:       size,
 	}
 	for id, s := range secs {
 		name := snapSectionNames[id]
@@ -100,12 +128,10 @@ func DescribeSnapshot(data []byte) (*SnapshotDescription, error) {
 		})
 	}
 	sort.Slice(d.Sections, func(i, j int) bool { return d.Sections[i].Offset < d.Sections[j].Offset })
-	if ks, ok := secs[secSourceKey]; ok && ks.elem == 1 && ks.count <= snapMaxSourceKey {
-		d.SourceKey = string(data[ks.off : ks.off+ks.count])
+	key, stamp, err := readSource(secs, readAt)
+	if err != nil {
+		return nil, err
 	}
-	if ss, ok := secs[secSrcStamp]; ok && ss.elem == 1 && ss.count == fileStampSize {
-		stamp := decodeFileStamp(data[ss.off:])
-		d.SourceStamp = &stamp
-	}
+	d.SourceKey, d.SourceStamp = string(key), stamp
 	return d, nil
 }

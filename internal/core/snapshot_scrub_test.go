@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -251,6 +252,13 @@ func newVerifiedOpenFixture(t *testing.T) *verifiedOpenFixture {
 	d, err := DescribeSnapshot(f.stamped)
 	if err != nil || d.SourceKey != string(f.key) || d.SourceStamp == nil || *d.SourceStamp != f.stamp {
 		t.Fatalf("DescribeSnapshot source key %q, stamp %v, err %v", d.SourceKey, d.SourceStamp, err)
+	}
+	path := filepath.Join(t.TempDir(), "stamped.gsnp")
+	if err := os.WriteFile(path, f.stamped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if df, err := DescribeSnapshotFile(nil, path); err != nil || !reflect.DeepEqual(df, d) {
+		t.Fatalf("DescribeSnapshotFile = %+v, %v; DescribeSnapshot of its bytes %+v", df, err, d)
 	}
 	for _, s := range d.Sections {
 		if s.Name == "source-stamp" {

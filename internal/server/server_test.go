@@ -353,10 +353,10 @@ func TestMetricsLibraryBlock(t *testing.T) {
 	// The ledger separates base from delta. A parsed library is all heap and
 	// all base; a mapped one serves its names from the mapping too; neither
 	// has a tail or an overlay.
-	if v := heap.Vocab; v.Backing != "heap" || v.BaseNames != 0 || v.GrownNames != heap.VocabNames || v.TableBytes != 0 {
+	if v := heap.Vocab; v.Backing != "heap" || v.BaseNames != 0 || v.GrownNames != heap.VocabNames || v.TableBytes != 0 || v.Table != "" {
 		t.Fatalf("vocab ledger of a parsed library: %+v", v)
 	}
-	if v := mapped.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 0 || v.TableBytes <= 0 {
+	if v := mapped.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 0 || v.TableBytes <= 0 || v.Table != "sealed" {
 		t.Fatalf("vocab ledger of a mapped library: %+v", v)
 	}
 	flat := goalrec.OverlayRows{}

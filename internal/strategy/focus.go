@@ -49,10 +49,9 @@ type Focus struct {
 }
 
 // focusScratch is the pooled per-query state: the ranked-implementation
-// buffer and its selection copy.
+// buffer.
 type focusScratch struct {
 	ranked []rankedImpl
-	sel    []rankedImpl
 }
 
 // focusScratchPool serves every Focus instance — both measures, every
@@ -73,11 +72,12 @@ func (f *Focus) Name() string {
 }
 
 // rankedImpl is one implementation with its Focus score and missing-action
-// count, used for deterministic ordering.
+// count, used for deterministic ordering: 16 bytes, the two 32-bit fields
+// packed ahead of the score.
 type rankedImpl struct {
 	id      core.ImplID
+	missing int32
 	score   float64
-	missing int
 }
 
 // implRanksBefore is the total ranking order over associated
@@ -134,6 +134,9 @@ func (f *Focus) rank(ctx context.Context, h []core.ActionID, impls []core.ImplID
 	s := focusScratchPool.Get().(*focusScratch)
 	defer focusScratchPool.Put(s)
 	tick := newTicker(ctx)
+	if cap(s.ranked) < len(impls) {
+		s.ranked = make([]rankedImpl, 0, len(impls))
+	}
 	all := s.ranked[:0]
 	for i, p := range impls {
 		if err := tick.tick(1); err != nil {
@@ -143,8 +146,7 @@ func (f *Focus) rank(ctx context.Context, h []core.ActionID, impls []core.ImplID
 			all = append(all, ri)
 		}
 	}
-	s.ranked = all
-	return f.selectEmit(ctx, s, all, h, k, implBase)
+	return f.selectEmit(ctx, all, h, k, implBase)
 }
 
 // focusRank scores one implementation from its counter — a pure function of
@@ -162,25 +164,23 @@ func focusRank(measure FocusMeasure, p core.ImplID, n, overlap int) (rankedImpl,
 	} else {
 		score = float64(overlap) / float64(n)
 	}
-	return rankedImpl{id: p, score: score, missing: missing}, true
+	return rankedImpl{id: p, missing: int32(missing), score: score}, true
 }
 
 // selectEmit is the one select → emit loop: rank the complete scored set all
 // under the total order, walk the m best through emit, and widen m by four
 // while deduplication starves the walk of its k emissions. Selection under
 // the total order makes every widened prefix an exact prefix of the fully
-// sorted order, so the result matches a full sort bit for bit.
-func (f *Focus) selectEmit(ctx context.Context, s *focusScratch, all []rankedImpl, h []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
+// sorted order, so the result matches a full sort bit for bit. Selection
+// permutes all in place, so a widened round selects from the whole set.
+func (f *Focus) selectEmit(ctx context.Context, all []rankedImpl, h []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	for m := k; ; m *= 4 {
 		whole := k < 0 || len(all) <= m
 		sel := all
 		if whole {
 			sortRankedImpls(all)
 		} else {
-			// Selection overwrites its input, so it runs on a pooled copy: a
-			// widened round must see the whole set.
-			s.sel = append(s.sel[:0], all...)
-			sel = topMRankedImpls(s.sel, m)
+			sel = topMRankedImpls(all, m)
 		}
 		tick := newTicker(ctx)
 		out, err := f.emit(sel, h, k, implBase, &tick)
@@ -239,7 +239,7 @@ func (f *Focus) emit(ranked []rankedImpl, h []core.ActionID, k int, implBase int
 			out = append(out, FocusEmission{
 				Action:  a,
 				Score:   ri.score,
-				Missing: ri.missing,
+				Missing: int(ri.missing),
 				Impl:    implBase + int64(ri.id),
 			})
 			if k > 0 && len(out) == k {
@@ -261,17 +261,19 @@ func sortRankedImpls(ranked []rankedImpl) {
 // topMRankedImpls selects the m best implementations with a min-heap kept in
 // ranked[:m] and leaves them sorted best-first — the rankedImpl counterpart
 // of the action selector, kept monomorphic so neither hot loop pays an
-// indirect comparator call.
+// indirect comparator call. Each entry the heap evicts is swapped into the
+// slot its replacement came from, so ranked stays a permutation of its
+// entries and a later call can select from it again.
 func topMRankedImpls(ranked []rankedImpl, m int) []rankedImpl {
 	h := ranked[:m]
 	for i := m/2 - 1; i >= 0; i-- {
 		implSiftDown(h, i)
 	}
-	for _, r := range ranked[m:] {
-		if implRanksBefore(h[0], r) {
+	for j := m; j < len(ranked); j++ {
+		if implRanksBefore(h[0], ranked[j]) {
 			continue
 		}
-		h[0] = r
+		h[0], ranked[j] = ranked[j], h[0]
 		implSiftDown(h, 0)
 	}
 	for n := m - 1; n > 0; n-- {

@@ -64,9 +64,14 @@ func (s *kernelScratch) gather(ctx context.Context, lib *core.Library, h []core.
 
 // accumulate adds every posting row of h into the counter array, recording
 // first-touched implementations in the touched list (including on abort, so
-// cleanup stays exact).
+// cleanup stays exact). The list is sized before the walk to the most it
+// can hold, so it never grows by copying.
 func (s *kernelScratch) accumulate(ctx context.Context, lib *core.Library, h []core.ActionID) error {
-	touched := s.touched[:0]
+	most := 0
+	for _, a := range h {
+		most += len(lib.ImplsOfAction(a))
+	}
+	touched := slices.Grow(s.touched[:0], min(most, lib.NumImplementations()))
 	tick := newTicker(ctx)
 	var err error
 	for _, a := range h {

@@ -88,6 +88,49 @@ func TestSharedScratchConcurrentInstances(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFocusFirstQueryAllocatesOnce: a Focus query that finds the scratch
+// pools empty allocates each buffer once, at the size it uses — the counter
+// array (4 B per implementation), the touched list (4 B per posting of the
+// activity's rows, at most per implementation), the counts (4 B per
+// candidate) and the ranked buffer (16 B per candidate) — plus a little for
+// the activity and the result. Grown by appending, and with a selection
+// copy beside the ranked buffer, it allocated more than twice that.
+func TestFocusFirstQueryAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const slack = 32 << 10
+	lib := benchLibrary(100_000, 100, 7)
+	q := benchQueries(100, 1, 5, 8)[0]
+	candidates, postings := map[core.ImplID]bool{}, 0
+	for _, a := range q {
+		postings += len(lib.ImplsOfAction(a))
+		for _, p := range lib.ImplsOfAction(a) {
+			candidates[p] = true
+		}
+	}
+	n := lib.NumImplementations()
+	budget := uint64(4*n + 4*min(postings, n) + 20*len(candidates) + slack)
+	for _, measure := range []FocusMeasure{Completeness, Closeness} {
+		t.Run(measure.String(), func(t *testing.T) {
+			f := NewFocus(lib, measure)
+			runtime.GC() // twice: a pool's victim cache survives one cycle
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			f.Recommend(q, 10)
+			runtime.ReadMemStats(&m1)
+			if d := m1.TotalAlloc - m0.TotalAlloc; d > budget {
+				t.Fatalf("a first query over %d candidates allocated %d bytes, budget %d", len(candidates), d, budget)
+			} else {
+				t.Logf("a first query over %d candidates allocated %d bytes, budget %d", len(candidates), d, budget)
+			}
+		})
+	}
+}
+
 // TestFreshInstanceReusesScratch pins the point of the shared pools: once
 // one instance has run a query, a fresh instance over the same library — as
 // every engine epoch builds — allocates only its result, not another

@@ -320,6 +320,10 @@ type VocabBacking struct {
 	GrownNames int `json:"grown_names"`
 	// TableBytes is the size of the base names' lookup tables.
 	TableBytes int64 `json:"table_bytes"`
+	// Table says where those tables come from: "sealed" when both were read
+	// from the snapshot image, "built" when one was built on the heap at open
+	// (an image sealed before the tables were), "" without a base.
+	Table string `json:"table"`
 }
 
 // LibraryBacking says what memory backs a served library, base apart from
@@ -375,6 +379,12 @@ func (l *Library) Backing() LibraryBacking {
 	}
 	if acts.Mapped || goals.Mapped {
 		b.Vocab.Backing = "mapped"
+	}
+	switch {
+	case acts.Sealed && goals.Sealed:
+		b.Vocab.Table = "sealed"
+	case acts.BaseNames+goals.BaseNames > 0:
+		b.Vocab.Table = "built"
 	}
 	b.MappedGenerations, b.MappedBytes = core.MappedSnapshots()
 	if d := lastSidecar.Load(); d != nil {
