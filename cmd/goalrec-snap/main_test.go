@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -187,5 +189,72 @@ func TestVerifyRefusesChecksumMismatch(t *testing.T) {
 	err = run([]string{"inspect", snapPath})
 	if !errors.Is(err, core.ErrCorruptSnapshot) || !strings.Contains(err.Error(), snapPath) {
 		t.Fatalf("inspect of a flipped name byte: %v, want ErrCorruptSnapshot naming the file", err)
+	}
+}
+
+// A converted image seals its vocabulary checksum, and inspect names the
+// section. Moved past the name blob under a resealed footer, a goal offset
+// passes the checksum, so the image opens and serves its checksum and its
+// names without a panic, the two implausible names as ids outside the
+// dictionary — but verify, which walks every name, refuses it.
+func TestVerifyRefusesNamePastBlob(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, _ := testLibraryFile(t, dir)
+	snapPath := filepath.Join(dir, "lib.gsnp")
+	if err := run([]string{"convert", jsonPath, snapPath}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := goalrec.OpenSnapshotFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, goals := good.Library().VocabChecksum(), good.Library().Goals()
+	good.Close()
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := core.DescribeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offAt, blobLen uint64
+	sealed := false
+	for _, s := range desc.Sections {
+		switch s.Name {
+		case "vocab-goal-offsets":
+			offAt = s.Offset
+		case "vocab-goal-names":
+			blobLen = s.Bytes
+		case "vocab-checksum":
+			sealed = true
+		}
+	}
+	if !sealed {
+		t.Fatal("the converted image lists no vocab-checksum section")
+	}
+	binary.LittleEndian.PutUint64(data[offAt+8:], blobLen+1)
+	end := len(data) - 8
+	binary.LittleEndian.PutUint32(data[end+4:], crc32.ChecksumIEEE(data[:end]))
+	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := goalrec.OpenSnapshotFile(snapPath)
+	if err != nil {
+		t.Fatalf("open of a resealed image: %v", err)
+	}
+	lib := snap.Library()
+	if got := lib.VocabChecksum(); got != want {
+		t.Errorf("VocabChecksum %#x, sealed as %#x", got, want)
+	}
+	served := lib.Goals()
+	if served[0] != "goal#0" || served[1] != "goal#1" || !reflect.DeepEqual(served[2:], goals[2:]) {
+		t.Errorf("goals %q, want the first two as ids outside the dictionary, the rest %q", served, goals[2:])
+	}
+	lib.TopGoals([]string{"act-1", "act-5"}, 5)
+	snap.Close()
+	if err := run([]string{"verify", snapPath}); err == nil || !strings.Contains(err.Error(), "implausible name") {
+		t.Fatalf("verify of a goal offset past the blob: %v, want an implausible name", err)
 	}
 }

@@ -42,7 +42,8 @@ func TestStoreRecoversRetiredLayoutSnapshot(t *testing.T) {
 }
 
 // TestSidecarWrittenBeforeStaysAHit: a plain sidecar written by the release
-// that still had a second layout keeps its key, so it loads as a hit.
+// that still had a second layout keeps its key, so it loads as a hit, and
+// answers the parse's vocabulary checksum.
 func TestSidecarWrittenBeforeStaysAHit(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "recipes.jsonl")
 	copyFixture(t, "recipes.jsonl", src)
@@ -54,5 +55,14 @@ func TestSidecarWrittenBeforeStaysAHit(t *testing.T) {
 	if decision != SidecarHit {
 		t.Fatalf("decision %q, want %q", decision, SidecarHit)
 	}
-	assertServesLike(t, parseReference(t, src), lib)
+	ref := parseReference(t, src)
+	assertServesLike(t, ref, lib)
+	// Sealed before the name tables and the vocabulary checksum were, it
+	// builds the one and computes the other.
+	if v := lib.Backing().Vocab; v.Table != "built" || v.Checksum != "computed" {
+		t.Fatalf("vocab ledger %+v, want the table built and the checksum computed", v)
+	}
+	if got, want := lib.VocabChecksum(), ref.VocabChecksum(); got != want {
+		t.Fatalf("checksum %#x, the parse's %#x", got, want)
+	}
 }

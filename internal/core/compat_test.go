@@ -69,7 +69,7 @@ func TestRetiredLayoutSnapshotOpens(t *testing.T) {
 		t.Fatalf("opened %d implementations at epoch %d, max len %d (header %d)",
 			lib.NumImplementations(), lib.Epoch(), lib.MaxImplLen(), d.MaxImplLen)
 	}
-	checkNameTables(t, snap.Vocabulary(), false)
+	checkNameTables(t, lib, snap.Vocabulary(), false)
 
 	out := checkResealed(t, lib, snap.Vocabulary())
 	if binary.LittleEndian.Uint32(out[8:])&snapFlagLenSorted != 0 {
@@ -130,7 +130,7 @@ func TestGoalSlotsSidecarOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotVocab := snap.Library(), snap.Vocabulary()
-	checkNameTables(t, gotVocab, false)
+	checkNameTables(t, got, gotVocab, false)
 	for _, d := range []struct{ opened, parsed *Interner }{{gotVocab.Actions, wantVocab.Actions}, {gotVocab.Goals, wantVocab.Goals}} {
 		for _, name := range d.parsed.Names() {
 			want, _ := d.parsed.Lookup(name)
@@ -168,11 +168,16 @@ func TestGoalSlotsSidecarOpens(t *testing.T) {
 	}
 }
 
-// checkNameTables holds both dictionaries of vocab to their tables: sealed
-// from the image or built at open as sealed says, and each serving every
-// base name at its id and missing a name it does not hold.
-func checkNameTables(t *testing.T, vocab *Vocabulary, sealed bool) {
+// checkNameTables holds both dictionaries of vocab, lib's, to their tables:
+// sealed from the image or built at open as sealed says, and each serving
+// every base name at its id and missing a name it does not hold. The
+// checksum over lib's id spaces is read from the image exactly when the
+// tables are: the fixtures predate both and compute it.
+func checkNameTables(t *testing.T, lib *Library, vocab *Vocabulary, sealed bool) {
 	t.Helper()
+	if got := vocab.ChecksumSealed(lib.NumActions(), lib.NumGoals()); got != sealed {
+		t.Fatalf("checksum sealed %v, want %v", got, sealed)
+	}
 	for _, in := range []*Interner{vocab.Actions, vocab.Goals} {
 		if st := in.Stats(); st.Sealed != sealed || st.BaseNames == 0 {
 			t.Fatalf("name table: %+v, want sealed %v", st, sealed)
@@ -218,7 +223,11 @@ func checkResealed(t *testing.T, lib *Library, vocab *Vocabulary) []byte {
 	if err := VerifySnapshot(snap); err != nil {
 		t.Fatalf("VerifySnapshot of the rewrite: %v", err)
 	}
-	checkNameTables(t, snap.Vocabulary(), true)
+	checkNameTables(t, snap.Library(), snap.Vocabulary(), true)
+	nA, nG := lib.NumActions(), lib.NumGoals()
+	if got, want := snap.Vocabulary().Checksum(nA, nG), vocab.Checksum(nA, nG); got != want {
+		t.Fatalf("the rewrite sealed checksum %#x, its names hash to %#x", got, want)
+	}
 	if !slices.Equal(snap.Vocabulary().Actions.baseTab, vocab.Actions.baseTab) ||
 		!slices.Equal(snap.Vocabulary().Goals.baseTab, vocab.Goals.baseTab) {
 		t.Fatal("the sealed tables differ from the ones built at open")

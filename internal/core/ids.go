@@ -82,24 +82,20 @@ func NewInterner(n int) *Interner {
 
 // newFrozenInterner returns an Interner whose first len(off)-1 ids are the
 // names off delimits in blob, both of which it keeps views of, found through
-// tab: the image's sealed name table, or, when tab is nil, one built here. It
-// validates what every later access relies on — offsets that start at 0,
-// never decrease, end at len(blob) and delimit no name longer than maxName,
-// and a sealed table of tableSize(n) slots — and, building, refuses a name
-// that occurs twice. A sealed table's slots are not read: lookupBase bounds
-// every probe, and VerifySnapshot compares the table with a rebuilt one.
-func newFrozenInterner(off []uint64, blob []byte, tab []int32, maxName uint64) (*Interner, error) {
+// tab: the image's sealed name table, or, when tab is nil, one built here.
+// With a sealed table it checks only what is O(1) — offsets that start at 0
+// and end at len(blob), a count that fits an id, a table of tableSize(n)
+// slots — and reads no other offset and no slot: baseName bounds every name
+// and lookupBase every probe, and VerifySnapshot walks both. Building a table
+// walks every offset and refuses an implausible name or one that occurs
+// twice.
+func newFrozenInterner(off []uint64, blob []byte, tab []int32) (*Interner, error) {
 	if len(off) == 0 || off[0] != 0 || off[len(off)-1] != uint64(len(blob)) {
 		return nil, fmt.Errorf("name offsets do not span the %d-byte blob", len(blob))
 	}
 	n := len(off) - 1
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("implausible name count %d", n)
-	}
-	for i := 0; i < n; i++ {
-		if lo, hi := off[i], off[i+1]; hi < lo || hi-lo > maxName || hi > uint64(len(blob)) {
-			return nil, fmt.Errorf("implausible name %d: bytes [%d, %d)", i, lo, hi)
-		}
 	}
 	in := &Interner{baseOff: off, baseBlob: blob, baseLen: int32(n), baseTab: tab, baseSealed: tab != nil}
 	if tab == nil {
@@ -134,13 +130,18 @@ func nameSlot(name []byte, mask uint32) uint32 {
 // open-addressing table of tableSize(n) slots: id+1 per occupied slot, 0 for
 // an empty one, each name at nameSlot or the first free slot after it, ids
 // placed in increasing order. The layout is a function of the names alone,
-// so a table built at open equals the one a sealer wrote. A name that occurs
-// twice is refused. off must delimit names within blob.
+// so a table built at open equals the one a sealer wrote. It is the one walk
+// over every name: a name whose offsets decrease, overrun the blob or span
+// more than snapMaxName bytes is refused before it is read, and so is a name
+// that occurs twice.
 func buildNameTable(off []uint64, blob []byte) ([]int32, error) {
 	n := len(off) - 1
 	tab := make([]int32, tableSize(n))
 	mask := uint32(len(tab) - 1)
 	for id := 0; id < n; id++ {
+		if !plausibleName(off[id], off[id+1], blob) {
+			return nil, fmt.Errorf("implausible name %d: bytes [%d, %d)", id, off[id], off[id+1])
+		}
 		name := blob[off[id]:off[id+1]]
 		i := nameSlot(name, mask)
 		for ; tab[i] != 0; i = (i + 1) & mask {
@@ -153,16 +154,30 @@ func buildNameTable(off []uint64, blob []byte) ([]int32, error) {
 	return tab, nil
 }
 
-// baseName returns the bytes of base name id, aliasing the snapshot image.
-func (in *Interner) baseName(id int32) []byte {
-	return in.baseBlob[in.baseOff[id]:in.baseOff[id+1]]
+// plausibleName reports whether the offsets [lo, hi) delimit a name within
+// blob no longer than snapMaxName.
+func plausibleName(lo, hi uint64, blob []byte) bool {
+	return lo <= hi && hi <= uint64(len(blob)) && hi-lo <= snapMaxName
+}
+
+// baseName returns the bytes of base name id, aliasing the snapshot image,
+// or false when its offsets are not plausible. The offsets of a sealed base
+// are not walked at open, so this bound is what keeps an image the checksum
+// accepted but no sealer wrote from slicing out of bounds: such a name is
+// never served.
+func (in *Interner) baseName(id int32) ([]byte, bool) {
+	lo, hi := in.baseOff[id], in.baseOff[id+1]
+	if !plausibleName(lo, hi, in.baseBlob) {
+		return nil, false
+	}
+	return in.baseBlob[lo:hi], true
 }
 
 // lookupBase probes the frozen base for name. It takes no lock: the base
-// never changes. A slot outside [1, baseLen] never matches and the probe
-// stops after len(baseTab) slots, so not even a sealed table the checksum
-// accepted but that no sealer wrote can send it out of bounds or round the
-// table forever.
+// never changes. A slot outside [1, baseLen] or naming an implausible name
+// never matches and the probe stops after len(baseTab) slots, so not even a
+// sealed image the checksum accepted but that no sealer wrote can send it out
+// of bounds or round the table forever.
 func (in *Interner) lookupBase(name string) (int32, bool) {
 	if in.baseLen == 0 {
 		return 0, false
@@ -175,8 +190,10 @@ func (in *Interner) lookupBase(name string) (int32, bool) {
 		if v == 0 {
 			return 0, false
 		}
-		if v > 0 && v <= in.baseLen && string(in.baseName(v-1)) == name {
-			return v - 1, true
+		if v > 0 && v <= in.baseLen {
+			if b, ok := in.baseName(v - 1); ok && string(b) == name {
+				return v - 1, true
+			}
 		}
 		i = (i + 1) & mask
 	}
@@ -228,14 +245,16 @@ func (in *Interner) Lookup(name string) (int32, bool) {
 	return id, ok
 }
 
-// Name returns the name for id, or "" if id is out of range. The result is
-// the caller's to keep: a base name is copied out of the snapshot image.
+// Name returns the name for id, or "" if id is out of range or names an
+// implausible base name (see baseName). The result is the caller's to keep: a
+// base name is copied out of the snapshot image.
 func (in *Interner) Name(id int32) string {
 	if id < 0 {
 		return ""
 	}
 	if id < in.baseLen {
-		return string(in.baseName(id))
+		b, _ := in.baseName(id)
+		return string(b)
 	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
@@ -255,7 +274,8 @@ func (in *Interner) Len() int {
 // Names returns the interned names indexed by id. Without a frozen base the
 // returned slice is a stable full-slice view of the Interner's backing store:
 // later Interns never mutate it. With one, the list is assembled afresh, the
-// base names copied. Either way it must not be modified by the caller.
+// base names copied as Name copies them. Either way it must not be modified
+// by the caller.
 func (in *Interner) Names() []string {
 	in.mu.RLock()
 	grown := in.names[:len(in.names):len(in.names)]
@@ -265,7 +285,7 @@ func (in *Interner) Names() []string {
 	}
 	out := make([]string, 0, int(in.baseLen)+len(grown))
 	for id := int32(0); id < in.baseLen; id++ {
-		out = append(out, string(in.baseName(id)))
+		out = append(out, in.Name(id))
 	}
 	return append(out, grown...)
 }
@@ -318,16 +338,23 @@ type vocabCRC struct {
 	count            [8]byte
 }
 
-// add extends c by the first n names of in, in the packed form pack returns
-// and a snapshot stores: n, the little-endian offsets off[:n+1], then the
-// bytes blob[:off[n]]. A frozen base nothing has grown on is hashed in place.
-// in must hold at least n names.
-func (c *vocabCRC) add(in *Interner, n int) {
-	off, blob := in.pack()
+// addPacked extends c by the first n names of a dictionary in the packed
+// form pack returns and a snapshot stores: n, the little-endian offsets
+// off[:n+1], then the bytes blob[:off[n]] — all of blob when off[n] lies past
+// it, which only an image no sealer wrote can hold, so hashing never slices
+// out of bounds. off must hold at least n+1 offsets.
+func (c *vocabCRC) addPacked(off []uint64, blob []byte, n int) {
 	binary.LittleEndian.PutUint64(c.count[:], uint64(n))
 	c.update(c.count[:])
 	c.update(u64Bytes(off[:n+1]))
-	c.update(blob[:off[n]])
+	c.update(blob[:min(off[n], uint64(len(blob)))])
+}
+
+// add extends c by the first n names of in, hashing a frozen base nothing
+// has grown on in place. in must hold at least n names.
+func (c *vocabCRC) add(in *Interner, n int) {
+	off, blob := in.pack()
+	c.addPacked(off, blob, n)
 }
 
 func (c *vocabCRC) update(p []byte) {
@@ -344,12 +371,38 @@ func (c *vocabCRC) sum() uint64 { return uint64(c.ieee)<<32 | uint64(c.castagnol
 // hashed with CRC-32 (IEEE) into the high half and CRC-32C into the low
 // half. Two vocabularies agree exactly when both id-space sizes and every
 // name in id order agree (up to a 64-bit collision), wherever the names
-// live.
+// live. A vocabulary opened from an image that carries the sealed checksum
+// for these counts answers with it and reads no name (see ChecksumSealed);
+// any other computes it.
 func (v *Vocabulary) Checksum(nActions, nGoals int) uint64 {
+	if v.ChecksumSealed(nActions, nGoals) {
+		return v.sealed.sum
+	}
+	return v.computeChecksum(nActions, nGoals)
+}
+
+// ChecksumSealed reports whether Checksum(nActions, nGoals) is the value the
+// snapshot image sealed rather than one computed from the names: the image
+// carries its vocabulary checksum over exactly these counts, and neither
+// dictionary has grown since it was opened.
+func (v *Vocabulary) ChecksumSealed(nActions, nGoals int) bool {
+	s := v.sealed
+	return s != nil && s.nActions == nActions && s.nGoals == nGoals &&
+		v.Actions.Len() == int(v.Actions.baseLen) && v.Goals.Len() == int(v.Goals.baseLen)
+}
+
+func (v *Vocabulary) computeChecksum(nActions, nGoals int) uint64 {
 	var c vocabCRC
 	c.add(v.Actions, nActions)
 	c.add(v.Goals, nGoals)
 	return c.sum()
+}
+
+// sealedChecksum is a vocabulary checksum as an image stores it: the value
+// of Checksum(nActions, nGoals) the sealer computed from the packed names.
+type sealedChecksum struct {
+	nActions, nGoals int
+	sum              uint64
 }
 
 // InternerStats says where an Interner's names live.
@@ -377,6 +430,10 @@ func (in *Interner) Stats() InternerStats {
 type Vocabulary struct {
 	Actions *Interner
 	Goals   *Interner
+	// sealed is the checksum the image the vocabulary was opened from
+	// carries, nil for one built on the heap or opened from an image
+	// without it.
+	sealed *sealedChecksum
 }
 
 // NewVocabulary returns an empty Vocabulary.

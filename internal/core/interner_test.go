@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -28,14 +29,15 @@ func packList(names []string) ([]uint64, []byte) {
 // name table is built at open and one whose table was sealed into a written
 // image and read back — to the map-only one over the same list: the list is
 // refused by both opens or yields identical ids, the two tables are equal,
-// and for each frozen Interner every probe name looks up and interns
-// identically to the map-only one, ids staying dense, and every prefix of
-// the dictionary checksums alike, opened and grown.
+// the checksum the image sealed is the one computed from the names, and for
+// each frozen Interner every probe name looks up and interns identically to
+// the map-only one, ids staying dense, and every prefix of the dictionary
+// checksums alike, opened and grown.
 func checkAgainstHeap(t *testing.T, base, probes []string) {
 	t.Helper()
 	heap := heapInterner(base)
 	off, blob := packList(base)
-	frozen, err := newFrozenInterner(off, blob, nil, snapMaxName)
+	frozen, err := newFrozenInterner(off, blob, nil)
 	if dup := heap.Len() != len(base); dup || err != nil {
 		if !dup || err == nil {
 			t.Fatalf("base %q: duplicates %v but frozen open said %v", base, dup, err)
@@ -45,7 +47,19 @@ func checkAgainstHeap(t *testing.T, base, probes []string) {
 		}
 		return
 	}
-	sealed := sealNames(t, heap)
+	vocab := sealNames(t, heap)
+	sealed := vocab.Actions
+	nGoals := vocab.Goals.Len()
+	if !vocab.ChecksumSealed(len(base), nGoals) {
+		t.Fatalf("base %q: the image carries no checksum over its %d names", base, len(base))
+	}
+	heapVocab := &Vocabulary{Actions: heapInterner(base), Goals: vocab.Goals}
+	if got, want := vocab.Checksum(len(base), nGoals), heapVocab.Checksum(len(base), nGoals); got != want {
+		t.Fatalf("base %q: sealed checksum %#x, computed %#x", base, got, want)
+	}
+	if got, want := vocab.computeChecksum(len(base), nGoals), vocab.sealed.sum; got != want {
+		t.Fatalf("base %q: the opened names checksum to %#x, the image sealed %#x", base, got, want)
+	}
 	if !sealed.Stats().Sealed || frozen.Stats().Sealed || !slices.Equal(sealed.baseTab, frozen.baseTab) {
 		t.Fatalf("base %q: sealed table %v (sealed %v), built %v", base, sealed.baseTab, sealed.Stats().Sealed, frozen.baseTab)
 	}
@@ -62,20 +76,29 @@ func heapInterner(names []string) *Interner {
 	return in
 }
 
-// sealNames writes an image whose action dictionary is in and opens it
-// again: the returned Interner serves in's names through the sealed table.
-func sealNames(t testing.TB, in *Interner) *Interner {
+// sealNames writes an image whose action dictionary is in, and whose
+// library's action id space is exactly in's names, and opens it again: the
+// returned vocabulary serves in's names through the sealed table, and its
+// sealed checksum covers all of them.
+func sealNames(t testing.TB, in *Interner) *Vocabulary {
 	t.Helper()
+	b := NewBuilder(1, 1)
+	goals := NewInterner(0)
+	if n := in.Len(); n > 0 {
+		goals.Intern("g")
+		if _, err := b.Add(0, []ActionID{ActionID(n - 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
-	vocab := &Vocabulary{Actions: in, Goals: NewInterner(0)}
-	if err := WriteSnapshot(&buf, NewBuilder(0, 0).Build(), vocab, SnapshotOptions{}); err != nil {
+	if err := WriteSnapshot(&buf, b.Build(), &Vocabulary{Actions: in, Goals: goals}, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := OpenSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap.Vocabulary().Actions
+	return snap.Vocabulary()
 }
 
 // checkFrozen is checkAgainstHeap for one frozen Interner over base.
@@ -152,21 +175,64 @@ func TestFrozenInterner(t *testing.T) {
 	}
 }
 
+// TestFrozenInternerRejectsBadSections: offsets that delimit no sound
+// dictionary are refused at open when the table is built there, which walks
+// every name. With a sealed table the open checks only the ends; whatever
+// else is wrong opens, but the implausible name is never served — no
+// lookup finds it, Name answers it as an id outside the dictionary, nothing
+// slices out of bounds — and VerifySnapshot refuses the image.
 func TestFrozenInternerRejectsBadSections(t *testing.T) {
+	long := strings.Repeat("a", snapMaxName+1)
 	for name, tc := range map[string]struct {
 		off  []uint64
 		blob string
+		bad  []int32 // the implausible names of a sealed open; nil when it refuses
 	}{
-		"no offsets":       {nil, ""},
-		"nonzero start":    {[]uint64{1, 2}, "ab"},
-		"short of blob":    {[]uint64{0, 1}, "ab"},
-		"past blob":        {[]uint64{0, 3}, "ab"},
-		"decreasing":       {[]uint64{0, 2, 1, 2}, "ab"},
-		"past blob inside": {[]uint64{0, 9, 2}, "ab"},
-		"name too long":    {[]uint64{0, 5}, "abcde"},
+		"no offsets":       {nil, "", nil},
+		"nonzero start":    {[]uint64{1, 2}, "ab", nil},
+		"short of blob":    {[]uint64{0, 1}, "ab", nil},
+		"past blob":        {[]uint64{0, 3}, "ab", nil},
+		"decreasing":       {[]uint64{0, 2, 1, 2}, "ab", []int32{1}},
+		"past blob inside": {[]uint64{0, 9, 2}, "ab", []int32{0, 1}},
+		"name too long":    {[]uint64{0, snapMaxName + 1}, long, []int32{0}},
 	} {
-		if _, err := newFrozenInterner(tc.off, []byte(tc.blob), nil, 4); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := newFrozenInterner(tc.off, []byte(tc.blob), nil); err == nil {
+			t.Errorf("%s: accepted without a table", name)
+		}
+		n := max(len(tc.off)-1, 0)
+		tab := make([]int32, tableSize(n))
+		for id := range n {
+			tab[id] = int32(id + 1) // each id in a slot, no slot read out of bounds
+		}
+		in, err := newFrozenInterner(tc.off, []byte(tc.blob), tab)
+		if tc.bad == nil {
+			if err == nil {
+				t.Errorf("%s: accepted with a sealed table", name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: refused with a sealed table: %v", name, err)
+			continue
+		}
+		names := in.Names()
+		for _, id := range tc.bad {
+			if got := in.Name(id); got != "" || names[id] != "" {
+				t.Errorf("%s: implausible name %d served as %q, %q", name, id, got, names[id])
+			}
+		}
+		for _, probe := range []string{"", "a", "b", "ab", long, tc.blob} {
+			if id, ok := in.Lookup(probe); ok && slices.Contains(tc.bad, id) {
+				t.Errorf("%s: Lookup(%q) found implausible name %d", name, probe, id)
+			}
+		}
+		var c vocabCRC
+		for k := 0; k <= n; k++ {
+			c.add(in, k) // every prefix hashes in bounds
+		}
+		snap := &Snapshot{lib: NewBuilder(0, 0).Build(), vocab: &Vocabulary{Actions: in, Goals: NewInterner(0)}}
+		if err := VerifySnapshot(snap); err == nil || !strings.Contains(err.Error(), "implausible name") {
+			t.Errorf("%s: VerifySnapshot said %v, want an implausible name", name, err)
 		}
 	}
 }
@@ -180,7 +246,7 @@ func TestFrozenInternerConcurrent(t *testing.T) {
 		base[i] = fmt.Sprintf("base-%d", i)
 	}
 	off, blob := packList(base)
-	in, err := newFrozenInterner(off, blob, nil, snapMaxName)
+	in, err := newFrozenInterner(off, blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +316,11 @@ func FuzzFrozenInterner(f *testing.F) {
 func TestSealedNameTableBounds(t *testing.T) {
 	base := []string{"a", "b", "c"}
 	off, blob := packList(base)
-	if _, err := newFrozenInterner(off, blob, make([]int32, 2*tableSize(len(base))), snapMaxName); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := newFrozenInterner(off, blob, make([]int32, 2*tableSize(len(base)))); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("a table twice too long: %v, want ErrCorruptSnapshot", err)
 	}
 	garbage := []int32{-1, math.MinInt32, math.MaxInt32, 4, 5, -7, 99, 1 << 20}
-	in, err := newFrozenInterner(off, blob, garbage, snapMaxName)
+	in, err := newFrozenInterner(off, blob, garbage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,8 +74,10 @@ const (
 	snapMaxSourceKey = 256
 
 	// snapVerifyBuf is the fixed buffer VerifySnapshotChecksum streams a
-	// file through, whatever the file's size.
-	snapVerifyBuf = 1 << 20
+	// file through, whatever the file's size: at least snapHeadMax, and
+	// small beside the image, since it is a verified open's whole heap. A
+	// 1 MiB buffer streamed the bench image no faster.
+	snapVerifyBuf = 64 << 10
 )
 
 // Header flag bits.
@@ -120,6 +122,7 @@ const (
 	secSrcStamp              // byte × fileStampSize (optional; see SnapshotOptions.SourceStamp)
 	secVocActTab             // int32 × tableSize(nActNames) (optional; see buildNameTable)
 	secVocGoalTab            // int32 × tableSize(nGoalNames) (optional)
+	secVocSum                // uint64 × 3: nActions, nGoals, Vocabulary.Checksum of them (optional)
 )
 
 // hostLittleEndian reports the byte order of this process; on the (rare)
@@ -324,6 +327,7 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	var actNameOff, goalNameOff []uint64
 	var actNameBlob, goalNameBlob []byte
 	var actTab, goalTab []int32
+	var vocabSum []uint64
 	if vocab != nil {
 		flags |= snapFlagVocab
 		var err error
@@ -332,6 +336,15 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		}
 		if goalNameOff, goalNameBlob, goalTab, err = vocab.Goals.seal(); err != nil {
 			return nil, fmt.Errorf("core: goal vocabulary: %w", err)
+		}
+		// The checksum of the id spaces' names, hashed from the sections
+		// about to be written. A vocabulary short of the id spaces gets
+		// none: it does not open.
+		if nAct < len(actNameOff) && nGoal < len(goalNameOff) {
+			var c vocabCRC
+			c.addPacked(actNameOff, actNameBlob, nAct)
+			c.addPacked(goalNameOff, goalNameBlob, nGoal)
+			vocabSum = []uint64{uint64(nAct), uint64(nGoal), c.sum()}
 		}
 	}
 
@@ -355,6 +368,11 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 				writeI32Slice(sw, l.ImplsOfAction(ActionID(a)))
 			}
 		}},
+	}
+	if vocabSum != nil {
+		// First, into the page the header and section table share, so
+		// reading it pages in nothing more.
+		secs = slices.Insert(secs, 0, snapSection{id: secVocSum, elem: 8, count: 3, emit: func(sw *snapWriter) { sw.writeU64s(vocabSum) }})
 	}
 	secs = append(secs,
 		snapSection{id: secGoalOff, elem: 4, count: uint64(nGoal + 1), emit: func(sw *snapWriter) { sw.writeI32s(goalOff) }},
@@ -1014,6 +1032,17 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 				acts.Len(), goals.Len(), nAct, nGoal)
 		}
 		snap.vocab = &Vocabulary{Actions: acts, Goals: goals}
+		if s, ok := secs[secVocSum]; ok {
+			if s.elem != 8 || s.count != 3 {
+				return nil, fmt.Errorf("%w: malformed vocabulary checksum section", ErrCorruptSnapshot)
+			}
+			w := u64View(data[s.off:s.off+24], 3)
+			if w[0] > uint64(acts.Len()) || w[1] > uint64(goals.Len()) {
+				return nil, fmt.Errorf("%w: vocabulary checksum over %d actions and %d goals of %d and %d",
+					ErrCorruptSnapshot, w[0], w[1], acts.Len(), goals.Len())
+			}
+			snap.vocab.sealed = &sealedChecksum{nActions: int(w[0]), nGoals: int(w[1]), sum: w[2]}
+		}
 	}
 	return snap, nil
 }
@@ -1041,15 +1070,17 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID, tabID uin
 		}
 		tab = i32View[int32](data[tabSec.off:tabSec.off+4*tabSec.count], int(tabSec.count))
 	}
-	return newFrozenInterner(off, data[strSec.off:strSec.off+strSec.count], tab, snapMaxName)
+	return newFrozenInterner(off, data[strSec.off:strSec.off+strSec.count], tab)
 }
 
 // VerifySnapshot walks every section of an open snapshot and checks the deep
 // CSR invariants — offsets from 0, never decreasing and ending within their
 // section, checked before any row is sliced; strictly increasing sorted
-// rows; ids in range — and that each sealed name table is the one
-// buildNameTable lays out for its names. It is linear in the snapshot;
-// OpenSnapshotVerified runs it on an image without a checksum footer.
+// rows; ids in range — that every vocabulary name is plausible, that each
+// sealed name table is the one buildNameTable lays out for its names, and
+// that a sealed vocabulary checksum is its names'. It is linear in the
+// snapshot; OpenSnapshotVerified runs it on an image without a checksum
+// footer.
 func VerifySnapshot(s *Snapshot) error {
 	if v := s.vocab; v != nil {
 		for _, d := range []struct {
@@ -1057,7 +1088,7 @@ func VerifySnapshot(s *Snapshot) error {
 			in   *Interner
 		}{{"action", v.Actions}, {"goal", v.Goals}} {
 			if !d.in.baseSealed {
-				continue
+				continue // the open built its table, walking every name
 			}
 			want, err := buildNameTable(d.in.baseOff, d.in.baseBlob)
 			if err != nil {
@@ -1065,6 +1096,11 @@ func VerifySnapshot(s *Snapshot) error {
 			}
 			if !slices.Equal(d.in.baseTab, want) {
 				return fmt.Errorf("core: %s vocabulary: the sealed name table is not its names' layout", d.name)
+			}
+		}
+		if sc := v.sealed; sc != nil {
+			if got := v.computeChecksum(sc.nActions, sc.nGoals); got != sc.sum {
+				return fmt.Errorf("core: the sealed vocabulary checksum %#x is not its names' %#x", sc.sum, got)
 			}
 		}
 	}

@@ -67,6 +67,7 @@ var snapSectionNames = map[uint32]string{
 	secSrcStamp:   "source-stamp",
 	secVocActTab:  "vocab-action-table",
 	secVocGoalTab: "vocab-goal-table",
+	secVocSum:     "vocab-checksum",
 }
 
 // DescribeSnapshot parses data's header and section table — validating the

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -228,6 +230,13 @@ type verifiedOpenFixture struct {
 	stamped, keyed      []byte
 	unkeyed, compressed []byte
 	stampAt             uint64 // offset of the source-stamp section in stamped
+	// vocab names lib's ids. namePastBlob is an image of both whose goal
+	// offset 1 lies past the goal-name blob, sumFlipped one whose sealed
+	// vocabulary checksum has a bit flipped, and sumPastNames one whose
+	// checksum claims more actions than the dictionary holds, each under a
+	// footer sealed over it as a writer would.
+	vocab                                  *Vocabulary
+	namePastBlob, sumFlipped, sumPastNames []byte
 }
 
 func newVerifiedOpenFixture(t *testing.T) *verifiedOpenFixture {
@@ -265,7 +274,91 @@ func newVerifiedOpenFixture(t *testing.T) *verifiedOpenFixture {
 			f.stampAt = s.Offset
 		}
 	}
+
+	f.vocab = NewVocabulary()
+	for a := 0; a < f.lib.NumActions(); a++ {
+		f.vocab.Actions.Intern(fmt.Sprintf("act-%d", a))
+	}
+	for g := 0; g < f.lib.NumGoals(); g++ {
+		f.vocab.Goals.Intern(fmt.Sprintf("goal-%d", g))
+	}
+	var b bytes.Buffer
+	if err := WriteSnapshot(&b, f.lib, f.vocab, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	named, err := DescribeSnapshot(b.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := make(map[string]SnapshotSectionInfo)
+	for _, s := range named.Sections {
+		sec[s.Name] = s
+	}
+	resealed := func(at uint64, word uint64) []byte {
+		out := bytes.Clone(b.Bytes())
+		binary.LittleEndian.PutUint64(out[at:], word)
+		end := len(out) - snapFooterSize
+		binary.LittleEndian.PutUint32(out[end+4:], crc32.ChecksumIEEE(out[:end]))
+		return out
+	}
+	f.namePastBlob = resealed(sec["vocab-goal-offsets"].Offset+8, sec["vocab-goal-names"].Bytes+1)
+	sumAt := sec["vocab-checksum"].Offset
+	f.sumFlipped = resealed(sumAt+16, binary.LittleEndian.Uint64(b.Bytes()[sumAt+16:])^1)
+	f.sumPastNames = resealed(sumAt, uint64(f.vocab.Actions.Len()+1))
 	return f
+}
+
+// servesFlippedSum checks an open of f.sumFlipped: the open trusts the
+// sealed checksum as it trusts every byte the footer covers, and
+// VerifySnapshot, which recomputes it, refuses the image.
+func (f *verifiedOpenFixture) servesFlippedSum(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	nA, nG := snap.Library().NumActions(), snap.Library().NumGoals()
+	if got, want := snap.Vocabulary().Checksum(nA, nG), f.vocab.Checksum(nA, nG)^1; got != want {
+		t.Fatalf("checksum %#x, the image sealed %#x", got, want)
+	}
+	if err := VerifySnapshot(snap); err == nil || !strings.Contains(err.Error(), "sealed vocabulary checksum") {
+		t.Fatalf("VerifySnapshot: %v, want the sealed checksum refused", err)
+	}
+}
+
+// servesNoNamePastBlob checks an open of f.namePastBlob. The footer matches
+// and the goal table is sealed, so the open walks no offset and the image
+// opens; but goal names 0 and 1 are never served — Name, GoalName, Names and
+// Lookup answer them as names outside the dictionary, every other goal
+// serves at its id, the checksum answers without a panic — and
+// VerifySnapshot refuses the image.
+func (f *verifiedOpenFixture) servesNoNamePastBlob(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	v := snap.Vocabulary()
+	names := v.Goals.Names()
+	for id := int32(0); id < 2; id++ {
+		if got := v.Goals.Name(id); got != "" || names[id] != "" {
+			t.Fatalf("implausible goal name %d served as %q, %q", id, got, names[id])
+		}
+		if got, want := v.GoalName(GoalID(id)), fmt.Sprintf("goal#%d", id); got != want {
+			t.Fatalf("GoalName(%d) = %q, want %q", id, got, want)
+		}
+	}
+	for id, name := range f.vocab.Goals.Names() {
+		got, ok := v.Goals.Lookup(name)
+		if id < 2 && ok && got < 2 {
+			t.Fatalf("Lookup(%q) served implausible goal name %d", name, got)
+		}
+		if id >= 2 && (!ok || int(got) != id) {
+			t.Fatalf("Lookup(%q) = %d, %v, want %d", name, got, ok, id)
+		}
+	}
+	nA, nG := snap.Library().NumActions(), snap.Library().NumGoals()
+	if !v.ChecksumSealed(nA, nG) || v.Checksum(nA, nG) != f.vocab.Checksum(nA, nG) {
+		t.Fatalf("checksum %#x (sealed %v), the names were sealed as %#x", v.Checksum(nA, nG), v.ChecksumSealed(nA, nG), f.vocab.Checksum(nA, nG))
+	}
+	if v.computeChecksum(nA, nG) == f.vocab.Checksum(nA, nG) {
+		t.Fatal("the moved offset left the computed checksum unchanged")
+	}
+	if err := VerifySnapshot(snap); err == nil || !strings.Contains(err.Error(), "implausible name 0") {
+		t.Fatalf("VerifySnapshot: %v, want goal name 0 refused", err)
+	}
 }
 
 // flip returns a copy of the stamped image with the byte at off flipped.
@@ -289,8 +382,9 @@ type verifiedOpenCase struct {
 	name   string
 	file   []byte
 	accept func([]byte, FileStamp) error
-	reason string // "" when the image opens
-	is     error
+	reason string                      // "" when the image opens
+	is     error                       // what a refusal must wrap
+	check  func(*testing.T, *Snapshot) // more to hold an opened image to
 }
 
 // runVerifiedOpenCases writes each case's image to a file and opens it with
@@ -313,6 +407,9 @@ func runVerifiedOpenCases(t *testing.T, f *verifiedOpenFixture, cases []verified
 				assertLibrariesEqual(t, f.lib, snap.Library())
 				if gens, n := MappedSnapshots(); gens < 1 || n < int64(len(snap.data)) {
 					t.Fatalf("MappedSnapshots() = %d, %d with a %d-byte mapping open", gens, n, len(snap.data))
+				}
+				if tc.check != nil {
+					tc.check(t, snap)
 				}
 				return
 			}
@@ -360,5 +457,8 @@ func TestOpenSnapshotVerified(t *testing.T) {
 		{name: "empty", file: []byte{}, reason: "truncated header", is: ErrCorruptSnapshot},
 		{name: "compressed flag", file: f.compressed, is: ErrCompressedPostings},
 		{name: "compressed flag, footer stripped", file: f.compressed[:len(f.compressed)-snapFooterSize], is: ErrCompressedPostings},
+		{name: "goal offset past the blob, footer resealed", file: f.namePastBlob, check: f.servesNoNamePastBlob},
+		{name: "vocabulary checksum flipped, footer resealed", file: f.sumFlipped, check: f.servesFlippedSum},
+		{name: "vocabulary checksum past the names, footer resealed", file: f.sumPastNames, reason: "vocabulary checksum over", is: ErrCorruptSnapshot},
 	})
 }

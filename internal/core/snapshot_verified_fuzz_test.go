@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,9 +14,14 @@ import (
 )
 
 // FuzzOpenSnapshotVerified mutates a valid image — a flipped byte, a cut
-// tail, a stripped checksum footer — and opens it without accept: the open
-// must refuse it or yield a snapshot that VerifySnapshot accepts and that
-// every strategy answers without a panic.
+// tail, a stripped checksum footer, or a flipped byte under a footer sealed
+// again over it — and opens it without accept. The open must refuse it or
+// yield a snapshot whose vocabulary answers every Name, Names, Lookup and
+// Checksum without a panic. An image whose footer was not resealed must then
+// pass VerifySnapshot; one that passes is answered by every strategy without
+// a panic. The images are the two committed fixtures, whose name tables are
+// built at open, and a rewrite of the first that seals its tables and
+// vocabulary checksum.
 func FuzzOpenSnapshotVerified(f *testing.F) {
 	var fixtures [][]byte
 	for _, name := range []string{"testdata/recipes.jsonl.gsnp", "testdata/recipes-impact.gsnp"} {
@@ -23,22 +31,50 @@ func FuzzOpenSnapshotVerified(f *testing.F) {
 		}
 		fixtures = append(fixtures, b)
 	}
+	snap, err := core.OpenSnapshotVerified(nil, "testdata/recipes.jsonl.gsnp", nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sealed bytes.Buffer
+	err = core.WriteSnapshot(&sealed, snap.Library(), snap.Vocabulary(), core.SnapshotOptions{})
+	snap.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	fixtures = append(fixtures, sealed.Bytes())
+	d, err := core.DescribeSnapshot(sealed.Bytes())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var goalOff uint32
+	for _, s := range d.Sections {
+		if s.Name == "vocab-goal-offsets" {
+			goalOff = uint32(s.Offset)
+		}
+	}
 	for which := range fixtures {
 		w := uint8(which)
-		f.Add(w, uint32(0), byte(0), uint32(0), false)    // untouched
-		f.Add(w, uint32(0), byte(0), uint32(0), true)     // footer stripped
-		f.Add(w, uint32(9), byte(0xff), uint32(0), false) // header flags
-		f.Add(w, uint32(70), byte(1), uint32(0), true)    // section table
-		f.Add(w, uint32(6000), byte(4), uint32(0), true)  // section body, footerless
-		f.Add(w, uint32(6000), byte(4), uint32(0), false) // section body
-		f.Add(w, uint32(0), byte(0), uint32(100), false)  // truncated
+		f.Add(w, uint32(0), byte(0), uint32(0), false, false)    // untouched
+		f.Add(w, uint32(0), byte(0), uint32(0), true, false)     // footer stripped
+		f.Add(w, uint32(9), byte(0xff), uint32(0), false, false) // header flags
+		f.Add(w, uint32(70), byte(1), uint32(0), true, false)    // section table
+		f.Add(w, uint32(6000), byte(4), uint32(0), true, false)  // section body, footerless
+		f.Add(w, uint32(6000), byte(4), uint32(0), false, false) // section body
+		f.Add(w, uint32(6000), byte(4), uint32(0), false, true)  // section body, footer resealed
+		f.Add(w, uint32(0), byte(0), uint32(100), false, false)  // truncated
 	}
-	f.Fuzz(func(t *testing.T, which uint8, off uint32, xor byte, cut uint32, strip bool) {
+	// Goal offset 1 of the sealed rewrite moved 2^24 bytes past the blob,
+	// under a footer that matches.
+	f.Add(uint8(2), goalOff+8+3, byte(1), uint32(0), false, true)
+	f.Fuzz(func(t *testing.T, which uint8, off uint32, xor byte, cut uint32, strip, reseal bool) {
 		b := append([]byte(nil), fixtures[int(which)%len(fixtures)]...)
 		if strip {
 			b = b[:len(b)-8]
 		}
 		b[int(off)%len(b)] ^= xor
+		if reseal && !strip {
+			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-8]))
+		}
 		b = b[:len(b)-int(cut)%len(b)]
 		path := filepath.Join(t.TempDir(), "lib.gsnp")
 		if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -49,10 +85,25 @@ func FuzzOpenSnapshotVerified(f *testing.F) {
 			return
 		}
 		defer snap.Close()
-		if err := core.VerifySnapshot(snap); err != nil {
+		lib := snap.Library()
+		if v := snap.Vocabulary(); v != nil {
+			for _, in := range []*core.Interner{v.Actions, v.Goals} {
+				for _, name := range in.Names() {
+					in.Lookup(name)
+				}
+				for id := int32(-1); id <= int32(in.Len()); id++ {
+					in.Lookup(in.Name(id))
+				}
+			}
+			v.Checksum(lib.NumActions(), lib.NumGoals())
+		}
+		err = core.VerifySnapshot(snap)
+		if err != nil && !reseal {
 			t.Fatalf("an opened image fails VerifySnapshot: %v", err)
 		}
-		lib := snap.Library()
+		if err != nil {
+			return // a resealed image is trusted as any the footer accepts
+		}
 		n := core.ActionID(lib.NumActions())
 		recs := []strategy.Recommender{
 			strategy.NewFocus(lib, strategy.Completeness),

@@ -353,10 +353,10 @@ func TestMetricsLibraryBlock(t *testing.T) {
 	// The ledger separates base from delta. A parsed library is all heap and
 	// all base; a mapped one serves its names from the mapping too; neither
 	// has a tail or an overlay.
-	if v := heap.Vocab; v.Backing != "heap" || v.BaseNames != 0 || v.GrownNames != heap.VocabNames || v.TableBytes != 0 || v.Table != "" {
+	if v := heap.Vocab; v.Backing != "heap" || v.BaseNames != 0 || v.GrownNames != heap.VocabNames || v.TableBytes != 0 || v.Table != "" || v.Checksum != "computed" {
 		t.Fatalf("vocab ledger of a parsed library: %+v", v)
 	}
-	if v := mapped.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 0 || v.TableBytes <= 0 || v.Table != "sealed" {
+	if v := mapped.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 0 || v.TableBytes <= 0 || v.Table != "sealed" || v.Checksum != "sealed" {
 		t.Fatalf("vocab ledger of a mapped library: %+v", v)
 	}
 	flat := goalrec.OverlayRows{}
@@ -381,7 +381,10 @@ func TestMetricsLibraryBlock(t *testing.T) {
 		t.Fatalf("an ingest changed the base's index bytes: %+v -> %+v", base, got)
 	}
 	if v := grown.Vocab; v.Backing != "mapped" || v.BaseNames != mapped.VocabNames || v.GrownNames != 2 ||
-		grown.VocabNames != mapped.VocabNames+2 {
+		grown.VocabNames != mapped.VocabNames+2 || v.Checksum != "computed" {
 		t.Fatalf("vocab ledger after one ingest: %+v (names %d)", v, grown.VocabNames)
+	}
+	if v := goalrec.NewBuilder().Build().Backing().Vocab; v.Checksum != "" || v.Table != "" {
+		t.Fatalf("vocab ledger of a library without names: %+v", v)
 	}
 }

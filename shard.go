@@ -109,16 +109,18 @@ func (l *Library) ActionNameByID(a core.ActionID) string {
 
 // VocabChecksum fingerprints the snapshot-visible dictionary: the action
 // and goal id-space sizes and every name in id order, hashed with CRC-32 and
-// CRC-32C over the dictionaries' packed form (core.Vocabulary.Checksum) — in
-// place for a mapped library nothing has grown on. Cluster registration compares
+// CRC-32C over the dictionaries' packed form (core.Vocabulary.Checksum). A
+// library mapped from an image that sealed the checksum, nothing grown on
+// since, reads it from the image and touches no name; any other hashes the
+// names, in place when they are mapped. Cluster registration compares
 // checksums so a worker serving a different artifact (which would resolve
 // names to different ids and silently corrupt the merged ranking) is
 // rejected up front rather than detected by wrong results. It proves the
 // same names in the same id order, not the same implementations: ranges and
 // epochs guard those. The value depends on the hash, so nodes of different
-// releases may refuse each other. The snapshot is immutable, so the hash is
-// computed once per Library and every later call — each heartbeat reply,
-// each registration check — returns the remembered value.
+// releases may refuse each other. The snapshot is immutable, so the value is
+// taken once per Library and every later call — each heartbeat reply, each
+// registration check — returns the remembered value.
 func (l *Library) VocabChecksum() uint64 {
 	l.vocabSumOnce.Do(func() { l.vocabSum = l.computeVocabChecksum() })
 	return l.vocabSum

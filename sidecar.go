@@ -324,6 +324,11 @@ type VocabBacking struct {
 	// from the snapshot image, "built" when one was built on the heap at open
 	// (an image sealed before the tables were), "" without a base.
 	Table string `json:"table"`
+	// Checksum says where VocabChecksum comes from: "sealed" when it is read
+	// from the snapshot image, "computed" when it is hashed from the names (a
+	// heap library, names grown since the open, an image sealed before the
+	// checksum was), "" without a name.
+	Checksum string `json:"checksum"`
 }
 
 // LibraryBacking says what memory backs a served library, base apart from
@@ -385,6 +390,12 @@ func (l *Library) Backing() LibraryBacking {
 		b.Vocab.Table = "sealed"
 	case acts.BaseNames+goals.BaseNames > 0:
 		b.Vocab.Table = "built"
+	}
+	switch {
+	case l.vocab.ChecksumSealed(l.lib.NumActions(), l.lib.NumGoals()):
+		b.Vocab.Checksum = "sealed"
+	case b.VocabNames > 0:
+		b.Vocab.Checksum = "computed"
 	}
 	b.MappedGenerations, b.MappedBytes = core.MappedSnapshots()
 	if d := lastSidecar.Load(); d != nil {

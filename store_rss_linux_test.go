@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"goalrec/internal/core"
 )
 
 // mappedRss sums the resident set, in bytes, of this process's mappings of
@@ -94,5 +96,61 @@ func TestStoreSeedLeavesSidecarPagesAlone(t *testing.T) {
 	if grown := after - before; grown > fi.Size()/10 {
 		t.Fatalf("seeding the store made %d bytes (%.0f %%) of the %d-byte sidecar resident; want ≤ 10 %%",
 			grown, 100*float64(grown)/float64(fi.Size()), fi.Size())
+	}
+}
+
+// TestVocabChecksumLeavesNamePagesAlone: a sidecar-served library at the
+// bench vocabulary shape (10 000 actions, 125 000 goals) answers
+// VocabChecksum — what a cluster node sends and checks at registration —
+// and resolves a few action names without making its vocabulary resident:
+// the checksum is read from the image's sealed section, and a lookup pages in
+// only the slots and names it probes. Hashing the names instead makes every
+// byte of the four vocabulary sections resident.
+func TestVocabChecksumLeavesNamePagesAlone(t *testing.T) {
+	const nAct, nGoal = 10_000, 125_000
+	dir := t.TempDir()
+	src := filepath.Join(dir, "lib.jsonl")
+	rng := rand.New(rand.NewSource(48))
+	var sb strings.Builder
+	for g := 0; g < nGoal; g++ {
+		fmt.Fprintf(&sb, `{"goal":"goal-%d","actions":["action-%d","action-%d"]}`+"\n", g, g%nAct, rng.Intn(nAct))
+	}
+	if err := os.WriteFile(src, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lib, _, err := LoadLibraryFileMapped(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := src + SidecarSuffix
+	d, err := core.DescribeSnapshotFile(nil, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vocabBytes int64
+	for _, s := range d.Sections {
+		switch s.Name {
+		case "vocab-action-offsets", "vocab-action-names", "vocab-goal-offsets", "vocab-goal-names":
+			vocabBytes += int64(s.Bytes)
+		}
+	}
+
+	before := mappedRss(t, side)
+	sum := lib.VocabChecksum()
+	ids, unknown := lib.ResolveActivity([]string{"action-1", "action-4242", "action-9999"})
+	after := mappedRss(t, side)
+	t.Logf("vocabulary sections %d bytes; sidecar resident %d -> %d bytes", vocabBytes, before, after)
+	if len(ids) != 3 || unknown != nil {
+		t.Fatalf("resolved %v, unknown %v", ids, unknown)
+	}
+	if grown := after - before; grown >= vocabBytes/4 {
+		t.Fatalf("the checksum and three lookups made %d bytes (%.0f %%) of the %d vocabulary bytes resident; want < 25 %%",
+			grown, 100*float64(grown)/float64(vocabBytes), vocabBytes)
+	}
+	if v := lib.Backing().Vocab; v.Checksum != "sealed" {
+		t.Fatalf("vocab ledger %+v, want the checksum sealed", v)
+	}
+	if want := parseReference(t, src).VocabChecksum(); sum != want {
+		t.Fatalf("sealed checksum %#x, the parse's %#x", sum, want)
 	}
 }
