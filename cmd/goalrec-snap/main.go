@@ -72,6 +72,7 @@ func inspect(path string) error {
 		d.Implementations, d.Actions, d.Goals, d.Slots)
 	fmt.Printf("  epoch %d, max impl len %d\n", d.Epoch, d.MaxImplLen)
 	fmt.Printf("  vocabulary %v\n", d.HasVocabulary)
+	fmt.Printf("  GA rows %s\n", gaRows(d))
 	if d.SourceKey != "" {
 		fmt.Printf("  source key %q\n", d.SourceKey)
 	}
@@ -110,6 +111,22 @@ func inspect(path string) error {
 		fmt.Printf("  library ledger when served: %s\n", ledger)
 	}
 	return nil
+}
+
+// gaRows says which goals' GA-idx rows the image stores, and how many
+// (action, count) entries they hold: a version-1 image stores every goal's,
+// a later one only the rows of goals whose implementations share an action.
+func gaRows(d *core.SnapshotDescription) string {
+	var n uint64
+	for _, s := range d.Sections {
+		if s.Name == "ga-actions" {
+			n = s.Count
+		}
+	}
+	if d.Version < 2 {
+		return fmt.Sprintf("of every goal, %d entries", n)
+	}
+	return fmt.Sprintf("of goals whose implementations share an action, %d entries", n)
 }
 
 func verify(path string) error {

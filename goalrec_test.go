@@ -460,10 +460,15 @@ func TestRelatedGoals(t *testing.T) {
 }
 
 // TestRelatedGoalsMatchesOracle checks RelatedGoals, which reads each goal's
-// GA-idx row, on a flat library, on one extended by ingest (overlay goal rows)
-// and on a mapped snapshot, against the Jaccard of the sorted union of each
-// goal's implementations' actions, recomputed from the source rows. The
-// reads alias the library's rows, so these must be unchanged afterwards.
+// whole GA row — stored, or assembled from the implementation rows of a goal
+// whose implementations share no action — and Stats against the Jaccard of
+// the sorted union of each goal's implementations' actions and the shape
+// statistics, recomputed from the source rows. The libraries hold goals of
+// every kind (random ones that mostly share actions, a single-implementation
+// one, action-disjoint ones) and come flat, through an ingest history — a
+// disjoint goal made to share an action, one kept disjoint, a new goal, then
+// a compaction — and mapped. The reads alias the library's rows, so these
+// must be unchanged afterwards.
 func TestRelatedGoalsMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	type row struct {
@@ -480,7 +485,11 @@ func TestRelatedGoalsMatchesOracle(t *testing.T) {
 		}
 		return rows
 	}
-	base, more := randomRows(40), randomRows(15)
+	base := append(randomRows(40),
+		row{"single", []string{"a1", "a2"}},
+		row{"disjoint-0", []string{"a1", "a2"}}, row{"disjoint-0", []string{"a3"}},
+		row{"disjoint-1", []string{"a4"}}, row{"disjoint-1", []string{"a5", "a6"}})
+	r.Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
 	b := NewBuilder()
 	for _, rw := range base {
 		if err := b.AddImplementation(rw.goal, rw.actions...); err != nil {
@@ -489,46 +498,79 @@ func TestRelatedGoalsMatchesOracle(t *testing.T) {
 	}
 	flat := b.Build()
 
+	type libCase struct {
+		name string
+		lib  *Library
+		rows []row
+	}
+	cases := []libCase{{"flat", flat, base}}
 	e := NewEngineFromLibrary(flat)
-	for _, rw := range more {
-		if err := e.AddImplementation(rw.goal, rw.actions...); err != nil {
+	rows := slices.Clone(base)
+	for _, step := range []struct {
+		name string
+		add  []row
+	}{
+		{"disjoint goal made to share an action", []row{{"disjoint-0", []string{"a2", "a7"}}}},
+		{"disjoint goal kept disjoint", []row{{"disjoint-1", []string{"a8"}}}},
+		{"new goal", []row{{"new", []string{"a1", "a9"}}}},
+		{"compaction", randomRows(15)},
+	} {
+		if step.name == "compaction" {
+			e.dyn.SetCompactionThreshold(1)
+		}
+		batch := make([]Implementation, len(step.add)) // one publish per step
+		for i, rw := range step.add {
+			batch[i] = Implementation{Goal: rw.goal, Actions: rw.actions}
+		}
+		if _, err := e.AddImplementations(batch); err != nil {
 			t.Fatal(err)
 		}
+		rows = append(rows, step.add...)
+		cases = append(cases, libCase{step.name, e.Snapshot(), slices.Clone(rows)})
 	}
-	extended := e.Snapshot()
-	if extended.lib.Overlay().GoalRows == 0 {
+	if extended := cases[3].lib.lib; extended.Overlay().GoalRows == 0 {
 		t.Fatal("the ingest left no overlay goal rows")
 	}
+	if compacted := cases[4].lib.lib; compacted.TailImplementations() != 0 {
+		t.Fatalf("the last ingest left %d implementations in the tail", compacted.TailImplementations())
+	}
+	for _, c := range []libCase{cases[0], cases[3]} {
+		path := filepath.Join(t.TempDir(), "lib.gsnp")
+		if err := c.lib.SaveSnapshotFile(path, false); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := OpenSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		if !snap.Library().lib.Mapped() {
+			t.Fatal("the snapshot library is not mapped")
+		}
+		cases = append(cases, libCase{"mapped " + c.name, snap.Library(), c.rows})
+	}
 
-	path := filepath.Join(t.TempDir(), "lib.gsnp")
-	if err := flat.SaveSnapshotFile(path, false); err != nil {
-		t.Fatal(err)
+	// union is every goal's sorted union of its implementations' actions.
+	union := func(rows []row) map[string][]string {
+		u := map[string][]string{}
+		for _, rw := range rows {
+			u[rw.goal] = append(u[rw.goal], rw.actions...)
+		}
+		for g, acts := range u {
+			slices.Sort(acts)
+			u[g] = slices.Compact(acts)
+		}
+		return u
 	}
-	snap, err := OpenSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	if !snap.Library().lib.Mapped() {
-		t.Fatal("the snapshot library is not mapped")
-	}
-
 	// oracle is RelatedGoals by definition over rows.
 	oracle := func(rows []row, goal string) []RelatedGoal {
-		union := map[string][]string{}
-		for _, rw := range rows {
-			union[rw.goal] = append(union[rw.goal], rw.actions...)
-		}
-		for g, acts := range union {
-			slices.Sort(acts)
-			union[g] = slices.Compact(acts)
-		}
-		ref, ok := union[goal]
+		u := union(rows)
+		ref, ok := u[goal]
 		if !ok {
 			return nil
 		}
 		var out []RelatedGoal
-		for g, other := range union {
+		for g, other := range u {
 			shared := 0
 			for _, a := range other {
 				if _, found := slices.BinarySearch(ref, a); found {
@@ -552,16 +594,38 @@ func TestRelatedGoalsMatchesOracle(t *testing.T) {
 		})
 		return out
 	}
+	// naiveStats is Stats by definition over rows, in the id spaces of lib.
+	naiveStats := func(rows []row, lib *Library) Stats {
+		s := Stats{Implementations: len(rows), ActionIDSpace: lib.NumActions(), GoalIDSpace: lib.NumGoals()}
+		degree := map[string]int{}
+		for _, rw := range rows {
+			acts := slices.Clone(rw.actions)
+			slices.Sort(acts)
+			acts = slices.Compact(acts)
+			s.TotalSlots += len(acts)
+			s.MaxImplLen = max(s.MaxImplLen, len(acts))
+			for _, a := range acts {
+				degree[a]++
+				s.MaxConnectivity = max(s.MaxConnectivity, degree[a])
+			}
+		}
+		u := union(rows)
+		pairs := 0
+		for _, acts := range u {
+			pairs += len(acts)
+		}
+		s.Actions, s.Goals = len(degree), len(u)
+		s.AvgImplLen = float64(s.TotalSlots) / float64(s.Implementations)
+		s.Connectivity = float64(s.TotalSlots) / float64(s.Actions)
+		s.AvgImplsPerGoal = float64(s.Implementations) / float64(s.Goals)
+		s.AvgGoalsPerAction = float64(pairs) / float64(s.Actions)
+		return s
+	}
 
-	for _, tc := range []struct {
-		name string
-		lib  *Library
-		rows []row
-	}{
-		{"flat", flat, base},
-		{"extended", extended, append(slices.Clone(base), more...)},
-		{"mapped", snap.Library(), base},
-	} {
+	for _, tc := range cases {
+		if got, want := tc.lib.Stats(), naiveStats(tc.rows, tc.lib); got != want {
+			t.Errorf("%s: Stats() = %+v, want %+v", tc.name, got, want)
+		}
 		cl := tc.lib.lib
 		before := make([][]core.ActionID, cl.NumGoals())
 		for g := range before {

@@ -295,13 +295,17 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	nl.ovAct = acts.ovTable
 
 	// Goal rows: the G-GI-idx row and the GA-idx row — the transpose merge
-	// of the goal's old (action, count) row with the pending per-action
-	// increments.
+	// of the goal's old (action, count) row, stored or assembled from its
+	// implementations, with the pending per-action increments. The merged GA
+	// row is kept only when the goal's implementations now share an action,
+	// as buildIndexes keeps it.
 	goals := prev.ovGoal.extend(d.numGoals)
 	for g, ids := range pendGoal {
 		r := &goalRow{post: slices.Concat(prev.ImplsOfGoal(g), ids)}
 		oldA, oldC := prev.ActionsOfGoal(g)
-		r.gaAct, r.gaCnt = mergeCounts(oldA, oldC, pendGA[g])
+		if acts, cnts := mergeCounts(oldA, oldC, pendGA[g]); sharesAction(cnts) {
+			r.gaAct, r.gaCnt = acts, cnts
+		}
 		goals.set(int32(g), r)
 	}
 	nl.ovGoal = goals.ovTable

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"goalrec/internal/intset"
 )
@@ -162,50 +163,43 @@ func (l *Library) buildIndexes() {
 		gCursor[g]++
 	}
 
-	// GA-idx: per-goal sorted (action, count) pairs, count = number of the
-	// goal's implementations containing the action. Built in two linear
-	// passes over the A-GI-idx: iterating actions in increasing id order leaves
-	// every goal row sorted with no per-goal sort. lastAct[g] tracks the action
-	// currently being appended for goal g, so a repeat occurrence within the
-	// same action increments the count in place. Goal-major scans read these
-	// contiguous rows instead of dereferencing each implementation of the
-	// goal, so their cost — and cache behavior — is independent of how
-	// implementation ids are laid out.
-	lastAct := make([]ActionID, nGoal)
-	for i := range lastAct {
-		lastAct[i] = -1
-	}
-	gaCount := make([]int32, nGoal+1)
-	for a := ActionID(0); int(a) < nAct; a++ {
-		for _, p := range l.actPost[l.actOff[a]:l.actOff[a+1]] {
-			if g := l.implGoal[p]; lastAct[g] != a {
-				lastAct[g] = a
-				gaCount[g+1]++
+	// GA-idx: the sorted (action, count) row of every goal whose
+	// implementations share an action, count = number of the goal's
+	// implementations containing the action. Every other goal stores an
+	// empty row: its implementations are action-disjoint, so each of its
+	// multiplicities is 1 and its row is the union of its implementation
+	// rows, which the scans walk instead (StoredGoalRow). One goal-major pass
+	// over the G-GI-idx counts each goal's actions in cnt, listing them in
+	// touched; a goal with one implementation shares nothing and is skipped.
+	l.gaOff = make([]int32, nGoal+1)
+	l.gaAct, l.gaCnt = nil, nil
+	cnt := make([]int32, nAct)
+	var touched []ActionID
+	for g := 0; g < nGoal; g++ {
+		if impls := l.goalPost[l.goalOff[g]:l.goalOff[g+1]]; len(impls) > 1 {
+			shared := false
+			for _, p := range impls {
+				for _, a := range l.implActions(p) {
+					if cnt[a]++; cnt[a] == 1 {
+						touched = append(touched, a)
+					} else {
+						shared = true
+					}
+				}
 			}
-		}
-	}
-	for i := 1; i <= nGoal; i++ {
-		gaCount[i] += gaCount[i-1]
-	}
-	l.gaOff = gaCount
-	l.gaAct = make([]ActionID, gaCount[nGoal])
-	l.gaCnt = make([]int32, gaCount[nGoal])
-	gaCursor := append([]int32(nil), gaCount[:nGoal]...)
-	for i := range lastAct {
-		lastAct[i] = -1
-	}
-	for a := ActionID(0); int(a) < nAct; a++ {
-		for _, p := range l.actPost[l.actOff[a]:l.actOff[a+1]] {
-			g := l.implGoal[p]
-			if lastAct[g] != a {
-				lastAct[g] = a
-				l.gaAct[gaCursor[g]] = a
-				l.gaCnt[gaCursor[g]] = 1
-				gaCursor[g]++
-			} else {
-				l.gaCnt[gaCursor[g]-1]++
+			if shared {
+				slices.Sort(touched)
+				for _, a := range touched {
+					l.gaAct = append(l.gaAct, a)
+					l.gaCnt = append(l.gaCnt, cnt[a])
+				}
 			}
+			for _, a := range touched {
+				cnt[a] = 0
+			}
+			touched = touched[:0]
 		}
+		l.gaOff[g+1] = int32(len(l.gaAct))
 	}
 
 	l.maxImplLen = 0
@@ -221,6 +215,12 @@ func (l *Library) buildIndexes() {
 //	A-GI-idx: action -> implementations containing it
 //	G-GI-idx: goal   -> implementations fulfilling it
 //	GA-idx:   goal   -> distinct (action, multiplicity) pairs
+//
+// The GA-idx stores the row of a goal only when some multiplicity in it is
+// above 1, i.e. when two of the goal's implementations share an action. Every
+// other goal's implementations are action-disjoint, and its row — each action
+// of each implementation, multiplicity 1 — is its G-GI-idx and GI-A-idx rows
+// read in turn (StoredGoalRow, ActionsOfGoal).
 //
 // An action's goals and their multiplicities are not stored: they are one
 // GI-G lookup per posting of the action's A-GI-idx row away, and every
@@ -258,7 +258,9 @@ type Library struct {
 
 	// GA-idx: per-goal sorted distinct actions with multiplicities, in CSR
 	// form. gaCnt[i] is the number of the goal's implementations containing
-	// gaAct[i], always ≥ 1.
+	// gaAct[i], always ≥ 1. A goal whose multiplicities are all 1 may store an
+	// empty row, and a library built here always does; an image written
+	// before rows were dropped stores every row.
 	gaOff []int32 // CSR offsets into gaAct/gaCnt, len numGoals+1
 	gaAct []ActionID
 	gaCnt []int32
@@ -411,12 +413,15 @@ func (l *Library) ActionDegree(a ActionID) int {
 	return 0
 }
 
-// ActionsOfGoal returns the GA-idx row of goal g: the sorted distinct
-// actions appearing in the goal's implementations, with the per-action
-// multiplicity (how many of the goal's implementations contain the action).
-// Both slices are views into the library and must not be modified. Ids
-// outside the library yield empty slices.
-func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
+// StoredGoalRow returns the GA-idx row goal g stores: its sorted distinct
+// actions with their multiplicities (how many of the goal's implementations
+// contain each), as views into the library that must not be modified. The
+// row is empty when the goal stores none, which it may only when every
+// multiplicity is 1: its implementations are then action-disjoint, and
+// walking ImplsOfGoal(g) and each one's Actions visits every action of its
+// row exactly once. Scans that visit a goal's row read this; anything that
+// wants the row itself calls ActionsOfGoal.
+func (l *Library) StoredGoalRow(g GoalID) ([]ActionID, []int32) {
 	if uint32(g) < uint32(l.numGoals) {
 		if l.ovGoal.pages != nil {
 			if r := l.ovGoal.pages[g>>ovPageBits][g&(ovPageRows-1)]; r != nil {
@@ -431,11 +436,54 @@ func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
 	return nil, nil
 }
 
+// ActionsOfGoal returns the whole GA-idx row of goal g: the sorted distinct
+// actions appearing in the goal's implementations, with the per-action
+// multiplicity. A stored row comes back as views into the library; the row of
+// a goal that stores none is assembled from its implementation rows, every
+// multiplicity 1, into fresh slices. Neither may be modified. Ids outside the
+// library and goals without implementations yield empty slices.
+func (l *Library) ActionsOfGoal(g GoalID) ([]ActionID, []int32) {
+	if acts, cnts := l.StoredGoalRow(g); len(acts) > 0 {
+		return acts, cnts
+	}
+	var acts []ActionID
+	for _, p := range l.ImplsOfGoal(g) {
+		acts = append(acts, l.implActions(p)...)
+	}
+	if acts == nil {
+		return nil, nil
+	}
+	slices.Sort(acts)
+	cnts := make([]int32, len(acts))
+	for i := range cnts {
+		cnts[i] = 1
+	}
+	return acts, cnts
+}
+
 // GoalActionCount returns the number of distinct actions of goal g: the
-// GA-idx row length, the exact cost of a goal-major visit of the goal.
+// GA-idx row length, the exact cost of a goal-major visit of the goal. It
+// assembles no row.
 func (l *Library) GoalActionCount(g GoalID) int {
-	acts, _ := l.ActionsOfGoal(g)
-	return len(acts)
+	if acts, _ := l.StoredGoalRow(g); len(acts) > 0 {
+		return len(acts)
+	}
+	n := 0
+	for _, p := range l.ImplsOfGoal(g) {
+		n += l.ImplLen(p)
+	}
+	return n
+}
+
+// sharesAction reports whether a GA row with the multiplicities cnts must be
+// stored: whether two of the goal's implementations share an action.
+func sharesAction(cnts []int32) bool {
+	for _, c := range cnts {
+		if c > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // Implementation materializes implementation p as a value with its own

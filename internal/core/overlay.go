@@ -22,8 +22,9 @@ type actRow struct {
 	post []ImplID
 }
 
-// goalRow overlays one touched goal: its merged G-GI-idx row and its merged
-// GA-idx row.
+// goalRow overlays one touched goal: its merged G-GI-idx row and, when the
+// goal's implementations share an action, its merged GA-idx row (nil
+// otherwise, as buildIndexes stores it).
 type goalRow struct {
 	post  []ImplID
 	gaAct []ActionID
@@ -39,9 +40,10 @@ type ovPage[R any] [ovPageRows]*R
 // pages[id>>ovPageBits][id&(ovPageRows-1)] behind a single nil check. The
 // Library accessors write that expression out instead of calling a method:
 // inlined through one they exceed the compiler's inlining budget, and the
-// strategies' inner loops (Best Match reads ActionsOfGoal once per goal of
-// the goal space) then pay a call per row — measured as ≈10 % more daemon CPU
-// per request on the benchmark's best-match workload.
+// strategies' inner loops (Best Match reads StoredGoalRow once per goal of
+// the goal space, and ImplsOfGoal for each goal that stores none) then pay a
+// call per row — measured as ≈10 % more daemon CPU per request on the
+// benchmark's best-match workload.
 type ovTable[R any] struct {
 	pages []*ovPage[R]
 	empty *ovPage[R] // stands in for every page without a row

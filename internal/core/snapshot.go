@@ -26,6 +26,10 @@ import (
 // over the mapping: no section is decoded or rebuilt at open.
 //
 // A snapshot persists every stored index, not just the implementation CSR.
+// Version 2 stores a goal's GA-idx row only when its implementations share an
+// action (see Library); version 1 stored every row. The layout is otherwise
+// the same, and both open through the same code: a version-1 image is one
+// whose every row is stored, which is still a true row.
 // Section ids of retired indexes (the AG-idx, the per-goal walk costs, the
 // block-max and compressed-posting sections) stay reserved: an image that
 // carries them opens, and their bytes are never read.
@@ -39,7 +43,11 @@ import (
 
 const (
 	snapshotMagic   = uint32(0x504e5347) // "GSNP" when read little-endian
-	snapshotVersion = uint32(1)
+	snapshotVersion = uint32(2)
+
+	// snapshotMinVersion is the oldest version that opens: version 1, which
+	// stored every GA-idx row.
+	snapshotMinVersion = uint32(1)
 
 	// snapAlign is the byte alignment of every section, generous enough for
 	// any element type and cache-line friendly.
@@ -311,13 +319,24 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	if int(actOff[nAct]) != nSlots {
 		return nil, fmt.Errorf("core: inconsistent library: %d postings for %d slots", actOff[nAct], nSlots)
 	}
+	// Only the GA rows of goals whose implementations share an action are
+	// written, whatever l stores: a version-1 base stores every row.
 	goalOff := make([]int32, nGoal+1)
 	gaOff := make([]int32, nGoal+1)
-	nGA := uint64(0)
 	for g := 0; g < nGoal; g++ {
 		goalOff[g+1] = goalOff[g] + int32(len(l.ImplsOfGoal(GoalID(g))))
-		gaOff[g+1] = gaOff[g] + int32(l.GoalActionCount(GoalID(g)))
-		nGA += uint64(l.GoalActionCount(GoalID(g)))
+		gaOff[g+1] = gaOff[g]
+		if _, cnts := l.StoredGoalRow(GoalID(g)); sharesAction(cnts) {
+			gaOff[g+1] += int32(len(cnts))
+		}
+	}
+	nGA := uint64(gaOff[nGoal])
+	// gaRow is the row written for g: its stored row when gaOff keeps one.
+	gaRow := func(g int) ([]ActionID, []int32) {
+		if gaOff[g+1] == gaOff[g] {
+			return nil, nil
+		}
+		return l.StoredGoalRow(GoalID(g))
 	}
 	if int(goalOff[nGoal]) != nImpl {
 		return nil, fmt.Errorf("core: inconsistent library: %d goal postings for %d implementations", goalOff[nGoal], nImpl)
@@ -384,13 +403,13 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		snapSection{id: secGaOff, elem: 4, count: uint64(nGoal + 1), emit: func(sw *snapWriter) { sw.writeI32s(gaOff) }},
 		snapSection{id: secGaAct, elem: 4, count: nGA, emit: func(sw *snapWriter) {
 			for g := 0; g < nGoal && sw.err == nil; g++ {
-				acts, _ := l.ActionsOfGoal(GoalID(g))
+				acts, _ := gaRow(g)
 				writeI32Slice(sw, acts)
 			}
 		}},
 		snapSection{id: secGaCnt, elem: 4, count: nGA, emit: func(sw *snapWriter) {
 			for g := 0; g < nGoal && sw.err == nil; g++ {
-				_, cnts := l.ActionsOfGoal(GoalID(g))
+				_, cnts := gaRow(g)
 				sw.writeI32s(cnts)
 			}
 		}},
@@ -430,6 +449,11 @@ func WriteSnapshot(w io.Writer, l *Library, vocab *Vocabulary, opts SnapshotOpti
 	if err != nil {
 		return err
 	}
+	return p.write(w)
+}
+
+// write lays the planned sections out and writes the image to w.
+func (p *snapPlan) write(w io.Writer) error {
 	secs := p.secs
 
 	// Assign aligned offsets.
@@ -866,7 +890,7 @@ func snapshotSections(data []byte, size uint64) (map[uint32]snapSection, uint32,
 	if m := binary.LittleEndian.Uint32(data[0:]); m != snapshotMagic {
 		return nil, 0, fmt.Errorf("bad magic %#x", m)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != snapshotVersion {
+	if v := binary.LittleEndian.Uint32(data[4:]); v < snapshotMinVersion || v > snapshotVersion {
 		return nil, 0, fmt.Errorf("unsupported snapshot version %d", v)
 	}
 	flags := binary.LittleEndian.Uint32(data[8:])
@@ -1076,9 +1100,11 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID, tabID uin
 // VerifySnapshot walks every section of an open snapshot and checks the deep
 // CSR invariants — offsets from 0, never decreasing and ending within their
 // section, checked before any row is sliced; strictly increasing sorted
-// rows; ids in range — that every vocabulary name is plausible, that each
-// sealed name table is the one buildNameTable lays out for its names, and
-// that a sealed vocabulary checksum is its names'. It is linear in the
+// rows; ids in range — that every stored GA row holds its goal's
+// multiplicities as the implementation rows give them and a goal storing none
+// has action-disjoint implementations, that every vocabulary name is
+// plausible, that each sealed name table is the one buildNameTable lays out
+// for its names, and that a sealed vocabulary checksum is its names'. It is linear in the
 // snapshot; OpenSnapshotVerified runs it on an image without a checksum
 // footer.
 func VerifySnapshot(s *Snapshot) error {
@@ -1162,16 +1188,17 @@ func VerifySnapshot(s *Snapshot) error {
 			}
 		}
 	}
+	// mark[a] follows action a through the goal at hand: a stored row sets
+	// it to the goal and the row's count, each implementation containing a
+	// takes one off; without a stored row the first implementation containing
+	// a claims it for the goal, and a second one is a shared action.
+	type gaMark struct{ goal, n int32 }
+	mark := make([]gaMark, nAct)
+	for a := range mark {
+		mark[a].goal = -1
+	}
 	for g := 0; g < nGoal; g++ {
-		for _, p := range l.ImplsOfGoal(GoalID(g)) {
-			if p < 0 || int(p) >= nImpl {
-				return fmt.Errorf("core: goal %d: posting %d out of range", g, p)
-			}
-			if l.implGoal[p] != GoalID(g) {
-				return fmt.Errorf("core: goal %d: posting %d fulfills goal %d", g, p, l.implGoal[p])
-			}
-		}
-		acts, cnts := l.ActionsOfGoal(GoalID(g))
+		acts, cnts := l.StoredGoalRow(GoalID(g))
 		for i, a := range acts {
 			if a < 0 || int(a) >= nAct {
 				return fmt.Errorf("core: goal %d: GA action %d out of range", g, a)
@@ -1181,6 +1208,32 @@ func VerifySnapshot(s *Snapshot) error {
 			}
 			if cnts[i] <= 0 {
 				return fmt.Errorf("core: goal %d: non-positive GA count", g)
+			}
+			mark[a] = gaMark{int32(g), cnts[i]}
+		}
+		for _, p := range l.ImplsOfGoal(GoalID(g)) {
+			if p < 0 || int(p) >= nImpl {
+				return fmt.Errorf("core: goal %d: posting %d out of range", g, p)
+			}
+			if l.implGoal[p] != GoalID(g) {
+				return fmt.Errorf("core: goal %d: posting %d fulfills goal %d", g, p, l.implGoal[p])
+			}
+			for _, a := range l.implActs[l.implOff[p]:l.implOff[p+1]] {
+				switch m := &mark[a]; {
+				case len(acts) == 0 && m.goal == int32(g):
+					return fmt.Errorf("core: goal %d: implementations share action %d, and the goal stores no GA row", g, a)
+				case len(acts) == 0:
+					m.goal = int32(g)
+				case m.goal != int32(g) || m.n == 0:
+					return fmt.Errorf("core: goal %d: GA row counts action %d fewer times than its implementations", g, a)
+				default:
+					m.n--
+				}
+			}
+		}
+		for _, a := range acts {
+			if mark[a].n != 0 {
+				return fmt.Errorf("core: goal %d: GA row counts action %d more times than its implementations", g, a)
 			}
 		}
 	}

@@ -33,9 +33,10 @@ func copyRefused(err error) error { return fmt.Errorf("%w: %w", ErrCopyRefused, 
 
 // CopySnapshotFileFS persists l, the unextended image of the keyed snapshot
 // file at src, to dst as WriteSnapshotFileFS would: same bytes, except that
-// the header carries l's epoch. It copies src through read instead of
-// serialising l, so the pages of a mapping l is served from are never
-// touched.
+// the header carries l's epoch — and a version-1 src, which stores every GA
+// row, stays version 1, as any version that opens serves l alike. It copies
+// src through read instead of serialising l, so the pages of a mapping l is
+// served from are never touched.
 //
 // Before anything is written it checks, on one descriptor: the header CRC
 // and the geometry against the file's size, the source-key section against
@@ -142,7 +143,8 @@ func checkCopySource(sf *snapFile, key []byte, l *Library) (end uint64, err erro
 // LinkSnapshotFileFS persists l, the unextended image of the keyed snapshot
 // file at src, to dst as a hard link to src when src's header already
 // carries l's epoch: src is then byte for byte the image WriteSnapshotFileFS
-// would write of l, and no byte is written. It reports false and does
+// would write of l (or, for a version-1 src, the image an older writer
+// wrote of it), and no byte is written. It reports false and does
 // nothing when the epochs differ; the caller copies src instead
 // (CopySnapshotFileFS). When dst already is src's file it reports true and
 // does nothing.

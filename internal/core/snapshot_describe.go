@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"goalrec/internal/faultfs"
 )
@@ -128,7 +129,10 @@ func describeSnapshot(head []byte, size uint64, readAt func(p []byte, off int64)
 			Offset: s.off, Bytes: s.count * uint64(s.elem),
 		})
 	}
-	sort.Slice(d.Sections, func(i, j int) bool { return d.Sections[i].Offset < d.Sections[j].Offset })
+	// In file order; an empty section shares its offset with the next one.
+	slices.SortFunc(d.Sections, func(a, b SnapshotSectionInfo) int {
+		return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Bytes, b.Bytes), cmp.Compare(a.ID, b.ID))
+	})
 	key, stamp, err := readSource(secs, readAt)
 	if err != nil {
 		return nil, err

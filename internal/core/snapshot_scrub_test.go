@@ -237,6 +237,11 @@ type verifiedOpenFixture struct {
 	// footer sealed over it as a writer would.
 	vocab                                  *Vocabulary
 	namePastBlob, sumFlipped, sumPastNames []byte
+	// gaCountRaised is stamped with the first stored GA count one higher,
+	// and gaRowEmptied with the end offset of the first stored GA row moved
+	// to its start — a goal whose implementations share an action left
+	// without a row — each under a footer sealed over it.
+	gaCountRaised, gaRowEmptied []byte
 }
 
 func newVerifiedOpenFixture(t *testing.T) *verifiedOpenFixture {
@@ -269,11 +274,27 @@ func newVerifiedOpenFixture(t *testing.T) *verifiedOpenFixture {
 	if df, err := DescribeSnapshotFile(nil, path); err != nil || !reflect.DeepEqual(df, d) {
 		t.Fatalf("DescribeSnapshotFile = %+v, %v; DescribeSnapshot of its bytes %+v", df, err, d)
 	}
+	ga := make(map[string]SnapshotSectionInfo)
 	for _, s := range d.Sections {
 		if s.Name == "source-stamp" {
 			f.stampAt = s.Offset
 		}
+		ga[s.Name] = s
 	}
+	resealFooter := func(img []byte) []byte {
+		end := len(img) - snapFooterSize
+		binary.LittleEndian.PutUint32(img[end+4:], crc32.ChecksumIEEE(img[:end]))
+		return img
+	}
+	f.gaCountRaised = bytes.Clone(f.stamped)
+	at := ga["ga-counts"].Offset
+	binary.LittleEndian.PutUint32(f.gaCountRaised[at:], binary.LittleEndian.Uint32(f.gaCountRaised[at:])+1)
+	resealFooter(f.gaCountRaised)
+	g := storedGoals(f.lib)[0]
+	f.gaRowEmptied = bytes.Clone(f.stamped)
+	at = ga["ga-offsets"].Offset + 4*uint64(g+1)
+	binary.LittleEndian.PutUint32(f.gaRowEmptied[at:], binary.LittleEndian.Uint32(f.gaRowEmptied[at-4:]))
+	resealFooter(f.gaRowEmptied)
 
 	f.vocab = NewVocabulary()
 	for a := 0; a < f.lib.NumActions(); a++ {
@@ -385,6 +406,10 @@ type verifiedOpenCase struct {
 	reason string                      // "" when the image opens
 	is     error                       // what a refusal must wrap
 	check  func(*testing.T, *Snapshot) // more to hold an opened image to
+	// verify, when set, is what VerifySnapshot must refuse an image that
+	// opens for, its footer vouching for bytes no writer wrote; it is not
+	// held to f.lib.
+	verify string
 }
 
 // runVerifiedOpenCases writes each case's image to a file and opens it with
@@ -404,6 +429,12 @@ func runVerifiedOpenCases(t *testing.T, f *verifiedOpenFixture, cases []verified
 					t.Fatalf("refused: %v", err)
 				}
 				defer snap.Close()
+				if tc.verify != "" {
+					if err := VerifySnapshot(snap); err == nil || !strings.Contains(err.Error(), tc.verify) {
+						t.Fatalf("VerifySnapshot: %v, want a refusal naming %q", err, tc.verify)
+					}
+					return
+				}
 				assertLibrariesEqual(t, f.lib, snap.Library())
 				if gens, n := MappedSnapshots(); gens < 1 || n < int64(len(snap.data)) {
 					t.Fatalf("MappedSnapshots() = %d, %d with a %d-byte mapping open", gens, n, len(snap.data))
@@ -460,5 +491,9 @@ func TestOpenSnapshotVerified(t *testing.T) {
 		{name: "goal offset past the blob, footer resealed", file: f.namePastBlob, check: f.servesNoNamePastBlob},
 		{name: "vocabulary checksum flipped, footer resealed", file: f.sumFlipped, check: f.servesFlippedSum},
 		{name: "vocabulary checksum past the names, footer resealed", file: f.sumPastNames, reason: "vocabulary checksum over", is: ErrCorruptSnapshot},
+		{name: "GA count raised, footer resealed", file: f.gaCountRaised, verify: "more times than its implementations"},
+		{name: "GA row of a sharing goal emptied, footer resealed", file: f.gaRowEmptied, verify: "share action"},
+		{name: "GA count raised, footer stripped", file: f.gaCountRaised[:len(f.gaCountRaised)-snapFooterSize], reason: "more times than its implementations", is: ErrCorruptSnapshot},
+		{name: "GA row of a sharing goal emptied, footer stripped", file: f.gaRowEmptied[:len(f.gaRowEmptied)-snapFooterSize], reason: "share action", is: ErrCorruptSnapshot},
 	})
 }

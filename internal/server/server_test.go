@@ -280,7 +280,18 @@ func TestConcurrentRequests(t *testing.T) {
 // heap for a built one, mapped after a reload through the daemon's sidecar
 // load path — while /v1/stats stays byte-identical across the two.
 func TestMetricsLibraryBlock(t *testing.T) {
-	lib := testLibrary(t)
+	b := goalrec.NewBuilder()
+	for _, impl := range []goalrec.Implementation{
+		{Goal: "olivier salad", Actions: []string{"potatoes", "carrots", "pickles"}},
+		{Goal: "mashed potatoes", Actions: []string{"potatoes", "nutmeg", "butter"}},
+		{Goal: "pan-fried carrots", Actions: []string{"carrots", "nutmeg"}},
+		{Goal: "olivier salad", Actions: []string{"potatoes", "eggs"}},
+	} {
+		if err := b.AddImplementation(impl.Goal, impl.Actions...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib := b.Build()
 	path := filepath.Join(t.TempDir(), "lib.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
@@ -337,6 +348,12 @@ func TestMetricsLibraryBlock(t *testing.T) {
 	if heap.Backing != "heap" || heap.IndexBytes != parsed.Backing().IndexBytes || heap.IndexBytes.AGI == 0 ||
 		heap.VocabNames != parsed.Backing().VocabNames {
 		t.Fatalf("library block of a parsed library: %+v", heap)
+	}
+	// The GA-idx stores its 3+1 offsets and the one row of a goal whose
+	// implementations share an action: olivier salad's 4 (action, count)
+	// pairs, potatoes counted twice.
+	if want := int64(4*(3+1) + 8*4); heap.IndexBytes.GA != want {
+		t.Fatalf("index_bytes.ga %d, want %d", heap.IndexBytes.GA, want)
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/reload", ``); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %d %s", resp.StatusCode, body)

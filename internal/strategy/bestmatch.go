@@ -21,10 +21,10 @@ import (
 // candidates (core.GoalTally): H's posting rows, one GI-G lookup per
 // posting, or a view's implementation space (rankCounts). Every
 // metric is then scored goal-major on a dense, pooled scratch: one pass over
-// the GA-idx rows of GS(H) (goal → distinct actions with multiplicities)
+// the GA rows of GS(H) (goal → distinct actions with multiplicities) — the
+// stored row, or the goal's implementation rows when they share no action —
 // accumulates every candidate's sums at once, costing
-// O(Σ_{g∈GS(H)} |GA(g)|) regardless of connectivity or the
-// implementation-id layout (see DESIGN.md).
+// O(Σ_{g∈GS(H)} |GA(g)|) regardless of connectivity (see DESIGN.md).
 //
 // The pass accumulates integer-valued sums (bmSums) in float64, and bmScore
 // finishes every metric from them, bit-identical to the vectorspace distance
@@ -231,11 +231,13 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAct
 }
 
 // scoreGoalMajor scores every candidate at once by walking the goal space's
-// GA-idx rows: goal g's row pairs each distinct action a with its
-// multiplicity m (implementations of g containing a), which a folds into its
-// sums against profile[g]. Work is Σ_{g∈GS(H)} |distinct actions of g| over
-// contiguous rows — independent of connectivity and of the
-// implementation-id layout (no per-implementation dereferences). Every
+// GA rows: goal g's row pairs each distinct action a with its multiplicity m
+// (implementations of g containing a), which a folds into its sums against
+// profile[g]. A goal that stores its row is read from the GA-idx; one that
+// stores none has action-disjoint implementations, so walking their rows
+// visits each action of its row once with m = 1 — the same terms, since
+// every action's sums take one term per goal, in goal order either way. Work
+// is Σ_{g∈GS(H)} |distinct actions of g|, independent of connectivity. Every
 // accumulated term is an integer-valued float summed exactly below 2^53, so
 // the scores are bit-identical to the sparse per-candidate vectors'.
 func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
@@ -252,7 +254,32 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 	var tickErr error
 	for i, g := range s.goals.Goals {
 		pg := s.profile[i]
-		acts, mult := bm.lib.ActionsOfGoal(g)
+		acts, mult := bm.lib.StoredGoalRow(g)
+		if len(acts) == 0 {
+			// m = 1: m·pg = pg and m² = 1, exactly.
+			for _, p := range bm.lib.ImplsOfGoal(g) {
+				row := bm.lib.Actions(p)
+				if tickErr = tick.tick(len(row)); tickErr != nil {
+					break
+				}
+				for _, a := range row {
+					acc := &s.acc[a]
+					if acc[1] == 0 {
+						s.actTouched = append(s.actTouched, a)
+					}
+					acc[0] += pg
+					acc[1]++
+					if l1 {
+						s.accL1[a][0]++
+						s.accL1[a][1] += min(1, pg)
+					}
+				}
+			}
+			if tickErr != nil {
+				break
+			}
+			continue
+		}
 		if tickErr = tick.tick(len(acts)); tickErr != nil {
 			break
 		}

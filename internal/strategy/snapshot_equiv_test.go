@@ -58,17 +58,18 @@ func TestSnapshotRankingsMatchBuilder(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 1 + r.Intn(1500)
 		actionSpace := 2 + r.Intn(24)
-		lib := testlib.RandomLibrary(r, n, actionSpace, 20, 9)
+		lib := testlib.MixedLibrary(r, n, actionSpace, 20, 9)
 		h := intset.FromUnsorted(testlib.RandomActivity(r, actionSpace, 6))
 		k := 1 + r.Intn(15)
 		checkSnapshotEquiv(t, lib, h, k)
 	}
 }
 
-// FuzzSnapshotRoundTrip derives a random library and activity from the
-// fuzzed seeds, writes the library to a snapshot file, loads it back via
-// mmap, and asserts every strategy's ranking is bit-identical to the
-// in-memory builder library.
+// FuzzSnapshotRoundTrip derives a random library — goals that store a GA
+// row and goals that store none (testlib.MixedLibrary) — and an activity
+// from the fuzzed seeds, writes the library to a snapshot file, loads it
+// back via mmap, and asserts every strategy's ranking is bit-identical to
+// the in-memory builder library.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(77))
@@ -77,7 +78,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		r := rand.New(rand.NewSource(libSeed))
 		n := 1 + r.Intn(600)
 		actionSpace := 2 + r.Intn(30)
-		lib := testlib.RandomLibrary(r, n, actionSpace, 15, 8)
+		lib := testlib.MixedLibrary(r, n, actionSpace, 15, 8)
 		qr := rand.New(rand.NewSource(querySeed))
 		h := intset.FromUnsorted(testlib.RandomActivity(qr, actionSpace, 6))
 		k := 1 + qr.Intn(12)

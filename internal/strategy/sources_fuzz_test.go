@@ -7,8 +7,10 @@ import (
 	"goalrec/internal/testlib"
 )
 
-// FuzzSourceRankings derives a random library and activity from the fuzzed
-// seeds and drives the source table over it — every strategy and every Best
+// FuzzSourceRankings derives a random library — with goals of one
+// implementation, of action-disjoint ones and of ones that share an action
+// (testlib.MixedLibrary) — and an activity from the fuzzed seeds and drives
+// the source table over it — every strategy and every Best
 // Match metric, from the counter kernel (each Best Match scoring path
 // forced), a CounterView and 1/2/3-shard partials, against the naive oracle.
 func FuzzSourceRankings(f *testing.F) {
@@ -20,7 +22,7 @@ func FuzzSourceRankings(f *testing.F) {
 		r := rand.New(rand.NewSource(libSeed))
 		n := 1 + r.Intn(800)
 		actionSpace := 2 + r.Intn(30)
-		lib := testlib.RandomLibrary(r, n, actionSpace, 15, 8)
+		lib := testlib.MixedLibrary(r, n, actionSpace, 15, 8)
 		qr := rand.New(rand.NewSource(querySeed))
 		checkEverySource(t, lib, testlib.RandomActivity(qr, actionSpace, 6), "")
 	})

@@ -252,16 +252,110 @@ func testLayouts(t *testing.T, lib *core.Library) []*core.Library {
 	return []*core.Library{lib, mappedLibrary(t, lib)}
 }
 
-// TestSourcesMatchOracle drives the source table over random libraries, as
-// built and mapped.
+// TestSourcesMatchOracle drives the source table over random libraries with
+// goals of every kind the GA-idx tells apart, as built and mapped.
 func TestSourcesMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 12; trial++ {
 		n := 1 + r.Intn(1500)
 		actionSpace := 2 + r.Intn(24)
-		for _, lib := range testLayouts(t, testlib.RandomLibrary(r, n, actionSpace, 20, 9)) {
+		for _, lib := range testLayouts(t, testlib.MixedLibrary(r, n, actionSpace, 20, 9)) {
 			for q := 0; q < 3; q++ {
 				checkEverySource(t, lib, testlib.RandomActivity(r, actionSpace, 6), "")
+			}
+		}
+	}
+}
+
+// goalKinds sorts lib's goals with implementations into the three kinds the
+// GA-idx tells apart: one implementation, several action-disjoint ones
+// (neither stores a GA row), and several sharing an action (stores one).
+func goalKinds(lib *core.Library) (single, disjoint, shared []core.GoalID) {
+	for g := core.GoalID(0); int(g) < lib.NumGoals(); g++ {
+		stored, _ := lib.StoredGoalRow(g)
+		switch n := len(lib.ImplsOfGoal(g)); {
+		case n == 0:
+		case len(stored) > 0:
+			shared = append(shared, g)
+		case n == 1:
+			single = append(single, g)
+		default:
+			disjoint = append(disjoint, g)
+		}
+	}
+	return single, disjoint, shared
+}
+
+// TestMixedLibraryKinds: the oracle tables' generator yields every kind of
+// goal, however small the library.
+func TestMixedLibraryKinds(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		lib := testlib.MixedLibrary(r, 1+r.Intn(40), 2+r.Intn(30), 15, 8)
+		if single, disjoint, shared := goalKinds(lib); len(single) == 0 || len(disjoint) == 0 || len(shared) == 0 {
+			t.Fatalf("trial %d: %d single, %d disjoint, %d sharing goals", trial, len(single), len(disjoint), len(shared))
+		}
+	}
+}
+
+// TestBestMatchThroughIngest: every Best Match metric, from the kernel and a
+// CounterView, on each snapshot as built and behind an image, ranks as the
+// naive oracle does through a history that moves goals between the kinds —
+// an ingest that makes a disjoint goal share an action, one that keeps a
+// disjoint goal disjoint, one that adds a goal — and a compaction.
+func TestBestMatchThroughIngest(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	const actionSpace = 40
+	d := core.NewDynamicLibrary()
+	d.Swap(testlib.MixedLibrary(r, 12, actionSpace, 6, 6)) // small enough that 4 appends compact
+	d.SetCompactionThreshold(100)
+	_, disjoint, _ := goalKinds(d.Snapshot())
+	if len(disjoint) < 2 {
+		t.Fatalf("%d disjoint goals, want 2", len(disjoint))
+	}
+	overlap, kept := disjoint[0], disjoint[1]
+	rowOf := func(g core.GoalID) []core.ActionID {
+		acts, _ := d.Snapshot().ActionsOfGoal(g)
+		return acts
+	}
+	keptRow := rowOf(kept)
+	fresh := core.ActionID(0)
+	for intset.Contains(keptRow, fresh) {
+		fresh++
+	}
+	newGoal := core.GoalID(d.Snapshot().NumGoals())
+	for _, step := range []struct {
+		name    string
+		impl    core.Implementation
+		compact bool
+		stores  core.GoalID // a goal that must store its GA row after the step
+		walks   core.GoalID // a goal that must store none
+	}{
+		{"disjoint goal comes to share an action", core.Implementation{Goal: overlap, Actions: rowOf(overlap)[:1]}, false, overlap, kept},
+		{"disjoint goal stays disjoint", core.Implementation{Goal: kept, Actions: []core.ActionID{fresh}}, false, overlap, kept},
+		{"new goal", core.Implementation{Goal: newGoal, Actions: []core.ActionID{1, 2, 3}}, false, overlap, newGoal},
+		{"compaction", core.Implementation{Goal: overlap, Actions: rowOf(overlap)[:1]}, true, overlap, kept},
+	} {
+		if step.compact {
+			d.SetCompactionThreshold(1)
+		}
+		if _, err := d.Add(step.impl.Goal, step.impl.Actions); err != nil {
+			t.Fatal(err)
+		}
+		lib := d.Snapshot()
+		if flat := lib.TailImplementations() == 0; flat != step.compact {
+			t.Fatalf("%s: %d implementations in the tail", step.name, lib.TailImplementations())
+		}
+		if acts, _ := lib.StoredGoalRow(step.stores); len(acts) == 0 {
+			t.Fatalf("%s: goal %d stores no GA row", step.name, step.stores)
+		}
+		if acts, _ := lib.StoredGoalRow(step.walks); len(acts) != 0 {
+			t.Fatalf("%s: goal %d stores the GA row %v", step.name, step.walks, acts)
+		}
+		for _, l := range testLayouts(t, lib) {
+			for q := 0; q < 4; q++ {
+				h := append(testlib.RandomActivity(r, actionSpace, 4), step.impl.Actions[0])
+				checkEverySource(t, l, h, "best-match")
 			}
 		}
 	}

@@ -5,6 +5,7 @@ package testlib
 
 import (
 	"math/rand"
+	"slices"
 
 	"goalrec/internal/core"
 )
@@ -42,6 +43,60 @@ func RandomLibrary(r *rand.Rand, n, actionSpace, goalSpace, maxLen int) *core.Li
 			acts[j] = core.ActionID(r.Intn(actionSpace))
 		}
 		if _, err := b.Add(core.GoalID(r.Intn(goalSpace)), acts); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
+}
+
+// MixedLibrary builds a library whose goals come in the three kinds the
+// GA-idx tells apart: RandomLibrary's n implementations over goals
+// [0, goalSpace), whose implementations mostly share actions; one goal of
+// two implementations sharing an action; and after them 1+goalSpace/3 goals
+// of one implementation and as many of two to four action-disjoint ones. The
+// implementations are added in a random order, so a goal's implementations
+// lie scattered over the id space. actionSpace must be at least 2.
+func MixedLibrary(r *rand.Rand, n, actionSpace, goalSpace, maxLen int) *core.Library {
+	var impls []core.Implementation
+	randomActs := func() []core.ActionID {
+		acts := make([]core.ActionID, 1+r.Intn(maxLen))
+		for j := range acts {
+			acts[j] = core.ActionID(r.Intn(actionSpace))
+		}
+		return acts
+	}
+	for i := 0; i < n; i++ {
+		impls = append(impls, core.Implementation{Goal: core.GoalID(r.Intn(goalSpace)), Actions: randomActs()})
+	}
+	a := core.ActionID(r.Intn(actionSpace))
+	shared := core.GoalID(goalSpace)
+	impls = append(impls,
+		core.Implementation{Goal: shared, Actions: []core.ActionID{a, core.ActionID(r.Intn(actionSpace))}},
+		core.Implementation{Goal: shared, Actions: []core.ActionID{a}})
+	extra := 1 + goalSpace/3
+	for i := 0; i < extra; i++ {
+		impls = append(impls, core.Implementation{Goal: shared + 1 + core.GoalID(i), Actions: randomActs()})
+		// A disjoint goal: a random prefix of a permutation of the actions,
+		// cut into k non-empty runs.
+		g := shared + 1 + core.GoalID(extra+i)
+		k := min(2+r.Intn(3), actionSpace)
+		perm := r.Perm(actionSpace)[:k+r.Intn(min(actionSpace, k*maxLen)-k+1)]
+		cuts := append(r.Perm(len(perm) - 1)[:k-1], len(perm)-1)
+		slices.Sort(cuts)
+		lo := 0
+		for _, c := range cuts {
+			acts := make([]core.ActionID, 0, c+1-lo)
+			for _, id := range perm[lo : c+1] {
+				acts = append(acts, core.ActionID(id))
+			}
+			impls = append(impls, core.Implementation{Goal: g, Actions: acts})
+			lo = c + 1
+		}
+	}
+	r.Shuffle(len(impls), func(i, j int) { impls[i], impls[j] = impls[j], impls[i] })
+	b := core.NewBuilder(len(impls), (maxLen+1)/2)
+	for _, impl := range impls {
+		if _, err := b.Add(impl.Goal, impl.Actions); err != nil {
 			panic(err)
 		}
 	}
