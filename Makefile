@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench-e2e bench-e2e-compare bench-e2e-pairs microbench vet fmt lint errlint cover loc experiments soak cluster restart-replay torture clean
+.PHONY: all build test race bench-e2e bench-e2e-compare bench-e2e-pairs microbench microbench-pairs vet fmt lint errlint cover loc experiments soak cluster restart-replay torture clean
 
 all: vet test build
 
@@ -37,6 +37,16 @@ bench-e2e-pairs:
 
 microbench:
 	go test -run=XXX -bench=. -benchmem .
+
+# ROUNDS interleaved runs of the micro-benchmarks matching BENCH in PKG, one
+# test binary built on the parent commit PARENT and one on this working
+# tree, then each metric's medians, the change's wins and an exact sign test
+# (scripts/microbench_pairs.sh).
+PKG ?= ./internal/core
+BENCH ?= .
+ROUNDS ?= 8
+microbench-pairs:
+	scripts/microbench_pairs.sh $(PARENT) $(PKG) '$(BENCH)' $(ROUNDS)
 
 vet:
 	go vet ./...

@@ -132,7 +132,7 @@ func TestGoalSlotsSidecarOpens(t *testing.T) {
 	got, gotVocab := snap.Library(), snap.Vocabulary()
 	checkNameTables(t, got, gotVocab, false)
 	for _, d := range []struct{ opened, parsed *Interner }{{gotVocab.Actions, wantVocab.Actions}, {gotVocab.Goals, wantVocab.Goals}} {
-		for _, name := range d.parsed.Names() {
+		for _, name := range internedNames(d.parsed) {
 			want, _ := d.parsed.Lookup(name)
 			if id, ok := d.opened.Lookup(name); !ok || id != want {
 				t.Fatalf("Lookup(%q) = %d, %v through the built table; the parse has %d", name, id, ok, want)
@@ -182,7 +182,7 @@ func checkNameTables(t *testing.T, lib *Library, vocab *Vocabulary, sealed bool)
 		if st := in.Stats(); st.Sealed != sealed || st.BaseNames == 0 {
 			t.Fatalf("name table: %+v, want sealed %v", st, sealed)
 		}
-		for id, name := range in.Names() {
+		for id, name := range internedNames(in) {
 			if got, ok := in.Lookup(name); !ok || int(got) != id {
 				t.Fatalf("Lookup(%q) = %d, %v, want %d", name, got, ok, id)
 			}
@@ -228,8 +228,8 @@ func checkResealed(t *testing.T, lib *Library, vocab *Vocabulary) []byte {
 	if got, want := snap.Vocabulary().Checksum(nA, nG), vocab.Checksum(nA, nG); got != want {
 		t.Fatalf("the rewrite sealed checksum %#x, its names hash to %#x", got, want)
 	}
-	if !slices.Equal(snap.Vocabulary().Actions.baseTab, vocab.Actions.baseTab) ||
-		!slices.Equal(snap.Vocabulary().Goals.baseTab, vocab.Goals.baseTab) {
+	if !slices.Equal(snap.Vocabulary().Actions.base.tab, vocab.Actions.base.tab) ||
+		!slices.Equal(snap.Vocabulary().Goals.base.tab, vocab.Goals.base.tab) {
 		t.Fatal("the sealed tables differ from the ones built at open")
 	}
 	return out

@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -45,50 +47,46 @@ const (
 // so readers of an older library snapshot keep resolving their epoch's names
 // while an Engine interns new ones.
 //
-// An Interner comes in two shapes. Built by a parser or a Builder it is a
-// map plus a name slice on the heap. Opened from a snapshot it has a frozen
-// base: ids below baseLen are served straight from the snapshot's validated
-// (offsets, blob) sections — views, not copies — through a pointer-free
-// open-addressing table (see buildNameTable) that the image carries as a
-// section of its own, so a start builds nothing per name, the garbage
-// collector has nothing to scan, and base lookups take no lock. An image
-// written before the table was sealed gets the same table built on the heap
-// at open. Only names interned afterwards (engine ingest) go to the map and
-// the slice, with ids continuing at baseLen.
-//
-// Name lifetime: the base lives as long as the snapshot image does — until
-// Snapshot.Close unmaps it — but a name an Interner hands out must stay valid
-// for as long as its holder keeps it (a ranking kept across Store.Close).
-// Name and Names therefore copy base names out of the image; nothing the
-// Interner returns aliases it.
+// Names live in two segments of one packed form (nameSeg). The base, ids
+// below baseLen, views a snapshot image's sections and its sealed name table
+// (or one built at open), so a start builds nothing per name, the garbage
+// collector has nothing to scan and base lookups take no lock. The tail, on
+// the heap under mu, holds every name interned since, ids continuing at
+// baseLen; a parser's or a Builder's Interner has only a tail. A name handed
+// out must outlive the image Snapshot.Close unmaps (a ranking kept across
+// Store.Close), so Name copies a base name out: nothing aliases the image.
 type Interner struct {
 	// Frozen base, set once by newFrozenInterner and immutable afterwards.
-	baseOff    []uint64 // baseLen+1 cumulative offsets into baseBlob
-	baseBlob   []byte
-	baseTab    []int32 // buildNameTable's layout of the base names
+	base       nameSeg
 	baseLen    int32
-	baseSealed bool // baseTab is a view of the image, not built at open
+	baseSealed bool // base.tab is a view of the image, not built at open
 	baseMapped bool // the base sections lie in a file mapping
 
-	mu     sync.RWMutex
-	byName map[string]int32 // names interned beyond the base
-	names  []string         // names[i] has id baseLen+i
+	mu   sync.RWMutex
+	tail *nameSeg // names interned beyond the base, nil before the first
 }
 
-// NewInterner returns an empty Interner with capacity for n names.
+// nameSeg is a dictionary segment in the packed form a snapshot stores: name
+// id is blob[off[id]:off[id+1]], found through tab in buildNameTable's
+// layout. A bounded segment (image data) never serves an implausible name;
+// only sealing refuses a tail name longer than snapMaxName.
+type nameSeg struct {
+	off     []uint64
+	blob    []byte
+	tab     []int32
+	bounded bool
+}
+
+// NewInterner returns an empty Interner with room for n names' offsets.
 func NewInterner(n int) *Interner {
-	return &Interner{byName: make(map[string]int32, n), names: make([]string, 0, n)}
+	return &Interner{tail: &nameSeg{off: make([]uint64, 1, n+1)}}
 }
 
-// newFrozenInterner returns an Interner whose first len(off)-1 ids are the
-// names off delimits in blob, both of which it keeps views of, found through
-// tab: the image's sealed name table, or, when tab is nil, one built here.
-// With a sealed table it checks only what is O(1) — offsets that start at 0
-// and end at len(blob), a count that fits an id, a table of tableSize(n)
-// slots — and reads no other offset and no slot: baseName bounds every name
-// and lookupBase every probe, and VerifySnapshot walks both. Building a table
-// walks every offset and refuses an implausible name or one that occurs
-// twice.
+// newFrozenInterner returns an Interner whose base views the names off
+// delimits in blob, found through tab: the image's sealed table, checked only
+// in what is O(1) (nameSeg.name bounds every name, nameSeg.find every probe,
+// VerifySnapshot walks both), or, when tab is nil, one built here, refusing
+// an implausible or duplicate name.
 func newFrozenInterner(off []uint64, blob []byte, tab []int32) (*Interner, error) {
 	if len(off) == 0 || off[0] != 0 || off[len(off)-1] != uint64(len(blob)) {
 		return nil, fmt.Errorf("name offsets do not span the %d-byte blob", len(blob))
@@ -97,10 +95,10 @@ func newFrozenInterner(off []uint64, blob []byte, tab []int32) (*Interner, error
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("implausible name count %d", n)
 	}
-	in := &Interner{baseOff: off, baseBlob: blob, baseLen: int32(n), baseTab: tab, baseSealed: tab != nil}
+	in := &Interner{base: nameSeg{off: off, blob: blob, tab: tab, bounded: true}, baseLen: int32(n), baseSealed: tab != nil}
 	if tab == nil {
 		var err error
-		if in.baseTab, err = buildNameTable(off, blob); err != nil {
+		if in.base.tab, err = buildNameTable(off, blob); err != nil {
 			return nil, err
 		}
 	} else if len(tab) != tableSize(n) {
@@ -119,39 +117,40 @@ func tableSize(n int) int {
 	return size
 }
 
-// nameSlot is the first slot a name probes in a table of mask+1 slots: the
-// CRC-32C of its bytes, the same in every process, so the sealer and every
-// later open place and find a name alike.
-func nameSlot(name []byte, mask uint32) uint32 {
-	return crc32.Checksum(name, crc32.MakeTable(crc32.Castagnoli)) & mask
+// nameHash is the CRC-32C of a name's bytes, the same in every process: in a
+// table of mask+1 slots the name's probe starts at nameHash & mask, so the
+// sealer and every later open place and find a name alike.
+func nameHash(name []byte) uint32 {
+	tab := castagnoli.Load()
+	if tab == nil {
+		tab = crc32.MakeTable(crc32.Castagnoli)
+		castagnoli.Store(tab)
+	}
+	return crc32.Update(0, tab, name)
 }
+
+// castagnoli is crc32's Castagnoli table from nameHash's first call on, not
+// from every process start: its hardware tables take ≈ 0.25 ms to fill.
+var castagnoli atomic.Pointer[crc32.Table]
 
 // buildNameTable lays out the names (off, blob) delimits in an
 // open-addressing table of tableSize(n) slots: id+1 per occupied slot, 0 for
-// an empty one, each name at nameSlot or the first free slot after it, ids
-// placed in increasing order. The layout is a function of the names alone,
-// so a table built at open equals the one a sealer wrote. It is the one walk
-// over every name: a name whose offsets decrease, overrun the blob or span
-// more than snapMaxName bytes is refused before it is read, and so is a name
+// an empty one, each name at its first probe slot or the first free slot
+// after it, ids placed in increasing order. The layout is a function of the
+// names alone, so a table built at open equals the one a sealer wrote or a
+// tail grew. It refuses an implausible name before it is read, and a name
 // that occurs twice.
 func buildNameTable(off []uint64, blob []byte) ([]int32, error) {
-	n := len(off) - 1
-	tab := make([]int32, tableSize(n))
-	mask := uint32(len(tab) - 1)
-	for id := 0; id < n; id++ {
+	s := nameSeg{off: off, blob: blob, tab: make([]int32, tableSize(len(off)-1))}
+	for id := range int32(len(off) - 1) {
 		if !plausibleName(off[id], off[id+1], blob) {
 			return nil, fmt.Errorf("implausible name %d: bytes [%d, %d)", id, off[id], off[id+1])
 		}
-		name := blob[off[id]:off[id+1]]
-		i := nameSlot(name, mask)
-		for ; tab[i] != 0; i = (i + 1) & mask {
-			if other := tab[i] - 1; bytes.Equal(blob[off[other]:off[other+1]], name) {
-				return nil, fmt.Errorf("duplicate name %q (ids %d and %d)", name, other, id)
-			}
+		if other, ok := s.insert(id); !ok {
+			return nil, fmt.Errorf("duplicate name %q (ids %d and %d)", blob[off[id]:off[id+1]], other, id)
 		}
-		tab[i] = int32(id + 1)
 	}
-	return tab, nil
+	return s.tab, nil
 }
 
 // plausibleName reports whether the offsets [lo, hi) delimit a name within
@@ -160,172 +159,182 @@ func plausibleName(lo, hi uint64, blob []byte) bool {
 	return lo <= hi && hi <= uint64(len(blob)) && hi-lo <= snapMaxName
 }
 
-// baseName returns the bytes of base name id, aliasing the snapshot image,
-// or false when its offsets are not plausible. The offsets of a sealed base
-// are not walked at open, so this bound is what keeps an image the checksum
-// accepted but no sealer wrote from slicing out of bounds: such a name is
-// never served.
-func (in *Interner) baseName(id int32) ([]byte, bool) {
-	lo, hi := in.baseOff[id], in.baseOff[id+1]
-	if !plausibleName(lo, hi, in.baseBlob) {
-		return nil, false
+// len is the number of names in s; a nil segment holds none.
+func (s *nameSeg) len() int {
+	if s == nil {
+		return 0
 	}
-	return in.baseBlob[lo:hi], true
+	return len(s.off) - 1
 }
 
-// lookupBase probes the frozen base for name. It takes no lock: the base
-// never changes. A slot outside [1, baseLen] or naming an implausible name
-// never matches and the probe stops after len(baseTab) slots, so not even a
-// sealed image the checksum accepted but that no sealer wrote can send it out
-// of bounds or round the table forever.
-func (in *Interner) lookupBase(name string) (int32, bool) {
-	if in.baseLen == 0 {
-		return 0, false
+// name returns the bytes of name id, aliasing s, or false when s is nil, id
+// is out of range or, s being bounded, its offsets are not plausible: a
+// sealed base's offsets are not walked at open, and this bound keeps an image
+// the checksum accepted but no sealer wrote from slicing out of bounds.
+func (s *nameSeg) name(id int32) ([]byte, bool) {
+	if id < 0 || int(id) >= s.len() {
+		return nil, false
 	}
-	tab := in.baseTab
-	mask := uint32(len(tab) - 1)
-	i := nameSlot(unsafe.Slice(unsafe.StringData(name), len(name)), mask)
-	for range tab {
-		v := tab[i]
+	lo, hi := s.off[id], s.off[id+1]
+	if s.bounded && !plausibleName(lo, hi, s.blob) {
+		return nil, false
+	}
+	return s.blob[lo:hi], true
+}
+
+// find probes s for name, whose nameHash is h: its id and true, or false and
+// the empty slot where name would go. A slot naming no name s serves never
+// matches and the probe stops after len(tab) slots, so not even a table no
+// sealer wrote sends it out of bounds or round forever.
+func (s *nameSeg) find(name []byte, h uint32) (int32, uint32, bool) {
+	mask := uint32(len(s.tab) - 1)
+	i := h & mask
+	for range s.tab {
+		v := s.tab[i]
 		if v == 0 {
-			return 0, false
+			return 0, i, false
 		}
-		if v > 0 && v <= in.baseLen {
-			if b, ok := in.baseName(v - 1); ok && string(b) == name {
-				return v - 1, true
-			}
+		if b, ok := s.name(v - 1); ok && bytes.Equal(b, name) {
+			return v - 1, 0, true
 		}
 		i = (i + 1) & mask
 	}
-	return 0, false
+	return 0, i, false
+}
+
+// insert places name id in s.tab, which has an empty slot, at the end of the
+// name's probe path. When the probe meets an equal name it places nothing
+// and returns that name's id and false.
+func (s *nameSeg) insert(id int32) (int32, bool) {
+	name := s.blob[s.off[id]:s.off[id+1]]
+	other, slot, found := s.find(name, nameHash(name))
+	if found {
+		return other, false
+	}
+	s.tab[slot] = id + 1
+	return id, true
+}
+
+// grow appends name, which s does not hold, as its next id. A count that
+// outgrows the table gets a new one of tableSize slots, every id re-inserted
+// in order, so s.tab keeps buildNameTable's layout and seals as it stands.
+func (s *nameSeg) grow(name []byte) int32 {
+	s.blob = append(s.blob, name...)
+	s.off = append(s.off, uint64(len(s.blob)))
+	n := int32(s.len())
+	from := n - 1
+	if size := tableSize(int(n)); len(s.tab) != size {
+		s.tab, from = make([]int32, size), 0
+	}
+	for id := from; id < n; id++ {
+		s.insert(id)
+	}
+	return n - 1
 }
 
 // Intern returns the id for name, assigning the next dense id on first use.
 func (in *Interner) Intern(name string) int32 {
-	if id, ok := in.lookupBase(name); ok {
+	if id, ok := in.Lookup(name); ok {
 		return id
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.byName == nil {
-		in.byName = make(map[string]int32)
-	}
-	if id, ok := in.byName[name]; ok {
-		return id
-	}
-	id := in.baseLen + int32(len(in.names))
-	in.byName[name] = id
-	in.names = append(in.names, name)
-	return id
+	return in.internUnshared(unsafe.Slice(unsafe.StringData(name), len(name)))
 }
 
-// internUnshared is Intern for a NewInterner no other goroutine sees yet, a
-// loader's: it takes no lock, and a name already interned costs no
-// allocation, the lookup converting name without a copy.
+// internUnshared is Intern's tail half without the lock, for Intern and for
+// a loader's NewInterner, which has no base and no other user yet.
 func (in *Interner) internUnshared(name []byte) int32 {
-	if id, ok := in.byName[string(name)]; ok {
-		return id
+	if in.tail == nil {
+		in.tail = &nameSeg{off: []uint64{0}}
 	}
-	id := int32(len(in.names))
-	str := string(name)
-	in.byName[str] = id
-	in.names = append(in.names, str)
-	return id
+	if id, _, ok := in.tail.find(name, nameHash(name)); ok {
+		return in.baseLen + id
+	}
+	return in.baseLen + in.tail.grow(name)
 }
 
 // Lookup returns the id for name without assigning one. The second result
 // reports whether the name was present.
 func (in *Interner) Lookup(name string) (int32, bool) {
-	if id, ok := in.lookupBase(name); ok {
+	b := unsafe.Slice(unsafe.StringData(name), len(name)) // never written
+	h := nameHash(b)
+	if id, _, ok := in.base.find(b, h); ok {
 		return id, true
 	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	id, ok := in.byName[name]
-	return id, ok
+	if in.tail != nil {
+		if id, _, ok := in.tail.find(b, h); ok {
+			return in.baseLen + id, true
+		}
+	}
+	return 0, false
 }
 
 // Name returns the name for id, or "" if id is out of range or names an
-// implausible base name (see baseName). The result is the caller's to keep: a
-// base name is copied out of the snapshot image.
+// implausible base name (see nameSeg.name). A base name is copied out of the
+// image, which Snapshot.Close may unmap; a tail name aliases the heap blob,
+// whose bytes growth never rewrites, so it is kept without a copy.
 func (in *Interner) Name(id int32) string {
-	if id < 0 {
-		return ""
-	}
 	if id < in.baseLen {
-		b, _ := in.baseName(id)
+		b, _ := in.base.name(id)
 		return string(b)
 	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	if int(id-in.baseLen) >= len(in.names) {
-		return ""
-	}
-	return in.names[id-in.baseLen]
+	b, _ := in.tail.name(id - in.baseLen)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Len returns the number of interned names.
 func (in *Interner) Len() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	return int(in.baseLen) + len(in.names)
+	return int(in.baseLen) + in.tail.len()
 }
 
-// Names returns the interned names indexed by id. Without a frozen base the
-// returned slice is a stable full-slice view of the Interner's backing store:
-// later Interns never mutate it. With one, the list is assembled afresh, the
-// base names copied as Name copies them. Either way it must not be modified
-// by the caller.
-func (in *Interner) Names() []string {
+// pack returns the dictionary as one segment: the one holding every name —
+// the tail's arrays as they stand, which growth only appends past, its table
+// copied when withTab, as growth writes that in place — or a base and a grown
+// tail merged, with no table.
+func (in *Interner) pack(withTab bool) nameSeg {
 	in.mu.RLock()
-	grown := in.names[:len(in.names):len(in.names)]
+	t := nameSeg{off: []uint64{0}}
+	if in.tail.len() > 0 {
+		t = nameSeg{off: in.tail.off, blob: in.tail.blob}
+		if withTab && in.baseLen == 0 {
+			t.tab = slices.Clone(in.tail.tab)
+		}
+	}
 	in.mu.RUnlock()
-	if in.baseLen == 0 {
-		return grown
+	switch {
+	case in.baseLen == 0:
+		return t
+	case t.len() == 0:
+		return in.base
 	}
-	out := make([]string, 0, int(in.baseLen)+len(grown))
-	for id := int32(0); id < in.baseLen; id++ {
-		out = append(out, in.Name(id))
+	off := append(make([]uint64, 0, len(in.base.off)+t.len()), in.base.off...)
+	for _, o := range t.off[1:] {
+		off = append(off, uint64(len(in.base.blob))+o)
 	}
-	return append(out, grown...)
-}
-
-// pack flattens the dictionary into the snapshot's section form: cumulative
-// byte offsets and the concatenated names. For a frozen base nothing has
-// grown on, these are the base's own views.
-func (in *Interner) pack() ([]uint64, []byte) {
-	in.mu.RLock()
-	grown := in.names[:len(in.names):len(in.names)]
-	in.mu.RUnlock()
-	if in.baseLen > 0 && len(grown) == 0 {
-		return in.baseOff, in.baseBlob
-	}
-	size := len(in.baseBlob)
-	for _, s := range grown {
-		size += len(s)
-	}
-	off := make([]uint64, 1, int(in.baseLen)+len(grown)+1)
-	blob := append(make([]byte, 0, size), in.baseBlob...)
-	if in.baseLen > 0 {
-		off = append(off, in.baseOff[1:]...)
-	}
-	for _, s := range grown {
-		blob = append(blob, s...)
-		off = append(off, uint64(len(blob)))
-	}
-	return off, blob
+	return nameSeg{off: off, blob: slices.Concat(in.base.blob, t.blob)}
 }
 
 // seal returns the dictionary as a snapshot stores it: pack's sections and
-// their name table. A frozen base nothing has grown on hands over its own
-// table; otherwise the table is built, which refuses a duplicate name.
-func (in *Interner) seal() ([]uint64, []byte, []int32, error) {
-	off, blob := in.pack()
-	if n := len(off) - 1; n > 0 && n == int(in.baseLen) {
-		return off, blob, in.baseTab, nil
+// their name table, a single segment's own once its names are found
+// plausible, one built for a base and a grown tail merged.
+func (in *Interner) seal() (s nameSeg, err error) {
+	if s = in.pack(true); s.tab == nil {
+		s.tab, err = buildNameTable(s.off, s.blob)
+		return s, err
 	}
-	tab, err := buildNameTable(off, blob)
-	return off, blob, tab, err
+	for id := range s.len() {
+		if !plausibleName(s.off[id], s.off[id+1], s.blob) {
+			return s, fmt.Errorf("implausible name %d: bytes [%d, %d)", id, s.off[id], s.off[id+1])
+		}
+	}
+	return s, nil
 }
 
 // vocabCRC is the pair of running CRCs behind Vocabulary.Checksum, each
@@ -348,13 +357,6 @@ func (c *vocabCRC) addPacked(off []uint64, blob []byte, n int) {
 	c.update(c.count[:])
 	c.update(u64Bytes(off[:n+1]))
 	c.update(blob[:min(off[n], uint64(len(blob)))])
-}
-
-// add extends c by the first n names of in, hashing a frozen base nothing
-// has grown on in place. in must hold at least n names.
-func (c *vocabCRC) add(in *Interner, n int) {
-	off, blob := in.pack()
-	c.addPacked(off, blob, n)
 }
 
 func (c *vocabCRC) update(p []byte) {
@@ -393,8 +395,9 @@ func (v *Vocabulary) ChecksumSealed(nActions, nGoals int) bool {
 
 func (v *Vocabulary) computeChecksum(nActions, nGoals int) uint64 {
 	var c vocabCRC
-	c.add(v.Actions, nActions)
-	c.add(v.Goals, nGoals)
+	a, g := v.Actions.pack(false), v.Goals.pack(false)
+	c.addPacked(a.off, a.blob, nActions)
+	c.addPacked(g.off, g.blob, nGoals)
 	return c.sum()
 }
 
@@ -419,7 +422,7 @@ func (in *Interner) Stats() InternerStats {
 	return InternerStats{
 		BaseNames:  int(in.baseLen),
 		GrownNames: in.Len() - int(in.baseLen),
-		TableBytes: 4 * int64(len(in.baseTab)),
+		TableBytes: 4 * int64(len(in.base.tab)),
 		Sealed:     in.baseSealed,
 		Mapped:     in.baseMapped,
 	}

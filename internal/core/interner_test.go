@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -25,20 +26,66 @@ func packList(names []string) ([]uint64, []byte) {
 	return off, blob
 }
 
-// checkAgainstHeap holds the frozen Interners over a base list — one whose
-// name table is built at open and one whose table was sealed into a written
-// image and read back — to the map-only one over the same list: the list is
-// refused by both opens or yields identical ids, the two tables are equal,
-// the checksum the image sealed is the one computed from the names, and for
-// each frozen Interner every probe name looks up and interns identically to
-// the map-only one, ids staying dense, and every prefix of the dictionary
-// checksums alike, opened and grown.
-func checkAgainstHeap(t *testing.T, base, probes []string) {
+// nameOracle is the obvious dictionary: a map from name to id and the names
+// in id order, ids handed out densely in order of first use.
+type nameOracle struct {
+	ids   map[string]int32
+	names []string
+}
+
+// newNameOracle interns names, in order, into a fresh oracle.
+func newNameOracle(names []string) *nameOracle {
+	o := &nameOracle{ids: make(map[string]int32)}
+	for _, s := range names {
+		o.intern(s)
+	}
+	return o
+}
+
+func (o *nameOracle) intern(s string) int32 {
+	if id, ok := o.ids[s]; ok {
+		return id
+	}
+	o.ids[s] = int32(len(o.names))
+	o.names = append(o.names, s)
+	return o.ids[s]
+}
+
+func (o *nameOracle) lookup(s string) (int32, bool) {
+	id, ok := o.ids[s]
+	return id, ok
+}
+
+func (o *nameOracle) name(id int32) string {
+	if id < 0 || int(id) >= len(o.names) {
+		return ""
+	}
+	return o.names[id]
+}
+
+// internedNames lists in's names in id order, read through Name.
+func internedNames(in *Interner) []string {
+	names := make([]string, in.Len())
+	for id := range names {
+		names[id] = in.Name(int32(id))
+	}
+	return names
+}
+
+// checkAgainstOracle holds the Interners over a base list — one whose
+// names were interned on the heap, a frozen one whose name table is built at
+// open and one whose table was sealed into a written image and read back —
+// to the map oracle over the same list: the list is refused by both opens
+// exactly when it holds a duplicate, the two frozen tables are equal, the
+// checksum the image sealed is the one computed from the oracle's names, and
+// for each Interner every probe name looks up and interns as in the oracle,
+// ids staying dense, and every prefix of the dictionary checksums alike,
+// opened and grown.
+func checkAgainstOracle(t *testing.T, base, probes []string) {
 	t.Helper()
-	heap := heapInterner(base)
 	off, blob := packList(base)
 	frozen, err := newFrozenInterner(off, blob, nil)
-	if dup := heap.Len() != len(base); dup || err != nil {
+	if dup := len(newNameOracle(base).names) != len(base); dup || err != nil {
 		if !dup || err == nil {
 			t.Fatalf("base %q: duplicates %v but frozen open said %v", base, dup, err)
 		}
@@ -47,27 +94,31 @@ func checkAgainstHeap(t *testing.T, base, probes []string) {
 		}
 		return
 	}
-	vocab := sealNames(t, heap)
+	vocab := sealNames(t, heapInterner(base))
 	sealed := vocab.Actions
 	nGoals := vocab.Goals.Len()
 	if !vocab.ChecksumSealed(len(base), nGoals) {
 		t.Fatalf("base %q: the image carries no checksum over its %d names", base, len(base))
 	}
-	heapVocab := &Vocabulary{Actions: heapInterner(base), Goals: vocab.Goals}
-	if got, want := vocab.Checksum(len(base), nGoals), heapVocab.Checksum(len(base), nGoals); got != want {
-		t.Fatalf("base %q: sealed checksum %#x, computed %#x", base, got, want)
+	var c vocabCRC
+	c.addPacked(off, blob, len(base))
+	goals := vocab.Goals.pack(false)
+	c.addPacked(goals.off, goals.blob, nGoals)
+	if got, want := vocab.Checksum(len(base), nGoals), c.sum(); got != want {
+		t.Fatalf("base %q: sealed checksum %#x, the oracle's %#x", base, got, want)
 	}
 	if got, want := vocab.computeChecksum(len(base), nGoals), vocab.sealed.sum; got != want {
 		t.Fatalf("base %q: the opened names checksum to %#x, the image sealed %#x", base, got, want)
 	}
-	if !sealed.Stats().Sealed || frozen.Stats().Sealed || !slices.Equal(sealed.baseTab, frozen.baseTab) {
-		t.Fatalf("base %q: sealed table %v (sealed %v), built %v", base, sealed.baseTab, sealed.Stats().Sealed, frozen.baseTab)
+	if !sealed.Stats().Sealed || frozen.Stats().Sealed || !slices.Equal(sealed.base.tab, frozen.base.tab) {
+		t.Fatalf("base %q: sealed table %v (sealed %v), built %v", base, sealed.base.tab, sealed.Stats().Sealed, frozen.base.tab)
 	}
-	checkFrozen(t, frozen, base, probes)
-	checkFrozen(t, sealed, base, probes)
+	checkInterner(t, heapInterner(base), 0, base, probes)
+	checkInterner(t, frozen, len(base), base, probes)
+	checkInterner(t, sealed, len(base), base, probes)
 }
 
-// heapInterner interns names, in order, into a map-only Interner.
+// heapInterner interns names, in order, into an Interner with no base.
 func heapInterner(names []string) *Interner {
 	in := NewInterner(0)
 	for _, s := range names {
@@ -101,53 +152,53 @@ func sealNames(t testing.TB, in *Interner) *Vocabulary {
 	return snap.Vocabulary()
 }
 
-// checkFrozen is checkAgainstHeap for one frozen Interner over base.
-func checkFrozen(t *testing.T, frozen *Interner, base, probes []string) {
+// checkInterner is checkAgainstOracle for one Interner over base, baseNames
+// of whose names lie in its base. Each stage packs both sides once and
+// compares the checksums of every prefix of the packed forms.
+func checkInterner(t *testing.T, in *Interner, baseNames int, base, probes []string) {
 	t.Helper()
-	heap := heapInterner(base)
+	oracle := newNameOracle(base)
 	same := func(stage string) {
 		t.Helper()
-		if frozen.Len() != heap.Len() {
-			t.Fatalf("%s: Len %d != %d", stage, frozen.Len(), heap.Len())
+		if in.Len() != len(oracle.names) {
+			t.Fatalf("%s: Len %d != %d", stage, in.Len(), len(oracle.names))
 		}
-		if got, want := frozen.Names(), heap.Names(); !slices.Equal(got, want) {
-			t.Fatalf("%s: Names %q != %q", stage, got, want)
-		}
-		for id := int32(-1); id <= int32(heap.Len()); id++ {
-			if got, want := frozen.Name(id), heap.Name(id); got != want {
+		for id := int32(-1); id <= int32(len(oracle.names)); id++ {
+			if got, want := in.Name(id), oracle.name(id); got != want {
 				t.Fatalf("%s: Name(%d) = %q, want %q", stage, id, got, want)
 			}
 		}
-		fo, fb := frozen.pack()
-		ho, hb := heap.pack()
-		if !slices.Equal(fo, ho) || !bytes.Equal(fb, hb) {
+		packed := in.pack(false)
+		ino, inb := packed.off, packed.blob
+		oo, ob := packList(oracle.names)
+		if !slices.Equal(ino, oo) || !bytes.Equal(inb, ob) {
 			t.Fatalf("%s: packed sections differ", stage)
 		}
-		for n := 0; n <= heap.Len(); n++ {
-			var fc, hc vocabCRC
-			fc.add(frozen, n)
-			hc.add(heap, n)
-			if fc.sum() != hc.sum() {
-				t.Fatalf("%s: checksums of the first %d names differ: %#x != %#x", stage, n, fc.sum(), hc.sum())
+		for n := 0; n <= len(oracle.names); n++ {
+			var ic, oc vocabCRC
+			ic.addPacked(ino, inb, n)
+			oc.addPacked(oo, ob, n)
+			if ic.sum() != oc.sum() {
+				t.Fatalf("%s: checksums of the first %d names differ: %#x != %#x", stage, n, ic.sum(), oc.sum())
 			}
 		}
 	}
 	same("opened")
 	for _, s := range slices.Concat(base, probes) {
-		fid, fok := frozen.Lookup(s)
-		hid, hok := heap.Lookup(s)
-		if fid != hid || fok != hok {
-			t.Fatalf("Lookup(%q) = (%d, %v), want (%d, %v)", s, fid, fok, hid, hok)
+		id, ok := in.Lookup(s)
+		oid, ook := oracle.lookup(s)
+		if id != oid || ok != ook {
+			t.Fatalf("Lookup(%q) = (%d, %v), want (%d, %v)", s, id, ok, oid, ook)
 		}
 	}
 	for _, s := range slices.Concat(probes, base, probes) {
-		if fid, hid := frozen.Intern(s), heap.Intern(s); fid != hid {
-			t.Fatalf("Intern(%q) = %d, want %d", s, fid, hid)
+		if id, oid := in.Intern(s), oracle.intern(s); id != oid {
+			t.Fatalf("Intern(%q) = %d, want %d", s, id, oid)
 		}
 	}
 	same("grown")
-	if st := frozen.Stats(); st.BaseNames != len(base) || st.GrownNames != frozen.Len()-len(base) {
-		t.Fatalf("stats %+v for %d base names of %d", st, len(base), frozen.Len())
+	if st := in.Stats(); st.BaseNames != baseNames || st.GrownNames != in.Len()-baseNames {
+		t.Fatalf("stats %+v for %d base names of %d", st, baseNames, in.Len())
 	}
 }
 
@@ -171,7 +222,7 @@ func TestFrozenInterner(t *testing.T) {
 		{"non-ASCII", []string{"naïve", "na", "ï", "\x00", "\x00\x00"}, []string{"\xff", "naïv"}},
 		{"many", many, []string{"name-1", "name-7", "other"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkAgainstHeap(t, tc.base, tc.probes) })
+		t.Run(tc.name, func(t *testing.T) { checkAgainstOracle(t, tc.base, tc.probes) })
 	}
 }
 
@@ -215,7 +266,7 @@ func TestFrozenInternerRejectsBadSections(t *testing.T) {
 			t.Errorf("%s: refused with a sealed table: %v", name, err)
 			continue
 		}
-		names := in.Names()
+		names := internedNames(in)
 		for _, id := range tc.bad {
 			if got := in.Name(id); got != "" || names[id] != "" {
 				t.Errorf("%s: implausible name %d served as %q, %q", name, id, got, names[id])
@@ -227,8 +278,9 @@ func TestFrozenInternerRejectsBadSections(t *testing.T) {
 			}
 		}
 		var c vocabCRC
+		packed := in.pack(false)
 		for k := 0; k <= n; k++ {
-			c.add(in, k) // every prefix hashes in bounds
+			c.addPacked(packed.off, packed.blob, k) // every prefix hashes in bounds
 		}
 		snap := &Snapshot{lib: NewBuilder(0, 0).Build(), vocab: &Vocabulary{Actions: in, Goals: NewInterner(0)}}
 		if err := VerifySnapshot(snap); err == nil || !strings.Contains(err.Error(), "implausible name") {
@@ -239,7 +291,8 @@ func TestFrozenInternerRejectsBadSections(t *testing.T) {
 
 // TestFrozenInternerConcurrent: base lookups take no lock and growth takes
 // the write lock, so any mix of the two is safe and ids stay dense and
-// agreed on (run under -race).
+// agreed on (run under -race). The fresh names make the tail's table double
+// at least 8 times while every worker keeps looking up and naming grown ids.
 func TestFrozenInternerConcurrent(t *testing.T) {
 	base := make([]string, 500)
 	for i := range base {
@@ -250,7 +303,7 @@ func TestFrozenInternerConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, fresh = 8, 200
+	const workers, fresh = 8, 2000
 	ids := make([][]int32, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -265,17 +318,26 @@ func TestFrozenInternerConcurrent(t *testing.T) {
 					t.Errorf("base name %d resolved to %d, %v", b, id, ok)
 					return
 				}
-				if got := in.Name(ids[w][i]); got != fmt.Sprintf("grown-%d", i) {
-					t.Errorf("Name(%d) = %q", ids[w][i], got)
-					return
+				for _, j := range []int{i, i / 2} {
+					name := fmt.Sprintf("grown-%d", j)
+					if id, ok := in.Lookup(name); !ok || id != ids[w][j] {
+						t.Errorf("Lookup(%q) = %d, %v, want %d", name, id, ok, ids[w][j])
+						return
+					}
+					if got := in.Name(ids[w][j]); got != name {
+						t.Errorf("Name(%d) = %q, want %q", ids[w][j], got, name)
+						return
+					}
 				}
-				_ = in.Names()
 			}
 		}(w)
 	}
 	wg.Wait()
 	if in.Len() != len(base)+fresh {
 		t.Fatalf("Len = %d, want %d", in.Len(), len(base)+fresh)
+	}
+	if got := len(in.tail.tab); got < 8<<8 {
+		t.Fatalf("the tail's table has %d slots: it doubled fewer than 8 times", got)
 	}
 	for w := 1; w < workers; w++ {
 		if !slices.Equal(ids[w], ids[0]) {
@@ -291,7 +353,7 @@ func TestFrozenInternerConcurrent(t *testing.T) {
 	}
 }
 
-// FuzzFrozenInterner is checkAgainstHeap over arbitrary name lists: data is
+// FuzzFrozenInterner is checkAgainstOracle over arbitrary name lists: data is
 // cut at newlines into names, the first half the base, the rest the probes.
 func FuzzFrozenInterner(f *testing.F) {
 	f.Add([]byte("a\nb\nc\nd"))
@@ -304,7 +366,7 @@ func FuzzFrozenInterner(f *testing.F) {
 		for _, b := range bytes.Split(data, []byte("\n")) {
 			names = append(names, string(b))
 		}
-		checkAgainstHeap(t, names[:len(names)/2], names[len(names)/2:])
+		checkAgainstOracle(t, names[:len(names)/2], names[len(names)/2:])
 	})
 }
 
@@ -346,7 +408,7 @@ func TestSealedNameTableBounds(t *testing.T) {
 	if err := VerifySnapshot(snap); err != nil {
 		t.Fatalf("VerifySnapshot of a sealed image: %v", err)
 	}
-	tab := snap.Vocabulary().Actions.baseTab
+	tab := snap.Vocabulary().Actions.base.tab
 	full := slices.IndexFunc(tab, func(v int32) bool { return v != 0 })
 	empty := slices.Index(tab, 0)
 	tab[full], tab[empty] = tab[empty], tab[full] // one name moved off its probe path
@@ -390,6 +452,75 @@ func TestOpenSealedNamesAllocatesNothingPerName(t *testing.T) {
 	for i, s := range names {
 		if id, ok := in.Lookup(s); !ok || int(id) != i {
 			t.Fatalf("Lookup(%q) = %d, %v through the sealed table", s, id, ok)
+		}
+	}
+}
+
+// TestSealTable pins the rules seal keeps for every way a dictionary grows:
+// the table it hands over is the one buildNameTable lays out for the packed
+// names — the tail's own across the 8-slot boundary and many doublings, a
+// sealed base's, and one built where a base and a grown tail merge — and a
+// name longer than snapMaxName, which the heap serves, is refused by
+// WriteSnapshot whichever segment holds it.
+func TestSealTable(t *testing.T) {
+	seq := func(prefix string, n int) []string {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = prefix + strconv.Itoa(i)
+		}
+		return names
+	}
+	for _, tc := range []struct {
+		name        string
+		base, grown []string
+	}{
+		{"empty", nil, nil},
+		{"5 names", nil, seq("n", 5)},
+		{"6 names", nil, seq("n", 6)},
+		{"7 names", nil, seq("n", 7)},
+		{"3000 names", nil, seq("n", 3000)},
+		{"sealed base", seq("b", 7), nil},
+		{"sealed base plus growth", seq("b", 7), seq("n", 40)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := heapInterner(tc.base)
+			if tc.base != nil {
+				in = sealNames(t, in).Actions
+			}
+			for _, s := range tc.grown {
+				in.Intern(s)
+			}
+			sealed, err := in.seal()
+			off, blob, tab := sealed.off, sealed.blob, sealed.tab
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed := in.pack(false)
+			want, err := buildNameTable(packed.off, packed.blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(tab, want) {
+				t.Fatalf("seal's table is not buildNameTable's over %d names", len(off)-1)
+			}
+			if !slices.Equal(internedNames(in), slices.Concat(tc.base, tc.grown)) || len(blob) != int(off[len(off)-1]) {
+				t.Fatalf("sealed names %q", internedNames(in))
+			}
+		})
+	}
+
+	long := strings.Repeat("x", snapMaxName+1)
+	for name, in := range map[string]*Interner{
+		"heap":               heapInterner([]string{"a", strings.Repeat("y", snapMaxName), long, "b"}),
+		"sealed base, grown": sealNames(t, heapInterner([]string{"a", "b"})).Actions,
+	} {
+		id := in.Intern(long)
+		if got, ok := in.Lookup(long); !ok || got != id || in.Intern(long) != id || in.Name(id) != long {
+			t.Fatalf("%s: the long name interned as %d, looked up as %d, %v", name, id, got, ok)
+		}
+		err := WriteSnapshot(io.Discard, NewBuilder(0, 0).Build(), &Vocabulary{Actions: in, Goals: NewInterner(0)}, SnapshotOptions{})
+		if err == nil || !strings.Contains(err.Error(), "implausible name") {
+			t.Fatalf("%s: WriteSnapshot of a %d-byte name said %v", name, len(long), err)
 		}
 	}
 }

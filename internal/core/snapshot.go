@@ -343,26 +343,24 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	}
 
 	flags := uint32(0)
-	var actNameOff, goalNameOff []uint64
-	var actNameBlob, goalNameBlob []byte
-	var actTab, goalTab []int32
+	var act, goal nameSeg
 	var vocabSum []uint64
 	if vocab != nil {
 		flags |= snapFlagVocab
 		var err error
-		if actNameOff, actNameBlob, actTab, err = vocab.Actions.seal(); err != nil {
+		if act, err = vocab.Actions.seal(); err != nil {
 			return nil, fmt.Errorf("core: action vocabulary: %w", err)
 		}
-		if goalNameOff, goalNameBlob, goalTab, err = vocab.Goals.seal(); err != nil {
+		if goal, err = vocab.Goals.seal(); err != nil {
 			return nil, fmt.Errorf("core: goal vocabulary: %w", err)
 		}
 		// The checksum of the id spaces' names, hashed from the sections
 		// about to be written. A vocabulary short of the id spaces gets
 		// none: it does not open.
-		if nAct < len(actNameOff) && nGoal < len(goalNameOff) {
+		if nAct < len(act.off) && nGoal < len(goal.off) {
 			var c vocabCRC
-			c.addPacked(actNameOff, actNameBlob, nAct)
-			c.addPacked(goalNameOff, goalNameBlob, nGoal)
+			c.addPacked(act.off, act.blob, nAct)
+			c.addPacked(goal.off, goal.blob, nGoal)
 			vocabSum = []uint64{uint64(nAct), uint64(nGoal), c.sum()}
 		}
 	}
@@ -416,12 +414,12 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 	)
 	if vocab != nil {
 		secs = append(secs,
-			snapSection{id: secVocActOff, elem: 8, count: uint64(len(actNameOff)), emit: func(sw *snapWriter) { sw.writeU64s(actNameOff) }},
-			snapSection{id: secVocActStr, elem: 1, count: uint64(len(actNameBlob)), emit: func(sw *snapWriter) { sw.write(actNameBlob) }},
-			snapSection{id: secVocGoalOff, elem: 8, count: uint64(len(goalNameOff)), emit: func(sw *snapWriter) { sw.writeU64s(goalNameOff) }},
-			snapSection{id: secVocGoalStr, elem: 1, count: uint64(len(goalNameBlob)), emit: func(sw *snapWriter) { sw.write(goalNameBlob) }},
-			snapSection{id: secVocActTab, elem: 4, count: uint64(len(actTab)), emit: func(sw *snapWriter) { sw.writeI32s(actTab) }},
-			snapSection{id: secVocGoalTab, elem: 4, count: uint64(len(goalTab)), emit: func(sw *snapWriter) { sw.writeI32s(goalTab) }},
+			snapSection{id: secVocActOff, elem: 8, count: uint64(len(act.off)), emit: func(sw *snapWriter) { sw.writeU64s(act.off) }},
+			snapSection{id: secVocActStr, elem: 1, count: uint64(len(act.blob)), emit: func(sw *snapWriter) { sw.write(act.blob) }},
+			snapSection{id: secVocGoalOff, elem: 8, count: uint64(len(goal.off)), emit: func(sw *snapWriter) { sw.writeU64s(goal.off) }},
+			snapSection{id: secVocGoalStr, elem: 1, count: uint64(len(goal.blob)), emit: func(sw *snapWriter) { sw.write(goal.blob) }},
+			snapSection{id: secVocActTab, elem: 4, count: uint64(len(act.tab)), emit: func(sw *snapWriter) { sw.writeI32s(act.tab) }},
+			snapSection{id: secVocGoalTab, elem: 4, count: uint64(len(goal.tab)), emit: func(sw *snapWriter) { sw.writeI32s(goal.tab) }},
 		)
 	}
 	if len(opts.SourceKey) > 0 {
@@ -1109,19 +1107,17 @@ func openNames(secs map[uint32]snapSection, data []byte, offID, strID, tabID uin
 // footer.
 func VerifySnapshot(s *Snapshot) error {
 	if v := s.vocab; v != nil {
-		for _, d := range []struct {
-			name string
-			in   *Interner
-		}{{"action", v.Actions}, {"goal", v.Goals}} {
-			if !d.in.baseSealed {
+		for i, in := range []*Interner{v.Actions, v.Goals} {
+			kind := [...]string{"action", "goal"}[i]
+			if !in.baseSealed {
 				continue // the open built its table, walking every name
 			}
-			want, err := buildNameTable(d.in.baseOff, d.in.baseBlob)
+			want, err := buildNameTable(in.base.off, in.base.blob)
 			if err != nil {
-				return fmt.Errorf("core: %s vocabulary: %w", d.name, err)
+				return fmt.Errorf("core: %s vocabulary: %w", kind, err)
 			}
-			if !slices.Equal(d.in.baseTab, want) {
-				return fmt.Errorf("core: %s vocabulary: the sealed name table is not its names' layout", d.name)
+			if !slices.Equal(in.base.tab, want) {
+				return fmt.Errorf("core: %s vocabulary: the sealed name table is not its names' layout", kind)
 			}
 		}
 		if sc := v.sealed; sc != nil {

@@ -352,7 +352,7 @@ func (f *verifiedOpenFixture) servesFlippedSum(t *testing.T, snap *Snapshot) {
 func (f *verifiedOpenFixture) servesNoNamePastBlob(t *testing.T, snap *Snapshot) {
 	t.Helper()
 	v := snap.Vocabulary()
-	names := v.Goals.Names()
+	names := internedNames(v.Goals)
 	for id := int32(0); id < 2; id++ {
 		if got := v.Goals.Name(id); got != "" || names[id] != "" {
 			t.Fatalf("implausible goal name %d served as %q, %q", id, got, names[id])
@@ -361,7 +361,7 @@ func (f *verifiedOpenFixture) servesNoNamePastBlob(t *testing.T, snap *Snapshot)
 			t.Fatalf("GoalName(%d) = %q, want %q", id, got, want)
 		}
 	}
-	for id, name := range f.vocab.Goals.Names() {
+	for id, name := range internedNames(f.vocab.Goals) {
 		got, ok := v.Goals.Lookup(name)
 		if id < 2 && ok && got < 2 {
 			t.Fatalf("Lookup(%q) served implausible goal name %d", name, got)

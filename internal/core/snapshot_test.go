@@ -132,12 +132,12 @@ func TestSnapshotRoundTripVocabulary(t *testing.T) {
 	if v == nil {
 		t.Fatal("vocabulary not round-tripped")
 	}
-	for i, name := range vocab.Actions.Names() {
+	for i, name := range internedNames(vocab.Actions) {
 		if got := v.Actions.Name(int32(i)); got != name {
 			t.Fatalf("action %d: %q != %q", i, got, name)
 		}
 	}
-	for i, name := range vocab.Goals.Names() {
+	for i, name := range internedNames(vocab.Goals) {
 		if got := v.Goals.Name(int32(i)); got != name {
 			t.Fatalf("goal %d: %q != %q", i, got, name)
 		}

@@ -129,9 +129,6 @@ func FuzzOpenSnapshotVerified(f *testing.F) {
 		lib := snap.Library()
 		if v := snap.Vocabulary(); v != nil {
 			for _, in := range []*core.Interner{v.Actions, v.Goals} {
-				for _, name := range in.Names() {
-					in.Lookup(name)
-				}
 				for id := int32(-1); id <= int32(in.Len()); id++ {
 					in.Lookup(in.Name(id))
 				}

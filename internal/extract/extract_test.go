@@ -140,7 +140,7 @@ func TestActionPhraseNegation(t *testing.T) {
 		{Goal: "healthy", Text: "I eat vegetables. I don't eat sugar."},
 	})
 	if vocab.Actions.Len() != 2 {
-		t.Errorf("actions = %v", vocab.Actions.Names())
+		t.Errorf("actions = %v", actionNames(vocab))
 	}
 	if lib.NumImplementations() != 1 {
 		t.Errorf("implementations = %d", lib.NumImplementations())
@@ -181,7 +181,7 @@ func TestWithSynonyms(t *testing.T) {
 		{Goal: "fit", Text: "started running."},
 	})
 	if vocab.Actions.Len() != 1 {
-		t.Errorf("synonyms did not merge: %v", vocab.Actions.Names())
+		t.Errorf("synonyms did not merge: %v", actionNames(vocab))
 	}
 	if lib.NumImplementations() != 2 {
 		t.Errorf("implementations = %d", lib.NumImplementations())
@@ -234,9 +234,18 @@ func TestBuildLibrary(t *testing.T) {
 	// it a connectivity of 2.
 	id, ok := vocab.Actions.Lookup("start jog daily")
 	if !ok {
-		t.Fatalf("canonical action missing; have %v", vocab.Actions.Names())
+		t.Fatalf("canonical action missing; have %v", actionNames(vocab))
 	}
 	if deg := lib.ActionDegree(core.ActionID(id)); deg != 2 {
 		t.Errorf("connectivity of shared action = %d, want 2", deg)
 	}
+}
+
+// actionNames lists vocab's action names in id order.
+func actionNames(vocab *core.Vocabulary) []string {
+	names := make([]string, vocab.Actions.Len())
+	for id := range names {
+		names[id] = vocab.Actions.Name(int32(id))
+	}
+	return names
 }
