@@ -30,18 +30,15 @@ import (
 
 // roleOnlyFlags are the flags only one role can honour.
 var roleOnlyFlags = map[string]string{
-	"cluster-addr":    "worker",
-	"shard-range":     "worker",
-	"peers":           "coordinator",
-	"partial-failure": "coordinator",
-	"heartbeat":       "coordinator",
+	"cluster-addr": "worker",
+	"shard-range":  "worker",
+	"peers":        "coordinator",
 }
 
 // nodeOnlyFlags configure the store and the per-user state, which only a
 // single node has: no cluster role journals or keeps users.
 var nodeOnlyFlags = []string{
-	"snapshot-dir", "wal-sync", "compact-wal-bytes", "scrub-interval",
-	"user-capacity",
+	"snapshot-dir", "wal-sync", "compact-wal-bytes", "user-capacity",
 }
 
 // checkRoleFlags refuses a flag set on the command line that role cannot

@@ -54,10 +54,10 @@
 // link cannot be made), so seeding writes no library bytes and does not
 // fault the mapped library into memory.
 // -wal-sync fsyncs each WAL append; -compact-wal-bytes sets the WAL
-// size that triggers background compaction into a fresh snapshot;
-// -scrub-interval re-verifies snapshot checksums and WAL frame CRCs
-// periodically, quarantining corrupt snapshots (renamed to *.quarantine,
-// never deleted) and falling back a generation.
+// size that triggers background compaction into a fresh snapshot. Every
+// hour the store re-verifies snapshot checksums and WAL frame CRCs,
+// quarantining corrupt snapshots (renamed to *.quarantine, never deleted)
+// and falling back a generation.
 //
 // Storage faults degrade the store instead of killing it: a persistent
 // write failure flips it read-only — ingests and user writes answer 503
@@ -67,18 +67,20 @@
 // block with the mode, last error and quarantined files.
 //
 // -request-timeout bounds every request (504 on expiry) and -max-inflight
-// caps concurrent expensive requests, shedding the excess as 503 +
-// Retry-After.
+// caps concurrent expensive requests, shedding the excess after a 10ms wait
+// as 503 + Retry-After.
 //
 // -role worker additionally serves a shard of the library to a coordinator
 // over -cluster-addr; -role coordinator is the same server over a
 // scatter-gather backend instead of the local engine (cluster.go has a
 // worked example). One listener, drain and shutdown path serves every role,
-// so -request-timeout, -max-inflight, -admission-wait, -quiet and -pprof-addr
-// mean the same thing in each. A coordinator answers the recommendation,
-// probe, stats, metrics and reload endpoints — POST /v1/reload there is the
-// cluster-wide two-phase swap. Only that swap moves a worker's epoch: -watch
-// is refused with any -role, and a worker's own POST /v1/reload answers 501.
+// so -request-timeout, -max-inflight, -quiet and -pprof-addr mean the same
+// thing in each. A coordinator answers the recommendation, probe, stats,
+// metrics and reload endpoints; a query is answered from the shards that
+// answered, flagged "degraded":true, and fails only when none did. POST
+// /v1/reload there is the cluster-wide two-phase swap, and only that swap
+// moves a worker's epoch: -watch is refused with any -role, and a worker's
+// own POST /v1/reload answers 501.
 // -quiet silences the request log only: every 5xx is still logged with its
 // cause and the epochs the node (or the coordinator and its workers) was at.
 //
@@ -143,20 +145,16 @@ func run(stop chan os.Signal) error {
 	quiet := flag.Bool("quiet", false, "disable request logging")
 	watch := flag.Duration("watch", 0, "poll the library file at this interval and hot-swap on change (0 disables)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline; expired requests answer 504 (0 disables)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrent expensive requests; excess is shed as 503 (0 disables)")
-	admissionWait := flag.Duration("admission-wait", 10*time.Millisecond, "how long an over-limit request may wait for a slot before being shed (needs -max-inflight)")
+	maxInflight := flag.Int("max-inflight", 0, "max concurrent expensive requests; excess waits up to 10ms, then is shed as 503 (0 disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 	snapshotDir := flag.String("snapshot-dir", "", "durable store directory: mmap snapshots + ingest WAL (empty disables persistence)")
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append (needs -snapshot-dir)")
 	compactWALBytes := flag.Int64("compact-wal-bytes", 0, "WAL size that triggers background compaction into a snapshot; 0 selects the default (needs -snapshot-dir)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "re-verify snapshot checksums and WAL CRCs at this interval, quarantining corrupt snapshots; 0 disables the periodic scrub (needs -snapshot-dir; the open-time scrub always runs)")
 	userCapacity := flag.Int("user-capacity", 0, "max tracked users in the per-user store; 0 selects the default")
 	role := flag.String("role", "", `cluster role: "" (single node), "coordinator" (scatter-gather front end over -peers) or "worker" (shard server on -cluster-addr)`)
 	clusterAddr := flag.String("cluster-addr", "", "cluster comms listen address (worker role)")
 	peersFlag := flag.String("peers", "", "comma-separated worker comms addresses (coordinator role)")
 	shardRange := flag.String("shard-range", "0:-1", `implementation range "lo:hi" this worker serves; hi -1 means "to the end of the library" (worker role)`)
-	partialFailure := flag.String("partial-failure", "degraded", `coordinator policy when a shard cannot answer: "degraded" (serve the reachable shards, flagged) or "fail" (fail the query)`)
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "coordinator-to-worker heartbeat interval")
 	flag.Parse()
 	peers := splitPeers(*peersFlag)
 	if err := checkRoleFlags(*role); err != nil {
@@ -204,7 +202,7 @@ func run(stop chan os.Signal) error {
 		opts = append(opts, server.WithRequestTimeout(*requestTimeout))
 	}
 	if *maxInflight > 0 {
-		opts = append(opts, server.WithMaxInflight(*maxInflight), server.WithAdmissionWait(*admissionWait))
+		opts = append(opts, server.WithMaxInflight(*maxInflight))
 	}
 
 	userOpts := goalrec.UserStoreOptions{MaxUsers: *userCapacity}
@@ -218,33 +216,27 @@ func run(stop chan os.Signal) error {
 	closeBackend := func() {}
 	switch {
 	case *role == "coordinator":
-		policy, err := cluster.ParsePartialFailurePolicy(*partialFailure)
-		if err != nil {
-			return err
-		}
 		lib, err := reload()
 		if err != nil {
 			return err
 		}
 		logger.Printf("coordinator loaded library: %s", headerCounts(lib))
 		co := cluster.NewCoordinator(goalrec.NewEngineFromLibrary(lib), cluster.CoordinatorConfig{
-			Peers:          peers,
-			PartialFailure: policy,
-			Reload:         reload,
-			Logger:         logger,
+			Peers:  peers,
+			Reload: reload,
+			Logger: logger,
 		})
-		stopHeartbeat := co.StartHeartbeat(*heartbeat)
+		stopHeartbeat := co.StartHeartbeat()
 		closeBackend = func() {
 			stopHeartbeat()
 			co.Close()
 		}
-		logger.Printf("coordinator over %d workers, policy %q", len(peers), policy)
+		logger.Printf("coordinator over %d workers", len(peers))
 		api = server.NewFromBackend(co, reqLogger, opts...)
 	case *snapshotDir != "":
 		store, err := goalrec.OpenStore(*snapshotDir, goalrec.StoreOptions{
 			SyncWAL:           *walSync,
 			CompactAtWALBytes: *compactWALBytes,
-			ScrubInterval:     *scrubInterval,
 			Logger:            logger,
 			Users:             userOpts,
 		})

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -231,6 +232,29 @@ func runUntil(stop chan os.Signal, args ...string) error {
 	return run(stop)
 }
 
+// TestFlagSet pins the flags goalrecd registers, so adding one is a visible
+// edit here. With no arguments run registers them all and then refuses to
+// start.
+func TestFlagSet(t *testing.T) {
+	saved, cmdline := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = saved, cmdline }()
+	flag.CommandLine = flag.NewFlagSet("goalrecd", flag.ContinueOnError)
+	os.Args = []string{"goalrecd"}
+	if err := run(make(chan os.Signal, 1)); err == nil {
+		t.Fatal("goalrecd started with no -library and no -snapshot-dir")
+	}
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"addr", "cluster-addr", "compact-wal-bytes", "library", "max-inflight",
+		"peers", "pprof-addr", "quiet", "request-timeout", "role",
+		"shard-range", "snapshot-dir", "user-capacity", "wal-sync", "watch",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("goalrecd registers %d flags %v, want %d %v", len(got), got, len(want), want)
+	}
+}
+
 // TestRoleFlagsRefusedAtStartup: a flag combination a role cannot honour is
 // an error before anything is loaded or listened on — in particular -watch in
 // a cluster role, whose swaps are cluster-wide, is refused rather than ignored,
@@ -255,19 +279,15 @@ func TestRoleFlagsRefusedAtStartup(t *testing.T) {
 		{append(coordinator, "-shard-range", "0:-1"), "-shard-range"},
 		// Coordinator-only flags.
 		{[]string{"-library", "x.jsonl", "-peers", "127.0.0.1:1"}, "-peers"},
-		{append(worker, "-partial-failure", "fail"), "-partial-failure"},
-		{append(worker, "-heartbeat", "1s"), "-heartbeat"},
 		// What a coordinator does not have: a store, per-user state.
 		{append(coordinator, "-snapshot-dir", "d"), "-snapshot-dir"},
 		{append(coordinator, "-wal-sync"), "-wal-sync"},
 		{append(coordinator, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
-		{append(coordinator, "-scrub-interval", "1m"), "-scrub-interval"},
 		{append(coordinator, "-user-capacity", "10"), "-user-capacity"},
 		// Nor does a worker: the coordinator's swaps move its shard.
 		{append(worker, "-snapshot-dir", "d"), "-snapshot-dir"},
 		{append(worker, "-wal-sync"), "-wal-sync"},
 		{append(worker, "-compact-wal-bytes", "1024"), "-compact-wal-bytes"},
-		{append(worker, "-scrub-interval", "1m"), "-scrub-interval"},
 		{append(worker, "-user-capacity", "10"), "-user-capacity"},
 		// -shard-range is parsed before the library is loaded.
 		{append(worker, "-shard-range", "5"), "-shard-range"},

@@ -77,8 +77,7 @@ func blockedGateServer(t *testing.T, lib *goalrec.Library) (*httptest.Server, fu
 			<-release
 			return lib, nil
 		}),
-		server.WithMaxInflight(1),
-		server.WithAdmissionWait(time.Millisecond))
+		server.WithMaxInflight(1))
 	ts := httptest.NewServer(srv)
 	done := make(chan struct{})
 	go func() {

@@ -436,15 +436,14 @@ func testTwoPhaseSwap(t *testing.T, load1, load2 func() (*goalrec.Library, error
 	}
 }
 
-// TestClusterPartialFailurePolicies kills a worker mid-cluster and checks
-// both policies: Degraded serves a flagged merge of the surviving shards
-// and FailClosed fails the query; after the worker rejoins on its original
-// address, responses are bit-identical to the pre-failure ones again.
+// TestClusterPartialFailurePolicies kills a worker mid-cluster: the
+// coordinator serves a flagged merge of the surviving shards, and with every
+// worker down it fails the query; after the workers rejoin on their original
+// addresses, responses are bit-identical to the pre-failure ones again.
 func TestClusterPartialFailurePolicies(t *testing.T) {
 	lib := clusterTestLibrary(3, 45)
 	workers := startWorkers(t, lib, 3, nil)
-	co := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: Degraded})
-	coFail := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: FailClosed})
+	co := startCoordinator(t, lib, workers, CoordinatorConfig{})
 	cluster := httptest.NewServer(NewHTTPHandler(co))
 	defer cluster.Close()
 
@@ -452,13 +451,10 @@ func TestClusterPartialFailurePolicies(t *testing.T) {
 	activity := []string{"a1", "a5", "a9"}
 	query := `{"activity": ["a1", "a5", "a9"], "strategy": "breadth", "k": 10}`
 
-	// Healthy baseline, both coordinators.
+	// Healthy baseline.
 	_, healthy := postBody(t, cluster.URL+"/v1/recommend", query)
 	if strings.Contains(string(healthy), "degraded") {
 		t.Fatalf("healthy response flagged degraded: %s", healthy)
-	}
-	if _, err := coFail.Recommend(ctx, "breadth", "", activity, 10); err != nil {
-		t.Fatalf("fail-closed coordinator on healthy cluster: %v", err)
 	}
 
 	// Kill the middle shard.
@@ -466,7 +462,7 @@ func TestClusterPartialFailurePolicies(t *testing.T) {
 
 	res, err := co.Recommend(ctx, "breadth", "", activity, 10)
 	if err != nil {
-		t.Fatalf("degraded policy should serve through a dead shard: %v", err)
+		t.Fatalf("a coordinator should serve through a dead shard: %v", err)
 	}
 	if !res.Degraded {
 		t.Fatal("response with a dead shard not flagged degraded")
@@ -482,13 +478,6 @@ func TestClusterPartialFailurePolicies(t *testing.T) {
 		t.Fatalf("degraded HTTP response: code %d body %s", code, dBody)
 	}
 
-	// Fail-closed refuses.
-	if _, err := coFail.Recommend(ctx, "breadth", "", activity, 10); err == nil {
-		t.Fatal("fail-closed policy served through a dead shard")
-	} else if !strings.Contains(err.Error(), "shards failed") {
-		t.Fatalf("fail-closed error: %v", err)
-	}
-
 	// Every strategy degrades, not just breadth (Focus and the two-round
 	// Best Match path have their own gather code).
 	for _, strat := range []string{"focus-cmp", "focus-cl", "best-match"} {
@@ -501,9 +490,26 @@ func TestClusterPartialFailurePolicies(t *testing.T) {
 		}
 	}
 
-	// Rejoin: same address, same engine — and the ranking snaps back to the
-	// exact healthy bytes.
-	workers[1].revive(t)
+	// With no shard left there is nothing to degrade to: the query fails.
+	workers[0].kill()
+	workers[2].kill()
+	if _, err := co.Recommend(ctx, "breadth", "", activity, 10); err == nil {
+		t.Fatal("a coordinator served with every shard down")
+	} else if !strings.Contains(err.Error(), "3 of 3 shards failed") {
+		t.Fatalf("every shard down: %v", err)
+	}
+	if code, body := postBody(t, cluster.URL+"/v1/recommend", query); code != http.StatusBadGateway {
+		t.Fatalf("every shard down over HTTP: got %d (%s), want 502", code, body)
+	}
+	if got := co.Metrics().Snapshot(co.Connected()).FailedQueries; got < 2 {
+		t.Fatalf("failed_queries with every shard down: got %d, want >= 2", got)
+	}
+
+	// Rejoin: same addresses, same engines — and the ranking snaps back to
+	// the exact healthy bytes.
+	for _, w := range workers {
+		w.revive(t)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	var rejoined []byte
 	for {
@@ -515,9 +521,6 @@ func TestClusterPartialFailurePolicies(t *testing.T) {
 			t.Fatalf("post-rejoin response never matched healthy baseline:\nhealthy: %s\n  after: %s", healthy, rejoined)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-	if _, err := coFail.Recommend(ctx, "breadth", "", activity, 10); err != nil {
-		t.Fatalf("fail-closed coordinator after rejoin: %v", err)
 	}
 }
 
@@ -557,7 +560,7 @@ func TestClusterVocabMismatchRejected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			workers := startWorkers(t, tc.worker, 1, nil)
-			co := startCoordinator(t, lib, workers, CoordinatorConfig{PartialFailure: FailClosed})
+			co := startCoordinator(t, lib, workers, CoordinatorConfig{})
 
 			_, err := co.Recommend(context.Background(), "breadth", "", []string{"a1"}, 5)
 			if err == nil || !strings.Contains(err.Error(), "different artifact") {
@@ -813,10 +816,7 @@ func TestClusterNamesEvery5xx(t *testing.T) {
 	lib := clusterTestLibrary(11, 30)
 	workers := startWorkers(t, lib, 2, nil)
 	var logged lockedBuffer
-	co := startCoordinator(t, lib, workers, CoordinatorConfig{
-		PartialFailure: FailClosed,
-		Logger:         log.New(&logged, "", 0),
-	})
+	co := startCoordinator(t, lib, workers, CoordinatorConfig{Logger: log.New(&logged, "", 0)})
 	cluster := httptest.NewServer(NewHTTPHandler(co))
 	defer cluster.Close()
 
@@ -831,10 +831,12 @@ func TestClusterNamesEvery5xx(t *testing.T) {
 		t.Fatalf("a 200 or a 400 was logged as a failure:\n%s", got)
 	}
 
-	workers[1].kill()
+	for _, w := range workers {
+		w.kill()
+	}
 	code, body := postBody(t, cluster.URL+"/v1/recommend", query)
 	if code != http.StatusBadGateway {
-		t.Fatalf("fail-closed with a dead shard: got %d (%s), want 502", code, body)
+		t.Fatalf("every shard dead: got %d (%s), want 502", code, body)
 	}
 	var line string
 	for _, l := range strings.Split(logged.String(), "\n") {

@@ -16,42 +16,20 @@ import (
 	"goalrec/internal/strategy"
 )
 
-// PartialFailurePolicy selects what a scatter does when a shard cannot
-// answer.
-type PartialFailurePolicy string
+// dialTimeout bounds connecting and registering with a worker, each
+// heartbeat probe and each swap abort or commit round trip.
+const dialTimeout = 5 * time.Second
 
-const (
-	// Degraded serves the merge of the shards that did answer, flags the
-	// response as degraded and counts the failure. The ranking is exact
-	// over the reachable shards but may miss the failed shard's actions.
-	Degraded PartialFailurePolicy = "degraded"
-	// FailClosed fails the whole query: callers never see a ranking that
-	// silently omits a shard.
-	FailClosed PartialFailurePolicy = "fail"
-)
-
-// ParsePartialFailurePolicy parses the -partial-failure flag value.
-func ParsePartialFailurePolicy(s string) (PartialFailurePolicy, error) {
-	switch PartialFailurePolicy(s) {
-	case Degraded:
-		return Degraded, nil
-	case FailClosed:
-		return FailClosed, nil
-	}
-	return "", fmt.Errorf("cluster: unknown partial-failure policy %q (want %q or %q)", s, Degraded, FailClosed)
-}
+// heartbeatInterval is how often StartHeartbeat probes every peer. Queries
+// re-dial a dropped worker on their own; the heartbeat only refreshes epochs
+// and picks a rejoined worker up before the next query does.
+const heartbeatInterval = 2 * time.Second
 
 // CoordinatorConfig configures the scatter-gather front end.
 type CoordinatorConfig struct {
 	// Peers are the workers' comms addresses. Together their ranges must
 	// tile [0, NumImplementations) exactly.
 	Peers []string
-	// PartialFailure is the policy for unreachable or failing shards
-	// (default Degraded).
-	PartialFailure PartialFailurePolicy
-	// DialTimeout bounds connecting + registering with a worker (default
-	// 5s).
-	DialTimeout time.Duration
 	// Reload re-reads the coordinator's own copy of the library for
 	// two-phase swaps (the coordinator resolves names, so it must swap in
 	// lockstep with the workers). Nil disables Reload.
@@ -95,12 +73,6 @@ type peer struct {
 // NewCoordinator builds a coordinator over engine (the coordinator's own
 // full-library copy) and the configured workers.
 func NewCoordinator(engine *goalrec.Engine, cfg CoordinatorConfig) *Coordinator {
-	if cfg.PartialFailure == "" {
-		cfg.PartialFailure = Degraded
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	co := &Coordinator{
 		engine:  engine,
 		cfg:     cfg,
@@ -206,7 +178,7 @@ func (co *Coordinator) connect(p *peer) (*comms.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing %s: %w", p.addr, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	defer cancel()
 	f, err := c.Do(ctx, FrameRegister, nil)
 	if err != nil {
@@ -230,15 +202,15 @@ func (co *Coordinator) connect(p *peer) (*comms.Conn, error) {
 	return c, nil
 }
 
-// StartHeartbeat probes every peer at the given interval, refreshing epochs
+// StartHeartbeat probes every peer every heartbeatInterval, refreshing epochs
 // and re-establishing dropped connections so a rejoined worker is picked up
 // without waiting for a query. The returned stop function is idempotent.
-func (co *Coordinator) StartHeartbeat(interval time.Duration) (stop func()) {
+func (co *Coordinator) StartHeartbeat() (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(heartbeatInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -251,7 +223,7 @@ func (co *Coordinator) StartHeartbeat(interval time.Duration) (stop func()) {
 				if err != nil {
 					continue
 				}
-				hctx, hcancel := context.WithTimeout(ctx, co.cfg.DialTimeout)
+				hctx, hcancel := context.WithTimeout(ctx, dialTimeout)
 				f, err := conn.Do(hctx, FrameHeartbeat, nil)
 				hcancel()
 				if err != nil {
@@ -276,7 +248,7 @@ func (co *Coordinator) StartHeartbeat(interval time.Duration) (stop func()) {
 }
 
 // Result is one gathered, merged recommendation ranking; Degraded marks one
-// merged without every shard (policy Degraded).
+// merged without every shard.
 type Result = server.Result
 
 // gathered is one worker's scatter outcome.
@@ -332,9 +304,9 @@ func (co *Coordinator) scatter(ctx context.Context, typ uint8, payload []byte, o
 	return all
 }
 
-// partition splits scatter outcomes into successes and failures, applying
-// the partial-failure policy. With FailClosed any failure fails the query;
-// with Degraded the failures are counted and the successes served, flagged.
+// partition splits scatter outcomes into successes and failures. The
+// failures are counted and the successes served, flagged degraded; the
+// query fails only when no shard answered.
 func (co *Coordinator) partition(all []*gathered) (ok []*gathered, degraded bool, err error) {
 	var failed []*gathered
 	for _, g := range all {
@@ -351,7 +323,7 @@ func (co *Coordinator) partition(all []*gathered) (ok []*gathered, degraded bool
 		co.logf("cluster: shard %s failed: %v", g.peer.addr, g.err)
 	}
 	co.metrics.partialFailures.Add(int64(len(failed)))
-	if co.cfg.PartialFailure == FailClosed || len(ok) == 0 {
+	if len(ok) == 0 {
 		co.metrics.failedQueries.Add(1)
 		return nil, false, fmt.Errorf("cluster: %d of %d shards failed (first: %w)",
 			len(failed), len(all), failed[0].err)
@@ -364,10 +336,10 @@ func (co *Coordinator) partition(all []*gathered) (ok []*gathered, degraded bool
 // shard served.
 type shardResponse interface{ servedEpoch() uint64 }
 
-// gather scatters one query round (see scatter), applies the partial-failure
-// policy and decodes every answer into a T, refusing answers from more than
-// one epoch. okPeers are the shards that answered; all of resps share the
-// epoch of resps[0].
+// gather scatters one query round (see scatter), partitions the outcomes
+// (see partition) and decodes every answer into a T, refusing answers from
+// more than one epoch. okPeers are the shards that answered; all of resps
+// share the epoch of resps[0].
 func gather[T shardResponse](ctx context.Context, co *Coordinator, typ uint8, payload []byte, only map[*peer]bool) (resps []T, okPeers map[*peer]bool, degraded bool, err error) {
 	ok, degraded, err := co.partition(co.scatter(ctx, typ, payload, only))
 	if err != nil {
@@ -393,7 +365,7 @@ func gather[T shardResponse](ctx context.Context, co *Coordinator, typ uint8, pa
 // checkEpochs verifies every answering shard served the same epoch. The
 // merge is only sound over partitions of one library state; skew (e.g. a
 // worker that restarted onto a different artifact between registration and
-// now) fails the query regardless of the partial-failure policy.
+// now) fails the query even when every shard answered.
 func checkEpochs(epochs []uint64) error {
 	if len(epochs) == 0 {
 		return nil
@@ -408,7 +380,7 @@ func checkEpochs(epochs []uint64) error {
 
 // coverageError validates that the registered shard ranges tile the n
 // implementations of the coordinator's library exactly. Run against the full
-// peer set so a gap is reported even when the policy would otherwise degrade
+// peer set so a gap is reported even where a query would otherwise degrade
 // around it.
 func (co *Coordinator) coverageError(n int) error {
 	type rng struct{ lo, hi int }
@@ -457,8 +429,8 @@ func (co *Coordinator) begin(ctx context.Context, strategyName, metric string) (
 		return nil, spec, err
 	}
 	for _, p := range co.peers {
-		// Connection failures surface through the scatter under the
-		// partial-failure policy; this only primes (or re-establishes) the
+		// Connection failures surface through the scatter, which degrades
+		// around them; this only primes (or re-establishes) the
 		// registrations so coverage can be validated.
 		if _, err := co.connect(p); err != nil {
 			co.logf("cluster: preconnect: %v", err)
@@ -660,7 +632,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 		// Abort every successfully staged worker; the cluster keeps serving
 		// the previous epoch everywhere.
 		for _, g := range prepared {
-			actx, acancel := context.WithTimeout(ctx, co.cfg.DialTimeout)
+			actx, acancel := context.WithTimeout(ctx, dialTimeout)
 			if _, aerr := g.conn.Do(actx, FrameAbort, nil); aerr != nil {
 				co.logf("cluster: abort on %s: %v", g.peer.addr, aerr)
 			}
@@ -682,7 +654,7 @@ func (co *Coordinator) Reload(ctx context.Context) (epoch uint64, implementation
 	var commitErr error
 	var epochs []uint64
 	for _, g := range prepared {
-		cctx, ccancel := context.WithTimeout(ctx, co.cfg.DialTimeout)
+		cctx, ccancel := context.WithTimeout(ctx, dialTimeout)
 		f, err := g.conn.Do(cctx, FrameCommit, nil)
 		ccancel()
 		if err == nil {

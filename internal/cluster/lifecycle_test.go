@@ -115,7 +115,7 @@ func TestCoordinatorHonoursLifecycle(t *testing.T) {
 			},
 		})
 		ts := httptest.NewServer(server.NewFromBackend(co, nil,
-			server.WithMaxInflight(1), server.WithAdmissionWait(time.Millisecond)))
+			server.WithMaxInflight(1)))
 		defer ts.Close()
 		done := make(chan int)
 		go func() {

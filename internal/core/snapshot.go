@@ -454,11 +454,11 @@ func WriteSnapshot(w io.Writer, l *Library, vocab *Vocabulary, opts SnapshotOpti
 func (p *snapPlan) write(w io.Writer) error {
 	secs := p.secs
 
-	// Assign aligned offsets.
-	off := alignUp(uint64(snapHeaderSize + snapSectSize*len(secs)))
+	// Assign aligned offsets. end, the footer's offset, caps the write buffer.
+	end := uint64(snapHeaderSize + snapSectSize*len(secs))
 	for i := range secs {
-		secs[i].off = off
-		off = alignUp(off + secs[i].count*uint64(secs[i].elem))
+		secs[i].off = alignUp(end)
+		end = secs[i].off + secs[i].count*uint64(secs[i].elem)
 	}
 
 	// Header + table, CRC-stamped.
@@ -475,7 +475,7 @@ func (p *snapPlan) write(w io.Writer) error {
 	crc = crc32.Update(crc, crc32.IEEETable, table)
 	binary.LittleEndian.PutUint32(hdr[60:], crc)
 
-	sw := &snapWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	sw := &snapWriter{w: bufio.NewWriterSize(w, int(min(1<<16, end+snapFooterSize)))}
 	sw.write(hdr)
 	sw.write(table)
 	for i := range secs {

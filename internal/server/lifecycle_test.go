@@ -324,8 +324,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	rl := &blockingReloader{lib: lib, entered: make(chan struct{}), release: make(chan struct{})}
 	srv := New(lib, nil,
 		WithReloader(rl.Load),
-		WithMaxInflight(1),
-		WithAdmissionWait(time.Millisecond))
+		WithMaxInflight(1))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -382,7 +381,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 // body to the unloaded run.
 func TestAdmittedRequestsDeterministicUnderLoad(t *testing.T) {
 	lib := testLibrary(t)
-	srv := New(lib, nil, WithMaxInflight(2), WithAdmissionWait(time.Millisecond))
+	srv := New(lib, nil, WithMaxInflight(2))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

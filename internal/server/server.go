@@ -66,10 +66,10 @@ const maxBodyBytes = 1 << 20
 // but keeps the error accounting honest.
 const statusClientClosedRequest = 499
 
-// defaultAdmissionWait is how long an over-limit request may wait for an
+// admissionWait is how long an over-limit request may wait for an
 // admission slot before being shed. Short by design: queueing beyond a few
 // request-times only converts overload into latency.
-const defaultAdmissionWait = 10 * time.Millisecond
+const admissionWait = 10 * time.Millisecond
 
 // Backend is what the front end serves: the local engine of one node (built
 // by New and NewFromEngine) or a cluster coordinator. Only what a topology
@@ -126,8 +126,8 @@ type Status struct {
 }
 
 // BackendError marks a failure behind the backend rather than in the request
-// or the front end — a shard down under the fail-closed policy, epoch skew
-// across shards — and is answered 502 with Err's message.
+// or the front end — every shard down, epoch skew across shards — and is
+// answered 502 with Err's message.
 type BackendError struct{ Err error }
 
 func (e *BackendError) Error() string { return e.Err.Error() }
@@ -234,7 +234,7 @@ func WithRequestTimeout(d time.Duration) Option {
 // WithMaxInflight puts a bounded-concurrency admission gate in front of
 // the expensive endpoints (recommend, spaces, explain, reload): at most n
 // such requests run concurrently. An over-limit request waits briefly for
-// a slot (see WithAdmissionWait) and is then shed as a 503 with a
+// a slot (up to admissionWait, 10ms) and is then shed as a 503 with a
 // Retry-After header. n <= 0 (the default) disables the gate.
 func WithMaxInflight(n int) Option {
 	return func(s *Server) {
@@ -244,13 +244,6 @@ func WithMaxInflight(n int) Option {
 			s.gate = nil
 		}
 	}
-}
-
-// WithAdmissionWait sets how long an over-limit request may wait for an
-// admission slot before being shed (default 10ms). Only meaningful with
-// WithMaxInflight.
-func WithAdmissionWait(d time.Duration) Option {
-	return func(s *Server) { s.gateWait = d }
 }
 
 // WithUserStore enables the /v1/users endpoints over us — typically
@@ -284,9 +277,8 @@ type Server struct {
 	errLog *log.Logger
 
 	// Request-lifecycle knobs (see WithRequestTimeout / WithMaxInflight).
-	timeout  time.Duration
-	gate     chan struct{}
-	gateWait time.Duration
+	timeout time.Duration
+	gate    chan struct{}
 
 	// users is non-nil iff WithUserStore: the per-user history store behind
 	// the /v1/users endpoints.
@@ -343,7 +335,6 @@ func NewFromBackend(b Backend, logger *log.Logger, opts ...Option) *Server {
 		mux:       http.NewServeMux(),
 		log:       logger,
 		errLog:    logger,
-		gateWait:  defaultAdmissionWait,
 		requests:  new(expvar.Map).Init(),
 		errors:    new(expvar.Map).Init(),
 		lifecycle: new(expvar.Map).Init(),
@@ -440,7 +431,7 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // gated wraps an expensive handler with the admission gate. Without
 // WithMaxInflight the wrapper is free. Over the limit, the request waits
-// up to gateWait for a slot — giving up early if the client hangs up — and
+// up to admissionWait for a slot — giving up early if the client hangs up — and
 // is then shed: 503 plus a Retry-After so well-behaved clients back off
 // instead of hammering. Sheds are counted, not named in the error log: under
 // overload that log would be one line per refused request.
@@ -452,7 +443,7 @@ func (s *Server) gated(name string, h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case s.gate <- struct{}{}:
 		default:
-			t := time.NewTimer(s.gateWait)
+			t := time.NewTimer(admissionWait)
 			defer t.Stop()
 			select {
 			case s.gate <- struct{}{}:

@@ -133,8 +133,7 @@ func TestRecommendBatchGated(t *testing.T) {
 	rl := &blockingReloader{lib: lib, entered: make(chan struct{}), release: make(chan struct{})}
 	srv := New(lib, nil,
 		WithReloader(rl.Load),
-		WithMaxInflight(1),
-		WithAdmissionWait(time.Millisecond))
+		WithMaxInflight(1))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

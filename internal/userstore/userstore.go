@@ -19,10 +19,10 @@ type Options struct {
 	// MaxUsers caps the number of tracked users (histories). ≤ 0 selects
 	// the default of 2^21.
 	MaxUsers int
-	// Shards is the map shard count, rounded up to a power of two. ≤ 0
-	// selects 64.
-	Shards int
 }
+
+// numShards is the map shard count, a power of two so a hash masks to it.
+const numShards = 64
 
 func (o Options) maxUsers() int {
 	if o.MaxUsers > 0 {
@@ -98,8 +98,7 @@ type shard struct {
 
 // Store is the sharded user store. It is safe for concurrent use.
 type Store struct {
-	shards []shard
-	mask   uint64
+	shards [numShards]shard
 
 	maxUsers int
 
@@ -109,19 +108,7 @@ type Store struct {
 
 // New returns an empty store.
 func New(o Options) *Store {
-	n := o.Shards
-	if n <= 0 {
-		n = 64
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	s := &Store{
-		shards:   make([]shard, shards),
-		mask:     uint64(shards - 1),
-		maxUsers: o.maxUsers(),
-	}
+	s := &Store{maxUsers: o.maxUsers()}
 	for i := range s.shards {
 		s.shards[i].users = make(map[string]*User)
 	}
@@ -139,7 +126,7 @@ func fnv1a(id string) uint64 {
 }
 
 func (s *Store) shardOf(id string) *shard {
-	return &s.shards[fnv1a(id)&s.mask]
+	return &s.shards[fnv1a(id)%numShards]
 }
 
 // Len returns the tracked user count.

@@ -28,7 +28,7 @@ func TestAppendNamesDedup(t *testing.T) {
 }
 
 func TestCapacityAndDelete(t *testing.T) {
-	s := New(Options{MaxUsers: 2, Shards: 4})
+	s := New(Options{MaxUsers: 2})
 	if _, err := s.GetOrCreate("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCapacityAndDelete(t *testing.T) {
 }
 
 func TestConcurrentChurn(t *testing.T) {
-	s := New(Options{MaxUsers: 1 << 10, Shards: 8})
+	s := New(Options{MaxUsers: 1 << 10})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -99,8 +99,7 @@ for i in 0 1 2; do start_worker "$i"; done
 for i in 0 1 2; do wait_ready "http://${W_HTTP[$i]}/readyz"; done
 "$TMP/goalrecd" -library "$LIB" -quiet \
     -role coordinator -addr "$CO_ADDR" \
-    -peers "${W_SHARD[0]},${W_SHARD[1]},${W_SHARD[2]}" \
-    -heartbeat 500ms 2>>"$TMP/coordinator.log" &
+    -peers "${W_SHARD[0]},${W_SHARD[1]},${W_SHARD[2]}" 2>>"$TMP/coordinator.log" &
 PIDS+=($!)
 wait_ready "http://$REF_ADDR/readyz"
 wait_ready "http://$CO_ADDR/readyz"

@@ -66,7 +66,7 @@ go build -o "$TMP/loadgen" ./cmd/loadgen
 
 start_daemon() {
     "$TMP/goalrecd" -library "$LIB" -addr "$ADDR" -quiet \
-        -max-inflight 2 -admission-wait 200us -request-timeout 250ms \
+        -max-inflight 2 -request-timeout 250ms \
         -watch 100ms ${STORE_FLAGS[@]+"${STORE_FLAGS[@]}"} 2>>"$TMP/goalrecd.log" &
     DAEMON_PID=$!
     for _ in $(seq 1 100); do

@@ -131,9 +131,6 @@ type StoreOptions struct {
 	// CompactAtWALBytes is the WAL size that triggers background compaction
 	// (snapshot + log reset). <= 0 selects 4 MiB.
 	CompactAtWALBytes int64
-	// KeepSnapshots is how many generations of snapshot files to retain
-	// (the newest is always kept). <= 0 selects 2.
-	KeepSnapshots int
 	// Logger receives compaction and recovery notes; nil disables logging.
 	Logger *log.Logger
 	// Users configures the per-user activity store the Store journals and
@@ -142,11 +139,6 @@ type StoreOptions struct {
 	// FS is the filesystem the store runs on; nil selects the real one.
 	// Tests inject faults through it (internal/faultfs).
 	FS faultfs.FS
-	// ScrubInterval enables the background scrubber: every interval the
-	// store re-verifies each snapshot's whole-file checksum and the WAL's
-	// frame CRCs, quarantining corrupt snapshots. <= 0 disables the periodic
-	// loop; the open-time scrub always runs.
-	ScrubInterval time.Duration
 	// ProbeInterval is the cadence of the degraded store's write probe.
 	// <= 0 selects 1s.
 	ProbeInterval time.Duration
@@ -156,6 +148,17 @@ type StoreOptions struct {
 }
 
 const defaultCompactAtWALBytes = 4 << 20
+
+// keepSnapshots is how many generations of snapshot files a store retains,
+// the newest included: one to fall back to when a scrub quarantines the
+// newest.
+const keepSnapshots = 2
+
+// scrubInterval is the cadence of the background scrubber: every interval
+// the store re-verifies each snapshot's whole-file checksum and the WAL's
+// frame CRCs, quarantining corrupt snapshots. The open-time scrub runs as
+// well.
+const scrubInterval = time.Hour
 
 // Transient append errors retry in place before the store degrades.
 const (
@@ -175,13 +178,6 @@ func (o StoreOptions) compactAt() int64 {
 		return defaultCompactAtWALBytes
 	}
 	return o.CompactAtWALBytes
-}
-
-func (o StoreOptions) keep() int {
-	if o.KeepSnapshots <= 0 {
-		return 2
-	}
-	return o.KeepSnapshots
 }
 
 func (o StoreOptions) probeEvery() time.Duration {
@@ -378,10 +374,8 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	s.w = w
 	s.engine.setJournal(s)
 	s.users.setJournal(s)
-	if opts.ScrubInterval > 0 {
-		s.bgWG.Add(1)
-		go s.scrubLoop()
-	}
+	s.bgWG.Add(1)
+	go s.scrubLoop()
 	return s, nil
 }
 
@@ -664,7 +658,7 @@ func (s *Store) snapshotAndReset(lib *Library) error {
 	floor := epoch
 	if epochs, err := snapshotEpochs(s.fs, s.dir); err == nil {
 		kept := 0
-		for i := len(epochs) - 1; i >= 0 && kept < s.opts.keep(); i-- {
+		for i := len(epochs) - 1; i >= 0 && kept < keepSnapshots; i-- {
 			if epochs[i] <= epoch {
 				kept++
 				floor = min(floor, epochs[i])
@@ -780,7 +774,7 @@ func (s *Store) linkOrCopy(path, src string, key []byte, lib *Library) error {
 	return core.CopySnapshotFileFS(s.fs, path, src, key, lib.lib)
 }
 
-// pruneSnapshotsLocked deletes snapshot generations beyond KeepSnapshots,
+// pruneSnapshotsLocked deletes snapshot generations beyond keepSnapshots,
 // never touching the newest. A failed prune is counted, not fatal: the file
 // still lists, so the next compaction retries it.
 func (s *Store) pruneSnapshotsLocked(newest uint64) {
@@ -795,7 +789,7 @@ func (s *Store) pruneSnapshotsLocked(newest uint64) {
 		if epochs[i] > newest {
 			continue // a concurrent newer snapshot: not ours to manage
 		}
-		if kept++; kept <= s.opts.keep() {
+		if kept++; kept <= keepSnapshots {
 			continue
 		}
 		if err := s.fs.Remove(s.snapPath(epochs[i])); err != nil {
@@ -808,7 +802,7 @@ func (s *Store) pruneSnapshotsLocked(newest uint64) {
 // scrubLoop runs the periodic scrubber until the store closes.
 func (s *Store) scrubLoop() {
 	defer s.bgWG.Done()
-	t := time.NewTicker(s.opts.ScrubInterval)
+	t := time.NewTicker(scrubInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -828,8 +822,8 @@ func (s *Store) scrubLoop() {
 // restore full snapshot coverage; a WAL that no longer replays to its acked
 // size is counted as torn and likewise compacted away, rewriting the log
 // from live state. It returns the first corruption found, nil for a clean
-// pass. OpenStore runs the snapshot half of this automatically; the periodic
-// loop behind StoreOptions.ScrubInterval runs all of it.
+// pass. OpenStore runs the snapshot half of this automatically; a background
+// loop runs all of it every scrubInterval (an hour) while the store is open.
 func (s *Store) Scrub() error {
 	var firstErr error
 	epochs, err := snapshotEpochs(s.fs, s.dir)

@@ -411,7 +411,7 @@ func TestSnapshotFilesNeverWrittenInPlace(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{FS: inj, KeepSnapshots: 1})
+	s, err := OpenStore(dir, StoreOptions{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

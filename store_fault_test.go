@@ -239,7 +239,7 @@ func TestStoreTransientAppendErrorRetriesInPlace(t *testing.T) {
 // tail, and serve bit-identical rankings.
 func TestStoreQuarantinesCorruptNewestSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+	s, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStoreQuarantinesCorruptNewestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+	s2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestStoreQuarantinesFooterlessBadOffsets(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%s/last=%v", tc.section, tc.last), func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+			s, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +357,7 @@ func TestStoreQuarantinesFooterlessBadOffsets(t *testing.T) {
 				t.Fatalf("scrub: %v, want ErrCorruptSnapshot", err)
 			}
 
-			s2, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+			s2, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,36 +467,37 @@ func TestStoreScrubFindsAtRestCorruption(t *testing.T) {
 // and the file is retried — and removed — by the next compaction.
 func TestStorePruneFailuresCountedAndRetried(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
-	opts := probeFast(inj)
-	opts.KeepSnapshots = 1
-	s, err := OpenStore(t.TempDir(), opts)
+	s, err := OpenStore(t.TempDir(), probeFast(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	storeIngest(t, s.Engine(), 0, 10)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	// Fill the keepSnapshots generations, so the next compaction prunes.
+	for i := 0; i < keepSnapshots; i++ {
+		storeIngest(t, s.Engine(), i*10, 10)
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	inj.Fail(faultfs.Rule{Op: faultfs.OpRemove, Path: ".gsnp", Err: faultfs.EIO})
-	storeIngest(t, s.Engine(), 10, 10)
+	storeIngest(t, s.Engine(), 20, 10)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Status(); st.PruneFailures == 0 {
 		t.Fatalf("failed prune not counted: %+v", st)
 	}
-	if snaps, _ := snapshotEpochs(inj, s.dir); len(snaps) != 2 {
+	if snaps, _ := snapshotEpochs(inj, s.dir); len(snaps) != keepSnapshots+1 {
 		t.Fatalf("unpruned snapshot vanished anyway: %v", snaps)
 	}
 
 	inj.ClearRules()
-	storeIngest(t, s.Engine(), 20, 10)
+	storeIngest(t, s.Engine(), 30, 10)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if snaps, _ := snapshotEpochs(inj, s.dir); len(snaps) != 1 {
+	if snaps, _ := snapshotEpochs(inj, s.dir); len(snaps) != keepSnapshots {
 		t.Fatalf("prune retry did not catch up: %v", snaps)
 	}
 }

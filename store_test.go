@@ -244,10 +244,10 @@ func TestStoreJournalFailureIsStickyAndAtomic(t *testing.T) {
 	}
 }
 
-// Background compaction keeps at most KeepSnapshots generations.
+// Background compaction keeps at most keepSnapshots generations.
 func TestStorePrunesOldSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{KeepSnapshots: 2})
+	s, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

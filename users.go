@@ -22,8 +22,6 @@ type UserStoreOptions struct {
 	// MaxUsers caps tracked users; appends for new users beyond it fail
 	// with ErrTooManyUsers.
 	MaxUsers int
-	// Shards is the map shard count.
-	Shards int
 }
 
 // userJournal persists user-store mutations write-ahead: a Store installs
@@ -49,11 +47,8 @@ type UserStore struct {
 // opened from disk get a WAL-backed one from Store.Users instead.
 func NewUserStore(e *Engine, o UserStoreOptions) *UserStore {
 	return &UserStore{
-		e: e,
-		users: userstore.New(userstore.Options{
-			MaxUsers: o.MaxUsers,
-			Shards:   o.Shards,
-		}),
+		e:     e,
+		users: userstore.New(userstore.Options{MaxUsers: o.MaxUsers}),
 	}
 }
 

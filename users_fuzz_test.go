@@ -37,7 +37,7 @@ func FuzzUserStore(f *testing.F) {
 		}
 		e := NewEngineFromLibrary(buildLib(0))
 		// A small user cap so refusal and recreation paths run too.
-		us := NewUserStore(e, UserStoreOptions{MaxUsers: 6, Shards: 2})
+		us := NewUserStore(e, UserStoreOptions{MaxUsers: 6})
 
 		shadow := make(map[string][]string)
 		appendShadow := func(id string, names []string) {
