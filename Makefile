@@ -60,12 +60,15 @@ fmt:
 # (the root package, internal/strategy, internal/cluster) must not import
 # internal/vectorspace: Best Match's metric lives beside its scorer. A
 # snapshot file is mapped in one place only, core.OpenSnapshotVerified.
+# The CounterView shim serves bench/'s traced rungs only: nothing else calls
+# NewCounterView or RecommendView outside tests.
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
 	go run ./scripts/errlint
 	! go list -f '{{join .Imports "\n"}}' . ./internal/strategy ./internal/cluster | grep -x goalrec/internal/vectorspace
 	test "$$(git grep -c 'mmapFile(' -- '*.go' ':!internal/core/mmap_*.go')" = internal/core/snapshot.go:1
+	test -z "$$(git grep -nE 'NewCounterView|RecommendView' -- '*.go' ':!bench' ':!internal/strategy/counterview.go' ':!*_test.go')"
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else \

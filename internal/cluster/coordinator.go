@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"net"
 	"sort"
 	"sync"
 	"time"
@@ -19,6 +20,9 @@ import (
 // dialTimeout bounds connecting and registering with a worker, each
 // heartbeat probe and each swap abort or commit round trip.
 const dialTimeout = 5 * time.Second
+
+// dialWorker opens the TCP connection to a worker; tests replace it.
+var dialWorker = (&net.Dialer{}).DialContext
 
 // heartbeatInterval is how often StartHeartbeat probes every peer. Queries
 // re-dial a dropped worker on their own; the heartbeat only refreshes epochs
@@ -174,12 +178,13 @@ func (co *Coordinator) connect(p *peer) (*comms.Conn, error) {
 		p.conn.Close()
 		p.conn = nil
 	}
-	c, err := comms.Dial(p.addr)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	defer cancel()
+	nc, err := dialWorker(ctx, "tcp", p.addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing %s: %w", p.addr, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
-	defer cancel()
+	c := comms.NewConn(nc)
 	f, err := c.Do(ctx, FrameRegister, nil)
 	if err != nil {
 		c.Close()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -470,4 +471,29 @@ func TestClusterSwapAbortsOnUncuttableShard(t *testing.T) {
 	cluster := httptest.NewServer(NewHTTPHandler(co))
 	defer cluster.Close()
 	assertAnswersLike(t, single.URL, cluster.URL)
+}
+
+// TestConnectBoundsTheDial: connect dials a worker under a context that
+// expires within dialTimeout, so a worker whose SYNs are dropped holds the
+// peer's lock (and every query, heartbeat and /readyz behind it) for at most
+// that long, and the dialer's error is what connect returns.
+func TestConnectBoundsTheDial(t *testing.T) {
+	defer func(d func(context.Context, string, string) (net.Conn, error)) { dialWorker = d }(dialWorker)
+	refused := errors.New("dial refused")
+	var remaining time.Duration
+	dialWorker = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		deadline, ok := ctx.Deadline()
+		if !ok {
+			t.Error("worker dialed with no deadline")
+		}
+		remaining = time.Until(deadline)
+		return nil, refused
+	}
+	co := &Coordinator{}
+	if _, err := co.connect(&peer{addr: "worker.invalid:1"}); !errors.Is(err, refused) {
+		t.Fatalf("connect err = %v, want the dialer's", err)
+	}
+	if remaining <= 0 || remaining > dialTimeout {
+		t.Fatalf("dial deadline %v away, want within (0, %v]", remaining, dialTimeout)
+	}
 }

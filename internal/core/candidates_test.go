@@ -11,8 +11,8 @@ import (
 
 // oracleAppendCandidates is the collector this package shipped before the
 // bitset: dense bool stamps with H pre-stamped, first-sight appends, then a
-// sort of the distinct survivors. Kept as the reference AppendCandidates and
-// AppendImplCandidates must reproduce byte for byte.
+// sort of the distinct survivors. Kept as the reference AppendCandidates
+// must reproduce byte for byte.
 func oracleAppendCandidates(l *Library, dst []ActionID, sortedH []ActionID) []ActionID {
 	base := len(dst)
 	seen := make([]bool, l.numActions)
@@ -39,9 +39,9 @@ func oracleAppendCandidates(l *Library, dst []ActionID, sortedH []ActionID) []Ac
 // every size, as a pooled Best Match scratch does.
 var collectorTally GoalTally
 
-// checkCollector runs both collector entry points on sc and compares them
-// with the oracle, and their goal tallies with GoalSpace and the per-goal
-// posting counts of H; sc must come back all zero.
+// checkCollector runs AppendCandidates on sc and compares it with the
+// oracle, and its goal tally with GoalSpace and the per-goal posting counts
+// of H; sc must come back all zero.
 func checkCollector(t *testing.T, l *Library, sc *CandidateScratch, h []ActionID) {
 	t.Helper()
 	sortedH := intset.FromUnsorted(intset.Clone(h))
@@ -54,35 +54,21 @@ func checkCollector(t *testing.T, l *Library, sc *CandidateScratch, h []ActionID
 		}
 	}
 	tally := &collectorTally
-	checkTally := func(name string) {
-		t.Helper()
-		if got := intset.FromUnsorted(intset.Clone(tally.Goals)); !slices.Equal(got, l.GoalSpace(sortedH)) {
-			t.Fatalf("%s(h=%v) tallied goals %v, want %v", name, sortedH, got, l.GoalSpace(sortedH))
-		}
-		for i, g := range tally.Goals {
-			if tally.Slot(g) != i || tally.Counts[i] != wantCount[g] {
-				t.Fatalf("%s(h=%v): goal %d at slot %d/%d counts %d, want %d", name, sortedH, g, tally.Slot(g), i, tally.Counts[i], wantCount[g])
-			}
-		}
-	}
 	tally.Reset(l.NumGoals())
 	if got := l.AppendCandidates(slices.Clone(prefix), sc, sortedH, tally); !slices.Equal(got, want) {
 		t.Fatalf("AppendCandidates(h=%v) = %v, want %v", sortedH, got, want)
 	}
-	checkTally("AppendCandidates")
-	impls := l.ImplementationSpace(sortedH)
-	weight := make([]int32, len(impls))
-	for i, p := range impls {
-		weight[i] = int32(intset.IntersectionLen(l.Actions(p), sortedH))
+	if got := intset.FromUnsorted(intset.Clone(tally.Goals)); !slices.Equal(got, l.GoalSpace(sortedH)) {
+		t.Fatalf("AppendCandidates(h=%v) tallied goals %v, want %v", sortedH, got, l.GoalSpace(sortedH))
 	}
-	tally.Reset(l.NumGoals())
-	if got := l.AppendImplCandidates(slices.Clone(prefix), sc, impls, weight, sortedH, tally); !slices.Equal(got, want) {
-		t.Fatalf("AppendImplCandidates(h=%v) = %v, want %v", sortedH, got, want)
+	for i, g := range tally.Goals {
+		if tally.Slot(g) != i || tally.Counts[i] != wantCount[g] {
+			t.Fatalf("AppendCandidates(h=%v): goal %d at slot %d/%d counts %d, want %d", sortedH, g, tally.Slot(g), i, tally.Counts[i], wantCount[g])
+		}
 	}
-	checkTally("AppendImplCandidates")
 	for w, word := range sc.bits {
 		if word != 0 {
-			t.Fatalf("scratch word %d = %#x after the calls (h=%v)", w, word, sortedH)
+			t.Fatalf("scratch word %d = %#x after the call (h=%v)", w, word, sortedH)
 		}
 	}
 }

@@ -165,20 +165,15 @@ func (t *GoalTally) Add(g GoalID, w int32) {
 
 // mark adds the action sets of impls to the pending candidate set: bits of
 // the dense set, or raw appends to dst on the fallback path (set == nil).
-// With a tally it also adds each implementation's weight — weight[i], or 1
-// when weight is nil — to the count of its goal.
-func (l *Library) mark(dst []ActionID, set []uint64, impls []ImplID, weight []int32, t *GoalTally) []ActionID {
+// With a tally it also adds 1 per implementation to the count of its goal.
+func (l *Library) mark(dst []ActionID, set []uint64, impls []ImplID, t *GoalTally) []ActionID {
 	// The base arrays are held in locals: the stores into set could alias
 	// the Library as far as the compiler knows, and would otherwise have it
 	// reload every slice header per implementation.
 	off, acts, nb := l.implOff, l.implActs, ImplID(len(l.implGoal))
-	for i, p := range impls {
+	for _, p := range impls {
 		if t != nil {
-			w := int32(1)
-			if weight != nil {
-				w = weight[i]
-			}
-			t.Add(l.Goal(p), w)
+			t.Add(l.Goal(p), 1)
 		}
 		var row []ActionID
 		if uint32(p) < uint32(nb) {
@@ -243,20 +238,9 @@ func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH
 	base := len(dst)
 	set := sc.begin(l.numActions)
 	for _, a := range sortedH {
-		dst = l.mark(dst, set, l.ImplsOfAction(a), nil, t)
+		dst = l.mark(dst, set, l.ImplsOfAction(a), t)
 	}
 	return drain(dst, base, set, sortedH)
-}
-
-// AppendImplCandidates is AppendCandidates for a caller that already holds
-// impls = IS(sortedH): the same collector runs over each implementation
-// once, with no posting rows read. A non-nil t receives weight[i] (|A_p ∩ H|
-// for p = impls[i]) on the goal of each implementation, which is the same
-// tally AppendCandidates derives from the posting rows.
-func (l *Library) AppendImplCandidates(dst []ActionID, sc *CandidateScratch, impls []ImplID, weight []int32, sortedH []ActionID, t *GoalTally) []ActionID {
-	base := len(dst)
-	set := sc.begin(l.numActions)
-	return drain(l.mark(dst, set, impls, weight, t), base, set, sortedH)
 }
 
 // Completeness returns completeness(g, A_p, H) = |A_p ∩ H| / |A_p|

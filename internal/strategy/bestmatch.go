@@ -19,11 +19,10 @@ import (
 //
 // The goal space and the profile come from the walk that collects the
 // candidates (core.GoalTally): H's posting rows, one GI-G lookup per
-// posting, or a view's implementation space (rankCounts). Every
-// metric is then scored goal-major on a dense, pooled scratch: one pass over
-// the GA rows of GS(H) (goal → distinct actions with multiplicities) — the
-// stored row, or the goal's implementation rows when they share no action —
-// accumulates every candidate's sums at once, costing
+// posting. Every metric is then scored goal-major on a dense, pooled
+// scratch: one pass over the GA rows of GS(H) (goal → distinct actions with
+// multiplicities) — the stored row, or the goal's implementation rows when
+// they share no action — accumulates every candidate's sums at once, costing
 // O(Σ_{g∈GS(H)} |GA(g)|) regardless of connectivity (see DESIGN.md).
 //
 // The pass accumulates integer-valued sums (bmSums) in float64, and bmScore
@@ -193,19 +192,6 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 	// posting of H adds one to its goal's profile count (Equation 9).
 	s.goals.Reset(bm.lib.NumGoals())
 	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
-	return bm.rank(ctx, s, k)
-}
-
-// rankCounts is Best Match's driver over IS(H) in the CounterView layout:
-// the candidates, the goal space and the profile come from one pass over
-// impls — each implementation adds cnt[i] = |A_impls[i] ∩ H| to its goal's
-// count, the same sum the from-scratch posting walk makes — and flow into
-// the same rank.
-func (bm *BestMatch) rankCounts(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int) ([]ScoredAction, error) {
-	s := bmScratchPool.Get().(*bmScratch)
-	defer bmScratchPool.Put(s)
-	s.goals.Reset(bm.lib.NumGoals())
-	s.cands = bm.lib.AppendImplCandidates(s.cands[:0], &s.candBufs, impls, cnt, h, &s.goals)
 	return bm.rank(ctx, s, k)
 }
 

@@ -61,13 +61,13 @@ func ParseBreadthWeighting(name string) (BreadthWeighting, error) {
 // of every candidate action the implementation contains, so that actions
 // participating in many well-connected implementations rank first.
 //
-// The walk is one driver (score) fed by either counter source: the shared
-// counter kernel (see kernel.go), whose one pass over H's posting rows yields
-// |A_p ∩ H| for every associated implementation, or a CounterView that
-// already holds those counters. Every weighting's comm follows from the
+// The walk is one driver (score) fed by the shared counter kernel (see
+// kernel.go), whose one pass over H's posting rows yields |A_p ∩ H| for
+// every associated implementation. Every weighting's comm follows from the
 // counter and |A_p| with no per-implementation set operations and no
 // materialized, sorted IS(H). Every comm is integer-valued, so float64
-// score sums are exact in any order and both sources rank bit-identically.
+// score sums are exact in any order, and a query and its shard partials
+// rank bit-identically.
 // Scratch is pooled, so a query allocates only its result.
 type Breadth struct {
 	lib       *core.Library
@@ -147,8 +147,8 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 }
 
 // score is Breadth's one scoring driver, over the kernel's gathered
-// counters and a CounterView's alike: every implementation impls[i] credits
-// its candidates from cnt[i] = |A_impls[i] ∩ H|.
+// counters: every implementation impls[i] credits its candidates from
+// cnt[i] = |A_impls[i] ∩ H|.
 func (b *Breadth) score(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int) ([]ScoredAction, error) {
 	s := getBreadthScratch(b.lib)
 	defer breadthScratchPool.Put(s)

@@ -40,9 +40,9 @@ func (m FocusMeasure) String() string {
 // accumulation pass over H's posting rows yields |A_p ∩ H| for every
 // associated implementation, from which both measures and the missing count
 // follow in O(1) per implementation — no per-implementation set
-// intersections. One driver (rank) scores those counters and a
-// CounterView's alike. Ranked implementations are selected through a
-// bounded heap instead of a full sort.
+// intersections. One driver (rank) scores those counters, a local query's
+// and a shard's (TopEmissions) alike. Ranked implementations are selected
+// through a bounded heap instead of a full sort.
 type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
@@ -127,9 +127,9 @@ func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, 
 	return f.rank(ctx, h, impls, cnt, k, implBase)
 }
 
-// rank is Focus's one scoring driver, over the kernel's gathered counters
-// and a CounterView's alike: cnt[i] = |A_impls[i] ∩ H| scores impls[i], and
-// selectEmit ranks and walks the scored set.
+// rank is Focus's one scoring driver, over the kernel's gathered counters:
+// cnt[i] = |A_impls[i] ∩ H| scores impls[i], and selectEmit ranks and walks
+// the scored set.
 func (f *Focus) rank(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int, implBase int64) ([]FocusEmission, error) {
 	s := focusScratchPool.Get().(*focusScratch)
 	defer focusScratchPool.Put(s)

@@ -14,10 +14,10 @@ import (
 // accumulate every action's A-GI posting row into a flat per-implementation
 // counter array, so that cnt[p] == |A_p ∩ H| for every associated
 // implementation with no per-implementation set intersections and no
-// materialized, sorted IS(H). The kernel hands its result over in a
-// CounterView's layout, so each strategy scores a from-scratch query and a
-// view with one driver. A query runs on its caller's goroutine; parallelism
-// lives a level up, across requests and cluster workers.
+// materialized, sorted IS(H). The kernel hands its result over as parallel
+// (impls, cnt) arrays, the layout each strategy's one driver scores. A query
+// runs on its caller's goroutine; parallelism lives a level up, across
+// requests and cluster workers.
 
 // kernelRowChunk bounds how many posting entries are accumulated between
 // context polls, so a cancellation lands mid-row on huge posting lists
@@ -39,9 +39,9 @@ type kernelScratch struct {
 // the library at hand in gather.
 var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
-// gather runs the counter kernel over IS(h) and returns it in the
-// CounterView layout: impls the touched implementations (first-touch order,
-// not id order) and cnt[i] = |A_impls[i] ∩ H|. h must be sorted and
+// gather runs the counter kernel over IS(h) and returns it as parallel
+// arrays: impls the touched implementations (first-touch order, not id
+// order) and cnt[i] = |A_impls[i] ∩ H|. h must be sorted and
 // deduplicated. One walk of the touched list copies each counter out and
 // clears it, so the counter array is all zero when gather returns — on
 // success and on abort alike. Both slices alias s until its next use; after

@@ -13,13 +13,14 @@ import (
 )
 
 // TestKernelGatherMatchesView pins the contract each strategy's one scoring
-// driver relies on: the counter kernel's gathered (impls, cnt) pairs are a
-// CounterView's pairs as a set, and the dense counter array is all zero by
-// the time a driver runs — after a completed accumulation and after one
-// aborted by a canceled context. Activities carry duplicates and unknown
-// ids (one negative) or are empty, and the libraries alternate between a
-// full library, one of its shards and a smaller library, so one reused
-// scratch must grow and stay clean across all of them.
+// driver relies on: the counter kernel's gathered (impls, cnt) pairs are the
+// naive pairs (p, |A_p ∩ H|) over IS(H) as a set, and the dense counter
+// array is all zero by the time a driver runs — after a completed
+// accumulation and after one aborted by a canceled context. Activities
+// carry duplicates and unknown ids (one negative) or are empty, and the
+// libraries alternate between a full library, one of its shards and a
+// smaller library, so one reused scratch must grow and stay clean across
+// all of them.
 func TestKernelGatherMatchesView(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	s := new(kernelScratch)
@@ -51,9 +52,13 @@ func TestKernelGatherMatchesView(t *testing.T) {
 				if len(impls) != len(cnt) {
 					t.Fatalf("gathered %d implementations but %d counts", len(impls), len(cnt))
 				}
-				v := NewCounterView(lib, activity)
-				if got, want := sortedPairs(impls, cnt), sortedPairs(v.impls, v.cnt); !slices.Equal(got, want) {
-					t.Fatalf("kernel pairs differ from the view's (h=%v):\ngot  %v\nwant %v", h, got, want)
+				space := lib.ImplementationSpace(h)
+				naive := make([]int32, len(space))
+				for i, p := range space {
+					naive[i] = int32(intset.IntersectionLen(lib.Actions(p), h))
+				}
+				if got, want := sortedPairs(impls, cnt), sortedPairs(space, naive); !slices.Equal(got, want) {
+					t.Fatalf("kernel pairs differ from the naive ones (h=%v):\ngot  %v\nwant %v", h, got, want)
 				}
 				// The first poll cancels: every stream of a checkpoint's
 				// length or more aborts mid-accumulation.

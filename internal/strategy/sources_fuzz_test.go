@@ -12,7 +12,8 @@ import (
 // (testlib.MixedLibrary) — and an activity from the fuzzed seeds and drives
 // the source table over it — every strategy and every Best
 // Match metric, from the counter kernel (each Best Match scoring path
-// forced), a CounterView and 1/2/3-shard partials, against the naive oracle.
+// forced), the CounterView shim and 1/2/3-shard partials, against the naive
+// oracle.
 func FuzzSourceRankings(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(77))

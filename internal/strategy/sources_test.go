@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -15,9 +16,10 @@ import (
 
 // The one equivalence table of the package: every strategy, through every
 // source a ranking can come from, against the naive oracle of oracle_test.go,
-// byte-equal on (action, score). The sources are the counter kernel, a
-// CounterView, and 1/2/3-shard partials merged by the gather functions. The drivers feed each library as built and
-// behind a snapshot image (testLayouts).
+// byte-equal on (action, score). The sources are the counter kernel, the
+// CounterView shim the benchmark's traced rungs time, and 1/2/3-shard
+// partials merged by the gather functions. The drivers feed each library as
+// built and behind a snapshot image (testLayouts).
 
 // rankingSource produces one strategy's ranking of (h, k) over lib; ok is
 // false where the source's API does not take that k.
@@ -77,7 +79,7 @@ func recommendSource(name string, mk func(*core.Library) Recommender) rankingSou
 	}}
 }
 
-// viewSource scores the fixture's CounterView.
+// viewSource scores the fixture's CounterView through RecommendView.
 func viewSource(name string, mk func(*core.Library) Recommender) rankingSource {
 	return rankingSource{name, func(t *testing.T, x *sourceFixture, k int) ([]ScoredAction, bool) {
 		got, err := RecommendView(context.Background(), mk(x.lib), x.view, k)
@@ -197,51 +199,47 @@ func strategyCases() []strategyCase {
 	}
 }
 
-// checkSources is the table's loop: every strategy whose name starts with
-// onlyCase, at every k, through every source whose name starts with
-// onlySource, against the oracle.
-func checkSources(t *testing.T, x *sourceFixture, ks []int, onlyCase, onlySource string) {
+// checkEverySource is the table's loop over one (library, activity) pair:
+// every strategy whose name starts with only ("" = all), at every
+// k ∈ {1, 10, |pool|, −1}, through every source, against the oracle.
+func checkEverySource(t *testing.T, lib *core.Library, h []core.ActionID, only string) {
 	t.Helper()
-	o := newOracle(x.lib)
-	hs := intset.FromUnsorted(intset.Clone(x.h))
+	hs := intset.FromUnsorted(intset.Clone(h))
+	ks := []int{1, 10, -1}
+	if pool := len(lib.Candidates(hs)); pool > 1 && pool != 10 {
+		ks = append(ks, pool)
+	}
+	x := &sourceFixture{lib: lib, h: h, view: NewCounterView(lib, h), parts: map[int][]shardPart{}}
+	o := newOracle(lib)
 	for _, c := range strategyCases() {
-		if !strings.HasPrefix(c.name, onlyCase) {
+		if !strings.HasPrefix(c.name, only) {
 			continue
 		}
 		for _, k := range ks {
 			want := c.oracle(o, hs, k)
 			for _, src := range c.sources {
-				if !strings.HasPrefix(src.name, onlySource) {
-					continue
-				}
 				got, ok := src.run(t, x, k)
 				if ok && !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s via %s diverged from the oracle (k=%d, h=%v):\ngot  %v\nwant %v",
-						c.name, src.name, k, x.h, got, want)
+						c.name, src.name, k, h, got, want)
 				}
 			}
 		}
 	}
 }
 
-// checkEverySource drives the whole table over one (library, activity) pair
-// for k ∈ {1, 10, |pool|, −1} and the strategies whose name starts with only
-// ("" = all).
-func checkEverySource(t *testing.T, lib *core.Library, h []core.ActionID, only string) {
+// mappedLibrary round-trips lib through a snapshot image.
+func mappedLibrary(t *testing.T, lib *core.Library) *core.Library {
 	t.Helper()
-	ks := []int{1, 10, -1}
-	if pool := len(lib.Candidates(intset.FromUnsorted(intset.Clone(h)))); pool > 1 && pool != 10 {
-		ks = append(ks, pool)
+	var buf bytes.Buffer
+	if err := core.WriteSnapshot(&buf, lib, nil, core.SnapshotOptions{}); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	x := &sourceFixture{lib: lib, h: h, view: NewCounterView(lib, h), parts: map[int][]shardPart{}}
-	checkSources(t, x, ks, only, "")
-}
-
-// checkViewEquiv drives the table's view sources over a view the caller has
-// been mutating — the op-stream tests' one ranking invariant.
-func checkViewEquiv(t *testing.T, lib *core.Library, v *CounterView, h []core.ActionID, k int) {
-	t.Helper()
-	checkSources(t, &sourceFixture{lib: lib, h: h, view: v}, []int{k}, "", "view")
+	snap, err := core.OpenSnapshotBytes(buf.Bytes())
+	if err != nil {
+		t.Fatalf("OpenSnapshotBytes: %v", err)
+	}
+	return snap.Library()
 }
 
 // testLayouts returns lib in the two forms a served snapshot comes in: as
@@ -298,11 +296,12 @@ func TestMixedLibraryKinds(t *testing.T) {
 	}
 }
 
-// TestBestMatchThroughIngest: every Best Match metric, from the kernel and a
-// CounterView, on each snapshot as built and behind an image, ranks as the
-// naive oracle does through a history that moves goals between the kinds —
-// an ingest that makes a disjoint goal share an action, one that keeps a
-// disjoint goal disjoint, one that adds a goal — and a compaction.
+// TestBestMatchThroughIngest: every Best Match metric, from the kernel, the
+// view shim and shard partials, on each snapshot as built and behind an
+// image, ranks as the naive oracle does through a history that moves goals
+// between the kinds — an ingest that makes a disjoint goal share an action,
+// one that keeps a disjoint goal disjoint, one that adds a goal — and a
+// compaction.
 func TestBestMatchThroughIngest(t *testing.T) {
 	r := rand.New(rand.NewSource(49))
 	const actionSpace = 40

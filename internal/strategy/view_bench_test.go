@@ -13,7 +13,7 @@ import (
 	"goalrec/internal/xrand"
 )
 
-// The view benchmarks run on the repository benchmark's shapes: its library
+// The session benchmarks run on the repository benchmark's shapes: its library
 // (bench/gen.go writeLibrary, copied like core's benchShapeJSONL: Zipf(0.6)-
 // popular actions, 2+Poisson(6) per implementation, two implementations per
 // goal) and its user sessions (sessionStream: twelve distinct actions drawn
@@ -105,44 +105,11 @@ func viewBenchShape(b *testing.B) (*core.Library, [][]core.ActionID) {
 	return viewBench.lib, viewBench.sessions
 }
 
-// BenchmarkCounterViewApply grows one view per session from empty: the cost
-// of a write and the bytes a full-length session's view holds afterwards.
-func BenchmarkCounterViewApply(b *testing.B) {
-	lib, sessions := viewBenchShape(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	bytesHeld := 0
-	for i := 0; i < b.N; i++ {
-		v := NewCounterView(lib, nil)
-		for _, a := range sessions[i%len(sessions)] {
-			v.Apply(a)
-		}
-		bytesHeld += 4 * (cap(v.h) + cap(v.impls) + cap(v.cnt))
-	}
-	applies := float64(b.N * viewBenchSessionLen)
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/applies, "µs/apply")
-	b.ReportMetric(float64(bytesHeld)/float64(b.N), "B/view")
-}
-
-// BenchmarkRecommendView scores full-length session views, and beside each
-// strategy the same sessions from scratch (the "-scratch" rows), as a stored
-// user is scored. Best Match is the one strategy that derives its candidate
-// pool from the view per query.
+// BenchmarkRecommendView scores full-length sessions from scratch with each
+// strategy, as a stored user is scored (the "-scratch" rows).
 func BenchmarkRecommendView(b *testing.B) {
 	lib, sessions := viewBenchShape(b)
-	views := make([]*CounterView, len(sessions))
-	for i, h := range sessions {
-		views[i] = NewCounterView(lib, h)
-	}
 	for _, rec := range []Recommender{NewFocus(lib, Completeness), NewBreadth(lib), NewBestMatch(lib)} {
-		b.Run(rec.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RecommendView(context.Background(), rec, views[i%len(views)], 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(rec.Name()+"-scratch", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
