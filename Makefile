@@ -62,6 +62,9 @@ fmt:
 # snapshot file is mapped in one place only, core.OpenSnapshotVerified.
 # The CounterView shim serves bench/'s traced rungs only: nothing else calls
 # NewCounterView or RecommendView outside tests.
+# Scans in internal/strategy and internal/cluster read an A-GI row as its two
+# runs (ActionRows), so an extended snapshot allocates nothing per row; none
+# calls ImplsOfAction, which concatenates them.
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
@@ -69,6 +72,7 @@ lint:
 	! go list -f '{{join .Imports "\n"}}' . ./internal/strategy ./internal/cluster | grep -x goalrec/internal/vectorspace
 	test "$$(git grep -c 'mmapFile(' -- '*.go' ':!internal/core/mmap_*.go')" = internal/core/snapshot.go:1
 	test -z "$$(git grep -nE 'NewCounterView|RecommendView' -- '*.go' ':!bench' ':!internal/strategy/counterview.go' ':!*_test.go')"
+	test -z "$$(git grep -n 'ImplsOfAction(' -- 'internal/strategy/*.go' 'internal/cluster/*.go' ':!*_test.go')"
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else \

@@ -27,11 +27,14 @@ const defaultCompactMin = 1024
 // implementation CSR; every snapshot views a full-slice (len == cap) prefix
 // of it, so later appends — which only ever write beyond every snapshot's
 // length — can never alias memory a reader sees. The posting indexes
-// (A-GI-idx, G-GI-idx, GA-idx) of the base are
-// shared wholesale, with fresh merged rows overlaid for just the touched
-// actions and goals (overlay.go). Snapshotting an append into a
-// million-implementation library therefore costs the touched rows and the
-// overlay pages holding them, not a full index derivation and not the
+// (A-GI-idx, G-GI-idx, GA-idx) of the base are shared wholesale, with rows
+// overlaid for just the touched actions and goals (overlay.go): an action's
+// overlay row holds only the ids appended since the base, read after the
+// base row as a second sorted run (Library.ActionRows), and a goal's holds
+// its merged G-GI and GA rows, a handful of entries each. Snapshotting an
+// append into a million-implementation library therefore costs the touched
+// goal rows, the touched actions' appended ids and the overlay pages holding
+// them, not a full index derivation, not a copy of a base row and not the
 // backlog of earlier appends; once the tail reaches max(1024, base/8), the
 // snapshot compacts base and tail into a fresh flat library — the one place
 // the implementation CSR is copied, where every index is rebuilt anyway —
@@ -244,9 +247,10 @@ func (d *DynamicLibrary) buildFlatLocked() *Library {
 // extendLocked builds the next snapshot from the previous one plus the
 // pending appends: the base is shared, the tail grows by prefix sharing, and
 // only the index rows of touched actions/goals are re-materialized into the
-// copy-on-write overlay. Merged rows append the new implementation ids —
-// which are strictly larger than every previous id — after the old row, so
-// row contents are bit-identical to a full rebuild's.
+// copy-on-write overlay. Rows append the new implementation ids — which are
+// strictly larger than every previous id — after the old ones, so an action's
+// base and tail runs, and a goal's merged rows, read bit-identically to a
+// full rebuild's rows.
 func (d *DynamicLibrary) extendLocked() *Library {
 	prev := d.cur
 	lo := prev.NumImplementations()
@@ -286,11 +290,12 @@ func (d *DynamicLibrary) extendLocked() *Library {
 		}
 	}
 
-	// Action rows: the A-GI-idx row is the old row (overlay or base CSR)
-	// followed by the new ids.
+	// Action rows: the tail run is the previous one followed by the new
+	// ids; the base run stays where it is.
 	acts := prev.ovAct.extend(d.numActions)
 	for a, ids := range pendAct {
-		acts.set(int32(a), &actRow{post: slices.Concat(prev.ImplsOfAction(a), ids)})
+		_, tail := prev.ActionRows(a)
+		acts.set(int32(a), &actRow{post: slices.Concat(tail, ids)})
 	}
 	nl.ovAct = acts.ovTable
 

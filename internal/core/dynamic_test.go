@@ -365,6 +365,7 @@ func TestDynamicBaseTailOverlay(t *testing.T) {
 				snap := d.Snapshot()
 				want := build(impls)
 				assertLibrariesEqual(t, want, snap)
+				assertTailRuns(t, want, snap)
 				image := snapshotImage(t, want, snap.Epoch())
 				if !bytes.Equal(snapshotImage(t, snap, snap.Epoch()), image) {
 					t.Fatalf("publish %d: snapshot image differs from the flat rebuild's", k)
@@ -389,6 +390,57 @@ func TestDynamicBaseTailOverlay(t *testing.T) {
 				t.Fatal("the adopted library changed under the lineage's appends")
 			}
 		})
+	}
+}
+
+// assertTailRuns checks every action row of an extended snapshot: its tail
+// run holds only ids appended since the base, and its base run followed by
+// its tail run is want's row.
+func assertTailRuns(t *testing.T, want, snap *Library) {
+	t.Helper()
+	for a := ActionID(0); int(a) < snap.NumActions(); a++ {
+		base, tail := snap.ActionRows(a)
+		if len(tail) > 0 && int(tail[0]) < len(snap.implGoal) {
+			t.Fatalf("action %d: tail run %v holds an id of the %d-implementation base", a, tail, len(snap.implGoal))
+		}
+		if !slicesEq(slices.Concat(base, tail), want.ImplsOfAction(a)) {
+			t.Fatalf("action %d: base %v ++ tail %v is not the rebuilt row %v", a, base, tail, want.ImplsOfAction(a))
+		}
+	}
+}
+
+// TestDynamicOverlayHoldsTheDelta: an extended snapshot's overlay holds the
+// ids its ingests appended, not copies of the base rows they touched. At a
+// shape whose action rows average 140 ids, 150 ingests of 8 implementations
+// of 3 uniform actions and a new goal each touch about half the rows: 0.23 MB
+// of overlay, where copies of the touched rows came to 1.64 MB.
+func TestDynamicOverlayHoldsTheDelta(t *testing.T) {
+	const nImpl, nAct = 200_000, 5_000
+	base := snapTestLibrary(t, nImpl, nAct, 54)
+	if avg := base.NumPostings() / nAct; avg < 100 {
+		t.Fatalf("action rows average %d ids, want at least 100", avg)
+	}
+	d := NewDynamicLibrary()
+	d.Swap(base)
+	rng := rand.New(rand.NewSource(54))
+	for k := 0; k < 150; k++ {
+		for i := 0; i < 8; i++ {
+			acts := []ActionID{ActionID(rng.Intn(nAct)), ActionID(rng.Intn(nAct)), ActionID(rng.Intn(nAct))}
+			if _, err := d.Add(GoalID(d.Snapshot().NumGoals()), acts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Snapshot()
+	}
+	snap := d.Snapshot()
+	if snap.TailImplementations() != 150*8 {
+		t.Fatalf("%d implementations in the tail, want %d: the lineage compacted", snap.TailImplementations(), 150*8)
+	}
+	const limit = 512 << 10
+	if ov := snap.IndexBytes().Overlay; ov >= limit {
+		t.Fatalf("overlay holds %d bytes over %d action rows, limit %d", ov, snap.Overlay().ActionRows, limit)
+	} else {
+		t.Logf("overlay holds %d bytes over %d action rows and %d goal rows", ov, snap.Overlay().ActionRows, snap.Overlay().GoalRows)
 	}
 }
 

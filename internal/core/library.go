@@ -269,10 +269,11 @@ type Library struct {
 	mapped     bool  // the flat index arrays are views over a snapshot mapping
 
 	// Copy-on-write overlays (overlay.go), non-empty only on extended
-	// snapshots: merged rows for the actions/goals touched since the last
-	// flat index build. The index arrays above then belong to the base epoch
-	// and cover only ids below their own lengths; every accessor consults
-	// the overlay first.
+	// snapshots: for the actions/goals touched since the last flat index
+	// build, an action's appended ids (the tail run after its base row) and
+	// a goal's merged rows. The index arrays above then belong to the base
+	// epoch and cover only ids below their own lengths; every accessor
+	// consults the overlay.
 	ovAct  ovTable[actRow]
 	ovGoal ovTable[goalRow]
 
@@ -362,22 +363,32 @@ func (l *Library) flatTailOff() []int32 {
 // size, used by cost models choosing between scan directions.
 func (l *Library) NumPostings() int { return len(l.implActs) + len(l.tailActs) }
 
-// ImplsOfAction returns the sorted implementation ids containing action a
-// (A-GI-idx lookup); this is the implementation space IS(a) of the paper.
-// The returned slice is a view and must not be modified. Ids outside the
-// library yield an empty slice.
-func (l *Library) ImplsOfAction(a ActionID) []ImplID {
+// ActionRows returns the A-GI-idx row of action a — the implementation space
+// IS(a) of the paper — as two sorted runs: base, the flat index's row, and
+// tail, the ids appended since, each larger than every base id. Both are views
+// that must not be modified; ids outside the library yield two empty runs.
+func (l *Library) ActionRows(a ActionID) (base, tail []ImplID) {
 	if uint32(a) < uint32(l.numActions) {
+		if int(a)+1 < len(l.actOff) {
+			base = l.actPost[l.actOff[a]:l.actOff[a+1]]
+		}
 		if l.ovAct.pages != nil {
 			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
-				return r.post
+				tail = r.post
 			}
 		}
-		if int(a)+1 < len(l.actOff) {
-			return l.actPost[l.actOff[a]:l.actOff[a+1]]
-		}
 	}
-	return nil
+	return base, tail
+}
+
+// ImplsOfAction returns ActionRows(a) as one slice that must not be modified:
+// the base run itself when the tail is empty, else a fresh concatenation.
+func (l *Library) ImplsOfAction(a ActionID) []ImplID {
+	base, tail := l.ActionRows(a)
+	if len(tail) == 0 {
+		return base
+	}
+	return slices.Concat(base, tail)
 }
 
 // ImplsOfGoal returns the sorted implementation ids fulfilling goal g
@@ -398,19 +409,10 @@ func (l *Library) ImplsOfGoal(g GoalID) []ImplID {
 }
 
 // ActionDegree returns the connectivity of one action: the number of
-// implementations it participates in, read from the CSR offsets in O(1).
+// implementations it participates in, the length of its two runs.
 func (l *Library) ActionDegree(a ActionID) int {
-	if uint32(a) < uint32(l.numActions) {
-		if l.ovAct.pages != nil {
-			if r := l.ovAct.pages[a>>ovPageBits][a&(ovPageRows-1)]; r != nil {
-				return len(r.post)
-			}
-		}
-		if int(a)+1 < len(l.actOff) {
-			return int(l.actOff[a+1] - l.actOff[a])
-		}
-	}
-	return 0
+	base, tail := l.ActionRows(a)
+	return len(base) + len(tail)
 }
 
 // StoredGoalRow returns the GA-idx row goal g stores: its sorted distinct

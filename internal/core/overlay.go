@@ -4,8 +4,9 @@ import "unsafe"
 
 // The copy-on-write overlay of an extended snapshot: for every action and
 // goal the implementations appended since the last flat index build touched,
-// one row holding the merged index rows that replace the base epoch's. Rows
-// are reached through fixed-size pages of row pointers, indexed
+// one row — an action's appended ids, read after its base row, and a goal's
+// merged index rows, which replace the base epoch's. Rows are reached through
+// fixed-size pages of row pointers, indexed
 // pages[id>>ovPageBits][id&(ovPageRows-1)]. A published table is immutable;
 // the next epoch copies the page-pointer slice and clones only the pages that
 // hold a row it replaces, so every page it does not touch is shared by all
@@ -17,7 +18,9 @@ const (
 	ovPageRows = 1 << ovPageBits
 )
 
-// actRow overlays one touched action: its merged A-GI-idx row.
+// actRow overlays one touched action: the tail run of its A-GI-idx row, the
+// ids appended since the base, each larger than every id of the base run.
+// Its size is bounded by the action's postings in the tail, not by its row.
 type actRow struct {
 	post []ImplID
 }

@@ -382,7 +382,9 @@ func planSnapshot(l *Library, vocab *Vocabulary, opts SnapshotOptions) (*snapPla
 		{id: secActOff, elem: 4, count: uint64(nAct + 1), emit: func(sw *snapWriter) { sw.writeI32s(actOff) }},
 		{id: secActPost, elem: 4, count: uint64(nSlots), emit: func(sw *snapWriter) {
 			for a := 0; a < nAct && sw.err == nil; a++ {
-				writeI32Slice(sw, l.ImplsOfAction(ActionID(a)))
+				base, tail := l.ActionRows(ActionID(a))
+				writeI32Slice(sw, base)
+				writeI32Slice(sw, tail)
 			}
 		}},
 	}
@@ -1174,7 +1176,7 @@ func VerifySnapshot(s *Snapshot) error {
 		}
 	}
 	for a := 0; a < nAct; a++ {
-		row := l.ImplsOfAction(ActionID(a))
+		row := l.actPost[l.actOff[a]:l.actOff[a+1]]
 		for i, p := range row {
 			if p < 0 || int(p) >= nImpl {
 				return fmt.Errorf("core: action %d: posting %d out of range", a, p)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"goalrec/internal/intset"
 )
@@ -135,7 +136,8 @@ type tallyStamp struct {
 // Reset empties the tally for a library of numGoals goal ids.
 func (t *GoalTally) Reset(numGoals int) {
 	if len(t.stamp) < numGoals {
-		t.stamp, t.version = make([]tallyStamp, numGoals), 0
+		// In place: nothing is written past len, so new stamps are zero.
+		t.stamp = slices.Grow(t.stamp, numGoals-len(t.stamp))[:numGoals]
 	}
 	if t.version++; t.version == 0 {
 		clear(t.stamp)
@@ -238,7 +240,8 @@ func (l *Library) AppendCandidates(dst []ActionID, sc *CandidateScratch, sortedH
 	base := len(dst)
 	set := sc.begin(l.numActions)
 	for _, a := range sortedH {
-		dst = l.mark(dst, set, l.ImplsOfAction(a), t)
+		baseRun, tailRun := l.ActionRows(a)
+		dst = l.mark(l.mark(dst, set, baseRun, t), set, tailRun, t)
 	}
 	return drain(dst, base, set, sortedH)
 }

@@ -123,7 +123,7 @@ type IndexBytes struct {
 	GGI     int64 `json:"g_gi"`     // G-GI-idx postings
 	GA      int64 `json:"ga"`       // GA-idx (action, count) pairs
 	Tail    int64 `json:"tail"`     // tail segment of the implementation CSR
-	Overlay int64 `json:"overlay"`  // overlay pages and rows this snapshot references
+	Overlay int64 `json:"overlay"`  // overlay pages and rows this snapshot references: appended action ids, merged goal rows
 }
 
 // IndexBytes returns the size of l's index structures. The overlay figure

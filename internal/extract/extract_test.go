@@ -42,6 +42,7 @@ func TestStem(t *testing.T) {
 		{"bus", "bus"},
 		{"eat", "eat"},
 		{"saved", "save"},
+		{"000seses", "000"}, // "000ses", then "000s", then "000"
 	}
 	for _, tt := range tests {
 		if got := Stem(tt.in); got != tt.want {

@@ -51,8 +51,17 @@ func Tokenize(text string) []string {
 
 // Stem applies a light suffix-stripping stemmer (a compact Porter-style
 // subset) adequate for matching repeated action mentions: plurals, -ing and
-// -ed forms collapse to a common stem.
+// -ed forms collapse to a common stem. Rules apply until none does (each
+// shortens the word), so a stem is its own stem: "000seses" → "000".
 func Stem(word string) string {
+	for w := stemOnce(word); w != word; w = stemOnce(word) {
+		word = w
+	}
+	return word
+}
+
+// stemOnce applies the first suffix rule that matches word, if any.
+func stemOnce(word string) string {
 	w := word
 	if len(w) <= 3 {
 		return w

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"goalrec/internal/core"
@@ -229,11 +230,11 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAct
 func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
 	l1 := readsL1(bm.metric)
 	n := bm.lib.NumActions()
-	if len(s.acc) < n {
-		s.acc = make([][2]float64, n)
+	if len(s.acc) < n { // in place: nothing is written past len
+		s.acc = slices.Grow(s.acc, n-len(s.acc))[:n]
 	}
 	if l1 && len(s.accL1) < n {
-		s.accL1 = make([][2]float64, n)
+		s.accL1 = slices.Grow(s.accL1, n-len(s.accL1))[:n]
 	}
 	s.actTouched = s.actTouched[:0]
 	tick := newTicker(ctx)

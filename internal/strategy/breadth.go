@@ -3,6 +3,7 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"goalrec/internal/core"
@@ -89,12 +90,13 @@ type breadthScratch struct {
 var breadthScratchPool = sync.Pool{New: func() any { return new(breadthScratch) }}
 
 // getBreadthScratch takes a scratch from the pool with inH and scores
-// covering lib's action ids. Both are all zero between queries, so a short
-// pair is simply replaced.
+// covering lib's action ids. Both are all zero between queries and nothing is
+// written past their length, so a short pair is grown in place.
 func getBreadthScratch(lib *core.Library) *breadthScratch {
 	s := breadthScratchPool.Get().(*breadthScratch)
 	if n := lib.NumActions(); len(s.inH) < n {
-		s.inH, s.scores = make([]bool, n), make([]float64, n)
+		s.inH = slices.Grow(s.inH, n-len(s.inH))[:n]
+		s.scores = slices.Grow(s.scores, n-len(s.scores))[:n]
 	}
 	return s
 }

@@ -36,7 +36,8 @@ type kernelScratch struct {
 // kernelScratchPool serves every Focus and Breadth query — every measure,
 // weighting, library, epoch and shard — so a process holds one counter
 // array per concurrent query, not one per instance. The counters grow to
-// the library at hand in gather.
+// the library at hand in gather, in place, so the few implementations an
+// ingest adds do not reallocate them.
 var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
 // gather runs the counter kernel over IS(h) and returns it as parallel
@@ -48,7 +49,8 @@ var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 // an abort (err != nil) they hold partial counts.
 func (s *kernelScratch) gather(ctx context.Context, lib *core.Library, h []core.ActionID) (impls []core.ImplID, cnt []int32, err error) {
 	if n := lib.NumImplementations(); len(s.cnt) < n {
-		s.cnt = make([]int32, n)
+		// Nothing is written past len, so the grown counters are zero.
+		s.cnt = slices.Grow(s.cnt, n-len(s.cnt))[:n]
 	}
 	err = s.accumulate(ctx, lib, h)
 	// The touched list records every increment, an aborted pass's too.
@@ -62,30 +64,30 @@ func (s *kernelScratch) gather(ctx context.Context, lib *core.Library, h []core.
 	return impls, cnt, err
 }
 
-// accumulate adds every posting row of h into the counter array, recording
-// first-touched implementations in the touched list (including on abort, so
-// cleanup stays exact). The list is sized before the walk to the most it
-// can hold, so it never grows by copying.
+// accumulate adds every posting row of h — both of its runs — into the
+// counter array, recording first-touched implementations in the touched list
+// (including on abort, so cleanup stays exact). The list is sized before the
+// walk to the most it can hold, so it never grows by copying.
 func (s *kernelScratch) accumulate(ctx context.Context, lib *core.Library, h []core.ActionID) error {
 	most := 0
 	for _, a := range h {
-		most += len(lib.ImplsOfAction(a))
+		most += lib.ActionDegree(a)
 	}
 	touched := slices.Grow(s.touched[:0], min(most, lib.NumImplementations()))
 	tick := newTicker(ctx)
 	var err error
+scan:
 	for _, a := range h {
-		row := lib.ImplsOfAction(a)
-		for len(row) > 0 {
-			n := min(len(row), kernelRowChunk)
-			if err = tick.tick(n); err != nil {
-				break
+		base, tail := lib.ActionRows(a)
+		for _, row := range [...][]core.ImplID{base, tail} {
+			for len(row) > 0 {
+				n := min(len(row), kernelRowChunk)
+				if err = tick.tick(n); err != nil {
+					break scan
+				}
+				touched = core.AccumulateOverlapRow(row[:n], s.cnt, touched)
+				row = row[n:]
 			}
-			touched = core.AccumulateOverlapRow(row[:n], s.cnt, touched)
-			row = row[n:]
-		}
-		if err != nil {
-			break
 		}
 	}
 	s.touched = touched

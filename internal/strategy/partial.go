@@ -229,17 +229,19 @@ func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionI
 	out := &BestMatchVectors{Off: make([]int32, 1, len(candidates)+1)}
 	tick := newTicker(ctx)
 	for _, a := range candidates {
-		row := bm.lib.ImplsOfAction(a)
-		if err := tick.tick(len(row) + 1); err != nil {
+		base, tail := bm.lib.ActionRows(a)
+		if err := tick.tick(len(base) + len(tail) + 1); err != nil {
 			return nil, err
 		}
 		s.touched = s.touched[:0]
-		for _, p := range row {
-			if i := s.goals.Slot(bm.lib.Goal(p)); i >= 0 {
-				if s.run[i] == 0 {
-					s.touched = append(s.touched, i)
+		for _, row := range [...][]core.ImplID{base, tail} {
+			for _, p := range row {
+				if i := s.goals.Slot(bm.lib.Goal(p)); i >= 0 {
+					if s.run[i] == 0 {
+						s.touched = append(s.touched, i)
+					}
+					s.run[i]++
 				}
-				s.run[i]++
 			}
 		}
 		slices.Sort(s.touched)

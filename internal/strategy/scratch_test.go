@@ -135,7 +135,10 @@ func TestFocusFirstQueryAllocatesOnce(t *testing.T) {
 // one instance has run a query, a fresh instance over the same library — as
 // every engine epoch builds — allocates only its result, not another
 // library-sized counter array (1 MB at 250 000 implementations) or
-// action-indexed accumulator.
+// action-indexed accumulator. The same holds across an ingest: a fresh
+// instance over a snapshot 8 implementations and 8 goals larger, as one
+// benchmark ingest adds, finds the counter and goal stamp arrays grown in
+// place, not reallocated at the new size.
 func TestFreshInstanceReusesScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
@@ -147,26 +150,50 @@ func TestFreshInstanceReusesScratch(t *testing.T) {
 	const budget = 64 << 10
 	lib := benchLibrary(250000, 10000, 7)
 	q := benchQueries(10000, 1, 5, 8)[0]
+	d := core.NewDynamicLibrary()
+	d.Swap(lib)
+	r := rand.New(rand.NewSource(54))
+	ingest := func() *core.Library {
+		g := d.Snapshot().NumGoals()
+		for i := 0; i < 8; i++ {
+			acts := []core.ActionID{core.ActionID(r.Intn(10000)), core.ActionID(r.Intn(10000)), core.ActionID(r.Intn(10000))}
+			if _, err := d.Add(core.GoalID(g+i), acts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d.Snapshot()
+	}
 	for _, c := range []struct {
 		name string
-		mk   func() Recommender
+		mk   func(*core.Library) Recommender
 	}{
-		{"focus-cmp", func() Recommender { return NewFocus(lib, Completeness) }},
-		{"focus-cl", func() Recommender { return NewFocus(lib, Closeness) }},
-		{"breadth", func() Recommender { return NewBreadth(lib) }},
-		{"best-match", func() Recommender { return NewBestMatch(lib) }},
-		{"best-match-manhattan", func() Recommender { return NewBestMatchMetric(lib, Manhattan) }},
+		{"focus-cmp", func(l *core.Library) Recommender { return NewFocus(l, Completeness) }},
+		{"focus-cl", func(l *core.Library) Recommender { return NewFocus(l, Closeness) }},
+		{"breadth", func(l *core.Library) Recommender { return NewBreadth(l) }},
+		{"best-match", func(l *core.Library) Recommender { return NewBestMatch(l) }},
+		{"best-match-manhattan", func(l *core.Library) Recommender { return NewBestMatchMetric(l, Manhattan) }},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			c.mk().Recommend(q, 10) // warm the shared pool
-			fresh := c.mk()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			fresh.Recommend(q, 10)
-			runtime.ReadMemStats(&m1)
-			if d := m1.TotalAlloc - m0.TotalAlloc; d >= budget {
-				t.Fatalf("a fresh instance's first query allocated %d bytes, budget %d", d, budget)
+		for _, grown := range []bool{false, true} {
+			name := c.name
+			if grown {
+				name += "/grown"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				warm, next := lib, lib
+				if grown {
+					warm = ingest()
+					next = ingest()
+				}
+				c.mk(warm).Recommend(q, 10) // warm the shared pool
+				fresh := c.mk(next)
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				fresh.Recommend(q, 10)
+				runtime.ReadMemStats(&m1)
+				if d := m1.TotalAlloc - m0.TotalAlloc; d >= budget {
+					t.Fatalf("a fresh instance's first query allocated %d bytes, budget %d", d, budget)
+				}
+			})
+		}
 	}
 }

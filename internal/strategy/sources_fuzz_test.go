@@ -4,13 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"goalrec/internal/core"
 	"goalrec/internal/testlib"
 )
 
 // FuzzSourceRankings derives a random library — with goals of one
 // implementation, of action-disjoint ones and of ones that share an action
 // (testlib.MixedLibrary) — and an activity from the fuzzed seeds and drives
-// the source table over it — every strategy and every Best
+// the source table over it, as built and extended (extendedLibrary; the
+// mapped layout is FuzzSnapshotRoundTrip's) — every strategy and every Best
 // Match metric, from the counter kernel (each Best Match scoring path
 // forced), the CounterView shim and 1/2/3-shard partials, against the naive
 // oracle.
@@ -24,7 +26,9 @@ func FuzzSourceRankings(f *testing.F) {
 		n := 1 + r.Intn(800)
 		actionSpace := 2 + r.Intn(30)
 		lib := testlib.MixedLibrary(r, n, actionSpace, 15, 8)
-		qr := rand.New(rand.NewSource(querySeed))
-		checkEverySource(t, lib, testlib.RandomActivity(qr, actionSpace, 6), "")
+		h := testlib.RandomActivity(rand.New(rand.NewSource(querySeed)), actionSpace, 6)
+		for _, l := range []*core.Library{lib, extendedLibrary(t, lib)} {
+			checkEverySource(t, l, h, "")
+		}
 	})
 }

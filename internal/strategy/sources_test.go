@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -19,7 +20,8 @@ import (
 // byte-equal on (action, score). The sources are the counter kernel, the
 // CounterView shim the benchmark's traced rungs time, and 1/2/3-shard
 // partials merged by the gather functions. The drivers feed each library as
-// built and behind a snapshot image (testLayouts).
+// built, behind a snapshot image and extended over a mapped base
+// (testLayouts).
 
 // rankingSource produces one strategy's ranking of (h, k) over lib; ok is
 // false where the source's API does not take that k.
@@ -48,8 +50,14 @@ type shardPart struct {
 	lo  int
 }
 
+// shards cuts lib into n shards. The one shard of n = 1 is lib itself, not
+// a flat cut of it, so the partials also read rows in lib's own layout: two
+// runs on an extended snapshot.
 func (x *sourceFixture) shards(t *testing.T, n int) []shardPart {
 	t.Helper()
+	if n == 1 && x.parts[n] == nil && x.lib.NumImplementations() > 0 {
+		x.parts[n] = []shardPart{{x.lib, 0}}
+	}
 	if x.parts[n] == nil {
 		for _, r := range splitRanges(x.lib.NumImplementations(), n) {
 			sub, err := core.PartitionRange(x.lib, r[0], r[1])
@@ -242,12 +250,47 @@ func mappedLibrary(t *testing.T, lib *core.Library) *core.Library {
 	return snap.Library()
 }
 
-// testLayouts returns lib in the two forms a served snapshot comes in: as
-// built, and behind a snapshot image (the mmap form, whose rows are views
-// over the image).
+// testLayouts returns lib in the three forms a served snapshot comes in: as
+// built; behind a snapshot image (the mmap form, whose rows are views over
+// the image); and extended (extendedLibrary), whose touched action rows read
+// as two runs.
 func testLayouts(t *testing.T, lib *core.Library) []*core.Library {
 	t.Helper()
-	return []*core.Library{lib, mappedLibrary(t, lib)}
+	return []*core.Library{lib, mappedLibrary(t, lib), extendedLibrary(t, lib)}
+}
+
+// extendedLibrary rebuilds lib as an ingesting engine serves it: the first
+// half of its implementations is a mapped flat base, and the rest is
+// appended through a DynamicLibrary that never compacts, in two publishes,
+// so every action row the appends touch is a base run followed by a tail run
+// that grew across an epoch.
+func extendedLibrary(t *testing.T, lib *core.Library) *core.Library {
+	t.Helper()
+	n := lib.NumImplementations()
+	b := core.NewBuilder(n/2, 4)
+	for p := 0; p < n/2; p++ {
+		impl := lib.Implementation(core.ImplID(p))
+		if _, err := b.Add(impl.Goal, impl.Actions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := core.NewDynamicLibrary()
+	d.SetCompactionThreshold(math.MaxInt)
+	d.Swap(mappedLibrary(t, b.Build()))
+	for p := n / 2; p < n; p++ {
+		impl := lib.Implementation(core.ImplID(p))
+		if _, err := d.Add(impl.Goal, impl.Actions); err != nil {
+			t.Fatal(err)
+		}
+		if p == (n/2+n)/2 {
+			d.Snapshot()
+		}
+	}
+	ext := d.Snapshot()
+	if ext.TailImplementations() != n-n/2 {
+		t.Fatalf("%d of %d implementations in the tail, want %d", ext.TailImplementations(), n, n-n/2)
+	}
+	return ext
 }
 
 // TestSourcesMatchOracle drives the source table over random libraries with
