@@ -65,6 +65,8 @@ fmt:
 # Scans in internal/strategy and internal/cluster read an A-GI row as its two
 # runs (ActionRows), so an extended snapshot allocates nothing per row; none
 # calls ImplsOfAction, which concatenates them.
+# A goal tally is sized to the query (the goals its postings can reach), so
+# no caller resets one with the library's goal count.
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./...
@@ -73,6 +75,7 @@ lint:
 	test "$$(git grep -c 'mmapFile(' -- '*.go' ':!internal/core/mmap_*.go')" = internal/core/snapshot.go:1
 	test -z "$$(git grep -nE 'NewCounterView|RecommendView' -- '*.go' ':!bench' ':!internal/strategy/counterview.go' ':!*_test.go')"
 	test -z "$$(git grep -n 'ImplsOfAction(' -- 'internal/strategy/*.go' 'internal/cluster/*.go' ':!*_test.go')"
+	test -z "$$(git grep -nE 'Reset\([^)]*NumGoals\(\)' -- '*.go' ':!*_test.go')"
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else \

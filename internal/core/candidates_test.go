@@ -36,25 +36,37 @@ func oracleAppendCandidates(l *Library, dst []ActionID, sortedH []ActionID) []Ac
 }
 
 // collectorTally is the one tally checkCollector reuses, across libraries of
-// every size, as a pooled Best Match scratch does.
-var collectorTally GoalTally
+// every size, as a pooled Best Match scratch does; collectorPrev holds the
+// goals of its previous query, and collectorQueries counts the queries.
+var (
+	collectorTally   GoalTally
+	collectorPrev    []GoalID
+	collectorQueries int
+)
 
 // checkCollector runs AppendCandidates on sc and compares it with the
 // oracle, and its goal tally with GoalSpace and the per-goal posting counts
-// of H; sc must come back all zero.
+// of H; sc must come back all zero. Every third query resets the tally with
+// a hint below its posting count (a quarter of it) and every third with 0,
+// so the table grows during the walk. A goal of the previous query that
+// this one did not tally must not be found: ShardVectors reads −1 as
+// "outside the goal space".
 func checkCollector(t *testing.T, l *Library, sc *CandidateScratch, h []ActionID) {
 	t.Helper()
 	sortedH := intset.FromUnsorted(intset.Clone(h))
 	prefix := []ActionID{-7} // dst's existing content must survive
 	want := oracleAppendCandidates(l, slices.Clone(prefix), sortedH)
 	wantCount := map[GoalID]int32{}
+	postings := 0
 	for _, a := range sortedH {
 		for _, p := range l.ImplsOfAction(a) {
 			wantCount[l.Goal(p)]++
+			postings++
 		}
 	}
 	tally := &collectorTally
-	tally.Reset(l.NumGoals())
+	collectorQueries++
+	tally.Reset([...]int{postings, postings / 4, 0}[collectorQueries%3])
 	if got := l.AppendCandidates(slices.Clone(prefix), sc, sortedH, tally); !slices.Equal(got, want) {
 		t.Fatalf("AppendCandidates(h=%v) = %v, want %v", sortedH, got, want)
 	}
@@ -66,6 +78,12 @@ func checkCollector(t *testing.T, l *Library, sc *CandidateScratch, h []ActionID
 			t.Fatalf("AppendCandidates(h=%v): goal %d at slot %d/%d counts %d, want %d", sortedH, g, tally.Slot(g), i, tally.Counts[i], wantCount[g])
 		}
 	}
+	for _, g := range collectorPrev {
+		if _, ok := wantCount[g]; !ok && tally.Slot(g) != -1 {
+			t.Fatalf("AppendCandidates(h=%v): goal %d of the previous query, not tallied by this one, is at slot %d", sortedH, g, tally.Slot(g))
+		}
+	}
+	collectorPrev = append(collectorPrev[:0], tally.Goals...)
 	for w, word := range sc.bits {
 		if word != 0 {
 			t.Fatalf("scratch word %d = %#x after the call (h=%v)", w, word, sortedH)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"goalrec/internal/intset"
 )
@@ -116,53 +115,108 @@ func (sc *CandidateScratch) begin(numActions int) []uint64 {
 // GoalTally is a goal space with its profile, derived from the postings a
 // candidate collection walks anyway: every visited implementation p adds its
 // weight to the count of Goal(p). Goals lists the goals in first-touch order
-// and Counts is aligned with it. Membership is version-stamped, so the
-// goal-id-sized arrays are never cleared between queries.
+// and Counts is aligned with it.
+//
+// Membership is an open-addressing table sized to the query, not to the
+// library's goal ids: a power-of-two number of 8-byte entries {goal+1,
+// slot}, at most half full, probed linearly from the goal's Fibonacci hash.
+// A query touches the few goals its postings reach, so the table stays in
+// cache where a goal-indexed array would spread them over 1 MB at the bench
+// shape, and a pooled tally holds kilobytes, not one stamp per goal id.
+// Reset it before each query, the first included.
 type GoalTally struct {
 	Goals  []GoalID
 	Counts []int32
 
-	stamp   []tallyStamp // stamp[g].version == version ⇔ g ∈ Goals
-	version uint32
+	table []tallyEntry // 0 or a power-of-two length, at most half full
+	shift uint         // 64 − log2(len(table)): the hash keeps the top bits
+	at    []int32      // table index of each goal, aligned with Goals
 }
 
-// tallyStamp keeps a goal's membership stamp beside its slot, so a lookup
-// touches one cache line.
-type tallyStamp struct {
-	version uint32
-	slot    int32 // index of the goal in Goals
+// tallyEntry is one table slot; key 0 marks it empty.
+type tallyEntry struct {
+	key  uint32 // goal id + 1
+	slot int32  // index of the goal in Goals
 }
 
-// Reset empties the tally for a library of numGoals goal ids.
-func (t *GoalTally) Reset(numGoals int) {
-	if len(t.stamp) < numGoals {
-		// In place: nothing is written past len, so new stamps are zero.
-		t.stamp = slices.Grow(t.stamp, numGoals-len(t.stamp))[:numGoals]
+// tallyRetain is the largest table a tally keeps across queries (64 KB): a
+// larger one, grown by a rare query through popular actions, is dropped at
+// the next Reset that needs less. 99 % of five-action queries at the bench
+// shape fit it.
+const tallyRetain = 8192
+
+// Reset empties the tally for a query that adds at most n distinct goals
+// (the posting count of its activity bounds it). A low n is never wrong:
+// Add doubles the table when it reaches half load.
+func (t *GoalTally) Reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
 	}
-	if t.version++; t.version == 0 {
-		clear(t.stamp)
-		t.version = 1
+	if len(t.table) < size || (len(t.table) > tallyRetain && size < len(t.table)) {
+		// The goal lists go with the table they index, at the size n asks.
+		t.alloc(size)
+		t.Goals, t.Counts, t.at = make([]GoalID, 0, n), make([]int32, 0, n), make([]int32, 0, n)
+		return
 	}
-	t.Goals, t.Counts = t.Goals[:0], t.Counts[:0]
+	// By recorded position: re-probing the goals in insertion order would
+	// miss an entry whose probe path crossed one freed before it.
+	for _, i := range t.at {
+		t.table[i] = tallyEntry{}
+	}
+	t.Goals, t.Counts, t.at = t.Goals[:0], t.Counts[:0], t.at[:0]
+}
+
+// alloc replaces the table with an empty one of size entries.
+func (t *GoalTally) alloc(size int) {
+	t.table = make([]tallyEntry, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// find returns the table index holding g, or the empty index where g would
+// go.
+func (t *GoalTally) find(g GoalID) int {
+	key, mask := uint32(g)+1, len(t.table)-1
+	i := int((uint64(key) * 0x9e3779b97f4a7c15) >> t.shift)
+	for t.table[i].key != key && t.table[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // Slot returns the index of g in Goals, or −1 when g is not in the tally.
 func (t *GoalTally) Slot(g GoalID) int {
-	if st := t.stamp[g]; st.version == t.version {
-		return int(st.slot)
+	if e := t.table[t.find(g)]; e.key != 0 {
+		return int(e.slot)
 	}
 	return -1
 }
 
 // Add adds w to the count of g, appending g on its first touch.
 func (t *GoalTally) Add(g GoalID, w int32) {
-	if st := &t.stamp[g]; st.version == t.version {
-		t.Counts[st.slot] += w
+	i := t.find(g)
+	if e := &t.table[i]; e.key != 0 {
+		t.Counts[e.slot] += w
 		return
 	}
-	t.stamp[g] = tallyStamp{version: t.version, slot: int32(len(t.Goals))}
+	if 2*(len(t.Goals)+1) > len(t.table) {
+		t.grow()
+		i = t.find(g)
+	}
+	t.table[i] = tallyEntry{key: uint32(g) + 1, slot: int32(len(t.Goals))}
+	t.at = append(t.at, int32(i))
 	t.Goals = append(t.Goals, g)
 	t.Counts = append(t.Counts, w)
+}
+
+// grow doubles the table and re-inserts every goal in slot order.
+func (t *GoalTally) grow() {
+	t.alloc(2 * len(t.table))
+	for s, g := range t.Goals {
+		i := t.find(g)
+		t.table[i] = tallyEntry{key: uint32(g) + 1, slot: int32(s)}
+		t.at[s] = int32(i)
+	}
 }
 
 // mark adds the action sets of impls to the pending candidate set: bits of

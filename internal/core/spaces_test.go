@@ -151,3 +151,62 @@ func TestSpacesEmptyAndUnknownActivities(t *testing.T) {
 		t.Errorf("ImplsOfAction(999) = %v, want nil", got)
 	}
 }
+
+// TestGoalTallyReuse runs one tally through queries of random goal streams,
+// checked against a first-touch list and a map: hints exact, too low, zero
+// and far too high, goal ids dense and spread up to 2^31−2, queries of up to
+// 6 000 distinct goals (tables past tallyRetain). Every goal of the previous
+// query that this one did not add must read −1, and a table past
+// tallyRetain must be dropped by the next Reset that needs less.
+func TestGoalTallyReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	var tally GoalTally
+	var prev []GoalID
+	for q := 0; q < 300; q++ {
+		distinct := r.Intn(64)
+		if q%5 == 0 {
+			distinct = r.Intn(6000)
+		}
+		span := [...]int32{2 * 64, 1 << 20, 1<<31 - 1}[r.Intn(3)]
+		pool := make([]GoalID, distinct)
+		for i := range pool {
+			pool[i] = GoalID(r.Int31n(span))
+		}
+		hint := [...]int{distinct, distinct / 3, 0, 4 * distinct}[r.Intn(4)]
+		tally.Reset(hint)
+		size := 16
+		for size < 2*hint {
+			size <<= 1
+		}
+		if len(tally.table) > tallyRetain && len(tally.table) != size {
+			t.Fatalf("query %d: Reset(%d) kept a table of %d entries", q, hint, len(tally.table))
+		}
+		var order []GoalID
+		want := map[GoalID]int32{}
+		for i := 0; i < 3*distinct; i++ {
+			g, w := pool[r.Intn(len(pool))], int32(r.Intn(4))
+			if _, ok := want[g]; !ok {
+				order = append(order, g)
+			}
+			want[g] += w
+			tally.Add(g, w)
+		}
+		if !slices.Equal(tally.Goals, order) {
+			t.Fatalf("query %d: goals %v, want %v", q, tally.Goals, order)
+		}
+		for i, g := range order {
+			if tally.Slot(g) != i || tally.Counts[i] != want[g] {
+				t.Fatalf("query %d: goal %d at slot %d/%d counts %d, want %d", q, g, tally.Slot(g), i, tally.Counts[i], want[g])
+			}
+		}
+		if n := len(order); 2*n > len(tally.table) {
+			t.Fatalf("query %d: %d goals in a table of %d entries", q, n, len(tally.table))
+		}
+		for _, g := range prev {
+			if _, ok := want[g]; !ok && tally.Slot(g) != -1 {
+				t.Fatalf("query %d: goal %d of the previous query is at slot %d", q, g, tally.Slot(g))
+			}
+		}
+		prev = order
+	}
+}

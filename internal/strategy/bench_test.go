@@ -59,17 +59,22 @@ var benchCells = []struct {
 }
 
 // BenchmarkBestMatchModes times the goal-major scoring pass on the
-// connectivity sweep and on a library of a few giant goals (50 goals of
-// 5 000 implementations), where every candidate's posting row is long and the
-// goal space tiny, for cosine and for manhattan, whose pass also accumulates
-// the L1 sums.
+// connectivity sweep, on a library of a few giant goals (50 goals of 5 000
+// implementations), where every candidate's posting row is long and the goal
+// space tiny, and at the repository benchmark's shape (250 000
+// implementations over 10 000 actions, two per goal), whose per-goal and
+// per-implementation scratch no longer fits a core's cache, for cosine and
+// for manhattan, whose pass also accumulates the L1 sums.
 func BenchmarkBestMatchModes(b *testing.B) {
 	type cell struct {
 		name          string
 		size, actions int
 		perGoal       int
 	}
-	cells := []cell{{name: "giant-goals", size: 250000, actions: 10000, perGoal: 5000}}
+	cells := []cell{
+		{name: "giant-goals", size: 250000, actions: 10000, perGoal: 5000},
+		{name: "bench-shape", size: 250000, actions: 10000, perGoal: 2},
+	}
 	for _, c := range benchCells {
 		cells = append(cells, cell{name: c.name, size: 20000, actions: c.actions, perGoal: 2})
 	}
@@ -90,17 +95,24 @@ func BenchmarkBestMatchModes(b *testing.B) {
 }
 
 // BenchmarkScanKernel measures the kernelized Focus/Breadth scan on the
-// densest cell, where the posting stream per query is longest.
+// densest cell, where the posting stream per query is longest, and at the
+// repository benchmark's shape ("impls=250000": 250 000 implementations over
+// 10 000 actions, two per goal), where the counter array is 250 000 wide.
 func BenchmarkScanKernel(b *testing.B) {
-	lib := benchLibrary(20000, 500, 3)
-	queries := benchQueries(500, 64, 5, 4)
-	for _, rec := range []Recommender{NewFocus(lib, Completeness), NewFocus(lib, Closeness), NewBreadth(lib)} {
-		b.Run(rec.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rec.Recommend(queries[i%len(queries)], 10)
-			}
-		})
+	for _, cell := range []struct {
+		prefix        string
+		size, actions int
+	}{{"", 20000, 500}, {"impls=250000/", 250000, 10000}} {
+		lib := benchLibrary(cell.size, cell.actions, 3)
+		queries := benchQueries(cell.actions, 64, 5, 4)
+		for _, rec := range []Recommender{NewFocus(lib, Completeness), NewFocus(lib, Closeness), NewBreadth(lib)} {
+			b.Run(cell.prefix+rec.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rec.Recommend(queries[i%len(queries)], 10)
+				}
+			})
+		}
 	}
 }
 

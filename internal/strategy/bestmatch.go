@@ -56,9 +56,9 @@ type bmScratch struct {
 }
 
 // bmScratchPool serves every BestMatch instance — every metric, library,
-// epoch and shard. Each buffer grows to the library at hand where it is
-// used: GoalTally.Reset, CandidateScratch, and scoreGoalMajor's
-// accumulators.
+// epoch and shard. The action-indexed buffers grow to the library at hand
+// where they are used (CandidateScratch, scoreGoalMajor's accumulators);
+// the goal tally is sized to each query by its Reset.
 var bmScratchPool = sync.Pool{New: func() any { return new(bmScratch) }}
 
 // Metric identifies a Best Match distance between the profile H⃗ and a
@@ -191,9 +191,19 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 	defer bmScratchPool.Put(s)
 	// Algorithm 3 (Get-Goal-Based-Profile) rides the candidate walk: every
 	// posting of H adds one to its goal's profile count (Equation 9).
-	s.goals.Reset(bm.lib.NumGoals())
+	s.goals.Reset(goalBound(bm.lib, h))
 	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
 	return bm.rank(ctx, s, k)
+}
+
+// goalBound bounds the distinct goals h's postings reach, the size a goal
+// tally is reset to: one goal per posting, and no more than lib has.
+func goalBound(lib *core.Library, h []core.ActionID) int {
+	n := 0
+	for _, a := range h {
+		n += lib.ActionDegree(a)
+	}
+	return min(n, lib.NumGoals())
 }
 
 // rank scores every candidate of the tallied scratch (goal space, profile,

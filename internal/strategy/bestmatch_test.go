@@ -59,8 +59,9 @@ func TestBestMatchNames(t *testing.T) {
 // the profile aligned to it.
 func denseProfile(bm *BestMatch, h []core.ActionID) ([]core.GoalID, []float64) {
 	var t core.GoalTally
-	t.Reset(bm.lib.NumGoals())
-	bm.lib.AppendCandidates(nil, &core.CandidateScratch{}, intset.FromUnsorted(intset.Clone(h)), &t)
+	sortedH := intset.FromUnsorted(intset.Clone(h))
+	t.Reset(goalBound(bm.lib, sortedH))
+	bm.lib.AppendCandidates(nil, &core.CandidateScratch{}, sortedH, &t)
 	goalSpace := intset.FromUnsorted(intset.Clone(t.Goals))
 	profile := make([]float64, len(goalSpace))
 	for i, g := range goalSpace {

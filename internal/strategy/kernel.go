@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 
@@ -27,8 +28,15 @@ const kernelRowChunk = 4096
 // kernelScratch is the pooled state of one kernel execution: the flat
 // counter array, the first-touch list that both indexes it and drives its
 // re-zeroing, and the counts gathered out of it, aligned with the list.
+//
+// A count is |A_p ∩ H| ≤ min(|A_p|, |H|), so one byte per implementation
+// holds every count of a query whose bound min(MaxImplLen, |H|) is at most
+// 255: a quarter of an int32 array, 250 KB at the bench shape, whose longest
+// implementation has 23 actions. A query whose bound is larger counts in
+// wide, which only such a query allocates.
 type kernelScratch struct {
-	cnt     []int32
+	cnt     []uint8 // per implementation, all zero between queries
+	wide    []int32 // cnt for a query whose bound passes 255
 	touched []core.ImplID
 	counts  []int32
 }
@@ -48,27 +56,42 @@ var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 // success and on abort alike. Both slices alias s until its next use; after
 // an abort (err != nil) they hold partial counts.
 func (s *kernelScratch) gather(ctx context.Context, lib *core.Library, h []core.ActionID) (impls []core.ImplID, cnt []int32, err error) {
-	if n := lib.NumImplementations(); len(s.cnt) < n {
-		// Nothing is written past len, so the grown counters are zero.
-		s.cnt = slices.Grow(s.cnt, n-len(s.cnt))[:n]
+	if min(lib.MaxImplLen(), len(h)) <= math.MaxUint8 {
+		s.cnt, err = gatherCounts(ctx, s, lib, h, s.cnt)
+	} else {
+		s.wide, err = gatherCounts(ctx, s, lib, h, s.wide)
 	}
-	err = s.accumulate(ctx, lib, h)
+	return s.touched, s.counts, err
+}
+
+// gatherCounts is gather over one counter type: it grows counters to the
+// library at hand, counts into them and returns them all zero again, with
+// the touched list and the counts gathered out of them left in s.
+func gatherCounts[C uint8 | int32](ctx context.Context, s *kernelScratch, lib *core.Library, h []core.ActionID, counters []C) ([]C, error) {
+	if n := lib.NumImplementations(); len(counters) < n {
+		// Nothing is written past len, so the grown counters are zero.
+		counters = slices.Grow(counters, n-len(counters))[:n]
+	}
+	err := accumulate(ctx, s, lib, h, counters)
 	// The touched list records every increment, an aborted pass's too.
-	impls, counters := s.touched, s.cnt
-	cnt = slices.Grow(s.counts[:0], len(impls))[:len(impls)]
+	impls := s.touched
+	cnt := slices.Grow(s.counts[:0], len(impls))[:len(impls)]
 	for i, p := range impls {
-		cnt[i] = counters[p]
+		cnt[i] = int32(counters[p])
 		counters[p] = 0
 	}
 	s.counts = cnt
-	return impls, cnt, err
+	return counters, err
 }
 
 // accumulate adds every posting row of h — both of its runs — into the
-// counter array, recording first-touched implementations in the touched list
-// (including on abort, so cleanup stays exact). The list is sized before the
-// walk to the most it can hold, so it never grows by copying.
-func (s *kernelScratch) accumulate(ctx context.Context, lib *core.Library, h []core.ActionID) error {
+// counter array, counters[p]++ for each posting p, recording first-touched
+// implementations in s's touched list (including on abort, so cleanup stays
+// exact). After the walk counters[p] == |A_p ∩ H| for each touched p; no
+// count may exceed the counter type, so gather picks the type from the
+// query's bound. The list is sized before the walk to the most it can hold,
+// so it never grows by copying.
+func accumulate[C uint8 | int32](ctx context.Context, s *kernelScratch, lib *core.Library, h []core.ActionID, counters []C) error {
 	most := 0
 	for _, a := range h {
 		most += lib.ActionDegree(a)
@@ -85,7 +108,12 @@ scan:
 				if err = tick.tick(n); err != nil {
 					break scan
 				}
-				touched = core.AccumulateOverlapRow(row[:n], s.cnt, touched)
+				for _, p := range row[:n] {
+					if counters[p] == 0 {
+						touched = append(touched, p)
+					}
+					counters[p]++
+				}
 				row = row[n:]
 			}
 		}

@@ -193,7 +193,7 @@ func (bm *BestMatch) ShardSurvey(ctx context.Context, activity []core.ActionID) 
 	h := intset.FromUnsorted(intset.Clone(activity))
 	s := bmScratchPool.Get().(*bmScratch)
 	defer bmScratchPool.Put(s)
-	s.goals.Reset(bm.lib.NumGoals())
+	s.goals.Reset(goalBound(bm.lib, h))
 	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
 	out := &BestMatchSurvey{
 		Candidates: append([]core.ActionID(nil), s.cands...),
@@ -216,12 +216,15 @@ func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionI
 	}
 	s := bmScratchPool.Get().(*bmScratch)
 	defer bmScratchPool.Put(s)
-	s.goals.Reset(bm.lib.NumGoals())
 	for i, g := range goalSpace {
 		if g < 0 || int(g) >= bm.lib.NumGoals() || (i > 0 && g <= goalSpace[i-1]) {
 			return nil, fmt.Errorf("strategy: goal space is not an ascending set of the library's goals (goal %d at %d)", g, i)
 		}
-		s.goals.Add(g, 0) // slot i
+	}
+	// Validated, the space holds at most the library's goals.
+	s.goals.Reset(len(goalSpace))
+	for _, g := range goalSpace {
+		s.goals.Add(g, 0) // slot = index in goalSpace
 	}
 	if len(s.run) < len(goalSpace) {
 		s.run = make([]float64, len(goalSpace))

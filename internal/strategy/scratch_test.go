@@ -90,7 +90,7 @@ func TestSharedScratchConcurrentInstances(t *testing.T) {
 
 // TestFocusFirstQueryAllocatesOnce: a Focus query that finds the scratch
 // pools empty allocates each buffer once, at the size it uses — the counter
-// array (4 B per implementation), the touched list (4 B per posting of the
+// array (1 B per implementation), the touched list (4 B per posting of the
 // activity's rows, at most per implementation), the counts (4 B per
 // candidate) and the ranked buffer (16 B per candidate) — plus a little for
 // the activity and the result. Grown by appending, and with a selection
@@ -112,7 +112,7 @@ func TestFocusFirstQueryAllocatesOnce(t *testing.T) {
 		}
 	}
 	n := lib.NumImplementations()
-	budget := uint64(4*n + 4*min(postings, n) + 20*len(candidates) + slack)
+	budget := uint64(n + 4*min(postings, n) + 20*len(candidates) + slack)
 	for _, measure := range []FocusMeasure{Completeness, Closeness} {
 		t.Run(measure.String(), func(t *testing.T) {
 			f := NewFocus(lib, measure)
@@ -128,6 +128,41 @@ func TestFocusFirstQueryAllocatesOnce(t *testing.T) {
 				t.Logf("a first query over %d candidates allocated %d bytes, budget %d", len(candidates), d, budget)
 			}
 		})
+	}
+}
+
+// TestBestMatchFirstQueryAllocates is the Best Match twin at the bench
+// shape (250 000 implementations, two per goal, 10 000 actions): a query
+// that finds the scratch pool empty allocates the accumulators (16 B per
+// action, cosine), the candidate bitset (1 bit per action), the touched
+// actions (at most 8 B per action as they grow), the candidate pool (8 B per
+// candidate as it grows) and the profile (16 B per goal as it grows) — and a
+// goal tally under 128 KB. With one stamp per goal id the tally alone took
+// 1 MB.
+func TestBestMatchFirstQueryAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const tally, slack = 128 << 10, 32 << 10
+	lib := benchLibrary(250000, 10000, 7)
+	for i, q := range benchQueries(10000, 3, 5, 8) {
+		h := intset.FromUnsorted(intset.Clone(q))
+		pool, goals, n := len(lib.Candidates(h)), len(lib.GoalSpace(h)), lib.NumActions()
+		budget := uint64(16*n + n/8 + 8*n + 8*pool + 16*goals + tally + slack)
+		bm := NewBestMatch(lib)
+		runtime.GC() // twice: a pool's victim cache survives one cycle
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		bm.Recommend(q, 10)
+		runtime.ReadMemStats(&m1)
+		if d := m1.TotalAlloc - m0.TotalAlloc; d > budget {
+			t.Fatalf("query %d: a first query over %d candidates and %d goals allocated %d bytes, budget %d", i, pool, goals, d, budget)
+		} else {
+			t.Logf("query %d: a first query over %d candidates and %d goals allocated %d bytes, budget %d", i, pool, goals, d, budget)
+		}
 	}
 }
 

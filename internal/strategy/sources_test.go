@@ -308,6 +308,56 @@ func TestSourcesMatchOracle(t *testing.T) {
 	}
 }
 
+// wideLibrary adds to lib two implementations over the actions [0, w),
+// 256 ≤ w < 304 — one of every action, one of a random part of them — and
+// returns it with an activity holding at least 256 of them, so |A_p ∩ H|
+// passes what a byte counter holds and the kernel counts in int32.
+func wideLibrary(t *testing.T, r *rand.Rand, lib *core.Library) (*core.Library, []core.ActionID) {
+	t.Helper()
+	w := 256 + r.Intn(48)
+	b := core.NewBuilder(lib.NumImplementations()+2, 8)
+	for p := 0; p < lib.NumImplementations(); p++ {
+		impl := lib.Implementation(core.ImplID(p))
+		if _, err := b.Add(impl.Goal, impl.Actions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perm := r.Perm(w)
+	all := make([]core.ActionID, w)
+	for i, a := range perm {
+		all[i] = core.ActionID(a)
+	}
+	for _, acts := range [][]core.ActionID{all, all[:1+r.Intn(w)]} {
+		if _, err := b.Add(core.GoalID(r.Intn(lib.NumGoals()+1)), acts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Shuffle(w, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	h := make([]core.ActionID, 256+r.Intn(w-255))
+	for i := range h {
+		h[i] = core.ActionID(perm[i])
+	}
+	return b.Build(), h
+}
+
+// TestWideCountsMatchOracle drives the source table — every strategy and
+// source, the Focus and Breadth kernels and their shard partials among them
+// — over libraries with an implementation of 256 or more actions, queried
+// with 256 or more of them: counts a byte counter would wrap.
+func TestWideCountsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 3; trial++ {
+		base := testlib.MixedLibrary(r, 1+r.Intn(300), 2+r.Intn(300), 20, 9)
+		lib, h := wideLibrary(t, r, base)
+		if lib.MaxImplLen() < 256 {
+			t.Fatalf("longest implementation %d, want 256 or more", lib.MaxImplLen())
+		}
+		for _, l := range testLayouts(t, lib) {
+			checkEverySource(t, l, h, "")
+		}
+	}
+}
+
 // goalKinds sorts lib's goals with implementations into the three kinds the
 // GA-idx tells apart: one implementation, several action-disjoint ones
 // (neither stores a GA row), and several sharing an action (stores one).
