@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"goalrec/internal/core"
+	"goalrec/internal/strategy"
 )
 
 // Engine serves an evolving goal-implementation library from atomically
@@ -279,6 +280,32 @@ func (e *Engine) Current(s Strategy, opts ...RecommenderOption) (*Library, Recom
 	st := e.state.Load()
 	rec, err := st.recommender(s, opts)
 	return st.lib, rec, err
+}
+
+// CacheStats is what the response caches of WithCache hold and have
+// counted: entries in both segments, the probation entries among them, and
+// hits, misses and promotions to the main segment.
+type CacheStats = strategy.CacheStats
+
+// CacheStats sums the response caches of the current epoch's shared
+// recommenders (see Recommender). The caches die with their epoch, so the
+// counters restart at every publish.
+func (e *Engine) CacheStats() CacheStats {
+	st := e.state.Load()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var sum CacheStats
+	for _, rec := range st.recs {
+		if c, ok := rec.(*namedRecommender).rec.(*strategy.Cached); ok {
+			cs := c.Stats()
+			sum.Entries += cs.Entries
+			sum.Probation += cs.Probation
+			sum.Hits += cs.Hits
+			sum.Misses += cs.Misses
+			sum.Promoted += cs.Promoted
+		}
+	}
+	return sum
 }
 
 // recommender returns (building on first use) the state's shared recommender

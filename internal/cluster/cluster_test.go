@@ -753,6 +753,9 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	if m.Cluster.Workers != 2 || m.Cluster.Connected != 2 {
 		t.Fatalf("cluster block workers/connected: %+v", m.Cluster)
 	}
+	if bytes.Contains(raw, []byte(`"cache":`)) {
+		t.Fatalf("a coordinator caches no responses, but its metrics show a cache block:\n%s", raw)
+	}
 	if m.Cluster.Scatters < 3 {
 		t.Fatalf("scatters: got %d, want >= 3", m.Cluster.Scatters)
 	}

@@ -209,8 +209,13 @@ func (b *localBackend) Reload(context.Context) (uint64, int, error) {
 	return b.engine.Swap(lib).Epoch(), lib.NumImplementations(), nil
 }
 
+// Status reports the epoch and, under "cache" in /v1/metrics, what the
+// current epoch's response caches hold and have counted.
 func (b *localBackend) Status() Status {
-	return Status{Detail: fmt.Sprintf("epoch %d", b.Snapshot().Epoch())}
+	return Status{
+		Metrics: map[string]any{"cache": b.engine.CacheStats()},
+		Detail:  fmt.Sprintf("epoch %d", b.Snapshot().Epoch()),
+	}
 }
 
 // Option customizes a Server.

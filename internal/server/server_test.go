@@ -248,6 +248,33 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsCacheBlock: /v1/metrics sums the current epoch's response
+// caches. A sent three times and B once is two misses and two hits, the
+// first of which promoted A out of probation, where B still waits.
+func TestMetricsCacheBlock(t *testing.T) {
+	ts := newTestServer(t)
+	for _, activity := range []string{`["potatoes"]`, `["potatoes"]`, `["carrots"]`, `["potatoes"]`} {
+		if resp, body := postJSON(t, ts.URL+"/v1/recommend", `{"activity": `+activity+`, "strategy": "best-match"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("recommend %s: %d %s", activity, resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Cache *goalrec.CacheStats `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := goalrec.CacheStats{Entries: 2, Probation: 1, Hits: 2, Misses: 2, Promoted: 1}
+	if got.Cache == nil || *got.Cache != want {
+		t.Fatalf("cache block = %+v, want %+v", got.Cache, want)
+	}
+}
+
 func TestConcurrentRequests(t *testing.T) {
 	ts := newTestServer(t)
 	var wg sync.WaitGroup

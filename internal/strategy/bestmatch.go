@@ -246,7 +246,7 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 	if l1 && len(s.accL1) < n {
 		s.accL1 = slices.Grow(s.accL1, n-len(s.accL1))[:n]
 	}
-	s.actTouched = s.actTouched[:0]
+	s.actTouched = slices.Grow(s.actTouched[:0], n) // every action at most once
 	tick := newTicker(ctx)
 	var tickErr error
 	for i, g := range s.goals.Goals {

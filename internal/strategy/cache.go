@@ -11,41 +11,47 @@ import (
 	"goalrec/internal/intset"
 )
 
-// maxCacheShards bounds the number of independently locked LRU segments and
-// minShardCap is the smallest per-segment capacity worth splitting into:
-// keys spread by hash, so at full sharding concurrent queries contend on one
-// mutex only 1/16 of the time, while tiny caches stay single-shard and keep
-// exact global LRU order.
+// maxCacheShards bounds the number of independently locked segments and
+// minShardCap is the smallest per-shard capacity worth splitting into: keys
+// spread by hash, so at full sharding concurrent queries contend on one mutex
+// only 1/16 of the time, while tiny caches stay single-shard.
 const (
 	maxCacheShards = 16
 	minShardCap    = 64
 )
 
-// Cached wraps a Recommender with a bounded LRU cache keyed by the
-// normalized (activity, k) pair. Recommendation queries in serving workloads
-// repeat heavily (the same cart, the same wardrobe), and every strategy is
+// Cached wraps a Recommender with a bounded cache keyed by the normalized
+// (activity, k) pair. Recommendation queries in serving workloads repeat
+// heavily (the same cart, the same wardrobe), and every strategy is
 // deterministic over an immutable library, so caching is sound. The wrapper
 // is safe for concurrent use.
 //
 // The cache is sharded: the compact binary query key is FNV-1a hashed once,
-// the hash picks one of up to maxCacheShards independent LRU segments, and
-// only that segment's mutex is taken — concurrent hits stop serializing on a
-// single lock. Hit/miss counters are atomics, so they stay exact without
-// joining any lock.
+// the hash picks one of up to maxCacheShards independent shards, and only
+// that shard's mutex is taken — concurrent hits stop serializing on a single
+// lock. Counters are atomics, so they stay exact without joining any lock.
+//
+// Each shard is a segmented LRU: a first sighting enters a small probation
+// segment (an eighth of the shard), and a hit there promotes the entry to
+// the main LRU. A one-shot activity — most of them, when an activity is one
+// user's own action set — is evicted from probation without ever displacing
+// an entry that repeated, and a miss on a full probation recycles its
+// least-recent entry in place, so a flood of distinct activities keeps an
+// eighth of the capacity alive and allocates only its keys.
 type Cached struct {
 	inner Recommender
 
 	shards []cacheShard
 	mask   uint64 // len(shards) - 1; shard count is a power of two
 
-	hits, misses atomic.Uint64
+	hits, misses, promoted atomic.Uint64
 }
 
 type cacheShard struct {
-	mu  sync.Mutex
-	cap int
-	lru *list.List // of *cacheEntry, front = most recent
-	byK map[string]*list.Element
+	mu               sync.Mutex
+	probCap, mainCap int
+	probation, main  *list.List // of *cacheEntry, front = most recent
+	byK              map[string]*list.Element
 }
 
 // cacheEntry owns its list: a private copy with cap == len, so an entry pins
@@ -53,11 +59,26 @@ type cacheShard struct {
 type cacheEntry struct {
 	key  string
 	list []ScoredAction
+	main bool // the segment holding it
 }
 
-// NewCached wraps inner with an LRU of the given total capacity (entries),
+// CacheStats is a snapshot of a cache's contents and counters. Entries
+// counts both segments, Probation the entries not yet hit since they were
+// stored; Promoted counts the hits that moved an entry into the main LRU.
+type CacheStats struct {
+	Entries   int    `json:"entries"`
+	Probation int    `json:"probation"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Promoted  uint64 `json:"promoted"`
+}
+
+// NewCached wraps inner with a cache of the given total capacity (entries),
 // split evenly across power-of-two many shards — as many as keep each shard
-// at minShardCap entries, up to maxCacheShards. capacity ≤ 0 selects 1024.
+// at minShardCap entries, up to maxCacheShards — and within each shard an
+// eighth (at least one entry) for probation and the rest for the main LRU.
+// capacity ≤ 0 selects 1024; a shard holds at least 2 entries, one per
+// segment.
 func NewCached(inner Recommender, capacity int) *Cached {
 	if capacity <= 0 {
 		capacity = 1024
@@ -66,13 +87,16 @@ func NewCached(inner Recommender, capacity int) *Cached {
 	for n < maxCacheShards && capacity/(n*2) >= minShardCap {
 		n *= 2
 	}
-	perShard := (capacity + n - 1) / n
+	perShard := max(2, (capacity+n-1)/n)
+	probCap := max(1, perShard/8)
 	c := &Cached{inner: inner, shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
-			cap: perShard,
-			lru: list.New(),
-			byK: make(map[string]*list.Element, perShard),
+			probCap:   probCap,
+			mainCap:   perShard - probCap,
+			probation: list.New(),
+			main:      list.New(),
+			byK:       make(map[string]*list.Element, perShard),
 		}
 	}
 	return c
@@ -122,8 +146,16 @@ func (c *Cached) RecommendContext(ctx context.Context, activity []core.ActionID,
 	// The map index with string(key) is a lookup-only conversion: Go elides
 	// the string allocation, so a hit allocates nothing but the result copy.
 	if el, ok := sh.byK[string(key)]; ok {
-		sh.lru.MoveToFront(el)
-		cached := el.Value.(*cacheEntry).list
+		e := el.Value.(*cacheEntry)
+		if e.main {
+			sh.main.MoveToFront(el)
+		} else {
+			sh.promote(el)
+			c.promoted.Add(1)
+		}
+		// The entry is in main now, and main entries are dropped, never
+		// recycled, so its list stays as it is after the unlock.
+		cached := e.list
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		// Return a copy: callers may re-sort or truncate.
@@ -136,42 +168,67 @@ func (c *Cached) RecommendContext(ctx context.Context, activity []core.ActionID,
 	if err != nil {
 		return list, err
 	}
-
-	// The entry's private copy, made before taking the lock. The computed
-	// list itself goes to the caller.
-	var own []ScoredAction
-	if len(list) > 0 {
-		own = make([]ScoredAction, len(list))
-		copy(own, list)
-	}
-
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, raced := sh.byK[string(key)]; !raced {
-		ck := string(key) // materialize only when actually inserting
-		sh.byK[ck] = sh.lru.PushFront(&cacheEntry{key: ck, list: own})
-		for sh.lru.Len() > sh.cap {
-			oldest := sh.lru.Back()
-			sh.lru.Remove(oldest)
-			delete(sh.byK, oldest.Value.(*cacheEntry).key)
-		}
+		sh.admit(key, list)
 	}
+	// The computed list itself goes to the caller; the entry holds a copy.
 	return list, nil
 }
 
-// Stats returns cache hits and misses so far.
-func (c *Cached) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+// promote moves a probation entry that was hit to the front of the main
+// LRU, dropping main's least-recent entry when main is over its share.
+func (sh *cacheShard) promote(el *list.Element) {
+	e := sh.probation.Remove(el).(*cacheEntry)
+	e.main = true
+	sh.byK[e.key] = sh.main.PushFront(e)
+	if sh.main.Len() > sh.mainCap {
+		delete(sh.byK, sh.main.Remove(sh.main.Back()).(*cacheEntry).key)
+	}
 }
 
-// Len returns the current number of cached entries.
-func (c *Cached) Len() int {
-	n := 0
+// admit stores a first sighting at the front of probation. Once probation
+// is full it recycles the least-recent probation entry in place: the key
+// string is the one allocation, and the results go into the old backing
+// array when it has exactly their length.
+func (sh *cacheShard) admit(key []byte, results []ScoredAction) {
+	if sh.probation.Len() < sh.probCap {
+		ck := string(key)
+		sh.byK[ck] = sh.probation.PushFront(&cacheEntry{key: ck, list: exactCopy(nil, results)})
+		return
+	}
+	el := sh.probation.Back()
+	e := el.Value.(*cacheEntry)
+	delete(sh.byK, e.key)
+	e.key, e.list = string(key), exactCopy(e.list, results)
+	sh.probation.MoveToFront(el)
+	sh.byK[e.key] = el
+}
+
+// exactCopy copies src into dst's backing array when its capacity is
+// exactly len(src), and into a fresh array of that size otherwise.
+func exactCopy(dst, src []ScoredAction) []ScoredAction {
+	if cap(dst) != len(src) {
+		dst = make([]ScoredAction, len(src))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
+}
+
+// Stats returns the cache's entries per segment and its counters so far.
+func (c *Cached) Stats() CacheStats {
+	st := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Promoted: c.promoted.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		st.Entries += sh.probation.Len() + sh.main.Len()
+		st.Probation += sh.probation.Len()
 		sh.mu.Unlock()
 	}
-	return n
+	return st
 }
+
+// Len returns the current number of cached entries in both segments.
+func (c *Cached) Len() int { return c.Stats().Entries }

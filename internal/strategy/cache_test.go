@@ -1,7 +1,10 @@
 package strategy
 
 import (
+	"container/list"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -53,9 +56,8 @@ func TestCachedHitsPermutations(t *testing.T) {
 	if counter.calls != 1 {
 		t.Errorf("inner calls = %d, want 1", counter.calls)
 	}
-	hits, misses := cached.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses", hits, misses)
+	if st := cached.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("stats = %d hits, %d misses", st.Hits, st.Misses)
 	}
 	// Different k is a different entry.
 	cached.Recommend(acts(0, 1), 5)
@@ -67,22 +69,127 @@ func TestCachedHitsPermutations(t *testing.T) {
 func TestCachedEviction(t *testing.T) {
 	lib := testlib.PaperLibrary()
 	counter := &countingRecommender{inner: NewBreadth(lib)}
-	cached := NewCached(counter, 2)
+	cached := NewCached(counter, 2) // one probation entry, one main entry
 
 	cached.Recommend(acts(0), 4)
+	cached.Recommend(acts(0), 4) // hit: promoted to main
 	cached.Recommend(acts(1), 4)
-	cached.Recommend(acts(2), 4) // evicts acts(0)
+	cached.Recommend(acts(2), 4) // recycles acts(1)'s probation entry
 	if cached.Len() != 2 {
 		t.Errorf("Len = %d, want 2", cached.Len())
 	}
-	cached.Recommend(acts(0), 4) // miss again
+	cached.Recommend(acts(1), 4) // miss again
 	if counter.calls != 4 {
 		t.Errorf("calls = %d, want 4 (eviction forced recompute)", counter.calls)
 	}
 	// Recently used entry survived.
-	cached.Recommend(acts(2), 4)
+	cached.Recommend(acts(0), 4)
 	if counter.calls != 4 {
 		t.Errorf("calls = %d, recently-used entry evicted", counter.calls)
+	}
+}
+
+// stubRecommender answers at no scoring cost with fresh results derived
+// from the activity — between 0 and k of them — so what is measured is the
+// cache alone.
+type stubRecommender struct{}
+
+func (stubRecommender) Name() string { return "stub" }
+
+func (stubRecommender) Recommend(h []core.ActionID, k int) []ScoredAction {
+	n := k
+	if len(h) > 0 {
+		n = int(h[0]) % (k + 1)
+	}
+	out := make([]ScoredAction, n)
+	for i := range out {
+		out[i] = ScoredAction{Action: core.ActionID(i), Score: float64(len(h)) - float64(i)}
+	}
+	return out
+}
+
+// TestCachedOneShotFloodKeepsRepeats pins the probation segment's point:
+// a flood of distinct activities, each seen once, stays in probation — an
+// eighth of the capacity, recycled in place — and leaves an activity that
+// repeated before it cached. A plain LRU of the server's 4 096 entries
+// evicts that activity and keeps every one-shot entry, ≈ 1.14 MB live.
+func TestCachedOneShotFloodKeepsRepeats(t *testing.T) {
+	const capacity, k, flood = 4096, 10, 20000
+	cached := NewCached(stubRecommender{}, capacity)
+	probation := 0
+	for i := range cached.shards {
+		probation += cached.shards[i].probCap
+	}
+	hot := acts(k)
+	cached.Recommend(hot, k)
+	cached.Recommend(hot, k) // a hit: promoted
+	r := rand.New(rand.NewSource(56))
+	before := heapAfterGC()
+	// Distinct pairs with random ids, as activities spread over the shards,
+	// each answered with k results.
+	oneShot := func() { cached.Recommend(acts(k, core.ActionID(k+1+r.Intn(1<<30))), k) }
+	for i := 0; i < flood; i++ {
+		oneShot()
+	}
+	after := heapAfterGC()
+	st := cached.Stats()
+	if st.Entries > capacity || st.Probation > probation {
+		t.Fatalf("%d entries, %d in probation: want ≤ %d and ≤ %d", st.Entries, st.Probation, capacity, probation)
+	}
+	cached.Recommend(hot, k)
+	if again := cached.Stats(); again.Misses != st.Misses {
+		t.Fatal("one-shot activities evicted an activity that repeated")
+	}
+	grew := int64(after) - int64(before)
+	t.Logf("live heap grew %d bytes over %d one-shot misses (%d entries, %d in probation)", grew, flood, st.Entries, st.Probation)
+	if grew >= 256<<10 {
+		t.Fatalf("live heap grew %d bytes, want < 256 KB", grew)
+	}
+	// A miss on a full probation allocates the normalized activity, the
+	// stub's results and the key; the entry, its list node and its results'
+	// array are recycled.
+	if allocs := testing.AllocsPerRun(100, oneShot); allocs > 3 {
+		t.Fatalf("a one-shot miss makes %.1f allocations, want ≤ 3", allocs)
+	}
+}
+
+// TestCachedRecycledEntriesStayExact mixes repeats and one-shots over a
+// small cache so that entries are promoted, dropped from main and recycled
+// with results of every length from 0 to k: every stored list still has
+// cap == len ≤ k, and no returned list aliases a stored one — scribbling
+// over everything returned changes no later answer.
+func TestCachedRecycledEntriesStayExact(t *testing.T) {
+	const k = 10
+	cached := NewCached(stubRecommender{}, 16)
+	r := rand.New(rand.NewSource(56))
+	var returned [][]ScoredAction
+	for i := 0; i < 2000; i++ {
+		returned = append(returned, cached.Recommend(acts(core.ActionID(r.Intn(40))), k))
+	}
+	st := cached.Stats()
+	if st.Promoted == 0 || st.Misses <= uint64(st.Entries)+uint64(st.Promoted) {
+		t.Fatalf("stats %+v: the mix neither promoted nor recycled", st)
+	}
+	sh := &cached.shards[0]
+	if st.Entries > 16 || st.Probation > sh.probCap {
+		t.Fatalf("stats %+v: over the capacity of 16 or the probation cap of %d", st, sh.probCap)
+	}
+	for _, seg := range []*list.List{sh.probation, sh.main} {
+		for el := seg.Front(); el != nil; el = el.Next() {
+			if l := el.Value.(*cacheEntry).list; cap(l) != len(l) || len(l) > k {
+				t.Fatalf("stored list has len %d cap %d, want cap == len ≤ %d", len(l), cap(l), k)
+			}
+		}
+	}
+	for _, l := range returned {
+		for i := range l {
+			l[i] = ScoredAction{Action: -1, Score: -1}
+		}
+	}
+	for a := core.ActionID(0); a < 40; a++ {
+		if got, want := cached.Recommend(acts(a), k), (stubRecommender{}).Recommend(acts(a), k); !slices.Equal(got, want) {
+			t.Fatalf("activity %d: got %v, want %v", a, got, want)
+		}
 	}
 }
 
@@ -108,6 +215,16 @@ func BenchmarkCachedHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cached.Recommend(h, 5)
+	}
+}
+
+// BenchmarkCachedMiss times a miss of one-shot activities over a stub inner
+// recommender: what the cache itself costs a query it never serves again.
+func BenchmarkCachedMiss(b *testing.B) {
+	cached := NewCached(stubRecommender{}, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cached.Recommend(acts(10, core.ActionID(11+i)), 10)
 	}
 }
 

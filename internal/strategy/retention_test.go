@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"container/list"
 	"fmt"
 	"runtime"
 	"testing"
@@ -30,9 +31,10 @@ func heapAfterGC() uint64 {
 }
 
 // TestCachedRetainsExactlyK fills a result cache past capacity with distinct
-// activities whose candidate pools dwarf k and pins what an entry costs: every
-// stored list has cap == len ≤ k, and the live heap grows by well under 1 KB
-// per entry. A strategy that hands the cache a k-element window of a
+// activities whose candidate pools dwarf k, each sent twice so that it
+// reaches the main segment, and pins what an entry costs: every stored list
+// in either segment has cap == len ≤ k, and the live heap grows by well
+// under 1 KB per entry. A strategy that hands the cache a k-element window of a
 // pool-sized scoring array — or a cache that stores what it is handed — keeps
 // 16 bytes per *candidate* alive per entry instead.
 func TestCachedRetainsExactlyK(t *testing.T) {
@@ -52,18 +54,21 @@ func TestCachedRetainsExactlyK(t *testing.T) {
 			before := heapAfterGC()
 			for _, q := range queries {
 				cached.Recommend(q, k)
+				cached.Recommend(q, k) // a hit: promoted to the main segment
 			}
 			after := heapAfterGC()
 
 			entries := 0
 			for i := range cached.shards {
 				sh := &cached.shards[i]
-				for el := sh.lru.Front(); el != nil; el = el.Next() {
-					l := el.Value.(*cacheEntry).list
-					if cap(l) != len(l) || len(l) > k {
-						t.Fatalf("stored list has len %d cap %d, want cap == len ≤ %d", len(l), cap(l), k)
+				for _, seg := range []*list.List{sh.probation, sh.main} {
+					for el := seg.Front(); el != nil; el = el.Next() {
+						l := el.Value.(*cacheEntry).list
+						if cap(l) != len(l) || len(l) > k {
+							t.Fatalf("stored list has len %d cap %d, want cap == len ≤ %d", len(l), cap(l), k)
+						}
+						entries++
 					}
-					entries++
 				}
 			}
 			if entries < capacity/2 {
