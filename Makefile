@@ -29,11 +29,13 @@ bench-e2e-compare:
 	go run ./bench compare $(A) $(B)
 
 # PAIRS alternating runs of WORKLOAD on the parent commit PARENT and on this
-# working tree, seeds 1..PAIRS, then bench-e2e-compare over the two records
-# (scripts/bench_pairs.sh).
+# working tree, seeds FIRST_SEED..FIRST_SEED+PAIRS-1, then bench-e2e-compare
+# over the two records; the records' provenance (both sides' commits, and a
+# dirty tree's diff sum) is written beside them (scripts/bench_pairs.sh).
 PAIRS ?= 10
+FIRST_SEED ?= 1
 bench-e2e-pairs:
-	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+	scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(FIRST_SEED)
 
 microbench:
 	go test -run=XXX -bench=. -benchmem .

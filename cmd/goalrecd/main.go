@@ -43,6 +43,10 @@
 // or a library that did not come from a sidecar (a store, an ingest since),
 // is partitioned on the heap. Deleting either file is always safe; mapped
 // generations stay mapped until the process exits (/v1/metrics, "library").
+// /v1/metrics' "io" block counts the snapshot files opened, read,
+// checksummed and mapped and the source bytes hashed so far; "start" freezes
+// those counts, with the heap allocated and the page faults, at the first
+// /readyz that answers 200.
 //
 // With -snapshot-dir the daemon is durable: it recovers from the newest
 // memory-mapped snapshot in the directory plus the ingest WAL's tail, then

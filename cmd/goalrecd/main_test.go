@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -362,5 +364,144 @@ func TestWorkerReloadNotImplemented(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("worker POST /v1/reload = %d, want 501", resp.StatusCode)
+	}
+}
+
+// settle waits until a file created beside path gets a modification time
+// newer than path's modification and change times, so that a sidecar built
+// from path now records its stamp. It skips the test where stamps are never
+// complete.
+func settle(t *testing.T, path string) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, complete := core.StatStamp(fi)
+	if !complete {
+		t.Skip("this platform's stat record carries no change time, inode and device")
+	}
+	for {
+		f, err := os.CreateTemp(filepath.Dir(path), ".clock-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, err := f.Stat()
+		f.Close()
+		os.Remove(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ns := now.ModTime().UnixNano(); ns > src.Mtime && ns > src.Ctime {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// startCounts starts the daemon with args, waits for its first 200 from
+// /readyz, shuts it down, and returns its /v1/metrics "start" block less the
+// process's I/O counters before the start: what the start itself did.
+func startCounts(t *testing.T, args ...string) goalrec.IOStats {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	before := goalrec.ReadIOStats()
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- runUntil(stop, append([]string{"-quiet", "-addr", addr}, args...)...) }()
+	defer func() {
+		stop <- syscall.SIGTERM
+		if err := <-done; err != nil {
+			t.Errorf("daemon shutdown: %v", err)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		select {
+		case err := <-done:
+			done <- err
+			t.Fatalf("daemon exited before it was ready: %v", err)
+		default:
+		}
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never ready: %v", err)
+		}
+	}
+	resp, err := http.Get("http://" + addr + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Start *goalrec.IOStats `json:"start"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || m.Start == nil {
+		t.Fatalf("metrics start block %v (err %v)", m.Start, err)
+	}
+	s := *m.Start
+	return goalrec.IOStats{
+		SnapshotOpens:     s.SnapshotOpens - before.SnapshotOpens,
+		SnapshotBytesRead: s.SnapshotBytesRead - before.SnapshotBytesRead,
+		BytesChecksummed:  s.BytesChecksummed - before.BytesChecksummed,
+		Mmaps:             s.Mmaps - before.Mmaps,
+		BytesMapped:       s.BytesMapped - before.BytesMapped,
+		SourceBytesHashed: s.SourceBytesHashed - before.SourceBytesHashed,
+	}
+}
+
+// TestStartBlockCountsStartIO: the "start" block /v1/metrics freezes at the
+// first ready /readyz counts the start's own I/O. A warm start opens and
+// checksums the sidecar once and hashes no source; a start after the
+// source's times moved hashes the source once; a durable seed checksums the
+// sidecar once, as its store links the file the load just verified.
+func TestStartBlockCountsStartIO(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lib.jsonl")
+	var lines strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&lines, `{"goal":"g%d","actions":["a%d","a%d","a%d"]}`+"\n", i%17, i%29, i%31+29, i%7+60)
+	}
+	if err := os.WriteFile(path, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, path)
+	size := func(p string) int64 {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	startCounts(t, "-library", path) // builds the sidecar
+	sidecar := size(path + goalrec.SidecarSuffix)
+
+	warm := startCounts(t, "-library", path)
+	if warm.SnapshotOpens != 1 || warm.BytesChecksummed != sidecar || warm.SourceBytesHashed != 0 {
+		t.Errorf("warm start counted %+v, want 1 open, %d bytes checksummed, 0 source bytes hashed", warm, sidecar)
+	}
+
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if moved := startCounts(t, "-library", path); moved.SourceBytesHashed != size(path) {
+		t.Errorf("start after the source's times moved counted %+v, want %d source bytes hashed", moved, size(path))
+	}
+
+	seed := startCounts(t, "-library", path, "-snapshot-dir", t.TempDir())
+	if seed.BytesChecksummed != sidecar {
+		t.Errorf("durable seed counted %+v, want %d bytes checksummed", seed, sidecar)
 	}
 }

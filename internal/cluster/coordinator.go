@@ -130,13 +130,19 @@ func (co *Coordinator) logf(format string, args ...interface{}) {
 func (co *Coordinator) Connected() int {
 	n := 0
 	for _, p := range co.peers {
-		p.mu.Lock()
-		if p.conn != nil && p.conn.Err() == nil {
+		if p.healthy() {
 			n++
 		}
-		p.mu.Unlock()
 	}
 	return n
+}
+
+// healthy reports whether p holds a registered connection that has not
+// failed.
+func (p *peer) healthy() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conn != nil && p.conn.Err() == nil
 }
 
 // peerEpochs returns the epoch each worker last reported (at registration,
@@ -419,6 +425,28 @@ func (co *Coordinator) coverageError(n int) error {
 	return nil
 }
 
+// connectAll primes (or re-establishes) the registration of every peer
+// without a healthy connection, all of them at once, so a start or a rejoin
+// costs the first query one dial and register round trip, not one per
+// worker. Connection failures are logged and surface again through the
+// scatter, which degrades around them.
+func (co *Coordinator) connectAll() {
+	var wg sync.WaitGroup
+	for _, p := range co.peers {
+		if p.healthy() {
+			continue
+		}
+		wg.Add(1)
+		go func(p *peer) {
+			defer wg.Done()
+			if _, err := co.connect(p); err != nil {
+				co.logf("cluster: preconnect: %v", err)
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
 // begin opens one query or batch, unless its context is already done: it
 // resolves the strategy through goalrec.ResolveStrategy — exactly the names a
 // single node accepts, down to the rejection bytes — primes the registrations,
@@ -433,14 +461,7 @@ func (co *Coordinator) begin(ctx context.Context, strategyName, metric string) (
 	if err != nil {
 		return nil, spec, err
 	}
-	for _, p := range co.peers {
-		// Connection failures surface through the scatter, which degrades
-		// around them; this only primes (or re-establishes) the
-		// registrations so coverage can be validated.
-		if _, err := co.connect(p); err != nil {
-			co.logf("cluster: preconnect: %v", err)
-		}
-	}
+	co.connectAll()
 	snap := co.engine.Snapshot()
 	if err := co.coverageError(snap.NumImplementations()); err != nil {
 		return nil, spec, &server.BackendError{Err: err}

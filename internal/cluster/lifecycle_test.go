@@ -497,3 +497,43 @@ func TestConnectBoundsTheDial(t *testing.T) {
 		t.Fatalf("dial deadline %v away, want within (0, %v]", remaining, dialTimeout)
 	}
 }
+
+// slowReplyConn delays the first read — the worker's reply to registration —
+// by delay.
+type slowReplyConn struct {
+	net.Conn
+	delay time.Duration
+	once  sync.Once
+}
+
+func (c *slowReplyConn) Read(p []byte) (int, error) {
+	c.once.Do(func() { time.Sleep(c.delay) })
+	return c.Conn.Read(p)
+}
+
+// TestFirstQueryRegistersWorkersConcurrently: the first query registers
+// every worker at once, so two workers whose registration reply takes D
+// cost it about D, not 2D.
+func TestFirstQueryRegistersWorkersConcurrently(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	defer func(d func(context.Context, string, string) (net.Conn, error)) { dialWorker = d }(dialWorker)
+	dial := dialWorker
+	dialWorker = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &slowReplyConn{Conn: c, delay: delay}, nil
+	}
+	lib := clusterTestLibrary(57, 200)
+	co := startCoordinator(t, lib, startWorkers(t, lib, 2, nil), CoordinatorConfig{})
+	t0 := time.Now()
+	res, err := co.Recommend(context.Background(), "breadth", "", []string{"a1", "a2"}, 5)
+	took := time.Since(t0)
+	if err != nil || res.Degraded {
+		t.Fatalf("first query: %+v, err %v", res, err)
+	}
+	if took >= delay*3/2 {
+		t.Fatalf("the first query took %v with a %v registration reply from each of 2 workers, want < %v", took, delay, delay*3/2)
+	}
+}

@@ -259,6 +259,9 @@ func (d *DynamicLibrary) extendLocked() *Library {
 	slots := len(d.tailActs)
 
 	nl := *prev // the base arrays and their indexes carry over
+	// An extension is no longer the image of the file its base was mapped
+	// from.
+	nl.checked = FileStamp{}
 	nl.tailGoal = d.tailGoal[:t:t]
 	nl.tailOff = d.tailOff[: t+1 : t+1]
 	nl.tailActs = d.tailActs[:slots:slots]

@@ -267,6 +267,10 @@ type Library struct {
 
 	maxImplLen int32 // largest |A_p| in the library
 	mapped     bool  // the flat index arrays are views over a snapshot mapping
+	// checked is the complete stamp of the file OpenSnapshotVerified
+	// checksummed and mapped this library from, the zero stamp for any
+	// other library (LinkSnapshotFileFS).
+	checked FileStamp
 
 	// Copy-on-write overlays (overlay.go), non-empty only on extended
 	// snapshots: for the actions/goals touched since the last flat index
@@ -293,7 +297,7 @@ func (l *Library) Epoch() uint64 { return l.epoch }
 // WithEpoch returns a shallow copy of l stamped with epoch e, used when an
 // externally built library is swapped into a DynamicLibrary lineage, and when
 // a shard opened from its snapshot file takes the epoch of the library it was
-// cut from.
+// cut from. The copy keeps the stamp of the file l was verified from.
 func (l *Library) WithEpoch(e uint64) *Library {
 	c := *l
 	c.epoch = e

@@ -551,6 +551,7 @@ func verifySnapshotChecksum(r io.Reader, size, bufSize int64) error {
 	)
 	for {
 		n := uint64(len(buf))
+		ioCount.checksummed.Add(int64(n))
 		if pos < end {
 			crc = crc32.Update(crc, crc32.IEEETable, buf[:min(n, end-pos)])
 		}
@@ -598,7 +599,7 @@ var ErrCorruptSnapshot = fmt.Errorf("core: snapshot corrupt")
 // corruption the page cache would hide.
 func ScrubSnapshotFile(fsys faultfs.FS, path string) error {
 	fsys = faultfs.Or(fsys)
-	f, err := fsys.Open(path)
+	f, err := openCounted(fsys, path)
 	if err != nil {
 		return err
 	}
@@ -733,6 +734,9 @@ func MappedSnapshots() (generations, bytes int64) {
 // image without a key section is refused, and after a refusal nothing more
 // is read; then every byte against the whole-file checksum footer, through a
 // fixed buffer; then the mapping, which must be as long as the file was.
+// The library records the stamp of the descriptor it checksummed and mapped
+// (StatStamp, when complete), which spares LinkSnapshotFileFS a second pass
+// over the same unchanged file.
 //
 // An image without a footer opens only when accept is nil, and only if
 // VerifySnapshot passes on its mapping. A header that does not parse, bytes
@@ -779,11 +783,16 @@ func OpenSnapshotVerified(fsys faultfs.FS, path string, accept func(key []byte, 
 	}
 	s.unmap = unmap
 	s.lib.mapped = true
+	if st, ok := StatStamp(sf.fi); ok && !footerless {
+		s.lib.checked = st
+	}
 	if s.vocab != nil {
 		s.vocab.Actions.baseMapped, s.vocab.Goals.baseMapped = true, true
 	}
 	mappedGenerations.Add(1)
 	mappedBytes.Add(int64(len(data)))
+	ioCount.mmaps.Add(1)
+	ioCount.mapped.Add(int64(len(data)))
 	s.adviseAsync()
 	return s, nil
 }
@@ -792,7 +801,7 @@ func OpenSnapshotVerified(fsys faultfs.FS, path string, accept func(key []byte, 
 // descriptor gave before any section was read: its fstat, and its header and
 // section table, checked against the file's size.
 type snapFile struct {
-	faultfs.File
+	countedFile
 	fi    os.FileInfo
 	head  []byte // the header and section table
 	secs  map[uint32]snapSection
@@ -803,11 +812,11 @@ type snapFile struct {
 // table. A header that does not parse comes back wrapping
 // ErrCorruptSnapshot, an I/O error bare.
 func openSnapFile(fsys faultfs.FS, path string) (*snapFile, error) {
-	f, err := faultfs.Or(fsys).Open(path)
+	f, err := openCounted(fsys, path)
 	if err != nil {
 		return nil, err
 	}
-	sf := &snapFile{File: f}
+	sf := &snapFile{countedFile: f}
 	if sf.fi, err = f.Stat(); err == nil {
 		sf.head = make([]byte, min(sf.fi.Size(), snapHeadMax))
 		_, err = f.ReadAt(sf.head, 0)

@@ -73,6 +73,7 @@ func CopySnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library
 				return copyRefused(err)
 			}
 			srcCRC = crc32.Update(srcCRC, crc32.IEEETable, chunk)
+			ioCount.checksummed.Add(int64(len(chunk)))
 			if pos == 0 {
 				// The first chunk covers the header and table (end ≥ their
 				// length): they must still be the bytes checked above.
@@ -91,6 +92,7 @@ func CopySnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library
 		if _, err := io.ReadFull(in, footer[:]); err != nil {
 			return copyRefused(err)
 		}
+		ioCount.checksummed.Add(snapFooterSize)
 		if binary.LittleEndian.Uint32(footer[0:]) != snapFooterMagic {
 			return copyRefused(ErrNoChecksum)
 		}
@@ -152,15 +154,19 @@ func checkCopySource(sf *snapFile, key []byte, l *Library) (end uint64, err erro
 // Before it links it checks, on one descriptor, everything
 // CopySnapshotFileFS checks (header CRC and geometry, source key,
 // dimensions, footer placement) and the epoch, and scrubs the whole file
-// against its checksum footer. src is then linked to a .snap-*.tmp name
+// against its checksum footer — unless l was mapped by OpenSnapshotVerified
+// from this very file and the descriptor's complete stamp (size, times,
+// inode, device) is still the one that open checksummed: that pass would
+// read the same bytes again. src is then linked to a .snap-*.tmp name
 // beside dst, which must open as the file just verified (os.SameFile), is
 // synced, and renamed to dst; the directory is synced last. A refusal of the
 // source wraps ErrCopyRefused, a link that could not be made ErrLinkFailed;
 // errors on the destination side are returned bare.
 //
-// Sharing the file is sound because no snapshot file is ever written in
-// place: every writer seals a temp file and renames it (sealFile), and a
-// store's quarantine and pruning only rename or remove names.
+// Sharing the file, and trusting an unchanged stamp, are sound because no
+// snapshot file is ever written in place: every writer seals a temp file
+// and renames it (sealFile), and a store's quarantine and pruning only
+// rename or remove names.
 func LinkSnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library) (bool, error) {
 	fsys = faultfs.Or(fsys)
 	in, err := openSnapFile(fsys, src)
@@ -177,13 +183,22 @@ func LinkSnapshotFileFS(fsys faultfs.FS, dst, src string, key []byte, l *Library
 	if cur, err := fsys.Stat(dst); err == nil && os.SameFile(cur, in.fi) {
 		return true, nil
 	}
-	if err := VerifySnapshotChecksum(in, in.fi.Size()); err != nil {
-		return false, copyRefused(err)
+	if !l.checkedFrom(in.fi) {
+		if err := VerifySnapshotChecksum(in, in.fi.Size()); err != nil {
+			return false, copyRefused(err)
+		}
 	}
 	if err := linkFile(fsys, dst, src, in.fi); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// checkedFrom reports whether fi, by its complete stamp, is the file
+// OpenSnapshotVerified checksummed and mapped l from, unchanged since.
+func (l *Library) checkedFrom(fi os.FileInfo) bool {
+	st, ok := StatStamp(fi)
+	return ok && l.checked != (FileStamp{}) && st == l.checked
 }
 
 // linkFile makes dst a name of the file src names, which must still be the

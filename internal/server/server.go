@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -301,6 +302,11 @@ type Server struct {
 	// reloadStreak counts consecutive reload failures; any successful
 	// reload resets it. Surfaced in /readyz and /v1/metrics.
 	reloadStreak atomic.Int64
+
+	// start is the start block, frozen by startOnce at the first /readyz
+	// that answers 200; nil until then.
+	startOnce sync.Once
+	start     atomic.Pointer[startBlock]
 
 	// Operational counters, per instance (kept off the global expvar
 	// registry so multiple servers can coexist in one process).
@@ -562,6 +568,9 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	resp["status"] = status
+	if code == http.StatusOK {
+		s.startOnce.Do(func() { s.start.Store(readStart()) })
+	}
 	s.writeJSON(w, code, resp)
 }
 
@@ -648,6 +657,10 @@ type metricsBody struct {
 	// index structure, the process's mappings and the last sidecar decision.
 	Library             goalrec.LibraryBacking `json:"library"`
 	ReloadFailureStreak int64                  `json:"reload_failure_streak"`
+	// IO is the process's snapshot and source I/O so far; Start is what it
+	// had done when /readyz first answered 200, null before.
+	IO    goalrec.IOStats `json:"io"`
+	Start *startBlock     `json:"start"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -660,6 +673,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Users:               countersBlock{false, struct{}{}},
 		Library:             lib.Backing(),
 		ReloadFailureStreak: s.reloadStreak.Load(),
+		IO:                  goalrec.ReadIOStats(),
+		Start:               s.start.Load(),
 	}
 	if s.users != nil {
 		m.Users = countersBlock{true, s.users.Stats()}

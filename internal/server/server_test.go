@@ -303,6 +303,95 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestStartBlockFrozenAtFirstReady: /v1/metrics' "start" block is null until
+// /readyz first answers 200 — a 503 while draining does not freeze it — and
+// then keeps the counters of that moment, while the "io" block goes on
+// counting: here a reload that opens, checksums and maps a sidecar.
+func TestStartBlockFrozenAtFirstReady(t *testing.T) {
+	lib := testLibrary(t)
+	path := filepath.Join(t.TempDir(), "lib.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.SaveJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(lib, nil, WithReloader(func() (*goalrec.Library, error) {
+		lib, _, err := goalrec.LoadLibraryFileMapped(path)
+		return lib, err
+	}))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	type block struct {
+		IO    goalrec.IOStats  `json:"io"`
+		Start *json.RawMessage `json:"start"`
+	}
+	metrics := func() block {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m block
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ready := func(want int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("/readyz = %d, want %d", resp.StatusCode, want)
+		}
+	}
+
+	srv.SetDraining(true)
+	ready(http.StatusServiceUnavailable)
+	if m := metrics(); m.Start != nil {
+		t.Fatalf("start block %s before the first ready /readyz", *m.Start)
+	}
+	srv.SetDraining(false)
+	ready(http.StatusOK)
+	first := metrics()
+	if first.Start == nil {
+		t.Fatal("no start block after a ready /readyz")
+	}
+	var start struct {
+		goalrec.IOStats
+		HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
+		GCCycles       uint64 `json:"gc_cycles"`
+	}
+	if err := json.Unmarshal(*first.Start, &start); err != nil {
+		t.Fatal(err)
+	}
+	if start.IOStats != first.IO || start.HeapAllocBytes == 0 {
+		t.Fatalf("start block %s, want the io block %+v and the heap allocated so far", *first.Start, first.IO)
+	}
+
+	if resp, body := postJSON(t, ts.URL+"/v1/reload", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload = %d: %s", resp.StatusCode, body)
+	}
+	ready(http.StatusOK)
+	later := metrics()
+	if string(*later.Start) != string(*first.Start) {
+		t.Fatalf("start block moved from %s to %s", *first.Start, *later.Start)
+	}
+	if io := later.IO; io.SnapshotOpens <= first.IO.SnapshotOpens || io.BytesChecksummed <= first.IO.BytesChecksummed || io.Mmaps <= first.IO.Mmaps {
+		t.Fatalf("io block %+v after a sidecar reload, was %+v", io, first.IO)
+	}
+}
+
 // TestMetricsLibraryBlock: /v1/metrics says what backs the served library —
 // heap for a built one, mapped after a reload through the daemon's sidecar
 // load path — while /v1/stats stays byte-identical across the two.

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +43,10 @@ type Cached struct {
 	inner Recommender
 
 	shards []cacheShard
-	mask   uint64 // len(shards) - 1; shard count is a power of two
+	// shift is 64 - log2(len(shards)), whose count is a power of two: a
+	// query's shard is its hash's top bits. FNV-1a's multiply carries every input bit up,
+	// never down, so the low bits of keys that differ little spread poorly.
+	shift uint
 
 	hits, misses, promoted atomic.Uint64
 }
@@ -89,7 +93,7 @@ func NewCached(inner Recommender, capacity int) *Cached {
 	}
 	perShard := max(2, (capacity+n-1)/n)
 	probCap := max(1, perShard/8)
-	c := &Cached{inner: inner, shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c := &Cached{inner: inner, shards: make([]cacheShard, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
 			probCap:   probCap,
@@ -126,6 +130,9 @@ func cacheKey(buf []byte, h []core.ActionID, k int) ([]byte, uint64) {
 	return buf, hash
 }
 
+// shard is the shard of the query whose key hashed to hash.
+func (c *Cached) shard(hash uint64) *cacheShard { return &c.shards[hash>>c.shift] }
+
 // Recommend implements Recommender.
 func (c *Cached) Recommend(activity []core.ActionID, k int) []ScoredAction {
 	out, _ := c.RecommendContext(context.Background(), activity, k)
@@ -140,7 +147,7 @@ func (c *Cached) RecommendContext(ctx context.Context, activity []core.ActionID,
 	h := intset.FromUnsorted(intset.Clone(activity))
 	var kb [128]byte
 	key, hash := cacheKey(kb[:0], h, k)
-	sh := &c.shards[hash&c.mask]
+	sh := c.shard(hash)
 
 	sh.mu.Lock()
 	// The map index with string(key) is a lookup-only conversion: Go elides

@@ -153,6 +153,29 @@ func TestCachedOneShotFloodKeepsRepeats(t *testing.T) {
 	}
 }
 
+// TestCachedShardsSpreadConsecutiveIDs: activities that differ only in
+// low-order key bytes — 20 000 pairs of consecutive ids — spread over all
+// 16 shards, each within half and twice its mean share. FNV-1a's low bits
+// leave some shards empty and put a quarter of the activities in one.
+func TestCachedShardsSpreadConsecutiveIDs(t *testing.T) {
+	const n, k = 20000, 10
+	cached := NewCached(stubRecommender{}, 4096)
+	if len(cached.shards) != 16 {
+		t.Fatalf("%d shards, want 16", len(cached.shards))
+	}
+	count := make(map[*cacheShard]int)
+	for i := 0; i < n; i++ {
+		_, hash := cacheKey(nil, acts(core.ActionID(11+i), core.ActionID(12+i)), k)
+		count[cached.shard(hash)]++
+	}
+	mean := n / len(cached.shards)
+	for i := range cached.shards {
+		if c := count[&cached.shards[i]]; c < mean/2 || c > 2*mean {
+			t.Errorf("shard %d holds %d of %d activities, want within [%d, %d]", i, c, n, mean/2, 2*mean)
+		}
+	}
+}
+
 // TestCachedRecycledEntriesStayExact mixes repeats and one-shots over a
 // small cache so that entries are promoted, dropped from main and recycled
 // with results of every length from 0 to k: every stored list still has

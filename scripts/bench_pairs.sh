@@ -2,28 +2,38 @@
 # Alternating parent/change pairs of the repository benchmark
 # (BENCHMARK.json, bench/README.md), judged with `bench compare`:
 #
-#   scripts/bench_pairs.sh PARENT WORKLOAD PAIRS
-#   make bench-e2e-pairs PARENT=<rev> WORKLOAD=<w> PAIRS=<n>
+#   scripts/bench_pairs.sh PARENT WORKLOAD PAIRS [FIRST_SEED]
+#   make bench-e2e-pairs PARENT=<rev> WORKLOAD=<w> PAIRS=<n> [FIRST_SEED=<s>]
 #
 # The parent side is `git archive PARENT` unpacked into a temporary
-# directory; the change side is this working tree. Pair i runs seed i, the
-# parent first when i is odd and the change first when it is even. Every run
-# keeps bench's defaults (BENCHMARK.json's run length, the -out directory of
-# its own tree) and appends to its side's record, parent.jsonl or
-# change.jsonl in bench/.out/pairs-WORKLOAD, emptied of earlier records
-# first. Every run's exit status and `set-up times` line is printed; a
-# failed run is counted, never retried, and makes the script exit non-zero
-# after the comparison.
+# directory; the change side is this working tree. Pair i (1..PAIRS) runs
+# seed FIRST_SEED+i-1 (FIRST_SEED defaults to 1, so seeds no earlier
+# measurement used can be run apart), the parent first when i is odd and the
+# change first when it is even. Every run keeps bench's defaults
+# (BENCHMARK.json's run length, the -out directory of its own tree) and
+# appends to its side's record, parent.jsonl or change.jsonl in
+# bench/.out/pairs-WORKLOAD, emptied of earlier records first. The records
+# do not say which code they came from, so the script writes that to
+# provenance there, and prints it: the parent's full hash, and this tree's
+# HEAD, followed by "+dirty sha256:<sum>" when the tree differs from HEAD
+# (<sum> covers `git diff HEAD` and the untracked files). Every run's exit
+# status and `set-up times` line is printed; a failed run is counted, never
+# retried, and makes the script exit non-zero after the comparison.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -ne 3 ]; then
-    echo "usage: $0 PARENT WORKLOAD PAIRS" >&2
+if [ $# -ne 3 ] && [ $# -ne 4 ]; then
+    echo "usage: $0 PARENT WORKLOAD PAIRS [FIRST_SEED]" >&2
     exit 2
 fi
-PARENT=$1 WORKLOAD=$2 PAIRS=$3
+PARENT=$1 WORKLOAD=$2 PAIRS=$3 FIRST_SEED=${4:-1}
 case $PAIRS in '' | *[!0-9]* | 0)
     echo "$0: PAIRS must be a positive integer, got '$PAIRS'" >&2
+    exit 2
+    ;;
+esac
+case $FIRST_SEED in '' | *[!0-9]*)
+    echo "$0: FIRST_SEED must be a non-negative integer, got '$FIRST_SEED'" >&2
     exit 2
     ;;
 esac
@@ -38,7 +48,16 @@ if ! git archive "$PARENT" | tar -x -C "$TMP/parent"; then
     exit 2
 fi
 rm -f "$OUT/parent.jsonl" "$OUT/change.jsonl"
-echo "parent $(git rev-parse --short "$PARENT") vs the working tree; records in $OUT"
+change=$(git rev-parse HEAD)
+if [ -n "$(git status --porcelain)" ]; then
+    sum=$({
+        git diff HEAD
+        git ls-files -z --others --exclude-standard | xargs -0 -r sha256sum
+    } | sha256sum | cut -c1-64)
+    change="$change+dirty sha256:$sum"
+fi
+printf 'parent %s\nchange %s\n' "$(git rev-parse "$PARENT^{commit}")" "$change" | tee "$OUT/provenance"
+echo "seeds $FIRST_SEED..$((FIRST_SEED + PAIRS - 1)); records in $OUT"
 
 failed=0
 # run SIDE SEED: one benchmark run of SIDE (parent or change), its output
@@ -50,7 +69,7 @@ run() {
     (cd "$tree" && go run ./bench -workload "$WORKLOAD" -seed "$seed" -record "$OUT/$side.jsonl") \
         >"$log" 2>&1
     status=$?
-    printf 'pair %d %-6s exit %d  %s\n' "$seed" "$side" "$status" \
+    printf 'seed %d %-6s exit %d  %s\n' "$seed" "$side" "$status" \
         "$(grep -m1 'set-up times' "$log" || echo 'no set-up times line')"
     if [ "$status" != 0 ]; then
         failed=$((failed + 1))
@@ -59,12 +78,13 @@ run() {
 }
 
 for i in $(seq 1 "$PAIRS"); do
+    seed=$((FIRST_SEED + i - 1))
     if [ $((i % 2)) = 1 ]; then
-        run parent "$i"
-        run change "$i"
+        run parent "$seed"
+        run change "$seed"
     else
-        run change "$i"
-        run parent "$i"
+        run change "$seed"
+        run parent "$seed"
     fi
 done
 

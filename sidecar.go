@@ -122,7 +122,7 @@ func loadLibraryFileMapped(fsys faultfs.FS, path string) (*Library, string, erro
 		return lib, "", err
 	}
 
-	h := sha256.New()
+	h := countedHash{sha256.New()}
 	if _, err := io.Copy(h, f); err != nil {
 		return nil, "", fmt.Errorf("goalrec: reading %s: %w", path, err)
 	}
@@ -237,6 +237,15 @@ func sidecarKey(h hash.Hash) []byte {
 
 var sidecarKeyLen = len(sidecarKey(sha256.New()))
 
+// countedHash is a source hash whose input is counted in the process's
+// snapshot I/O counters (core.IOStats.SourceBytesHashed).
+type countedHash struct{ hash.Hash }
+
+func (h countedHash) Write(p []byte) (int, error) {
+	core.CountSourceHashed(len(p))
+	return h.Hash.Write(p)
+}
+
 // isSidecarKey reports whether key has the shape sidecarKey gives: a stored
 // key is reused on a stamp match only when it names this hash and layout.
 func isSidecarKey(key []byte) bool {
@@ -300,6 +309,14 @@ func removeStaleTemps(fsys faultfs.FS, dir string) {
 		}
 	}
 }
+
+// IOStats counts what this process's snapshot files and library sources
+// have cost it in I/O since it started (core.IOStats): the "io" block of
+// /v1/metrics.
+type IOStats = core.IOStats
+
+// ReadIOStats returns the process's I/O counters.
+func ReadIOStats() IOStats { return core.ReadIOStats() }
 
 // IndexBytes is the size of a library's index structures: the base's flat
 // arrays by structure, plus the tail and overlay of an extended snapshot.

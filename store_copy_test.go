@@ -10,6 +10,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"goalrec/internal/core"
 	"goalrec/internal/faultfs"
@@ -187,6 +188,86 @@ func TestStoreSeedCopiesSidecar(t *testing.T) {
 	}
 	if !sameFile(t, s.snapPath(stamped.Epoch()), mapped.side.src+SidecarSuffix) {
 		t.Fatal("the seeded snapshot is not the sidecar's file")
+	}
+}
+
+// TestStoreSeedChecksumsSidecarOnce: a fresh seed from a sidecar-served
+// library links the sidecar without a second pass over the bytes the load's
+// verified open just checksummed, so load and seed together put the
+// sidecar's size through the CRC once. When the sidecar's stamp moved since
+// the load — its times set, or a byte rewritten in place with its own value
+// (same inode, new modification and change times) — the link scrubs the file
+// again first, and still links it.
+func TestStoreSeedChecksumsSidecarOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		disturb func(t *testing.T, sidecar string)
+		passes  int64 // whole-file CRC passes over the sidecar
+	}{
+		{name: "unchanged", passes: 1},
+		{name: "times moved", passes: 2,
+			disturb: func(t *testing.T, sidecar string) {
+				old := time.Now().Add(-time.Hour)
+				if err := os.Chtimes(sidecar, old, old); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "byte rewritten in place with its own value", passes: 2,
+			disturb: func(t *testing.T, sidecar string) {
+				// The rewrite's times must be newer than the file's.
+				settleSource(t, sidecar)
+				f, err := os.OpenFile(sidecar, os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				fi, err := f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := make([]byte, 1)
+				if _, err := f.ReadAt(b, fi.Size()/2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt(b, fi.Size()/2); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, _, _ := seedSidecar(t, 31)
+			sidecar := src + SidecarSuffix
+			fi, err := os.Stat(sidecar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, complete := core.StatStamp(fi); !complete {
+				t.Skip("this platform's stat record carries no change time, inode and device")
+			}
+			before := ReadIOStats()
+			mapped, decision, err := LoadLibraryFileMapped(src)
+			if err != nil || decision != SidecarHit {
+				t.Fatalf("loading %s: decision %q, err %v", src, decision, err)
+			}
+			if tc.disturb != nil {
+				tc.disturb(t, sidecar)
+			}
+			s, err := OpenStore(t.TempDir(), StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			stamped := s.Engine().Swap(mapped)
+			if err := s.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ReadIOStats().BytesChecksummed-before.BytesChecksummed, tc.passes*fi.Size(); got != want {
+				t.Fatalf("load and seed checksummed %d bytes, want %d (%d× the %d-byte sidecar)", got, want, tc.passes, fi.Size())
+			}
+			if !sameFile(t, s.snapPath(stamped.Epoch()), sidecar) {
+				t.Fatal("the seeded snapshot is not the sidecar's file")
+			}
+		})
 	}
 }
 
