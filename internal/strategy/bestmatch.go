@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
@@ -35,31 +33,6 @@ type BestMatch struct {
 	lib    *core.Library
 	metric Metric
 }
-
-// bmScratch carries the per-query dense buffers.
-type bmScratch struct {
-	goals   core.GoalTally // GS(H) and its profile counts, in first-touch order
-	profile []float64      // goals.Counts as floats
-	run     []float64      // ShardVectors: one candidate's count per slot
-	touched []int          // the slots run holds
-
-	// Goal-major accumulators, indexed by action id and grown to the library
-	// at hand per query: acc holds a⃗·H⃗ and ‖a⃗‖², accL1 Σa⃗ and Σmin(a⃗, H⃗)
-	// for the L1 metrics only, so cosine scatters 16 bytes per action.
-	// All zero between queries (cleared via actTouched).
-	acc, accL1 [][2]float64
-	actTouched []core.ActionID
-
-	// Candidate pool of the current query and the buffers that generate it.
-	cands    []core.ActionID
-	candBufs core.CandidateScratch
-}
-
-// bmScratchPool serves every BestMatch instance — every metric, library,
-// epoch and shard. The action-indexed buffers grow to the library at hand
-// where they are used (CandidateScratch, scoreGoalMajor's accumulators);
-// the goal tally is sized to each query by its Reset.
-var bmScratchPool = sync.Pool{New: func() any { return new(bmScratch) }}
 
 // Metric identifies a Best Match distance between the profile H⃗ and a
 // candidate a⃗. Smaller is closer for every metric, matching the paper's
@@ -186,29 +159,28 @@ func (bm *BestMatch) RecommendContext(ctx context.Context, activity []core.Actio
 	if k == 0 {
 		return nil, nil
 	}
-	h := intset.FromUnsorted(intset.Clone(activity))
-	s := bmScratchPool.Get().(*bmScratch)
-	defer bmScratchPool.Put(s)
-	// Algorithm 3 (Get-Goal-Based-Profile) rides the candidate walk: every
-	// posting of H adds one to its goal's profile count (Equation 9).
-	s.goals.Reset(goalBound(bm.lib, h))
-	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
+	s := getScratch()
+	defer putScratch(s)
+	s.tally(bm.lib, activity)
 	return bm.rank(ctx, s, k)
 }
 
-// goalBound bounds the distinct goals h's postings reach, the size a goal
-// tally is reset to: one goal per posting, and no more than lib has.
-func goalBound(lib *core.Library, h []core.ActionID) int {
+// tally walks H's postings for its candidates (s.cands), and Algorithm 3
+// (Get-Goal-Based-Profile) rides the walk: each posting adds one to its
+// goal's profile count in s.goals (Equation 9), sized to the goals reached.
+func (s *scratch) tally(lib *core.Library, activity []core.ActionID) {
+	h := intset.FromUnsorted(intset.Clone(activity))
 	n := 0
 	for _, a := range h {
 		n += lib.ActionDegree(a)
 	}
-	return min(n, lib.NumGoals())
+	s.goals.Reset(min(n, lib.NumGoals()))
+	s.cands = lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
 }
 
 // rank scores every candidate of the tallied scratch (goal space, profile,
 // candidate pool) straight into one k-bounded selector.
-func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAction, error) {
+func (bm *BestMatch) rank(ctx context.Context, s *scratch, k int) ([]ScoredAction, error) {
 	candidates := s.cands
 	if len(candidates) == 0 {
 		return nil, nil
@@ -237,16 +209,14 @@ func (bm *BestMatch) rank(ctx context.Context, s *bmScratch, k int) ([]ScoredAct
 // is Σ_{g∈GS(H)} |distinct actions of g|, independent of connectivity. Every
 // accumulated term is an integer-valued float summed exactly below 2^53, so
 // the scores are bit-identical to the sparse per-candidate vectors'.
-func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidates []core.ActionID, h bmSums, sel *selector) error {
+func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *scratch, candidates []core.ActionID, h bmSums, sel *selector) error {
 	l1 := readsL1(bm.metric)
 	n := bm.lib.NumActions()
-	if len(s.acc) < n { // in place: nothing is written past len
-		s.acc = slices.Grow(s.acc, n-len(s.acc))[:n]
+	s.acc = grow(s.acc, n)
+	if l1 {
+		s.accL1 = grow(s.accL1, n)
 	}
-	if l1 && len(s.accL1) < n {
-		s.accL1 = slices.Grow(s.accL1, n-len(s.accL1))[:n]
-	}
-	s.actTouched = slices.Grow(s.actTouched[:0], n) // every action at most once
+	s.actTouched = grow(s.actTouched[:0], n)[:0] // every action at most once
 	tick := newTicker(ctx)
 	var tickErr error
 	for i, g := range s.goals.Goals {
@@ -302,7 +272,7 @@ func (bm *BestMatch) scoreGoalMajor(ctx context.Context, s *bmScratch, candidate
 			sel.offer(ScoredAction{Action: a, Score: bmScore(bm.metric, h, sums)})
 		}
 	}
-	// Return the pooled accumulators clean, on an abort too.
+	// Return the accumulators clean, on an abort too.
 	for _, a := range s.actTouched {
 		s.acc[a] = [2]float64{}
 		if l1 {

@@ -58,10 +58,9 @@ func TestBestMatchNames(t *testing.T) {
 // the candidate walk — and returns the goal space in ascending order with
 // the profile aligned to it.
 func denseProfile(bm *BestMatch, h []core.ActionID) ([]core.GoalID, []float64) {
-	var t core.GoalTally
-	sortedH := intset.FromUnsorted(intset.Clone(h))
-	t.Reset(goalBound(bm.lib, sortedH))
-	bm.lib.AppendCandidates(nil, &core.CandidateScratch{}, sortedH, &t)
+	s := new(scratch)
+	s.tally(bm.lib, h)
+	t := &s.goals
 	goalSpace := intset.FromUnsorted(intset.Clone(t.Goals))
 	profile := make([]float64, len(goalSpace))
 	for i, g := range goalSpace {

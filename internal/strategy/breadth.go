@@ -3,8 +3,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
@@ -69,36 +67,10 @@ func ParseBreadthWeighting(name string) (BreadthWeighting, error) {
 // materialized, sorted IS(H). Every comm is integer-valued, so float64
 // score sums are exact in any order, and a query and its shard partials
 // rank bit-identically.
-// Scratch is pooled, so a query allocates only its result.
+// Scratch comes from the free list, so a query allocates only its result.
 type Breadth struct {
 	lib       *core.Library
 	weighting BreadthWeighting
-}
-
-// breadthScratch is the pooled per-query state: dense H membership and the
-// score accumulator — scores is indexed by action id and re-zeroed through
-// actions, the ids it touched.
-type breadthScratch struct {
-	inH     []bool // dense H membership, set and cleared per query
-	scores  []float64
-	actions []core.ActionID
-}
-
-// breadthScratchPool serves every Breadth instance, whatever its weighting,
-// library, epoch or shard; getBreadthScratch sizes the action-indexed
-// buffers to the library at hand.
-var breadthScratchPool = sync.Pool{New: func() any { return new(breadthScratch) }}
-
-// getBreadthScratch takes a scratch from the pool with inH and scores
-// covering lib's action ids. Both are all zero between queries and nothing is
-// written past their length, so a short pair is grown in place.
-func getBreadthScratch(lib *core.Library) *breadthScratch {
-	s := breadthScratchPool.Get().(*breadthScratch)
-	if n := lib.NumActions(); len(s.inH) < n {
-		s.inH = slices.Grow(s.inH, n-len(s.inH))[:n]
-		s.scores = slices.Grow(s.scores, n-len(s.scores))[:n]
-	}
-	return s
 }
 
 // NewBreadth returns a Breadth strategy over lib with the default Overlap
@@ -139,24 +111,22 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 		return nil, nil
 	}
 	h := intset.FromUnsorted(intset.Clone(activity))
-	ks := kernelScratchPool.Get().(*kernelScratch)
-	defer kernelScratchPool.Put(ks)
-	impls, cnt, err := ks.gather(ctx, b.lib, h)
-	if err != nil {
+	s := getScratch()
+	defer putScratch(s)
+	if err := s.gather(ctx, b.lib, h); err != nil {
 		return nil, err
 	}
-	return b.score(ctx, h, impls, cnt, k)
+	return b.score(ctx, s, h, k)
 }
 
 // score is Breadth's one scoring driver, over the kernel's gathered
-// counters: every implementation impls[i] credits its candidates from
-// cnt[i] = |A_impls[i] ∩ H|.
-func (b *Breadth) score(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int) ([]ScoredAction, error) {
-	s := getBreadthScratch(b.lib)
-	defer breadthScratchPool.Put(s)
+// counters: every implementation touched[i] credits its candidates from
+// counts[i] = |A_touched[i] ∩ H| into s's accumulator.
+func (b *Breadth) score(ctx context.Context, s *scratch, h []core.ActionID, k int) ([]ScoredAction, error) {
+	s.inH, s.scores = grow(s.inH, b.lib.NumActions()), grow(s.scores, b.lib.NumActions())
 	s.markH(h, true)
 	tick := newTicker(ctx)
-	scores, actions := s.scores, s.actions
+	impls, cnt, scores, actions := s.touched, s.counts, s.scores, s.actions
 	var err error
 	// One checkpoint per run of implementations, not one each: a call
 	// inside the walk makes it spill its registers around every credit.
@@ -215,7 +185,7 @@ func breadthComm(w BreadthWeighting, implLen, hLen int, cnt int32) float64 {
 // k-bounded selector — so the result owns exactly the entries it returns —
 // and re-zeroes the accumulator for the next query. An aborted query
 // (err != nil) only re-zeroes: the accumulator may hold partial scores.
-func (s *breadthScratch) drainScores(k int, err error) ([]ScoredAction, error) {
+func (s *scratch) drainScores(k int, err error) ([]ScoredAction, error) {
 	sel := newSelector(k, len(s.actions))
 	for _, a := range s.actions {
 		if err == nil {
@@ -232,7 +202,7 @@ func (s *breadthScratch) drainScores(k int, err error) ([]ScoredAction, error) {
 
 // markH sets or clears the dense H membership: every slot visit of the walk
 // becomes an O(1) array read instead of a binary search over h.
-func (s *breadthScratch) markH(h []core.ActionID, in bool) {
+func (s *scratch) markH(h []core.ActionID, in bool) {
 	for _, a := range h {
 		if a >= 0 && int(a) < len(s.inH) {
 			s.inH[a] = in

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -231,12 +232,13 @@ func TestRecommendContextFallback(t *testing.T) {
 
 // TestAbortScratchInvariants hammers the scan strategies and Best Match
 // with thousands of mid-scan aborts at varying checkpoint depths and asserts,
-// after every abort, that the package's shared scratch pools hold only clean
-// scratch: kernel counters zeroed, score accumulators and H-membership
-// cleared, Best Match's goal-major accumulators zero. Every instance of a
-// strategy draws from the same pool, so dirty scratch would corrupt another
-// instance's ranking. A completed query follows each abort and must match
-// the oracle — the end-to-end proof that no partial state leaked.
+// after every abort, that the scratch the aborted query returned to the pool
+// is clean in every part: kernel counters zeroed, Breadth's score
+// accumulator, touched list and H-membership cleared, Best Match's
+// goal-major accumulators zero. On one P that scratch is the one the next
+// query takes, whatever its strategy or instance, so dirty scratch would
+// corrupt its ranking. A completed query follows each abort and must
+// match the oracle — the end-to-end proof that no partial state leaked.
 func TestAbortScratchInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	lib := testlib.RandomLibrary(r, 2500, 24, 20, 9)
@@ -245,51 +247,56 @@ func TestAbortScratchInvariants(t *testing.T) {
 	// cross a checkpoint, which takes far more goals than lib has.
 	bmLib := testlib.RandomLibrary(r, 2500, 200, 1500, 9)
 	ob := newOracle(bmLib)
+	// Breadth polls once per 1 024 implementations it credits, so it aborts
+	// with credited scores only when H reaches past 2 048 of them, which
+	// takes more implementations than lib has.
+	deepLib := testlib.RandomLibrary(rand.New(rand.NewSource(8)), 8000, 24, 20, 9)
+	od := newOracle(deepLib)
 
 	// w1: one worker, the sequential kernel every strategy runs.
 	t.Run("w1", func(t *testing.T) {
 		fc := NewFocus(lib, Closeness)
-		br := NewBreadth(lib)
+		br, deep := NewBreadth(lib), NewBreadth(deepLib)
 		bms := []*BestMatch{NewBestMatch(bmLib), NewBestMatchMetric(bmLib, Manhattan)}
 
-		checkKernel := func(i int, name string) {
-			s := kernelScratchPool.Get().(*kernelScratch)
-			defer kernelScratchPool.Put(s)
+		// One P, so every query below takes the scratch the one before
+		// returned to the pool's per-P slot: used, unless the race detector
+		// drops a Put. The oracles allocate enough for GC cycles, which empty
+		// the pool, so each round takes used afresh.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var used *scratch
+		check := func(i int, name string) {
+			s := getScratch()
+			defer putScratch(s)
+			if s != used && !raceEnabled {
+				t.Fatalf("abort %d: %s did not return the scratch it took", i, name)
+			}
 			for p, c := range s.cnt {
 				if c != 0 {
-					t.Fatalf("abort %d: %s counter %d left at %d", i, name, p, c)
+					t.Fatalf("abort %d: %s left counter %d at %d", i, name, p, c)
 				}
 			}
-		}
-		checkBreadth := func(i int) {
-			checkKernel(i, "breadth")
-			s := breadthScratchPool.Get().(*breadthScratch)
-			defer breadthScratchPool.Put(s)
 			for a, in := range s.inH {
 				if in {
-					t.Fatalf("abort %d: breadth inH[%d] left set", i, a)
+					t.Fatalf("abort %d: %s left inH[%d] set", i, name, a)
 				}
 			}
 			if len(s.actions) != 0 {
-				t.Fatalf("abort %d: breadth accumulator kept its touched list", i)
+				t.Fatalf("abort %d: %s left Breadth's touched list", i, name)
 			}
 			for a, v := range s.scores {
 				if v != 0 {
-					t.Fatalf("abort %d: breadth score[%d] left at %v", i, a, v)
+					t.Fatalf("abort %d: %s left score[%d] at %v", i, name, a, v)
 				}
 			}
-		}
-		checkBestMatch := func(i int, bm *BestMatch) {
-			s := bmScratchPool.Get().(*bmScratch)
-			defer bmScratchPool.Put(s)
 			for a, v := range s.acc {
 				if v != [2]float64{} {
-					t.Fatalf("abort %d: %s acc[%d] left at %v", i, bm.Name(), a, v)
+					t.Fatalf("abort %d: %s left acc[%d] at %v", i, name, a, v)
 				}
 			}
 			for a, v := range s.accL1 {
 				if v != [2]float64{} {
-					t.Fatalf("abort %d: %s accL1[%d] left at %v", i, bm.Name(), a, v)
+					t.Fatalf("abort %d: %s left accL1[%d] at %v", i, name, a, v)
 				}
 			}
 		}
@@ -298,16 +305,20 @@ func TestAbortScratchInvariants(t *testing.T) {
 		for i := 0; i < 1500; i++ {
 			h := intset.FromUnsorted(testlib.RandomActivity(r, 24, 6))
 			polls := int64(1 + i%9)
+			used = getScratch()
+			putScratch(used)
 			fc.RecommendContext(newCancelAfterPolls(polls), h, 6)
-			checkKernel(i, "focus")
+			check(i, fc.Name())
 			br.RecommendContext(newCancelAfterPolls(polls), h, 6)
-			checkBreadth(i)
+			check(i, br.Name())
+			deep.RecommendContext(newCancelAfterPolls(int64(1+i%15)), h, 6)
+			check(i, deep.Name())
 			hb := intset.FromUnsorted(testlib.RandomActivity(r, 200, 6))
 			for _, bm := range bms {
 				if _, err := bm.RecommendContext(newCancelAfterPolls(polls), hb, 6); err != nil {
 					bmAborts++
 				}
-				checkBestMatch(i, bm)
+				check(i, bm.Name())
 			}
 
 			if i%5 == 0 {
@@ -319,6 +330,9 @@ func TestAbortScratchInvariants(t *testing.T) {
 				}
 			}
 			if i%25 == 0 { // the Best Match oracle is the slow one
+				if got, want := deep.Recommend(h, 6), od.oracleBreadth(h, Overlap, 6); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d: breadth over %d implementations diverged after aborts:\ngot  %v\nwant %v", i, deepLib.NumImplementations(), got, want)
+				}
 				for _, bm := range bms {
 					if got, want := bm.Recommend(hb, 6), ob.oracleBestMatch(hb, bm.metric, 6); !reflect.DeepEqual(got, want) {
 						t.Fatalf("query %d: %s diverged after aborts:\ngot  %v\nwant %v", i, bm.Name(), got, want)

@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"goalrec/internal/core"
 	"goalrec/internal/intset"
@@ -47,16 +46,6 @@ type Focus struct {
 	lib     *core.Library
 	measure FocusMeasure
 }
-
-// focusScratch is the pooled per-query state: the ranked-implementation
-// buffer.
-type focusScratch struct {
-	ranked []rankedImpl
-}
-
-// focusScratchPool serves every Focus instance — both measures, every
-// library, epoch and shard.
-var focusScratchPool = sync.Pool{New: func() any { return new(focusScratch) }}
 
 // NewFocus returns a Focus strategy over lib using the given measure.
 func NewFocus(lib *core.Library, measure FocusMeasure) *Focus {
@@ -118,31 +107,26 @@ func (f *Focus) RecommendContext(ctx context.Context, activity []core.ActionID, 
 // associated implementation, and rank scores, ranks and walks them.
 func (f *Focus) emissions(ctx context.Context, activity []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	h := intset.FromUnsorted(intset.Clone(activity))
-	ks := kernelScratchPool.Get().(*kernelScratch)
-	defer kernelScratchPool.Put(ks)
-	impls, cnt, err := ks.gather(ctx, f.lib, h)
-	if err != nil {
+	s := getScratch()
+	defer putScratch(s)
+	if err := s.gather(ctx, f.lib, h); err != nil {
 		return nil, err
 	}
-	return f.rank(ctx, h, impls, cnt, k, implBase)
+	return f.rank(ctx, s, h, k, implBase)
 }
 
 // rank is Focus's one scoring driver, over the kernel's gathered counters:
-// cnt[i] = |A_impls[i] ∩ H| scores impls[i], and selectEmit ranks and walks
-// the scored set.
-func (f *Focus) rank(ctx context.Context, h []core.ActionID, impls []core.ImplID, cnt []int32, k int, implBase int64) ([]FocusEmission, error) {
-	s := focusScratchPool.Get().(*focusScratch)
-	defer focusScratchPool.Put(s)
+// counts[i] = |A_touched[i] ∩ H| scores touched[i] into s's ranked buffer,
+// and selectEmit ranks and walks the scored set.
+func (f *Focus) rank(ctx context.Context, s *scratch, h []core.ActionID, k int, implBase int64) ([]FocusEmission, error) {
 	tick := newTicker(ctx)
-	if cap(s.ranked) < len(impls) {
-		s.ranked = make([]rankedImpl, 0, len(impls))
-	}
+	s.ranked = grow(s.ranked[:0], len(s.touched))
 	all := s.ranked[:0]
-	for i, p := range impls {
+	for i, p := range s.touched {
 		if err := tick.tick(1); err != nil {
 			return nil, err
 		}
-		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(cnt[i])); ok {
+		if ri, ok := focusRank(f.measure, p, f.lib.ImplLen(p), int(s.counts[i])); ok {
 			all = append(all, ri)
 		}
 	}

@@ -23,7 +23,7 @@ import (
 // all of them.
 func TestKernelGatherMatchesView(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
-	s := new(kernelScratch)
+	s := new(scratch)
 	aborts := 0
 	for trial := 0; trial < 20; trial++ {
 		actionSpace := 2 + r.Intn(30)
@@ -44,10 +44,10 @@ func TestKernelGatherMatchesView(t *testing.T) {
 			}
 			h := intset.FromUnsorted(intset.Clone(activity))
 			for _, lib := range []*core.Library{full, shard, small} {
-				impls, cnt, err := s.gather(context.Background(), lib, h)
-				if err != nil {
+				if err := s.gather(context.Background(), lib, h); err != nil {
 					t.Fatal(err)
 				}
+				impls, cnt := s.touched, s.counts
 				checkCountersZero(t, s, "after gather")
 				if len(impls) != len(cnt) {
 					t.Fatalf("gathered %d implementations but %d counts", len(impls), len(cnt))
@@ -62,7 +62,7 @@ func TestKernelGatherMatchesView(t *testing.T) {
 				}
 				// The first poll cancels: every stream of a checkpoint's
 				// length or more aborts mid-accumulation.
-				if _, _, err := s.gather(newCancelAfterPolls(0), lib, h); err != nil {
+				if err := s.gather(newCancelAfterPolls(0), lib, h); err != nil {
 					if !errors.Is(err, ErrCanceled) {
 						t.Fatalf("err = %v, want ErrCanceled", err)
 					}
@@ -77,7 +77,7 @@ func TestKernelGatherMatchesView(t *testing.T) {
 	}
 }
 
-func checkCountersZero(t *testing.T, s *kernelScratch, when string) {
+func checkCountersZero(t *testing.T, s *scratch, when string) {
 	t.Helper()
 	for p, c := range s.cnt {
 		if c != 0 {

@@ -190,11 +190,9 @@ func (bm *BestMatch) ShardSurvey(ctx context.Context, activity []core.ActionID) 
 	if err := entryErr(ctx); err != nil {
 		return nil, err
 	}
-	h := intset.FromUnsorted(intset.Clone(activity))
-	s := bmScratchPool.Get().(*bmScratch)
-	defer bmScratchPool.Put(s)
-	s.goals.Reset(goalBound(bm.lib, h))
-	s.cands = bm.lib.AppendCandidates(s.cands[:0], &s.candBufs, h, &s.goals)
+	s := getScratch()
+	defer putScratch(s)
+	s.tally(bm.lib, activity)
 	out := &BestMatchSurvey{
 		Candidates: append([]core.ActionID(nil), s.cands...),
 		GoalSpace:  intset.FromUnsorted(append([]core.GoalID(nil), s.goals.Goals...)),
@@ -214,8 +212,8 @@ func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionI
 	if err := entryErr(ctx); err != nil {
 		return nil, err
 	}
-	s := bmScratchPool.Get().(*bmScratch)
-	defer bmScratchPool.Put(s)
+	s := getScratch()
+	defer putScratch(s)
 	for i, g := range goalSpace {
 		if g < 0 || int(g) >= bm.lib.NumGoals() || (i > 0 && g <= goalSpace[i-1]) {
 			return nil, fmt.Errorf("strategy: goal space is not an ascending set of the library's goals (goal %d at %d)", g, i)
@@ -226,9 +224,7 @@ func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionI
 	for _, g := range goalSpace {
 		s.goals.Add(g, 0) // slot = index in goalSpace
 	}
-	if len(s.run) < len(goalSpace) {
-		s.run = make([]float64, len(goalSpace))
-	}
+	s.run = grow(s.run, len(goalSpace))
 	out := &BestMatchVectors{Off: make([]int32, 1, len(candidates)+1)}
 	tick := newTicker(ctx)
 	for _, a := range candidates {
@@ -236,19 +232,19 @@ func (bm *BestMatch) ShardVectors(ctx context.Context, candidates []core.ActionI
 		if err := tick.tick(len(base) + len(tail) + 1); err != nil {
 			return nil, err
 		}
-		s.touched = s.touched[:0]
+		s.slots = s.slots[:0]
 		for _, row := range [...][]core.ImplID{base, tail} {
 			for _, p := range row {
 				if i := s.goals.Slot(bm.lib.Goal(p)); i >= 0 {
 					if s.run[i] == 0 {
-						s.touched = append(s.touched, i)
+						s.slots = append(s.slots, i)
 					}
 					s.run[i]++
 				}
 			}
 		}
-		slices.Sort(s.touched)
-		for _, i := range s.touched {
+		slices.Sort(s.slots)
+		for _, i := range s.slots {
 			out.Slot = append(out.Slot, int32(i))
 			out.Mult = append(out.Mult, int64(s.run[i]))
 			s.run[i] = 0

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -16,8 +17,8 @@ import (
 // TestSharedScratchAcrossLibraries interleaves the source table — Focus,
 // Breadth and every Best Match metric (cosine before the L1 metrics), from
 // scratch, through a view and through shard partials — over a shard, its
-// full library and a smaller library. Every instance draws on the package's
-// shared scratch pools, so every buffer must grow to the library at hand on
+// full library and a smaller library. Every query draws on the package's
+// one scratch pool, so every buffer must grow to the library at hand on
 // use: a scratch sized on the shard or the small library would overrun on
 // the full one, and a cosine-first Best Match scratch has no L1
 // accumulators. Each ranking must equal the naive oracle of its library.
@@ -48,8 +49,8 @@ func scratchLibraries(t *testing.T, r *rand.Rand) (shard, full, small *core.Libr
 
 // TestSharedScratchConcurrentInstances runs fresh instances of every
 // strategy over the three libraries of TestSharedScratchAcrossLibraries from
-// several goroutines at once, each in its own order, so the shared pools
-// pass scratch between instances, metrics and libraries under the race
+// several goroutines at once, each in its own order, so the shared pool
+// passes scratch between instances, metrics and libraries under the race
 // detector. Every ranking must equal the oracle's.
 func TestSharedScratchConcurrentInstances(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
@@ -89,7 +90,7 @@ func TestSharedScratchConcurrentInstances(t *testing.T) {
 }
 
 // TestFocusFirstQueryAllocatesOnce: a Focus query that finds the scratch
-// pools empty allocates each buffer once, at the size it uses — the counter
+// pool empty allocates each buffer once, at the size it uses — the counter
 // array (1 B per implementation), the touched list (4 B per posting of the
 // activity's rows, at most per implementation), the counts (4 B per
 // candidate) and the ranked buffer (16 B per candidate) — plus a little for
@@ -167,7 +168,7 @@ func TestBestMatchFirstQueryAllocates(t *testing.T) {
 	}
 }
 
-// TestFreshInstanceReusesScratch pins the point of the shared pools: once
+// TestFreshInstanceReusesScratch pins the point of the shared pool: once
 // one instance has run a query, a fresh instance over the same library — as
 // every engine epoch builds — allocates only its result, not another
 // library-sized counter array (1 MB at 250 000 implementations) or
@@ -231,5 +232,25 @@ func TestFreshInstanceReusesScratch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPutScratchDropsWideCounters: a query whose bound min(MaxImplLen, |H|)
+// passes 255 counts in int32, and its scratch goes back to the pool without
+// them. Only such a query needs them, and the pool would keep them until a
+// GC.
+func TestPutScratchDropsWideCounters(t *testing.T) {
+	r := rand.New(rand.NewSource(58))
+	lib, h := wideLibrary(t, r, testlib.MixedLibrary(r, 300, 300, 20, 9))
+	s := new(scratch)
+	if err := s.gather(context.Background(), lib, intset.FromUnsorted(h)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.wide) == 0 {
+		t.Fatal("the query did not count in wide counters")
+	}
+	putScratch(s)
+	if s.wide != nil {
+		t.Fatalf("the scratch went back with %d wide counters", len(s.wide))
 	}
 }

@@ -64,7 +64,13 @@ func ReplayFS(fsys faultfs.FS, path string, fn func(payload []byte) error) (int6
 	}
 	defer f.Close()
 
-	br := bufio.NewReaderSize(f, 1<<20)
+	// Sized to the log, up to 1 MiB: a store's start replays a header-only
+	// log more than once. A failed Stat only leaves the largest buffer.
+	size := int64(1 << 20)
+	if fi, err := f.Stat(); err == nil {
+		size = min(size, fi.Size())
+	}
+	br := bufio.NewReaderSize(f, int(size))
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -69,6 +70,30 @@ func TestReplayMissingAndEmpty(t *testing.T) {
 	recs, size = replayAll(t, empty)
 	if len(recs) != 0 || size != 0 {
 		t.Fatalf("empty file: %d records, size %d", len(recs), size)
+	}
+}
+
+// TestReplaySizesBufferToLog: replaying a header-only log, as a store's
+// start does more than once, allocates a buffer the size of the log, not
+// the 1 MiB one a long log reads through.
+func TestReplaySizesBufferToLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "header.wal")
+	w, err := OpenWriter(path, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	recs, size := replayAll(t, path)
+	runtime.ReadMemStats(&m1)
+	if len(recs) != 0 || size != headerSize {
+		t.Fatalf("header-only log: %d records, size %d", len(recs), size)
+	}
+	if d := m1.TotalAlloc - m0.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("replaying a header-only log allocated %d bytes, want < 64 KiB", d)
 	}
 }
 
