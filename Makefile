@@ -78,6 +78,7 @@ lint:
 	test -z "$$(git grep -nE 'NewCounterView|RecommendView' -- '*.go' ':!bench' ':!internal/strategy/counterview.go' ':!*_test.go')"
 	test -z "$$(git grep -n 'ImplsOfAction(' -- 'internal/strategy/*.go' 'internal/cluster/*.go' ':!*_test.go')"
 	test -z "$$(git grep -nE 'Reset\([^)]*NumGoals\(\)' -- '*.go' ':!*_test.go')"
+	test -z "$$(git grep -n 'internal/userstore' -- '*.go' ':!bench')"
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else \

@@ -702,10 +702,11 @@ func (s *Snapshot) Library() *Library { return s.lib }
 // into it afterwards live on the heap.
 func (s *Snapshot) Vocabulary() *Vocabulary { return s.vocab }
 
-// Close releases the mapping. The snapshot's Library (and every library
-// extended from it) and its Vocabulary must not be used afterwards.
+// Close releases the mapping; on a nil or closed snapshot it does nothing.
+// The snapshot's Library (and every library extended from it) and its
+// Vocabulary must not be used afterwards.
 func (s *Snapshot) Close() error {
-	if s.unmap == nil {
+	if s == nil || s.unmap == nil {
 		return nil
 	}
 	s.adviseWG.Wait()

@@ -67,7 +67,8 @@ func ParseBreadthWeighting(name string) (BreadthWeighting, error) {
 // materialized, sorted IS(H). Every comm is integer-valued, so float64
 // score sums are exact in any order, and a query and its shard partials
 // rank bit-identically.
-// Scratch comes from the free list, so a query allocates only its result.
+// Scratch comes from the one scratchPool, so a query allocates only its
+// result.
 type Breadth struct {
 	lib       *core.Library
 	weighting BreadthWeighting
@@ -110,19 +111,19 @@ func (b *Breadth) RecommendContext(ctx context.Context, activity []core.ActionID
 	if k == 0 {
 		return nil, nil
 	}
-	h := intset.FromUnsorted(intset.Clone(activity))
 	s := getScratch()
 	defer putScratch(s)
-	if err := s.gather(ctx, b.lib, h); err != nil {
-		return nil, err
-	}
-	return b.score(ctx, s, h, k)
+	return s.drainScores(k, b.accumulate(ctx, s, activity))
 }
 
-// score is Breadth's one scoring driver, over the kernel's gathered
-// counters: every implementation touched[i] credits its candidates from
-// counts[i] = |A_touched[i] ∩ H| into s's accumulator.
-func (b *Breadth) score(ctx context.Context, s *scratch, h []core.ActionID, k int) ([]ScoredAction, error) {
+// accumulate is Breadth's one scoring driver: over the kernel's counters
+// for H, every implementation touched[i] credits its candidates from
+// counts[i] = |A_touched[i] ∩ H| into s's accumulator, which a drain ends.
+func (b *Breadth) accumulate(ctx context.Context, s *scratch, activity []core.ActionID) error {
+	h := intset.FromUnsorted(intset.Clone(activity))
+	if err := s.gather(ctx, b.lib, h); err != nil {
+		return err
+	}
 	s.inH, s.scores = grow(s.inH, b.lib.NumActions()), grow(s.scores, b.lib.NumActions())
 	s.markH(h, true)
 	tick := newTicker(ctx)
@@ -141,7 +142,7 @@ func (b *Breadth) score(ctx context.Context, s *scratch, h []core.ActionID, k in
 	}
 	s.actions = actions
 	s.markH(h, false)
-	return s.drainScores(k, err)
+	return err
 }
 
 // credit is Algorithm 2's loop body: an implementation with action set acts
@@ -186,18 +187,23 @@ func breadthComm(w BreadthWeighting, implLen, hLen int, cnt int32) float64 {
 // and re-zeroes the accumulator for the next query. An aborted query
 // (err != nil) only re-zeroes: the accumulator may hold partial scores.
 func (s *scratch) drainScores(k int, err error) ([]ScoredAction, error) {
-	sel := newSelector(k, len(s.actions))
-	for _, a := range s.actions {
-		if err == nil {
-			sel.offer(ScoredAction{Action: a, Score: s.scores[a]})
-		}
-		s.scores[a] = 0
-	}
-	s.actions = s.actions[:0]
+	defer s.clearScores()
 	if err != nil {
 		return nil, err
 	}
+	sel := newSelector(k, len(s.actions))
+	for _, a := range s.actions {
+		sel.offer(ScoredAction{Action: a, Score: s.scores[a]})
+	}
 	return sel.sorted(), nil
+}
+
+// clearScores re-zeroes the accumulator's touched entries.
+func (s *scratch) clearScores() {
+	for _, a := range s.actions {
+		s.scores[a] = 0
+	}
+	s.actions = s.actions[:0]
 }
 
 // markH sets or clears the dense H membership: every slot visit of the walk

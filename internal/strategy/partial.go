@@ -113,48 +113,68 @@ type BreadthPartial struct {
 	Sums    []int64         `json:"sums"`
 }
 
-// ShardPartial computes the shard's exact candidate sums. |H| (the Union
-// weighting's term) is the resolved global activity length, identical on
-// every worker because every worker resolves against the same vocabulary.
+// ShardPartial computes the shard's exact candidate sums, drained from the
+// accumulator in the order the walk touched them: the merge is order-free.
+// |H| (the Union weighting's term) is the resolved global activity length,
+// identical on every worker because every worker resolves against the same
+// vocabulary.
 func (b *Breadth) ShardPartial(ctx context.Context, activity []core.ActionID) (*BreadthPartial, error) {
-	scored, err := b.RecommendContext(ctx, activity, -1)
-	if err != nil {
+	if err := entryErr(ctx); err != nil {
+		return nil, err
+	}
+	s := getScratch()
+	defer putScratch(s)
+	defer s.clearScores()
+	if err := b.accumulate(ctx, s, activity); err != nil {
 		return nil, err
 	}
 	p := &BreadthPartial{
-		Actions: make([]core.ActionID, len(scored)),
-		Sums:    make([]int64, len(scored)),
+		Actions: make([]core.ActionID, len(s.actions)),
+		Sums:    make([]int64, len(s.actions)),
 	}
-	for i, s := range scored {
-		p.Actions[i] = s.Action
-		p.Sums[i] = int64(s.Score)
+	for i, a := range s.actions {
+		p.Actions[i] = a
+		p.Sums[i] = int64(s.scores[a])
 	}
 	return p, nil
 }
 
-// MergeBreadthPartials folds shard sums per action and ranks under the
-// total order — bit-identical to the single-node integer-exact fold.
+// MergeBreadthPartials folds shard sums per action into a pooled scratch's
+// accumulator and ranks them as a single node does, through drainScores:
+// the float64 sums of integers are exact in any order, so the ranking is
+// bit-identical to the single-node fold. Every partial sum is positive
+// (every comm is at least 1), so any other entry is malformed and skipped.
 func MergeBreadthPartials(parts []*BreadthPartial, k int) []ScoredAction {
 	if k == 0 {
 		return nil
 	}
-	totals := make(map[core.ActionID]int64)
+	n := 0
+	for _, p := range parts {
+		if p != nil {
+			for _, a := range p.Actions {
+				n = max(n, int(a)+1)
+			}
+		}
+	}
+	s := getScratch()
+	defer putScratch(s)
+	s.scores = grow(s.scores, n)
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
 		for i, a := range p.Actions {
-			totals[a] += p.Sums[i]
+			if a < 0 || p.Sums[i] <= 0 {
+				continue
+			}
+			if s.scores[a] == 0 {
+				s.actions = append(s.actions, a)
+			}
+			s.scores[a] += float64(p.Sums[i])
 		}
 	}
-	if len(totals) == 0 {
-		return nil
-	}
-	sel := newSelector(k, len(totals))
-	for a, sum := range totals {
-		sel.offer(ScoredAction{Action: a, Score: float64(sum)})
-	}
-	return sel.sorted()
+	out, _ := s.drainScores(k, nil)
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -89,11 +89,10 @@ type Store struct {
 	compacting atomic.Bool
 	compactWG  sync.WaitGroup
 
-	// unmaps releases the snapshot mappings opened over the store's
-	// lifetime. Mappings stay live until Close: engine snapshots handed to
-	// readers may reference them indefinitely.
-	unmapMu sync.Mutex
-	unmaps  []func() error
+	// snap is the snapshot mapping OpenStore adopted, if any. It stays live
+	// until Close: engine snapshots handed to readers may reference it
+	// indefinitely.
+	snap *core.Snapshot
 }
 
 // ErrReadOnly marks a write rejected because the store is in degraded
@@ -301,7 +300,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		}
 		s.engine = newEngineAdopting(lib)
 		s.snapLow = lib.Epoch()
-		s.unmaps = append(s.unmaps, snap.Close)
+		s.snap = snap
 		break
 	}
 	if s.engine == nil {
@@ -356,7 +355,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		}
 	})
 	if err != nil {
-		s.closeMaps()
+		_ = s.snap.Close()
 		return nil, err
 	}
 	if e := s.engine.Epoch(); e > base {
@@ -368,7 +367,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 
 	w, err := wal.OpenWriterFS(fsys, s.walPath(), validSize, opts.SyncWAL)
 	if err != nil {
-		s.closeMaps()
+		_ = s.snap.Close()
 		return nil, err
 	}
 	s.w = w
@@ -878,28 +877,19 @@ func (s *Store) Scrub() error {
 }
 
 // Close detaches the store from its engine, syncs and closes the WAL, and
-// releases every snapshot mapping opened during the store's lifetime. The
-// engine remains usable afterwards but is no longer durable. Close only
-// after readers can no longer reach mapped snapshots.
+// releases the snapshot mapping the store opened. The engine remains usable
+// afterwards but is no longer durable. Close only after readers can no
+// longer reach mapped snapshots.
 func (s *Store) Close() error {
 	s.engine.setJournal(nil)
 	s.closeOnce.Do(func() { close(s.closed) })
 	s.bgWG.Wait()
 	s.compactWG.Wait()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.w.Close()
-	s.mu.Unlock()
-	s.closeMaps()
+	_ = s.snap.Close()
 	return err
-}
-
-func (s *Store) closeMaps() {
-	s.unmapMu.Lock()
-	defer s.unmapMu.Unlock()
-	for _, f := range s.unmaps {
-		_ = f()
-	}
-	s.unmaps = nil
 }
 
 // ---------------------------------------------------------------------------

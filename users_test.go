@@ -614,3 +614,158 @@ func TestStoredUsersHoldNoCounterState(t *testing.T) {
 	}
 	runtime.KeepAlive(us)
 }
+
+// recordingJournal keeps a UserStore's journal records in log order, so a
+// test can replay them into a fresh store the way a Store's WAL recovery
+// does.
+type recordingJournal struct {
+	mu      sync.Mutex
+	records []recordedUserOp
+}
+
+type recordedUserOp struct {
+	id     string
+	names  []string // nil for a delete
+	delete bool
+}
+
+func (j *recordingJournal) logUserAppend(id string, names []string) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.records = append(j.records, recordedUserOp{id: id, names: slices.Clone(names)})
+	return nil
+}
+
+func (j *recordingJournal) logUserDelete(id string) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.records = append(j.records, recordedUserOp{id: id, delete: true})
+	return nil
+}
+
+// replay applies the records to a fresh store.
+func (j *recordingJournal) replay(t *testing.T) *UserStore {
+	t.Helper()
+	us := NewUserStore(NewEngine(), UserStoreOptions{})
+	for _, r := range j.records {
+		if r.delete {
+			us.applyReplayDelete(r.id)
+		} else if err := us.applyReplayAppend(r.id, r.names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return us
+}
+
+// TestUserStoreAppendDedup: an append journals exactly its post-dedup
+// suffix, in first-seen order, and replaying the journaled suffixes
+// reproduces the history.
+func TestUserStoreAppendDedup(t *testing.T) {
+	var j recordingJournal
+	us := NewUserStore(NewEngine(), UserStoreOptions{})
+	us.setJournal(&j)
+	for _, c := range []struct {
+		append, added []string
+	}{
+		{[]string{"b", "a", "b", "c"}, []string{"b", "a", "c"}},
+		{[]string{"c", "d", "a", "d"}, []string{"d"}},
+		{[]string{"a", "c"}, nil},
+	} {
+		if n, err := us.Append("u1", c.append); err != nil || n != len(c.added) {
+			t.Fatalf("Append(%v) = %d, %v; want %d new", c.append, n, err, len(c.added))
+		}
+	}
+	want := []string{"b", "a", "c", "d"}
+	if h, err := us.History("u1"); err != nil || !reflect.DeepEqual(h, want) {
+		t.Fatalf("History = %v, %v; want %v", h, err, want)
+	}
+	if len(j.records) != 2 || !reflect.DeepEqual(j.records[0].names, want[:3]) || !reflect.DeepEqual(j.records[1].names, want[3:]) {
+		t.Fatalf("journaled %+v, want the suffixes %v and %v", j.records, want[:3], want[3:])
+	}
+	if h, err := j.replay(t).History("u1"); err != nil || !reflect.DeepEqual(h, want) {
+		t.Fatalf("replayed History = %v, %v; want %v", h, err, want)
+	}
+	if st := us.Stats(); st.Appends != 4 || st.Users != 1 {
+		t.Fatalf("stats = %+v, want 4 appends by 1 user", st)
+	}
+}
+
+// TestUserStoreCapacityAndDelete: a new user past MaxUsers is refused, a
+// delete frees its slot, and the counters say so.
+func TestUserStoreCapacityAndDelete(t *testing.T) {
+	us := NewUserStore(NewEngine(), UserStoreOptions{MaxUsers: 2})
+	for _, id := range []string{"a", "b"} {
+		if _, err := us.Append(id, []string{"x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := us.Append("c", []string{"x"}); !errors.Is(err, ErrTooManyUsers) {
+		t.Fatalf("over-capacity append: err = %v", err)
+	}
+	if _, err := us.Append("a", []string{"y"}); err != nil {
+		t.Fatalf("append for a tracked user at capacity: %v", err)
+	}
+	if err := us.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := us.Delete("a"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("second delete: err = %v", err)
+	}
+	if _, err := us.Append("c", []string{"x"}); err != nil {
+		t.Fatalf("append after a delete: %v", err)
+	}
+	if st := us.Stats(); st.Users != 2 || st.Deletes != 1 || st.TooMany != 1 || st.Appends != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if _, err := us.History("nope"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("History of an absent user: err = %v", err)
+	}
+}
+
+// TestUserStoreConcurrentChurn races appends and deletes of the same users:
+// Len must equal the users still held, and the journal, replayed, must
+// reproduce every history, so no append of a user journals after its
+// delete. Run under -race.
+func TestUserStoreConcurrentChurn(t *testing.T) {
+	var j recordingJournal
+	us := NewUserStore(NewEngine(), UserStoreOptions{MaxUsers: 1 << 10})
+	us.setJournal(&j)
+	const users = 32
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := fmt.Sprintf("u%d", (w*7+i)%users)
+				if _, err := us.Append(id, []string{fmt.Sprintf("a%d", i%5), fmt.Sprintf("b%d", w)}); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%17 == 0 {
+					if err := us.Delete(id); err != nil && !errors.Is(err, ErrUnknownUser) {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	replayed := j.replay(t)
+	held := 0
+	for i := 0; i < users; i++ {
+		id := fmt.Sprintf("u%d", i)
+		h, err := us.History(id)
+		if err == nil {
+			held++
+		}
+		rh, rerr := replayed.History(id)
+		if !reflect.DeepEqual(h, rh) || (err == nil) != (rerr == nil) {
+			t.Fatalf("%s: live history %v (%v), replayed %v (%v)", id, h, err, rh, rerr)
+		}
+	}
+	if held != us.Len() {
+		t.Fatalf("the store holds %d of the touched users, Len() = %d", held, us.Len())
+	}
+}
